@@ -26,29 +26,17 @@ stays honest in ``BENCH_engine.json``.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 np = pytest.importorskip("numpy", reason="vectorized benchmarks require numpy")
 
-from test_bench_engine_perf import _merge_bench
+from test_bench_engine_perf import SCALE_10K, _merge_bench, _min_of
 
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.vectorized import vectorized_fixpoint
 from repro.topology.generators import PowerLawConfig, generate_powerlaw_topology
-
-#: Internet-realistic density at CI scale: ~44k edges, mean degree ~8.8.
-SCALE_10K = PowerLawConfig(
-    num_ases=10_000,
-    tier1_size=20,
-    transit_fraction=0.30,
-    transit_providers=(2, 4),
-    stub_providers=(1, 3),
-    transit_peering_degree=(4, 24),
-)
 
 #: CAIDA-snapshot order (an as-rel2 file is ~75-80k ASes), kept sparser
 #: so the slow rung stays a local minutes-not-hours check.
@@ -62,18 +50,6 @@ SCALE_80K = PowerLawConfig(
 )
 
 
-def _min_of(repeats, fn):
-    best = None
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
-
-
 @pytest.fixture(scope="module")
 def world_10k():
     return generate_powerlaw_topology(SCALE_10K, seed=7)
@@ -81,7 +57,7 @@ def world_10k():
 
 @pytest.fixture(scope="module")
 def topo_10k(world_10k):
-    return CompiledTopology.from_graph(world_10k.graph)
+    return CompiledTopology.of(world_10k.graph)
 
 
 def test_bench_fig09_vectorized_10k(world_10k, topo_10k):
@@ -192,7 +168,7 @@ def test_bench_fixpoint_vectorized_80k():
     checks are structural: full reachability, sane wave count, and the
     batched columns identical to single-source runs."""
     world = generate_powerlaw_topology(SCALE_80K, seed=7)
-    topo = CompiledTopology.from_graph(world.graph)
+    topo = CompiledTopology.of(world.graph)
     origins = list(world.tier1[:2])
 
     core_s, (keys, waves, _) = _min_of(

@@ -57,14 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 
 __all__ = ["CompiledTopology", "InternTable", "CompiledState", "run_compiled"]
 
-#: Relationship <-> byte code for the per-slot role array (the code is
+#: Byte code -> relationship for the per-slot role array (the code is
 #: the role of the neighbour relative to the slot's owner).
-_REL_CODE = {
-    Relationship.CUSTOMER: 0,
-    Relationship.PROVIDER: 1,
-    Relationship.PEER: 2,
-    Relationship.SIBLING: 3,
-}
 _CODE_REL = (
     Relationship.CUSTOMER,
     Relationship.PROVIDER,
@@ -82,6 +76,20 @@ _EXPORTABLE_UP_MAX = int(PrefClass.SIBLING)
 _PAYLOAD_HEADER = struct.Struct("<qq")
 
 
+def _role_table(column: Callable[[Relationship], int]) -> bytes:
+    """256-byte ``bytes.translate`` table: role code -> per-slot column value."""
+    return bytes(column(role) for role in _CODE_REL).ljust(256, b"\0")
+
+
+_INV_PREF_OF_ROLE = _role_table(
+    lambda role: int(PrefClass.for_relationship(role.inverse()))
+)
+_ALWAYS_EXPORT_OF_ROLE = _role_table(
+    lambda role: role in (Relationship.CUSTOMER, Relationship.SIBLING)
+)
+_IS_SIBLING_OF_ROLE = _role_table(lambda role: role is Relationship.SIBLING)
+
+
 class CompiledTopology:
     """A relationship-annotated AS graph in dense CSR form.
 
@@ -97,7 +105,7 @@ class CompiledTopology:
     * ``is_sibling[k]`` — 1 for sibling edges (the receiver inherits
       the sender's own preference class);
     * ``role_code[k]`` — the neighbour's role relative to ``i``
-      (:data:`_REL_CODE`), kept for non-stock export policies;
+      (:data:`_CODE_REL`), kept for non-stock export policies;
     * ``rev_slot[k]`` — the slot of ``i`` inside ``nbr[k]``'s block,
       i.e. the receiver-side Adj-RIB-in cell this edge announces into.
 
@@ -162,45 +170,63 @@ class CompiledTopology:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: ASGraph) -> "CompiledTopology":
-        """Compile ``graph`` (index ``i`` = rank of the ASN in sorted order)."""
+        """Compile ``graph`` (index ``i`` = rank of the ASN in sorted order).
+
+        This always builds; everything outside this module asks for
+        :meth:`of`, which builds at most once per graph.
+        """
         asns = graph.ases  # sorted
         index = {a: i for i, a in enumerate(asns)}
-        indptr = array("i", [0])
-        nbr = array("i")
-        inv_pref = array("b")
-        always_export = array("b")
-        is_sibling = array("b")
-        role_code = array("b")
+        # One packed ``index << 2 | role_code`` key per slot, read
+        # straight off the per-role adjacency sets (in _CODE_REL order).
+        # A neighbour sits in exactly one role set, so sorting the keys
+        # of a block sorts it by neighbour.
+        by_role = (graph._customers, graph._providers, graph._peers, graph._siblings)
+        keys: list[int] = []
+        ends = [0]
         for a in asns:
-            for b in graph.sorted_neighbors(a):
-                role = graph.relationship(a, b)
-                nbr.append(index[b])
-                inv_pref.append(int(PrefClass.for_relationship(role.inverse())))
-                always_export.append(
-                    1 if role in (Relationship.CUSTOMER, Relationship.SIBLING) else 0
-                )
-                is_sibling.append(1 if role is Relationship.SIBLING else 0)
-                role_code.append(_REL_CODE[role])
-            indptr.append(len(nbr))
-        n = len(asns)
-        slot_index: list[dict[int, int]] = [
-            {nbr[k]: k for k in range(indptr[i], indptr[i + 1])} for i in range(n)
-        ]
-        rev_slot = array("i", (slot_index[nbr[k]][i]
-                               for i in range(n)
-                               for k in range(indptr[i], indptr[i + 1])))
-        topo = cls(
+            block: list[int] = []
+            for code, adjacency in enumerate(by_role):
+                members = adjacency[a]
+                if members:
+                    block += [index[b] << 2 | code for b in members]
+            block.sort()
+            keys += block
+            ends.append(len(keys))
+        nbr = [key >> 2 for key in keys]
+        roles = bytes([key & 3 for key in keys])
+        # Blocks ascend by sender and each block ascends by neighbour,
+        # so the slots announcing into receiver ``j`` come up in the
+        # order of ``j``'s own block: one cursor per receiver finds them.
+        cursor = ends[:-1]
+        rev_slot = []
+        for j in nbr:
+            rev_slot.append(cursor[j])
+            cursor[j] += 1
+        return cls(
             asn=array("q", asns),
-            iter_order=array("i", (index[a] for a in graph)),
-            indptr=indptr,
-            nbr=nbr,
-            inv_pref=inv_pref,
-            always_export=always_export,
-            is_sibling=is_sibling,
-            role_code=role_code,
-            rev_slot=rev_slot,
+            iter_order=array("i", [index[a] for a in graph]),
+            indptr=array("i", ends),
+            nbr=array("i", nbr),
+            inv_pref=array("b", roles.translate(_INV_PREF_OF_ROLE)),
+            always_export=array("b", roles.translate(_ALWAYS_EXPORT_OF_ROLE)),
+            is_sibling=array("b", roles.translate(_IS_SIBLING_OF_ROLE)),
+            role_code=array("b", roles),
+            rev_slot=array("i", rev_slot),
         )
-        topo._slot_index = slot_index
+
+    @classmethod
+    def of(cls, graph: ASGraph) -> "CompiledTopology":
+        """The compiled form of ``graph``, built at most once per graph.
+
+        The topology is memoised on the graph itself; any mutation of
+        the graph drops it, so the next caller compiles the new shape.
+        Holders of the old topology (an engine mid-campaign, its intern
+        tables) keep a consistent snapshot.
+        """
+        topo = graph._compiled
+        if topo is None:
+            topo = graph._compiled = cls.from_graph(graph)
         return topo
 
     # ------------------------------------------------------------------

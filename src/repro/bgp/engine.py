@@ -265,7 +265,11 @@ class PropagationEngine:
 
     The engine pre-compiles adjacency and preference tables once, then
     answers any number of :meth:`propagate` calls (different origins,
-    prepending schedules, attackers) against the same topology.
+    prepending schedules, attackers) against the same topology.  On the
+    compiled-array backends that happens on the first propagation, via
+    :meth:`CompiledTopology.of`, and is shared by every engine over the
+    same graph; the engine then keeps that snapshot even if the graph
+    is mutated afterwards.
     """
 
     #: distinct origins whose intern tables are kept alive by the
@@ -337,11 +341,9 @@ class PropagationEngine:
             int,
             tuple[tuple[int, Relationship, PrefClass, PrefClass, bool, bool], ...],
         ] | None = None
-        self._topo: CompiledTopology | None = None
+        self._compiled_topo: CompiledTopology | None = None
         self._tables: OrderedDict[int, InternTable] = OrderedDict()
-        if backend in ("compiled", "vectorized"):
-            self._topo = CompiledTopology.from_graph(graph)
-        else:
+        if backend == "reference":
             self._build_adjacency()
 
     @classmethod
@@ -379,9 +381,24 @@ class PropagationEngine:
         engine._backend = backend
         engine._mode = mode
         engine._adjacency = None
-        engine._topo = topo
+        engine._compiled_topo = topo
         engine._tables = OrderedDict()
         return engine
+
+    @property
+    def _topo(self) -> CompiledTopology | None:
+        """The compiled topology (``None`` on the reference backend).
+
+        Resolved on first use through the graph's memo, so an engine
+        that never propagates (a warm store replay, a pool parent)
+        never compiles, and engines over one graph share one topology.
+        Once resolved it is pinned: the engine's intern tables index
+        into it.
+        """
+        topo = self._compiled_topo
+        if topo is None and self._backend != "reference":
+            topo = self._compiled_topo = CompiledTopology.of(self._graph)
+        return topo
 
     def _build_adjacency(self) -> None:
         # Pre-compiled adjacency for the reference backend: for each
@@ -436,9 +453,9 @@ class PropagationEngine:
         return self._max_activations
 
     def _contains(self, asn: int) -> bool:
-        if self._topo is not None:
-            return asn in self._topo.index
-        return asn in self._adjacency
+        if self._adjacency is not None:
+            return asn in self._adjacency
+        return asn in self._topo.index
 
     def _table_for(self, origin: int) -> InternTable:
         """The intern table for propagations originated at ``origin``.

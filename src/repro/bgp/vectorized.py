@@ -601,7 +601,7 @@ def vectorized_fixpoint(
     :class:`~repro.topology.asgraph.ASGraph` (compiled on the fly).
     """
     if not isinstance(topo, CompiledTopology):
-        topo = CompiledTopology.from_graph(topo)
+        topo = CompiledTopology.of(topo)
     ev = _views(topo)
     counts, _, _ = _slot_counts(topo, ev, prepending or PrependingPolicy())
     _check_domain(topo, counts)

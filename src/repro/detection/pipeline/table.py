@@ -252,7 +252,7 @@ class PipelineDetector:
         if intern is None:
             if graph is None:
                 raise TypeError("PipelineDetector needs a graph or an InternTable")
-            intern = InternTable(CompiledTopology.from_graph(graph))
+            intern = InternTable(CompiledTopology.of(graph))
         self._detector = detector
         self.table = RadixRoutingTable(intern)
         self.metrics = metrics

@@ -281,7 +281,7 @@ class SweepExecutor:
         if spec.shared_topology is not None:
             return spec
         try:
-            topo = CompiledTopology.from_graph(spec.graph)
+            topo = CompiledTopology.of(spec.graph)
             self._shm_segment, handle = publish_topology(topo)
         except (OSError, ValueError):
             if registry is not None:

@@ -13,16 +13,21 @@ copies the buffer out, and rebuilds the arrays at C speed.
 The worker copies rather than keeping views into the segment so the
 parent retains sole ownership of the mapping lifetime: after the copy
 the worker closes its attachment immediately and the parent unlinks the
-segment when the executor closes.  Each attachment is also deregistered
-from :mod:`multiprocessing.resource_tracker`, which otherwise counts
-the segment once per worker and logs spurious leaked-resource warnings
-when the parent unlinks it (bpo-38119).
+segment when the executor closes.  The worker never touches the
+segment's :mod:`multiprocessing.resource_tracker` registration: pool
+workers talk to the *parent's* tracker process, whose per-type cache is
+a set, so the registration an attachment adds before Python 3.13 is a
+no-op on the name the parent already registered, while a worker-side
+``unregister`` would remove the parent's only entry and make the
+parent's ``unlink()`` raise ``KeyError: '/psm_*'`` inside the tracker.
+From 3.13 on the attachment opts out of tracking altogether.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 from repro.bgp.compiled import CompiledTopology
 
@@ -35,6 +40,10 @@ class SharedTopologyHandle:
 
     name: str
     size: int
+
+
+#: ``SharedMemory(track=...)`` exists from Python 3.13.
+_ATTACH_KWARGS = {"track": False} if sys.version_info >= (3, 13) else {}
 
 
 def publish_topology(
@@ -56,17 +65,13 @@ def publish_topology(
 def attach_topology(handle: SharedTopologyHandle) -> CompiledTopology:
     """Rebuild the :class:`CompiledTopology` named by ``handle``.
 
-    Attaches to the segment, copies the payload out, detaches, and
-    deregisters the attachment from the resource tracker (the parent,
-    not the worker, owns the segment's lifetime).
+    Attaches to the segment, copies the payload out and detaches; the
+    parent, not the worker, owns the segment's lifetime and its
+    resource-tracker registration (see the module docstring).
     """
-    segment = shared_memory.SharedMemory(name=handle.name)
+    segment = shared_memory.SharedMemory(name=handle.name, **_ATTACH_KWARGS)
     try:
         payload = bytes(segment.buf[: handle.size])
     finally:
-        try:
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API is CPython-internal
-            pass
         segment.close()
     return CompiledTopology.from_payload(payload)

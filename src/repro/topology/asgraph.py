@@ -40,6 +40,11 @@ class ASGraph:
         # engine compiled over this graph (each engine used to rebuild
         # the same sorted lists).  Invalidated per-AS on mutation.
         self._sorted_neighbors: dict[int, tuple[int, ...]] = {}
+        # Memo of the graph's dense CSR form, owned by
+        # ``repro.bgp.compiled.CompiledTopology.of`` (which also reads
+        # the four adjacency dicts directly to build it).  Dropped on
+        # every mutation; never copied or pickled with the graph.
+        self._compiled = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -57,6 +62,7 @@ class ASGraph:
             self._customers[asn] = set()
             self._peers[asn] = set()
             self._siblings[asn] = set()
+            self._compiled = None
 
     def _check_new_edge(self, a: int, b: int) -> None:
         if a == b:
@@ -188,6 +194,7 @@ class ASGraph:
     def _invalidate_neighbors(self, a: int, b: int) -> None:
         self._sorted_neighbors.pop(a, None)
         self._sorted_neighbors.pop(b, None)
+        self._compiled = None
 
     def sorted_neighbors(self, asn: int) -> tuple[int, ...]:
         """All neighbours of ``asn`` as a sorted tuple (memoised).
@@ -302,13 +309,21 @@ class ASGraph:
         return True
 
     def copy(self) -> "ASGraph":
-        """Deep copy of the graph."""
+        """Deep copy of the graph's ASes and edges (no memo is carried)."""
         clone = ASGraph()
-        for asn in self._providers:
-            clone.add_as(asn)
-        for a, b, role in self.edges():
-            clone.add_edge(a, b, role)
+        clone._providers = {asn: set(m) for asn, m in self._providers.items()}
+        clone._customers = {asn: set(m) for asn, m in self._customers.items()}
+        clone._peers = {asn: set(m) for asn, m in self._peers.items()}
+        clone._siblings = {asn: set(m) for asn, m in self._siblings.items()}
+        clone._edge_count = self._edge_count
         return clone
+
+    def __getstate__(self) -> dict:
+        # A pickled graph (the pool's fallback transport) must not ship
+        # a compiled topology inside it; the receiver compiles its own.
+        state = self.__dict__.copy()
+        state["_compiled"] = None
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ASGraph(ases={len(self)}, edges={self.num_edges})"

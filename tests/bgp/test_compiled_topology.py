@@ -1,0 +1,133 @@
+"""The topology build and its once-per-graph memo.
+
+Two contracts:
+
+* **Build.**  :meth:`CompiledTopology.from_graph` reads the per-role
+  adjacency sets directly; its payload must be byte-identical to the
+  per-slot ``relationship()`` builder it replaced
+  (:mod:`tests.bgp.compile_oracle`) on arbitrary graphs — all four
+  relationship kinds, isolated ASes, non-contiguous ASNs, insertion
+  order unrelated to ASN order.
+* **Memo.**  :meth:`CompiledTopology.of` builds at most once per graph
+  shape: stable while the graph is, dropped by every mutation, never
+  shared with a copy and never pickled.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bgp.compiled import CompiledTopology
+from repro.bgp.engine import PropagationEngine
+from repro.topology.asgraph import ASGraph
+from repro.topology.relationships import Relationship
+from tests.bgp.compile_oracle import compile_oracle
+from tests.conftest import make_diamond_graph
+
+KINDS = tuple(kind for kind in Relationship if kind is not Relationship.NONE)
+
+
+@st.composite
+def graphs(draw) -> ASGraph:
+    """Up to 24 ASes with sparse 32-bit ASNs in drawn (unsorted) order,
+    joined by random edges of every kind; undrawn pairs stay isolated."""
+    asns = draw(
+        st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=24, unique=True)
+    )
+    graph = ASGraph()
+    for asn in asns:
+        graph.add_as(asn)
+    members = st.sampled_from(asns)
+    edges = draw(st.lists(st.tuples(members, members, st.sampled_from(KINDS)), max_size=60))
+    for a, b, kind in edges:
+        if a != b and not graph.has_edge(a, b):
+            graph.add_edge(a, b, kind)
+    return graph
+
+
+class TestBuildMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=graphs())
+    def test_payload_is_byte_identical_and_slot_index_equal(self, graph):
+        topo = CompiledTopology.from_graph(graph)
+        oracle = compile_oracle(graph)
+        assert topo.to_payload() == oracle.to_payload()
+        assert topo._slot_index is None  # the build leaves it to the property
+        assert topo.slot_index == oracle.slot_index
+
+    def test_generated_world(self, small_world):
+        graph = small_world.graph
+        assert (
+            CompiledTopology.from_graph(graph).to_payload()
+            == compile_oracle(graph).to_payload()
+        )
+
+
+MUTATIONS = {
+    "add_as": lambda g: g.add_as(77),
+    "add_p2c": lambda g: g.add_p2c(5, 77),
+    "add_p2p": lambda g: g.add_p2p(3, 4),
+    "add_s2s": lambda g: g.add_s2s(5, 77),
+    "remove_edge": lambda g: g.remove_edge(1, 2),
+}
+
+
+class TestMemo:
+    def test_of_builds_once(self):
+        graph = make_diamond_graph()
+        topo = CompiledTopology.of(graph)
+        assert CompiledTopology.of(graph) is topo
+        graph.add_as(5)  # already present: not a mutation
+        assert CompiledTopology.of(graph) is topo
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_mutation_yields_a_fresh_correct_compile(self, name):
+        graph = make_diamond_graph()
+        stale = CompiledTopology.of(graph)
+        MUTATIONS[name](graph)
+        fresh = CompiledTopology.of(graph)
+        assert fresh is not stale
+        assert fresh.to_payload() == compile_oracle(graph).to_payload()
+        assert fresh.to_payload() != stale.to_payload()
+
+    def test_copy_neither_shares_nor_carries_the_memo(self):
+        graph = make_diamond_graph()
+        topo = CompiledTopology.of(graph)
+        clone = graph.copy()
+        assert clone._compiled is None
+        clone_topo = CompiledTopology.of(clone)
+        assert clone_topo is not topo
+        assert clone_topo.to_payload() == topo.to_payload()
+        clone.remove_edge(1, 2)
+        assert CompiledTopology.of(graph) is topo
+        assert graph.has_edge(1, 2)
+
+    def test_pickle_does_not_carry_the_memo(self):
+        graph = make_diamond_graph()
+        topo = CompiledTopology.of(graph)
+        restored = pickle.loads(pickle.dumps(graph))
+        assert restored._compiled is None
+        assert graph._compiled is topo
+        assert CompiledTopology.of(restored).to_payload() == topo.to_payload()
+
+    def test_engines_over_one_graph_share_one_topology(self, compile_calls):
+        graph = make_diamond_graph()
+        first = PropagationEngine(graph)
+        second = PropagationEngine(graph, mode="delta")
+        assert compile_calls == []  # construction compiles nothing
+        one = first.propagate(5).compiled_state.table.topo
+        two = second.propagate(5).compiled_state.table.topo
+        assert one is two is CompiledTopology.of(graph)
+        assert compile_calls == [graph]
+
+    def test_engine_keeps_its_snapshot_across_a_mutation(self):
+        graph = make_diamond_graph()
+        engine = PropagationEngine(graph)
+        before = engine.propagate(5)
+        graph.remove_edge(3, 5)
+        assert engine.propagate(5).best == before.best
+        assert PropagationEngine(graph).propagate(5).best != before.best

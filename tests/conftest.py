@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.topology.asgraph import ASGraph
 from repro.topology.generators import (
@@ -92,6 +93,22 @@ def small_world() -> GeneratedTopology:
 @pytest.fixture(scope="session")
 def small_engine(small_world: GeneratedTopology) -> PropagationEngine:
     return PropagationEngine(small_world.graph)
+
+
+@pytest.fixture()
+def compile_calls(monkeypatch) -> list[ASGraph]:
+    """The graphs passed to ``CompiledTopology.from_graph`` in this
+    process during the test, in call order (pool workers attach to the
+    parent's published arrays and never build)."""
+    calls: list[ASGraph] = []
+    build = CompiledTopology.from_graph.__func__
+
+    def counted(cls, graph):
+        calls.append(graph)
+        return build(cls, graph)
+
+    monkeypatch.setattr(CompiledTopology, "from_graph", classmethod(counted))
+    return calls
 
 
 @pytest.fixture()

@@ -7,6 +7,9 @@ import pytest
 from repro.core import AttackCampaign, InterceptionStudy
 from repro.detection.alarms import Confidence
 from repro.exceptions import ExperimentError, SimulationError
+from repro.runner.executor import available_cpus
+from repro.store import CampaignStore
+from repro.telemetry.metrics import RunMetrics
 from repro.topology.generators import InternetTopologyConfig
 
 STUDY_CONFIG = InternetTopologyConfig(
@@ -114,3 +117,45 @@ class TestWorkflow:
         campaign = AttackCampaign()
         assert campaign.mean_pollution == 0.0
         assert campaign.detection_rate == 0.0
+
+
+class TestLazyCompile:
+    """The study compiles its topology when a propagation needs it,
+    once, and not at all when every cell comes from the store."""
+
+    @pytest.fixture()
+    def fresh_study(self, compile_calls) -> InterceptionStudy:
+        study = InterceptionStudy.generate(seed=7, config=STUDY_CONFIG, monitors=40)
+        assert compile_calls == []
+        return study
+
+    @staticmethod
+    def _grid(study, **kwargs):
+        world = study.world
+        return study.exhaustive_grid(
+            padding=3,
+            attacker_pool=world.transit_ases[:3],
+            victim_pool=world.graph.ases[::40],
+            **kwargs,
+        )
+
+    def test_warm_store_grid_never_compiles(self, fresh_study, compile_calls, tmp_path):
+        with CampaignStore(tmp_path / "store") as store:
+            cold = self._grid(fresh_study, store=store)
+        assert len(compile_calls) == 1
+        del compile_calls[:]
+        replay = InterceptionStudy.generate(seed=7, config=STUDY_CONFIG, monitors=40)
+        with CampaignStore(tmp_path / "store") as store:
+            assert self._grid(replay, store=store) == cold
+        assert compile_calls == []
+
+    @pytest.mark.skipif(available_cpus() < 2, reason="the pool needs two CPUs")
+    def test_pooled_grid_compiles_once_in_the_parent(self, fresh_study, compile_calls):
+        metrics = RunMetrics()
+        pooled = self._grid(fresh_study, workers=2, metrics=metrics)
+        assert metrics.counter_value("runner.shm.publishes") == 1
+        assert metrics.counter_value("runner.shm.graph_pickles") == 0
+        assert compile_calls == [fresh_study.world.graph]
+        # The serial rerun propagates on the arrays the pool published.
+        assert self._grid(fresh_study) == pooled
+        assert len(compile_calls) == 1

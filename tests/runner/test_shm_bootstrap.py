@@ -11,6 +11,11 @@ fallback is exercised.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.runner import (
     SweepExecutor,
     SweepPointTask,
@@ -136,3 +141,33 @@ def test_deterministic_snapshot_invariant_across_transport(small_world):
         serial_metrics.deterministic_snapshot()
         == pool_metrics.deterministic_snapshot()
     )
+
+
+_POOLED_RUN = """
+from repro.experiments.base import build_world
+from repro.runner import SweepExecutor, SweepPointTask, WorkerSpec
+
+world = build_world(seed=7, scale=0.25)
+victim, attacker = world.topology.tier1[0], world.topology.tier1[1]
+tasks = [SweepPointTask(victim=victim, attacker=attacker, padding=p) for p in (1, 2, 3)]
+with SweepExecutor(WorkerSpec(world.graph), workers=2, force_processes=True) as pool:
+    assert len(pool.run(tasks)) == 3
+"""
+
+
+def test_pooled_run_leaves_the_resource_tracker_quiet():
+    """Workers share the parent's resource tracker; if an attaching
+    worker unregisters the segment, the parent's ``unlink()`` makes the
+    tracker print ``KeyError: '/psm_*'`` (and a worker that registers a
+    second time makes it warn about leaks).  Both land on the stderr of
+    the interpreter that owned the pool, so run one to completion."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _POOLED_RUN],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

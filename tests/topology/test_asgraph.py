@@ -108,6 +108,16 @@ class TestQueries:
         assert graph.has_edge(1, 2)
         assert not clone.has_edge(1, 2)
 
+    def test_copy_preserves_order_edges_and_count(self, small_world):
+        graph = small_world.graph
+        clone = graph.copy()
+        assert list(clone) == list(graph)
+        assert list(clone.edges()) == list(graph.edges())
+        assert clone.num_edges == graph.num_edges
+        clone.add_p2c(max(graph.ases) + 1, graph.ases[0])
+        assert clone.num_edges == graph.num_edges + 1
+        assert len(clone) == len(graph) + 1
+
     def test_ases_sorted(self, graph):
         assert graph.ases == sorted(graph.ases)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import TopologyError
+from repro.exceptions import TopologyError, UnknownASError
 from repro.topology.asgraph import ASGraph
 from repro.topology.tiers import classify_tiers, customer_cone, is_stub, tier1_ases
 
@@ -61,6 +61,27 @@ class TestCones:
 
     def test_customer_cone_transitive(self, hierarchy):
         assert customer_cone(hierarchy, 1) == {1, 10, 20, 30}
+
+    def test_customer_cone_of_a_stub_is_itself(self, hierarchy):
+        assert customer_cone(hierarchy, 30) == {30}
+
+    def test_customer_cone_unknown_as(self, hierarchy):
+        with pytest.raises(UnknownASError):
+            customer_cone(hierarchy, 999)
+
+    def test_customer_cone_matches_public_query_walk(self, small_world):
+        graph = small_world.graph
+
+        def walk(asn):
+            seen, stack = {asn}, [asn]
+            while stack:
+                for customer in graph.customers_of(stack.pop()) - seen:
+                    seen.add(customer)
+                    stack.append(customer)
+            return seen
+
+        for asn in graph:
+            assert customer_cone(graph, asn) == walk(asn)
 
     def test_stub_detection(self, hierarchy):
         assert is_stub(hierarchy, 30)
