@@ -32,10 +32,11 @@ from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.experiments.base import build_world
-from repro.experiments.sweeps import padding_sweep
+from repro.runner import BaselineCache
 from repro.topology.generators import PowerLawConfig, generate_powerlaw_topology
 from repro.topology.tiers import customer_cone
 from tests.bgp.compile_oracle import compile_oracle
+from tests.strategies import engine_route_points
 
 BACKENDS = ("reference", "compiled")
 
@@ -187,6 +188,25 @@ def test_bench_topology_compile_10k():
     )
 
 
+def _engine_sweep_rows(engine, attacker, victim):
+    """The λ = 1..8 sweep on the engine route — cached baseline, warm
+    attack, pollution report — which is what every route-building cell
+    pays.  (``padding_sweep`` itself answers impact-only points from
+    the impact kernel whatever the engine's backend or mode, so it
+    cannot tell two engines apart.)"""
+    cells = [(attacker, victim, padding) for padding in range(1, 9)]
+    return [point.row() for point in _engine_route(engine, cells)]
+
+
+def _engine_route(engine, cells):
+    """``cells`` on the engine route with each victim's λ family
+    derived in one pass first, as the runner's prepare hook does."""
+    cache = BaselineCache(engine)
+    for victim in dict.fromkeys(victim for _, victim, _ in cells):
+        cache.prefetch_uniform(victim, [p for _, v, p in cells if v == victim])
+    return engine_route_points(engine, cells, cache=cache)
+
+
 def _time_fig09_sweep(graph, backend, attacker, victim, repeats=3):
     """Min-of-N wall clock of the λ-sweep with a fresh engine per rep
     (a fresh engine per topology is exactly what the runner pays)."""
@@ -195,9 +215,7 @@ def _time_fig09_sweep(graph, backend, attacker, victim, repeats=3):
     for _ in range(repeats):
         engine = PropagationEngine(graph, backend=backend)
         start = time.perf_counter()
-        rows = padding_sweep(
-            engine, attacker=attacker, victim=victim, paddings=range(1, 9)
-        )
+        rows = _engine_sweep_rows(engine, attacker, victim)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -284,9 +302,7 @@ def _time_fig09_mode(graph, mode, attacker, victim, repeats=3):
     for _ in range(repeats):
         engine = PropagationEngine(graph, backend="compiled", mode=mode)
         start = time.perf_counter()
-        rows = padding_sweep(
-            engine, attacker=attacker, victim=victim, paddings=range(1, 9)
-        )
+        rows = _engine_sweep_rows(engine, attacker, victim)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -352,14 +368,13 @@ def test_bench_fig09_delta_speedup(worlds):
 def _time_grid(graph, mode, pairs, repeats=3):
     """Min-of-N wall clock of a fixed-λ pair grid under one engine mode
     (fresh baseline cache per rep, engine construction excluded)."""
-    from repro.experiments.sweeps import pair_grid
-
+    cells = [(attacker, victim, 3) for attacker, victim in pairs]
     best = None
     results = None
     for _ in range(repeats):
         engine = PropagationEngine(graph, backend="compiled", mode=mode)
         start = time.perf_counter()
-        results = pair_grid(engine, pairs, origin_padding=3)
+        results = _engine_route(engine, cells)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed

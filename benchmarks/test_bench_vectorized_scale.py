@@ -26,6 +26,8 @@ stays honest in ``BENCH_engine.json``.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 np = pytest.importorskip("numpy", reason="vectorized benchmarks require numpy")
@@ -35,8 +37,10 @@ from test_bench_engine_perf import SCALE_10K, _merge_bench, _min_of
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.vectorized import vectorized_fixpoint
+from repro.bgp.vectorized import ImpactKernel, vectorized_fixpoint
 from repro.topology.generators import PowerLawConfig, generate_powerlaw_topology
+from repro.topology.tiers import customer_cone
+from tests.strategies import engine_route_points
 
 #: CAIDA-snapshot order (an as-rel2 file is ~75-80k ASes), kept sparser
 #: so the slow rung stays a local minutes-not-hours check.
@@ -158,6 +162,65 @@ def test_bench_grid_vectorized_10k(world_10k, topo_10k):
     assert core_speedup >= 10.0, (
         f"batched vectorized core at {core_speedup:.1f}x per column at 10k "
         f"(gate is 10x)"
+    )
+
+
+def test_bench_impact_kernel_10k(world_10k, topo_10k):
+    """The grid-10k shape — 5 largest-cone transit attackers x 10
+    largest-cone victims at λ=3 — as impact-kernel columns vs the
+    compiled engine route (cached baselines, warm attacks, pollution
+    reports), both cold.  Counts must agree cell for cell before any
+    timing is trusted.  Gate: the kernel holds ≥2.5x; its peak traced
+    allocation is recorded because batch width is a memory decision."""
+    graph = world_10k.graph
+
+    def top(pool, limit):
+        return sorted(pool, key=lambda a: (-len(customer_cone(graph, a)), a))[:limit]
+
+    attackers = top(world_10k.transit_ases, 5)
+    victims = top(graph.ases, 10)
+    pairs = [(a, v) for a in attackers for v in victims if a != v]
+    cells = [(v, a, 3, 1, False) for a, v in pairs]
+    population = len(graph) - 2
+
+    engine_s, points = _min_of(
+        2,
+        lambda: engine_route_points(
+            PropagationEngine(graph, backend="compiled"), [(a, v, 3) for a, v in pairs]
+        ),
+    )
+    kernel_s, counts = _min_of(3, lambda: ImpactKernel(topo_10k).run(cells))
+    assert [
+        (before / population, after / population, kept) for before, after, kept in counts
+    ] == [(p.before_fraction, p.after_fraction, p.attacker_kept_route) for p in points]
+
+    tracemalloc.start()
+    ImpactKernel(topo_10k).run(cells)
+    peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+
+    speedup = engine_s / kernel_s
+    _merge_bench(
+        "impact_kernel_10k",
+        {
+            "topology_ases": len(graph),
+            "grid_cells": len(cells),
+            "engine_ms": round(engine_s * 1000, 2),
+            "kernel_ms": round(kernel_s * 1000, 2),
+            "kernel_ms_per_cell": round(kernel_s / len(cells) * 1000, 2),
+            "kernel_peak_traced_mib": round(peak_mib, 2),
+            "speedup": round(speedup, 2),
+            "gate": 2.5,
+        },
+    )
+    print(
+        f"\n10k impact grid x{len(cells)}: engine {engine_s * 1000:.1f} ms, "
+        f"kernel {kernel_s * 1000:.1f} ms ({speedup:.1f}x), "
+        f"peak traced {peak_mib:.1f} MiB"
+    )
+    assert speedup >= 2.5, (
+        f"impact kernel at {speedup:.1f}x over the compiled engine route on the "
+        f"10k grid (gate is 2.5x)"
     )
 
 

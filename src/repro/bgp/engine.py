@@ -441,6 +441,12 @@ class PropagationEngine:
         return self._graph
 
     @property
+    def compiled_topology(self) -> CompiledTopology | None:
+        """The dense CSR form this engine propagates on, compiled on
+        first use (``None`` on the reference backend)."""
+        return self._topo
+
+    @property
     def backend(self) -> str:
         return self._backend
 

@@ -40,11 +40,18 @@ index, matching the reference engine's ASN tie-break because index
 order is ascending-ASN order) is a single ``np.minimum``.
 
 Batching: :func:`run_vectorized_batch` converges B origins at once by
-giving each origin a column in the ``(N, B)`` key matrix; every wave's
-gather/scatter covers all columns, so a grid's canonical baselines
-share one topology walk.  :func:`vectorized_fixpoint` exposes the raw
-key matrix without building outcomes (the 80k-AS benchmark path — no
-intern table, no Python-object emission).
+giving each origin a column of the batch (a row-contiguous plane of the
+``(B, N)`` key array); every wave's gather/scatter covers all columns,
+so a grid's canonical baselines share the per-wave overhead of one
+walk.  :func:`vectorized_fixpoint` exposes the raw key matrix without
+building outcomes (the 80k-AS benchmark path — no intern table, no
+Python-object emission).
+
+Impact kernel: :class:`ImpactKernel` answers impact-only attack cells —
+pollution before and after, and whether the attacker kept a route —
+from the same wave loop run with two fixed sources, the victim and the
+attacker's stripped announcement.  It is the route of every
+``SweepPointTask`` (λ-sweeps, grids) and builds nothing but keys.
 
 Contract vs the compiled oracle (pinned by
 ``tests/bgp/test_vectorized_differential.py``): cold runs agree on
@@ -66,6 +73,8 @@ modulo explicit ``None``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.bgp.compiled import (
     _PREF_OF,
     CompiledState,
@@ -83,6 +92,7 @@ except ImportError:  # pragma: no cover
     np = None
 
 __all__ = [
+    "ImpactKernel",
     "VectorizedUnsupported",
     "numpy_available",
     "run_vectorized",
@@ -98,6 +108,12 @@ _SENDER_MASK = (1 << 21) - 1
 _LEN_MASK = (1 << 32) - 1
 _MAX_N = 1 << 21
 _MAX_LEN = 1 << 31  # headroom below the 2^32 length field
+#: ``directed edges x columns`` one impact batch may span: a wave's
+#: gather arrays are that many int64 temporaries, a dozen live at once,
+#: and past the cache they cost more per column than they amortise.
+_IMPACT_BUDGET = 1 << 18
+#: canonical baseline columns an impact kernel keeps, per victim (LRU)
+_COLUMN_MEMO = 32
 
 
 def numpy_available() -> bool:
@@ -127,7 +143,7 @@ class _EdgeViews:
     so packed-key arithmetic never needs casts.
     """
 
-    __slots__ = ("n", "indptr", "nbr", "owner", "inv", "always", "sib", "rev")
+    __slots__ = ("n", "indptr", "nbr", "owner", "inv", "always", "sib", "rev", "ones")
 
     def __init__(self, topo: CompiledTopology) -> None:
         self.n = topo.n
@@ -140,6 +156,8 @@ class _EdgeViews:
         self.always = np.asarray(topo.always_export).astype(bool)
         self.sib = np.asarray(topo.is_sibling).astype(bool)
         self.rev = np.asarray(topo.rev_slot).astype(np.int64)
+        #: the per-slot prepend counts of a run in which nobody pads
+        self.ones = np.ones(len(self.nbr), dtype=np.int64)
 
 
 def _views(topo: CompiledTopology) -> _EdgeViews:
@@ -149,11 +167,9 @@ def _views(topo: CompiledTopology) -> _EdgeViews:
     return ev
 
 
-def _ranges(lens):
-    """Concatenated ``arange(l)`` for each l in ``lens``."""
-    total = int(lens.sum())
-    out = np.arange(total, dtype=np.int64)
-    return out - np.repeat(np.cumsum(lens) - lens, lens)
+def _max_count(counts) -> int:
+    """Largest per-slot prepend count (1 on an edgeless topology)."""
+    return int(counts.max()) if len(counts) else 1
 
 
 def _slot_counts(topo: CompiledTopology, ev: _EdgeViews, prepending: PrependingPolicy):
@@ -164,11 +180,12 @@ def _slot_counts(topo: CompiledTopology, ev: _EdgeViews, prepending: PrependingP
     emission gather), and ``{(sender, receiver): count}`` for the
     slots whose per-link padding differs from their sender's default.
     """
-    counts = np.ones(len(ev.nbr), dtype=np.int64)
+    counts = ev.ones
     default_count = np.ones(topo.n, dtype=np.int64)
     overrides: dict[tuple[int, int], int] = {}
     senders = prepending.senders()
     if senders:
+        counts = counts.copy()
         asn_of = topo.asn
         index = topo.index
         padding_of = prepending.padding
@@ -191,86 +208,63 @@ def _slot_counts(topo: CompiledTopology, ev: _EdgeViews, prepending: PrependingP
     return counts, default_count, overrides
 
 
-def _fixpoint(ev: _EdgeViews, origin_idx, counts):
-    """Converge packed keys for each origin column.
+def _origin_keys(n: int, origin_idx):
+    """Tentative ``(B, n)`` key planes with only each origin seeded."""
+    keys = np.full((len(origin_idx), n), _inf(), dtype=np.int64)
+    keys[np.arange(len(origin_idx)), origin_idx] = 0
+    return keys
 
-    ``origin_idx`` is an int64 array of origin indices (one column
-    each); ``counts`` the shared per-slot prepend counts.  Returns
-    ``(K, waves, levels)``: the (N, B) key matrix, the wave count, and
-    the per-wave ``(class, length)`` level list (per column) that the
-    Gao-phase property suite inspects.
+
+def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
+    """Converge the tentative ``(B, n)`` key planes ``keys`` in place.
+
+    Each row is one column of the batch, row-contiguous so the
+    per-column reductions stream; on entry it holds INF except for the
+    seeded tentative keys (:func:`_origin_keys` for a plain run).
+    ``counts`` is the shared per-slot prepend count.  Every per-wave
+    gather/scatter runs on the flattened (column, node) pairs that are
+    newly final, so the entries relaxed across all waves are one per
+    directed edge per column; batching only amortises the per-wave
+    Python overhead, which is what dominates on small topologies.
+
+    ``taint``/``forbid`` (``(B, n)`` bool planes) turn a column into
+    the two-source fixpoint of the impact kernel (:class:`ImpactKernel`
+    has the exactness argument).  A node tainted on entry is a fixed
+    second source: already final, never relaxed, its offers seeded into
+    ``keys`` by the caller.  A node finalising through a tainted sender
+    becomes tainted, and a tainted sender's offer to a ``forbid``
+    receiver is dropped.  Without them this is the plain fixpoint.
+
+    Returns ``(waves, levels)``: the wave count and the per-wave
+    ``(class, length)`` level list (per column, ``None`` once a column
+    has drained) that the Gao-phase property suite inspects.
     """
     inf = _inf()
-    n = ev.n
-    b = len(origin_idx)
-    keys = np.full((n, b), inf, dtype=np.int64)
-    keys[origin_idx, np.arange(b)] = 0
-    final = np.zeros((n, b), dtype=bool)
+    b, n = keys.shape
+    flat = keys.reshape(-1)
+    final = np.zeros((b, n), dtype=bool) if taint is None else taint.copy()
+    final_flat = final.reshape(-1)
+    if taint is not None:
+        taint_flat = taint.reshape(-1)
+        forbid_flat = forbid.reshape(-1)
     indptr = ev.indptr
     always = ev.always
     sib = ev.sib
     inv = ev.inv
-    owner = ev.owner
     nbr = ev.nbr
-    # Distinct (class, length) levels bound the wave count: 5 classes
-    # times the longest possible padded path, plus slack.  Hitting this
-    # is a bug (monotonicity guarantees termination), not an input
-    # property.
-    budget = 5 * (n * int(counts.max()) + 2)
     waves = 0
     levels: list = []
-    if b == 1:
-        # Single-column fast path: 1-D views, masked min (no tent
-        # copy), and every selected row is newly final in *the*
-        # column, so the freshness mask disappears and the scatter
-        # only touches allowed slots.
-        keys1 = keys[:, 0]
-        final1 = final[:, 0]
-        while True:
-            m = np.min(keys1, where=~final1, initial=inf)
-            if m >= inf:
-                break
-            level = m >> _LEN_SHIFT
-            newly1 = (~final1) & ((keys1 >> _LEN_SHIFT) == level)
-            final1 |= newly1
-            waves += 1
-            levels.append([(int(m >> _CLS_SHIFT), int((m >> _LEN_SHIFT) & _LEN_MASK))])
-            if waves > budget:  # pragma: no cover - monotonicity violation
-                raise ConvergenceError(waves)
-            rows = np.nonzero(newly1)[0]
-            lens = indptr[rows + 1] - indptr[rows]
-            if not int(lens.sum()):
-                continue
-            slots = np.repeat(indptr[rows], lens) + _ranges(lens)
-            src = owner[slots]
-            ks = keys1[src]
-            cls = ks >> _CLS_SHIFT
-            allowed = always[slots] | (cls <= 2)
-            slots = slots[allowed]
-            src = src[allowed]
-            ks = ks[allowed]
-            cls = cls[allowed]
-            ln = (ks >> _LEN_SHIFT) & _LEN_MASK
-            ocls = np.where(sib[slots], cls, inv[slots])
-            offer = (
-                (ocls << _CLS_SHIFT) | ((ln + counts[slots]) << _LEN_SHIFT) | src
-            )
-            np.minimum.at(keys1, nbr[slots], offer)
-        return keys, waves, levels
-    # Batch path: every per-wave gather/scatter runs on the flattened
-    # (node, column) pairs that are newly final, so the total relaxed
-    # entries across all waves is one per directed edge per column —
-    # the same work as B single-column runs, with the per-wave Python
-    # overhead amortised across the batch.
-    keys_flat = keys.reshape(-1)
     while True:
-        m = np.min(keys, axis=0, where=~final, initial=inf)
+        pending = ~final
+        m = np.min(keys, axis=1, where=pending, initial=inf)
         active = m < inf
         if not active.any():
             break
         level = m >> _LEN_SHIFT
-        newly = (~final) & ((keys >> _LEN_SHIFT) == level[None, :]) & active[None, :]
-        final |= newly
+        level[~active] = -1  # matches no key: a drained column stays put
+        pending &= (keys >> _LEN_SHIFT) == level[:, None]
+        idx = np.flatnonzero(pending)
+        final_flat[idx] = True
         waves += 1
         levels.append(
             [
@@ -278,39 +272,204 @@ def _fixpoint(ev: _EdgeViews, origin_idx, counts):
                 for c, ln, a in zip(m >> _CLS_SHIFT, (m >> _LEN_SHIFT) & _LEN_MASK, active)
             ]
         )
-        if waves > budget:  # pragma: no cover - monotonicity violation
+        # Every wave finalises at least one node per live column, so n
+        # waves drain any input; more is a monotonicity violation.
+        if waves > n:  # pragma: no cover
             raise ConvergenceError(waves)
-        rows, cols = np.nonzero(newly)
-        lens = indptr[rows + 1] - indptr[rows]
-        if not int(lens.sum()):
+        rows = idx % n if b > 1 else idx
+        ks = flat[idx]
+        if taint is not None:
+            taint_flat[idx] = taint_flat[(ks & _SENDER_MASK) + (idx - rows)]
+        lo = indptr[rows]
+        lens = indptr[rows + 1] - lo
+        total = int(lens.sum())
+        if not total:
             continue
-        slots = np.repeat(indptr[rows], lens) + _ranges(lens)
-        scol = np.repeat(cols, lens)
-        src = owner[slots]
-        ks = keys_flat[src * b + scol]
-        cls = ks >> _CLS_SHIFT
-        allowed = always[slots] | (cls <= 2)
-        slots = slots[allowed]
-        scol = scol[allowed]
-        src = src[allowed]
-        ks = ks[allowed]
-        cls = cls[allowed]
-        ln = (ks >> _LEN_SHIFT) & _LEN_MASK
-        ocls = np.where(sib[slots], cls, inv[slots])
-        offer = (
-            (ocls << _CLS_SHIFT) | ((ln + counts[slots]) << _LEN_SHIFT) | src
+        # Slot k of the r-th newly-final sender is lo[r] + (k - start[r]).
+        slots = np.arange(total, dtype=np.int64) + np.repeat(
+            lo - (np.cumsum(lens) - lens), lens
         )
-        np.minimum.at(keys_flat, nbr[slots] * b + scol, offer)
-    return keys, waves, levels
+        ks = np.repeat(ks, lens)
+        cls = ks >> _CLS_SHIFT
+        sel = np.flatnonzero(always[slots] | (cls <= 2))
+        slots = slots[sel]
+        ks = ks[sel]
+        src = np.repeat(rows, lens)[sel]
+        ocls = np.where(sib[slots], cls[sel], inv[slots])
+        ln = (ks >> _LEN_SHIFT) & _LEN_MASK
+        offer = (ocls << _CLS_SHIFT) | ((ln + counts[slots]) << _LEN_SHIFT) | src
+        target = nbr[slots]
+        if b > 1:
+            target += np.repeat(idx - rows, lens)[sel]
+        if taint is not None:
+            offer[np.repeat(taint_flat[idx], lens)[sel] & forbid_flat[target]] = inf
+        np.minimum.at(flat, target, offer)
+    return waves, levels
 
 
-def _check_domain(topo: CompiledTopology, counts) -> None:
+def _check_domain(topo: CompiledTopology, max_count: int) -> None:
     if topo.n >= _MAX_N:
         raise VectorizedUnsupported(
             f"{topo.n} ASes exceed the 2^21 sender-index field"
         )
-    if topo.n * int(counts.max()) >= _MAX_LEN:
+    if topo.n * max_count >= _MAX_LEN:
         raise VectorizedUnsupported("padded path lengths overflow the key")
+
+
+class ImpactKernel:
+    """Attack impact without routes: ``(before, after, attacker kept a
+    route)`` per cell, each cell one column of a two-source fixpoint.
+
+    A cell is the ASPP interception of ``victim`` by ``attacker`` under
+    uniform origin padding ``λ``, the attacker leaving ``keep`` origin
+    copies in place (what :func:`repro.attack.simulate_interception`
+    computes with ``strip_mode="origin"``).  Nothing but packed keys is
+    built: no intern table, no :class:`CompiledState`, no outcome.
+
+    Why it is exact.  AS-PATH loop prevention means no AS on the
+    attacker ``M``'s own path to ``V`` can adopt a route through ``M``,
+    so ``M`` keeps its baseline route and its stripped announcement is
+    a *fixed second source*, known from ``V``'s baseline column before
+    the attacked run starts.  Downstream of both sources every step
+    still strictly increases ``(class, length)``, so the wave schedule
+    of :func:`_fixpoint` stays sound provided ``M``'s offers are seeded
+    up front and ``M`` never relaxes (its offer key is *smaller* than
+    its own key), and offers from tainted senders (routes through
+    ``M``) to ``chain(M) ∪ {M}`` — ``M``'s baseline ancestors, ``V``
+    included — are dropped explicitly: those receivers are on the
+    offered path, and the monotonicity argument that makes loop checks
+    unnecessary elsewhere does not cover them.  Then ``after`` is the
+    tainted nodes, ``before`` is ``M``'s subtree in the baseline
+    forest, and the attacker kept a route iff it had one.
+
+    The attacked state is *not* ``min(baseline, flood from M)``: a node
+    whose provider switches from a short peer route to a longer tainted
+    customer route now receives a longer provider offer and may fall
+    back to a third, untainted neighbour.  Each column therefore runs
+    the full two-source fixpoint, not an overlay on the baseline.
+
+    Lengths are kept in units shifted by ``R = max(0, λ - keep)``
+    minus ``λ - 1`` — the order of keys is shift-invariant — so ``V``
+    originates at length ``R`` with every slot count 1, ``M`` announces
+    from its canonical (λ=1) key, and the only baseline a victim ever
+    needs is its canonical column, memoised here per victim.
+    """
+
+    def __init__(self, topo: CompiledTopology) -> None:
+        _check_domain(topo, 1)
+        self.topo = topo
+        self._ev = _views(topo)
+        #: victim index -> canonical key column, least recently used first
+        self._columns: OrderedDict = OrderedDict()
+        # A wave's gathers are int64 arrays of (directed edges x columns).
+        self._width = max(1, _IMPACT_BUDGET // max(1, len(self._ev.nbr)))
+
+    def admits(self, padding: int) -> bool:
+        """Whether padded lengths at ``λ = padding`` fit the key."""
+        return self.topo.n * padding < _MAX_LEN
+
+    def run(self, cells, metrics: RunMetrics | None = None):
+        """``[(before, after, kept)]`` for ``cells`` of ``(victim,
+        attacker, padding, keep, violate_policy)``: ASNs of two distinct
+        ASes of the topology, ``padding`` admitted, ``keep >= 1``."""
+        index = self.topo.index
+        columns = [
+            (index[v], index[m], max(0, padding - keep), violate)
+            for v, m, padding, keep, violate in cells
+        ]
+        if metrics is not None and not metrics.enabled:
+            metrics = None
+        results: list = []
+        for start in range(0, len(columns), self._width):
+            results += self._attack(columns[start : start + self._width], metrics)
+        return results
+
+    def _converge(self, metrics, keys, taint=None, forbid=None) -> None:
+        waves, _ = _fixpoint(self._ev, keys, self._ev.ones, taint, forbid)
+        if metrics is not None:
+            metrics.count("engine.impact.batches")
+            metrics.count("engine.impact.columns", len(keys))
+            metrics.count("engine.impact.waves", waves)
+
+    def _baselines(self, victims, metrics) -> dict:
+        """Canonical key column per victim index, converging the ones
+        the memo lacks as one batch (at most a batch width of them)."""
+        memo = self._columns
+        missing = [v for v in dict.fromkeys(victims) if v not in memo]
+        if missing:
+            keys = _origin_keys(self.topo.n, missing)
+            self._converge(metrics, keys)
+            memo.update(zip(missing, keys))
+        found = {}
+        for v in victims:
+            memo.move_to_end(v)
+            found[v] = memo[v]
+        while len(memo) > _COLUMN_MEMO:
+            memo.popitem(last=False)
+        return found
+
+    def _attack(self, columns, metrics):
+        ev = self._ev
+        n = self.topo.n
+        inf = _inf()
+        baseline = self._baselines([v for v, _, _, _ in columns], metrics)
+        b = len(columns)
+        keys = np.full((b, n), inf, dtype=np.int64)
+        taint = np.zeros((b, n), dtype=bool)
+        forbid = np.zeros((b, n), dtype=bool)
+        before = [0] * b
+        for c, (v, m, shift, violate) in enumerate(columns):
+            column = baseline[v]
+            key = int(column[m])
+            if key >= inf:
+                continue  # no route, no announcement: the column stays empty
+            before[c] = _descendants(column, v, m)
+            shift <<= _LEN_SHIFT
+            keys[c, v] = shift | v  # its own sender: V stays untainted
+            keys[c, m] = key + shift
+            taint[c, m] = True
+            node = m
+            while node != v:
+                forbid[c, node] = True
+                node = int(column[node]) & _SENDER_MASK
+            forbid[c, v] = True
+            # M's stripped announcement, from its canonical key.
+            slots = slice(ev.indptr[m], ev.indptr[m + 1])
+            cls = key >> _CLS_SHIFT
+            receivers = ev.nbr[slots]
+            allowed = ~forbid[c, receivers]
+            if not violate and cls > 2:
+                allowed &= ev.always[slots]
+            length = (key >> _LEN_SHIFT) & _LEN_MASK
+            offer = (
+                (np.where(ev.sib[slots], cls, ev.inv[slots]) << _CLS_SHIFT)
+                | ((length + 1) << _LEN_SHIFT)
+                | m
+            )
+            keys[c, receivers[allowed]] = offer[allowed]
+        self._converge(metrics, keys, taint, forbid)
+        kept = taint[np.arange(b), [m for _, m, _, _ in columns]]
+        after = taint.sum(axis=1) - kept
+        return list(zip(before, after.tolist(), kept.tolist()))
+
+
+def _descendants(column, root: int, node: int) -> int:
+    """How many nodes' learned-from chains in the converged ``column``
+    pass through ``node`` (itself excluded)."""
+    idx = np.arange(len(column), dtype=np.int64)
+    jump = np.where(column < _inf(), column & _SENDER_MASK, idx)
+    jump[root] = root
+    through = idx == node
+    size = 1
+    # Pointer doubling: after k rounds ``through`` covers ancestors
+    # within 2^k - 1 hops; a round that adds nothing has added all.
+    while True:
+        through = through | through[jump]
+        grown = int(through.sum())
+        if grown == size:
+            return size - 1
+        size = grown
+        jump = jump[jump]
 
 
 def _emit_column(
@@ -518,14 +677,15 @@ def run_vectorized(
     """
     ev = _views(topo)
     counts, default_count, overrides = _slot_counts(topo, ev, prepending)
-    _check_domain(topo, counts)
+    _check_domain(topo, _max_count(counts))
     origin_idx = topo.index[origin]
-    keys, waves, _ = _fixpoint(ev, np.asarray([origin_idx], dtype=np.int64), counts)
+    keys = _origin_keys(topo.n, [origin_idx])
+    waves, _ = _fixpoint(ev, keys, counts)
     outcome = _emit_column(
         topo,
         ev,
         table,
-        keys[:, 0],
+        keys[0],
         origin=origin,
         origin_idx=origin_idx,
         prefix=prefix,
@@ -556,11 +716,12 @@ def run_vectorized_batch(
     from these via :meth:`CompiledState.derive_uniform`.
     """
     ev = _views(topo)
-    counts = np.ones(len(ev.nbr), dtype=np.int64)
-    _check_domain(topo, counts)
+    counts = ev.ones
+    _check_domain(topo, 1)
     default_count = np.ones(topo.n, dtype=np.int64)
-    origin_idx = np.asarray([topo.index[o] for o in origins], dtype=np.int64)
-    keys, waves, _ = _fixpoint(ev, origin_idx, counts)
+    origin_idx = [topo.index[o] for o in origins]
+    keys = _origin_keys(topo.n, origin_idx)
+    waves, _ = _fixpoint(ev, keys, counts)
     outcomes = []
     for col, o in enumerate(origins):
         outcomes.append(
@@ -568,9 +729,9 @@ def run_vectorized_batch(
                 topo,
                 ev,
                 tables[o],
-                keys[:, col],
+                keys[col],
                 origin=o,
-                origin_idx=int(origin_idx[col]),
+                origin_idx=origin_idx[col],
                 prefix=prefix,
                 counts=counts,
                 default_count=default_count,
@@ -604,6 +765,7 @@ def vectorized_fixpoint(
         topo = CompiledTopology.of(topo)
     ev = _views(topo)
     counts, _, _ = _slot_counts(topo, ev, prepending or PrependingPolicy())
-    _check_domain(topo, counts)
-    origin_idx = np.asarray([topo.index[o] for o in origins], dtype=np.int64)
-    return _fixpoint(ev, origin_idx, counts)
+    _check_domain(topo, _max_count(counts))
+    keys = _origin_keys(topo.n, [topo.index[o] for o in origins])
+    waves, levels = _fixpoint(ev, keys, counts)
+    return keys.T, waves, levels

@@ -32,12 +32,18 @@ seeded feed-fault plan (``--fault-rate``), and prints the recovery
 clocks, the SLO summary table and any structured breach events.
 
 ``campaign``, ``grid`` and ``secpol-sweep`` accept ``--engine-mode
-{full,delta}`` (default ``full``): ``delta`` re-converges each attack
+{full,delta}`` (default ``full``) and ``--backend
+{compiled,vectorized}``.  Both govern the cells that *build routes*
+(campaign pairs, which feed detectors, and deployment points, which
+run security policies): ``delta`` re-converges each attack
 incrementally from the cached baseline instead of re-flooding the
 whole topology — results are bit-identical either way (the delta core
 is oracle-tested against the full engine in CI), only the wall-clock
-changes.  ``grid`` runs the exhaustive attacker × victim product at a
-fixed λ, which is the workload delta mode exists for.
+changes.  Impact-only cells — every λ-sweep point and every cell of
+``grid``, the exhaustive attacker × victim product at a fixed λ —
+report three numbers and are computed by the impact kernel whatever
+these flags say (``--metrics summary`` shows ``engine.impact.cells``
+and, per reason, any ``engine.impact.fallbacks.*``).
 """
 
 from __future__ import annotations
@@ -102,18 +108,23 @@ def _add_metrics_flags(subparser: argparse.ArgumentParser) -> None:
 def _add_engine_mode_flag(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--engine-mode", choices=("full", "delta"), default="full",
-        help="warm-propagation strategy: 'delta' re-converges only the "
-        "attacker's affected cone from the cached baseline (bit-identical "
-        "results, less wall-clock on dense grids)",
+        help="warm-propagation strategy of the cells that build routes "
+        "(campaign pairs, deployment points): 'delta' re-converges only "
+        "the attacker's affected cone from the cached baseline "
+        "(bit-identical results).  Impact-only cells (grids, λ-sweeps) "
+        "run on the impact kernel and never warm-start",
     )
 
 
 def _add_backend_flag(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--backend", choices=("compiled", "vectorized"), default="compiled",
-        help="propagation core: 'vectorized' converges cold baselines on "
-        "the NumPy CSR batched frontier (bit-identical results; needs "
-        "numpy, and warm/policy runs fall back to the compiled core)",
+        help="propagation core of the cells that build routes (campaign "
+        "pairs, deployment points): 'vectorized' converges their cold "
+        "baselines on the NumPy CSR batched frontier (bit-identical "
+        "results; needs numpy, and warm/policy runs fall back to the "
+        "compiled core).  Impact-only cells (grids, λ-sweeps) run on the "
+        "impact kernel under either",
     )
 
 

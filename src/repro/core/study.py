@@ -327,9 +327,10 @@ class InterceptionStudy:
         inner, self-pairs skipped), returning
         :class:`~repro.runner.SweepPointResult` rows in grid order.
         Defaults mirror :meth:`campaign`'s pools (transit attackers ×
-        all ASes).  Dense grids are what delta mode exists for —
-        construct the study with ``engine_mode="delta"`` so each victim
-        converges once and every cell pays only its affected cone.
+        all ASes).  A cell reports impact only, so the grid runs on the
+        impact kernel — one baseline column per victim, one attacked
+        column per cell, no routes built — whatever the study's engine
+        mode or backend (numpy-less hosts take the engine route).
         ``resume`` journals finished cells; a rerun replays them instead
         of re-converging.
         """

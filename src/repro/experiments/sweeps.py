@@ -4,9 +4,18 @@ Each λ-sweep figure fixes one attacker/victim pair and sweeps the
 number of prepended ASNs; the pair-grid figures fix λ and sweep
 attacker/victim pairs.  Both decompose into independent
 :class:`~repro.runner.SweepPointTask` instances, so they share one
-execution path: serial in-process (with the baseline cache warm across
-points) or fanned out over a process pool.  The task list, and
-therefore the result rows, are identical for every worker count.
+execution path: serial in-process or fanned out over a process pool.
+The task list, and therefore the result rows, are identical for every
+worker count.
+
+A sweep point reports impact only (before %, after %, attacker kept a
+route), so it never builds routes: serially the whole task list runs as
+budget-sized batches of the impact kernel
+(:class:`repro.bgp.vectorized.ImpactKernel`) ahead of the per-task
+loop, and a pool worker runs its points as single columns against a
+per-victim baseline memo.  Points outside the kernel's domain — and
+every :class:`~repro.runner.DeploymentPointTask` — go through the
+baseline cache and the engine, warm across points.
 
 The pooled path runs under the :class:`~repro.runner.SupervisedExecutor`
 failure model — a dead worker respawns the pool and re-executes only
@@ -58,14 +67,20 @@ __all__ = ["exhaustive_grid", "padding_sweep", "pair_grid", "deployment_sweep"]
 
 
 def _prefetch_families(ctx: WorkerContext, tasks: Sequence[SweepPointTask]) -> None:
-    """Warm the whole uniform-λ family for each victim in one canonical
-    pass (repeat victims are already-cached no-ops).
+    """Do the shared work of ``tasks`` ahead of their per-task runs.
+
+    Impact-only sweep points inside the impact kernel's domain are
+    computed here as one batch and parked on the context (no baseline
+    outcome is ever built for them).  For whatever is left to the
+    engine route, warm the whole uniform-λ family for each victim in
+    one canonical pass (repeat victims are already-cached no-ops).
 
     On a vectorized-backend engine the distinct victims converge first
     as one batched walk (a key-matrix column each), so a pair grid's
     canonical baselines cost one frontier sweep instead of one
     convergence per victim; the per-victim λ derivations then ride on
     the batched results."""
+    tasks = ctx.park_impact(tasks)
     by_prefix: dict[str, list[int]] = {}
     for task in tasks:
         by_prefix.setdefault(task.prefix, []).append(task.victim)
@@ -167,7 +182,7 @@ def _run_tasks(
                     ) as executor:
                         ctx = executor.context
                         assert ctx is not None
-                        _prefetch_families(ctx, tasks)
+                        _prefetch_families(ctx, executor.pending(tasks))
                         return _raise_on_failures(executor.run(tasks))
                 ctx = WorkerContext(spec, engine=engine, cache=cache, metrics=metrics)
                 _prefetch_families(ctx, tasks)
@@ -312,12 +327,15 @@ def exhaustive_grid(
     ``checkpoint`` resume replays exactly the completed cells no matter
     where the previous run died.
 
-    O(attackers × victims) full re-propagations make dense grids
-    intractable; run this under a delta-mode engine
-    (``PropagationEngine(..., mode="delta")``), where each victim
-    converges once and every cell re-converges only the attacker's
-    affected cone (bit-identical rows either way — the golden grid test
-    pins delta against per-pair full recomputes cell for cell).
+    Every cell is impact-only, so the grid never builds routes: each
+    victim converges one canonical key column and every cell is one
+    more column of the impact kernel's two-source fixpoint
+    (:class:`repro.bgp.vectorized.ImpactKernel`), whatever ``engine``'s
+    backend or mode.  Without numpy (or on the reference backend) the
+    cells take the engine route — a cached baseline and a warm-started
+    attack each, for which a delta-mode engine is the cheap choice.
+    Rows are bit-identical on every route; the golden grid test pins
+    them against per-pair full recomputes cell for cell.
     """
     pairs = [(a, v) for a in attackers for v in victims if a != v]
     if not pairs:

@@ -217,6 +217,19 @@ class SupervisedExecutor:
         if registry is not None and registry.enabled:
             registry.count(name, n)
 
+    def pending(self, tasks: Any) -> list[Any]:
+        """The tasks of ``tasks`` that :meth:`run` would execute rather
+        than replay from the journal — what a warm-up hook should see."""
+        if self.journal is None:
+            return list(tasks)
+        return [
+            task
+            for task in tasks
+            if not self.journal.completed(
+                task_fingerprint(task, self.fingerprint_context)
+            )
+        ]
+
     # -- entry point ----------------------------------------------------
     def run(self, tasks: Any) -> list[Any]:
         """Execute ``tasks`` under supervision, in task order."""

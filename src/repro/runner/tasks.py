@@ -53,8 +53,9 @@ class WorkerSpec:
 
     The spec is shipped to each worker exactly once (as pool
     initializer arguments).  The topology travels either as a pickled
-    :class:`ASGraph` (``graph``) or — the compiled-backend pool path —
-    as a :class:`~repro.runner.shm.SharedTopologyHandle` naming a
+    :class:`ASGraph` (``graph``) or — the pool path of the
+    compiled-array backends — as a
+    :class:`~repro.runner.shm.SharedTopologyHandle` naming a
     shared-memory segment the parent published, so the graph is never
     pickled per worker at all.
     """
@@ -117,6 +118,7 @@ class WorkerContext:
                 topo,
                 max_activations=spec.max_activations,
                 mode=spec.engine_mode,
+                backend=spec.backend,
             )
             if track:
                 self.metrics.count("runner.shm.bootstraps")
@@ -148,6 +150,12 @@ class WorkerContext:
         if track:
             self.engine.metrics = self.metrics
             self.cache.metrics = self.metrics
+        # Impact-kernel route (see :meth:`impact_counts`): the kernel or
+        # the reason this context has none, resolved on first use, and
+        # the counts :meth:`park_impact` computed ahead as one batch.
+        self._impact_kernel = None
+        self._impact_fallback: str | None = None
+        self._impact_parked: dict = {}
         self._monitors = spec.monitors
         self._collector: RouteCollector | None = None
         self._detector: ASPPInterceptionDetector | None = None
@@ -181,6 +189,93 @@ class WorkerContext:
         if self._detector is None:
             self._detector = ASPPInterceptionDetector(self.graph)
         return self._detector
+
+    # -- impact-only cells ----------------------------------------------
+    def _impact_route(self, task: "SweepPointTask") -> str | None:
+        """``None`` when ``task`` runs on the impact kernel; otherwise
+        the fallback reason, or ``"invalid"`` for inputs the engine
+        route must reject with its own errors."""
+        if self._impact_kernel is None and self._impact_fallback is None:
+            if self.engine.backend == "reference":
+                self._impact_fallback = "reference-backend"
+            else:
+                from repro.bgp import vectorized
+
+                if not vectorized.numpy_available():
+                    self._impact_fallback = "numpy-missing"
+                else:
+                    try:
+                        self._impact_kernel = vectorized.ImpactKernel(
+                            self.engine.compiled_topology
+                        )
+                    except vectorized.VectorizedUnsupported:
+                        self._impact_fallback = "domain"
+        if self._impact_fallback is not None:
+            return self._impact_fallback
+        kernel = self._impact_kernel
+        index = kernel.topo.index
+        if (
+            task.victim not in index
+            or task.attacker not in index
+            or task.victim == task.attacker
+            or task.padding < 1
+            or task.keep < 1
+        ):
+            return "invalid"
+        if task.strip_mode not in ("origin", "all"):
+            return "strip-mode"
+        if not kernel.admits(task.padding):
+            return "domain"
+        return None
+
+    def _run_impact(self, tasks: list) -> list[tuple[int, int, bool]]:
+        # Under a uniform-origin schedule the victim's run is the only
+        # prepending on any path, so collapsing every run
+        # (strip_mode="all") is origin-stripping down to one copy.
+        return self._impact_kernel.run(
+            [
+                (
+                    t.victim,
+                    t.attacker,
+                    t.padding,
+                    t.keep if t.strip_mode == "origin" else 1,
+                    t.violate_policy,
+                )
+                for t in tasks
+            ],
+            self.metrics,
+        )
+
+    def park_impact(self, tasks) -> list:
+        """Run the kernel-eligible sweep points of ``tasks`` as one
+        batch, park their counts for :meth:`impact_counts`, and return
+        the tasks left to the engine route."""
+        eligible = [
+            task
+            for task in dict.fromkeys(tasks)
+            if isinstance(task, SweepPointTask) and self._impact_route(task) is None
+        ]
+        self._impact_parked = (
+            dict(zip(eligible, self._run_impact(eligible))) if eligible else {}
+        )
+        return [task for task in tasks if task not in self._impact_parked]
+
+    def impact_counts(self, task: "SweepPointTask") -> tuple[int, int, bool, int] | None:
+        """``(before, after, attacker kept a route, population)`` of
+        one sweep point from the impact kernel — parked by
+        :meth:`park_impact` or computed now as a single column — or
+        ``None`` when the point must take the engine route (the reason
+        is counted as ``engine.impact.fallbacks.<reason>``)."""
+        counts = self._impact_parked.get(task)
+        if counts is None:
+            reason = self._impact_route(task)
+            if reason is not None:
+                if reason != "invalid":
+                    self.metrics.count(f"engine.impact.fallbacks.{reason}")
+                return None
+            (counts,) = self._run_impact([task])
+        self.metrics.count("engine.impact.cells")
+        return (*counts, self._impact_kernel.topo.n - 2)
 
     # -- security-policy deployment helpers -----------------------------
     def deployment_ranking(
@@ -267,29 +362,37 @@ class SweepPointTask:
     prefix: str = DEFAULT_PREFIX
 
     def run(self, ctx: WorkerContext) -> SweepPointResult:
-        prepending = PrependingPolicy.uniform_origin(self.victim, self.padding)
-        baseline = ctx.cache.baseline(
-            self.victim, prefix=self.prefix, prepending=prepending
-        )
-        result = simulate_interception(
-            ctx.engine,
-            victim=self.victim,
-            attacker=self.attacker,
-            origin_padding=self.padding,
-            prefix=self.prefix,
-            strip_mode=self.strip_mode,
-            keep=self.keep,
-            violate_policy=self.violate_policy,
-            prepending=prepending,
-            baseline=baseline,
-        )
+        counts = ctx.impact_counts(self)
+        if counts is not None:
+            before, after, kept, population = counts
+            before_fraction = before / population if population else 0.0
+            after_fraction = after / population if population else 0.0
+        else:
+            prepending = PrependingPolicy.uniform_origin(self.victim, self.padding)
+            result = simulate_interception(
+                ctx.engine,
+                victim=self.victim,
+                attacker=self.attacker,
+                origin_padding=self.padding,
+                prefix=self.prefix,
+                strip_mode=self.strip_mode,
+                keep=self.keep,
+                violate_policy=self.violate_policy,
+                prepending=prepending,
+                baseline=ctx.cache.baseline(
+                    self.victim, prefix=self.prefix, prepending=prepending
+                ),
+            )
+            before_fraction = result.report.before_fraction
+            after_fraction = result.report.after_fraction
+            kept = result.attacker_has_route
         return SweepPointResult(
             attacker=self.attacker,
             victim=self.victim,
             padding=self.padding,
-            before_fraction=result.report.before_fraction,
-            after_fraction=result.report.after_fraction,
-            attacker_kept_route=result.attacker_has_route,
+            before_fraction=before_fraction,
+            after_fraction=after_fraction,
+            attacker_kept_route=kept,
         )
 
 

@@ -53,7 +53,11 @@ __all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics"
 #: object the local cache handed it), and the vectorized dispatch
 #: counters (``engine.vectorized.*`` — how many runs batch into one
 #: frontier walk, and how many fall back to the compiled core, depends
-#: on how the work was grouped).  The whole ``runner.*`` namespace
+#: on how the work was grouped) and the impact kernel's batching
+#: counters (``engine.impact.columns`` / ``.batches`` / ``.waves`` —
+#: each worker converges its own baseline columns and batches what it
+#: is handed; ``engine.impact.cells`` and the fallback reasons are per
+#: task and stay deterministic).  The whole ``runner.*`` namespace
 #: is run-shaped by construction: shared-memory transport accounting
 #: (``runner.shm.*`` — per-worker, absent on the serial path) and the
 #: supervisor's recovery counters (``runner.retries``,
@@ -66,6 +70,9 @@ CACHE_SHAPE_PREFIXES = (
     "engine.compiled.",
     "engine.delta.",
     "engine.vectorized.",
+    "engine.impact.columns",
+    "engine.impact.batches",
+    "engine.impact.waves",
     "runner.",
     # The campaign store and its scheduler measure work *avoided*
     # (dedupe hits, steals, bytes persisted), which depends on what

@@ -37,6 +37,7 @@ from tests.strategies import (
     TINY,
     assert_outcomes_identical,
     draw_victim_then_attacker,
+    engine_route_points,
     paddings,
     seeds,
     tiny_world,
@@ -102,24 +103,22 @@ class TestDeltaDifferential:
         """The fig09 shape: one victim re-announces with λ = 1..5 and
         the attacker strips each time.  Delta mode serves every λ from
         the victim's canonical baseline (the uniform-λ rewrite), so the
-        chain exercises shift > 0 floods; rows must match the full
-        engine λ for λ."""
-        from repro.experiments.sweeps import padding_sweep
-
+        chain exercises shift > 0 floods; points must match the full
+        engine λ for λ.  (λ-sweeps themselves run on the impact kernel,
+        so the chain goes through the engine route directly.)"""
         world, rng = tiny_world(seed)
         victim, attacker = draw_victim_then_attacker(world, rng)
         _, full_engine, delta_engine = _mode_engines(world.graph)
         delta_engine.metrics = metrics = RunMetrics()
+        chain = [(attacker, victim, padding) for padding in range(1, 6)]
 
-        full_rows = padding_sweep(
-            full_engine, victim=victim, attacker=attacker,
-            paddings=range(1, 6), violate_policy=violate,
+        full_points = engine_route_points(
+            full_engine, chain, violate_policy=violate
         )
-        delta_rows = padding_sweep(
-            delta_engine, victim=victim, attacker=attacker,
-            paddings=range(1, 6), violate_policy=violate,
+        delta_points = engine_route_points(
+            delta_engine, chain, violate_policy=violate
         )
-        assert delta_rows == full_rows
+        assert delta_points == full_points
         assert metrics.counter_value("engine.delta.propagations") == 5
         assert metrics.counter_value("engine.delta.fallbacks") == 0
 

@@ -1,13 +1,15 @@
-"""Golden test: the exhaustive grid under delta mode vs per-pair full
-recompute, plus checkpoint/resume semantics over grid cells.
+"""Golden test: the exhaustive grid vs per-pair full recompute, plus
+checkpoint/resume semantics over grid cells.
 
-The exhaustive grid is the campaign mode delta propagation exists for,
-so its correctness bar is the strictest: every cell of the delta-mode
-grid must equal — field for field — the result of converging that cell
-in complete isolation (cold baseline, cold attack, no cache shared
-with any other cell).  The per-pair recompute is the reference oracle;
-any cross-cell contamination in the cache, the engine's warm state or
-the delta overlays shows up as a cell mismatch here.
+The exhaustive grid is the densest campaign shape, so its correctness
+bar is the strictest: every cell of the grid — computed by the impact
+kernel as a batched column — and every cell of the same grid routed
+through a delta-mode engine must equal, field for field, the result of
+converging that cell in complete isolation (cold baseline, cold attack,
+no cache shared with any other cell).  The per-pair recompute is the
+reference oracle; any cross-cell contamination in the kernel's column
+memo, the cache, the engine's warm state or the delta overlays shows up
+as a cell mismatch here.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.exceptions import SimulationError
 from repro.experiments.sweeps import exhaustive_grid
 from repro.runner import SweepPointResult
 from repro.telemetry.metrics import RunMetrics
-from tests.strategies import TINY, tiny_world
+from tests.strategies import TINY, engine_route_points, tiny_world
 
 PADDING = 3
 
@@ -65,23 +67,35 @@ def _recompute_cell(engine, attacker, victim):
 
 @pytest.mark.slow
 def test_delta_grid_matches_per_pair_full_recompute(grid_world, grid_pools):
-    """Cell-for-cell equality, and the delta engine must have earned it
-    on the delta path (one delta flood per cell, zero fallbacks)."""
+    """Cell-for-cell equality of the grid (every cell on the impact
+    kernel, none falling back) and of the delta engine route, which
+    must have earned it on the delta path (one delta flood per cell,
+    zero fallbacks)."""
+    pytest.importorskip("numpy", reason="the impact kernel requires numpy")
     attackers, victims = grid_pools
     graph = grid_world.graph
-    delta_engine = PropagationEngine(graph, backend="compiled", mode="delta")
-    delta_engine.metrics = metrics = RunMetrics()
-    delta_cells = exhaustive_grid(
-        delta_engine, attackers=attackers, victims=victims, origin_padding=PADDING
-    )
+    pairs = [(a, v) for a in attackers for v in victims if a != v]
 
     oracle_engine = PropagationEngine(graph, backend="compiled")
-    oracle_cells = [
-        _recompute_cell(oracle_engine, attacker, victim)
-        for attacker in attackers
-        for victim in victims
-        if attacker != victim
-    ]
+    oracle_cells = [_recompute_cell(oracle_engine, a, v) for a, v in pairs]
+
+    grid_metrics = RunMetrics()
+    grid_cells = exhaustive_grid(
+        PropagationEngine(graph, backend="compiled"),
+        attackers=attackers,
+        victims=victims,
+        origin_padding=PADDING,
+        metrics=grid_metrics,
+    )
+    assert grid_cells == oracle_cells
+    assert grid_metrics.counter_value("engine.impact.cells") == len(pairs)
+    assert grid_metrics.counter_value("engine.warm.propagations") == 0
+
+    delta_engine = PropagationEngine(graph, backend="compiled", mode="delta")
+    delta_engine.metrics = metrics = RunMetrics()
+    delta_cells = engine_route_points(
+        delta_engine, [(a, v, PADDING) for a, v in pairs]
+    )
     assert delta_cells == oracle_cells
     assert metrics.counter_value("engine.delta.propagations") == len(oracle_cells)
     assert metrics.counter_value("engine.delta.fallbacks") == 0
@@ -111,7 +125,8 @@ def test_checkpoint_resume_replays_every_completed_cell(
     grid_world, grid_pools, tmp_path
 ):
     """A rerun against a complete journal must replay all cells and
-    re-converge none of them: zero attack floods, identical results."""
+    re-converge none of them: no kernel column, no attack flood,
+    identical results."""
     attackers, victims = grid_pools
     graph = grid_world.graph
     journal = tmp_path / "grid.jsonl"
@@ -137,8 +152,10 @@ def test_checkpoint_resume_replays_every_completed_cell(
     )
     assert second == first
     assert metrics.counter_value("runner.resumed_tasks") == len(first)
-    # Replayed cells never touch the engine: no delta floods, no full
-    # warm floods (baseline prefetch may still converge canonically).
+    # Replayed cells touch neither the kernel nor the engine, and the
+    # prepare hook sees only the cells still to run — none.
+    assert metrics.counter_value("engine.impact.cells") == 0
+    assert metrics.counter_value("engine.impact.columns") == 0
     assert metrics.counter_value("engine.delta.propagations") == 0
     assert metrics.counter_value("engine.warm.propagations") == 0
 
@@ -173,4 +190,8 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
     assert full[: len(partial)] == partial
     fresh = len(full) - len(partial)
     assert metrics.counter_value("runner.resumed_tasks") == len(partial)
-    assert metrics.counter_value("engine.delta.propagations") == fresh
+    # (numpy-less hosts take the engine route: one delta flood per cell)
+    executed = metrics.counter_value("engine.impact.cells") + metrics.counter_value(
+        "engine.delta.propagations"
+    )
+    assert executed == fresh

@@ -18,6 +18,7 @@ from repro.experiments.sweeps import padding_sweep, pair_grid
 from repro.runner import (
     BaselineCache,
     CampaignPairTask,
+    DeploymentPointTask,
     SweepExecutor,
     SweepPointTask,
     WorkerContext,
@@ -115,12 +116,17 @@ def test_executor_reuse_and_empty_batches(small_world):
     spec = WorkerSpec(small_world.graph)
     with SweepExecutor(spec, workers=1) as executor:
         assert executor.run([]) == []
-        first = executor.run([SweepPointTask(victim=victim, attacker=attacker, padding=2)])
+        # (a route-building task: sweep points never touch the cache)
+        first = executor.run(
+            [DeploymentPointTask(victim=victim, attacker=attacker, padding=2)]
+        )
         # The second batch reuses the warm context: the baseline for
         # λ=3 derives from the canonical run the first batch converged.
         cache = executor.context.cache
         misses_before = cache.misses
-        second = executor.run([SweepPointTask(victim=victim, attacker=attacker, padding=3)])
+        second = executor.run(
+            [DeploymentPointTask(victim=victim, attacker=attacker, padding=3)]
+        )
         assert cache.misses == misses_before + 1
         assert cache.derived >= 1
     assert first[0].padding == 2 and second[0].padding == 3

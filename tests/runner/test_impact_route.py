@@ -1,0 +1,389 @@
+"""Which route computes a sweep cell, and that it never matters.
+
+Impact-only cells (``SweepPointTask``: λ-sweeps, pair grids, the
+exhaustive grid) are answered by the impact kernel; outside its
+declared domain a cell runs through the baseline cache and the engine
+exactly as before, and the reason is counted.  Pinned here:
+
+* rows equal across the kernel, the compiled-engine and the reference
+  routes — serial, through a forced two-worker pool, and against a
+  cold and a warm store;
+* every fallback reason reachable and counted once per executed cell,
+  and the sweeps still right with numpy masked out of ``sys.modules``;
+* bad inputs raise exactly what the engine route raises;
+* ``prepare`` batches and parks, pool workers run single columns
+  against the per-victim baseline memo, and ``execute_task`` still runs
+  once per task either way.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.bgp import vectorized
+from repro.bgp.engine import PropagationEngine
+from repro.exceptions import ReproError, SimulationError
+from repro.experiments.sweeps import exhaustive_grid, padding_sweep, pair_grid
+from repro.runner import (
+    SweepExecutor,
+    SweepPointTask,
+    WorkerContext,
+    WorkerSpec,
+    execute_task,
+)
+from repro.store import CampaignStore
+from repro.telemetry.metrics import RunMetrics
+from tests.strategies import engine_route_points
+
+needs_numpy = pytest.mark.skipif(
+    not vectorized.numpy_available(), reason="the impact kernel requires numpy"
+)
+
+PADDINGS = tuple(range(1, 7))
+FALLBACK = "engine.impact.fallbacks."
+
+
+def _pair(world):
+    return world.tier1[0], world.stubs[3]  # attacker, victim
+
+
+def _grid_pools(world):
+    return world.tier1[:2] + world.tier2[:2], world.stubs[:3] + world.tier1[2:3]
+
+
+def _fallbacks(metrics: RunMetrics) -> dict[str, int]:
+    return {
+        name[len(FALLBACK):]: counter.value
+        for name, counter in metrics.counters.items()
+        if name.startswith(FALLBACK)
+    }
+
+
+@needs_numpy
+class TestRoutesAgree:
+    def test_padding_sweep_rows_equal_on_every_route(self, small_world):
+        attacker, victim = _pair(small_world)
+        graph = small_world.graph
+        for violate in (False, True):
+            kernel_metrics = RunMetrics()
+            kernel_rows = padding_sweep(
+                PropagationEngine(graph),
+                victim=victim,
+                attacker=attacker,
+                paddings=PADDINGS,
+                violate_policy=violate,
+                metrics=kernel_metrics,
+            )
+            assert kernel_metrics.counter_value("engine.impact.cells") == len(PADDINGS)
+            assert _fallbacks(kernel_metrics) == {}
+
+            reference_metrics = RunMetrics()
+            reference_rows = padding_sweep(
+                PropagationEngine(graph, backend="reference"),
+                victim=victim,
+                attacker=attacker,
+                paddings=PADDINGS,
+                violate_policy=violate,
+                metrics=reference_metrics,
+            )
+            assert reference_metrics.counter_value("engine.impact.cells") == 0
+            assert _fallbacks(reference_metrics) == {"reference-backend": len(PADDINGS)}
+
+            engine_rows = [
+                point.row()
+                for point in engine_route_points(
+                    PropagationEngine(graph),
+                    [(attacker, victim, padding) for padding in PADDINGS],
+                    violate_policy=violate,
+                )
+            ]
+            assert kernel_rows == engine_rows == reference_rows
+
+    def test_grids_equal_on_every_route(self, small_world):
+        attackers, victims = _grid_pools(small_world)
+        graph = small_world.graph
+        pairs = [(a, v) for a in attackers for v in victims if a != v]
+        kernel_cells = exhaustive_grid(
+            PropagationEngine(graph, mode="delta"),
+            attackers=attackers,
+            victims=victims,
+            origin_padding=3,
+        )
+        assert kernel_cells == pair_grid(
+            PropagationEngine(graph, backend="vectorized"), pairs, origin_padding=3
+        )
+        assert kernel_cells == pair_grid(
+            PropagationEngine(graph, backend="reference"), pairs, origin_padding=3
+        )
+        assert kernel_cells == engine_route_points(
+            PropagationEngine(graph), [(a, v, 3) for a, v in pairs]
+        )
+
+    def test_forced_pool_equals_serial_with_deterministic_counters(self, small_world):
+        attackers, victims = _grid_pools(small_world)
+        tasks = [
+            SweepPointTask(victim=v, attacker=a, padding=3)
+            for a in attackers
+            for v in victims
+            if a != v
+        ]
+        spec = WorkerSpec(small_world.graph, metrics_enabled=True)
+        serial_metrics, pooled_metrics = RunMetrics(), RunMetrics()
+        with SweepExecutor(spec, workers=1, metrics=serial_metrics) as serial:
+            reference = serial.run(tasks)
+        with SweepExecutor(
+            spec, workers=2, force_processes=True, metrics=pooled_metrics
+        ) as pool:
+            assert pool.run(tasks) == reference
+        for metrics in (serial_metrics, pooled_metrics):
+            assert metrics.counter_value("engine.impact.cells") == len(tasks)
+            assert metrics.counter_value("worker.tasks") == len(tasks)
+        assert (
+            serial_metrics.deterministic_snapshot()
+            == pooled_metrics.deterministic_snapshot()
+        )
+        # Each worker converges the victims it meets once, not per cell.
+        attack_columns = len(tasks)
+        assert pooled_metrics.counter_value("engine.impact.columns") <= (
+            attack_columns + 2 * len(victims)
+        )
+
+    def test_cold_and_warm_store_rows_equal_the_storeless_run(
+        self, small_world, tmp_path
+    ):
+        attacker, victim = _pair(small_world)
+        engine = PropagationEngine(small_world.graph)
+        plain = padding_sweep(
+            engine, victim=victim, attacker=attacker, paddings=PADDINGS
+        )
+        cold_metrics, warm_metrics = RunMetrics(), RunMetrics()
+        with CampaignStore(tmp_path / "store") as store:
+            cold = padding_sweep(
+                engine, victim=victim, attacker=attacker, paddings=PADDINGS,
+                store=store, metrics=cold_metrics,
+            )
+            warm = padding_sweep(
+                engine, victim=victim, attacker=attacker, paddings=PADDINGS,
+                store=store, metrics=warm_metrics,
+            )
+        assert cold == warm == plain
+        assert cold_metrics.counter_value("engine.impact.cells") == len(PADDINGS)
+        # A warm store executes nothing: no cell, no column.
+        assert warm_metrics.counter_value("scheduler.store_hits") == len(PADDINGS)
+        assert warm_metrics.counter_value("engine.impact.cells") == 0
+        assert warm_metrics.counter_value("engine.impact.columns") == 0
+
+
+@needs_numpy
+class TestBatchingAndTheMemo:
+    def test_prepare_parks_one_batch_and_tasks_take_their_result(self, small_world):
+        attacker, victim = _pair(small_world)
+        metrics = RunMetrics()
+        padding_sweep(
+            PropagationEngine(small_world.graph),
+            victim=victim,
+            attacker=attacker,
+            paddings=PADDINGS,
+            metrics=metrics,
+        )
+        # One canonical baseline column, then every λ as one batch.
+        assert metrics.counter_value("engine.impact.batches") == 2
+        assert metrics.counter_value("engine.impact.columns") == 1 + len(PADDINGS)
+        assert metrics.counter_value("worker.tasks") == len(PADDINGS)
+        assert metrics.counter_value("engine.cold.propagations") == 0
+        assert metrics.counter_value("cache.baseline_misses") == 0
+
+    def test_unprepared_tasks_share_one_baseline_column_per_victim(self, small_world):
+        """The pool-worker shape: tasks arrive one at a time."""
+        attacker, victim = _pair(small_world)
+        metrics = RunMetrics()
+        ctx = WorkerContext(WorkerSpec(small_world.graph), metrics=metrics)
+        tasks = [
+            SweepPointTask(victim=victim, attacker=attacker, padding=p)
+            for p in PADDINGS
+        ]
+        results = [execute_task(task, ctx) for task in tasks]
+        assert [r.row() for r in results] == padding_sweep(
+            PropagationEngine(small_world.graph),
+            victim=victim, attacker=attacker, paddings=PADDINGS,
+        )
+        assert metrics.counter_value("engine.impact.columns") == 1 + len(PADDINGS)
+        assert metrics.counter_value("engine.impact.batches") == 1 + len(PADDINGS)
+
+    def test_duplicate_and_mixed_tasks_keep_their_slots(self, small_world):
+        attackers, victims = _grid_pools(small_world)
+        pairs = [(attackers[0], victims[0]), (attackers[1], victims[1])]
+        doubled = pairs + pairs[:1]
+        cells = pair_grid(PropagationEngine(small_world.graph), doubled, origin_padding=2)
+        assert [(c.attacker, c.victim) for c in cells] == doubled
+        assert cells[0] == cells[2]
+
+
+class TestFallbacks:
+    """Every reason is reachable, counted once per executed cell, and
+    leaves the rows untouched."""
+
+    def _sweep(self, small_world, **engine_kwargs):
+        attacker, victim = _pair(small_world)
+        metrics = RunMetrics()
+        rows = padding_sweep(
+            PropagationEngine(small_world.graph, **engine_kwargs),
+            victim=victim,
+            attacker=attacker,
+            paddings=PADDINGS,
+            metrics=metrics,
+        )
+        return rows, metrics
+
+    def test_numpy_missing(self, small_world, monkeypatch):
+        expected, _ = self._sweep(small_world)
+        monkeypatch.setattr(vectorized, "np", None)
+        rows, metrics = self._sweep(small_world)
+        assert rows == expected
+        assert _fallbacks(metrics) == {"numpy-missing": len(PADDINGS)}
+        assert metrics.counter_value("engine.warm.propagations") == len(PADDINGS)
+
+    def test_reference_backend(self, small_world):
+        expected, _ = self._sweep(small_world)
+        rows, metrics = self._sweep(small_world, backend="reference")
+        assert rows == expected
+        assert _fallbacks(metrics) == {"reference-backend": len(PADDINGS)}
+
+    @needs_numpy
+    def test_domain_topology_too_large(self, small_world, monkeypatch):
+        expected, _ = self._sweep(small_world)
+        monkeypatch.setattr(vectorized, "_MAX_N", 8)
+        rows, metrics = self._sweep(small_world)
+        assert rows == expected
+        assert _fallbacks(metrics) == {"domain": len(PADDINGS)}
+
+    @needs_numpy
+    def test_domain_padding_overflows_the_key(self, small_world, monkeypatch):
+        expected, _ = self._sweep(small_world)
+        n = len(small_world.graph)
+        monkeypatch.setattr(vectorized, "_MAX_LEN", n * 4)  # admits λ <= 3
+        rows, metrics = self._sweep(small_world)
+        assert rows == expected
+        assert _fallbacks(metrics) == {"domain": len([p for p in PADDINGS if p > 3])}
+        assert metrics.counter_value("engine.impact.cells") == 3
+
+    @needs_numpy
+    def test_strip_mode(self, small_world):
+        attacker, victim = _pair(small_world)
+        metrics = RunMetrics()
+        ctx = WorkerContext(WorkerSpec(small_world.graph), metrics=metrics)
+        collapse = SweepPointTask(
+            victim=victim, attacker=attacker, padding=3, strip_mode="all", keep=2
+        )
+        origin = SweepPointTask(victim=victim, attacker=attacker, padding=3)
+        # "all" is inside the domain (it is origin-stripping to one copy)...
+        assert execute_task(collapse, ctx).row() == execute_task(origin, ctx).row()
+        assert _fallbacks(metrics) == {}
+        # ...anything else is the engine route's to reject.
+        bogus = SweepPointTask(
+            victim=victim, attacker=attacker, padding=3, strip_mode="bogus"
+        )
+        with pytest.raises(SimulationError, match="strip_mode"):
+            execute_task(bogus, ctx)
+        assert _fallbacks(metrics) == {"strip-mode": 1}
+
+
+@needs_numpy
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(victim=1, attacker=1, padding=3),
+            dict(victim=1, attacker=2, padding=0),
+            dict(victim=1, attacker=2, padding=3, keep=0),
+            dict(victim=10**9, attacker=2, padding=3),
+            dict(victim=1, attacker=10**9, padding=3),
+        ],
+        ids=["self-attack", "padding<1", "keep<1", "unknown-victim", "unknown-attacker"],
+    )
+    def test_raise_exactly_what_the_engine_route_raises(self, small_world, fields):
+        ases = small_world.graph.ases
+        fields = {
+            key: ases[value - 1] if key in ("victim", "attacker") and value < 10**9 else value
+            for key, value in fields.items()
+        }
+        task = SweepPointTask(**fields)
+        errors = []
+        for backend in ("compiled", "reference"):
+            metrics = RunMetrics()
+            ctx = WorkerContext(
+                WorkerSpec(small_world.graph, backend=backend), metrics=metrics
+            )
+            with pytest.raises(ReproError) as caught:
+                execute_task(task, ctx)
+            errors.append((type(caught.value), str(caught.value)))
+            if backend == "compiled":
+                # rejected, not "fallen back": no reason is counted
+                assert _fallbacks(metrics) == {}
+                # and a batch around it is unharmed
+                good = SweepPointTask(victim=ases[0], attacker=ases[1], padding=2)
+                assert ctx.park_impact([good, task]) == [task]
+        assert errors[0] == errors[1]
+
+
+_NUMPY_MASKED = """
+import json, sys
+sys.modules["numpy"] = None  # `import numpy` now raises ImportError
+from repro.bgp.vectorized import numpy_available
+from repro.experiments.base import build_world
+from repro.experiments.sweeps import padding_sweep, pair_grid
+from repro.telemetry.metrics import RunMetrics
+
+assert not numpy_available()
+world = build_world(seed=7, scale=0.25)
+tier1 = world.topology.tier1
+metrics = RunMetrics()
+rows = padding_sweep(
+    world.engine, victim=tier1[0], attacker=tier1[1], paddings=range(1, 5),
+    metrics=metrics,
+)
+cells = pair_grid(world.engine, [(tier1[1], tier1[0]), (tier1[0], tier1[2])],
+                  origin_padding=3, workers=2)
+print(json.dumps({
+    "rows": rows,
+    "cells": [[c.before_fraction, c.after_fraction, c.attacker_kept_route] for c in cells],
+    "fallbacks": metrics.counter_value("engine.impact.fallbacks.numpy-missing"),
+}))
+"""
+
+
+@needs_numpy
+def test_sweeps_pass_with_numpy_masked_out_of_sys_modules():
+    """The numpy-less tier-1 host, reproduced in a subprocess."""
+    from repro.experiments.base import build_world
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MASKED],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    masked = json.loads(done.stdout.splitlines()[-1])
+
+    world = build_world(seed=7, scale=0.25)
+    tier1 = world.topology.tier1
+    rows = padding_sweep(
+        world.engine, victim=tier1[0], attacker=tier1[1], paddings=range(1, 5)
+    )
+    cells = pair_grid(
+        world.engine, [(tier1[1], tier1[0]), (tier1[0], tier1[2])], origin_padding=3
+    )
+    assert masked["rows"] == [list(row) for row in rows]
+    assert masked["cells"] == [
+        [c.before_fraction, c.after_fraction, c.attacker_kept_route] for c in cells
+    ]
+    assert masked["fallbacks"] == 4

@@ -16,7 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.runner import (
+    DeploymentPointTask,
     SweepExecutor,
     SweepPointTask,
     WorkerSpec,
@@ -108,6 +111,34 @@ def test_reference_backend_pool_keeps_pickled_graph_path(small_world):
     assert results == reference
     assert metrics.counter_value("runner.shm.publishes") == 0
     assert metrics.counter_value("runner.shm.bootstraps") == 0
+
+
+def test_vectorized_backend_pool_bootstraps_from_shared_memory(small_world):
+    """Both compiled-array backends publish: a ``--backend vectorized``
+    pool used to pickle the graph into every worker, and a worker that
+    did attach came up as a *compiled* engine."""
+    pytest.importorskip("numpy", reason="vectorized backend requires numpy")
+    victim, attacker = small_world.tier1[0], small_world.tier1[1]
+    # Route-building cells, so the workers' engines converge baselines.
+    tasks = [
+        DeploymentPointTask(victim=victim, attacker=attacker, padding=p)
+        for p in PADDINGS
+    ]
+    spec = WorkerSpec(small_world.graph, metrics_enabled=True, backend="vectorized")
+    reference = _serial_reference(spec, tasks)
+
+    metrics = RunMetrics()
+    with SweepExecutor(
+        spec, workers=2, force_processes=True, metrics=metrics
+    ) as pool:
+        results = pool.run(tasks)
+
+    assert results == reference
+    assert metrics.counter_value("runner.shm.publishes") == 1
+    assert metrics.counter_value("runner.shm.bootstraps") >= 1
+    assert metrics.counter_value("runner.shm.graph_pickles") == 0
+    # The attached engines really are vectorized ones.
+    assert metrics.counter_value("engine.vectorized.propagations") >= 1
 
 
 def test_serial_path_never_touches_shared_memory(small_world):

@@ -28,7 +28,10 @@ import random
 
 from hypothesis import strategies as st
 
+from repro.attack.interception import simulate_interception
 from repro.bgp.engine import PropagationEngine
+from repro.bgp.prepending import PrependingPolicy
+from repro.runner import BaselineCache, SweepPointResult
 from repro.topology.generators import (
     GeneratedTopology,
     InternetTopologyConfig,
@@ -48,6 +51,7 @@ __all__ = [
     "backend_pair",
     "draw_attacker_then_victim",
     "draw_victim_then_attacker",
+    "engine_route_points",
     "paddings",
     "powerlaw_config",
     "scale_configs",
@@ -263,3 +267,46 @@ def assert_outcomes_identical(ref, other) -> None:
     assert ref.best_keys == other.best_keys
     assert list(ref.best) == list(other.best)
     assert list(ref.adj_rib_in) == list(other.adj_rib_in)
+
+
+def engine_route_points(
+    engine: PropagationEngine,
+    cells,
+    *,
+    cache: BaselineCache | None = None,
+    **attack,
+) -> list[SweepPointResult]:
+    """Sweep points computed the way every route-building cell is: a
+    cached (canonical + λ-derived) baseline, then a warm-started
+    ``simulate_interception`` on ``engine``, then the pollution report.
+
+    ``cells`` are ``(attacker, victim, padding)`` triples; ``attack``
+    forwards ``violate_policy`` / ``strip_mode`` / ``keep``.  Sweeps
+    themselves answer impact-only cells from the impact kernel, so this
+    is both the kernel's oracle and how suites exercise the engine's
+    warm paths (full, delta, vectorized baselines) at sweep shape.
+    """
+    cache = cache if cache is not None else BaselineCache(engine)
+    points = []
+    for attacker, victim, padding in cells:
+        prepending = PrependingPolicy.uniform_origin(victim, padding)
+        result = simulate_interception(
+            engine,
+            victim=victim,
+            attacker=attacker,
+            origin_padding=padding,
+            prepending=prepending,
+            baseline=cache.baseline(victim, prepending=prepending),
+            **attack,
+        )
+        points.append(
+            SweepPointResult(
+                attacker=attacker,
+                victim=victim,
+                padding=padding,
+                before_fraction=result.report.before_fraction,
+                after_fraction=result.report.after_fraction,
+                attacker_kept_route=result.attacker_has_route,
+            )
+        )
+    return points

@@ -16,12 +16,14 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp.engine import PropagationEngine
+from repro.bgp.vectorized import numpy_available
 from repro.core import InterceptionStudy
 from repro.experiments.fig09_tier1_vs_tier1 import Fig09Config
 from repro.experiments.fig09_tier1_vs_tier1 import run as run_fig09
-from repro.experiments.sweeps import padding_sweep
+from repro.experiments.sweeps import deployment_sweep, padding_sweep
 from repro.runner import (
     BaselineCache,
+    DeploymentPointTask,
     SweepExecutor,
     SweepPointTask,
     WorkerSpec,
@@ -49,8 +51,15 @@ class TestMetricsDoNotChangeResults:
         assert instrumented.to_text() == plain.to_text()
         assert plain.metrics is None
         assert instrumented.metrics is metrics
-        assert metrics.counter_value("engine.warm.propagations") > 0
-        assert "engine.warm.convergence_rounds" in metrics.histograms
+        # λ-sweep points are impact-only: the kernel answers them where
+        # numpy is installed, the engine's warm path where it is not.
+        points = len(plain.rows)
+        if numpy_available():
+            assert metrics.counter_value("engine.impact.cells") == points
+            assert metrics.counter_value("engine.warm.propagations") == 0
+        else:
+            assert metrics.counter_value("engine.warm.propagations") == points
+            assert "engine.warm.convergence_rounds" in metrics.histograms
         assert instrumented.metrics_text().startswith("run metrics")
         assert plain.metrics_text() == ""
 
@@ -93,9 +102,12 @@ class TestMetricsDoNotChangeResults:
 
 
 def _sweep_tasks(world):
+    """Both routes a sweep cell can take: impact-only points (the
+    kernel) and route-building deployment points (cache + engine)."""
     victims = world.stubs[:3]
     return [
-        SweepPointTask(victim=victim, attacker=world.tier1[0], padding=padding)
+        kind(victim=victim, attacker=world.tier1[0], padding=padding)
+        for kind in (SweepPointTask, DeploymentPointTask)
         for victim in victims
         for padding in (1, 2, 3)
     ]
@@ -149,17 +161,20 @@ class TestPooledAggregationIsExact:
             assert executor.metrics is not None
 
     def test_serial_cache_hits_survive_prefetch_shape(self, generated_world):
-        """The serial sweep path prefetches whole λ families, so the
-        cache counters reflect one canonical convergence per victim."""
+        """The serial sweep path prefetches whole λ families for the
+        route-building cells, so the cache counters reflect one
+        canonical convergence per victim."""
         engine, world = generated_world
         victim = world.stubs[4]
         metrics = RunMetrics()
         cache = BaselineCache(engine)
-        padding_sweep(
+        deployment_sweep(
             engine,
             victim=victim,
             attacker=world.tier1[0],
-            paddings=range(1, 6),
+            padding=3,
+            policy="none",
+            fractions=(0.0, 0.1, 0.2, 0.3, 0.4),
             cache=cache,
             metrics=metrics,
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp.vectorized import numpy_available
 from repro.cli import main
 from repro.experiments import REGISTRY
 
@@ -78,6 +79,13 @@ def test_all_runs_every_registered_experiment(capsys, monkeypatch):
     assert "table1" in out and "fig01" in out
 
 
+#: what a λ-sweep point counts as: a kernel cell where numpy is
+#: installed, a warm engine propagation where it is not
+CELL_COUNTER = (
+    "engine.impact.cells" if numpy_available() else "engine.warm.propagations"
+)
+
+
 class TestMetricsFlags:
     """The ``--metrics`` / ``--metrics-out`` surface on run/all/campaign."""
 
@@ -90,7 +98,7 @@ class TestMetricsFlags:
         assert main(["run", "fig09", "--scale", "0.15", "--metrics", "summary"]) == 0
         out = capsys.readouterr().out
         assert "run metrics" in out
-        assert "engine.warm.propagations" in out
+        assert CELL_COUNTER in out
         assert "experiment.fig09_seconds" in out
 
     def test_run_metrics_do_not_change_result_text(self, capsys):
@@ -111,7 +119,7 @@ class TestMetricsFlags:
         assert events
         kinds = {event["event"] for event in events}
         assert kinds <= {"counter", "histogram", "timer", "info"}
-        assert any(event["name"] == "engine.warm.propagations" for event in events)
+        assert any(event["name"] == CELL_COUNTER for event in events)
 
     def test_run_metrics_out_writes_parseable_file(self, capsys, tmp_path):
         from repro.telemetry import read_jsonl
@@ -126,7 +134,7 @@ class TestMetricsFlags:
         out = capsys.readouterr().out
         assert f"metrics written to {path}" in out
         restored = read_jsonl(path)
-        assert restored.counter_value("engine.warm.propagations") > 0
+        assert restored.counter_value(CELL_COUNTER) > 0
 
     def test_metrics_out_requires_jsonl_mode(self, tmp_path):
         path = str(tmp_path / "metrics.jsonl")
