@@ -8,9 +8,6 @@ promise on the Figure-9 λ-sweep:
 * the *disabled* sweep (a ``RunMetrics(enabled=False)`` registry
   threaded through the whole stack) stays within 5% of the pristine
   sweep that never saw a registry;
-* the instrumented stack keeps the runner's ≥2× speedup envelope over
-  the seed-commit engine (``benchmarks/_seed_engine.py``), so the
-  telemetry layer cannot silently eat the PR-1 performance win;
 * the *enabled* overhead is printed for the record (it is allowed to
   cost something — it is measured, not asserted, because recording
   real counters is genuine work).
@@ -18,15 +15,8 @@ promise on the Figure-9 λ-sweep:
 
 from __future__ import annotations
 
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-import _seed_engine
-
-from repro.attack.interception import simulate_interception
 from repro.experiments.base import build_world
 from repro.experiments.sweeps import padding_sweep
 from repro.telemetry import RunMetrics
@@ -54,22 +44,6 @@ def _best_of(fn):
     return best, value
 
 
-def _seed_sweep(engine, victim: int, attacker: int):
-    rows = []
-    for padding in PADDINGS:
-        result = simulate_interception(
-            engine, victim=victim, attacker=attacker, origin_padding=padding
-        )
-        rows.append(
-            (
-                padding,
-                100 * result.report.before_fraction,
-                100 * result.report.after_fraction,
-            )
-        )
-    return rows
-
-
 def test_bench_disabled_metrics_are_free():
     world = build_world(seed=7, scale=SCALE)
     attacker, victim = _fig09_pair(world)
@@ -91,28 +65,18 @@ def test_bench_disabled_metrics_are_free():
 
     assert disabled_rows == pristine_rows == enabled_rows
 
-    seed = _seed_engine.PropagationEngine(world.graph)
-    seed_time, seed_rows = _best_of(lambda: _seed_sweep(seed, victim, attacker))
-    assert seed_rows == pristine_rows
-
     disabled_overhead = disabled_time / pristine_time - 1
     enabled_overhead = enabled_time / pristine_time - 1
-    speedup = seed_time / disabled_time
     print(
         f"\nfig09 λ-sweep (scale={SCALE}): pristine {pristine_time * 1e3:.1f} ms, "
         f"disabled metrics {disabled_time * 1e3:.1f} ms "
         f"({disabled_overhead:+.1%}), "
         f"enabled metrics {enabled_time * 1e3:.1f} ms "
-        f"({enabled_overhead:+.1%}), "
-        f"seed engine {seed_time * 1e3:.1f} ms "
-        f"(speedup with metrics plumbed: {speedup:.2f}x)"
+        f"({enabled_overhead:+.1%})"
     )
     # 5% relative + 2 ms absolute slack absorbs scheduler jitter on
     # small hosts; a real per-iteration cost shows up far above this.
     assert disabled_time <= pristine_time * 1.05 + 0.002, (
         f"disabled metrics cost {disabled_overhead:+.1%} — the hoisted "
         "branch contract is broken"
-    )
-    assert speedup >= 2.0, (
-        f"runner speedup with metrics plumbing regressed: {speedup:.2f}x < 2x"
     )

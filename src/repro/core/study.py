@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import statistics
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.attack.interception import InterceptionResult, simulate_interception
@@ -40,14 +41,12 @@ from repro.runner import (
     FaultPlan,
     RetryPolicy,
     ShardedScheduler,
-    SupervisedExecutor,
     TaskFailure,
-    WorkerContext,
     WorkerSpec,
-    execute_task,
     resolve_workers,
     sample_attack_pairs,
 )
+from repro.store.active import get_active_store
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.generators import (
     GeneratedTopology,
@@ -418,69 +417,29 @@ class InterceptionStudy:
             CampaignPairTask(attacker=attacker, victim=victim, padding=padding)
             for attacker, victim in sampled
         ]
-        enabled = metrics is not None and metrics.enabled
         spec = WorkerSpec(
             self._world.graph,
             monitors=self._monitors,
             max_activations=self._engine.max_activations,
-            metrics_enabled=enabled,
+            metrics_enabled=metrics is not None and metrics.enabled,
             backend=self._engine.backend,
             engine_mode=self._engine.mode,
             fault_plan=faults,
         )
-        if store is None:
-            from repro.store import get_active_store
-
-            store = get_active_store()
         shard_count = 1 if shards is None else shards
-        journal = CheckpointJournal(resume) if resume is not None else None
-        supervise = journal is not None or faults is not None or retry is not None
-        try:
-            if store is not None or shard_count > 1:
-                serial = shard_count == 1 and resolve_workers(workers) == 1
-                with ShardedScheduler(
-                    spec,
-                    shards=shard_count,
-                    workers=workers,
-                    retry=retry,
-                    store=store,
-                    journal=journal,
-                    metrics=metrics,
-                    engine=self._engine if serial else None,
-                ) as scheduler:
-                    outcomes = scheduler.run(tasks)
-            elif resolve_workers(workers) == 1:
-                prev_engine_metrics = self._engine.metrics
-                try:
-                    if supervise:
-                        with SupervisedExecutor(
-                            spec,
-                            workers=1,
-                            engine=self._engine,
-                            metrics=metrics,
-                            retry=retry,
-                            journal=journal,
-                        ) as executor:
-                            outcomes = executor.run(tasks)
-                    else:
-                        context = WorkerContext(
-                            spec, engine=self._engine, metrics=metrics
-                        )
-                        outcomes = [execute_task(task, context) for task in tasks]
-                finally:
-                    self._engine.metrics = prev_engine_metrics
-            else:
-                with SupervisedExecutor(
-                    spec,
-                    workers=workers,
-                    metrics=metrics if enabled else None,
-                    retry=retry,
-                    journal=journal,
-                ) as executor:
-                    outcomes = executor.run(tasks)
-        finally:
-            if journal is not None:
-                journal.close()
+        serial = shard_count == 1 and resolve_workers(workers) == 1
+        opened = CheckpointJournal(resume) if resume is not None else nullcontext()
+        with opened as journal, ShardedScheduler(
+            spec,
+            shards=shard_count,
+            workers=workers,
+            retry=retry,
+            store=store if store is not None else get_active_store(),
+            journal=journal,
+            metrics=metrics,
+            engine=self._engine if serial else None,
+        ) as scheduler:
+            outcomes = scheduler.run(tasks)
         campaign = AttackCampaign(metrics=metrics)
         for outcome in outcomes:
             if isinstance(outcome, TaskFailure):

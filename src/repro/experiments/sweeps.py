@@ -17,28 +17,24 @@ per-victim baseline memo.  Points outside the kernel's domain — and
 every :class:`~repro.runner.DeploymentPointTask` — go through the
 baseline cache and the engine, warm across points.
 
-The pooled path runs under the :class:`~repro.runner.SupervisedExecutor`
-failure model — a dead worker respawns the pool and re-executes only
-the in-flight points, so a sweep survives worker OOMs/segfaults with
-bit-identical rows.  ``checkpoint`` journals every finished point to a
-JSONL file and a rerun pointed at the same path replays completed
-points instead of re-converging them.  Sweeps need complete data, so a
-task that exhausts its retry budget raises :class:`SimulationError`
+Every sweep hands its task list to one
+:class:`~repro.runner.ShardedScheduler`.  Cells already recorded — in
+the ``checkpoint`` journal, or in a :class:`~repro.store.CampaignStore`
+attached explicitly via ``store=`` or ambiently via
+:func:`repro.store.use_store` — replay without touching the engine (a
+fully warm store performs *zero* propagations, not even baseline
+prefetches); only missing cells run, optionally split across
+work-stealing ``shards``, and each is recorded as it settles, so an
+interrupted sweep keeps what it finished.  A pool survives worker
+OOMs/segfaults with bit-identical rows.  Sweeps need complete data, so
+a task that exhausts its retry budget raises :class:`SimulationError`
 (campaigns, by contrast, collect structured failures).
-
-When a :class:`~repro.store.CampaignStore` is attached — explicitly via
-``store=`` or ambiently via :func:`repro.store.use_store` — execution
-routes through the :class:`~repro.runner.ShardedScheduler`: cells whose
-fingerprints are already stored replay from the log (a fully warm
-store performs *zero* engine propagations, not even baseline
-prefetches), only missing cells run (optionally split across
-work-stealing ``shards``), and fresh results stream back for every
-later campaign to reuse.  Rows stay bit-identical either way.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.bgp.engine import PropagationEngine
@@ -51,13 +47,11 @@ from repro.runner import (
     FaultPlan,
     RetryPolicy,
     ShardedScheduler,
-    SupervisedExecutor,
     SweepPointResult,
     SweepPointTask,
     TaskFailure,
     WorkerContext,
     WorkerSpec,
-    execute_task,
     resolve_workers,
 )
 from repro.store.active import get_active_store
@@ -116,93 +110,44 @@ def _run_tasks(
     checkpoint: str | Path | None = None,
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
-    fingerprint_context: str | None = None,
     store=None,
     shards: int | None = None,
 ) -> list:
-    """Run sweep tasks serially on ``engine`` or across a process pool.
+    """Run sweep tasks through one :class:`~repro.runner.ShardedScheduler`.
 
-    With ``metrics`` enabled, the serial path records straight into the
-    caller's registry (temporarily wiring it into the adopted engine and
-    cache), and the pooled path merges the per-task deltas the workers
-    ship back, so the deterministic counters come out identical for
-    every worker count.
-
-    A ``store`` (explicit, or ambient via :func:`repro.store.use_store`)
-    or ``shards > 1`` routes execution through the
-    :class:`~repro.runner.ShardedScheduler` — store hits replay without
-    touching the engine, only missing cells are prefetched and run, and
-    fresh results stream back into the store.
+    Serially (one shard, one worker) the scheduler adopts ``engine`` and
+    ``cache`` and, with ``metrics`` enabled, records straight into the
+    caller's registry; pooled and sharded runs merge the per-task deltas
+    their workers ship back, so the deterministic counters come out
+    identical for every worker and shard count.  Recorded cells replay
+    from the ``checkpoint`` journal or the ``store`` (explicit, or
+    ambient via :func:`repro.store.use_store`); only missing cells are
+    prefetched and run.
     """
-    enabled = metrics is not None and metrics.enabled
     spec = WorkerSpec(
         engine.graph,
         max_activations=engine.max_activations,
-        metrics_enabled=enabled,
+        metrics_enabled=metrics is not None and metrics.enabled,
         backend=engine.backend,
         engine_mode=engine.mode,
         fault_plan=faults,
     )
-    if store is None:
-        store = get_active_store()
     shard_count = 1 if shards is None else shards
-    journal = CheckpointJournal(checkpoint) if checkpoint is not None else None
-    supervise = journal is not None or faults is not None or retry is not None
-    try:
-        if store is not None or shard_count > 1:
-            serial = shard_count == 1 and resolve_workers(workers) == 1
-            with ShardedScheduler(
-                spec,
-                shards=shard_count,
-                workers=workers,
-                retry=retry,
-                store=store,
-                journal=journal,
-                fingerprint_context=fingerprint_context,
-                metrics=metrics,
-                engine=engine if serial else None,
-                cache=cache if serial else None,
-                prepare=_prefetch_families,
-            ) as scheduler:
-                return _raise_on_failures(scheduler.run(tasks))
-        if resolve_workers(workers) == 1:
-            prev_engine_metrics = engine.metrics
-            prev_cache_metrics = cache.metrics if cache is not None else None
-            try:
-                if supervise:
-                    with SupervisedExecutor(
-                        spec,
-                        workers=1,
-                        engine=engine,
-                        cache=cache,
-                        metrics=metrics,
-                        retry=retry,
-                        journal=journal,
-                        fingerprint_context=fingerprint_context,
-                    ) as executor:
-                        ctx = executor.context
-                        assert ctx is not None
-                        _prefetch_families(ctx, executor.pending(tasks))
-                        return _raise_on_failures(executor.run(tasks))
-                ctx = WorkerContext(spec, engine=engine, cache=cache, metrics=metrics)
-                _prefetch_families(ctx, tasks)
-                return [execute_task(task, ctx) for task in tasks]
-            finally:
-                engine.metrics = prev_engine_metrics
-                if cache is not None:
-                    cache.metrics = prev_cache_metrics
-        with SupervisedExecutor(
-            spec,
-            workers=workers,
-            metrics=metrics if enabled else None,
-            retry=retry,
-            journal=journal,
-            fingerprint_context=fingerprint_context,
-        ) as executor:
-            return _raise_on_failures(executor.run(tasks))
-    finally:
-        if journal is not None:
-            journal.close()
+    serial = shard_count == 1 and resolve_workers(workers) == 1
+    opened = CheckpointJournal(checkpoint) if checkpoint is not None else nullcontext()
+    with opened as journal, ShardedScheduler(
+        spec,
+        shards=shard_count,
+        workers=workers,
+        retry=retry,
+        store=store if store is not None else get_active_store(),
+        journal=journal,
+        metrics=metrics,
+        engine=engine if serial else None,
+        cache=cache if serial else None,
+        prepare=_prefetch_families,
+    ) as scheduler:
+        return _raise_on_failures(scheduler.run(tasks))
 
 
 def padding_sweep(

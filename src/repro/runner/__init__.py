@@ -1,29 +1,27 @@
-"""Sweep runner: baseline caching, process-pool fan-out, supervision.
+"""Sweep runner: baseline caching and the one task-batch path.
 
 Sweeps and campaigns are embarrassingly parallel — every (attacker,
 victim, λ) point is an independent propagation — and embarrassingly
 repetitive — every point re-converges a pre-attack baseline some other
-point already computed.  This package attacks both: a
-:class:`BaselineCache` memoises converged baselines (deriving the whole
-uniform-λ family from one canonical run per victim), and a
-:class:`SweepExecutor` fans task batches out over worker processes,
-shipping the topology once per worker and keeping results bit-identical
-to the serial path regardless of worker count.
+point already computed.  A :class:`BaselineCache` memoises converged
+baselines (deriving the whole uniform-λ family from one canonical run
+per victim); everything else here is about running a batch of
+fingerprinted tasks (:mod:`repro.runner.tasks`).
 
-Long campaigns additionally get a failure model:
-:class:`SupervisedExecutor` layers bounded retries with exponential
-backoff, per-task deadlines, pool respawn after worker death, serial
-degradation, and checkpoint/resume through a
-:class:`CheckpointJournal` on top of the same task machinery, with a
-deterministic :class:`FaultPlan` harness (:mod:`repro.runner.faults`)
-so every recovery path is exercised in CI.
-
-:class:`ShardedScheduler` (:mod:`repro.runner.scheduler`) scales the
-supervised path sideways: the fingerprinted task space splits across
-shard-local executors with work-stealing between them, consults a
-content-addressed :class:`~repro.store.CampaignStore` so only missing
-cells run, and streams completed records back — bit-identical to the
-single-pool path at any shard count.
+There is one way to do that.  :class:`ShardedScheduler`
+(:mod:`repro.runner.scheduler`) replays whatever a
+:class:`CheckpointJournal` or a content-addressed
+:class:`~repro.store.CampaignStore` already holds, splits the missing
+cells over work-stealing shards and records each result as it settles.
+Each shard is one :class:`SupervisedExecutor`
+(:mod:`repro.runner.supervisor`): tasks inline against one
+:class:`WorkerContext`, or a process pool (topology shipped once per
+worker through shared memory) under bounded retries with backoff,
+per-task deadlines, pool respawn after worker death and serial
+degradation.  A deterministic :class:`FaultPlan` harness
+(:mod:`repro.runner.faults`) exercises every recovery path in CI.
+Results are bit-identical for any worker count, shard count and
+persistence state.
 """
 
 from repro.runner.cache import (
@@ -32,12 +30,7 @@ from repro.runner.cache import (
     derive_uniform_family,
 )
 from repro.runner.checkpoint import CheckpointJournal, task_fingerprint
-from repro.runner.executor import (
-    SweepExecutor,
-    available_cpus,
-    execute_task,
-    resolve_workers,
-)
+from repro.runner.executor import available_cpus, execute_task, resolve_workers
 from repro.runner.faults import (
     FaultPlan,
     FaultSpec,
@@ -45,7 +38,7 @@ from repro.runner.faults import (
     InjectedFaultError,
 )
 from repro.runner.sampling import sample_attack_pairs
-from repro.runner.scheduler import LockedJournal, ShardedScheduler
+from repro.runner.scheduler import ShardedScheduler
 from repro.runner.shm import (
     SharedTopologyHandle,
     attach_topology,
@@ -72,12 +65,10 @@ __all__ = [
     "FaultSpec",
     "InjectedCrashError",
     "InjectedFaultError",
-    "LockedJournal",
     "RetryPolicy",
     "SharedTopologyHandle",
     "ShardedScheduler",
     "SupervisedExecutor",
-    "SweepExecutor",
     "SweepPointResult",
     "SweepPointTask",
     "TaskFailure",

@@ -1,39 +1,43 @@
-"""Sharded, store-aware campaign scheduling with work-stealing.
+"""The one way to run a task batch: store-aware, sharded, supervised.
 
-A campaign is a list of pure, fingerprinted tasks; the
-:class:`~repro.runner.supervisor.SupervisedExecutor` already makes one
-worker pool survive crashes, hangs and restarts.  This module scales
-that out *sideways*: :class:`ShardedScheduler` splits the fingerprinted
-task space across ``shards`` independent supervised executors (each
-with its own worker pool), lets idle shards steal queued work from
-busy ones, and keeps the result list bit-identical to the single-pool
-path at any shard count — every task is a pure function of its
-descriptor, so *where* it runs can never change *what* it returns.
+A batch is a list of pure, fingerprinted tasks.  Every production
+caller — the sweep harnesses, ``InterceptionStudy.campaign`` — hands it
+to a :class:`ShardedScheduler`, which
 
-The scheduler is also the store's enforcement point:
+* consults persistence **once, before anything is queued**: each
+  fingerprint is looked up in the attached
+  :class:`~repro.store.CampaignStore` and/or
+  :class:`~repro.runner.checkpoint.CheckpointJournal`, hits go straight
+  into their result slots and only missing cells are scheduled (an
+  all-hits batch builds no executor, compiles no topology);
+* splits the missing cells round-robin over ``shards`` lazily built
+  :class:`~repro.runner.supervisor.SupervisedExecutor` workers (each
+  with its own context or worker pool) and lets idle shards steal queued
+  work from busy ones;
+* records each result **as it settles**, through the executor's
+  ``on_settled`` callback — so an interrupted run keeps every cell it
+  finished, at any shard count, whichever persistence is attached.
 
-* before anything is queued, every fingerprint is looked up in the
-  attached :class:`~repro.store.CampaignStore` and hits go straight
-  into their result slots — only missing cells are scheduled;
-* as chunks complete, fresh results stream back into the store, so a
-  concurrent or later campaign never recomputes them.
+``shards=1``, ``workers=1``, no store and no journal is the plain path:
+one in-process context (the caller's engine and cache, adopted), the
+``prepare`` warm-up, then the task loop.  The result list is
+bit-identical at any shard and worker count — every task is a pure
+function of its descriptor, so *where* it runs can never change *what*
+it returns — and fault plans key on task fingerprints, not on
+placement, so seeded chaos runs are shard-count-independent too.
 
-Supervision composes unchanged: each shard owns a full
-``SupervisedExecutor`` (retries, deadlines, pool respawn, serial
-degradation), a shared checkpoint journal is serialised behind
-:class:`LockedJournal`, and fault plans key on task fingerprints — not
-on placement — so seeded chaos runs are shard-count-independent too.
-
-Telemetry lands under ``scheduler.*``: ``scheduler.tasks``,
-``scheduler.store_hits``, ``scheduler.executed``, ``scheduler.steals``
-and ``scheduler.stolen_tasks``.
+Telemetry lands under ``scheduler.*`` on every run:
+``scheduler.tasks``, ``scheduler.store_hits``, ``scheduler.executed``,
+``scheduler.steals`` and ``scheduler.stolen_tasks``; journal replays
+count as ``runner.resumed_tasks``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
@@ -44,81 +48,41 @@ from repro.runner.supervisor import RetryPolicy, SupervisedExecutor, TaskFailure
 from repro.runner.tasks import WorkerSpec
 from repro.telemetry.metrics import RunMetrics
 
-__all__ = ["LockedJournal", "ShardedScheduler"]
+__all__ = ["ShardedScheduler"]
 
-_UNSET = object()
-#: duck-typed miss sentinel handshake with ``CampaignStore.get`` — the
-#: runner layer deliberately does not import :mod:`repro.store`.
-_MISS = _UNSET
-
-
-class LockedJournal:
-    """Thread-safe facade over a journal shared by shard executors.
-
-    The journal protocol (``completed`` / ``result_for`` /
-    ``record_success`` / ``record_failure``) is consumed concurrently
-    by every shard's executor; one lock serialises the underlying
-    file-backed implementation, which was written for single-threaded
-    runs.  ``close`` stays with the owning caller.
-    """
-
-    def __init__(self, journal: Any) -> None:
-        self._journal = journal
-        self._lock = threading.Lock()
-
-    def completed(self, fingerprint: str) -> bool:
-        with self._lock:
-            return self._journal.completed(fingerprint)
-
-    def result_for(self, fingerprint: str) -> Any:
-        with self._lock:
-            return self._journal.result_for(fingerprint)
-
-    def failed(self, fingerprint: str) -> bool:
-        with self._lock:
-            return self._journal.failed(fingerprint)
-
-    def record_success(self, fingerprint: str, result: Any) -> None:
-        with self._lock:
-            self._journal.record_success(fingerprint, result)
-
-    def record_failure(
-        self, fingerprint: str, *, kind: str, attempts: int, error: str
-    ) -> None:
-        with self._lock:
-            self._journal.record_failure(
-                fingerprint, kind=kind, attempts=attempts, error=error
-            )
-
-    def close(self) -> None:
-        """No-op: the wrapped journal's lifetime stays with its owner."""
+#: "no recorded result": the default handed to the duck-typed
+#: ``store.get`` (the runner layer deliberately does not import
+#: :mod:`repro.store`) and the filler of result slots not yet computed.
+_MISS = object()
 
 
-class _QueuedTask:
-    __slots__ = ("index", "task", "fp")
-
-    def __init__(self, index: int, task: Any, fp: str) -> None:
-        self.index = index
-        self.task = task
-        self.fp = fp
+class _QueuedTask(NamedTuple):
+    index: int
+    task: Any
+    fp: str
 
 
 class ShardedScheduler:
     """Fan a fingerprinted task list over store-deduped, stealing shards.
 
-    ``shards=1`` degenerates to exactly the supervised single-pool path
-    (optionally adopting a caller ``engine``/``cache`` when serial, as
-    the sweep layer does), with the store consult/stream-back layered
-    on top.  ``workers`` is the pool size *per shard*
-    (``None``/``0``/``1`` = serial in-process shards).
+    ``workers`` is the pool size *per shard* (``None``/``0``/``1`` =
+    serial in-process shards).  A caller ``engine``/``cache`` is adopted
+    only at ``shards=1`` with serial workers (as the sweep layer does);
+    their previous metrics attachment is restored by :meth:`close`.
 
-    ``store`` is duck-typed (``get(fp, default)`` / ``put(fp, value)``
-    / ``missing``): anything content-addressed by the same task
-    fingerprints works.  ``prepare(ctx, tasks)`` is an optional warmup
-    hook invoked with the single-shard serial context and the tasks
-    that will actually run — the sweep layer uses it to batch-prefetch
-    baseline families for *missing* cells only, so a fully warm store
-    triggers no engine work at all.
+    ``store`` is duck-typed (``get(fp, default)`` / ``put(fp, value)``):
+    anything content-addressed by the same task fingerprints works.
+    ``journal`` speaks the :class:`CheckpointJournal` protocol
+    (``completed`` / ``result_for`` / ``record_success`` /
+    ``record_failure``); its lifetime stays with the caller.  Successes
+    go to both; failures only to the journal — the store is truth about
+    completed work, and a quarantined task should be retried by the
+    next run, not remembered forever.
+
+    ``prepare(ctx, tasks)`` is an optional warm-up hook invoked with a
+    serial shard's context and the tasks it is about to run — the sweep
+    layer uses it to batch impact cells and prefetch baseline families
+    for *missing* cells only.
     """
 
     def __init__(
@@ -148,34 +112,33 @@ class ShardedScheduler:
         self.workers = workers
         self.retry = retry
         self.store = store
+        self.journal = journal
         self.fingerprint_context = fingerprint_context
         self.metrics = metrics
         self.prepare = prepare
         self._engine = engine
         self._cache = cache
-        self._journal = journal
-        if journal is not None and shards > 1:
-            self._journal = LockedJournal(journal)
+        # A serial context wires the run's registry into the engine and
+        # cache it adopts; close() puts these back.
+        self._engine_metrics = engine.metrics if engine is not None else None
+        self._cache_metrics = cache.metrics if cache is not None else None
         self._lock = threading.Lock()
         self._executors: dict[int, SupervisedExecutor] = {}
         self._shard_metrics: dict[int, RunMetrics] = {}
-        self._prev_engine_metrics: Any = _UNSET
-        self._prev_cache_metrics: Any = _UNSET
         self._closed = False
         #: counters of the most recent :meth:`run`, for callers without
         #: a metrics registry (tests, CLI summaries).
         self.stats: dict[str, int] = {}
 
     # -- telemetry ------------------------------------------------------
-    def _count(self, name: str, n: int = 1) -> None:
-        registry = self.metrics
-        if registry is not None and registry.enabled and n:
-            registry.count(name, n)
-
-    # -- executors ------------------------------------------------------
     def _enabled(self) -> bool:
         return self.metrics is not None and self.metrics.enabled
 
+    def _count(self, name: str, n: int = 1) -> None:
+        if self._enabled() and n:
+            self.metrics.count(name, n)
+
+    # -- executors ------------------------------------------------------
     def _executor(self, shard: int) -> SupervisedExecutor:
         """Build shard executors lazily: an all-hits run never compiles
         a topology, and only shards that actually receive work pay for
@@ -183,26 +146,17 @@ class ShardedScheduler:
         executor = self._executors.get(shard)
         if executor is not None:
             return executor
-        if self.shards == 1:
-            registry = self.metrics
-            if resolve_workers(self.workers) != 1 and not self._enabled():
-                registry = None
-            if self._engine is not None and self._prev_engine_metrics is _UNSET:
-                self._prev_engine_metrics = self._engine.metrics
-                if self._cache is not None:
-                    self._prev_cache_metrics = self._cache.metrics
-        else:
-            registry = None
-            if self._enabled():
-                registry = self._shard_metrics.setdefault(shard, RunMetrics())
+        registry = self.metrics
+        if self.shards > 1 and self._enabled():
+            # one registry per shard thread, merged when the threads join
+            registry = self._shard_metrics[shard] = RunMetrics()
         executor = SupervisedExecutor(
             self.spec,
             workers=self.workers,
-            engine=self._engine if self.shards == 1 else None,
-            cache=self._cache if self.shards == 1 else None,
+            engine=self._engine,
+            cache=self._cache,
             metrics=registry,
             retry=self.retry,
-            journal=self._journal,
             fingerprint_context=self.fingerprint_context,
         )
         self._executors[shard] = executor
@@ -210,24 +164,40 @@ class ShardedScheduler:
 
     # -- entry point ----------------------------------------------------
     def run(self, tasks: Sequence[Any]) -> list[Any]:
-        """Execute ``tasks``; results in task order, store hits replayed."""
+        """Execute ``tasks``; results in task order, recorded ones replayed.
+
+        The store is asked first, then the journal; a journal hit is
+        lifted into the store, so a ``--resume`` journal keeps serving
+        later store runs.
+        """
         if self._closed:
             raise SimulationError(
                 "ShardedScheduler is closed; build a new scheduler for "
                 "further batches"
             )
         tasks = list(tasks)
-        results: list[Any] = [_UNSET] * len(tasks)
+        results: list[Any] = [_MISS] * len(tasks)
         todo: list[_QueuedTask] = []
+        hits = resumed = 0
         for index, task in enumerate(tasks):
             fp = task_fingerprint(task, self.fingerprint_context)
+            value = _MISS
             if self.store is not None:
                 value = self.store.get(fp, _MISS)
-                if value is not _MISS:
-                    results[index] = value
-                    continue
-            todo.append(_QueuedTask(index, task, fp))
-        hits = len(tasks) - len(todo)
+                hits += value is not _MISS
+            if (
+                value is _MISS
+                and self.journal is not None
+                and self.journal.completed(fp)
+            ):
+                value = self.journal.result_for(fp)
+                resumed += 1
+                if self.store is not None:
+                    self.store.put(fp, value)
+            if value is _MISS:
+                todo.append(_QueuedTask(index, task, fp))
+            else:
+                results[index] = value
         self.stats = {
             "tasks": len(tasks),
             "store_hits": hits,
@@ -238,30 +208,35 @@ class ShardedScheduler:
         self._count("scheduler.tasks", len(tasks))
         self._count("scheduler.store_hits", hits)
         self._count("scheduler.executed", len(todo))
+        self._count("runner.resumed_tasks", resumed)
         if todo:
+            queues: list[deque] = [deque() for _ in range(self.shards)]
+            for position, queued in enumerate(todo):
+                queues[position % self.shards].append(queued)
             if self.shards == 1:
-                self._run_single(todo, results)
+                self._run_shard(0, queues, results)
             else:
-                self._run_sharded(todo, results)
-        assert all(value is not _UNSET for value in results)
+                self._run_threads(queues, results)
+        assert all(value is not _MISS for value in results)
         return results
 
-    def _store_completed(self, chunk: list[_QueuedTask], values: list[Any]) -> None:
-        for queued, value in zip(chunk, values):
-            if self.store is not None and not isinstance(value, TaskFailure):
-                self.store.put(queued.fp, value)
+    def _record(self, chunk: list[_QueuedTask], position: int, value: Any) -> None:
+        """Persist one settled result.  Shard threads call this as each
+        task lands; the lock gives the journal and store one writer at
+        a time.  Successes go to both, failures only to the journal."""
+        fp = chunk[position].fp
+        with self._lock:
+            if isinstance(value, TaskFailure):
+                if self.journal is not None:
+                    self.journal.record_failure(
+                        fp, kind=value.kind, attempts=value.attempts, error=value.error
+                    )
+                return
+            if self.journal is not None:
+                self.journal.record_success(fp, value)
+            if self.store is not None:
+                self.store.put(fp, value)
 
-    # -- degenerate path: one shard == the plain supervised executor ----
-    def _run_single(self, todo: list[_QueuedTask], results: list[Any]) -> None:
-        executor = self._executor(0)
-        if self.prepare is not None and executor.context is not None:
-            self.prepare(executor.context, [queued.task for queued in todo])
-        values = executor.run([queued.task for queued in todo])
-        for queued, value in zip(todo, values):
-            results[queued.index] = value
-        self._store_completed(todo, values)
-
-    # -- sharded path ---------------------------------------------------
     def _take(self, queues: list[deque], shard: int) -> list[_QueuedTask]:
         """Drain the shard's own queue, or steal half the longest one.
 
@@ -288,24 +263,26 @@ class ShardedScheduler:
             self._count("scheduler.stolen_tasks", take)
             return stolen
 
-    def _run_sharded(self, todo: list[_QueuedTask], results: list[Any]) -> None:
-        queues: list[deque] = [deque() for _ in range(self.shards)]
-        for position, queued in enumerate(todo):
-            queues[position % self.shards].append(queued)
+    def _run_shard(self, shard: int, queues: list[deque], results: list[Any]) -> None:
+        """One shard's loop: take a chunk, warm up, run, repeat."""
+        executor = self._executor(shard)
+        persist = self.store is not None or self.journal is not None
+        while chunk := self._take(queues, shard):
+            batch = [queued.task for queued in chunk]
+            if self.prepare is not None and executor.context is not None:
+                self.prepare(executor.context, batch)
+            values = executor.run(
+                batch, partial(self._record, chunk) if persist else None
+            )
+            for queued, value in zip(chunk, values):
+                results[queued.index] = value
+
+    def _run_threads(self, queues: list[deque], results: list[Any]) -> None:
         errors: list[BaseException] = []
 
         def shard_loop(shard: int) -> None:
             try:
-                executor = self._executor(shard)
-                while True:
-                    chunk = self._take(queues, shard)
-                    if not chunk:
-                        return
-                    values = executor.run([queued.task for queued in chunk])
-                    with self._lock:
-                        for queued, value in zip(chunk, values):
-                            results[queued.index] = value
-                        self._store_completed(chunk, values)
+                self._run_shard(shard, queues, results)
             except BaseException as exc:  # noqa: BLE001 - reraised below
                 with self._lock:
                     errors.append(exc)
@@ -314,15 +291,15 @@ class ShardedScheduler:
             threading.Thread(
                 target=shard_loop, args=(shard,), name=f"repro-shard-{shard}"
             )
-            for shard in range(min(self.shards, len(todo)))
+            for shard, queue in enumerate(queues)
+            if queue
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        if self._enabled():
-            for registry in self._shard_metrics.values():
-                self.metrics.merge(registry.take())
+        for registry in self._shard_metrics.values():
+            self.metrics.merge(registry.take())
         if errors:
             raise errors[0]
 
@@ -333,10 +310,10 @@ class ShardedScheduler:
         self._closed = True
         for executor in self._executors.values():
             executor.close()
-        if self._prev_engine_metrics is not _UNSET and self._engine is not None:
-            self._engine.metrics = self._prev_engine_metrics
-        if self._prev_cache_metrics is not _UNSET and self._cache is not None:
-            self._cache.metrics = self._prev_cache_metrics
+        if self._engine is not None:
+            self._engine.metrics = self._engine_metrics
+        if self._cache is not None:
+            self._cache.metrics = self._cache_metrics
 
     def __enter__(self) -> "ShardedScheduler":
         return self

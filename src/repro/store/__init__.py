@@ -12,13 +12,13 @@ dedupe against one shared append-only log:
     assert again.from_store and again.result.rows == first.result.rows
 
 Layered modules: :mod:`~repro.store.store` (the log + index),
-:mod:`~repro.store.adapter` (checkpoint-journal bridge),
+:mod:`~repro.store.adapter` (legacy-journal import),
 :mod:`~repro.store.query` (experiment-level serving) and
 :mod:`~repro.store.active` (ambient binding the sweep layer consults).
 """
 
 from repro.store.active import get_active_store, use_store
-from repro.store.adapter import StoreJournal, import_journal
+from repro.store.adapter import import_journal
 from repro.store.query import QueryOutcome, experiment_fingerprint, query_experiment
 from repro.store.store import MISSING, SCHEMA_VERSION, CampaignStore
 
@@ -27,7 +27,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CampaignStore",
     "QueryOutcome",
-    "StoreJournal",
     "experiment_fingerprint",
     "get_active_store",
     "import_journal",

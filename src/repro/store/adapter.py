@@ -1,93 +1,26 @@
-"""Bridging the per-run checkpoint journal and the shared store.
+"""Lifting a legacy checkpoint journal into the shared store.
 
 :class:`~repro.runner.checkpoint.CheckpointJournal` predates the store
 and stays fully supported — it is the right tool for a single run's
-crash/resume.  This module connects the two worlds:
+crash/resume.  :func:`import_journal` copies a ``--resume`` journal's
+success records into a store, after which the journal file can be
+deleted — its results keep serving every future campaign.  (A run given
+both a journal and a store does the same for the cells it replays; see
+:class:`~repro.runner.ShardedScheduler`.)
 
-* :class:`StoreJournal` speaks the journal protocol the
-  :class:`~repro.runner.supervisor.SupervisedExecutor` consumes
-  (``completed`` / ``result_for`` / ``record_success`` /
-  ``record_failure``) but reads and writes a shared
-  :class:`~repro.store.store.CampaignStore`, so a supervised run
-  checkpoints straight into the deduplicating store instead of a
-  private JSONL file.
-* :func:`import_journal` lifts a legacy ``--resume`` journal's success
-  records into a store, after which the journal file can be deleted —
-  its results keep serving every future campaign.
-
-Failures are deliberately *not* persisted in the store: the store is
-content-addressed truth about completed work, and a quarantined task
-should be retried by the next run, not remembered forever.  The
-adapter keeps failures in memory for the run's own post-mortem,
-mirroring the journal's retry-on-resume semantics.
+Failures are deliberately *not* imported: the store is content-addressed
+truth about completed work, and a quarantined task should be retried by
+the next run, not remembered forever.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
 
 from repro.runner.checkpoint import CheckpointJournal
-from repro.store.store import MISSING, CampaignStore
+from repro.store.store import CampaignStore
 
-__all__ = ["StoreJournal", "import_journal"]
-
-
-class StoreJournal:
-    """Journal-protocol facade over a :class:`CampaignStore`.
-
-    Drop-in wherever a :class:`CheckpointJournal` is accepted
-    (``SupervisedExecutor(journal=...)``, ``_run_tasks`` internals).
-    The store's lifetime belongs to the caller: :meth:`close` is a
-    no-op so one store can back many consecutive runs.
-    """
-
-    def __init__(self, store: CampaignStore) -> None:
-        self.store = store
-        #: fingerprint -> failure record, for this run only.
-        self._failures: dict[str, dict[str, Any]] = {}
-
-    # -- journal protocol ----------------------------------------------
-    def completed(self, fingerprint: str) -> bool:
-        return fingerprint in self.store
-
-    def result_for(self, fingerprint: str) -> Any:
-        value = self.store.get(fingerprint)
-        if value is MISSING:
-            raise KeyError(fingerprint)
-        return value
-
-    def failed(self, fingerprint: str) -> bool:
-        return fingerprint in self._failures
-
-    def record_success(self, fingerprint: str, result: Any) -> None:
-        self.store.put(fingerprint, result)
-
-    def record_failure(
-        self, fingerprint: str, *, kind: str, attempts: int, error: str
-    ) -> None:
-        self._failures[fingerprint] = {
-            "kind": kind,
-            "attempts": attempts,
-            "error": error,
-        }
-
-    @property
-    def completed_count(self) -> int:
-        return len(self.store)
-
-    def __len__(self) -> int:
-        return len(self.store) + len(self._failures)
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        """No-op: the store outlives any one run."""
-
-    def __enter__(self) -> "StoreJournal":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+__all__ = ["import_journal"]
 
 
 def import_journal(

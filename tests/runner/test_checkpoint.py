@@ -11,7 +11,7 @@ from repro.runner import (
     CheckpointJournal,
     DeploymentPointTask,
     RetryPolicy,
-    SupervisedExecutor,
+    ShardedScheduler,
     SweepPointTask,
     WorkerSpec,
     task_fingerprint,
@@ -144,15 +144,14 @@ class TestResume:
         spec = WorkerSpec(world.graph, metrics_enabled=True)
         journal = CheckpointJournal(journal_path)
         try:
-            with SupervisedExecutor(
+            with ShardedScheduler(
                 spec,
-                workers=1,
                 metrics=metrics,
                 retry=RetryPolicy(backoff_base=0.01),
                 journal=journal,
                 fingerprint_context=context,
-            ) as executor:
-                return executor.run(tasks)
+            ) as scheduler:
+                return scheduler.run(tasks)
         finally:
             journal.close()
 

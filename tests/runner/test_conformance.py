@@ -1,0 +1,123 @@
+"""One batch path, one contract.
+
+Every production batch goes through :class:`ShardedScheduler`.  The
+same task list must come back identical for every worker count, shard
+count and persistence state the scheduler can be put in, and whenever
+every task actually executes, the deterministic metric snapshot must
+equal the plain serial run's.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.runner.executor as executor_mod
+from repro.detection.monitors import top_degree_monitors
+from repro.experiments.sweeps import _prefetch_families
+from repro.runner import (
+    CampaignPairTask,
+    CheckpointJournal,
+    DeploymentPointTask,
+    ShardedScheduler,
+    SweepPointTask,
+    WorkerSpec,
+)
+from repro.store import CampaignStore
+from repro.telemetry.metrics import RunMetrics
+
+KINDS = ("sweep", "deployment", "campaign")
+
+
+def _batch(kind, world):
+    """``(tasks, spec, prepare)`` as the production caller of each task
+    type builds them."""
+    victim, attacker = world.tier1[0], world.tier1[1]
+    if kind == "sweep":
+        tasks = [
+            SweepPointTask(victim=victim, attacker=attacker, padding=padding)
+            for padding in range(1, 7)
+        ]
+    elif kind == "deployment":
+        tasks = [
+            DeploymentPointTask(
+                victim=victim,
+                attacker=attacker,
+                padding=3,
+                policy=policy,
+                fraction=fraction,
+            )
+            for policy in ("aspa", "prependguard")
+            for fraction in (0.0, 0.5)
+        ]
+    else:
+        tasks = [
+            CampaignPairTask(attacker=a, victim=v, padding=3)
+            for a, v in zip(world.tier1[:4], world.content[:4])
+        ]
+    monitors = (
+        tuple(top_degree_monitors(world.graph, 20)) if kind == "campaign" else None
+    )
+    spec = WorkerSpec(world.graph, monitors=monitors, metrics_enabled=True)
+    return tasks, spec, None if kind == "campaign" else _prefetch_families
+
+
+@pytest.fixture(scope="module")
+def references(small_world):
+    """Results and deterministic snapshot of the plain path, per kind."""
+    plain = {}
+    for kind in KINDS:
+        tasks, spec, prepare = _batch(kind, small_world)
+        metrics = RunMetrics()
+        with ShardedScheduler(spec, metrics=metrics, prepare=prepare) as scheduler:
+            plain[kind] = (scheduler.run(tasks), metrics.deterministic_snapshot())
+    return plain
+
+
+@pytest.mark.parametrize("persistence", ["none", "cold-store", "warm-store", "journal"])
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_route_returns_the_plain_results(
+    small_world, references, tmp_path, monkeypatch, kind, workers, shards, persistence
+):
+    # the pool must be real even on a one-CPU host
+    monkeypatch.setattr(executor_mod, "available_cpus", lambda: 4)
+    tasks, spec, prepare = _batch(kind, small_world)
+    expected, expected_snapshot = references[kind]
+    half = len(tasks) // 2
+
+    def run(batch, *, metrics=None, **config):
+        with ShardedScheduler(
+            spec, metrics=metrics, prepare=prepare, **config
+        ) as scheduler:
+            return scheduler.run(batch), scheduler.stats
+
+    metrics = RunMetrics()
+    route = dict(workers=workers, shards=shards, metrics=metrics)
+    if persistence == "none":
+        results, stats = run(tasks, **route)
+        executed = len(tasks)
+    elif persistence == "journal":
+        with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
+            run(tasks[:half], journal=journal)
+        with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
+            results, stats = run(tasks, journal=journal, **route)
+        executed = len(tasks) - half
+        assert metrics.counter_value("runner.resumed_tasks") == half
+    else:
+        with CampaignStore(tmp_path / "store") as store:
+            if persistence == "warm-store":
+                run(tasks, store=store)
+            results, stats = run(tasks, store=store, **route)
+            assert len(store) == len(tasks)
+        executed = 0 if persistence == "warm-store" else len(tasks)
+
+    assert results == expected
+    assert stats["executed"] == executed
+    assert metrics.counter_value("worker.tasks") == executed
+    if executed == len(tasks):
+        assert metrics.deterministic_snapshot() == expected_snapshot
+    # tripwire: a pooled route really built its pools
+    assert bool(metrics.counter_value("runner.shm.publishes")) == (
+        workers == 2 and executed > 0
+    )

@@ -19,7 +19,7 @@ from repro.runner import (
     BaselineCache,
     CampaignPairTask,
     DeploymentPointTask,
-    SweepExecutor,
+    SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
     WorkerSpec,
@@ -46,10 +46,10 @@ def test_sweep_results_identical_for_any_worker_count(small_world):
     tasks = [
         SweepPointTask(victim=victim, attacker=attacker, padding=p) for p in PADDINGS
     ]
-    with SweepExecutor(spec, workers=1) as serial:
+    with SupervisedExecutor(spec, workers=1) as serial:
         reference = serial.run(tasks)
     for workers in (2, 4):
-        with SweepExecutor(spec, workers=workers, force_processes=True) as pool:
+        with SupervisedExecutor(spec, workers=workers, force_processes=True) as pool:
             assert pool.run(tasks) == reference
 
 
@@ -65,7 +65,7 @@ def test_campaign_tasks_identical_serial_vs_pool(small_world):
     ]
     context = WorkerContext(spec)
     reference = [task.run(context) for task in tasks]
-    with SweepExecutor(spec, workers=2, force_processes=True) as pool:
+    with SupervisedExecutor(spec, workers=2, force_processes=True) as pool:
         parallel = pool.run(tasks)
     for (res_a, tim_a), (res_b, tim_b) in zip(reference, parallel):
         assert res_a.attacked == res_b.attacked
@@ -114,7 +114,7 @@ def test_campaign_facade_identical_across_worker_requests():
 def test_executor_reuse_and_empty_batches(small_world):
     victim, attacker = small_world.tier1[0], small_world.tier1[1]
     spec = WorkerSpec(small_world.graph)
-    with SweepExecutor(spec, workers=1) as executor:
+    with SupervisedExecutor(spec, workers=1) as executor:
         assert executor.run([]) == []
         # (a route-building task: sweep points never touch the cache)
         first = executor.run(

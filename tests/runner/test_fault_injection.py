@@ -97,6 +97,34 @@ class TestPoolCrashRecovery:
             assert executor.run(tasks) == reference
 
 
+    def test_crashes_are_charged_to_the_culprit_only(self, small_world):
+        """Three tasks that each crash on attempts 0 and 1 share a
+        two-worker pool with three clean ones at ``max_attempts=3``: one
+        bystander charge would quarantine a double-crasher.  A crash is
+        charged only to a task alone in flight, so every run charges
+        exactly two attempts to each crasher and none to anyone else."""
+        tasks = _tasks(small_world)
+        reference = _serial_reference(small_world, tasks)
+        plan = FaultPlan.for_tasks(
+            {task: FaultSpec("crash", attempts=(0, 1)) for task in tasks[:3]}
+        )
+        spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
+        # never degrade: every recovery must go through the pool
+        policy = RetryPolicy(
+            max_attempts=3, backoff_base=0.0, backoff_max=0.0, max_pool_restarts=50
+        )
+        for _ in range(3):
+            metrics = RunMetrics()
+            with SupervisedExecutor(
+                spec, workers=2, force_processes=True, metrics=metrics, retry=policy
+            ) as executor:
+                assert executor.run(tasks) == reference
+            assert metrics.counter_value("runner.quarantined_tasks") == 0
+            assert metrics.counter_value("runner.serial_degradations") == 0
+            assert metrics.counter_value("runner.retries") == 6
+            assert metrics.counter_value("worker.tasks") == len(tasks)
+
+
 class TestDeadlines:
     def test_hang_past_deadline_is_killed_and_retried(self, small_world):
         tasks = _tasks(small_world)

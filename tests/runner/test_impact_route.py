@@ -31,7 +31,7 @@ from repro.bgp.engine import PropagationEngine
 from repro.exceptions import ReproError, SimulationError
 from repro.experiments.sweeps import exhaustive_grid, padding_sweep, pair_grid
 from repro.runner import (
-    SweepExecutor,
+    SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
     WorkerSpec,
@@ -135,9 +135,9 @@ class TestRoutesAgree:
         ]
         spec = WorkerSpec(small_world.graph, metrics_enabled=True)
         serial_metrics, pooled_metrics = RunMetrics(), RunMetrics()
-        with SweepExecutor(spec, workers=1, metrics=serial_metrics) as serial:
+        with SupervisedExecutor(spec, workers=1, metrics=serial_metrics) as serial:
             reference = serial.run(tasks)
-        with SweepExecutor(
+        with SupervisedExecutor(
             spec, workers=2, force_processes=True, metrics=pooled_metrics
         ) as pool:
             assert pool.run(tasks) == reference

@@ -9,14 +9,18 @@ import pytest
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
+from repro.experiments.sweeps import padding_sweep
 from repro.runner import (
     CheckpointJournal,
     FaultPlan,
+    FaultSpec,
     RetryPolicy,
     ShardedScheduler,
     SupervisedExecutor,
     SweepPointTask,
+    TaskFailure,
     WorkerSpec,
+    task_fingerprint,
 )
 from repro.runner.scheduler import _QueuedTask
 from repro.store import CampaignStore
@@ -211,6 +215,42 @@ class TestSupervisionComposition:
         assert second == first
         assert metrics.counter_value("runner.resumed_tasks") == len(tasks)
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_failures_go_to_the_journal_never_the_store(
+        self, small_world, tmp_path, shards
+    ):
+        """The store is truth about completed work only: a quarantined
+        task must be retried by the next run, not remembered forever."""
+        tasks = _tasks(small_world)
+        poisoned = tasks[3]
+        plan = FaultPlan.for_tasks(
+            {poisoned: FaultSpec("raise", attempts=tuple(range(FAST.max_attempts)))}
+        )
+        fp = task_fingerprint(poisoned)
+        with CampaignStore(tmp_path / "store") as store:
+            with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
+                with ShardedScheduler(
+                    WorkerSpec(small_world.graph, fault_plan=plan),
+                    shards=shards,
+                    retry=FAST,
+                    store=store,
+                    journal=journal,
+                ) as scheduler:
+                    results = scheduler.run(tasks)
+                assert journal.failed(fp)
+                assert journal.completed_count == len(tasks) - 1
+            assert isinstance(results[3], TaskFailure)
+            assert fp not in store
+            assert len(store) == len(tasks) - 1
+            # the next run, fault-free, retries exactly the quarantined cell
+            with ShardedScheduler(
+                WorkerSpec(small_world.graph), shards=shards, store=store
+            ) as scheduler:
+                assert scheduler.run(tasks) == _single_pool_reference(
+                    small_world, tasks
+                )
+            assert scheduler.stats["executed"] == 1
+
     def test_shard_metrics_merge_back(self, small_world):
         tasks = _tasks(small_world)
         metrics = RunMetrics()
@@ -222,6 +262,76 @@ class TestSupervisionComposition:
             scheduler.run(tasks)
         assert metrics.counter_value("worker.tasks") == len(tasks)
         assert metrics.counter_value("scheduler.executed") == len(tasks)
+
+
+class TestInterruptedRunKeepsItsWork:
+    """Results are recorded as they settle, whichever persistence is
+    attached and however many shards run: a sweep interrupted at cell k
+    replays every cell that settled before it."""
+
+    PADDINGS = tuple(range(1, 7))
+    INTERRUPT_AT = 5
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("persistence", ["store", "checkpoint"])
+    def test_settled_cells_replay_after_an_interrupt(
+        self, small_engine, small_world, tmp_path, monkeypatch, persistence, shards
+    ):
+        victim, attacker = small_world.tier1[0], small_world.tier1[1]
+        reference = padding_sweep(
+            small_engine, victim=victim, attacker=attacker, paddings=self.PADDINGS
+        )
+        path = tmp_path / persistence
+
+        def sweep(metrics=None):
+            kwargs = dict(
+                victim=victim,
+                attacker=attacker,
+                paddings=self.PADDINGS,
+                shards=shards,
+                metrics=metrics,
+            )
+            if persistence == "checkpoint":
+                return padding_sweep(small_engine, checkpoint=path, **kwargs)
+            with CampaignStore(path) as store:
+                return padding_sweep(small_engine, store=store, **kwargs)
+
+        settled: list[int] = []
+        plain_run = SweepPointTask.run
+
+        def interrupted_run(task, ctx):
+            if task.padding == self.INTERRUPT_AT:
+                raise KeyboardInterrupt
+            result = plain_run(task, ctx)
+            settled.append(task.padding)
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SweepPointTask, "run", interrupted_run)
+            with pytest.raises(KeyboardInterrupt):
+                sweep()
+        # shard 0 always settles λ=1 and λ=3 before it reaches λ=5
+        assert {1, 3} <= set(settled)
+        assert self.INTERRUPT_AT not in settled
+
+        fingerprints = [
+            task_fingerprint(
+                SweepPointTask(victim=victim, attacker=attacker, padding=padding)
+            )
+            for padding in settled
+        ]
+        if persistence == "checkpoint":
+            with CheckpointJournal(path) as journal:
+                assert all(journal.completed(fp) for fp in fingerprints)
+        else:
+            with CampaignStore(path) as store:
+                assert all(fp in store for fp in fingerprints)
+
+        metrics = RunMetrics()
+        assert sweep(metrics) == reference
+        assert metrics.counter_value("worker.tasks") == len(self.PADDINGS) - len(
+            settled
+        )
 
 
 class TestGuards:

@@ -20,7 +20,7 @@ import pytest
 
 from repro.runner import (
     DeploymentPointTask,
-    SweepExecutor,
+    SupervisedExecutor,
     SweepPointTask,
     WorkerSpec,
 )
@@ -37,7 +37,7 @@ def _tasks(world):
 
 
 def _serial_reference(spec, tasks):
-    with SweepExecutor(spec, workers=1, metrics=RunMetrics()) as serial:
+    with SupervisedExecutor(spec, workers=1, metrics=RunMetrics()) as serial:
         return serial.run(tasks)
 
 
@@ -47,7 +47,7 @@ def test_pool_workers_bootstrap_from_shared_memory(small_world):
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
-    with SweepExecutor(
+    with SupervisedExecutor(
         spec, workers=2, force_processes=True, metrics=metrics
     ) as pool:
         results = pool.run(tasks)
@@ -68,19 +68,19 @@ def test_shm_failure_falls_back_to_pickled_graph(small_world, monkeypatch):
     """If shared memory is unavailable the executor ships the original
     graph-pickling spec; workers still run, results stay identical, and
     the telemetry records both the fallback and the pickles."""
-    import repro.runner.executor as executor_mod
+    import repro.runner.supervisor as supervisor_mod
 
     def broken_publish(topo):
         raise OSError("no /dev/shm")
 
-    monkeypatch.setattr(executor_mod, "publish_topology", broken_publish)
+    monkeypatch.setattr(supervisor_mod, "publish_topology", broken_publish)
 
     spec = WorkerSpec(small_world.graph, metrics_enabled=True)
     tasks = _tasks(small_world)
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
-    with SweepExecutor(
+    with SupervisedExecutor(
         spec, workers=2, force_processes=True, metrics=metrics
     ) as pool:
         results = pool.run(tasks)
@@ -101,7 +101,7 @@ def test_reference_backend_pool_keeps_pickled_graph_path(small_world):
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
-    with SweepExecutor(
+    with SupervisedExecutor(
         spec, workers=2, force_processes=True, metrics=metrics
     ) as pool:
         shipped = pool._pool_spec()
@@ -128,7 +128,7 @@ def test_vectorized_backend_pool_bootstraps_from_shared_memory(small_world):
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
-    with SweepExecutor(
+    with SupervisedExecutor(
         spec, workers=2, force_processes=True, metrics=metrics
     ) as pool:
         results = pool.run(tasks)
@@ -145,7 +145,7 @@ def test_serial_path_never_touches_shared_memory(small_world):
     """workers=1 runs in-process: no segment, no shm counters at all."""
     spec = WorkerSpec(small_world.graph, metrics_enabled=True)
     metrics = RunMetrics()
-    with SweepExecutor(spec, workers=1, metrics=metrics) as serial:
+    with SupervisedExecutor(spec, workers=1, metrics=metrics) as serial:
         serial.run(_tasks(small_world))
         assert serial._shm_segment is None
     assert all(not name.startswith("runner.shm.") for name in metrics.counters)
@@ -159,11 +159,11 @@ def test_deterministic_snapshot_invariant_across_transport(small_world):
     tasks = _tasks(small_world)
 
     serial_metrics = RunMetrics()
-    with SweepExecutor(spec, workers=1, metrics=serial_metrics) as serial:
+    with SupervisedExecutor(spec, workers=1, metrics=serial_metrics) as serial:
         serial.run(tasks)
 
     pool_metrics = RunMetrics()
-    with SweepExecutor(
+    with SupervisedExecutor(
         spec, workers=2, force_processes=True, metrics=pool_metrics
     ) as pool:
         pool.run(tasks)
@@ -176,12 +176,12 @@ def test_deterministic_snapshot_invariant_across_transport(small_world):
 
 _POOLED_RUN = """
 from repro.experiments.base import build_world
-from repro.runner import SweepExecutor, SweepPointTask, WorkerSpec
+from repro.runner import SupervisedExecutor, SweepPointTask, WorkerSpec
 
 world = build_world(seed=7, scale=0.25)
 victim, attacker = world.topology.tier1[0], world.topology.tier1[1]
 tasks = [SweepPointTask(victim=victim, attacker=attacker, padding=p) for p in (1, 2, 3)]
-with SweepExecutor(WorkerSpec(world.graph), workers=2, force_processes=True) as pool:
+with SupervisedExecutor(WorkerSpec(world.graph), workers=2, force_processes=True) as pool:
     assert len(pool.run(tasks)) == 3
 """
 

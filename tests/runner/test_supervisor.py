@@ -13,14 +13,15 @@ from __future__ import annotations
 import pytest
 
 import repro.runner.executor as executor_mod
-from repro.exceptions import SimulationError
+import repro.runner.supervisor as supervisor_mod
+from repro.exceptions import PolicyError, SimulationError
 from repro.runner import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
     SupervisedExecutor,
-    SweepExecutor,
     SweepPointTask,
+    TaskFailure,
     WorkerContext,
     WorkerSpec,
 )
@@ -44,14 +45,15 @@ def _serial_reference(world, tasks):
 
 class TestReuseAfterClose:
     def test_sweep_executor_run_after_close_raises(self, small_world):
-        executor = SweepExecutor(WorkerSpec(small_world.graph), workers=1)
+        """The plain serial loop (no retry policy, nothing recorded)."""
+        executor = SupervisedExecutor(WorkerSpec(small_world.graph), workers=1)
         executor.close()
         assert executor.closed
         with pytest.raises(SimulationError, match="closed"):
             executor.run(_tasks(small_world))
 
     def test_closed_pool_executor_does_not_respawn(self, small_world):
-        executor = SweepExecutor(
+        executor = SupervisedExecutor(
             WorkerSpec(small_world.graph), workers=2, force_processes=True
         )
         executor.close()
@@ -61,16 +63,45 @@ class TestReuseAfterClose:
         assert executor._shm_segment is None
 
     def test_supervised_executor_run_after_close_raises(self, small_world):
-        executor = SupervisedExecutor(WorkerSpec(small_world.graph), workers=1)
+        executor = SupervisedExecutor(
+            WorkerSpec(small_world.graph), workers=1, retry=FAST
+        )
         executor.close()
         assert executor.closed
         with pytest.raises(SimulationError, match="closed"):
             executor.run(_tasks(small_world))
 
     def test_context_manager_closes(self, small_world):
-        with SweepExecutor(WorkerSpec(small_world.graph), workers=1) as executor:
+        with SupervisedExecutor(WorkerSpec(small_world.graph), workers=1) as executor:
             assert not executor.closed
         assert executor.closed
+
+
+class TestSerialUnsupervisedPredicate:
+    """The one semantic difference between routes, decided in one place."""
+
+    def _bad(self, world):
+        # λ=0 is rejected by the engine route with a PolicyError
+        return [SweepPointTask(victim=world.tier1[0], attacker=world.tier1[1], padding=0)]
+
+    def test_plain_serial_run_propagates_the_task_exception(self, small_world):
+        with SupervisedExecutor(WorkerSpec(small_world.graph), workers=1) as executor:
+            with pytest.raises(PolicyError):
+                executor.run(self._bad(small_world))
+
+    def test_a_retry_policy_or_a_listener_gives_supervision(self, small_world):
+        spec = WorkerSpec(small_world.graph)
+        with SupervisedExecutor(spec, workers=1, retry=FAST) as executor:
+            (failure,) = executor.run(self._bad(small_world))
+        assert isinstance(failure, TaskFailure)
+        assert (failure.kind, failure.attempts) == ("error", FAST.max_attempts)
+        settled = []
+        with SupervisedExecutor(spec, workers=1) as executor:
+            (failure,) = executor.run(
+                self._bad(small_world), lambda index, value: settled.append((index, value))
+            )
+        assert isinstance(failure, TaskFailure)
+        assert settled == [(0, failure)]
 
 
 class TestShmLifecycle:
@@ -83,39 +114,22 @@ class TestShmLifecycle:
         def explode(*args, **kwargs):
             raise OSError("no more processes")
 
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", explode)
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", explode)
         before = set(executor_mod._LIVE_SEGMENTS)
-        executor = SweepExecutor(
+        tasks = _tasks(small_world)
+        executor = SupervisedExecutor(
             WorkerSpec(small_world.graph), workers=2, force_processes=True
         )
-        with pytest.raises(OSError, match="no more processes"):
-            executor.run(_tasks(small_world))
+        # The run itself degrades to serial and completes.
+        assert executor.run(tasks) == _serial_reference(small_world, tasks)
         assert executor._shm_segment is None
         assert executor_mod._LIVE_SEGMENTS == before
         executor.close()
 
-    def test_broken_pool_unlinks_segment_before_raising(self, small_world):
-        """Unsupervised executor: worker death must not leak the segment
-        (regression for the pre-supervision leak)."""
-        tasks = _tasks(small_world)
-        plan = FaultPlan.for_tasks(
-            {task: FaultSpec("crash", attempts=(0,)) for task in tasks}
-        )
-        spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
-        before = set(executor_mod._LIVE_SEGMENTS)
-        from concurrent.futures.process import BrokenProcessPool
-
-        with SweepExecutor(spec, workers=2, force_processes=True) as executor:
-            with pytest.raises(BrokenProcessPool):
-                executor.run(tasks)
-            assert executor._shm_segment is None
-            assert executor._pool is None
-            assert executor_mod._LIVE_SEGMENTS == before
-
     def test_atexit_guard_reaps_orphaned_segments(self, small_world):
         """A segment published but never released (crash between publish
         and pool construction) is unlinked by the atexit sweep."""
-        executor = SweepExecutor(
+        executor = SupervisedExecutor(
             WorkerSpec(small_world.graph), workers=2, force_processes=True
         )
         executor._pool_spec()
@@ -139,8 +153,8 @@ class TestShmLifecycle:
         )
         executor.run(tasks)
         executor.close()
-        assert executor._inner._shm_segment is None
-        assert executor._inner._pool is None
+        assert executor._shm_segment is None
+        assert executor._pool is None
 
 
 class TestEffectiveRegistry:
@@ -151,7 +165,7 @@ class TestEffectiveRegistry:
         self, small_world
     ):
         metrics = RunMetrics()
-        executor = SweepExecutor(
+        executor = SupervisedExecutor(
             WorkerSpec(small_world.graph, metrics_enabled=False),
             workers=2,
             force_processes=True,
@@ -168,9 +182,9 @@ class TestEffectiveRegistry:
         def refuse(topo):
             raise OSError("/dev/shm unavailable")
 
-        monkeypatch.setattr(executor_mod, "publish_topology", refuse)
+        monkeypatch.setattr(supervisor_mod, "publish_topology", refuse)
         metrics = RunMetrics()
-        executor = SweepExecutor(
+        executor = SupervisedExecutor(
             WorkerSpec(small_world.graph, metrics_enabled=False),
             workers=2,
             force_processes=True,
@@ -190,11 +204,11 @@ class TestEffectiveRegistry:
         self, small_world, monkeypatch
     ):
         monkeypatch.setattr(
-            executor_mod,
+            supervisor_mod,
             "publish_topology",
             lambda topo: (_ for _ in ()).throw(OSError("nope")),
         )
-        executor = SweepExecutor(
+        executor = SupervisedExecutor(
             WorkerSpec(small_world.graph, metrics_enabled=True),
             workers=2,
             force_processes=True,
@@ -208,7 +222,7 @@ class TestEffectiveRegistry:
 
     def test_disabled_registry_records_nothing(self, small_world):
         metrics = RunMetrics(enabled=False)
-        executor = SweepExecutor(
+        executor = SupervisedExecutor(
             WorkerSpec(small_world.graph, metrics_enabled=False),
             workers=2,
             force_processes=True,
@@ -229,7 +243,7 @@ class TestGracefulDegradation:
         def explode(*args, **kwargs):
             raise OSError("fork failed")
 
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", explode)
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", explode)
         metrics = RunMetrics()
         with SupervisedExecutor(
             WorkerSpec(small_world.graph),
@@ -274,7 +288,7 @@ class TestGracefulDegradation:
         reference = _serial_reference(small_world, tasks)
         plan = FaultPlan.for_tasks({tasks[1]: FaultSpec("raise", attempts=(0,))})
         monkeypatch.setattr(
-            executor_mod,
+            supervisor_mod,
             "ProcessPoolExecutor",
             lambda *a, **k: (_ for _ in ()).throw(OSError("fork failed")),
         )

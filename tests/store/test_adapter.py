@@ -1,19 +1,17 @@
-"""StoreJournal and legacy-journal import: both resume paths stay green."""
+"""Store-backed resume and legacy-journal import: both resume paths stay green."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.runner import (
     CheckpointJournal,
     RetryPolicy,
-    SupervisedExecutor,
+    ShardedScheduler,
     SweepPointTask,
     WorkerContext,
     WorkerSpec,
     task_fingerprint,
 )
-from repro.store import CampaignStore, StoreJournal, import_journal
+from repro.store import CampaignStore, import_journal
 from repro.telemetry.metrics import RunMetrics
 
 FAST = RetryPolicy(backoff_base=0.01, backoff_max=0.05)
@@ -27,42 +25,6 @@ def _tasks(world, count=4):
     ]
 
 
-class TestStoreJournalProtocol:
-    def test_success_roundtrip(self, tmp_path):
-        with CampaignStore(tmp_path / "store") as store:
-            journal = StoreJournal(store)
-            assert not journal.completed("fp-1")
-            journal.record_success("fp-1", {"value": 42})
-            assert journal.completed("fp-1")
-            assert journal.result_for("fp-1") == {"value": 42}
-            assert journal.completed_count == 1
-
-    def test_result_for_missing_raises_keyerror(self, tmp_path):
-        with CampaignStore(tmp_path / "store") as store:
-            journal = StoreJournal(store)
-            with pytest.raises(KeyError):
-                journal.result_for("fp-unknown")
-
-    def test_failures_stay_in_memory(self, tmp_path):
-        """The store is truth about completed work only: a quarantined
-        task must be retried by the next run, not remembered forever."""
-        root = tmp_path / "store"
-        with CampaignStore(root) as store:
-            journal = StoreJournal(store)
-            journal.record_failure("fp-bad", kind="crash", attempts=3, error="boom")
-            assert journal.failed("fp-bad")
-            assert len(store) == 0
-            assert len(journal) == 1
-        with CampaignStore(root) as store:
-            assert not StoreJournal(store).failed("fp-bad")
-
-    def test_close_leaves_store_open(self, tmp_path):
-        with CampaignStore(tmp_path / "store") as store:
-            with StoreJournal(store) as journal:
-                journal.record_success("fp-1", 1.0)
-            store.put("fp-2", 2.0)  # store still usable after journal close
-
-
 class TestSupervisedResumeThroughStore:
     def test_second_run_resumes_everything_from_store(self, tmp_path, small_world):
         tasks = _tasks(small_world)
@@ -70,23 +32,17 @@ class TestSupervisedResumeThroughStore:
         spec = WorkerSpec(small_world.graph)
 
         with CampaignStore(root) as store:
-            with SupervisedExecutor(
-                spec, workers=1, retry=FAST, journal=StoreJournal(store)
-            ) as executor:
-                first = executor.run(tasks)
+            with ShardedScheduler(spec, retry=FAST, store=store) as scheduler:
+                first = scheduler.run(tasks)
             assert len(store) == len(tasks)
 
         metrics = RunMetrics()
         with CampaignStore(root) as store:
-            with SupervisedExecutor(
-                spec,
-                workers=1,
-                retry=FAST,
-                metrics=metrics,
-                journal=StoreJournal(store),
-            ) as executor:
-                second = executor.run(tasks)
-        assert metrics.counter_value("runner.resumed_tasks") == len(tasks)
+            with ShardedScheduler(
+                spec, retry=FAST, metrics=metrics, store=store
+            ) as scheduler:
+                second = scheduler.run(tasks)
+        assert metrics.counter_value("scheduler.store_hits") == len(tasks)
         assert second == first
 
     def test_store_resume_matches_serial_reference(self, tmp_path, small_world):
@@ -94,13 +50,10 @@ class TestSupervisedResumeThroughStore:
         ctx = WorkerContext(WorkerSpec(small_world.graph))
         reference = [task.run(ctx) for task in tasks]
         with CampaignStore(tmp_path / "store") as store:
-            with SupervisedExecutor(
-                WorkerSpec(small_world.graph),
-                workers=1,
-                retry=FAST,
-                journal=StoreJournal(store),
-            ) as executor:
-                executor.run(tasks)
+            with ShardedScheduler(
+                WorkerSpec(small_world.graph), retry=FAST, store=store
+            ) as scheduler:
+                scheduler.run(tasks)
             replayed = [
                 store.get(task_fingerprint(task)) for task in tasks
             ]
@@ -168,21 +121,15 @@ class TestImportJournal:
         spec = WorkerSpec(small_world.graph)
         path = tmp_path / "journal.jsonl"
         with CheckpointJournal(path) as journal:
-            with SupervisedExecutor(
-                spec, workers=1, retry=FAST, journal=journal
-            ) as executor:
-                first = executor.run(tasks)
+            with ShardedScheduler(spec, retry=FAST, journal=journal) as scheduler:
+                first = scheduler.run(tasks)
 
         metrics = RunMetrics()
         with CampaignStore(tmp_path / "store") as store:
             assert import_journal(path, store) == len(tasks)
-            with SupervisedExecutor(
-                spec,
-                workers=1,
-                retry=FAST,
-                metrics=metrics,
-                journal=StoreJournal(store),
-            ) as executor:
-                second = executor.run(tasks)
-        assert metrics.counter_value("runner.resumed_tasks") == len(tasks)
+            with ShardedScheduler(
+                spec, retry=FAST, metrics=metrics, store=store
+            ) as scheduler:
+                second = scheduler.run(tasks)
+        assert metrics.counter_value("scheduler.store_hits") == len(tasks)
         assert second == first

@@ -24,7 +24,7 @@ from repro.experiments.sweeps import deployment_sweep, padding_sweep
 from repro.runner import (
     BaselineCache,
     DeploymentPointTask,
-    SweepExecutor,
+    SupervisedExecutor,
     SweepPointTask,
     WorkerSpec,
 )
@@ -123,10 +123,10 @@ class TestPooledAggregationIsExact:
             metrics_enabled=True,
         )
         serial_metrics = RunMetrics()
-        with SweepExecutor(spec, workers=1, metrics=serial_metrics) as executor:
+        with SupervisedExecutor(spec, workers=1, metrics=serial_metrics) as executor:
             serial_results = executor.run(tasks)
         pooled_metrics = RunMetrics()
-        with SweepExecutor(
+        with SupervisedExecutor(
             spec, workers=2, force_processes=True, metrics=pooled_metrics
         ) as executor:
             pooled_results = executor.run(tasks)
@@ -150,14 +150,14 @@ class TestPooledAggregationIsExact:
     def test_executor_metrics_property(self, generated_world):
         engine, world = generated_world
         spec = WorkerSpec(world.graph, max_activations=engine.max_activations)
-        with SweepExecutor(spec, workers=1) as executor:
+        with SupervisedExecutor(spec, workers=1) as executor:
             assert executor.metrics is None
         enabled_spec = WorkerSpec(
             world.graph,
             max_activations=engine.max_activations,
             metrics_enabled=True,
         )
-        with SweepExecutor(enabled_spec, workers=1) as executor:
+        with SupervisedExecutor(enabled_spec, workers=1) as executor:
             assert executor.metrics is not None
 
     def test_serial_cache_hits_survive_prefetch_shape(self, generated_world):
