@@ -19,6 +19,7 @@ import time
 
 from repro.experiments.base import build_world
 from repro.experiments.sweeps import padding_sweep
+from repro.runner import RunConfig
 from repro.telemetry import RunMetrics
 from repro.topology.tiers import customer_cone
 
@@ -52,7 +53,7 @@ def test_bench_disabled_metrics_are_free():
         victim=victim,
         attacker=attacker,
         paddings=PADDINGS,
-        metrics=metrics,
+        run=RunConfig(metrics=metrics),
     )
 
     # Interleave-free warmup, then best-of timings.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import statistics
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.attack.interception import InterceptionResult, simulate_interception
@@ -37,16 +36,11 @@ from repro.measurement.padding_model import PaddingBehaviorModel
 from repro.measurement.ribs import MonitorRIBs, build_monitor_ribs
 from repro.runner import (
     CampaignPairTask,
-    CheckpointJournal,
-    FaultPlan,
-    RetryPolicy,
-    ShardedScheduler,
+    RunConfig,
     TaskFailure,
-    WorkerSpec,
-    resolve_workers,
+    run_batch,
     sample_attack_pairs,
 )
-from repro.store.active import get_active_store
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.generators import (
     GeneratedTopology,
@@ -267,12 +261,7 @@ class InterceptionStudy:
         strategy: str = "top-degree-first",
         fractions: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
         violate_policy: bool = True,
-        workers: int | None = None,
-        metrics: RunMetrics | None = None,
-        resume: str | None = None,
-        retry: RetryPolicy | None = None,
-        store=None,
-        shards: int | None = None,
+        run: RunConfig = RunConfig(),
     ):
         """Residual pollution per deployment fraction of a security policy.
 
@@ -280,10 +269,9 @@ class InterceptionStudy:
         ``"none"`` for the undefended control) on a ``strategy``-ranked,
         nested deployer set at each fraction and returns the
         :class:`~repro.runner.DeploymentPointResult` list in ``fractions``
-        order.  ``resume``/``retry``/``workers`` behave as in
-        :meth:`campaign`; the security configuration is part of every
-        task fingerprint, so a resumed journal from a different policy
-        setup replays nothing.
+        order.  ``run`` behaves as in :meth:`campaign`; the security
+        configuration is part of every task fingerprint, so a resumed
+        journal from a different policy setup replays nothing.
         """
         from repro.experiments.sweeps import deployment_sweep as run_sweep
 
@@ -297,12 +285,7 @@ class InterceptionStudy:
             fractions=fractions,
             seed=self._seed,
             violate_policy=violate_policy,
-            workers=workers,
-            metrics=metrics,
-            checkpoint=resume,
-            retry=retry,
-            store=store,
-            shards=shards,
+            run=run,
         )
 
     def exhaustive_grid(
@@ -311,12 +294,7 @@ class InterceptionStudy:
         padding: int,
         attacker_pool: list[int] | None = None,
         victim_pool: list[int] | None = None,
-        workers: int | None = None,
-        metrics: RunMetrics | None = None,
-        resume: str | None = None,
-        retry: RetryPolicy | None = None,
-        store=None,
-        shards: int | None = None,
+        run: RunConfig = RunConfig(),
     ):
         """Every attacker × every victim at fixed λ, no sampling.
 
@@ -330,8 +308,7 @@ class InterceptionStudy:
         impact kernel — one baseline column per victim, one attacked
         column per cell, no routes built — whatever the study's engine
         mode or backend (numpy-less hosts take the engine route).
-        ``resume`` journals finished cells; a rerun replays them instead
-        of re-converging.
+        ``run`` behaves as in :meth:`campaign`.
         """
         from repro.experiments.sweeps import exhaustive_grid as run_grid
 
@@ -344,12 +321,7 @@ class InterceptionStudy:
             attackers=attackers,
             victims=victims,
             origin_padding=padding,
-            workers=workers,
-            metrics=metrics,
-            checkpoint=resume,
-            retry=retry,
-            store=store,
-            shards=shards,
+            run=run,
         )
 
     def campaign(
@@ -360,13 +332,7 @@ class InterceptionStudy:
         attacker_pool: list[int] | None = None,
         victim_pool: list[int] | None = None,
         rng: random.Random | None = None,
-        workers: int | None = None,
-        metrics: RunMetrics | None = None,
-        resume: str | None = None,
-        retry: RetryPolicy | None = None,
-        faults: FaultPlan | None = None,
-        store=None,
-        shards: int | None = None,
+        run: RunConfig = RunConfig(),
     ) -> AttackCampaign:
         """Run many random attack instances and detect each one.
 
@@ -374,38 +340,20 @@ class InterceptionStudy:
         draw sequence as running them one by one, but with bounded
         retries — pools that can only ever collide raise
         :class:`ExperimentError` instead of spinning forever) and then
-        executed as independent tasks: serially in-process, or fanned
-        out over ``workers`` processes.  The campaign's results are
-        bit-identical for every worker count.
+        executed as independent tasks by :func:`repro.runner.run_batch`.
 
-        The pooled path runs supervised: a worker that dies mid-batch
-        (OOM, segfault) respawns the pool and re-executes only the
-        affected instances — every task being a pure function of its
-        inputs, recovery is indistinguishable from a fault-free run.
-        A task that exhausts its retry budget (``retry``, default 3
-        attempts with exponential backoff) lands in
+        ``run`` says how (see :class:`~repro.runner.RunConfig` for the
+        fields); the campaign's results are bit-identical under every
+        value of it.  A pooled run (``run.workers``) is supervised: a
+        worker that dies mid-batch (OOM, segfault) respawns the pool
+        and re-executes only the affected instances — every task being
+        a pure function of its inputs, recovery is indistinguishable
+        from a fault-free run.  A task that exhausts its ``run.retry``
+        budget (default 3 attempts with exponential backoff) lands in
         :attr:`AttackCampaign.failures` as a structured
-        :class:`TaskFailure` instead of sinking the campaign.
-
-        ``resume`` names a JSONL checkpoint journal: finished instances
-        append to it as they land, and re-running the same campaign
-        with the same path replays journaled results instead of
-        re-executing them — a killed campaign (crash, Ctrl-C) picks up
-        where it stopped.  ``faults`` injects a deterministic
-        :class:`FaultPlan` (chaos testing only).
-
-        ``metrics`` optionally records engine, cache, worker and
-        detection telemetry into a :class:`RunMetrics` registry.
-        Deterministic counters and histograms aggregate to the same
-        values for every worker count (timers and the per-worker load
-        split in the ``info`` section legitimately differ).
-
-        ``store`` attaches a :class:`~repro.store.CampaignStore`
-        (instances already stored by *any* earlier campaign replay
-        instead of re-running, and fresh instances stream back in);
-        ``shards`` splits the instance list across that many
-        work-stealing supervised executors.  Both leave the campaign's
-        results bit-identical to the plain path.
+        :class:`TaskFailure` instead of sinking the campaign.  With
+        ``run.resume`` or ``run.store`` set, a killed campaign (crash,
+        Ctrl-C) picks up where it stopped.
         """
         if pairs < 1:
             raise ExperimentError("a campaign needs at least one pair")
@@ -417,31 +365,8 @@ class InterceptionStudy:
             CampaignPairTask(attacker=attacker, victim=victim, padding=padding)
             for attacker, victim in sampled
         ]
-        spec = WorkerSpec(
-            self._world.graph,
-            monitors=self._monitors,
-            max_activations=self._engine.max_activations,
-            metrics_enabled=metrics is not None and metrics.enabled,
-            backend=self._engine.backend,
-            engine_mode=self._engine.mode,
-            fault_plan=faults,
-        )
-        shard_count = 1 if shards is None else shards
-        serial = shard_count == 1 and resolve_workers(workers) == 1
-        opened = CheckpointJournal(resume) if resume is not None else nullcontext()
-        with opened as journal, ShardedScheduler(
-            spec,
-            shards=shard_count,
-            workers=workers,
-            retry=retry,
-            store=store if store is not None else get_active_store(),
-            journal=journal,
-            metrics=metrics,
-            engine=self._engine if serial else None,
-        ) as scheduler:
-            outcomes = scheduler.run(tasks)
-        campaign = AttackCampaign(metrics=metrics)
-        for outcome in outcomes:
+        campaign = AttackCampaign(metrics=run.metrics)
+        for outcome in run_batch(self._engine, tasks, run, monitors=self._monitors):
             if isinstance(outcome, TaskFailure):
                 campaign.failures.append(outcome)
                 continue

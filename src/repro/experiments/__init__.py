@@ -2,18 +2,22 @@
 
 Each module exposes a frozen ``*Config`` dataclass and
 ``run(config) -> ExperimentResult``.  The :data:`REGISTRY` maps
-experiment ids to ``(config factory, run function)`` so the CLI and the
-benchmark suite can drive everything uniformly::
+experiment ids to ``(config factory, run function)`` and
+:func:`run_experiment` is the one way to drive an entry — the CLI's
+``run``/``all`` and the store's ``query`` both go through it::
 
-    from repro.experiments import REGISTRY
-    config_factory, run = REGISTRY["fig07"]
-    print(run(config_factory()).to_text())
+    from repro.experiments import run_experiment
+    print(run_experiment("fig07", scale=0.5).to_text())
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 from collections.abc import Callable
 
+from repro.exceptions import ExperimentError
 from repro.experiments import (
     ablation_defense,
     ablation_engine,
@@ -38,8 +42,16 @@ from repro.experiments import (
     table1_traceroute,
 )
 from repro.experiments.base import ExperimentResult, ExperimentWorld, build_world
+from repro.telemetry.metrics import RunMetrics
 
-__all__ = ["REGISTRY", "ExperimentResult", "ExperimentWorld", "build_world", "run_experiment"]
+__all__ = [
+    "REGISTRY",
+    "ExperimentResult",
+    "ExperimentWorld",
+    "build_world",
+    "experiment_config",
+    "run_experiment",
+]
 
 #: experiment id -> (config factory, run function)
 REGISTRY: dict[str, tuple[Callable[[], object], Callable[..., ExperimentResult]]] = {
@@ -82,11 +94,43 @@ REGISTRY: dict[str, tuple[Callable[[], object], Callable[..., ExperimentResult]]
 }
 
 
-def run_experiment(experiment_id: str, config: object | None = None) -> ExperimentResult:
-    """Run a registered experiment by id (default config if none given)."""
-    try:
-        config_factory, runner = REGISTRY[experiment_id]
-    except KeyError:
+@functools.cache
+def _takes_metrics(runner: Callable[..., ExperimentResult]) -> bool:
+    return "metrics" in inspect.signature(runner).parameters
+
+
+def experiment_config(experiment_id: str, config: object | None = None, **overrides):
+    """The config a registered experiment runs with.
+
+    ``config`` defaults to the registered factory's; ``overrides``
+    replace individual fields — ``None`` values and fields the config
+    lacks are ignored, so one set of CLI flags serves every experiment.
+    """
+    if experiment_id not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
-        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}") from None
-    return runner(config if config is not None else config_factory())
+        raise ExperimentError(f"unknown experiment {experiment_id!r}; known: {known}")
+    if config is None:
+        config = REGISTRY[experiment_id][0]()
+    applicable = {
+        field.name: overrides[field.name]
+        for field in dataclasses.fields(config)
+        if overrides.get(field.name) is not None
+    }
+    return dataclasses.replace(config, **applicable) if applicable else config
+
+
+def run_experiment(
+    experiment_id: str,
+    config: object | None = None,
+    *,
+    metrics: RunMetrics | None = None,
+    **overrides,
+) -> ExperimentResult:
+    """Run a registered experiment by id: registry lookup,
+    :func:`experiment_config`, then the run function — which records
+    into ``metrics`` if it is instrumented (the ablations are not)."""
+    config = experiment_config(experiment_id, config, **overrides)
+    runner = REGISTRY[experiment_id][1]
+    if metrics is not None and _takes_metrics(runner):
+        return runner(config, metrics=metrics)
+    return runner(config)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.experiments.sweeps import pair_grid
+from repro.runner import RunConfig
 from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
@@ -50,8 +51,7 @@ def run(
             world.engine,
             pairs,
             origin_padding=config.origin_padding,
-            workers=config.workers,
-            metrics=metrics,
+            run=RunConfig(workers=config.workers, metrics=metrics),
         )
     ]
     # The paper ranks instances by pollution range (descending).

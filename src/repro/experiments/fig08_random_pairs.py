@@ -18,6 +18,7 @@ from repro.experiments.base import (
     sample_attack_pairs,
 )
 from repro.experiments.sweeps import pair_grid
+from repro.runner import RunConfig
 from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
@@ -49,8 +50,7 @@ def run(
             world.engine,
             pairs,
             origin_padding=config.origin_padding,
-            workers=config.workers,
-            metrics=metrics,
+            run=RunConfig(workers=config.workers, metrics=metrics),
         )
     ]
     results.sort(key=lambda item: -item[3])

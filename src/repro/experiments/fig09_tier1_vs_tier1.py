@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.experiments.sweeps import padding_sweep
+from repro.runner import RunConfig
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.tiers import customer_cone
 
@@ -53,8 +54,7 @@ def run(
         victim=victim,
         attacker=attacker,
         paddings=range(1, config.max_padding + 1),
-        workers=config.workers,
-        metrics=metrics,
+        run=RunConfig(workers=config.workers, metrics=metrics),
     )
     cone_pct = 100 * len(customer_cone(graph, attacker)) / len(graph)
     after = {padding: after_pct for padding, _, after_pct in rows}

@@ -30,6 +30,7 @@ from repro.experiments.base import (
     provider_ancestors,
 )
 from repro.experiments.sweeps import padding_sweep
+from repro.runner import RunConfig
 from repro.telemetry.metrics import RunMetrics
 
 __all__ = ["Fig10Config", "run"]
@@ -74,8 +75,7 @@ def run(
         victim=victim,
         attacker=attacker,
         paddings=range(1, config.max_padding + 1),
-        workers=config.workers,
-        metrics=metrics,
+        run=RunConfig(workers=config.workers, metrics=metrics),
     )
     after = {padding: after_pct for padding, _, after_pct in rows}
     summary = {

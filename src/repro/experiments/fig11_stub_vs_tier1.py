@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import ExperimentError
-from repro.runner import BaselineCache
+from repro.runner import BaselineCache, RunConfig
 from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.experiments.sweeps import padding_sweep
 from repro.telemetry.metrics import RunMetrics
@@ -75,6 +75,7 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 11's series."""
     world = build_world(seed=config.seed, scale=config.scale, metrics=metrics)
+    run_config = RunConfig(workers=config.workers, metrics=metrics)
     attacker, victim, helper = _choose_actors(world)
     paddings = range(1, config.max_padding + 1)
 
@@ -92,17 +93,15 @@ def run(
         victim=victim,
         attacker=attacker,
         paddings=paddings,
-        workers=config.workers,
-        metrics=metrics,
+        run=run_config,
     )
     with_chain = padding_sweep(
         chained_engine,
         victim=victim,
         attacker=attacker,
         paddings=paddings,
-        workers=config.workers,
         cache=chained_cache,
-        metrics=metrics,
+        run=run_config,
     )
     violating = padding_sweep(
         chained_engine,
@@ -110,9 +109,8 @@ def run(
         attacker=attacker,
         paddings=paddings,
         violate_policy=True,
-        workers=config.workers,
         cache=chained_cache,
-        metrics=metrics,
+        run=run_config,
     )
     rows = [
         (padding, round(plain_after, 1), round(chain_after, 1), round(violate_after, 1))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.experiments.sweeps import padding_sweep
-from repro.runner import BaselineCache
+from repro.runner import BaselineCache, RunConfig
 from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
@@ -36,6 +36,7 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 12's two series for a small attacker/victim pair."""
     world = build_world(seed=config.seed, scale=config.scale, metrics=metrics)
+    run_config = RunConfig(workers=config.workers, metrics=metrics)
     graph = world.graph
     rng = derive_rng(make_rng(config.seed), "fig12-pair")
     # The attacker must be multi-homed: the paper's violating attacker
@@ -59,9 +60,8 @@ def run(
         victim=victim,
         attacker=attacker,
         paddings=range(1, config.max_padding + 1),
-        workers=config.workers,
         cache=cache,
-        metrics=metrics,
+        run=run_config,
     )
     violating = padding_sweep(
         world.engine,
@@ -69,9 +69,8 @@ def run(
         attacker=attacker,
         paddings=range(1, config.max_padding + 1),
         violate_policy=True,
-        workers=config.workers,
         cache=cache,
-        metrics=metrics,
+        run=run_config,
     )
     rows = [
         (padding, round(vf_after, 1), round(vi_after, 1))

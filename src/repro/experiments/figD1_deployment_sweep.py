@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.experiments.sweeps import deployment_sweep
-from repro.runner import BaselineCache
+from repro.runner import BaselineCache, RunConfig
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.tiers import classify_tiers, customer_cone
 
@@ -58,6 +58,7 @@ def run(
 ) -> ExperimentResult:
     """Sweep deployment fraction for each policy × strategy series."""
     world = build_world(seed=config.seed, scale=config.scale, metrics=metrics)
+    run_config = RunConfig(workers=config.workers, metrics=metrics)
     graph = world.graph
     tiers = classify_tiers(graph)
     tier1 = sorted(
@@ -90,9 +91,8 @@ def run(
         policy="none",
         fractions=(0.0,),
         violate_policy=config.violate_policy,
-        workers=config.workers,
         cache=cache,
-        metrics=metrics,
+        run=run_config,
     )
     control_after = control[0].row()[2]
     rows.append(("none", "-", 0.0, round(control_after, 1)))
@@ -109,9 +109,8 @@ def run(
                 fractions=config.fractions,
                 seed=config.seed,
                 violate_policy=config.violate_policy,
-                workers=config.workers,
                 cache=cache,
-                metrics=metrics,
+                run=run_config,
             )
             afters = [point.row()[2] for point in points]
             series[(policy, strategy)] = afters

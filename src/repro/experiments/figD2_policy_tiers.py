@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.experiments.sweeps import deployment_sweep
-from repro.runner import BaselineCache
+from repro.runner import BaselineCache, RunConfig
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.tiers import classify_tiers, customer_cone
 
@@ -67,6 +67,7 @@ def run(
     graph = world.graph
     tiers = classify_tiers(graph)
     cache = BaselineCache(world.engine, metrics=metrics)
+    run_config = RunConfig(workers=config.workers, metrics=metrics)
 
     rows: list[tuple[object, ...]] = []
     residuals: dict[str, list[float]] = {policy: [] for policy in config.policies}
@@ -95,9 +96,8 @@ def run(
                     fractions=(config.fraction if policy != "none" else 0.0,),
                     seed=config.seed,
                     violate_policy=config.violate_policy,
-                    workers=config.workers,
                     cache=cache,
-                    metrics=metrics,
+                    run=run_config,
                 )[0]
                 after = point.row()[2]
                 if policy == "none":

@@ -17,45 +17,38 @@ per-victim baseline memo.  Points outside the kernel's domain — and
 every :class:`~repro.runner.DeploymentPointTask` — go through the
 baseline cache and the engine, warm across points.
 
-Every sweep hands its task list to one
-:class:`~repro.runner.ShardedScheduler`.  Cells already recorded — in
-the ``checkpoint`` journal, or in a :class:`~repro.store.CampaignStore`
-attached explicitly via ``store=`` or ambiently via
+*What* a sweep computes is its keyword arguments; *how* it runs is one
+:class:`~repro.runner.RunConfig` (``run=``), handed with the task list
+to :func:`repro.runner.run_batch`.  Cells already recorded — in the
+``run.resume`` journal, in ``run.store`` or in the store bound by
 :func:`repro.store.use_store` — replay without touching the engine (a
 fully warm store performs *zero* propagations, not even baseline
-prefetches); only missing cells run, optionally split across
-work-stealing ``shards``, and each is recorded as it settles, so an
-interrupted sweep keeps what it finished.  A pool survives worker
-OOMs/segfaults with bit-identical rows.  Sweeps need complete data, so
-a task that exhausts its retry budget raises :class:`SimulationError`
-(campaigns, by contrast, collect structured failures).
+prefetches); only missing cells run, each recorded as it settles, so an
+interrupted sweep keeps what it finished.  Sweeps need complete data, so
+a task that exhausts its ``run.retry`` budget raises
+:class:`SimulationError` (campaigns, by contrast, collect structured
+failures).  ``cache`` optionally shares one :class:`BaselineCache`
+across several serial sweeps on the same engine (e.g. a figure's
+valley-free and policy-violating series, whose baselines coincide).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
-from pathlib import Path
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner import (
     BaselineCache,
-    CheckpointJournal,
     DeploymentPointResult,
     DeploymentPointTask,
-    FaultPlan,
-    RetryPolicy,
-    ShardedScheduler,
+    RunConfig,
     SweepPointResult,
     SweepPointTask,
     TaskFailure,
     WorkerContext,
-    WorkerSpec,
-    resolve_workers,
+    run_batch,
 )
-from repro.store.active import get_active_store
-from repro.telemetry.metrics import RunMetrics
 
 __all__ = ["exhaustive_grid", "padding_sweep", "pair_grid", "deployment_sweep"]
 
@@ -88,8 +81,15 @@ def _prefetch_families(ctx: WorkerContext, tasks: Sequence[SweepPointTask]) -> N
         )
 
 
-def _raise_on_failures(results: list) -> list:
-    """Sweep figures need every point; surface quarantined tasks loudly."""
+def _run_tasks(
+    engine: PropagationEngine,
+    tasks: Sequence[SweepPointTask],
+    run: RunConfig,
+    cache: BaselineCache | None,
+) -> list:
+    """Run sweep tasks; sweep figures need every point, so a
+    quarantined task is surfaced loudly instead of returned."""
+    results = run_batch(engine, tasks, run, cache=cache, prepare=_prefetch_families)
     failures = [r for r in results if isinstance(r, TaskFailure)]
     if failures:
         first = failures[0]
@@ -100,56 +100,6 @@ def _raise_on_failures(results: list) -> list:
     return results
 
 
-def _run_tasks(
-    engine: PropagationEngine,
-    tasks: Sequence[SweepPointTask],
-    *,
-    workers: int | None,
-    cache: BaselineCache | None,
-    metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    store=None,
-    shards: int | None = None,
-) -> list:
-    """Run sweep tasks through one :class:`~repro.runner.ShardedScheduler`.
-
-    Serially (one shard, one worker) the scheduler adopts ``engine`` and
-    ``cache`` and, with ``metrics`` enabled, records straight into the
-    caller's registry; pooled and sharded runs merge the per-task deltas
-    their workers ship back, so the deterministic counters come out
-    identical for every worker and shard count.  Recorded cells replay
-    from the ``checkpoint`` journal or the ``store`` (explicit, or
-    ambient via :func:`repro.store.use_store`); only missing cells are
-    prefetched and run.
-    """
-    spec = WorkerSpec(
-        engine.graph,
-        max_activations=engine.max_activations,
-        metrics_enabled=metrics is not None and metrics.enabled,
-        backend=engine.backend,
-        engine_mode=engine.mode,
-        fault_plan=faults,
-    )
-    shard_count = 1 if shards is None else shards
-    serial = shard_count == 1 and resolve_workers(workers) == 1
-    opened = CheckpointJournal(checkpoint) if checkpoint is not None else nullcontext()
-    with opened as journal, ShardedScheduler(
-        spec,
-        shards=shard_count,
-        workers=workers,
-        retry=retry,
-        store=store if store is not None else get_active_store(),
-        journal=journal,
-        metrics=metrics,
-        engine=engine if serial else None,
-        cache=cache if serial else None,
-        prepare=_prefetch_families,
-    ) as scheduler:
-        return _raise_on_failures(scheduler.run(tasks))
-
-
 def padding_sweep(
     engine: PropagationEngine,
     *,
@@ -157,31 +107,15 @@ def padding_sweep(
     attacker: int,
     paddings: Sequence[int],
     violate_policy: bool = False,
-    workers: int | None = None,
     cache: BaselineCache | None = None,
-    metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    store=None,
-    shards: int | None = None,
+    run: RunConfig = RunConfig(),
 ) -> list[tuple[int, float, float]]:
     """Run the attack for each λ; return ``(λ, before%, after%)`` rows.
 
     Fractions are percentages of ASes whose best path traverses the
-    attacker, matching the paper's y-axis.  ``workers`` fans the λ
-    points out over that many processes (``None``/``0``/``1`` = serial
-    in-process); the rows are bit-identical for every worker count, and
-    — because each point is a pure function of its inputs — also under
-    any worker crashes the supervised pool recovers from.  ``cache``
-    optionally shares one :class:`BaselineCache` across several serial
-    sweeps on the same engine (e.g. a figure's valley-free and
-    policy-violating series, whose baselines coincide).  ``metrics``
-    optionally records engine/cache/worker telemetry into a
-    :class:`RunMetrics` registry without affecting the rows.
-    ``checkpoint`` journals finished points for crash/resume; ``retry``
-    tunes the supervision policy; ``faults`` injects deterministic
-    failures (chaos testing).
+    attacker, matching the paper's y-axis.  The rows are bit-identical
+    under every ``run`` — each point is a pure function of its inputs —
+    including any worker crashes the supervised pool recovers from.
     """
     tasks = [
         SweepPointTask(
@@ -192,19 +126,7 @@ def padding_sweep(
         )
         for padding in paddings
     ]
-    results = _run_tasks(
-        engine,
-        tasks,
-        workers=workers,
-        cache=cache,
-        metrics=metrics,
-        checkpoint=checkpoint,
-        retry=retry,
-        faults=faults,
-        store=store,
-        shards=shards,
-    )
-    return [result.row() for result in results]
+    return [result.row() for result in _run_tasks(engine, tasks, run, cache)]
 
 
 def pair_grid(
@@ -212,38 +134,18 @@ def pair_grid(
     pairs: Sequence[tuple[int, int]],
     *,
     origin_padding: int,
-    workers: int | None = None,
     cache: BaselineCache | None = None,
-    metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    store=None,
-    shards: int | None = None,
+    run: RunConfig = RunConfig(),
 ) -> list[SweepPointResult]:
     """Run one fixed-λ attack per ``(attacker, victim)`` pair.
 
-    Results come back in ``pairs`` order regardless of worker count.
-    Serially, victims recurring across pairs (Figure 7's Tier-1 × Tier-1
-    grid) hit the baseline cache instead of re-converging.  See
-    :func:`padding_sweep` for ``checkpoint``/``retry``/``faults``.
+    Results come back in ``pairs`` order under every ``run``.
     """
     tasks = [
         SweepPointTask(victim=victim, attacker=attacker, padding=origin_padding)
         for attacker, victim in pairs
     ]
-    return _run_tasks(
-        engine,
-        tasks,
-        workers=workers,
-        cache=cache,
-        metrics=metrics,
-        checkpoint=checkpoint,
-        retry=retry,
-        faults=faults,
-        store=store,
-        shards=shards,
-    )
+    return _run_tasks(engine, tasks, run, cache)
 
 
 def exhaustive_grid(
@@ -252,14 +154,8 @@ def exhaustive_grid(
     attackers: Sequence[int],
     victims: Sequence[int],
     origin_padding: int,
-    workers: int | None = None,
     cache: BaselineCache | None = None,
-    metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    store=None,
-    shards: int | None = None,
+    run: RunConfig = RunConfig(),
 ) -> list[SweepPointResult]:
     """Every attacker × every victim at fixed λ — the full campaign grid.
 
@@ -269,7 +165,7 @@ def exhaustive_grid(
     needs (PAPERS.md: hijack-impact estimation at full grid coverage).
     The cell order — and therefore the result rows and every journaled
     fingerprint — is a pure function of the two pools, so a
-    ``checkpoint`` resume replays exactly the completed cells no matter
+    ``run.resume`` journal replays exactly the completed cells no matter
     where the previous run died.
 
     Every cell is impact-only, so the grid never builds routes: each
@@ -285,19 +181,7 @@ def exhaustive_grid(
     pairs = [(a, v) for a in attackers for v in victims if a != v]
     if not pairs:
         raise SimulationError("exhaustive grid needs at least one attacker≠victim cell")
-    return pair_grid(
-        engine,
-        pairs,
-        origin_padding=origin_padding,
-        workers=workers,
-        cache=cache,
-        metrics=metrics,
-        checkpoint=checkpoint,
-        retry=retry,
-        faults=faults,
-        store=store,
-        shards=shards,
-    )
+    return pair_grid(engine, pairs, origin_padding=origin_padding, cache=cache, run=run)
 
 
 def deployment_sweep(
@@ -311,31 +195,23 @@ def deployment_sweep(
     fractions: Sequence[float],
     seed: int = 0,
     violate_policy: bool = True,
-    workers: int | None = None,
     cache: BaselineCache | None = None,
-    metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    store=None,
-    shards: int | None = None,
+    run: RunConfig = RunConfig(),
 ) -> list[DeploymentPointResult]:
     """Run the attack once per deployment fraction of a security policy.
 
     Each point deploys ``policy`` (``"rov"``, ``"aspa"``,
     ``"prependguard"``, or ``"none"`` for the undefended control) at
     ``fraction`` of the ``strategy``'s candidate pool and measures
-    residual pollution; results come back in ``fractions`` order for
-    any worker count.  The honest baseline stays policy-free (one
+    residual pollution; results come back in ``fractions`` order under
+    every ``run``.  The honest baseline stays policy-free (one
     cached convergence serves every fraction); the deployer sets are
     nested across fractions, so the resulting curve is interpretable as
     "what does one more deployment step buy".  ``violate_policy``
     defaults to True — the paper's leaking attacker, the variant
-    path-plausibility defences can actually see.  See
-    :func:`padding_sweep` for ``workers``/``metrics``/``checkpoint``/
-    ``retry``/``faults``; the security configuration itself is carried
-    in the task fingerprints, so a resume against a journal from a
-    different policy setup replays nothing.
+    path-plausibility defences can actually see.  The security
+    configuration itself is carried in the task fingerprints, so a
+    ``run.resume`` journal from a different policy setup replays nothing.
     """
     tasks = [
         DeploymentPointTask(
@@ -350,15 +226,4 @@ def deployment_sweep(
         )
         for fraction in fractions
     ]
-    return _run_tasks(
-        engine,
-        tasks,
-        workers=workers,
-        cache=cache,
-        metrics=metrics,
-        checkpoint=checkpoint,
-        retry=retry,
-        faults=faults,
-        store=store,
-        shards=shards,
-    )
+    return _run_tasks(engine, tasks, run, cache)

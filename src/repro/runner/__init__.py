@@ -22,8 +22,13 @@ degradation.  A deterministic :class:`FaultPlan` harness
 (:mod:`repro.runner.faults`) exercises every recovery path in CI.
 Results are bit-identical for any worker count, shard count and
 persistence state.
+
+*How* a batch runs is one frozen :class:`RunConfig`, and
+:func:`run_batch` (:mod:`repro.runner.batch`) is the one place that
+turns it into a journal, a store binding and a scheduler.
 """
 
+from repro.runner.batch import RunConfig, get_active_store, run_batch, use_store
 from repro.runner.cache import (
     BaselineCache,
     derive_uniform_baseline,
@@ -66,6 +71,7 @@ __all__ = [
     "InjectedCrashError",
     "InjectedFaultError",
     "RetryPolicy",
+    "RunConfig",
     "SharedTopologyHandle",
     "ShardedScheduler",
     "SupervisedExecutor",
@@ -80,7 +86,10 @@ __all__ = [
     "derive_uniform_baseline",
     "derive_uniform_family",
     "execute_task",
+    "get_active_store",
     "resolve_workers",
+    "run_batch",
     "sample_attack_pairs",
     "task_fingerprint",
+    "use_store",
 ]

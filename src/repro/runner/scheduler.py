@@ -2,7 +2,7 @@
 
 A batch is a list of pure, fingerprinted tasks.  Every production
 caller — the sweep harnesses, ``InterceptionStudy.campaign`` — hands it
-to a :class:`ShardedScheduler`, which
+through :func:`repro.runner.run_batch` to a :class:`ShardedScheduler`, which
 
 * consults persistence **once, before anything is queued**: each
   fingerprint is looked up in the attached
@@ -67,7 +67,7 @@ class ShardedScheduler:
 
     ``workers`` is the pool size *per shard* (``None``/``0``/``1`` =
     serial in-process shards).  A caller ``engine``/``cache`` is adopted
-    only at ``shards=1`` with serial workers (as the sweep layer does);
+    only at ``shards=1`` with serial workers (as ``run_batch`` does);
     their previous metrics attachment is restored by :meth:`close`.
 
     ``store`` is duck-typed (``get(fp, default)`` / ``put(fp, value)``):

@@ -12,12 +12,13 @@ dedupe against one shared append-only log:
     assert again.from_store and again.result.rows == first.result.rows
 
 Layered modules: :mod:`~repro.store.store` (the log + index),
-:mod:`~repro.store.adapter` (legacy-journal import),
-:mod:`~repro.store.query` (experiment-level serving) and
-:mod:`~repro.store.active` (ambient binding the sweep layer consults).
+:mod:`~repro.store.adapter` (legacy-journal import) and
+:mod:`~repro.store.query` (experiment-level serving).  The ambient
+binding every batch consults (:func:`use_store`) is the runner's,
+re-exported here.
 """
 
-from repro.store.active import get_active_store, use_store
+from repro.runner.batch import get_active_store, use_store
 from repro.store.adapter import import_journal
 from repro.store.query import QueryOutcome, experiment_fingerprint, query_experiment
 from repro.store.store import MISSING, SCHEMA_VERSION, CampaignStore

@@ -3,7 +3,7 @@
 Two levels of content addressing cooperate here:
 
 * **Task level** — while an experiment computes, the ambient store
-  binding (:func:`~repro.store.active.use_store`) lets the sweep
+  binding (:func:`~repro.runner.use_store`) lets the sweep
   machinery dedupe individual grid cells against everything any prior
   campaign converged.
 * **Experiment level** — :func:`experiment_fingerprint` hashes the
@@ -23,12 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.exceptions import ExperimentError
-from repro.store.active import use_store
+from repro.runner.batch import use_store
 from repro.store.store import MISSING, CampaignStore
 from repro.telemetry.metrics import RunMetrics
 
@@ -77,27 +75,6 @@ def experiment_fingerprint(experiment_id: str, config: Any) -> str:
     return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
-def _build_config(experiment_id: str, config: Any, overrides: dict[str, Any]) -> Any:
-    from repro.experiments import REGISTRY
-
-    try:
-        config_factory, runner = REGISTRY[experiment_id]
-    except KeyError:
-        known = ", ".join(sorted(REGISTRY))
-        raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; known: {known}"
-        ) from None
-    config = config_factory() if config is None else config
-    applicable = {
-        field.name: overrides[field.name]
-        for field in dataclasses.fields(config)
-        if overrides.get(field.name) is not None
-    }
-    if applicable:
-        config = dataclasses.replace(config, **applicable)
-    return config, runner
-
-
 def query_experiment(
     store: CampaignStore,
     experiment_id: str,
@@ -108,25 +85,22 @@ def query_experiment(
 ) -> QueryOutcome:
     """Serve ``experiment_id`` from ``store``, computing only if missing.
 
-    ``config`` defaults to the experiment's registered factory;
-    ``overrides`` replace individual config fields (``None`` values and
-    fields the config lacks are ignored, mirroring the CLI's override
-    semantics).  On a miss the experiment runs with
-    ``store`` ambiently bound, so its individual cells dedupe against —
-    and stream back into — the same store; the finished result is then
-    stored under its experiment fingerprint and the next identical
-    query is a pure hit.
+    ``config`` and ``overrides`` are those of
+    :func:`repro.experiments.experiment_config`.  On a miss the
+    experiment runs with ``store`` ambiently bound, so its individual
+    cells dedupe against — and stream back into — the same store; the
+    finished result is then stored under its experiment fingerprint and
+    the next identical query is a pure hit.
     """
-    config, runner = _build_config(experiment_id, config, overrides)
+    from repro.experiments import experiment_config, run_experiment
+
+    config = experiment_config(experiment_id, config, **overrides)
     fingerprint = experiment_fingerprint(experiment_id, config)
     cached = store.get(fingerprint)
     if cached is not MISSING:
         return QueryOutcome(result=cached, fingerprint=fingerprint, from_store=True)
     with use_store(store):
-        if metrics is not None and "metrics" in inspect.signature(runner).parameters:
-            result = runner(config, metrics=metrics)
-        else:
-            result = runner(config)
+        result = run_experiment(experiment_id, config, metrics=metrics)
     # The registry is part of the live run, not of the artefact: strip
     # it so the stored payload is pure figure data.
     store.put(

@@ -7,6 +7,7 @@ import pytest
 from repro.core import AttackCampaign, InterceptionStudy
 from repro.detection.alarms import Confidence
 from repro.exceptions import ExperimentError, SimulationError
+from repro.runner import RunConfig
 from repro.runner.executor import available_cpus
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
@@ -130,13 +131,13 @@ class TestLazyCompile:
         return study
 
     @staticmethod
-    def _grid(study, **kwargs):
+    def _grid(study, **run):
         world = study.world
         return study.exhaustive_grid(
             padding=3,
             attacker_pool=world.transit_ases[:3],
             victim_pool=world.graph.ases[::40],
-            **kwargs,
+            run=RunConfig(**run),
         )
 
     def test_warm_store_grid_never_compiles(self, fresh_study, compile_calls, tmp_path):

@@ -21,7 +21,7 @@ from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
 from repro.experiments.sweeps import exhaustive_grid
-from repro.runner import SweepPointResult
+from repro.runner import RunConfig, SweepPointResult
 from repro.telemetry.metrics import RunMetrics
 from tests.strategies import TINY, engine_route_points, tiny_world
 
@@ -85,7 +85,7 @@ def test_delta_grid_matches_per_pair_full_recompute(grid_world, grid_pools):
         attackers=attackers,
         victims=victims,
         origin_padding=PADDING,
-        metrics=grid_metrics,
+        run=RunConfig(metrics=grid_metrics),
     )
     assert grid_cells == oracle_cells
     assert grid_metrics.counter_value("engine.impact.cells") == len(pairs)
@@ -137,7 +137,7 @@ def test_checkpoint_resume_replays_every_completed_cell(
         attackers=attackers,
         victims=victims,
         origin_padding=PADDING,
-        checkpoint=journal,
+        run=RunConfig(resume=journal),
     )
 
     rerun_engine = PropagationEngine(graph, backend="compiled", mode="delta")
@@ -147,8 +147,7 @@ def test_checkpoint_resume_replays_every_completed_cell(
         attackers=attackers,
         victims=victims,
         origin_padding=PADDING,
-        checkpoint=journal,
-        metrics=metrics,
+        run=RunConfig(resume=journal, metrics=metrics),
     )
     assert second == first
     assert metrics.counter_value("runner.resumed_tasks") == len(first)
@@ -173,7 +172,7 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
         attackers=attackers[:3],
         victims=victims,
         origin_padding=PADDING,
-        checkpoint=journal,
+        run=RunConfig(resume=journal),
     )
 
     rerun_engine = PropagationEngine(graph, backend="compiled", mode="delta")
@@ -184,8 +183,7 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
         attackers=attackers,
         victims=victims,
         origin_padding=PADDING,
-        checkpoint=journal,
-        metrics=metrics,
+        run=RunConfig(resume=journal, metrics=metrics),
     )
     assert full[: len(partial)] == partial
     fresh = len(full) - len(partial)

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import REGISTRY, run_experiment
+from repro.exceptions import ExperimentError
+from repro.experiments import REGISTRY, experiment_config, run_experiment
 from repro.experiments.ablation_engine import AblationEngineConfig
 from repro.experiments.ablation_monitors import AblationMonitorsConfig
 from repro.experiments.fig05_prepending_fraction import Fig05Config
@@ -28,7 +29,7 @@ class TestRegistry:
         assert expected <= set(REGISTRY)
 
     def test_unknown_experiment_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ExperimentError, match="unknown experiment"):
             run_experiment("fig99")
 
     def test_result_renders_text(self):
@@ -36,6 +37,40 @@ class TestRegistry:
         text = result.to_text()
         assert "fig01" in text
         assert "route_before" in text
+
+    def test_overrides_replace_only_fields_the_config_has(self):
+        """``None`` values and foreign fields are ignored, so one set of
+        CLI flags serves every experiment."""
+        base = Fig09Config()
+        config = experiment_config(
+            "fig09", scale=0.5, seed=None, instances=9, pairs=None
+        )
+        assert config == Fig09Config(scale=0.5, seed=base.seed)
+        given = Fig09Config(max_padding=4)
+        assert experiment_config("fig09", given) is given
+        assert experiment_config("fig09", given, workers=2).max_padding == 4
+
+    def test_run_applies_overrides_and_threads_metrics(self, monkeypatch):
+        import inspect
+
+        from repro.telemetry.metrics import RunMetrics
+
+        metrics = RunMetrics()
+        result = run_experiment("fig09", metrics=metrics, scale=SCALE, max_padding=3)
+        assert [row[0] for row in result.rows] == [1, 2, 3]
+        assert result.metrics is metrics
+        assert metrics.counter_value("scheduler.tasks") == 3
+        # "does this runner take metrics" is settled once per registry entry
+        monkeypatch.setattr(inspect, "signature", None)
+        assert run_experiment("fig09", metrics=RunMetrics(), scale=SCALE).rows
+
+    def test_uninstrumented_runner_is_called_without_the_registry(self):
+        from repro.telemetry.metrics import RunMetrics
+
+        metrics = RunMetrics()
+        result = run_experiment("ablation-fp", metrics=metrics, scale=0.15)
+        assert result.metrics is None
+        assert not metrics.counters
 
 
 class TestCaseStudyExperiments:

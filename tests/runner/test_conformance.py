@@ -1,26 +1,31 @@
 """One batch path, one contract.
 
-Every production batch goes through :class:`ShardedScheduler`.  The
-same task list must come back identical for every worker count, shard
-count and persistence state the scheduler can be put in, and whenever
-every task actually executes, the deterministic metric snapshot must
-equal the plain serial run's.
+Every production batch goes through :func:`run_batch` under one
+:class:`RunConfig`.  The same task list must come back identical for
+every worker count, shard count and persistence state a ``RunConfig``
+can name, and whenever every task actually executes, the deterministic
+metric snapshot must equal the plain path's — a bare
+:class:`ShardedScheduler`, no ``RunConfig`` involved.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.runner.executor as executor_mod
+from repro.bgp.engine import PropagationEngine
 from repro.detection.monitors import top_degree_monitors
 from repro.experiments.sweeps import _prefetch_families
 from repro.runner import (
     CampaignPairTask,
-    CheckpointJournal,
     DeploymentPointTask,
+    RunConfig,
     ShardedScheduler,
     SweepPointTask,
     WorkerSpec,
+    run_batch,
 )
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
@@ -29,8 +34,8 @@ KINDS = ("sweep", "deployment", "campaign")
 
 
 def _batch(kind, world):
-    """``(tasks, spec, prepare)`` as the production caller of each task
-    type builds them."""
+    """``(tasks, monitors, prepare)`` as the production caller of each
+    task type hands them to ``run_batch``."""
     victim, attacker = world.tier1[0], world.tier1[1]
     if kind == "sweep":
         tasks = [
@@ -57,8 +62,7 @@ def _batch(kind, world):
     monitors = (
         tuple(top_degree_monitors(world.graph, 20)) if kind == "campaign" else None
     )
-    spec = WorkerSpec(world.graph, monitors=monitors, metrics_enabled=True)
-    return tasks, spec, None if kind == "campaign" else _prefetch_families
+    return tasks, monitors, None if kind == "campaign" else _prefetch_families
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +70,8 @@ def references(small_world):
     """Results and deterministic snapshot of the plain path, per kind."""
     plain = {}
     for kind in KINDS:
-        tasks, spec, prepare = _batch(kind, small_world)
+        tasks, monitors, prepare = _batch(kind, small_world)
+        spec = WorkerSpec(small_world.graph, monitors=monitors, metrics_enabled=True)
         metrics = RunMetrics()
         with ShardedScheduler(spec, metrics=metrics, prepare=prepare) as scheduler:
             plain[kind] = (scheduler.run(tasks), metrics.deterministic_snapshot())
@@ -82,38 +87,35 @@ def test_every_route_returns_the_plain_results(
 ):
     # the pool must be real even on a one-CPU host
     monkeypatch.setattr(executor_mod, "available_cpus", lambda: 4)
-    tasks, spec, prepare = _batch(kind, small_world)
+    tasks, monitors, prepare = _batch(kind, small_world)
     expected, expected_snapshot = references[kind]
     half = len(tasks) // 2
 
-    def run(batch, *, metrics=None, **config):
-        with ShardedScheduler(
-            spec, metrics=metrics, prepare=prepare, **config
-        ) as scheduler:
-            return scheduler.run(batch), scheduler.stats
+    def run(batch, config):
+        engine = PropagationEngine(small_world.graph)
+        return run_batch(engine, batch, config, monitors=monitors, prepare=prepare)
 
     metrics = RunMetrics()
-    route = dict(workers=workers, shards=shards, metrics=metrics)
+    route = RunConfig(workers=workers, shards=shards, metrics=metrics)
     if persistence == "none":
-        results, stats = run(tasks, **route)
+        results = run(tasks, route)
         executed = len(tasks)
     elif persistence == "journal":
-        with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
-            run(tasks[:half], journal=journal)
-        with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
-            results, stats = run(tasks, journal=journal, **route)
+        path = tmp_path / "journal.jsonl"
+        run(tasks[:half], RunConfig(resume=path))
+        results = run(tasks, dataclasses.replace(route, resume=path))
         executed = len(tasks) - half
         assert metrics.counter_value("runner.resumed_tasks") == half
     else:
         with CampaignStore(tmp_path / "store") as store:
             if persistence == "warm-store":
-                run(tasks, store=store)
-            results, stats = run(tasks, store=store, **route)
+                run(tasks, RunConfig(store=store))
+            results = run(tasks, dataclasses.replace(route, store=store))
             assert len(store) == len(tasks)
         executed = 0 if persistence == "warm-store" else len(tasks)
 
     assert results == expected
-    assert stats["executed"] == executed
+    assert metrics.counter_value("scheduler.executed") == executed
     assert metrics.counter_value("worker.tasks") == executed
     if executed == len(tasks):
         assert metrics.deterministic_snapshot() == expected_snapshot

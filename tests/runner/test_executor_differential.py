@@ -19,6 +19,7 @@ from repro.runner import (
     BaselineCache,
     CampaignPairTask,
     DeploymentPointTask,
+    RunConfig,
     SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
@@ -86,7 +87,7 @@ def test_padding_sweep_api_identical_across_worker_requests(small_world):
             victim=victim,
             attacker=attacker,
             paddings=PADDINGS,
-            workers=workers,
+            run=RunConfig(workers=workers),
         )
         assert rows == reference
 
@@ -104,7 +105,7 @@ def test_campaign_facade_identical_across_worker_requests():
     study = InterceptionStudy.generate(seed=11, scale=0.15, monitors=20)
     reference = study.campaign(pairs=5, padding=3)
     for workers in (1, 2):
-        campaign = study.campaign(pairs=5, padding=3, workers=workers)
+        campaign = study.campaign(pairs=5, padding=3, run=RunConfig(workers=workers))
         assert campaign.mean_pollution == reference.mean_pollution
         assert campaign.detection_rate == reference.detection_rate
         assert campaign.results == reference.results

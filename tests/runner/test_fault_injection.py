@@ -24,9 +24,11 @@ from repro.experiments.sweeps import padding_sweep
 from repro.runner import (
     CampaignPairTask,
     CheckpointJournal,
+    DeploymentPointTask,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
+    RunConfig,
     SupervisedExecutor,
     SweepPointTask,
     TaskFailure,
@@ -197,8 +199,7 @@ class TestQuarantine:
                 victim=victim,
                 attacker=attacker,
                 paddings=PADDINGS,
-                faults=plan,
-                retry=FAST,
+                run=RunConfig(faults=plan, retry=FAST),
             )
 
 
@@ -222,9 +223,7 @@ class TestSweepChaosEquivalence:
                 victim=victim,
                 attacker=attacker,
                 paddings=PADDINGS,
-                workers=workers,
-                faults=plan,
-                retry=FAST,
+                run=RunConfig(workers=workers, faults=plan, retry=FAST),
             )
             assert rows == reference
 
@@ -280,7 +279,9 @@ class TestCampaignChaos:
             }
         )
         chaotic = study.campaign(
-            pairs=self.PAIRS, padding=3, workers=2, faults=plan, retry=FAST
+            pairs=self.PAIRS,
+            padding=3,
+            run=RunConfig(workers=2, faults=plan, retry=FAST),
         )
         assert chaotic.results == reference.results
         assert chaotic.timings == reference.timings
@@ -293,7 +294,7 @@ class TestCampaignChaos:
             {tasks[1]: FaultSpec("raise", attempts=tuple(range(FAST.max_attempts)))}
         )
         campaign = study.campaign(
-            pairs=self.PAIRS, padding=3, faults=plan, retry=FAST
+            pairs=self.PAIRS, padding=3, run=RunConfig(faults=plan, retry=FAST)
         )
         assert len(campaign.failures) == 1
         assert campaign.failures[0].fingerprint == task_fingerprint(tasks[1])
@@ -305,7 +306,9 @@ class TestCampaignChaos:
         then resume: only the missing instances execute."""
         reference = study.campaign(pairs=self.PAIRS, padding=3)
         path = tmp_path / "campaign.jsonl"
-        first = study.campaign(pairs=self.PAIRS, padding=3, resume=str(path))
+        first = study.campaign(
+            pairs=self.PAIRS, padding=3, run=RunConfig(resume=str(path))
+        )
         assert first.results == reference.results
         lines = path.read_text().splitlines()
         assert len(lines) == self.PAIRS
@@ -314,7 +317,9 @@ class TestCampaignChaos:
 
         metrics = RunMetrics()
         resumed = study.campaign(
-            pairs=self.PAIRS, padding=3, resume=str(path), metrics=metrics
+            pairs=self.PAIRS,
+            padding=3,
+            run=RunConfig(resume=str(path), metrics=metrics),
         )
         assert resumed.results == reference.results
         assert resumed.timings == reference.timings
@@ -325,7 +330,9 @@ class TestCampaignChaos:
         # The journal is now complete again: a third run executes nothing.
         metrics_again = RunMetrics()
         study.campaign(
-            pairs=self.PAIRS, padding=3, resume=str(path), metrics=metrics_again
+            pairs=self.PAIRS,
+            padding=3,
+            run=RunConfig(resume=str(path), metrics=metrics_again),
         )
         assert metrics_again.counter_value("worker.tasks") == 0
         assert metrics_again.counter_value("runner.resumed_tasks") == self.PAIRS
@@ -334,8 +341,67 @@ class TestCampaignChaos:
         """A journal written by one execution mode resumes in another."""
         reference = study.campaign(pairs=self.PAIRS, padding=3)
         path = tmp_path / "cross.jsonl"
-        study.campaign(pairs=self.PAIRS, padding=3, workers=2, resume=str(path))
+        study.campaign(
+            pairs=self.PAIRS, padding=3, run=RunConfig(workers=2, resume=str(path))
+        )
         journal = CheckpointJournal(path)
         assert journal.completed_count == self.PAIRS
-        resumed = study.campaign(pairs=self.PAIRS, padding=3, resume=str(path))
+        resumed = study.campaign(
+            pairs=self.PAIRS, padding=3, run=RunConfig(resume=str(path))
+        )
         assert resumed.results == reference.results
+
+
+class TestStudySweepChaos:
+    """``study.deployment_sweep`` and ``study.exhaustive_grid`` honour
+    ``run.faults`` the way ``study.campaign`` does: a transient fault is
+    retried away, a poisoned cell sinks the sweep."""
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        return InterceptionStudy.generate(seed=11, scale=0.15, monitors=20)
+
+    @staticmethod
+    def _check(sweep, tasks):
+        reference = sweep()
+        transient = FaultPlan.for_tasks({tasks[1]: FaultSpec("raise", attempts=(0,))})
+        metrics = RunMetrics()
+        run = RunConfig(faults=transient, retry=FAST, metrics=metrics)
+        assert sweep(run=run) == reference
+        assert metrics.counter_value("runner.retries") == 1
+        poisoned = FaultPlan.for_tasks(
+            {tasks[1]: FaultSpec("raise", attempts=tuple(range(FAST.max_attempts)))}
+        )
+        with pytest.raises(SimulationError, match="failed permanently"):
+            sweep(run=RunConfig(faults=poisoned, retry=FAST))
+
+    def test_deployment_sweep(self, study):
+        world = study.world
+        cell = dict(victim=world.tier1[0], attacker=world.tier2[0], padding=3)
+        fractions = (0.0, 0.5, 1.0)
+        tasks = [
+            DeploymentPointTask(**cell, policy="aspa", fraction=fraction, seed=11)
+            for fraction in fractions
+        ]
+        self._check(
+            lambda **how: study.deployment_sweep(
+                **cell, policy="aspa", fractions=fractions, **how
+            ),
+            tasks,
+        )
+
+    def test_exhaustive_grid(self, study):
+        world = study.world
+        attackers, victims = world.transit_ases[:2], world.graph.ases[:3]
+        tasks = [
+            SweepPointTask(victim=v, attacker=a, padding=3)
+            for a in attackers
+            for v in victims
+            if a != v
+        ]
+        self._check(
+            lambda **how: study.exhaustive_grid(
+                padding=3, attacker_pool=attackers, victim_pool=victims, **how
+            ),
+            tasks,
+        )

@@ -31,6 +31,7 @@ from repro.bgp.engine import PropagationEngine
 from repro.exceptions import ReproError, SimulationError
 from repro.experiments.sweeps import exhaustive_grid, padding_sweep, pair_grid
 from repro.runner import (
+    RunConfig,
     SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
@@ -78,7 +79,7 @@ class TestRoutesAgree:
                 attacker=attacker,
                 paddings=PADDINGS,
                 violate_policy=violate,
-                metrics=kernel_metrics,
+                run=RunConfig(metrics=kernel_metrics),
             )
             assert kernel_metrics.counter_value("engine.impact.cells") == len(PADDINGS)
             assert _fallbacks(kernel_metrics) == {}
@@ -90,7 +91,7 @@ class TestRoutesAgree:
                 attacker=attacker,
                 paddings=PADDINGS,
                 violate_policy=violate,
-                metrics=reference_metrics,
+                run=RunConfig(metrics=reference_metrics),
             )
             assert reference_metrics.counter_value("engine.impact.cells") == 0
             assert _fallbacks(reference_metrics) == {"reference-backend": len(PADDINGS)}
@@ -166,11 +167,11 @@ class TestRoutesAgree:
         with CampaignStore(tmp_path / "store") as store:
             cold = padding_sweep(
                 engine, victim=victim, attacker=attacker, paddings=PADDINGS,
-                store=store, metrics=cold_metrics,
+                run=RunConfig(store=store, metrics=cold_metrics),
             )
             warm = padding_sweep(
                 engine, victim=victim, attacker=attacker, paddings=PADDINGS,
-                store=store, metrics=warm_metrics,
+                run=RunConfig(store=store, metrics=warm_metrics),
             )
         assert cold == warm == plain
         assert cold_metrics.counter_value("engine.impact.cells") == len(PADDINGS)
@@ -190,7 +191,7 @@ class TestBatchingAndTheMemo:
             victim=victim,
             attacker=attacker,
             paddings=PADDINGS,
-            metrics=metrics,
+            run=RunConfig(metrics=metrics),
         )
         # One canonical baseline column, then every λ as one batch.
         assert metrics.counter_value("engine.impact.batches") == 2
@@ -237,7 +238,7 @@ class TestFallbacks:
             victim=victim,
             attacker=attacker,
             paddings=PADDINGS,
-            metrics=metrics,
+            run=RunConfig(metrics=metrics),
         )
         return rows, metrics
 
@@ -338,6 +339,7 @@ sys.modules["numpy"] = None  # `import numpy` now raises ImportError
 from repro.bgp.vectorized import numpy_available
 from repro.experiments.base import build_world
 from repro.experiments.sweeps import padding_sweep, pair_grid
+from repro.runner import RunConfig
 from repro.telemetry.metrics import RunMetrics
 
 assert not numpy_available()
@@ -346,10 +348,10 @@ tier1 = world.topology.tier1
 metrics = RunMetrics()
 rows = padding_sweep(
     world.engine, victim=tier1[0], attacker=tier1[1], paddings=range(1, 5),
-    metrics=metrics,
+    run=RunConfig(metrics=metrics),
 )
 cells = pair_grid(world.engine, [(tier1[1], tier1[0]), (tier1[0], tier1[2])],
-                  origin_padding=3, workers=2)
+                  origin_padding=3, run=RunConfig(workers=2))
 print(json.dumps({
     "rows": rows,
     "cells": [[c.before_fraction, c.after_fraction, c.attacker_kept_route] for c in cells],

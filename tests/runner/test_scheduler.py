@@ -15,6 +15,7 @@ from repro.runner import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
+    RunConfig,
     ShardedScheduler,
     SupervisedExecutor,
     SweepPointTask,
@@ -284,17 +285,19 @@ class TestInterruptedRunKeepsItsWork:
         path = tmp_path / persistence
 
         def sweep(metrics=None):
-            kwargs = dict(
-                victim=victim,
-                attacker=attacker,
-                paddings=self.PADDINGS,
-                shards=shards,
-                metrics=metrics,
-            )
+            def run(**persisted):
+                return padding_sweep(
+                    small_engine,
+                    victim=victim,
+                    attacker=attacker,
+                    paddings=self.PADDINGS,
+                    run=RunConfig(shards=shards, metrics=metrics, **persisted),
+                )
+
             if persistence == "checkpoint":
-                return padding_sweep(small_engine, checkpoint=path, **kwargs)
+                return run(resume=path)
             with CampaignStore(path) as store:
-                return padding_sweep(small_engine, store=store, **kwargs)
+                return run(store=store)
 
         settled: list[int] = []
         plain_run = SweepPointTask.run

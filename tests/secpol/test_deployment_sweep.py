@@ -9,7 +9,12 @@ import pytest
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.experiments.sweeps import deployment_sweep
-from repro.runner import BaselineCache, CheckpointJournal, DeploymentPointTask
+from repro.runner import (
+    BaselineCache,
+    CheckpointJournal,
+    DeploymentPointTask,
+    RunConfig,
+)
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
 TINY = InternetTopologyConfig(
@@ -105,7 +110,7 @@ class TestWorkerInvariance:
         victim, attacker = world.tier1[0], world.tier2[0]
         serial = _sweep(engine, "prependguard", victim=victim, attacker=attacker)
         pooled = _sweep(
-            engine, "prependguard", victim=victim, attacker=attacker, workers=2
+            engine, "prependguard", victim=victim, attacker=attacker, run=RunConfig(workers=2)
         )
         assert [r.row() for r in serial] == [r.row() for r in pooled]
         assert [r.deployed_count for r in serial] == [
@@ -120,13 +125,13 @@ class TestCheckpointing:
         victim, attacker = world.tier1[0], world.tier2[0]
         journal_path = tmp_path / "sweep.jsonl"
         first = _sweep(
-            engine, "aspa", victim=victim, attacker=attacker, checkpoint=journal_path
+            engine, "aspa", victim=victim, attacker=attacker, run=RunConfig(resume=journal_path)
         )
         with CheckpointJournal(journal_path) as journal:
             assert journal.completed_count == len(FRACTIONS)
         # Same configuration: every point replays from the journal.
         replayed = _sweep(
-            engine, "aspa", victim=victim, attacker=attacker, checkpoint=journal_path
+            engine, "aspa", victim=victim, attacker=attacker, run=RunConfig(resume=journal_path)
         )
         assert [r.row() for r in replayed] == [r.row() for r in first]
         with CheckpointJournal(journal_path) as journal:
@@ -138,7 +143,7 @@ class TestCheckpointing:
             "prependguard",
             victim=victim,
             attacker=attacker,
-            checkpoint=journal_path,
+            run=RunConfig(resume=journal_path),
         )
         assert [r.policy for r in other] == ["prependguard"] * len(FRACTIONS)
         with CheckpointJournal(journal_path) as journal:
@@ -153,7 +158,7 @@ class TestCheckpointing:
             victim=victim,
             attacker=attacker,
             fractions=(0.5,),
-            checkpoint=journal_path,
+            run=RunConfig(resume=journal_path),
         )
         _sweep(
             engine,
@@ -162,7 +167,7 @@ class TestCheckpointing:
             attacker=attacker,
             fractions=(0.5,),
             strategy="random",
-            checkpoint=journal_path,
+            run=RunConfig(resume=journal_path),
         )
         _sweep(
             engine,
@@ -172,7 +177,7 @@ class TestCheckpointing:
             fractions=(0.5,),
             strategy="random",
             seed=99,
-            checkpoint=journal_path,
+            run=RunConfig(resume=journal_path),
         )
         with CheckpointJournal(journal_path) as journal:
             assert journal.completed_count == 3

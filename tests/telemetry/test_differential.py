@@ -24,6 +24,7 @@ from repro.experiments.sweeps import deployment_sweep, padding_sweep
 from repro.runner import (
     BaselineCache,
     DeploymentPointTask,
+    RunConfig,
     SupervisedExecutor,
     SweepPointTask,
     WorkerSpec,
@@ -82,7 +83,7 @@ class TestMetricsDoNotChangeResults:
             victim=victim,
             attacker=attacker,
             paddings=range(1, 5),
-            metrics=metrics,
+            run=RunConfig(metrics=metrics),
         )
         assert instrumented == plain
         assert metrics.counter_value("worker.tasks") == 4
@@ -96,7 +97,7 @@ class TestMetricsDoNotChangeResults:
             victim=world.stubs[1],
             attacker=world.tier1[0],
             paddings=(1, 2),
-            metrics=RunMetrics(),
+            run=RunConfig(metrics=RunMetrics()),
         )
         assert engine.metrics is sentinel
 
@@ -176,7 +177,7 @@ class TestPooledAggregationIsExact:
             policy="none",
             fractions=(0.0, 0.1, 0.2, 0.3, 0.4),
             cache=cache,
-            metrics=metrics,
+            run=RunConfig(metrics=metrics),
         )
         assert metrics.counter_value("cache.canonical_convergences") == 1
         assert metrics.counter_value("cache.baseline_hits") == 5
@@ -187,12 +188,12 @@ class TestCampaignAggregation:
         serial_study = InterceptionStudy.generate(seed=SEED, scale=SCALE, monitors=40)
         serial_metrics = RunMetrics()
         serial = serial_study.campaign(
-            pairs=8, padding=3, workers=None, metrics=serial_metrics
+            pairs=8, padding=3, run=RunConfig(workers=None, metrics=serial_metrics)
         )
         pooled_study = InterceptionStudy.generate(seed=SEED, scale=SCALE, monitors=40)
         pooled_metrics = RunMetrics()
         pooled = pooled_study.campaign(
-            pairs=8, padding=3, workers=4, metrics=pooled_metrics
+            pairs=8, padding=3, run=RunConfig(workers=4, metrics=pooled_metrics)
         )
         assert [r.report.after_fraction for r in pooled.results] == [
             r.report.after_fraction for r in serial.results

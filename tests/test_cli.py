@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.bgp.vectorized import numpy_available
-from repro.cli import main
+from repro.cli import COMMANDS, main
 from repro.experiments import REGISTRY
 
 
@@ -233,10 +235,9 @@ class TestResilienceFlags:
         assert capsys.readouterr().out == plain
 
     def test_invalid_retries_rejected(self):
-        from repro.exceptions import SimulationError
-
-        with pytest.raises(SimulationError):
+        with pytest.raises(SystemExit) as usage:
             main(self.ARGS + ["--retries", "0"])
+        assert usage.value.code == 2
 
     def test_resume_writes_journal_and_replays_it(self, capsys, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
@@ -452,3 +453,271 @@ class TestMitigateStream:
     def test_bad_strategy_rejected(self):
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--strategy", "filter"])
+
+
+EXPERIMENTS = tuple(sorted(REGISTRY))
+
+#: Every subcommand's flags as the CLI had them before it became a
+#: command table (recorded from ``main``'s inline parsers at PR 16):
+#: (option strings, dest, type, default, choices, required, action).
+SURFACE = {
+    "list": [],
+    "run": [
+        ((), "experiment", None, None, EXPERIMENTS, True, "store"),
+        (("--seed",), "seed", "int", None, None, False, "store"),
+        (("--scale",), "scale", "float", None, None, False, "store"),
+        (("--pairs",), "pairs", "int", None, None, False, "store"),
+        (("--instances",), "instances", "int", None, None, False, "store"),
+        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
+        (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
+    ],
+    "all": [
+        (("--seed",), "seed", "int", None, None, False, "store"),
+        (("--scale",), "scale", "float", None, None, False, "store"),
+        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
+        (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
+    ],
+    "world": [
+        (("--seed",), "seed", "int", 7, None, False, "store"),
+        (("--scale",), "scale", "float", 1.0, None, False, "store"),
+        (("--save",), "save", "str", None, None, False, "store"),
+    ],
+    "campaign": [
+        (("--seed",), "seed", "int", 7, None, False, "store"),
+        (("--scale",), "scale", "float", 1.0, None, False, "store"),
+        (("--pairs",), "pairs", "int", 50, None, False, "store"),
+        (("--padding",), "padding", "int", 3, None, False, "store"),
+        (("--monitors",), "monitors", "int", 150, None, False, "store"),
+        (("--placement",), "placement", None, "top-degree", ("top-degree", "greedy-cover"), False, "store"),
+        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--resume",), "resume", "str", None, None, False, "store"),
+        (("--retries",), "retries", "int", None, None, False, "store"),
+        (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
+        (("--engine-mode",), "engine_mode", None, "full", ("full", "delta"), False, "store"),
+        (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
+        (("--topology",), "topology", "str", None, None, False, "store"),
+        (("--store",), "store", "str", None, None, False, "store"),
+        (("--shards",), "shards", "int", None, None, False, "store"),
+        (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
+        (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
+    ],
+    "grid": [
+        (("--seed",), "seed", "int", 7, None, False, "store"),
+        (("--scale",), "scale", "float", 1.0, None, False, "store"),
+        (("--padding",), "padding", "int", 3, None, False, "store"),
+        (("--attackers",), "attackers", "int", None, None, False, "store"),
+        (("--victims",), "victims", "int", None, None, False, "store"),
+        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--resume",), "resume", "str", None, None, False, "store"),
+        (("--retries",), "retries", "int", None, None, False, "store"),
+        (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
+        (("--engine-mode",), "engine_mode", None, "full", ("full", "delta"), False, "store"),
+        (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
+        (("--topology",), "topology", "str", None, None, False, "store"),
+        (("--store",), "store", "str", None, None, False, "store"),
+        (("--shards",), "shards", "int", None, None, False, "store"),
+        (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
+        (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
+    ],
+    "secpol-sweep": [
+        (("--policy",), "policy", None, "prependguard", ("none", "rov", "aspa", "prependguard"), False, "store"),
+        (("--strategy",), "strategy", None, "top-degree-first", ("random", "top-degree-first", "tier1-only", "victim-cone"), False, "store"),
+        (("--fractions",), "fractions", "str", "0.0,0.1,0.2,0.4,0.6,0.8,1.0", None, False, "store"),
+        (("--seed",), "seed", "int", 7, None, False, "store"),
+        (("--scale",), "scale", "float", 1.0, None, False, "store"),
+        (("--padding",), "padding", "int", 3, None, False, "store"),
+        (("--victim",), "victim", "int", None, None, False, "store"),
+        (("--attacker",), "attacker", "int", None, None, False, "store"),
+        (("--valley-free",), "valley_free", None, False, None, False, "storetrue"),
+        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--resume",), "resume", "str", None, None, False, "store"),
+        (("--retries",), "retries", "int", None, None, False, "store"),
+        (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
+        (("--engine-mode",), "engine_mode", None, "full", ("full", "delta"), False, "store"),
+        (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
+        (("--topology",), "topology", "str", None, None, False, "store"),
+        (("--store",), "store", "str", None, None, False, "store"),
+        (("--shards",), "shards", "int", None, None, False, "store"),
+        (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
+        (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
+    ],
+    "detect-stream": [
+        (("--seed",), "seed", "int", 7, None, False, "store"),
+        (("--scale",), "scale", "float", 0.5, None, False, "store"),
+        (("--monitors",), "monitors", "int", 100, None, False, "store"),
+        (("--updates",), "updates", "int", 20000, None, False, "store"),
+        (("--prefixes",), "prefixes", "int", 4, None, False, "store"),
+        (("--feeds",), "feeds", "int", 4, None, False, "store"),
+        (("--batch",), "batch", "int", 64, None, False, "store"),
+        (("--backpressure",), "backpressure", None, "block", ("block", "drop", "park"), False, "store"),
+        (("--capacity",), "capacity", "int", 256, None, False, "store"),
+        (("--padding",), "padding", "int", 3, None, False, "store"),
+        (("--no-attack",), "no_attack", None, False, None, False, "storetrue"),
+        (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
+        (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
+    ],
+    "mitigate-stream": [
+        (("--seed",), "seed", "int", 7, None, False, "store"),
+        (("--scale",), "scale", "float", 0.5, None, False, "store"),
+        (("--monitors",), "monitors", "int", 100, None, False, "store"),
+        (("--updates",), "updates", "int", 8000, None, False, "store"),
+        (("--prefixes",), "prefixes", "int", 4, None, False, "store"),
+        (("--padding",), "padding", "int", 3, None, False, "store"),
+        (("--strategy",), "strategy", None, "stepdown", ("none", "stepdown", "reset"), False, "store"),
+        (("--step",), "step", "int", 1, None, False, "store"),
+        (("--floor",), "floor", "int", 1, None, False, "store"),
+        (("--reaction",), "reaction", "int", 64, None, False, "store"),
+        (("--feeds",), "feeds", "int", 4, None, False, "store"),
+        (("--batch",), "batch", "int", 64, None, False, "store"),
+        (("--backpressure",), "backpressure", None, "block", ("block", "drop", "park"), False, "store"),
+        (("--capacity",), "capacity", "int", 256, None, False, "store"),
+        (("--fault-rate",), "fault_rate", "float", 0.0, None, False, "store"),
+        (("--fault-seed",), "fault_seed", "int", None, None, False, "store"),
+        (("--unrecoverable",), "unrecoverable", None, False, None, False, "storetrue"),
+        (("--slo-alarm-latency",), "slo_alarm_latency", "float", 2000.0, None, False, "store"),
+        (("--slo-feed-staleness",), "slo_feed_staleness", "float", 512.0, None, False, "store"),
+        (("--slo-recovery-rounds",), "slo_recovery_rounds", "float", 12.0, None, False, "store"),
+        (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
+        (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
+    ],
+    "query": [
+        ((), "experiment", None, None, EXPERIMENTS, True, "store"),
+        (("--store",), "store", "str", None, None, True, "store"),
+        (("--seed",), "seed", "int", None, None, False, "store"),
+        (("--scale",), "scale", "float", None, None, False, "store"),
+        (("--pairs",), "pairs", "int", None, None, False, "store"),
+        (("--instances",), "instances", "int", None, None, False, "store"),
+        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
+        (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
+    ],
+    "store": [
+        (("--store",), "store", "str", None, None, True, "store"),
+        (("--compact",), "compact", None, False, None, False, "storetrue"),
+        (("--import-journal",), "import_journals", "str", [], None, False, "append"),
+    ],
+}
+
+
+class TestCommandTable:
+    """The table builds the same surface the inline parsers had, and
+    ``main`` builds only the part of it the command line names."""
+
+    @staticmethod
+    def _flags(parser):
+        return {
+            action.dest: (
+                tuple(action.option_strings),
+                action.dest,
+                action.type.__name__ if action.type is not None else None,
+                action.default,
+                tuple(action.choices) if action.choices is not None else None,
+                action.required,
+                type(action).__name__.strip("_").removesuffix("Action").lower(),
+            )
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+
+    def test_subcommands_are_the_recorded_ones_in_order(self):
+        assert list(COMMANDS) == list(SURFACE)
+
+    @pytest.mark.parametrize("name", SURFACE)
+    def test_surface_is_unchanged(self, name):
+        parser = argparse.ArgumentParser()
+        COMMANDS[name].configure(parser)
+        assert self._flags(parser) == {row[1]: row for row in SURFACE[name]}
+
+    @pytest.mark.parametrize("name", SURFACE)
+    def test_help_exits_zero(self, name, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([name, "--help"])
+        assert done.value.code == 0
+        assert f"usage: repro-aspp {name}" in capsys.readouterr().out
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Counts of the parser-construction calls ``main`` makes."""
+        calls = {"add_parser": 0, "add_argument": 0}
+
+        def counting(owner, name):
+            plain = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return plain(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(argparse._SubParsersAction, "add_parser")
+        counting(argparse._ActionsContainer, "add_argument")
+        return calls
+
+    def test_a_known_command_builds_only_its_own_parser(self, built, capsys):
+        assert main(["list"]) == 0
+        assert built["add_parser"] == 1
+        built.update(add_parser=0, add_argument=0)
+        with pytest.raises(SystemExit):
+            main(["query", "--help"])
+        assert built["add_parser"] == 1
+        # 128 when every subparser was declared on every call
+        assert built["add_argument"] <= 16
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate"]])
+    def test_anything_else_lists_every_subcommand(self, built, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == (0 if argv == ["--help"] else 2)
+        assert built["add_parser"] == len(COMMANDS) == 11
+        captured = capsys.readouterr()
+        listing = "{" + ",".join(COMMANDS) + "}"
+        assert listing in (captured.out if argv == ["--help"] else captured.err)
+
+
+class TestErrors:
+    """Bad run flags are usage errors before anything is built; library
+    errors are one line on stderr, not a traceback."""
+
+    @pytest.fixture()
+    def no_world(self, monkeypatch):
+        from repro.core import InterceptionStudy
+
+        def built(*args, **kwargs):
+            raise AssertionError("the world was built before the flags were checked")
+
+        monkeypatch.setattr(InterceptionStudy, "__init__", built)
+        monkeypatch.setattr(InterceptionStudy, "generate", built)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shards", "0"],
+            ["--retries", "0"],
+            ["--workers", "-1"],
+            ["--task-deadline", "-1"],
+            ["--topology", "caida:/no/such/as-rel2.txt"],
+            ["--topology", "synth:many"],
+            ["--metrics-out", "m.jsonl"],
+        ],
+        ids=lambda flags: flags[0].lstrip("-"),
+    )
+    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
+    def test_bad_flag_is_a_usage_error(self, command, flags, no_world, capsys, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--scale", "0.15", "--store", str(store), *flags])
+        assert usage.value.code == 2
+        error = capsys.readouterr().err
+        assert f"repro-aspp {command}: error: " in error.splitlines()[-1]
+        assert "Traceback" not in error
+        assert not store.exists()
+
+    def test_library_error_is_one_line_and_status_one(self, capsys):
+        assert main(["campaign", "--scale", "0.15", "--pairs", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "repro-aspp: error: a campaign needs at least one pair\n"
+        assert captured.out == ""
+        assert main(["run", "fig09", "--scale", "0.15", "--workers", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("repro-aspp: error: worker count")
