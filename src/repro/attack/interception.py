@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.attack.impact import PollutionReport, pollution_report
 from repro.bgp.aspath import collapse_prepending, strip_origin_padding
+from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PathModifier, PropagationEngine, PropagationOutcome
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
@@ -116,8 +117,28 @@ class InterceptionResult:
                 if state.best_pref[idx] < 0:
                     return False
                 return not (state.table.mask[state.best_pid[idx]] & (1 << idx))
-        route = self.attacked.best.get(attacker)
+        route = self.attacked.route_of(attacker)
         return route is not None and attacker not in route.path
+
+    def monitor_views(
+        self, collector: RouteCollector, *, attacker_feeds_collector: bool = True
+    ) -> tuple[MonitorView, MonitorView, tuple[int, ...]]:
+        """What ``collector`` sees of this attack: ``(before, after, touched)``.
+
+        ``touched`` are the only monitors whose route can differ between
+        the two views (:meth:`RouteCollector.view_pair` — the attack
+        warm-started from the baseline).  An attacker that peers with
+        the collector announces its *modified* route there like to any
+        other neighbour; ``attacker_feeds_collector=False`` is the
+        stealthy variant whose feed keeps showing its unmodified best
+        route.
+        """
+        modifiers = (
+            {self.attack.attacker: self.attack.modifier()}
+            if attacker_feeds_collector
+            else None
+        )
+        return collector.view_pair(self.baseline, self.attacked, modifiers=modifiers)
 
 
 def simulate_interception(

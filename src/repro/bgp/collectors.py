@@ -13,10 +13,11 @@ current routes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bgp.engine import PathModifier, PropagationOutcome
 from repro.bgp.route import Route
+from repro.bgp.updates import UpdateMessage
 from repro.exceptions import DetectionError, UnknownASError
 from repro.topology.asgraph import ASGraph
 
@@ -33,6 +34,12 @@ class MonitorView:
 
     prefix: str
     routes: dict[int, Route | None]
+    #: monitor -> ``(path, collapsed core, padding)`` of the route it
+    #: last showed a detector: the Figure-4 scan's decomposition memo.
+    #: Living on the view bounds it by the view's monitors and lifetime.
+    decomposed: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def monitors(self) -> list[int]:
@@ -55,6 +62,50 @@ class MonitorView:
             lines.append(f"  monitor AS{monitor}: {path}")
         return "\n".join(lines)
 
+    def changed_since(
+        self, before: "MonitorView", *, among: Iterable[int] | None = None
+    ) -> list[int]:
+        """Monitors whose route here differs from ``before``, ascending.
+
+        ``among`` narrows the comparison to the monitors that can have
+        changed (see :meth:`RouteCollector.view_pair`).
+        """
+        routes = self.routes
+        old = before.routes
+        return sorted(
+            monitor
+            for monitor in (routes if among is None else among)
+            if old.get(monitor) != routes[monitor]
+        )
+
+    def updates_since(
+        self,
+        before: "MonitorView",
+        *,
+        clock: Mapping[int, int] | None = None,
+        among: Iterable[int] | None = None,
+    ) -> list[UpdateMessage]:
+        """The updates monitors emit moving from ``before`` to this view.
+
+        One message per changed monitor — a withdrawal when it lost its
+        route — ordered by ``(clock round, monitor)``: ``clock`` is the
+        re-convergence's adoption rounds (the logical hop count the news
+        travelled; absent monitors count as round 0), and without one
+        the order is ascending monitor.
+        """
+        changed = self.changed_since(before, among=among)
+        if clock:
+            changed.sort(key=lambda monitor: clock.get(monitor, 0))
+        messages = []
+        for monitor in changed:
+            route = self.routes[monitor]
+            messages.append(
+                UpdateMessage(monitor, self.prefix, (), withdrawn=True)
+                if route is None
+                else UpdateMessage(monitor, self.prefix, route.path)
+            )
+        return messages
+
 
 class RouteCollector:
     """Collects the best routes of a fixed set of monitor ASes."""
@@ -67,6 +118,11 @@ class RouteCollector:
             if monitor not in graph:
                 raise UnknownASError(monitor)
         self._graph = graph
+        #: monitor rows read off outcomes so far (``collector.rows``)
+        self.rows = 0
+        #: :meth:`view_pair`'s memo: the latest ``(baseline, attacked)``
+        #: served, its before view, and its pairs per feeding modifier ASes
+        self._pairs: tuple[PropagationOutcome, PropagationOutcome, MonitorView, dict] | None = None
 
     @property
     def monitors(self) -> tuple[int, ...]:
@@ -80,24 +136,72 @@ class RouteCollector:
     ) -> MonitorView:
         """Capture the monitors' best routes from a converged outcome.
 
+        Routes are read one row per monitor
+        (:meth:`PropagationOutcome.route_of`); the outcome's world is
+        never built for a snapshot.
+
         ``modifiers`` mirrors the engine's attacker hook: the collector
         session is just another eBGP neighbour, so an attacker that
         happens to peer with the collector announces its *modified*
         route there too (announcing the unmodified one would expose the
         inconsistency directly on its own feed).
         """
-        routes: dict[int, Route | None] = {}
-        for monitor in self._monitors:
-            route = outcome.best.get(monitor)
-            if route is not None and modifiers and monitor in modifiers:
-                route = Route(
-                    prefix=route.prefix,
-                    path=modifiers[monitor](route.path),
-                    learned_from=route.learned_from,
-                    pref=route.pref,
-                )
-            routes[monitor] = route
-        return MonitorView(prefix=outcome.prefix, routes=routes)
+        return MonitorView(
+            prefix=outcome.prefix,
+            routes={m: self._row(outcome, m, modifiers) for m in self._monitors},
+        )
+
+    def _row(
+        self,
+        outcome: PropagationOutcome,
+        monitor: int,
+        modifiers: Mapping[int, PathModifier] | None,
+    ) -> Route | None:
+        """The route ``monitor`` exports to the collector."""
+        self.rows += 1
+        route = outcome.route_of(monitor)
+        if route is not None and modifiers and monitor in modifiers:
+            route = replace(route, path=modifiers[monitor](route.path))
+        return route
+
+    def view_pair(
+        self,
+        baseline: PropagationOutcome,
+        attacked: PropagationOutcome,
+        *,
+        modifiers: Mapping[int, PathModifier] | None = None,
+    ) -> tuple[MonitorView, MonitorView, tuple[int, ...]]:
+        """``(before, after, touched)`` for a warm-started re-convergence.
+
+        ``before`` is ``snapshot(baseline)`` and ``after`` equals
+        ``snapshot(attacked, modifiers=modifiers)``, built as ``before``
+        patched on the ``touched`` monitors (ascending) — the only ones
+        whose route can differ.  ``attacked`` must have been
+        warm-started from ``baseline``: then an AS changed its best
+        route only if the re-convergence stamped an adoption round on
+        it, and only a modifier AS shows a route other than its best,
+        so every other monitor keeps its ``before`` row unread.
+
+        The pair is memoised for the latest ``(baseline, attacked)``
+        per set of modifier ASes (an attacked outcome is the product of
+        one attack, so the ASN fixes the transformation): timing,
+        priming and stream synthesis of one attack share one pair.
+        """
+        memo = self._pairs
+        if memo is None or memo[0] is not baseline or memo[1] is not attacked:
+            memo = self._pairs = (baseline, attacked, self.snapshot(baseline), {})
+        _, _, before, pairs = memo
+        key = tuple(sorted(modifiers or ()))
+        pair = pairs.get(key)
+        if pair is None:
+            rounds = attacked.adoption_round
+            touched = tuple(m for m in self._monitors if m in rounds or m in key)
+            routes = dict(before.routes)
+            for monitor in touched:
+                routes[monitor] = self._row(attacked, monitor, modifiers)
+            after = MonitorView(prefix=attacked.prefix, routes=routes)
+            pair = pairs[key] = (before, after, touched)
+        return pair
 
 
 @dataclass

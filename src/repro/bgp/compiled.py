@@ -523,6 +523,11 @@ class CompiledState:
     def topo(self) -> CompiledTopology:
         return self.table.topo
 
+    def best_row(self, i: int) -> tuple[int, int, int]:
+        """``(pref, path id, learned-from index)`` of AS index ``i`` —
+        what :meth:`PropagationOutcome.route_of` reifies."""
+        return self.best_pref[i], self.best_pid[i], self.best_from[i]
+
     def derive_uniform(self, victim: int, padding: int) -> "CompiledState":
         """The state for uniform origin padding ``λ = padding``, derived
         from this canonical ``λ = 1`` state.
@@ -896,6 +901,8 @@ def run_compiled(
     # pipeline that only consumes the attached compiled state (warm
     # starts, λ derivations, pollution masks) never builds a tuple.
     def materialise(out: "PropagationOutcome") -> None:
+        if track:
+            metrics.count("engine.compiled.worlds_emitted")
         pref_of = _PREF_OF
 
         def emit_best(i: int) -> tuple[Route | None, tuple[int, int, int] | None]:
@@ -996,6 +1003,9 @@ def run_compiled(
         metrics.count(
             "engine.compiled.reified_paths", table.reified_count - reified_start
         )
+        # Registered at zero so a summary states "no world was built";
+        # the deferred emission above does the counting.
+        metrics.count("engine.compiled.worlds_emitted", 0)
         if warm_start is not None:
             metrics.count(
                 "engine.compiled.warm_fast_loads"

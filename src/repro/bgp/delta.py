@@ -144,6 +144,16 @@ class DerivedUniformState(CompiledState):
             self._mat = self.canonical.derive_uniform(self.victim_asn, self.padding)
         return self._mat
 
+    def best_row(self, i: int) -> tuple[int, int, int]:
+        # One rewrite, not the whole derivation: a row read must not
+        # materialise what the delta path keeps lazy.
+        canonical = self.canonical
+        return (
+            canonical.best_pref[i],
+            self.rewriter()(canonical.best_pid[i]),
+            canonical.best_from[i],
+        )
+
     @property
     def best_pref(self) -> list[int]:
         return self.canonical.best_pref
@@ -721,6 +731,8 @@ def run_delta(
     # dicts, rebuild only what the delta touched, with overlay pids
     # rewritten to λ space on the way out.  Deferred like the original.
     def materialise(out: "PropagationOutcome") -> None:
+        if track:
+            metrics.count("engine.compiled.worlds_emitted")
         pref_of = _PREF_OF
 
         def emit_best(i: int) -> tuple[Route | None, tuple[int, int, int] | None]:
@@ -822,6 +834,7 @@ def run_delta(
         metrics.count(
             "engine.compiled.reified_paths", table.reified_count - reified_start
         )
+        metrics.count("engine.compiled.worlds_emitted", 0)
         metrics.count("engine.delta.propagations")
         metrics.observe("engine.delta.frontier_size", len(initial))
         metrics.observe("engine.delta.touched_ases", len(touched_all))

@@ -45,7 +45,13 @@ from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
-from repro.bgp.compiled import CompiledState, CompiledTopology, InternTable, run_compiled
+from repro.bgp.compiled import (
+    _PREF_OF,
+    CompiledState,
+    CompiledTopology,
+    InternTable,
+    run_compiled,
+)
 from repro.bgp.decision import admit_offer, preference_key
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
@@ -86,12 +92,21 @@ class PropagationOutcome:
     The tuple-based maps may be materialised *lazily*: the compiled
     backend and the baseline cache construct outcomes with an ``emit``
     callback instead of eager ``best``/``adj_rib_in`` dicts, and the
-    callback reifies the interned state into tuples on first access.
-    The sweep pipeline (warm starts, λ derivations, pollution reports)
-    reads only the attached compiled state, so it never pays for the
-    dicts; any consumer that does touch them sees exactly what an eager
-    build would have produced — equality, pickling and :meth:`clone`
-    all force materialisation first.
+    callback reifies the interned state into tuples on first access —
+    the whole *world*, every AS's route and Adj-RIB-in.  The sweep
+    pipeline (warm starts, λ derivations, pollution reports) reads only
+    the attached compiled state, so it never pays for the dicts.
+
+    Consumers that need a few ASes' routes — collectors, detectors,
+    :meth:`path_of` — use the *row read* :meth:`route_of` instead: it
+    reifies one AS's route from the compiled state's arrays, memoised
+    per outcome, and never builds the world.  It reads ``best`` only
+    when the world already exists or there is no compiled state to
+    read (reference backend, unpickled outcomes).  The accesses that
+    still materialise are ``best``/``adj_rib_in``/``best_keys``
+    themselves, ``==``, pickling and :meth:`clone`; each sees exactly
+    what an eager build would have produced, and the compiled backends
+    count it (``engine.compiled.worlds_emitted``).
     """
 
     __slots__ = (
@@ -104,6 +119,7 @@ class PropagationOutcome:
         "_adj_rib_in",
         "_best_keys",
         "_emit",
+        "_rows",
     )
 
     def __init__(
@@ -133,6 +149,8 @@ class PropagationOutcome:
         #: recomputing them; purely derived data, excluded from equality.
         self._best_keys = best_keys
         self._emit = emit
+        #: routes :meth:`route_of` reified ahead of the world
+        self._rows: dict[int, Route | None] = {}
         #: the same converged state in the compiled backend's (index,
         #: intern-id) space (:class:`repro.bgp.compiled.CompiledState`),
         #: attached by the compiled engine and the baseline cache so
@@ -221,11 +239,43 @@ class PropagationOutcome:
         self.rounds = state["rounds"]
         self._best_keys = state["best_keys"]
         self._emit = None
+        self._rows = {}
         self.compiled_state = None
+
+    def route_of(self, asn: int) -> Route | None:
+        """``best.get(asn)``, read as one row: no world is built for it.
+
+        While the outcome is lazy the route is reified from the
+        attached compiled state and memoised; an outcome that is
+        already materialised, or has no compiled state, answers from
+        ``best``.
+        """
+        if self._best is not None:
+            return self._best.get(asn)
+        rows = self._rows
+        if asn in rows:
+            return rows[asn]
+        state = self.compiled_state
+        if state is None:
+            return self.best.get(asn)
+        topo = state.topo
+        idx = topo.index.get(asn)
+        route = None
+        if idx is not None:
+            pref, pid, learned = state.best_row(idx)
+            if pref >= 0:
+                route = Route(
+                    self.prefix,
+                    state.table.reify(pid),
+                    None if learned < 0 else topo.asn[learned],
+                    _PREF_OF[pref],
+                )
+        rows[asn] = route
+        return route
 
     def path_of(self, asn: int) -> tuple[int, ...] | None:
         """The AS-PATH ``asn`` uses towards the prefix (``None`` if unreachable)."""
-        route = self.best.get(asn)
+        route = self.route_of(asn)
         return route.path if route is not None else None
 
     def reachable_ases(self) -> list[int]:

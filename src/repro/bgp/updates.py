@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.bgp.collectors import RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.route import Route
 from repro.exceptions import SimulationError
 from repro.topology.asgraph import ASGraph
+
+if TYPE_CHECKING:  # pragma: no cover - collectors builds UpdateMessages
+    from repro.bgp.collectors import RouteCollector
 
 __all__ = ["UpdateMessage", "SequencedUpdate", "simulate_update_stream"]
 
@@ -88,22 +90,12 @@ def simulate_update_stream(
         engine = PropagationEngine(degraded)
         outcome = engine.propagate(origin, prefix=prefix, prepending=prepending)
         degraded_view = monitors.snapshot(outcome)
-        for monitor in monitors.monitors:
-            before: Route | None = baseline_view.routes.get(monitor)
-            after: Route | None = degraded_view.routes.get(monitor)
-            if before == after:
-                continue
-            if after is None:
-                messages.append(
-                    UpdateMessage(monitor=monitor, prefix=prefix, path=(), withdrawn=True)
-                )
-            else:
-                messages.append(
-                    UpdateMessage(monitor=monitor, prefix=prefix, path=after.path)
-                )
+        for failure, recovery in zip(
+            degraded_view.updates_since(baseline_view),
+            baseline_view.updates_since(degraded_view),
+        ):
+            messages.append(failure)
             # Recovery: the flap's second half re-announces the baseline.
-            if before is not None:
-                messages.append(
-                    UpdateMessage(monitor=monitor, prefix=prefix, path=before.path)
-                )
+            if not recovery.withdrawn:
+                messages.append(recovery)
     return messages

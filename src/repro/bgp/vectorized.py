@@ -484,6 +484,7 @@ def _emit_column(
     counts,
     default_count,
     overrides,
+    metrics: RunMetrics | None,
 ):
     """Build a full cold outcome (genuine :class:`CompiledState` plus
     the deferred tuple emission) from one converged key column."""
@@ -613,7 +614,13 @@ def _emit_column(
     reify = table.reify
     length = table.length
 
+    track = metrics is not None and metrics.enabled
+    if track:
+        metrics.count("engine.compiled.worlds_emitted", 0)
+
     def materialise(out: "PropagationOutcome") -> None:
+        if track:
+            metrics.count("engine.compiled.worlds_emitted")
         pref_of = _PREF_OF
 
         def emit_best(i: int):
@@ -692,6 +699,7 @@ def run_vectorized(
         counts=counts,
         default_count=default_count,
         overrides=overrides,
+        metrics=metrics,
     )
     if metrics is not None and metrics.enabled:
         metrics.count("engine.vectorized.propagations")
@@ -736,6 +744,7 @@ def run_vectorized_batch(
                 counts=counts,
                 default_count=default_count,
                 overrides={},
+                metrics=metrics,
             )
         )
     if metrics is not None and metrics.enabled:

@@ -97,32 +97,39 @@ class ASPPInterceptionDetector:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _segment_paddings(
+    def _observed(
         view: MonitorView, origin: int, exclude_monitor: int
-    ) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-        """Index every path segment visible to the monitoring system.
+    ) -> list[tuple[int, tuple[int, ...], int]]:
+        """``(monitor, core, padding)`` of every other route to ``origin``.
 
-        For each monitor path ``[a_0 ... a_k V^λ]`` (collapsed), every
-        suffix ``[a_i ... a_k]`` is the route of AS ``a_{i-1}``'s
-        next hop — destination-based routing makes the observation
-        valid for all of them.  The index maps each segment
-        ``[a_{i+1} ... a_k]`` (the part below the announcing AS
-        ``a_i``) to the ``(padding, announcing AS)`` pairs observed.
+        ``core`` is the monitor followed by its collapsed path above the
+        origin's run — the monitor itself is the outermost AS announcing
+        the route (the paper's example compares [E A V V V] against
+        [M A V], the monitor E included).  The decomposition is memoised
+        on the view per monitor and reused while the monitor keeps
+        showing the same path object, so a long-lived view holds at most
+        one entry per monitor.  Entries come in view order; callers sort
+        what they report.
         """
-        index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for other_monitor, route in sorted(view.routes.items()):
-            if other_monitor == exclude_monitor or route is None or not route.path:
+        memo = view.decomposed
+        observed = []
+        for monitor, route in view.routes.items():
+            if monitor == exclude_monitor or route is None:
                 continue
-            if route.path[-1] != origin:
+            path = route.path
+            if not path or path[-1] != origin:
                 continue
-            head, _, padding = split_origin_padding(route.path)
-            # The monitor itself is the outermost AS announcing this
-            # route (the paper's example compares [E A V V V] against
-            # [M A V] — the monitor E included).
-            core = (other_monitor,) + collapse_prepending(head)
-            for i in range(len(core)):
-                index.setdefault(core[i + 1 :], []).append((padding, core[i]))
-        return index
+            known = memo.get(monitor)
+            if known is None or known[0] is not path:
+                end = len(path) - 1
+                while end and path[end - 1] == origin:
+                    end -= 1
+                head = path[:end]
+                if len(set(head)) < end:  # a repeated AS: maybe prepending
+                    head = collapse_prepending(head)
+                known = memo[monitor] = (path, (monitor,) + head, len(path) - end)
+            observed.append((monitor, known[1], known[2]))
+        return observed
 
     def _direct_symptom(
         self,
@@ -134,51 +141,58 @@ class ASPPInterceptionDetector:
     ) -> list[Alarm]:
         """Stage 1: same segment observed elsewhere with more padding.
 
-        Both the changed route and the other monitors' routes are
-        expanded into all their suffixes (see :meth:`_segment_paddings`),
-        so an inconsistency is caught even when the monitors are many
-        hops above the modification point.
+        Destination-based routing makes every suffix of an observed
+        path the route of the AS above it, so two cores sharing their
+        last ``k`` ASes share every segment of length ``0..k`` — capped
+        one short of either core, whose first AS announces and is not
+        part of a segment.  One common-suffix walk per other monitor
+        therefore finds the longest segment it shares with the changed
+        route, and the alarms are the heavier-padded observations of
+        the longest segment anyone shares: that segment localises the
+        modifier, the AS immediately above it being the first point
+        where the short and long observations diverge.
         """
-        index = self._segment_paddings(view, origin, monitor)
-        alarms: list[Alarm] = []
         extended_now = (monitor,) + core_now
-        for i in range(len(extended_now)):
-            segment = extended_now[i + 1 :]
-            observations = index.get(segment)
-            if not observations:
+        reach = len(extended_now) - 1
+        last = extended_now[-1]
+        longest = -1
+        heavier: list[tuple[int, int, int]] = []  # (monitor, padding, via)
+        for other_monitor, core, padding_other in self._observed(view, origin, monitor):
+            if padding_other <= padding_now or core[-1] != last:
+                # Not heavier, or nothing shared.  That covers the empty
+                # segment too: there both routes sit directly on the
+                # victim's edge, where different first-hop neighbours
+                # may legitimately receive different padding (per-
+                # neighbour traffic engineering, Figure 3), so only the
+                # *same* neighbour showing two paddings is inconsistent.
                 continue
-            via = extended_now[i]  # the AS announcing the short variant
-            for padding_other, other_via in observations:
-                if not segment and other_via != via:
-                    # An empty segment means both routes sit directly on
-                    # the victim's edge: different first-hop neighbours
-                    # may legitimately receive different padding (per-
-                    # neighbour traffic engineering, Figure 3), so only
-                    # the *same* neighbour showing two paddings is
-                    # inconsistent.
-                    continue
-                if padding_other > padding_now:
-                    alarms.append(
-                        Alarm(
-                            prefix=view.prefix,
-                            monitor=monitor,
-                            confidence=Confidence.HIGH,
-                            suspect=via,
-                            removed_pads=padding_other - padding_now,
-                            evidence=(
-                                f"segment {segment} carries padding "
-                                f"{padding_other} via AS{other_via} elsewhere "
-                                f"but {padding_now} via AS{via} at monitor "
-                                f"AS{monitor}"
-                            ),
-                        )
-                    )
-            if alarms:
-                # The longest shared segment localises the modifier: the
-                # AS immediately above it is the first point where the
-                # short and long observations diverge.
-                break
-        return alarms
+            limit = min(reach, len(core) - 1)
+            if limit < longest:
+                continue
+            shared = min(1, limit)
+            while shared < limit and core[-1 - shared] == extended_now[-1 - shared]:
+                shared += 1
+            if shared > longest:
+                longest = shared
+                heavier = []
+            if shared == longest:
+                heavier.append((other_monitor, padding_other, core[-1 - shared]))
+        if not heavier:
+            return []
+        via = extended_now[-1 - longest]  # the AS announcing the short variant
+        found = f"segment {extended_now[len(extended_now) - longest:]} carries padding "
+        here = f" elsewhere but {padding_now} via AS{via} at monitor AS{monitor}"
+        return [
+            Alarm(
+                prefix=view.prefix,
+                monitor=monitor,
+                confidence=Confidence.HIGH,
+                suspect=via,
+                removed_pads=padding_other - padding_now,
+                evidence=f"{found}{padding_other} via AS{other_via}{here}",
+            )
+            for _, padding_other, other_via in sorted(heavier)
+        ]
 
     # ------------------------------------------------------------------
     def _policy_hints(
@@ -210,13 +224,8 @@ class ASPPInterceptionDetector:
         as_i_minus_1 = segment_now[0]
         length_now = len(core_now) + padding_now
         alarms: list[Alarm] = []
-        for other_monitor, route in sorted(view.routes.items()):
-            if other_monitor == monitor or route is None or not route.path:
-                continue
-            if route.path[-1] != origin:
-                continue
-            head_other, _, padding_other = split_origin_padding(route.path)
-            core_other = collapse_prepending(head_other)
+        for _, core, padding_other in sorted(self._observed(view, origin, monitor)):
+            core_other = core[1:]
             if padding_now >= padding_other:
                 continue
             if not core_other:

@@ -106,11 +106,13 @@ class LiveMonitorView:
     ``routes`` mapping reads the slot arrays in place (zero copies).
     ``ASPPInterceptionDetector.inspect_change`` accepts either."""
 
-    __slots__ = ("prefix", "routes")
+    __slots__ = ("prefix", "routes", "decomposed")
 
     def __init__(self, prefix: str, routes: _LiveRoutes) -> None:
         self.prefix = prefix
         self.routes = routes
+        #: the Figure-4 scan's per-monitor memo (``MonitorView.decomposed``)
+        self.decomposed: dict[int, tuple] = {}
 
     def snapshot(self) -> MonitorView:
         """A frozen :class:`MonitorView` copy (tests / reporting)."""

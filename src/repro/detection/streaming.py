@@ -76,6 +76,9 @@ class StreamingDetector:
         self._copy_views = copy_views
         #: prefix -> monitor -> current route
         self._tables: dict[str, dict[int, Route | None]] = {}
+        #: prefix -> the one live view over its table (the view carries
+        #: the Figure-4 scan's memo, so it must outlive a single update)
+        self._live: dict[str, MonitorView] = {}
         #: prefix -> monitor -> neighbour -> last class observed for
         #: routes learned from that neighbour (survives withdrawals).
         self._classes: dict[str, dict[int, dict[int, PrefClass]]] = {}
@@ -100,10 +103,13 @@ class StreamingDetector:
         """Like :meth:`current_view` but zero-copy: the routes mapping
         is a read-only proxy over the internal table, so it tracks
         subsequent updates instead of freezing this instant."""
-        return MonitorView(
-            prefix=prefix,
-            routes=MappingProxyType(self._tables.setdefault(prefix, {})),
-        )
+        view = self._live.get(prefix)
+        if view is None:
+            view = self._live[prefix] = MonitorView(
+                prefix=prefix,
+                routes=MappingProxyType(self._tables.setdefault(prefix, {})),
+            )
+        return view
 
     def consume(self, message: UpdateMessage) -> list[Alarm]:
         """Apply one update and return any alarms it triggers."""
@@ -173,33 +179,9 @@ def attack_update_stream(
     with the collector announces its modified route at round 0.
     Monitors whose route did not change emit nothing.
     """
-    before = collector.snapshot(result.baseline)
-    modifiers = (
-        {result.attack.attacker: result.attack.modifier()}
-        if attacker_feeds_collector
-        else None
+    before, after, touched = result.monitor_views(
+        collector, attacker_feeds_collector=attacker_feeds_collector
     )
-    after = collector.snapshot(result.attacked, modifiers=modifiers)
-
-    changed: list[tuple[int, int]] = []  # (round, monitor)
-    for monitor in collector.monitors:
-        if before.routes[monitor] == after.routes[monitor]:
-            continue
-        round_stamp = result.attacked.adoption_round.get(monitor, 0)
-        changed.append((round_stamp, monitor))
-    changed.sort()
-
-    messages: list[UpdateMessage] = []
-    for _round, monitor in changed:
-        route = after.routes[monitor]
-        if route is None:
-            messages.append(
-                UpdateMessage(
-                    monitor=monitor, prefix=after.prefix, path=(), withdrawn=True
-                )
-            )
-        else:
-            messages.append(
-                UpdateMessage(monitor=monitor, prefix=after.prefix, path=route.path)
-            )
-    return messages
+    return after.updates_since(
+        before, clock=result.attacked.adoption_round, among=touched
+    )

@@ -76,26 +76,27 @@ def detection_timing(
     ``metrics`` optionally records the analysis into a telemetry
     registry (``detection.*`` namespace): timings run, attacks
     detected, alarms raised, detection rounds and the
-    polluted-before-detection fraction.
+    polluted-before-detection fraction — plus ``collector.rows``, the
+    monitor rows this analysis read off the two outcomes (the views are
+    shared with stream synthesis through ``result.monitor_views``, so
+    whichever asks first pays).
     """
-    before_view = collector.snapshot(result.baseline)
-    modifiers = (
-        {result.attack.attacker: result.attack.modifier()}
-        if attacker_feeds_collector
-        else None
+    rows_before = collector.rows
+    before_view, after_view, touched = result.monitor_views(
+        collector, attacker_feeds_collector=attacker_feeds_collector
     )
-    after_view = collector.snapshot(result.attacked, modifiers=modifiers)
 
     detection_round: int | None = None
     alarms: list[Alarm] = []
-    for monitor in collector.monitors:
-        previous = before_view.routes.get(monitor)
-        current = after_view.routes.get(monitor)
-        if previous == current:
-            continue
+    for monitor in after_view.changed_since(before_view, among=touched):
         monitor_alarms = [
             alarm
-            for alarm in detector.inspect_change(monitor, previous, current, after_view)
+            for alarm in detector.inspect_change(
+                monitor,
+                before_view.routes[monitor],
+                after_view.routes[monitor],
+                after_view,
+            )
             if not (alarm.confidence is Confidence.LOW and min_confidence is Confidence.HIGH)
         ]
         if not monitor_alarms:
@@ -105,8 +106,6 @@ def detection_timing(
         if detection_round is None or monitor_round < detection_round:
             detection_round = monitor_round
 
-    attacker = result.attack.attacker
-    victim = result.attack.victim
     polluted_total = result.report.after
     if detection_round is None:
         polluted_before = polluted_total
@@ -116,18 +115,17 @@ def detection_timing(
             for asn in polluted_total
             if result.attacked.adoption_round.get(asn, 0) <= detection_round
         )
-    population = [
-        asn for asn in result.attacked.best if asn not in (attacker, victim)
-    ]
     timing = DetectionTiming(
         detected=detection_round is not None,
         detection_round=detection_round,
         polluted_before_detection=polluted_before,
         polluted_total=polluted_total,
-        num_ases=len(population),
+        # the report's population: every AS but the attacker and victim
+        num_ases=result.report.num_ases,
         alarms=tuple(alarms),
     )
     if metrics is not None and metrics.enabled:
+        metrics.count("collector.rows", collector.rows - rows_before)
         metrics.count("detection.timings")
         metrics.count("detection.alarms", len(alarms))
         if timing.detected:

@@ -75,18 +75,16 @@ def run(
 
         before_view = collector.snapshot(before)
         after_view = collector.snapshot(after)
-        changed = False
-        for monitor in collector.monitors:
-            previous, current = before_view.routes[monitor], after_view.routes[monitor]
-            if previous == current:
-                continue
-            changed = True
-            for alarm in detector.inspect_change(monitor, previous, current, after_view):
+        changed = after_view.changed_since(before_view)
+        for monitor in changed:
+            for alarm in detector.inspect_change(
+                monitor, before_view.routes[monitor], after_view.routes[monitor], after_view
+            ):
                 if alarm.confidence is Confidence.HIGH:
                     high += 1
                 else:
                     low += 1
-        events_with_visible_change += changed
+        events_with_visible_change += bool(changed)
 
     rows = [
         ("legitimate TE events", config.events),

@@ -77,17 +77,18 @@ def run(
 
     rows = []
     summary: dict[str, float] = {"effective_attacks": float(len(attacks))}
-    for count in config.monitor_counts:
-        if count > len(graph):
-            continue
-        collector = RouteCollector(graph, top_degree_monitors(graph, count))
+    counts = [count for count in config.monitor_counts if count <= len(graph)]
+    # The top-d fleets are nested: rank once, slice per count.
+    ranked = top_degree_monitors(graph, max(counts, default=1))
+    for count in counts:
+        collector = RouteCollector(graph, ranked[:count])
         detected = 0
         stream_detected = 0
         for result in attacks:
             if detection_timing(result, collector, detector, metrics=metrics).detected:
                 detected += 1
             streaming = StreamingDetector(detector, metrics=metrics)
-            streaming.prime(collector.snapshot(result.baseline))
+            streaming.prime(result.monitor_views(collector)[0])
             if streaming.consume_all(attack_update_stream(result, collector)):
                 stream_detected += 1
         accuracy = 100 * detected / len(attacks)

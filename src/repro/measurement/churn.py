@@ -114,38 +114,17 @@ def _background_prefix(index: int) -> str:
     return f"10.{index // 256}.{index % 256}.0/24"
 
 
-def _flap_messages(
-    prefix: str,
-    monitors: tuple[int, ...],
-    baseline: MonitorView,
-    degraded: MonitorView,
-) -> list[UpdateMessage]:
+def _flap_messages(baseline: MonitorView, degraded: MonitorView) -> list[UpdateMessage]:
     """One failure/recovery flap: each changed monitor announces the
     degraded route, then re-announces its baseline (both directions of
     the flap land in real update files)."""
-    messages: list[UpdateMessage] = []
-    for monitor in monitors:
-        before = baseline.routes.get(monitor)
-        after = degraded.routes.get(monitor)
-        if before == after:
-            continue
-        if after is None:
-            messages.append(
-                UpdateMessage(monitor=monitor, prefix=prefix, path=(), withdrawn=True)
-            )
-        else:
-            messages.append(
-                UpdateMessage(monitor=monitor, prefix=prefix, path=after.path)
-            )
-        if before is None:
-            messages.append(
-                UpdateMessage(monitor=monitor, prefix=prefix, path=(), withdrawn=True)
-            )
-        else:
-            messages.append(
-                UpdateMessage(monitor=monitor, prefix=prefix, path=before.path)
-            )
-    return messages
+    return [
+        message
+        for flap in zip(
+            degraded.updates_since(baseline), baseline.updates_since(degraded)
+        )
+        for message in flap
+    ]
 
 
 def synthesize_churn_stream(
@@ -199,9 +178,9 @@ def synthesize_churn_stream(
                 "no sampled interception changed any monitored route; "
                 "use a larger scale or more monitors"
             )
-        baselines[attack_result.baseline.prefix] = collector.snapshot(
-            attack_result.baseline
-        )
+        baselines[attack_result.baseline.prefix] = attack_result.monitor_views(
+            collector
+        )[0]
 
     # Background origins: transit-ish ASes with at least two neighbours,
     # so one failed link leaves routes to flap back to.
@@ -246,9 +225,7 @@ def synthesize_churn_stream(
                 prefix=prefix,
                 prepending=PrependingPolicy.uniform_origin(origin, backup),
             )
-            messages = _flap_messages(
-                prefix, collector.monitors, baseline_view, collector.snapshot(degraded)
-            )
+            messages = _flap_messages(baseline_view, collector.snapshot(degraded))
             if messages:
                 flaps.append(messages)
         if flaps:

@@ -38,7 +38,7 @@ from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.delta import propagate_delta
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.updates import SequencedUpdate, UpdateMessage
+from repro.bgp.updates import SequencedUpdate
 from repro.detection.alarms import Alarm
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.pipeline.faults import FeedFaultPlan
@@ -168,26 +168,13 @@ def mitigation_update_stream(
     not pause while the victim recovers.
     """
     after = collector.snapshot(after_outcome, modifiers=modifiers)
-    changed: list[tuple[int, int]] = []
-    for monitor in collector.monitors:
-        if before.routes.get(monitor) == after.routes.get(monitor):
-            continue
-        changed.append((after_outcome.adoption_round.get(monitor, 0), monitor))
-    changed.sort()
-
-    messages: list[SequencedUpdate] = []
-    seq = first_seq
-    for _round, monitor in changed:
-        route = after.routes[monitor]
-        if route is None:
-            message = UpdateMessage(
-                monitor=monitor, prefix=after.prefix, path=(), withdrawn=True
-            )
-        else:
-            message = UpdateMessage(monitor=monitor, prefix=after.prefix, path=route.path)
-        messages.append(SequencedUpdate(seq=seq, message=message))
-        seq += 1
-    return messages
+    return [
+        SequencedUpdate(seq=seq, message=message)
+        for seq, message in enumerate(
+            after.updates_since(before, clock=after_outcome.adoption_round),
+            first_seq,
+        )
+    ]
 
 
 class MitigationController:
@@ -338,9 +325,7 @@ def run_closed_loop(
             # (possibly degraded) pipeline.  Quarantined feeds are dark —
             # recovery traffic only flows over surviving ones.
             modifiers = {attacker: result.attack.modifier()}
-            attacked_view = stream.collector.snapshot(
-                result.attacked, modifiers=modifiers
-            )
+            _, attacked_view, _ = result.monitor_views(stream.collector)
             first_seq = stream.messages[-1].seq + 1 if stream.messages else 0
             recovery = mitigation_update_stream(
                 attacked_view,

@@ -41,16 +41,24 @@ from repro.telemetry.metrics import RunMetrics
 __all__ = ["BaselineCache", "derive_uniform_baseline", "derive_uniform_family"]
 
 
-def _uniform_rewrite_emit(canonical: PropagationOutcome, victim: int, padding: int):
+def _uniform_rewrite_emit(
+    canonical: PropagationOutcome,
+    victim: int,
+    padding: int,
+    metrics: RunMetrics | None,
+):
     """The deferred tuple-space derivation for one ``λ = padding``.
 
     Derived baselines are consumed almost exclusively through their
-    compiled state (warm starts, pollution masks), so the tuple maps
-    are materialised lazily: this closure runs on first access to the
-    derived outcome's ``best``/``adj_rib_in``.
+    compiled state (warm starts, pollution masks, row reads), so the
+    tuple maps are materialised lazily: this closure runs on first
+    access to the derived outcome's ``best``/``adj_rib_in``, and counts
+    itself as an emitted world in ``metrics``.
     """
 
     def emit(out: PropagationOutcome) -> None:
+        if metrics is not None:
+            metrics.count("engine.compiled.worlds_emitted")
         run = (victim,) * padding
         delta = padding - 1
         prefix = canonical.prefix
@@ -92,7 +100,11 @@ def _uniform_rewrite_emit(canonical: PropagationOutcome, victim: int, padding: i
 
 
 def derive_uniform_baseline(
-    canonical: PropagationOutcome, victim: int, padding: int
+    canonical: PropagationOutcome,
+    victim: int,
+    padding: int,
+    *,
+    metrics: RunMetrics | None = None,
 ) -> PropagationOutcome:
     """The converged baseline for uniform origin padding ``λ = padding``,
     derived from the canonical ``λ = 1`` outcome for the same victim.
@@ -118,7 +130,7 @@ def derive_uniform_baseline(
         origin=victim,
         adoption_round=dict(canonical.adoption_round),
         rounds=canonical.rounds,
-        emit=_uniform_rewrite_emit(canonical, victim, padding),
+        emit=_uniform_rewrite_emit(canonical, victim, padding, metrics),
     )
     # A compiled canonical outcome begets compiled derived outcomes:
     # the same rewrite in (index, intern-id) space, so warm-starting
@@ -138,7 +150,11 @@ def derive_uniform_baseline(
 
 
 def derive_uniform_family(
-    canonical: PropagationOutcome, victim: int, paddings: Iterable[int]
+    canonical: PropagationOutcome,
+    victim: int,
+    paddings: Iterable[int],
+    *,
+    metrics: RunMetrics | None = None,
 ) -> dict[int, PropagationOutcome]:
     """Derive the baselines for several uniform paddings at once.
 
@@ -157,7 +173,9 @@ def derive_uniform_family(
     outcomes: dict[int, PropagationOutcome] = {}
     for p in targets:
         outcomes[p] = (
-            canonical if p == 1 else derive_uniform_baseline(canonical, victim, p)
+            canonical
+            if p == 1
+            else derive_uniform_baseline(canonical, victim, p, metrics=metrics)
         )
     return outcomes
 
@@ -235,7 +253,9 @@ class BaselineCache:
             canonical = self._canonical(victim, prefix)
             if padding == 1:
                 return canonical  # _canonical already stored it under this key
-            outcome = derive_uniform_baseline(canonical, victim, padding)
+            outcome = derive_uniform_baseline(
+                canonical, victim, padding, metrics=self.metrics
+            )
             self.derived += 1
             self._record("cache.baseline_derivations")
         self._store(key, outcome)
@@ -263,7 +283,9 @@ class BaselineCache:
         if not missing:
             return
         canonical = self._canonical(victim, prefix)
-        family = derive_uniform_family(canonical, victim, [p for p, _ in missing])
+        family = derive_uniform_family(
+            canonical, victim, [p for p, _ in missing], metrics=self.metrics
+        )
         for p, key in missing:
             if p == 1:
                 continue  # _canonical already stored it

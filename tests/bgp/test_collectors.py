@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.attack.interception import simulate_interception
 from repro.bgp.collectors import CollectorFeed, MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.route import DEFAULT_PREFIX, Route
+from repro.bgp.updates import UpdateMessage
 from repro.exceptions import DetectionError, UnknownASError
 from repro.topology.relationships import PrefClass
+
+from tests.strategies import TINY_DETECTION, draw_attacker_then_victim, seeds, tiny_world
 
 
 class TestRouteCollector:
@@ -53,20 +59,106 @@ class TestRouteCollector:
         assert "monitor AS1" in dump
 
 
-class TestCollectorFeed:
-    @staticmethod
-    def make_view(**routes) -> MonitorView:
-        return MonitorView(
-            prefix=DEFAULT_PREFIX,
-            routes={
-                int(k[2:]): (
-                    Route(DEFAULT_PREFIX, tuple(v), tuple(v)[0], PrefClass.PEER)
-                    if v is not None
-                    else None
-                )
-                for k, v in routes.items()
-            },
+def make_view(**routes) -> MonitorView:
+    return MonitorView(
+        prefix=DEFAULT_PREFIX,
+        routes={
+            int(k[2:]): (
+                Route(DEFAULT_PREFIX, tuple(v), tuple(v)[0], PrefClass.PEER)
+                if v is not None
+                else None
+            )
+            for k, v in routes.items()
+        },
+    )
+
+
+class TestViewDiff:
+    def test_changed_monitors_ascending(self):
+        before = make_view(as9=(2, 3), as4=(3,), as1=(5, 3), as7=None)
+        after = make_view(as9=(4, 3), as4=(3,), as1=None, as7=None)
+        assert after.changed_since(before) == [1, 9]
+        assert after.changed_since(before, among=(9, 4)) == [9]
+        assert before.changed_since(before) == []
+
+    def test_updates_ordered_by_clock_then_monitor(self):
+        before = make_view(as1=(5, 3), as4=(3,), as9=(2, 3))
+        after = make_view(as1=None, as4=(6, 3), as9=(4, 3))
+        withdraw = UpdateMessage(1, DEFAULT_PREFIX, (), withdrawn=True)
+        assert after.updates_since(before) == [
+            withdraw,
+            UpdateMessage(4, DEFAULT_PREFIX, (6, 3)),
+            UpdateMessage(9, DEFAULT_PREFIX, (4, 3)),
+        ]
+        # AS4 is absent from the clock: round 0, ahead of the others.
+        assert after.updates_since(before, clock={1: 2, 9: 1}) == [
+            UpdateMessage(4, DEFAULT_PREFIX, (6, 3)),
+            UpdateMessage(9, DEFAULT_PREFIX, (4, 3)),
+            withdraw,
+        ]
+
+    def test_a_monitor_new_to_the_view_announces(self):
+        after = make_view(as1=(5, 3), as2=None)
+        assert after.updates_since(make_view()) == [
+            UpdateMessage(1, DEFAULT_PREFIX, (5, 3))
+        ]
+
+
+class TestViewPair:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds, feeds=st.booleans(), every=st.integers(1, 4))
+    def test_patched_after_view_equals_a_full_snapshot(self, seed, feeds, every):
+        """The after view re-reads only the monitors the attack stamped
+        (and a feeding attacker); it must equal the snapshot that reads
+        every monitor, and ``touched`` must cover every change."""
+        world, rng = tiny_world(seed, TINY_DETECTION)
+        victim, attacker = draw_attacker_then_victim(world, rng)
+        engine = PropagationEngine(world.graph)
+        result = simulate_interception(
+            engine, victim=victim, attacker=attacker, origin_padding=3
         )
+        monitors = world.graph.ases[::every] + [attacker]
+        modifiers = {attacker: result.attack.modifier()} if feeds else None
+
+        full = RouteCollector(world.graph, monitors)
+        before = full.snapshot(result.baseline)
+        after = full.snapshot(result.attacked, modifiers=modifiers)
+
+        collector = RouteCollector(world.graph, monitors)
+        pair = result.monitor_views(collector, attacker_feeds_collector=feeds)
+        assert pair[0] == before and list(pair[0].routes) == list(before.routes)
+        assert pair[1] == after and list(pair[1].routes) == list(after.routes)
+        assert set(after.changed_since(before)) <= set(pair[2])
+        assert pair[2] == tuple(sorted(pair[2]))
+        # Unread rows: the patch is what keeps a cell O(changed monitors).
+        assert collector.rows == len(collector.monitors) + len(pair[2])
+
+    def test_pair_is_shared_per_attack_and_feed_mode(self, small_world):
+        graph = small_world.graph
+        engine = PropagationEngine(graph)
+        tier1 = small_world.tier1
+        first = simulate_interception(
+            engine, victim=tier1[1], attacker=tier1[0], origin_padding=3
+        )
+        second = simulate_interception(
+            engine, victim=tier1[2], attacker=tier1[0], origin_padding=3
+        )
+        collector = RouteCollector(graph, graph.ases[::5] + [tier1[0]])
+        feeding = first.monitor_views(collector)
+        assert first.monitor_views(collector) is feeding
+        rows = collector.rows
+        stealthy = first.monitor_views(collector, attacker_feeds_collector=False)
+        assert stealthy is not feeding
+        assert stealthy[0] is feeding[0]  # one baseline snapshot per attack
+        assert collector.rows == rows + len(stealthy[2])
+        # The memo holds the latest attack only.
+        assert second.monitor_views(collector)[0] is not feeding[0]
+        assert first.monitor_views(collector) is not feeding
+        assert first.monitor_views(collector) == feeding
+
+
+class TestCollectorFeed:
+    make_view = staticmethod(make_view)
 
     def test_changes_detected_between_snapshots(self):
         feed = CollectorFeed(prefix=DEFAULT_PREFIX)

@@ -1,0 +1,112 @@
+"""Detection cells read monitor rows; they build no world.
+
+A detector needs AS-paths at M monitors, not at N ASes.  Collectors
+read ``PropagationOutcome.route_of`` rows, so fig13, fig14 and a
+campaign cell never run an outcome's deferred emission — and when
+something does touch ``best`` on such a path, the compiled backends
+count it (``engine.compiled.worlds_emitted``) instead of paying for it
+silently.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.bgp.engine import PropagationEngine, PropagationOutcome
+from repro.bgp.prepending import PrependingPolicy
+from repro.bgp.vectorized import numpy_available
+from repro.detection.monitors import top_degree_monitors
+from repro.experiments.fig13_detection_accuracy import Fig13Config
+from repro.experiments.fig13_detection_accuracy import run as run_fig13
+from repro.experiments.fig14_pollution_before_detection import Fig14Config
+from repro.experiments.fig14_pollution_before_detection import run as run_fig14
+from repro.runner import BaselineCache, CampaignPairTask, WorkerContext, WorkerSpec
+from repro.telemetry import RunMetrics
+
+WORLDS = "engine.compiled.worlds_emitted"
+
+
+@pytest.fixture()
+def worlds_built(monkeypatch) -> list[PropagationOutcome]:
+    """Every outcome whose deferred emission ran during the test."""
+    built: list[PropagationOutcome] = []
+    materialise = PropagationOutcome._materialise
+
+    def counted(self):
+        built.append(self)
+        materialise(self)
+
+    monkeypatch.setattr(PropagationOutcome, "_materialise", counted)
+    return built
+
+
+def test_fig13_builds_no_world(worlds_built):
+    metrics = RunMetrics()
+    run_fig13(Fig13Config(scale=0.25, pairs=10), metrics=metrics)
+    assert worlds_built == []
+    # ... and says so: the counter is registered, at zero, next to the
+    # rows that were served instead.
+    assert metrics.counters[WORLDS].value == 0
+    assert metrics.counter_value("collector.rows") > 0
+
+
+def test_fig14_builds_no_world(worlds_built):
+    run_fig14(Fig14Config(scale=0.25, pairs=10))
+    assert worlds_built == []
+
+
+@pytest.mark.parametrize("engine_mode", ["full", "delta"])
+def test_serial_campaign_pair_builds_no_world(small_world, worlds_built, engine_mode):
+    graph = small_world.graph
+    spec = WorkerSpec(
+        graph,
+        monitors=tuple(top_degree_monitors(graph, 25)),
+        metrics_enabled=True,
+        engine_mode=engine_mode,
+    )
+    ctx = WorkerContext(spec)
+    tier1 = small_world.tier1
+    result, timing = CampaignPairTask(
+        attacker=tier1[0], victim=tier1[1], padding=3
+    ).run(ctx)
+    assert worlds_built == []
+    assert ctx.metrics.counters[WORLDS].value == 0
+    assert timing.num_ases == result.report.num_ases == len(graph) - 2
+
+
+BACKENDS = [
+    ("compiled", "full"),
+    ("compiled", "delta"),
+    pytest.param(
+        "vectorized",
+        "full",
+        marks=pytest.mark.skipif(
+            not numpy_available(), reason="vectorized backend requires numpy"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("backend,mode", BACKENDS)
+def test_a_built_world_is_counted(small_world, backend, mode):
+    """One count per outcome whose ``best`` is touched: the cold
+    canonical run, the cache's derived λ baseline and the warm run."""
+    metrics = RunMetrics()
+    engine = PropagationEngine(
+        small_world.graph, backend=backend, mode=mode, metrics=metrics
+    )
+    cache = BaselineCache(engine, metrics=metrics)
+    victim, attacker = small_world.tier1[0], small_world.tier1[1]
+    prepending = PrependingPolicy.uniform_origin(victim, 3)
+    baseline = cache.baseline(victim, prepending=prepending)
+    attacked = engine.propagate(
+        victim,
+        prepending=prepending,
+        modifiers={attacker: lambda path: path},
+        warm_start=baseline,
+    )
+    assert metrics.counters[WORLDS].value == 0
+    attacked.best  # the warm run, its derived baseline, the canonical run
+    assert metrics.counters[WORLDS].value == 3
+    attacked.best, baseline.adj_rib_in  # already built: not again
+    assert metrics.counters[WORLDS].value == 3
