@@ -7,8 +7,8 @@ propagation, at three topology scales, plus the warm-start attack path
 is tracked against the reference interpreter it replaced.
 
 ``test_bench_fig09_sweep_speedup`` is the regression gate: it times the
-full Figure-9 λ-sweep pipeline (canonical baseline, cached λ
-derivations, eight warm-started attacks, pollution reports) on both
+full Figure-9 λ-sweep pipeline (eight baseline convergences, eight
+warm-started attacks, pollution reports) on both
 backends, asserts the rows are bit-identical, writes the measurement to
 ``BENCH_engine.json`` at the repository root, and fails if the compiled
 backend drops below 1.5× the reference.
@@ -32,7 +32,6 @@ from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.experiments.base import build_world
-from repro.runner import BaselineCache
 from repro.topology.generators import PowerLawConfig, generate_powerlaw_topology
 from repro.topology.tiers import customer_cone
 from tests.bgp.compile_oracle import compile_oracle
@@ -192,19 +191,10 @@ def _engine_sweep_rows(engine, attacker, victim):
     """The λ = 1..8 sweep on the engine route — cached baseline, warm
     attack, pollution report — which is what every route-building cell
     pays.  (``padding_sweep`` itself answers impact-only points from
-    the impact kernel whatever the engine's backend or mode, so it
-    cannot tell two engines apart.)"""
+    the impact kernel whatever the engine's backend, so it cannot tell
+    two engines apart.)"""
     cells = [(attacker, victim, padding) for padding in range(1, 9)]
-    return [point.row() for point in _engine_route(engine, cells)]
-
-
-def _engine_route(engine, cells):
-    """``cells`` on the engine route with each victim's λ family
-    derived in one pass first, as the runner's prepare hook does."""
-    cache = BaselineCache(engine)
-    for victim in dict.fromkeys(victim for _, victim, _ in cells):
-        cache.prefetch_uniform(victim, [p for _, v, p in cells if v == victim])
-    return engine_route_points(engine, cells, cache=cache)
+    return [point.row() for point in engine_route_points(engine, cells)]
 
 
 def _time_fig09_sweep(graph, backend, attacker, victim, repeats=3):
@@ -254,235 +244,6 @@ def test_bench_fig09_sweep_speedup(worlds):
     assert speedup >= 1.5, (
         f"compiled backend regressed to {speedup:.2f}x over reference "
         f"(floor is 1.5x)"
-    )
-
-
-def _time_fig09_recompute(graph, attacker, victim, repeats=3):
-    """Min-of-N wall clock of the fig09 λ-sweep under the full-recompute
-    discipline: every point converges its baseline cold and re-floods
-    the whole topology for the attack — no cross-λ cache, no delta.
-    This is what the sweep costs without any warm-reuse machinery."""
-    from repro.attack.interception import simulate_interception
-
-    best = None
-    rows = None
-    for _ in range(repeats):
-        engine = PropagationEngine(graph, backend="compiled")
-        start = time.perf_counter()
-        rows = []
-        for padding in range(1, 9):
-            prepending = PrependingPolicy.uniform_origin(victim, padding)
-            baseline = engine.propagate(victim, prepending=prepending)
-            result = simulate_interception(
-                engine,
-                victim=victim,
-                attacker=attacker,
-                origin_padding=padding,
-                prepending=prepending,
-                baseline=baseline,
-            )
-            rows.append(
-                (
-                    padding,
-                    100 * result.report.before_fraction,
-                    100 * result.report.after_fraction,
-                )
-            )
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, rows
-
-
-def _time_fig09_mode(graph, mode, attacker, victim, repeats=3):
-    """Min-of-N wall clock of the production λ-sweep pipeline (shared
-    baseline cache, uniform-λ derivations) under one engine mode."""
-    best = None
-    rows = None
-    for _ in range(repeats):
-        engine = PropagationEngine(graph, backend="compiled", mode=mode)
-        start = time.perf_counter()
-        rows = _engine_sweep_rows(engine, attacker, victim)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, rows
-
-
-def test_bench_fig09_delta_speedup(worlds):
-    """Delta mode on the fig09 λ-sweep, measured honestly.
-
-    Figure 9 pits the two largest Tier-1s against each other, so the
-    attacker's affected cone covers most of the topology (~78% of ASes
-    on the seed world) and a delta flood does nearly as much work as a
-    full one — the headline delta win lives on grids of small-cone
-    attackers (see ``test_bench_grid_delta_speedup``, which carries the
-    5x gate).  What delta must deliver *here* is (a) bit-identical rows
-    and (b) a solid margin over the full-recompute discipline (cold
-    baseline + whole-topology re-flood per point), without regressing
-    the already-cached production pipeline.  The payload records all
-    three disciplines so the provenance of every ratio is explicit; the
-    CI floor is 1.4x over full recompute (measured 1.6-2.1x across
-    runs, headroom for noisy shared runners).
-    """
-    world = worlds[1.0]
-    graph = world.graph
-    tier1 = sorted(
-        world.topology.tier1, key=lambda asn: -len(customer_cone(graph, asn))
-    )
-    attacker, victim = tier1[0], tier1[1]
-
-    recompute_s, recompute_rows = _time_fig09_recompute(graph, attacker, victim)
-    full_s, full_rows = _time_fig09_mode(graph, "full", attacker, victim)
-    delta_s, delta_rows = _time_fig09_mode(graph, "delta", attacker, victim)
-    assert delta_rows == full_rows, "delta mode changed the sweep rows"
-    assert delta_rows == recompute_rows, "delta mode disagrees with full recompute"
-
-    speedup = recompute_s / delta_s
-    _merge_bench(
-        "fig09_delta_sweep",
-        {
-            "topology_ases": len(graph),
-            "full_recompute_ms": round(recompute_s * 1000, 2),
-            "full_pipeline_ms": round(full_s * 1000, 2),
-            "delta_ms": round(delta_s * 1000, 2),
-            "speedup_vs_recompute": round(speedup, 2),
-            "speedup_vs_pipeline": round(full_s / delta_s, 2),
-        },
-    )
-    print(
-        f"\nfig09 delta: recompute {recompute_s * 1000:.1f} ms, "
-        f"full pipeline {full_s * 1000:.1f} ms, delta {delta_s * 1000:.1f} ms, "
-        f"{speedup:.2f}x vs recompute"
-    )
-    assert speedup >= 1.4, (
-        f"delta mode at {speedup:.2f}x over full recompute on the fig09 "
-        f"sweep (floor is 1.4x)"
-    )
-    assert delta_s <= full_s * 1.10, (
-        f"delta mode regressed the cached pipeline: {delta_s * 1000:.1f} ms "
-        f"vs {full_s * 1000:.1f} ms full"
-    )
-
-
-def _time_grid(graph, mode, pairs, repeats=3):
-    """Min-of-N wall clock of a fixed-λ pair grid under one engine mode
-    (fresh baseline cache per rep, engine construction excluded)."""
-    cells = [(attacker, victim, 3) for attacker, victim in pairs]
-    best = None
-    results = None
-    for _ in range(repeats):
-        engine = PropagationEngine(graph, backend="compiled", mode=mode)
-        start = time.perf_counter()
-        results = _engine_route(engine, cells)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, results
-
-
-def _time_grid_recompute(graph, pairs, repeats=2):
-    """Min-of-N wall clock of the grid under the per-pair full-recompute
-    discipline: every cell converges its victim's baseline cold and
-    runs the attack from it, with no cache shared between cells.  This
-    is the reference oracle the golden grid test pins delta against,
-    and what the grid costs without any reuse machinery."""
-    from repro.attack.interception import simulate_interception
-    from repro.runner import SweepPointResult
-
-    best = None
-    results = None
-    for _ in range(repeats):
-        engine = PropagationEngine(graph, backend="compiled")
-        start = time.perf_counter()
-        results = []
-        for attacker, victim in pairs:
-            prepending = PrependingPolicy.uniform_origin(victim, 3)
-            baseline = engine.propagate(victim, prepending=prepending)
-            result = simulate_interception(
-                engine,
-                victim=victim,
-                attacker=attacker,
-                origin_padding=3,
-                prepending=prepending,
-                baseline=baseline,
-            )
-            results.append(
-                SweepPointResult(
-                    attacker=attacker,
-                    victim=victim,
-                    padding=3,
-                    before_fraction=result.report.before_fraction,
-                    after_fraction=result.report.after_fraction,
-                    attacker_kept_route=result.attacker_has_route,
-                )
-            )
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, results
-
-
-def test_bench_grid_delta_speedup(worlds):
-    """The delta-reuse gate: >= 5x on an exhaustive attack grid.
-
-    This is the workload delta mode exists for — many attackers probing
-    the same victims, each touching only its own neighbourhood.  The
-    grid pits small-cone Tier-4 transit attackers (the paper's "mostly
-    Tier-4/Tier-5 attackers" regime) against the two largest Tier-1
-    victims.  Under the per-pair full-recompute discipline every cell
-    pays a cold whole-topology convergence; delta pays two cold
-    convergences total (one canonical pass per victim) and then only
-    each cell's affected cone — a handful of ASes here — so the reuse
-    ratio, not cache locality, carries the gate.  The warm cached
-    pipeline (full mode, shared baseline cache) is recorded alongside
-    for provenance: its worklist is already change-driven, so delta's
-    margin over *it* is modest and is gated only as a no-regression
-    bound.  Rows must be bit-identical cell for cell across all three
-    disciplines.
-    """
-    world = worlds[1.0]
-    graph = world.graph
-    tier1 = sorted(
-        world.topology.tier1, key=lambda asn: -len(customer_cone(graph, asn))
-    )
-    victims = tier1[:2]
-    attackers = sorted(
-        world.topology.tier4, key=lambda asn: (len(customer_cone(graph, asn)), asn)
-    )[:64]
-    pairs = [(a, v) for a in attackers for v in victims if a != v]
-
-    recompute_s, recompute_results = _time_grid_recompute(graph, pairs)
-    full_s, full_results = _time_grid(graph, "full", pairs)
-    delta_s, delta_results = _time_grid(graph, "delta", pairs)
-    assert delta_results == full_results, "delta mode changed grid cells"
-    assert delta_results == recompute_results, "delta disagrees with full recompute"
-
-    speedup = recompute_s / delta_s
-    _merge_bench(
-        "exhaustive_grid_delta",
-        {
-            "topology_ases": len(graph),
-            "grid_cells": len(pairs),
-            "full_recompute_ms": round(recompute_s * 1000, 2),
-            "full_pipeline_ms": round(full_s * 1000, 2),
-            "delta_ms": round(delta_s * 1000, 2),
-            "speedup_vs_recompute": round(speedup, 2),
-            "speedup_vs_pipeline": round(full_s / delta_s, 2),
-        },
-    )
-    print(
-        f"\ngrid delta: {len(pairs)} cells, recompute {recompute_s * 1000:.1f} ms, "
-        f"full pipeline {full_s * 1000:.1f} ms, delta {delta_s * 1000:.1f} ms, "
-        f"{speedup:.2f}x vs recompute"
-    )
-    assert speedup >= 5.0, (
-        f"delta mode at {speedup:.2f}x over per-pair full recompute on the "
-        f"exhaustive grid (gate is 5x)"
-    )
-    assert delta_s <= full_s * 1.10, (
-        f"delta mode regressed the cached pipeline: {delta_s * 1000:.1f} ms "
-        f"vs {full_s * 1000:.1f} ms full"
     )
 
 

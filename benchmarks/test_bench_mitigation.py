@@ -13,8 +13,8 @@ Two records land in ``BENCH_engine.json``:
   stay within 5% of the admit path; the tolerant arm is recorded
   ungated (it pays per-update validation by design).
 * ``mitigation_recovery`` — the closed loop's cost profile: wall-clock
-  of the controller's λ'-derivation + delta re-convergence, with the
-  recovery clocks and residual pollution alongside.
+  of the controller's warm re-convergence from the cached λ' baseline,
+  with the recovery clocks and residual pollution alongside.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def test_bench_closed_loop_recovery(attack_churn):
     assert step.detected, "the benchmark stream must alarm"
     assert step.time_to_recover > 0
 
-    # Wall-clock of the countermeasure alone: λ' derivation from the
-    # cached canonical baseline + one delta re-convergence.
+    # Wall-clock of the countermeasure alone: one warm re-convergence
+    # from the cached λ' baseline.
     engine = PropagationEngine(attack_churn.world.graph)
     controller = MitigationController(engine, MitigationPolicy())
     controller.mitigate(attack_churn)  # warm the baseline cache

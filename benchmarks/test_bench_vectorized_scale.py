@@ -115,56 +115,6 @@ def test_bench_fig09_vectorized_10k(world_10k, topo_10k):
     )
 
 
-def test_bench_grid_vectorized_10k(world_10k, topo_10k):
-    """Batched canonical baselines at 10k — the grid-prefetch shape:
-    eight victims converge as one walk, per-column cost vs one compiled
-    run each.  Gate: ≥10x per column on the batched core."""
-    graph = world_10k.graph
-    tier1 = set(world_10k.tier1)
-    mid_transit = [a for a in world_10k.transit_ases if a not in tier1]
-    victims = list(world_10k.tier1[:4]) + mid_transit[:4]
-    b = len(victims)
-
-    eng_c = PropagationEngine(graph, backend="compiled")
-    eng_v = PropagationEngine(graph, backend="vectorized")
-    batch = eng_v.propagate_batch(victims)
-    for v in victims:
-        oc = eng_c.propagate(v)
-        assert list(oc.best.items()) == list(batch[v].best.items())
-        assert oc.best_keys == batch[v].best_keys
-
-    compiled_s, _ = _min_of(
-        2, lambda: [eng_c.propagate(v) for v in victims]
-    )
-    batch_s, _ = _min_of(2, lambda: eng_v.propagate_batch(victims))
-    core_s, _ = _min_of(3, lambda: vectorized_fixpoint(topo_10k, victims))
-
-    per_col_core = core_s / b
-    core_speedup = (compiled_s / b) / per_col_core
-    _merge_bench(
-        "grid_vectorized_10k",
-        {
-            "topology_ases": len(graph),
-            "batch_columns": b,
-            "compiled_ms_per_col": round(compiled_s / b * 1000, 2),
-            "batch_ms_per_col": round(batch_s / b * 1000, 2),
-            "core_ms_per_col": round(per_col_core * 1000, 2),
-            "speedup_engine": round(compiled_s / batch_s, 2),
-            "speedup_core": round(core_speedup, 2),
-        },
-    )
-    print(
-        f"\n10k batch x{b}: compiled {compiled_s / b * 1000:.1f} ms/col, "
-        f"batch {batch_s / b * 1000:.1f} ms/col "
-        f"({compiled_s / batch_s:.1f}x), "
-        f"core {per_col_core * 1000:.2f} ms/col ({core_speedup:.1f}x)"
-    )
-    assert core_speedup >= 10.0, (
-        f"batched vectorized core at {core_speedup:.1f}x per column at 10k "
-        f"(gate is 10x)"
-    )
-
-
 def test_bench_impact_kernel_10k(world_10k, topo_10k):
     """The grid-10k shape — 5 largest-cone transit attackers x 10
     largest-cone victims at λ=3 — as impact-kernel columns vs the

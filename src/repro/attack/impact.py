@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.delta import DeltaState, DerivedUniformState
 from repro.bgp.engine import PropagationOutcome
 
 __all__ = ["PollutionReport", "fraction_traversing", "pollution_report"]
@@ -74,8 +73,8 @@ def _member_indices(state, attacker_idx: int, bit: int) -> frozenset[int]:
     """Indices whose selected path traverses the attacker, memoised on
     the (immutable, converged) compiled state per attacker.
 
-    A λ-sweep reports against the same canonical state eight times and
-    a pair grid revisits each victim's baseline once per attacker, so
+    A deployment sweep reports against one baseline at every fraction
+    and a campaign revisits a victim's baseline once per attacker, so
     the memo turns the report's baseline half into a dict hit.
     """
     cache = state._trav
@@ -106,18 +105,16 @@ def _compiled_traversal_sets(
 
     When both outcomes carry :class:`~repro.bgp.compiled.CompiledState`
     over the same intern table — the invariable case for runner tasks,
-    where the attack warm-starts from the cache's derived baseline —
-    "does this AS's path traverse the attacker?" is one mask AND per AS
-    instead of a tuple scan, and the result is exactly the membership
-    test on the reified path.
+    where the attack warm-starts from the cached baseline — "does this
+    AS's path traverse the attacker?" is one mask AND per AS instead of
+    a tuple scan, and the result is exactly the membership test on the
+    reified path.
 
-    Delta-propagated outcomes get a further cut: attacker membership is
-    λ-invariant (a uniform-λ rewrite only pads the victim's trailing
-    run), so a :class:`~repro.bgp.delta.DerivedUniformState` baseline is
-    measured on its canonical arrays without ever materialising the
-    derivation, and a :class:`~repro.bgp.delta.DeltaState` attack's
-    after-set is the baseline membership patched over the overlay's
-    touched rows — O(affected cone) instead of O(topology).
+    An attack warm-started from this very baseline gets a further cut:
+    its arrays began as a copy of the baseline's and were rewritten
+    only where the run stamped an adoption round, so the after-set is
+    the memoised baseline membership patched over those rows —
+    O(affected cone) instead of O(topology).
     """
     base_state = baseline.compiled_state
     attack_state = attacked.compiled_state
@@ -136,28 +133,21 @@ def _compiled_traversal_sets(
     mask = base_state.table.mask
     asn_of = topo.asn
     n = topo.n
-    # The canonical arrays carry the same attacker membership as any
-    # λ-derivation of them; reading through keeps the derived baseline
-    # lazy and shares one membership memo across the whole λ family.
-    base_read = (
-        base_state.canonical
-        if isinstance(base_state, DerivedUniformState)
-        else base_state
-    )
-    before_idx = _member_indices(base_read, attacker_idx, bit)
-    if isinstance(attack_state, DeltaState) and attack_state.base is base_read:
-        # O(touched): everything outside the overlay kept its baseline
-        # row, so only overlay entries can flip membership.
+    before_idx = _member_indices(base_state, attacker_idx, bit)
+    attack_pref = attack_state.best_pref
+    attack_pid = attack_state.best_pid
+    if attack_state.warm_base is base_state:
+        # O(touched): every other row still holds its baseline value,
+        # so only the rewritten rows can flip membership.
         after_set = set(before_idx)
-        over_pid = attack_state.over_best_pid
-        for i, pref in attack_state.over_best_pref.items():
-            if pref >= 0 and mask[over_pid[i]] & bit:
+        index = topo.index
+        for asn in attacked.adoption_round:
+            i = index[asn]
+            if attack_pref[i] >= 0 and mask[attack_pid[i]] & bit:
                 after_set.add(i)
             else:
                 after_set.discard(i)
     else:
-        attack_pref = attack_state.best_pref
-        attack_pid = attack_state.best_pid
         after_set = {
             i
             for i in range(n)

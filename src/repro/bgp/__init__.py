@@ -42,7 +42,6 @@ from repro.bgp.vectorized import (
     VectorizedUnsupported,
     numpy_available,
     run_vectorized,
-    run_vectorized_batch,
     vectorized_fixpoint,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "VectorizedUnsupported",
     "numpy_available",
     "run_vectorized",
-    "run_vectorized_batch",
     "vectorized_fixpoint",
     "dumps_view",
     "loads_view",

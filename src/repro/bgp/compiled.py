@@ -23,10 +23,9 @@ engine's dict-of-tuples interpretation for three flat data structures:
   backend (the invariant/differential suites are the oracle).
 
 * :class:`CompiledState` — a converged run's best/rib arrays, attached
-  to the outcome so warm starts (attack onsets) and the baseline
-  cache's uniform-λ derivations stay in compiled space: loading a warm
-  start is five C-speed list copies, and deriving a λ variant rewrites
-  each *distinct* interned path once instead of rebuilding every tuple.
+  to the outcome so warm starts (attack onsets), row reads and
+  pollution reports stay in compiled space: loading a warm start is
+  five C-speed list copies.
 
 Canonical interning is a correctness requirement, not just a speed-up:
 the reference engine decides "did my best route actually change?" by
@@ -477,12 +476,12 @@ class CompiledState:
     """A converged routing state in compiled (index / intern-id) space.
 
     Attached to every :class:`~repro.bgp.engine.PropagationOutcome` the
-    compiled backend produces (and to baselines the cache derives), so
-    a warm start loads the arrays straight back instead of re-interning
-    thousands of path tuples.  ``best_pref[i] == -1`` means no route;
-    ``rib_pid[k]`` is ``-2`` for an absent offer and ``-1`` for an
-    explicit withdrawal — the distinction the reference engine keeps
-    between "never offered" and ``None`` in the Adj-RIB-in.
+    compiled backends produce, so a warm start loads the arrays
+    straight back instead of re-interning thousands of path tuples.
+    ``best_pref[i] == -1`` means no route; ``rib_pid[k]`` is ``-2`` for
+    an absent offer and ``-1`` for an explicit withdrawal — the
+    distinction the reference engine keeps between "never offered" and
+    ``None`` in the Adj-RIB-in.
 
     The state pins its :class:`InternTable` (and through it the
     topology); it is derived data and never pickled
@@ -496,6 +495,8 @@ class CompiledState:
         "best_from",
         "rib_pid",
         "rib_pref",
+        "warm_base",
+        "touched",
         "_trav",
     )
 
@@ -514,6 +515,13 @@ class CompiledState:
         self.best_from = best_from
         self.rib_pid = rib_pid
         self.rib_pref = rib_pref
+        #: what a warm run leaves behind (unset on a cold one): the
+        #: state its arrays started as a copy of — the best arrays have
+        #: been rewritten since only where the outcome carries an
+        #: adoption stamp — and how many ASes saw their best route or
+        #: Adj-RIB-in change at all.
+        self.warm_base: CompiledState | None = None
+        self.touched = 0
         #: per-attacker traversal membership memo (lazily created by
         #: :mod:`repro.attack.impact`); converged states are immutable,
         #: so the memo never invalidates.
@@ -527,45 +535,6 @@ class CompiledState:
         """``(pref, path id, learned-from index)`` of AS index ``i`` —
         what :meth:`PropagationOutcome.route_of` reifies."""
         return self.best_pref[i], self.best_pid[i], self.best_from[i]
-
-    def derive_uniform(self, victim: int, padding: int) -> "CompiledState":
-        """The state for uniform origin padding ``λ = padding``, derived
-        from this canonical ``λ = 1`` state.
-
-        Mirrors :func:`repro.runner.cache.derive_uniform_baseline` in
-        compiled space: every path ends with the victim's padded run,
-        so each *distinct* interned path is rewritten exactly once (the
-        memo walks each chain node once), instead of rebuilding a tuple
-        per AS and per Adj-RIB-in offer.
-        """
-        table = self.table
-        victim_idx = table.topo.index[victim]
-        parent = table.parent
-        head = table.head
-        run = table.run
-        extend = table.extend
-        memo = {0: 0}
-
-        def rewrite(pid: int) -> int:
-            new = memo.get(pid)
-            if new is None:
-                above = parent[pid]
-                if above == 0 and head[pid] == victim_idx:
-                    # The trailing victim run: λ copies instead of one.
-                    new = extend(0, victim_idx, padding)
-                else:
-                    new = extend(rewrite(above), head[pid], run[pid])
-                memo[pid] = new
-            return new
-
-        return CompiledState(
-            table,
-            self.best_pref.copy(),
-            [rewrite(pid) for pid in self.best_pid],
-            self.best_from.copy(),
-            [pid if pid < 0 else rewrite(pid) for pid in self.rib_pid],
-            self.rib_pref.copy(),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -620,18 +589,18 @@ def run_compiled(
         intern_misses_start = table.misses
         reified_start = table.reified_count
 
-    warm_fast = False
+    warm_base: CompiledState | None = None
     if warm_start is not None:
         state = warm_start.compiled_state
         if isinstance(state, CompiledState) and state.table is table:
-            # The usual case: warm-starting from a compiled (or cache-
-            # derived) outcome over the same table — five array copies.
+            # The usual case: warm-starting from a compiled outcome
+            # over the same table — five array copies.
             best_pref = state.best_pref.copy()
             best_pid = state.best_pid.copy()
             best_from = state.best_from.copy()
             rib_pid = state.rib_pid.copy()
             rib_pref = state.rib_pref.copy()
-            warm_fast = True
+            warm_base = state
         else:
             # Foreign outcome (reference backend, other engine): intern
             # its tuples into this table once.
@@ -899,7 +868,7 @@ def run_compiled(
     # Emission is *deferred*: the outcome carries this closure and runs
     # it on first access to ``best``/``adj_rib_in``/``best_keys``, so a
     # pipeline that only consumes the attached compiled state (warm
-    # starts, λ derivations, pollution masks) never builds a tuple.
+    # starts, row reads, pollution masks) never builds a tuple.
     def materialise(out: "PropagationOutcome") -> None:
         if track:
             metrics.count("engine.compiled.worlds_emitted")
@@ -972,9 +941,12 @@ def run_compiled(
         rounds=max_round,
         emit=materialise,
     )
-    outcome.compiled_state = CompiledState(
+    outcome.compiled_state = state = CompiledState(
         table, best_pref, best_pid, best_from, rib_pid, rib_pref
     )
+    if warm_start is not None:
+        state.warm_base = warm_base
+        state.touched = len(rib_touched | adoption.keys())
 
     if track:
         # Identical warm/cold accounting to the reference backend (the
@@ -1009,7 +981,7 @@ def run_compiled(
         if warm_start is not None:
             metrics.count(
                 "engine.compiled.warm_fast_loads"
-                if warm_fast
+                if warm_base is not None
                 else "engine.compiled.warm_tuple_loads"
             )
 

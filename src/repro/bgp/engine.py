@@ -90,12 +90,12 @@ class PropagationOutcome:
     since the start state).
 
     The tuple-based maps may be materialised *lazily*: the compiled
-    backend and the baseline cache construct outcomes with an ``emit``
-    callback instead of eager ``best``/``adj_rib_in`` dicts, and the
-    callback reifies the interned state into tuples on first access —
-    the whole *world*, every AS's route and Adj-RIB-in.  The sweep
-    pipeline (warm starts, λ derivations, pollution reports) reads only
-    the attached compiled state, so it never pays for the dicts.
+    backends construct outcomes with an ``emit`` callback instead of
+    eager ``best``/``adj_rib_in`` dicts, and the callback reifies the
+    interned state into tuples on first access — the whole *world*,
+    every AS's route and Adj-RIB-in.  The sweep pipeline (warm starts,
+    pollution reports) reads only the attached compiled state, so it
+    never pays for the dicts.
 
     Consumers that need a few ASes' routes — collectors, detectors,
     :meth:`path_of` — use the *row read* :meth:`route_of` instead: it
@@ -153,8 +153,8 @@ class PropagationOutcome:
         self._rows: dict[int, Route | None] = {}
         #: the same converged state in the compiled backend's (index,
         #: intern-id) space (:class:`repro.bgp.compiled.CompiledState`),
-        #: attached by the compiled engine and the baseline cache so
-        #: warm starts and λ derivations stay in compiled space.
+        #: attached by the compiled backends so warm starts, row reads
+        #: and pollution reports stay in compiled space.
         #: Derived data: excluded from equality and dropped on pickling
         #: (an intern table is engine-local and must not cross process
         #: boundaries).
@@ -334,7 +334,6 @@ class PropagationEngine:
         max_activations: int = 50,
         metrics: RunMetrics | None = None,
         backend: str = "compiled",
-        mode: str = "full",
     ) -> None:
         """``max_activations`` bounds the worklist to that many
         activations *per AS* before :class:`ConvergenceError` is raised
@@ -352,17 +351,10 @@ class PropagationEngine:
         dict-of-tuples interpreter in this module.  The two are
         bit-identical on every outcome field — the compiled-vs-
         reference differential suite pins that — so the switch is purely
-        a speed/debuggability trade.
-
-        ``mode`` selects how warm-started propagations are executed on
-        the compiled backend: ``"full"`` (the default, and the oracle)
-        recomputes over copied baseline arrays; ``"delta"`` runs
-        :func:`repro.bgp.delta.run_delta` — copy-on-write overlays over
-        the converged baseline, touching only the attack's cone — and
-        falls back to the full recompute whenever a run's inputs cannot
-        take the delta path (cold runs, foreign warm starts, origin
-        reseeds).  Delta results are bit-identical to full ones; the
-        differential suite pins that too.
+        a speed/debuggability trade.  ``"vectorized"`` converges cold
+        stock-policy runs on the NumPy wave fixpoint of
+        :mod:`repro.bgp.vectorized` and everything else on the compiled
+        core.
         """
         if max_activations < 1:
             raise SimulationError("max_activations must be positive")
@@ -371,10 +363,6 @@ class PropagationEngine:
                 "backend must be 'compiled', 'reference' or 'vectorized', "
                 f"got {backend!r}"
             )
-        if mode not in ("full", "delta"):
-            raise SimulationError(f"mode must be 'full' or 'delta', got {mode!r}")
-        if mode == "delta" and backend == "reference":
-            raise SimulationError("mode='delta' requires a compiled-array backend")
         if backend == "vectorized":
             from repro.bgp.vectorized import numpy_available
 
@@ -382,7 +370,6 @@ class PropagationEngine:
                 raise SimulationError(
                     "backend='vectorized' requires numpy, which is not installed"
                 )
-        self._mode = mode
         self._graph: ASGraph | None = graph
         self._max_activations = max_activations
         self.metrics = metrics
@@ -403,7 +390,6 @@ class PropagationEngine:
         *,
         max_activations: int = 50,
         metrics: RunMetrics | None = None,
-        mode: str = "full",
         backend: str = "compiled",
     ) -> "PropagationEngine":
         """An engine over pre-compiled arrays, without an ASGraph.
@@ -418,8 +404,6 @@ class PropagationEngine:
         engine = cls.__new__(cls)
         if max_activations < 1:
             raise SimulationError("max_activations must be positive")
-        if mode not in ("full", "delta"):
-            raise SimulationError(f"mode must be 'full' or 'delta', got {mode!r}")
         if backend not in ("compiled", "vectorized"):
             raise SimulationError(
                 "from_compiled backend must be 'compiled' or 'vectorized', "
@@ -429,7 +413,6 @@ class PropagationEngine:
         engine._max_activations = max_activations
         engine.metrics = metrics
         engine._backend = backend
-        engine._mode = mode
         engine._adjacency = None
         engine._compiled_topo = topo
         engine._tables = OrderedDict()
@@ -499,10 +482,6 @@ class PropagationEngine:
     @property
     def backend(self) -> str:
         return self._backend
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     @property
     def max_activations(self) -> int:
@@ -621,9 +600,9 @@ class PropagationEngine:
 
         if self._backend in ("compiled", "vectorized"):
             # An outcome already carrying compiled state over this
-            # topology brings its own intern table (the cache's derived
-            # baselines share the canonical run's table); otherwise the
-            # engine keeps one table per origin.
+            # topology brings its own intern table (it outlives the
+            # engine's per-origin LRU); otherwise the engine keeps one
+            # table per origin.
             state = warm_start.compiled_state if warm_start is not None else None
             if (
                 isinstance(state, CompiledState)
@@ -665,31 +644,6 @@ class PropagationEngine:
                         pass
                 if self.metrics is not None and self.metrics.enabled:
                     self.metrics.count("engine.vectorized.fallbacks")
-            if self._mode == "delta" and warm_start is not None:
-                from repro.bgp.delta import run_delta
-
-                outcome = run_delta(
-                    self._topo,
-                    table,
-                    origin=origin,
-                    prefix=prefix,
-                    prepending=prepending,
-                    modifiers=modifiers,
-                    export_policy=export_policy,
-                    import_filters=import_filters,
-                    warm_start=warm_start,
-                    seed=seed,
-                    activation=activation,
-                    activation_rng=activation_rng,
-                    secpol=secpol,
-                    incremental=incremental,
-                    max_activations=self._max_activations,
-                    metrics=self.metrics,
-                )
-                if outcome is not None:
-                    return outcome
-                if self.metrics is not None and self.metrics.enabled:
-                    self.metrics.count("engine.delta.fallbacks")
             return run_compiled(
                 self._topo,
                 table,
@@ -945,54 +899,6 @@ class PropagationEngine:
             rounds=max_round,
             best_keys=best_key,
         )
-
-    # ------------------------------------------------------------------
-    def propagate_batch(
-        self, origins: Iterable[int], *, prefix: str = DEFAULT_PREFIX
-    ) -> dict[int, PropagationOutcome]:
-        """Converge many origins' cold canonical baselines in one walk.
-
-        Vectorized backend only: each origin becomes a column of the
-        2-D key matrix, so a campaign's baselines share every topology
-        gather instead of walking the graph once per victim.  Each
-        outcome is built on its own per-origin intern table and is
-        bit-identical to ``propagate(origin, prefix=prefix)`` — the
-        batched-columns differential pins that.  Results come back
-        keyed by origin, in input order.
-        """
-        if self._backend != "vectorized":
-            raise SimulationError(
-                "propagate_batch requires backend='vectorized'"
-            )
-        origins = list(origins)
-        for origin in origins:
-            if not self._contains(origin):
-                raise UnknownASError(origin)
-        if len(set(origins)) != len(origins):
-            raise SimulationError("propagate_batch origins must be distinct")
-        if not origins:
-            return {}
-        from repro.bgp.vectorized import (
-            VectorizedUnsupported,
-            run_vectorized_batch,
-        )
-
-        tables = {origin: self._table_for(origin) for origin in origins}
-        try:
-            outcomes = run_vectorized_batch(
-                self._topo,
-                tables,
-                origins,
-                prefix=prefix,
-                metrics=self.metrics,
-            )
-        except VectorizedUnsupported:
-            if self.metrics is not None and self.metrics.enabled:
-                self.metrics.count("engine.vectorized.fallbacks", len(origins))
-            return {
-                origin: self.propagate(origin, prefix=prefix) for origin in origins
-            }
-        return dict(zip(origins, outcomes))
 
     # ------------------------------------------------------------------
     def _decide(

@@ -91,11 +91,7 @@ class PrependingPolicy:
     def uniform_origin_count(self, origin: int) -> int | None:
         """``λ`` when this schedule is exactly "``origin`` pads every
         announcement with ``λ`` copies and nobody else pads" (``1``
-        covers the empty schedule); ``None`` for any other shape.
-
-        Uniform-origin schedules are the family the baseline cache can
-        derive from a single converged run per victim.
-        """
+        covers the empty schedule); ``None`` for any other shape."""
         per_sender, per_link = self.fingerprint()
         if per_link:
             return None

@@ -39,13 +39,13 @@ index`` — so a full decision (class, then length, then lowest sender
 index, matching the reference engine's ASN tie-break because index
 order is ascending-ASN order) is a single ``np.minimum``.
 
-Batching: :func:`run_vectorized_batch` converges B origins at once by
-giving each origin a column of the batch (a row-contiguous plane of the
-``(B, N)`` key array); every wave's gather/scatter covers all columns,
-so a grid's canonical baselines share the per-wave overhead of one
-walk.  :func:`vectorized_fixpoint` exposes the raw key matrix without
-building outcomes (the 80k-AS benchmark path — no intern table, no
-Python-object emission).
+Batching: the fixpoint converges B columns at once, each a
+row-contiguous plane of the ``(B, N)`` key array; every wave's
+gather/scatter covers all columns, so they share the per-wave overhead
+of one walk.  :func:`run_vectorized` is the one-column case that builds
+an outcome; :func:`vectorized_fixpoint` exposes the raw key matrix for
+any number of origins without building outcomes (the 80k-AS benchmark
+path — no intern table, no Python-object emission).
 
 Impact kernel: :class:`ImpactKernel` answers impact-only attack cells —
 pollution before and after, and whether the attacker kept a route —
@@ -96,7 +96,6 @@ __all__ = [
     "VectorizedUnsupported",
     "numpy_available",
     "run_vectorized",
-    "run_vectorized_batch",
     "vectorized_fixpoint",
 ]
 
@@ -705,53 +704,6 @@ def run_vectorized(
         metrics.count("engine.vectorized.propagations")
         metrics.observe("engine.vectorized.waves", waves)
     return outcome
-
-
-def run_vectorized_batch(
-    topo: CompiledTopology,
-    tables,
-    origins,
-    *,
-    prefix: str,
-    metrics: RunMetrics | None = None,
-):
-    """Converge many origins' canonical (λ=1) baselines in one walk.
-
-    ``tables`` maps each origin ASN to the intern table its outcome
-    should populate (the engine keeps one per origin); ``origins`` is
-    the batch, one key-matrix column each.  Only un-prepended runs
-    batch — the uniform-λ variants every sweep needs derive exactly
-    from these via :meth:`CompiledState.derive_uniform`.
-    """
-    ev = _views(topo)
-    counts = ev.ones
-    _check_domain(topo, 1)
-    default_count = np.ones(topo.n, dtype=np.int64)
-    origin_idx = [topo.index[o] for o in origins]
-    keys = _origin_keys(topo.n, origin_idx)
-    waves, _ = _fixpoint(ev, keys, counts)
-    outcomes = []
-    for col, o in enumerate(origins):
-        outcomes.append(
-            _emit_column(
-                topo,
-                ev,
-                tables[o],
-                keys[col],
-                origin=o,
-                origin_idx=origin_idx[col],
-                prefix=prefix,
-                counts=counts,
-                default_count=default_count,
-                overrides={},
-                metrics=metrics,
-            )
-        )
-    if metrics is not None and metrics.enabled:
-        metrics.count("engine.vectorized.propagations", len(origins))
-        metrics.count("engine.vectorized.batched_columns", len(origins))
-        metrics.observe("engine.vectorized.waves", waves)
-    return outcomes
 
 
 def vectorized_fixpoint(

@@ -27,9 +27,9 @@ groups, each declared once (``<subcommand> --help`` has the detail):
   ``--retries``, ``--task-deadline`` and ``--store`` become one
   :class:`~repro.runner.RunConfig`.  None of them changes a row, and a
   bad value is a usage error before any topology is built.
-* **engine** — the same three take ``--engine-mode`` and ``--backend``,
-  which govern only the cells that build routes (campaign pairs,
-  deployment points), never the results.
+* **engine** — the same three take ``--backend``, which governs only
+  the cells that build routes (campaign pairs, deployment points),
+  never the results.
 * **metrics** — every subcommand but ``list``, ``world`` and ``store``
   accepts ``--metrics {off,summary,jsonl}`` and ``--metrics-out PATH``;
   ``main`` builds the registry and emits it after the results, whose
@@ -144,14 +144,6 @@ def _run_flags(parser, unit: str | None = None) -> None:
 
 
 def _engine_flags(parser) -> None:
-    parser.add_argument(
-        "--engine-mode", choices=("full", "delta"), default="full",
-        help="warm-propagation strategy of the cells that build routes "
-        "(campaign pairs, deployment points): 'delta' re-converges only "
-        "the attacker's affected cone from the cached baseline "
-        "(bit-identical results).  Impact-only cells (grids, λ-sweeps) "
-        "run on the impact kernel and never warm-start",
-    )
     parser.add_argument(
         "--backend", choices=("compiled", "vectorized"), default="compiled",
         help="propagation core of the cells that build routes (campaign "
@@ -340,7 +332,7 @@ def _configure_mitigate_stream(parser) -> None:
     )
     parser.add_argument(
         "--slo-recovery-rounds", type=float, default=12.0, metavar="ROUNDS",
-        help="recovery-deadline SLO threshold (max delta rounds)",
+        help="recovery-deadline SLO threshold (max re-convergence rounds)",
     )
 
 
@@ -463,7 +455,6 @@ def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
         monitors=monitors,
         placement=placement,
         seed=args.seed,
-        engine_mode=args.engine_mode,
         backend=args.backend,
     )
     world = _load_world(args, parser)
@@ -572,9 +563,11 @@ def _grid(args, parser, metrics) -> int:
         )
     effective = [r for r in results if r.after_fraction > r.before_fraction]
     mean_after = sum(r.after_fraction for r in results) / len(results)
+    # "engine-mode=full" is frozen: benchmarks/e2e/expected.json pins this
+    # header; it goes with the next benchmark-only re-record.
     print(
         f"grid: {len(attackers)} attackers x {len(victims)} victims, "
-        f"λ={args.padding}, engine-mode={args.engine_mode}"
+        f"λ={args.padding}, engine-mode=full"
     )
     print(f"  cells:               {len(results)}")
     print(f"  effective attacks:   {len(effective)}/{len(results)}")

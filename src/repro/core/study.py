@@ -99,26 +99,17 @@ class InterceptionStudy:
         monitors: int = 150,
         placement: str = "top-degree",
         seed: int = 7,
-        engine_mode: str = "full",
         backend: str = "compiled",
     ) -> None:
         """``placement`` is ``"top-degree"`` (the paper's) or
         ``"greedy-cover"`` (the optimised future-work strategy).
 
-        ``engine_mode`` selects the warm-propagation strategy of the
-        study's engine: ``"full"`` (the default oracle) or ``"delta"``
-        (incremental copy-on-write re-convergence, bit-identical
-        results — see :mod:`repro.bgp.delta`).  ``backend`` selects the
-        propagation core (``"compiled"``, ``"vectorized"`` for
-        Internet-scale worlds, or ``"reference"``); delta mode is a
-        compiled-core strategy, so other backends run ``"full"``."""
+        ``backend`` selects the propagation core (``"compiled"``,
+        ``"vectorized"`` for Internet-scale worlds, or
+        ``"reference"``)."""
         self._world = world
         self._seed = seed
-        self._engine = PropagationEngine(
-            world.graph,
-            backend=backend,
-            mode=engine_mode if backend == "compiled" else "full",
-        )
+        self._engine = PropagationEngine(world.graph, backend=backend)
         count = min(monitors, len(world.graph))
         if placement == "top-degree":
             fleet = top_degree_monitors(world.graph, count)
@@ -142,7 +133,6 @@ class InterceptionStudy:
         config: InternetTopologyConfig | None = None,
         monitors: int = 150,
         placement: str = "top-degree",
-        engine_mode: str = "full",
         backend: str = "compiled",
     ) -> "InterceptionStudy":
         """Generate a fresh Internet-like world and wrap it in a study."""
@@ -154,7 +144,6 @@ class InterceptionStudy:
             monitors=monitors,
             placement=placement,
             seed=seed,
-            engine_mode=engine_mode,
             backend=backend,
         )
 
@@ -306,8 +295,8 @@ class InterceptionStudy:
         Defaults mirror :meth:`campaign`'s pools (transit attackers ×
         all ASes).  A cell reports impact only, so the grid runs on the
         impact kernel — one baseline column per victim, one attacked
-        column per cell, no routes built — whatever the study's engine
-        mode or backend (numpy-less hosts take the engine route).
+        column per cell, no routes built — whatever the study's backend
+        (numpy-less hosts take the engine route).
         ``run`` behaves as in :meth:`campaign`.
         """
         from repro.experiments.sweeps import exhaustive_grid as run_grid

@@ -4,14 +4,14 @@ A figure family the source paper never had: it measures *exposure*
 (Sermpezis et al. frame hijack damage as a function of exposure time),
 not just point-in-time pollution.  For each victim padding λ the full
 closed loop runs once per strategy — seeded churn with an interception
-burst, streaming detection, automated re-announce, delta
+burst, streaming detection, automated re-announce, warm
 re-convergence — and reports the three clocks:
 
 * **time-to-detect** — post-merge updates between the attack entering
   the stream and the victim prefix's first alarm;
 * **time-to-mitigate** — the modelled reaction latency (updates);
-* **time-to-recover** — delta propagation rounds for the re-announce
-  to re-converge, plus the ASes it touched;
+* **time-to-recover** — propagation rounds for the re-announce to
+  re-converge, plus the ASes it touched;
 
 and the pollution ladder: organic (before hijack) → under attack →
 residual after the countermeasure.  The ``none`` control arm shows

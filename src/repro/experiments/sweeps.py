@@ -14,22 +14,23 @@ budget-sized batches of the impact kernel
 (:class:`repro.bgp.vectorized.ImpactKernel`) ahead of the per-task
 loop, and a pool worker runs its points as single columns against a
 per-victim baseline memo.  Points outside the kernel's domain — and
-every :class:`~repro.runner.DeploymentPointTask` — go through the
-baseline cache and the engine, warm across points.
+every :class:`~repro.runner.DeploymentPointTask` — converge their
+baseline once at its own λ (memoised in the baseline cache) and
+warm-start each attack from it on the engine.
 
 *What* a sweep computes is its keyword arguments; *how* it runs is one
 :class:`~repro.runner.RunConfig` (``run=``), handed with the task list
 to :func:`repro.runner.run_batch`.  Cells already recorded — in the
 ``run.resume`` journal, in ``run.store`` or in the store bound by
 :func:`repro.store.use_store` — replay without touching the engine (a
-fully warm store performs *zero* propagations, not even baseline
-prefetches); only missing cells run, each recorded as it settles, so an
-interrupted sweep keeps what it finished.  Sweeps need complete data, so
-a task that exhausts its ``run.retry`` budget raises
-:class:`SimulationError` (campaigns, by contrast, collect structured
-failures).  ``cache`` optionally shares one :class:`BaselineCache`
-across several serial sweeps on the same engine (e.g. a figure's
-valley-free and policy-violating series, whose baselines coincide).
+fully warm store performs *zero* propagations); only missing cells
+run, each recorded as it settles, so an interrupted sweep keeps what it
+finished.  Sweeps need complete data, so a task that exhausts its
+``run.retry`` budget raises :class:`SimulationError` (campaigns, by
+contrast, collect structured failures).  ``cache`` optionally shares
+one :class:`BaselineCache` across several serial sweeps on the same
+engine (e.g. a figure's valley-free and policy-violating series, whose
+baselines coincide).
 """
 
 from __future__ import annotations
@@ -53,34 +54,6 @@ from repro.runner import (
 __all__ = ["exhaustive_grid", "padding_sweep", "pair_grid", "deployment_sweep"]
 
 
-def _prefetch_families(ctx: WorkerContext, tasks: Sequence[SweepPointTask]) -> None:
-    """Do the shared work of ``tasks`` ahead of their per-task runs.
-
-    Impact-only sweep points inside the impact kernel's domain are
-    computed here as one batch and parked on the context (no baseline
-    outcome is ever built for them).  For whatever is left to the
-    engine route, warm the whole uniform-λ family for each victim in
-    one canonical pass (repeat victims are already-cached no-ops).
-
-    On a vectorized-backend engine the distinct victims converge first
-    as one batched walk (a key-matrix column each), so a pair grid's
-    canonical baselines cost one frontier sweep instead of one
-    convergence per victim; the per-victim λ derivations then ride on
-    the batched results."""
-    tasks = ctx.park_impact(tasks)
-    by_prefix: dict[str, list[int]] = {}
-    for task in tasks:
-        by_prefix.setdefault(task.prefix, []).append(task.victim)
-    for prefix, victims in by_prefix.items():
-        ctx.cache.prefetch_canonical_batch(victims, prefix=prefix)
-    for task in tasks:
-        ctx.cache.prefetch_uniform(
-            task.victim,
-            [t.padding for t in tasks if t.victim == task.victim],
-            prefix=task.prefix,
-        )
-
-
 def _run_tasks(
     engine: PropagationEngine,
     tasks: Sequence[SweepPointTask],
@@ -89,7 +62,11 @@ def _run_tasks(
 ) -> list:
     """Run sweep tasks; sweep figures need every point, so a
     quarantined task is surfaced loudly instead of returned."""
-    results = run_batch(engine, tasks, run, cache=cache, prepare=_prefetch_families)
+    # Warm-up: the kernel-eligible points of a batch run as one kernel
+    # batch, parked on the context; the rest take the engine route.
+    results = run_batch(
+        engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
+    )
     failures = [r for r in results if isinstance(r, TaskFailure)]
     if failures:
         first = failures[0]
@@ -172,11 +149,10 @@ def exhaustive_grid(
     victim converges one canonical key column and every cell is one
     more column of the impact kernel's two-source fixpoint
     (:class:`repro.bgp.vectorized.ImpactKernel`), whatever ``engine``'s
-    backend or mode.  Without numpy (or on the reference backend) the
-    cells take the engine route — a cached baseline and a warm-started
-    attack each, for which a delta-mode engine is the cheap choice.
-    Rows are bit-identical on every route; the golden grid test pins
-    them against per-pair full recomputes cell for cell.
+    backend.  Without numpy (or on the reference backend) the cells
+    take the engine route — a cached baseline and a warm-started attack
+    each.  Rows are bit-identical on either route; the golden grid test
+    pins them against per-pair recomputes cell for cell.
     """
     pairs = [(a, v) for a in attackers for v in victims if a != v]
     if not pairs:

@@ -16,11 +16,11 @@ the victim can dismantle the attack by re-announcing with less padding:
 :func:`run_closed_loop` drives the whole cycle over one synthesized
 churn stream: the fault-tolerant :class:`StreamingPipeline` raises the
 alarm, :class:`MitigationController` chooses the new λ and re-converges
-it through :func:`repro.bgp.delta.propagate_delta` on the cached
-compiled baseline, and the resulting monitor updates are fed back
-through the pipeline — yielding time-to-detect / time-to-mitigate /
-time-to-recover and residual pollution per strategy, the figure family
-(figM1/figM2) the paper never had.
+the attack as a warm start from the cached λ' baseline, and the
+resulting monitor updates are fed back through the pipeline — yielding
+time-to-detect / time-to-mitigate / time-to-recover and residual
+pollution per strategy, the figure family (figM1/figM2) the paper never
+had.
 """
 
 from repro.mitigation.controller import (

@@ -10,10 +10,10 @@ One cycle of the loop, end to end:
    policies;
 3. after a configurable reaction delay (**time-to-mitigate**, modelling
    operator/automation latency in updates), the controller picks a new
-   λ per the strategy and re-converges the attack against the derived
-   λ' baseline via :func:`~repro.bgp.delta.propagate_delta` — the
-   delta rounds are **time-to-recover** and the new pollution report's
-   after-fraction is the **residual pollution**;
+   λ per the strategy and re-converges the attack, warm-started from
+   the victim's λ' baseline — the rounds of that re-convergence are
+   **time-to-recover** and the new pollution report's after-fraction
+   is the **residual pollution**;
 4. the monitor updates the re-announcement causes are fed back through
    the pipeline (sequence numbers continuing the stream), closing the
    loop.  A padding *decrease* is exactly what the Figure-4 detector
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 from repro.attack.impact import pollution_report
 from repro.bgp.collectors import MonitorView, RouteCollector
-from repro.bgp.delta import propagate_delta
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
+from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.updates import SequencedUpdate
 from repro.detection.alarms import Alarm
@@ -102,7 +102,7 @@ class MitigationStep:
     time_to_detect: int | None
     #: modelled reaction latency (updates)
     time_to_mitigate: int
-    #: delta re-convergence rounds of the mitigation re-announce
+    #: re-convergence rounds of the mitigation re-announce
     time_to_recover: int
     #: ASes the re-convergence actually touched (0 when not re-announced)
     touched_ases: int
@@ -181,11 +181,12 @@ class MitigationController:
     """Chooses and executes the victim's countermeasure for one attack.
 
     The controller owns the simulation side of the loop: given the
-    synthesized stream's attack instance, it derives the λ' baseline
-    from the victim's canonical outcome (one O(1) cache derivation, no
-    re-propagation), re-converges the *still ongoing* attack against it
-    with :func:`propagate_delta`, and reports recovery rounds, touched
-    ASes and the residual pollution.
+    synthesized stream's attack instance, it converges the victim's λ'
+    baseline (memoised in its cache), re-converges the *still ongoing*
+    attack as a warm start from it, and reports recovery rounds, touched
+    ASes and the residual pollution.  The touched-AS count is read off
+    the compiled state a warm run leaves behind, so the engine must be
+    on a compiled-array backend; the reference backend is rejected.
     """
 
     def __init__(
@@ -196,10 +197,14 @@ class MitigationController:
         cache: BaselineCache | None = None,
         metrics: RunMetrics | None = None,
     ) -> None:
+        if engine.backend == "reference":
+            raise SimulationError(
+                "MitigationController needs a compiled-array engine: the "
+                "reference backend does not count the ASes a re-convergence touched"
+            )
         self.engine = engine
         self.policy = policy
         self.cache = cache if cache is not None else BaselineCache(engine, metrics=metrics)
-        self.metrics = metrics
 
     def mitigate(
         self, stream: SynthesizedStream
@@ -221,24 +226,30 @@ class MitigationController:
         )
         if new_padding == padding:
             return padding, result.attacked, 0, 0
-        victim = result.attack.victim
-        baseline = self.cache.baseline(
+        attack = result.attack
+        victim = attack.victim
+        prefix = result.baseline.prefix
+        prepending = PrependingPolicy.uniform_origin(victim, new_padding)
+        mitigated = self.engine.propagate(
             victim,
-            prefix=result.baseline.prefix,
-            prepending=PrependingPolicy.uniform_origin(victim, new_padding),
+            prefix=prefix,
+            prepending=prepending,
+            modifiers={attack.attacker: attack.modifier()},
+            export_policy=(
+                ExportPolicy(frozenset({attack.attacker}))
+                if attack.violate_policy
+                else ExportPolicy()
+            ),
+            warm_start=self.cache.baseline(
+                victim, prefix=prefix, prepending=prepending
+            ),
         )
-        # Count only this re-convergence's touched ASes, then fold the
-        # local registry into the caller's.
-        local = RunMetrics()
-        mitigated = propagate_delta(baseline, result.attack, metrics=local)
-        touched = int(
-            local.histograms["engine.delta.touched_ases"].total
-            if "engine.delta.touched_ases" in local.histograms
-            else 0
+        return (
+            new_padding,
+            mitigated,
+            mitigated.rounds,
+            mitigated.compiled_state.touched,
         )
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.merge(local)
-        return new_padding, mitigated, mitigated.rounds, touched
 
 
 def run_closed_loop(
@@ -271,7 +282,7 @@ def run_closed_loop(
     if slos is None:
         slos = SLORegistry(default_pipeline_slos(), metrics=metrics)
     if controller is None:
-        engine = PropagationEngine(stream.world.graph)
+        engine = PropagationEngine(stream.world.graph, metrics=metrics)
         controller = MitigationController(engine, policy, metrics=metrics)
 
     detector = PipelineDetector(

@@ -4,8 +4,7 @@ Sweeps and campaigns are embarrassingly parallel — every (attacker,
 victim, λ) point is an independent propagation — and embarrassingly
 repetitive — every point re-converges a pre-attack baseline some other
 point already computed.  A :class:`BaselineCache` memoises converged
-baselines (deriving the whole uniform-λ family from one canonical run
-per victim); everything else here is about running a batch of
+baselines; everything else here is about running a batch of
 fingerprinted tasks (:mod:`repro.runner.tasks`).
 
 There is one way to do that.  :class:`ShardedScheduler`
@@ -29,11 +28,7 @@ turns it into a journal, a store binding and a scheduler.
 """
 
 from repro.runner.batch import RunConfig, get_active_store, run_batch, use_store
-from repro.runner.cache import (
-    BaselineCache,
-    derive_uniform_baseline,
-    derive_uniform_family,
-)
+from repro.runner.cache import BaselineCache
 from repro.runner.checkpoint import CheckpointJournal, task_fingerprint
 from repro.runner.executor import available_cpus, execute_task, resolve_workers
 from repro.runner.faults import (
@@ -83,8 +78,6 @@ __all__ = [
     "attach_topology",
     "available_cpus",
     "publish_topology",
-    "derive_uniform_baseline",
-    "derive_uniform_family",
     "execute_task",
     "get_active_store",
     "resolve_workers",

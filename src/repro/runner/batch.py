@@ -126,7 +126,6 @@ def run_batch(
         max_activations=engine.max_activations,
         metrics_enabled=metrics is not None and metrics.enabled,
         backend=engine.backend,
-        engine_mode=engine.mode,
         fault_plan=run.faults,
     )
     # one shard, one in-process worker: adopt the caller's engine and cache

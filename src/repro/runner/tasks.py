@@ -72,10 +72,6 @@ class WorkerSpec:
     metrics_enabled: bool = False
     #: which propagation backend worker engines are built with.
     backend: str = "compiled"
-    #: propagation mode for worker engines: ``"full"`` recomputes every
-    #: warm start (the oracle), ``"delta"`` re-converges attacks as
-    #: copy-on-write overlays over the cached baseline (compiled only).
-    engine_mode: str = "full"
     #: shared-memory handle to a published compiled topology; workers
     #: attach to it instead of unpickling ``graph``.
     shared_topology: SharedTopologyHandle | None = None
@@ -117,7 +113,6 @@ class WorkerContext:
             self.engine = PropagationEngine.from_compiled(
                 topo,
                 max_activations=spec.max_activations,
-                mode=spec.engine_mode,
                 backend=spec.backend,
             )
             if track:
@@ -130,7 +125,6 @@ class WorkerContext:
                 spec.graph,
                 max_activations=spec.max_activations,
                 backend=spec.backend,
-                mode=spec.engine_mode if spec.backend == "compiled" else "full",
             )
             if track and in_pool_worker:
                 # A pool worker rebuilding its engine from a pickled

@@ -2,7 +2,7 @@
 
 Every layer of the simulator can report what work it did into a
 :class:`RunMetrics` registry — announcements processed and decision
-fast-path hits in the engine, baseline-cache hits and derivations in
+fast-path hits in the engine, baseline-cache hits and misses in
 the runner, per-worker task counts in the executor, updates consumed
 and time-to-first-alarm in the detectors.  Registries are zero-overhead
 when disabled, picklable, and mergeable, so per-worker metrics from a

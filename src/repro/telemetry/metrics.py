@@ -2,7 +2,7 @@
 
 The simulator's hot layers (engine, baseline cache, sweep executor,
 detectors) report *what work they did* — announcements processed,
-decision fast-path hits, cache derivations, updates consumed — into a
+decision fast-path hits, cache misses, updates consumed — into a
 :class:`RunMetrics` registry.  The registry is designed around three
 hard requirements:
 
@@ -40,20 +40,17 @@ __all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics"
 #: Metric namespaces whose values depend on *how* a run executed rather
 #: than on the workload alone.  Every pool worker keeps its own baseline
 #: cache, so a victim whose tasks land on two workers converges its
-#: canonical baseline twice — ``cache.*`` counters and the engine work
+#: baseline twice — ``cache.*`` counters and the engine work
 #: done during those cold (non-warm-started) convergences legitimately
 #: grow with the worker count.  They are real, useful telemetry (they
 #: quantify duplicated baseline work), but they are excluded from
 #: serial-vs-pooled determinism comparisons.  The compiled backend's
 #: interning counters (``engine.compiled.*`` — hit rates depend on
 #: which paths a worker's intern tables have already seen) are
-#: cache-shaped for the same reason, as are the delta-propagation
-#: reuse counters (``engine.delta.*`` — whether a run takes the delta
-#: path or falls back to the full recompute depends on which baseline
-#: object the local cache handed it), and the vectorized dispatch
-#: counters (``engine.vectorized.*`` — how many runs batch into one
-#: frontier walk, and how many fall back to the compiled core, depends
-#: on how the work was grouped) and the impact kernel's batching
+#: cache-shaped for the same reason, as are the vectorized dispatch
+#: counters (``engine.vectorized.*`` — cold convergences and their
+#: fallbacks to the compiled core follow the cache misses) and the
+#: impact kernel's batching
 #: counters (``engine.impact.columns`` / ``.batches`` / ``.waves`` —
 #: each worker converges its own baseline columns and batches what it
 #: is handed; ``engine.impact.cells`` and the fallback reasons are per
@@ -68,7 +65,6 @@ CACHE_SHAPE_PREFIXES = (
     "cache.",
     "engine.cold.",
     "engine.compiled.",
-    "engine.delta.",
     "engine.vectorized.",
     "engine.impact.columns",
     "engine.impact.batches",

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attack.impact import pollution_report
 from repro.attack.interception import simulate_interception
 from repro.bgp.compiled import CompiledTopology, InternTable
 from repro.bgp.engine import PropagationEngine
@@ -104,6 +105,73 @@ class TestAttackDifferential:
         ref = ref_engine.propagate(origin, import_filters=filters)
         cmp = cmp_engine.propagate(origin, import_filters=filters)
         _assert_outcomes_identical(ref, cmp)
+
+
+class TestWarmProvenance:
+    """What a warm run records on its state for the consumers that
+    patch instead of rescanning (pollution reports, the mitigation
+    controller's touched-AS count)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=seeds, padding=paddings())
+    def test_stamps_and_touched_cover_what_the_attack_rewrote(self, seed, padding):
+        world, rng, ref_engine, engine = _engines(seed)
+        victim, attacker = draw_victim_then_attacker(world, rng)
+        result = simulate_interception(
+            engine, victim=victim, attacker=attacker, origin_padding=padding
+        )
+        baseline, attacked = result.baseline, result.attacked
+        base, state = baseline.compiled_state, attacked.compiled_state
+        assert (base.warm_base, base.touched) == (None, 0)
+        assert state.warm_base is base
+        index = state.topo.index
+        for asn in set(world.graph.ases).difference(attacked.adoption_round):
+            assert state.best_row(index[asn]) == base.best_row(index[asn])
+        differing = [
+            asn
+            for asn in world.graph.ases
+            if attacked.best[asn] != baseline.best[asn]
+            or attacked.adj_rib_in[asn] != baseline.adj_rib_in[asn]
+        ]
+        assert state.touched >= len(differing)
+        # ... and the patched report is the one a scan gives: against an
+        # equal baseline that is not the state the attack started from
+        # (mask scan), and from a foreign, reference-backend baseline
+        # with no compiled state at all (tuple scan).
+        twin = engine.propagate(
+            victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
+        )
+        assert twin.compiled_state.table is state.table
+        assert result.report == pollution_report(
+            baseline=twin, attacked=attacked, attacker=attacker, victim=victim
+        )
+        foreign = simulate_interception(
+            engine,
+            victim=victim,
+            attacker=attacker,
+            origin_padding=padding,
+            baseline=ref_engine.propagate(
+                victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
+            ),
+        )
+        assert foreign.attacked.compiled_state.warm_base is None
+        assert foreign.report == result.report
+
+    def test_noop_reannounce_touches_nothing(self):
+        """Re-announcing the attacker's *unchanged* route must not touch
+        a single AS: every offer compares equal to the rib and the
+        frontier dies at the attacker's neighbours."""
+        world, rng, _, engine = _engines(7)
+        victim, attacker = draw_victim_then_attacker(world, rng)
+        baseline = engine.propagate(victim)
+        outcome = engine.propagate(
+            victim, modifiers={attacker: lambda path: path}, warm_start=baseline
+        )
+        state = outcome.compiled_state
+        assert state.warm_base is baseline.compiled_state
+        assert (state.touched, outcome.rounds, outcome.adoption_round) == (0, 0, {})
+        assert outcome.best == baseline.best
+        assert outcome.adj_rib_in == baseline.adj_rib_in
 
 
 class TestActivationOrders:

@@ -117,7 +117,7 @@ class TestMemo:
     def test_engines_over_one_graph_share_one_topology(self, compile_calls):
         graph = make_diamond_graph()
         first = PropagationEngine(graph)
-        second = PropagationEngine(graph, mode="delta")
+        second = PropagationEngine(graph)
         assert compile_calls == []  # construction compiles nothing
         one = first.propagate(5).compiled_state.table.topo
         two = second.propagate(5).compiled_state.table.topo

@@ -4,8 +4,7 @@
 compiled state; collectors and detectors live on it so a detection cell
 never builds ``best``.  It must equal ``best.get`` for every AS, on
 every kind of state an outcome can carry — a cold run's
-``CompiledState``, the cache's lazily derived ``DerivedUniformState``,
-a full warm run's copied arrays, a delta run's ``DeltaState`` overlays —
+``CompiledState`` (compiled or vectorized), a warm run's copied arrays —
 and fall back to the world where there is no compiled state (the
 reference backend).
 """
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 
 from repro.attack.interception import simulate_interception
 from repro.bgp.collectors import RouteCollector
-from repro.bgp.delta import DeltaState, DerivedUniformState
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.vectorized import numpy_available
@@ -34,12 +32,10 @@ from tests.strategies import draw_victim_then_attacker, paddings, seeds, tiny_wo
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="vectorized backend requires numpy"
 )
-ENGINES = [
-    ("compiled", "full"),
-    ("compiled", "delta"),
-    pytest.param("vectorized", "full", marks=needs_numpy),
-    pytest.param("vectorized", "delta", marks=needs_numpy),
-    ("reference", "full"),  # no delta mode without compiled arrays
+BACKENDS = [
+    "compiled",
+    pytest.param("vectorized", marks=needs_numpy),
+    "reference",
 ]
 
 
@@ -56,47 +52,23 @@ def _rows_then_world(outcome: PropagationOutcome, ases) -> None:
     assert all(outcome.route_of(asn) is outcome.best.get(asn) for asn in ases)
 
 
-@pytest.mark.parametrize("backend,mode", ENGINES)
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=12, deadline=None)
 @given(seed=seeds, padding=paddings(2, 5))
-def test_route_of_equals_best(backend, mode, seed, padding):
+def test_route_of_equals_best(backend, seed, padding):
     world, rng = tiny_world(seed)
     victim, attacker = draw_victim_then_attacker(world, rng)
-    engine = PropagationEngine(world.graph, backend=backend, mode=mode)
+    engine = PropagationEngine(world.graph, backend=backend)
     prepending = PrependingPolicy.uniform_origin(victim, padding)
     ases = world.graph.ases + [max(world.graph.ases) + 1]  # and one stranger
 
     cold = engine.propagate(victim, prepending=prepending)
-    derived = BaselineCache(engine).baseline(victim, prepending=prepending)
-    warm_from_cold = simulate_interception(
+    warm = simulate_interception(
         engine, victim=victim, attacker=attacker, origin_padding=padding,
         baseline=engine.propagate(victim, prepending=prepending),
     ).attacked
-    warm_from_derived = simulate_interception(
-        engine, victim=victim, attacker=attacker, origin_padding=padding,
-        baseline=BaselineCache(engine).baseline(victim, prepending=prepending),
-    ).attacked
-    if backend != "reference":
-        assert isinstance(derived.compiled_state, DerivedUniformState)
-        if mode == "delta":
-            assert isinstance(warm_from_derived.compiled_state, DeltaState)
-            assert isinstance(warm_from_cold.compiled_state, DeltaState)
-    for outcome in (cold, derived, warm_from_cold, warm_from_derived):
+    for outcome in (cold, warm):
         _rows_then_world(outcome, ases)
-
-
-def test_row_read_leaves_a_lazy_derivation_lazy(diamond_graph):
-    """Reading rows off a derived baseline rewrites those rows only —
-    the delta path's O(1) derivation stays unmaterialised."""
-    engine = PropagationEngine(diamond_graph, mode="delta")
-    victim = diamond_graph.ases[-1]
-    derived = BaselineCache(engine).baseline(
-        victim, prepending=PrependingPolicy.uniform_origin(victim, 3)
-    )
-    for asn in diamond_graph.ases:
-        derived.route_of(asn)
-    assert derived.compiled_state._mat is None
-    assert derived._best is None
 
 
 def test_unpickled_outcome_answers_from_its_world(diamond_graph):
@@ -108,11 +80,11 @@ def test_unpickled_outcome_answers_from_its_world(diamond_graph):
         assert clone.path_of(asn) == outcome.path_of(asn)
 
 
-def _detection_cells(small_world, backend, mode):
+def _detection_cells(small_world, backend):
     """What a detector concludes from each engine's rows: the timing
     and the update stream of a few attacks, cached baselines included."""
     graph = small_world.graph
-    engine = PropagationEngine(graph, backend=backend, mode=mode)
+    engine = PropagationEngine(graph, backend=backend)
     cache = BaselineCache(engine)
     collector = RouteCollector(graph, top_degree_monitors(graph, 30))
     detector = ASPPInterceptionDetector(graph)
@@ -135,8 +107,8 @@ def _detection_cells(small_world, backend, mode):
     return cells
 
 
-@pytest.mark.parametrize("backend,mode", ENGINES[1:])
-def test_detection_cells_identical_on_every_engine(small_world, backend, mode):
-    assert _detection_cells(small_world, backend, mode) == _detection_cells(
-        small_world, "compiled", "full"
+@pytest.mark.parametrize("backend", BACKENDS[1:])
+def test_detection_cells_identical_on_every_engine(small_world, backend):
+    assert _detection_cells(small_world, backend) == _detection_cells(
+        small_world, "compiled"
     )

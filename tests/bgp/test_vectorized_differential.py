@@ -180,24 +180,6 @@ class TestAttackDifferential:
             assert_vectorized_matches(wc, wv, stamps=True, warm=True)
             oc, ov = wc, wv
 
-    @given(seed=seeds, pad=paddings(1, 3))
-    @DIFFERENTIAL_SETTINGS
-    def test_derived_uniform_baselines_identical(self, seed, pad):
-        """`derive_uniform` (the sweep cache's λ shortcut) applied to a
-        vectorized canonical baseline equals the compiled derivation."""
-        world, rng = tiny_world(seed, TINY)
-        victim = rng.choice(world.graph.ases)
-        eng_c, eng_v = vectorized_pair(world)
-        sc = eng_c.propagate(victim).compiled_state
-        sv = eng_v.propagate(victim).compiled_state
-        dc = sc.derive_uniform(victim, pad)
-        dv = sv.derive_uniform(victim, pad)
-        assert dc.best_pref == dv.best_pref
-        assert dc.best_from == dv.best_from
-        for i, pref in enumerate(dc.best_pref):
-            if pref >= 0:
-                assert dc.table.reify(dc.best_pid[i]) == dv.table.reify(dv.best_pid[i])
-
 
 # ----------------------------------------------------------------------
 # Fallback shapes: secpol, modifiers, activation orders
@@ -257,44 +239,6 @@ class TestFallbackShapes:
             )
             assert list(oc.best.items()) == list(ov.best.items())
             assert oc.best_keys == ov.best_keys
-
-
-# ----------------------------------------------------------------------
-# Batched columns and engine-level API
-
-
-class TestBatchedPropagation:
-    @given(seed=seeds)
-    @settings(
-        max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
-    def test_batch_equals_single_runs(self, seed):
-        world, rng = tiny_world(seed, TINY)
-        _, eng_v = vectorized_pair(world)
-        victims = rng.sample(world.graph.ases, 5)
-        batch = eng_v.propagate_batch(victims)
-        assert sorted(batch) == sorted(victims)
-        for v in victims:
-            single = eng_v.propagate(v)
-            assert_vectorized_matches(single, batch[v], stamps=True)
-
-    def test_batch_rejects_non_vectorized_backend(self):
-        world, _ = tiny_world(3, TINY)
-        from repro.exceptions import SimulationError
-
-        with pytest.raises(SimulationError):
-            PropagationEngine(world.graph, backend="compiled").propagate_batch(
-                world.graph.ases[:2]
-            )
-
-    def test_batch_validates_membership(self):
-        world, _ = tiny_world(3, TINY)
-        _, eng_v = vectorized_pair(world)
-        from repro.exceptions import UnknownASError
-
-        with pytest.raises(UnknownASError):
-            eng_v.propagate_batch([world.graph.ases[0], 999_999])
-        assert eng_v.propagate_batch([]) == {}
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,15 @@
-"""Golden test: the exhaustive grid vs per-pair full recompute, plus
+"""Golden test: the exhaustive grid vs per-pair recompute, plus
 checkpoint/resume semantics over grid cells.
 
 The exhaustive grid is the densest campaign shape, so its correctness
 bar is the strictest: every cell of the grid — computed by the impact
-kernel as a batched column — and every cell of the same grid routed
-through a delta-mode engine must equal, field for field, the result of
-converging that cell in complete isolation (cold baseline, cold attack,
-no cache shared with any other cell).  The per-pair recompute is the
-reference oracle; any cross-cell contamination in the kernel's column
-memo, the cache, the engine's warm state or the delta overlays shows up
-as a cell mismatch here.
+kernel as a batched column — and every cell of the same grid forced
+onto the engine route (cached baseline, warm-started attack) must
+equal, field for field, the result of converging that cell in complete
+isolation (cold baseline, no cache shared with any other cell).  The
+per-pair recompute is the reference oracle; any cross-cell
+contamination in the kernel's column memo, the cache or the engine's
+warm state shows up as a cell mismatch here.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def grid_pools(grid_world):
 
 
 def _recompute_cell(engine, attacker, victim):
-    """One grid cell in complete isolation: cold baseline, cold attack."""
+    """One grid cell in complete isolation: its own cold baseline."""
     prepending = PrependingPolicy.uniform_origin(victim, PADDING)
     baseline = engine.propagate(victim, prepending=prepending)
     result = simulate_interception(
@@ -66,11 +66,11 @@ def _recompute_cell(engine, attacker, victim):
 
 
 @pytest.mark.slow
-def test_delta_grid_matches_per_pair_full_recompute(grid_world, grid_pools):
+def test_grid_matches_per_pair_recompute(grid_world, grid_pools):
     """Cell-for-cell equality of the grid (every cell on the impact
-    kernel, none falling back) and of the delta engine route, which
-    must have earned it on the delta path (one delta flood per cell,
-    zero fallbacks)."""
+    kernel, none falling back) and of the engine route on a default
+    engine (one baseline convergence per victim, one warm start per
+    cell)."""
     pytest.importorskip("numpy", reason="the impact kernel requires numpy")
     attackers, victims = grid_pools
     graph = grid_world.graph
@@ -91,19 +91,18 @@ def test_delta_grid_matches_per_pair_full_recompute(grid_world, grid_pools):
     assert grid_metrics.counter_value("engine.impact.cells") == len(pairs)
     assert grid_metrics.counter_value("engine.warm.propagations") == 0
 
-    delta_engine = PropagationEngine(graph, backend="compiled", mode="delta")
-    delta_engine.metrics = metrics = RunMetrics()
-    delta_cells = engine_route_points(
-        delta_engine, [(a, v, PADDING) for a, v in pairs]
+    metrics = RunMetrics()
+    engine_cells = engine_route_points(
+        PropagationEngine(graph, metrics=metrics), [(a, v, PADDING) for a, v in pairs]
     )
-    assert delta_cells == oracle_cells
-    assert metrics.counter_value("engine.delta.propagations") == len(oracle_cells)
-    assert metrics.counter_value("engine.delta.fallbacks") == 0
+    assert engine_cells == oracle_cells
+    assert metrics.counter_value("engine.cold.propagations") == len(victims)
+    assert metrics.counter_value("engine.warm.propagations") == len(pairs)
 
 
 def test_grid_order_is_attackers_outer_victims_inner(grid_world, grid_pools):
     attackers, victims = grid_pools
-    engine = PropagationEngine(grid_world.graph, backend="compiled", mode="delta")
+    engine = PropagationEngine(grid_world.graph)
     cells = exhaustive_grid(
         engine, attackers=attackers, victims=victims, origin_padding=PADDING
     )
@@ -112,7 +111,7 @@ def test_grid_order_is_attackers_outer_victims_inner(grid_world, grid_pools):
 
 
 def test_grid_rejects_empty_cross_product(grid_world):
-    engine = PropagationEngine(grid_world.graph, backend="compiled", mode="delta")
+    engine = PropagationEngine(grid_world.graph)
     lonely = grid_world.graph.ases[0]
     with pytest.raises(SimulationError):
         exhaustive_grid(
@@ -131,7 +130,7 @@ def test_checkpoint_resume_replays_every_completed_cell(
     graph = grid_world.graph
     journal = tmp_path / "grid.jsonl"
 
-    engine = PropagationEngine(graph, backend="compiled", mode="delta")
+    engine = PropagationEngine(graph)
     first = exhaustive_grid(
         engine,
         attackers=attackers,
@@ -140,7 +139,7 @@ def test_checkpoint_resume_replays_every_completed_cell(
         run=RunConfig(resume=journal),
     )
 
-    rerun_engine = PropagationEngine(graph, backend="compiled", mode="delta")
+    rerun_engine = PropagationEngine(graph)
     metrics = RunMetrics()
     second = exhaustive_grid(
         rerun_engine,
@@ -155,7 +154,6 @@ def test_checkpoint_resume_replays_every_completed_cell(
     # prepare hook sees only the cells still to run — none.
     assert metrics.counter_value("engine.impact.cells") == 0
     assert metrics.counter_value("engine.impact.columns") == 0
-    assert metrics.counter_value("engine.delta.propagations") == 0
     assert metrics.counter_value("engine.warm.propagations") == 0
 
 
@@ -166,7 +164,7 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
     graph = grid_world.graph
     journal = tmp_path / "partial.jsonl"
 
-    engine = PropagationEngine(graph, backend="compiled", mode="delta")
+    engine = PropagationEngine(graph)
     partial = exhaustive_grid(
         engine,
         attackers=attackers[:3],
@@ -175,7 +173,7 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
         run=RunConfig(resume=journal),
     )
 
-    rerun_engine = PropagationEngine(graph, backend="compiled", mode="delta")
+    rerun_engine = PropagationEngine(graph)
     metrics = RunMetrics()
     rerun_engine.metrics = metrics
     full = exhaustive_grid(
@@ -188,8 +186,8 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
     assert full[: len(partial)] == partial
     fresh = len(full) - len(partial)
     assert metrics.counter_value("runner.resumed_tasks") == len(partial)
-    # (numpy-less hosts take the engine route: one delta flood per cell)
+    # (numpy-less hosts take the engine route: one warm start per cell)
     executed = metrics.counter_value("engine.impact.cells") + metrics.counter_value(
-        "engine.delta.propagations"
+        "engine.warm.propagations"
     )
     assert executed == fresh

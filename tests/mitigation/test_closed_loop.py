@@ -98,6 +98,22 @@ class TestClosedLoop:
         assert step.pollution_removed > 0
         assert step.alarms > 0
 
+    def test_recovery_clock_and_touched_count_are_pinned(self):
+        """``mitigate-stream --updates 4000 --monitors 100 --seed 7`` (the
+        shape of the end-to-end benchmark's mitigation leg): the warm
+        re-convergence takes 3 rounds and touches 97 ASes."""
+        stream = synthesize_churn_stream(
+            ChurnConfig(
+                seed=7, scale=0.5, monitors=100, prefixes=4, updates=4000, padding=3
+            )
+        )
+        step = run_closed_loop(stream).step
+        assert (step.attacker, step.victim) == (6, 94)
+        assert (step.padding_before, step.padding_after) == (3, 2)
+        assert (step.time_to_recover, step.touched_ases) == (3, 97)
+        ladder = (step.pollution_baseline, step.pollution_attack, step.pollution_residual)
+        assert [f"{share:.1%}" for share in ladder] == ["6.4%", "15.7%", "8.4%"]
+
     def test_none_arm_keeps_the_attack_pollution(self, churn):
         report = run_closed_loop(churn, policy=MitigationPolicy(strategy="none"))
         step = report.step
@@ -231,11 +247,18 @@ class TestControllerAndStream:
         )
         new_padding, mitigated, rounds, touched = controller.mitigate(churn)
         assert new_padding == 1
-        # a second call hits the same derived baseline
+        # a second call hits the same cached λ' baseline
         again = controller.mitigate(churn)
         assert again[0] == new_padding
         assert again[2] == rounds
         assert again[3] == touched
+
+    def test_controller_rejects_the_reference_backend(self, churn):
+        """The touched-AS count is read off the compiled state, which
+        the reference backend does not produce."""
+        engine = PropagationEngine(churn.world.graph, backend="reference")
+        with pytest.raises(SimulationError, match="compiled-array engine"):
+            MitigationController(engine, MitigationPolicy())
 
     def test_controller_none_strategy_is_a_no_op(self, churn):
         engine = PropagationEngine(churn.world.graph)

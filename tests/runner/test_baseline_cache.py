@@ -1,10 +1,11 @@
-"""The baseline cache's derivation must be exact, not approximate.
+"""The baseline cache is a memo, and the invariant it used to exploit.
 
-``derive_uniform_baseline`` claims that a uniform-λ baseline is the
-λ=1 baseline with the victim's trailing run rewritten — these tests pin
-that claim against cold engine runs on randomized topologies, then
-cover the cache's memoisation behaviour (hit/miss/derive accounting,
-LRU bounds, prefetch) and its error paths.
+A miss converges the schedule asked for on the engine, exactly once;
+everything else is a hit.  The tests cover that accounting, the LRU
+bound and the error paths — and pin, as one property, the exactness
+claim the impact kernel's length shift and Figure 14's clock still rest
+on: a uniform-origin schedule at λ has the activation trace of λ=1 with
+the victim's trailing run rewritten.
 """
 
 from __future__ import annotations
@@ -12,121 +13,150 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from repro.attack.interception import simulate_interception
-from repro.bgp.decision import preference_key
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
+from repro.bgp.route import Route
+from repro.bgp.vectorized import numpy_available
+from repro.detection.monitors import top_degree_monitors
 from repro.exceptions import SimulationError
-from repro.runner import BaselineCache, derive_uniform_baseline, derive_uniform_family
-from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
-
-CACHE_CONFIG = InternetTopologyConfig(
-    num_tier1=3,
-    num_tier2=6,
-    num_tier3=12,
-    num_tier4=10,
-    num_stubs=40,
-    num_content=2,
-    sibling_pairs=2,
+from repro.runner import (
+    BaselineCache,
+    CampaignPairTask,
+    RunConfig,
+    run_batch,
+    sample_attack_pairs,
 )
+from repro.telemetry.metrics import RunMetrics
+
+from tests.strategies import paddings, seeds, tiny_world
 
 
-def _world(seed: int):
-    return generate_internet_topology(CACHE_CONFIG, random.Random(seed))
+def rewrite_uniform(canonical, victim, padding):
+    """The λ=1 world with the victim's trailing run padded to ``padding``
+    copies: ``(best, adj_rib_in)`` in tuple space."""
+    run = (victim,) * padding
+
+    def pad(path):
+        return path[:-1] + run if path else path  # the victim's own route is ()
+
+    best = {
+        asn: None
+        if route is None
+        else Route(route.prefix, pad(route.path), route.learned_from, route.pref)
+        for asn, route in canonical.best.items()
+    }
+    adj_rib_in = {
+        asn: {
+            sender: None if offer is None else (pad(offer[0]), offer[1])
+            for sender, offer in offers.items()
+        }
+        for asn, offers in canonical.adj_rib_in.items()
+    }
+    return best, adj_rib_in
 
 
-def _assert_same_outcome(derived, cold) -> None:
-    assert derived == cold  # prefix/origin/best/adj_rib_in/rounds/adoption
-    # best_keys is excluded from dataclass equality; check it explicitly
-    # against freshly recomputed preference keys.
-    assert derived.best_keys is not None
-    for asn, route in derived.best.items():
-        expected = None if route is None else preference_key(route)
-        assert derived.best_keys[asn] == expected, f"stale key at AS{asn}"
-
-
-@pytest.mark.parametrize("seed", (5, 23))
-def test_derived_baseline_equals_cold_propagation(seed):
-    world = _world(seed)
-    engine = PropagationEngine(world.graph)
-    rng = random.Random(seed)
-    victims = {world.tier1[0], rng.choice(world.transit_ases), rng.choice(world.stubs)}
-    for victim in victims:
-        canonical = engine.propagate(
-            victim, prepending=PrependingPolicy.uniform_origin(victim, 1)
-        )
-        for padding in range(1, 7):
-            cold = engine.propagate(
-                victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
-            )
-            derived = derive_uniform_baseline(canonical, victim, padding)
-            _assert_same_outcome(derived, cold)
-
-
-def test_family_derivation_matches_per_lambda(small_world):
-    engine = PropagationEngine(small_world.graph)
-    victim = small_world.tier1[0]
-    canonical = engine.propagate(
-        victim, prepending=PrependingPolicy.uniform_origin(victim, 1)
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "compiled",
+        "reference",
+        pytest.param(
+            "vectorized",
+            marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
+        ),
+    ],
+)
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds, padding=paddings(2, 6))
+def test_uniform_padding_only_rewrites_the_victims_run(backend, seed, padding):
+    world, rng = tiny_world(seed)
+    victim = rng.choice(world.graph.ases)
+    engine = PropagationEngine(world.graph, backend=backend)
+    canonical = engine.propagate(victim)
+    padded = engine.propagate(
+        victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
     )
-    paddings = range(1, 9)
-    family = derive_uniform_family(canonical, victim, paddings)
-    assert set(family) == set(paddings)
-    assert family[1] is canonical
-    for padding in paddings:
-        one = derive_uniform_baseline(canonical, victim, padding)
-        assert family[padding] == one
-        assert family[padding].best_keys == one.best_keys
+    best, adj_rib_in = rewrite_uniform(canonical, victim, padding)
+    assert padded.best == best
+    assert padded.adj_rib_in == adj_rib_in
+    assert padded.adoption_round == canonical.adoption_round
+    assert padded.rounds == canonical.rounds
 
 
-def test_cache_memoises_and_derives(small_world):
+def test_cache_memoises_each_schedule(small_world):
     engine = PropagationEngine(small_world.graph)
     cache = BaselineCache(engine)
     victim = small_world.tier1[0]
-    paddings = list(range(1, 9))
-    for padding in paddings:
+    lambdas = range(1, 9)
+    for padding in lambdas:
         prepending = PrependingPolicy.uniform_origin(victim, padding)
         cold = engine.propagate(victim, prepending=prepending)
         warm = cache.baseline(victim, prepending=prepending)
-        _assert_same_outcome(warm, cold)
-    # One converged canonical + 7 derivations, no hits yet.
-    assert cache.misses == len(paddings)
-    assert cache.derived == len(paddings) - 1
+        assert warm == cold
+        assert warm.best_keys == cold.best_keys
+    # One convergence per λ, no hits yet.
+    assert cache.misses == len(lambdas)
     assert cache.hits == 0
     # A second sweep is pure cache hits returning identical objects.
-    for padding in paddings:
+    for padding in lambdas:
         prepending = PrependingPolicy.uniform_origin(victim, padding)
         again = cache.baseline(victim, prepending=prepending)
         assert again is cache.baseline(victim, prepending=prepending)
-    assert cache.misses == len(paddings)
+    assert cache.misses == len(lambdas)
+    assert cache.hits == 2 * len(lambdas)
 
 
-def test_prefetch_uniform_warms_the_whole_family(small_world):
-    engine = PropagationEngine(small_world.graph)
+def test_a_miss_is_exactly_one_convergence(small_world):
+    """A serial 10-pair campaign books one miss, one convergence and one
+    cold propagation per distinct victim; the same batch again on the
+    same cache is all hits."""
+    graph = small_world.graph
+    engine = PropagationEngine(graph)
     cache = BaselineCache(engine)
-    victim = small_world.tier1[1]
-    cache.prefetch_uniform(victim, range(1, 9))
-    assert len(cache) == 8
-    hits_before = cache.hits
-    for padding in range(1, 9):
-        warm = cache.baseline(
-            victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
+    monitors = tuple(top_degree_monitors(graph, 20))
+    pairs = sample_attack_pairs(
+        small_world.transit_ases, graph.ases[:6], 10, random.Random(7)
+    )
+    tasks = [CampaignPairTask(attacker=a, victim=v, padding=3) for a, v in pairs]
+    victims = len({v for _, v in pairs})
+    assert victims < len(tasks)
+
+    def run():
+        metrics = RunMetrics()
+        run_batch(
+            engine, tasks, RunConfig(metrics=metrics), cache=cache, monitors=monitors
         )
-        cold = engine.propagate(
-            victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
-        )
-        _assert_same_outcome(warm, cold)
-    assert cache.hits == hits_before + 8
-    # Prefetching again is a no-op.
-    derived_before = cache.derived
-    cache.prefetch_uniform(victim, range(1, 9))
-    assert cache.derived == derived_before
+        return {
+            name: metrics.counter_value(name)
+            for name in (
+                "cache.baseline_misses",
+                "cache.canonical_convergences",
+                "engine.cold.propagations",
+                "cache.baseline_hits",
+            )
+        }
+
+    assert run() == {
+        "cache.baseline_misses": victims,
+        "cache.canonical_convergences": victims,
+        "engine.cold.propagations": victims,
+        "cache.baseline_hits": len(tasks) - victims,
+    }
+    assert cache.misses == victims
+    assert run() == {
+        "cache.baseline_misses": 0,
+        "cache.canonical_convergences": 0,
+        "engine.cold.propagations": 0,
+        "cache.baseline_hits": len(tasks),
+    }
 
 
 def test_arbitrary_schedules_take_the_cold_path(small_world):
-    """Per-link schedules have no canonical family; the cache must fall
-    back to a direct convergence and still memoise the result."""
+    """Per-link schedules converge directly and memoise like any other;
+    an equal schedule built separately hits the same entry."""
     engine = PropagationEngine(small_world.graph)
     cache = BaselineCache(engine)
     victim = small_world.tier1[0]
@@ -137,7 +167,6 @@ def test_arbitrary_schedules_take_the_cold_path(small_world):
     warm = cache.baseline(victim, prepending=schedule)
     cold = engine.propagate(victim, prepending=schedule)
     assert warm == cold
-    assert cache.derived == 0
     assert cache.baseline(victim, prepending=schedule.copy()) is warm
 
 
@@ -204,17 +233,6 @@ def test_uniform_origin_count_classification():
 
 # ----------------------------------------------------------------------
 # error paths
-
-def test_derivation_rejects_mismatched_victim(small_engine, small_world):
-    victim, other = small_world.tier1[0], small_world.tier1[1]
-    canonical = small_engine.propagate(victim)
-    with pytest.raises(SimulationError):
-        derive_uniform_baseline(canonical, other, 3)
-    with pytest.raises(SimulationError):
-        derive_uniform_family(canonical, other, [2, 3])
-    with pytest.raises(SimulationError):
-        derive_uniform_baseline(canonical, victim, 0)
-
 
 def test_cache_rejects_nonpositive_bound(small_engine):
     with pytest.raises(SimulationError):

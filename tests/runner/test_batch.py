@@ -17,6 +17,7 @@ from repro.runner import (
     RunConfig,
     ShardedScheduler,
     SweepPointTask,
+    WorkerContext,
     WorkerSpec,
     get_active_store,
     run_batch,
@@ -88,18 +89,18 @@ class TestRunBatch:
         expected_metrics = RunMetrics()
         spec = WorkerSpec(small_world.graph, metrics_enabled=True)
         with ShardedScheduler(
-            spec, metrics=expected_metrics, prepare=sweeps._prefetch_families
+            spec, metrics=expected_metrics, prepare=WorkerContext.park_impact
         ) as scheduler:
             expected = scheduler.run(tasks)
 
         engine = PropagationEngine(small_world.graph)
-        assert run_batch(engine, tasks, prepare=sweeps._prefetch_families) == expected
+        assert run_batch(engine, tasks, prepare=WorkerContext.park_impact) == expected
         metrics = RunMetrics()
         assert expected == run_batch(
             engine,
             tasks,
             RunConfig(metrics=metrics),
-            prepare=sweeps._prefetch_families,
+            prepare=WorkerContext.park_impact,
         )
         assert (
             metrics.deterministic_snapshot()

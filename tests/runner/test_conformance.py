@@ -17,13 +17,13 @@ import pytest
 import repro.runner.executor as executor_mod
 from repro.bgp.engine import PropagationEngine
 from repro.detection.monitors import top_degree_monitors
-from repro.experiments.sweeps import _prefetch_families
 from repro.runner import (
     CampaignPairTask,
     DeploymentPointTask,
     RunConfig,
     ShardedScheduler,
     SweepPointTask,
+    WorkerContext,
     WorkerSpec,
     run_batch,
 )
@@ -62,7 +62,7 @@ def _batch(kind, world):
     monitors = (
         tuple(top_degree_monitors(world.graph, 20)) if kind == "campaign" else None
     )
-    return tasks, monitors, None if kind == "campaign" else _prefetch_families
+    return tasks, monitors, None if kind == "campaign" else WorkerContext.park_impact
 
 
 @pytest.fixture(scope="module")

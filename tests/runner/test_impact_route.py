@@ -111,7 +111,7 @@ class TestRoutesAgree:
         graph = small_world.graph
         pairs = [(a, v) for a in attackers for v in victims if a != v]
         kernel_cells = exhaustive_grid(
-            PropagationEngine(graph, mode="delta"),
+            PropagationEngine(graph),
             attackers=attackers,
             victims=victims,
             origin_padding=3,

@@ -1,7 +1,7 @@
 """Shared hypothesis strategies and tiny-world builders.
 
 The property suites (compiled differential, engine invariants,
-streaming detection, delta differential) all need the same scaffolding:
+streaming detection, vectorized differential) all need the same scaffolding:
 a topology small enough that hypothesis can afford dozens of examples,
 a seeded ``random.Random`` whose post-generation state drives the
 scenario picks (so one integer seed reproduces the whole example), and
@@ -277,14 +277,14 @@ def engine_route_points(
     **attack,
 ) -> list[SweepPointResult]:
     """Sweep points computed the way every route-building cell is: a
-    cached (canonical + λ-derived) baseline, then a warm-started
+    cached baseline converged at the cell's own λ, then a warm-started
     ``simulate_interception`` on ``engine``, then the pollution report.
 
     ``cells`` are ``(attacker, victim, padding)`` triples; ``attack``
     forwards ``violate_policy`` / ``strip_mode`` / ``keep``.  Sweeps
     themselves answer impact-only cells from the impact kernel, so this
     is both the kernel's oracle and how suites exercise the engine's
-    warm paths (full, delta, vectorized baselines) at sweep shape.
+    warm path (from compiled or vectorized baselines) at sweep shape.
     """
     cache = cache if cache is not None else BaselineCache(engine)
     points = []

@@ -137,7 +137,7 @@ class TestPooledAggregationIsExact:
             == serial_metrics.deterministic_snapshot()
         )
         # The cache-shape namespaces are allowed to differ (each pool
-        # worker converges its own canonical baselines) but must still
+        # worker converges its own baselines) but must still
         # be present in both registries.
         assert pooled_metrics.counter_value("cache.canonical_convergences") >= (
             serial_metrics.counter_value("cache.canonical_convergences")
@@ -161,10 +161,9 @@ class TestPooledAggregationIsExact:
         with SupervisedExecutor(enabled_spec, workers=1) as executor:
             assert executor.metrics is not None
 
-    def test_serial_cache_hits_survive_prefetch_shape(self, generated_world):
-        """The serial sweep path prefetches whole λ families for the
-        route-building cells, so the cache counters reflect one
-        canonical convergence per victim."""
+    def test_serial_sweep_converges_its_baseline_once(self, generated_world):
+        """A deployment sweep's points share one (victim, λ) baseline:
+        the first point converges it, the rest are cache hits."""
         engine, world = generated_world
         victim = world.stubs[4]
         metrics = RunMetrics()
@@ -180,7 +179,8 @@ class TestPooledAggregationIsExact:
             run=RunConfig(metrics=metrics),
         )
         assert metrics.counter_value("cache.canonical_convergences") == 1
-        assert metrics.counter_value("cache.baseline_hits") == 5
+        assert metrics.counter_value("cache.baseline_misses") == 1
+        assert metrics.counter_value("cache.baseline_hits") == 4
 
 
 class TestCampaignAggregation:

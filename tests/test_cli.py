@@ -495,7 +495,6 @@ SURFACE = {
         (("--resume",), "resume", "str", None, None, False, "store"),
         (("--retries",), "retries", "int", None, None, False, "store"),
         (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
-        (("--engine-mode",), "engine_mode", None, "full", ("full", "delta"), False, "store"),
         (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
@@ -513,7 +512,6 @@ SURFACE = {
         (("--resume",), "resume", "str", None, None, False, "store"),
         (("--retries",), "retries", "int", None, None, False, "store"),
         (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
-        (("--engine-mode",), "engine_mode", None, "full", ("full", "delta"), False, "store"),
         (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
@@ -535,7 +533,6 @@ SURFACE = {
         (("--resume",), "resume", "str", None, None, False, "store"),
         (("--retries",), "retries", "int", None, None, False, "store"),
         (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
-        (("--engine-mode",), "engine_mode", None, "full", ("full", "delta"), False, "store"),
         (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
@@ -713,6 +710,16 @@ class TestErrors:
         assert f"repro-aspp {command}: error: " in error.splitlines()[-1]
         assert "Traceback" not in error
         assert not store.exists()
+
+    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
+    def test_the_removed_engine_mode_flag_is_a_usage_error(
+        self, command, no_world, capsys
+    ):
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--scale", "0.15", "--engine-mode", "delta"])
+        assert usage.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "repro-aspp: error: unrecognized arguments: --engine-mode delta"
 
     def test_library_error_is_one_line_and_status_one(self, capsys):
         assert main(["campaign", "--scale", "0.15", "--pairs", "0"]) == 1
