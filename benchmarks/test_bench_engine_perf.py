@@ -17,6 +17,11 @@ backend drops below 1.5× the reference.
 :meth:`CompiledTopology.from_graph` against the per-slot builder it
 replaced (kept as ``tests/bgp/compile_oracle.py``) on the 10k-AS world,
 payloads byte-identical, at least 3× faster.
+
+``test_bench_world_generation`` gates the default 1.5k-AS world the
+figures run on: ``generate_internet_topology`` against the O(pool)
+generator it replaced (kept as ``tests/topology/generator_oracle.py``),
+same ``dumps_caida`` bytes and same RNG state, at least 2× faster.
 """
 
 from __future__ import annotations
@@ -32,10 +37,18 @@ from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.experiments.base import build_world
-from repro.topology.generators import PowerLawConfig, generate_powerlaw_topology
+from repro.topology.generators import (
+    InternetTopologyConfig,
+    PowerLawConfig,
+    generate_internet_topology,
+    generate_powerlaw_topology,
+)
+from repro.topology.serialization import dumps_caida
 from repro.topology.tiers import customer_cone
+from repro.utils.rand import derive_rng, make_rng
 from tests.bgp.compile_oracle import compile_oracle
 from tests.strategies import engine_route_points
+from tests.topology.generator_oracle import generate_internet_topology_oracle
 
 BACKENDS = ("reference", "compiled")
 
@@ -184,6 +197,49 @@ def test_bench_topology_compile_10k():
     assert speedup >= 3.0, (
         f"from_graph regressed to {speedup:.2f}x over the per-slot builder "
         f"(floor is 3x)"
+    )
+
+
+def test_bench_world_generation():
+    """The default world (scale 1.0, 1,545 ASes) must generate >= 2x
+    faster than the O(pool)-per-draw oracle and be the same world: same
+    serialised bytes, same RNG state afterwards.  Both sides insert
+    through the same ``ASGraph``, so the ratio is the generator's own
+    bookkeeping; what is left is mostly ``rng.shuffle``, which
+    bit-identity does not let either side skip."""
+    config = InternetTopologyConfig()
+
+    def run(generate):
+        rng = derive_rng(make_rng(7), "topology")  # the figures' seed-7 world
+        world = generate(config, rng)
+        return world, rng.getstate()
+
+    oracle_s, (reference, reference_state) = _min_of(
+        3, lambda: run(generate_internet_topology_oracle)
+    )
+    fast_s, (world, state) = _min_of(5, lambda: run(generate_internet_topology))
+    assert dumps_caida(world.graph) == dumps_caida(reference.graph), "worlds differ"
+    assert state == reference_state, "generators drew differently"
+
+    speedup = oracle_s / fast_s
+    _merge_bench(
+        "world_generation_1k5",
+        {
+            "topology_ases": len(world.graph),
+            "topology_edges": world.graph.num_edges,
+            "oracle_ms": round(oracle_s * 1000, 2),
+            "generator_ms": round(fast_s * 1000, 2),
+            "speedup": round(speedup, 2),
+            "gate": 2.0,
+        },
+    )
+    print(
+        f"\n1.5k world: oracle {oracle_s * 1000:.1f} ms, "
+        f"generator {fast_s * 1000:.1f} ms, speedup {speedup:.2f}x"
+    )
+    assert speedup >= 2.0, (
+        f"generate_internet_topology regressed to {speedup:.2f}x over the "
+        f"O(pool) oracle (floor is 2x)"
     )
 
 

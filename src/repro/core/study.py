@@ -32,6 +32,7 @@ from repro.detection.monitors import top_degree_monitors
 from repro.detection.placement import greedy_cover_monitors
 from repro.detection.timing import DetectionTiming, detection_timing
 from repro.exceptions import ExperimentError, SimulationError
+from repro.experiments.base import generate_world
 from repro.measurement.padding_model import PaddingBehaviorModel
 from repro.measurement.ribs import MonitorRIBs, build_monitor_ribs
 from repro.runner import (
@@ -42,11 +43,7 @@ from repro.runner import (
     sample_attack_pairs,
 )
 from repro.telemetry.metrics import RunMetrics
-from repro.topology.generators import (
-    GeneratedTopology,
-    InternetTopologyConfig,
-    generate_internet_topology,
-)
+from repro.topology.generators import GeneratedTopology, InternetTopologyConfig
 from repro.utils.rand import derive_rng, make_rng
 
 __all__ = ["InterceptionStudy", "AttackCampaign"]
@@ -136,11 +133,8 @@ class InterceptionStudy:
         backend: str = "compiled",
     ) -> "InterceptionStudy":
         """Generate a fresh Internet-like world and wrap it in a study."""
-        topo_rng = derive_rng(make_rng(seed), "topology")
-        cfg = config if config is not None else InternetTopologyConfig().scaled(scale)
-        world = generate_internet_topology(cfg, topo_rng)
         return cls(
-            world,
+            generate_world(seed=seed, scale=scale, config=config),
             monitors=monitors,
             placement=placement,
             seed=seed,

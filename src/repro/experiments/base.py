@@ -37,6 +37,7 @@ __all__ = [
     "ExperimentWorld",
     "build_world",
     "experiment_timer",
+    "generate_world",
     "instrumented",
     "provider_ancestors",
 ]
@@ -64,14 +65,20 @@ def instrumented(experiment_id: str):
     return decorate
 
 
+def _timed(metrics: RunMetrics | None, name: str) -> AbstractContextManager:
+    """Context manager timing its body into timer ``name`` of
+    ``metrics``; a no-op when metrics are off."""
+    if metrics is None or not metrics.enabled:
+        return nullcontext()
+    return metrics.time(name)
+
+
 def experiment_timer(
     metrics: RunMetrics | None, experiment_id: str
 ) -> AbstractContextManager:
     """Context manager timing one experiment run into ``metrics``
     (``experiment.<id>_seconds``); a no-op when metrics are off."""
-    if metrics is None or not metrics.enabled:
-        return nullcontext()
-    return metrics.time(f"experiment.{experiment_id}_seconds")
+    return _timed(metrics, f"experiment.{experiment_id}_seconds")
 
 
 @dataclass
@@ -131,6 +138,16 @@ class ExperimentWorld:
         return self.topology.graph
 
 
+def generate_world(
+    *, seed: int, scale: float = 1.0, config: InternetTopologyConfig | None = None
+) -> GeneratedTopology:
+    """The topology ``seed`` draws — same seed, same world, for every
+    caller.  ``scale`` multiplies the default population counts; passing
+    an explicit ``config`` ignores it."""
+    cfg = config if config is not None else InternetTopologyConfig().scaled(scale)
+    return generate_internet_topology(cfg, derive_rng(make_rng(seed), "topology"))
+
+
 def build_world(
     *,
     seed: int = 7,
@@ -140,15 +157,14 @@ def build_world(
 ) -> ExperimentWorld:
     """Build the experiment substrate (topology + engine).
 
-    ``scale`` multiplies the default population counts — benchmarks run
-    at 1.0, unit tests at ~0.2.  Passing an explicit ``config`` ignores
-    ``scale``.  ``metrics`` attaches a telemetry registry to the world's
-    engine so every propagation it runs is instrumented.
+    ``scale`` and ``config`` are :func:`generate_world`'s — benchmarks
+    run at scale 1.0, unit tests at ~0.2.  ``metrics`` attaches a
+    telemetry registry to the world's engine so every propagation it
+    runs is instrumented, and times the generation itself
+    (``topology.generate_seconds``).
     """
-    rng = make_rng(seed)
-    topo_rng = derive_rng(rng, "topology")
-    cfg = config if config is not None else InternetTopologyConfig().scaled(scale)
-    topology = generate_internet_topology(cfg, topo_rng)
+    with _timed(metrics, "topology.generate_seconds"):
+        topology = generate_world(seed=seed, scale=scale, config=config)
     return ExperimentWorld(
         topology=topology,
         engine=PropagationEngine(topology.graph, metrics=metrics),

@@ -64,44 +64,52 @@ class ASGraph:
             self._siblings[asn] = set()
             self._compiled = None
 
-    def _check_new_edge(self, a: int, b: int) -> None:
+    def _open_edge(self, a: int, b: int) -> None:
+        """Everything an edge insert does except add ``a``-``b`` to its
+        two role sets: insert the endpoints, refuse a self-loop or a
+        second edge, count the edge, drop the memos."""
+        known = self._providers
+        # Only a plain int that is already a key skips ``add_as``:
+        # ``True`` and ``1.0`` hash like AS1 and must still be refused.
+        if type(a) is not int or a not in known:
+            self.add_as(a)
+        if type(b) is not int or b not in known:
+            self.add_as(b)
         if a == b:
             raise TopologyError(f"self-loop on AS{a} is not allowed")
-        if self.relationship(a, b) is not Relationship.NONE:
+        if (
+            b in self._customers[a]
+            or b in known[a]
+            or b in self._peers[a]
+            or b in self._siblings[a]
+        ):
             raise DuplicateEdgeError(
                 f"edge AS{a}-AS{b} already exists with relationship "
                 f"{self.relationship(a, b).value}"
             )
+        self._edge_count += 1
+        if self._sorted_neighbors:
+            self._sorted_neighbors.pop(a, None)
+            self._sorted_neighbors.pop(b, None)
+        self._compiled = None
 
     def add_p2c(self, provider: int, customer: int) -> None:
         """Add a transit edge: ``provider`` sells transit to ``customer``."""
-        self.add_as(provider)
-        self.add_as(customer)
-        self._check_new_edge(provider, customer)
+        self._open_edge(provider, customer)
         self._customers[provider].add(customer)
         self._providers[customer].add(provider)
-        self._edge_count += 1
-        self._invalidate_neighbors(provider, customer)
 
     def add_p2p(self, a: int, b: int) -> None:
         """Add a settlement-free peering edge between ``a`` and ``b``."""
-        self.add_as(a)
-        self.add_as(b)
-        self._check_new_edge(a, b)
+        self._open_edge(a, b)
         self._peers[a].add(b)
         self._peers[b].add(a)
-        self._edge_count += 1
-        self._invalidate_neighbors(a, b)
 
     def add_s2s(self, a: int, b: int) -> None:
         """Add a sibling edge (two ASes of one organisation)."""
-        self.add_as(a)
-        self.add_as(b)
-        self._check_new_edge(a, b)
+        self._open_edge(a, b)
         self._siblings[a].add(b)
         self._siblings[b].add(a)
-        self._edge_count += 1
-        self._invalidate_neighbors(a, b)
 
     def add_edge(self, a: int, b: int, relationship: Relationship) -> None:
         """Add an edge with ``relationship`` being *b's role relative to a*."""

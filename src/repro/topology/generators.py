@@ -101,12 +101,26 @@ class InternetTopologyConfig:
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise TopologyError(f"{name} must be a (min, max) range, got {(lo, hi)}")
+            if name.endswith("_providers") and lo < 1:
+                raise TopologyError(f"{name}: every AS below Tier-1 needs a provider")
+        # Transit-connected by construction: a populated tier draws its
+        # providers from a pool that must not be empty.
+        if self.num_tier3 and not self.num_tier2:
+            raise TopologyError("Tier-3 ASes need Tier-2 providers, num_tier2 is 0")
+        if self.num_tier4 and not self.num_tier3:
+            raise TopologyError("Tier-4 ASes need Tier-3 providers, num_tier3 is 0")
+        if self.num_stubs and not (self.num_tier2 or self.num_tier3 or self.num_tier4):
+            raise TopologyError("stubs need a transit tier below Tier-1 to attach to")
         if not 0.0 <= self.tier2_peering_prob <= 1.0:
             raise TopologyError("tier2_peering_prob must be a probability")
         if not 0.0 <= self.stub_peering_prob <= 1.0:
             raise TopologyError("stub_peering_prob must be a probability")
         if self.sibling_pairs < 0:
             raise TopologyError("sibling_pairs must be non-negative")
+        if self.sibling_pairs and (
+            self.num_tier2 + self.num_tier3 + self.num_tier4 + self.num_content < 2
+        ):
+            raise TopologyError("sibling_pairs needs two transit or content ASes to pair")
 
     def scaled(self, factor: float) -> "InternetTopologyConfig":
         """Return a copy with all population counts scaled by ``factor``."""
@@ -177,31 +191,70 @@ def _pick_count(rng: random.Random, bounds: tuple[int, int]) -> int:
     return rng.randint(lo, hi)
 
 
-def _preferential_sample(
-    rng: random.Random, pool: list[int], weights: dict[int, int], k: int
-) -> list[int]:
-    """Sample ``k`` distinct ASes from ``pool`` weighted by ``weights``.
+class _ProviderPool:
+    """An ordered pool of ASes drawn by weight ``1 + customers``.
 
-    Preferential attachment: the weight of an AS is 1 + its current
-    customer count, reproducing the heavy-tailed provider-degree
-    distribution of the real AS graph.
+    Preferential attachment reproduces the heavy-tailed provider-degree
+    distribution of the real AS graph.  The weights are integers and
+    their prefix sums live in a Fenwick tree, so a draw costs O(log n)
+    where rescanning the pool cost O(n) — and picks the very same AS:
+    the tree answers "first slot whose prefix sum reaches ``point``"
+    exactly, because an int/float comparison in Python is exact.
     """
-    if k >= len(pool):
-        return list(pool)
-    chosen: list[int] = []
-    remaining = list(pool)
-    for _ in range(k):
-        total = sum(1 + weights.get(asn, 0) for asn in remaining)
-        point = rng.uniform(0.0, total)
-        cumulative = 0.0
-        picked_index = len(remaining) - 1
-        for index, asn in enumerate(remaining):
-            cumulative += 1 + weights.get(asn, 0)
-            if point <= cumulative:
-                picked_index = index
-                break
-        chosen.append(remaining.pop(picked_index))
-    return chosen
+
+    def __init__(self, graph: ASGraph, pool: list[int]) -> None:
+        self._pool = pool
+        self._slot = {asn: slot for slot, asn in enumerate(pool)}
+        self._weight = [1 + graph.transit_degree(asn) for asn in pool]
+        self._total = sum(self._weight)
+        self._top = 1 << (len(pool).bit_length() - 1) if pool else 0
+        tree = self._tree = [0, *self._weight]  # 1-based
+        for i in range(1, len(tree)):
+            parent = i + (i & -i)
+            if parent < len(tree):
+                tree[parent] += tree[i]
+
+    def _add(self, slot: int, delta: int) -> None:
+        tree = self._tree
+        size = len(tree)
+        i = slot + 1
+        while i < size:
+            tree[i] += delta
+            i += i & -i
+        self._total += delta
+
+    def bump(self, asn: int) -> None:
+        """``asn`` gained a customer."""
+        slot = self._slot[asn]
+        self._weight[slot] += 1
+        self._add(slot, 1)
+
+    def sample(self, rng: random.Random, k: int) -> list[int]:
+        """Draw ``k`` distinct ASes, one ``rng.uniform`` per pick; the
+        whole pool (and no draw) when ``k`` covers it."""
+        pool, tree, weight = self._pool, self._tree, self._weight
+        if k >= len(pool):
+            return list(pool)
+        size = len(tree)
+        slots: list[int] = []
+        for _ in range(k):
+            # A picked slot weighs nothing for the rest of the call: the
+            # ASes left keep their order, and a zeroed slot is never the
+            # first to reach a point — except 0.0 on a zeroed leading
+            # slot, so 0.0 is read as 1 (prefixes are integers: every
+            # point in (0, 1] means "the first AS left").
+            point = rng.uniform(0.0, self._total) or 1
+            slot, acc, step = 0, 0, self._top
+            while step:
+                reach = slot + step
+                if reach < size and acc + tree[reach] < point:
+                    slot, acc = reach, acc + tree[reach]
+                step >>= 1
+            slots.append(slot)
+            self._add(slot, -weight[slot])
+        for slot in slots:
+            self._add(slot, weight[slot])
+        return [pool[slot] for slot in slots]
 
 
 def generate_internet_topology(
@@ -232,78 +285,58 @@ def generate_internet_topology(
     content = allocate(config.num_content)
     stubs = allocate(config.num_stubs)
 
-    customer_counts: dict[int, int] = {}
+    def attach(asn: int, providers: _ProviderPool, bounds: tuple[int, int]) -> None:
+        # A pool's weights are read from the graph once, when its phase
+        # starts; that stays right only while every AS gaining a customer
+        # during the phase is a member of the phase's pool.
+        for provider in providers.sample(rng, _pick_count(rng, bounds)):
+            graph.add_p2c(provider, asn)
+            providers.bump(provider)
 
-    def attach(provider: int, customer: int) -> None:
-        graph.add_p2c(provider, customer)
-        customer_counts[provider] = customer_counts.get(provider, 0) + 1
+    def peer(asn: int, pool: list[int], want: int) -> None:
+        linked = graph.neighbors_of(asn)
+        candidates = [c for c in pool if c != asn and c not in linked]
+        rng.shuffle(candidates)
+        for other in candidates[:want]:
+            graph.add_p2p(asn, other)
 
     # Tier-1: full peering mesh, no providers.
     for index, a in enumerate(tier1):
         for b in tier1[index + 1 :]:
             graph.add_p2p(a, b)
 
-    # Tier-2: multi-homed onto the Tier-1 clique.
+    # Tier-2: multi-homed onto the Tier-1 clique, sparse peering mesh.
+    providers = _ProviderPool(graph, tier1)
     for asn in tier2:
-        for provider in _preferential_sample(
-            rng, tier1, customer_counts, _pick_count(rng, config.tier2_providers)
-        ):
-            attach(provider, asn)
-
-    # Tier-2 peering mesh (sparse).
+        attach(asn, providers, config.tier2_providers)
     for index, a in enumerate(tier2):
         for b in tier2[index + 1 :]:
             if rng.random() < config.tier2_peering_prob:
                 graph.add_p2p(a, b)
 
-    # Tier-3: providers from Tier-2 by preferential attachment.
-    for asn in tier3:
-        for provider in _preferential_sample(
-            rng, tier2, customer_counts, _pick_count(rng, config.tier3_providers)
-        ):
-            attach(provider, asn)
-
-    # Tier-3 IXP-style peering.
-    for asn in tier3:
-        want = _pick_count(rng, config.tier3_peering_degree)
-        candidates = [c for c in tier3 if c != asn and not graph.has_edge(asn, c)]
-        rng.shuffle(candidates)
-        for peer in candidates[:want]:
-            graph.add_p2p(asn, peer)
-
-    # Tier-4: small regional transit, attached to Tier-3.
-    for asn in tier4:
-        for provider in _preferential_sample(
-            rng, tier3, customer_counts, _pick_count(rng, config.tier4_providers)
-        ):
-            attach(provider, asn)
-    for asn in tier4:
-        want = _pick_count(rng, config.tier4_peering_degree)
-        candidates = [c for c in tier4 if c != asn and not graph.has_edge(asn, c)]
-        rng.shuffle(candidates)
-        for peer in candidates[:want]:
-            graph.add_p2p(asn, peer)
+    # Tier-3, then Tier-4 (small regional transit): providers from the
+    # tier above by preferential attachment, then IXP-style peering.
+    for tier, above, provider_bounds, peering_bounds in (
+        (tier3, tier2, config.tier3_providers, config.tier3_peering_degree),
+        (tier4, tier3, config.tier4_providers, config.tier4_peering_degree),
+    ):
+        providers = _ProviderPool(graph, above)
+        for asn in tier:
+            attach(asn, providers, provider_bounds)
+        for asn in tier:
+            peer(asn, tier, _pick_count(rng, peering_bounds))
 
     # Content ASes: few providers, very rich peering (Facebook analogue).
+    providers = _ProviderPool(graph, tier1 + tier2)
     peering_pool = tier2 + tier3
     for asn in content:
-        for provider in _preferential_sample(
-            rng, tier1 + tier2, customer_counts, _pick_count(rng, config.content_providers)
-        ):
-            attach(provider, asn)
-        want = min(_pick_count(rng, config.content_peering_degree), len(peering_pool))
-        candidates = [c for c in peering_pool if not graph.has_edge(asn, c)]
-        rng.shuffle(candidates)
-        for peer in candidates[:want]:
-            graph.add_p2p(asn, peer)
+        attach(asn, providers, config.content_providers)
+        peer(asn, peering_pool, _pick_count(rng, config.content_peering_degree))
 
     # Stubs: one or two providers from the transit tiers.
-    transit_pool = tier2 + tier3 + tier4
+    providers = _ProviderPool(graph, tier2 + tier3 + tier4)
     for asn in stubs:
-        for provider in _preferential_sample(
-            rng, transit_pool, customer_counts, _pick_count(rng, config.stub_providers)
-        ):
-            attach(provider, asn)
+        attach(asn, providers, config.stub_providers)
         if rng.random() < config.stub_peering_prob:
             other = rng.choice(stubs)
             if other != asn and not graph.has_edge(asn, other):
@@ -337,14 +370,17 @@ def generate_internet_topology(
 # ----------------------------------------------------------------------
 # Internet-scale power-law generator (NumPy).
 #
-# ``generate_internet_topology`` draws every provider with an O(pool)
-# Python scan — fine at 1.5k ASes, hopeless at 80k.  This generator
-# produces the same macro structure (Tier-1 clique, preferentially
-# attached transit hierarchy, multi-homed stub majority, sparse transit
-# peering, optional sibling pairs) with chunked weighted draws from
-# ``numpy.random.default_rng`` (PCG64: one integer seed reproduces the
-# graph on every platform), so 10k builds in tens of milliseconds and
-# 80k in under a second before graph insertion.
+# ``generate_internet_topology`` is pinned draw for draw to
+# ``random.Random`` (its worlds are golden), so it costs what its draws
+# cost: one Python-level ``rng`` call per provider pick and per shuffled
+# peering candidate — fine at 1.5k ASes, seconds at 10k, hopeless at
+# 80k.  This generator produces the same macro structure (Tier-1
+# clique, preferentially attached transit hierarchy, multi-homed stub
+# majority, sparse transit peering, optional sibling pairs) with
+# chunked weighted draws from ``numpy.random.default_rng`` (PCG64: one
+# integer seed reproduces the graph on every platform), so 10k builds
+# in tens of milliseconds and 80k in under a second before graph
+# insertion.
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from repro.core import AttackCampaign, InterceptionStudy
 from repro.detection.alarms import Confidence
 from repro.exceptions import ExperimentError, SimulationError
+from repro.experiments.base import build_world
 from repro.runner import RunConfig
 from repro.runner.executor import available_cpus
 from repro.store import CampaignStore
@@ -35,6 +36,12 @@ class TestConstruction:
         b = InterceptionStudy.generate(seed=7, config=STUDY_CONFIG)
         assert list(a.world.graph.edges()) == list(b.world.graph.edges())
         assert a.collector.monitors == b.collector.monitors
+
+    def test_same_seed_same_world_as_the_experiments(self):
+        study = InterceptionStudy.generate(seed=7, scale=0.2, monitors=10)
+        world = build_world(seed=7, scale=0.2).topology
+        assert list(study.world.graph.edges()) == list(world.graph.edges())
+        assert study.world.sibling_pairs == world.sibling_pairs
 
     def test_placement_strategies(self):
         top = InterceptionStudy.generate(

@@ -73,6 +73,22 @@ class TestRegistry:
         assert not metrics.counters
 
 
+class TestWorldTimer:
+    def test_build_world_times_generation_into_the_registry(self):
+        from repro.experiments.base import build_world
+        from repro.telemetry.metrics import RunMetrics
+
+        metrics = RunMetrics()
+        build_world(seed=7, scale=SCALE, metrics=metrics)
+        timer = metrics.timers["topology.generate_seconds"]
+        assert timer.count == 1 and timer.total > 0.0
+        # a timer: never part of what serial and pooled runs must agree on
+        assert "topology.generate_seconds" not in repr(metrics.deterministic_snapshot())
+        disabled = RunMetrics(enabled=False)
+        build_world(seed=7, scale=SCALE, metrics=disabled)
+        assert not disabled.timers
+
+
 class TestCaseStudyExperiments:
     def test_table1_traceroute_shape(self):
         result = run_experiment("table1")

@@ -102,6 +102,7 @@ class TestMetricsFlags:
         assert "run metrics" in out
         assert CELL_COUNTER in out
         assert "experiment.fig09_seconds" in out
+        assert "topology.generate_seconds" in out
 
     def test_run_metrics_do_not_change_result_text(self, capsys):
         main(["run", "fig09", "--scale", "0.15"])

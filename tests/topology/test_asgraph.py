@@ -35,6 +35,46 @@ class TestConstruction:
         with pytest.raises(DuplicateEdgeError):
             graph.add_p2c(2, 1)
 
+    @pytest.mark.parametrize("add", ["add_p2c", "add_p2p", "add_s2s"])
+    @pytest.mark.parametrize(
+        ("endpoints", "error", "message"),
+        [
+            # True and 1.0 hash like AS1, which exists: still refused
+            ((True, 5), TopologyError, "AS numbers must be positive integers, got True"),
+            ((5, True), TopologyError, "AS numbers must be positive integers, got True"),
+            ((1.0, 2), TopologyError, "AS numbers must be positive integers, got 1.0"),
+            ((-1, 2), TopologyError, "AS numbers must be positive integers, got -1"),
+            (([1], 2), TopologyError, "AS numbers must be positive integers, got [1]"),
+            ((1, 1), TopologyError, "self-loop on AS1 is not allowed"),
+            ((9, 9), TopologyError, "self-loop on AS9 is not allowed"),
+            ((1, 2), DuplicateEdgeError, "edge AS1-AS2 already exists with relationship customer"),
+            ((2, 1), DuplicateEdgeError, "edge AS2-AS1 already exists with relationship provider"),
+            ((3, 2), DuplicateEdgeError, "edge AS3-AS2 already exists with relationship peer"),
+            ((3, 4), DuplicateEdgeError, "edge AS3-AS4 already exists with relationship sibling"),
+        ],
+    )
+    def test_refused_insert_says_why_and_adds_no_edge(self, add, endpoints, error, message):
+        graph = ASGraph()
+        graph.add_p2c(1, 2)
+        graph.add_p2p(2, 3)
+        graph.add_s2s(3, 4)
+        before = list(graph.edges())
+        with pytest.raises(error) as raised:
+            getattr(graph, add)(*endpoints)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+        assert graph.num_edges == 3
+        assert list(graph.edges()) == before
+        assert all(graph.degree(asn) == 0 for asn in graph if asn > 4)
+
+    def test_insert_after_a_memoised_read_is_seen(self):
+        graph = ASGraph()
+        graph.add_p2c(1, 2)
+        assert graph.sorted_neighbors(1) == (2,)
+        graph.add_p2p(1, 3)
+        assert graph.sorted_neighbors(1) == (2, 3)
+        assert graph.sorted_neighbors(3) == (1,)
+
     def test_add_edge_dispatch(self):
         graph = ASGraph()
         graph.add_edge(1, 2, Relationship.CUSTOMER)   # 2 is 1's customer

@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TopologyError
-from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
+from repro.experiments.base import build_world
+from repro.topology.asgraph import ASGraph
+from repro.topology.generators import (
+    InternetTopologyConfig,
+    _ProviderPool,
+    generate_internet_topology,
+)
+from repro.topology.serialization import dumps_caida
 from repro.topology.tiers import tier1_ases
+from tests.topology.generator_oracle import (
+    _preferential_sample,
+    generate_internet_topology_oracle,
+)
 
 TINY = InternetTopologyConfig(
     num_tier1=3,
@@ -36,6 +48,15 @@ class TestConfig:
             {"tier2_peering_prob": 1.5},
             {"sibling_pairs": -2},
             {"stub_peering_prob": -0.1},
+            # worlds that would not be transit-connected: a populated
+            # tier with an empty provider pool, or zero providers allowed
+            {"num_tier2": 0},
+            {"num_tier3": 0},
+            {"num_tier2": 0, "num_tier3": 0, "num_tier4": 0},
+            {"tier3_providers": (0, 1)},
+            {"stub_providers": (0, 2)},
+            # one AS below Tier-1 cannot form a sibling pair
+            {"num_tier2": 1, "num_tier3": 0, "num_tier4": 0, "num_stubs": 0, "num_content": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -141,3 +162,174 @@ class TestGeneration:
             len(world.graph.peers_of(s)) for s in world.stubs
         ) / len(world.stubs)
         assert mean_content_peers > mean_stub_peers + 3
+
+
+# ----------------------------------------------------------------------
+# The world is pinned: draw for draw against the O(pool) oracle, and
+# byte for byte against digests recorded before the generator changed.
+
+
+def _world_signature(world, rng: random.Random):
+    graph = world.graph
+    return (
+        list(graph.edges()),
+        list(graph),  # AS insertion order
+        world.tier1,
+        world.tier2,
+        world.tier3,
+        world.tier4,
+        world.stubs,
+        world.content,
+        world.sibling_pairs,
+        rng.getstate(),
+    )
+
+
+def _assert_same_world_as_oracle(config: InternetTopologyConfig, seed: int) -> None:
+    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    fast = generate_internet_topology(config, fast_rng)
+    slow = generate_internet_topology_oracle(config, slow_rng)
+    assert _world_signature(fast, fast_rng) == _world_signature(slow, slow_rng)
+
+
+class TestDrawForDrawOracle:
+    @pytest.mark.parametrize(
+        ("scale", "examples"), [(0.05, 40), (0.2, 15), (0.5, 6), (1.0, 3)]
+    )
+    def test_same_world_and_rng_state_as_oracle(self, scale, examples):
+        config = InternetTopologyConfig().scaled(scale)
+
+        @settings(max_examples=examples, deadline=None)
+        @example(seed=7)
+        @given(seed=st.integers(0, 10**6))
+        def check(seed):
+            _assert_same_world_as_oracle(config, seed)
+
+        check()
+
+    def test_worlds_without_optional_tiers_match_oracle(self):
+        """Pools may be empty where no AS draws from them."""
+        config = InternetTopologyConfig(
+            num_tier2=0, num_tier3=0, num_tier4=0, num_stubs=0, num_content=3, sibling_pairs=1
+        )
+        _assert_same_world_as_oracle(config, seed=3)
+
+
+class _ScriptedRng:
+    """Stands in for ``random.Random`` where only ``uniform`` is drawn:
+    returns the scripted points and records the totals it was offered."""
+
+    def __init__(self, *points: float) -> None:
+        self._points = list(points)
+        self.totals: list[int] = []
+
+    def uniform(self, low: float, high: int) -> float:
+        point = self._points.pop(0)
+        assert low == 0.0 <= point <= high
+        self.totals.append(high)
+        return point
+
+
+def _graph_with_customers(counts: dict[int, int]) -> ASGraph:
+    graph = ASGraph()
+    customer = 1000
+    for asn, count in counts.items():
+        graph.add_as(asn)
+        for _ in range(count):
+            customer += 1
+            graph.add_p2c(asn, customer)
+    return graph
+
+
+class TestProviderPool:
+    #: pool order is not ASN order; weights 1 + customers = 3, 1, 5, 2, 1
+    POOL = [30, 10, 50, 20, 40]
+    CUSTOMERS = {30: 2, 10: 0, 50: 4, 20: 1, 40: 0}
+
+    def _pool(self) -> _ProviderPool:
+        return _ProviderPool(_graph_with_customers(self.CUSTOMERS), list(self.POOL))
+
+    def _both(self, k: int, *points: float):
+        pool = self._pool()
+        fast_rng, slow_rng = _ScriptedRng(*points), _ScriptedRng(*points)
+        fast = pool.sample(fast_rng, k)
+        slow = _preferential_sample(slow_rng, list(self.POOL), self.CUSTOMERS, k)
+        assert fast == slow
+        assert fast_rng.totals == slow_rng.totals
+        assert all(type(total) is int for total in fast_rng.totals)
+        # zeroed weights are restored: the next call sees the full pool
+        assert pool.sample(_ScriptedRng(12.0), 1) == [self.POOL[-1]]
+        return fast
+
+    def test_point_zero_is_first_as(self):
+        assert self._both(1, 0.0) == [30]
+
+    def test_point_total_is_last_as(self):
+        assert self._both(1, 12.0) == [40]
+
+    def test_point_on_prefix_boundary_picks_the_slot_it_closes(self):
+        # prefix sums 3, 4, 9, 11, 12: a point of exactly 4 is AS10's,
+        # exactly 9 is AS50's
+        assert self._both(1, 4.0) == [10]
+        assert self._both(1, 9.0) == [50]
+
+    def test_k_covering_the_pool_draws_nothing(self):
+        for k in (5, 6):
+            rng = _ScriptedRng()
+            assert self._pool().sample(rng, k) == self.POOL
+            assert rng.totals == []
+
+    def test_second_pick_never_lands_on_the_zeroed_slot(self):
+        # first pick AS50 (point 5 of 12); of the 7 left, prefix sums are
+        # 3, 4, [4], 6, 7: points 4 and 4.5 straddle the zeroed slot
+        assert self._both(2, 5.0, 4.0) == [50, 10]
+        assert self._both(2, 5.0, 4.5) == [50, 20]
+
+    def test_point_zero_after_the_first_slot_was_picked(self):
+        # the leading slot is zeroed: 0.0 must mean AS10, the first left
+        assert self._both(2, 0.0, 0.0) == [30, 10]
+        assert self._both(3, 0.0, 0.0, 0.0) == [30, 10, 50]
+
+    def test_bump_moves_the_boundaries(self):
+        pool = self._pool()
+        pool.bump(10)  # weights 3, 2, 5, 2, 1
+        counts = dict(self.CUSTOMERS) | {10: 1}
+        for point in (0.0, 3.0, 3.5, 5.0, 5.5, 13.0):
+            assert pool.sample(_ScriptedRng(point), 1) == _preferential_sample(
+                _ScriptedRng(point), list(self.POOL), counts, 1
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        customers=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        k=st.integers(0, 13),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_oracle_on_random_pools(self, customers, k, seed):
+        asns = list(range(len(customers), 0, -1))
+        counts = dict(zip(asns, customers))
+        pool = _ProviderPool(_graph_with_customers(counts), list(asns))
+        fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert pool.sample(fast_rng, k) == _preferential_sample(
+                slow_rng, list(asns), counts, k
+            )
+        assert fast_rng.getstate() == slow_rng.getstate()
+
+
+class TestWorldDigest:
+    """``dumps_caida`` of the default world, recorded on the commit
+    before the Fenwick-pool generator: a generator change that moves the
+    world fails here, by name, before it fails in every figure golden."""
+
+    @pytest.mark.parametrize(
+        ("scale", "ases", "edges", "digest"),
+        [
+            (0.2, 312, 797, "0bf9195055fc6a69dd053f1ed617cae1e8f5027912331cc3844be8871e993930"),
+            (1.0, 1545, 3915, "4144b54be411de9e3dd8cc286a656bc9cc1facac0a3378a5d4224332784a4fbe"),
+        ],
+    )
+    def test_seed7_world_is_pinned(self, scale, ases, edges, digest):
+        graph = build_world(seed=7, scale=scale).graph
+        assert (len(graph), graph.num_edges) == (ases, edges)
+        assert hashlib.sha256(dumps_caida(graph).encode()).hexdigest() == digest
