@@ -10,9 +10,11 @@ are timed and recorded in ``BENCH_engine.json``:
   snapshot copies), the semantic oracle and the gate's denominator;
 * ``pipeline_ups`` — :meth:`PipelineDetector.consume_batch` over the
   identical stream, metrics off (the sustained hot path);
-* ``multifeed_ups`` — the same stream split across 4 bounded feed
-  queues and re-merged by sequence (the deployment shape), recorded
-  ungated alongside its backpressure counters.
+* ``multifeed_ups`` / ``multifeed_default_ups`` — the same stream
+  split across 4 bounded feed queues and re-merged by sequence (the
+  deployment shape) under a random and under ``run()``'s default
+  round-robin interleaving, recorded ungated alongside the backpressure
+  counters and the reorder-buffer high-water marks.
 
 The ≥10x acceptance gate rides on the single-stream consume path over
 **background churn** (``attack=False``): an attack burst triggers the
@@ -23,7 +25,7 @@ parity on an attack-bearing stream is asserted separately below before
 any timing is trusted.
 
 p50/p99 per-update latency comes from a separate instrumented pass
-(the latency histogram itself costs two ``perf_counter`` calls per
+(the latency histogram itself costs a ``perf_counter`` read per
 update, so it is never measured on the throughput pass).
 """
 
@@ -177,30 +179,40 @@ def test_bench_streaming_throughput(churn):
 
 def test_bench_multifeed_pipeline(churn):
     """The deployment shape: 4 bounded feeds, batch=64, sequence-order
-    merge.  Recorded (ungated) with its backpressure telemetry; alarms
-    must match the serial oracle exactly."""
+    merge.  Recorded (ungated) with its backpressure telemetry, twice:
+    a randomly split stream under a random interleaving (the merge doing
+    real reordering) and the round-robin split under ``run()``'s default
+    order (what ``detect-stream`` runs; the reorder buffer stays within
+    one batch per feed).  Alarms must match the serial oracle exactly."""
     messages = churn.plain_messages()
-    streams = split_stream(churn.messages, 4, rng=random.Random(3))
 
-    def run():
-        metrics = RunMetrics()
-        pipeline = StreamingPipeline(
-            _pipeline(churn),
-            feeds=4,
-            batch=64,
-            capacity=256,
-            policy="block",
-            metrics=metrics,
-        )
-        alarms = pipeline.run(streams, rng=random.Random(11))
-        return pipeline, metrics, alarms
+    def timed(streams, interleave):
+        def run():
+            metrics = RunMetrics()
+            pipeline = StreamingPipeline(
+                _pipeline(churn),
+                feeds=4,
+                batch=64,
+                capacity=256,
+                policy="block",
+                metrics=metrics,
+            )
+            rng = None if interleave is None else random.Random(interleave)
+            alarms = pipeline.run(streams, rng=rng)
+            return pipeline, metrics, alarms
 
-    elapsed, (pipeline, metrics, alarms) = _min_of(3, run)
-    assert alarms == []
-    assert pipeline.processed == len(messages)
+        elapsed, (pipeline, metrics, alarms) = _min_of(3, run)
+        assert alarms == []
+        assert pipeline.processed == len(messages)
+        return len(messages) / elapsed, pipeline, metrics.histograms
 
-    queue_depth = metrics.histograms["detection.pipeline.queue_depth"]
-    multifeed_ups = len(messages) / elapsed
+    multifeed_ups, pipeline, histograms = timed(
+        split_stream(churn.messages, 4, rng=random.Random(3)), 11
+    )
+    default_ups, _, default_histograms = timed(split_stream(churn.messages, 4), None)
+    reorder_depth = "detection.pipeline.reorder_depth"
+    assert default_histograms[reorder_depth].max <= 4 * 64
+
     _merge_bench(
         "streaming_multifeed",
         {
@@ -209,10 +221,18 @@ def test_bench_multifeed_pipeline(churn):
             "batch": 64,
             "policy": "block",
             "multifeed_ups": round(multifeed_ups),
+            "multifeed_default_ups": round(default_ups),
             "blocked": pipeline.blocked,
             "dropped": pipeline.dropped,
             "parked": pipeline.parked,
-            "queue_depth_p99": round(queue_depth.quantile(0.99), 1),
+            "queue_depth_p99": round(
+                histograms["detection.pipeline.queue_depth"].quantile(0.99), 1
+            ),
+            "reorder_depth_max": histograms[reorder_depth].max,
+            "reorder_depth_max_default": default_histograms[reorder_depth].max,
         },
     )
-    print(f"\nmultifeed pipeline: {multifeed_ups:,.0f} updates/sec")
+    print(
+        f"\nmultifeed pipeline: {multifeed_ups:,.0f} updates/sec "
+        f"(default order {default_ups:,.0f})"
+    )

@@ -646,8 +646,9 @@ def _detect_stream(args, parser, metrics) -> int:
     stream = _churn_stream(args, attack=not args.no_attack)
     graph = stream.world.graph
     # The p50/p99 summary needs the per-update latency histogram, so the
-    # pipeline is always instrumented here; --metrics controls only
-    # whether the full registry is emitted afterwards.
+    # pipeline is always instrumented here (one clock read per update,
+    # everything else folded into the registry once per batch);
+    # --metrics controls only whether the full registry is emitted.
     registry = metrics if metrics is not None else RunMetrics()
     detector = PipelineDetector(
         ASPPInterceptionDetector(graph), graph, metrics=registry

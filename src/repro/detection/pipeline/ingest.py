@@ -139,6 +139,8 @@ class StreamingPipeline:
         self._buffered: set[int] = set()
         self._next_seq = first_seq
         self._enqueued = 0
+        #: queue depths admitted since the last drain (``_collect`` folds them)
+        self._depths: list[int] = []
         #: sequence numbers known lost (drop policy, faults) — skipped in order
         self._skipped: set[int] = set()
         # backpressure accounting (mirrored into metrics when attached)
@@ -249,7 +251,7 @@ class StreamingPipeline:
         self._buffered.add(item.seq)
         self._enqueued += 1
         if track:
-            metrics.observe("detection.pipeline.queue_depth", len(queue.items))
+            self._depths.append(len(queue.items))
         if self._enqueued >= self.batch:
             raised.extend(self.pump())
         return raised
@@ -410,6 +412,9 @@ class StreamingPipeline:
                 update = parked.popleft()
                 pending[update.seq] = update
         self._enqueued = 0
+        if self._depths:
+            self.metrics.observe_many("detection.pipeline.queue_depth", self._depths)
+            self._depths.clear()
 
     def _ready_run(self) -> list[SequencedUpdate]:
         """The maximal run of consecutive sequence numbers available at
@@ -480,9 +485,12 @@ class StreamingPipeline:
     ) -> list[Alarm]:
         """Feed per-feed streams to completion and flush.
 
-        Interleaving is round-robin by default; passing ``rng`` draws
-        the next feed at random (deterministically for a seeded rng) —
-        the equivalence suites use this to prove interleaving
+        Interleaving is round-robin by default — position *p* of every
+        feed is offered before position *p + 1* of any, so a
+        :func:`split_stream` stream arrives in sequence order and the
+        reorder buffer stays within one batch per feed; passing ``rng``
+        draws the next feed at random (deterministically for a seeded
+        rng) — the equivalence suites use this to prove interleaving
         independence.
         """
         if len(streams) != len(self.queues):
@@ -493,15 +501,15 @@ class StreamingPipeline:
         positions = [0] * len(streams)
         remaining = [i for i, stream in enumerate(streams) if stream]
         while remaining:
-            if rng is None:
-                feed_id = remaining[0]
-            else:
-                feed_id = remaining[rng.randrange(len(remaining))]
-            stream = streams[feed_id]
-            raised.extend(self.offer(feed_id, stream[positions[feed_id]]))
-            positions[feed_id] += 1
-            if positions[feed_id] >= len(stream):
-                remaining.remove(feed_id)
+            # One turn: every unfinished feed once, or the one feed drawn.
+            turn = remaining if rng is None else (remaining[rng.randrange(len(remaining))],)
+            for feed_id in turn:
+                stream = streams[feed_id]
+                raised.extend(self.offer(feed_id, stream[positions[feed_id]]))
+                positions[feed_id] += 1
+                if positions[feed_id] == len(stream):
+                    # rebound, not mutated: the turn in progress is unaffected
+                    remaining = [i for i in remaining if i != feed_id]
         raised.extend(self.flush())
         return raised
 
@@ -516,8 +524,9 @@ def split_stream(
 
     Each feed receives its slice in sequence order (feeds deliver
     in-order; only the *interleaving across* feeds is arbitrary).
-    Assignment is round-robin, or random per message when ``rng`` is
-    given.
+    Assignment is round-robin (``position % feeds``, the slicing
+    :meth:`StreamingPipeline.run`'s default order undoes), or random
+    per message when ``rng`` is given.
     """
     if feeds < 1:
         raise DetectionError("split_stream needs at least one feed")

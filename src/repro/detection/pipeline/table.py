@@ -26,6 +26,7 @@ paths (0 is the empty path).
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
+from itertools import pairwise
 from time import perf_counter
 
 from repro.bgp.collectors import MonitorView
@@ -237,10 +238,12 @@ class PipelineDetector:
     * the scan, when it runs, reads the live view — no snapshot copy.
 
     ``metrics`` records ``detection.pipeline.*`` counters and the
-    per-update latency histogram.  Updates towards
-    ``detection.updates_to_first_alarm`` are counted unconditionally
-    (the registry may be attached mid-stream); only the ``observe()``
-    is gated on an enabled registry.
+    per-update latency histogram, folded into the registry once per
+    batch (an update's latency runs from its clock read to the next
+    update's; the registry switch is read once per batch).  Updates
+    towards ``detection.updates_to_first_alarm`` are counted
+    unconditionally (the registry may be attached between batches);
+    only the ``observe()`` is gated on an enabled registry.
     """
 
     def __init__(
@@ -326,9 +329,14 @@ class PipelineDetector:
         prefs: list[PrefClass | None] = []
         entry_classes: dict[int, dict[int, PrefClass]] = {}
         updates_seen = self._updates_seen
+        changes = 0
+        # clock reads: one per update plus the batch's end — an update's
+        # latency runs from its own read to the next one
+        stamps: list[float] = []
         for message in messages:
             updates_seen += 1
-            start = perf_counter() if track else 0.0
+            if track:
+                stamps.append(perf_counter())
             prefix = message.prefix
             if prefix != entry_prefix:
                 entry = table._exact.get(prefix)
@@ -351,24 +359,12 @@ class PipelineDetector:
                     # Route already None (or monitor absent): the legacy
                     # detector suppresses this as a duplicate without
                     # installing the monitor either.
-                    if track:
-                        metrics.count("detection.pipeline.updates")
-                        metrics.observe(
-                            "detection.pipeline.update_latency_us",
-                            (perf_counter() - start) * 1e6,
-                        )
                     continue
                 pids[slot] = _WITHDRAWN
                 prefs[slot] = None
                 # A withdrawal is never an ASPP symptom (current route
                 # is None): state changes, no inspection.
-                if track:
-                    metrics.count("detection.pipeline.updates")
-                    metrics.count("detection.pipeline.changes")
-                    metrics.observe(
-                        "detection.pipeline.update_latency_us",
-                        (perf_counter() - start) * 1e6,
-                    )
+                changes += 1
                 continue
             path = message.path
             new_pid = intern_tuple(path)
@@ -383,13 +379,8 @@ class PipelineDetector:
             else:
                 pref = _DEFAULT_PREF
             if new_pid == old_pid and pref is old_pref:
-                if track:
-                    metrics.count("detection.pipeline.updates")
-                    metrics.observe(
-                        "detection.pipeline.update_latency_us",
-                        (perf_counter() - start) * 1e6,
-                    )
                 continue
+            changes += 1
             pids[slot] = new_pid
             prefs[slot] = pref
             entry.present.add(monitor)
@@ -412,8 +403,6 @@ class PipelineDetector:
                     alarms.extend(raised)
                     if prefix not in self.first_alarm_at:
                         self.first_alarm_at[prefix] = updates_seen
-                    if track:
-                        metrics.count("detection.pipeline.alarms", len(raised))
                     if not self._first_alarm_recorded:
                         self._first_alarm_recorded = True
                         if track:
@@ -421,15 +410,21 @@ class PipelineDetector:
                                 "detection.updates_to_first_alarm",
                                 updates_seen,
                             )
-            if track:
-                metrics.count("detection.pipeline.updates")
-                metrics.count("detection.pipeline.changes")
-                metrics.observe(
-                    "detection.pipeline.update_latency_us",
-                    (perf_counter() - start) * 1e6,
-                )
         self._updates_seen = updates_seen
         if track:
+            stamps.append(perf_counter())
+            # One fold per batch; a counter appears only once it is
+            # non-zero, as when each update counted itself.
+            if messages:
+                metrics.count("detection.pipeline.updates", len(messages))
+            if changes:
+                metrics.count("detection.pipeline.changes", changes)
+            if alarms:
+                metrics.count("detection.pipeline.alarms", len(alarms))
+            metrics.observe_many(
+                "detection.pipeline.update_latency_us",
+                [(end - start) * 1e6 for start, end in pairwise(stamps)],
+            )
             metrics.count("detection.pipeline.batches")
             metrics.observe("detection.pipeline.batch_size", len(messages))
         return alarms

@@ -30,7 +30,7 @@ excluded from determinism comparisons.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import wraps
@@ -151,6 +151,23 @@ class Histogram:
         bucket = int(value).bit_length()
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Exactly ``for value in values: self.observe(value)`` — the
+        same float additions in the same order — with each field read
+        and written once."""
+        count, total, low, high = self.count, self.total, self.min, self.max
+        buckets = self.buckets
+        for value in values:
+            count += 1
+            total += value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+            bucket = int(value).bit_length()
+            buckets[bucket] = buckets.get(bucket, 0) + 1
+        self.count, self.total, self.min, self.max = count, total, low, high
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -239,6 +256,16 @@ class RunMetrics:
         if histogram is None:
             histogram = self.histograms[name] = Histogram(name)
         histogram.observe(value)
+
+    def observe_many(self, name: str, values: Sequence[float]) -> None:
+        """Fold a batch of observations into histogram ``name`` (one
+        lookup; no histogram is created for an empty batch)."""
+        if not self.enabled or not values:
+            return
+        histogram = self.histograms.get(name)
+        if histogram is None:
+            histogram = self.histograms[name] = Histogram(name)
+        histogram.observe_many(values)
 
     def timer_add(self, name: str, seconds: float) -> None:
         if not self.enabled:

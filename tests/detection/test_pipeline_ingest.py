@@ -10,6 +10,7 @@ same surviving updates — lossless policies over the whole stream, the
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -24,9 +25,11 @@ from repro.detection.pipeline import (
     StreamingPipeline,
     split_stream,
 )
+from repro.detection.pipeline.faults import FeedFaultPlan
 from repro.detection.streaming import StreamingDetector
 from repro.exceptions import DetectionError
 from repro.measurement.churn import ChurnConfig, synthesize_churn_stream
+from repro.mitigation import run_closed_loop
 from repro.telemetry.metrics import RunMetrics
 
 
@@ -55,11 +58,11 @@ def _oracle_alarms(stream, messages):
     return oracle.consume_all(messages)
 
 
-def _pipeline(stream, **kwargs):
+def _pipeline(stream, *, metrics=None, **kwargs):
     detector = PipelineDetector(
-        ASPPInterceptionDetector(stream.world.graph), stream.world.graph
+        ASPPInterceptionDetector(stream.world.graph), stream.world.graph, metrics=metrics
     )
-    pipeline = StreamingPipeline(detector, **kwargs)
+    pipeline = StreamingPipeline(detector, metrics=metrics, **kwargs)
     for view in stream.baselines.values():
         pipeline.prime(view)
     return pipeline
@@ -228,3 +231,132 @@ def test_split_stream_partitions_in_order(count, feeds, seed):
     for stream in streams:
         seqs = [update.seq for update in stream]
         assert seqs == sorted(seqs)
+
+
+# -- telemetry is folded per batch: nothing may be left unfolded ---------------
+
+
+@pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
+@pytest.mark.parametrize("pumping", [True, False])
+def test_every_update_reaches_the_registry(churn, policy, pumping):
+    """Counts and histograms are kept in locals and folded per batch /
+    per drain; a stream that ends between folds (``offer…; flush()``
+    with no pump at all) must lose none of them."""
+    metrics = RunMetrics()
+    if pumping:
+        # tiny queues: block pumps on overflow, drop drops, park parks
+        pipeline = _pipeline(
+            churn, metrics=metrics, feeds=2, batch=1000, capacity=3, policy=policy
+        )
+        pipeline.run(split_stream(churn.messages, 2))
+    else:
+        pipeline = _pipeline(
+            churn, metrics=metrics, feeds=2, batch=10**6, capacity=10**6, policy=policy
+        )
+        for position, update in enumerate(churn.messages):
+            assert pipeline.offer(position % 2, update) == []
+        assert metrics.counter_value("detection.pipeline.batches") == 0
+        pipeline.flush()
+    dropped = set(pipeline.dropped_seqs)
+    survivors = [u.message for u in churn.messages if u.seq not in dropped]
+    assert pipeline.processed == len(survivors)
+    if pumping and policy != "block":
+        assert pipeline.dropped + pipeline.parked > 0
+
+    reference = RunMetrics()
+    whole = PipelineDetector(
+        ASPPInterceptionDetector(churn.world.graph), churn.world.graph, metrics=reference
+    )
+    for view in churn.baselines.values():
+        whole.prime(view)
+    alarms = whole.consume_batch(survivors)
+    assert pipeline.alarms == alarms
+    for name in ("updates", "changes", "alarms"):
+        assert metrics.counter_value(f"detection.pipeline.{name}") == (
+            reference.counter_value(f"detection.pipeline.{name}")
+        )
+    assert metrics.counter_value("detection.pipeline.updates") == pipeline.processed
+    assert metrics.counter_value("detection.pipeline.alarms") == len(alarms)
+    histograms = metrics.histograms
+    assert histograms["detection.pipeline.update_latency_us"].count == pipeline.processed
+    # parked updates bypass the bounded queue, so they record no depth
+    admitted = len(churn.messages) - pipeline.dropped - pipeline.parked
+    assert histograms["detection.pipeline.queue_depth"].count == admitted
+
+
+# -- the interleaving contract --------------------------------------------------
+
+
+def _feed_by_feed(pipeline, streams):
+    """Feed 0 to its end, then feed 1, ...: the worst case for the
+    reorder buffer (everything but feed 0's slice waits in it)."""
+    for feed_id, stream in enumerate(streams):
+        for update in stream:
+            pipeline.offer(feed_id, update)
+    pipeline.flush()
+
+
+@pytest.mark.parametrize("feeds", [1, 2, 4, 7])
+def test_alarms_do_not_depend_on_the_interleaving(churn, feeds):
+    batch = 16
+    streams = split_stream(churn.messages, feeds)
+    outcomes = []
+    for order in (None, 1, 2, 3, "feed-by-feed"):
+        metrics = RunMetrics()
+        pipeline = _pipeline(churn, metrics=metrics, feeds=feeds, batch=batch)
+        if order == "feed-by-feed":
+            _feed_by_feed(pipeline, streams)
+        else:
+            pipeline.run(streams, rng=None if order is None else random.Random(order))
+        outcomes.append(
+            (pipeline.alarms, pipeline.detector.first_alarm_at, pipeline.processed)
+        )
+        depth = metrics.histograms["detection.pipeline.reorder_depth"].max
+        if order is None:
+            # run() re-merges a round-robin split as it arrives
+            assert depth <= feeds * batch
+        elif order == "feed-by-feed" and feeds > 1:
+            assert depth > feeds * batch
+    assert outcomes[0][0] == _oracle_alarms(churn, churn.plain_messages())
+    assert outcomes[0][2] == len(churn.messages)
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+#: ``run_closed_loop`` on ``ChurnConfig(seed, scale=0.5, monitors=100,
+#: prefixes=4, updates=4000, padding=3)``, 4 feeds, recorded while
+#: ``run()`` still drained feed by feed: seed -> (MitigationStep fields,
+#: processed, pipeline alarms, duplicates under the recoverable
+#: ``FeedFaultPlan.seeded(4, seed=seed, rate=1.0)``).
+_CLOSED_LOOP_GOLDEN = {
+    3: (
+        ("stepdown", 61, 132, "203.0.113.0/24", 3, 2, 1385, 1, 64, 2, 18,
+         0.01297016861219196, 0.02204928664072633, 0.019455252918287938, 60, 1207),
+        4292, 1267, 3,
+    ),
+    7: (
+        ("stepdown", 94, 6, "203.0.113.0/24", 3, 2, 1357, 1, 64, 3, 97,
+         0.06355382619974059, 0.1569390402075227, 0.08430609597924774, 123, 1751),
+        4291, 1874, 0,
+    ),
+    11: (
+        ("stepdown", 409, 28, "203.0.113.0/24", 3, 2, 1457, 1, 64, 3, 136,
+         0.07133592736705577, 0.16601815823605706, 0.11932555123216602, 55, 955),
+        4168, 1010, 6,
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("seed", sorted(_CLOSED_LOOP_GOLDEN))
+def test_closed_loop_reports_survive_the_interleaving_change(seed):
+    step, processed, alarms, duplicates = _CLOSED_LOOP_GOLDEN[seed]
+    stream = synthesize_churn_stream(
+        ChurnConfig(
+            seed=seed, scale=0.5, monitors=100, prefixes=4, updates=4000, padding=3
+        )
+    )
+    for plan in (None, FeedFaultPlan.seeded(4, seed=seed, rate=1.0)):
+        report = run_closed_loop(stream, feeds=4, fault_plan=plan)
+        assert dataclasses.astuple(report.step) == step
+        assert (report.processed, len(report.alarms)) == (processed, alarms)
+        assert report.duplicates == (0 if plan is None else duplicates)
+        assert (report.dead_lettered, report.lost, report.coverage) == (0, 0, 1.0)

@@ -1,34 +1,18 @@
-"""RouteViews-scale churn synthesis for the streaming pipeline.
+"""The copy-and-recompile churn synthesizer, kept as an oracle.
 
-:func:`repro.bgp.updates.simulate_update_stream` re-propagates the
-whole topology for every event — right for the Figure 5/6
-characterisation, hopeless for generating the hundreds of thousands of
-updates a throughput benchmark needs.  This module trades generality
-for rate: it converges each prefix's baseline and a small pool of
-link-failure scenarios **once** — all on one engine and one compiled
-topology, a failed link being a pair of import filters rather than a
-new graph — then replays failure/recovery flaps drawn from that pool,
-so stream length is decoupled from engine work.
-
-The synthesized mix mirrors what public collectors actually see:
-
-* several background prefixes flapping between primary and backup
-  routes (operators pad backup announcements more heavily — set
-  ``backup_padding`` to reproduce the paper's §VI-A observation and
-  force padding *decreases* on every recovery leg, the detector's
-  expensive path);
-* optionally one ASPP interception attack burst
-  (:func:`~repro.detection.streaming.attack_update_stream`) spliced in
-  a third of the way through the stream.
-
-Every message carries a dense global sequence stamp, so the stream can
-be split across feeds (:func:`repro.detection.pipeline.split_stream`)
-and deterministically re-merged.
+This is :func:`repro.measurement.churn.synthesize_churn_stream` as it
+stood while a link failure was a new graph: every flap scenario copies
+the topology, removes the failed edge, builds a fresh
+:class:`~repro.bgp.engine.PropagationEngine` (and with it a fresh
+:class:`~repro.bgp.compiled.CompiledTopology`) and converges the origin
+on that.  The synthesizer now converges each scenario on its one engine
+with two import filters standing in for the missing link; this module is
+the independent statement of what that must produce — the same
+messages in the same order with the same sequence stamps, the same
+baselines, victim, attacker and attack window (``test_churn.py``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.attack.interception import InterceptionResult, simulate_interception
 from repro.bgp.collectors import MonitorView, RouteCollector
@@ -39,112 +23,26 @@ from repro.detection.monitors import top_degree_monitors
 from repro.detection.streaming import attack_update_stream
 from repro.exceptions import SimulationError
 from repro.experiments.base import ExperimentWorld, build_world
+from repro.measurement.churn import (
+    ChurnConfig,
+    SynthesizedStream,
+    _background_prefix,
+    _flap_messages,
+)
 from repro.utils.rand import derive_rng, make_rng
 
-__all__ = ["ChurnConfig", "SynthesizedStream", "synthesize_churn_stream"]
 
-
-@dataclass(frozen=True)
-class ChurnConfig:
-    """Knobs of the churn synthesizer (see EXPERIMENTS.md)."""
-
-    seed: int = 7
-    scale: float = 1.0
-    #: monitor feed size (top-degree placement, the paper's strategy)
-    monitors: int = 150
-    #: background prefixes churning alongside the victim's
-    prefixes: int = 4
-    #: distinct precomputed link-failure scenarios per prefix
-    scenarios: int = 5
-    #: target stream length (the stream may overshoot by < one flap)
-    updates: int = 5000
-    #: uniform origin padding on the background prefixes' primary routes
-    background_padding: int = 2
-    #: padding on backup (failure) routes; None = same as primary, so
-    #: background churn never decreases padding and stays alarm-free
-    backup_padding: int | None = None
-    #: splice one interception attack burst into the stream
-    attack: bool = True
-    #: the attack victim's origin padding λ
-    padding: int = 3
-
-
-@dataclass
-class SynthesizedStream:
-    """A sequenced update stream plus everything needed to consume it."""
-
-    config: ChurnConfig
-    world: ExperimentWorld
-    collector: RouteCollector
-    messages: list[SequencedUpdate]
-    #: prefix -> baseline view, for priming detectors before replay
-    baselines: dict[str, MonitorView]
-    victim: int | None = None
-    attacker: int | None = None
-    attack_result: InterceptionResult | None = field(default=None, repr=False)
-    #: sequence stamp of the first attack-burst message (None when the
-    #: stream carries no attack) — the closed loop's t=0 for
-    #: time-to-detect
-    attack_start_seq: int | None = None
-    #: sequence stamp one past the last attack-burst message
-    attack_end_seq: int | None = None
-
-    @property
-    def updates(self) -> int:
-        return len(self.messages)
-
-    @property
-    def attack_window(self) -> tuple[int, int] | None:
-        """``[start, end)`` sequence window of the spliced attack burst."""
-        if self.attack_start_seq is None or self.attack_end_seq is None:
-            return None
-        return (self.attack_start_seq, self.attack_end_seq)
-
-    def plain_messages(self) -> list[UpdateMessage]:
-        """The stream without sequence stamps (the serial-oracle input)."""
-        return [sequenced.message for sequenced in self.messages]
-
-    def feed_streams(self, feeds: int) -> list[list[SequencedUpdate]]:
-        """The stream split round-robin across ``feeds`` feeds (the
-        shape :meth:`StreamingPipeline.run`'s default order re-merges)."""
-        from repro.detection.pipeline.ingest import split_stream
-
-        return split_stream(self.messages, feeds)
-
-
-def _background_prefix(index: int) -> str:
-    return f"10.{index // 256}.{index % 256}.0/24"
-
-
-def _flap_messages(baseline: MonitorView, degraded: MonitorView) -> list[UpdateMessage]:
-    """One failure/recovery flap: each changed monitor announces the
-    degraded route, then re-announces its baseline (both directions of
-    the flap land in real update files)."""
-    return [
-        message
-        for flap in zip(
-            degraded.updates_since(baseline), baseline.updates_since(degraded)
-        )
-        for message in flap
-    ]
-
-
-def synthesize_churn_stream(
+def oracle_churn_stream(
     config: ChurnConfig,
     *,
     world: ExperimentWorld | None = None,
 ) -> SynthesizedStream:
-    """Synthesize a sequenced update stream per ``config``.
-
-    Deterministic: the same config (and world) always produces the
-    identical message list, sequence stamps included.
-    """
+    """:func:`synthesize_churn_stream`, with every failed link removed
+    from a private copy of the graph."""
     if config.updates < 0:
         raise SimulationError("updates must be non-negative")
     if config.prefixes < 1:
         raise SimulationError("the synthesizer needs at least one background prefix")
-    if config.scenarios < 1:
-        raise SimulationError("scenarios must be >= 1")
     if world is None:
         world = build_world(seed=config.seed, scale=config.scale)
     graph = world.graph
@@ -219,19 +117,15 @@ def synthesize_churn_stream(
             if len(neighbours) >= config.scenarios
             else list(neighbours)
         )
-        secondary = PrependingPolicy.uniform_origin(origin, backup)
         flaps: list[list[UpdateMessage]] = []
         for failed in failures:
-            # The link origin–failed is down: neither end hears the
-            # other, everything else converges on the same topology.
-            degraded = engine.propagate(
+            degraded_graph = graph.copy()
+            degraded_graph.remove_edge(origin, failed)
+            degraded_engine = PropagationEngine(degraded_graph)
+            degraded = degraded_engine.propagate(
                 origin,
                 prefix=prefix,
-                prepending=secondary,
-                import_filters={
-                    failed: lambda sender, path, origin=origin: sender != origin,
-                    origin: lambda sender, path, failed=failed: sender != failed,
-                },
+                prepending=PrependingPolicy.uniform_origin(origin, backup),
             )
             messages = _flap_messages(baseline_view, collector.snapshot(degraded))
             if messages:
@@ -266,7 +160,10 @@ def synthesize_churn_stream(
         plain.extend(attack_burst)
         attack_end = len(plain)
 
-    messages = [SequencedUpdate(seq, message) for seq, message in enumerate(plain)]
+    messages = [
+        SequencedUpdate(seq=seq, message=message)
+        for seq, message in enumerate(plain)
+    ]
     return SynthesizedStream(
         config=config,
         world=world,

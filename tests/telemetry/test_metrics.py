@@ -5,6 +5,8 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     Counter,
@@ -51,6 +53,21 @@ class TestTimer:
         assert Timer("t").mean == 0.0
 
 
+#: non-negative observations of every shape the buckets distinguish:
+#: zero, sub-1 (bucket 0), ordinary, beyond float integer precision, and
+#: the plain ints the depth histograms record
+_observations = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.floats(min_value=1.0, max_value=1e6),
+        st.floats(min_value=2.0**53, max_value=2.0**70),
+        st.integers(0, 2**60),
+    ),
+    max_size=40,
+)
+
+
 class TestHistogram:
     def test_buckets_are_power_of_two(self):
         h = Histogram("h")
@@ -80,7 +97,47 @@ class TestHistogram:
         assert left.buckets == whole.buckets
 
 
+    @given(history=_observations, merged=_observations, values=_observations)
+    def test_observe_many_is_observe_in_a_loop(self, history, merged, values):
+        """Field for field (count, total summed in the same order, min,
+        max, buckets), on a histogram with a past and a merge behind it."""
+
+        def seasoned() -> Histogram:
+            histogram, other = Histogram("h"), Histogram("h")
+            for value in history:
+                histogram.observe(value)
+            for value in merged:
+                other.observe(value)
+            histogram.merge(other)
+            return histogram
+
+        folded, looped = seasoned(), seasoned()
+        folded.observe_many(values)
+        for value in values:
+            looped.observe(value)
+        assert folded == looped
+        assert repr(folded.total) == repr(looped.total)
+
+    def test_observe_many_of_nothing_is_a_no_op(self):
+        histogram = Histogram("h")
+        histogram.observe_many([])
+        assert histogram == Histogram("h")
+        metrics = RunMetrics()
+        metrics.observe_many("h", [])
+        assert not metrics
+
+
 class TestRunMetricsRecording:
+    def test_observe_many_respects_the_registry_switch(self):
+        disabled = RunMetrics(enabled=False)
+        disabled.observe_many("h", [1, 2, 3])
+        assert not disabled
+        folded, looped = RunMetrics(), RunMetrics()
+        folded.observe_many("h", [0.5, 3, 9.25])
+        for value in (0.5, 3, 9.25):
+            looped.observe("h", value)
+        assert folded.to_dict() == looped.to_dict()
+
     def test_disabled_registry_records_nothing(self):
         metrics = RunMetrics(enabled=False)
         metrics.count("a")
