@@ -23,8 +23,8 @@ groups, each declared once (``<subcommand> --help`` has the detail):
   ``--scale``, ``--pairs``, ``--instances``, ``--workers``); ``query``
   serves the figure from ``--store``, computing only what is missing.
 * **run** — ``campaign``, ``grid`` and ``secpol-sweep`` run a batch of
-  independent cells; ``--workers``, ``--shards``, ``--resume``,
-  ``--retries``, ``--task-deadline`` and ``--store`` become one
+  independent cells; ``--workers``, ``--resume``, ``--retries``,
+  ``--task-deadline`` and ``--store`` become one
   :class:`~repro.runner.RunConfig`.  None of them changes a row, and a
   bad value is a usage error before any topology is built.
 * **engine** — the same three take ``--backend``, which governs only
@@ -119,10 +119,10 @@ def _run_flags(parser, unit: str | None = None) -> None:
         return
     parser.add_argument(
         "--resume", type=str, default=None, metavar="PATH",
-        help=f"checkpoint journal: each finished {unit} appends to PATH as "
+        help=f"single-file store: each finished {unit} appends to PATH as "
         "it lands, and a rerun with the same PATH replays it — a killed run "
         "resumes instead of restarting.  Every input is part of the task "
-        "fingerprint, so a journal from a different setup replays nothing",
+        "fingerprint, so a file from a different setup replays nothing",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -135,12 +135,6 @@ def _run_flags(parser, unit: str | None = None) -> None:
         f"the pool respawned, and the {unit} retried",
     )
     _store_flag(parser)
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="split the task space across N work-stealing supervised "
-        "executors (--workers is the pool size per shard); results are "
-        "identical at any shard count",
-    )
 
 
 def _engine_flags(parser) -> None:
@@ -351,8 +345,8 @@ def _configure_store(parser) -> None:
     parser.add_argument(
         "--import-journal", type=str, action="append", default=[],
         metavar="PATH", dest="import_journals",
-        help="lift a legacy --resume checkpoint journal's results into "
-        "the store (repeatable); the journal is left untouched",
+        help="copy the records of a --resume file (or a legacy checkpoint "
+        "journal) into the store (repeatable); the file is left untouched",
     )
 
 
@@ -438,36 +432,37 @@ def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
     is a usage error before any topology is generated or loaded."""
     from repro.core import InterceptionStudy
     from repro.runner import RetryPolicy, RunConfig
+    from repro.store import CampaignStore
 
     policy = {"max_attempts": args.retries, "deadline": args.task_deadline}
     policy = {name: value for name, value in policy.items() if value is not None}
-    try:
-        run = RunConfig(
-            workers=args.workers,
-            shards=1 if args.shards is None else args.shards,
-            retry=RetryPolicy(**policy) if policy else None,
-            resume=args.resume,
-            metrics=metrics,
-        )
-    except ReproError as exc:
-        parser.error(str(exc))
-    fleet = dict(
-        monitors=monitors,
-        placement=placement,
-        seed=args.seed,
-        backend=args.backend,
-    )
-    world = _load_world(args, parser)
-    if world is None:
-        study = InterceptionStudy.generate(scale=args.scale, **fleet)
-    else:
-        study = InterceptionStudy(world, **fleet)
     with contextlib.ExitStack() as stack:
-        if args.store is not None:
-            from repro.store import CampaignStore
-
-            store = stack.enter_context(CampaignStore(args.store, metrics=metrics))
-            run = dataclasses.replace(run, store=store)
+        try:
+            run = RunConfig(
+                workers=args.workers,
+                retry=RetryPolicy(**policy) if policy else None,
+                resume=args.resume,
+                metrics=metrics,
+            )
+            # opening a store creates nothing; the batch opens --resume itself
+            if args.resume is not None:
+                CampaignStore(args.resume, single_file=True).close()
+            if args.store is not None:
+                store = stack.enter_context(CampaignStore(args.store, metrics=metrics))
+                run = dataclasses.replace(run, store=store)
+        except ReproError as exc:
+            parser.error(str(exc))
+        fleet = dict(
+            monitors=monitors,
+            placement=placement,
+            seed=args.seed,
+            backend=args.backend,
+        )
+        world = _load_world(args, parser)
+        if world is None:
+            study = InterceptionStudy.generate(scale=args.scale, **fleet)
+        else:
+            study = InterceptionStudy(world, **fleet)
         yield study, run
 
 
@@ -541,6 +536,14 @@ def _campaign(args, parser, metrics) -> int:
     print(f"  detection rate:      {campaign.detection_rate:.1%}")
     if campaign.failures:
         print(f"  quarantined:         {len(campaign.failures)}/{args.pairs}")
+    for failure in campaign.failures:
+        reason = failure.error.partition("\n")[0]
+        print(
+            f"repro-aspp campaign: quarantined: AS{failure.task.attacker} -> "
+            f"AS{failure.task.victim}: {failure.kind} after {failure.attempts} "
+            f"attempts: {reason}",
+            file=sys.stderr,
+        )
     return 0
 
 

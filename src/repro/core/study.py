@@ -253,8 +253,8 @@ class InterceptionStudy:
         nested deployer set at each fraction and returns the
         :class:`~repro.runner.DeploymentPointResult` list in ``fractions``
         order.  ``run`` behaves as in :meth:`campaign`; the security
-        configuration is part of every task fingerprint, so a resumed
-        journal from a different policy setup replays nothing.
+        configuration is part of every task fingerprint, so a
+        ``run.resume`` file from a different policy setup replays nothing.
         """
         from repro.experiments.sweeps import deployment_sweep as run_sweep
 

@@ -21,7 +21,7 @@ warm-start each attack from it on the engine.
 *What* a sweep computes is its keyword arguments; *how* it runs is one
 :class:`~repro.runner.RunConfig` (``run=``), handed with the task list
 to :func:`repro.runner.run_batch`.  Cells already recorded — in the
-``run.resume`` journal, in ``run.store`` or in the store bound by
+``run.resume`` file, in ``run.store`` or in the store bound by
 :func:`repro.store.use_store` — replay without touching the engine (a
 fully warm store performs *zero* propagations); only missing cells
 run, each recorded as it settles, so an interrupted sweep keeps what it
@@ -140,9 +140,9 @@ def exhaustive_grid(
     outer, ``victims`` inner, self-pairs skipped) instead of drawing a
     sampled pool, which is the coverage the per-pair impact literature
     needs (PAPERS.md: hijack-impact estimation at full grid coverage).
-    The cell order — and therefore the result rows and every journaled
+    The cell order — and therefore the result rows and every recorded
     fingerprint — is a pure function of the two pools, so a
-    ``run.resume`` journal replays exactly the completed cells no matter
+    ``run.resume`` file replays exactly the completed cells no matter
     where the previous run died.
 
     Every cell is impact-only, so the grid never builds routes: each
@@ -187,7 +187,7 @@ def deployment_sweep(
     defaults to True — the paper's leaking attacker, the variant
     path-plausibility defences can actually see.  The security
     configuration itself is carried in the task fingerprints, so a
-    ``run.resume`` journal from a different policy setup replays nothing.
+    ``run.resume`` file from a different policy setup replays nothing.
     """
     tasks = [
         DeploymentPointTask(

@@ -8,28 +8,25 @@ baselines; everything else here is about running a batch of
 fingerprinted tasks (:mod:`repro.runner.tasks`).
 
 There is one way to do that.  :class:`ShardedScheduler`
-(:mod:`repro.runner.scheduler`) replays whatever a
-:class:`CheckpointJournal` or a content-addressed
-:class:`~repro.store.CampaignStore` already holds, splits the missing
-cells over work-stealing shards and records each result as it settles.
-Each shard is one :class:`SupervisedExecutor`
-(:mod:`repro.runner.supervisor`): tasks inline against one
-:class:`WorkerContext`, or a process pool (topology shipped once per
-worker through shared memory) under bounded retries with backoff,
+(:mod:`repro.runner.scheduler`) replays whatever a content-addressed
+:class:`~repro.store.CampaignStore` — a ``--store`` directory, a
+``--resume`` file — already holds, runs the missing cells on one
+:class:`SupervisedExecutor` and records each result as it settles.
+The executor (:mod:`repro.runner.supervisor`) runs tasks inline against
+one :class:`WorkerContext`, or on a process pool (topology shipped once
+per worker through shared memory) under bounded retries with backoff,
 per-task deadlines, pool respawn after worker death and serial
 degradation.  A deterministic :class:`FaultPlan` harness
 (:mod:`repro.runner.faults`) exercises every recovery path in CI.
-Results are bit-identical for any worker count, shard count and
-persistence state.
+Results are bit-identical for any worker count and persistence state.
 
 *How* a batch runs is one frozen :class:`RunConfig`, and
 :func:`run_batch` (:mod:`repro.runner.batch`) is the one place that
-turns it into a journal, a store binding and a scheduler.
+turns it into a resume file, a store binding and a scheduler.
 """
 
 from repro.runner.batch import RunConfig, get_active_store, run_batch, use_store
 from repro.runner.cache import BaselineCache
-from repro.runner.checkpoint import CheckpointJournal, task_fingerprint
 from repro.runner.executor import available_cpus, execute_task, resolve_workers
 from repro.runner.faults import (
     FaultPlan,
@@ -37,6 +34,7 @@ from repro.runner.faults import (
     InjectedCrashError,
     InjectedFaultError,
 )
+from repro.runner.fingerprint import task_fingerprint
 from repro.runner.sampling import sample_attack_pairs
 from repro.runner.scheduler import ShardedScheduler
 from repro.runner.shm import (
@@ -58,7 +56,6 @@ from repro.runner.tasks import (
 __all__ = [
     "BaselineCache",
     "CampaignPairTask",
-    "CheckpointJournal",
     "DeploymentPointResult",
     "DeploymentPointTask",
     "FaultPlan",

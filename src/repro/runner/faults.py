@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import ReproError
-from repro.runner.checkpoint import task_fingerprint
+from repro.runner.fingerprint import task_fingerprint
 
 __all__ = [
     "FAULT_MODES",

@@ -1,9 +1,9 @@
 """The supervised executor: one batch of tasks, serially or over a pool.
 
-:class:`SupervisedExecutor` is the only per-shard worker of
-:class:`~repro.runner.scheduler.ShardedScheduler`.  With an effective
-worker count of 1 it runs tasks inline against one
-:class:`~repro.runner.tasks.WorkerContext`; with more it owns a
+:class:`SupervisedExecutor` is what a
+:class:`~repro.runner.scheduler.ShardedScheduler` runs its missing
+cells on.  With an effective worker count of 1 it runs tasks inline
+against one :class:`~repro.runner.tasks.WorkerContext`; with more it owns a
 ``ProcessPoolExecutor`` whose workers bootstrap from a shared-memory
 copy of the compiled topology, and layers a failure model over it:
 
@@ -57,7 +57,6 @@ from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
-from repro.runner.checkpoint import task_fingerprint
 from repro.runner.executor import (
     _LIVE_SEGMENTS,
     _init_worker,
@@ -66,6 +65,7 @@ from repro.runner.executor import (
     resolve_workers,
 )
 from repro.runner.faults import InjectedCrashError
+from repro.runner.fingerprint import task_fingerprint
 from repro.runner.shm import publish_topology
 from repro.runner.tasks import WorkerContext, WorkerSpec
 from repro.telemetry.metrics import RunMetrics
@@ -74,7 +74,7 @@ __all__ = ["RetryPolicy", "SupervisedExecutor", "TaskFailure"]
 
 _UNSET = object()
 
-#: Several executors can be live in one process (the scheduler's shard
+#: Several executors can be live in one process (a caller's own
 #: threads).  Publishing or unlinking a shared-memory segment takes the
 #: ``multiprocessing`` resource tracker's lock, and a pool worker forked
 #: while another thread holds it inherits it locked and hangs on its own
@@ -195,15 +195,11 @@ class SupervisedExecutor:
         cache: BaselineCache | None = None,
         metrics: RunMetrics | None = None,
         retry: RetryPolicy | None = None,
-        fingerprint_context: str | None = None,
     ) -> None:
         self.spec = spec
         self.workers = resolve_workers(workers, force=force_processes)
         self._retry_requested = retry is not None
         self.retry = retry if retry is not None else RetryPolicy()
-        #: folded into the fingerprint a :class:`TaskFailure` carries
-        #: (see :func:`repro.runner.checkpoint.task_fingerprint`).
-        self.fingerprint_context = fingerprint_context
         self._pool: ProcessPoolExecutor | None = None
         self._context: WorkerContext | None = None
         self._pool_metrics: RunMetrics | None = None
@@ -315,7 +311,7 @@ class SupervisedExecutor:
                 item,
                 TaskFailure(
                     task=item.task,
-                    fingerprint=task_fingerprint(item.task, self.fingerprint_context),
+                    fingerprint=task_fingerprint(item.task),
                     attempts=item.attempt,
                     kind=kind,
                     error=error,

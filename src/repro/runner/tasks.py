@@ -417,8 +417,8 @@ class DeploymentPointTask:
     """One interception instance under a partial policy deployment.
 
     The whole security configuration (policy, strategy, fraction, seed)
-    lives in frozen fields, so the checkpoint fingerprint covers it by
-    construction — a ``--resume`` against a journal written under a
+    lives in frozen fields, so the task fingerprint covers it by
+    construction — a ``--resume`` against a file written under a
     different secpol setup replays nothing.  ``violate_policy``
     defaults to True (the paper's Figures 11-12 attacker): the
     canonical valley-free attack is exactly the case path-plausibility

@@ -1,8 +1,8 @@
 """Content-addressed campaign store: compute any cell once, ever.
 
-The store keys results by the same sha256 task fingerprints the
-checkpoint journal uses, so campaigns, sweeps, grids and figures all
-dedupe against one shared append-only log:
+The store keys results by sha256 task fingerprints, so campaigns,
+sweeps, grids and figures all dedupe against one shared append-only
+log:
 
     from repro.store import CampaignStore, query_experiment
 
@@ -11,17 +11,21 @@ dedupe against one shared append-only log:
     again = query_experiment(store, "fig09")    # pure store hit, zero engine work
     assert again.from_store and again.result.rows == first.result.rows
 
-Layered modules: :mod:`~repro.store.store` (the log + index),
-:mod:`~repro.store.adapter` (legacy-journal import) and
-:mod:`~repro.store.query` (experiment-level serving).  The ambient
-binding every batch consults (:func:`use_store`) is the runner's,
-re-exported here.
+Layered modules: :mod:`~repro.store.store` (the log + index, the
+ambient binding every batch consults, :func:`import_journal`) and
+:mod:`~repro.store.query` (experiment-level serving).  Nothing here
+imports :mod:`repro.runner`; the runner imports the store.
 """
 
-from repro.runner.batch import get_active_store, use_store
-from repro.store.adapter import import_journal
 from repro.store.query import QueryOutcome, experiment_fingerprint, query_experiment
-from repro.store.store import MISSING, SCHEMA_VERSION, CampaignStore
+from repro.store.store import (
+    MISSING,
+    SCHEMA_VERSION,
+    CampaignStore,
+    get_active_store,
+    import_journal,
+    use_store,
+)
 
 __all__ = [
     "MISSING",

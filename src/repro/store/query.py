@@ -3,7 +3,7 @@
 Two levels of content addressing cooperate here:
 
 * **Task level** — while an experiment computes, the ambient store
-  binding (:func:`~repro.runner.use_store`) lets the sweep
+  binding (:func:`~repro.store.use_store`) lets the sweep
   machinery dedupe individual grid cells against everything any prior
   campaign converged.
 * **Experiment level** — :func:`experiment_fingerprint` hashes the
@@ -26,8 +26,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.runner.batch import use_store
-from repro.store.store import MISSING, CampaignStore
+from repro.store.store import MISSING, CampaignStore, use_store
 from repro.telemetry.metrics import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,7 +54,7 @@ class QueryOutcome:
 def experiment_fingerprint(experiment_id: str, config: Any) -> str:
     """Content address of one experiment run: id + frozen config repr.
 
-    Mirrors :func:`~repro.runner.checkpoint.task_fingerprint` — configs
+    Mirrors :func:`~repro.runner.fingerprint.task_fingerprint` — configs
     are frozen dataclasses whose ``repr`` enumerates every field in
     declaration order, so the digest is stable across processes and
     changes whenever any result-shaping input changes.

@@ -1,12 +1,12 @@
 """Content-addressed campaign result store.
 
 Every runner task is a pure function of its frozen descriptor, and
-:func:`~repro.runner.checkpoint.task_fingerprint` already gives each
+:func:`~repro.runner.fingerprint.task_fingerprint` already gives each
 descriptor a stable sha256 identity.  :class:`CampaignStore` turns that
 identity into an address: one append-only JSONL record log per store,
 one record per fingerprint, so a grid cell converged by *any* campaign,
-sweep or figure is never recomputed by a later one — cross-campaign
-dedupe instead of per-run throwaway journals.
+sweep or figure is never recomputed by a later one.  A ``--store``
+directory and a ``--resume`` file are that log in two shapes.
 
 Durability model
 ----------------
@@ -25,14 +25,15 @@ Records carry a schema version; a store written by a future layout is
 skipped record-by-record rather than exploding, and :meth:`compact`
 rewrites the log to one valid record per fingerprint (first record
 wins — payloads for the same fingerprint are identical by purity).
+The lines of a pre-store ``--resume`` checkpoint journal read as
+version 0 (:func:`decode_record`): an old journal replays in place.
 Compaction rewrites into a temp file and ``os.replace``-s it into
 place, so readers never observe a half-written log; run it quiescent
 (no concurrent appenders), like any log rotation.
 
-Payloads are pickles (base64-armoured inside the JSON record), exactly
-like :class:`~repro.runner.checkpoint.CheckpointJournal` — a store is a
-private artefact of the machines that share it; do not load stores
-from untrusted sources.
+Payloads are pickles (base64-armoured inside the JSON record) — a
+store is a private artefact of the machines that share it; do not load
+stores from untrusted sources.
 
 Telemetry lands on the attached registry under ``store.*``:
 ``store.{hits,misses,puts,bytes,dedup_writes,compactions}`` plus
@@ -48,13 +49,24 @@ import json
 import os
 import pickle
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.exceptions import SimulationError
 from repro.telemetry.metrics import RunMetrics
 
-__all__ = ["MISSING", "SCHEMA_VERSION", "CampaignStore", "decode_record", "encode_record"]
+__all__ = [
+    "MISSING",
+    "SCHEMA_VERSION",
+    "CampaignStore",
+    "decode_record",
+    "encode_record",
+    "get_active_store",
+    "import_journal",
+    "use_store",
+]
 
 #: bump when the record layout changes; readers skip newer records.
 SCHEMA_VERSION = 1
@@ -87,6 +99,10 @@ def _decode_payload(payload: str) -> Any:
     return pickle.loads(base64.b64decode(payload.encode("ascii")))
 
 
+def _digest(payload: str) -> str:
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
 def encode_record(fingerprint: str, result: Any, *, kind: str = "task") -> bytes:
     """One newline-terminated record line for ``fingerprint``.
 
@@ -100,9 +116,39 @@ def encode_record(fingerprint: str, result: Any, *, kind: str = "task") -> bytes
         "kind": kind,
         "schema": f"{type(result).__module__}.{type(result).__qualname__}",
         "payload": payload,
-        "sha": hashlib.sha256(payload.encode("ascii")).hexdigest(),
+        "sha": _digest(payload),
     }
     return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _parse_record(line: bytes) -> dict[str, Any] | str:
+    """The usable record on ``line``, or why there is none: ``"stale"``
+    (a whole record this reader has no use for) or ``"corrupt"``."""
+    try:
+        record = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return "corrupt"
+    if not isinstance(record, dict):
+        return "corrupt"
+    version = record.get("v", 0)
+    if version == 0 and record.get("status") == "failed":
+        # a legacy journal's failure line: a quarantined task is
+        # retried by the next run, never replayed
+        return "stale"
+    if isinstance(version, int) and version > SCHEMA_VERSION:
+        return "stale"
+    fingerprint = record.get("fp")
+    payload = record.get("payload")
+    if not isinstance(fingerprint, str) or not isinstance(payload, str):
+        return "corrupt"
+    if version == 0:
+        # What ``--resume`` wrote before it was a store: no digest to
+        # check — exactly as much integrity as the journal gave it.
+        if record.get("status") != "ok":
+            return "corrupt"
+    elif version != SCHEMA_VERSION or record.get("sha") != _digest(payload):
+        return "corrupt"
+    return record
 
 
 def decode_record(line: bytes) -> dict[str, Any] | None:
@@ -110,39 +156,67 @@ def decode_record(line: bytes) -> dict[str, Any] | None:
 
     Unusable covers truncated JSON, non-record JSON, records from a
     newer :data:`SCHEMA_VERSION`, and payloads whose digest does not
-    match (torn write) — callers count, skip, and keep scanning.
+    match (torn write) — callers count, skip, and keep scanning.  A
+    line with no ``"v"`` is version 0, a pre-store journal's: ``"status":
+    "ok"`` with a payload is a record, ``"status": "failed"`` is not.
     """
+    record = _parse_record(line)
+    return record if isinstance(record, dict) else None
+
+
+_ACTIVE_STORE: ContextVar[Any] = ContextVar("repro_active_store", default=None)
+
+
+def get_active_store() -> Any:
+    """The store bound by the innermost :func:`use_store`, if any."""
+    return _ACTIVE_STORE.get()
+
+
+@contextmanager
+def use_store(store: Any) -> Iterator[Any]:
+    """Bind ``store`` as the ambient campaign store for the block:
+    figure modules know nothing about storage, so the query layer binds
+    its store for the duration of a figure and every batch whose
+    ``RunConfig.store`` is ``None`` picks it up.
+
+    The binding is a :class:`contextvars.ContextVar`: safe under
+    threads, never leaking across unrelated runs.  ``None`` explicitly
+    unbinds (fencing a sub-computation off from an outer binding).
+    Leaving the block restores the previous binding and closes nothing
+    — the store's lifetime stays with the caller.
+    """
+    token = _ACTIVE_STORE.set(store)
     try:
-        record = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict):
-        return None
-    if record.get("v") != SCHEMA_VERSION:
-        return None
-    fingerprint = record.get("fp")
-    payload = record.get("payload")
-    digest = record.get("sha")
-    if not isinstance(fingerprint, str) or not isinstance(payload, str):
-        return None
-    if digest != hashlib.sha256(payload.encode("ascii")).hexdigest():
-        return None
-    return record
+        yield store
+    finally:
+        _ACTIVE_STORE.reset(token)
 
 
 class CampaignStore:
-    """Append-only content-addressed result store under a directory.
+    """Append-only content-addressed result store at a path.
 
-    ``root`` is created if missing; the log lives at
-    ``root/records.jsonl``.  Safe for concurrent use by threads of one
-    process (internal lock) and by multiple writer processes (atomic
-    ``O_APPEND`` record appends; see the module docstring).
+    What is on disk decides where the record log is: an existing file
+    *is* the log (``--resume`` names one), an existing directory holds
+    ``records.jsonl`` (``--store`` names one); ``single_file`` only
+    shapes a path that does not exist yet.  Opening creates nothing;
+    the first record creates the log and its parents.
+    Safe for concurrent use by threads of one process (internal lock)
+    and by multiple writer processes (atomic ``O_APPEND`` record
+    appends; see the module docstring).
     """
 
-    def __init__(self, root: str | Path, *, metrics: RunMetrics | None = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / _LOG_NAME
+    def __init__(
+        self,
+        path: str | Path,
+        *,
+        single_file: bool = False,
+        metrics: RunMetrics | None = None,
+    ) -> None:
+        path = Path(path)
+        if path.is_file() or (single_file and not path.is_dir()):
+            self.path = path
+        else:
+            self.path = path / _LOG_NAME
         #: registry ``store.*`` telemetry lands on (attach/detach freely).
         self.metrics = metrics
         self._lock = threading.RLock()
@@ -157,7 +231,13 @@ class CampaignStore:
         self._append_fd: int | None = None
         self._read_fd: int | None = None
         self._closed = False
-        self.refresh()
+        try:
+            self.refresh()
+        except OSError as exc:
+            # something that is not a directory is in the log's way, or
+            # the log is there and cannot be read
+            self._drop_fds()
+            raise SimulationError(f"no result store can be opened at {path}: {exc}") from exc
 
     # -- telemetry ------------------------------------------------------
     def _count(self, name: str, n: int = 1) -> None:
@@ -180,6 +260,7 @@ class CampaignStore:
 
     def _ensure_append_fd(self) -> int:
         if self._append_fd is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             self._append_fd = os.open(
                 self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
             )
@@ -219,9 +300,9 @@ class CampaignStore:
                 offset = self._watermark + consumed
                 length = newline - consumed
                 consumed = newline + 1
-                record = decode_record(line)
-                if record is None:
-                    self._count("store.corrupt_records")
+                record = _parse_record(line)
+                if isinstance(record, str):
+                    self._count(f"store.{record}_records")
                     continue
                 fingerprint = record["fp"]
                 existing = self._index.get(fingerprint)
@@ -344,7 +425,7 @@ class CampaignStore:
                     continue
                 seen.add(record["fp"])
                 kept.append(line + b"\n")
-            tmp = self.path.with_name(f"{_LOG_NAME}.compact.{os.getpid()}.tmp")
+            tmp = self.path.with_name(f"{self.path.name}.compact.{os.getpid()}.tmp")
             out = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
             try:
                 os.write(out, b"".join(kept))
@@ -394,3 +475,14 @@ class CampaignStore:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def import_journal(path: str | Path, store: CampaignStore) -> int:
+    """Copy every record of the single-file log at ``path`` — a
+    ``--resume`` file or a legacy journal, left untouched — into
+    ``store``; returns how many were new to it."""
+    with CampaignStore(path, single_file=True) as source:
+        return sum(
+            store.put(fingerprint, source.get(fingerprint), kind=source.kind_of(fingerprint))
+            for fingerprint in source.fingerprints()
+        )

@@ -58,9 +58,8 @@ __all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics"
 #: is run-shaped by construction: shared-memory transport accounting
 #: (``runner.shm.*`` — per-worker, absent on the serial path) and the
 #: supervisor's recovery counters (``runner.retries``,
-#: ``runner.pool_restarts``, ``runner.deadline_kills``,
-#: ``runner.resumed_tasks``, ...) measure faults survived and work
-#: skipped, not propagation performed.
+#: ``runner.pool_restarts``, ``runner.deadline_kills``, ...) measure
+#: faults survived, not propagation performed.
 CACHE_SHAPE_PREFIXES = (
     "cache.",
     "engine.cold.",
@@ -71,7 +70,7 @@ CACHE_SHAPE_PREFIXES = (
     "engine.impact.waves",
     "runner.",
     # The campaign store and its scheduler measure work *avoided*
-    # (dedupe hits, steals, bytes persisted), which depends on what
+    # (dedupe hits, bytes persisted), which depends on what
     # earlier runs left in the store — run-shaped by definition.
     "scheduler.",
     "store.",

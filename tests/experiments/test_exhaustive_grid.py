@@ -149,7 +149,7 @@ def test_checkpoint_resume_replays_every_completed_cell(
         run=RunConfig(resume=journal, metrics=metrics),
     )
     assert second == first
-    assert metrics.counter_value("runner.resumed_tasks") == len(first)
+    assert metrics.counter_value("scheduler.store_hits") == len(first)
     # Replayed cells touch neither the kernel nor the engine, and the
     # prepare hook sees only the cells still to run — none.
     assert metrics.counter_value("engine.impact.cells") == 0
@@ -185,7 +185,7 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
     )
     assert full[: len(partial)] == partial
     fresh = len(full) - len(partial)
-    assert metrics.counter_value("runner.resumed_tasks") == len(partial)
+    assert metrics.counter_value("scheduler.store_hits") == len(partial)
     # (numpy-less hosts take the engine route: one warm start per cell)
     executed = metrics.counter_value("engine.impact.cells") + metrics.counter_value(
         "engine.warm.propagations"

@@ -26,7 +26,7 @@ from repro.runner import (
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 
-RUN_VALUES = ("workers", "shards", "retry", "resume", "store", "faults", "metrics")
+RUN_VALUES = ("workers", "retry", "resume", "store", "faults", "metrics")
 
 
 def _tasks(world):
@@ -38,13 +38,10 @@ def _tasks(world):
 
 
 class TestRunConfig:
-    def test_holds_exactly_the_seven_run_values(self):
+    def test_holds_exactly_the_six_run_values(self):
         assert tuple(f.name for f in dataclasses.fields(RunConfig)) == RUN_VALUES
         plain = RunConfig()
-        assert plain.shards == 1
-        assert all(
-            getattr(plain, name) is None for name in RUN_VALUES if name != "shards"
-        )
+        assert all(getattr(plain, name) is None for name in RUN_VALUES)
 
     def test_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -54,11 +51,10 @@ class TestRunConfig:
         "build",
         [
             lambda: RunConfig(workers=-1),
-            lambda: RunConfig(shards=0),
             lambda: RunConfig(retry=RetryPolicy(max_attempts=0)),
             lambda: RunConfig(retry=RetryPolicy(deadline=-1.0)),
         ],
-        ids=["workers", "shards", "retries", "deadline"],
+        ids=["workers", "retries", "deadline"],
     )
     def test_invalid_values_raise_at_construction(self, build):
         with pytest.raises(SimulationError):
@@ -66,7 +62,7 @@ class TestRunConfig:
 
     def test_no_sweep_or_study_signature_spells_a_run_value(self):
         """The fan-out is gone: callers say ``run=``, nothing else."""
-        spelled = {*RUN_VALUES, "checkpoint"} - {"metrics"}
+        spelled = {*RUN_VALUES, "checkpoint", "shards"} - {"metrics"}
         functions = [
             *(fn for _, fn in inspect.getmembers(sweeps, inspect.isfunction)),
             *(fn for _, fn in inspect.getmembers(InterceptionStudy, inspect.isfunction)),
@@ -125,10 +121,10 @@ class TestRunBatch:
     def test_resume_path_is_opened_and_closed_by_the_batch(self, small_world, tmp_path):
         tasks = _tasks(small_world)
         engine = PropagationEngine(small_world.graph)
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "resume.jsonl"
         first = run_batch(engine, tasks, RunConfig(resume=path))
         assert len(path.read_text().splitlines()) == len(tasks)
         metrics = RunMetrics()
         assert run_batch(engine, tasks, RunConfig(resume=path, metrics=metrics)) == first
-        assert metrics.counter_value("runner.resumed_tasks") == len(tasks)
+        assert metrics.counter_value("scheduler.store_hits") == len(tasks)
         assert metrics.counter_value("scheduler.executed") == 0

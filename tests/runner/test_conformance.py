@@ -2,8 +2,9 @@
 
 Every production batch goes through :func:`run_batch` under one
 :class:`RunConfig`.  The same task list must come back identical for
-every worker count, shard count and persistence state a ``RunConfig``
-can name, and whenever every task actually executes, the deterministic
+every worker count and persistence state a ``RunConfig`` can name
+— a resume file written by the pre-store checkpoint journal included —
+and whenever every task actually executes, the deterministic
 metric snapshot must equal the plain path's — a bare
 :class:`ShardedScheduler`, no ``RunConfig`` involved.
 """
@@ -11,6 +12,7 @@ metric snapshot must equal the plain path's — a bare
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -78,48 +80,80 @@ def references(small_world):
     return plain
 
 
-@pytest.mark.parametrize("persistence", ["none", "cold-store", "warm-store", "journal"])
-@pytest.mark.parametrize("shards", [1, 2])
+PERSISTENCE = (
+    "none",
+    "cold-store",
+    "warm-store",
+    "resume-file",
+    "legacy-journal",
+    "store+resume-file",
+)
+
+
+def _as_legacy_journal(path):
+    """Rewrite a resume file as the pre-store checkpoint journal spelled
+    its lines: ``fp``, ``status`` and the payload, no version, no digest."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text(
+        "".join(
+            json.dumps({"fp": r["fp"], "status": "ok", "payload": r["payload"]}) + "\n"
+            for r in records
+        )
+    )
+
+
+@pytest.mark.parametrize("persistence", PERSISTENCE)
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_route_returns_the_plain_results(
-    small_world, references, tmp_path, monkeypatch, kind, workers, shards, persistence
+    small_world, references, tmp_path, monkeypatch, kind, workers, persistence
 ):
     # the pool must be real even on a one-CPU host
     monkeypatch.setattr(executor_mod, "available_cpus", lambda: 4)
     tasks, monitors, prepare = _batch(kind, small_world)
     expected, expected_snapshot = references[kind]
     half = len(tasks) // 2
+    path = tmp_path / "resume.jsonl"
 
     def run(batch, config):
         engine = PropagationEngine(small_world.graph)
         return run_batch(engine, batch, config, monitors=monitors, prepare=prepare)
 
     metrics = RunMetrics()
-    route = RunConfig(workers=workers, shards=shards, metrics=metrics)
+    route = RunConfig(workers=workers, metrics=metrics)
     if persistence == "none":
         results = run(tasks, route)
-        executed = len(tasks)
-    elif persistence == "journal":
-        path = tmp_path / "journal.jsonl"
+        hits = 0
+    elif persistence in ("resume-file", "legacy-journal"):
         run(tasks[:half], RunConfig(resume=path))
+        if persistence == "legacy-journal":
+            _as_legacy_journal(path)
         results = run(tasks, dataclasses.replace(route, resume=path))
-        executed = len(tasks) - half
-        assert metrics.counter_value("runner.resumed_tasks") == half
+        hits = half
     else:
         with CampaignStore(tmp_path / "store") as store:
             if persistence == "warm-store":
                 run(tasks, RunConfig(store=store))
+            elif persistence == "store+resume-file":
+                run(tasks[:half], RunConfig(resume=path))
+                route = dataclasses.replace(route, resume=path)
             results = run(tasks, dataclasses.replace(route, store=store))
             assert len(store) == len(tasks)
-        executed = 0 if persistence == "warm-store" else len(tasks)
+        hits = {"cold-store": 0, "warm-store": len(tasks), "store+resume-file": half}[
+            persistence
+        ]
+    if path.exists():
+        with CampaignStore(path) as resume:
+            assert len(resume) == len(tasks)
 
+    executed = len(tasks) - hits
     assert results == expected
+    assert metrics.counter_value("scheduler.store_hits") == hits
     assert metrics.counter_value("scheduler.executed") == executed
     assert metrics.counter_value("worker.tasks") == executed
     if executed == len(tasks):
         assert metrics.deterministic_snapshot() == expected_snapshot
-    # tripwire: a pooled route really built its pools
+    # tripwire: a pooled route really built its pool
     assert bool(metrics.counter_value("runner.shm.publishes")) == (
         workers == 2 and executed > 0
     )

@@ -23,7 +23,6 @@ from repro.exceptions import SimulationError
 from repro.experiments.sweeps import padding_sweep
 from repro.runner import (
     CampaignPairTask,
-    CheckpointJournal,
     DeploymentPointTask,
     FaultPlan,
     FaultSpec,
@@ -37,6 +36,7 @@ from repro.runner import (
     sample_attack_pairs,
     task_fingerprint,
 )
+from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
@@ -325,7 +325,7 @@ class TestCampaignChaos:
         assert resumed.timings == reference.timings
         # The journal replayed the first three instances; only the rest
         # were executed (worker.tasks counts completed executions).
-        assert metrics.counter_value("runner.resumed_tasks") == keep
+        assert metrics.counter_value("scheduler.store_hits") == keep
         assert metrics.counter_value("worker.tasks") == self.PAIRS - keep
         # The journal is now complete again: a third run executes nothing.
         metrics_again = RunMetrics()
@@ -335,7 +335,7 @@ class TestCampaignChaos:
             run=RunConfig(resume=str(path), metrics=metrics_again),
         )
         assert metrics_again.counter_value("worker.tasks") == 0
-        assert metrics_again.counter_value("runner.resumed_tasks") == self.PAIRS
+        assert metrics_again.counter_value("scheduler.store_hits") == self.PAIRS
 
     def test_resume_journal_replays_across_pool_and_serial(self, study, tmp_path):
         """A journal written by one execution mode resumes in another."""
@@ -344,8 +344,8 @@ class TestCampaignChaos:
         study.campaign(
             pairs=self.PAIRS, padding=3, run=RunConfig(workers=2, resume=str(path))
         )
-        journal = CheckpointJournal(path)
-        assert journal.completed_count == self.PAIRS
+        with CampaignStore(path) as recorded:
+            assert len(recorded) == self.PAIRS
         resumed = study.campaign(
             pairs=self.PAIRS, padding=3, run=RunConfig(resume=str(path))
         )

@@ -1,17 +1,15 @@
-"""ShardedScheduler: bit-identity at any shard count, store dedupe,
-work-stealing discipline, supervision composition."""
+"""ShardedScheduler: bit-identity with a bare executor, store dedupe,
+interrupted-run replay, supervision composition."""
 
 from __future__ import annotations
 
-from collections import deque
-
 import pytest
 
+import repro.runner.executor as executor_mod
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.experiments.sweeps import padding_sweep
 from repro.runner import (
-    CheckpointJournal,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
@@ -23,7 +21,6 @@ from repro.runner import (
     WorkerSpec,
     task_fingerprint,
 )
-from repro.runner.scheduler import _QueuedTask
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 
@@ -46,23 +43,19 @@ def _single_pool_reference(world, tasks, *, retry=None, fault_plan=None):
         return executor.run(tasks)
 
 
-class TestBitIdentityAcrossShards:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matches_single_pool(self, small_world, shards):
+class TestMatchesBareExecutor:
+    def test_matches_single_pool(self, small_world):
         tasks = _tasks(small_world)
         reference = _single_pool_reference(small_world, tasks)
-        with ShardedScheduler(
-            WorkerSpec(small_world.graph), shards=shards
-        ) as scheduler:
+        with ShardedScheduler(WorkerSpec(small_world.graph)) as scheduler:
             assert scheduler.run(tasks) == reference
-            assert scheduler.stats["tasks"] == len(tasks)
-            assert scheduler.stats["executed"] == len(tasks)
-            assert scheduler.stats["store_hits"] == 0
+            assert scheduler.stats == {
+                "tasks": len(tasks),
+                "store_hits": 0,
+                "executed": len(tasks),
+            }
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matches_single_pool_under_fault_injection(self, small_world, shards):
-        """Fault plans key on task fingerprints, not placement, so a
-        seeded chaos run is shard-count-invariant too."""
+    def test_matches_single_pool_under_fault_injection(self, small_world):
         tasks = _tasks(small_world)
         plan = FaultPlan.seeded(tasks, seed=3, rate=0.5, modes=("crash", "raise"))
         assert plan  # the seed must actually schedule faults
@@ -70,18 +63,22 @@ class TestBitIdentityAcrossShards:
             small_world, tasks, retry=FAST, fault_plan=plan
         )
         with ShardedScheduler(
-            WorkerSpec(small_world.graph, fault_plan=plan),
-            shards=shards,
-            retry=FAST,
+            WorkerSpec(small_world.graph, fault_plan=plan), retry=FAST
         ) as scheduler:
             assert scheduler.run(tasks) == reference
 
-    def test_results_keep_task_order(self, small_world):
+    def test_results_keep_task_order(self, small_world, tmp_path):
+        """Also when only every other cell is missing from the store."""
         tasks = _tasks(small_world)
-        with ShardedScheduler(
-            WorkerSpec(small_world.graph), shards=4
-        ) as scheduler:
-            results = scheduler.run(tasks)
+        with CampaignStore(tmp_path / "store") as store:
+            with ShardedScheduler(
+                WorkerSpec(small_world.graph), stores=[store]
+            ) as scheduler:
+                scheduler.run(tasks[::2])
+            with ShardedScheduler(
+                WorkerSpec(small_world.graph), stores=[store]
+            ) as scheduler:
+                results = scheduler.run(tasks)
         for task, result in zip(tasks, results):
             assert result.padding == task.padding
             assert result.victim == task.victim
@@ -94,7 +91,7 @@ class TestStoreIntegration:
         root = tmp_path / "store"
         with CampaignStore(root) as store:
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, store=store
+                WorkerSpec(small_world.graph), stores=[store]
             ) as scheduler:
                 first = scheduler.run(tasks)
             assert scheduler.stats["executed"] == len(tasks)
@@ -103,18 +100,13 @@ class TestStoreIntegration:
         metrics = RunMetrics()
         with CampaignStore(root, metrics=metrics) as store:
             with ShardedScheduler(
-                WorkerSpec(small_world.graph),
-                shards=2,
-                store=store,
-                metrics=metrics,
+                WorkerSpec(small_world.graph), stores=[store], metrics=metrics
             ) as scheduler:
                 second = scheduler.run(tasks)
             assert scheduler.stats == {
                 "tasks": len(tasks),
                 "store_hits": len(tasks),
                 "executed": 0,
-                "steals": 0,
-                "stolen_tasks": 0,
             }
         assert second == first
         # an all-hits run never builds an executor, engine or topology
@@ -130,97 +122,38 @@ class TestStoreIntegration:
         reference = _single_pool_reference(small_world, tasks)
         with CampaignStore(tmp_path / "store") as store:
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, store=store
+                WorkerSpec(small_world.graph), stores=[store]
             ) as scheduler:
                 scheduler.run(tasks[: len(tasks) // 2])
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, store=store
+                WorkerSpec(small_world.graph), stores=[store]
             ) as scheduler:
                 results = scheduler.run(tasks)
             assert scheduler.stats["store_hits"] == len(tasks) // 2
             assert scheduler.stats["executed"] == len(tasks) - len(tasks) // 2
         assert results == reference
 
-    def test_store_hits_cross_scheduler_shapes(self, small_world, tmp_path):
-        """Cells computed by a 1-shard serial run serve a 4-shard run:
-        content addressing is placement-blind."""
+    def test_every_store_ends_up_holding_every_cell(self, small_world, tmp_path):
+        """Stores are asked in order; a hit in one, or a fresh result,
+        is put into the others (``--store D --resume F``)."""
         tasks = _tasks(small_world)
-        with CampaignStore(tmp_path / "store") as store:
-            with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=1, store=store
-            ) as scheduler:
-                first = scheduler.run(tasks)
-            with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=4, store=store
-            ) as scheduler:
-                second = scheduler.run(tasks)
-            assert scheduler.stats["executed"] == 0
-        assert second == first
-
-
-class TestWorkStealing:
-    def _scheduler(self, world):
-        return ShardedScheduler(WorkerSpec(world.graph), shards=2)
-
-    def test_own_queue_drains_in_order(self, small_world):
-        with self._scheduler(small_world) as scheduler:
-            own = [_QueuedTask(i, None, f"fp-{i}") for i in range(4)]
-            queues = [deque(own), deque()]
-            scheduler.stats = {"steals": 0, "stolen_tasks": 0}
-            chunk = scheduler._take(queues, 0)
-            assert [q.index for q in chunk] == [0, 1, 2, 3]
-            assert not queues[0]
-            assert scheduler.stats["steals"] == 0
-
-    def test_steal_takes_tail_half_in_order(self, small_world):
-        """Classic discipline: the thief takes the tail half of the most
-        loaded queue (reversed back to original order); the owner keeps
-        the head it is about to run."""
-        with self._scheduler(small_world) as scheduler:
-            victim = [_QueuedTask(i, None, f"fp-{i}") for i in range(5)]
-            queues = [deque(victim), deque()]
-            scheduler.stats = {"steals": 0, "stolen_tasks": 0}
-            chunk = scheduler._take(queues, 1)
-            assert [q.index for q in chunk] == [2, 3, 4]
-            assert [q.index for q in queues[0]] == [0, 1]
-            assert scheduler.stats["steals"] == 1
-            assert scheduler.stats["stolen_tasks"] == 3
-
-    def test_take_on_all_empty_queues_returns_nothing(self, small_world):
-        with self._scheduler(small_world) as scheduler:
-            scheduler.stats = {"steals": 0, "stolen_tasks": 0}
-            assert scheduler._take([deque(), deque()], 0) == []
-            assert scheduler.stats["steals"] == 0
+        half = len(tasks) // 2
+        spec = WorkerSpec(small_world.graph)
+        with CampaignStore(tmp_path / "store") as store, CampaignStore(
+            tmp_path / "resume.jsonl", single_file=True
+        ) as resume:
+            with ShardedScheduler(spec, stores=[resume]) as scheduler:
+                first = scheduler.run(tasks[:half])
+            with ShardedScheduler(spec, stores=[store, resume]) as scheduler:
+                assert scheduler.run(tasks)[:half] == first
+            assert scheduler.stats["store_hits"] == half
+            assert scheduler.stats["executed"] == len(tasks) - half
+            assert len(store) == len(resume) == len(tasks)
 
 
 class TestSupervisionComposition:
-    def test_shared_journal_checkpoints_every_task(self, small_world, tmp_path):
-        tasks = _tasks(small_world)
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as journal:
-            with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, journal=journal
-            ) as scheduler:
-                first = scheduler.run(tasks)
-            assert journal.completed_count == len(tasks)
-
-        metrics = RunMetrics()
-        with CheckpointJournal(path) as journal:
-            with ShardedScheduler(
-                WorkerSpec(small_world.graph),
-                shards=2,
-                journal=journal,
-                metrics=metrics,
-            ) as scheduler:
-                second = scheduler.run(tasks)
-        assert second == first
-        assert metrics.counter_value("runner.resumed_tasks") == len(tasks)
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_failures_go_to_the_journal_never_the_store(
-        self, small_world, tmp_path, shards
-    ):
-        """The store is truth about completed work only: a quarantined
+    def test_failures_are_never_recorded(self, small_world, tmp_path):
+        """A store is truth about completed work only: a quarantined
         task must be retried by the next run, not remembered forever."""
         tasks = _tasks(small_world)
         poisoned = tasks[3]
@@ -229,55 +162,40 @@ class TestSupervisionComposition:
         )
         fp = task_fingerprint(poisoned)
         with CampaignStore(tmp_path / "store") as store:
-            with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
-                with ShardedScheduler(
-                    WorkerSpec(small_world.graph, fault_plan=plan),
-                    shards=shards,
-                    retry=FAST,
-                    store=store,
-                    journal=journal,
-                ) as scheduler:
-                    results = scheduler.run(tasks)
-                assert journal.failed(fp)
-                assert journal.completed_count == len(tasks) - 1
+            with ShardedScheduler(
+                WorkerSpec(small_world.graph, fault_plan=plan),
+                retry=FAST,
+                stores=[store],
+            ) as scheduler:
+                results = scheduler.run(tasks)
             assert isinstance(results[3], TaskFailure)
             assert fp not in store
             assert len(store) == len(tasks) - 1
             # the next run, fault-free, retries exactly the quarantined cell
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=shards, store=store
+                WorkerSpec(small_world.graph), stores=[store]
             ) as scheduler:
                 assert scheduler.run(tasks) == _single_pool_reference(
                     small_world, tasks
                 )
             assert scheduler.stats["executed"] == 1
 
-    def test_shard_metrics_merge_back(self, small_world):
-        tasks = _tasks(small_world)
-        metrics = RunMetrics()
-        with ShardedScheduler(
-            WorkerSpec(small_world.graph, metrics_enabled=True),
-            shards=2,
-            metrics=metrics,
-        ) as scheduler:
-            scheduler.run(tasks)
-        assert metrics.counter_value("worker.tasks") == len(tasks)
-        assert metrics.counter_value("scheduler.executed") == len(tasks)
-
 
 class TestInterruptedRunKeepsItsWork:
     """Results are recorded as they settle, whichever persistence is
-    attached and however many shards run: a sweep interrupted at cell k
-    replays every cell that settled before it."""
+    attached: a sweep interrupted at cell k replays every cell that
+    settled before it."""
 
     PADDINGS = tuple(range(1, 7))
     INTERRUPT_AT = 5
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("persistence", ["store", "checkpoint"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("persistence", ["store", "resume-file"])
     def test_settled_cells_replay_after_an_interrupt(
-        self, small_engine, small_world, tmp_path, monkeypatch, persistence, shards
+        self, small_engine, small_world, tmp_path, monkeypatch, persistence, workers
     ):
+        # the pool must be real even on a one-CPU host
+        monkeypatch.setattr(executor_mod, "available_cpus", lambda: 4)
         victim, attacker = small_world.tier1[0], small_world.tier1[1]
         reference = padding_sweep(
             small_engine, victim=victim, attacker=attacker, paddings=self.PADDINGS
@@ -291,75 +209,56 @@ class TestInterruptedRunKeepsItsWork:
                     victim=victim,
                     attacker=attacker,
                     paddings=self.PADDINGS,
-                    run=RunConfig(shards=shards, metrics=metrics, **persisted),
+                    run=RunConfig(workers=workers, metrics=metrics, **persisted),
                 )
 
-            if persistence == "checkpoint":
+            if persistence == "resume-file":
                 return run(resume=path)
             with CampaignStore(path) as store:
                 return run(store=store)
 
-        settled: list[int] = []
         plain_run = SweepPointTask.run
 
         def interrupted_run(task, ctx):
             if task.padding == self.INTERRUPT_AT:
                 raise KeyboardInterrupt
-            result = plain_run(task, ctx)
-            settled.append(task.padding)
-            return result
+            return plain_run(task, ctx)
 
         with monkeypatch.context() as patch:
             patch.setattr(SweepPointTask, "run", interrupted_run)
             with pytest.raises(KeyboardInterrupt):
                 sweep()
-        # shard 0 always settles λ=1 and λ=3 before it reaches λ=5
-        assert {1, 3} <= set(settled)
-        assert self.INTERRUPT_AT not in settled
 
-        fingerprints = [
-            task_fingerprint(
-                SweepPointTask(victim=victim, attacker=attacker, padding=padding)
-            )
-            for padding in settled
-        ]
-        if persistence == "checkpoint":
-            with CheckpointJournal(path) as journal:
-                assert all(journal.completed(fp) for fp in fingerprints)
-        else:
-            with CampaignStore(path) as store:
-                assert all(fp in store for fp in fingerprints)
+        with CampaignStore(path) as store:
+            recorded = [
+                padding
+                for padding in self.PADDINGS
+                if task_fingerprint(
+                    SweepPointTask(victim=victim, attacker=attacker, padding=padding)
+                )
+                in store
+            ]
+        # serially the cells settle in order; a pool settles at least
+        # the one whose slot the interrupting cell was submitted into
+        assert recorded == [1, 2, 3, 4] if workers == 1 else recorded
+        assert self.INTERRUPT_AT not in recorded
 
         metrics = RunMetrics()
         assert sweep(metrics) == reference
         assert metrics.counter_value("worker.tasks") == len(self.PADDINGS) - len(
-            settled
+            recorded
         )
 
 
 class TestGuards:
-    def test_zero_shards_rejected(self, small_world):
-        with pytest.raises(SimulationError, match="shards must be"):
-            ShardedScheduler(WorkerSpec(small_world.graph), shards=0)
-
-    def test_engine_adoption_requires_serial_single_shard(
-        self, small_world, monkeypatch
-    ):
-        import repro.runner.executor as executor_mod
-
+    def test_engine_adoption_requires_serial_workers(self, small_world, monkeypatch):
         monkeypatch.setattr(executor_mod, "available_cpus", lambda: 4)
         engine = PropagationEngine(small_world.graph)
         with pytest.raises(SimulationError, match="engine/cache adoption"):
-            ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, engine=engine
-            )
-        with pytest.raises(SimulationError, match="engine/cache adoption"):
-            ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=1, workers=2, engine=engine
-            )
+            ShardedScheduler(WorkerSpec(small_world.graph), workers=2, engine=engine)
 
     def test_closed_scheduler_refuses_runs(self, small_world):
-        scheduler = ShardedScheduler(WorkerSpec(small_world.graph), shards=1)
+        scheduler = ShardedScheduler(WorkerSpec(small_world.graph))
         scheduler.close()
         scheduler.close()  # idempotent
         with pytest.raises(SimulationError, match="closed"):
@@ -372,10 +271,7 @@ class TestGuards:
         before = engine.metrics
         metrics = RunMetrics()
         with ShardedScheduler(
-            WorkerSpec(small_world.graph),
-            shards=1,
-            metrics=metrics,
-            engine=engine,
+            WorkerSpec(small_world.graph), metrics=metrics, engine=engine
         ) as scheduler:
             scheduler.run(_tasks(small_world, count=4))
         assert engine.metrics is before

@@ -43,6 +43,27 @@ def _serial_reference(world, tasks):
     return [task.run(ctx) for task in tasks]
 
 
+class TestRetryPolicy:
+    def test_retry_policy_rejects_bad_values(self):
+        with pytest.raises(SimulationError):
+            RetryPolicy(max_attempts=0)
+        with pytest.raises(SimulationError):
+            RetryPolicy(deadline=0.0)
+        with pytest.raises(SimulationError):
+            RetryPolicy(backoff_factor=0.5)
+        with pytest.raises(SimulationError):
+            RetryPolicy(max_pool_restarts=-1)
+
+    def test_backoff_schedule(self):
+        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5)
+        assert policy.backoff(0) == 0.0
+        assert policy.backoff(1) == pytest.approx(0.1)
+        assert policy.backoff(2) == pytest.approx(0.2)
+        assert policy.backoff(3) == pytest.approx(0.4)
+        assert policy.backoff(4) == pytest.approx(0.5)  # capped
+        assert policy.backoff(10) == pytest.approx(0.5)
+
+
 class TestReuseAfterClose:
     def test_sweep_executor_run_after_close_raises(self, small_world):
         """The plain serial loop (no retry policy, nothing recorded)."""

@@ -11,10 +11,10 @@ from repro.exceptions import SimulationError
 from repro.experiments.sweeps import deployment_sweep
 from repro.runner import (
     BaselineCache,
-    CheckpointJournal,
     DeploymentPointTask,
     RunConfig,
 )
+from repro.store import CampaignStore
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
 TINY = InternetTopologyConfig(
@@ -127,15 +127,15 @@ class TestCheckpointing:
         first = _sweep(
             engine, "aspa", victim=victim, attacker=attacker, run=RunConfig(resume=journal_path)
         )
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.completed_count == len(FRACTIONS)
+        with CampaignStore(journal_path) as recorded:
+            assert len(recorded) == len(FRACTIONS)
         # Same configuration: every point replays from the journal.
         replayed = _sweep(
             engine, "aspa", victim=victim, attacker=attacker, run=RunConfig(resume=journal_path)
         )
         assert [r.row() for r in replayed] == [r.row() for r in first]
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.completed_count == len(FRACTIONS)
+        with CampaignStore(journal_path) as recorded:
+            assert len(recorded) == len(FRACTIONS)
         # A different policy shares no fingerprints: nothing replays,
         # every point is computed and journaled anew.
         other = _sweep(
@@ -146,8 +146,8 @@ class TestCheckpointing:
             run=RunConfig(resume=journal_path),
         )
         assert [r.policy for r in other] == ["prependguard"] * len(FRACTIONS)
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.completed_count == 2 * len(FRACTIONS)
+        with CampaignStore(journal_path) as recorded:
+            assert len(recorded) == 2 * len(FRACTIONS)
 
     def test_strategy_and_seed_are_fingerprinted(self, world, engine, tmp_path):
         victim, attacker = world.tier1[0], world.tier2[0]
@@ -179,8 +179,8 @@ class TestCheckpointing:
             seed=99,
             run=RunConfig(resume=journal_path),
         )
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.completed_count == 3
+        with CampaignStore(journal_path) as recorded:
+            assert len(recorded) == 3
 
 
 class TestTaskValidation:

@@ -1,7 +1,7 @@
 """Property: concurrent writer processes converge to one consistent index.
 
 N processes each open their own :class:`CampaignStore` handle on the
-same directory and append an interleaved slice of records — including
+same log — a directory store, then a single-file one — and append an interleaved slice of records — including
 fingerprints that overlap between writers (with identical payloads, as
 task purity guarantees).  Afterwards a fresh reader must see exactly
 the union of all fingerprints, each serving its payload: no lost
@@ -25,8 +25,8 @@ from repro.store import CampaignStore
 _CTX = multiprocessing.get_context("fork")
 
 
-def _writer(root: str, items: list[tuple[str, str]]) -> None:
-    with CampaignStore(root) as store:
+def _writer(root: str, single_file: bool, items: list[tuple[str, str]]) -> None:
+    with CampaignStore(root, single_file=single_file) as store:
         for fingerprint, payload in items:
             store.put(fingerprint, payload)
 
@@ -66,10 +66,16 @@ def _write_schedules(draw):
 )
 @given(schedules=_write_schedules())
 def test_concurrent_writers_converge_to_one_index(schedules):
-    root = Path(tempfile.mkdtemp(prefix="repro-store-"))
+    for single_file in (False, True):
+        _assert_writers_converge(schedules, single_file)
+
+
+def _assert_writers_converge(schedules, single_file):
+    scratch = Path(tempfile.mkdtemp(prefix="repro-store-"))
+    root = scratch / "log"
     try:
         procs = [
-            _CTX.Process(target=_writer, args=(str(root), items))
+            _CTX.Process(target=_writer, args=(str(root), single_file, items))
             for items in schedules
         ]
         for proc in procs:
@@ -78,7 +84,7 @@ def test_concurrent_writers_converge_to_one_index(schedules):
             proc.join(timeout=60)
             assert proc.exitcode == 0
         expected = {fp for items in schedules for fp, _ in items}
-        with CampaignStore(root) as store:
+        with CampaignStore(root, single_file=single_file) as store:
             seen = list(store.fingerprints())
             # no duplicated index entries ...
             assert len(seen) == len(set(seen))
@@ -91,22 +97,24 @@ def test_concurrent_writers_converge_to_one_index(schedules):
             # to drop beyond the duplicate appends themselves.
             assert len(store) == len(expected)
     finally:
-        shutil.rmtree(root, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def test_two_handles_interleaved_appends_same_process(tmp_path):
-    """Same property at thread-scale: two handles on one directory,
+    """Same property at thread-scale: two handles on one log,
     strictly alternating appends, both end up seeing everything."""
-    first = CampaignStore(tmp_path / "store")
-    second = CampaignStore(tmp_path / "store")
-    try:
-        for i in range(10):
-            handle = first if i % 2 == 0 else second
-            handle.put(f"fp-{i:02d}", i)
-        for handle in (first, second):
-            assert len(handle.missing([f"fp-{i:02d}" for i in range(10)])) == 0
+    for single_file in (False, True):
+        root = tmp_path / f"store-{single_file}"
+        first = CampaignStore(root, single_file=single_file)
+        second = CampaignStore(root, single_file=single_file)
+        try:
             for i in range(10):
-                assert handle.get(f"fp-{i:02d}") == i
-    finally:
-        first.close()
-        second.close()
+                handle = first if i % 2 == 0 else second
+                handle.put(f"fp-{i:02d}", i)
+            for handle in (first, second):
+                assert len(handle.missing([f"fp-{i:02d}" for i in range(10)])) == 0
+                for i in range(10):
+                    assert handle.get(f"fp-{i:02d}") == i
+        finally:
+            first.close()
+            second.close()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import re
 
 import pytest
 
@@ -239,6 +241,33 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit) as usage:
             main(self.ARGS + ["--retries", "0"])
         assert usage.value.code == 2
+
+    def test_quarantined_pairs_are_named_on_stderr(self, capsys, monkeypatch):
+        """The post-mortem is in the run's own output: one stderr line
+        per ``TaskFailure``; stdout keeps its one summary line."""
+        import repro.core.study as study_mod
+        from repro.runner import FaultPlan
+
+        plain = study_mod.run_batch
+
+        def chaotic(engine, tasks, run, **kwargs):
+            plan = FaultPlan.seeded(tasks, seed=1, rate=0.6, modes=("raise",))
+            return plain(engine, tasks, dataclasses.replace(run, faults=plan), **kwargs)
+
+        monkeypatch.setattr(study_mod, "run_batch", chaotic)
+        assert main(self.ARGS + ["--retries", "2"]) == 0
+        captured = capsys.readouterr()
+        summary = [line for line in captured.out.splitlines() if "quarantined" in line]
+        assert summary == ["  quarantined:         2/4"]
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert re.fullmatch(
+                r"repro-aspp campaign: quarantined: AS\d+ -> AS\d+: error after "
+                r"2 attempts: InjectedFaultError\('injected failure for "
+                r"CampaignPairTask attempt 1'\)",
+                line,
+            )
 
     def test_resume_writes_journal_and_replays_it(self, capsys, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
@@ -499,7 +528,6 @@ SURFACE = {
         (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
-        (("--shards",), "shards", "int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
     ],
@@ -516,7 +544,6 @@ SURFACE = {
         (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
-        (("--shards",), "shards", "int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
     ],
@@ -537,7 +564,6 @@ SURFACE = {
         (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
-        (("--shards",), "shards", "int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
     ],
@@ -691,7 +717,6 @@ class TestErrors:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--shards", "0"],
             ["--retries", "0"],
             ["--workers", "-1"],
             ["--task-deadline", "-1"],
@@ -721,6 +746,45 @@ class TestErrors:
         assert usage.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == "repro-aspp: error: unrecognized arguments: --engine-mode delta"
+
+    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
+    def test_the_removed_shards_flag_is_a_usage_error(self, command, no_world, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--scale", "0.15", "--shards", "2"])
+        assert usage.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "repro-aspp: error: unrecognized arguments: --shards 2"
+
+    @pytest.mark.parametrize("flag", ["--store", "--resume"])
+    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
+    def test_a_path_no_store_can_open_at_is_a_usage_error(
+        self, command, flag, no_world, capsys, tmp_path
+    ):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--scale", "0.15", flag, str(tmp_path / "file" / "under")])
+        assert usage.value.code == 2
+        error = capsys.readouterr().err
+        assert f"repro-aspp {command}: error: no result store" in error.splitlines()[-1]
+        assert "Traceback" not in error
+
+    def test_either_flag_opens_what_is_at_the_path(self, capsys, tmp_path):
+        """``--store`` on a ``--resume`` file and ``--resume`` on a
+        ``--store`` directory both replay it: one type, two shapes."""
+        grid = ["grid", "--scale", "0.15", "--attackers", "2", "--victims", "3"]
+        as_file, as_dir = str(tmp_path / "r.jsonl"), str(tmp_path / "store")
+        assert main(grid) == 0
+        plain = capsys.readouterr().out
+        assert main(grid + ["--resume", as_file]) == 0
+        assert main(grid + ["--store", as_dir]) == 0
+        assert capsys.readouterr().out == plain * 2
+        for flags in (["--store", as_file], ["--resume", as_dir]):
+            assert main(grid + flags + ["--metrics", "summary"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(plain)
+            assert "scheduler.store_hits  counter  4" in out
+            assert "scheduler.executed" not in out
+        assert (tmp_path / "r.jsonl").is_file() and (tmp_path / "store").is_dir()
 
     def test_library_error_is_one_line_and_status_one(self, capsys):
         assert main(["campaign", "--scale", "0.15", "--pairs", "0"]) == 1

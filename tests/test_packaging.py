@@ -8,6 +8,7 @@ land one.
 
 from __future__ import annotations
 
+import ast
 import subprocess
 from pathlib import Path
 
@@ -86,3 +87,31 @@ def test_no_loose_bytecode_outside_pycache():
         if path.parent.name != "__pycache__"
     ]
     assert loose == [], f"bytecode outside __pycache__: {loose}"
+
+
+def _imported_modules(source: Path) -> set[str]:
+    tree = ast.parse(source.read_text())
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_the_store_does_not_import_the_runner():
+    """The dependency points one way: ``repro.runner`` opens stores,
+    nothing under ``repro/store/`` knows there is a runner."""
+    offenders = {
+        str(source.relative_to(REPO)): sorted(
+            name for name in _imported_modules(source) if name.startswith("repro.runner")
+        )
+        for source in (REPO / "src" / "repro" / "store").glob("*.py")
+    }
+    assert not any(offenders.values()), offenders
+
+
+def test_the_scheduler_starts_no_threads():
+    scheduler = REPO / "src" / "repro" / "runner" / "scheduler.py"
+    assert "threading" not in _imported_modules(scheduler)
