@@ -1,7 +1,7 @@
-"""Internet-scale benchmarks of the vectorized propagation core.
+"""Internet-scale benchmarks of the engine's cold core, the wave kernel.
 
 The engine benchmarks (``test_bench_engine_perf``) track the compiled
-core on the paper's ~1k-AS worlds; these track the NumPy CSR core on
+loop on the paper's ~1k-AS worlds; these track the NumPy CSR core on
 the scales the paper's methodology actually needs — 10k ASes in CI's
 ``scale-smoke`` job, 80k (CAIDA-snapshot order) locally behind the
 ``slow`` marker.
@@ -9,17 +9,19 @@ the scales the paper's methodology actually needs — 10k ASes in CI's
 Three disciplines are timed and recorded so each ratio's provenance is
 explicit:
 
-* ``compiled_ms`` — one cold compiled-backend propagation, the oracle
-  the vectorized core must match bit for bit;
-* ``vectorized_ms`` — the same cold run end to end through the engine
-  (fixpoint + route/RIB emission + outcome assembly);
+* ``compiled_ms`` — one cold propagation on the per-activation loop,
+  called by name (``tests/bgp/loop_oracle.py``): the oracle the kernel
+  must match bit for bit;
+* ``vectorized_ms`` — the same cold run end to end through a default
+  engine, whose cold core the kernel is (fixpoint + route/RIB emission
+  + outcome assembly);
 * ``core_ms`` — the raw packed-key fixpoint alone
   (:func:`vectorized_fixpoint`), the piece that scales to 80k where
   materialising per-AS route objects would dwarf the convergence.
 
 The ≥10x acceptance gate rides on the core kernel: emission materials
 (intern-table paths, Route objects, Python dicts) are shared overhead
-both backends pay, and at 80k nobody pays them at all.  The end-to-end
+both cores pay, and at 80k nobody pays them at all.  The end-to-end
 engine ratio is recorded alongside, ungated, so the full-run picture
 stays honest in ``BENCH_engine.json``.
 """
@@ -40,6 +42,7 @@ from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.vectorized import ImpactKernel, vectorized_fixpoint
 from repro.topology.generators import PowerLawConfig, generate_powerlaw_topology
 from repro.topology.tiers import customer_cone
+from tests.bgp.loop_oracle import LoopEngine
 from tests.strategies import engine_route_points
 
 #: CAIDA-snapshot order (an as-rel2 file is ~75-80k ASes), kept sparser
@@ -65,15 +68,16 @@ def topo_10k(world_10k):
 
 
 def test_bench_fig09_vectorized_10k(world_10k, topo_10k):
-    """Cold λ=3 propagation at 10k ASes: compiled vs vectorized vs the
-    raw fixpoint core, with bit-identity asserted before any timing is
-    trusted.  Gate: the core kernel holds ≥10x over the compiled run."""
+    """Cold λ=3 propagation at 10k ASes: the loop by name vs a default
+    engine (a kernel column) vs the raw fixpoint core, with bit-identity
+    asserted before any timing is trusted.  Gate: the core kernel holds
+    ≥10x over the loop's run."""
     graph = world_10k.graph
     victim = world_10k.tier1[0]
     prep = PrependingPolicy.uniform_origin(victim, 3)
 
-    eng_c = PropagationEngine(graph, backend="compiled")
-    eng_v = PropagationEngine(graph, backend="vectorized")
+    eng_c = LoopEngine(graph)
+    eng_v = PropagationEngine(graph)
     oc = eng_c.propagate(victim, prepending=prep)
     ov = eng_v.propagate(victim, prepending=prep)
     assert list(oc.best.items()) == list(ov.best.items())
@@ -118,8 +122,8 @@ def test_bench_fig09_vectorized_10k(world_10k, topo_10k):
 def test_bench_impact_kernel_10k(world_10k, topo_10k):
     """The grid-10k shape — 5 largest-cone transit attackers x 10
     largest-cone victims at λ=3 — as impact-kernel columns vs the
-    compiled engine route (cached baselines, warm attacks, pollution
-    reports), both cold.  Counts must agree cell for cell before any
+    compiled engine route on the loop by name (cached loop baselines,
+    warm attacks, pollution reports), both cold.  Counts must agree cell for cell before any
     timing is trusted.  Gate: the kernel holds ≥2.5x; its peak traced
     allocation is recorded because batch width is a memory decision."""
     graph = world_10k.graph
@@ -136,7 +140,7 @@ def test_bench_impact_kernel_10k(world_10k, topo_10k):
     engine_s, points = _min_of(
         2,
         lambda: engine_route_points(
-            PropagationEngine(graph, backend="compiled"), [(a, v, 3) for a, v in pairs]
+            LoopEngine(graph), [(a, v, 3) for a, v in pairs]
         ),
     )
     kernel_s, counts = _min_of(3, lambda: ImpactKernel(topo_10k).run(cells))

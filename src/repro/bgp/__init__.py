@@ -12,8 +12,8 @@ simulator is built on:
 * :mod:`repro.bgp.prepending` — per-neighbour prepending schedules;
 * :mod:`repro.bgp.engine` — the general worklist propagation engine
   (supports attacker transforms, warm starts, adoption-round clocks);
-* :mod:`repro.bgp.vectorized` — the NumPy CSR batched frontier core
-  for Internet-scale cold runs (``backend="vectorized"``);
+* :mod:`repro.bgp.vectorized` — the NumPy CSR wave kernel the engine
+  converges cold stock-policy runs on, and the impact kernel;
 * :mod:`repro.bgp.uphill` — the paper's Figure-2 three-phase algorithm,
   used as an independent oracle;
 * :mod:`repro.bgp.collectors` — RouteViews/RIPE-style route collectors;

@@ -476,7 +476,7 @@ class CompiledState:
     """A converged routing state in compiled (index / intern-id) space.
 
     Attached to every :class:`~repro.bgp.engine.PropagationOutcome` the
-    compiled backends produce, so a warm start loads the arrays
+    compiled cores produce, so a warm start loads the arrays
     straight back instead of re-interning thousands of path tuples.
     ``best_pref[i] == -1`` means no route; ``rib_pid[k]`` is ``-2`` for
     an absent offer and ``-1`` for an explicit withdrawal — the

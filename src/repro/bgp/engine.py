@@ -45,6 +45,7 @@ from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
+from repro.bgp import vectorized
 from repro.bgp.compiled import (
     _PREF_OF,
     CompiledState,
@@ -90,7 +91,7 @@ class PropagationOutcome:
     since the start state).
 
     The tuple-based maps may be materialised *lazily*: the compiled
-    backends construct outcomes with an ``emit`` callback instead of
+    cores construct outcomes with an ``emit`` callback instead of
     eager ``best``/``adj_rib_in`` dicts, and the callback reifies the
     interned state into tuples on first access — the whole *world*,
     every AS's route and Adj-RIB-in.  The sweep pipeline (warm starts,
@@ -105,7 +106,7 @@ class PropagationOutcome:
     read (reference backend, unpickled outcomes).  The accesses that
     still materialise are ``best``/``adj_rib_in``/``best_keys``
     themselves, ``==``, pickling and :meth:`clone`; each sees exactly
-    what an eager build would have produced, and the compiled backends
+    what an eager build would have produced, and the compiled cores
     count it (``engine.compiled.worlds_emitted``).
     """
 
@@ -153,7 +154,7 @@ class PropagationOutcome:
         self._rows: dict[int, Route | None] = {}
         #: the same converged state in the compiled backend's (index,
         #: intern-id) space (:class:`repro.bgp.compiled.CompiledState`),
-        #: attached by the compiled backends so warm starts, row reads
+        #: attached by the compiled cores so warm starts, row reads
         #: and pollution reports stay in compiled space.
         #: Derived data: excluded from equality and dropped on pickling
         #: (an intern table is engine-local and must not cross process
@@ -316,7 +317,7 @@ class PropagationEngine:
     The engine pre-compiles adjacency and preference tables once, then
     answers any number of :meth:`propagate` calls (different origins,
     prepending schedules, attackers) against the same topology.  On the
-    compiled-array backends that happens on the first propagation, via
+    compiled backend that happens on the first propagation, via
     :meth:`CompiledTopology.of`, and is shared by every engine over the
     same graph; the engine then keeps that snapshot even if the graph
     is mutated afterwards.
@@ -346,30 +347,19 @@ class PropagationEngine:
         detached afterwards; metrics never influence routing results.
 
         ``backend`` selects the propagation implementation:
-        ``"compiled"`` (the default) runs on the dense-array core of
+        ``"compiled"`` (the default) runs on the dense arrays of
         :mod:`repro.bgp.compiled`; ``"reference"`` runs the
-        dict-of-tuples interpreter in this module.  The two are
-        bit-identical on every outcome field — the compiled-vs-
-        reference differential suite pins that — so the switch is purely
-        a speed/debuggability trade.  ``"vectorized"`` converges cold
-        stock-policy runs on the NumPy wave fixpoint of
-        :mod:`repro.bgp.vectorized` and everything else on the compiled
-        core.
+        dict-of-tuples interpreter in this module, the oracle the
+        compiled-vs-reference differential suite compares it with.
+        Which compiled-array core converges a run is not an option:
+        :meth:`propagate` decides it from the run itself.
         """
         if max_activations < 1:
             raise SimulationError("max_activations must be positive")
-        if backend not in ("compiled", "reference", "vectorized"):
+        if backend not in ("compiled", "reference"):
             raise SimulationError(
-                "backend must be 'compiled', 'reference' or 'vectorized', "
-                f"got {backend!r}"
+                f"backend must be 'compiled' or 'reference', got {backend!r}"
             )
-        if backend == "vectorized":
-            from repro.bgp.vectorized import numpy_available
-
-            if not numpy_available():
-                raise SimulationError(
-                    "backend='vectorized' requires numpy, which is not installed"
-                )
         self._graph: ASGraph | None = graph
         self._max_activations = max_activations
         self.metrics = metrics
@@ -390,7 +380,6 @@ class PropagationEngine:
         *,
         max_activations: int = 50,
         metrics: RunMetrics | None = None,
-        backend: str = "compiled",
     ) -> "PropagationEngine":
         """An engine over pre-compiled arrays, without an ASGraph.
 
@@ -398,21 +387,16 @@ class PropagationEngine:
         :class:`CompiledTopology` buffers through shared memory and the
         worker builds its engine directly from them.  ``graph`` is
         materialised lazily (only detection/collector code needs it).
-        ``backend`` accepts the compiled-array backends ("compiled" or
-        "vectorized") — the reference backend needs a real graph.
+        The reference backend needs a real graph, so the engine is a
+        ``"compiled"`` one.
         """
         engine = cls.__new__(cls)
         if max_activations < 1:
             raise SimulationError("max_activations must be positive")
-        if backend not in ("compiled", "vectorized"):
-            raise SimulationError(
-                "from_compiled backend must be 'compiled' or 'vectorized', "
-                f"got {backend!r}"
-            )
         engine._graph = None
         engine._max_activations = max_activations
         engine.metrics = metrics
-        engine._backend = backend
+        engine._backend = "compiled"
         engine._adjacency = None
         engine._compiled_topo = topo
         engine._tables = OrderedDict()
@@ -566,6 +550,15 @@ class PropagationEngine:
         the reference discipline, bit-identical by construction.  The
         invariant suite diffs the two modes, and benchmarks use the
         reference mode to time the pre-fast-path cost model.
+
+        On the compiled backend a cold run that asks for none of the
+        above but ``prepending`` converges as one column of the NumPy
+        wave kernel; every other run is
+        :func:`repro.bgp.compiled.run_compiled`'s.  The two agree on
+        every route, key and present Adj-RIB-in offer; a kernel column
+        stamps ``adoption_round`` with the wave clock (hops from the
+        origin) and leaves absent a slot the loop may record as an
+        explicit ``None``.
         """
         if not self._contains(origin):
             raise UnknownASError(origin)
@@ -598,7 +591,7 @@ class PropagationEngine:
                     "warm start requires seed ASes (modifiers, violators, or explicit)"
                 )
 
-        if self._backend in ("compiled", "vectorized"):
+        if self._backend == "compiled":
             # An outcome already carrying compiled state over this
             # topology brings its own intern table (it outlives the
             # engine's per-origin LRU); otherwise the engine keeps one
@@ -611,39 +604,46 @@ class PropagationEngine:
                 table = state.table
             else:
                 table = self._table_for(origin)
-            if self._backend == "vectorized":
-                # The vectorized core covers exactly the cold stock-
-                # policy runs (the baseline convergences that dominate
-                # sweeps); anything else — warm starts, modifiers,
-                # filters, policies — falls through to run_compiled on
-                # the same table, bit-identical by the differential
-                # contract.
-                if (
-                    warm_start is None
-                    and not modifiers
-                    and not import_filters
-                    and secpol is None
-                    and type(export_policy) is ExportPolicy
-                    and not export_policy.violators
-                ):
-                    from repro.bgp.vectorized import (
-                        VectorizedUnsupported,
-                        run_vectorized,
+            if warm_start is None:
+                # The one place a core is chosen: the wave kernel's
+                # capability table, first row that applies — what the
+                # run asks for that the kernel does not do, then what
+                # this install and topology cannot.  A cold run no row
+                # refuses is a kernel column; a refused one (counted by
+                # reason) and every warm start run the per-activation
+                # loop on the same table, bit-identical by the contract
+                # of tests/bgp/test_vectorized_differential.py.
+                refusals = (
+                    ("activation", activation != "fifo" or not incremental),
+                    ("modifiers", modifiers),
+                    (
+                        "export-policy",
+                        type(export_policy) is not ExportPolicy
+                        or export_policy.violators,
+                    ),
+                    ("import-filters", import_filters),
+                    ("secpol", secpol is not None),
+                    ("numpy-missing", not vectorized.numpy_available()),
+                    (
+                        "key-domain",
+                        not vectorized.in_key_domain(
+                            self._topo.n, prepending.max_padding()
+                        ),
+                    ),
+                )
+                refusal = next((why for why, applies in refusals if applies), None)
+                if refusal is None:
+                    return vectorized.run_vectorized(
+                        self._topo,
+                        table,
+                        origin=origin,
+                        prefix=prefix,
+                        prepending=prepending,
+                        metrics=self.metrics,
                     )
-
-                    try:
-                        return run_vectorized(
-                            self._topo,
-                            table,
-                            origin=origin,
-                            prefix=prefix,
-                            prepending=prepending,
-                            metrics=self.metrics,
-                        )
-                    except VectorizedUnsupported:
-                        pass
                 if self.metrics is not None and self.metrics.enabled:
                     self.metrics.count("engine.vectorized.fallbacks")
+                    self.metrics.count(f"engine.vectorized.fallbacks.{refusal}")
             return run_compiled(
                 self._topo,
                 table,

@@ -1,10 +1,12 @@
 """Vectorized (NumPy) cold-path propagation core.
 
-This module is the ``backend="vectorized"`` implementation behind
-:class:`repro.bgp.engine.PropagationEngine`: cold (baseline)
-convergences run as a handful of NumPy gather/scatter-min passes over
-the :class:`~repro.bgp.compiled.CompiledTopology` CSR arrays instead of
-the compiled backend's per-activation Python loop.
+This module is the cold core of
+:class:`repro.bgp.engine.PropagationEngine`: a cold stock-policy
+(baseline) convergence runs as a handful of NumPy gather/scatter-min
+passes over the :class:`~repro.bgp.compiled.CompiledTopology` CSR
+arrays instead of :func:`~repro.bgp.compiled.run_compiled`'s
+per-activation Python loop, which keeps every other run and is the
+cold core too where numpy is not installed.
 
 Why this is exact
 -----------------
@@ -94,6 +96,7 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "ImpactKernel",
     "VectorizedUnsupported",
+    "in_key_domain",
     "numpy_available",
     "run_vectorized",
     "vectorized_fixpoint",
@@ -116,16 +119,24 @@ _COLUMN_MEMO = 32
 
 
 def numpy_available() -> bool:
-    """True when the vectorized backend can run at all."""
+    """True when the vectorized core can run at all."""
     return np is not None
 
 
-class VectorizedUnsupported(Exception):
-    """This run's inputs fall outside the vectorized core's domain.
+def in_key_domain(n: int, max_count: int) -> bool:
+    """Whether ``n`` ASes padding at most ``max_count`` copies per
+    announcement pack into the int64 key: a sender index below 2^21 and
+    the longest padded path below the length field."""
+    return n < _MAX_N and n * max_count < _MAX_LEN
 
-    The engine catches this and falls back to :func:`run_compiled`
-    (counted as ``engine.vectorized.fallbacks``) — raising instead of
-    silently wrong answers keeps the fallback contract honest.
+
+class VectorizedUnsupported(Exception):
+    """This run's inputs fall outside the packed-key domain.
+
+    The engine asks :func:`in_key_domain` before it sends a run here
+    (a refusal is counted as ``engine.vectorized.fallbacks.key-domain``
+    and runs on :func:`run_compiled`); a direct caller gets this
+    instead of silently wrong answers.
     """
 
 
@@ -307,12 +318,11 @@ def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
 
 
 def _check_domain(topo: CompiledTopology, max_count: int) -> None:
-    if topo.n >= _MAX_N:
+    if not in_key_domain(topo.n, max_count):
         raise VectorizedUnsupported(
-            f"{topo.n} ASes exceed the 2^21 sender-index field"
+            f"{topo.n} ASes padding up to {max_count} copies overflow the "
+            "2^21 sender-index or the path-length field of the key"
         )
-    if topo.n * max_count >= _MAX_LEN:
-        raise VectorizedUnsupported("padded path lengths overflow the key")
 
 
 class ImpactKernel:
@@ -365,7 +375,7 @@ class ImpactKernel:
 
     def admits(self, padding: int) -> bool:
         """Whether padded lengths at ``λ = padding`` fit the key."""
-        return self.topo.n * padding < _MAX_LEN
+        return in_key_domain(self.topo.n, padding)
 
     def run(self, cells, metrics: RunMetrics | None = None):
         """``[(before, after, kept)]`` for ``cells`` of ``(victim,
@@ -675,11 +685,11 @@ def run_vectorized(
     prepending: PrependingPolicy,
     metrics: RunMetrics | None = None,
 ):
-    """One cold propagation on the vectorized core.
+    """One cold stock-policy propagation as a column of the wave kernel.
 
     Raises :class:`VectorizedUnsupported` when the topology or padding
-    falls outside the packed-key domain; the engine's dispatch treats
-    that as a silent fallback to :func:`run_compiled`.
+    falls outside the packed-key domain (the engine's capability table
+    has already refused such a run).
     """
     ev = _views(topo)
     counts, default_count, overrides = _slot_counts(topo, ev, prepending)

@@ -27,9 +27,6 @@ groups, each declared once (``<subcommand> --help`` has the detail):
   ``--task-deadline`` and ``--store`` become one
   :class:`~repro.runner.RunConfig`.  None of them changes a row, and a
   bad value is a usage error before any topology is built.
-* **engine** — the same three take ``--backend``, which governs only
-  the cells that build routes (campaign pairs, deployment points),
-  never the results.
 * **metrics** — every subcommand but ``list``, ``world`` and ``store``
   accepts ``--metrics {off,summary,jsonl}`` and ``--metrics-out PATH``;
   ``main`` builds the registry and emits it after the results, whose
@@ -137,18 +134,6 @@ def _run_flags(parser, unit: str | None = None) -> None:
     _store_flag(parser)
 
 
-def _engine_flags(parser) -> None:
-    parser.add_argument(
-        "--backend", choices=("compiled", "vectorized"), default="compiled",
-        help="propagation core of the cells that build routes (campaign "
-        "pairs, deployment points): 'vectorized' converges their cold "
-        "baselines on the NumPy CSR batched frontier (bit-identical "
-        "results; needs numpy, and warm/policy runs fall back to the "
-        "compiled core).  Impact-only cells (grids, λ-sweeps) run on the "
-        "impact kernel under either",
-    )
-
-
 def _metrics_flags(parser) -> None:
     parser.add_argument(
         "--metrics", choices=("off", "summary", "jsonl"), default="off",
@@ -212,7 +197,6 @@ def _batch_flags(parser, unit: str, *, monitors: int | None = None) -> None:
     )
     _attack_flags(parser, monitors=monitors)
     _run_flags(parser, unit)
-    _engine_flags(parser)
     _metrics_flags(parser)
 
 
@@ -452,12 +436,7 @@ def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
                 run = dataclasses.replace(run, store=store)
         except ReproError as exc:
             parser.error(str(exc))
-        fleet = dict(
-            monitors=monitors,
-            placement=placement,
-            seed=args.seed,
-            backend=args.backend,
-        )
+        fleet = dict(monitors=monitors, placement=placement, seed=args.seed)
         world = _load_world(args, parser)
         if world is None:
             study = InterceptionStudy.generate(scale=args.scale, **fleet)

@@ -101,9 +101,8 @@ class InterceptionStudy:
         """``placement`` is ``"top-degree"`` (the paper's) or
         ``"greedy-cover"`` (the optimised future-work strategy).
 
-        ``backend`` selects the propagation core (``"compiled"``,
-        ``"vectorized"`` for Internet-scale worlds, or
-        ``"reference"``)."""
+        ``backend`` is the study engine's (``"compiled"``, or the
+        ``"reference"`` oracle)."""
         self._world = world
         self._seed = seed
         self._engine = PropagationEngine(world.graph, backend=backend)
@@ -289,8 +288,8 @@ class InterceptionStudy:
         Defaults mirror :meth:`campaign`'s pools (transit attackers ×
         all ASes).  A cell reports impact only, so the grid runs on the
         impact kernel — one baseline column per victim, one attacked
-        column per cell, no routes built — whatever the study's backend
-        (numpy-less hosts take the engine route).
+        column per cell, no routes built (numpy-less hosts and the
+        reference backend take the engine route).
         ``run`` behaves as in :meth:`campaign`.
         """
         from repro.experiments.sweeps import exhaustive_grid as run_grid

@@ -364,13 +364,13 @@ class SupervisedExecutor:
     def _pool_spec(self) -> WorkerSpec:
         """The spec actually shipped to pool workers.
 
-        For the compiled-array backends ("compiled" and "vectorized")
-        the parent compiles the topology once, publishes the CSR payload
-        into shared memory, and replaces the pickled graph with the
-        segment handle — workers bootstrap their engines without ever
-        unpickling an :class:`ASGraph`.  If shared
-        memory is unavailable (no ``/dev/shm``, permissions, size
-        limits) the original graph-pickling spec is used unchanged.
+        For the compiled backend the parent compiles the topology
+        once, publishes the CSR payload into shared memory, and
+        replaces the pickled graph with the segment handle — workers
+        bootstrap their engines without ever unpickling an
+        :class:`ASGraph`.  If shared memory is unavailable (no
+        ``/dev/shm``, permissions, size limits) the original
+        graph-pickling spec is used unchanged.
         """
         spec = self.spec
         registry = self._pool_metrics

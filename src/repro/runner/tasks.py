@@ -53,9 +53,8 @@ class WorkerSpec:
 
     The spec is shipped to each worker exactly once (as pool
     initializer arguments).  The topology travels either as a pickled
-    :class:`ASGraph` (``graph``) or — the pool path of the
-    compiled-array backends — as a
-    :class:`~repro.runner.shm.SharedTopologyHandle` naming a
+    :class:`ASGraph` (``graph``) or — the pool path of the compiled
+    backend — as a :class:`~repro.runner.shm.SharedTopologyHandle` naming a
     shared-memory segment the parent published, so the graph is never
     pickled per worker at all.
     """
@@ -70,7 +69,8 @@ class WorkerSpec:
     #: into its engine, cache and detection pipeline, and ships a
     #: metrics delta back with every task result.
     metrics_enabled: bool = False
-    #: which propagation backend worker engines are built with.
+    #: which propagation backend worker engines are built with
+    #: (``"compiled"`` or the ``"reference"`` oracle).
     backend: str = "compiled"
     #: shared-memory handle to a published compiled topology; workers
     #: attach to it instead of unpickling ``graph``.
@@ -111,9 +111,7 @@ class WorkerContext:
             # build the engine straight on the compiled arrays.
             topo = attach_topology(spec.shared_topology)
             self.engine = PropagationEngine.from_compiled(
-                topo,
-                max_activations=spec.max_activations,
-                backend=spec.backend,
+                topo, max_activations=spec.max_activations
             )
             if track:
                 self.metrics.count("runner.shm.bootstraps")

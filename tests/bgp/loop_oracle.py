@@ -1,0 +1,77 @@
+"""The per-activation loop, called by name.
+
+A compiled engine decides the cold core itself: a cold stock-policy run
+is a column of the wave kernel wherever numpy imports, so a default
+engine no longer answers questions about :func:`run_compiled`'s *cold*
+behaviour — FIFO adoption stamps, explicit-``None`` withdrawal slots,
+activation counts, the ``max_activations`` guard.  The suites that ask
+them (the compiled-vs-reference differentials, the loop-discipline
+invariants) and the suites that need the loop as the kernel's oracle
+(``test_vectorized_differential.py``) call it here instead of relying
+on which core a default engine happens to pick.
+
+:func:`loop_propagate` is one cold run; :class:`LoopEngine` is for code
+that takes an engine (``simulate_interception``, ``BaselineCache``,
+worker contexts) — its warm starts are the stock engine's, which are
+``run_compiled`` already.
+"""
+
+from __future__ import annotations
+
+import random
+
+from repro.bgp.compiled import run_compiled
+from repro.bgp.engine import PropagationEngine
+from repro.bgp.policy import ExportPolicy
+from repro.bgp.prepending import PrependingPolicy
+from repro.bgp.route import DEFAULT_PREFIX
+
+
+def loop_propagate(
+    engine: PropagationEngine,
+    origin: int,
+    *,
+    prefix: str = DEFAULT_PREFIX,
+    prepending=None,
+    modifiers=None,
+    export_policy=None,
+    import_filters=None,
+    secpol=None,
+    activation: str = "fifo",
+    activation_rng=None,
+    incremental: bool = True,
+):
+    """A cold ``engine.propagate(origin, ...)`` on ``run_compiled``,
+    with the engine's topology, intern table, budget and registry.
+    Arguments must be valid: the engine's validation is not repeated."""
+    if activation == "random" and activation_rng is None:
+        activation_rng = random.Random(0)
+    return run_compiled(
+        engine.compiled_topology,
+        engine._table_for(origin),
+        origin=origin,
+        prefix=prefix,
+        prepending=prepending or PrependingPolicy(),
+        modifiers=dict(modifiers or {}),
+        export_policy=export_policy or ExportPolicy(),
+        import_filters=dict(import_filters or {}),
+        warm_start=None,
+        seed=None,
+        activation=activation,
+        activation_rng=activation_rng,
+        incremental=incremental,
+        max_activations=engine.max_activations,
+        metrics=engine.metrics,
+        secpol=secpol,
+    )
+
+
+class LoopEngine(PropagationEngine):
+    """A compiled engine whose cold runs are the loop's as well."""
+
+    def propagate(self, origin, *, warm_start=None, seed_ases=None, **run):
+        if warm_start is None:
+            return loop_propagate(self, origin, **run)
+        return super().propagate(
+            origin, warm_start=warm_start, seed_ases=seed_ases, **run
+        )

@@ -5,7 +5,12 @@ bit-identical to the reference engine on every outcome field — ``best``
 routes, Adj-RIBs-in (including the absent-offer vs explicit-``None``
 withdrawal distinction), adoption-round stamps and convergence rounds —
 across random topologies, attack warm starts, activation orders and
-import filters.  These tests are the oracle for that claim.
+import filters.  These tests are the oracle for that claim.  The
+compiled side is the per-activation loop called by name
+(``tests/bgp/loop_oracle.py``): a default engine's cold stock-policy
+run is a wave-kernel column, whose stamps and withdrawal slots follow
+the kernel's contract (``test_vectorized_differential.py``), not the
+reference loop's.
 """
 
 from __future__ import annotations

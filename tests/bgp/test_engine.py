@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp import vectorized
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
 from repro.exceptions import ConvergenceError, SimulationError, UnknownASError
+from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import PrefClass
+from tests.bgp.loop_oracle import loop_propagate
 
 
 class TestChainPropagation:
@@ -221,10 +224,15 @@ class TestErrors:
         engine = PropagationEngine(chain_graph)
         # Valley-free propagation needs ~one activation per AS, so the
         # guard never fires in legitimate runs (see the passing tests
-        # above); force a zero budget to exercise the guard itself.
+        # above); force a zero budget to exercise the guard itself.  The
+        # budget is the loop's (activations), so ask the loop.
         engine._max_activations = 0
         with pytest.raises(ConvergenceError):
-            engine.propagate(4)
+            loop_propagate(engine, 4)
+
+    def test_unknown_backend(self, chain_graph):
+        with pytest.raises(SimulationError, match="'compiled' or 'reference'"):
+            PropagationEngine(chain_graph, backend="vectorized")
 
     def test_isolated_origin(self):
         graph = ASGraph()
@@ -275,3 +283,51 @@ class TestImportFilters:
         )
         assert outcome.best[1] is None
         assert outcome.best[2] is not None  # unfiltered ASes unaffected
+
+
+class TestColdCore:
+    """Which core converges a cold run is read off the run: anything the
+    wave kernel does not do is the loop's, honoured and counted by
+    reason — never silently a kernel column."""
+
+    @pytest.mark.parametrize(
+        ("reason", "run", "patch"),
+        [
+            ("activation", {"activation": "lifo"}, None),
+            ("activation", {"activation": "random"}, None),
+            ("activation", {"incremental": False}, None),
+            ("modifiers", {"modifiers": {3: lambda path: path}}, None),
+            ("export-policy", {"export_policy": ExportPolicy(violators={3})}, None),
+            ("import-filters", {"import_filters": {1: lambda sender, path: True}}, None),
+            ("numpy-missing", {}, ("np", None)),
+            ("key-domain", {}, ("_MAX_N", 2)),
+        ],
+        ids=[
+            "lifo", "random", "full-rescan", "modifiers", "export-policy",
+            "import-filters", "numpy-missing", "key-domain",
+        ],
+    )
+    def test_a_refused_cold_run_is_the_loops(
+        self, diamond_graph, monkeypatch, reason, run, patch
+    ):
+        if patch is not None:
+            monkeypatch.setattr(vectorized, *patch)
+        metrics = RunMetrics(enabled=True)
+        engine = PropagationEngine(diamond_graph, metrics=metrics)
+        outcome = engine.propagate(5, **run)
+        assert outcome == loop_propagate(engine, 5, **run)
+        assert metrics.counter_value("engine.vectorized.propagations") == 0
+        assert metrics.counter_value("engine.vectorized.fallbacks") == 1
+        assert metrics.counter_value(f"engine.vectorized.fallbacks.{reason}") == 1
+
+    def test_a_stock_cold_run_is_a_kernel_column(self, diamond_graph):
+        pytest.importorskip("numpy", reason="the wave kernel requires numpy")
+        metrics = RunMetrics(enabled=True)
+        engine = PropagationEngine(diamond_graph, metrics=metrics)
+        baseline = engine.propagate(5, prepending=PrependingPolicy.uniform_origin(5, 2))
+        engine.propagate(5, warm_start=baseline, modifiers={3: lambda path: path[-1:]})
+        assert metrics.counter_value("engine.vectorized.propagations") == 1
+        assert metrics.counter_value("engine.cold.propagations") == 0
+        assert metrics.counter_value("engine.warm.propagations") == 1
+        # a warm start is not a refusal: nothing "fell back"
+        assert metrics.counter_value("engine.vectorized.fallbacks") == 0

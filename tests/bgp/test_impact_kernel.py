@@ -4,7 +4,8 @@ The kernel answers an impact-only attack cell — ``(before, after,
 attacker kept a route)`` — from a two-source packed-key fixpoint,
 without building a single route.  Its oracle is the route-building
 pipeline every other cell still takes: ``simulate_interception`` on the
-compiled engine, then the pollution report.
+compiled engine — its per-activation loop by name, so the oracle shares
+no wave code with the kernel — then the pollution report.
 
 * a hypothesis differential over random relationship graphs mixing
   p2c / p2p / s2s edges, with isolated ASes, unrouted attackers,
@@ -14,7 +15,7 @@ compiled engine, then the pollution report.
   width the internal budget can produce;
 * a hand-built golden topology on which an overlay flood over the
   baseline — either flavour — gets the count wrong;
-* the fix that rode along: the vectorized backend on an edgeless
+* the fix that rode along: a kernel-column cold run on an edgeless
   graph.
 """
 
@@ -33,6 +34,7 @@ from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.vectorized import ImpactKernel, VectorizedUnsupported
 from repro.topology.asgraph import ASGraph
+from tests.bgp.loop_oracle import LoopEngine
 from tests.strategies import TINY_WITH_SIBLINGS, seeds, tiny_world
 
 KERNEL_SETTINGS = settings(
@@ -108,7 +110,7 @@ class TestKernelDifferential:
         rng = random.Random(seed)
         graph = random_relationship_graph(rng)
         cells = draw_cells(graph, rng, 24)
-        engine = PropagationEngine(graph, backend="compiled")
+        engine = LoopEngine(graph)
         kernel = ImpactKernel(CompiledTopology.of(graph))
         assert kernel.run(cells) == [engine_counts(engine, cell) for cell in cells]
 
@@ -147,7 +149,7 @@ class TestKernelDifferential:
         origin-stripping down to one copy whatever ``keep`` says."""
         world, rng = tiny_world(seed, TINY_WITH_SIBLINGS)
         cells = draw_cells(world.graph, rng, 12)
-        engine = PropagationEngine(world.graph, backend="compiled")
+        engine = LoopEngine(world.graph)
         kernel = ImpactKernel(CompiledTopology.of(world.graph))
         assert kernel.run(cells) == [engine_counts(engine, cell) for cell in cells]
         collapsed = [(v, m, lam, 1, violate) for v, m, lam, _, violate in cells]
@@ -161,7 +163,7 @@ class TestKernelDifferential:
         graph.add_p2c(1, 3)
         graph.add_as(9)  # isolated
         kernel = ImpactKernel(CompiledTopology.of(graph))
-        engine = PropagationEngine(graph)
+        engine = LoopEngine(graph)
         cells = [(2, 9, 3, 1, False), (9, 1, 3, 1, True), (2, 1, 1, 2, False)]
         counts = kernel.run(cells)
         assert counts == [engine_counts(engine, cell) for cell in cells]
@@ -261,8 +263,8 @@ class TestEdgelessGraph:
         graph = ASGraph()
         for asn in ases:
             graph.add_as(asn)
-        vectorized_outcome = PropagationEngine(graph, backend="vectorized").propagate(1)
-        compiled_outcome = PropagationEngine(graph, backend="compiled").propagate(1)
+        vectorized_outcome = PropagationEngine(graph).propagate(1)
+        compiled_outcome = LoopEngine(graph).propagate(1)
         assert vectorized_outcome.best == compiled_outcome.best
         assert vectorized_outcome.adj_rib_in == compiled_outcome.adj_rib_in
         assert vectorized_outcome.reachable_ases() == [1]

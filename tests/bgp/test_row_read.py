@@ -4,14 +4,15 @@
 compiled state; collectors and detectors live on it so a detection cell
 never builds ``best``.  It must equal ``best.get`` for every AS, on
 every kind of state an outcome can carry — a cold run's
-``CompiledState`` (compiled or vectorized), a warm run's copied arrays —
-and fall back to the world where there is no compiled state (the
-reference backend).
+``CompiledState`` (the loop's or a kernel column's), a warm run's copied
+arrays — and fall back to the world where there is no compiled state
+(the reference backend).
 """
 
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -27,15 +28,18 @@ from repro.detection.streaming import attack_update_stream
 from repro.detection.timing import detection_timing
 from repro.runner import BaselineCache
 
+from tests.bgp.loop_oracle import LoopEngine
 from tests.strategies import draw_victim_then_attacker, paddings, seeds, tiny_world
 
 needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend requires numpy"
+    not numpy_available(), reason="the wave kernel requires numpy"
 )
+#: engine factories: the loop by name, the engine as shipped (kernel
+#: cold runs), the reference interpreter
 BACKENDS = [
-    "compiled",
-    pytest.param("vectorized", marks=needs_numpy),
-    "reference",
+    pytest.param(LoopEngine, id="compiled"),
+    pytest.param(PropagationEngine, id="vectorized", marks=needs_numpy),
+    pytest.param(partial(PropagationEngine, backend="reference"), id="reference"),
 ]
 
 
@@ -58,7 +62,7 @@ def _rows_then_world(outcome: PropagationOutcome, ases) -> None:
 def test_route_of_equals_best(backend, seed, padding):
     world, rng = tiny_world(seed)
     victim, attacker = draw_victim_then_attacker(world, rng)
-    engine = PropagationEngine(world.graph, backend=backend)
+    engine = backend(world.graph)
     prepending = PrependingPolicy.uniform_origin(victim, padding)
     ases = world.graph.ases + [max(world.graph.ases) + 1]  # and one stranger
 
@@ -84,7 +88,7 @@ def _detection_cells(small_world, backend):
     """What a detector concludes from each engine's rows: the timing
     and the update stream of a few attacks, cached baselines included."""
     graph = small_world.graph
-    engine = PropagationEngine(graph, backend=backend)
+    engine = backend(graph)
     cache = BaselineCache(engine)
     collector = RouteCollector(graph, top_degree_monitors(graph, 30))
     detector = ASPPInterceptionDetector(graph)
@@ -110,5 +114,5 @@ def _detection_cells(small_world, backend):
 @pytest.mark.parametrize("backend", BACKENDS[1:])
 def test_detection_cells_identical_on_every_engine(small_world, backend):
     assert _detection_cells(small_world, backend) == _detection_cells(
-        small_world, "compiled"
+        small_world, LoopEngine
     )

@@ -1,21 +1,23 @@
-"""Oracle suite for the vectorized (NumPy CSR) propagation backend.
+"""Oracle suite for the engine's cold core, the NumPy CSR wave kernel.
 
-Every test pits ``backend="vectorized"`` against the compiled oracle
-(and, on the tiny worlds, the reference interpreter too) over the same
-drawn scenario.  The contract under test is the one pinned in
-``repro/bgp/vectorized.py``:
+Every test pits the default engine — whose cold stock-policy runs are
+kernel columns — against the per-activation loop called by name
+(``tests/bgp/loop_oracle.py``; on the tiny worlds the reference
+interpreter too) over the same drawn scenario, and once more with numpy
+masked, where the default engine must *be* the loop.  The contract
+under test is the one pinned in ``repro/bgp/vectorized.py``:
 
 * cold runs agree on ``best``/``best_keys`` (bit-identical, including
   dict iteration order), on every *present* Adj-RIB-in offer, and on
   pollution/reachability sets;
-* the vectorized side never emits an explicit-``None`` withdrawal;
-* warm-started attack runs computed *from* a vectorized baseline match
-  ones computed from a compiled baseline on every field, adoption
+* the kernel side never emits an explicit-``None`` withdrawal;
+* warm-started attack runs computed *from* a kernel baseline match
+  ones computed from a loop baseline on every field, adoption
   stamps and round counts included;
-* ineligible shapes (secpol deployments, modifiers, import filters,
-  non-stock export policies) fall back to the compiled core and stay
-  identical by construction — the suite checks the fallback really
-  happens *and* the results stay equal;
+* refused shapes (secpol deployments, modifiers, import filters,
+  non-stock export policies, a masked numpy) run on the loop and stay
+  identical by construction — the suite checks the refusal is counted
+  under its reason *and* the results stay equal;
 * activation order never changes the routes a cold run converges to.
 
 The scale ladder: hypothesis drives ~50-AS tiny worlds and
@@ -30,12 +32,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-pytest.importorskip("numpy", reason="vectorized backend requires numpy")
+pytest.importorskip("numpy", reason="the wave kernel requires numpy")
 
 from tests.strategies import (
     SCALE_SMOKE,
     TINY,
     TINY_WITH_SIBLINGS,
+    assert_outcomes_identical,
     assert_vectorized_matches,
     draw_victim_then_attacker,
     paddings,
@@ -47,6 +50,7 @@ from tests.strategies import (
 )
 
 from repro.attack.interception import simulate_interception
+from repro.bgp import vectorized
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.secpol import AspaPolicy, SecurityDeployment
@@ -68,7 +72,7 @@ def _prep(victim, lam):
 
 
 # ----------------------------------------------------------------------
-# Cold runs: tiny worlds, three backends
+# Cold runs: tiny worlds, kernel vs loop vs reference
 
 
 class TestColdDifferential:
@@ -113,7 +117,7 @@ class TestColdDifferential:
         max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     def test_cold_matches_at_scale(self, config, seed):
-        """Scale-parameterized power-law worlds, compiled vs vectorized."""
+        """Scale-parameterized power-law worlds, loop vs kernel."""
         world, rng = scale_world(seed % 1000, config)
         victim = rng.choice(world.graph.ases)
         prep = _prep(victim, _lam(rng))
@@ -161,9 +165,9 @@ class TestAttackDifferential:
     @given(seed=seeds)
     @DIFFERENTIAL_SETTINGS
     def test_lambda_chain_from_vectorized_baseline(self, seed):
-        """A λ chain (1 → 2 → 3) warm-restarted from a vectorized
+        """A λ chain (1 → 2 → 3) warm-restarted from a kernel
         baseline is bit-identical — stamps included — to the same
-        chain from a compiled baseline."""
+        chain from a loop baseline."""
         world, rng = tiny_world(seed, TINY)
         victim = rng.choice(world.graph.ases)
         eng_c, eng_v = vectorized_pair(world)
@@ -182,7 +186,7 @@ class TestAttackDifferential:
 
 
 # ----------------------------------------------------------------------
-# Fallback shapes: secpol, modifiers, activation orders
+# Refused shapes: secpol, modifiers, masked numpy, activation orders
 
 
 class TestFallbackShapes:
@@ -196,14 +200,12 @@ class TestFallbackShapes:
         deployers = frozenset(rng.sample(world.graph.ases, 10))
         eng_c, _ = vectorized_pair(world)
         metrics = RunMetrics(enabled=True)
-        eng_v = PropagationEngine(
-            world.graph, backend="vectorized", metrics=metrics
-        )
+        eng_v = PropagationEngine(world.graph, metrics=metrics)
         pol = SecurityDeployment(AspaPolicy(world.graph), deployers)
         oc = eng_c.propagate(victim, secpol=pol)
         ov = eng_v.propagate(victim, secpol=pol)
         assert oc == ov
-        assert metrics.counters["engine.vectorized.fallbacks"].value >= 1
+        assert metrics.counter_value("engine.vectorized.fallbacks.secpol") == 1
 
     @given(seed=seeds)
     @settings(
@@ -222,9 +224,29 @@ class TestFallbackShapes:
     @settings(
         max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
+    def test_numpy_masked_engine_is_the_loop(self, seed):
+        """Without numpy the default engine's cold run is the loop's,
+        stamps and withdrawal slots included, and says so."""
+        world, rng = tiny_world(seed, TINY_WITH_SIBLINGS)
+        victim = rng.choice(world.graph.ases)
+        prep = _prep(victim, _lam(rng))
+        eng_c, _ = vectorized_pair(world)
+        metrics = RunMetrics(enabled=True)
+        eng_v = PropagationEngine(world.graph, metrics=metrics)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vectorized, "np", None)
+            masked = eng_v.propagate(victim, prepending=prep)
+        assert_outcomes_identical(eng_c.propagate(victim, prepending=prep), masked)
+        assert metrics.counter_value("engine.vectorized.fallbacks.numpy-missing") == 1
+        assert metrics.counter_value("engine.vectorized.propagations") == 0
+
+    @given(seed=seeds)
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
     def test_activation_order_independent_routes(self, seed):
-        """Cold vectorized routes equal compiled routes under any
-        activation discipline (confluence; stamps are per-discipline)."""
+        """Cold kernel routes equal loop routes under any activation
+        discipline (confluence; stamps are per-discipline)."""
         import random as _random
 
         world, rng = tiny_world(seed, TINY)

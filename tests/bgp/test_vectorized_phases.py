@@ -29,7 +29,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-np = pytest.importorskip("numpy", reason="vectorized backend requires numpy")
+np = pytest.importorskip("numpy", reason="the wave kernel requires numpy")
 
 from tests.strategies import (
     TINY_WITH_SIBLINGS,

@@ -23,7 +23,8 @@ from repro.exceptions import SimulationError
 from repro.experiments.sweeps import exhaustive_grid
 from repro.runner import RunConfig, SweepPointResult
 from repro.telemetry.metrics import RunMetrics
-from tests.strategies import TINY, engine_route_points, tiny_world
+from tests.bgp.loop_oracle import LoopEngine
+from tests.strategies import TINY, cold_convergences, engine_route_points, tiny_world
 
 PADDING = 3
 
@@ -70,18 +71,18 @@ def test_grid_matches_per_pair_recompute(grid_world, grid_pools):
     """Cell-for-cell equality of the grid (every cell on the impact
     kernel, none falling back) and of the engine route on a default
     engine (one baseline convergence per victim, one warm start per
-    cell)."""
+    cell) with the per-pair recompute on the loop by name."""
     pytest.importorskip("numpy", reason="the impact kernel requires numpy")
     attackers, victims = grid_pools
     graph = grid_world.graph
     pairs = [(a, v) for a in attackers for v in victims if a != v]
 
-    oracle_engine = PropagationEngine(graph, backend="compiled")
+    oracle_engine = LoopEngine(graph)
     oracle_cells = [_recompute_cell(oracle_engine, a, v) for a, v in pairs]
 
     grid_metrics = RunMetrics()
     grid_cells = exhaustive_grid(
-        PropagationEngine(graph, backend="compiled"),
+        PropagationEngine(graph),
         attackers=attackers,
         victims=victims,
         origin_padding=PADDING,
@@ -96,7 +97,7 @@ def test_grid_matches_per_pair_recompute(grid_world, grid_pools):
         PropagationEngine(graph, metrics=metrics), [(a, v, PADDING) for a, v in pairs]
     )
     assert engine_cells == oracle_cells
-    assert metrics.counter_value("engine.cold.propagations") == len(victims)
+    assert cold_convergences(metrics) == len(victims)
     assert metrics.counter_value("engine.warm.propagations") == len(pairs)
 
 

@@ -3,7 +3,7 @@
 A detector needs AS-paths at M monitors, not at N ASes.  Collectors
 read ``PropagationOutcome.route_of`` rows, so fig13, fig14 and a
 campaign cell never run an outcome's deferred emission — and when
-something does touch ``best`` on such a path, the compiled backends
+something does touch ``best`` on such a path, the compiled cores
 count it (``engine.compiled.worlds_emitted``) instead of paying for it
 silently.
 """
@@ -12,16 +12,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp import vectorized
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.vectorized import numpy_available
+from repro.core.study import InterceptionStudy
 from repro.detection.monitors import top_degree_monitors
 from repro.experiments.fig13_detection_accuracy import Fig13Config
 from repro.experiments.fig13_detection_accuracy import run as run_fig13
 from repro.experiments.fig14_pollution_before_detection import Fig14Config
 from repro.experiments.fig14_pollution_before_detection import run as run_fig14
-from repro.runner import BaselineCache, CampaignPairTask, WorkerContext, WorkerSpec
+from repro.runner import (
+    BaselineCache,
+    CampaignPairTask,
+    RunConfig,
+    WorkerContext,
+    WorkerSpec,
+)
 from repro.telemetry import RunMetrics
+from tests.bgp.loop_oracle import LoopEngine
+from tests.strategies import cold_convergences
 
 WORLDS = "engine.compiled.worlds_emitted"
 
@@ -72,12 +82,14 @@ def test_serial_campaign_pair_builds_no_world(small_world, worlds_built):
     assert timing.num_ases == result.report.num_ases == len(graph) - 2
 
 
+#: the loop by name, and the engine as shipped (kernel cold runs)
 BACKENDS = [
-    "compiled",
+    pytest.param(LoopEngine, id="compiled"),
     pytest.param(
-        "vectorized",
+        PropagationEngine,
+        id="vectorized",
         marks=pytest.mark.skipif(
-            not numpy_available(), reason="vectorized backend requires numpy"
+            not numpy_available(), reason="the wave kernel requires numpy"
         ),
     ),
 ]
@@ -88,7 +100,7 @@ def test_a_built_world_is_counted(small_world, backend):
     """One count per outcome whose ``best`` is touched: the cached cold
     baseline and the warm run started from it."""
     metrics = RunMetrics()
-    engine = PropagationEngine(small_world.graph, backend=backend, metrics=metrics)
+    engine = backend(small_world.graph, metrics=metrics)
     cache = BaselineCache(engine, metrics=metrics)
     victim, attacker = small_world.tier1[0], small_world.tier1[1]
     prepending = PrependingPolicy.uniform_origin(victim, 3)
@@ -104,3 +116,62 @@ def test_a_built_world_is_counted(small_world, backend):
     assert metrics.counters[WORLDS].value == 2
     attacked.best, baseline.adj_rib_in  # already built: not again
     assert metrics.counters[WORLDS].value == 2
+
+
+# ----------------------------------------------------------------------
+# Route-building artefacts with and without numpy: the cold core is the
+# engine's choice, so neither the rows nor the work may depend on it.
+
+
+def _fig13(metrics):
+    return run_fig13(Fig13Config(scale=0.25, pairs=10), metrics=metrics).to_text()
+
+
+def _fig14(metrics):
+    return run_fig14(Fig14Config(scale=0.25, pairs=10), metrics=metrics).to_text()
+
+
+def _campaign(metrics):
+    study = InterceptionStudy.generate(scale=0.25, monitors=40)
+    campaign = study.campaign(pairs=8, padding=3, run=RunConfig(metrics=metrics))
+    return len(campaign.effective), campaign.mean_pollution, campaign.detection_rate
+
+
+def _secpol_sweep(metrics):
+    study = InterceptionStudy.generate(scale=0.25, monitors=1)
+    world = study.world
+    return study.deployment_sweep(
+        victim=world.tier1[0],
+        attacker=world.tier2[0],
+        padding=3,
+        policy="prependguard",
+        fractions=(0.0, 0.5, 1.0),
+        run=RunConfig(metrics=metrics),
+    )
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy to mask it")
+@pytest.mark.parametrize(
+    "artefact",
+    [_fig13, _fig14, _campaign, _secpol_sweep],
+    ids=["fig13", "fig14", "campaign", "secpol-sweep"],
+)
+def test_rows_and_work_are_the_same_without_numpy(artefact, monkeypatch, worlds_built):
+    present = RunMetrics()
+    rows = artefact(present)
+    assert present.counter_value("engine.vectorized.propagations") > 0
+    assert present.counter_value("engine.vectorized.fallbacks") == 0
+
+    masked = RunMetrics()
+    monkeypatch.setattr(vectorized, "np", None)
+    assert artefact(masked) == rows
+    assert cold_convergences(masked) == cold_convergences(present)
+    assert masked.counter_value("engine.vectorized.propagations") == 0
+    # every cold run names why it was the loop's
+    assert masked.counter_value(
+        "engine.vectorized.fallbacks.numpy-missing"
+    ) == masked.counter_value("engine.cold.propagations")
+    for metrics in (present, masked):
+        assert metrics.counter_value(WORLDS) == 0
+        assert metrics.counter_value("engine.warm.propagations") > 0
+    assert worlds_built == []

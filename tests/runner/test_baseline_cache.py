@@ -11,6 +11,7 @@ the victim's trailing run rewritten.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,8 @@ from repro.runner import (
 )
 from repro.telemetry.metrics import RunMetrics
 
-from tests.strategies import paddings, seeds, tiny_world
+from tests.bgp.loop_oracle import LoopEngine
+from tests.strategies import cold_convergences, paddings, seeds, tiny_world
 
 
 def rewrite_uniform(canonical, victim, padding):
@@ -61,10 +63,11 @@ def rewrite_uniform(canonical, victim, padding):
 @pytest.mark.parametrize(
     "backend",
     [
-        "compiled",
-        "reference",
+        pytest.param(LoopEngine, id="compiled"),
+        pytest.param(partial(PropagationEngine, backend="reference"), id="reference"),
         pytest.param(
-            "vectorized",
+            PropagationEngine,  # as shipped: cold runs are kernel columns
+            id="vectorized",
             marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
         ),
     ],
@@ -74,7 +77,7 @@ def rewrite_uniform(canonical, victim, padding):
 def test_uniform_padding_only_rewrites_the_victims_run(backend, seed, padding):
     world, rng = tiny_world(seed)
     victim = rng.choice(world.graph.ases)
-    engine = PropagationEngine(world.graph, backend=backend)
+    engine = backend(world.graph)
     canonical = engine.propagate(victim)
     padded = engine.propagate(
         victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
@@ -111,8 +114,8 @@ def test_cache_memoises_each_schedule(small_world):
 
 def test_a_miss_is_exactly_one_convergence(small_world):
     """A serial 10-pair campaign books one miss, one convergence and one
-    cold propagation per distinct victim; the same batch again on the
-    same cache is all hits."""
+    cold propagation — on whichever core the engine picked — per distinct
+    victim; the same batch again on the same cache is all hits."""
     graph = small_world.graph
     engine = PropagationEngine(graph)
     cache = BaselineCache(engine)
@@ -129,27 +132,27 @@ def test_a_miss_is_exactly_one_convergence(small_world):
         run_batch(
             engine, tasks, RunConfig(metrics=metrics), cache=cache, monitors=monitors
         )
-        return {
+        counts = {
             name: metrics.counter_value(name)
             for name in (
                 "cache.baseline_misses",
                 "cache.canonical_convergences",
-                "engine.cold.propagations",
                 "cache.baseline_hits",
             )
         }
+        return counts | {"cold convergences": cold_convergences(metrics)}
 
     assert run() == {
         "cache.baseline_misses": victims,
         "cache.canonical_convergences": victims,
-        "engine.cold.propagations": victims,
+        "cold convergences": victims,
         "cache.baseline_hits": len(tasks) - victims,
     }
     assert cache.misses == victims
     assert run() == {
         "cache.baseline_misses": 0,
         "cache.canonical_convergences": 0,
-        "engine.cold.propagations": 0,
+        "cold convergences": 0,
         "cache.baseline_hits": len(tasks),
     }
 

@@ -40,6 +40,7 @@ from repro.runner import (
 )
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
+from tests.bgp.loop_oracle import LoopEngine
 from tests.strategies import engine_route_points
 
 needs_numpy = pytest.mark.skipif(
@@ -117,14 +118,13 @@ class TestRoutesAgree:
             origin_padding=3,
         )
         assert kernel_cells == pair_grid(
-            PropagationEngine(graph, backend="vectorized"), pairs, origin_padding=3
-        )
-        assert kernel_cells == pair_grid(
             PropagationEngine(graph, backend="reference"), pairs, origin_padding=3
         )
-        assert kernel_cells == engine_route_points(
-            PropagationEngine(graph), [(a, v, 3) for a, v in pairs]
-        )
+        # the engine route from kernel-column baselines, and from the loop's
+        for engine in (PropagationEngine(graph), LoopEngine(graph)):
+            assert kernel_cells == engine_route_points(
+                engine, [(a, v, 3) for a, v in pairs]
+            )
 
     def test_forced_pool_equals_serial_with_deterministic_counters(self, small_world):
         attackers, victims = _grid_pools(small_world)

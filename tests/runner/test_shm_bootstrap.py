@@ -114,17 +114,18 @@ def test_reference_backend_pool_keeps_pickled_graph_path(small_world):
 
 
 def test_vectorized_backend_pool_bootstraps_from_shared_memory(small_world):
-    """Both compiled-array backends publish: a ``--backend vectorized``
-    pool used to pickle the graph into every worker, and a worker that
-    did attach came up as a *compiled* engine."""
-    pytest.importorskip("numpy", reason="vectorized backend requires numpy")
+    """A pool worker that attached to the published topology converges
+    its baselines where a serial engine does, on the wave kernel: the
+    engine built by ``from_compiled`` decides the cold core like any
+    other."""
+    pytest.importorskip("numpy", reason="the wave kernel requires numpy")
     victim, attacker = small_world.tier1[0], small_world.tier1[1]
     # Route-building cells, so the workers' engines converge baselines.
     tasks = [
         DeploymentPointTask(victim=victim, attacker=attacker, padding=p)
         for p in PADDINGS
     ]
-    spec = WorkerSpec(small_world.graph, metrics_enabled=True, backend="vectorized")
+    spec = WorkerSpec(small_world.graph, metrics_enabled=True)
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
@@ -137,8 +138,9 @@ def test_vectorized_backend_pool_bootstraps_from_shared_memory(small_world):
     assert metrics.counter_value("runner.shm.publishes") == 1
     assert metrics.counter_value("runner.shm.bootstraps") >= 1
     assert metrics.counter_value("runner.shm.graph_pickles") == 0
-    # The attached engines really are vectorized ones.
+    # The attached engines' cold runs really are kernel columns.
     assert metrics.counter_value("engine.vectorized.propagations") >= 1
+    assert metrics.counter_value("engine.cold.propagations") == 0
 
 
 def test_serial_path_never_touches_shared_memory(small_world):

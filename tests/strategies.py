@@ -39,6 +39,7 @@ from repro.topology.generators import (
     generate_internet_topology,
     generate_powerlaw_topology,
 )
+from tests.bgp.loop_oracle import LoopEngine
 
 __all__ = [
     "SCALE_SMOKE",
@@ -49,6 +50,7 @@ __all__ = [
     "assert_outcomes_identical",
     "assert_vectorized_matches",
     "backend_pair",
+    "cold_convergences",
     "draw_attacker_then_victim",
     "draw_victim_then_attacker",
     "engine_route_points",
@@ -125,13 +127,16 @@ def tiny_world(
 def backend_pair(
     seed: int, config: InternetTopologyConfig = TINY
 ) -> tuple[GeneratedTopology, random.Random, PropagationEngine, PropagationEngine]:
-    """World + rng + (reference, compiled) engines over the same graph."""
+    """World + rng + (reference, compiled-loop) engines over the same
+    graph: the loop by name, because it is the loop — cold stamps and
+    withdrawal slots included — that mirrors the reference statement
+    for statement, not whichever core a default engine picks."""
     world, rng = tiny_world(seed, config)
     return (
         world,
         rng,
         PropagationEngine(world.graph, backend="reference"),
-        PropagationEngine(world.graph, backend="compiled"),
+        LoopEngine(world.graph),
     )
 
 
@@ -215,11 +220,10 @@ def scale_configs(draw, min_ases: int = 80, max_ases: int = 400):
 def vectorized_pair(
     world: GeneratedTopology,
 ) -> tuple[PropagationEngine, PropagationEngine]:
-    """(compiled, vectorized) oracle/candidate engines over one graph."""
-    return (
-        PropagationEngine(world.graph, backend="compiled"),
-        PropagationEngine(world.graph, backend="vectorized"),
-    )
+    """(loop, default) oracle/candidate engines over one graph: the
+    per-activation loop by name, and the engine as shipped, whose cold
+    stock-policy runs are kernel columns."""
+    return LoopEngine(world.graph), PropagationEngine(world.graph)
 
 
 def assert_vectorized_matches(
@@ -233,7 +237,7 @@ def assert_vectorized_matches(
     and round counts too when ``stamps=True``.
 
     ``warm=True`` is for comparing two *compiled warm runs* that differ
-    only in which baseline (compiled vs vectorized) seeded them: the
+    only in which baseline (loop vs kernel) seeded them: the
     compiled warm flood emits explicit-``None`` withdrawals on both
     sides, and the baselines' absent-vs-``None`` difference survives in
     untouched slots — so both Adj-RIBs-in compare modulo ``None``."""
@@ -254,6 +258,15 @@ def assert_vectorized_matches(
     if stamps:
         assert oracle.adoption_round == candidate.adoption_round
         assert oracle.rounds == candidate.rounds
+
+
+def cold_convergences(metrics) -> int:
+    """Cold convergences ``metrics`` recorded, on whichever core ran
+    them: kernel columns plus the loop's cold runs.  The sum is what a
+    baseline-cache miss costs, with or without numpy."""
+    return metrics.counter_value(
+        "engine.vectorized.propagations"
+    ) + metrics.counter_value("engine.cold.propagations")
 
 
 def assert_outcomes_identical(ref, other) -> None:
@@ -284,7 +297,7 @@ def engine_route_points(
     forwards ``violate_policy`` / ``strip_mode`` / ``keep``.  Sweeps
     themselves answer impact-only cells from the impact kernel, so this
     is both the kernel's oracle and how suites exercise the engine's
-    warm path (from compiled or vectorized baselines) at sweep shape.
+    warm path (from loop or kernel baselines) at sweep shape.
     """
     cache = cache if cache is not None else BaselineCache(engine)
     points = []

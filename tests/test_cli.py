@@ -525,7 +525,6 @@ SURFACE = {
         (("--resume",), "resume", "str", None, None, False, "store"),
         (("--retries",), "retries", "int", None, None, False, "store"),
         (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
-        (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -541,7 +540,6 @@ SURFACE = {
         (("--resume",), "resume", "str", None, None, False, "store"),
         (("--retries",), "retries", "int", None, None, False, "store"),
         (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
-        (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -561,7 +559,6 @@ SURFACE = {
         (("--resume",), "resume", "str", None, None, False, "store"),
         (("--retries",), "retries", "int", None, None, False, "store"),
         (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
-        (("--backend",), "backend", None, "compiled", ("compiled", "vectorized"), False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -754,6 +751,14 @@ class TestErrors:
         assert usage.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == "repro-aspp: error: unrecognized arguments: --shards 2"
+
+    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
+    def test_the_removed_backend_flag_is_a_usage_error(self, command, no_world, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--scale", "0.15", "--backend", "vectorized"])
+        assert usage.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "repro-aspp: error: unrecognized arguments: --backend vectorized"
 
     @pytest.mark.parametrize("flag", ["--store", "--resume"])
     @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
