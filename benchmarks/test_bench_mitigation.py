@@ -27,10 +27,10 @@ from repro.bgp.engine import PropagationEngine
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.pipeline import (
     FeedFaultPlan,
-    PipelineDetector,
     StreamingPipeline,
     split_stream,
 )
+from repro.detection.streaming import StreamingDetector
 from repro.measurement.churn import ChurnConfig, synthesize_churn_stream
 from repro.mitigation import MitigationController, MitigationPolicy, run_closed_loop
 
@@ -63,9 +63,7 @@ def attack_churn(churn):
 
 
 def _pipeline(stream, **kwargs):
-    detector = PipelineDetector(
-        ASPPInterceptionDetector(stream.world.graph), stream.world.graph
-    )
+    detector = StreamingDetector(ASPPInterceptionDetector(stream.world.graph))
     pipeline = StreamingPipeline(
         detector, feeds=4, batch=64, capacity=256, **kwargs
     )

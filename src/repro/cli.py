@@ -164,7 +164,7 @@ def _stream_flags(parser, *, updates: int) -> None:
     )
     parser.add_argument(
         "--batch", type=int, default=64,
-        help="updates handed to the detector per consume_batch call",
+        help="updates handed to the detector per consume_all call",
     )
     parser.add_argument(
         "--backpressure", choices=("block", "drop", "park"), default="block",
@@ -619,21 +619,17 @@ def _detect_stream(args, parser, metrics) -> int:
     import time
 
     from repro.detection.detector import ASPPInterceptionDetector
-    from repro.detection.pipeline import (
-        PipelineDetector,
-        StreamingPipeline,
-        split_stream,
-    )
+    from repro.detection.pipeline import StreamingPipeline, split_stream
+    from repro.detection.streaming import StreamingDetector
 
     stream = _churn_stream(args, attack=not args.no_attack)
-    graph = stream.world.graph
     # The p50/p99 summary needs the per-update latency histogram, so the
     # pipeline is always instrumented here (one clock read per update,
     # everything else folded into the registry once per batch);
     # --metrics controls only whether the full registry is emitted.
     registry = metrics if metrics is not None else RunMetrics()
-    detector = PipelineDetector(
-        ASPPInterceptionDetector(graph), graph, metrics=registry
+    detector = StreamingDetector(
+        ASPPInterceptionDetector(stream.world.graph), metrics=registry
     )
     pipeline = StreamingPipeline(
         detector,

@@ -12,9 +12,11 @@
   interception;
 * :mod:`repro.detection.timing` — pollution-before-detection analysis
   (Figure 14);
-* :mod:`repro.detection.pipeline` — the high-throughput streaming
-  pipeline: radix-indexed routing tables, interned-path hot loop, and
-  batched multi-feed ingestion with backpressure.
+* :mod:`repro.detection.streaming` — the one streaming detector: the
+  Figure-4 check applied to an update stream in batches, over
+  per-prefix route tables and a live view;
+* :mod:`repro.detection.pipeline` — batched multi-feed ingestion with
+  backpressure and fault tolerance in front of that detector.
 """
 
 from repro.detection.alarms import Alarm, Confidence
@@ -25,11 +27,7 @@ from repro.detection.monitors import (
     top_degree_monitors,
     victim_adjacent_monitors,
 )
-from repro.detection.pipeline import (
-    PipelineDetector,
-    RadixRoutingTable,
-    StreamingPipeline,
-)
+from repro.detection.pipeline import StreamingPipeline
 from repro.detection.placement import attacker_coverage, greedy_cover_monitors
 from repro.detection.selfcheck import PrefixOwnerSelfCheck
 from repro.detection.streaming import StreamingDetector, attack_update_stream
@@ -47,8 +45,6 @@ __all__ = [
     "attacker_coverage",
     "StreamingDetector",
     "attack_update_stream",
-    "PipelineDetector",
-    "RadixRoutingTable",
     "StreamingPipeline",
     "detect_moas",
     "detect_new_links",

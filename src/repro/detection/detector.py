@@ -65,7 +65,13 @@ class ASPPInterceptionDetector:
         current: Route | None,
         view: MonitorView,
     ) -> list[Alarm]:
-        """Apply the Figure-4 algorithm to one observed route change."""
+        """Apply the Figure-4 algorithm to one observed route change.
+
+        ``view`` is read only: its ``routes`` may be any mapping — a
+        snapshot's dict, or the streaming detector's read-only proxy
+        over its live table — and its ``decomposed`` memo is reused
+        across calls on one view.
+        """
         if previous is None or current is None:
             return []  # fresh announcement or withdrawal: not an ASPP symptom
         if not previous.path or not current.path:

@@ -1,26 +1,19 @@
-"""High-throughput streaming detection (the ROADMAP's ARTEMIS-shaped
-ingestion pipeline).
+"""Multi-feed ingestion in front of the streaming detector (the
+ROADMAP's ARTEMIS-shaped pipeline).
 
-The single-feed :class:`~repro.detection.streaming.StreamingDetector`
-is the semantic oracle: correct, equivalence-tested, and O(monitors)
-per update.  This package is the same detector rebuilt for
-RouteViews-scale churn:
+The detector itself is :class:`~repro.detection.streaming.StreamingDetector`
+— one class, whose batch method :meth:`consume_all` this package calls.
+What lives here is everything between the feeds and that call:
 
-* :mod:`repro.detection.pipeline.radix` — a pure-Python binary radix
-  trie keyed on IPv4 prefixes with longest-match lookup, the index
-  structure real hijack detectors (ARTEMIS, PHAS) hang their routing
-  state off;
-* :mod:`repro.detection.pipeline.table` — the prefix-indexed routing
-  table: per-(prefix, monitor) route slots in flat arrays, AS-paths
-  interned through :class:`repro.bgp.compiled.InternTable`, and
-  :class:`PipelineDetector`, whose per-update hot path does zero dict
-  copies (the Figure-4 inspection reads a *live* view) and whose
-  padding precheck runs in O(1) amortised on interned path ids;
+* :mod:`repro.detection.pipeline.radix` — :func:`parse_prefix`, the
+  canonical-CIDR check the detector runs once per prefix;
 * :mod:`repro.detection.pipeline.ingest` — batched multi-feed
   ingestion: N monitor feeds drained through bounded queues with
   explicit backpressure (``block`` / ``drop`` / ``park``), merged by
   sequence stamp so any feed interleaving yields the same alarms as
-  the serial oracle.
+  one serial feed;
+* :mod:`repro.detection.pipeline.faults` — scripted feed faults and
+  the malformed-update check the tolerant ingestion path runs.
 """
 
 from repro.detection.pipeline.faults import (
@@ -36,19 +29,10 @@ from repro.detection.pipeline.ingest import (
     StreamingPipeline,
     split_stream,
 )
-from repro.detection.pipeline.radix import PrefixTrie, parse_prefix
-from repro.detection.pipeline.table import (
-    LiveMonitorView,
-    PipelineDetector,
-    RadixRoutingTable,
-)
+from repro.detection.pipeline.radix import parse_prefix
 
 __all__ = [
     "parse_prefix",
-    "PrefixTrie",
-    "RadixRoutingTable",
-    "LiveMonitorView",
-    "PipelineDetector",
     "FeedQueue",
     "StreamingPipeline",
     "BACKPRESSURE_POLICIES",

@@ -14,11 +14,11 @@ that interleaving irrelevant:
   pump, so parking stays lossless *and* bounded) — every event counted
   in telemetry;
 * messages are merged back into **sequence order** before they reach
-  the detector, so the alarm stream is bit-identical to the serial
-  single-feed oracle run over the same (surviving) updates, for every
-  feed count, batch size and interleaving;
+  the detector, so the alarm stream is bit-identical to one serial
+  feed over the same (surviving) updates, for every feed count, batch
+  size and interleaving;
 * the detector is invoked through
-  :meth:`~repro.detection.pipeline.table.PipelineDetector.consume_batch`
+  :meth:`~repro.detection.streaming.StreamingDetector.consume_all`
   in batches of up to ``batch`` messages, amortising table lookups and
   dispatch overhead.
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.bgp.collectors import MonitorView
 from repro.bgp.updates import SequencedUpdate
@@ -49,10 +50,12 @@ from repro.detection.pipeline.faults import (
     corrupt_update,
     is_malformed,
 )
-from repro.detection.pipeline.table import PipelineDetector
 from repro.exceptions import DetectionError
 from repro.telemetry.metrics import RunMetrics
 from repro.telemetry.slo import SLORegistry
+
+if TYPE_CHECKING:  # streaming imports this package's radix — keep the cycle type-only
+    from repro.detection.streaming import StreamingDetector
 
 __all__ = ["BACKPRESSURE_POLICIES", "FeedQueue", "StreamingPipeline", "split_stream"]
 
@@ -76,7 +79,7 @@ class FeedQueue:
 
 
 class StreamingPipeline:
-    """N bounded feed queues in front of one :class:`PipelineDetector`.
+    """N bounded feed queues in front of one :class:`StreamingDetector`.
 
     Contract: the sequence numbers offered across all feeds are a
     (subset of a) dense range starting at ``first_seq``, each feed's
@@ -95,7 +98,7 @@ class StreamingPipeline:
 
     def __init__(
         self,
-        detector: PipelineDetector,
+        detector: StreamingDetector,
         *,
         feeds: int,
         batch: int = 64,
@@ -441,10 +444,10 @@ class StreamingPipeline:
     def _process(self, run: Sequence[SequencedUpdate]) -> list[Alarm]:
         raised: list[Alarm] = []
         batch = self.batch
-        consume_batch = self.detector.consume_batch
+        consume_all = self.detector.consume_all
         for start in range(0, len(run), batch):
             chunk = [update.message for update in run[start : start + batch]]
-            raised.extend(consume_batch(chunk))
+            raised.extend(consume_all(chunk))
         self.processed += len(run)
         self.alarms.extend(raised)
         return raised

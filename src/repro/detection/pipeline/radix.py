@@ -1,26 +1,16 @@
-"""Binary radix trie over IPv4 prefixes (pure Python).
-
-The streaming pipeline keys its routing state by prefix; real
-deployments (ARTEMIS uses py-radix, the bscthesis exemplar pytricia)
-index that state in a radix tree so that sub-prefix events resolve by
-longest match.  This is the same structure without the C dependency: a
-plain binary trie, one node per distinct bit-prefix on the path to a
-stored prefix, depth bounded by 32.
+"""IPv4 prefix validation for the streaming detector.
 
 Prefixes are canonical IPv4 CIDR strings (``"203.0.113.0/24"``).  Host
 bits set below the mask are rejected rather than silently truncated:
-two textually different keys must never alias to one table entry,
-because the detector's per-prefix state (and its equivalence oracle,
-which keys a plain dict by the prefix *string*) would diverge.
+the detector keys its per-prefix state by the prefix *string*, so two
+textually different keys for one network would split that state.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from repro.exceptions import DetectionError
 
-__all__ = ["parse_prefix", "format_prefix", "PrefixTrie"]
+__all__ = ["parse_prefix"]
 
 
 def parse_prefix(text: str) -> tuple[int, int]:
@@ -55,159 +45,3 @@ def parse_prefix(text: str) -> tuple[int, int]:
             f"prefix {text!r} has host bits set below its /{length} mask"
         )
     return value, length
-
-
-def format_prefix(value: int, length: int) -> str:
-    """The canonical CIDR string for ``(value, length)``."""
-    return (
-        f"{(value >> 24) & 0xFF}.{(value >> 16) & 0xFF}."
-        f"{(value >> 8) & 0xFF}.{value & 0xFF}/{length}"
-    )
-
-
-class _Node:
-    """One trie node: two children plus an optional stored entry."""
-
-    __slots__ = ("zero", "one", "key", "entry")
-
-    def __init__(self) -> None:
-        self.zero: _Node | None = None
-        self.one: _Node | None = None
-        self.key: str | None = None  # canonical prefix string when occupied
-        self.entry: object | None = None
-
-
-class PrefixTrie:
-    """Binary radix trie: prefix string -> arbitrary entry.
-
-    ``set``/``get``/``delete`` are exact-match; :meth:`longest_match`
-    returns the most specific stored prefix covering the query.
-    Iteration yields ``(prefix, entry)`` in bit order — i.e. sorted by
-    ``(network value, mask length)``.
-    """
-
-    __slots__ = ("_root", "_size")
-
-    def __init__(self) -> None:
-        self._root = _Node()
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, prefix: str) -> bool:
-        node = self._find(*parse_prefix(prefix))
-        return node is not None and node.key is not None
-
-    # -- exact match ----------------------------------------------------
-    def _find(self, value: int, length: int) -> _Node | None:
-        node: _Node | None = self._root
-        bit = 1 << 31
-        for _ in range(length):
-            if node is None:
-                return None
-            node = node.one if value & bit else node.zero
-            bit >>= 1
-        return node
-
-    def set(self, prefix: str, entry: object) -> None:
-        """Insert (or replace) the entry stored at ``prefix``."""
-        value, length = parse_prefix(prefix)
-        node = self._root
-        bit = 1 << 31
-        for _ in range(length):
-            if value & bit:
-                if node.one is None:
-                    node.one = _Node()
-                node = node.one
-            else:
-                if node.zero is None:
-                    node.zero = _Node()
-                node = node.zero
-            bit >>= 1
-        if node.key is None:
-            self._size += 1
-        node.key = format_prefix(value, length)
-        node.entry = entry
-
-    def get(self, prefix: str, default: object | None = None) -> object | None:
-        """The entry stored exactly at ``prefix`` (or ``default``)."""
-        node = self._find(*parse_prefix(prefix))
-        if node is None or node.key is None:
-            return default
-        return node.entry
-
-    def delete(self, prefix: str) -> bool:
-        """Remove ``prefix``; True when it was stored.  Empty branches
-        are pruned so the trie never leaks nodes across withdraw/
-        re-announce flaps."""
-        value, length = parse_prefix(prefix)
-        path: list[tuple[_Node, int]] = []  # (parent, taken bit)
-        node = self._root
-        bit = 1 << 31
-        for _ in range(length):
-            taken = 1 if value & bit else 0
-            child = node.one if taken else node.zero
-            if child is None:
-                return False
-            path.append((node, taken))
-            node = child
-            bit >>= 1
-        if node.key is None:
-            return False
-        node.key = None
-        node.entry = None
-        self._size -= 1
-        # Prune now-empty leaves back up the walked path.
-        for parent, taken in reversed(path):
-            child = parent.one if taken else parent.zero
-            if child.key is not None or child.zero is not None or child.one is not None:
-                break
-            if taken:
-                parent.one = None
-            else:
-                parent.zero = None
-        return True
-
-    # -- longest match --------------------------------------------------
-    def longest_match(self, prefix: str) -> tuple[str, object] | None:
-        """The most specific stored prefix covering ``prefix``.
-
-        The query may be a full /32 (a destination address) or any
-        CIDR; a stored prefix covers it when the stored mask is no
-        longer than the query's and the masked bits agree.  Returns
-        ``(stored_prefix, entry)`` or ``None``.
-        """
-        value, length = parse_prefix(prefix)
-        node: _Node | None = self._root
-        best: _Node | None = node if node.key is not None else None
-        bit = 1 << 31
-        for _ in range(length):
-            node = node.one if value & bit else node.zero  # type: ignore[union-attr]
-            if node is None:
-                break
-            if node.key is not None:
-                best = node
-            bit >>= 1
-        if best is None:
-            return None
-        return best.key, best.entry  # type: ignore[return-value]
-
-    # -- iteration ------------------------------------------------------
-    def items(self) -> Iterator[tuple[str, object]]:
-        """All ``(prefix, entry)`` pairs in bit (sorted) order."""
-        stack: list[_Node] = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.key is not None:
-                yield node.key, node.entry
-            # Visit zero before one: push one first (LIFO).  A node's
-            # own key sorts before its children's (shorter mask first),
-            # which is exactly (value, length) order.
-            if node.one is not None:
-                stack.append(node.one)
-            if node.zero is not None:
-                stack.append(node.zero)
-
-    def __iter__(self) -> Iterator[str]:
-        return (prefix for prefix, _ in self.items())

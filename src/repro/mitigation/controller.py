@@ -43,7 +43,7 @@ from repro.detection.alarms import Alarm
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.pipeline.faults import FeedFaultPlan
 from repro.detection.pipeline.ingest import StreamingPipeline
-from repro.detection.pipeline.table import PipelineDetector
+from repro.detection.streaming import StreamingDetector
 from repro.exceptions import SimulationError
 from repro.mitigation.strategies import mitigated_padding
 from repro.runner.cache import BaselineCache
@@ -285,10 +285,8 @@ def run_closed_loop(
         engine = PropagationEngine(stream.world.graph, metrics=metrics)
         controller = MitigationController(engine, policy, metrics=metrics)
 
-    detector = PipelineDetector(
-        ASPPInterceptionDetector(stream.world.graph),
-        stream.world.graph,
-        metrics=metrics,
+    detector = StreamingDetector(
+        ASPPInterceptionDetector(stream.world.graph), metrics=metrics
     )
     pipeline = StreamingPipeline(
         detector,

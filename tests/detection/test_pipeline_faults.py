@@ -23,12 +23,12 @@ from repro.detection.pipeline import (
     FEED_FAULT_MODES,
     FeedFault,
     FeedFaultPlan,
-    PipelineDetector,
     StreamingPipeline,
     corrupt_update,
     is_malformed,
     split_stream,
 )
+from repro.detection.streaming import StreamingDetector
 from repro.exceptions import DetectionError
 from repro.measurement.churn import ChurnConfig, synthesize_churn_stream
 from repro.telemetry.metrics import RunMetrics
@@ -51,9 +51,7 @@ def churn():
 
 
 def _pipeline(stream, **kwargs):
-    detector = PipelineDetector(
-        ASPPInterceptionDetector(stream.world.graph), stream.world.graph
-    )
+    detector = StreamingDetector(ASPPInterceptionDetector(stream.world.graph))
     pipeline = StreamingPipeline(detector, **kwargs)
     for view in stream.baselines.values():
         pipeline.prime(view)
@@ -196,10 +194,8 @@ class TestRecoverableBitIdentity:
 
     def test_outage_backoff_and_replay_telemetry(self, churn):
         metrics = RunMetrics()
-        detector = PipelineDetector(
-            ASPPInterceptionDetector(churn.world.graph),
-            churn.world.graph,
-            metrics=metrics,
+        detector = StreamingDetector(
+            ASPPInterceptionDetector(churn.world.graph), metrics=metrics
         )
         plan = FeedFaultPlan({0: (FeedFault(mode="outage", at=2, span=5),)})
         pipeline = StreamingPipeline(
@@ -251,10 +247,8 @@ class TestGracefulDegradation:
             FeedFault(mode="outage", at=i * 4, span=1) for i in range(6)
         )
         metrics = RunMetrics()
-        detector = PipelineDetector(
-            ASPPInterceptionDetector(churn.world.graph),
-            churn.world.graph,
-            metrics=metrics,
+        detector = StreamingDetector(
+            ASPPInterceptionDetector(churn.world.graph), metrics=metrics
         )
         pipeline = StreamingPipeline(
             detector,
@@ -336,10 +330,8 @@ class TestBoundedBuffers:
 
     def test_park_high_water_metric_observed(self, churn):
         metrics = RunMetrics()
-        detector = PipelineDetector(
-            ASPPInterceptionDetector(churn.world.graph),
-            churn.world.graph,
-            metrics=metrics,
+        detector = StreamingDetector(
+            ASPPInterceptionDetector(churn.world.graph), metrics=metrics
         )
         pipeline = StreamingPipeline(
             detector, feeds=1, batch=10**6, capacity=1, policy="park",
@@ -351,9 +343,7 @@ class TestBoundedBuffers:
         assert metrics.histograms["detection.pipeline.park_depth"].max == 8
 
     def test_constructor_rejects_degenerate_bounds(self, churn):
-        detector = PipelineDetector(
-            ASPPInterceptionDetector(churn.world.graph), churn.world.graph
-        )
+        detector = StreamingDetector(ASPPInterceptionDetector(churn.world.graph))
         with pytest.raises(DetectionError):
             StreamingPipeline(detector, feeds=1, drop_log=0)
         with pytest.raises(DetectionError):

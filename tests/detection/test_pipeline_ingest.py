@@ -21,7 +21,6 @@ from repro.bgp.updates import SequencedUpdate, UpdateMessage
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.pipeline import (
     BACKPRESSURE_POLICIES,
-    PipelineDetector,
     StreamingPipeline,
     split_stream,
 )
@@ -31,6 +30,7 @@ from repro.exceptions import DetectionError
 from repro.measurement.churn import ChurnConfig, synthesize_churn_stream
 from repro.mitigation import run_closed_loop
 from repro.telemetry.metrics import RunMetrics
+from tests.detection.streaming_oracle import OracleStreamingDetector
 
 
 @pytest.fixture(scope="module")
@@ -50,17 +50,15 @@ def churn():
 
 
 def _oracle_alarms(stream, messages):
-    oracle = StreamingDetector(
-        ASPPInterceptionDetector(stream.world.graph), copy_views=True
-    )
+    oracle = OracleStreamingDetector(ASPPInterceptionDetector(stream.world.graph))
     for view in stream.baselines.values():
         oracle.prime(view)
     return oracle.consume_all(messages)
 
 
 def _pipeline(stream, *, metrics=None, **kwargs):
-    detector = PipelineDetector(
-        ASPPInterceptionDetector(stream.world.graph), stream.world.graph, metrics=metrics
+    detector = StreamingDetector(
+        ASPPInterceptionDetector(stream.world.graph), metrics=metrics
     )
     pipeline = StreamingPipeline(detector, metrics=metrics, **kwargs)
     for view in stream.baselines.values():
@@ -151,10 +149,8 @@ def test_redelivered_dropped_sequence_raises(churn):
 
 def test_backpressure_counters_and_telemetry(churn):
     metrics = RunMetrics()
-    detector = PipelineDetector(
-        ASPPInterceptionDetector(churn.world.graph),
-        churn.world.graph,
-        metrics=metrics,
+    detector = StreamingDetector(
+        ASPPInterceptionDetector(churn.world.graph), metrics=metrics
     )
     pipeline = StreamingPipeline(
         detector, feeds=2, batch=1000, capacity=3, policy="park", metrics=metrics
@@ -189,9 +185,7 @@ def test_flush_processes_gap_stranded_messages(churn):
 
 
 def test_constructor_validation(churn):
-    detector = PipelineDetector(
-        ASPPInterceptionDetector(churn.world.graph), churn.world.graph
-    )
+    detector = StreamingDetector(ASPPInterceptionDetector(churn.world.graph))
     for kwargs in (
         {"feeds": 0},
         {"feeds": 1, "batch": 0},
@@ -264,12 +258,12 @@ def test_every_update_reaches_the_registry(churn, policy, pumping):
         assert pipeline.dropped + pipeline.parked > 0
 
     reference = RunMetrics()
-    whole = PipelineDetector(
-        ASPPInterceptionDetector(churn.world.graph), churn.world.graph, metrics=reference
+    whole = StreamingDetector(
+        ASPPInterceptionDetector(churn.world.graph), metrics=reference
     )
     for view in churn.baselines.values():
         whole.prime(view)
-    alarms = whole.consume_batch(survivors)
+    alarms = whole.consume_all(survivors)
     assert pipeline.alarms == alarms
     for name in ("updates", "changes", "alarms"):
         assert metrics.counter_value(f"detection.pipeline.{name}") == (

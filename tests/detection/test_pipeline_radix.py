@@ -1,125 +1,11 @@
-"""Property suite for the pipeline's binary radix trie.
-
-The reference model is deliberately dumb: a plain dict keyed by the
-canonical prefix string, with longest-match done by integer mask
-arithmetic over every stored key.  Whatever the trie answers must match
-the model under any interleaving of inserts, deletes (withdraw/
-re-announce flaps included) and lookups.
-"""
+"""The canonical-CIDR check the streaming detector runs once per prefix."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.detection.pipeline.radix import PrefixTrie, format_prefix, parse_prefix
+from repro.detection.pipeline.radix import parse_prefix
 from repro.exceptions import DetectionError
-
-# -- strategies ---------------------------------------------------------
-
-
-@st.composite
-def prefixes(draw):
-    """Canonical IPv4 CIDR strings, biased towards shared high bits so
-    longest-match chains actually form."""
-    length = draw(st.integers(0, 32))
-    # Few distinct leading bytes -> dense trie with nested prefixes.
-    top = draw(st.sampled_from((10, 10, 10, 192, 203)))
-    rest = draw(st.integers(0, (1 << 24) - 1))
-    value = (top << 24) | rest
-    if length < 32:
-        value &= ~((1 << (32 - length)) - 1) & 0xFFFFFFFF
-    return format_prefix(value, length)
-
-
-def _covers(stored: str, query: str) -> bool:
-    s_value, s_len = parse_prefix(stored)
-    q_value, q_len = parse_prefix(query)
-    if s_len > q_len:
-        return False
-    if s_len == 0:
-        return True
-    mask = ~((1 << (32 - s_len)) - 1) & 0xFFFFFFFF
-    return (s_value & mask) == (q_value & mask)
-
-
-def _model_longest_match(model: dict[str, object], query: str):
-    best = None
-    for stored in model:
-        if _covers(stored, query):
-            if best is None or parse_prefix(stored)[1] > parse_prefix(best)[1]:
-                best = stored
-    return None if best is None else (best, model[best])
-
-
-# -- the oracle ---------------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(st.sampled_from(("set", "delete", "get", "lpm")), prefixes()),
-        max_size=60,
-    )
-)
-def test_trie_matches_reference_model(ops):
-    trie = PrefixTrie()
-    model: dict[str, object] = {}
-    for op, prefix in ops:
-        if op == "set":
-            entry = object()
-            trie.set(prefix, entry)
-            model[prefix] = entry
-        elif op == "delete":
-            assert trie.delete(prefix) == (prefix in model)
-            model.pop(prefix, None)
-        elif op == "get":
-            assert trie.get(prefix) is model.get(prefix)
-            assert (prefix in trie) == (prefix in model)
-        else:
-            got = trie.longest_match(prefix)
-            expected = _model_longest_match(model, prefix)
-            if expected is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got[0] == expected[0]
-                assert got[1] is expected[1]
-        assert len(trie) == len(model)
-    assert dict(trie.items()) == model
-
-
-@settings(max_examples=100, deadline=None)
-@given(keys=st.lists(prefixes(), unique=True, min_size=1, max_size=40))
-def test_iteration_is_sorted_by_value_then_length(keys):
-    trie = PrefixTrie()
-    for key in keys:
-        trie.set(key, key)
-    listed = [prefix for prefix, _ in trie.items()]
-    assert listed == sorted(listed, key=lambda p: parse_prefix(p))
-    assert list(trie) == listed
-
-
-@settings(max_examples=100, deadline=None)
-@given(keys=st.lists(prefixes(), unique=True, min_size=1, max_size=30))
-def test_flap_restores_exact_state(keys):
-    """Insert all, withdraw all, re-announce all: the trie must end
-    exactly where a fresh build would (delete prunes, set rebuilds)."""
-    trie = PrefixTrie()
-    for key in keys:
-        trie.set(key, key)
-    for key in keys:
-        assert trie.delete(key)
-    assert len(trie) == 0
-    assert list(trie.items()) == []
-    for key in keys:
-        assert trie.delete(key) is False
-        trie.set(key, key)
-    assert dict(trie.items()) == {key: key for key in keys}
-
-
-# -- parsing ------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -152,16 +38,3 @@ def test_parse_prefix_rejects_non_canonical(text):
 )
 def test_parse_prefix_round_trips(text, expected):
     assert parse_prefix(text) == expected
-    assert format_prefix(*expected) == text
-
-
-def test_default_route_matches_everything():
-    trie = PrefixTrie()
-    trie.set("0.0.0.0/0", "default")
-    trie.set("10.0.0.0/8", "ten")
-    trie.set("10.1.0.0/16", "ten-one")
-    assert trie.longest_match("10.1.2.0/24") == ("10.1.0.0/16", "ten-one")
-    assert trie.longest_match("10.200.0.0/16") == ("10.0.0.0/8", "ten")
-    assert trie.longest_match("203.0.113.0/24") == ("0.0.0.0/0", "default")
-    assert trie.delete("0.0.0.0/0")
-    assert trie.longest_match("203.0.113.0/24") is None

@@ -1,11 +1,13 @@
-"""Equivalence suite: PipelineDetector vs the legacy StreamingDetector.
+"""Equivalence suite: the batch-loop StreamingDetector vs the per-update
+oracle.
 
-The legacy detector (with its historical per-update snapshot copies,
-``copy_views=True``) is the semantic oracle.  The pipeline detector's
-interned fast path must raise the *identical* alarm list over any
-stream — attack bursts, background flaps, withdraw/re-announce cycles —
-and its class memory must honour the per-(prefix, monitor, neighbour)
-write-once semantics.
+The test-side oracle (:mod:`tests.detection.streaming_oracle`: a fresh
+snapshot copy and ``inspect_change`` on every change) states the
+semantics.  The production detector's memoised precheck and live view
+must raise the *identical* alarm list over any stream — attack bursts,
+background flaps, withdraw/re-announce cycles, fig13's short
+inspection-heavy attack streams on large fleets — and its class memory
+must honour the per-(prefix, monitor, neighbour) write-once semantics.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from repro.bgp.engine import PropagationEngine
 from repro.bgp.updates import UpdateMessage
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.monitors import top_degree_monitors
-from repro.detection.pipeline import PipelineDetector
 from repro.detection.streaming import StreamingDetector, attack_update_stream
+from repro.experiments.base import build_world
 from repro.measurement.churn import ChurnConfig, synthesize_churn_stream
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
+from tests.detection.streaming_oracle import OracleStreamingDetector
 
 TINY = InternetTopologyConfig(
     num_tier1=3,
@@ -56,13 +59,13 @@ def _attack_setup(seed: int, padding: int):
 
 
 def _pair(graph, baselines):
-    """A (legacy oracle, pipeline) pair primed identically."""
-    legacy = StreamingDetector(ASPPInterceptionDetector(graph), copy_views=True)
-    pipeline = PipelineDetector(ASPPInterceptionDetector(graph), graph)
+    """An (oracle, detector) pair primed identically."""
+    oracle = OracleStreamingDetector(ASPPInterceptionDetector(graph))
+    detector = StreamingDetector(ASPPInterceptionDetector(graph))
     for view in baselines:
-        legacy.prime(view)
-        pipeline.prime(view)
-    return legacy, pipeline
+        oracle.prime(view)
+        detector.prime(view)
+    return oracle, detector
 
 
 @settings(max_examples=12, deadline=None)
@@ -71,11 +74,11 @@ def test_attack_stream_alarms_identical(seed, padding):
     graph, result, collector = _attack_setup(seed, padding)
     messages = attack_update_stream(result, collector)
     baseline = collector.snapshot(result.baseline)
-    legacy, pipeline = _pair(graph, [baseline])
-    expected = legacy.consume_all(messages)
+    oracle, detector = _pair(graph, [baseline])
+    expected = oracle.consume_all(messages)
     got = []
     for message in messages:
-        got.extend(pipeline.consume(message))
+        got.extend(detector.consume(message))
     assert got == expected
 
 
@@ -86,15 +89,15 @@ def test_attack_stream_alarms_identical(seed, padding):
     batch=st.integers(1, 50),
 )
 def test_batched_consumption_equals_serial(seed, padding, batch):
-    """consume_batch over any chunking == the serial oracle."""
+    """consume_all over any chunking == the serial oracle."""
     graph, result, collector = _attack_setup(seed, padding)
     messages = attack_update_stream(result, collector)
     baseline = collector.snapshot(result.baseline)
-    legacy, pipeline = _pair(graph, [baseline])
-    expected = legacy.consume_all(messages)
+    oracle, detector = _pair(graph, [baseline])
+    expected = oracle.consume_all(messages)
     got = []
     for start in range(0, len(messages), batch):
-        got.extend(pipeline.consume_batch(messages[start : start + batch]))
+        got.extend(detector.consume_all(messages[start : start + batch]))
     assert got == expected
 
 
@@ -115,8 +118,9 @@ def test_churn_mix_alarms_identical(seed, shuffle):
     stream = synthesize_churn_stream(config)
     messages = stream.plain_messages()
     random.Random(shuffle).shuffle(messages)
-    legacy, pipeline = _pair(stream.world.graph, stream.baselines.values())
-    assert pipeline.consume_batch(messages) == legacy.consume_all(messages)
+    oracle, detector = _pair(stream.world.graph, stream.baselines.values())
+    assert detector.consume_all(messages) == oracle.consume_all(messages)
+    assert detector.first_alarm_at == oracle.first_alarm_at
 
 
 @settings(max_examples=8, deadline=None)
@@ -125,20 +129,56 @@ def test_final_views_agree(seed, padding):
     graph, result, collector = _attack_setup(seed, padding)
     messages = attack_update_stream(result, collector)
     baseline = collector.snapshot(result.baseline)
-    legacy, pipeline = _pair(graph, [baseline])
-    legacy.consume_all(messages)
-    pipeline.consume_batch(messages)
+    oracle, detector = _pair(graph, [baseline])
+    oracle.consume_all(messages)
+    detector.consume_all(messages)
     prefix = baseline.prefix
-    expected = legacy.current_view(prefix)
-    got = pipeline.current_view(prefix)
+    expected = oracle.current_view(prefix)
+    got = detector.current_view(prefix)
     assert got.prefix == expected.prefix
     assert dict(got.routes) == dict(expected.routes)
-    live = pipeline.live_view(prefix)
+    live = detector.live_view(prefix)
     assert dict(live.routes.items()) == dict(expected.routes)
 
 
+@pytest.fixture(scope="module")
+def fig13_world():
+    """fig13's substrate at half scale: enough ASes for a 400-monitor
+    fleet."""
+    return build_world(seed=7, scale=0.5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    pick=st.integers(0, 10**6),
+    fleet=st.integers(10, 400),
+    padding=st.integers(2, 5),
+)
+def test_fig13_shaped_streams_match_the_oracle(fig13_world, pick, fleet, padding):
+    """fig13's shape: a fresh detector per (attack, fleet), primed from
+    the attack's before-view on a top-degree fleet, then one short
+    attack stream that nearly always reaches the Figure-4 scan."""
+    world = fig13_world
+    graph = world.graph
+    rng = random.Random(pick)
+    attacker = rng.choice(world.topology.transit_ases)
+    victim = rng.choice([a for a in graph.ases if a != attacker])
+    result = simulate_interception(
+        world.engine, victim=victim, attacker=attacker, origin_padding=padding
+    )
+    collector = RouteCollector(graph, top_degree_monitors(graph, fleet))
+    baseline = result.monitor_views(collector)[0]
+    oracle, detector = _pair(graph, [baseline])
+    messages = attack_update_stream(result, collector)
+    assert detector.consume_all(messages) == oracle.consume_all(messages)
+    assert detector.first_alarm_at == oracle.first_alarm_at
+    prefix = baseline.prefix
+    assert detector.current_view(prefix).routes == oracle.current_view(prefix).routes
+
+
 class TestFlapSemantics:
-    """The PR 2 class-memory semantics, replayed on the fast path."""
+    """The per-(prefix, monitor, neighbour) class memory, replayed on
+    the batch loop."""
 
     @pytest.fixture()
     def attacked(self, figure3_graph):
@@ -151,12 +191,12 @@ class TestFlapSemantics:
 
     def _primed(self, attacked):
         graph, result, collector = attacked
-        pipeline = PipelineDetector(ASPPInterceptionDetector(graph), graph)
-        pipeline.prime(collector.snapshot(result.baseline))
-        return graph, result, collector, pipeline
+        detector = StreamingDetector(ASPPInterceptionDetector(graph))
+        detector.prime(collector.snapshot(result.baseline))
+        return graph, result, collector, detector
 
     def test_replay_after_flap_is_duplicate(self, attacked):
-        graph, result, collector, pipeline = self._primed(attacked)
+        graph, result, collector, detector = self._primed(attacked)
         prefix = result.baseline.prefix
         monitor = 2
         route = collector.snapshot(result.baseline).routes[monitor]
@@ -164,46 +204,35 @@ class TestFlapSemantics:
             UpdateMessage(monitor=monitor, prefix=prefix, path=(), withdrawn=True),
             UpdateMessage(monitor=monitor, prefix=prefix, path=route.path),
         ]
-        assert pipeline.consume_batch(flap) == []
+        assert detector.consume_all(flap) == []
         # The re-announced route must reconstruct the remembered class,
         # so an exact replay is suppressed as a duplicate (no state
         # change => no inspection).
-        assert pipeline.consume(
+        assert detector.consume(
             UpdateMessage(monitor=monitor, prefix=prefix, path=route.path)
         ) == []
-        assert pipeline.live_view(prefix).routes[monitor] == route
+        assert detector.live_view(prefix).routes[monitor] == route
 
     def test_withdrawal_of_absent_monitor_not_installed(self, attacked):
-        graph, result, collector, pipeline = self._primed(attacked)
+        graph, result, collector, detector = self._primed(attacked)
         prefix = result.baseline.prefix
         ghost = 999_999  # monitor never primed for this prefix
-        assert pipeline.consume(
+        assert detector.consume(
             UpdateMessage(monitor=ghost, prefix=prefix, path=(), withdrawn=True)
         ) == []
-        assert ghost not in pipeline.live_view(prefix).routes
+        assert ghost not in detector.live_view(prefix).routes
 
     def test_state_isolated_per_prefix(self, attacked):
-        graph, result, collector, pipeline = self._primed(attacked)
+        graph, result, collector, detector = self._primed(attacked)
         prefix = result.baseline.prefix
         view = collector.snapshot(result.baseline)
         monitor = 2
         other = "198.51.100.0/24"
-        pipeline.consume(
+        detector.consume(
             UpdateMessage(monitor=monitor, prefix=other, path=(monitor, 100))
         )
-        assert pipeline.live_view(prefix).routes[monitor] == view.routes[monitor]
-        assert pipeline.live_view(other).routes[monitor].path == (monitor, 100)
-
-    def test_longest_match_resolves_sub_prefix(self, attacked):
-        graph, result, collector, pipeline = self._primed(attacked)
-        prefix = result.baseline.prefix  # 203.0.113.0/24
-        sub = prefix.rsplit("/", 1)[0] + "/32"
-        hit = pipeline.table.longest_match(sub)
-        assert hit is not None
-        stored, view = hit
-        assert stored == prefix
-        assert view is pipeline.live_view(prefix)
-        assert pipeline.table.longest_match("198.51.100.0/24") is None
+        assert detector.live_view(prefix).routes[monitor] == view.routes[monitor]
+        assert detector.live_view(other).routes[monitor].path == (monitor, 100)
 
 
 class TestCounters:
@@ -211,13 +240,8 @@ class TestCounters:
         """The first-alarm distance must count updates consumed before a
         registry was enabled (the historical bug under-counted by only
         incrementing when tracking)."""
-        for factory in (
-            lambda: StreamingDetector(ASPPInterceptionDetector(figure3_graph)),
-            lambda: PipelineDetector(
-                ASPPInterceptionDetector(figure3_graph), figure3_graph
-            ),
-        ):
-            detector = factory()
+        for factory in (StreamingDetector, OracleStreamingDetector):
+            detector = factory(ASPPInterceptionDetector(figure3_graph))
             prefix = "203.0.113.0/24"
             for n in range(3):
                 detector.consume(
@@ -233,11 +257,11 @@ class TestCounters:
         collector = RouteCollector(figure3_graph, [2, 5])
         messages = attack_update_stream(result, collector)
         metrics = RunMetrics()
-        pipeline = PipelineDetector(
-            ASPPInterceptionDetector(figure3_graph), figure3_graph, metrics=metrics
+        detector = StreamingDetector(
+            ASPPInterceptionDetector(figure3_graph), metrics=metrics
         )
-        pipeline.prime(collector.snapshot(result.baseline))
-        alarms = pipeline.consume_batch(messages)
+        detector.prime(collector.snapshot(result.baseline))
+        alarms = detector.consume_all(messages)
         assert metrics.counter_value("detection.pipeline.updates") == len(messages)
         assert metrics.counter_value("detection.pipeline.batches") == 1
         assert metrics.counter_value("detection.pipeline.alarms") == len(alarms)
@@ -254,25 +278,15 @@ class TestCounters:
         messages = attack_update_stream(result, collector)
         baseline = collector.snapshot(result.baseline)
 
-        def first_alarm_distance(detector, metrics):
+        def first_alarm_distance(factory):
+            metrics = RunMetrics()
+            detector = factory(ASPPInterceptionDetector(figure3_graph), metrics=metrics)
             detector.prime(baseline)
             for message in messages:
                 detector.consume(message)
             histogram = metrics.histograms.get("detection.updates_to_first_alarm")
             return None if histogram is None else histogram.max
 
-        legacy_metrics = RunMetrics()
-        legacy = StreamingDetector(
-            ASPPInterceptionDetector(figure3_graph),
-            metrics=legacy_metrics,
-            copy_views=True,
-        )
-        pipeline_metrics = RunMetrics()
-        pipeline = PipelineDetector(
-            ASPPInterceptionDetector(figure3_graph),
-            figure3_graph,
-            metrics=pipeline_metrics,
-        )
-        assert first_alarm_distance(legacy, legacy_metrics) == first_alarm_distance(
-            pipeline, pipeline_metrics
+        assert first_alarm_distance(OracleStreamingDetector) == first_alarm_distance(
+            StreamingDetector
         )

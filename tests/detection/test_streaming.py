@@ -11,6 +11,8 @@ from repro.bgp.updates import UpdateMessage
 from repro.detection.alarms import Confidence
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.streaming import StreamingDetector, attack_update_stream
+from repro.exceptions import DetectionError
+from tests.detection.streaming_oracle import OracleStreamingDetector
 
 
 @pytest.fixture()
@@ -104,6 +106,16 @@ class TestStreamingDetector:
             == collector.snapshot(result.baseline).routes[2]
         )
 
+    def test_malformed_prefix_is_refused(self, attacked):
+        """A prefix that is not a canonical CIDR is rejected on first
+        sight instead of being filed under its raw string."""
+        graph, _, _ = attacked
+        streaming = StreamingDetector(ASPPInterceptionDetector(graph))
+        for prefix in ("10.0.0.1/8", "not-a-prefix"):
+            with pytest.raises(DetectionError):
+                streaming.consume(UpdateMessage(monitor=2, prefix=prefix, path=(1, 100)))
+            assert streaming.current_view(prefix).routes == {}
+
     def test_equivalent_to_batch_detection(self, attacked):
         """Streaming over the attack's updates finds the attack iff the
         batch snapshot comparison does."""
@@ -184,21 +196,21 @@ class TestNeighbourClassMemory:
             if route is None or route.learned_from is None:
                 continue
             assert (
-                streaming._classes[prefix][monitor][route.learned_from]
+                streaming._prefixes[prefix].classes[monitor][route.learned_from]
                 is route.pref
             )
 
 
 class TestLiveViews:
     def test_live_and_copy_paths_raise_identical_alarms(self, attacked):
+        """The live view and the per-update snapshot copies of the
+        test-side oracle raise the same alarms."""
         graph, result, collector = attacked
         messages = attack_update_stream(result, collector)
         baseline = collector.snapshot(result.baseline)
         runs = []
-        for copy_views in (False, True):
-            streaming = StreamingDetector(
-                ASPPInterceptionDetector(graph), copy_views=copy_views
-            )
+        for factory in (StreamingDetector, OracleStreamingDetector):
+            streaming = factory(ASPPInterceptionDetector(graph))
             streaming.prime(baseline)
             runs.append(streaming.consume_all(messages))
         assert runs[0] == runs[1]

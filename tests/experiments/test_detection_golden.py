@@ -78,7 +78,7 @@ class TestFig13Golden:
         assert result.rows == GOLDEN_FIG13_ROWS
         assert result.metrics is metrics
         assert metrics.counter_value("detection.timings") > 0
-        assert metrics.counter_value("detection.updates_consumed") > 0
+        assert metrics.counter_value("detection.pipeline.updates") > 0
 
 
 class TestFig14Golden:
