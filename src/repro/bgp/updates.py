@@ -13,8 +13,10 @@ messages" the characterisation of Figures 5-6 consumes.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
@@ -24,7 +26,7 @@ from repro.topology.asgraph import ASGraph
 if TYPE_CHECKING:  # pragma: no cover - collectors builds UpdateMessages
     from repro.bgp.collectors import RouteCollector
 
-__all__ = ["UpdateMessage", "SequencedUpdate", "simulate_update_stream"]
+__all__ = ["UpdateMessage", "SequencedUpdate", "simulate_update_stream", "stamp"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,8 +39,7 @@ class UpdateMessage:
     withdrawn: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class SequencedUpdate:
+class SequencedUpdate(NamedTuple):
     """An update stamped with its position in the global stream.
 
     Real collector feeds carry per-message timestamps; the simulation's
@@ -46,11 +47,22 @@ class SequencedUpdate:
     synthesized.  A multi-feed pipeline that receives disjoint slices
     of one stream merges them back into sequence order, which is what
     makes its alarms independent of the feed interleaving (see
-    :class:`repro.detection.pipeline.StreamingPipeline`).
+    :class:`repro.detection.pipeline.StreamingPipeline`).  A tuple, so
+    :func:`stamp` builds a whole stream without running Python code
+    per message.
     """
 
     seq: int
     message: UpdateMessage
+
+
+def stamp(messages: Iterable[UpdateMessage], first_seq: int = 0) -> list[SequencedUpdate]:
+    """``messages`` stamped with dense sequence numbers from ``first_seq``.
+
+    Equal to ``[SequencedUpdate(seq, m) for seq, m in enumerate(messages,
+    first_seq)]``, built by ``tuple.__new__`` over ``enumerate``'s pairs.
+    """
+    return list(map(tuple.__new__, repeat(SequencedUpdate), enumerate(messages, first_seq)))
 
 
 def simulate_update_stream(

@@ -45,7 +45,7 @@ Fault modes:
 from __future__ import annotations
 
 import random
-from collections import deque
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -226,16 +226,21 @@ class FeedFaultPlan:
         return cls(rules)
 
 
+#: the longest reconnection backoff, in offers
+BACKOFF_CAP = 64.0
+
+
 class FeedFaultState:
     """Mutable per-feed runtime bookkeeping for one pipeline run.
 
     The state machine a fault-tolerant pipeline keeps per feed: the
     script cursor, the producer-side replay buffer of a recoverable
-    outage, the gap-storm withholding buffer, and the reconnection /
-    quarantine counters.  Backoff is *virtual time*: each offer that
+    outage, the gap-storm withholding buffer, the disconnect count and
+    the quarantine flag.  Backoff is *virtual time*: each offer that
     arrives while the feed is down counts as one failed reconnection
-    attempt, doubling the backoff up to ``backoff_cap`` — deterministic,
-    wall-clock-free, and observable through the backoff histogram.
+    attempt, doubling the backoff up to :data:`BACKOFF_CAP` —
+    deterministic, wall-clock-free, and observable through the backoff
+    histogram.  Between faults the feed is quiet (:meth:`passes`).
     """
 
     __slots__ = (
@@ -243,41 +248,51 @@ class FeedFaultState:
         "faults",
         "fault_index",
         "offers",
+        "quiet_until",
         "outage_remaining",
         "outage_recoverable",
         "replay",
         "storm",
         "storm_remaining",
         "backoff",
-        "backoff_attempts",
-        "backoff_cap",
         "disconnects",
-        "reconnects",
         "quarantined",
     )
 
-    def __init__(
-        self,
-        feed_id: int,
-        faults: Iterable[FeedFault],
-        *,
-        backoff_cap: float = 64.0,
-    ) -> None:
+    def __init__(self, feed_id: int, faults: Iterable[FeedFault]) -> None:
         self.feed_id = feed_id
         self.faults = tuple(faults)
         self.fault_index = 0
         self.offers = 0
         self.outage_remaining = 0
         self.outage_recoverable = True
-        self.replay: deque[SequencedUpdate] = deque()
+        self.replay: list[SequencedUpdate] = []
         self.storm: list[SequencedUpdate] = []
         self.storm_remaining = 0
         self.backoff = 1.0
-        self.backoff_attempts = 0
-        self.backoff_cap = backoff_cap
         self.disconnects = 0
-        self.reconnects = 0
         self.quarantined = False
+        self.settle()
+
+    def settle(self) -> None:
+        """Recompute ``quiet_until``, the offer index before which the
+        feed needs no state machine (0 while down, storming or
+        quarantined)."""
+        if self.quarantined or self.outage_remaining or self.storm_remaining:
+            self.quiet_until = 0
+        elif self.fault_index < len(self.faults):
+            self.quiet_until = self.faults[self.fault_index].at
+        else:
+            self.quiet_until = sys.maxsize
+
+    def passes(self, message: UpdateMessage) -> bool:
+        """True — and counted as this feed's offer — when no fault is
+        due, nothing is withheld and ``message`` is well formed, so the
+        update may go straight to admission."""
+        if self.offers < self.quiet_until and not is_malformed(message):
+            self.offers += 1
+            return True
+        return False
 
     def next_fault(self) -> FeedFault | None:
         """The fault due at the current offer index, if any.
@@ -297,10 +312,5 @@ class FeedFaultState:
 
     def tick_backoff(self) -> float:
         """One failed reconnection attempt; returns the new backoff."""
-        self.backoff_attempts += 1
-        self.backoff = min(self.backoff * 2.0, self.backoff_cap)
+        self.backoff = min(self.backoff * 2.0, BACKOFF_CAP)
         return self.backoff
-
-    def reconnect(self) -> None:
-        self.reconnects += 1
-        self.backoff = 1.0

@@ -16,12 +16,15 @@ that interleaving irrelevant:
 * messages are merged back into **sequence order** before they reach
   the detector, so the alarm stream is bit-identical to one serial
   feed over the same (surviving) updates, for every feed count, batch
-  size and interleaving;
+  size and interleaving.  The merge keeps a *ready run*, the messages
+  of consecutive sequence numbers up to a tail: an update numbered at
+  the tail extends it with no dict or set traffic, and only one that
+  arrives past a gap waits in a reorder buffer;
 * the detector is invoked through
   :meth:`~repro.detection.streaming.StreamingDetector.consume_all`
-  in batches of up to ``batch`` messages, amortising table lookups and
-  dispatch overhead.
+  in batches of up to ``batch`` messages.
 
+``offer`` and :meth:`StreamingPipeline.run` share one admission loop.
 Fault tolerance is opt-in via a
 :class:`~repro.detection.pipeline.faults.FeedFaultPlan` (or bare
 ``tolerant=True``): feeds then survive scripted outages with bounded
@@ -30,19 +33,21 @@ deliveries are deduplicated instead of raising, malformed updates land
 in a bounded dead-letter buffer, and a feed that keeps flapping is
 quarantined — the pipeline keeps detecting on the surviving monitor
 coverage while telemetry (and the optional SLO registry) track the
-loss.  The quiet path pays a single predicate for all of this: a
-pipeline without a fault layer runs the same code it always did.
+loss.  A feed between faults is quiet: its updates pay one predicate
+and go straight to admission.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, cycle, repeat, zip_longest
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.bgp.collectors import MonitorView
-from repro.bgp.updates import SequencedUpdate
+from repro.bgp.updates import SequencedUpdate, UpdateMessage
 from repro.detection.alarms import Alarm
 from repro.detection.pipeline.faults import (
     FeedFaultPlan,
@@ -61,29 +66,31 @@ __all__ = ["BACKPRESSURE_POLICIES", "FeedQueue", "StreamingPipeline", "split_str
 
 BACKPRESSURE_POLICIES = ("block", "drop", "park")
 
+#: outages a feed survives; the next one quarantines it
+QUARANTINE_AFTER = 3
+
+Arrival = tuple[int, SequencedUpdate]
+
 
 class FeedQueue:
-    """One monitor feed's bounded inbox (plus its parking overflow)."""
+    """One feed's bounded inbox as counts since the last pump: admitted
+    (``depth``) and parked (``parked``); the updates wait at the merge."""
 
-    __slots__ = ("feed_id", "capacity", "items", "parked")
+    __slots__ = ("feed_id", "capacity", "depth", "parked")
 
     def __init__(self, feed_id: int, capacity: int) -> None:
         self.feed_id = feed_id
         self.capacity = capacity
-        self.items: deque[SequencedUpdate] = deque()
-        self.parked: deque[SequencedUpdate] = deque()
-
-    @property
-    def depth(self) -> int:
-        return len(self.items)
+        self.depth = 0
+        self.parked = 0
 
 
 class StreamingPipeline:
     """N bounded feed queues in front of one :class:`StreamingDetector`.
 
     Contract: the sequence numbers offered across all feeds are a
-    (subset of a) dense range starting at ``first_seq``, each feed's
-    slice arriving in increasing order.  ``offer`` enqueues one update;
+    (subset of a) dense range starting at 0, each feed's slice arriving
+    in increasing order.  ``offer`` enqueues one update;
     the pipeline pumps itself whenever a full batch is ready, and
     :meth:`flush` processes everything still buffered at end of stream
     (sequence gaps — dropped or never-offered updates — are skipped in
@@ -104,48 +111,44 @@ class StreamingPipeline:
         batch: int = 64,
         capacity: int = 256,
         policy: str = "block",
-        first_seq: int = 0,
         metrics: RunMetrics | None = None,
         drop_log: int = 1024,
         park_capacity: int = 4096,
         fault_plan: FeedFaultPlan | None = None,
         tolerant: bool = False,
-        quarantine_after: int = 3,
         dead_letter_cap: int = 256,
         slos: SLORegistry | None = None,
     ) -> None:
-        if feeds < 1:
-            raise DetectionError("a pipeline needs at least one feed")
-        if batch < 1:
-            raise DetectionError("batch size must be >= 1")
-        if capacity < 1:
-            raise DetectionError("queue capacity must be >= 1")
+        for name, value, least in (
+            ("feeds", feeds, 1),
+            ("batch", batch, 1),
+            ("capacity", capacity, 1),
+            ("drop_log", drop_log, 1),
+            ("park_capacity", park_capacity, 1),
+            ("dead_letter_cap", dead_letter_cap, 0),
+        ):
+            if value < least:
+                raise DetectionError(f"{name} must be >= {least}, got {value}")
         if policy not in BACKPRESSURE_POLICIES:
             raise DetectionError(
                 f"unknown backpressure policy {policy!r}; "
                 f"expected one of {BACKPRESSURE_POLICIES}"
             )
-        if drop_log < 1:
-            raise DetectionError("drop_log must be >= 1")
-        if park_capacity < 1:
-            raise DetectionError("park_capacity must be >= 1")
         self.detector = detector
         self.batch = batch
         self.policy = policy
         self.metrics = metrics
         self.queues = [FeedQueue(i, capacity) for i in range(feeds)]
         self.alarms: list[Alarm] = []
-        #: reorder buffer: seq -> message, waiting for its turn
-        self._pending: dict[int, SequencedUpdate] = {}
-        #: every seq currently buffered anywhere (queues, parked, or the
-        #: reorder buffer) — the duplicate-delivery guard
-        self._buffered: set[int] = set()
-        self._next_seq = first_seq
-        self._enqueued = 0
-        #: queue depths admitted since the last drain (``_collect`` folds them)
-        self._depths: list[int] = []
-        #: sequence numbers known lost (drop policy, faults) — skipped in order
+        # The merge: ``_ready`` holds the unprocessed messages numbered
+        # below ``_tail`` in order, ``_pending`` those that arrived past
+        # a gap, ``_skipped`` the numbers past the tail known lost.
+        self._ready: list[UpdateMessage] = []
+        self._tail = 0
+        self._pending: dict[int, UpdateMessage] = {}
         self._skipped: set[int] = set()
+        #: updates admitted (not parked) since the last pump
+        self._enqueued = 0
         # backpressure accounting (mirrored into metrics when attached)
         self.dropped = 0
         self.parked = 0
@@ -156,10 +159,9 @@ class StreamingPipeline:
         self._dropped_ring: deque[int] = deque(maxlen=drop_log)
         self.park_capacity = park_capacity
         self.park_high_water = 0
-        # fault-tolerance layer (None == the original quiet path)
+        # fault-tolerance layer (None == no fault code runs at all)
         self.slos = slos
         self.tolerant = tolerant or fault_plan is not None
-        self.quarantine_after = quarantine_after
         self.duplicates = 0
         self.dead_lettered = 0
         self.lost = 0
@@ -188,6 +190,11 @@ class StreamingPipeline:
         """Fraction of feeds still delivering (1.0 == no quarantine)."""
         return 1.0 - len(self.quarantined_feeds) / len(self.queues)
 
+    def _count(self, name: str) -> None:
+        metrics = self.metrics
+        if metrics is not None and metrics.enabled:
+            metrics.count(name)
+
     # -- producing ------------------------------------------------------
     def prime(self, view: MonitorView) -> None:
         self.detector.prime(view)
@@ -196,113 +203,130 @@ class StreamingPipeline:
         """Enqueue one update from ``feed_id``; returns alarms raised if
         the offer triggered a pump (full batch ready, or a blocking
         drain on overflow)."""
-        if self._fault_states is None:
-            return self._admit(feed_id, item)
-        return self._offer_tolerant(feed_id, item)
+        states = self._fault_states
+        if states is not None and not states[feed_id].passes(item.message):
+            return self._offer_tolerant(feed_id, item)
+        return self._admit_all(((feed_id, item),))
 
-    def _admit(self, feed_id: int, item: SequencedUpdate) -> list[Alarm]:
-        queue = self.queues[feed_id]
+    def _admit_all(self, arrivals: Iterable[Arrival]) -> list[Alarm]:
+        """The admission loop: dedupe each ``(feed_id, update)``, apply
+        its feed's backpressure policy, merge it, and pump whenever a
+        batch is ready.  A pump reads only the shared ready run and
+        reorder buffer, so the tail and the count stay in locals."""
+        queues = self.queues
+        ready = self._ready
+        pending = self._pending
+        skipped = self._skipped
+        tail = self._tail
+        enqueued = self._enqueued
+        batch = self.batch
         raised: list[Alarm] = []
-        if (
-            item.seq < self._next_seq
-            or item.seq in self._buffered
-            or item.seq in self._skipped
-        ):
-            if self.tolerant:
+        for feed_id, (seq, message) in arrivals:
+            if seq != tail and (seq < tail or seq in pending or seq in skipped):
+                if not self.tolerant:
+                    self._tail, self._enqueued = tail, enqueued
+                    raise DetectionError(
+                        f"feed {feed_id} delivered sequence {seq} twice "
+                        f"(next expected {tail})"
+                    )
                 # Redelivery (feed retransmission or injected duplicate
                 # burst): dedupe and move on instead of tearing down.
                 self.duplicates += 1
+                self._count("detection.pipeline.duplicates")
+                continue
+            queue = queues[feed_id]
+            overflow = queue.depth >= queue.capacity
+            if overflow:
+                if self.policy == "drop":
+                    self.dropped += 1
+                    self._dropped_ring.append(seq)
+                    self._count("detection.pipeline.dropped")
+                    tail = self._skip(seq, tail)
+                    continue
+                if self.policy == "block":
+                    # The producer stalls while the pipeline drains.
+                    self.blocked += 1
+                    self._count("detection.pipeline.blocked")
+                    raised.extend(self.pump())
+                    enqueued = 0
+                    overflow = False
+            if seq == tail:
+                ready.append(message)
+                tail += 1
+                if pending or skipped:
+                    tail = self._advance(tail)
+            else:
+                pending[seq] = message
+            if overflow:  # parked
+                self.parked += 1
+                queue.parked += 1
+                if queue.parked > self.park_high_water:
+                    self.park_high_water = queue.parked
                 metrics = self.metrics
                 if metrics is not None and metrics.enabled:
-                    metrics.count("detection.pipeline.duplicates")
-                return raised
-            raise DetectionError(
-                f"feed {feed_id} delivered sequence {item.seq} twice "
-                f"(next expected {self._next_seq})"
-            )
-        metrics = self.metrics
-        track = metrics is not None and metrics.enabled
-        if len(queue.items) >= queue.capacity:
-            if self.policy == "drop":
-                self.dropped += 1
-                self._dropped_ring.append(item.seq)
-                self._skipped.add(item.seq)
-                if track:
-                    metrics.count("detection.pipeline.dropped")
-                return raised
-            if self.policy == "park":
-                self.parked += 1
-                queue.parked.append(item)
-                self._buffered.add(item.seq)
-                depth = len(queue.parked)
-                if depth > self.park_high_water:
-                    self.park_high_water = depth
-                if track:
                     metrics.count("detection.pipeline.parked")
-                    metrics.observe("detection.pipeline.park_depth", depth)
-                if depth >= self.park_capacity:
+                    metrics.observe("detection.pipeline.park_depth", queue.parked)
+                if queue.parked >= self.park_capacity:
                     # The side buffer is full: force a lossless drain
                     # instead of growing without bound.
                     raised.extend(self.pump())
-                return raised
-            # block: the producer stalls while the pipeline drains.
-            self.blocked += 1
-            if track:
-                metrics.count("detection.pipeline.blocked")
-            raised.extend(self.pump())
-        queue.items.append(item)
-        self._buffered.add(item.seq)
-        self._enqueued += 1
-        if track:
-            self._depths.append(len(queue.items))
-        if self._enqueued >= self.batch:
-            raised.extend(self.pump())
+                    enqueued = 0
+                continue
+            queue.depth += 1
+            enqueued += 1
+            if enqueued >= batch:
+                raised.extend(self.pump())
+                enqueued = 0
+        self._tail = tail
+        self._enqueued = enqueued
         return raised
+
+    def _advance(self, tail: int) -> int:
+        """Extend the ready run from ``tail`` over lost numbers and
+        updates that waited behind a gap; returns the new tail."""
+        while True:
+            if tail in self._skipped:
+                self._skipped.remove(tail)
+            elif tail in self._pending:
+                self._ready.append(self._pending.pop(tail))
+            else:
+                return tail
+            tail += 1
+
+    def _skip(self, seq: int, tail: int) -> int:
+        """Mark ``seq`` lost, so the merge passes over it instead of
+        waiting; returns the new tail."""
+        if seq == tail:
+            return self._advance(tail + 1)
+        if seq > tail and seq not in self._pending:
+            self._skipped.add(seq)
+        return tail
 
     # -- fault tolerance ------------------------------------------------
     def _lose(self, item: SequencedUpdate) -> None:
         """Record one update as permanently lost (graceful: the merge
         skips its sequence number instead of stalling)."""
-        if item.seq >= self._next_seq and item.seq not in self._buffered:
-            self._skipped.add(item.seq)
+        self._tail = self._skip(item.seq, self._tail)
         self.lost += 1
-        metrics = self.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.count("detection.pipeline.lost")
+        self._count("detection.pipeline.lost")
 
     def _dead_letter(self, item: SequencedUpdate, *, lost: bool) -> None:
         self._dead_letter_ring.append(item)
         self.dead_lettered += 1
-        metrics = self.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.count("detection.pipeline.dead_lettered")
+        self._count("detection.pipeline.dead_lettered")
         if lost:
             self._lose(item)
 
-    def _quarantine(self, state: FeedFaultState) -> None:
-        state.quarantined = True
-        self.quarantined_feeds.append(state.feed_id)
-        metrics = self.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.count("detection.pipeline.quarantined")
-            metrics.observe(
-                "detection.pipeline.coverage_pct", int(self.coverage * 100)
-            )
-        while state.replay:
-            self._lose(state.replay.popleft())
+    def _reconnect(self, state: FeedFaultState) -> list[SequencedUpdate]:
+        """Feed back up: its retransmission buffer replays in order."""
+        state.backoff = 1.0
+        self._count("detection.pipeline.reconnects")
+        released, state.replay = state.replay, []
+        return released
 
-    def _reconnect(self, state: FeedFaultState) -> list[Alarm]:
-        """Feed back up: replay the retransmission buffer in order."""
-        state.reconnect()
-        metrics = self.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.count("detection.pipeline.reconnects")
-        raised: list[Alarm] = []
-        while state.replay:
-            raised.extend(self._admit(state.feed_id, state.replay.popleft()))
-        return raised
-
-    def _outage_tick(self, state: FeedFaultState, item: SequencedUpdate) -> list[Alarm]:
+    def _outage_tick(
+        self, state: FeedFaultState, item: SequencedUpdate
+    ) -> Sequence[SequencedUpdate]:
         state.outage_remaining -= 1
         backoff = state.tick_backoff()
         metrics = self.metrics
@@ -322,133 +346,108 @@ class StreamingPipeline:
             self._lose(item)
         if state.outage_remaining == 0:
             return self._reconnect(state)
-        return []
+        return ()
 
     def _offer_tolerant(self, feed_id: int, item: SequencedUpdate) -> list[Alarm]:
-        assert self._fault_states is not None
+        """One offer through the fault layer's state machine — complete
+        on its own, a quiet feed's update is released as is — then the
+        admission of whatever the feed releases."""
         state = self._fault_states[feed_id]
-        try:
-            if state.quarantined:
-                self._lose(item)
-                return []
-            if is_malformed(item.message):
-                self._dead_letter(item, lost=True)
-                return []
-            if state.outage_remaining > 0:
-                return self._outage_tick(state, item)
-            if state.storm_remaining > 0:
-                state.storm.append(item)
-                state.storm_remaining -= 1
-                if state.storm_remaining == 0:
-                    raised: list[Alarm] = []
-                    for held in reversed(state.storm):
-                        raised.extend(self._admit(feed_id, held))
-                    state.storm.clear()
-                    return raised
-                return []
-            fault = state.next_fault()
-            if fault is None:
-                return self._admit(feed_id, item)
-            metrics = self.metrics
-            track = metrics is not None and metrics.enabled
-            if track:
-                metrics.count(f"detection.pipeline.faults.{fault.mode}")
-            if fault.mode == "outage":
-                state.disconnects += 1
-                if state.disconnects > self.quarantine_after:
-                    self._quarantine(state)
-                    self._lose(item)
-                    return []
-                state.outage_remaining = fault.span
-                state.outage_recoverable = fault.recoverable
-                return self._outage_tick(state, item)
-            if fault.mode == "dup":
-                raised = self._admit(feed_id, item)
-                for _ in range(fault.burst):
-                    raised.extend(self._admit(feed_id, item))
-                return raised
-            if fault.mode == "corrupt":
-                self._dead_letter(corrupt_update(item), lost=not fault.recoverable)
-                if fault.recoverable:
-                    # The feed retransmits the clean copy immediately.
-                    return self._admit(feed_id, item)
-                return []
-            # gap_storm: withhold a span and release it in reverse.
-            if fault.span == 1:
-                return self._admit(feed_id, item)
+        released: Sequence[SequencedUpdate] = ()
+        if state.quarantined:
+            self._lose(item)
+        elif is_malformed(item.message):
+            self._dead_letter(item, lost=True)
+        elif state.outage_remaining > 0:
+            released = self._outage_tick(state, item)
+        elif state.storm_remaining > 0:
             state.storm.append(item)
-            state.storm_remaining = fault.span - 1
-            return []
-        finally:
-            state.offers += 1
+            state.storm_remaining -= 1
+            if state.storm_remaining == 0:
+                released = state.storm[::-1]
+                state.storm.clear()
+        else:
+            released = self._fire(state, item)
+        state.offers += 1
+        state.settle()
+        return self._admit_all(zip(repeat(feed_id), released))
+
+    def _fire(self, state: FeedFaultState, item: SequencedUpdate) -> Sequence[SequencedUpdate]:
+        """The fault due at this offer, if any, applied to ``item``;
+        returns what the feed delivers now."""
+        fault = state.next_fault()
+        if fault is None:
+            return (item,)
+        self._count(f"detection.pipeline.faults.{fault.mode}")
+        if fault.mode == "outage":
+            state.disconnects += 1
+            if state.disconnects > QUARANTINE_AFTER:
+                # A new outage: nothing is left to replay.
+                state.quarantined = True
+                self.quarantined_feeds.append(state.feed_id)
+                metrics = self.metrics
+                if metrics is not None and metrics.enabled:
+                    metrics.count("detection.pipeline.quarantined")
+                    metrics.observe(
+                        "detection.pipeline.coverage_pct", int(self.coverage * 100)
+                    )
+                self._lose(item)
+                return ()
+            state.outage_remaining = fault.span
+            state.outage_recoverable = fault.recoverable
+            return self._outage_tick(state, item)
+        if fault.mode == "dup":
+            return (item,) * (1 + fault.burst)
+        if fault.mode == "corrupt":
+            self._dead_letter(corrupt_update(item), lost=not fault.recoverable)
+            # A recoverable feed retransmits the clean copy immediately.
+            return (item,) if fault.recoverable else ()
+        # gap_storm: withhold a span and release it in reverse.
+        if fault.span == 1:
+            return (item,)
+        state.storm.append(item)
+        state.storm_remaining = fault.span - 1
+        return ()
 
     def _drain_fault_buffers(self) -> list[Alarm]:
         """End of stream: whatever the fault layer still withholds
-        (outage replay, unfinished gap storms) is delivered now."""
+        (unfinished gap storms, then outage replay) is delivered now."""
         raised: list[Alarm] = []
-        if self._fault_states is None:
-            return raised
-        for state in self._fault_states:
-            if state.storm:
-                for held in reversed(state.storm):
-                    raised.extend(self._admit(state.feed_id, held))
-                state.storm.clear()
-                state.storm_remaining = 0
+        for state in self._fault_states or ():
+            released = state.storm[::-1]
+            state.storm.clear()
+            state.storm_remaining = 0
             if state.outage_remaining > 0:
                 state.outage_remaining = 0
                 if state.replay:
-                    raised.extend(self._reconnect(state))
+                    released += self._reconnect(state)
+            state.settle()
+            raised.extend(self._admit_all(zip(repeat(state.feed_id), released)))
         return raised
 
     # -- draining -------------------------------------------------------
     def _collect(self) -> None:
-        """Move everything queued (parked overflow included) into the
-        reorder buffer."""
-        pending = self._pending
+        """The queues drain into the merge: fold the depths their
+        admitted updates saw (1, 2, … per queue) into ``queue_depth``."""
+        metrics = self.metrics
+        track = metrics is not None and metrics.enabled
         for queue in self.queues:
-            items = queue.items
-            while items:
-                update = items.popleft()
-                pending[update.seq] = update
-            parked = queue.parked
-            while parked:
-                update = parked.popleft()
-                pending[update.seq] = update
+            if track and queue.depth:
+                metrics.observe_many(
+                    "detection.pipeline.queue_depth", range(1, queue.depth + 1)
+                )
+            queue.depth = queue.parked = 0
         self._enqueued = 0
-        if self._depths:
-            self.metrics.observe_many("detection.pipeline.queue_depth", self._depths)
-            self._depths.clear()
 
-    def _ready_run(self) -> list[SequencedUpdate]:
-        """The maximal run of consecutive sequence numbers available at
-        the merge point (known-skipped numbers are passed over)."""
-        pending = self._pending
-        skipped = self._skipped
-        buffered = self._buffered
-        run: list[SequencedUpdate] = []
-        seq = self._next_seq
-        while True:
-            if seq in skipped:
-                skipped.remove(seq)
-                seq += 1
-                continue
-            update = pending.pop(seq, None)
-            if update is None:
-                break
-            buffered.discard(seq)
-            run.append(update)
-            seq += 1
-        self._next_seq = seq
-        return run
-
-    def _process(self, run: Sequence[SequencedUpdate]) -> list[Alarm]:
+    def _process(self, run: list[UpdateMessage]) -> list[Alarm]:
+        """Hand ``run`` to the detector in batches, then empty it."""
         raised: list[Alarm] = []
         batch = self.batch
         consume_all = self.detector.consume_all
         for start in range(0, len(run), batch):
-            chunk = [update.message for update in run[start : start + batch]]
-            raised.extend(consume_all(chunk))
+            raised.extend(consume_all(run[start : start + batch]))
         self.processed += len(run)
+        run.clear()
         self.alarms.extend(raised)
         return raised
 
@@ -457,26 +456,26 @@ class StreamingPipeline:
         self._collect()
         metrics = self.metrics
         if metrics is not None and metrics.enabled:
-            metrics.observe("detection.pipeline.reorder_depth", len(self._pending))
-        return self._process(self._ready_run())
+            metrics.observe(
+                "detection.pipeline.reorder_depth", len(self._ready) + len(self._pending)
+            )
+        return self._process(self._ready)
 
     def flush(self) -> list[Alarm]:
         """End of stream: process everything still buffered, skipping
         sequence gaps (lost updates) in order."""
-        raised: list[Alarm] = []
-        if self._fault_states is not None:
-            raised.extend(self._drain_fault_buffers())
+        raised = self._drain_fault_buffers()
         self._collect()
-        raised.extend(self._process(self._ready_run()))
+        raised.extend(self._process(self._ready))
         if self._pending:
             # Whatever remains is stranded behind gaps nobody will fill:
             # process it in sequence order.
-            leftovers = [self._pending[seq] for seq in sorted(self._pending)]
-            self._buffered.difference_update(self._pending)
+            order = sorted(self._pending)
+            leftovers = [self._pending[seq] for seq in order]
             self._pending.clear()
             self._skipped.clear()
+            self._tail = order[-1] + 1
             raised.extend(self._process(leftovers))
-            self._next_seq = leftovers[-1].seq + 1
         return raised
 
     # -- convenience driver ---------------------------------------------
@@ -494,27 +493,62 @@ class StreamingPipeline:
         reorder buffer stays within one batch per feed; passing ``rng``
         draws the next feed at random (deterministically for a seeded
         rng) — the equivalence suites use this to prove interleaving
-        independence.
+        independence.  The result is that of :meth:`offer` called in
+        that order; quiet stretches are admitted by one loop each.
         """
         if len(streams) != len(self.queues):
             raise DetectionError(
                 f"{len(streams)} streams offered to a {len(self.queues)}-feed pipeline"
             )
-        raised: list[Alarm] = []
-        positions = [0] * len(streams)
-        remaining = [i for i, stream in enumerate(streams) if stream]
-        while remaining:
-            # One turn: every unfinished feed once, or the one feed drawn.
-            turn = remaining if rng is None else (remaining[rng.randrange(len(remaining))],)
-            for feed_id in turn:
-                stream = streams[feed_id]
-                raised.extend(self.offer(feed_id, stream[positions[feed_id]]))
-                positions[feed_id] += 1
-                if positions[feed_id] == len(stream):
-                    # rebound, not mutated: the turn in progress is unaffected
-                    remaining = [i for i in remaining if i != feed_id]
+        arrivals = _turns(streams, rng)
+        if self._fault_states is None:
+            raised = self._admit_all(arrivals)
+        else:
+            raised = []
+            held: list[Arrival] = []
+            while True:
+                raised.extend(self._admit_all(self._quiet(arrivals, held)))
+                if not held:
+                    break
+                raised.extend(self._offer_tolerant(*held.pop()))
         raised.extend(self.flush())
         return raised
+
+    def _quiet(self, arrivals: Iterator[Arrival], held: list[Arrival]) -> Iterator[Arrival]:
+        """``arrivals`` while each one's feed is quiet; the first that
+        is not goes to ``held`` and ends the stretch."""
+        states = self._fault_states
+        for arrival in arrivals:
+            if not states[arrival[0]].passes(arrival[1].message):
+                held.append(arrival)
+                return
+            yield arrival
+
+
+def _turns(
+    streams: Sequence[Sequence[SequencedUpdate]], rng: random.Random | None
+) -> Iterator[Arrival]:
+    """:meth:`StreamingPipeline.run`'s arrivals, in order."""
+    if rng is None:
+        # Slot p * feeds + f holds feed f's position p, None once the
+        # feed has ended (an update is a non-empty tuple, so true).
+        slots = zip(cycle(range(len(streams))), chain.from_iterable(zip_longest(*streams)))
+        return filter(itemgetter(1), slots)
+    return _drawn_turns(streams, rng)
+
+
+def _drawn_turns(
+    streams: Sequence[Sequence[SequencedUpdate]], rng: random.Random
+) -> Iterator[Arrival]:
+    positions = [0] * len(streams)
+    remaining = [i for i, stream in enumerate(streams) if stream]
+    while remaining:
+        feed_id = remaining[rng.randrange(len(remaining))]
+        position = positions[feed_id]
+        yield feed_id, streams[feed_id][position]
+        positions[feed_id] = position + 1
+        if position + 1 == len(streams[feed_id]):
+            remaining.remove(feed_id)
 
 
 def split_stream(
@@ -522,19 +556,22 @@ def split_stream(
     feeds: int,
     *,
     rng: random.Random | None = None,
-) -> list[list[SequencedUpdate]]:
+) -> list[Sequence[SequencedUpdate]]:
     """Partition a sequenced stream across ``feeds`` feeds.
 
     Each feed receives its slice in sequence order (feeds deliver
     in-order; only the *interleaving across* feeds is arbitrary).
     Assignment is round-robin (``position % feeds``, the slicing
-    :meth:`StreamingPipeline.run`'s default order undoes), or random
-    per message when ``rng`` is given.
+    :meth:`StreamingPipeline.run`'s default order undoes; one feed gets
+    the stream itself, not a copy), or random per message when ``rng``
+    is given.
     """
     if feeds < 1:
         raise DetectionError("split_stream needs at least one feed")
+    if rng is None:
+        stream = messages if isinstance(messages, Sequence) else list(messages)
+        return [stream] if feeds == 1 else [stream[i::feeds] for i in range(feeds)]
     streams: list[list[SequencedUpdate]] = [[] for _ in range(feeds)]
-    for position, update in enumerate(messages):
-        feed_id = position % feeds if rng is None else rng.randrange(feeds)
-        streams[feed_id].append(update)
+    for update in messages:
+        streams[rng.randrange(feeds)].append(update)
     return streams

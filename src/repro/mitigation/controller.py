@@ -38,7 +38,7 @@ from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.updates import SequencedUpdate
+from repro.bgp.updates import SequencedUpdate, stamp
 from repro.detection.alarms import Alarm
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.pipeline.faults import FeedFaultPlan
@@ -168,13 +168,9 @@ def mitigation_update_stream(
     not pause while the victim recovers.
     """
     after = collector.snapshot(after_outcome, modifiers=modifiers)
-    return [
-        SequencedUpdate(seq=seq, message=message)
-        for seq, message in enumerate(
-            after.updates_since(before, clock=after_outcome.adoption_round),
-            first_seq,
-        )
-    ]
+    return stamp(
+        after.updates_since(before, clock=after_outcome.adoption_round), first_seq
+    )
 
 
 class MitigationController:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.collectors import RouteCollector
-from repro.bgp.updates import simulate_update_stream
+from repro.bgp.updates import SequencedUpdate, UpdateMessage, simulate_update_stream, stamp
 from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
 from repro.topology.asgraph import ASGraph
@@ -98,3 +100,47 @@ def test_original_graph_untouched(multihomed):
         multihomed, 100, collector, prefix="p", events=3, rng=random.Random(2)
     )
     assert list(multihomed.edges()) == edges_before
+
+
+# -- sequence stamps ------------------------------------------------------------
+
+_messages = st.lists(
+    st.builds(
+        UpdateMessage,
+        monitor=st.integers(1, 10**5),
+        prefix=st.sampled_from(("203.0.113.0/24", "10.0.0.0/8")),
+        path=st.lists(st.integers(1, 10**5), max_size=6).map(tuple),
+        withdrawn=st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(messages=_messages, first_seq=st.integers(-(10**6), 10**12))
+def test_stamp_equals_the_comprehension(messages, first_seq):
+    expected = [
+        SequencedUpdate(seq=seq, message=message)
+        for seq, message in enumerate(messages, first_seq)
+    ]
+    stamped = stamp(messages, first_seq)
+    assert stamped == expected
+    assert all(type(update) is SequencedUpdate for update in stamped)
+    assert [repr(update) for update in stamped] == [repr(update) for update in expected]
+    assert stamp(iter(messages), first_seq) == expected
+
+
+def test_stamps_are_immutable_hashable_values():
+    message = UpdateMessage(monitor=3, prefix="203.0.113.0/24", path=(3, 2, 1))
+    (update,) = stamp([message], 41)
+    assert update == SequencedUpdate(seq=41, message=message)
+    assert update != SequencedUpdate(seq=42, message=message)
+    assert hash(update) == hash(SequencedUpdate(41, message))
+    assert len({update, SequencedUpdate(41, message)}) == 1
+    assert repr(update) == (
+        "SequencedUpdate(seq=41, message=UpdateMessage(monitor=3, "
+        "prefix='203.0.113.0/24', path=(3, 2, 1), withdrawn=False))"
+    )
+    with pytest.raises(AttributeError):
+        update.seq = 0
+    assert stamp([]) == []

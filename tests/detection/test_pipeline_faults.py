@@ -211,6 +211,16 @@ class TestRecoverableBitIdentity:
         assert pipeline.replay_high_water == 5
         assert pipeline.lost == 0
 
+    def test_outage_open_at_end_of_stream_replays_at_flush(self, churn):
+        # Feed 0 goes down three offers before its slice ends, for longer
+        # than it has left: flush reconnects it and replays the backlog.
+        last = len(split_stream(churn.messages, 2)[0])
+        plan = FeedFaultPlan({0: (FeedFault(mode="outage", at=last - 3, span=50),)})
+        faulted = _run(churn, feeds=2, fault_plan=plan)
+        assert faulted.alarms == _run(churn, feeds=2).alarms
+        assert faulted.processed == len(churn.messages)
+        assert (faulted.lost, faulted.replay_high_water) == (0, 3)
+
 
 class TestGracefulDegradation:
     """Unrecoverable plans lose data, never raise."""
@@ -255,7 +265,6 @@ class TestGracefulDegradation:
             feeds=2,
             capacity=1024,
             fault_plan=FeedFaultPlan({0: faults}),
-            quarantine_after=3,
             metrics=metrics,
         )
         for view in churn.baselines.values():
@@ -324,7 +333,7 @@ class TestBoundedBuffers:
         pipeline.flush()
         # The side buffer peaked at its cap and everything still landed.
         assert pipeline.park_high_water == 16
-        assert all(len(q.parked) == 0 for q in pipeline.queues)
+        assert all(q.parked == 0 for q in pipeline.queues)
         assert pipeline.processed == len(churn.messages)
         assert pipeline.dropped == 0
 
@@ -348,6 +357,11 @@ class TestBoundedBuffers:
             StreamingPipeline(detector, feeds=1, drop_log=0)
         with pytest.raises(DetectionError):
             StreamingPipeline(detector, feeds=1, park_capacity=0)
+        with pytest.raises(DetectionError, match="dead_letter_cap"):
+            StreamingPipeline(detector, feeds=1, dead_letter_cap=-1)
+        for removed in ("first_seq", "quarantine_after"):
+            with pytest.raises(TypeError):
+                StreamingPipeline(detector, feeds=1, **{removed: 0})
 
     def test_quiet_path_still_raises_on_duplicates(self, churn):
         # tolerant defaults off: the strict contract is unchanged.
