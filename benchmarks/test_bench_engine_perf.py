@@ -3,20 +3,21 @@
 Unlike the figure benchmarks (one full experiment per run), these use
 pytest-benchmark's statistics properly: many rounds of a single
 propagation, at three topology scales, plus the warm-start attack path
-— each measured for **both** backends, so the compiled core's envelope
-is tracked against the reference interpreter it replaced.  "Compiled"
-here is the per-activation loop (``run_compiled``) called by name
-through ``tests/bgp/loop_oracle.py``: a default engine sends its cold
+— each measured for the compiled loop **and** the reference interpreter
+it replaced (the test-side oracle, ``tests/bgp/reference_engine.py``),
+so the loop's envelope is tracked against it.  "Compiled" here is the
+per-activation loop (``run_compiled``) called by name through
+``tests/bgp/loop_oracle.py``: a default engine sends its cold
 stock-policy runs to the wave kernel wherever numpy imports, and these
 gates are about the loop (``test_bench_vectorized_scale`` owns the
 kernel's).
 
 ``test_bench_fig09_sweep_speedup`` is the regression gate: it times the
 full Figure-9 λ-sweep pipeline (eight baseline convergences, eight
-warm-started attacks, pollution reports) on both
-backends, asserts the rows are bit-identical, writes the measurement to
-``BENCH_engine.json`` at the repository root, and fails if the compiled
-backend drops below 1.5× the reference.
+warm-started attacks, pollution reports) on both, asserts the rows are
+bit-identical, writes the measurement to ``BENCH_engine.json`` at the
+repository root, and fails if the compiled loop drops below 1.5× the
+reference.
 
 ``test_bench_topology_compile_10k`` gates the topology build itself:
 :meth:`CompiledTopology.from_graph` against the per-slot builder it
@@ -39,7 +40,6 @@ import pytest
 
 from repro.attack.interception import ASPPInterceptionAttack
 from repro.bgp.compiled import CompiledTopology
-from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.experiments.base import build_world
 from repro.topology.generators import (
@@ -53,13 +53,14 @@ from repro.topology.tiers import customer_cone
 from repro.utils.rand import derive_rng, make_rng
 from tests.bgp.compile_oracle import compile_oracle
 from tests.bgp.loop_oracle import LoopEngine
+from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import engine_route_points
 from tests.topology.generator_oracle import generate_internet_topology_oracle
 
-#: engine factory per timed backend: the reference interpreter, and
-#: the compiled backend's loop by name
+#: engine factory per timed core: the reference interpreter, and the
+#: compiled loop by name
 BACKENDS = {
-    "reference": lambda graph: PropagationEngine(graph, backend="reference"),
+    "reference": ReferenceEngine,
     "compiled": LoopEngine,
 }
 
@@ -145,15 +146,6 @@ def test_bench_warm_start_attack(benchmark, worlds, engines, backend):
     assert outcome.rounds >= 0
 
 
-def test_bench_reference_engine_construction(benchmark, worlds):
-    """Adjacency pre-compilation cost of the reference backend (paid
-    per engine; the compiled backends construct for free and compile
-    on first use, see ``test_bench_topology_compile``)."""
-    graph = worlds[1.0].graph
-    engine = benchmark(PropagationEngine, graph, backend="reference")
-    assert engine.graph is graph
-
-
 def test_bench_topology_compile(benchmark, worlds):
     """CSR compilation cost (paid once per graph, on first propagation)."""
     graph = worlds[1.0].graph
@@ -175,17 +167,9 @@ def _min_of(repeats, fn):
 
 def test_bench_topology_compile_10k():
     """``from_graph`` must hold >= 3x over the per-slot oracle builder
-    on the 10k-AS world, with a byte-identical payload.  Both builders
-    start from a graph whose sorted-neighbour memo is empty, which is
-    how a freshly loaded topology reaches its first compile."""
+    on the 10k-AS world, with a byte-identical payload."""
     graph = generate_powerlaw_topology(SCALE_10K, seed=7).graph
-
-    def oracle():
-        graph._sorted_neighbors.clear()
-        return compile_oracle(graph)
-
-    oracle_s, reference = _min_of(3, oracle)
-    graph._sorted_neighbors.clear()
+    oracle_s, reference = _min_of(3, lambda: compile_oracle(graph))
     fast_s, topo = _min_of(5, lambda: CompiledTopology.from_graph(graph))
     assert topo.to_payload() == reference.to_payload(), "builders disagree"
 
@@ -258,8 +242,7 @@ def _engine_sweep_rows(engine, attacker, victim):
     """The λ = 1..8 sweep on the engine route — cached baseline, warm
     attack, pollution report — which is what every route-building cell
     pays.  (``padding_sweep`` itself answers impact-only points from
-    the impact kernel whatever the engine's backend, so it cannot tell
-    two engines apart.)"""
+    the impact kernel, so it cannot tell two engines apart.)"""
     cells = [(attacker, victim, padding) for padding in range(1, 9)]
     return [point.row() for point in engine_route_points(engine, cells)]
 
@@ -280,9 +263,9 @@ def _time_fig09_sweep(graph, backend, attacker, victim, repeats=3):
 
 
 def test_bench_fig09_sweep_speedup(worlds):
-    """The compiled backend's loop must hold >= 1.5x over the reference
-    on the Figure-9 λ-sweep (the tentpole's acceptance gate is 2x; the
-    CI bar leaves headroom for noisy shared runners)."""
+    """The compiled loop must hold >= 1.5x over the reference
+    interpreter on the Figure-9 λ-sweep (the CI bar leaves headroom for
+    noisy shared runners)."""
     world = worlds[1.0]
     graph = world.graph
     tier1 = sorted(
@@ -292,7 +275,7 @@ def test_bench_fig09_sweep_speedup(worlds):
 
     reference_s, reference_rows = _time_fig09_sweep(graph, "reference", attacker, victim)
     compiled_s, compiled_rows = _time_fig09_sweep(graph, "compiled", attacker, victim)
-    assert compiled_rows == reference_rows, "backends disagree on sweep rows"
+    assert compiled_rows == reference_rows, "loop and oracle disagree on sweep rows"
 
     speedup = reference_s / compiled_s
     _merge_bench(
@@ -309,7 +292,7 @@ def test_bench_fig09_sweep_speedup(worlds):
         f"compiled {compiled_s * 1000:.1f} ms, speedup {speedup:.2f}x"
     )
     assert speedup >= 1.5, (
-        f"compiled backend regressed to {speedup:.2f}x over reference "
+        f"compiled loop regressed to {speedup:.2f}x over reference "
         f"(floor is 1.5x)"
     )
 

@@ -45,13 +45,6 @@ from repro.bgp import (
     three_phase_routes,
 )
 from repro.core import AttackCampaign, InterceptionStudy
-from repro.defense import (
-    CautiousPaddingGuard,
-    MitigationOutcome,
-    build_padding_registry,
-    reactive_padding_reduction,
-    simulate_cautious_deployment,
-)
 from repro.detection import (
     Alarm,
     ASPPInterceptionDetector,
@@ -88,6 +81,8 @@ from repro.measurement import (
     padding_count_distribution,
     prepended_fraction_per_monitor,
 )
+from repro.mitigation import MitigationOutcome, reactive_padding_reduction
+from repro.secpol import simulate_cautious_deployment
 from repro.topology import (
     ASGraph,
     InternetTopologyConfig,
@@ -154,11 +149,9 @@ __all__ = [
     "detect_new_links",
     "DetectionTiming",
     "detection_timing",
-    # defense
+    # defences
     "reactive_padding_reduction",
     "MitigationOutcome",
-    "CautiousPaddingGuard",
-    "build_padding_registry",
     "simulate_cautious_deployment",
     # inference
     "infer_gao",

@@ -5,13 +5,16 @@ simulator is built on:
 
 * :mod:`repro.bgp.aspath` — AS-PATH algebra including AS-path
   prepending (ASPP), padding extraction and stripping;
-* :mod:`repro.bgp.route` / :mod:`repro.bgp.decision` — route records
-  and the policy-first, length-second BGP decision process;
+* :mod:`repro.bgp.route` — route records;
 * :mod:`repro.bgp.policy` — valley-free export rules (with the
   policy-violation mode of the paper's Figures 11-12);
 * :mod:`repro.bgp.prepending` — per-neighbour prepending schedules;
-* :mod:`repro.bgp.engine` — the general worklist propagation engine
-  (supports attacker transforms, warm starts, adoption-round clocks);
+* :mod:`repro.bgp.engine` — the propagation engine (attacker
+  transforms, warm starts, adoption-round clocks), which dispatches
+  each run to the wave kernel or the per-activation loop;
+* :mod:`repro.bgp.compiled` — the CSR topology, path interning and the
+  per-activation loop with the policy-first, length-second decision
+  process;
 * :mod:`repro.bgp.vectorized` — the NumPy CSR wave kernel the engine
   converges cold stock-policy runs on, and the impact kernel;
 * :mod:`repro.bgp.uphill` — the paper's Figure-2 three-phase algorithm,
@@ -30,7 +33,6 @@ from repro.bgp.aspath import (
 )
 from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.compiled import CompiledState, CompiledTopology, InternTable
-from repro.bgp.decision import best_route, preference_key
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
@@ -56,8 +58,6 @@ __all__ = [
     "strip_origin_padding",
     "collapse_prepending",
     "Route",
-    "preference_key",
-    "best_route",
     "ExportPolicy",
     "PrependingPolicy",
     "PropagationEngine",

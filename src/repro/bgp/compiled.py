@@ -1,12 +1,15 @@
 """Compiled dense-array propagation core.
 
-This module is the ``backend="compiled"`` implementation behind
-:class:`repro.bgp.engine.PropagationEngine`.  It trades the reference
-engine's dict-of-tuples interpretation for three flat data structures:
+This module is the per-activation loop behind
+:class:`repro.bgp.engine.PropagationEngine` (and the topology arrays
+the wave kernel of :mod:`repro.bgp.vectorized` shares).  It trades the
+dict-of-tuples interpretation of the reference interpreter
+(``tests/bgp/reference_engine.py``, its oracle) for three flat data
+structures:
 
 * :class:`CompiledTopology` — ASNs renumbered into a dense ``0..N-1``
   index space (index order == ascending-ASN order, so index
-  comparisons reproduce the reference engine's ASN tie-breaks) with
+  comparisons reproduce the decision process's ASN tie-breaks) with
   adjacency flattened into contiguous CSR-style arrays
   (``array('i')``/``array('b')``): neighbour index, the preference
   class the neighbour assigns, the always-export bit and the sibling
@@ -20,7 +23,7 @@ engine's dict-of-tuples interpretation for three flat data structures:
   reified into real tuples only when a
   :class:`~repro.bgp.engine.PropagationOutcome` is built, which keeps
   the public API and every result bit-identical to the reference
-  backend (the invariant/differential suites are the oracle).
+  interpreter (the invariant/differential suites check it).
 
 * :class:`CompiledState` — a converged run's best/rib arrays, attached
   to the outcome so warm starts (attack onsets), row reads and
@@ -28,7 +31,7 @@ engine's dict-of-tuples interpretation for three flat data structures:
   five C-speed list copies.
 
 Canonical interning is a correctness requirement, not just a speed-up:
-the reference engine decides "did my best route actually change?" by
+the decision loop asks "did my best route actually change?" by
 value equality, so two equal paths must always intern to the same id
 (:meth:`InternTable.extend` merges adjacent runs of the same head to
 guarantee this).
@@ -95,7 +98,7 @@ class CompiledTopology:
     ``asn[i]`` is the AS number at index ``i`` and ascending index is
     ascending ASN.  Slot ``k`` in ``indptr[i]:indptr[i+1]`` describes
     the directed edge from ``i`` to ``nbr[k]`` (neighbours ascending,
-    matching the reference engine's announcement order):
+    matching the reference interpreter's announcement order):
 
     * ``inv_pref[k]`` — preference class ``nbr[k]`` assigns to routes
       announced by ``i`` (the relationship seen from the far side);
@@ -109,7 +112,7 @@ class CompiledTopology:
       i.e. the receiver-side Adj-RIB-in cell this edge announces into.
 
     ``iter_order`` preserves the source graph's insertion order so
-    emitted outcome dicts iterate exactly like the reference engine's.
+    emitted outcome dicts iterate exactly like the reference interpreter's.
     The arrays round-trip through :meth:`to_payload` /
     :meth:`from_payload`, which is what the runner ships through
     ``multiprocessing.shared_memory`` instead of pickling the graph
@@ -480,7 +483,7 @@ class CompiledState:
     straight back instead of re-interning thousands of path tuples.
     ``best_pref[i] == -1`` means no route; ``rib_pid[k]`` is ``-2`` for
     an absent offer and ``-1`` for an explicit withdrawal — the
-    distinction the reference engine keeps between "never offered" and
+    distinction the outcome's Adj-RIB-in keeps between "never offered" and
     ``None`` in the Adj-RIB-in.
 
     The state pins its :class:`InternTable` (and through it the
@@ -550,25 +553,32 @@ def run_compiled(
     import_filters: Mapping[int, Callable[[int, tuple[int, ...]], bool]],
     warm_start: "PropagationOutcome | None",
     seed: set[int] | None,
-    activation: str,
-    activation_rng: random.Random | None,
-    incremental: bool,
     max_activations: int,
     metrics: RunMetrics | None,
     secpol: object | None = None,
+    activation: str = "fifo",
+    activation_rng: random.Random | None = None,
+    incremental: bool = True,
 ) -> "PropagationOutcome":
     """One propagation fixpoint on the compiled arrays.
 
     Arguments arrive validated and defaulted by
     :meth:`PropagationEngine.propagate`; the control flow below mirrors
-    the reference loop statement for statement (same activation trace,
-    same fast-path accounting, same adoption stamps) with paths held as
-    intern ids until the outcome is emitted.  ``secpol`` is the
-    security-policy deployment hook: deployed receivers are marked in a
-    dense bytearray and take the full decision scan, where the policy's
-    pid-space checker judges each offer without reifying a tuple —
-    admission order (policy first, then any import filter) matches
-    :func:`repro.bgp.decision.admit_offer`.
+    the reference interpreter (``tests/bgp/reference_engine.py``)
+    statement for statement — same activation trace, same fast-path
+    accounting, same adoption stamps — with paths held as intern ids
+    until the outcome is emitted.  ``secpol`` is the security-policy
+    deployment hook: deployed receivers are marked in a dense bytearray
+    and take the full decision scan, where the policy's pid-space
+    checker judges each offer without reifying a tuple, before any
+    import filter.
+
+    The engine always runs the FIFO worklist with the O(1) per-offer
+    fast path.  ``activation`` (``"lifo"``, or ``"random"`` drawing from
+    ``activation_rng``) and a false ``incremental`` (a full Adj-RIB-in
+    rescan on every rib change) are the disciplines the test suites
+    compare it against, reached by name through
+    ``tests/bgp/loop_oracle.py``.
     """
     index = topo.index
     n = topo.n
@@ -602,8 +612,8 @@ def run_compiled(
             rib_pref = state.rib_pref.copy()
             warm_base = state
         else:
-            # Foreign outcome (reference backend, other engine): intern
-            # its tuples into this table once.
+            # Foreign outcome (unpickled, eagerly built, another
+            # engine's): intern its tuples into this table once.
             best_pref = [-1] * n
             best_pid = [0] * n
             best_from = [-1] * n
@@ -651,8 +661,8 @@ def run_compiled(
     # Security-policy deployment as a dense bitmask: the hot loop pays
     # one bytearray index per offer whether or not a policy is attached,
     # and the pid-space checker runs only inside deployed receivers'
-    # full scans.  Counter semantics mirror the reference backend's
-    # admit_offer accounting exactly.
+    # full scans.  ``secpol.evaluated``/``secpol.filtered`` count every
+    # offer the policy judged, whatever a stacked filter would say.
     sec_deployed = bytearray(n)
     sec_fn = None
     sec_count = 0
@@ -699,7 +709,7 @@ def run_compiled(
 
     round_of = [0] * n
     # Receivers whose Adj-RIB-in changed — warm-run emission rebuilds
-    # only these (the compiled mirror of the reference backend's
+    # only these (the compiled mirror of the reference interpreter's
     # copy-on-write clone).
     rib_touched: set[int] = set()
     queue: deque[int] = deque(initial)
@@ -833,7 +843,7 @@ def run_compiled(
                     fastpath_hits += 1
                 new_pref, new_pid, new_from = offer_pref, offer_pid, s
             # Unchanged decision: canonical interning makes path
-            # equality id equality, so this is the reference engine's
+            # equality id equality, so this is the reference interpreter's
             # ``new_best == current`` test in three int compares.
             if new_pref == cur_pref and (
                 cur_pref < 0 or (new_pid == best_pid[nb] and new_from == best_from[nb])
@@ -861,10 +871,10 @@ def run_compiled(
     # ------------------------------------------------------------------
     # Emission: reify interned paths into the public tuple-based outcome
     # (memoised per table, so repeated paths are built once).  Cold runs
-    # build every dict in the reference engine's iteration order; warm
+    # build every dict in the reference interpreter's iteration order; warm
     # runs copy the warm start's dicts and rebuild only what the attack
     # actually perturbed — the compiled counterpart of the reference
-    # backend's copy-on-write clone, with identical dict contents.
+    # interpreter's copy-on-write clone, with identical dict contents.
     # Emission is *deferred*: the outcome carries this closure and runs
     # it on first access to ``best``/``adj_rib_in``/``best_keys``, so a
     # pipeline that only consumes the attached compiled state (warm
@@ -949,11 +959,10 @@ def run_compiled(
         state.touched = len(rib_touched | adoption.keys())
 
     if track:
-        # Identical warm/cold accounting to the reference backend (the
-        # pooled-vs-serial determinism contract covers engine.warm.*),
-        # plus compiled-only counters under engine.compiled.* — those
-        # depend on intern-table locality and stay out of deterministic
-        # snapshots, like cache.*.
+        # Warm/cold accounting (the pooled-vs-serial determinism
+        # contract covers engine.warm.*), plus counters under
+        # engine.compiled.* — those depend on intern-table locality and
+        # stay out of deterministic snapshots, like cache.*.
         ns = "engine.warm" if warm_start is not None else "engine.cold"
         metrics.count(f"{ns}.propagations")
         metrics.count(f"{ns}.activations", operations)

@@ -20,15 +20,21 @@ valley-free profit-driven policy, with:
 * **warm starts**: an attack can be launched from a converged baseline
   so that adoption rounds measure post-attack propagation.
 
-The engine is an asynchronous (Gauss-Seidel) worklist fixpoint: one AS
-at a time re-announces to its neighbours, and any receiver whose
-decision changes joins the worklist.  Sequential activation matters —
-simultaneous (Jacobi-style) updates oscillate even on valley-free
-configurations (two peers can adopt routes through each other in the
-same step, then both retract on loop detection, forever).  Under
-valley-free policies the asynchronous iteration converges (Gao-Rexford
-stability holds for any fair activation order); an operation budget
-guards the policy-violating configurations.
+There is one engine and it has one dispatch: a cold stock-policy run is
+a column of the NumPy wave kernel (:mod:`repro.bgp.vectorized`); every
+other run — warm starts, modifiers, policy violators, import filters,
+security policies, numpy-less installs — is the per-activation loop of
+:func:`repro.bgp.compiled.run_compiled`.  The loop is an asynchronous
+(Gauss-Seidel) worklist fixpoint: one AS at a time re-announces to its
+neighbours, and any receiver whose decision changes joins the worklist.
+Sequential activation matters — simultaneous (Jacobi-style) updates
+oscillate even on valley-free configurations (two peers can adopt
+routes through each other in the same step, then both retract on loop
+detection, forever).  Under valley-free policies the asynchronous
+iteration converges (Gao-Rexford stability holds for any fair
+activation order); an operation budget guards the policy-violating
+configurations.  The dict-of-tuples interpreter both cores were checked
+against lives test-side as the oracle (``tests/bgp/reference_engine.py``).
 
 The logical clock is derived from propagation causality rather than
 iteration order: the origin (or attack seed) starts at round 0, and an
@@ -40,8 +46,7 @@ propagation time.
 
 from __future__ import annotations
 
-import random
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
@@ -53,14 +58,13 @@ from repro.bgp.compiled import (
     InternTable,
     run_compiled,
 )
-from repro.bgp.decision import admit_offer, preference_key
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX, Route
-from repro.exceptions import ConvergenceError, SimulationError, UnknownASError
+from repro.exceptions import SimulationError, UnknownASError
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
-from repro.topology.relationships import PrefClass, Relationship
+from repro.topology.relationships import PrefClass
 
 __all__ = ["PropagationEngine", "PropagationOutcome", "PathModifier", "ImportFilter"]
 
@@ -71,8 +75,9 @@ PathModifier = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 #: A receiver-side import filter: called with (sender ASN, offered
 #: AS-PATH); returning False rejects the offer before the decision
-#: process.  This is the hook defensive route-vetting policies (e.g.
-#: PGBGP-style cautious adoption) plug into.
+#: process.  Churn synthesis fails a link with two of them
+#: (:mod:`repro.measurement.churn`); security policies that need the
+#: receiver use ``secpol`` instead.
 ImportFilter = Callable[[int, tuple[int, ...]], bool]
 
 
@@ -103,11 +108,11 @@ class PropagationOutcome:
     reifies one AS's route from the compiled state's arrays, memoised
     per outcome, and never builds the world.  It reads ``best`` only
     when the world already exists or there is no compiled state to
-    read (reference backend, unpickled outcomes).  The accesses that
+    read (unpickled or eagerly built outcomes).  The accesses that
     still materialise are ``best``/``adj_rib_in``/``best_keys``
-    themselves, ``==``, pickling and :meth:`clone`; each sees exactly
-    what an eager build would have produced, and the compiled cores
-    count it (``engine.compiled.worlds_emitted``).
+    themselves, ``==`` and pickling; each sees exactly what an eager
+    build would have produced, and the compiled cores count it
+    (``engine.compiled.worlds_emitted``).
     """
 
     __slots__ = (
@@ -152,7 +157,7 @@ class PropagationOutcome:
         self._emit = emit
         #: routes :meth:`route_of` reified ahead of the world
         self._rows: dict[int, Route | None] = {}
-        #: the same converged state in the compiled backend's (index,
+        #: the same converged state in the compiled cores' (index,
         #: intern-id) space (:class:`repro.bgp.compiled.CompiledState`),
         #: attached by the compiled cores so warm starts, row reads
         #: and pollution reports stay in compiled space.
@@ -283,44 +288,16 @@ class PropagationOutcome:
         """ASes that hold a route to the prefix (including the origin)."""
         return [asn for asn, route in self.best.items() if route is not None]
 
-    def ases_traversing(self, transit: int) -> list[int]:
-        """ASes whose selected path traverses ``transit`` (excluding itself)."""
-        result = []
-        for asn, route in self.best.items():
-            if asn != transit and route is not None and transit in route.path:
-                result.append(asn)
-        return result
-
-    def clone(self) -> "PropagationOutcome":
-        """Copy for use as a warm start.
-
-        The outer maps are copied, but the per-AS Adj-RIB-in maps are
-        *shared* with this outcome: the engine copies an inner map the
-        first time it writes to it (copy-on-write), so an attack onset
-        pays for the ASes it actually perturbs instead of rebuilding
-        the whole topology's RIB state per clone.
-        """
-        return PropagationOutcome(
-            prefix=self.prefix,
-            origin=self.origin,
-            best=dict(self.best),
-            adj_rib_in=dict(self.adj_rib_in),
-            adoption_round=dict(self.adoption_round),
-            rounds=self.rounds,
-            best_keys=dict(self.best_keys) if self.best_keys is not None else None,
-        )
-
 
 class PropagationEngine:
     """Single-prefix BGP propagation over an :class:`ASGraph`.
 
-    The engine pre-compiles adjacency and preference tables once, then
-    answers any number of :meth:`propagate` calls (different origins,
-    prepending schedules, attackers) against the same topology.  On the
-    compiled backend that happens on the first propagation, via
-    :meth:`CompiledTopology.of`, and is shared by every engine over the
-    same graph; the engine then keeps that snapshot even if the graph
-    is mutated afterwards.
+    The engine answers any number of :meth:`propagate` calls (different
+    origins, prepending schedules, attackers) against one topology.  It
+    compiles the graph's CSR form on the first propagation, via
+    :meth:`CompiledTopology.of`, which every engine over the same graph
+    shares; the engine then keeps that snapshot even if the graph is
+    mutated afterwards.
     """
 
     #: distinct origins whose intern tables are kept alive by the
@@ -334,7 +311,6 @@ class PropagationEngine:
         *,
         max_activations: int = 50,
         metrics: RunMetrics | None = None,
-        backend: str = "compiled",
     ) -> None:
         """``max_activations`` bounds the worklist to that many
         activations *per AS* before :class:`ConvergenceError` is raised
@@ -346,32 +322,16 @@ class PropagationEngine:
         so an existing engine can be instrumented for one run and
         detached afterwards; metrics never influence routing results.
 
-        ``backend`` selects the propagation implementation:
-        ``"compiled"`` (the default) runs on the dense arrays of
-        :mod:`repro.bgp.compiled`; ``"reference"`` runs the
-        dict-of-tuples interpreter in this module, the oracle the
-        compiled-vs-reference differential suite compares it with.
-        Which compiled-array core converges a run is not an option:
-        :meth:`propagate` decides it from the run itself.
+        Which core converges a run is not an option: :meth:`propagate`
+        decides it from the run itself.
         """
         if max_activations < 1:
             raise SimulationError("max_activations must be positive")
-        if backend not in ("compiled", "reference"):
-            raise SimulationError(
-                f"backend must be 'compiled' or 'reference', got {backend!r}"
-            )
         self._graph: ASGraph | None = graph
         self._max_activations = max_activations
         self.metrics = metrics
-        self._backend = backend
-        self._adjacency: dict[
-            int,
-            tuple[tuple[int, Relationship, PrefClass, PrefClass, bool, bool], ...],
-        ] | None = None
         self._compiled_topo: CompiledTopology | None = None
         self._tables: OrderedDict[int, InternTable] = OrderedDict()
-        if backend == "reference":
-            self._build_adjacency()
 
     @classmethod
     def from_compiled(
@@ -387,24 +347,14 @@ class PropagationEngine:
         :class:`CompiledTopology` buffers through shared memory and the
         worker builds its engine directly from them.  ``graph`` is
         materialised lazily (only detection/collector code needs it).
-        The reference backend needs a real graph, so the engine is a
-        ``"compiled"`` one.
         """
-        engine = cls.__new__(cls)
-        if max_activations < 1:
-            raise SimulationError("max_activations must be positive")
-        engine._graph = None
-        engine._max_activations = max_activations
-        engine.metrics = metrics
-        engine._backend = "compiled"
-        engine._adjacency = None
+        engine = cls(None, max_activations=max_activations, metrics=metrics)
         engine._compiled_topo = topo
-        engine._tables = OrderedDict()
         return engine
 
     @property
-    def _topo(self) -> CompiledTopology | None:
-        """The compiled topology (``None`` on the reference backend).
+    def _topo(self) -> CompiledTopology:
+        """The compiled topology.
 
         Resolved on first use through the graph's memo, so an engine
         that never propagates (a warm store replay, a pool parent)
@@ -413,43 +363,9 @@ class PropagationEngine:
         into it.
         """
         topo = self._compiled_topo
-        if topo is None and self._backend != "reference":
+        if topo is None:
             topo = self._compiled_topo = CompiledTopology.of(self._graph)
         return topo
-
-    def _build_adjacency(self) -> None:
-        # Pre-compiled adjacency for the reference backend: for each
-        # AS, a tuple of entries (neighbor,
-        #  role-of-neighbor-relative-to-AS, pref-of-routes-from-neighbor,
-        #  pref-the-neighbor-assigns, always_export, is_sibling) —
-        # everything the hot announcement loop would otherwise recompute
-        # per offer.  ``for_relationship`` rejects unrelated pairs, so
-        # every compiled role is a real relationship.
-        graph = self.graph
-        adjacency: dict[
-            int,
-            tuple[tuple[int, Relationship, PrefClass, PrefClass, bool, bool], ...],
-        ] = {}
-        for asn in graph:
-            entries = []
-            for neighbor in graph.sorted_neighbors(asn):
-                role = graph.relationship(asn, neighbor)
-                entries.append(
-                    (
-                        neighbor,
-                        role,
-                        PrefClass.for_relationship(role),
-                        # The class the neighbour assigns to routes from
-                        # ``asn``: its role seen from the other side.
-                        PrefClass.for_relationship(role.inverse()),
-                        # Valley-free export to this neighbour is
-                        # unconditional for customers and siblings.
-                        role in (Relationship.CUSTOMER, Relationship.SIBLING),
-                        role is Relationship.SIBLING,
-                    )
-                )
-            adjacency[asn] = tuple(entries)
-        self._adjacency = adjacency
 
     @property
     def graph(self) -> ASGraph:
@@ -458,23 +374,14 @@ class PropagationEngine:
         return self._graph
 
     @property
-    def compiled_topology(self) -> CompiledTopology | None:
+    def compiled_topology(self) -> CompiledTopology:
         """The dense CSR form this engine propagates on, compiled on
-        first use (``None`` on the reference backend)."""
+        first use."""
         return self._topo
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     @property
     def max_activations(self) -> int:
         return self._max_activations
-
-    def _contains(self, asn: int) -> bool:
-        if self._adjacency is not None:
-            return asn in self._adjacency
-        return asn in self._topo.index
 
     def _table_for(self, origin: int) -> InternTable:
         """The intern table for propagations originated at ``origin``.
@@ -506,9 +413,6 @@ class PropagationEngine:
         seed_ases: Iterable[int] | None = None,
         import_filters: Mapping[int, ImportFilter] | None = None,
         secpol: Any | None = None,
-        activation: str = "fifo",
-        activation_rng: random.Random | None = None,
-        incremental: bool = True,
     ) -> PropagationOutcome:
         """Run propagation of ``origin``'s prefix to a routing fixpoint.
 
@@ -525,55 +429,32 @@ class PropagationEngine:
 
         ``import_filters`` maps an AS to a receiver-side vetting
         function: offers it returns False for never enter that AS's
-        decision process (the deployment hook for defensive policies).
+        decision process.
 
         ``secpol`` optionally attaches a security-policy deployment (a
         :class:`repro.secpol.SecurityDeployment`, duck-typed: anything
-        with ``deployers``, ``check(receiver, sender, path)`` and
-        ``compiled_checker(table)``).  Every deployed AS evaluates the
-        policy on each offer before its decision process — policy
-        first, then any stacked import filter
-        (:func:`repro.bgp.decision.admit_offer`).  ``None`` (the
-        default) is the exact pristine code path.
+        with ``deployers`` and ``compiled_checker(table)``).  Every
+        deployed AS evaluates the policy on each offer before its
+        decision process — policy first, then any stacked import
+        filter.  ``None`` (the default) is the exact pristine code path.
 
-        ``activation`` selects the worklist discipline: ``"fifo"`` (the
-        default, and the order every reproduction artefact is pinned
-        to), ``"lifo"``, or ``"random"`` (drawing from
-        ``activation_rng``).  Under valley-free policies the converged
-        ``best`` routes are the same for every fair activation order
-        (Gao-Rexford stability); only the adoption-round stamps are
-        order-dependent.  The alternative orders exist so tests can
-        check that determinism claim.
-
-        ``incremental=False`` disables the O(1) per-offer decision fast
-        path and reruns the full Adj-RIB-in scan on every rib change —
-        the reference discipline, bit-identical by construction.  The
-        invariant suite diffs the two modes, and benchmarks use the
-        reference mode to time the pre-fast-path cost model.
-
-        On the compiled backend a cold run that asks for none of the
-        above but ``prepending`` converges as one column of the NumPy
-        wave kernel; every other run is
-        :func:`repro.bgp.compiled.run_compiled`'s.  The two agree on
-        every route, key and present Adj-RIB-in offer; a kernel column
-        stamps ``adoption_round`` with the wave clock (hops from the
-        origin) and leaves absent a slot the loop may record as an
-        explicit ``None``.
+        A cold run that asks for none of the above but ``prepending``
+        converges as one column of the NumPy wave kernel; every other
+        run is :func:`repro.bgp.compiled.run_compiled`'s FIFO loop.  The
+        two agree on every route, key and present Adj-RIB-in offer; a
+        kernel column stamps ``adoption_round`` with the wave clock
+        (hops from the origin) and leaves absent a slot the loop may
+        record as an explicit ``None``.
         """
-        if not self._contains(origin):
+        index = self._topo.index
+        if origin not in index:
             raise UnknownASError(origin)
-        if activation not in ("fifo", "lifo", "random"):
-            raise SimulationError(
-                f"activation must be 'fifo', 'lifo' or 'random', got {activation!r}"
-            )
-        if activation == "random" and activation_rng is None:
-            activation_rng = random.Random(0)
         prepending = prepending or PrependingPolicy()
         modifiers = dict(modifiers or {})
         export_policy = export_policy or ExportPolicy()
         import_filters = dict(import_filters or {})
         for asn in modifiers:
-            if not self._contains(asn):
+            if asn not in index:
                 raise UnknownASError(asn)
 
         seed: set[int] | None = None
@@ -591,349 +472,63 @@ class PropagationEngine:
                     "warm start requires seed ASes (modifiers, violators, or explicit)"
                 )
 
-        if self._backend == "compiled":
-            # An outcome already carrying compiled state over this
-            # topology brings its own intern table (it outlives the
-            # engine's per-origin LRU); otherwise the engine keeps one
-            # table per origin.
-            state = warm_start.compiled_state if warm_start is not None else None
-            if (
-                isinstance(state, CompiledState)
-                and state.table.topo is self._topo
-            ):
-                table = state.table
-            else:
-                table = self._table_for(origin)
-            if warm_start is None:
-                # The one place a core is chosen: the wave kernel's
-                # capability table, first row that applies — what the
-                # run asks for that the kernel does not do, then what
-                # this install and topology cannot.  A cold run no row
-                # refuses is a kernel column; a refused one (counted by
-                # reason) and every warm start run the per-activation
-                # loop on the same table, bit-identical by the contract
-                # of tests/bgp/test_vectorized_differential.py.
-                refusals = (
-                    ("activation", activation != "fifo" or not incremental),
-                    ("modifiers", modifiers),
-                    (
-                        "export-policy",
-                        type(export_policy) is not ExportPolicy
-                        or export_policy.violators,
-                    ),
-                    ("import-filters", import_filters),
-                    ("secpol", secpol is not None),
-                    ("numpy-missing", not vectorized.numpy_available()),
-                    (
-                        "key-domain",
-                        not vectorized.in_key_domain(
-                            self._topo.n, prepending.max_padding()
-                        ),
-                    ),
+        # An outcome already carrying compiled state over this topology
+        # brings its own intern table (it outlives the engine's
+        # per-origin LRU); otherwise the engine keeps one table per
+        # origin.
+        state = warm_start.compiled_state if warm_start is not None else None
+        if isinstance(state, CompiledState) and state.table.topo is self._topo:
+            table = state.table
+        else:
+            table = self._table_for(origin)
+        if warm_start is None:
+            # The one place a core is chosen: the wave kernel's
+            # capability table, first row that applies — what the run
+            # asks for that the kernel does not do, then what this
+            # install and topology cannot.  A cold run no row refuses is
+            # a kernel column; a refused one (counted by reason) and
+            # every warm start run the per-activation loop on the same
+            # table, bit-identical by the contract of
+            # tests/bgp/test_vectorized_differential.py.
+            refusals = (
+                ("modifiers", modifiers),
+                (
+                    "export-policy",
+                    type(export_policy) is not ExportPolicy or export_policy.violators,
+                ),
+                ("import-filters", import_filters),
+                ("secpol", secpol is not None),
+                ("numpy-missing", not vectorized.numpy_available()),
+                (
+                    "key-domain",
+                    not vectorized.in_key_domain(self._topo.n, prepending.max_padding()),
+                ),
+            )
+            refusal = next((why for why, applies in refusals if applies), None)
+            if refusal is None:
+                return vectorized.run_vectorized(
+                    self._topo,
+                    table,
+                    origin=origin,
+                    prefix=prefix,
+                    prepending=prepending,
+                    metrics=self.metrics,
                 )
-                refusal = next((why for why, applies in refusals if applies), None)
-                if refusal is None:
-                    return vectorized.run_vectorized(
-                        self._topo,
-                        table,
-                        origin=origin,
-                        prefix=prefix,
-                        prepending=prepending,
-                        metrics=self.metrics,
-                    )
-                if self.metrics is not None and self.metrics.enabled:
-                    self.metrics.count("engine.vectorized.fallbacks")
-                    self.metrics.count(f"engine.vectorized.fallbacks.{refusal}")
-            return run_compiled(
-                self._topo,
-                table,
-                origin=origin,
-                prefix=prefix,
-                prepending=prepending,
-                modifiers=modifiers,
-                export_policy=export_policy,
-                import_filters=import_filters,
-                warm_start=warm_start,
-                seed=seed,
-                activation=activation,
-                activation_rng=activation_rng,
-                secpol=secpol,
-                incremental=incremental,
-                max_activations=self._max_activations,
-                metrics=self.metrics,
-            )
-
-        if warm_start is not None:
-            state = warm_start.clone()
-            best = state.best
-            adj_rib_in = state.adj_rib_in
-            # The clone shares the warm start's inner Adj-RIB-in maps;
-            # each one is copied right before its first write below.
-            shared_ribs: set[int] | None = set(adj_rib_in)
-            adoption: dict[int, int] = {}
-            initial = sorted(seed)
-        else:
-            best = {asn: None for asn in self._adjacency}
-            best[origin] = Route(prefix, (), None, PrefClass.ORIGIN)
-            adj_rib_in = {asn: {} for asn in self._adjacency}
-            shared_ribs = None
-            adoption = {origin: 0}
-            initial = [origin]
-
-        # Preference key of each AS's current best route, kept in sync
-        # with ``best`` so most offer arrivals decide in O(1) instead of
-        # rescanning the receiver's whole Adj-RIB-in.  A warm start from
-        # an engine-produced outcome reuses its carried keys.
-        if warm_start is not None and warm_start.best_keys is not None:
-            best_key: dict[int, tuple[int, int, int] | None] = state.best_keys
-        else:
-            best_key = {
-                asn: (None if route is None else preference_key(route))
-                for asn, route in best.items()
-            }
-
-        # Hoisted policy state: the stock valley-free export test and
-        # the no-prepending common case are inlined in the hot loop;
-        # ExportPolicy subclasses keep the full method-call path.
-        stock_export = type(export_policy) is ExportPolicy
-        violators = export_policy.violators
-        pad_senders = prepending.senders()
-
-        # Security-policy deployment: deployed receivers take the full
-        # decision scan (same branch as import-filtered receivers), with
-        # the policy applied per offer inside it.
-        sec_check = None
-        sec_deployed: frozenset[int] = frozenset()
-        if secpol is not None:
-            sec_check = secpol.check
-            sec_deployed = frozenset(
-                a for a in secpol.deployers if self._contains(a)
-            )
-        sec_stats = [0, 0]  # offers evaluated / offers filtered
-
-        # Telemetry is accumulated in locals and flushed once at the
-        # end, so an enabled registry costs one branch per activation
-        # (plus a few per rib change) and a disabled one costs nothing
-        # but this single check.
-        metrics = self.metrics
-        track = metrics is not None and metrics.enabled
-        if track:
-            announcements = fastpath_hits = fastpath_misses = best_changes = 0
-            peak_queue = 0
-
-        # Round stamp of the news each AS would currently announce.
-        round_of: dict[int, int] = {asn: 0 for asn in initial}
-        queue: deque[int] = deque(initial)
-        queued: set[int] = set(initial)
-        operations = 0
-        budget = self._max_activations * max(1, len(self._adjacency))
-        max_round = 0
-        while queue:
-            operations += 1
-            if operations > budget:
-                raise ConvergenceError(operations)
-            if activation == "fifo":
-                sender = queue.popleft()
-            elif activation == "lifo":
-                sender = queue.pop()
-            else:
-                index = activation_rng.randrange(len(queue))
-                queue[index], queue[-1] = queue[-1], queue[index]
-                sender = queue.pop()
-            queued.discard(sender)
-            route = best[sender]
-            sender_round = round_of.get(sender, 0)
-            if track:
-                qlen = len(queue) + 1  # including the activation just popped
-                if qlen > peak_queue:
-                    peak_queue = qlen
-                announcements += len(self._adjacency[sender])
-            if route is not None:
-                base = route.path
-                modifier = modifiers.get(sender)
-                if modifier is not None:
-                    base = modifier(base)
-                route_pref = route.pref
-                # ORIGIN/CUSTOMER/SIBLING routes may cross peer and
-                # provider links (policy.py's _EXPORTABLE_UPWARD).
-                exportable_up = route_pref <= PrefClass.SIBLING
-                sender_violates = sender in violators
-                sender_pads = sender in pad_senders
-                # Announced path per padding count: identical for every
-                # neighbour with the same count, so build each once.
-                paths_by_count: dict[int, tuple[int, ...]] = {}
-            for neighbor, role, _pref, inv_pref, always_export, is_sibling in (
-                self._adjacency[sender]
-            ):
-                if route is None:
-                    offer = None
-                elif not (
-                    (sender_violates or always_export or exportable_up)
-                    if stock_export
-                    else export_policy.allows_export(sender, role, route_pref)
-                ):
-                    offer = None
-                else:
-                    count = prepending.padding(sender, neighbor) if sender_pads else 1
-                    path_out = paths_by_count.get(count)
-                    if path_out is None:
-                        path_out = (sender,) * count + base
-                        paths_by_count[count] = path_out
-                    # Receiver-side loop prevention: an AS never accepts
-                    # a path already containing its own ASN.
-                    if neighbor in path_out:
-                        offer = None
-                    elif is_sibling:
-                        # A sibling inherits the sender's own class (one
-                        # organisation, two ASNs).
-                        offer = (path_out, route_pref)
-                    else:
-                        # The sender's CUSTOMER is the receiver, for whom
-                        # the sender is a PROVIDER, and vice versa; peers
-                        # stay peers.
-                        offer = (path_out, inv_pref)
-                rib = adj_rib_in[neighbor]
-                if rib.get(sender) == offer:
-                    continue
-                if shared_ribs is not None and neighbor in shared_ribs:
-                    # First write to a warm-start-shared map: copy it now
-                    # so the baseline outcome stays pristine.
-                    rib = adj_rib_in[neighbor] = dict(rib)
-                    shared_ribs.discard(neighbor)
-                rib[sender] = offer
-                if neighbor == origin:
-                    continue  # the owner always keeps its own route
-                current = best[neighbor]
-                import_filter = import_filters.get(neighbor)
-                if import_filter is not None or neighbor in sec_deployed or not incremental:
-                    if track:
-                        fastpath_misses += 1
-                    new_best, new_key = self._decide(
-                        neighbor,
-                        prefix,
-                        rib,
-                        import_filter,
-                        sec_check if neighbor in sec_deployed else None,
-                        sec_stats,
-                    )
-                elif offer is None:
-                    if current is not None and current.learned_from == sender:
-                        # The best offer was withdrawn: full re-decision.
-                        if track:
-                            fastpath_misses += 1
-                        new_best, new_key = self._decide(neighbor, prefix, rib, None)
-                    else:
-                        if track:
-                            fastpath_hits += 1
-                        continue  # losing a non-best offer changes nothing
-                else:
-                    path, pref = offer
-                    cand_key = (int(pref), len(path), sender)
-                    current_key = best_key[neighbor]
-                    if current is None:
-                        if track:
-                            fastpath_hits += 1
-                        new_best, new_key = Route(prefix, path, sender, pref), cand_key
-                    elif current.learned_from == sender:
-                        if cand_key <= current_key:
-                            # The best offer improved (or kept its rank):
-                            # it stays the best — keys of other offers are
-                            # strictly worse than the old minimum.
-                            if track:
-                                fastpath_hits += 1
-                            new_best, new_key = Route(prefix, path, sender, pref), cand_key
-                        else:
-                            if track:
-                                fastpath_misses += 1
-                            new_best, new_key = self._decide(neighbor, prefix, rib, None)
-                    elif cand_key < current_key:
-                        if track:
-                            fastpath_hits += 1
-                        new_best, new_key = Route(prefix, path, sender, pref), cand_key
-                    else:
-                        if track:
-                            fastpath_hits += 1
-                        continue  # a worse-ranked offer cannot displace the best
-                if new_best == current:
-                    best_key[neighbor] = new_key
-                    continue
-                if track:
-                    best_changes += 1
-                best[neighbor] = new_best
-                best_key[neighbor] = new_key
-                stamp = sender_round + 1
-                adoption[neighbor] = stamp
-                round_of[neighbor] = stamp
-                max_round = max(max_round, stamp)
-                if neighbor not in queued:
-                    queue.append(neighbor)
-                    queued.add(neighbor)
-
-        if track:
-            # Warm-started propagations (the attack runs — one per task,
-            # starting from a bit-identical baseline) are worker-count
-            # invariant; cold propagations (baseline convergences) depend
-            # on per-worker cache locality, so the two are recorded under
-            # separate namespaces and only ``engine.warm.*`` participates
-            # in serial-vs-pooled determinism comparisons.
-            ns = "engine.warm" if warm_start is not None else "engine.cold"
-            metrics.count(f"{ns}.propagations")
-            metrics.count(f"{ns}.activations", operations)
-            metrics.count(f"{ns}.announcements", announcements)
-            metrics.count(f"{ns}.fastpath_hits", fastpath_hits)
-            metrics.count(f"{ns}.fastpath_misses", fastpath_misses)
-            metrics.count(f"{ns}.best_changes", best_changes)
-            metrics.observe(f"{ns}.convergence_rounds", max_round)
-            metrics.observe(f"{ns}.queue_peak", peak_queue)
-            if secpol is not None:
-                metrics.count("secpol.evaluated", sec_stats[0])
-                metrics.count("secpol.filtered", sec_stats[1])
-                metrics.count("secpol.deployed_ases", len(sec_deployed))
-
-        return PropagationOutcome(
-            prefix=prefix,
+            if self.metrics is not None and self.metrics.enabled:
+                self.metrics.count("engine.vectorized.fallbacks")
+                self.metrics.count(f"engine.vectorized.fallbacks.{refusal}")
+        return run_compiled(
+            self._topo,
+            table,
             origin=origin,
-            best=best,
-            adj_rib_in=adj_rib_in,
-            adoption_round=adoption,
-            rounds=max_round,
-            best_keys=best_key,
+            prefix=prefix,
+            prepending=prepending,
+            modifiers=modifiers,
+            export_policy=export_policy,
+            import_filters=import_filters,
+            warm_start=warm_start,
+            seed=seed,
+            secpol=secpol,
+            max_activations=self._max_activations,
+            metrics=self.metrics,
         )
-
-    # ------------------------------------------------------------------
-    def _decide(
-        self,
-        receiver: int,
-        prefix: str,
-        offers: Mapping[int, tuple[tuple[int, ...], PrefClass] | None],
-        import_filter: ImportFilter | None = None,
-        sec_check: Callable[[int, int, tuple[int, ...]], bool] | None = None,
-        sec_stats: list[int] | None = None,
-    ) -> tuple[Route | None, tuple[int, int, int] | None]:
-        """Run the full decision process over ``receiver``'s Adj-RIB-in.
-
-        Returns the selected route together with its preference key (the
-        propagation loop keeps per-AS keys to decide most offer arrivals
-        incrementally, and only falls back to this scan when the current
-        best offer worsened or a filter/policy is in play).
-        """
-        best_offer: tuple[tuple[int, ...], PrefClass] | None = None
-        best_neighbor = -1
-        best_key: tuple[int, int, int] | None = None
-        filtered = import_filter is not None or sec_check is not None
-        for entry in self._adjacency[receiver]:
-            neighbor = entry[0]
-            offer = offers.get(neighbor)
-            if offer is None:
-                continue
-            path, pref = offer
-            if filtered and not admit_offer(
-                receiver, neighbor, path, sec_check, import_filter, sec_stats
-            ):
-                continue
-            key = (int(pref), len(path), neighbor)
-            if best_key is None or key < best_key:
-                best_offer, best_neighbor, best_key = offer, neighbor, key
-        if best_offer is None:
-            return None, None
-        return Route(prefix, best_offer[0], best_neighbor, best_offer[1]), best_key

@@ -80,8 +80,8 @@ class ImportPolicy:
     ASes evaluate the policy; the engines only ever see the combination
     through a :class:`repro.secpol.SecurityDeployment`.
 
-    Admission order is fixed by :func:`repro.bgp.decision.admit_offer`:
-    security policy first, then any user import filter.
+    Admission order is fixed: security policy first, then any user
+    import filter.
     """
 
     name = "abstract"

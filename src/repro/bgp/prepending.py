@@ -13,8 +13,6 @@ both flavours the paper describes:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.exceptions import PolicyError
 
 __all__ = ["PrependingPolicy"]
@@ -93,19 +91,6 @@ class PrependingPolicy:
         )
         return per_sender, per_link
 
-    def uniform_origin_count(self, origin: int) -> int | None:
-        """``λ`` when this schedule is exactly "``origin`` pads every
-        announcement with ``λ`` copies and nobody else pads" (``1``
-        covers the empty schedule); ``None`` for any other shape."""
-        per_sender, per_link = self.fingerprint()
-        if per_link:
-            return None
-        if not per_sender:
-            return 1
-        if len(per_sender) == 1 and per_sender[0][0] == origin:
-            return per_sender[0][1]
-        return None
-
     def copy(self) -> "PrependingPolicy":
         clone = PrependingPolicy()
         clone._per_link = dict(self._per_link)
@@ -117,14 +102,6 @@ class PrependingPolicy:
         """Convenience: a policy where only ``origin`` pads, uniformly."""
         policy = cls()
         policy.set_uniform(origin, count)
-        return policy
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int, int]]) -> "PrependingPolicy":
-        """Build from ``(sender, receiver, count)`` triples."""
-        policy = cls()
-        for sender, receiver, count in pairs:
-            policy.set_padding(sender, receiver, count)
         return policy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -34,11 +34,11 @@ two consequences the core exploits:
   receiver's own key is strictly smaller and the offer can never win
   a decision.  Loops only matter at Adj-RIB-in emission, where one
   Euler-tour ancestor test per slot (two array compares) reproduces
-  the compiled backend's big-int mask check.
+  the per-activation loop's big-int mask check.
 
 Keys pack into one ``int64`` — ``class·2^53 + length·2^21 + sender
 index`` — so a full decision (class, then length, then lowest sender
-index, matching the reference engine's ASN tie-break because index
+index, matching the decision process's ASN tie-break because index
 order is ascending-ASN order) is a single ``np.minimum``.
 
 Batching: the fixpoint converges B columns at once, each a
@@ -67,7 +67,7 @@ differences on the cold run itself: adoption stamps are the wave
 clock (forest depth) rather than FIFO activation stamps, and
 transient explicit-``None`` withdrawals never occur (a converged cold
 Adj-RIB-in never needs them; the slot is simply absent), exactly like
-the reference engine's ``rib.get(s) is None`` reading of both.  The
+the decision process's reading of both as "no offer".  The
 withdrawal difference can survive a warm run in slots the warm flood
 never touches, which is why the oracle suite compares Adj-RIB-in
 modulo explicit ``None``.

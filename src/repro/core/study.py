@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from repro.attack.interception import InterceptionResult, simulate_interception
 from repro.bgp.collectors import RouteCollector
 from repro.bgp.engine import PropagationEngine
-from repro.defense.cautious import simulate_cautious_deployment
-from repro.defense.reactive import MitigationOutcome, reactive_padding_reduction
 from repro.detection.alarms import Confidence
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.monitors import top_degree_monitors
@@ -35,6 +33,7 @@ from repro.exceptions import ExperimentError, SimulationError
 from repro.experiments.base import generate_world
 from repro.measurement.padding_model import PaddingBehaviorModel
 from repro.measurement.ribs import MonitorRIBs, build_monitor_ribs
+from repro.mitigation.reactive import MitigationOutcome, reactive_padding_reduction
 from repro.runner import (
     CampaignPairTask,
     RunConfig,
@@ -42,6 +41,7 @@ from repro.runner import (
     run_batch,
     sample_attack_pairs,
 )
+from repro.secpol.deployment import simulate_cautious_deployment
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.generators import GeneratedTopology, InternetTopologyConfig
 from repro.utils.rand import derive_rng, make_rng
@@ -96,16 +96,12 @@ class InterceptionStudy:
         monitors: int = 150,
         placement: str = "top-degree",
         seed: int = 7,
-        backend: str = "compiled",
     ) -> None:
         """``placement`` is ``"top-degree"`` (the paper's) or
-        ``"greedy-cover"`` (the optimised future-work strategy).
-
-        ``backend`` is the study engine's (``"compiled"``, or the
-        ``"reference"`` oracle)."""
+        ``"greedy-cover"`` (the optimised future-work strategy)."""
         self._world = world
         self._seed = seed
-        self._engine = PropagationEngine(world.graph, backend=backend)
+        self._engine = PropagationEngine(world.graph)
         count = min(monitors, len(world.graph))
         if placement == "top-degree":
             fleet = top_degree_monitors(world.graph, count)
@@ -129,7 +125,6 @@ class InterceptionStudy:
         config: InternetTopologyConfig | None = None,
         monitors: int = 150,
         placement: str = "top-degree",
-        backend: str = "compiled",
     ) -> "InterceptionStudy":
         """Generate a fresh Internet-like world and wrap it in a study."""
         return cls(
@@ -137,7 +132,6 @@ class InterceptionStudy:
             monitors=monitors,
             placement=placement,
             seed=seed,
-            backend=backend,
         )
 
     # ------------------------------------------------------------------
@@ -288,8 +282,8 @@ class InterceptionStudy:
         Defaults mirror :meth:`campaign`'s pools (transit attackers ×
         all ASes).  A cell reports impact only, so the grid runs on the
         impact kernel — one baseline column per victim, one attacked
-        column per cell, no routes built (numpy-less hosts and the
-        reference backend take the engine route).
+        column per cell, no routes built (numpy-less hosts take the
+        engine route).
         ``run`` behaves as in :meth:`campaign`.
         """
         from repro.experiments.sweeps import exhaustive_grid as run_grid

@@ -30,7 +30,7 @@ The detector therefore watches each monitor for a route change that
 from __future__ import annotations
 
 from repro.bgp.aspath import collapse_prepending, split_origin_padding
-from repro.bgp.collectors import CollectorFeed, MonitorView
+from repro.bgp.collectors import MonitorView
 from repro.bgp.route import Route
 from repro.detection.alarms import Alarm, Confidence
 from repro.topology.asgraph import ASGraph
@@ -51,13 +51,6 @@ class ASPPInterceptionDetector:
         self._graph = graph
 
     # ------------------------------------------------------------------
-    def scan_feed(self, feed: CollectorFeed) -> list[Alarm]:
-        """Inspect every route change in ``feed`` and collect alarms."""
-        alarms: list[Alarm] = []
-        for monitor, previous, current, view in feed.changes():
-            alarms.extend(self.inspect_change(monitor, previous, current, view))
-        return alarms
-
     def inspect_change(
         self,
         monitor: int,

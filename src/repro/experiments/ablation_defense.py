@@ -2,9 +2,10 @@
 
 The paper closes with "Developing attack prevention schemes is also in
 our future agenda".  This ablation quantifies the two defences shipped
-in :mod:`repro.defense` against a campaign of effective attacks:
+against a campaign of effective attacks:
 
-* **cautious padding adoption** at increasing deployment fractions —
+* **cautious padding adoption** (:class:`repro.secpol.PrependGuardPolicy`
+  on a random draw of ASes) at increasing deployment fractions —
   residual pollution per deploying-AS fraction;
 * **reactive padding reduction** by the victim — pollution gain before
   and after the victim re-originates with λ'=1 (always zero after, by
@@ -16,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attack.interception import simulate_interception
-from repro.defense.cautious import simulate_cautious_deployment
-from repro.defense.reactive import reactive_padding_reduction
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentResult, build_world, sample_attack_pairs
+from repro.mitigation.reactive import reactive_padding_reduction
+from repro.secpol.deployment import simulate_cautious_deployment
 from repro.utils.rand import derive_rng, make_rng
 
 __all__ = ["AblationDefenseConfig", "run"]

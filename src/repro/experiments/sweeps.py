@@ -148,9 +148,8 @@ def exhaustive_grid(
     Every cell is impact-only, so the grid never builds routes: each
     victim converges one canonical key column and every cell is one
     more column of the impact kernel's two-source fixpoint
-    (:class:`repro.bgp.vectorized.ImpactKernel`), whatever ``engine``'s
-    backend.  Without numpy (or on the reference backend) the cells
-    take the engine route — a cached baseline and a warm-started attack
+    (:class:`repro.bgp.vectorized.ImpactKernel`).  Without numpy the
+    cells take the engine route — a cached baseline and a warm-started attack
     each.  Rows are bit-identical on either route; the golden grid test
     pins them against per-pair recomputes cell for cell.
     """

@@ -94,13 +94,6 @@ class SynthesizedStream:
     def updates(self) -> int:
         return len(self.messages)
 
-    @property
-    def attack_window(self) -> tuple[int, int] | None:
-        """``[start, end)`` sequence window of the spliced attack burst."""
-        if self.attack_start_seq is None or self.attack_end_seq is None:
-            return None
-        return (self.attack_start_seq, self.attack_end_seq)
-
     def plain_messages(self) -> list[UpdateMessage]:
         """The stream without sequence stamps (the serial-oracle input)."""
         return [sequenced.message for sequenced in self.messages]

@@ -20,7 +20,9 @@ the attack as a warm start from the cached λ' baseline, and the
 resulting monitor updates are fed back through the pipeline — yielding
 time-to-detect / time-to-mitigate / time-to-recover and residual
 pollution per strategy, the figure family (figM1/figM2) the paper never
-had.
+had.  :func:`reactive_padding_reduction` is the same countermeasure as
+one step outside the loop (the ``ablation-defense`` row), with its
+traffic-engineering cost.
 """
 
 from repro.mitigation.controller import (
@@ -31,6 +33,7 @@ from repro.mitigation.controller import (
     mitigation_update_stream,
     run_closed_loop,
 )
+from repro.mitigation.reactive import MitigationOutcome, reactive_padding_reduction
 from repro.mitigation.strategies import (
     MITIGATION_STRATEGIES,
     mitigated_padding,
@@ -45,4 +48,6 @@ __all__ = [
     "ClosedLoopReport",
     "mitigation_update_stream",
     "run_closed_loop",
+    "MitigationOutcome",
+    "reactive_padding_reduction",
 ]

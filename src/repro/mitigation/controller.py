@@ -181,8 +181,7 @@ class MitigationController:
     baseline (memoised in its cache), re-converges the *still ongoing*
     attack as a warm start from it, and reports recovery rounds, touched
     ASes and the residual pollution.  The touched-AS count is read off
-    the compiled state a warm run leaves behind, so the engine must be
-    on a compiled-array backend; the reference backend is rejected.
+    the compiled state the warm run leaves behind.
     """
 
     def __init__(
@@ -193,11 +192,6 @@ class MitigationController:
         cache: BaselineCache | None = None,
         metrics: RunMetrics | None = None,
     ) -> None:
-        if engine.backend == "reference":
-            raise SimulationError(
-                "MitigationController needs a compiled-array engine: the "
-                "reference backend does not count the ASes a re-convergence touched"
-            )
         self.engine = engine
         self.policy = policy
         self.cache = cache if cache is not None else BaselineCache(engine, metrics=metrics)

@@ -92,7 +92,6 @@ def run_batch(
         monitors=monitors,
         max_activations=engine.max_activations,
         metrics_enabled=metrics is not None and metrics.enabled,
-        backend=engine.backend,
         fault_plan=run.faults,
     )
     # one in-process worker: adopt the caller's engine and cache

@@ -3,9 +3,9 @@
 Pool workers used to receive the full :class:`~repro.topology.asgraph.
 ASGraph` as a pickled initializer argument — one serialised copy of the
 whole topology per worker, re-parsed and re-compiled in each process.
-With the compiled backend the parent already holds the topology as flat
-CSR buffers (:meth:`~repro.bgp.compiled.CompiledTopology.to_payload`),
-so the runner instead publishes that payload once into a
+The parent's engine already holds the topology as flat CSR buffers
+(:meth:`~repro.bgp.compiled.CompiledTopology.to_payload`), so the
+runner instead publishes that payload once into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment and ships
 workers only the tiny ``(name, size)`` handle; each worker attaches,
 copies the buffer out, and rebuilds the arrays at C speed.

@@ -364,21 +364,18 @@ class SupervisedExecutor:
     def _pool_spec(self) -> WorkerSpec:
         """The spec actually shipped to pool workers.
 
-        For the compiled backend the parent compiles the topology
-        once, publishes the CSR payload into shared memory, and
-        replaces the pickled graph with the segment handle — workers
-        bootstrap their engines without ever unpickling an
-        :class:`ASGraph`.  If shared memory is unavailable (no
-        ``/dev/shm``, permissions, size limits) the original
-        graph-pickling spec is used unchanged.
+        The parent compiles the topology once, publishes the CSR
+        payload into shared memory, and replaces the pickled graph with
+        the segment handle — workers bootstrap their engines without
+        ever unpickling an :class:`ASGraph`.  If shared memory is
+        unavailable (no ``/dev/shm``, permissions, size limits) the
+        original graph-pickling spec is used unchanged.
         """
         spec = self.spec
         registry = self._pool_metrics
         if registry is not None and not registry.enabled:
             registry = None
-        if spec.backend == "reference" or spec.graph is None:
-            return spec
-        if spec.shared_topology is not None:
+        if spec.graph is None or spec.shared_topology is not None:
             return spec
         try:
             topo = CompiledTopology.of(spec.graph)

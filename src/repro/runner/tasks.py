@@ -53,8 +53,8 @@ class WorkerSpec:
 
     The spec is shipped to each worker exactly once (as pool
     initializer arguments).  The topology travels either as a pickled
-    :class:`ASGraph` (``graph``) or — the pool path of the compiled
-    backend — as a :class:`~repro.runner.shm.SharedTopologyHandle` naming a
+    :class:`ASGraph` (``graph``) or — the pool path — as a
+    :class:`~repro.runner.shm.SharedTopologyHandle` naming a
     shared-memory segment the parent published, so the graph is never
     pickled per worker at all.
     """
@@ -69,9 +69,6 @@ class WorkerSpec:
     #: into its engine, cache and detection pipeline, and ships a
     #: metrics delta back with every task result.
     metrics_enabled: bool = False
-    #: which propagation backend worker engines are built with
-    #: (``"compiled"`` or the ``"reference"`` oracle).
-    backend: str = "compiled"
     #: shared-memory handle to a published compiled topology; workers
     #: attach to it instead of unpickling ``graph``.
     shared_topology: SharedTopologyHandle | None = None
@@ -120,9 +117,7 @@ class WorkerContext:
                 )
         elif spec.graph is not None:
             self.engine = PropagationEngine(
-                spec.graph,
-                max_activations=spec.max_activations,
-                backend=spec.backend,
+                spec.graph, max_activations=spec.max_activations
             )
             if track and in_pool_worker:
                 # A pool worker rebuilding its engine from a pickled
@@ -188,20 +183,17 @@ class WorkerContext:
         the fallback reason, or ``"invalid"`` for inputs the engine
         route must reject with its own errors."""
         if self._impact_kernel is None and self._impact_fallback is None:
-            if self.engine.backend == "reference":
-                self._impact_fallback = "reference-backend"
-            else:
-                from repro.bgp import vectorized
+            from repro.bgp import vectorized
 
-                if not vectorized.numpy_available():
-                    self._impact_fallback = "numpy-missing"
-                else:
-                    try:
-                        self._impact_kernel = vectorized.ImpactKernel(
-                            self.engine.compiled_topology
-                        )
-                    except vectorized.VectorizedUnsupported:
-                        self._impact_fallback = "domain"
+            if not vectorized.numpy_available():
+                self._impact_fallback = "numpy-missing"
+            else:
+                try:
+                    self._impact_kernel = vectorized.ImpactKernel(
+                        self.engine.compiled_topology
+                    )
+                except vectorized.VectorizedUnsupported:
+                    self._impact_fallback = "domain"
         if self._impact_fallback is not None:
             return self._impact_fallback
         kernel = self._impact_kernel

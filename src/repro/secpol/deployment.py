@@ -5,8 +5,8 @@ handful of Tier-1 transit networks filters far more traffic than the
 same policy on thousands of stubs.  This module assigns one
 :class:`~repro.secpol.policies.SecurityPolicy` to a *fraction* of the
 ASes chosen by a named strategy, and packages the result as a
-:class:`SecurityDeployment` — the single object both propagation
-backends consume (duck-typed: the engines import nothing from here).
+:class:`SecurityDeployment` — the single object the engine consumes
+(duck-typed: the engine imports nothing from here).
 
 Strategies (each yields a deterministic full ranking of its candidate
 pool; a fraction ``f`` deploys the first ``round(f * pool)`` of it, so
@@ -26,13 +26,22 @@ the sweep curves interpretable):
 The victim and the attacker are always excluded from deployment: the
 victim already originates the true route, and a policy on the attacker
 would be self-defeating theatre.
+
+:func:`simulate_cautious_deployment` is the PGBGP-flavoured ablation
+(``ablation-defense``): :class:`PrependGuardPolicy` on a *random draw*
+of ASes rather than a strategy's ranking.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterable, Mapping
 from typing import Any
 
+from repro.attack.impact import PollutionReport
+from repro.attack.interception import simulate_interception
+from repro.bgp.engine import PropagationEngine
+from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
 from repro.secpol.policies import (
     AspaPolicy,
@@ -53,6 +62,7 @@ __all__ = [
     "deployment_ranking",
     "make_policy",
     "select_deployers",
+    "simulate_cautious_deployment",
 ]
 
 #: Policy names accepted by :func:`make_policy` and the CLI ("none" is
@@ -206,3 +216,42 @@ def build_deployment(
         make_policy(policy, graph=graph, victim=victim, registry=registry),
         deployers,
     )
+
+
+def simulate_cautious_deployment(
+    engine: PropagationEngine,
+    *,
+    victim: int,
+    attacker: int,
+    origin_padding: int,
+    deployment_fraction: float,
+    rng: random.Random,
+    deployers: Iterable[int] | None = None,
+) -> PollutionReport:
+    """Residual attack pollution with :class:`PrependGuardPolicy` partially
+    deployed.
+
+    ``deployment_fraction`` of the ASes other than the victim and the
+    attacker — drawn by ``rng.sample``, or the explicit ``deployers`` —
+    guard the victim's prefix with the padding registry of the honest
+    baseline.  Returns the pollution report of the attack against the
+    defended network.
+    """
+    if not 0.0 <= deployment_fraction <= 1.0:
+        raise SimulationError("deployment fraction must be in [0, 1]")
+    prepending = PrependingPolicy.uniform_origin(victim, origin_padding)
+    baseline = engine.propagate(victim, prepending=prepending)
+    if deployers is None:
+        pool = [asn for asn in engine.graph.ases if asn not in (victim, attacker)]
+        count = round(deployment_fraction * len(pool))
+        deployers = rng.sample(pool, count) if count else []
+    guard = PrependGuardPolicy(victim, padding_registry(baseline, victim))
+    return simulate_interception(
+        engine,
+        victim=victim,
+        attacker=attacker,
+        origin_padding=origin_padding,
+        prepending=prepending,
+        baseline=baseline,
+        secpol=SecurityDeployment(guard, deployers),
+    ).report

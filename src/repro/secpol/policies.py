@@ -22,28 +22,28 @@ Three policies, spanning the spectrum the paper's threat model implies:
   embed a valley at or downstream of the leak.
 
 * :class:`PrependGuardPolicy` — the paper-specific padding-consistency
-  filter.  A deployer remembers, per first-hop neighbour of the
+  filter, PGBGP-style cautious adoption specialised to the ASPP
+  signature.  A deployer remembers, per first-hop neighbour of the
   protected origin, the origin padding observed in the honest baseline
   (:func:`padding_registry`), and rejects any offer whose padding for a
   known first hop *shrank* — precisely the attacker's transformation.
-  The conventions (first-hop extraction, unknown-first-hop acceptance)
-  mirror :class:`repro.defense.cautious.CautiousPaddingGuard` so the
-  two defence layers agree on semantics.
+  :func:`repro.secpol.simulate_cautious_deployment` measures it at a
+  random deployment fraction.
 
 Every policy exposes two equivalent evaluation surfaces:
 
-* ``check(receiver, sender, path)`` — tuple-space, used by the
-  reference engine's decision scan;
+* ``check(receiver, sender, path)`` — the tuple-space statement of the
+  policy, which the reference interpreter (the test-side oracle)
+  evaluates in its decision scan;
 * ``compiled_checker(table)`` — a ``(receiver_idx, sender_idx,
   path_id) -> bool`` closure over a
-  :class:`~repro.bgp.compiled.InternTable`, used by the compiled
-  engine.  Verdicts are memoised per interned path id by walking the
-  run-length chain directly, so a path is judged once per table no
-  matter how many receivers evaluate it, and no tuple is ever
-  materialised.
+  :class:`~repro.bgp.compiled.InternTable`, used by the engine.
+  Verdicts are memoised per interned path id by walking the run-length
+  chain directly, so a path is judged once per table no matter how many
+  receivers evaluate it, and no tuple is ever materialised.
 
-The compiled-vs-reference differential suite pins the two surfaces
-bit-identical for every policy.
+The differential suites pin the two surfaces bit-identical for every
+policy.
 """
 
 from __future__ import annotations
@@ -272,17 +272,34 @@ class AspaPolicy(SecurityPolicy):
         return check
 
 
+def _first_hop_padding(
+    path: tuple[int, ...], origin: int, holder: int
+) -> tuple[int, int]:
+    """``(first hop, origin padding)`` of a path ending at ``origin``.
+
+    The first hop is the origin's neighbour the route entered through:
+    the last non-origin AS on the path, or ``holder`` (the AS that heard
+    the route straight from the origin) when there is none.
+    """
+    head, _, padding = split_origin_padding(path)
+    stripped_head = [hop for hop in head if hop != origin]
+    return (stripped_head[-1] if stripped_head else holder), padding
+
+
 class PrependGuardPolicy(SecurityPolicy):
     """Padding-consistency filter: reject offers whose origin padding
     shrank below the history for the same first hop.
 
+    Pretty Good BGP (Karlin et al., cited by the paper) delays adopting
+    *novel* routes; this policy specialises the idea to the ASPP attack.
     The registry maps each first-hop neighbour of the protected origin
     to the padding observed on honest routes through it
     (:func:`padding_registry`).  An offer for the origin's prefix whose
     padding undercuts that history is exactly what an ASPP interceptor
     produces; offers through unknown first hops, and routes for other
-    origins, are accepted (no history, no judgement) — the same
-    conventions as :class:`repro.defense.cautious.CautiousPaddingGuard`.
+    origins, are accepted (no history, no judgement).  The registry is
+    a snapshot of one honest baseline: a legitimate traffic-engineering
+    change by the origin is a new baseline and a new policy.
     """
 
     name = "prependguard"
@@ -295,9 +312,7 @@ class PrependGuardPolicy(SecurityPolicy):
     def check(self, receiver: int, sender: int, path: tuple[int, ...]) -> bool:
         if not path or path[-1] != self.origin:
             return True
-        head, _, padding = split_origin_padding(path)
-        stripped_head = [hop for hop in head if hop != self.origin]
-        first_hop = stripped_head[-1] if stripped_head else sender
+        first_hop, padding = _first_hop_padding(path, self.origin, sender)
         known = self.registry.get(first_hop)
         return known is None or padding >= known
 
@@ -342,19 +357,28 @@ class PrependGuardPolicy(SecurityPolicy):
 def padding_registry(baseline: Any, origin: int) -> dict[int, int]:
     """Per-first-hop minimum origin padding over ``baseline``'s best routes.
 
-    Semantically identical to
-    :func:`repro.defense.cautious.build_padding_registry`, but reads the
-    outcome's attached :class:`~repro.bgp.compiled.CompiledState` when
-    present — walking each *distinct* interned path chain once instead
-    of reifying a tuple per AS, which preserves the sweep pipeline's
-    no-materialisation property.  Falls back to the tuple maps for
-    reference-backend outcomes.
+    Maps each first-hop neighbour of ``origin`` to the origin padding
+    observed on routes entering through it; in a converged honest world
+    every route through one first hop carries the same padding, so the
+    registry is well-defined.  Reads the outcome's attached
+    :class:`~repro.bgp.compiled.CompiledState` — walking each *distinct*
+    interned path chain once instead of reifying a tuple per AS, which
+    preserves the sweep pipeline's no-materialisation property — and
+    walks the tuple routes of an outcome that has none (unpickled or
+    eagerly built).
     """
+    registry: dict[int, int] = {}
     state = getattr(baseline, "compiled_state", None)
     if state is None:
-        from repro.defense.cautious import build_padding_registry
-
-        return build_padding_registry(baseline, origin)
+        for asn, route in baseline.best.items():
+            if asn == origin or route is None or not route.path:
+                continue
+            if route.path[-1] != origin:
+                continue
+            first_hop, padding = _first_hop_padding(route.path, origin, asn)
+            known = registry.get(first_hop)
+            registry[first_hop] = padding if known is None else min(known, padding)
+        return registry
 
     table = state.table
     topo = table.topo
@@ -364,7 +388,6 @@ def padding_registry(baseline: Any, origin: int) -> dict[int, int]:
     origin_asn_idx = table.index_of(origin)
     best_pref = state.best_pref
     best_pid = state.best_pid
-    registry: dict[int, int] = {}
     # (padding, first-hop index) per distinct pid; None = other origin.
     per_pid: dict[int, tuple[int, int] | None] = {}
     for i in range(topo.n):

@@ -44,7 +44,7 @@ __all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics"
 #: done during those cold (non-warm-started) convergences legitimately
 #: grow with the worker count.  They are real, useful telemetry (they
 #: quantify duplicated baseline work), but they are excluded from
-#: serial-vs-pooled determinism comparisons.  The compiled backend's
+#: serial-vs-pooled determinism comparisons.  The compiled loop's
 #: interning counters (``engine.compiled.*`` — hit rates depend on
 #: which paths a worker's intern tables have already seen) are
 #: cache-shaped for the same reason, as are the vectorized dispatch

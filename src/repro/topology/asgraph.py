@@ -36,10 +36,6 @@ class ASGraph:
         self._peers: dict[int, set[int]] = {}
         self._siblings: dict[int, set[int]] = {}
         self._edge_count = 0
-        # Memo of sorted neighbour tuples, shared by every propagation
-        # engine compiled over this graph (each engine used to rebuild
-        # the same sorted lists).  Invalidated per-AS on mutation.
-        self._sorted_neighbors: dict[int, tuple[int, ...]] = {}
         # Memo of the graph's dense CSR form, owned by
         # ``repro.bgp.compiled.CompiledTopology.of`` (which also reads
         # the four adjacency dicts directly to build it).  Dropped on
@@ -88,9 +84,6 @@ class ASGraph:
                 f"{self.relationship(a, b).value}"
             )
         self._edge_count += 1
-        if self._sorted_neighbors:
-            self._sorted_neighbors.pop(a, None)
-            self._sorted_neighbors.pop(b, None)
         self._compiled = None
 
     def add_p2c(self, provider: int, customer: int) -> None:
@@ -142,7 +135,7 @@ class ASGraph:
             self._siblings[a].discard(b)
             self._siblings[b].discard(a)
         self._edge_count -= 1
-        self._invalidate_neighbors(a, b)
+        self._compiled = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -198,32 +191,6 @@ class ASGraph:
             | self._peers[asn]
             | self._siblings[asn]
         )
-
-    def _invalidate_neighbors(self, a: int, b: int) -> None:
-        self._sorted_neighbors.pop(a, None)
-        self._sorted_neighbors.pop(b, None)
-        self._compiled = None
-
-    def sorted_neighbors(self, asn: int) -> tuple[int, ...]:
-        """All neighbours of ``asn`` as a sorted tuple (memoised).
-
-        Propagation engines iterate neighbours in ascending-ASN order;
-        both the reference and the compiled backend build their
-        adjacency from this memo instead of re-sorting per engine.
-        """
-        cached = self._sorted_neighbors.get(asn)
-        if cached is None:
-            self._require(asn)
-            cached = tuple(
-                sorted(
-                    self._providers[asn]
-                    | self._customers[asn]
-                    | self._peers[asn]
-                    | self._siblings[asn]
-                )
-            )
-            self._sorted_neighbors[asn] = cached
-        return cached
 
     def degree(self, asn: int) -> int:
         """Total number of AS-level links incident to ``asn``."""

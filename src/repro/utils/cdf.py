@@ -3,8 +3,7 @@
 Every distribution-shaped figure in the paper (Figures 5, 13, 14) is an
 empirical CDF of a per-sample statistic.  This module provides a small,
 dependency-free CDF object with the handful of queries the experiment
-harness needs: evaluation at a point, quantiles, and fixed-grid sampling
-for plotting or table output.
+harness needs: evaluation at a point and quantiles.
 """
 
 from __future__ import annotations
@@ -84,20 +83,6 @@ class EmpiricalCDF:
     def fraction_below(self, x: float) -> float:
         """Fraction of samples strictly ``< x``."""
         return bisect_left(self._values, x) / len(self._values)
-
-    def sample_grid(self, points: int = 50) -> list[tuple[float, float]]:
-        """Return ``points`` evenly spaced ``(x, cdf(x))`` pairs over the range.
-
-        Useful for printing a figure-shaped series.  When all samples are
-        identical a single point is returned.
-        """
-        if points < 1:
-            raise MeasurementError("grid must contain at least one point")
-        lo, hi = self.min, self.max
-        if lo == hi:
-            return [(lo, 1.0)]
-        step = (hi - lo) / (points - 1) if points > 1 else 0.0
-        return [(lo + i * step, self(lo + i * step)) for i in range(points)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

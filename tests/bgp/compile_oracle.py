@@ -38,7 +38,7 @@ def compile_oracle(graph: ASGraph) -> CompiledTopology:
     is_sibling = array("b")
     role_code = array("b")
     for a in asns:
-        for b in graph.sorted_neighbors(a):
+        for b in sorted(graph.neighbors_of(a)):
             role = graph.relationship(a, b)
             nbr.append(index[b])
             inv_pref.append(int(PrefClass.for_relationship(role.inverse())))

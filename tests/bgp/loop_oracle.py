@@ -4,16 +4,19 @@ A compiled engine decides the cold core itself: a cold stock-policy run
 is a column of the wave kernel wherever numpy imports, so a default
 engine no longer answers questions about :func:`run_compiled`'s *cold*
 behaviour — FIFO adoption stamps, explicit-``None`` withdrawal slots,
-activation counts, the ``max_activations`` guard.  The suites that ask
-them (the compiled-vs-reference differentials, the loop-discipline
-invariants) and the suites that need the loop as the kernel's oracle
-(``test_vectorized_differential.py``) call it here instead of relying
-on which core a default engine happens to pick.
+activation counts, the ``max_activations`` guard — nor about the
+disciplines the engine never runs (LIFO or random activation, the full
+rescan with the fast path off), which ``run_compiled`` keeps for these
+suites.  The suites that ask them (the compiled-vs-reference
+differentials, the loop-discipline invariants) and the suites that need
+the loop as the kernel's oracle (``test_vectorized_differential.py``)
+call it here instead of relying on which core a default engine happens
+to pick.
 
-:func:`loop_propagate` is one cold run; :class:`LoopEngine` is for code
-that takes an engine (``simulate_interception``, ``BaselineCache``,
-worker contexts) — its warm starts are the stock engine's, which are
-``run_compiled`` already.
+:func:`loop_propagate` is one run, cold unless given a ``warm_start``
+and its ``seed``; :class:`LoopEngine` is for code that takes an engine
+(``simulate_interception``, ``BaselineCache``, worker contexts) — its
+warm starts are the stock engine's, which are ``run_compiled`` already.
 """
 
 from __future__ import annotations
@@ -37,13 +40,16 @@ def loop_propagate(
     export_policy=None,
     import_filters=None,
     secpol=None,
+    warm_start=None,
+    seed=None,
     activation: str = "fifo",
     activation_rng=None,
     incremental: bool = True,
 ):
-    """A cold ``engine.propagate(origin, ...)`` on ``run_compiled``,
-    with the engine's topology, intern table, budget and registry.
-    Arguments must be valid: the engine's validation is not repeated."""
+    """``engine.propagate(origin, ...)`` on ``run_compiled``, with the
+    engine's topology, intern table, budget and registry.  A warm run
+    passes the ``seed`` ASes to re-announce from explicitly.  Arguments
+    must be valid: the engine's validation is not repeated."""
     if activation == "random" and activation_rng is None:
         activation_rng = random.Random(0)
     return run_compiled(
@@ -55,8 +61,8 @@ def loop_propagate(
         modifiers=dict(modifiers or {}),
         export_policy=export_policy or ExportPolicy(),
         import_filters=dict(import_filters or {}),
-        warm_start=None,
-        seed=None,
+        warm_start=warm_start,
+        seed=seed,
         activation=activation,
         activation_rng=activation_rng,
         incremental=incremental,

@@ -1,7 +1,8 @@
-"""Compiled-vs-reference backend differentials.
+"""Compiled-vs-reference differentials.
 
 The compiled dense-array core (:mod:`repro.bgp.compiled`) must be
-bit-identical to the reference engine on every outcome field — ``best``
+bit-identical to the reference interpreter
+(``tests/bgp/reference_engine.py``) on every outcome field — ``best``
 routes, Adj-RIBs-in (including the absent-offer vs explicit-``None``
 withdrawal distinction), adoption-round stamps and convergence rounds —
 across random topologies, attack warm starts, activation orders and
@@ -141,8 +142,8 @@ class TestWarmProvenance:
         assert state.touched >= len(differing)
         # ... and the patched report is the one a scan gives: against an
         # equal baseline that is not the state the attack started from
-        # (mask scan), and from a foreign, reference-backend baseline
-        # with no compiled state at all (tuple scan).
+        # (mask scan), and from a foreign, oracle-built baseline with no
+        # compiled state at all (tuple scan).
         twin = engine.propagate(
             victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
         )
@@ -419,7 +420,7 @@ class TestCompiledTopologyTransport:
         worker path) propagates identically to one built from the graph."""
         world = generate_internet_topology(TINY, random.Random(5))
         origin = world.stubs[1]
-        direct = PropagationEngine(world.graph, backend="compiled")
+        direct = PropagationEngine(world.graph)
         rebuilt = PropagationEngine.from_compiled(
             CompiledTopology.from_payload(
                 CompiledTopology.from_graph(world.graph).to_payload()

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
 import pytest
 
 from repro.bgp import vectorized
@@ -9,10 +14,13 @@ from repro.bgp.engine import PropagationEngine
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
+from repro.core import InterceptionStudy
 from repro.exceptions import ConvergenceError, SimulationError, UnknownASError
+from repro.runner import WorkerSpec
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import PrefClass
+from tests.bgp import reference_engine
 from tests.bgp.loop_oracle import loop_propagate
 
 
@@ -231,7 +239,8 @@ class TestErrors:
             loop_propagate(engine, 4)
 
     def test_unknown_backend(self, chain_graph):
-        with pytest.raises(SimulationError, match="'compiled' or 'reference'"):
+        """There is one engine: a backend is not an option."""
+        with pytest.raises(TypeError, match="backend"):
             PropagationEngine(chain_graph, backend="vectorized")
 
     def test_isolated_origin(self):
@@ -249,10 +258,6 @@ class TestOutcomeHelpers:
         assert outcome.path_of(1) == (2, 3, 4)
         assert outcome.path_of(4) == ()
         assert sorted(outcome.reachable_ases()) == [1, 2, 3, 4]
-        assert outcome.ases_traversing(3) == [1, 2]
-        clone = outcome.clone()
-        clone.best[1] = None
-        assert outcome.best[1] is not None
         assert outcome.prefix == DEFAULT_PREFIX
 
 
@@ -293,9 +298,6 @@ class TestColdCore:
     @pytest.mark.parametrize(
         ("reason", "run", "patch"),
         [
-            ("activation", {"activation": "lifo"}, None),
-            ("activation", {"activation": "random"}, None),
-            ("activation", {"incremental": False}, None),
             ("modifiers", {"modifiers": {3: lambda path: path}}, None),
             ("export-policy", {"export_policy": ExportPolicy(violators={3})}, None),
             ("import-filters", {"import_filters": {1: lambda sender, path: True}}, None),
@@ -303,8 +305,8 @@ class TestColdCore:
             ("key-domain", {}, ("_MAX_N", 2)),
         ],
         ids=[
-            "lifo", "random", "full-rescan", "modifiers", "export-policy",
-            "import-filters", "numpy-missing", "key-domain",
+            "modifiers", "export-policy", "import-filters", "numpy-missing",
+            "key-domain",
         ],
     )
     def test_a_refused_cold_run_is_the_loops(
@@ -331,3 +333,39 @@ class TestColdCore:
         assert metrics.counter_value("engine.warm.propagations") == 1
         # a warm start is not a refusal: nothing "fell back"
         assert metrics.counter_value("engine.vectorized.fallbacks") == 0
+
+
+class TestOneEngine:
+    """One engine type that every artefact runs, and one oracle beside
+    it that shares no core with it."""
+
+    def test_no_signature_spells_an_engine_choice(self):
+        """No backend, no worklist discipline, no fast-path switch:
+        nothing a caller can set chooses how the engine converges."""
+        spelled = {"backend", "activation", "activation_rng", "incremental"}
+        signatures = [
+            inspect.signature(PropagationEngine.__init__).parameters,
+            inspect.signature(PropagationEngine.propagate).parameters,
+            inspect.signature(InterceptionStudy.__init__).parameters,
+            inspect.signature(InterceptionStudy.generate).parameters,
+            {field.name: field for field in dataclasses.fields(WorkerSpec)},
+        ]
+        for parameters in signatures:
+            assert not spelled & set(parameters), sorted(parameters)
+
+    def test_the_oracle_shares_no_core(self):
+        """``reference_engine.py`` imports nothing from the compiled loop
+        or the wave kernel, and only the outcome type from the engine."""
+        cores = {"repro.bgp.compiled", "repro.bgp.vectorized"}
+        tree = ast.parse(Path(reference_engine.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+                assert not modules & (cores | {"repro.bgp.engine"}), modules
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert node.module not in cores, node.module
+                if node.module == "repro.bgp":
+                    assert not names & {"compiled", "vectorized", "engine"}, names
+                if node.module == "repro.bgp.engine":
+                    assert names == {"PropagationOutcome"}, names

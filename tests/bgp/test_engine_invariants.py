@@ -10,6 +10,9 @@ Three families of checks, each on randomized generated topologies:
 * **fast-path equivalence** — the incremental O(1) decision shortcut
   produces outcomes bit-identical to the full Adj-RIB-in rescan
   (``incremental=False``), including under prepending and attacks.
+
+The engine itself only runs the FIFO fast path; the other disciplines
+are the per-activation loop's, reached by name (``loop_oracle.py``).
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ def test_activation_orders_reach_same_fixpoint(seed, padding):
         prepending = PrependingPolicy.uniform_origin(origin, padding)
         reference = engine.propagate(origin, prepending=prepending)
         for activation in ("lifo", "random"):
-            other = engine.propagate(
+            other = loop_propagate(
+                engine,
                 origin,
                 prepending=prepending,
                 activation=activation,
@@ -150,7 +154,9 @@ def test_incremental_fast_path_matches_full_rescan(seed):
         for padding in (1, 3):
             prepending = PrependingPolicy.uniform_origin(origin, padding)
             fast = loop_propagate(engine, origin, prepending=prepending)
-            full = engine.propagate(origin, prepending=prepending, incremental=False)
+            full = loop_propagate(
+                engine, origin, prepending=prepending, incremental=False
+            )
             assert fast == full
             assert fast.adoption_round == full.adoption_round
             assert fast.rounds == full.rounds
@@ -175,11 +181,13 @@ def test_incremental_fast_path_matches_under_attack(small_world):
     from repro.attack.interception import ASPPInterceptionAttack
 
     attack = ASPPInterceptionAttack(attacker=attacker, victim=victim)
-    full = engine.propagate(
+    full = loop_propagate(
+        engine,
         victim,
         prepending=prepending,
         modifiers={attacker: attack.modifier()},
         warm_start=baseline,
+        seed={attacker},
         incremental=False,
     )
     assert result.attacked == full

@@ -68,7 +68,7 @@ def draw_cells(graph: ASGraph, rng: random.Random, count: int):
     cells = []
     for _ in range(count):
         victim = rng.choice(graph.ases)
-        adjacent = graph.sorted_neighbors(victim)
+        adjacent = sorted(graph.neighbors_of(victim))
         if adjacent and rng.random() < 0.25:
             attacker = rng.choice(adjacent)
         else:

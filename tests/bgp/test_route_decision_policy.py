@@ -1,15 +1,20 @@
-"""Tests for routes, the decision process, and export policy."""
+"""Tests for routes, the decision process, and export policy.
+
+The decision process is stated in tuple space by the reference oracle
+(``tests/bgp/reference_engine.py``); the engine's cores are checked
+against it by the differential suites.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bgp.decision import best_route, preference_key
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX, Route
 from repro.exceptions import PolicyError
 from repro.topology.relationships import PrefClass, Relationship
+from tests.bgp.reference_engine import best_route, preference_key
 
 
 def make_route(path, pref, learned_from=None):
@@ -119,9 +124,7 @@ class TestPrependingPolicy:
     def test_constructors(self):
         uniform = PrependingPolicy.uniform_origin(7, 4)
         assert uniform.padding(7, 99) == 4
-        pairs = PrependingPolicy.from_pairs([(1, 2, 3), (1, 4, 2)])
-        assert pairs.padding(1, 2) == 3
-        assert pairs.padding(1, 4) == 2
+        assert uniform.padding(8, 99) == 1
 
     def test_senders_and_copy(self):
         policy = PrependingPolicy.uniform_origin(7, 4)

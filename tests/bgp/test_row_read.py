@@ -6,13 +6,12 @@ never builds ``best``.  It must equal ``best.get`` for every AS, on
 every kind of state an outcome can carry — a cold run's
 ``CompiledState`` (the loop's or a kernel column's), a warm run's copied
 arrays — and fall back to the world where there is no compiled state
-(the reference backend).
+(the reference oracle's eager outcomes).
 """
 
 from __future__ import annotations
 
 import pickle
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +28,7 @@ from repro.detection.timing import detection_timing
 from repro.runner import BaselineCache
 
 from tests.bgp.loop_oracle import LoopEngine
+from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import draw_victim_then_attacker, paddings, seeds, tiny_world
 
 needs_numpy = pytest.mark.skipif(
@@ -39,7 +39,7 @@ needs_numpy = pytest.mark.skipif(
 BACKENDS = [
     pytest.param(LoopEngine, id="compiled"),
     pytest.param(PropagationEngine, id="vectorized", marks=needs_numpy),
-    pytest.param(partial(PropagationEngine, backend="reference"), id="reference"),
+    pytest.param(ReferenceEngine, id="reference"),
 ]
 
 

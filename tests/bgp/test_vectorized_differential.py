@@ -55,6 +55,7 @@ from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.secpol import AspaPolicy, SecurityDeployment
 from repro.telemetry.metrics import RunMetrics
+from tests.bgp.reference_engine import ReferenceEngine
 
 DIFFERENTIAL_SETTINGS = settings(
     max_examples=25,
@@ -83,7 +84,7 @@ class TestColdDifferential:
         victim = rng.choice(world.graph.ases)
         prep = _prep(victim, _lam(rng))
         eng_c, eng_v = vectorized_pair(world)
-        eng_r = PropagationEngine(world.graph, backend="reference")
+        eng_r = ReferenceEngine(world.graph)
         oc = eng_c.propagate(victim, prepending=prep)
         ov = eng_v.propagate(victim, prepending=prep)
         assert_vectorized_matches(oc, ov)

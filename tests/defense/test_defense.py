@@ -1,4 +1,7 @@
-"""Tests for the mitigation package (reactive + cautious adoption)."""
+"""The two ``ablation-defense`` defences: reactive padding reduction
+(:mod:`repro.mitigation.reactive`) and cautious padding adoption
+(:class:`repro.secpol.PrependGuardPolicy` at a random deployment
+fraction)."""
 
 from __future__ import annotations
 
@@ -11,13 +14,13 @@ from hypothesis import strategies as st
 from repro.attack.interception import simulate_interception
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
-from repro.defense.cautious import (
-    CautiousPaddingGuard,
-    build_padding_registry,
+from repro.exceptions import SimulationError
+from repro.mitigation import reactive_padding_reduction
+from repro.secpol import (
+    PrependGuardPolicy,
+    padding_registry,
     simulate_cautious_deployment,
 )
-from repro.defense.reactive import reactive_padding_reduction
-from repro.exceptions import SimulationError
 
 
 @pytest.fixture(scope="module")
@@ -73,31 +76,36 @@ class TestPaddingRegistry:
             prepending.set_padding(origin, neighbor, count)
             paddings[neighbor] = count
         outcome = small_engine.propagate(origin, prepending=prepending)
-        registry = build_padding_registry(outcome, origin)
+        registry = padding_registry(outcome, origin)
         for first_hop, padding in registry.items():
             assert paddings[first_hop] == padding
 
 
 class TestCautiousGuard:
+    """The guard a deployer runs is ``PrependGuardPolicy.check``."""
+
     def test_guard_rejects_undercut_padding(self):
-        guard = CautiousPaddingGuard(100, {1: 3})
-        assert not guard(9, (9, 1, 100))          # padding 1 < history 3
-        assert guard(9, (9, 1, 100, 100, 100))    # padding matches
-        assert guard(9, (9, 1, 100, 100, 100, 100))  # more padding is fine
+        guard = PrependGuardPolicy(100, {1: 3})
+        assert not guard.check(5, 9, (9, 1, 100))          # padding 1 < history 3
+        assert guard.check(5, 9, (9, 1, 100, 100, 100))    # padding matches
+        assert guard.check(5, 9, (9, 1, 100, 100, 100, 100))  # more padding is fine
 
     def test_guard_ignores_other_origins(self):
-        guard = CautiousPaddingGuard(100, {1: 3})
-        assert guard(9, (9, 1, 55))
-        assert guard(9, ())
+        guard = PrependGuardPolicy(100, {1: 3})
+        assert guard.check(5, 9, (9, 1, 55))
+        assert guard.check(5, 9, ())
 
     def test_guard_accepts_unknown_first_hop(self):
-        guard = CautiousPaddingGuard(100, {1: 3})
-        assert guard(9, (9, 2, 100))
+        guard = PrependGuardPolicy(100, {1: 3})
+        assert guard.check(5, 9, (9, 2, 100))
 
     def test_refresh_updates_history(self):
-        guard = CautiousPaddingGuard(100, {1: 3})
-        guard.refresh(1, 1)
-        assert guard(9, (9, 1, 100))
+        """A legitimately learned padding is a new registry, and the
+        guard built from it accepts what the old history refused."""
+        registry = {1: 3}
+        assert not PrependGuardPolicy(100, registry).check(5, 9, (9, 1, 100))
+        registry[1] = 1
+        assert PrependGuardPolicy(100, registry).check(5, 9, (9, 1, 100))
 
 
 class TestCautiousDeployment:

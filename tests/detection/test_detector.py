@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.collectors import CollectorFeed, MonitorView, RouteCollector
+from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX, Route
@@ -111,22 +111,6 @@ class TestChangeFiltering:
         previous = route((100, 100, 100), learned=100)
         current = route((100,), learned=100)
         assert detector.inspect_change(1, previous, current, view(as1=current)) == []
-
-
-class TestScanFeed:
-    def test_scan_feed_aggregates_changes(self, figure3_graph):
-        detector = ASPPInterceptionDetector(figure3_graph)
-        before = view(
-            as2=route((6, 1, 100, 100, 100), learned=6),
-            as5=route((1, 100, 100, 100), learned=1),
-        )
-        after = view(
-            as2=route((6, 1, 100), learned=6),
-            as5=route((1, 100, 100, 100), learned=1),
-        )
-        feed = CollectorFeed(prefix=DEFAULT_PREFIX, snapshots=[before, after])
-        alarms = detector.scan_feed(feed)
-        assert any(a.confidence is Confidence.HIGH and a.suspect == 6 for a in alarms)
 
 
 class TestNoFalsePositives:

@@ -104,24 +104,6 @@ def test_scenarios_below_one_is_rejected_by_name(scenarios):
         synthesize_churn_stream(ChurnConfig(**{**SMALL, "scenarios": scenarios}))
 
 
-def test_attack_window_brackets_exactly_the_burst(stream):
-    start, end = stream.attack_window
-    assert start == stream.attack_start_seq
-    assert end == stream.attack_end_seq
-    victim_prefix = stream.attack_result.baseline.prefix
-    inside = [u.seq for u in stream.messages if u.message.prefix == victim_prefix]
-    assert inside == list(range(start, end))
-    assert 0 < start < end <= stream.updates
-
-
-def test_attack_window_is_none_without_attack():
-    config = ChurnConfig(**{**SMALL, "attack": False})
-    stream = synthesize_churn_stream(config)
-    assert stream.attack_window is None
-    assert stream.attack_start_seq is None
-    assert stream.attack_end_seq is None
-
-
 def test_feed_streams_partition_the_whole_stream(stream):
     for feeds in (1, 3, 5):
         split = stream.feed_streams(feeds)
@@ -153,7 +135,8 @@ def _observable(synthesize, config, world):
         stream.baselines,
         stream.victim,
         stream.attacker,
-        stream.attack_window,
+        stream.attack_start_seq,
+        stream.attack_end_seq,
     )
 
 

@@ -253,13 +253,6 @@ class TestControllerAndStream:
         assert again[2] == rounds
         assert again[3] == touched
 
-    def test_controller_rejects_the_reference_backend(self, churn):
-        """The touched-AS count is read off the compiled state, which
-        the reference backend does not produce."""
-        engine = PropagationEngine(churn.world.graph, backend="reference")
-        with pytest.raises(SimulationError, match="compiled-array engine"):
-            MitigationController(engine, MitigationPolicy())
-
     def test_controller_none_strategy_is_a_no_op(self, churn):
         engine = PropagationEngine(churn.world.graph)
         controller = MitigationController(engine, MitigationPolicy(strategy="none"))

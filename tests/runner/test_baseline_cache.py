@@ -11,7 +11,6 @@ the victim's trailing run rewritten.
 from __future__ import annotations
 
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +32,7 @@ from repro.runner import (
 from repro.telemetry.metrics import RunMetrics
 
 from tests.bgp.loop_oracle import LoopEngine
+from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import cold_convergences, paddings, seeds, tiny_world
 
 
@@ -64,7 +64,7 @@ def rewrite_uniform(canonical, victim, padding):
     "backend",
     [
         pytest.param(LoopEngine, id="compiled"),
-        pytest.param(partial(PropagationEngine, backend="reference"), id="reference"),
+        pytest.param(ReferenceEngine, id="reference"),
         pytest.param(
             PropagationEngine,  # as shipped: cold runs are kernel columns
             id="vectorized",
@@ -166,7 +166,6 @@ def test_arbitrary_schedules_take_the_cold_path(small_world):
     neighbor = sorted(small_world.graph.neighbors_of(victim))[0]
     schedule = PrependingPolicy.uniform_origin(victim, 2)
     schedule.set_padding(victim, neighbor, 4)
-    assert schedule.uniform_origin_count(victim) is None
     warm = cache.baseline(victim, prepending=schedule)
     cold = engine.propagate(victim, prepending=schedule)
     assert warm == cold
@@ -223,15 +222,6 @@ def test_fingerprint_canonicalises_equivalent_schedules():
     differs = PrependingPolicy.uniform_origin(9, 3)
     differs.set_padding(9, 4, 5)
     assert differs.fingerprint() != uniform.fingerprint()
-
-
-def test_uniform_origin_count_classification():
-    assert PrependingPolicy().uniform_origin_count(9) == 1
-    assert PrependingPolicy.uniform_origin(9, 4).uniform_origin_count(9) == 4
-    # Someone other than the origin pads: not a uniform-origin schedule.
-    assert PrependingPolicy.uniform_origin(8, 4).uniform_origin_count(9) is None
-    per_link = PrependingPolicy.from_pairs([(9, 4, 3)])
-    assert per_link.uniform_origin_count(9) is None
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,12 @@ exhaustive grid) are answered by the impact kernel; outside its
 declared domain a cell runs through the baseline cache and the engine
 exactly as before, and the reason is counted.  Pinned here:
 
-* rows equal across the kernel, the compiled-engine and the reference
-  routes — serial, through a forced two-worker pool, and against a
-  cold and a warm store;
+* rows equal across the kernel, the engine route and the reference
+  oracle's engine route — serial, through a forced two-worker pool, and
+  against a cold and a warm store;
 * every fallback reason reachable and counted once per executed cell,
   and the sweeps still right with numpy masked out of ``sys.modules``;
-* bad inputs raise exactly what the engine route raises;
+* bad inputs raise exactly what the oracle's engine route raises;
 * ``prepare`` batches and parks, pool workers run single columns
   against the per-victim baseline memo, and ``execute_task`` still runs
   once per task either way.
@@ -41,6 +41,7 @@ from repro.runner import (
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 from tests.bgp.loop_oracle import LoopEngine
+from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import engine_route_points
 
 needs_numpy = pytest.mark.skipif(
@@ -85,27 +86,16 @@ class TestRoutesAgree:
             assert kernel_metrics.counter_value("engine.impact.cells") == len(PADDINGS)
             assert _fallbacks(kernel_metrics) == {}
 
-            reference_metrics = RunMetrics()
-            reference_rows = padding_sweep(
-                PropagationEngine(graph, backend="reference"),
-                victim=victim,
-                attacker=attacker,
-                paddings=PADDINGS,
-                violate_policy=violate,
-                run=RunConfig(metrics=reference_metrics),
-            )
-            assert reference_metrics.counter_value("engine.impact.cells") == 0
-            assert _fallbacks(reference_metrics) == {"reference-backend": len(PADDINGS)}
+            def engine_rows(engine):
+                cells = [(attacker, victim, padding) for padding in PADDINGS]
+                points = engine_route_points(engine, cells, violate_policy=violate)
+                return [point.row() for point in points]
 
-            engine_rows = [
-                point.row()
-                for point in engine_route_points(
-                    PropagationEngine(graph),
-                    [(attacker, victim, padding) for padding in PADDINGS],
-                    violate_policy=violate,
-                )
-            ]
-            assert kernel_rows == engine_rows == reference_rows
+            assert (
+                kernel_rows
+                == engine_rows(PropagationEngine(graph))
+                == engine_rows(ReferenceEngine(graph))
+            )
 
     def test_grids_equal_on_every_route(self, small_world):
         attackers, victims = _grid_pools(small_world)
@@ -117,11 +107,11 @@ class TestRoutesAgree:
             victims=victims,
             origin_padding=3,
         )
-        assert kernel_cells == pair_grid(
-            PropagationEngine(graph, backend="reference"), pairs, origin_padding=3
-        )
-        # the engine route from kernel-column baselines, and from the loop's
-        for engine in (PropagationEngine(graph), LoopEngine(graph)):
+        # the engine route from kernel-column baselines, from the loop's,
+        # and the oracle's
+        for engine in (
+            PropagationEngine(graph), LoopEngine(graph), ReferenceEngine(graph)
+        ):
             assert kernel_cells == engine_route_points(
                 engine, [(a, v, 3) for a, v in pairs]
             )
@@ -230,11 +220,11 @@ class TestFallbacks:
     """Every reason is reachable, counted once per executed cell, and
     leaves the rows untouched."""
 
-    def _sweep(self, small_world, **engine_kwargs):
+    def _sweep(self, small_world):
         attacker, victim = _pair(small_world)
         metrics = RunMetrics()
         rows = padding_sweep(
-            PropagationEngine(small_world.graph, **engine_kwargs),
+            PropagationEngine(small_world.graph),
             victim=victim,
             attacker=attacker,
             paddings=PADDINGS,
@@ -249,12 +239,6 @@ class TestFallbacks:
         assert rows == expected
         assert _fallbacks(metrics) == {"numpy-missing": len(PADDINGS)}
         assert metrics.counter_value("engine.warm.propagations") == len(PADDINGS)
-
-    def test_reference_backend(self, small_world):
-        expected, _ = self._sweep(small_world)
-        rows, metrics = self._sweep(small_world, backend="reference")
-        assert rows == expected
-        assert _fallbacks(metrics) == {"reference-backend": len(PADDINGS)}
 
     @needs_numpy
     def test_domain_topology_too_large(self, small_world, monkeypatch):
@@ -315,22 +299,25 @@ class TestBadInputs:
             for key, value in fields.items()
         }
         task = SweepPointTask(**fields)
-        errors = []
-        for backend in ("compiled", "reference"):
-            metrics = RunMetrics()
-            ctx = WorkerContext(
-                WorkerSpec(small_world.graph, backend=backend), metrics=metrics
+        metrics = RunMetrics()
+        ctx = WorkerContext(WorkerSpec(small_world.graph), metrics=metrics)
+        with pytest.raises(ReproError) as kernel_route:
+            execute_task(task, ctx)
+        # rejected, not "fallen back": no reason is counted
+        assert _fallbacks(metrics) == {}
+        # and a batch around it is unharmed
+        good = SweepPointTask(victim=ases[0], attacker=ases[1], padding=2)
+        assert ctx.park_impact([good, task]) == [task]
+        with pytest.raises(ReproError) as oracle_route:
+            engine_route_points(
+                ReferenceEngine(small_world.graph),
+                [(task.attacker, task.victim, task.padding)],
+                keep=task.keep,
             )
-            with pytest.raises(ReproError) as caught:
-                execute_task(task, ctx)
-            errors.append((type(caught.value), str(caught.value)))
-            if backend == "compiled":
-                # rejected, not "fallen back": no reason is counted
-                assert _fallbacks(metrics) == {}
-                # and a batch around it is unharmed
-                good = SweepPointTask(victim=ases[0], attacker=ases[1], padding=2)
-                assert ctx.park_impact([good, task]) == [task]
-        assert errors[0] == errors[1]
+        assert (type(kernel_route.value), str(kernel_route.value)) == (
+            type(oracle_route.value),
+            str(oracle_route.value),
+        )
 
 
 _NUMPY_MASKED = """

@@ -1,8 +1,8 @@
 """Shared-memory worker bootstrap tests.
 
-The compiled-backend pool path must ship the topology to workers as a
-shared-memory CSR payload — never as a pickled :class:`ASGraph` — while
-keeping results bit-identical to the serial path.  The
+The pool path must ship the topology to workers as a shared-memory CSR
+payload — never as a pickled :class:`ASGraph` — while keeping results
+bit-identical to the serial path.  The
 ``runner.shm.graph_pickles`` counter is the tripwire: any pool worker
 that falls back to unpickling the graph increments it, so these tests
 assert it stays at zero on the happy path and fires exactly when the
@@ -91,26 +91,6 @@ def test_shm_failure_falls_back_to_pickled_graph(small_world, monkeypatch):
     assert metrics.counter_value("runner.shm.bootstraps") == 0
     # Each pool worker that ran a task paid the pickled-graph bootstrap.
     assert metrics.counter_value("runner.shm.graph_pickles") >= 1
-
-
-def test_reference_backend_pool_keeps_pickled_graph_path(small_world):
-    """The reference backend has no compiled payload to publish; its
-    spec must travel unchanged (graph intact, no segment created)."""
-    spec = WorkerSpec(small_world.graph, metrics_enabled=True, backend="reference")
-    tasks = _tasks(small_world)
-    reference = _serial_reference(spec, tasks)
-
-    metrics = RunMetrics()
-    with SupervisedExecutor(
-        spec, workers=2, force_processes=True, metrics=metrics
-    ) as pool:
-        shipped = pool._pool_spec()
-        results = pool.run(tasks)
-
-    assert shipped is spec
-    assert results == reference
-    assert metrics.counter_value("runner.shm.publishes") == 0
-    assert metrics.counter_value("runner.shm.bootstraps") == 0
 
 
 def test_vectorized_backend_pool_bootstraps_from_shared_memory(small_world):

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
 from repro.secpol import (
@@ -18,6 +17,7 @@ from repro.secpol import (
 )
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 from repro.topology.tiers import customer_cone, tier1_ases
+from tests.bgp.reference_engine import ReferenceEngine
 
 TINY = InternetTopologyConfig(
     num_tier1=3,
@@ -150,7 +150,7 @@ class TestBuildDeployment:
                 victim=victim,
                 attacker=attacker,
             )
-        engine = PropagationEngine(world.graph, backend="reference")
+        engine = ReferenceEngine(world.graph)
         baseline = engine.propagate(
             victim, prepending=PrependingPolicy.uniform_origin(victim, 3)
         )

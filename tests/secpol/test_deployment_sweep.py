@@ -37,7 +37,7 @@ def world():
 
 @pytest.fixture()
 def engine(world):
-    return PropagationEngine(world.graph, backend="compiled")
+    return PropagationEngine(world.graph)
 
 
 def _sweep(engine, policy, **overrides):

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from repro.attack.interception import simulate_interception
+from repro.bgp.aspath import split_origin_padding
 from repro.bgp.compiled import CompiledTopology, InternTable
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
-from repro.defense.cautious import CautiousPaddingGuard, build_padding_registry
 from repro.secpol import (
     AspaPolicy,
     PrependGuardPolicy,
@@ -19,6 +20,7 @@ from repro.secpol import (
 )
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 from repro.topology.relationships import Relationship
+from tests.bgp.reference_engine import ReferenceEngine
 
 TINY = InternetTopologyConfig(
     num_tier1=3,
@@ -40,7 +42,7 @@ def world():
 def attack_paths(world):
     """Every (receiver, sender, path) offer a leaking attack produces —
     a corpus rich in honest, padded, stripped and leaked paths."""
-    engine = PropagationEngine(world.graph, backend="reference")
+    engine = ReferenceEngine(world.graph)
     victim = world.tier1[0]
     attacker = world.tier2[0]
     result = simulate_interception(
@@ -56,7 +58,7 @@ def attack_paths(world):
             for sender, offer in offers.items():
                 if offer is not None:
                     corpus.append((receiver, sender, offer[0]))
-    registry = build_padding_registry(result.baseline, victim)
+    registry = padding_registry(result.baseline, victim)
     return victim, attacker, corpus, registry
 
 
@@ -101,7 +103,7 @@ class TestAspaStepMachine:
 
 class TestAspa:
     def test_accepts_every_honest_best_route(self, world):
-        engine = PropagationEngine(world.graph, backend="reference")
+        engine = ReferenceEngine(world.graph)
         origin = world.tier2[1]
         outcome = engine.propagate(
             origin, prepending=PrependingPolicy.uniform_origin(origin, 3)
@@ -130,34 +132,45 @@ class TestAspa:
 
 class TestPrependGuard:
     def test_registry_matches_cautious_defense_layer(self, world):
-        engine = PropagationEngine(world.graph, backend="reference")
+        """The oracle's eager baseline (the tuple walk) and the engine's
+        (the interned-chain walk) give one registry."""
         victim = world.tier1[0]
-        baseline = engine.propagate(
-            victim, prepending=PrependingPolicy.uniform_origin(victim, 3)
+        prepending = PrependingPolicy.uniform_origin(victim, 3)
+        eager = ReferenceEngine(world.graph).propagate(victim, prepending=prepending)
+        compiled = PropagationEngine(world.graph).propagate(
+            victim, prepending=prepending
         )
-        assert padding_registry(baseline, victim) == build_padding_registry(
-            baseline, victim
-        )
+        assert eager.compiled_state is None
+        assert padding_registry(eager, victim) == padding_registry(compiled, victim)
 
     def test_compiled_state_registry_matches_tuple_build(self, world):
-        engine = PropagationEngine(world.graph, backend="compiled")
+        engine = PropagationEngine(world.graph)
         victim = world.tier1[0]
         baseline = engine.propagate(
             victim, prepending=PrependingPolicy.uniform_origin(victim, 3)
         )
         assert baseline.compiled_state is not None
-        assert padding_registry(baseline, victim) == build_padding_registry(
-            baseline, victim
+        unpickled = pickle.loads(pickle.dumps(baseline))
+        assert unpickled.compiled_state is None
+        assert padding_registry(baseline, victim) == padding_registry(
+            unpickled, victim
         )
 
     def test_verdicts_match_cautious_guard(self, attack_paths):
-        """The policy and the reactive-defence guard share semantics on
-        every offer an actual attack produces."""
+        """On every offer an actual attack produces the policy states
+        cautious padding adoption: a route for the victim is refused iff
+        its origin padding undercuts the history of its first hop (the
+        last non-victim AS on it, or the sender)."""
         victim, _, corpus, registry = attack_paths
-        guard = CautiousPaddingGuard(victim, registry)
         policy = PrependGuardPolicy(victim, registry)
         for receiver, sender, path in corpus:
-            assert policy.check(receiver, sender, path) == guard(sender, path), path
+            expected = True
+            if path and path[-1] == victim:
+                head, _, padding = split_origin_padding(path)
+                hops = [hop for hop in head if hop != victim]
+                known = registry.get(hops[-1] if hops else sender)
+                expected = known is None or padding >= known
+            assert policy.check(receiver, sender, path) == expected, path
 
     def test_routes_for_other_origins_pass(self):
         policy = PrependGuardPolicy(9, {5: 3})

@@ -40,6 +40,7 @@ from repro.topology.generators import (
     generate_powerlaw_topology,
 )
 from tests.bgp.loop_oracle import LoopEngine
+from tests.bgp.reference_engine import ReferenceEngine
 
 __all__ = [
     "SCALE_SMOKE",
@@ -126,18 +127,13 @@ def tiny_world(
 
 def backend_pair(
     seed: int, config: InternetTopologyConfig = TINY
-) -> tuple[GeneratedTopology, random.Random, PropagationEngine, PropagationEngine]:
-    """World + rng + (reference, compiled-loop) engines over the same
-    graph: the loop by name, because it is the loop — cold stamps and
-    withdrawal slots included — that mirrors the reference statement
+) -> tuple[GeneratedTopology, random.Random, ReferenceEngine, PropagationEngine]:
+    """World + rng + (reference oracle, compiled-loop) engines over the
+    same graph: the loop by name, because it is the loop — cold stamps
+    and withdrawal slots included — that mirrors the oracle statement
     for statement, not whichever core a default engine picks."""
     world, rng = tiny_world(seed, config)
-    return (
-        world,
-        rng,
-        PropagationEngine(world.graph, backend="reference"),
-        LoopEngine(world.graph),
-    )
+    return world, rng, ReferenceEngine(world.graph), LoopEngine(world.graph)
 
 
 def draw_victim_then_attacker(
@@ -229,7 +225,7 @@ def vectorized_pair(
 def assert_vectorized_matches(
     oracle, candidate, *, stamps: bool = False, warm: bool = False
 ) -> None:
-    """The vectorized cold-run contract against a compiled/reference
+    """The vectorized cold-run contract against a loop or reference
     oracle: ``best``/``best_keys`` bit-identical including dict
     iteration order, Adj-RIB-in equal on every *present* offer with no
     explicit-``None`` withdrawals on the vectorized side, and (for

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp.compiled import CompiledTopology
 from repro.exceptions import DuplicateEdgeError, TopologyError, UnknownASError
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship
@@ -68,12 +69,14 @@ class TestConstruction:
         assert all(graph.degree(asn) == 0 for asn in graph if asn > 4)
 
     def test_insert_after_a_memoised_read_is_seen(self):
+        """The compiled CSR form is memoised on the graph; an insert
+        after a read drops it."""
         graph = ASGraph()
         graph.add_p2c(1, 2)
-        assert graph.sorted_neighbors(1) == (2,)
+        assert len(CompiledTopology.of(graph).nbr) == 2
         graph.add_p2p(1, 3)
-        assert graph.sorted_neighbors(1) == (2, 3)
-        assert graph.sorted_neighbors(3) == (1,)
+        topo = CompiledTopology.of(graph)
+        assert [topo.asn[k] for k in topo.nbr] == [2, 3, 1, 1]
 
     def test_add_edge_dispatch(self):
         graph = ASGraph()

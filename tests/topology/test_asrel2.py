@@ -98,6 +98,6 @@ def test_parsed_snapshot_drops_into_the_engine():
     from repro.bgp.engine import PropagationEngine
 
     g = load_asrel2(MINI)
-    engine = PropagationEngine(g, backend="compiled")
+    engine = PropagationEngine(g)
     outcome = engine.propagate(64515)
     assert outcome.best[174] is not None

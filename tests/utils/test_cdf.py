@@ -52,20 +52,6 @@ class TestEmpiricalCDF:
         assert cdf.fraction_below(1) == 0.0
         assert cdf.fraction_below(2) == pytest.approx(2 / 3)
 
-    def test_sample_grid_spans_range(self):
-        cdf = EmpiricalCDF([0.0, 1.0])
-        grid = cdf.sample_grid(5)
-        assert grid[0][0] == pytest.approx(0.0)
-        assert grid[-1] == (pytest.approx(1.0), 1.0)
-        assert len(grid) == 5
-
-    def test_sample_grid_degenerate(self):
-        assert EmpiricalCDF([2, 2]).sample_grid(10) == [(2.0, 1.0)]
-
-    def test_sample_grid_rejects_zero_points(self):
-        with pytest.raises(MeasurementError):
-            EmpiricalCDF([1]).sample_grid(0)
-
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     def test_cdf_monotone_and_bounded(self, samples):
         cdf = EmpiricalCDF(samples)
