@@ -5,9 +5,9 @@ of *monitor* ASes — networks that run an eBGP session to a public
 collector and export their table ("The logs contain the best route from
 all the peering routers").  :class:`RouteCollector` models exactly
 that: given a propagation outcome and a set of monitor ASes, it yields
-a :class:`MonitorView`, optionally as a time series of snapshots so the
-detector can compare a route *change* against all other monitors'
-current routes.
+a :class:`MonitorView`, and for an attack the ``(before, after)`` pair
+of views, so the detector can compare a route *change* against all
+other monitors' current routes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.bgp.updates import UpdateMessage
 from repro.exceptions import DetectionError, UnknownASError
 from repro.topology.asgraph import ASGraph
 
-__all__ = ["MonitorView", "RouteCollector", "CollectorFeed"]
+__all__ = ["MonitorView", "RouteCollector"]
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,13 @@ class MonitorView:
 
     prefix: str
     routes: dict[int, Route | None]
-    #: monitor -> ``(path, collapsed core, padding)`` of the route it
-    #: last showed a detector: the Figure-4 scan's decomposition memo.
-    #: Living on the view bounds it by the view's monitors and lifetime.
-    decomposed: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    #: monitor -> ``(path, collapsed core, padding, last hop, cap)`` of
+    #: the route it last showed a detector: the Figure-4 scan's
+    #: decomposition memo.  Living on the view bounds it by the view's
+    #: monitors and lifetime.
+    decomposed: dict[
+        int, tuple[tuple[int, ...], tuple[int, ...], int, int, int]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def monitors(self) -> list[int]:
@@ -117,11 +118,12 @@ class RouteCollector:
         for monitor in self._monitors:
             if monitor not in graph:
                 raise UnknownASError(monitor)
+        self._fleet = frozenset(self._monitors)
         self._graph = graph
         #: monitor rows read off outcomes so far (``collector.rows``)
         self.rows = 0
         #: :meth:`view_pair`'s memo: the latest ``(baseline, attacked)``
-        #: served, its before view, and its pairs per feeding modifier ASes
+        #: served, its before view, and its pairs per modifier ASes in the fleet
         self._pairs: tuple[PropagationOutcome, PropagationOutcome, MonitorView, dict] | None = None
 
     @property
@@ -146,23 +148,12 @@ class RouteCollector:
         route there too (announcing the unmodified one would expose the
         inconsistency directly on its own feed).
         """
-        return MonitorView(
-            prefix=outcome.prefix,
-            routes={m: self._row(outcome, m, modifiers) for m in self._monitors},
-        )
-
-    def _row(
-        self,
-        outcome: PropagationOutcome,
-        monitor: int,
-        modifiers: Mapping[int, PathModifier] | None,
-    ) -> Route | None:
-        """The route ``monitor`` exports to the collector."""
-        self.rows += 1
-        route = outcome.route_of(monitor)
-        if route is not None and modifiers and monitor in modifiers:
-            route = replace(route, path=modifiers[monitor](route.path))
-        return route
+        route_of = outcome.route_of
+        routes = {monitor: route_of(monitor) for monitor in self._monitors}
+        self.rows += len(routes)
+        if modifiers:
+            _export(routes, modifiers)
+        return MonitorView(prefix=outcome.prefix, routes=routes)
 
     def view_pair(
         self,
@@ -183,56 +174,40 @@ class RouteCollector:
         so every other monitor keeps its ``before`` row unread.
 
         The pair is memoised for the latest ``(baseline, attacked)``
-        per set of modifier ASes (an attacked outcome is the product of
-        one attack, so the ASN fixes the transformation): timing,
-        priming and stream synthesis of one attack share one pair.
+        per set of modifier ASes in the fleet (an attacked outcome is the
+        product of one attack, so the ASN fixes the transformation, and
+        a modifier outside the fleet changes no row): timing, priming and
+        stream synthesis of one attack share one pair, and so do a
+        feeding and a stealthy attacker that is not a monitor.
         """
         memo = self._pairs
         if memo is None or memo[0] is not baseline or memo[1] is not attacked:
             memo = self._pairs = (baseline, attacked, self.snapshot(baseline), {})
         _, _, before, pairs = memo
-        key = tuple(sorted(modifiers or ()))
+        fleet = self._fleet
+        key = tuple(sorted(m for m in modifiers or () if m in fleet))
         pair = pairs.get(key)
         if pair is None:
             rounds = attacked.adoption_round
             touched = tuple(m for m in self._monitors if m in rounds or m in key)
+            route_of = attacked.route_of
             routes = dict(before.routes)
             for monitor in touched:
-                routes[monitor] = self._row(attacked, monitor, modifiers)
+                routes[monitor] = route_of(monitor)
+            self.rows += len(touched)
+            if key:
+                _export(routes, modifiers)
             after = MonitorView(prefix=attacked.prefix, routes=routes)
             pair = pairs[key] = (before, after, touched)
         return pair
 
 
-@dataclass
-class CollectorFeed:
-    """An ordered series of snapshots for one prefix.
-
-    The detection algorithm works on route *changes*: for each monitor
-    it compares consecutive snapshots, and checks the new route against
-    the latest routes of all other monitors.
-    """
-
-    prefix: str
-    snapshots: list[MonitorView] = field(default_factory=list)
-
-    def append(self, view: MonitorView) -> None:
-        if view.prefix != self.prefix:
-            raise DetectionError(
-                f"snapshot is for prefix {view.prefix}, feed is for {self.prefix}"
-            )
-        self.snapshots.append(view)
-
-    def changes(self) -> list[tuple[int, Route | None, Route | None, MonitorView]]:
-        """All per-monitor route changes across consecutive snapshots.
-
-        Yields ``(monitor, previous_route, new_route, current_view)``
-        tuples in snapshot order.
-        """
-        result: list[tuple[int, Route | None, Route | None, MonitorView]] = []
-        for before, after in zip(self.snapshots, self.snapshots[1:]):
-            for monitor, new_route in after.routes.items():
-                old_route = before.routes.get(monitor)
-                if old_route != new_route:
-                    result.append((monitor, old_route, new_route, after))
-        return result
+def _export(
+    routes: dict[int, Route | None], modifiers: Mapping[int, PathModifier]
+) -> None:
+    """Replace each routed modifier monitor's route by the one it
+    exports to the collector."""
+    for monitor, modify in modifiers.items():
+        route = routes.get(monitor)
+        if route is not None:
+            routes[monitor] = replace(route, path=modify(route.path))

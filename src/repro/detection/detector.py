@@ -39,12 +39,41 @@ from repro.topology.relationships import Relationship
 __all__ = ["ASPPInterceptionDetector"]
 
 
+def _decompose(
+    monitor: int, path: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
+    """The scan's memo entry for ``monitor`` showing ``path`` (non-empty):
+    ``(path, core, padding, last hop, cap)``.
+
+    ``core`` is the monitor followed by its collapsed path above the
+    origin's run — the monitor itself is the outermost AS announcing
+    the route (the paper's example compares [E A V V V] against
+    [M A V], the monitor E included).  ``last hop`` is ``core[-1]``, the
+    AS on the origin's edge, and ``cap`` is ``len(core) - 1``, the
+    longest segment the observation can vouch for.
+    """
+    origin = path[-1]
+    end = len(path) - 1
+    while end and path[end - 1] == origin:
+        end -= 1
+    head = path[:end]
+    if len(set(head)) < end:  # a repeated AS: maybe prepending
+        head = collapse_prepending(head)
+    core = (monitor,) + head
+    return path, core, len(path) - end, core[-1], len(head)
+
+
 class ASPPInterceptionDetector:
     """Passive detector over collector feeds.
 
     ``graph`` supplies the (possibly inferred) AS relationships used by
     the low-confidence hint stage; pass the inference output in a real
     deployment, or the ground-truth graph in simulation.
+
+    Both stages read the view through its ``decomposed`` memo: one
+    :func:`_decompose` entry per monitor, recomputed only when the
+    monitor shows another path object, so a long-lived view holds at
+    most one entry per monitor.
     """
 
     def __init__(self, graph: ASGraph) -> None:
@@ -65,70 +94,134 @@ class ASPPInterceptionDetector:
         over its live table — and its ``decomposed`` memo is reused
         across calls on one view.
         """
-        if previous is None or current is None:
-            return []  # fresh announcement or withdrawal: not an ASPP symptom
-        if not previous.path or not current.path:
+        change = self._change(previous, current)
+        if change is None:
             return []
+        origin, core_now, padding_now = change
+        alarms = self._direct_symptom(monitor, view, origin, core_now, padding_now)
+        if alarms:
+            return alarms
+        return self._policy_hints(monitor, view, origin, core_now, padding_now)
+
+    def raises_alarm(
+        self,
+        monitor: int,
+        previous: Route | None,
+        current: Route | None,
+        view: MonitorView,
+        *,
+        min_confidence: Confidence = Confidence.LOW,
+    ) -> bool:
+        """Whether :meth:`inspect_change` returns an alarm of at least
+        ``min_confidence`` — decided without building one.
+
+        Stage 1's alarms are all HIGH, and it alarms iff another
+        monitor's route to the origin carries more padding and shares
+        the changed route's last hop (DESIGN decision 16), so its pass
+        returns at the first such observation.  Stage 2's hints are all
+        LOW; they are asked for only when stage 1 is silent and
+        ``min_confidence`` admits them, and that pass returns at the
+        first hint.
+        """
+        change = self._change(previous, current)
+        if change is None:
+            return False
+        origin, core_now, padding_now = change
+        if self._heavier(monitor, view, origin, core_now, padding_now, first=True)[1]:
+            return True
+        return min_confidence is not Confidence.HIGH and bool(
+            self._hints(monitor, view, origin, core_now, padding_now, first=True)
+        )
+
+    @staticmethod
+    def _change(
+        previous: Route | None, current: Route | None
+    ) -> tuple[int, tuple[int, ...], int] | None:
+        """``(origin, core_now, padding_now)`` of a change that can be an
+        ASPP symptom, ``None`` for any other change."""
+        if previous is None or current is None:
+            return None  # fresh announcement or withdrawal: not an ASPP symptom
+        if not previous.path or not current.path:
+            return None
         if previous.path[-1] != current.path[-1]:
-            return []  # origin changed: that is a MOAS event, not ASPP
+            return None  # origin changed: that is a MOAS event, not ASPP
 
         _, origin, padding_before = split_origin_padding(previous.path)
         head_now, _, padding_now = split_origin_padding(current.path)
         if padding_now >= padding_before:
-            return []  # padding did not decrease: nothing to check
+            return None  # padding did not decrease: nothing to check
 
         core_now = collapse_prepending(head_now)
         if not core_now:
             # The monitor is the victim's direct neighbour; there is no
             # intermediate AS that could have modified the route.
-            return []
-        suspect = core_now[0]  # AS_I: first AS on the shorter route
-        segment_now = core_now[1:]  # [AS_{I-1} ... AS_1]
-
-        alarms = self._direct_symptom(
-            monitor, view, origin, core_now, padding_now
-        )
-        if alarms:
-            return alarms
-        return self._policy_hints(
-            monitor, view, origin, suspect, segment_now, core_now, padding_now
-        )
+            return None
+        return origin, core_now, padding_now
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _observed(
-        view: MonitorView, origin: int, exclude_monitor: int
-    ) -> list[tuple[int, tuple[int, ...], int]]:
-        """``(monitor, core, padding)`` of every other route to ``origin``.
+    def _heavier(
+        self,
+        monitor: int,
+        view: MonitorView,
+        origin: int,
+        core_now: tuple[int, ...],
+        padding_now: int,
+        *,
+        first: bool = False,
+    ) -> tuple[int, list[tuple[int, int, int]]]:
+        """Stage 1's one pass: ``(longest, [(monitor, padding, via)])``.
 
-        ``core`` is the monitor followed by its collapsed path above the
-        origin's run — the monitor itself is the outermost AS announcing
-        the route (the paper's example compares [E A V V V] against
-        [M A V], the monitor E included).  The decomposition is memoised
-        on the view per monitor and reused while the monitor keeps
-        showing the same path object, so a long-lived view holds at most
-        one entry per monitor.  Entries come in view order; callers sort
-        what they report.
+        Destination-based routing makes every suffix of an observed
+        path the route of the AS above it, so two cores sharing their
+        last ``k`` ASes share every segment of length ``0..k`` — capped
+        one short of either core, whose first AS announces and is not
+        part of a segment.  One common-suffix walk per other monitor
+        therefore finds the longest segment it shares with the changed
+        route; the result is the heavier-padded observations of the
+        longest segment anyone shares, in view order.
+
+        An observation alarms iff it is heavier and shares the last hop
+        (then it alarms at every level up to its cap), so ``first``
+        returns at the first one, unwalked, as its level-0 observation.
         """
+        extended_now = (monitor,) + core_now
+        reach = len(core_now)
+        last = core_now[-1]
+        longest = -1
+        heavier: list[tuple[int, int, int]] = []
         memo = view.decomposed
-        observed = []
-        for monitor, route in view.routes.items():
-            if monitor == exclude_monitor or route is None:
+        for other, route in view.routes.items():
+            if route is None or other == monitor:
                 continue
             path = route.path
-            if not path or path[-1] != origin:
+            entry = memo.get(other)
+            if entry is None or entry[0] is not path:
+                if not path:
+                    continue
+                entry = memo[other] = _decompose(other, path)
+            _, core, padding, last_hop, cap = entry
+            if padding <= padding_now or last_hop != last or path[-1] != origin:
+                # Not heavier, or nothing shared.  That covers the empty
+                # segment too: there both routes sit directly on the
+                # victim's edge, where different first-hop neighbours
+                # may legitimately receive different padding (per-
+                # neighbour traffic engineering, Figure 3), so only the
+                # *same* neighbour showing two paddings is inconsistent.
                 continue
-            known = memo.get(monitor)
-            if known is None or known[0] is not path:
-                end = len(path) - 1
-                while end and path[end - 1] == origin:
-                    end -= 1
-                head = path[:end]
-                if len(set(head)) < end:  # a repeated AS: maybe prepending
-                    head = collapse_prepending(head)
-                known = memo[monitor] = (path, (monitor,) + head, len(path) - end)
-            observed.append((monitor, known[1], known[2]))
-        return observed
+            if first:
+                return 0, [(other, padding, last_hop)]
+            limit = cap if cap < reach else reach
+            if limit < longest:
+                continue
+            shared = 1 if limit else 0
+            while shared < limit and core[-1 - shared] == extended_now[-1 - shared]:
+                shared += 1
+            if shared > longest:
+                longest = shared
+                heavier = []
+            if shared == longest:
+                heavier.append((other, padding, core[-1 - shared]))
+        return longest, heavier
 
     def _direct_symptom(
         self,
@@ -140,44 +233,15 @@ class ASPPInterceptionDetector:
     ) -> list[Alarm]:
         """Stage 1: same segment observed elsewhere with more padding.
 
-        Destination-based routing makes every suffix of an observed
-        path the route of the AS above it, so two cores sharing their
-        last ``k`` ASes share every segment of length ``0..k`` — capped
-        one short of either core, whose first AS announces and is not
-        part of a segment.  One common-suffix walk per other monitor
-        therefore finds the longest segment it shares with the changed
-        route, and the alarms are the heavier-padded observations of
-        the longest segment anyone shares: that segment localises the
+        The alarms are :meth:`_heavier`'s observations in ascending
+        monitor order: the longest shared segment localises the
         modifier, the AS immediately above it being the first point
         where the short and long observations diverge.
         """
-        extended_now = (monitor,) + core_now
-        reach = len(extended_now) - 1
-        last = extended_now[-1]
-        longest = -1
-        heavier: list[tuple[int, int, int]] = []  # (monitor, padding, via)
-        for other_monitor, core, padding_other in self._observed(view, origin, monitor):
-            if padding_other <= padding_now or core[-1] != last:
-                # Not heavier, or nothing shared.  That covers the empty
-                # segment too: there both routes sit directly on the
-                # victim's edge, where different first-hop neighbours
-                # may legitimately receive different padding (per-
-                # neighbour traffic engineering, Figure 3), so only the
-                # *same* neighbour showing two paddings is inconsistent.
-                continue
-            limit = min(reach, len(core) - 1)
-            if limit < longest:
-                continue
-            shared = min(1, limit)
-            while shared < limit and core[-1 - shared] == extended_now[-1 - shared]:
-                shared += 1
-            if shared > longest:
-                longest = shared
-                heavier = []
-            if shared == longest:
-                heavier.append((other_monitor, padding_other, core[-1 - shared]))
+        longest, heavier = self._heavier(monitor, view, origin, core_now, padding_now)
         if not heavier:
             return []
+        extended_now = (monitor,) + core_now
         via = extended_now[-1 - longest]  # the AS announcing the short variant
         found = f"segment {extended_now[len(extended_now) - longest:]} carries padding "
         here = f" elsewhere but {padding_now} via AS{via} at monitor AS{monitor}"
@@ -194,17 +258,18 @@ class ASPPInterceptionDetector:
         ]
 
     # ------------------------------------------------------------------
-    def _policy_hints(
+    def _hints(
         self,
         monitor: int,
         view: MonitorView,
         origin: int,
-        suspect: int,
-        segment_now: tuple[int, ...],
         core_now: tuple[int, ...],
         padding_now: int,
-    ) -> list[Alarm]:
-        """Stage 2: relationship-based hints (lower confidence).
+        *,
+        first: bool = False,
+    ) -> list[tuple[int, int, str]]:
+        """Stage 2's one pass: ``(monitor, padding, hint)`` per hint, in
+        view order; ``first`` returns at the first one.
 
         ``AS_{I-1}`` is the AS just below the suspect on the shorter
         route.  If another monitor's first-hop AS ``AS'_L`` is a
@@ -218,23 +283,30 @@ class ASPPInterceptionDetector:
         so no policy conclusion can be drawn (the paper's "direct
         neighbour of the victim" corner case) and no hint is raised.
         """
-        if not segment_now:
+        if len(core_now) < 2:
             return []
-        as_i_minus_1 = segment_now[0]
+        as_i_minus_1 = core_now[1]
         length_now = len(core_now) + padding_now
-        alarms: list[Alarm] = []
-        for _, core, padding_other in sorted(self._observed(view, origin, monitor)):
-            core_other = core[1:]
-            if padding_now >= padding_other:
+        relationship_of = self._graph.relationship
+        hints: list[tuple[int, int, str]] = []
+        memo = view.decomposed
+        for other, route in view.routes.items():
+            if route is None or other == monitor:
                 continue
-            if not core_other:
+            path = route.path
+            entry = memo.get(other)
+            if entry is None or entry[0] is not path:
+                if not path:
+                    continue
+                entry = memo[other] = _decompose(other, path)
+            _, core, padding, _, cap = entry
+            # ``cap`` ASes follow the monitor: ``core[1:]`` is AS'_L's route
+            if padding <= padding_now or not cap or cap + padding <= length_now:
                 continue
-            as_l = core_other[0]
-            length_other = len(core_other) + padding_other
-            if length_other <= length_now:
+            if path[-1] != origin:
                 continue
-            relationship = self._graph.relationship(as_l, as_i_minus_1)
-            hint: str | None = None
+            as_l = core[1]
+            relationship = relationship_of(as_l, as_i_minus_1)
             if relationship is Relationship.CUSTOMER:
                 # AS_{I-1} is AS'_L's customer: a customer route to the
                 # prefix existed and would have been preferred.
@@ -249,8 +321,10 @@ class ASPPInterceptionDetector:
                     f"AS{as_l} peers with AS{as_i_minus_1}, whose shorter "
                     f"route is customer-learned and thus exportable to peers"
                 )
-            elif relationship is Relationship.PROVIDER and self._first_hop_is_provider(
-                core_other
+            elif (
+                relationship is Relationship.PROVIDER
+                and cap >= 2
+                and relationship_of(as_l, core[2]) is Relationship.PROVIDER
             ):
                 # AS'_L already uses a provider route; its provider
                 # AS_{I-1} exports everything to customers, so the
@@ -259,18 +333,37 @@ class ASPPInterceptionDetector:
                     f"AS{as_l} uses a provider route although its provider "
                     f"AS{as_i_minus_1} held a shorter one"
                 )
-            if hint is not None:
-                alarms.append(
-                    Alarm(
-                        prefix=view.prefix,
-                        monitor=monitor,
-                        confidence=Confidence.LOW,
-                        suspect=suspect,
-                        removed_pads=padding_other - padding_now,
-                        evidence=hint,
-                    )
-                )
-        return alarms
+            else:
+                continue
+            hints.append((other, padding, hint))
+            if first:
+                break
+        return hints
+
+    def _policy_hints(
+        self,
+        monitor: int,
+        view: MonitorView,
+        origin: int,
+        core_now: tuple[int, ...],
+        padding_now: int,
+    ) -> list[Alarm]:
+        """Stage 2: relationship-based hints (lower confidence), in
+        ascending monitor order, accusing the first AS on the shorter
+        route."""
+        return [
+            Alarm(
+                prefix=view.prefix,
+                monitor=monitor,
+                confidence=Confidence.LOW,
+                suspect=core_now[0],
+                removed_pads=padding_other - padding_now,
+                evidence=hint,
+            )
+            for _, padding_other, hint in sorted(
+                self._hints(monitor, view, origin, core_now, padding_now)
+            )
+        ]
 
     def _has_peer_link(self, core_path: tuple[int, ...]) -> bool:
         """True when any adjacent pair on ``core_path`` is a peering edge."""
@@ -278,10 +371,3 @@ class ASPPInterceptionDetector:
             if self._graph.relationship(a, b) is Relationship.PEER:
                 return True
         return False
-
-    def _first_hop_is_provider(self, core_other: tuple[int, ...]) -> bool:
-        """True when ``AS'_L`` learned its current route from a provider."""
-        if len(core_other) < 2:
-            return False
-        as_l, as_l_minus_1 = core_other[0], core_other[1]
-        return self._graph.relationship(as_l, as_l_minus_1) is Relationship.PROVIDER

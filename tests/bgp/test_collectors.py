@@ -1,4 +1,4 @@
-"""Tests for route collectors and collector feeds."""
+"""Tests for route collectors and their view pairs."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attack.interception import simulate_interception
-from repro.bgp.collectors import CollectorFeed, MonitorView, RouteCollector
+from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.route import DEFAULT_PREFIX, Route
 from repro.bgp.updates import UpdateMessage
@@ -156,31 +156,29 @@ class TestViewPair:
         assert first.monitor_views(collector) is not feeding
         assert first.monitor_views(collector) == feeding
 
+    def test_a_modifier_outside_the_fleet_shares_the_pair(self, small_world):
+        """An attacker that is not a monitor changes no row by feeding:
+        the stealthy timing gets the feeding call's pair — and its
+        decomposition memo — without reading a row."""
+        graph = small_world.graph
+        engine = PropagationEngine(graph)
+        attacker, victim = small_world.tier1[0], small_world.tier1[1]
+        result = simulate_interception(
+            engine, victim=victim, attacker=attacker, origin_padding=3
+        )
+        fleet = [asn for asn in graph.ases[::3] if asn != attacker]
+        collector = RouteCollector(graph, fleet)
+        feeding = result.monitor_views(collector)
+        assert feeding[2]
+        # the first (metered) call reads every monitor, then the touched
+        rows = len(fleet) + len(feeding[2])
+        assert collector.rows == rows
+        assert result.monitor_views(collector, attacker_feeds_collector=False) is feeding
+        assert collector.rows == rows
+        # A monitoring attacker shows its modified route only when it feeds.
+        inside = RouteCollector(graph, fleet + [attacker])
+        stealthy = result.monitor_views(inside, attacker_feeds_collector=False)
+        feeding = result.monitor_views(inside)
+        assert stealthy is not feeding
+        assert stealthy[1].routes[attacker] != feeding[1].routes[attacker]
 
-class TestCollectorFeed:
-    make_view = staticmethod(make_view)
-
-    def test_changes_detected_between_snapshots(self):
-        feed = CollectorFeed(prefix=DEFAULT_PREFIX)
-        feed.append(self.make_view(as1=(2, 3), as2=(3,)))
-        feed.append(self.make_view(as1=(4, 3), as2=(3,)))
-        changes = feed.changes()
-        assert len(changes) == 1
-        monitor, before, after, view = changes[0]
-        assert monitor == 1
-        assert before.path == (2, 3)
-        assert after.path == (4, 3)
-        assert view.routes[2].path == (3,)
-
-    def test_withdrawal_is_a_change(self):
-        feed = CollectorFeed(prefix=DEFAULT_PREFIX)
-        feed.append(self.make_view(as1=(2, 3)))
-        feed.append(self.make_view(as1=None))
-        changes = feed.changes()
-        assert len(changes) == 1
-        assert changes[0][2] is None
-
-    def test_prefix_mismatch_rejected(self):
-        feed = CollectorFeed(prefix="192.0.2.0/24")
-        with pytest.raises(DetectionError):
-            feed.append(self.make_view(as1=(2, 3)))

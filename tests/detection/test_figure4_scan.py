@@ -7,7 +7,9 @@ two must agree alarm for alarm — order and evidence text included — on
 views far messier than the simulator produces: intermediary
 prepending, routes sitting directly on the victim's edge (the empty
 segment), withdrawn monitors, routes to a foreign origin, empty paths,
-and the changed monitor itself in the view.
+and the changed monitor itself in the view.  On the same views the
+one-pass predicate ``raises_alarm`` must say exactly whether the
+confidence-filtered ``inspect_change`` is non-empty.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.collectors import MonitorView
 from repro.bgp.route import DEFAULT_PREFIX, Route
+from repro.detection.alarms import Confidence
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import PrefClass
@@ -109,4 +112,64 @@ def test_view_memo_follows_route_changes(first, second):
             assert scan.inspect_change(
                 monitor, previous, current, live
             ) == oracle.inspect_change(monitor, previous, current, frozen)
+    assert set(live.decomposed) <= set(routes)
+
+
+def _alarms(detector, monitor, previous, current, view, min_confidence):
+    """``inspect_change``'s alarms as ``detection_timing`` filters them."""
+    return [
+        alarm
+        for alarm in detector.inspect_change(monitor, previous, current, view)
+        if not (alarm.confidence is Confidence.LOW and min_confidence is Confidence.HIGH)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    view=views,
+    extra_padding=st.integers(1, 3),
+    min_confidence=st.sampled_from(Confidence),
+    data=st.data(),
+)
+def test_raises_alarm_decides_inspect_change(view, extra_padding, min_confidence, data):
+    """The predicate is "the filtered ``inspect_change`` is non-empty",
+    on a fresh view and on one whose memo either call filled first —
+    for the change the detector hunts and for any other change."""
+    detector = ASPPInterceptionDetector(_graph())
+    for monitor, current in view.routes.items():
+        changes = [(data.draw(monitor_routes), current)]
+        if current is not None and current.path:
+            changes.append((_route(current.path + (current.path[-1],) * extra_padding), current))
+        for previous, now in changes:
+            fresh = MonitorView(DEFAULT_PREFIX, dict(view.routes))
+            decided = detector.raises_alarm(
+                monitor, previous, now, fresh, min_confidence=min_confidence
+            )
+            expected = bool(_alarms(detector, monitor, previous, now, view, min_confidence))
+            assert decided == expected
+            assert bool(_alarms(detector, monitor, previous, now, fresh, min_confidence)) == decided
+            assert detector.raises_alarm(
+                monitor, previous, now, view, min_confidence=min_confidence
+            ) == decided
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=views, second=views, min_confidence=st.sampled_from(Confidence))
+def test_raises_alarm_follows_live_view_changes(first, second, min_confidence):
+    """On a live view whose routes change under the detector, the
+    predicate answers for the current paths, never a memoised one."""
+    detector = ASPPInterceptionDetector(_graph())
+    oracle = IndexedStage1Detector(_graph())
+    routes = dict(first.routes)
+    live = MonitorView(DEFAULT_PREFIX, routes)
+    for stage in (first, second):
+        routes.update(stage.routes)
+        for monitor, current in list(routes.items()):
+            if current is None or not current.path:
+                continue
+            previous = _route(current.path + (current.path[-1],))
+            frozen = MonitorView(DEFAULT_PREFIX, dict(routes))
+            assert detector.raises_alarm(
+                monitor, previous, current, live, min_confidence=min_confidence
+            ) == bool(_alarms(oracle, monitor, previous, current, frozen, min_confidence))
     assert set(live.decomposed) <= set(routes)

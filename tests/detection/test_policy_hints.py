@@ -147,3 +147,16 @@ class TestGates:
         current = route((6, 1, V, V, V, V))  # padding increased
         current_view = view({2: current, 8: route((7, 3, V, V, V))})
         assert detector.inspect_change(2, previous, current, current_view) == []
+
+    def test_route_to_another_origin_is_no_evidence(self):
+        """The customer branch's hint, with monitor 8's padded route
+        leading to another origin: it says nothing about V's routes."""
+        graph = base_graph()
+        graph.add_p2c(7, 1)
+        graph.add_p2c(3, 99)
+        detector = ASPPInterceptionDetector(graph)
+        previous = route((6, 1, V, V, V))
+        current = route((6, 1, V))
+        current_view = view({2: current, 8: route((7, 3, 99, 99, 99))})
+        assert detector.inspect_change(2, previous, current, current_view) == []
+        assert not detector.raises_alarm(2, previous, current, current_view)
