@@ -29,12 +29,10 @@ from repro.attack import (
     OriginHijackAttack,
     PathShorteningAttack,
     PollutionReport,
-    fraction_traversing,
     pollution_report,
     simulate_interception,
 )
 from repro.bgp import (
-    ASPath,
     ExportPolicy,
     MonitorView,
     PrependingPolicy,
@@ -115,7 +113,6 @@ __all__ = [
     "load_caida",
     "save_caida",
     # bgp
-    "ASPath",
     "Route",
     "ExportPolicy",
     "PrependingPolicy",
@@ -132,7 +129,6 @@ __all__ = [
     "PathShorteningAttack",
     "PollutionReport",
     "pollution_report",
-    "fraction_traversing",
     # detection
     "Alarm",
     "Confidence",

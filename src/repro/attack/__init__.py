@@ -12,7 +12,7 @@
   "% of paths traversing the attacker").
 """
 
-from repro.attack.impact import PollutionReport, fraction_traversing, pollution_report
+from repro.attack.impact import PollutionReport, pollution_report
 from repro.attack.interception import ASPPInterceptionAttack, InterceptionResult, simulate_interception
 from repro.attack.origin_hijack import OriginHijackAttack
 from repro.attack.path_shortening import PathShorteningAttack
@@ -24,6 +24,5 @@ __all__ = [
     "OriginHijackAttack",
     "PathShorteningAttack",
     "PollutionReport",
-    "fraction_traversing",
     "pollution_report",
 ]

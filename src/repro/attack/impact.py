@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.bgp.engine import PropagationOutcome
 
-__all__ = ["PollutionReport", "fraction_traversing", "pollution_report"]
+__all__ = ["PollutionReport", "pollution_report"]
 
 
 def _eligible_ases(outcome: PropagationOutcome, attacker: int, victim: int) -> list[int]:
@@ -22,21 +22,6 @@ def _eligible_ases(outcome: PropagationOutcome, attacker: int, victim: int) -> l
     always reaches itself, and the attacker trivially traverses itself.
     """
     return [asn for asn in outcome.best if asn not in (attacker, victim)]
-
-
-def fraction_traversing(
-    outcome: PropagationOutcome, transit: int, *, victim: int
-) -> float:
-    """Fraction of (other) ASes whose selected path traverses ``transit``."""
-    population = _eligible_ases(outcome, transit, victim)
-    if not population:
-        return 0.0
-    hits = 0
-    for asn in population:
-        route = outcome.best.get(asn)
-        if route is not None and transit in route.path:
-            hits += 1
-    return hits / len(population)
 
 
 @dataclass(frozen=True)

@@ -65,17 +65,13 @@ class ASPPInterceptionAttack:
         """The path transformation the attacker applies when re-announcing."""
         victim = self.victim
         keep = self.keep
-        if self.strip_mode == "all":
-            def strip_all(path: tuple[int, ...]) -> tuple[int, ...]:
-                if not path or path[-1] != victim:
-                    return path
-                return collapse_prepending(path)
-
-            return strip_all
+        collapse = self.strip_mode == "all"
 
         def strip_origin(path: tuple[int, ...]) -> tuple[int, ...]:
             if not path or path[-1] != victim:
                 return path
+            if collapse:
+                return collapse_prepending(path)
             return strip_origin_padding(path, keep=keep)
 
         return strip_origin

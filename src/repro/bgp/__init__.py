@@ -24,11 +24,9 @@ simulator is built on:
 """
 
 from repro.bgp.aspath import (
-    ASPath,
     collapse_prepending,
     origin_of,
     padding_of_origin,
-    prepend,
     strip_origin_padding,
 )
 from repro.bgp.collectors import MonitorView, RouteCollector
@@ -36,7 +34,6 @@ from repro.bgp.compiled import CompiledState, CompiledTopology, InternTable
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.ribdump import dumps_view, load_view, loads_view, save_view
 from repro.bgp.route import Route
 from repro.bgp.uphill import three_phase_routes
 from repro.bgp.uphill_hijack import paper_hijack_estimate
@@ -48,11 +45,9 @@ from repro.bgp.vectorized import (
 )
 
 __all__ = [
-    "ASPath",
     "CompiledState",
     "CompiledTopology",
     "InternTable",
-    "prepend",
     "origin_of",
     "padding_of_origin",
     "strip_origin_padding",
@@ -70,8 +65,4 @@ __all__ = [
     "numpy_available",
     "run_vectorized",
     "vectorized_fixpoint",
-    "dumps_view",
-    "loads_view",
-    "save_view",
-    "load_view",
 ]

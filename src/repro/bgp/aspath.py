@@ -12,19 +12,15 @@ attacker strips padding (:func:`strip_origin_padding`), the measurement
 module counts it (:func:`padding_of_origin`,
 :func:`max_prepending_run`), and the detector compares padded segments
 (:func:`split_origin_padding`).
-
-Plain tuples are used on hot paths; the :class:`ASPath` wrapper offers
-the same operations as an ergonomic object for the public API.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from repro.exceptions import PolicyError
 
 __all__ = [
-    "prepend",
     "origin_of",
     "padding_of_origin",
     "split_origin_padding",
@@ -33,22 +29,9 @@ __all__ = [
     "has_prepending",
     "max_prepending_run",
     "prepending_runs",
-    "unique_ases",
-    "ASPath",
 ]
 
 Path = tuple[int, ...]
-
-
-def prepend(path: Path, asn: int, count: int = 1) -> Path:
-    """Prepend ``count`` copies of ``asn`` to ``path``.
-
-    ``count`` must be at least 1 (every announcing AS adds itself at
-    least once; extra copies are ASPP).
-    """
-    if count < 1:
-        raise PolicyError(f"prepend count must be >= 1, got {count}")
-    return (asn,) * count + tuple(path)
 
 
 def origin_of(path: Path) -> int:
@@ -139,82 +122,3 @@ def max_prepending_run(path: Path) -> int:
     statistic over all observed routes.
     """
     return max((length for _, length in prepending_runs(path)), default=0)
-
-
-def unique_ases(path: Path) -> tuple[int, ...]:
-    """The distinct ASes of the path in first-appearance order."""
-    seen: set[int] = set()
-    result: list[int] = []
-    for asn in path:
-        if asn not in seen:
-            seen.add(asn)
-            result.append(asn)
-    return tuple(result)
-
-
-class ASPath:
-    """Ergonomic wrapper over a tuple AS path.
-
-    Immutable; all mutating-style operations return a new ``ASPath``.
-    """
-
-    __slots__ = ("_path",)
-
-    def __init__(self, ases: Iterable[int] = ()) -> None:
-        self._path = tuple(int(asn) for asn in ases)
-        if any(asn <= 0 for asn in self._path):
-            raise PolicyError(f"AS path contains invalid ASN: {self._path}")
-
-    @property
-    def as_tuple(self) -> Path:
-        return self._path
-
-    @property
-    def origin(self) -> int:
-        return origin_of(self._path)
-
-    @property
-    def head(self) -> int:
-        """The most recent announcing AS (first element)."""
-        if not self._path:
-            raise PolicyError("empty AS path has no head")
-        return self._path[0]
-
-    @property
-    def origin_padding(self) -> int:
-        return padding_of_origin(self._path)
-
-    @property
-    def is_prepended(self) -> bool:
-        return has_prepending(self._path)
-
-    def prepend(self, asn: int, count: int = 1) -> "ASPath":
-        return ASPath(prepend(self._path, asn, count))
-
-    def strip_origin_padding(self, keep: int = 1) -> "ASPath":
-        return ASPath(strip_origin_padding(self._path, keep))
-
-    def collapse(self) -> "ASPath":
-        return ASPath(collapse_prepending(self._path))
-
-    def contains(self, asn: int) -> bool:
-        return asn in self._path
-
-    def __len__(self) -> int:
-        return len(self._path)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._path)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ASPath):
-            return self._path == other._path
-        if isinstance(other, tuple):
-            return self._path == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._path)
-
-    def __repr__(self) -> str:
-        return f"ASPath({' '.join(str(a) for a in self._path)})"

@@ -54,15 +54,6 @@ class MonitorView:
             if route is not None
         }
 
-    def dump(self) -> str:
-        """Human-readable RIB dump (one line per monitor)."""
-        lines = [f"prefix {self.prefix}"]
-        for monitor in self.monitors:
-            route = self.routes[monitor]
-            path = " ".join(str(a) for a in route.path) if route else "(no route)"
-            lines.append(f"  monitor AS{monitor}: {path}")
-        return "\n".join(lines)
-
     def changed_since(
         self, before: "MonitorView", *, among: Iterable[int] | None = None
     ) -> list[int]:

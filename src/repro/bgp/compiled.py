@@ -133,7 +133,6 @@ class CompiledTopology:
         "rev_slot",
         "_hot",
         "_slot_index",
-        "_roles",
         "_bits",
         "_np",
     )
@@ -164,7 +163,6 @@ class CompiledTopology:
         self.rev_slot = rev_slot
         self._hot: tuple[list, ...] | None = None
         self._slot_index: list[dict[int, int]] | None = None
-        self._roles: list[Relationship] | None = None
         self._bits: list[int] | None = None
         # NumPy edge views, built lazily by repro.bgp.vectorized.
         self._np = None
@@ -321,13 +319,6 @@ class CompiledTopology:
                 for i in range(self.n)
             ]
         return self._slot_index
-
-    @property
-    def roles(self) -> list[Relationship]:
-        """Per-slot neighbour role (only non-stock export policies use it)."""
-        if self._roles is None:
-            self._roles = [_CODE_REL[code] for code in self.role_code]
-        return self._roles
 
     @property
     def bits(self) -> list[int]:
@@ -656,7 +647,7 @@ def run_compiled(
     pad_senders = {index[a] for a in prepending.senders() if a in index}
     mods = {index[a]: fn for a, fn in modifiers.items()}
     imps = {index[a]: fn for a, fn in import_filters.items() if a in index}
-    roles = topo.roles if not stock_export else None
+    roles = None if stock_export else [_CODE_REL[code] for code in topo.role_code]
 
     # Security-policy deployment as a dense bitmask: the hot loop pays
     # one bytearray index per offer whether or not a policy is attached,

@@ -284,10 +284,6 @@ class PropagationOutcome:
         route = self.route_of(asn)
         return route.path if route is not None else None
 
-    def reachable_ases(self) -> list[int]:
-        """ASes that hold a route to the prefix (including the origin)."""
-        return [asn for asn, route in self.best.items() if route is not None]
-
 
 class PropagationEngine:
     """Single-prefix BGP propagation over an :class:`ASGraph`.

@@ -57,10 +57,6 @@ class ExportPolicy:
             return True
         return route_pref in _EXPORTABLE_UPWARD
 
-    def with_violators(self, violators: set[int] | frozenset[int]) -> "ExportPolicy":
-        """A copy of this policy with ``violators`` added."""
-        return ExportPolicy(self._violators | frozenset(violators))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExportPolicy(violators={sorted(self._violators)})"
 

@@ -44,16 +44,6 @@ class PrependingPolicy:
         self._check_count(count)
         self._per_sender[sender] = count
 
-    def clear(self, sender: int, receiver: int | None = None) -> None:
-        """Remove a per-link override (or, with ``receiver=None``, the
-        sender's uniform setting and all its per-link overrides)."""
-        if receiver is None:
-            self._per_sender.pop(sender, None)
-            for key in [k for k in self._per_link if k[0] == sender]:
-                del self._per_link[key]
-        else:
-            self._per_link.pop((sender, receiver), None)
-
     def padding(self, sender: int, receiver: int) -> int:
         """Number of copies of ``sender`` inserted towards ``receiver``."""
         per_link = self._per_link.get((sender, receiver))

@@ -40,10 +40,6 @@ class Route:
         """Origin AS of the path (``None`` for a self-originated route)."""
         return self.path[-1] if self.path else None
 
-    def traverses(self, asn: int) -> bool:
-        """True when ``asn`` appears on the AS-PATH."""
-        return asn in self.path
-
     def __str__(self) -> str:
         path_text = " ".join(str(a) for a in self.path) if self.path else "<self>"
         return f"{self.prefix} via [{path_text}] ({self.pref.name.lower()})"

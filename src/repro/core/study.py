@@ -1,18 +1,20 @@
 """The one-stop study object (`InterceptionStudy`).
 
 Downstream users rarely want to wire the engine, collectors, detectors
-and defences by hand; this façade owns a world plus a monitor fleet and
-exposes the paper's workflow directly::
+and runner by hand; this façade owns a world plus a monitor fleet and
+runs the paper's batch workloads over it::
 
     study = InterceptionStudy.generate(seed=7)
-    result = study.run_attack(victim=study.world.content[0],
-                              attacker=study.world.tier1[0], padding=3)
-    timing = study.detect(result)
-    mitigation = study.defend_reactively(result)
     campaign = study.campaign(pairs=50, padding=3)
+    grid = study.exhaustive_grid(padding=3, attacker_pool=study.world.tier1)
+    sweep = study.deployment_sweep(victim=study.world.content[0],
+                                   attacker=study.world.tier1[0],
+                                   padding=3, policy="prependguard")
 
-Every component remains reachable (``study.engine``,
-``study.collector`` ...) for users who outgrow the façade.
+One attack instance is the public functions over the study's parts:
+``simulate_interception(study.engine, ...)``, then
+``detection_timing(result, study.collector, study.detector)`` or
+``reactive_padding_reduction(study.engine, result)``.
 """
 
 from __future__ import annotations
@@ -21,19 +23,15 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from repro.attack.interception import InterceptionResult, simulate_interception
+from repro.attack.interception import InterceptionResult
 from repro.bgp.collectors import RouteCollector
 from repro.bgp.engine import PropagationEngine
-from repro.detection.alarms import Confidence
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.monitors import top_degree_monitors
 from repro.detection.placement import greedy_cover_monitors
-from repro.detection.timing import DetectionTiming, detection_timing
+from repro.detection.timing import DetectionTiming
 from repro.exceptions import ExperimentError, SimulationError
 from repro.experiments.base import generate_world
-from repro.measurement.padding_model import PaddingBehaviorModel
-from repro.measurement.ribs import MonitorRIBs, build_monitor_ribs
-from repro.mitigation.reactive import MitigationOutcome, reactive_padding_reduction
 from repro.runner import (
     CampaignPairTask,
     RunConfig,
@@ -41,7 +39,6 @@ from repro.runner import (
     run_batch,
     sample_attack_pairs,
 )
-from repro.secpol.deployment import simulate_cautious_deployment
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.generators import GeneratedTopology, InternetTopologyConfig
 from repro.utils.rand import derive_rng, make_rng
@@ -152,81 +149,6 @@ class InterceptionStudy:
         return self._detector
 
     # ------------------------------------------------------------------
-    def characterize_prepending(
-        self, *, num_prefixes: int = 200, model: PaddingBehaviorModel | None = None
-    ) -> MonitorRIBs:
-        """Build monitor routing tables under the empirical ASPP model."""
-        return build_monitor_ribs(
-            self._world.graph,
-            self._collector,
-            num_prefixes=num_prefixes,
-            model=model or PaddingBehaviorModel(),
-            rng=derive_rng(make_rng(self._seed), "study-ribs"),
-            engine=self._engine,
-        )
-
-    def run_attack(
-        self,
-        *,
-        victim: int,
-        attacker: int,
-        padding: int,
-        violate_policy: bool = False,
-        strip_mode: str = "origin",
-    ) -> InterceptionResult:
-        """Launch one ASPP interception instance."""
-        return simulate_interception(
-            self._engine,
-            victim=victim,
-            attacker=attacker,
-            origin_padding=padding,
-            violate_policy=violate_policy,
-            strip_mode=strip_mode,
-        )
-
-    def detect(
-        self,
-        result: InterceptionResult,
-        *,
-        min_confidence: Confidence = Confidence.LOW,
-        attacker_feeds_collector: bool = True,
-        metrics: RunMetrics | None = None,
-    ) -> DetectionTiming:
-        """Run the Figure-4 detector over the study's monitor fleet."""
-        return detection_timing(
-            result,
-            self._collector,
-            self._detector,
-            min_confidence=min_confidence,
-            attacker_feeds_collector=attacker_feeds_collector,
-            metrics=metrics,
-        )
-
-    def defend_reactively(
-        self, result: InterceptionResult, *, new_padding: int = 1
-    ) -> MitigationOutcome:
-        """Apply the victim's reactive padding reduction."""
-        return reactive_padding_reduction(
-            self._engine, result, new_padding=new_padding
-        )
-
-    def defend_cautiously(
-        self,
-        result: InterceptionResult,
-        *,
-        deployment_fraction: float,
-        rng: random.Random | None = None,
-    ):
-        """Residual pollution under partial cautious-adoption deployment."""
-        return simulate_cautious_deployment(
-            self._engine,
-            victim=result.attack.victim,
-            attacker=result.attack.attacker,
-            origin_padding=result.origin_padding,
-            deployment_fraction=deployment_fraction,
-            rng=rng or derive_rng(make_rng(self._seed), "study-deploy"),
-        )
-
     def deployment_sweep(
         self,
         *,
@@ -350,27 +272,3 @@ class InterceptionStudy:
             campaign.results.append(result)
             campaign.timings.append(timing)
         return campaign
-
-    def query(
-        self,
-        experiment_id: str,
-        *,
-        store,
-        metrics: RunMetrics | None = None,
-        **overrides,
-    ):
-        """Serve a registered experiment from a campaign ``store``.
-
-        A previously computed figure (any ``figNN``/``figD*``/``figM*``
-        id in :data:`repro.experiments.REGISTRY`) comes straight back
-        from the store — zero propagations, bit-identical rows; a
-        missing one computes with the store ambiently bound (so its
-        individual cells dedupe against every earlier campaign) and is
-        stored for next time.  ``overrides`` replace config fields;
-        the study's seed is the default.  Returns a
-        :class:`repro.store.QueryOutcome`.
-        """
-        from repro.store import query_experiment
-
-        overrides.setdefault("seed", self._seed)
-        return query_experiment(store, experiment_id, metrics=metrics, **overrides)

@@ -43,10 +43,6 @@ class PrefixOwnerSelfCheck:
         self._owner = owner
         self._prepending = prepending
 
-    @property
-    def owner(self) -> int:
-        return self._owner
-
     def check_view(self, view: MonitorView) -> list[Alarm]:
         """Compare every monitor's route against the configured padding."""
         alarms: list[Alarm] = []

@@ -99,13 +99,6 @@ class ExperimentResult:
     #: bit-identical with metrics on or off.
     metrics: RunMetrics | None = None
 
-    def metrics_text(self) -> str:
-        """The attached telemetry rendered as a summary table (empty
-        string when the run was not instrumented)."""
-        if self.metrics is None or not self.metrics:
-            return ""
-        return self.metrics.summary_table()
-
     def to_text(self) -> str:
         """Render the result the way the benchmark harness prints it."""
         parts = [f"{self.experiment_id}: {self.title}"]

@@ -30,6 +30,10 @@ class Fig07Config:
     #: fan the attack instances out over this many worker processes
     workers: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.instances < 1:
+            raise ExperimentError("at least one attacker/victim pair is required")
+
 
 @instrumented("fig07")
 def run(

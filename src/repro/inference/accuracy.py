@@ -36,10 +36,6 @@ class InferenceAccuracy:
         """Fraction of common edges labelled correctly."""
         return self.num_correct / self.num_common_edges if self.num_common_edges else 0.0
 
-    def recall(self, relationship: Relationship) -> float:
-        correct, total = self.per_relationship.get(relationship.value, (0, 0))
-        return correct / total if total else 0.0
-
 
 def score_inference(truth: ASGraph, inferred: ASGraph) -> InferenceAccuracy:
     """Compare ``inferred`` against the ground-truth ``truth`` graph.

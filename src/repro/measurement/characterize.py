@@ -17,11 +17,9 @@ from repro.bgp.aspath import has_prepending, max_prepending_run
 from repro.bgp.updates import UpdateMessage
 from repro.exceptions import MeasurementError
 from repro.measurement.ribs import MonitorRIBs
-from repro.utils.cdf import EmpiricalCDF
 
 __all__ = [
     "prepended_fraction_per_monitor",
-    "prepended_fraction_cdf",
     "padding_count_distribution",
     "update_paths",
 ]
@@ -49,13 +47,6 @@ def prepended_fraction_per_monitor(
     if not fractions:
         raise MeasurementError("no monitor has any routes to characterise")
     return fractions
-
-
-def prepended_fraction_cdf(
-    ribs: MonitorRIBs, *, monitors: Iterable[int] | None = None
-) -> EmpiricalCDF:
-    """The Figure-5 CDF over per-monitor prepended fractions."""
-    return EmpiricalCDF(prepended_fraction_per_monitor(ribs, monitors=monitors).values())
 
 
 def update_paths(messages: Iterable[UpdateMessage]) -> list[Path]:

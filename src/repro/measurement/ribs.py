@@ -42,10 +42,6 @@ class MonitorRIBs:
     def prefixes(self) -> list[str]:
         return sorted(self.origins)
 
-    def routes_of(self, monitor: int) -> dict[str, Route]:
-        """The routing table of one monitor."""
-        return self.tables.get(monitor, {})
-
     def all_paths(self) -> list[tuple[int, ...]]:
         """Every AS-PATH present in any monitor table (with duplicates).
 

@@ -126,10 +126,6 @@ class MitigationStep:
         """Did the countermeasure collapse pollution back to organic?"""
         return self.pollution_residual <= self.pollution_baseline + 1e-12
 
-    @property
-    def pollution_removed(self) -> float:
-        return self.pollution_attack - self.pollution_residual
-
 
 @dataclass
 class ClosedLoopReport:

@@ -42,7 +42,7 @@ class RunConfig:
 
     #: pool size; ``None``/``0``/``1`` run serially in-process.
     workers: int | None = None
-    #: supervision policy (attempts, backoff, per-task deadline);
+    #: supervision policy (attempts, per-task deadline);
     #: ``None`` is :class:`RetryPolicy`'s defaults.
     retry: RetryPolicy | None = None
     #: single-file store (a :class:`~repro.store.CampaignStore` whose

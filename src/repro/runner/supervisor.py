@@ -22,12 +22,13 @@ copy of the compiled topology, and layers a failure model over it:
   killing the pool, so the supervisor does exactly that, charges the
   hung task, and requeues the innocent bystanders uncharged.
 * **bounded retries with backoff** — each failed attempt waits
-  ``backoff_base * backoff_factor**(n-1)`` (capped at ``backoff_max``)
-  before resubmission; a task that exhausts
+  ``BACKOFF_BASE * BACKOFF_FACTOR**(n-1)`` seconds (capped at
+  ``BACKOFF_MAX``) before resubmission; a task that exhausts
   :attr:`RetryPolicy.max_attempts` is quarantined as a structured
   :class:`TaskFailure` in its result slot instead of crashing the run.
 * **graceful degradation** — if the pool cannot be built at all, or
-  keeps dying without completing anything, the remaining tasks run
+  dies more than ``MAX_POOL_RESTARTS`` times in a row without
+  completing anything, the remaining tasks run
   serially in-process (same task objects, same results, no pool).
 
 A serial run that nobody asked to retry, inject faults into or persist
@@ -82,6 +83,23 @@ _UNSET = object()
 #: touches the tracker or forks.
 _FORK_LOCK = threading.RLock()
 
+#: exponential backoff before the n-th retry of a task, in seconds:
+#: ``min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR**(n-1))``.  Read by
+#: the parent process only, so a test may patch them.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+#: consecutive pool losses without a single completed task before the
+#: supervisor degrades to serial in-process execution.
+MAX_POOL_RESTARTS = 3
+
+
+def backoff(failed_attempts: int) -> float:
+    """Delay before resubmitting after ``failed_attempts`` failures."""
+    if failed_attempts < 1:
+        return 0.0
+    return min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (failed_attempts - 1))
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -89,39 +107,18 @@ class RetryPolicy:
 
     #: total attempts per task (first execution included).
     max_attempts: int = 3
-    #: exponential backoff before the n-th retry:
-    #: ``min(backoff_max, backoff_base * backoff_factor**(n-1))``.
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
     #: per-task wall-clock deadline in pool mode; ``None`` disables the
     #: watchdog.  Serial in-process execution cannot pre-empt a running
     #: task, so deadlines are only enforced across the pool.
     deadline: float | None = None
-    #: consecutive pool losses without a single completed task before
-    #: the supervisor degrades to serial in-process execution.
-    max_pool_restarts: int = 3
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise SimulationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base < 0 or self.backoff_factor < 1 or self.backoff_max < 0:
-            raise SimulationError("backoff parameters must be non-negative (factor >= 1)")
         if self.deadline is not None and self.deadline <= 0:
             raise SimulationError(f"deadline must be positive, got {self.deadline}")
-        if self.max_pool_restarts < 0:
-            raise SimulationError("max_pool_restarts must be >= 0")
-
-    def backoff(self, failed_attempts: int) -> float:
-        """Delay before resubmitting after ``failed_attempts`` failures."""
-        if failed_attempts < 1:
-            return 0.0
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (failed_attempts - 1),
-        )
 
 
 @dataclass(frozen=True)
@@ -319,7 +316,7 @@ class SupervisedExecutor:
             )
             return []
         self._record("runner.retries")
-        item.not_before = time.monotonic() + self.retry.backoff(item.attempt)
+        item.not_before = time.monotonic() + backoff(item.attempt)
         return [item]
 
     # -- serial path (workers == 1, and pool degradation) ---------------
@@ -589,7 +586,7 @@ class SupervisedExecutor:
                 pending.extend(self._drain_lost(inflight, settle, crashed=True))
                 self._discard_pool(kill=True)
                 stalls += 1
-                if stalls > self.retry.max_pool_restarts:
+                if stalls > MAX_POOL_RESTARTS:
                     self._degraded = True
                 continue
             if self.retry.deadline is not None and inflight:

@@ -64,7 +64,6 @@ class WorkerSpec:
     #: workload is pure propagation (λ-sweeps).
     monitors: tuple[int, ...] | None = None
     max_activations: int = 50
-    cache_entries: int = 64
     #: when True each worker keeps a :class:`RunMetrics` registry wired
     #: into its engine, cache and detection pipeline, and ships a
     #: metrics delta back with every task result.
@@ -129,11 +128,7 @@ class WorkerContext:
             )
         if cache is not None and cache.engine is not self.engine:
             raise SimulationError("shared cache must belong to this context's engine")
-        self.cache = (
-            cache
-            if cache is not None
-            else BaselineCache(self.engine, max_entries=spec.cache_entries)
-        )
+        self.cache = cache if cache is not None else BaselineCache(self.engine)
         if track:
             self.engine.metrics = self.metrics
             self.cache.metrics = self.metrics

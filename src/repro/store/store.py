@@ -367,12 +367,6 @@ class CampaignStore:
         with self._lock:
             return self._kinds.get(fingerprint)
 
-    def missing(self, fingerprints: Any) -> list[str]:
-        """The subset of ``fingerprints`` with no stored record."""
-        with self._lock:
-            self.refresh()
-            return [fp for fp in fingerprints if fp not in self._index]
-
     # -- writing --------------------------------------------------------
     def put(self, fingerprint: str, result: Any, *, kind: str = "task") -> bool:
         """Append one record; ``False`` when the fingerprint is already stored.

@@ -20,7 +20,6 @@ from repro.telemetry.metrics import (
     Histogram,
     RunMetrics,
     Timer,
-    timed,
 )
 from repro.telemetry.report import (
     events,
@@ -45,7 +44,6 @@ __all__ = [
     "Histogram",
     "RunMetrics",
     "Timer",
-    "timed",
     "events",
     "from_jsonl",
     "read_jsonl",

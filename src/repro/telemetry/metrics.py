@@ -33,9 +33,8 @@ import time
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import wraps
 
-__all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics", "timed"]
+__all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics"]
 
 #: Metric namespaces whose values depend on *how* a run executed rather
 #: than on the workload alone.  Every pool worker keeps its own baseline
@@ -418,32 +417,3 @@ class RunMetrics:
 
         return summary_table(self)
 
-    def to_jsonl(self) -> str:
-        from repro.telemetry.report import to_jsonl
-
-        return to_jsonl(self)
-
-
-def timed(name: str):
-    """Method decorator timing each call into ``self.metrics``.
-
-    The instance's ``metrics`` attribute may be ``None`` or a disabled
-    registry, in which case the wrapper adds nothing but an attribute
-    lookup.
-    """
-
-    def decorate(method):
-        @wraps(method)
-        def wrapper(self, *args, **kwargs):
-            metrics = getattr(self, "metrics", None)
-            if metrics is None or not metrics.enabled:
-                return method(self, *args, **kwargs)
-            start = time.perf_counter()
-            try:
-                return method(self, *args, **kwargs)
-            finally:
-                metrics.timer_add(name, time.perf_counter() - start)
-
-        return wrapper
-
-    return decorate

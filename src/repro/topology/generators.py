@@ -170,10 +170,6 @@ class GeneratedTopology:
     sibling_pairs: list[tuple[int, int]] = field(default_factory=list)
 
     @property
-    def all_ases(self) -> list[int]:
-        return self.graph.ases
-
-    @property
     def transit_ases(self) -> list[int]:
         """ASes that provide transit (have at least one customer).
 

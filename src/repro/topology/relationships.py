@@ -45,11 +45,6 @@ class Relationship(enum.Enum):
             return Relationship.CUSTOMER
         return self
 
-    @property
-    def is_transit(self) -> bool:
-        """True for the customer-provider (transit) relationship."""
-        return self in (Relationship.CUSTOMER, Relationship.PROVIDER)
-
 
 class PrefClass(enum.IntEnum):
     """Local-preference class of a route, ordered best-first.

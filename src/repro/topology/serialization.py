@@ -35,7 +35,6 @@ __all__ = [
     "dumps_caida",
     "load_asrel2",
     "loads_asrel2",
-    "to_networkx",
 ]
 
 _REL_CODES = {
@@ -130,25 +129,3 @@ def load_asrel2(path: str | Path) -> ASGraph:
         with bz2.open(path, "rt") as handle:
             return loads_asrel2(handle.read())
     return loads_asrel2(path.read_text())
-
-
-def to_networkx(graph: ASGraph):
-    """Export to a ``networkx.Graph`` for ad-hoc analysis/plotting.
-
-    Each edge carries a ``relationship`` attribute with the value of
-    the role of the *second* endpoint relative to the first, matching
-    :meth:`ASGraph.edges` ("customer" on transit edges means the edge
-    is stored provider-first).  networkx is an optional dependency of
-    this helper only; the library itself never imports it.
-    """
-    try:
-        import networkx
-    except ImportError as exc:  # pragma: no cover - env without networkx
-        raise SerializationError(
-            "to_networkx requires the optional networkx package"
-        ) from exc
-    exported = networkx.Graph()
-    exported.add_nodes_from(graph.ases)
-    for a, b, role in graph.edges():
-        exported.add_edge(a, b, relationship=role.value)
-    return exported

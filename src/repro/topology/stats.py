@@ -16,13 +16,7 @@ from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship
 from repro.topology.tiers import classify_tiers
 
-__all__ = [
-    "TopologySummary",
-    "degree_histogram",
-    "powerlaw_exponent",
-    "summarize",
-    "average_path_length",
-]
+__all__ = ["TopologySummary", "powerlaw_exponent", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -58,12 +52,6 @@ class TopologySummary:
         return rows
 
 
-def degree_histogram(graph: ASGraph) -> dict[int, int]:
-    """Map ``degree -> number of ASes with that degree``."""
-    counts = Counter(graph.degree(asn) for asn in graph)
-    return dict(sorted(counts.items()))
-
-
 def powerlaw_exponent(graph: ASGraph) -> float:
     """Maximum-likelihood (Clauset-style, xmin=1) power-law exponent.
 
@@ -78,38 +66,6 @@ def powerlaw_exponent(graph: ASGraph) -> float:
     if log_sum <= 0:
         return float("inf")
     return 1.0 + len(degrees) / log_sum
-
-
-def average_path_length(
-    graph: ASGraph,
-    *,
-    samples: int = 25,
-    rng,
-) -> float:
-    """Mean selected AS-path length over sampled origins.
-
-    The paper calibrates its λ sweeps against this statistic ("We
-    choose 3 ASNs to pad because it is half of the average AS path
-    length"); the experiment index uses it to justify the same choice
-    on generated worlds.  Paths are measured as the number of ASes a
-    route traverses (selected best routes of every AS towards each
-    sampled origin, prepending-free origins).
-    """
-    # Imported here: stats must stay importable without the engine.
-    from repro.bgp.engine import PropagationEngine
-
-    engine = PropagationEngine(graph)
-    origins = rng.sample(graph.ases, min(samples, len(graph)))
-    total = 0
-    count = 0
-    for origin in origins:
-        outcome = engine.propagate(origin)
-        for asn, route in outcome.best.items():
-            if asn == origin or route is None:
-                continue
-            total += len(route.path) + 1  # include the holder itself
-            count += 1
-    return total / count if count else 0.0
 
 
 def summarize(graph: ASGraph) -> TopologySummary:

@@ -24,7 +24,6 @@ __all__ = [
     "classify_tiers",
     "customer_cone",
     "provider_ancestors",
-    "is_stub",
 ]
 
 
@@ -117,8 +116,3 @@ def provider_ancestors(graph: ASGraph, asn: int) -> frozenset[int]:
                 seen.add(provider)
                 stack.append(provider)
     return frozenset(seen)
-
-
-def is_stub(graph: ASGraph, asn: int) -> bool:
-    """True when ``asn`` provides no transit (has no customers)."""
-    return not graph.customers_of(asn)

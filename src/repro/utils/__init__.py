@@ -1,12 +1,11 @@
 """Small shared utilities: CDFs, seeded randomness, text tables."""
 
-from repro.utils.cdf import EmpiricalCDF, fractions_of, quantile
+from repro.utils.cdf import EmpiricalCDF, quantile
 from repro.utils.rand import derive_rng, make_rng
 from repro.utils.tables import format_table
 
 __all__ = [
     "EmpiricalCDF",
-    "fractions_of",
     "quantile",
     "derive_rng",
     "make_rng",

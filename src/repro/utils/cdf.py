@@ -8,12 +8,12 @@ harness needs: evaluation at a point and quantiles.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 
 from repro.exceptions import MeasurementError
 
-__all__ = ["EmpiricalCDF", "quantile", "fractions_of"]
+__all__ = ["EmpiricalCDF", "quantile"]
 
 
 class EmpiricalCDF:
@@ -55,10 +55,6 @@ class EmpiricalCDF:
         """Fraction of samples ``<= x``."""
         return bisect_right(self._values, x) / len(self._values)
 
-    def survival(self, x: float) -> float:
-        """Fraction of samples ``> x``."""
-        return 1.0 - self(x)
-
     def quantile(self, q: float) -> float:
         """Smallest sample value ``v`` with ``cdf(v) >= q``.
 
@@ -80,10 +76,6 @@ class EmpiricalCDF:
                 lo = mid + 1
         return self._values[lo]
 
-    def fraction_below(self, x: float) -> float:
-        """Fraction of samples strictly ``< x``."""
-        return bisect_left(self._values, x) / len(self._values)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"EmpiricalCDF(n={self.n}, min={self.min:.4g}, "
@@ -95,13 +87,3 @@ def quantile(samples: Iterable[float], q: float) -> float:
     """Convenience wrapper: ``EmpiricalCDF(samples).quantile(q)``."""
     return EmpiricalCDF(samples).quantile(q)
 
-
-def fractions_of(counts: dict[int, int]) -> dict[int, float]:
-    """Normalise an integer histogram into fractions that sum to 1.
-
-    Used for Figure 6 (distribution of padding counts).
-    """
-    total = sum(counts.values())
-    if total <= 0:
-        raise MeasurementError("histogram is empty; cannot normalise")
-    return {key: value / total for key, value in sorted(counts.items())}

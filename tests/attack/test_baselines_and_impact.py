@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attack.impact import fraction_traversing, pollution_report
+from repro.attack.impact import pollution_report
 from repro.attack.origin_hijack import OriginHijackAttack
 from repro.attack.path_shortening import PathShorteningAttack
 from repro.bgp.engine import PropagationEngine
@@ -64,8 +64,11 @@ class TestImpactMetrics:
     def test_fraction_traversing_excludes_attacker_and_victim(self, graph):
         engine = PropagationEngine(graph)
         outcome = engine.propagate(100)
-        # Paths through AS1: everyone except victim itself.
-        fraction = fraction_traversing(outcome, 1, victim=100)
+        # Paths through AS1: the before-fraction of an attack by AS1
+        # that changed nothing.
+        fraction = pollution_report(
+            baseline=outcome, attacked=outcome, attacker=1, victim=100
+        ).before_fraction
         population = len(graph) - 2  # minus transit AS under test, minus victim
         expected = len([a for a in graph.ases if a not in (1, 100)])
         assert fraction == pytest.approx(
@@ -105,4 +108,5 @@ class TestImpactMetrics:
         g.add_p2c(1, 2)
         engine = PropagationEngine(g)
         outcome = engine.propagate(2)
-        assert fraction_traversing(outcome, 1, victim=2) == 0.0
+        report = pollution_report(baseline=outcome, attacked=outcome, attacker=1, victim=2)
+        assert report.before_fraction == 0.0

@@ -7,17 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bgp.aspath import (
-    ASPath,
     collapse_prepending,
     has_prepending,
     max_prepending_run,
     origin_of,
     padding_of_origin,
-    prepend,
     prepending_runs,
     split_origin_padding,
     strip_origin_padding,
-    unique_ases,
 )
 from repro.exceptions import PolicyError
 
@@ -26,14 +23,6 @@ paddings = st.integers(1, 6)
 
 
 class TestPrimitives:
-    def test_prepend(self):
-        assert prepend((2, 3), 1) == (1, 2, 3)
-        assert prepend((2,), 1, 3) == (1, 1, 1, 2)
-
-    def test_prepend_requires_positive_count(self):
-        with pytest.raises(PolicyError):
-            prepend((1,), 2, 0)
-
     def test_origin(self):
         assert origin_of((1, 2, 3)) == 3
         with pytest.raises(PolicyError):
@@ -72,14 +61,11 @@ class TestPrimitives:
         assert max_prepending_run((1, 2, 2, 2, 3, 3)) == 3
         assert max_prepending_run(()) == 0
 
-    def test_unique_ases(self):
-        assert unique_ases((2, 2, 1, 2, 3)) == (2, 1, 3)
-
 
 class TestProperties:
     @given(paths, st.integers(1, 30), paddings)
     def test_prepend_then_padding_roundtrip(self, path, asn, count):
-        new = prepend(path, asn, count)
+        new = (asn,) * count + path
         if path[0] != asn:
             runs = list(prepending_runs(new))
             assert runs[0] == (asn, count)
@@ -110,38 +96,3 @@ class TestProperties:
         assert head + (origin,) * padding == path
         assert padding >= 1
 
-
-class TestASPathWrapper:
-    def test_basic_accessors(self):
-        path = ASPath((1, 2, 3, 3))
-        assert path.head == 1
-        assert path.origin == 3
-        assert path.origin_padding == 2
-        assert path.is_prepended
-        assert len(path) == 4
-        assert path.contains(2)
-        assert list(path) == [1, 2, 3, 3]
-
-    def test_immutable_operations(self):
-        path = ASPath((2, 3, 3))
-        assert path.prepend(1).as_tuple == (1, 2, 3, 3)
-        assert path.strip_origin_padding().as_tuple == (2, 3)
-        assert path.collapse() == ASPath((2, 3))
-        assert path.as_tuple == (2, 3, 3)  # original unchanged
-
-    def test_equality_and_hash(self):
-        assert ASPath((1, 2)) == ASPath((1, 2))
-        assert ASPath((1, 2)) == (1, 2)
-        assert hash(ASPath((1, 2))) == hash(ASPath((1, 2)))
-        assert ASPath((1, 2)) != ASPath((2, 1))
-
-    def test_invalid_asn_rejected(self):
-        with pytest.raises(PolicyError):
-            ASPath((0, 1))
-
-    def test_empty_path_accessors_raise(self):
-        with pytest.raises(PolicyError):
-            ASPath(()).head
-
-    def test_repr(self):
-        assert repr(ASPath((1, 2))) == "ASPath(1 2)"

@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 from repro.bgp.aspath import (
     collapse_prepending,
     padding_of_origin,
-    prepend,
     prepending_runs,
     split_origin_padding,
     strip_origin_padding,
 )
 from repro.bgp.compiled import CompiledTopology, InternTable
-from repro.exceptions import PolicyError
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
 asns = st.integers(1, 9)
@@ -56,7 +54,7 @@ class TestPaddingAlgebra:
     @settings(max_examples=200)
     @given(path=paths, asn=asns, count=st.integers(1, 5))
     def test_prepend_then_collapse_is_collapse_of_single_copy(self, path, asn, count):
-        assert collapse_prepending(prepend(path, asn, count)) == collapse_prepending(
+        assert collapse_prepending((asn,) * count + path) == collapse_prepending(
             (asn,) + path
         )
 
@@ -74,12 +72,6 @@ class TestPaddingAlgebra:
             asn for asn, length in prepending_runs(path) for _ in range(length)
         )
         assert rebuilt == path
-
-    def test_prepend_rejects_non_positive_counts(self):
-        with pytest.raises(PolicyError):
-            prepend((1, 2), 3, 0)
-        with pytest.raises(PolicyError):
-            strip_origin_padding((1, 2, 2), keep=0)
 
 
 class TestInternCanonicalForm:

@@ -51,13 +51,6 @@ class TestRouteCollector:
         assert 50 not in view.paths()
         assert view.routes[50] is None
 
-    def test_dump_renders(self, chain_graph):
-        outcome = PropagationEngine(chain_graph).propagate(4)
-        view = RouteCollector(chain_graph, [1]).snapshot(outcome)
-        dump = view.dump()
-        assert DEFAULT_PREFIX in dump
-        assert "monitor AS1" in dump
-
 
 def make_view(**routes) -> MonitorView:
     return MonitorView(

@@ -257,7 +257,8 @@ class TestOutcomeHelpers:
         outcome = PropagationEngine(chain_graph).propagate(4)
         assert outcome.path_of(1) == (2, 3, 4)
         assert outcome.path_of(4) == ()
-        assert sorted(outcome.reachable_ases()) == [1, 2, 3, 4]
+        reachable = [asn for asn, route in outcome.best.items() if route is not None]
+        assert sorted(reachable) == [1, 2, 3, 4]
         assert outcome.prefix == DEFAULT_PREFIX
 
 

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import repro.runner.supervisor as supervisor
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.topology.asgraph import ASGraph
@@ -109,6 +110,14 @@ def compile_calls(monkeypatch) -> list[ASGraph]:
 
     monkeypatch.setattr(CompiledTopology, "from_graph", classmethod(counted))
     return calls
+
+
+@pytest.fixture()
+def fast_backoff(monkeypatch) -> None:
+    """Retry backoff of 10 ms doubling to 50 ms instead of 50 ms to 2 s;
+    the supervisor reads the constants in the parent process only."""
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(supervisor, "BACKOFF_MAX", 0.05)
 
 
 @pytest.fixture()

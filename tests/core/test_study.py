@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.attack.interception import simulate_interception
 from repro.core import AttackCampaign, InterceptionStudy
 from repro.detection.alarms import Confidence
+from repro.detection.timing import detection_timing
 from repro.exceptions import ExperimentError, SimulationError
 from repro.experiments.base import build_world
+from repro.measurement.padding_model import PaddingBehaviorModel
+from repro.measurement.ribs import build_monitor_ribs
+from repro.mitigation.reactive import reactive_padding_reduction
 from repro.runner import RunConfig
 from repro.runner.executor import available_cpus
+from repro.secpol.deployment import simulate_cautious_deployment
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.generators import InternetTopologyConfig
@@ -66,46 +74,59 @@ class TestConstruction:
 
 
 class TestWorkflow:
-    def test_attack_and_detection(self, study):
-        result = study.run_attack(
+    """One attack instance runs on the public functions over the
+    study's parts (``engine``, ``collector``, ``detector``)."""
+
+    @staticmethod
+    def _attack(study, padding=3):
+        return simulate_interception(
+            study.engine,
             victim=study.world.content[0],
             attacker=study.world.tier1[0],
-            padding=3,
+            origin_padding=padding,
         )
-        timing = study.detect(result)
+
+    def test_attack_and_detection(self, study):
+        result = self._attack(study)
+        timing = detection_timing(result, study.collector, study.detector)
         assert result.report.after_fraction >= result.report.before_fraction
         assert isinstance(timing.detected, bool)
 
     def test_high_confidence_filter(self, study):
-        result = study.run_attack(
-            victim=study.world.content[0],
-            attacker=study.world.tier1[0],
-            padding=3,
+        result = self._attack(study)
+        low = detection_timing(
+            result, study.collector, study.detector, min_confidence=Confidence.LOW
         )
-        low = study.detect(result, min_confidence=Confidence.LOW)
-        high = study.detect(result, min_confidence=Confidence.HIGH)
+        high = detection_timing(
+            result, study.collector, study.detector, min_confidence=Confidence.HIGH
+        )
         assert len(high.alarms) <= len(low.alarms)
 
     def test_reactive_defense(self, study):
-        result = study.run_attack(
-            victim=study.world.content[0],
-            attacker=study.world.tier1[0],
-            padding=4,
-        )
-        mitigation = study.defend_reactively(result)
+        mitigation = reactive_padding_reduction(study.engine, self._attack(study, 4))
         assert mitigation.report.gain == pytest.approx(0.0, abs=1e-12)
 
     def test_cautious_defense(self, study):
-        result = study.run_attack(
-            victim=study.world.content[0],
-            attacker=study.world.tier1[0],
-            padding=4,
+        result = self._attack(study, 4)
+        report = simulate_cautious_deployment(
+            study.engine,
+            victim=result.attack.victim,
+            attacker=result.attack.attacker,
+            origin_padding=result.origin_padding,
+            deployment_fraction=1.0,
+            rng=random.Random(7),
         )
-        report = study.defend_cautiously(result, deployment_fraction=1.0)
         assert report.gain <= 1e-12
 
     def test_characterization(self, study):
-        ribs = study.characterize_prepending(num_prefixes=30)
+        ribs = build_monitor_ribs(
+            study.world.graph,
+            study.collector,
+            num_prefixes=30,
+            model=PaddingBehaviorModel(),
+            rng=random.Random(7),
+            engine=study.engine,
+        )
         assert len(ribs.origins) == 30
         assert ribs.tables
 

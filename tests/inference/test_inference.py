@@ -69,7 +69,8 @@ class TestGao:
         score = score_inference(small_world.graph, inferred)
         assert score.num_common_edges > 100
         assert score.accuracy > 0.7
-        assert score.recall(Relationship.CUSTOMER) > 0.7
+        correct, total = score.per_relationship[Relationship.CUSTOMER.value]
+        assert correct / total > 0.7
 
 
 class TestCaida:

@@ -13,7 +13,6 @@ from repro.bgp.collectors import RouteCollector
 from repro.exceptions import MeasurementError
 from repro.measurement.characterize import (
     padding_count_distribution,
-    prepended_fraction_cdf,
     prepended_fraction_per_monitor,
     update_paths,
 )
@@ -159,8 +158,6 @@ class TestCharacterize:
         assert set(fractions) <= set(monitors)
         assert all(0.0 <= f <= 1.0 for f in fractions.values())
         assert statistics.mean(fractions.values()) > 0.05
-        cdf = prepended_fraction_cdf(ribs)
-        assert cdf.n == len(fractions)
 
     def test_padding_distribution_normalised(self):
         paths = [

@@ -68,8 +68,6 @@ class TestRunConfig:
             *(fn for _, fn in inspect.getmembers(InterceptionStudy, inspect.isfunction)),
         ]
         for fn in functions:
-            if fn is InterceptionStudy.query:  # store= is the store being queried
-                continue
             parameters = inspect.signature(fn).parameters
             assert not spelled & set(parameters), fn
             assert all(

@@ -18,6 +18,7 @@ import pickle
 
 import pytest
 
+import repro.runner.supervisor as supervisor_mod
 from repro.core import InterceptionStudy
 from repro.exceptions import SimulationError
 from repro.experiments.sweeps import padding_sweep
@@ -42,8 +43,10 @@ from repro.utils.rand import derive_rng, make_rng
 
 PADDINGS = tuple(range(1, 7))
 
-#: fast-failing policy for tests: no real backoff waits
-FAST = RetryPolicy(backoff_base=0.01, backoff_max=0.05)
+#: supervised, with the default budget; ``fast_backoff`` keeps the waits short
+FAST = RetryPolicy()
+
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 def _tasks(world):
@@ -94,12 +97,12 @@ class TestPoolCrashRecovery:
             spec,
             workers=2,
             force_processes=True,
-            retry=RetryPolicy(max_attempts=4, backoff_base=0.01, backoff_max=0.05),
+            retry=RetryPolicy(max_attempts=4),
         ) as executor:
             assert executor.run(tasks) == reference
 
 
-    def test_crashes_are_charged_to_the_culprit_only(self, small_world):
+    def test_crashes_are_charged_to_the_culprit_only(self, small_world, monkeypatch):
         """Three tasks that each crash on attempts 0 and 1 share a
         two-worker pool with three clean ones at ``max_attempts=3``: one
         bystander charge would quarantine a double-crasher.  A crash is
@@ -112,9 +115,10 @@ class TestPoolCrashRecovery:
         )
         spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
         # never degrade: every recovery must go through the pool
-        policy = RetryPolicy(
-            max_attempts=3, backoff_base=0.0, backoff_max=0.0, max_pool_restarts=50
-        )
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE", 0.0)
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_MAX", 0.0)
+        monkeypatch.setattr(supervisor_mod, "MAX_POOL_RESTARTS", 50)
+        policy = RetryPolicy(max_attempts=3)
         for _ in range(3):
             metrics = RunMetrics()
             with SupervisedExecutor(
@@ -136,7 +140,7 @@ class TestDeadlines:
         )
         spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
         metrics = RunMetrics()
-        policy = RetryPolicy(deadline=1.0, backoff_base=0.01, backoff_max=0.05)
+        policy = RetryPolicy(deadline=1.0)
         with SupervisedExecutor(
             spec, workers=2, force_processes=True, metrics=metrics, retry=policy
         ) as executor:

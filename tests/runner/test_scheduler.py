@@ -24,7 +24,9 @@ from repro.runner import (
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 
-FAST = RetryPolicy(max_attempts=5, backoff_base=0.0, backoff_max=0.0)
+FAST = RetryPolicy(max_attempts=5)
+
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 def _tasks(world, count=10):

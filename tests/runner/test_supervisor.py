@@ -27,7 +27,9 @@ from repro.runner import (
 )
 from repro.telemetry.metrics import RunMetrics
 
-FAST = RetryPolicy(backoff_base=0.01, backoff_max=0.05)
+FAST = RetryPolicy()
+
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 def _tasks(world, count=4):
@@ -49,19 +51,17 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(SimulationError):
             RetryPolicy(deadline=0.0)
-        with pytest.raises(SimulationError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(SimulationError):
-            RetryPolicy(max_pool_restarts=-1)
 
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5)
-        assert policy.backoff(0) == 0.0
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.4)
-        assert policy.backoff(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff(10) == pytest.approx(0.5)
+    def test_backoff_schedule(self, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE", 0.1)
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_MAX", 0.5)
+        backoff = supervisor_mod.backoff
+        assert backoff(0) == 0.0
+        assert backoff(1) == pytest.approx(0.1)
+        assert backoff(2) == pytest.approx(0.2)
+        assert backoff(3) == pytest.approx(0.4)
+        assert backoff(4) == pytest.approx(0.5)  # capped
+        assert backoff(10) == pytest.approx(0.5)
 
 
 class TestReuseAfterClose:
@@ -277,9 +277,9 @@ class TestGracefulDegradation:
         assert results == reference
         assert metrics.counter_value("runner.serial_degradations") == 1
 
-    def test_persistently_dying_pool_degrades_to_serial(self, small_world):
+    def test_persistently_dying_pool_degrades_to_serial(self, small_world, monkeypatch):
         """A pool that keeps crashing without completing anything stalls
-        out after ``max_pool_restarts`` losses and finishes serially."""
+        out after ``MAX_POOL_RESTARTS`` losses and finishes serially."""
         tasks = _tasks(small_world, count=2)
         reference = _serial_reference(small_world, tasks)
         plan = FaultPlan.for_tasks(
@@ -287,12 +287,8 @@ class TestGracefulDegradation:
         )
         spec = WorkerSpec(small_world.graph, fault_plan=plan)
         metrics = RunMetrics()
-        policy = RetryPolicy(
-            max_attempts=10,
-            backoff_base=0.01,
-            backoff_max=0.05,
-            max_pool_restarts=1,
-        )
+        monkeypatch.setattr(supervisor_mod, "MAX_POOL_RESTARTS", 1)
+        policy = RetryPolicy(max_attempts=10)
         with SupervisedExecutor(
             spec, workers=2, force_processes=True, metrics=metrics, retry=policy
         ) as executor:

@@ -103,15 +103,13 @@ class TestExperimentFingerprint:
 
 
 class TestStudyQuery:
-    def test_study_query_delegates_to_store(self, tmp_path, small_world):
-        from repro.core.study import InterceptionStudy
-
-        study = InterceptionStudy(small_world, seed=7)
+    def test_study_query_delegates_to_store(self, tmp_path):
+        """A study's figure is served by ``query_experiment`` with the
+        study's seed as an override; there is no façade method."""
         with CampaignStore(tmp_path / "store") as store:
-            cold = study.query("fig09", store=store, scale=SCALE)
+            cold = query_experiment(store, "fig09", scale=SCALE, seed=7)
             assert not cold.from_store
-            warm = study.query("fig09", store=store, scale=SCALE)
+            warm = query_experiment(store, "fig09", scale=SCALE, seed=7)
             assert warm.from_store
             assert warm.result.rows == cold.result.rows
-            # the study's own seed is the default override
             assert cold.result.params["seed"] == 7

@@ -67,7 +67,7 @@ class TestRoundtrip(_Shape):
             assert set(store.fingerprints()) == {_fp(1), _fp(2)}
             assert store.kind_of(_fp(1)) == "task"
             assert store.kind_of(_fp(2)) == "experiment"
-            assert store.missing([_fp(1), _fp(2), _fp(3)]) == [_fp(3)]
+            assert [fp for fp in (_fp(1), _fp(2), _fp(3)) if fp not in store] == [_fp(3)]
 
     def test_records_survive_reopen(self, root):
         with self.open(root) as store:
@@ -346,7 +346,7 @@ class TestLegacyJournal:
         with CampaignStore(tmp_path / "store") as store:
             assert import_journal(journal, store) == 6
             assert import_journal(journal, store) == 0
-            assert store.missing(fingerprints) == fingerprints[6:]
+            assert [fp for fp in fingerprints if fp not in store] == fingerprints[6:]
             imported = [store.get(fp) for fp in fingerprints[:6]]
         assert journal.read_bytes() == LEGACY.read_bytes()
         with CampaignStore(journal, metrics=metrics) as store:

@@ -61,14 +61,14 @@ class TestMetricsDoNotChangeResults:
         else:
             assert metrics.counter_value("engine.warm.propagations") == points
             assert "engine.warm.convergence_rounds" in metrics.histograms
-        assert instrumented.metrics_text().startswith("run metrics")
-        assert plain.metrics_text() == ""
+        assert instrumented.metrics.summary_table().startswith("run metrics")
+        assert not plain.metrics
 
     def test_disabled_registry_stays_empty(self):
         metrics = RunMetrics(enabled=False)
         result = run_fig09(Fig09Config(seed=SEED, scale=SCALE), metrics=metrics)
         assert not metrics
-        assert result.metrics_text() == ""
+        assert not result.metrics
 
     def test_padding_sweep_rows_identical_with_metrics(self, generated_world):
         engine, world = generated_world

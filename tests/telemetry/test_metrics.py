@@ -20,7 +20,6 @@ from repro.telemetry import (
     to_jsonl,
     write_jsonl,
 )
-from repro.telemetry.metrics import timed
 
 
 class TestCounter:
@@ -276,26 +275,3 @@ class TestSerialisation:
 
     def test_summary_table_on_empty_registry(self):
         assert "(no metrics recorded)" in summary_table(RunMetrics())
-
-
-class TestTimedDecorator:
-    class Worker:
-        def __init__(self, metrics):
-            self.metrics = metrics
-
-        @timed("work_seconds")
-        def work(self, x):
-            return x * 2
-
-    def test_records_into_instance_metrics(self):
-        metrics = RunMetrics()
-        worker = self.Worker(metrics)
-        assert worker.work(21) == 42
-        assert metrics.timers["work_seconds"].count == 1
-
-    @pytest.mark.parametrize("metrics", [None, RunMetrics(enabled=False)])
-    def test_noop_without_enabled_metrics(self, metrics):
-        worker = self.Worker(metrics)
-        assert worker.work(21) == 42
-        if metrics is not None:
-            assert not metrics

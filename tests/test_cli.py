@@ -798,3 +798,12 @@ class TestErrors:
         assert captured.out == ""
         assert main(["run", "fig09", "--scale", "0.15", "--workers", "-1"]) == 1
         assert capsys.readouterr().err.startswith("repro-aspp: error: worker count")
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_fig07_needs_a_pair(self, capsys, instances):
+        """No instances is an error like fig08's, not a division by zero
+        (0) or every pair but one (-1, through ``pairs[:-1]``)."""
+        assert main(["run", "fig07", "--scale", "0.15", f"--instances={instances}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "repro-aspp: error: at least one attacker/victim pair is required\n"
+        assert captured.out == ""

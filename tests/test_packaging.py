@@ -115,3 +115,23 @@ def test_the_store_does_not_import_the_runner():
 def test_the_scheduler_starts_no_threads():
     scheduler = REPO / "src" / "repro" / "runner" / "scheduler.py"
     assert "threading" not in _imported_modules(scheduler)
+
+
+def test_every_export_resolves():
+    """Each name a ``repro.*`` module lists in ``__all__`` is importable
+    from it: a deleted function must leave every export list too."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    dangling = []
+    modules = [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+    for name in ["repro", *modules]:
+        module = importlib.import_module(name)
+        dangling.extend(
+            f"{name}.{export}"
+            for export in getattr(module, "__all__", ())
+            if not hasattr(module, export)
+        )
+    assert dangling == []

@@ -18,12 +18,6 @@ class TestRelationship:
     def test_symmetric_relationships_self_inverse(self, symmetric):
         assert symmetric.inverse() is symmetric
 
-    def test_transit_flag(self):
-        assert Relationship.CUSTOMER.is_transit
-        assert Relationship.PROVIDER.is_transit
-        assert not Relationship.PEER.is_transit
-        assert not Relationship.SIBLING.is_transit
-
 
 class TestPrefClass:
     def test_ordering_is_profit_driven(self):

@@ -60,19 +60,6 @@ def test_generated_world_round_trips(small_world):
     assert list(restored.edges()) == list(small_world.graph.edges())
 
 
-def test_to_networkx_export(small_world):
-    import networkx
-
-    from repro.topology.serialization import to_networkx
-
-    exported = to_networkx(small_world.graph)
-    assert isinstance(exported, networkx.Graph)
-    assert exported.number_of_nodes() == len(small_world.graph)
-    assert exported.number_of_edges() == small_world.graph.num_edges
-    a, b, role = next(iter(small_world.graph.edges()))
-    assert exported.edges[a, b]["relationship"] == role.value
-
-
 def test_round_trip_property():
     """Random generated graphs survive the serial-1 round trip."""
     import random

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import TopologyError, UnknownASError
 from repro.topology.asgraph import ASGraph
-from repro.topology.tiers import classify_tiers, customer_cone, is_stub, tier1_ases
+from repro.topology.tiers import classify_tiers, customer_cone, tier1_ases
 
 
 @pytest.fixture()
@@ -82,7 +82,3 @@ class TestCones:
 
         for asn in graph:
             assert customer_cone(graph, asn) == walk(asn)
-
-    def test_stub_detection(self, hierarchy):
-        assert is_stub(hierarchy, 30)
-        assert not is_stub(hierarchy, 10)

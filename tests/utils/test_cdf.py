@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import MeasurementError
-from repro.utils.cdf import EmpiricalCDF, fractions_of, quantile
+from repro.utils.cdf import EmpiricalCDF, quantile
 
 
 class TestEmpiricalCDF:
@@ -22,10 +22,6 @@ class TestEmpiricalCDF:
         assert cdf(2.5) == 0.5
         assert cdf(4.0) == 1.0
         assert cdf(99.0) == 1.0
-
-    def test_survival_complements_cdf(self):
-        cdf = EmpiricalCDF([1, 2, 3])
-        assert cdf.survival(2) == pytest.approx(1 - cdf(2))
 
     def test_statistics(self):
         cdf = EmpiricalCDF([3, 1, 2])
@@ -46,11 +42,6 @@ class TestEmpiricalCDF:
             cdf.quantile(0.0)
         with pytest.raises(MeasurementError):
             cdf.quantile(1.5)
-
-    def test_fraction_below_is_strict(self):
-        cdf = EmpiricalCDF([1, 1, 2])
-        assert cdf.fraction_below(1) == 0.0
-        assert cdf.fraction_below(2) == pytest.approx(2 / 3)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     def test_cdf_monotone_and_bounded(self, samples):
@@ -75,12 +66,3 @@ class TestEmpiricalCDF:
 class TestHelpers:
     def test_quantile_wrapper(self):
         assert quantile([5, 1, 9], 0.5) == 5
-
-    def test_fractions_of_normalises(self):
-        fractions = fractions_of({2: 34, 3: 22, 4: 44})
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert fractions[2] == pytest.approx(0.34)
-
-    def test_fractions_of_empty_rejected(self):
-        with pytest.raises(MeasurementError):
-            fractions_of({})
