@@ -23,10 +23,11 @@ groups, each declared once (``<subcommand> --help`` has the detail):
   ``--scale``, ``--pairs``, ``--instances``, ``--workers``); ``query``
   serves the figure from ``--store``, computing only what is missing.
 * **run** — ``campaign``, ``grid`` and ``secpol-sweep`` run a batch of
-  independent cells; ``--workers``, ``--resume``, ``--retries``,
-  ``--task-deadline`` and ``--store`` become one
-  :class:`~repro.runner.RunConfig`.  None of them changes a row, and a
-  bad value is a usage error before any topology is built.
+  independent cells; ``--workers``, ``--retries``, ``--task-deadline``
+  and the run's one store (``--store DIR`` or ``--resume FILE``, not
+  both) become one :class:`~repro.runner.RunConfig`.  None of them
+  changes a row, and a bad value is a usage error before any topology
+  is built.
 * **metrics** — every subcommand but ``list``, ``world`` and ``store``
   accepts ``--metrics {off,summary,jsonl}`` and ``--metrics-out PATH``;
   ``main`` builds the registry and emits it after the results, whose
@@ -114,7 +115,9 @@ def _run_flags(parser, unit: str | None = None) -> None:
     )
     if unit is None:
         return
-    parser.add_argument(
+    # a run has one store: a --resume file or a --store directory
+    persistence = parser.add_mutually_exclusive_group()
+    persistence.add_argument(
         "--resume", type=str, default=None, metavar="PATH",
         help=f"single-file store: each finished {unit} appends to PATH as "
         "it lands, and a rerun with the same PATH replays it — a killed run "
@@ -131,7 +134,7 @@ def _run_flags(parser, unit: str | None = None) -> None:
         help=f"per-{unit} deadline in pool mode: a hung worker is killed, "
         f"the pool respawned, and the {unit} retried",
     )
-    _store_flag(parser)
+    _store_flag(persistence)
 
 
 def _metrics_flags(parser) -> None:
@@ -412,28 +415,29 @@ def _load_world(args, parser: argparse.ArgumentParser):
 @contextlib.contextmanager
 def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
     """``campaign``, ``grid`` and ``secpol-sweep``: yields ``(study, run)``
-    with ``--store`` open.  The run flags are checked first, so a bad one
-    is a usage error before any topology is generated or loaded."""
+    with the run's one store (``--store`` or ``--resume``) open.  The run
+    flags are checked first, so a bad one is a usage error before any
+    topology is generated or loaded."""
     from repro.core import InterceptionStudy
     from repro.runner import RetryPolicy, RunConfig
     from repro.store import CampaignStore
 
     policy = {"max_attempts": args.retries, "deadline": args.task_deadline}
     policy = {name: value for name, value in policy.items() if value is not None}
+    path = args.store if args.resume is None else args.resume
     with contextlib.ExitStack() as stack:
         try:
             run = RunConfig(
                 workers=args.workers,
                 retry=RetryPolicy(**policy) if policy else None,
-                resume=args.resume,
                 metrics=metrics,
             )
-            # opening a store creates nothing; the batch opens --resume itself
-            if args.resume is not None:
-                CampaignStore(args.resume, single_file=True).close()
-            if args.store is not None:
-                store = stack.enter_context(CampaignStore(args.store, metrics=metrics))
-                run = dataclasses.replace(run, store=store)
+            # opening a store creates nothing: the first record does
+            if path is not None:
+                store = CampaignStore(
+                    path, single_file=args.resume is not None, metrics=metrics
+                )
+                run = dataclasses.replace(run, store=stack.enter_context(store))
         except ReproError as exc:
             parser.error(str(exc))
         fleet = dict(monitors=monitors, placement=placement, seed=args.seed)
@@ -527,6 +531,9 @@ def _campaign(args, parser, metrics) -> int:
 
 
 def _grid(args, parser, metrics) -> int:
+    for flag, limit in (("--attackers", args.attackers), ("--victims", args.victims)):
+        if limit is not None and limit < 1:
+            parser.error(f"{flag} must be at least 1, got {limit}")
     with _batch(args, parser, metrics) as (study, run):
         graph = study.world.graph
 

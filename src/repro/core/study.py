@@ -169,7 +169,7 @@ class InterceptionStudy:
         :class:`~repro.runner.DeploymentPointResult` list in ``fractions``
         order.  ``run`` behaves as in :meth:`campaign`; the security
         configuration is part of every task fingerprint, so a
-        ``run.resume`` file from a different policy setup replays nothing.
+        ``run.store`` written under a different policy setup replays nothing.
         """
         from repro.experiments.sweeps import deployment_sweep as run_sweep
 
@@ -250,8 +250,8 @@ class InterceptionStudy:
         budget (default 3 attempts with exponential backoff) lands in
         :attr:`AttackCampaign.failures` as a structured
         :class:`TaskFailure` instead of sinking the campaign.  With
-        ``run.resume`` or ``run.store`` set, a killed campaign (crash,
-        Ctrl-C) picks up where it stopped.
+        ``run.store`` set, a killed campaign (crash, Ctrl-C) picks up
+        where it stopped.
         """
         if pairs < 1:
             raise ExperimentError("a campaign needs at least one pair")

@@ -20,8 +20,8 @@ warm-start each attack from it on the engine.
 
 *What* a sweep computes is its keyword arguments; *how* it runs is one
 :class:`~repro.runner.RunConfig` (``run=``), handed with the task list
-to :func:`repro.runner.run_batch`.  Cells already recorded — in the
-``run.resume`` file, in ``run.store`` or in the store bound by
+to :func:`repro.runner.run_batch`.  Cells already recorded — in
+``run.store`` or in the store bound by
 :func:`repro.store.use_store` — replay without touching the engine (a
 fully warm store performs *zero* propagations); only missing cells
 run, each recorded as it settles, so an interrupted sweep keeps what it
@@ -142,7 +142,7 @@ def exhaustive_grid(
     needs (PAPERS.md: hijack-impact estimation at full grid coverage).
     The cell order — and therefore the result rows and every recorded
     fingerprint — is a pure function of the two pools, so a
-    ``run.resume`` file replays exactly the completed cells no matter
+    ``run.store`` replays exactly the completed cells no matter
     where the previous run died.
 
     Every cell is impact-only, so the grid never builds routes: each
@@ -186,7 +186,7 @@ def deployment_sweep(
     defaults to True — the paper's leaking attacker, the variant
     path-plausibility defences can actually see.  The security
     configuration itself is carried in the task fingerprints, so a
-    ``run.resume`` file from a different policy setup replays nothing.
+    ``run.store`` written under a different policy setup replays nothing.
     """
     tasks = [
         DeploymentPointTask(

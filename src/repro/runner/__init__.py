@@ -7,9 +7,10 @@ point already computed.  A :class:`BaselineCache` memoises converged
 baselines; everything else here is about running a batch of
 fingerprinted tasks (:mod:`repro.runner.tasks`).
 
-There is one way to do that.  :class:`ShardedScheduler`
-(:mod:`repro.runner.scheduler`) replays whatever a content-addressed
-:class:`~repro.store.CampaignStore` — a ``--store`` directory, a
+There is one way to do that.  *How* a batch runs is one frozen
+:class:`RunConfig`, and :func:`run_batch` (:mod:`repro.runner.batch`)
+replays whatever the run's content-addressed
+:class:`~repro.store.CampaignStore` — a ``--store`` directory or a
 ``--resume`` file — already holds, runs the missing cells on one
 :class:`SupervisedExecutor` and records each result as it settles.
 The executor (:mod:`repro.runner.supervisor`) runs tasks inline against
@@ -19,13 +20,9 @@ per-task deadlines, pool respawn after worker death and serial
 degradation.  A deterministic :class:`FaultPlan` harness
 (:mod:`repro.runner.faults`) exercises every recovery path in CI.
 Results are bit-identical for any worker count and persistence state.
-
-*How* a batch runs is one frozen :class:`RunConfig`, and
-:func:`run_batch` (:mod:`repro.runner.batch`) is the one place that
-turns it into a resume file, a store binding and a scheduler.
 """
 
-from repro.runner.batch import RunConfig, get_active_store, run_batch, use_store
+from repro.runner.batch import RunConfig, run_batch
 from repro.runner.cache import BaselineCache
 from repro.runner.executor import available_cpus, execute_task, resolve_workers
 from repro.runner.faults import (
@@ -36,7 +33,6 @@ from repro.runner.faults import (
 )
 from repro.runner.fingerprint import task_fingerprint
 from repro.runner.sampling import sample_attack_pairs
-from repro.runner.scheduler import ShardedScheduler
 from repro.runner.shm import (
     SharedTopologyHandle,
     attach_topology,
@@ -65,7 +61,6 @@ __all__ = [
     "RetryPolicy",
     "RunConfig",
     "SharedTopologyHandle",
-    "ShardedScheduler",
     "SupervisedExecutor",
     "SweepPointResult",
     "SweepPointTask",
@@ -76,10 +71,8 @@ __all__ = [
     "available_cpus",
     "publish_topology",
     "execute_task",
-    "get_active_store",
     "resolve_workers",
     "run_batch",
     "sample_attack_pairs",
     "task_fingerprint",
-    "use_store",
 ]

@@ -1,34 +1,45 @@
-"""How a batch runs: one :class:`RunConfig`, one :func:`run_batch`.
+"""The one way to run a task batch: a lookup and a loop.
 
-*What* a batch computes is its task list; *how* it runs is six values
-— worker processes, retry policy, resume file, campaign store, fault
-plan, telemetry registry — none of which may change a row.
+*What* a batch computes is its task list; *how* it runs is five values
+— worker processes, retry policy, campaign store, fault plan,
+telemetry registry — none of which may change a row.
 :class:`RunConfig` carries them as one frozen, validated value from the
-CLI flags (or a library caller) down to :func:`run_batch`, the only
-place that turns them into a :class:`WorkerSpec`, an open resume file
-and a :class:`ShardedScheduler`.
+CLI flags (or a library caller) down to :func:`run_batch`, which
+
+* looks every task's fingerprint up in the run's one store **before
+  anything is queued**: hits go straight into their result slots and
+  only missing cells run (an all-hits batch builds no executor and
+  compiles no topology);
+* runs the missing cells on one
+  :class:`~repro.runner.supervisor.SupervisedExecutor` — in-process on
+  the caller's engine and cache, or a supervised worker pool;
+* ``put``-s each result into the store **as it settles**, through the
+  executor's ``on_settled`` callback, so an interrupted run keeps every
+  cell it finished.
+
+The result list is bit-identical at any worker count and persistence
+state: every task is a pure function of its descriptor, so *where* it
+runs can never change *what* it returns.  Telemetry lands under
+``scheduler.tasks``, ``scheduler.store_hits`` and ``scheduler.executed``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
-from repro.runner.executor import resolve_workers
 from repro.runner.faults import FaultPlan
-from repro.runner.scheduler import ShardedScheduler
-from repro.runner.supervisor import RetryPolicy
+from repro.runner.fingerprint import task_fingerprint
+from repro.runner.supervisor import RetryPolicy, SupervisedExecutor, TaskFailure
 from repro.runner.tasks import WorkerSpec
-from repro.store.store import CampaignStore, get_active_store, use_store
+from repro.store.store import MISSING, get_active_store
 from repro.telemetry.metrics import RunMetrics
 
-__all__ = ["RunConfig", "get_active_store", "run_batch", "use_store"]
+__all__ = ["RunConfig", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -45,14 +56,11 @@ class RunConfig:
     #: supervision policy (attempts, per-task deadline);
     #: ``None`` is :class:`RetryPolicy`'s defaults.
     retry: RetryPolicy | None = None
-    #: single-file store (a :class:`~repro.store.CampaignStore` whose
-    #: log *is* this path, opened and closed by :func:`run_batch`):
-    #: finished tasks append to it as they settle and a rerun with the
-    #: same path replays them.
-    resume: str | Path | None = None
     #: content-addressed store consulted before and fed after every
-    #: task (``get(fp, default)`` / ``put(fp, value)``); ``None`` falls
-    #: back to the ambient :func:`use_store` binding.
+    #: task (``get(fp, default)`` / ``put(fp, value)``), e.g. a
+    #: :class:`~repro.store.CampaignStore` directory or single file;
+    #: ``None`` falls back to the ambient :func:`~repro.store.use_store`
+    #: binding.  Its lifetime stays with the caller.
     store: Any = None
     #: deterministic fault-injection schedule (chaos testing only).
     faults: FaultPlan | None = None
@@ -77,16 +85,30 @@ def run_batch(
     in task order, a quarantined task as a ``TaskFailure`` in its slot.
 
     Recorded cells replay from the store (``run.store``, else the
-    ambient binding) or the ``run.resume`` file; only missing cells are
-    prepared and run, each recorded in both as it settles.  Serially
-    the scheduler adopts ``engine`` and ``cache`` and records straight
-    into ``run.metrics``; a pooled run builds its own contexts and
-    merges the deltas its workers ship back, so the deterministic
-    counters are identical for every worker count.
-    ``monitors`` is the fleet of tasks that run detection; ``prepare``
-    is the scheduler's warm-up hook.
+    ambient binding); only missing cells run, each recorded as it
+    settles — successes only: a quarantined task is retried by the next
+    run, not remembered.  Serially the executor adopts ``engine`` and
+    ``cache`` and records straight into ``run.metrics``; a pooled run
+    builds its own contexts and merges the deltas its workers ship
+    back, so the deterministic counters are identical for every worker
+    count.  ``monitors`` is the fleet of tasks that run detection;
+    ``prepare(ctx, missing_tasks)`` is a warm-up run on the serial
+    context before the loop.
     """
     metrics = run.metrics
+    store = run.store if run.store is not None else get_active_store()
+    fingerprints = [task_fingerprint(task) for task in tasks]
+    results = [
+        MISSING if store is None else store.get(fp, MISSING) for fp in fingerprints
+    ]
+    todo = [index for index, value in enumerate(results) if value is MISSING]
+    if metrics is not None and metrics.enabled:
+        hits = len(results) - len(todo)
+        for name, n in (("tasks", len(results)), ("store_hits", hits), ("executed", len(todo))):
+            if n:
+                metrics.count(f"scheduler.{name}", n)
+    if not todo:
+        return results
     spec = WorkerSpec(
         engine.graph,
         monitors=monitors,
@@ -94,18 +116,23 @@ def run_batch(
         metrics_enabled=metrics is not None and metrics.enabled,
         fault_plan=run.faults,
     )
-    # one in-process worker: adopt the caller's engine and cache
-    serial = resolve_workers(run.workers) == 1
-    store = run.store if run.store is not None else get_active_store()
-    resume = nullcontext() if run.resume is None else CampaignStore(run.resume, single_file=True)
-    with resume as resume_store, ShardedScheduler(
+    batch = [tasks[index] for index in todo]
+
+    def record(position: int, value: Any) -> None:
+        if not isinstance(value, TaskFailure):
+            store.put(fingerprints[todo[position]], value)
+
+    with SupervisedExecutor(
         spec,
         workers=run.workers,
-        retry=run.retry,
-        stores=[each for each in (store, resume_store) if each is not None],
+        engine=engine,
+        cache=cache,
         metrics=metrics,
-        engine=engine if serial else None,
-        cache=cache if serial else None,
-        prepare=prepare,
-    ) as scheduler:
-        return scheduler.run(tasks)
+        retry=run.retry,
+    ) as executor:
+        if prepare is not None and executor.context is not None:
+            prepare(executor.context, batch)
+        values = executor.run(batch, None if store is None else record)
+    for index, value in zip(todo, values):
+        results[index] = value
+    return results

@@ -20,18 +20,19 @@ from collections import OrderedDict
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
-from repro.exceptions import SimulationError
 from repro.telemetry.metrics import RunMetrics
 
 __all__ = ["BaselineCache"]
 
+#: retained outcomes per cache: a full-scale outcome holds routes and
+#: Adj-RIBs-in for every AS, so an unbounded campaign cache would grow
+#: with the victim pool.  Read on every insert, so a test may patch it.
+MAX_ENTRIES = 64
+
 
 class BaselineCache:
-    """LRU memo of converged pre-attack baselines for one engine.
-
-    ``max_entries`` bounds the number of retained outcomes (a full-scale
-    outcome holds routes and Adj-RIBs-in for every AS, so unbounded
-    campaign caches would grow with the victim pool).
+    """LRU memo of converged pre-attack baselines for one engine,
+    bounded at :data:`MAX_ENTRIES` outcomes.
 
     The cache returns the *same* outcome object to every caller with an
     equal schedule; callers must treat baselines as immutable (the
@@ -42,13 +43,9 @@ class BaselineCache:
         self,
         engine: PropagationEngine,
         *,
-        max_entries: int = 64,
         metrics: RunMetrics | None = None,
     ) -> None:
-        if max_entries < 1:
-            raise SimulationError("max_entries must be positive")
         self._engine = engine
-        self._max_entries = max_entries
         self._entries: OrderedDict[tuple, PropagationOutcome] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -92,6 +89,6 @@ class BaselineCache:
         # reads convergences under this name.
         self._record("cache.canonical_convergences")
         self._entries[key] = outcome
-        while len(self._entries) > self._max_entries:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
         return outcome

@@ -38,14 +38,13 @@ def available_cpus() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def resolve_workers(workers: int | None, *, force: bool = False) -> int:
+def resolve_workers(workers: int | None) -> int:
     """Normalise a requested worker count.
 
     ``None`` and ``0`` mean "serial" (1).  Requests beyond the CPUs the
     scheduler will actually grant are clamped — extra processes on a
-    saturated machine only add pickling overhead — unless ``force`` is
-    set, which the differential tests use to exercise the real
-    multi-process path even on single-CPU hosts.
+    saturated machine only add pickling overhead.  (Tests that need a
+    real pool on a one-CPU host patch :func:`available_cpus`.)
     """
     if workers is None:
         return 1
@@ -53,8 +52,6 @@ def resolve_workers(workers: int | None, *, force: bool = False) -> int:
         raise SimulationError(f"worker count must be >= 0, got {workers}")
     if workers in (0, 1):
         return 1
-    if force:
-        return workers
     return min(workers, available_cpus())
 
 

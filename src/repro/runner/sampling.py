@@ -18,14 +18,18 @@ from repro.exceptions import ExperimentError
 
 __all__ = ["sample_attack_pairs"]
 
+#: draw budget before a starved sampler gives up:
+#: ``BASE_ATTEMPTS + ATTEMPTS_PER_PAIR * count``.  Read per call, so a
+#: test may patch them.
+BASE_ATTEMPTS = 1000
+ATTEMPTS_PER_PAIR = 100
+
 
 def sample_attack_pairs(
     attackers: Sequence[int],
     victims: Sequence[int],
     count: int,
     rng: random.Random,
-    *,
-    max_attempts: int | None = None,
 ) -> list[tuple[int, int]]:
     """Sample ``count`` pairs with ``attacker != victim``.
 
@@ -33,8 +37,8 @@ def sample_attack_pairs(
     attempt — the same consumption pattern (and therefore the same
     pairs for a given seed) as the original unbounded loops.  Raises
     :class:`ExperimentError` immediately when no distinct pair can ever
-    be drawn, and after ``max_attempts`` draws (default: 1000 plus 100
-    per requested pair) when collisions starve the sampler.
+    be drawn, and after the draw budget when collisions starve the
+    sampler.
     """
     if count < 1:
         raise ExperimentError("at least one attacker/victim pair is required")
@@ -46,8 +50,7 @@ def sample_attack_pairs(
             f"cannot sample attacker/victim pairs: both pools contain only "
             f"AS{only}, so every draw yields attacker == victim"
         )
-    if max_attempts is None:
-        max_attempts = 1000 + 100 * count
+    max_attempts = BASE_ATTEMPTS + ATTEMPTS_PER_PAIR * count
     pairs: list[tuple[int, int]] = []
     attempts = 0
     while len(pairs) < count:

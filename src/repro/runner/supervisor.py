@@ -1,9 +1,9 @@
 """The supervised executor: one batch of tasks, serially or over a pool.
 
-:class:`SupervisedExecutor` is what a
-:class:`~repro.runner.scheduler.ShardedScheduler` runs its missing
-cells on.  With an effective worker count of 1 it runs tasks inline
-against one :class:`~repro.runner.tasks.WorkerContext`; with more it owns a
+:class:`SupervisedExecutor` is what :func:`repro.runner.run_batch`
+runs a batch's missing cells on.  With an effective worker count of 1
+it runs tasks inline against one
+:class:`~repro.runner.tasks.WorkerContext`; with more it owns a
 ``ProcessPoolExecutor`` whose workers bootstrap from a shared-memory
 copy of the compiled topology, and layers a failure model over it:
 
@@ -34,7 +34,7 @@ copy of the compiled topology, and layers a failure model over it:
 A serial run that nobody asked to retry, inject faults into or persist
 is left unsupervised on purpose (see :meth:`SupervisedExecutor.run`).
 The executor persists nothing itself: ``run(tasks, on_settled=...)``
-reports every result the moment it settles, and the scheduler records
+reports every result the moment it settles, and ``run_batch`` records
 it from there.
 
 Supervision telemetry lands on the executor's effective registry:
@@ -169,15 +169,17 @@ class SupervisedExecutor:
     With an effective worker count of 1 the executor builds (or adopts,
     via ``engine``/``cache``) a single :class:`WorkerContext` and runs
     tasks inline — no pool, no pickling, but the identical code path
-    per task.  With more workers it lazily spins up a
+    per task; a pool ignores ``engine``/``cache``.  With more workers it
+    lazily spins up a
     :class:`~concurrent.futures.ProcessPoolExecutor` whose processes
     each initialise their own context from ``spec``, and supervises it
     under ``retry`` (default :class:`RetryPolicy`).
 
     Use as a context manager (or call :meth:`close`) so pool processes
-    are reaped; running several batches through one executor reuses
-    both the pool and the workers' warm baseline caches.  A closed
-    executor is dead: further :meth:`run` calls raise
+    are reaped and an adopted engine and cache get their previous
+    metrics registry back; running several batches through one executor
+    reuses both the pool and the workers' warm baseline caches.  A
+    closed executor is dead: further :meth:`run` calls raise
     :class:`SimulationError` instead of silently respawning a pool
     whose shared-memory segment was already unlinked.
     """
@@ -187,14 +189,13 @@ class SupervisedExecutor:
         spec: WorkerSpec,
         *,
         workers: int | None = None,
-        force_processes: bool = False,
         engine: PropagationEngine | None = None,
         cache: BaselineCache | None = None,
         metrics: RunMetrics | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.spec = spec
-        self.workers = resolve_workers(workers, force=force_processes)
+        self.workers = resolve_workers(workers)
         self._retry_requested = retry is not None
         self.retry = retry if retry is not None else RetryPolicy()
         self._pool: ProcessPoolExecutor | None = None
@@ -205,7 +206,13 @@ class SupervisedExecutor:
         self._degraded = False
         self._built_pool = False
         self._fallback_ctx: WorkerContext | None = None
+        # A serial context wires the run's registry into the engine and
+        # cache it adopts; close() puts their own registries back.
+        self._adopted: list[tuple[Any, RunMetrics | None]] = []
         if self.workers == 1:
+            self._adopted = [
+                (each, each.metrics) for each in (engine, cache) if each is not None
+            ]
             self._context = WorkerContext(
                 spec, engine=engine, cache=cache, metrics=metrics
             )
@@ -240,6 +247,8 @@ class SupervisedExecutor:
     def close(self) -> None:
         self._closed = True
         self._discard_pool()
+        for adopted, registry in self._adopted:
+            adopted.metrics = registry
 
     def __enter__(self) -> "SupervisedExecutor":
         return self

@@ -68,7 +68,7 @@ CACHE_SHAPE_PREFIXES = (
     "engine.impact.batches",
     "engine.impact.waves",
     "runner.",
-    # The campaign store and its scheduler measure work *avoided*
+    # The campaign store and the batch lookup measure work *avoided*
     # (dedupe hits, bytes persisted), which depends on what
     # earlier runs left in the store — run-shaped by definition.
     "scheduler.",

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import repro.runner.executor as executor
 import repro.runner.supervisor as supervisor
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
@@ -118,6 +119,14 @@ def fast_backoff(monkeypatch) -> None:
     the supervisor reads the constants in the parent process only."""
     monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
     monkeypatch.setattr(supervisor, "BACKOFF_MAX", 0.05)
+
+
+@pytest.fixture()
+def real_pool(monkeypatch) -> None:
+    """Pools of up to four real worker processes even on a one-CPU
+    host: the runner clamps ``workers`` to ``available_cpus()``, which
+    it reads at call time."""
+    monkeypatch.setattr(executor, "available_cpus", lambda: 4)
 
 
 @pytest.fixture()

@@ -22,6 +22,7 @@ from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
 from repro.experiments.sweeps import exhaustive_grid
 from repro.runner import RunConfig, SweepPointResult
+from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 from tests.bgp.loop_oracle import LoopEngine
 from tests.strategies import TINY, cold_convergences, engine_route_points, tiny_world
@@ -132,23 +133,25 @@ def test_checkpoint_resume_replays_every_completed_cell(
     journal = tmp_path / "grid.jsonl"
 
     engine = PropagationEngine(graph)
-    first = exhaustive_grid(
-        engine,
-        attackers=attackers,
-        victims=victims,
-        origin_padding=PADDING,
-        run=RunConfig(resume=journal),
-    )
+    with CampaignStore(journal, single_file=True) as store:
+        first = exhaustive_grid(
+            engine,
+            attackers=attackers,
+            victims=victims,
+            origin_padding=PADDING,
+            run=RunConfig(store=store),
+        )
 
     rerun_engine = PropagationEngine(graph)
     metrics = RunMetrics()
-    second = exhaustive_grid(
-        rerun_engine,
-        attackers=attackers,
-        victims=victims,
-        origin_padding=PADDING,
-        run=RunConfig(resume=journal, metrics=metrics),
-    )
+    with CampaignStore(journal, single_file=True) as store:
+        second = exhaustive_grid(
+            rerun_engine,
+            attackers=attackers,
+            victims=victims,
+            origin_padding=PADDING,
+            run=RunConfig(store=store, metrics=metrics),
+        )
     assert second == first
     assert metrics.counter_value("scheduler.store_hits") == len(first)
     # Replayed cells touch neither the kernel nor the engine, and the
@@ -166,24 +169,26 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
     journal = tmp_path / "partial.jsonl"
 
     engine = PropagationEngine(graph)
-    partial = exhaustive_grid(
-        engine,
-        attackers=attackers[:3],
-        victims=victims,
-        origin_padding=PADDING,
-        run=RunConfig(resume=journal),
-    )
+    with CampaignStore(journal, single_file=True) as store:
+        partial = exhaustive_grid(
+            engine,
+            attackers=attackers[:3],
+            victims=victims,
+            origin_padding=PADDING,
+            run=RunConfig(store=store),
+        )
 
     rerun_engine = PropagationEngine(graph)
     metrics = RunMetrics()
     rerun_engine.metrics = metrics
-    full = exhaustive_grid(
-        rerun_engine,
-        attackers=attackers,
-        victims=victims,
-        origin_padding=PADDING,
-        run=RunConfig(resume=journal, metrics=metrics),
-    )
+    with CampaignStore(journal, single_file=True) as store:
+        full = exhaustive_grid(
+            rerun_engine,
+            attackers=attackers,
+            victims=victims,
+            origin_padding=PADDING,
+            run=RunConfig(store=store, metrics=metrics),
+        )
     assert full[: len(partial)] == partial
     fresh = len(full) - len(partial)
     assert metrics.counter_value("scheduler.store_hits") == len(partial)

@@ -15,6 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import repro.runner.cache as cache_mod
 from repro.attack.interception import simulate_interception
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
@@ -172,9 +173,10 @@ def test_arbitrary_schedules_take_the_cold_path(small_world):
     assert cache.baseline(victim, prepending=schedule.copy()) is warm
 
 
-def test_lru_bound_is_respected(small_world):
+def test_lru_bound_is_respected(small_world, monkeypatch):
+    monkeypatch.setattr(cache_mod, "MAX_ENTRIES", 2)
     engine = PropagationEngine(small_world.graph)
-    cache = BaselineCache(engine, max_entries=2)
+    cache = BaselineCache(engine)
     victims = small_world.tier1[:3]
     for victim in victims:
         cache.baseline(victim)
@@ -226,11 +228,6 @@ def test_fingerprint_canonicalises_equivalent_schedules():
 
 # ----------------------------------------------------------------------
 # error paths
-
-def test_cache_rejects_nonpositive_bound(small_engine):
-    with pytest.raises(SimulationError):
-        BaselineCache(small_engine, max_entries=0)
-
 
 def test_interception_rejects_foreign_baseline(small_engine, small_world):
     victim, other = small_world.tier1[0], small_world.tier1[1]

@@ -6,7 +6,7 @@ every worker count and persistence state a ``RunConfig`` can name
 — a resume file written by the pre-store checkpoint journal included —
 and whenever every task actually executes, the deterministic
 metric snapshot must equal the plain path's — a bare
-:class:`ShardedScheduler`, no ``RunConfig`` involved.
+:class:`SupervisedExecutor`, no ``RunConfig`` involved.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import json
 
 import pytest
 
-import repro.runner.executor as executor_mod
 from repro.bgp.engine import PropagationEngine
 from repro.detection.monitors import top_degree_monitors
 from repro.runner import (
     CampaignPairTask,
     DeploymentPointTask,
     RunConfig,
-    ShardedScheduler,
+    SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
     WorkerSpec,
@@ -75,19 +74,14 @@ def references(small_world):
         tasks, monitors, prepare = _batch(kind, small_world)
         spec = WorkerSpec(small_world.graph, monitors=monitors, metrics_enabled=True)
         metrics = RunMetrics()
-        with ShardedScheduler(spec, metrics=metrics, prepare=prepare) as scheduler:
-            plain[kind] = (scheduler.run(tasks), metrics.deterministic_snapshot())
+        with SupervisedExecutor(spec, metrics=metrics) as executor:
+            if prepare is not None:
+                prepare(executor.context, tasks)
+            plain[kind] = (executor.run(tasks), metrics.deterministic_snapshot())
     return plain
 
 
-PERSISTENCE = (
-    "none",
-    "cold-store",
-    "warm-store",
-    "resume-file",
-    "legacy-journal",
-    "store+resume-file",
-)
+PERSISTENCE = ("none", "cold-store", "warm-store", "resume-file", "legacy-journal")
 
 
 def _as_legacy_journal(path):
@@ -106,14 +100,10 @@ def _as_legacy_journal(path):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_route_returns_the_plain_results(
-    small_world, references, tmp_path, monkeypatch, kind, workers, persistence
+    small_world, references, tmp_path, real_pool, kind, workers, persistence
 ):
-    # the pool must be real even on a one-CPU host
-    monkeypatch.setattr(executor_mod, "available_cpus", lambda: 4)
     tasks, monitors, prepare = _batch(kind, small_world)
     expected, expected_snapshot = references[kind]
-    half = len(tasks) // 2
-    path = tmp_path / "resume.jsonl"
 
     def run(batch, config):
         engine = PropagationEngine(small_world.graph)
@@ -122,29 +112,20 @@ def test_every_route_returns_the_plain_results(
     metrics = RunMetrics()
     route = RunConfig(workers=workers, metrics=metrics)
     if persistence == "none":
-        results = run(tasks, route)
-        hits = 0
-    elif persistence in ("resume-file", "legacy-journal"):
-        run(tasks[:half], RunConfig(resume=path))
+        results, hits = run(tasks, route), 0
+    else:
+        # a --resume file is the single-file shape of the one store
+        single_file = persistence in ("resume-file", "legacy-journal")
+        path = tmp_path / ("resume.jsonl" if single_file else "store")
+        hits = {"cold-store": 0, "warm-store": len(tasks)}.get(persistence, len(tasks) // 2)
+        if hits:
+            with CampaignStore(path, single_file=single_file) as store:
+                run(tasks[:hits], RunConfig(store=store))
         if persistence == "legacy-journal":
             _as_legacy_journal(path)
-        results = run(tasks, dataclasses.replace(route, resume=path))
-        hits = half
-    else:
-        with CampaignStore(tmp_path / "store") as store:
-            if persistence == "warm-store":
-                run(tasks, RunConfig(store=store))
-            elif persistence == "store+resume-file":
-                run(tasks[:half], RunConfig(resume=path))
-                route = dataclasses.replace(route, resume=path)
+        with CampaignStore(path, single_file=single_file) as store:
             results = run(tasks, dataclasses.replace(route, store=store))
             assert len(store) == len(tasks)
-        hits = {"cold-store": 0, "warm-store": len(tasks), "store+resume-file": half}[
-            persistence
-        ]
-    if path.exists():
-        with CampaignStore(path) as resume:
-            assert len(resume) == len(tasks)
 
     executed = len(tasks) - hits
     assert results == expected

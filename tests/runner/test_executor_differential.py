@@ -2,7 +2,7 @@
 
 The runner's contract is bit-identical output for every worker count.
 Single-CPU hosts clamp requested workers to 1, so the pool paths are
-exercised with ``force_processes=True`` — real worker processes, real
+exercised under the ``real_pool`` fixture — real worker processes, real
 pickling, even when the scheduler grants one core.
 """
 
@@ -36,12 +36,11 @@ def test_resolve_workers_semantics():
     assert resolve_workers(0) == 1
     assert resolve_workers(1) == 1
     assert resolve_workers(4) == min(4, available_cpus())
-    assert resolve_workers(4, force=True) == 4
     with pytest.raises(SimulationError):
         resolve_workers(-1)
 
 
-def test_sweep_results_identical_for_any_worker_count(small_world):
+def test_sweep_results_identical_for_any_worker_count(small_world, real_pool):
     victim, attacker = small_world.tier1[0], small_world.tier1[1]
     spec = WorkerSpec(small_world.graph)
     tasks = [
@@ -50,11 +49,11 @@ def test_sweep_results_identical_for_any_worker_count(small_world):
     with SupervisedExecutor(spec, workers=1) as serial:
         reference = serial.run(tasks)
     for workers in (2, 4):
-        with SupervisedExecutor(spec, workers=workers, force_processes=True) as pool:
+        with SupervisedExecutor(spec, workers=workers) as pool:
             assert pool.run(tasks) == reference
 
 
-def test_campaign_tasks_identical_serial_vs_pool(small_world):
+def test_campaign_tasks_identical_serial_vs_pool(small_world, real_pool):
     monitors = tuple(top_degree_monitors(small_world.graph, 25))
     spec = WorkerSpec(small_world.graph, monitors=monitors)
     tier1 = small_world.tier1
@@ -66,7 +65,7 @@ def test_campaign_tasks_identical_serial_vs_pool(small_world):
     ]
     context = WorkerContext(spec)
     reference = [task.run(context) for task in tasks]
-    with SupervisedExecutor(spec, workers=2, force_processes=True) as pool:
+    with SupervisedExecutor(spec, workers=2) as pool:
         parallel = pool.run(tasks)
     for (res_a, tim_a), (res_b, tim_b) in zip(reference, parallel):
         assert res_a.attacked == res_b.attacked

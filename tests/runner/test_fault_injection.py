@@ -62,7 +62,7 @@ def _serial_reference(world, tasks):
 
 
 class TestPoolCrashRecovery:
-    def test_crash_mid_batch_converges_bit_identical(self, small_world):
+    def test_crash_mid_batch_converges_bit_identical(self, small_world, real_pool):
         tasks = _tasks(small_world)
         reference = _serial_reference(small_world, tasks)
         plan = FaultPlan.for_tasks(
@@ -74,7 +74,7 @@ class TestPoolCrashRecovery:
         spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
         metrics = RunMetrics()
         with SupervisedExecutor(
-            spec, workers=2, force_processes=True, metrics=metrics, retry=FAST
+            spec, workers=2, metrics=metrics, retry=FAST
         ) as executor:
             results = executor.run(tasks)
         assert results == reference
@@ -86,7 +86,7 @@ class TestPoolCrashRecovery:
         assert metrics.counter_value("runner.quarantined_tasks") == 0
         assert metrics.counter_value("worker.tasks") == len(tasks)
 
-    def test_repeated_crashes_still_converge(self, small_world):
+    def test_repeated_crashes_still_converge(self, small_world, real_pool):
         tasks = _tasks(small_world)
         reference = _serial_reference(small_world, tasks)
         plan = FaultPlan.for_tasks(
@@ -96,13 +96,12 @@ class TestPoolCrashRecovery:
         with SupervisedExecutor(
             spec,
             workers=2,
-            force_processes=True,
             retry=RetryPolicy(max_attempts=4),
         ) as executor:
             assert executor.run(tasks) == reference
 
 
-    def test_crashes_are_charged_to_the_culprit_only(self, small_world, monkeypatch):
+    def test_crashes_are_charged_to_the_culprit_only(self, small_world, monkeypatch, real_pool):
         """Three tasks that each crash on attempts 0 and 1 share a
         two-worker pool with three clean ones at ``max_attempts=3``: one
         bystander charge would quarantine a double-crasher.  A crash is
@@ -122,7 +121,7 @@ class TestPoolCrashRecovery:
         for _ in range(3):
             metrics = RunMetrics()
             with SupervisedExecutor(
-                spec, workers=2, force_processes=True, metrics=metrics, retry=policy
+                spec, workers=2, metrics=metrics, retry=policy
             ) as executor:
                 assert executor.run(tasks) == reference
             assert metrics.counter_value("runner.quarantined_tasks") == 0
@@ -132,7 +131,7 @@ class TestPoolCrashRecovery:
 
 
 class TestDeadlines:
-    def test_hang_past_deadline_is_killed_and_retried(self, small_world):
+    def test_hang_past_deadline_is_killed_and_retried(self, small_world, real_pool):
         tasks = _tasks(small_world)
         reference = _serial_reference(small_world, tasks)
         plan = FaultPlan.for_tasks(
@@ -142,7 +141,7 @@ class TestDeadlines:
         metrics = RunMetrics()
         policy = RetryPolicy(deadline=1.0)
         with SupervisedExecutor(
-            spec, workers=2, force_processes=True, metrics=metrics, retry=policy
+            spec, workers=2, metrics=metrics, retry=policy
         ) as executor:
             results = executor.run(tasks)
         assert results == reference
@@ -163,7 +162,7 @@ class TestDeadlines:
 
 
 class TestQuarantine:
-    def test_poisoned_task_returns_structured_failure(self, small_world):
+    def test_poisoned_task_returns_structured_failure(self, small_world, real_pool):
         tasks = _tasks(small_world)
         reference = _serial_reference(small_world, tasks)
         poisoned = tasks[3]
@@ -173,7 +172,7 @@ class TestQuarantine:
         spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
         metrics = RunMetrics()
         with SupervisedExecutor(
-            spec, workers=2, force_processes=True, metrics=metrics, retry=FAST
+            spec, workers=2, metrics=metrics, retry=FAST
         ) as executor:
             results = executor.run(tasks)
         for index, result in enumerate(results):
@@ -305,14 +304,20 @@ class TestCampaignChaos:
         surviving = [r for i, r in enumerate(reference.results) if i != 1]
         assert campaign.results == surviving
 
+    def _resumed(self, study, path, **fields):
+        """One campaign recording into, and replaying from, the
+        single-file store at ``path`` (what ``--resume`` opens)."""
+        with CampaignStore(path, single_file=True) as store:
+            return study.campaign(
+                pairs=self.PAIRS, padding=3, run=RunConfig(store=store, **fields)
+            )
+
     def test_killed_campaign_resumes_without_rerunning(self, study, tmp_path):
         """Emulate a crash-after-3-instances by truncating the journal,
         then resume: only the missing instances execute."""
         reference = study.campaign(pairs=self.PAIRS, padding=3)
         path = tmp_path / "campaign.jsonl"
-        first = study.campaign(
-            pairs=self.PAIRS, padding=3, run=RunConfig(resume=str(path))
-        )
+        first = self._resumed(study, path)
         assert first.results == reference.results
         lines = path.read_text().splitlines()
         assert len(lines) == self.PAIRS
@@ -320,11 +325,7 @@ class TestCampaignChaos:
         path.write_text("\n".join(lines[:keep]) + "\n")
 
         metrics = RunMetrics()
-        resumed = study.campaign(
-            pairs=self.PAIRS,
-            padding=3,
-            run=RunConfig(resume=str(path), metrics=metrics),
-        )
+        resumed = self._resumed(study, path, metrics=metrics)
         assert resumed.results == reference.results
         assert resumed.timings == reference.timings
         # The journal replayed the first three instances; only the rest
@@ -333,11 +334,7 @@ class TestCampaignChaos:
         assert metrics.counter_value("worker.tasks") == self.PAIRS - keep
         # The journal is now complete again: a third run executes nothing.
         metrics_again = RunMetrics()
-        study.campaign(
-            pairs=self.PAIRS,
-            padding=3,
-            run=RunConfig(resume=str(path), metrics=metrics_again),
-        )
+        self._resumed(study, path, metrics=metrics_again)
         assert metrics_again.counter_value("worker.tasks") == 0
         assert metrics_again.counter_value("scheduler.store_hits") == self.PAIRS
 
@@ -345,14 +342,10 @@ class TestCampaignChaos:
         """A journal written by one execution mode resumes in another."""
         reference = study.campaign(pairs=self.PAIRS, padding=3)
         path = tmp_path / "cross.jsonl"
-        study.campaign(
-            pairs=self.PAIRS, padding=3, run=RunConfig(workers=2, resume=str(path))
-        )
+        self._resumed(study, path, workers=2)
         with CampaignStore(path) as recorded:
             assert len(recorded) == self.PAIRS
-        resumed = study.campaign(
-            pairs=self.PAIRS, padding=3, run=RunConfig(resume=str(path))
-        )
+        resumed = self._resumed(study, path)
         assert resumed.results == reference.results
 
 

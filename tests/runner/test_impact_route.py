@@ -116,7 +116,7 @@ class TestRoutesAgree:
                 engine, [(a, v, 3) for a, v in pairs]
             )
 
-    def test_forced_pool_equals_serial_with_deterministic_counters(self, small_world):
+    def test_forced_pool_equals_serial_with_deterministic_counters(self, small_world, real_pool):
         attackers, victims = _grid_pools(small_world)
         tasks = [
             SweepPointTask(victim=v, attacker=a, padding=3)
@@ -129,7 +129,7 @@ class TestRoutesAgree:
         with SupervisedExecutor(spec, workers=1, metrics=serial_metrics) as serial:
             reference = serial.run(tasks)
         with SupervisedExecutor(
-            spec, workers=2, force_processes=True, metrics=pooled_metrics
+            spec, workers=2, metrics=pooled_metrics
         ) as pool:
             assert pool.run(tasks) == reference
         for metrics in (serial_metrics, pooled_metrics):

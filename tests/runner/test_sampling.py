@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import repro.runner.sampling as sampling
 from repro.core import InterceptionStudy
 from repro.exceptions import ExperimentError
 from repro.experiments.base import build_world
@@ -48,10 +49,12 @@ def test_identical_singleton_pools_fail_fast():
         sample_attack_pairs([7, 7, 7], [7, 7], 3, random.Random(1))
 
 
-def test_exhausted_attempt_budget_raises():
+def test_exhausted_attempt_budget_raises(monkeypatch):
     # Two attempts can never yield three pairs, collisions or not.
-    with pytest.raises(ExperimentError, match="gave up"):
-        sample_attack_pairs([1], [1, 2], 3, random.Random(0), max_attempts=2)
+    monkeypatch.setattr(sampling, "BASE_ATTEMPTS", 2)
+    monkeypatch.setattr(sampling, "ATTEMPTS_PER_PAIR", 0)
+    with pytest.raises(ExperimentError, match="after 2 draws"):
+        sample_attack_pairs([1], [1, 2], 3, random.Random(0))
 
 
 def test_degenerate_requests_raise():

@@ -41,14 +41,14 @@ def _serial_reference(spec, tasks):
         return serial.run(tasks)
 
 
-def test_pool_workers_bootstrap_from_shared_memory(small_world):
+def test_pool_workers_bootstrap_from_shared_memory(small_world, real_pool):
     spec = WorkerSpec(small_world.graph, metrics_enabled=True)
     tasks = _tasks(small_world)
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
     with SupervisedExecutor(
-        spec, workers=2, force_processes=True, metrics=metrics
+        spec, workers=2, metrics=metrics
     ) as pool:
         results = pool.run(tasks)
 
@@ -64,7 +64,7 @@ def test_pool_workers_bootstrap_from_shared_memory(small_world):
     assert metrics.counter_value("runner.shm.fallbacks") == 0
 
 
-def test_shm_failure_falls_back_to_pickled_graph(small_world, monkeypatch):
+def test_shm_failure_falls_back_to_pickled_graph(small_world, monkeypatch, real_pool):
     """If shared memory is unavailable the executor ships the original
     graph-pickling spec; workers still run, results stay identical, and
     the telemetry records both the fallback and the pickles."""
@@ -81,7 +81,7 @@ def test_shm_failure_falls_back_to_pickled_graph(small_world, monkeypatch):
 
     metrics = RunMetrics()
     with SupervisedExecutor(
-        spec, workers=2, force_processes=True, metrics=metrics
+        spec, workers=2, metrics=metrics
     ) as pool:
         results = pool.run(tasks)
 
@@ -93,7 +93,7 @@ def test_shm_failure_falls_back_to_pickled_graph(small_world, monkeypatch):
     assert metrics.counter_value("runner.shm.graph_pickles") >= 1
 
 
-def test_vectorized_backend_pool_bootstraps_from_shared_memory(small_world):
+def test_vectorized_backend_pool_bootstraps_from_shared_memory(small_world, real_pool):
     """A pool worker that attached to the published topology converges
     its baselines where a serial engine does, on the wave kernel: the
     engine built by ``from_compiled`` decides the cold core like any
@@ -110,7 +110,7 @@ def test_vectorized_backend_pool_bootstraps_from_shared_memory(small_world):
 
     metrics = RunMetrics()
     with SupervisedExecutor(
-        spec, workers=2, force_processes=True, metrics=metrics
+        spec, workers=2, metrics=metrics
     ) as pool:
         results = pool.run(tasks)
 
@@ -133,7 +133,7 @@ def test_serial_path_never_touches_shared_memory(small_world):
     assert all(not name.startswith("runner.shm.") for name in metrics.counters)
 
 
-def test_deterministic_snapshot_invariant_across_transport(small_world):
+def test_deterministic_snapshot_invariant_across_transport(small_world, real_pool):
     """The deterministic telemetry snapshot excludes the transport-shaped
     ``runner.shm.*`` namespace, so serial and shm-pooled runs of the
     same workload agree on it exactly."""
@@ -146,7 +146,7 @@ def test_deterministic_snapshot_invariant_across_transport(small_world):
 
     pool_metrics = RunMetrics()
     with SupervisedExecutor(
-        spec, workers=2, force_processes=True, metrics=pool_metrics
+        spec, workers=2, metrics=pool_metrics
     ) as pool:
         pool.run(tasks)
 
@@ -157,13 +157,15 @@ def test_deterministic_snapshot_invariant_across_transport(small_world):
 
 
 _POOLED_RUN = """
+import repro.runner.executor as executor
 from repro.experiments.base import build_world
 from repro.runner import SupervisedExecutor, SweepPointTask, WorkerSpec
 
+executor.available_cpus = lambda: 2  # a real pool even on a one-CPU host
 world = build_world(seed=7, scale=0.25)
 victim, attacker = world.topology.tier1[0], world.topology.tier1[1]
 tasks = [SweepPointTask(victim=victim, attacker=attacker, padding=p) for p in (1, 2, 3)]
-with SupervisedExecutor(WorkerSpec(world.graph), workers=2, force_processes=True) as pool:
+with SupervisedExecutor(WorkerSpec(world.graph), workers=2) as pool:
     assert len(pool.run(tasks)) == 3
 """
 

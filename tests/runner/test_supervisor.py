@@ -73,9 +73,9 @@ class TestReuseAfterClose:
         with pytest.raises(SimulationError, match="closed"):
             executor.run(_tasks(small_world))
 
-    def test_closed_pool_executor_does_not_respawn(self, small_world):
+    def test_closed_pool_executor_does_not_respawn(self, small_world, real_pool):
         executor = SupervisedExecutor(
-            WorkerSpec(small_world.graph), workers=2, force_processes=True
+            WorkerSpec(small_world.graph), workers=2
         )
         executor.close()
         with pytest.raises(SimulationError, match="closed"):
@@ -127,7 +127,7 @@ class TestSerialUnsupervisedPredicate:
 
 class TestShmLifecycle:
     def test_pool_construction_failure_unlinks_segment(
-        self, small_world, monkeypatch
+        self, small_world, monkeypatch, real_pool
     ):
         """If ``ProcessPoolExecutor()`` itself raises after the topology
         was published, the segment must be unlinked on the spot."""
@@ -139,7 +139,7 @@ class TestShmLifecycle:
         before = set(executor_mod._LIVE_SEGMENTS)
         tasks = _tasks(small_world)
         executor = SupervisedExecutor(
-            WorkerSpec(small_world.graph), workers=2, force_processes=True
+            WorkerSpec(small_world.graph), workers=2
         )
         # The run itself degrades to serial and completes.
         assert executor.run(tasks) == _serial_reference(small_world, tasks)
@@ -147,11 +147,11 @@ class TestShmLifecycle:
         assert executor_mod._LIVE_SEGMENTS == before
         executor.close()
 
-    def test_atexit_guard_reaps_orphaned_segments(self, small_world):
+    def test_atexit_guard_reaps_orphaned_segments(self, small_world, real_pool):
         """A segment published but never released (crash between publish
         and pool construction) is unlinked by the atexit sweep."""
         executor = SupervisedExecutor(
-            WorkerSpec(small_world.graph), workers=2, force_processes=True
+            WorkerSpec(small_world.graph), workers=2
         )
         executor._pool_spec()
         segment = executor._shm_segment
@@ -166,11 +166,11 @@ class TestShmLifecycle:
             shared_memory.SharedMemory(name=segment.name)
         executor.close()  # idempotent: double-release must not raise
 
-    def test_supervised_close_releases_segment(self, small_world):
+    def test_supervised_close_releases_segment(self, small_world, real_pool):
         tasks = _tasks(small_world)
         spec = WorkerSpec(small_world.graph)
         executor = SupervisedExecutor(
-            spec, workers=2, force_processes=True, retry=FAST
+            spec, workers=2, retry=FAST
         )
         executor.run(tasks)
         executor.close()
@@ -183,13 +183,12 @@ class TestEffectiveRegistry:
     executor's effective registry in *all* metric modes."""
 
     def test_publish_recorded_on_caller_registry_with_unmetered_spec(
-        self, small_world
+        self, small_world, real_pool
     ):
         metrics = RunMetrics()
         executor = SupervisedExecutor(
             WorkerSpec(small_world.graph, metrics_enabled=False),
             workers=2,
-            force_processes=True,
             metrics=metrics,
         )
         executor._pool_spec()
@@ -199,7 +198,7 @@ class TestEffectiveRegistry:
         finally:
             executor.close()
 
-    def test_fallback_recorded_on_caller_registry(self, small_world, monkeypatch):
+    def test_fallback_recorded_on_caller_registry(self, small_world, monkeypatch, real_pool):
         def refuse(topo):
             raise OSError("/dev/shm unavailable")
 
@@ -208,7 +207,6 @@ class TestEffectiveRegistry:
         executor = SupervisedExecutor(
             WorkerSpec(small_world.graph, metrics_enabled=False),
             workers=2,
-            force_processes=True,
             metrics=metrics,
         )
         spec = executor._pool_spec()
@@ -222,7 +220,7 @@ class TestEffectiveRegistry:
             executor.close()
 
     def test_fallback_recorded_on_auto_registry_with_metered_spec(
-        self, small_world, monkeypatch
+        self, small_world, monkeypatch, real_pool
     ):
         monkeypatch.setattr(
             supervisor_mod,
@@ -232,7 +230,6 @@ class TestEffectiveRegistry:
         executor = SupervisedExecutor(
             WorkerSpec(small_world.graph, metrics_enabled=True),
             workers=2,
-            force_processes=True,
         )
         executor._pool_spec()
         try:
@@ -241,12 +238,11 @@ class TestEffectiveRegistry:
         finally:
             executor.close()
 
-    def test_disabled_registry_records_nothing(self, small_world):
+    def test_disabled_registry_records_nothing(self, small_world, real_pool):
         metrics = RunMetrics(enabled=False)
         executor = SupervisedExecutor(
             WorkerSpec(small_world.graph, metrics_enabled=False),
             workers=2,
-            force_processes=True,
             metrics=metrics,
         )
         executor._pool_spec()
@@ -257,7 +253,7 @@ class TestEffectiveRegistry:
 
 
 class TestGracefulDegradation:
-    def test_unbuildable_pool_degrades_to_serial(self, small_world, monkeypatch):
+    def test_unbuildable_pool_degrades_to_serial(self, small_world, monkeypatch, real_pool):
         tasks = _tasks(small_world)
         reference = _serial_reference(small_world, tasks)
 
@@ -269,7 +265,6 @@ class TestGracefulDegradation:
         with SupervisedExecutor(
             WorkerSpec(small_world.graph),
             workers=2,
-            force_processes=True,
             metrics=metrics,
             retry=FAST,
         ) as executor:
@@ -277,7 +272,7 @@ class TestGracefulDegradation:
         assert results == reference
         assert metrics.counter_value("runner.serial_degradations") == 1
 
-    def test_persistently_dying_pool_degrades_to_serial(self, small_world, monkeypatch):
+    def test_persistently_dying_pool_degrades_to_serial(self, small_world, monkeypatch, real_pool):
         """A pool that keeps crashing without completing anything stalls
         out after ``MAX_POOL_RESTARTS`` losses and finishes serially."""
         tasks = _tasks(small_world, count=2)
@@ -290,7 +285,7 @@ class TestGracefulDegradation:
         monkeypatch.setattr(supervisor_mod, "MAX_POOL_RESTARTS", 1)
         policy = RetryPolicy(max_attempts=10)
         with SupervisedExecutor(
-            spec, workers=2, force_processes=True, metrics=metrics, retry=policy
+            spec, workers=2, metrics=metrics, retry=policy
         ) as executor:
             results = executor.run(tasks)
         # In-process the crash fault surfaces as InjectedCrashError, so
@@ -300,7 +295,7 @@ class TestGracefulDegradation:
         assert metrics.counter_value("runner.serial_degradations") == 1
         assert metrics.counter_value("runner.pool_restarts") >= 1
 
-    def test_degraded_run_still_retries_faults(self, small_world, monkeypatch):
+    def test_degraded_run_still_retries_faults(self, small_world, monkeypatch, real_pool):
         tasks = _tasks(small_world)
         reference = _serial_reference(small_world, tasks)
         plan = FaultPlan.for_tasks({tasks[1]: FaultSpec("raise", attempts=(0,))})
@@ -312,7 +307,7 @@ class TestGracefulDegradation:
         metrics = RunMetrics()
         spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
         with SupervisedExecutor(
-            spec, workers=2, force_processes=True, metrics=metrics, retry=FAST
+            spec, workers=2, metrics=metrics, retry=FAST
         ) as executor:
             results = executor.run(tasks)
         assert results == reference

@@ -55,6 +55,13 @@ def _sweep(engine, policy, **overrides):
     return deployment_sweep(engine, **params)
 
 
+def _resumed(engine, policy, path, **overrides):
+    """``_sweep`` recording into, and replaying from, the single-file
+    store at ``path`` (what ``--resume`` opens)."""
+    with CampaignStore(path, single_file=True) as store:
+        return _sweep(engine, policy, run=RunConfig(store=store), **overrides)
+
+
 class TestCurveShapes:
     def test_rov_is_exactly_the_undefended_control(self, world, engine):
         victim, attacker = world.tier1[0], world.tier2[0]
@@ -124,26 +131,26 @@ class TestCheckpointing:
     ):
         victim, attacker = world.tier1[0], world.tier2[0]
         journal_path = tmp_path / "sweep.jsonl"
-        first = _sweep(
-            engine, "aspa", victim=victim, attacker=attacker, run=RunConfig(resume=journal_path)
+        first = _resumed(
+            engine, "aspa", journal_path, victim=victim, attacker=attacker
         )
         with CampaignStore(journal_path) as recorded:
             assert len(recorded) == len(FRACTIONS)
         # Same configuration: every point replays from the journal.
-        replayed = _sweep(
-            engine, "aspa", victim=victim, attacker=attacker, run=RunConfig(resume=journal_path)
+        replayed = _resumed(
+            engine, "aspa", journal_path, victim=victim, attacker=attacker
         )
         assert [r.row() for r in replayed] == [r.row() for r in first]
         with CampaignStore(journal_path) as recorded:
             assert len(recorded) == len(FRACTIONS)
         # A different policy shares no fingerprints: nothing replays,
         # every point is computed and journaled anew.
-        other = _sweep(
+        other = _resumed(
             engine,
             "prependguard",
+            journal_path,
             victim=victim,
             attacker=attacker,
-            run=RunConfig(resume=journal_path),
         )
         assert [r.policy for r in other] == ["prependguard"] * len(FRACTIONS)
         with CampaignStore(journal_path) as recorded:
@@ -152,32 +159,32 @@ class TestCheckpointing:
     def test_strategy_and_seed_are_fingerprinted(self, world, engine, tmp_path):
         victim, attacker = world.tier1[0], world.tier2[0]
         journal_path = tmp_path / "sweep.jsonl"
-        _sweep(
+        _resumed(
             engine,
             "aspa",
+            journal_path,
             victim=victim,
             attacker=attacker,
             fractions=(0.5,),
-            run=RunConfig(resume=journal_path),
         )
-        _sweep(
+        _resumed(
             engine,
             "aspa",
+            journal_path,
             victim=victim,
             attacker=attacker,
             fractions=(0.5,),
             strategy="random",
-            run=RunConfig(resume=journal_path),
         )
-        _sweep(
+        _resumed(
             engine,
             "aspa",
+            journal_path,
             victim=victim,
             attacker=attacker,
             fractions=(0.5,),
             strategy="random",
             seed=99,
-            run=RunConfig(resume=journal_path),
         )
         with CampaignStore(journal_path) as recorded:
             assert len(recorded) == 3

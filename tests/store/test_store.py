@@ -330,7 +330,8 @@ class TestLegacyJournal:
     def test_resume_replays_it_in_place(self, small_engine, small_world, journal):
         tasks = self._tasks(small_world)
         metrics = RunMetrics()
-        resumed = run_batch(small_engine, tasks, RunConfig(resume=journal, metrics=metrics))
+        with CampaignStore(journal, single_file=True) as store:
+            resumed = run_batch(small_engine, tasks, RunConfig(store=store, metrics=metrics))
         assert resumed == run_batch(small_engine, tasks)
         assert metrics.counter_value("scheduler.store_hits") == 6
         assert metrics.counter_value("worker.tasks") == 1

@@ -115,7 +115,7 @@ def _sweep_tasks(world):
 
 
 class TestPooledAggregationIsExact:
-    def test_forced_pool_matches_serial_registry(self, generated_world):
+    def test_forced_pool_matches_serial_registry(self, generated_world, real_pool):
         engine, world = generated_world
         tasks = _sweep_tasks(world)
         spec = WorkerSpec(
@@ -128,7 +128,7 @@ class TestPooledAggregationIsExact:
             serial_results = executor.run(tasks)
         pooled_metrics = RunMetrics()
         with SupervisedExecutor(
-            spec, workers=2, force_processes=True, metrics=pooled_metrics
+            spec, workers=2, metrics=pooled_metrics
         ) as executor:
             pooled_results = executor.run(tasks)
         assert pooled_results == serial_results

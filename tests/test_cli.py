@@ -292,6 +292,34 @@ class TestResilienceFlags:
         assert capsys.readouterr().out == reference
         assert len(journal.read_text().splitlines()) == len(lines)
 
+    def test_a_resume_file_is_a_store_in_the_metrics_too(self, capsys, tmp_path):
+        """``--resume`` opens the run's one store with the run's registry,
+        so its ``store.*`` rows read like ``--store``'s."""
+        summary = ["--metrics", "summary"]
+        main(self.ARGS + ["--resume", str(tmp_path / "campaign.jsonl")] + summary)
+        cold = capsys.readouterr().out
+        assert re.search(r"^store\.puts +counter +4 ", cold, re.M)
+        assert re.search(r"^store\.misses +counter +4 ", cold, re.M)
+        main(self.ARGS + ["--resume", str(tmp_path / "campaign.jsonl")] + summary)
+        warm = capsys.readouterr().out
+        assert re.search(r"^store\.hits +counter +4 ", warm, re.M)
+        assert re.search(r"^scheduler\.store_hits +counter +4 ", warm, re.M)
+        assert "store.puts" not in warm
+
+    def test_import_journal_moves_a_resume_file_into_a_store(self, capsys, tmp_path):
+        """What ``--resume F --store D`` used to do in one run: the file's
+        records land in the directory, which then replays all of them."""
+        resume, store = str(tmp_path / "campaign.jsonl"), str(tmp_path / "store")
+        main(self.ARGS + ["--resume", resume])
+        reference = capsys.readouterr().out
+        assert main(["store", "--store", store, "--import-journal", resume]) == 0
+        assert f"imported 4 new records from {resume}" in capsys.readouterr().out
+        assert main(self.ARGS + ["--store", store, "--metrics", "summary"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(reference)
+        assert re.search(r"^scheduler\.store_hits +counter +4 ", out, re.M)
+        assert "scheduler.executed" not in out
+
 
 class TestSecpolSweepCommand:
     """The ``secpol-sweep`` deployment-fraction surface."""
@@ -771,6 +799,35 @@ class TestErrors:
         assert usage.value.code == 2
         error = capsys.readouterr().err
         assert f"repro-aspp {command}: error: no result store" in error.splitlines()[-1]
+        assert "Traceback" not in error
+
+    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
+    def test_resume_and_store_together_are_a_usage_error(
+        self, command, no_world, capsys, tmp_path
+    ):
+        """A run has one store: ``store --import-journal`` moves a
+        ``--resume`` file's records into a ``--store`` directory."""
+        resume, store = str(tmp_path / "r.jsonl"), str(tmp_path / "store")
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--scale", "0.15", "--resume", resume, "--store", store])
+        assert usage.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == (
+            f"repro-aspp {command}: error: argument --store: not allowed with argument --resume"
+        )
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--attackers", "--victims"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_grid_pools_below_one_are_a_usage_error(self, flag, limit, no_world, capsys):
+        """Not every AS but the smallest-cone one (-1, through
+        ``pool[:-1]``), not a world built to exit 1 on (0)."""
+        with pytest.raises(SystemExit) as usage:
+            main(["grid", "--scale", "0.15", f"{flag}={limit}"])
+        assert usage.value.code == 2
+        error = capsys.readouterr().err
+        last = error.splitlines()[-1]
+        assert last == f"repro-aspp grid: error: {flag} must be at least 1, got {limit}"
         assert "Traceback" not in error
 
     def test_either_flag_opens_what_is_at_the_path(self, capsys, tmp_path):

@@ -113,8 +113,9 @@ def test_the_store_does_not_import_the_runner():
 
 
 def test_the_scheduler_starts_no_threads():
-    scheduler = REPO / "src" / "repro" / "runner" / "scheduler.py"
-    assert "threading" not in _imported_modules(scheduler)
+    """``run_batch`` schedules a batch without threads of its own."""
+    batch = REPO / "src" / "repro" / "runner" / "batch.py"
+    assert "threading" not in _imported_modules(batch)
 
 
 def test_every_export_resolves():
