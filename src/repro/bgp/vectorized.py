@@ -21,8 +21,11 @@ two consequences the core exploits:
   unfinalised tentative key can never improve again (all future offers
   come from keys ≥ it and strictly increase), so each pass finalises
   the whole ``(class, length)`` level at once and relaxes only the
-  newly-finalised senders' out-edges.  Every directed edge is relaxed
-  exactly once per source — total work is O(E) in NumPy batch ops.
+  newly-finalised senders' out-edges.  Every *exported* edge is
+  relaxed exactly once per source — a peer or provider route is
+  announced only on its sender's customer and sibling slots, so the
+  offers export forbids are never built — and total work is O(E) in
+  NumPy batch ops.
   Because the class field dominates the key, the wave schedule *is*
   the Gao-Rexford phase ordering: all customer-cone levels drain
   first (the customer-up sweep), then the single peer-exchange level
@@ -110,10 +113,13 @@ _SENDER_MASK = (1 << 21) - 1
 _LEN_MASK = (1 << 32) - 1
 _MAX_N = 1 << 21
 _MAX_LEN = 1 << 31  # headroom below the 2^32 length field
-#: ``directed edges x columns`` one impact batch may span: a wave's
-#: gather arrays are that many int64 temporaries, a dozen live at once,
-#: and past the cache they cost more per column than they amortise.
-_IMPACT_BUDGET = 1 << 18
+#: ``directed edges x columns`` one impact batch may span.  A wider
+#: batch shares each wave's Python overhead among more columns, but its
+#: ``(columns, n)`` planes and offer temporaries leave the cache.  On
+#: waves that build only exported offers the grid cells read best at
+#: 3-5 columns on the 10k-AS file and flat over 33-132 on the 1,545-AS
+#: world: this budget gives 5 and 66.
+_IMPACT_BUDGET = 1 << 19
 #: canonical baseline columns an impact kernel keeps, per victim (LRU)
 _COLUMN_MEMO = 32
 
@@ -147,27 +153,63 @@ def _inf():
 class _EdgeViews:
     """NumPy views of a topology's CSR arrays, announce-oriented.
 
-    Slot ``k`` is the directed edge ``owner[k] -> nbr[k]``; ``rev[k]``
-    is the matching Adj-RIB-in cell in the receiver's block.  Cached on
-    the topology (building them is O(E)); all integer arrays are int64
-    so packed-key arithmetic never needs casts.
+    Slot ``k`` is the directed edge from the sender whose ``indptr``
+    block holds it to ``nbr[k]``; ``rev[k]`` is the matching Adj-RIB-in
+    cell in the receiver's block.  Cached on the topology (building them
+    is O(E)); all integer arrays are int64 so packed-key arithmetic
+    never needs casts.
+
+    Beside the full CSR sits an export CSR: per sender, the block of its
+    ``always_export`` slots (customer and sibling receivers), the only
+    ones a peer or provider route is announced on.  ``blocks`` is every
+    slot number in order followed by every export block;
+    ``block_lo[e * n + i]`` / ``block_len[e * n + i]`` locate sender
+    ``i``'s full (``e = 0``) or export (``e = 1``) block in it.
+
+    An offer on slot ``k`` is its sender's key restamped: the sender
+    field set to the sender, the length grown by the slot's prepend
+    count, and the class replaced by ``inv[k]`` unless ``k`` is a
+    sibling edge.  ``keep[k]`` clears the class where it is replaced
+    and ``recls[k]`` is the class put in, so with the sender field set
+    per sender an offer costs one mask and one add per slot.
     """
 
-    __slots__ = ("n", "indptr", "nbr", "owner", "inv", "always", "sib", "rev", "ones")
+    __slots__ = (
+        "n",
+        "indptr",
+        "nbr",
+        "inv",
+        "sib",
+        "rev",
+        "ones",
+        "blocks",
+        "block_lo",
+        "block_len",
+        "keep",
+        "recls",
+    )
 
     def __init__(self, topo: CompiledTopology) -> None:
         self.n = topo.n
         self.indptr = np.asarray(topo.indptr).astype(np.int64)
         self.nbr = np.asarray(topo.nbr).astype(np.int64)
-        self.owner = np.repeat(
-            np.arange(topo.n, dtype=np.int64), np.diff(self.indptr)
-        )
+        degree = np.diff(self.indptr)
         self.inv = np.asarray(topo.inv_pref).astype(np.int64)
-        self.always = np.asarray(topo.always_export).astype(bool)
         self.sib = np.asarray(topo.is_sibling).astype(bool)
         self.rev = np.asarray(topo.rev_slot).astype(np.int64)
         #: the per-slot prepend counts of a run in which nobody pads
         self.ones = np.ones(len(self.nbr), dtype=np.int64)
+        always = np.asarray(topo.always_export).astype(np.int64)
+        exported = np.flatnonzero(always)
+        # export slots ahead of each slot boundary
+        ahead = np.concatenate([[0], np.cumsum(always)])
+        export_degree = ahead[self.indptr[1:]] - ahead[self.indptr[:-1]]
+        export_lo = len(self.nbr) + ahead[self.indptr[:-1]]
+        self.blocks = np.concatenate([np.arange(len(self.nbr), dtype=np.int64), exported])
+        self.block_lo = np.concatenate([self.indptr[:-1], export_lo])
+        self.block_len = np.concatenate([degree, export_degree])
+        self.keep = np.where(self.sib, np.int64(-1), np.int64((1 << _CLS_SHIFT) - 1))
+        self.recls = np.where(self.sib, 0, self.inv << _CLS_SHIFT)
 
 
 def _views(topo: CompiledTopology) -> _EdgeViews:
@@ -175,6 +217,20 @@ def _views(topo: CompiledTopology) -> _EdgeViews:
     if ev is None:
         ev = topo._np = _EdgeViews(topo)
     return ev
+
+
+def _sent_slots(ev: _EdgeViews, senders, cls):
+    """The out-slots ``senders`` announce their class-``cls`` routes on,
+    concatenated sender by sender in ascending slot order, and how many
+    each sender has.  This is valley-free export: an origin, customer or
+    sibling route (class ≤ 2) goes on every slot, a peer or provider
+    route only to customers and siblings."""
+    block = senders + (cls > 2) * ev.n
+    lens = ev.block_len[block]
+    total = int(lens.sum())
+    ends = np.cumsum(lens)
+    pos = np.arange(total, dtype=np.int64) + np.repeat(ev.block_lo[block] - ends + lens, lens)
+    return ev.blocks[pos], lens
 
 
 def _max_count(counts) -> int:
@@ -233,9 +289,12 @@ def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
     seeded tentative keys (:func:`_origin_keys` for a plain run).
     ``counts`` is the shared per-slot prepend count.  Every per-wave
     gather/scatter runs on the flattened (column, node) pairs that are
-    newly final, so the entries relaxed across all waves are one per
-    directed edge per column; batching only amortises the per-wave
-    Python overhead, which is what dominates on small topologies.
+    newly final, and each expands only the slots export lets its route
+    out on (:func:`_sent_slots`: the full block for a class ≤ 2 route,
+    the export block otherwise), so the entries relaxed across all
+    waves are one per *exported* edge per column and no offer is built
+    to be thrown away; batching only amortises the per-wave Python
+    overhead, which is what dominates on small topologies.
 
     ``taint``/``forbid`` (``(B, n)`` bool planes) turn a column into
     the two-source fixpoint of the impact kernel (:class:`ImpactKernel`
@@ -257,11 +316,9 @@ def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
     if taint is not None:
         taint_flat = taint.reshape(-1)
         forbid_flat = forbid.reshape(-1)
-    indptr = ev.indptr
-    always = ev.always
-    sib = ev.sib
-    inv = ev.inv
     nbr = ev.nbr
+    keep = ev.keep
+    grow = ev.recls + (counts << _LEN_SHIFT)
     waves = 0
     levels: list = []
     while True:
@@ -272,7 +329,8 @@ def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
             break
         level = m >> _LEN_SHIFT
         level[~active] = -1  # matches no key: a drained column stays put
-        pending &= (keys >> _LEN_SHIFT) == level[:, None]
+        # pending keys are >= m, so this is ``keys >> _LEN_SHIFT == level``
+        pending &= keys < ((level + 1) << _LEN_SHIFT)[:, None]
         idx = np.flatnonzero(pending)
         final_flat[idx] = True
         waves += 1
@@ -290,29 +348,16 @@ def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
         ks = flat[idx]
         if taint is not None:
             taint_flat[idx] = taint_flat[(ks & _SENDER_MASK) + (idx - rows)]
-        lo = indptr[rows]
-        lens = indptr[rows + 1] - lo
-        total = int(lens.sum())
-        if not total:
+        slots, lens = _sent_slots(ev, rows, ks >> _CLS_SHIFT)
+        if not len(slots):
             continue
-        # Slot k of the r-th newly-final sender is lo[r] + (k - start[r]).
-        slots = np.arange(total, dtype=np.int64) + np.repeat(
-            lo - (np.cumsum(lens) - lens), lens
-        )
-        ks = np.repeat(ks, lens)
-        cls = ks >> _CLS_SHIFT
-        sel = np.flatnonzero(always[slots] | (cls <= 2))
-        slots = slots[sel]
-        ks = ks[sel]
-        src = np.repeat(rows, lens)[sel]
-        ocls = np.where(sib[slots], cls[sel], inv[slots])
-        ln = (ks >> _LEN_SHIFT) & _LEN_MASK
-        offer = (ocls << _CLS_SHIFT) | ((ln + counts[slots]) << _LEN_SHIFT) | src
+        sent = np.repeat((ks & ~_SENDER_MASK) | rows, lens)
+        offer = (sent & keep[slots]) + grow[slots]
         target = nbr[slots]
         if b > 1:
-            target += np.repeat(idx - rows, lens)[sel]
+            target += np.repeat(idx - rows, lens)
         if taint is not None:
-            offer[np.repeat(taint_flat[idx], lens)[sel] & forbid_flat[target]] = inf
+            offer[np.repeat(taint_flat[idx], lens) & forbid_flat[target]] = inf
         np.minimum.at(flat, target, offer)
     return waves, levels
 
@@ -370,7 +415,7 @@ class ImpactKernel:
         self._ev = _views(topo)
         #: victim index -> canonical key column, least recently used first
         self._columns: OrderedDict = OrderedDict()
-        # A wave's gathers are int64 arrays of (directed edges x columns).
+        # columns per batch: the budget over the directed edges
         self._width = max(1, _IMPACT_BUDGET // max(1, len(self._ev.nbr)))
 
     def admits(self, padding: int) -> bool:
@@ -443,12 +488,13 @@ class ImpactKernel:
                 node = int(column[node]) & _SENDER_MASK
             forbid[c, v] = True
             # M's stripped announcement, from its canonical key.
-            slots = slice(ev.indptr[m], ev.indptr[m + 1])
             cls = key >> _CLS_SHIFT
+            if violate:
+                slots = np.arange(ev.indptr[m], ev.indptr[m + 1])
+            else:
+                slots, _ = _sent_slots(ev, np.array([m]), np.array([cls]))
             receivers = ev.nbr[slots]
             allowed = ~forbid[c, receivers]
-            if not violate and cls > 2:
-                allowed &= ev.always[slots]
             length = (key >> _LEN_SHIFT) & _LEN_MASK
             offer = (
                 (np.where(ev.sib[slots], cls, ev.inv[slots]) << _CLS_SHIFT)
@@ -537,11 +583,10 @@ def _emit_column(
     # make the walk idempotent once it reaches the origin; everything
     # not emitted is an absent slot (-2), never an explicit
     # withdrawal.
-    owner = ev.owner
-    s_cls = cls_np[owner]
-    allowed = routed[owner] & (ev.always | (s_cls <= 2))
-    cand = np.nonzero(allowed)[0]
-    walk = par[owner[cand]]
+    senders = np.flatnonzero(routed)
+    cand, lens = _sent_slots(ev, senders, cls_np[senders])
+    cand_from = np.repeat(senders, lens)
+    walk = par[cand_from]
     recv = ev.nbr[cand]
     is_anc = walk == recv
     for _ in range(max_depth - 1):
@@ -551,7 +596,9 @@ def _emit_column(
         walk = nxt
         is_anc |= walk == recv
     sel = cand[~is_anc]
-    emit = np.zeros(len(owner), dtype=bool)
+    sel_from = cand_from[~is_anc]
+    num_slots = len(ev.nbr)
+    emit = np.zeros(num_slots, dtype=bool)
     emit[sel] = True
 
     # Interned pids, only where a pid is ever observable: a sender's
@@ -565,7 +612,7 @@ def _emit_column(
     # has that node as a child), so one key-ordered pass over the cone
     # resolves every extend parent-first.
     announces = np.zeros(n, dtype=bool)
-    announces[owner[sel]] = True
+    announces[sel_from] = True
     has_child = np.zeros(n, dtype=bool)
     nonorigin = routed.copy()
     nonorigin[origin_idx] = False
@@ -598,11 +645,10 @@ def _emit_column(
     best_from = np.where(routed, snd_np, -1).tolist()
     best_from[origin_idx] = -1
 
-    num_slots = len(ev.nbr)
     rib_pid_np = np.full(num_slots, -2, dtype=np.int64)
     rib_pref_np = np.zeros(num_slots, dtype=np.int64)
-    rib_pid_np[ev.rev[sel]] = pid_export[owner[sel]]
-    rib_pref_np[ev.rev[sel]] = np.where(ev.sib[sel], s_cls[sel], ev.inv[sel])
+    rib_pid_np[ev.rev[sel]] = pid_export[sel_from]
+    rib_pref_np[ev.rev[sel]] = np.where(ev.sib[sel], cls_np[sel_from], ev.inv[sel])
     if overrides:
         slot_index = topo.slot_index
         for (s, r), cnt in overrides.items():

@@ -372,10 +372,19 @@ def _overrides(args) -> dict[str, object]:
 
 
 def _by_cone(graph):
-    """Sort key: largest customer cone first, lowest ASN on ties."""
-    from repro.topology.tiers import customer_cone
+    """Sort key: largest customer cone first, lowest ASN on ties.  One
+    key walks each AS's cone once, however often it is asked."""
+    from repro.topology import tiers
 
-    return lambda asn: (-len(customer_cone(graph, asn)), asn)
+    sizes: dict[int, int] = {}
+
+    def key(asn):
+        size = sizes.get(asn)
+        if size is None:
+            size = sizes[asn] = len(tiers.customer_cone(graph, asn))
+        return -size, asn
+
+    return key
 
 
 def _load_world(args, parser: argparse.ArgumentParser):
@@ -536,11 +545,12 @@ def _grid(args, parser, metrics) -> int:
             parser.error(f"{flag} must be at least 1, got {limit}")
     with _batch(args, parser, metrics) as (study, run):
         graph = study.world.graph
+        by_cone = _by_cone(graph)
 
         def top_by_cone(pool, limit):
             if limit is None or limit >= len(pool):
                 return list(pool)
-            return sorted(pool, key=_by_cone(graph))[:limit]
+            return sorted(pool, key=by_cone)[:limit]
 
         attackers = top_by_cone(study.world.transit_ases, args.attackers)
         victims = top_by_cone(graph.ases, args.victims)

@@ -141,6 +141,8 @@ def _parse_record(line: bytes) -> dict[str, Any] | str:
     payload = record.get("payload")
     if not isinstance(fingerprint, str) or not isinstance(payload, str):
         return "corrupt"
+    if not payload.isascii():  # base64 armour is ASCII: this is damage
+        return "corrupt"
     if version == 0:
         # What ``--resume`` wrote before it was a store: no digest to
         # check — exactly as much integrity as the journal gave it.

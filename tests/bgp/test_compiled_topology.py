@@ -19,35 +19,12 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
-from repro.topology.asgraph import ASGraph
-from repro.topology.relationships import Relationship
 from tests.bgp.compile_oracle import compile_oracle
 from tests.conftest import make_diamond_graph
-
-KINDS = tuple(kind for kind in Relationship if kind is not Relationship.NONE)
-
-
-@st.composite
-def graphs(draw) -> ASGraph:
-    """Up to 24 ASes with sparse 32-bit ASNs in drawn (unsorted) order,
-    joined by random edges of every kind; undrawn pairs stay isolated."""
-    asns = draw(
-        st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=24, unique=True)
-    )
-    graph = ASGraph()
-    for asn in asns:
-        graph.add_as(asn)
-    members = st.sampled_from(asns)
-    edges = draw(st.lists(st.tuples(members, members, st.sampled_from(KINDS)), max_size=60))
-    for a, b, kind in edges:
-        if a != b and not graph.has_edge(a, b):
-            graph.add_edge(a, b, kind)
-    return graph
-
+from tests.strategies import graphs
 
 class TestBuildMatchesOracle:
     @settings(max_examples=150, deadline=None)

@@ -21,18 +21,24 @@ the structural guarantees that make the emergent order equivalent:
   crosses a peer/provider edge only when the sender's best class is
   customer-or-better, and every best path is valley-free end to end;
 * a batched fixpoint's columns are bit-identical to the per-source
-  single-column runs it replaces.
+  single-column runs it replaces;
+* a wave builds only the offers export allows: the slots a sender's
+  route is announced on are exactly what the filter over its whole
+  block used to keep, and the emitter's presence candidates are the
+  filter's mask over every routed sender.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy", reason="the wave kernel requires numpy")
 
 from tests.strategies import (
     TINY_WITH_SIBLINGS,
+    graphs,
     paddings,
     scale_configs,
     seeds,
@@ -42,7 +48,7 @@ from tests.strategies import (
 
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.vectorized import vectorized_fixpoint
+from repro.bgp.vectorized import _sent_slots, _views, vectorized_fixpoint
 from repro.topology.generators import generate_powerlaw_topology
 from repro.topology.relationships import PrefClass
 
@@ -196,3 +202,53 @@ class TestBatchedColumns:
                 f"column {col} (origin {origin}) diverges from its "
                 "single-source run"
             )
+
+
+class TestExportBlocks:
+    """The fixpoint expands a newly final sender's full block for an
+    origin, customer or sibling route and its export block otherwise;
+    the filter it replaces kept ``always_export[k] or class <= 2`` of
+    the full block."""
+
+    @staticmethod
+    def _filtered(topo, sender, cls):
+        lo, hi = topo.indptr[sender], topo.indptr[sender + 1]
+        return [k for k in range(lo, hi) if topo.always_export[k] or cls <= 2]
+
+    @given(graph=graphs())
+    @PHASE_SETTINGS
+    def test_sent_slots_are_the_filtered_block(self, graph):
+        topo = CompiledTopology.from_graph(graph)
+        ev = _views(topo)
+        pairs = [(s, c) for s in range(topo.n) for c in range(5)]
+        expected = [self._filtered(topo, s, c) for s, c in pairs]
+        for (s, c), want in zip(pairs, expected):
+            slots, lens = _sent_slots(ev, np.array([s]), np.array([c]))
+            assert slots.tolist() == want, f"sender {s}, class {c}"
+            assert lens.tolist() == [len(want)]
+        # one call over every pair: the blocks concatenated in call order
+        senders, classes = np.array(pairs).T
+        slots, lens = _sent_slots(ev, senders, classes)
+        assert lens.tolist() == [len(want) for want in expected]
+        assert slots.tolist() == [k for want in expected for k in want]
+
+    @given(graph=graphs(), data=st.data())
+    @PHASE_SETTINGS
+    def test_presence_candidates_are_the_filter_mask(self, graph, data):
+        """What ``_emit_column`` walks for loops: every routed sender's
+        slots in sender order, equal to the mask it used to build over
+        all slots."""
+        topo = CompiledTopology.from_graph(graph)
+        ev = _views(topo)
+        origin = data.draw(st.sampled_from(graph.ases))
+        keys, _, _ = vectorized_fixpoint(topo, [origin])
+        column = keys[:, 0]
+        routed = column < (np.int64(5) << _CLS_SHIFT)
+        cls = column >> _CLS_SHIFT
+        always = np.asarray(topo.always_export, dtype=bool)
+        owner = np.repeat(np.arange(topo.n), np.diff(topo.indptr))
+        mask = routed[owner] & (always | (cls[owner] <= 2))
+        senders = np.flatnonzero(routed)
+        cand, lens = _sent_slots(ev, senders, cls[senders])
+        assert cand.tolist() == np.nonzero(mask)[0].tolist()
+        assert np.repeat(senders, lens).tolist() == owner[cand].tolist()

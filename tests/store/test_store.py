@@ -164,6 +164,32 @@ class TestCorruptionTolerance(_Shape):
         assert metrics.counter_value("store.stale_records") == 2
         assert metrics.counter_value("store.corrupt_records") == 1
 
+    @pytest.mark.parametrize("escaped", [True, False], ids=["json-escaped", "raw-utf8"])
+    def test_non_ascii_payload_is_corrupt(self, root, log, tmp_path, escaped):
+        """Base64 armour is ASCII, so a payload that decodes to anything
+        else is damage: counted, skipped, compacted away and never
+        imported — whether the line spells it ``\\u00e9`` (pure-ASCII
+        bytes) or as raw UTF-8."""
+        with self.open(root) as store:
+            store.put(_fp(1), "good")
+        good = log.read_bytes()
+        record = json.loads(encode_record(_fp(2), "bad").decode())
+        record["payload"] = "é" + record["payload"]
+        line = (json.dumps(record, ensure_ascii=escaped) + "\n").encode("utf-8")
+        assert line.isascii() is escaped
+        with open(log, "ab") as handle:
+            handle.write(line + line)
+        metrics = RunMetrics()
+        with self.open(root, metrics=metrics) as store:
+            assert len(store) == 1
+            assert metrics.counter_value("store.corrupt_records") == 2
+            with CampaignStore(tmp_path / "imported") as target:
+                assert import_journal(log, target) == 1
+                assert list(target.fingerprints()) == [_fp(1)]
+            assert store.compact() == 2 * len(line)
+            assert store.get(_fp(1)) == "good"
+        assert log.read_bytes() == good
+
     def test_decode_record_rejects_garbage(self):
         assert decode_record(b"not json") is None
         assert decode_record(b"[1, 2, 3]") is None

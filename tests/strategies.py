@@ -11,8 +11,9 @@ starts from the same vocabulary instead of another fork.
 
 Conventions:
 
-* ``seeds``/``paddings`` are the hypothesis strategies; everything else
-  is plain deterministic code driven by the drawn seed.
+* ``seeds``/``paddings`` are the hypothesis strategies (``graphs`` and
+  ``scale_configs`` draw whole topologies); everything else is plain
+  deterministic code driven by the drawn seed.
 * ``tiny_world(seed, config)`` returns both the world *and* the rng
   used to generate it — scenario picks must come from that rng so the
   example is a pure function of the seed.
@@ -32,6 +33,7 @@ from repro.attack.interception import simulate_interception
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.runner import BaselineCache, SweepPointResult
+from repro.topology.asgraph import ASGraph
 from repro.topology.generators import (
     GeneratedTopology,
     InternetTopologyConfig,
@@ -39,6 +41,7 @@ from repro.topology.generators import (
     generate_internet_topology,
     generate_powerlaw_topology,
 )
+from repro.topology.relationships import Relationship
 from tests.bgp.loop_oracle import LoopEngine
 from tests.bgp.reference_engine import ReferenceEngine
 
@@ -55,6 +58,7 @@ __all__ = [
     "draw_attacker_then_victim",
     "draw_victim_then_attacker",
     "engine_route_points",
+    "graphs",
     "paddings",
     "powerlaw_config",
     "scale_configs",
@@ -110,6 +114,29 @@ def paddings(min_value: int = 1, max_value: int = 5):
     """Origin-padding (λ) strategy; the paper sweeps 1..8 but tiny
     topologies saturate earlier."""
     return st.integers(min_value, max_value)
+
+
+#: every role an edge can give its far end
+KINDS = tuple(kind for kind in Relationship if kind is not Relationship.NONE)
+
+
+@st.composite
+def graphs(draw) -> ASGraph:
+    """Up to 24 ASes with sparse 32-bit ASNs in drawn (unsorted) order,
+    joined by random edges of every kind; undrawn pairs stay isolated.
+    No tier structure: the shapes a generator never makes."""
+    asns = draw(
+        st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=24, unique=True)
+    )
+    graph = ASGraph()
+    for asn in asns:
+        graph.add_as(asn)
+    members = st.sampled_from(asns)
+    edges = draw(st.lists(st.tuples(members, members, st.sampled_from(KINDS)), max_size=60))
+    for a, b, kind in edges:
+        if a != b and not graph.has_edge(a, b):
+            graph.add_edge(a, b, kind)
+    return graph
 
 
 def tiny_world(
