@@ -23,11 +23,13 @@ groups, each declared once (``<subcommand> --help`` has the detail):
   ``--scale``, ``--pairs``, ``--instances``, ``--workers``); ``query``
   serves the figure from ``--store``, computing only what is missing.
 * **run** — ``campaign``, ``grid`` and ``secpol-sweep`` run a batch of
-  independent cells; ``--workers``, ``--retries``, ``--task-deadline``
-  and the run's one store (``--store DIR`` or ``--resume FILE``, not
-  both) become one :class:`~repro.runner.RunConfig`.  None of them
-  changes a row, and a bad value is a usage error before any topology
-  is built.
+  independent cells; ``--workers`` and the run's one store (``--store
+  DIR`` or ``--resume FILE``, not both) become one
+  :class:`~repro.runner.RunConfig`.  None of them changes a row, and a
+  bad value is a usage error before any topology is built, as is an
+  attack size (``--padding``, ``--pairs``, ``--monitors``,
+  ``--attackers``, ``--victims``) below 1.  A cell that fails fails the
+  run; rerunning it on the same store executes only the unsettled cells.
 * **metrics** — every subcommand but ``list``, ``world`` and ``store``
   accepts ``--metrics {off,summary,jsonl}`` and ``--metrics-out PATH``;
   ``main`` builds the registry and emits it after the results, whose
@@ -64,18 +66,28 @@ def _world_flags(parser, *, seed=7, scale=1.0) -> None:
     parser.add_argument("--scale", type=float, default=scale)
 
 
+def positive_int(text: str) -> int:
+    """The type of a size flag: an integer of at least 1, or a usage
+    error before anything is built."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _pairs_flag(parser, default=None) -> None:
-    parser.add_argument("--pairs", type=int, default=default)
+    parser.add_argument("--pairs", type=positive_int, default=default)
 
 
 def _attack_flags(parser, *, monitors: int | None = None) -> None:
     """λ and, where the subcommand watches the attack, the monitor count."""
     parser.add_argument(
-        "--padding", type=int, default=3, help="the victim's origin padding λ"
+        "--padding", type=positive_int, default=3,
+        help="the victim's origin padding λ",
     )
     if monitors is not None:
         parser.add_argument(
-            "--monitors", type=int, default=monitors,
+            "--monitors", type=positive_int, default=monitors,
             help="monitor feeds the collector aggregates",
         )
 
@@ -123,16 +135,6 @@ def _run_flags(parser, unit: str | None = None) -> None:
         "it lands, and a rerun with the same PATH replays it — a killed run "
         "resumes instead of restarting.  Every input is part of the task "
         "fingerprint, so a file from a different setup replays nothing",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help=f"attempts per {unit} before it is given up on (default 3): "
-        "a campaign reports it as quarantined, a grid or sweep fails",
-    )
-    parser.add_argument(
-        "--task-deadline", type=float, default=None, metavar="SECONDS",
-        help=f"per-{unit} deadline in pool mode: a hung worker is killed, "
-        f"the pool respawned, and the {unit} retried",
     )
     _store_flag(persistence)
 
@@ -213,12 +215,12 @@ def _configure_campaign(parser) -> None:
 
 def _configure_grid(parser) -> None:
     parser.add_argument(
-        "--attackers", type=int, default=None, metavar="N",
+        "--attackers", type=positive_int, default=None, metavar="N",
         help="limit the attacker pool to the N largest transit ASes by "
         "customer cone (default: every transit AS)",
     )
     parser.add_argument(
-        "--victims", type=int, default=None, metavar="N",
+        "--victims", type=positive_int, default=None, metavar="N",
         help="limit the victim pool to the N largest ASes by customer "
         "cone (default: every AS)",
     )
@@ -428,19 +430,13 @@ def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
     flags are checked first, so a bad one is a usage error before any
     topology is generated or loaded."""
     from repro.core import InterceptionStudy
-    from repro.runner import RetryPolicy, RunConfig
+    from repro.runner import RunConfig
     from repro.store import CampaignStore
 
-    policy = {"max_attempts": args.retries, "deadline": args.task_deadline}
-    policy = {name: value for name, value in policy.items() if value is not None}
     path = args.store if args.resume is None else args.resume
     with contextlib.ExitStack() as stack:
         try:
-            run = RunConfig(
-                workers=args.workers,
-                retry=RetryPolicy(**policy) if policy else None,
-                metrics=metrics,
-            )
+            run = RunConfig(workers=args.workers, metrics=metrics)
             # opening a store creates nothing: the first record does
             if path is not None:
                 store = CampaignStore(
@@ -526,23 +522,10 @@ def _campaign(args, parser, metrics) -> int:
     print(f"  effective attacks:   {len(campaign.effective)}/{args.pairs}")
     print(f"  mean pollution:      {campaign.mean_pollution:.1%}")
     print(f"  detection rate:      {campaign.detection_rate:.1%}")
-    if campaign.failures:
-        print(f"  quarantined:         {len(campaign.failures)}/{args.pairs}")
-    for failure in campaign.failures:
-        reason = failure.error.partition("\n")[0]
-        print(
-            f"repro-aspp campaign: quarantined: AS{failure.task.attacker} -> "
-            f"AS{failure.task.victim}: {failure.kind} after {failure.attempts} "
-            f"attempts: {reason}",
-            file=sys.stderr,
-        )
     return 0
 
 
 def _grid(args, parser, metrics) -> int:
-    for flag, limit in (("--attackers", args.attackers), ("--victims", args.victims)):
-        if limit is not None and limit < 1:
-            parser.error(f"{flag} must be at least 1, got {limit}")
     with _batch(args, parser, metrics) as (study, run):
         graph = study.world.graph
         by_cone = _by_cone(graph)

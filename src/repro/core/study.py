@@ -35,7 +35,6 @@ from repro.experiments.base import generate_world
 from repro.runner import (
     CampaignPairTask,
     RunConfig,
-    TaskFailure,
     run_batch,
     sample_attack_pairs,
 )
@@ -54,9 +53,6 @@ class AttackCampaign:
     timings: list[DetectionTiming] = field(default_factory=list)
     #: telemetry registry the campaign recorded into, when one was passed
     metrics: RunMetrics | None = None
-    #: tasks quarantined by the supervised runner after exhausting their
-    #: retry budget — structured failures instead of a crashed campaign
-    failures: list[TaskFailure] = field(default_factory=list)
 
     @property
     def effective(self) -> list[InterceptionResult]:
@@ -242,16 +238,11 @@ class InterceptionStudy:
 
         ``run`` says how (see :class:`~repro.runner.RunConfig` for the
         fields); the campaign's results are bit-identical under every
-        value of it.  A pooled run (``run.workers``) is supervised: a
-        worker that dies mid-batch (OOM, segfault) respawns the pool
-        and re-executes only the affected instances — every task being
-        a pure function of its inputs, recovery is indistinguishable
-        from a fault-free run.  A task that exhausts its ``run.retry``
-        budget (default 3 attempts with exponential backoff) lands in
-        :attr:`AttackCampaign.failures` as a structured
-        :class:`TaskFailure` instead of sinking the campaign.  With
-        ``run.store`` set, a killed campaign (crash, Ctrl-C) picks up
-        where it stopped.
+        value of it.  An instance that fails fails the campaign, serial
+        or pooled.  With ``run.store`` set, a failed or killed campaign
+        (a worker death, Ctrl-C) picks up where it stopped: every
+        instance is a pure function of its inputs, so rerunning on the
+        same store executes only the unsettled ones.
         """
         if pairs < 1:
             raise ExperimentError("a campaign needs at least one pair")
@@ -264,11 +255,7 @@ class InterceptionStudy:
             for attacker, victim in sampled
         ]
         campaign = AttackCampaign(metrics=run.metrics)
-        for outcome in run_batch(self._engine, tasks, run, monitors=self._monitors):
-            if isinstance(outcome, TaskFailure):
-                campaign.failures.append(outcome)
-                continue
-            result, timing = outcome
+        for result, timing in run_batch(self._engine, tasks, run, monitors=self._monitors):
             campaign.results.append(result)
             campaign.timings.append(timing)
         return campaign

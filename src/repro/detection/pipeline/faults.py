@@ -1,11 +1,10 @@
 """Deterministic fault injection for multi-feed ingestion.
 
-The supervised runner learned this lesson in PR 4: recovery code that
-only runs when something happens to break is recovery code that never
-runs in CI.  This module applies the same discipline to the streaming
-pipeline's failure modes — feed outages, duplicate bursts, malformed
-updates, and gap storms that overrun the reorder buffer — by making
-each one *schedulable*.
+Recovery code that only runs when something happens to break is
+recovery code that never runs in CI.  This module makes each of the
+streaming pipeline's failure modes — feed outages, duplicate bursts,
+malformed updates, and gap storms that overrun the reorder buffer —
+*schedulable*.
 
 A :class:`FeedFaultPlan` maps feed ids to scripted :class:`FeedFault`
 events keyed by the feed's **local offer index** (how many updates that

@@ -24,13 +24,13 @@ to :func:`repro.runner.run_batch`.  Cells already recorded — in
 ``run.store`` or in the store bound by
 :func:`repro.store.use_store` — replay without touching the engine (a
 fully warm store performs *zero* propagations); only missing cells
-run, each recorded as it settles, so an interrupted sweep keeps what it
-finished.  Sweeps need complete data, so a task that exhausts its
-``run.retry`` budget raises :class:`SimulationError` (campaigns, by
-contrast, collect structured failures).  ``cache`` optionally shares
-one :class:`BaselineCache` across several serial sweeps on the same
-engine (e.g. a figure's valley-free and policy-violating series, whose
-baselines coincide).
+run, each recorded as it settles, so a failed or interrupted sweep
+keeps what it finished and a rerun executes only the rest.  Serially,
+the kernel-eligible points of a batch run as one kernel batch ahead of
+the loop (``prepare=WorkerContext.park_impact``).  ``cache`` optionally
+shares one :class:`BaselineCache` across several serial sweeps on the
+same engine (e.g. a figure's valley-free and policy-violating series,
+whose baselines coincide).
 """
 
 from __future__ import annotations
@@ -46,35 +46,11 @@ from repro.runner import (
     RunConfig,
     SweepPointResult,
     SweepPointTask,
-    TaskFailure,
     WorkerContext,
     run_batch,
 )
 
 __all__ = ["exhaustive_grid", "padding_sweep", "pair_grid", "deployment_sweep"]
-
-
-def _run_tasks(
-    engine: PropagationEngine,
-    tasks: Sequence[SweepPointTask],
-    run: RunConfig,
-    cache: BaselineCache | None,
-) -> list:
-    """Run sweep tasks; sweep figures need every point, so a
-    quarantined task is surfaced loudly instead of returned."""
-    # Warm-up: the kernel-eligible points of a batch run as one kernel
-    # batch, parked on the context; the rest take the engine route.
-    results = run_batch(
-        engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
-    )
-    failures = [r for r in results if isinstance(r, TaskFailure)]
-    if failures:
-        first = failures[0]
-        raise SimulationError(
-            f"{len(failures)} sweep task(s) failed permanently after "
-            f"{first.attempts} attempts (first: {first.kind}: {first.error})"
-        )
-    return results
 
 
 def padding_sweep(
@@ -91,8 +67,7 @@ def padding_sweep(
 
     Fractions are percentages of ASes whose best path traverses the
     attacker, matching the paper's y-axis.  The rows are bit-identical
-    under every ``run`` — each point is a pure function of its inputs —
-    including any worker crashes the supervised pool recovers from.
+    under every ``run`` — each point is a pure function of its inputs.
     """
     tasks = [
         SweepPointTask(
@@ -103,7 +78,10 @@ def padding_sweep(
         )
         for padding in paddings
     ]
-    return [result.row() for result in _run_tasks(engine, tasks, run, cache)]
+    results = run_batch(
+        engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
+    )
+    return [result.row() for result in results]
 
 
 def pair_grid(
@@ -122,7 +100,9 @@ def pair_grid(
         SweepPointTask(victim=victim, attacker=attacker, padding=origin_padding)
         for attacker, victim in pairs
     ]
-    return _run_tasks(engine, tasks, run, cache)
+    return run_batch(
+        engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
+    )
 
 
 def exhaustive_grid(
@@ -201,4 +181,6 @@ def deployment_sweep(
         )
         for fraction in fractions
     ]
-    return _run_tasks(engine, tasks, run, cache)
+    return run_batch(
+        engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
+    )

@@ -15,22 +15,14 @@ replays whatever the run's content-addressed
 :class:`SupervisedExecutor` and records each result as it settles.
 The executor (:mod:`repro.runner.supervisor`) runs tasks inline against
 one :class:`WorkerContext`, or on a process pool (topology shipped once
-per worker through shared memory) under bounded retries with backoff,
-per-task deadlines, pool respawn after worker death and serial
-degradation.  A deterministic :class:`FaultPlan` harness
-(:mod:`repro.runner.faults`) exercises every recovery path in CI.
+per worker through shared memory).  A failed cell fails the batch; a
+rerun on the same store executes only the cells that had not settled.
 Results are bit-identical for any worker count and persistence state.
 """
 
 from repro.runner.batch import RunConfig, run_batch
 from repro.runner.cache import BaselineCache
 from repro.runner.executor import available_cpus, execute_task, resolve_workers
-from repro.runner.faults import (
-    FaultPlan,
-    FaultSpec,
-    InjectedCrashError,
-    InjectedFaultError,
-)
 from repro.runner.fingerprint import task_fingerprint
 from repro.runner.sampling import sample_attack_pairs
 from repro.runner.shm import (
@@ -38,7 +30,7 @@ from repro.runner.shm import (
     attach_topology,
     publish_topology,
 )
-from repro.runner.supervisor import RetryPolicy, SupervisedExecutor, TaskFailure
+from repro.runner.supervisor import SupervisedExecutor
 from repro.runner.tasks import (
     CampaignPairTask,
     DeploymentPointResult,
@@ -54,17 +46,11 @@ __all__ = [
     "CampaignPairTask",
     "DeploymentPointResult",
     "DeploymentPointTask",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedCrashError",
-    "InjectedFaultError",
-    "RetryPolicy",
     "RunConfig",
     "SharedTopologyHandle",
     "SupervisedExecutor",
     "SweepPointResult",
     "SweepPointTask",
-    "TaskFailure",
     "WorkerContext",
     "WorkerSpec",
     "attach_topology",

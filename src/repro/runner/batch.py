@@ -1,10 +1,10 @@
 """The one way to run a task batch: a lookup and a loop.
 
-*What* a batch computes is its task list; *how* it runs is five values
-— worker processes, retry policy, campaign store, fault plan,
-telemetry registry — none of which may change a row.
-:class:`RunConfig` carries them as one frozen, validated value from the
-CLI flags (or a library caller) down to :func:`run_batch`, which
+*What* a batch computes is its task list; *how* it runs is three values
+— worker processes, campaign store, telemetry registry — none of which
+may change a row.  :class:`RunConfig` carries them as one frozen,
+validated value from the CLI flags (or a library caller) down to
+:func:`run_batch`, which
 
 * looks every task's fingerprint up in the run's one store **before
   anything is queued**: hits go straight into their result slots and
@@ -12,10 +12,10 @@ CLI flags (or a library caller) down to :func:`run_batch`, which
   compiles no topology);
 * runs the missing cells on one
   :class:`~repro.runner.supervisor.SupervisedExecutor` — in-process on
-  the caller's engine and cache, or a supervised worker pool;
+  the caller's engine and cache, or a worker pool;
 * ``put``-s each result into the store **as it settles**, through the
-  executor's ``on_settled`` callback, so an interrupted run keeps every
-  cell it finished.
+  executor's ``on_settled`` callback, so a failed or interrupted run
+  keeps every cell it finished, and rerunning it executes only the rest.
 
 The result list is bit-identical at any worker count and persistence
 state: every task is a pure function of its descriptor, so *where* it
@@ -32,9 +32,8 @@ from typing import Any
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
-from repro.runner.faults import FaultPlan
 from repro.runner.fingerprint import task_fingerprint
-from repro.runner.supervisor import RetryPolicy, SupervisedExecutor, TaskFailure
+from repro.runner.supervisor import SupervisedExecutor
 from repro.runner.tasks import WorkerSpec
 from repro.store.store import MISSING, get_active_store
 from repro.telemetry.metrics import RunMetrics
@@ -53,17 +52,12 @@ class RunConfig:
 
     #: pool size; ``None``/``0``/``1`` run serially in-process.
     workers: int | None = None
-    #: supervision policy (attempts, per-task deadline);
-    #: ``None`` is :class:`RetryPolicy`'s defaults.
-    retry: RetryPolicy | None = None
     #: content-addressed store consulted before and fed after every
     #: task (``get(fp, default)`` / ``put(fp, value)``), e.g. a
     #: :class:`~repro.store.CampaignStore` directory or single file;
     #: ``None`` falls back to the ambient :func:`~repro.store.use_store`
     #: binding.  Its lifetime stays with the caller.
     store: Any = None
-    #: deterministic fault-injection schedule (chaos testing only).
-    faults: FaultPlan | None = None
     #: registry the run's telemetry is recorded into.
     metrics: RunMetrics | None = None
 
@@ -82,18 +76,18 @@ def run_batch(
     prepare: Callable[[Any, list[Any]], None] | None = None,
 ) -> list[Any]:
     """Run ``tasks`` on ``engine``'s topology as ``run`` says; results
-    in task order, a quarantined task as a ``TaskFailure`` in its slot.
+    in task order.
 
     Recorded cells replay from the store (``run.store``, else the
     ambient binding); only missing cells run, each recorded as it
-    settles — successes only: a quarantined task is retried by the next
-    run, not remembered.  Serially the executor adopts ``engine`` and
-    ``cache`` and records straight into ``run.metrics``; a pooled run
-    builds its own contexts and merges the deltas its workers ship
-    back, so the deterministic counters are identical for every worker
-    count.  ``monitors`` is the fleet of tasks that run detection;
-    ``prepare(ctx, missing_tasks)`` is a warm-up run on the serial
-    context before the loop.
+    settles.  The first failure ends the batch with the executor's
+    error, after every cell that settled before it was recorded.
+    Serially the executor adopts ``engine`` and ``cache`` and records
+    straight into ``run.metrics``; a pooled run builds its own contexts
+    and merges the deltas its workers ship back, so the deterministic
+    counters are identical for every worker count.  ``monitors`` is the
+    fleet of tasks that run detection; ``prepare(ctx, missing_tasks)``
+    is a warm-up run on the serial context before the loop.
     """
     metrics = run.metrics
     store = run.store if run.store is not None else get_active_store()
@@ -114,21 +108,14 @@ def run_batch(
         monitors=monitors,
         max_activations=engine.max_activations,
         metrics_enabled=metrics is not None and metrics.enabled,
-        fault_plan=run.faults,
     )
     batch = [tasks[index] for index in todo]
 
     def record(position: int, value: Any) -> None:
-        if not isinstance(value, TaskFailure):
-            store.put(fingerprints[todo[position]], value)
+        store.put(fingerprints[todo[position]], value)
 
     with SupervisedExecutor(
-        spec,
-        workers=run.workers,
-        engine=engine,
-        cache=cache,
-        metrics=metrics,
-        retry=run.retry,
+        spec, workers=run.workers, engine=engine, cache=cache, metrics=metrics
     ) as executor:
         if prepare is not None and executor.context is not None:
             prepare(executor.context, batch)

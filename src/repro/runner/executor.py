@@ -11,8 +11,8 @@ and every task the worker picks up shares that worker's
 function of its descriptor, so a batch's results are bit-identical for
 any worker count.
 
-The parent side — the pool, its shared-memory segment, retries,
-deadlines — is :class:`repro.runner.supervisor.SupervisedExecutor`;
+The parent side — the pool, its shared-memory segment, the failure
+rule — is :class:`repro.runner.supervisor.SupervisedExecutor`;
 this module holds what runs inside a worker plus the worker-count and
 shared-memory-registry helpers the parent shares with it.
 """
@@ -85,23 +85,14 @@ def _init_worker(spec: WorkerSpec) -> None:
     _CONTEXT = WorkerContext(spec, in_pool_worker=True)
 
 
-def execute_task(
-    task: Any, ctx: WorkerContext, worker_label: str = "serial", attempt: int = 0
-) -> Any:
+def execute_task(task: Any, ctx: WorkerContext, worker_label: str = "serial") -> Any:
     """Run one task against ``ctx``, recording worker-level telemetry.
 
     ``worker.tasks``/``worker.task_seconds`` are worker-count-invariant
     totals; the per-worker load split goes into the registry's ``info``
     section (keyed by ``worker_label``), which is expected to differ
     between serial and pooled runs.
-
-    When the context carries a :class:`~repro.runner.faults.FaultPlan`,
-    the fault scheduled for ``(task, attempt)`` fires *before* the task
-    body — so a faulted attempt does no work and records nothing, and
-    ``worker.tasks`` counts exactly the attempts that completed.
     """
-    if ctx.faults is not None:
-        ctx.faults.fire(task, attempt, in_pool_worker=ctx.in_pool_worker)
     metrics = ctx.metrics
     if not metrics.enabled:
         return task.run(ctx)
@@ -113,19 +104,17 @@ def execute_task(
     return result
 
 
-def _run_task_attempt(task: Any, attempt: int) -> tuple[Any, Any]:
+def _run_task(task: Any) -> tuple[Any, Any]:
     """Pool entry point, returning ``(result, metrics delta or None)``.
 
-    The parent threads the attempt number through so deterministic
-    fault plans can key on it; with metrics on, the worker ships its
-    registry delta with the result, so the parent can aggregate
-    per-worker metrics exactly."""
+    With metrics on, the worker ships its registry delta with the
+    result, so the parent can aggregate per-worker metrics exactly."""
     ctx = _CONTEXT
     assert ctx is not None, "worker used before initialization"
     try:
-        result = execute_task(task, ctx, f"pid{os.getpid()}", attempt=attempt)
+        result = execute_task(task, ctx, f"pid{os.getpid()}")
     except BaseException:
-        # Drop the failed attempt's partial recordings so they cannot
+        # Drop the failed task's partial recordings so they cannot
         # contaminate the delta shipped with this worker's next result.
         ctx.metrics.take()
         raise

@@ -1,8 +1,8 @@
 """The deterministic identity of a runner task: the address a
 :class:`~repro.store.CampaignStore` files its result under — a format
 contract, pinned digest by digest in
-``tests/runner/test_fingerprint_golden.py`` — and the key a
-:class:`~repro.runner.faults.FaultPlan` schedules its faults by.
+``tests/runner/test_fingerprint_golden.py`` — and the name a failed
+run gives a cell it lost.
 """
 
 from __future__ import annotations

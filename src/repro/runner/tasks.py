@@ -22,7 +22,6 @@ from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.timing import DetectionTiming, detection_timing
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
-from repro.runner.faults import FaultPlan
 from repro.runner.shm import SharedTopologyHandle, attach_topology
 from repro.secpol.deployment import (
     POLICIES,
@@ -71,9 +70,6 @@ class WorkerSpec:
     #: shared-memory handle to a published compiled topology; workers
     #: attach to it instead of unpickling ``graph``.
     shared_topology: SharedTopologyHandle | None = None
-    #: deterministic fault-injection schedule (chaos testing only);
-    #: ``None`` — the default — injects nothing anywhere.
-    fault_plan: FaultPlan | None = None
 
 
 class WorkerContext:
@@ -97,8 +93,6 @@ class WorkerContext:
         self.metrics = metrics if metrics is not None else RunMetrics(
             enabled=spec.metrics_enabled
         )
-        self.faults = spec.fault_plan
-        self.in_pool_worker = in_pool_worker
         track = self.metrics.enabled
         if engine is not None:
             self.engine = engine

@@ -54,11 +54,10 @@ __all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics"
 #: each worker converges its own baseline columns and batches what it
 #: is handed; ``engine.impact.cells`` and the fallback reasons are per
 #: task and stay deterministic).  The whole ``runner.*`` namespace
-#: is run-shaped by construction: shared-memory transport accounting
-#: (``runner.shm.*`` — per-worker, absent on the serial path) and the
-#: supervisor's recovery counters (``runner.retries``,
-#: ``runner.pool_restarts``, ``runner.deadline_kills``, ...) measure
-#: faults survived, not propagation performed.
+#: is run-shaped by construction: it is the shared-memory transport
+#: accounting (``runner.shm.*`` — per-worker, absent on the serial
+#: path), which measures how the topology reached the workers, not
+#: propagation performed.
 CACHE_SHAPE_PREFIXES = (
     "cache.",
     "engine.cold.",

@@ -1,7 +1,7 @@
 """``RunConfig`` and ``run_batch``: the one value and the one function
 between a caller and the executor — bit-identity with a bare executor,
-store dedupe, interrupted-run replay, supervision composition, and the
-caller's engine and cache handed back as they came."""
+store dedupe, interrupted-run replay, and the caller's engine and cache
+handed back as they came."""
 
 from __future__ import annotations
 
@@ -18,13 +18,9 @@ from repro.experiments import sweeps
 from repro.experiments.sweeps import padding_sweep
 from repro.runner import (
     BaselineCache,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
     RunConfig,
     SupervisedExecutor,
     SweepPointTask,
-    TaskFailure,
     WorkerContext,
     WorkerSpec,
     run_batch,
@@ -33,11 +29,7 @@ from repro.runner import (
 from repro.store import CampaignStore, get_active_store, use_store
 from repro.telemetry.metrics import RunMetrics
 
-RUN_VALUES = ("workers", "retry", "store", "faults", "metrics")
-
-FAST = RetryPolicy(max_attempts=5)
-
-pytestmark = pytest.mark.usefixtures("fast_backoff")
+RUN_VALUES = ("workers", "store", "metrics")
 
 
 def _tasks(world, count=10):
@@ -50,14 +42,13 @@ def _tasks(world, count=10):
     ]
 
 
-def _single_pool_reference(world, tasks, *, retry=None, fault_plan=None):
-    spec = WorkerSpec(world.graph, fault_plan=fault_plan)
-    with SupervisedExecutor(spec, workers=1, retry=retry) as executor:
+def _single_pool_reference(world, tasks):
+    with SupervisedExecutor(WorkerSpec(world.graph), workers=1) as executor:
         return executor.run(tasks)
 
 
 class TestRunConfig:
-    def test_holds_exactly_the_five_run_values(self):
+    def test_holds_exactly_the_three_run_values(self):
         assert tuple(f.name for f in dataclasses.fields(RunConfig)) == RUN_VALUES
         plain = RunConfig()
         assert all(getattr(plain, name) is None for name in RUN_VALUES)
@@ -66,22 +57,14 @@ class TestRunConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunConfig().workers = 2
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: RunConfig(workers=-1),
-            lambda: RunConfig(retry=RetryPolicy(max_attempts=0)),
-            lambda: RunConfig(retry=RetryPolicy(deadline=-1.0)),
-        ],
-        ids=["workers", "retries", "deadline"],
-    )
+    @pytest.mark.parametrize("build", [lambda: RunConfig(workers=-1)], ids=["workers"])
     def test_invalid_values_raise_at_construction(self, build):
         with pytest.raises(SimulationError):
             build()
 
     def test_no_sweep_or_study_signature_spells_a_run_value(self):
         """The fan-out is gone: callers say ``run=``, nothing else."""
-        spelled = {*RUN_VALUES, "resume", "checkpoint", "shards"} - {"metrics"}
+        spelled = {*RUN_VALUES, "retry", "faults", "resume", "checkpoint", "shards"} - {"metrics"}
         functions = [
             *(fn for _, fn in inspect.getmembers(sweeps, inspect.isfunction)),
             *(fn for _, fn in inspect.getmembers(InterceptionStudy, inspect.isfunction)),
@@ -156,16 +139,6 @@ class TestMatchesBareExecutor:
         engine = PropagationEngine(small_world.graph)
         assert run_batch(engine, tasks) == _single_pool_reference(small_world, tasks)
 
-    def test_matches_single_pool_under_fault_injection(self, small_world):
-        tasks = _tasks(small_world)
-        plan = FaultPlan.seeded(tasks, seed=3, rate=0.5, modes=("crash", "raise"))
-        assert plan  # the seed must actually schedule faults
-        reference = _single_pool_reference(
-            small_world, tasks, retry=FAST, fault_plan=plan
-        )
-        engine = PropagationEngine(small_world.graph)
-        assert run_batch(engine, tasks, RunConfig(retry=FAST, faults=plan)) == reference
-
     def test_results_keep_task_order(self, small_world, tmp_path):
         """Also when only every other cell is missing from the store."""
         tasks = _tasks(small_world)
@@ -212,31 +185,6 @@ class TestStoreIntegration:
         assert metrics.counter_value("scheduler.store_hits") == half
         assert metrics.counter_value("scheduler.executed") == len(tasks) - half
         assert results == _single_pool_reference(small_world, tasks)
-
-
-class TestSupervisionComposition:
-    def test_failures_are_never_recorded(self, small_world, tmp_path):
-        """A store is truth about completed work only: a quarantined
-        task must be retried by the next run, not remembered forever."""
-        tasks = _tasks(small_world)
-        poisoned = tasks[3]
-        plan = FaultPlan.for_tasks(
-            {poisoned: FaultSpec("raise", attempts=tuple(range(FAST.max_attempts)))}
-        )
-        engine = PropagationEngine(small_world.graph)
-        with CampaignStore(tmp_path / "store") as store:
-            results = run_batch(
-                engine, tasks, RunConfig(retry=FAST, store=store, faults=plan)
-            )
-            assert isinstance(results[3], TaskFailure)
-            assert task_fingerprint(poisoned) not in store
-            assert len(store) == len(tasks) - 1
-            # the next run, fault-free, retries exactly the quarantined cell
-            metrics = RunMetrics()
-            assert run_batch(
-                engine, tasks, RunConfig(store=store, metrics=metrics)
-            ) == _single_pool_reference(small_world, tasks)
-        assert metrics.counter_value("scheduler.executed") == 1
 
 
 class TestInterruptedRunKeepsItsWork:

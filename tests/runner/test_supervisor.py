@@ -1,35 +1,33 @@
-"""Supervisor and executor lifecycle regressions.
+"""Executor lifecycle and the one failure rule.
 
-Covers the robustness satellites: the shared-memory segment must never
-outlive a failed pool (construction failure, worker death, interpreter
-exit), a closed executor must refuse reuse instead of respawning onto
-an unlinked segment, shm transport accounting must land on the
-executor's effective registry in every metric mode, and pool
-construction failure must degrade to serial with identical results.
+The shared-memory segment must never outlive a failed pool
+(construction failure, interpreter exit), a closed executor must refuse
+reuse instead of respawning onto an unlinked segment, shm transport
+accounting must land on the executor's effective registry in every
+metric mode, and a failing cell must fail the batch the same way on
+every route.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 import repro.runner.executor as executor_mod
 import repro.runner.supervisor as supervisor_mod
+from repro.bgp.engine import PropagationEngine
 from repro.exceptions import PolicyError, SimulationError
 from repro.runner import (
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
+    RunConfig,
     SupervisedExecutor,
     SweepPointTask,
-    TaskFailure,
-    WorkerContext,
     WorkerSpec,
+    run_batch,
+    task_fingerprint,
 )
+from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
-
-FAST = RetryPolicy()
-
-pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 def _tasks(world, count=4):
@@ -40,33 +38,9 @@ def _tasks(world, count=4):
     ]
 
 
-def _serial_reference(world, tasks):
-    ctx = WorkerContext(WorkerSpec(world.graph))
-    return [task.run(ctx) for task in tasks]
-
-
-class TestRetryPolicy:
-    def test_retry_policy_rejects_bad_values(self):
-        with pytest.raises(SimulationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(SimulationError):
-            RetryPolicy(deadline=0.0)
-
-    def test_backoff_schedule(self, monkeypatch):
-        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE", 0.1)
-        monkeypatch.setattr(supervisor_mod, "BACKOFF_MAX", 0.5)
-        backoff = supervisor_mod.backoff
-        assert backoff(0) == 0.0
-        assert backoff(1) == pytest.approx(0.1)
-        assert backoff(2) == pytest.approx(0.2)
-        assert backoff(3) == pytest.approx(0.4)
-        assert backoff(4) == pytest.approx(0.5)  # capped
-        assert backoff(10) == pytest.approx(0.5)
-
-
 class TestReuseAfterClose:
     def test_sweep_executor_run_after_close_raises(self, small_world):
-        """The plain serial loop (no retry policy, nothing recorded)."""
+        """The plain serial loop (nothing recorded)."""
         executor = SupervisedExecutor(WorkerSpec(small_world.graph), workers=1)
         executor.close()
         assert executor.closed
@@ -84,13 +58,12 @@ class TestReuseAfterClose:
         assert executor._shm_segment is None
 
     def test_supervised_executor_run_after_close_raises(self, small_world):
-        executor = SupervisedExecutor(
-            WorkerSpec(small_world.graph), workers=1, retry=FAST
-        )
+        """The same with a listener attached, as ``run_batch`` runs it."""
+        executor = SupervisedExecutor(WorkerSpec(small_world.graph), workers=1)
         executor.close()
         assert executor.closed
         with pytest.raises(SimulationError, match="closed"):
-            executor.run(_tasks(small_world))
+            executor.run(_tasks(small_world), lambda index, value: None)
 
     def test_context_manager_closes(self, small_world):
         with SupervisedExecutor(WorkerSpec(small_world.graph), workers=1) as executor:
@@ -98,39 +71,14 @@ class TestReuseAfterClose:
         assert executor.closed
 
 
-class TestSerialUnsupervisedPredicate:
-    """The one semantic difference between routes, decided in one place."""
-
-    def _bad(self, world):
-        # λ=0 is rejected by the engine route with a PolicyError
-        return [SweepPointTask(victim=world.tier1[0], attacker=world.tier1[1], padding=0)]
-
-    def test_plain_serial_run_propagates_the_task_exception(self, small_world):
-        with SupervisedExecutor(WorkerSpec(small_world.graph), workers=1) as executor:
-            with pytest.raises(PolicyError):
-                executor.run(self._bad(small_world))
-
-    def test_a_retry_policy_or_a_listener_gives_supervision(self, small_world):
-        spec = WorkerSpec(small_world.graph)
-        with SupervisedExecutor(spec, workers=1, retry=FAST) as executor:
-            (failure,) = executor.run(self._bad(small_world))
-        assert isinstance(failure, TaskFailure)
-        assert (failure.kind, failure.attempts) == ("error", FAST.max_attempts)
-        settled = []
-        with SupervisedExecutor(spec, workers=1) as executor:
-            (failure,) = executor.run(
-                self._bad(small_world), lambda index, value: settled.append((index, value))
-            )
-        assert isinstance(failure, TaskFailure)
-        assert settled == [(0, failure)]
-
-
 class TestShmLifecycle:
     def test_pool_construction_failure_unlinks_segment(
         self, small_world, monkeypatch, real_pool
     ):
         """If ``ProcessPoolExecutor()`` itself raises after the topology
-        was published, the segment must be unlinked on the spot."""
+        was published, the segment must be unlinked on the spot, and the
+        run fails with one :class:`SimulationError` — it does not
+        degrade to serial."""
 
         def explode(*args, **kwargs):
             raise OSError("no more processes")
@@ -141,8 +89,8 @@ class TestShmLifecycle:
         executor = SupervisedExecutor(
             WorkerSpec(small_world.graph), workers=2
         )
-        # The run itself degrades to serial and completes.
-        assert executor.run(tasks) == _serial_reference(small_world, tasks)
+        with pytest.raises(SimulationError, match="could not start a pool of 2 workers"):
+            executor.run(tasks)
         assert executor._shm_segment is None
         assert executor_mod._LIVE_SEGMENTS == before
         executor.close()
@@ -169,9 +117,7 @@ class TestShmLifecycle:
     def test_supervised_close_releases_segment(self, small_world, real_pool):
         tasks = _tasks(small_world)
         spec = WorkerSpec(small_world.graph)
-        executor = SupervisedExecutor(
-            spec, workers=2, retry=FAST
-        )
+        executor = SupervisedExecutor(spec, workers=2)
         executor.run(tasks)
         executor.close()
         assert executor._shm_segment is None
@@ -252,65 +198,44 @@ class TestEffectiveRegistry:
             executor.close()
 
 
-class TestGracefulDegradation:
-    def test_unbuildable_pool_degrades_to_serial(self, small_world, monkeypatch, real_pool):
+class TestOneFailureRule:
+    """A failing cell fails the batch as itself, serial or pooled, and
+    with or without a store."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_cell_raises_the_same_exception_on_every_route(
+        self, small_world, tmp_path, real_pool, workers
+    ):
+        # λ=0 is rejected by the engine route with a PolicyError
+        victim, attacker = small_world.tier1[0], small_world.tier1[1]
+        bad = SweepPointTask(victim=victim, attacker=attacker, padding=0)
+        tasks = [*_tasks(small_world), bad]
+        engine = PropagationEngine(small_world.graph)
+        with pytest.raises(PolicyError):
+            run_batch(engine, tasks, RunConfig(workers=workers))
+        with CampaignStore(tmp_path / "store") as store:
+            with pytest.raises(PolicyError):
+                run_batch(engine, tasks, RunConfig(workers=workers, store=store))
+            assert task_fingerprint(bad) not in store
+            if workers == 1:
+                assert len(store) == len(tasks) - 1
+
+    def test_a_storeless_worker_death_says_how_to_keep_settled_cells(
+        self, small_world, monkeypatch, real_pool
+    ):
         tasks = _tasks(small_world)
-        reference = _serial_reference(small_world, tasks)
+        parent, plain = os.getpid(), SweepPointTask.run
 
-        def explode(*args, **kwargs):
-            raise OSError("fork failed")
+        def dies(task, ctx):
+            if task == tasks[1] and os.getpid() != parent:
+                os._exit(86)
+            return plain(task, ctx)
 
-        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", explode)
-        metrics = RunMetrics()
-        with SupervisedExecutor(
-            WorkerSpec(small_world.graph),
-            workers=2,
-            metrics=metrics,
-            retry=FAST,
-        ) as executor:
-            results = executor.run(tasks)
-        assert results == reference
-        assert metrics.counter_value("runner.serial_degradations") == 1
-
-    def test_persistently_dying_pool_degrades_to_serial(self, small_world, monkeypatch, real_pool):
-        """A pool that keeps crashing without completing anything stalls
-        out after ``MAX_POOL_RESTARTS`` losses and finishes serially."""
-        tasks = _tasks(small_world, count=2)
-        reference = _serial_reference(small_world, tasks)
-        plan = FaultPlan.for_tasks(
-            {task: FaultSpec("crash", attempts=tuple(range(6))) for task in tasks}
+        monkeypatch.setattr(SweepPointTask, "run", dies)
+        with SupervisedExecutor(WorkerSpec(small_world.graph), workers=2) as executor:
+            with pytest.raises(SimulationError) as death:
+                executor.run(tasks)
+            assert executor._pool is None and executor._shm_segment is None
+        assert str(death.value).endswith(
+            "pass --store DIR or --resume FILE to keep settled cells across a rerun"
         )
-        spec = WorkerSpec(small_world.graph, fault_plan=plan)
-        metrics = RunMetrics()
-        monkeypatch.setattr(supervisor_mod, "MAX_POOL_RESTARTS", 1)
-        policy = RetryPolicy(max_attempts=10)
-        with SupervisedExecutor(
-            spec, workers=2, metrics=metrics, retry=policy
-        ) as executor:
-            results = executor.run(tasks)
-        # In-process the crash fault surfaces as InjectedCrashError, so
-        # the serial fallback retries through the remaining faulty
-        # attempts and still converges.
-        assert results == reference
-        assert metrics.counter_value("runner.serial_degradations") == 1
-        assert metrics.counter_value("runner.pool_restarts") >= 1
-
-    def test_degraded_run_still_retries_faults(self, small_world, monkeypatch, real_pool):
-        tasks = _tasks(small_world)
-        reference = _serial_reference(small_world, tasks)
-        plan = FaultPlan.for_tasks({tasks[1]: FaultSpec("raise", attempts=(0,))})
-        monkeypatch.setattr(
-            supervisor_mod,
-            "ProcessPoolExecutor",
-            lambda *a, **k: (_ for _ in ()).throw(OSError("fork failed")),
-        )
-        metrics = RunMetrics()
-        spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
-        with SupervisedExecutor(
-            spec, workers=2, metrics=metrics, retry=FAST
-        ) as executor:
-            results = executor.run(tasks)
-        assert results == reference
-        assert metrics.counter_value("runner.serial_degradations") == 1
-        assert metrics.counter_value("runner.retries") == 1
-        assert metrics.counter_value("worker.tasks") == len(tasks)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 
 import pytest
@@ -223,51 +222,18 @@ class TestSubcommandParsing:
 
 
 class TestResilienceFlags:
-    """The supervised-runner surface: ``--resume``/``--retries``/``--task-deadline``."""
+    """The run's one store: ``--resume FILE`` (or ``--store DIR``) is how
+    a failed or killed run is finished."""
 
     ARGS = ["campaign", "--scale", "0.15", "--pairs", "4", "--monitors", "20"]
 
-    def test_retry_flags_accepted(self, capsys):
-        assert main(self.ARGS + ["--retries", "2", "--task-deadline", "30"]) == 0
-        assert "effective attacks" in capsys.readouterr().out
-
-    def test_retry_flags_do_not_change_summary(self, capsys):
-        main(self.ARGS)
-        plain = capsys.readouterr().out
-        main(self.ARGS + ["--retries", "5"])
-        assert capsys.readouterr().out == plain
-
-    def test_invalid_retries_rejected(self):
+    def test_invalid_retries_rejected(self, capsys):
+        """Nothing is retried, so ``--retries`` is no flag at all."""
         with pytest.raises(SystemExit) as usage:
             main(self.ARGS + ["--retries", "0"])
         assert usage.value.code == 2
-
-    def test_quarantined_pairs_are_named_on_stderr(self, capsys, monkeypatch):
-        """The post-mortem is in the run's own output: one stderr line
-        per ``TaskFailure``; stdout keeps its one summary line."""
-        import repro.core.study as study_mod
-        from repro.runner import FaultPlan
-
-        plain = study_mod.run_batch
-
-        def chaotic(engine, tasks, run, **kwargs):
-            plan = FaultPlan.seeded(tasks, seed=1, rate=0.6, modes=("raise",))
-            return plain(engine, tasks, dataclasses.replace(run, faults=plan), **kwargs)
-
-        monkeypatch.setattr(study_mod, "run_batch", chaotic)
-        assert main(self.ARGS + ["--retries", "2"]) == 0
-        captured = capsys.readouterr()
-        summary = [line for line in captured.out.splitlines() if "quarantined" in line]
-        assert summary == ["  quarantined:         2/4"]
-        lines = captured.err.splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            assert re.fullmatch(
-                r"repro-aspp campaign: quarantined: AS\d+ -> AS\d+: error after "
-                r"2 attempts: InjectedFaultError\('injected failure for "
-                r"CampaignPairTask attempt 1'\)",
-                line,
-            )
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "repro-aspp: error: unrecognized arguments: --retries 0"
 
     def test_resume_writes_journal_and_replays_it(self, capsys, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
@@ -524,7 +490,7 @@ SURFACE = {
         ((), "experiment", None, None, EXPERIMENTS, True, "store"),
         (("--seed",), "seed", "int", None, None, False, "store"),
         (("--scale",), "scale", "float", None, None, False, "store"),
-        (("--pairs",), "pairs", "int", None, None, False, "store"),
+        (("--pairs",), "pairs", "positive_int", None, None, False, "store"),
         (("--instances",), "instances", "int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -545,14 +511,12 @@ SURFACE = {
     "campaign": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
         (("--scale",), "scale", "float", 1.0, None, False, "store"),
-        (("--pairs",), "pairs", "int", 50, None, False, "store"),
-        (("--padding",), "padding", "int", 3, None, False, "store"),
-        (("--monitors",), "monitors", "int", 150, None, False, "store"),
+        (("--pairs",), "pairs", "positive_int", 50, None, False, "store"),
+        (("--padding",), "padding", "positive_int", 3, None, False, "store"),
+        (("--monitors",), "monitors", "positive_int", 150, None, False, "store"),
         (("--placement",), "placement", None, "top-degree", ("top-degree", "greedy-cover"), False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
         (("--resume",), "resume", "str", None, None, False, "store"),
-        (("--retries",), "retries", "int", None, None, False, "store"),
-        (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -561,13 +525,11 @@ SURFACE = {
     "grid": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
         (("--scale",), "scale", "float", 1.0, None, False, "store"),
-        (("--padding",), "padding", "int", 3, None, False, "store"),
-        (("--attackers",), "attackers", "int", None, None, False, "store"),
-        (("--victims",), "victims", "int", None, None, False, "store"),
+        (("--padding",), "padding", "positive_int", 3, None, False, "store"),
+        (("--attackers",), "attackers", "positive_int", None, None, False, "store"),
+        (("--victims",), "victims", "positive_int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
         (("--resume",), "resume", "str", None, None, False, "store"),
-        (("--retries",), "retries", "int", None, None, False, "store"),
-        (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -579,14 +541,12 @@ SURFACE = {
         (("--fractions",), "fractions", "str", "0.0,0.1,0.2,0.4,0.6,0.8,1.0", None, False, "store"),
         (("--seed",), "seed", "int", 7, None, False, "store"),
         (("--scale",), "scale", "float", 1.0, None, False, "store"),
-        (("--padding",), "padding", "int", 3, None, False, "store"),
+        (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--victim",), "victim", "int", None, None, False, "store"),
         (("--attacker",), "attacker", "int", None, None, False, "store"),
         (("--valley-free",), "valley_free", None, False, None, False, "storetrue"),
         (("--workers",), "workers", "int", None, None, False, "store"),
         (("--resume",), "resume", "str", None, None, False, "store"),
-        (("--retries",), "retries", "int", None, None, False, "store"),
-        (("--task-deadline",), "task_deadline", "float", None, None, False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -595,14 +555,14 @@ SURFACE = {
     "detect-stream": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
         (("--scale",), "scale", "float", 0.5, None, False, "store"),
-        (("--monitors",), "monitors", "int", 100, None, False, "store"),
+        (("--monitors",), "monitors", "positive_int", 100, None, False, "store"),
         (("--updates",), "updates", "int", 20000, None, False, "store"),
         (("--prefixes",), "prefixes", "int", 4, None, False, "store"),
         (("--feeds",), "feeds", "int", 4, None, False, "store"),
         (("--batch",), "batch", "int", 64, None, False, "store"),
         (("--backpressure",), "backpressure", None, "block", ("block", "drop", "park"), False, "store"),
         (("--capacity",), "capacity", "int", 256, None, False, "store"),
-        (("--padding",), "padding", "int", 3, None, False, "store"),
+        (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--no-attack",), "no_attack", None, False, None, False, "storetrue"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
@@ -610,10 +570,10 @@ SURFACE = {
     "mitigate-stream": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
         (("--scale",), "scale", "float", 0.5, None, False, "store"),
-        (("--monitors",), "monitors", "int", 100, None, False, "store"),
+        (("--monitors",), "monitors", "positive_int", 100, None, False, "store"),
         (("--updates",), "updates", "int", 8000, None, False, "store"),
         (("--prefixes",), "prefixes", "int", 4, None, False, "store"),
-        (("--padding",), "padding", "int", 3, None, False, "store"),
+        (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--strategy",), "strategy", None, "stepdown", ("none", "stepdown", "reset"), False, "store"),
         (("--step",), "step", "int", 1, None, False, "store"),
         (("--floor",), "floor", "int", 1, None, False, "store"),
@@ -636,7 +596,7 @@ SURFACE = {
         (("--store",), "store", "str", None, None, True, "store"),
         (("--seed",), "seed", "int", None, None, False, "store"),
         (("--scale",), "scale", "float", None, None, False, "store"),
-        (("--pairs",), "pairs", "int", None, None, False, "store"),
+        (("--pairs",), "pairs", "positive_int", None, None, False, "store"),
         (("--instances",), "instances", "int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -742,9 +702,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--retries", "0"],
             ["--workers", "-1"],
-            ["--task-deadline", "-1"],
+            ["--padding", "0"],
             ["--topology", "caida:/no/such/as-rel2.txt"],
             ["--topology", "synth:many"],
             ["--metrics-out", "m.jsonl"],
@@ -761,6 +720,39 @@ class TestErrors:
         assert f"repro-aspp {command}: error: " in error.splitlines()[-1]
         assert "Traceback" not in error
         assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            *(("campaign", flag) for flag in ("--padding", "--pairs", "--monitors")),
+            *(
+                (command, flag)
+                for command in ("detect-stream", "mitigate-stream")
+                for flag in ("--padding", "--monitors")
+            ),
+        ],
+    )
+    def test_attack_sizes_below_one_are_a_usage_error(self, command, flag, no_world, capsys):
+        """Found before a world is built, not after (the stream commands
+        synthesise theirs in the handler)."""
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--scale", "0.15", flag, "0"])
+        assert usage.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"repro-aspp {command}: error: argument {flag}: must be at least 1, got 0"
+
+    @pytest.mark.parametrize(
+        "flag", ["--retries 2", "--task-deadline 30"], ids=["retries", "task-deadline"]
+    )
+    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
+    def test_the_removed_retry_flags_are_a_usage_error(self, command, flag, no_world, capsys):
+        """A failed cell fails the run and a rerun on its store finishes
+        it: nothing is retried, so there is nothing to tune."""
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--scale", "0.15", *flag.split()])
+        assert usage.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"repro-aspp: error: unrecognized arguments: {flag}"
 
     @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
     def test_the_removed_engine_mode_flag_is_a_usage_error(
@@ -827,7 +819,7 @@ class TestErrors:
         assert usage.value.code == 2
         error = capsys.readouterr().err
         last = error.splitlines()[-1]
-        assert last == f"repro-aspp grid: error: {flag} must be at least 1, got {limit}"
+        assert last == f"repro-aspp grid: error: argument {flag}: must be at least 1, got {limit}"
         assert "Traceback" not in error
 
     def test_either_flag_opens_what_is_at_the_path(self, capsys, tmp_path):
@@ -849,9 +841,9 @@ class TestErrors:
         assert (tmp_path / "r.jsonl").is_file() and (tmp_path / "store").is_dir()
 
     def test_library_error_is_one_line_and_status_one(self, capsys):
-        assert main(["campaign", "--scale", "0.15", "--pairs", "0"]) == 1
+        assert main(["secpol-sweep", "--scale", "0.15", "--victim", "999999"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "repro-aspp: error: a campaign needs at least one pair\n"
+        assert captured.err == "repro-aspp: error: AS999999 is not present in the topology\n"
         assert captured.out == ""
         assert main(["run", "fig09", "--scale", "0.15", "--workers", "-1"]) == 1
         assert capsys.readouterr().err.startswith("repro-aspp: error: worker count")
