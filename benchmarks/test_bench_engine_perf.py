@@ -22,7 +22,7 @@ reference.
 ``test_bench_topology_compile_10k`` gates the topology build itself:
 :meth:`CompiledTopology.from_graph` against the per-slot builder it
 replaced (kept as ``tests/bgp/compile_oracle.py``) on the 10k-AS world,
-payloads byte-identical, at least 3× faster.
+CSR columns identical, at least 3× faster.
 
 ``test_bench_world_generation`` gates the default 1.5k-AS world the
 figures run on: ``generate_internet_topology`` against the O(pool)
@@ -51,7 +51,7 @@ from repro.topology.generators import (
 from repro.topology.serialization import dumps_caida
 from repro.topology.tiers import customer_cone
 from repro.utils.rand import derive_rng, make_rng
-from tests.bgp.compile_oracle import compile_oracle
+from tests.bgp.compile_oracle import columns, compile_oracle
 from tests.bgp.loop_oracle import LoopEngine
 from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import engine_route_points
@@ -167,11 +167,11 @@ def _min_of(repeats, fn):
 
 def test_bench_topology_compile_10k():
     """``from_graph`` must hold >= 3x over the per-slot oracle builder
-    on the 10k-AS world, with a byte-identical payload."""
+    on the 10k-AS world, with identical CSR columns."""
     graph = generate_powerlaw_topology(SCALE_10K, seed=7).graph
     oracle_s, reference = _min_of(3, lambda: compile_oracle(graph))
     fast_s, topo = _min_of(5, lambda: CompiledTopology.from_graph(graph))
-    assert topo.to_payload() == reference.to_payload(), "builders disagree"
+    assert columns(topo) == columns(reference), "builders disagree"
 
     speedup = oracle_s / fast_s
     _merge_bench(

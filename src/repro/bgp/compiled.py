@@ -40,7 +40,6 @@ guarantee this).
 from __future__ import annotations
 
 import random
-import struct
 from array import array
 from collections import deque
 from collections.abc import Mapping
@@ -74,8 +73,6 @@ _PREF_OF = tuple(sorted(PrefClass, key=int))
 #: Export-to-peers/providers is allowed for ORIGIN/CUSTOMER/SIBLING
 #: routes — the largest such class value, as an int for the hot loop.
 _EXPORTABLE_UP_MAX = int(PrefClass.SIBLING)
-
-_PAYLOAD_HEADER = struct.Struct("<qq")
 
 
 def _role_table(column: Callable[[Relationship], int]) -> bytes:
@@ -113,10 +110,6 @@ class CompiledTopology:
 
     ``iter_order`` preserves the source graph's insertion order so
     emitted outcome dicts iterate exactly like the reference interpreter's.
-    The arrays round-trip through :meth:`to_payload` /
-    :meth:`from_payload`, which is what the runner ships through
-    ``multiprocessing.shared_memory`` instead of pickling the graph
-    into every pool worker.
     """
 
     __slots__ = (
@@ -228,72 +221,6 @@ class CompiledTopology:
         if topo is None:
             topo = graph._compiled = cls.from_graph(graph)
         return topo
-
-    # ------------------------------------------------------------------
-    def to_payload(self) -> bytes:
-        """Serialise to one contiguous buffer (shared-memory transport)."""
-        return b"".join(
-            (
-                _PAYLOAD_HEADER.pack(self.n, len(self.nbr)),
-                self.asn.tobytes(),
-                self.iter_order.tobytes(),
-                self.indptr.tobytes(),
-                self.nbr.tobytes(),
-                self.rev_slot.tobytes(),
-                self.inv_pref.tobytes(),
-                self.always_export.tobytes(),
-                self.is_sibling.tobytes(),
-                self.role_code.tobytes(),
-            )
-        )
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "CompiledTopology":
-        """Rebuild from :meth:`to_payload` bytes (same host/ABI)."""
-        n, num_slots = _PAYLOAD_HEADER.unpack_from(payload, 0)
-        offset = _PAYLOAD_HEADER.size
-
-        def take(typecode: str, count: int) -> array:
-            nonlocal offset
-            arr = array(typecode)
-            nbytes = arr.itemsize * count
-            arr.frombytes(payload[offset : offset + nbytes])
-            offset += nbytes
-            return arr
-
-        return cls(
-            asn=take("q", n),
-            iter_order=take("i", n),
-            indptr=take("i", n + 1),
-            nbr=take("i", num_slots),
-            rev_slot=take("i", num_slots),
-            inv_pref=take("b", num_slots),
-            always_export=take("b", num_slots),
-            is_sibling=take("b", num_slots),
-            role_code=take("b", num_slots),
-        )
-
-    def to_asgraph(self) -> ASGraph:
-        """Reconstruct an :class:`ASGraph` (AS insertion order preserved)."""
-        graph = ASGraph()
-        asn = self.asn
-        for i in self.iter_order:
-            graph.add_as(asn[i])
-        indptr = self.indptr
-        nbr = self.nbr
-        role_code = self.role_code
-        for i in range(self.n):
-            a = asn[i]
-            for k in range(indptr[i], indptr[i + 1]):
-                j = nbr[k]
-                code = role_code[k]
-                if code == 0:  # j is a's customer: add once, provider side
-                    graph.add_p2c(a, asn[j])
-                elif code == 2 and i < j:
-                    graph.add_p2p(a, asn[j])
-                elif code == 3 and i < j:
-                    graph.add_s2s(a, asn[j])
-        return graph
 
     # ------------------------------------------------------------------
     def hot_arrays(self) -> tuple[list, ...]:

@@ -323,40 +323,21 @@ class PropagationEngine:
         """
         if max_activations < 1:
             raise SimulationError("max_activations must be positive")
-        self._graph: ASGraph | None = graph
+        self._graph = graph
         self._max_activations = max_activations
         self.metrics = metrics
         self._compiled_topo: CompiledTopology | None = None
         self._tables: OrderedDict[int, InternTable] = OrderedDict()
-
-    @classmethod
-    def from_compiled(
-        cls,
-        topo: CompiledTopology,
-        *,
-        max_activations: int = 50,
-        metrics: RunMetrics | None = None,
-    ) -> "PropagationEngine":
-        """An engine over pre-compiled arrays, without an ASGraph.
-
-        This is the pool-worker bootstrap path: the runner ships
-        :class:`CompiledTopology` buffers through shared memory and the
-        worker builds its engine directly from them.  ``graph`` is
-        materialised lazily (only detection/collector code needs it).
-        """
-        engine = cls(None, max_activations=max_activations, metrics=metrics)
-        engine._compiled_topo = topo
-        return engine
 
     @property
     def _topo(self) -> CompiledTopology:
         """The compiled topology.
 
         Resolved on first use through the graph's memo, so an engine
-        that never propagates (a warm store replay, a pool parent)
-        never compiles, and engines over one graph share one topology.
-        Once resolved it is pinned: the engine's intern tables index
-        into it.
+        that never propagates (a warm store replay) never compiles, and
+        engines over one graph (a pool's forked workers included) share
+        one topology.  Once resolved it is pinned: the engine's intern
+        tables index into it.
         """
         topo = self._compiled_topo
         if topo is None:
@@ -365,8 +346,7 @@ class PropagationEngine:
 
     @property
     def graph(self) -> ASGraph:
-        if self._graph is None:
-            self._graph = self._topo.to_asgraph()
+        """The graph this engine was built on."""
         return self._graph
 
     @property

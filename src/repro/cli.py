@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -342,12 +343,30 @@ def _configure_store(parser) -> None:
 # -- what the handlers share -------------------------------------------------
 
 
+def _check_writable(parser: argparse.ArgumentParser, flag: str, path: str) -> None:
+    """A usage error unless ``path`` can be created: it is not a
+    directory, and its parent is a writable directory."""
+    target = Path(path)
+    if target.is_dir():
+        problem = "it is a directory"
+    elif not target.parent.is_dir():
+        problem = f"no directory {target.parent}"
+    elif not os.access(target.parent, os.W_OK):
+        problem = f"directory {target.parent} is not writable"
+    else:
+        return
+    parser.error(f"argument {flag}: cannot write {path}: {problem}")
+
+
 def _make_metrics(args, parser: argparse.ArgumentParser) -> RunMetrics | None:
     """Validate the metrics flags and build the registry — ``None``
     when metrics are off or the subcommand has no metrics flags."""
     mode = getattr(args, "metrics", "off")
-    if getattr(args, "metrics_out", None) is not None and mode != "jsonl":
+    out = getattr(args, "metrics_out", None)
+    if out is not None and mode != "jsonl":
         parser.error("--metrics-out requires --metrics jsonl")
+    if out is not None:
+        _check_writable(parser, "--metrics-out", out)
     return RunMetrics() if mode != "off" else None
 
 
@@ -494,6 +513,8 @@ def _world(args, parser, metrics) -> int:
     from repro.topology.stats import summarize
     from repro.utils.tables import format_table
 
+    if args.save:
+        _check_writable(parser, "--save", args.save)
     world = build_world(seed=args.seed, scale=args.scale)
     print(
         format_table(
@@ -889,10 +910,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     metrics = _make_metrics(args, built[args.command])
     try:
         status = COMMANDS[args.command].handle(args, built[args.command], metrics)
-    except ReproError as exc:
+        _emit_metrics(args, metrics)
+    except (ReproError, OSError) as exc:
         print(f"repro-aspp: error: {exc}", file=sys.stderr)
         return 1
-    _emit_metrics(args, metrics)
     return status
 
 

@@ -14,9 +14,10 @@ replays whatever the run's content-addressed
 ``--resume`` file — already holds, runs the missing cells on one
 :class:`SupervisedExecutor` and records each result as it settles.
 The executor (:mod:`repro.runner.supervisor`) runs tasks inline against
-one :class:`WorkerContext`, or on a process pool (topology shipped once
-per worker through shared memory).  A failed cell fails the batch; a
-rerun on the same store executes only the cells that had not settled.
+one :class:`WorkerContext`, or on a forked process pool whose workers
+inherit the parent's graph and its compiled topology.  A failed cell
+fails the batch; a rerun on the same store executes only the cells
+that had not settled.
 Results are bit-identical for any worker count and persistence state.
 """
 
@@ -25,11 +26,6 @@ from repro.runner.cache import BaselineCache
 from repro.runner.executor import available_cpus, execute_task, resolve_workers
 from repro.runner.fingerprint import task_fingerprint
 from repro.runner.sampling import sample_attack_pairs
-from repro.runner.shm import (
-    SharedTopologyHandle,
-    attach_topology,
-    publish_topology,
-)
 from repro.runner.supervisor import SupervisedExecutor
 from repro.runner.tasks import (
     CampaignPairTask,
@@ -47,15 +43,12 @@ __all__ = [
     "DeploymentPointResult",
     "DeploymentPointTask",
     "RunConfig",
-    "SharedTopologyHandle",
     "SupervisedExecutor",
     "SweepPointResult",
     "SweepPointTask",
     "WorkerContext",
     "WorkerSpec",
-    "attach_topology",
     "available_cpus",
-    "publish_topology",
     "execute_task",
     "resolve_workers",
     "run_batch",

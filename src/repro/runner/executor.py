@@ -5,21 +5,20 @@ Every task (:mod:`repro.runner.tasks`) runs through
 — the caller's own context on a serial run, or the per-process context
 a pool worker builds exactly once from the
 :class:`~repro.runner.tasks.WorkerSpec` its initializer received (the
-topology is shipped per *worker*, the engine is compiled per worker,
-and every task the worker picks up shares that worker's
+worker is forked, so it inherits the parent's graph and compiled
+topology, and every task the worker picks up shares that worker's
 :class:`~repro.runner.cache.BaselineCache`).  Each task is a pure
 function of its descriptor, so a batch's results are bit-identical for
 any worker count.
 
-The parent side — the pool, its shared-memory segment, the failure
-rule — is :class:`repro.runner.supervisor.SupervisedExecutor`;
-this module holds what runs inside a worker plus the worker-count and
-shared-memory-registry helpers the parent shares with it.
+The parent side — the pool and the failure rule — is
+:class:`repro.runner.supervisor.SupervisedExecutor`; this module holds
+what runs inside a worker plus the worker-count helpers the parent
+shares with it.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import time
 from typing import Any
@@ -55,34 +54,13 @@ def resolve_workers(workers: int | None) -> int:
     return min(workers, available_cpus())
 
 
-#: Shared-memory segments published by live executors.  Normally the
-#: owning executor unlinks its segment when it closes or loses its pool;
-#: this registry is the backstop for executors abandoned by a crash or
-#: an exception between publish and pool construction, so ``/dev/shm``
-#: is swept clean when the interpreter exits no matter what.
-_LIVE_SEGMENTS: set = set()
-
-
-def _cleanup_segments() -> None:
-    for segment in list(_LIVE_SEGMENTS):
-        _LIVE_SEGMENTS.discard(segment)
-        try:
-            segment.close()
-            segment.unlink()
-        except Exception:  # pragma: no cover - already reaped
-            pass
-
-
-atexit.register(_cleanup_segments)
-
-
 # Per-process context, built once by the pool initializer.
 _CONTEXT: WorkerContext | None = None
 
 
 def _init_worker(spec: WorkerSpec) -> None:
     global _CONTEXT
-    _CONTEXT = WorkerContext(spec, in_pool_worker=True)
+    _CONTEXT = WorkerContext(spec)
 
 
 def execute_task(task: Any, ctx: WorkerContext, worker_label: str = "serial") -> Any:

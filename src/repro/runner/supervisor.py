@@ -3,8 +3,8 @@
 :class:`SupervisedExecutor` is what :func:`repro.runner.run_batch` runs
 a batch's missing cells on: inline against one
 :class:`~repro.runner.tasks.WorkerContext`, or on a
-``ProcessPoolExecutor`` whose workers bootstrap from a shared-memory
-copy of the compiled topology.  ``run(tasks, on_settled=...)`` reports
+forked ``ProcessPoolExecutor`` whose workers inherit the parent's graph
+and the topology compiled on it.  ``run(tasks, on_settled=...)`` reports
 each result the moment it settles, so a caller that persists them
 (``run_batch`` puts each into the run's store) keeps every cell that
 finished before a failure.  The first failure then ends the batch, by
@@ -19,8 +19,8 @@ that had not settled.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import multiprocessing
 import os
 import threading
 from collections.abc import Callable, Iterable
@@ -32,26 +32,19 @@ from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
-from repro.runner.executor import (
-    _LIVE_SEGMENTS,
-    _init_worker,
-    _run_task,
-    execute_task,
-    resolve_workers,
-)
+from repro.runner.executor import _init_worker, _run_task, execute_task, resolve_workers
 from repro.runner.fingerprint import task_fingerprint
-from repro.runner.shm import publish_topology
 from repro.runner.tasks import WorkerContext, WorkerSpec
 from repro.telemetry.metrics import RunMetrics
 
 __all__ = ["SupervisedExecutor"]
 
 #: Several executors can be live in one process (a caller's own
-#: threads).  Publishing or unlinking a shared-memory segment takes the
-#: ``multiprocessing`` resource tracker's lock, and a pool worker forked
-#: while another thread holds it inherits it locked and hangs on its own
-#: first attach.  Executors therefore take turns at everything that
-#: touches the tracker or forks.
+#: threads).  A fork copies every lock in the process as it stands, so
+#: a worker forked while another thread is half-way through launching
+#: its own pool inherits whatever that launch holds and can hang on it.
+#: Executors therefore take turns at building a pool, which forks all
+#: of its workers at once.
 _FORK_LOCK = threading.RLock()
 
 
@@ -66,7 +59,7 @@ class SupervisedExecutor:
     manager (or call :meth:`close`) so pool processes are reaped and an
     adopted engine and cache get their own metrics registry back.  A
     closed executor is dead: :meth:`run` raises instead of respawning a
-    pool whose shared-memory segment was already unlinked.
+    pool.
     """
 
     def __init__(
@@ -83,7 +76,6 @@ class SupervisedExecutor:
         self._pool: ProcessPoolExecutor | None = None
         self._context: WorkerContext | None = None
         self._pool_metrics: RunMetrics | None = None
-        self._shm_segment = None
         self._closed = False
         # A serial context wires the run's registry into the engine and
         # cache it adopts; close() puts their own registries back.
@@ -97,9 +89,7 @@ class SupervisedExecutor:
             )
         elif metrics is not None:
             # The caller's registry is the effective pool registry even
-            # when the spec itself ships unmetered workers — parent-side
-            # events (shm publishes/fallbacks) still land somewhere
-            # observable.
+            # when the spec itself ships unmetered workers.
             self._pool_metrics = metrics
         elif spec.metrics_enabled:
             self._pool_metrics = RunMetrics()
@@ -162,39 +152,21 @@ class SupervisedExecutor:
         return results
 
     # -- pool lifecycle -------------------------------------------------
-    def _pool_spec(self) -> WorkerSpec:
-        """The spec shipped to pool workers: the compiled topology
-        published once into shared memory in place of the pickled graph,
-        or — shared memory unavailable (no ``/dev/shm``, permissions,
-        size limits) — the graph-pickling spec unchanged."""
-        spec = self.spec
-        registry = self._pool_metrics
-        if registry is not None and not registry.enabled:
-            registry = None
-        if spec.graph is None or spec.shared_topology is not None:
-            return spec
-        try:
-            topo = CompiledTopology.of(spec.graph)
-            self._shm_segment, handle = publish_topology(topo)
-        except (OSError, ValueError):
-            if registry is not None:
-                registry.count("runner.shm.fallbacks")
-            return spec
-        _LIVE_SEGMENTS.add(self._shm_segment)
-        if registry is not None:
-            registry.count("runner.shm.publishes")
-            registry.count("runner.shm.published_bytes", handle.size)
-        return dataclasses.replace(spec, graph=None, shared_topology=handle)
-
     def _get_pool(self) -> ProcessPoolExecutor:
         """The live pool, built on first use."""
         if self._pool is None:
+            # Compiled here, once, and the workers are forked, never
+            # spawned: each inherits the graph and this compiled form,
+            # where a spawned or forkserver worker (Python 3.14's
+            # default) would unpickle the graph and compile it again.
+            CompiledTopology.of(self.spec.graph)
             try:
                 with _FORK_LOCK:
                     self._pool = ProcessPoolExecutor(
                         max_workers=self.workers,
+                        mp_context=multiprocessing.get_context("fork"),
                         initializer=_init_worker,
-                        initargs=(self._pool_spec(),),
+                        initargs=(self.spec,),
                     )
                     # A fork-context pool launches all its workers on
                     # the first submit; make that happen here, under
@@ -207,21 +179,9 @@ class SupervisedExecutor:
                 ) from exc
         return self._pool
 
-    def _release_shm(self) -> None:
-        segment, self._shm_segment = self._shm_segment, None
-        if segment is None:
-            return
-        _LIVE_SEGMENTS.discard(segment)
-        segment.close()
-        with _FORK_LOCK:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reaped
-                pass
-
     def _discard_pool(self, *, kill: bool = False) -> None:
-        """Tear down the current pool (if any) and its shm segment;
-        ``kill`` first, so a failed batch does not wait on its cells."""
+        """Tear down the current pool (if any); ``kill`` first, so a
+        failed batch does not wait on its cells."""
         pool, self._pool = self._pool, None
         if pool is not None:
             if kill:
@@ -234,7 +194,6 @@ class SupervisedExecutor:
                 pool.shutdown(wait=not kill, cancel_futures=kill)
             except Exception:  # pragma: no cover - broken pool teardown
                 pass
-        self._release_shm()
 
     # -- pool path ------------------------------------------------------
     def _run_pool(

@@ -22,7 +22,6 @@ from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.timing import DetectionTiming, detection_timing
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
-from repro.runner.shm import SharedTopologyHandle, attach_topology
 from repro.secpol.deployment import (
     POLICIES,
     STRATEGIES,
@@ -48,17 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to rebuild its execution context.
+    """Everything a worker needs to build its execution context.
 
-    The spec is shipped to each worker exactly once (as pool
-    initializer arguments).  The topology travels either as a pickled
-    :class:`ASGraph` (``graph``) or — the pool path — as a
-    :class:`~repro.runner.shm.SharedTopologyHandle` naming a
-    shared-memory segment the parent published, so the graph is never
-    pickled per worker at all.
+    A pool receives the spec as its initializer argument.  The pool is
+    forked, so ``graph`` is the parent's own object, inherited together
+    with the compiled topology the parent memoised on it: a worker
+    neither unpickles nor compiles a topology.
     """
 
-    graph: ASGraph | None
+    graph: ASGraph
     #: monitor fleet for tasks that run detection; ``None`` when the
     #: workload is pure propagation (λ-sweeps).
     monitors: tuple[int, ...] | None = None
@@ -67,9 +64,6 @@ class WorkerSpec:
     #: into its engine, cache and detection pipeline, and ships a
     #: metrics delta back with every task result.
     metrics_enabled: bool = False
-    #: shared-memory handle to a published compiled topology; workers
-    #: attach to it instead of unpickling ``graph``.
-    shared_topology: SharedTopologyHandle | None = None
 
 
 class WorkerContext:
@@ -82,7 +76,6 @@ class WorkerContext:
         engine: PropagationEngine | None = None,
         cache: BaselineCache | None = None,
         metrics: RunMetrics | None = None,
-        in_pool_worker: bool = False,
     ) -> None:
         # ``metrics`` lets the serial path record straight into the
         # caller's registry; pool workers build their own per-process
@@ -93,37 +86,13 @@ class WorkerContext:
         self.metrics = metrics if metrics is not None else RunMetrics(
             enabled=spec.metrics_enabled
         )
-        track = self.metrics.enabled
-        if engine is not None:
-            self.engine = engine
-        elif spec.shared_topology is not None:
-            # Pool-worker bootstrap from shared memory: attach, copy,
-            # build the engine straight on the compiled arrays.
-            topo = attach_topology(spec.shared_topology)
-            self.engine = PropagationEngine.from_compiled(
-                topo, max_activations=spec.max_activations
-            )
-            if track:
-                self.metrics.count("runner.shm.bootstraps")
-                self.metrics.count(
-                    "runner.shm.attached_bytes", spec.shared_topology.size
-                )
-        elif spec.graph is not None:
-            self.engine = PropagationEngine(
-                spec.graph, max_activations=spec.max_activations
-            )
-            if track and in_pool_worker:
-                # A pool worker rebuilding its engine from a pickled
-                # graph means the shared-memory path was not taken.
-                self.metrics.count("runner.shm.graph_pickles")
-        else:
-            raise SimulationError(
-                "WorkerSpec carries neither a graph nor a shared topology"
-            )
+        self.engine = engine if engine is not None else PropagationEngine(
+            spec.graph, max_activations=spec.max_activations
+        )
         if cache is not None and cache.engine is not self.engine:
             raise SimulationError("shared cache must belong to this context's engine")
         self.cache = cache if cache is not None else BaselineCache(self.engine)
-        if track:
+        if self.metrics.enabled:
             self.engine.metrics = self.metrics
             self.cache.metrics = self.metrics
         # Impact-kernel route (see :meth:`impact_counts`): the kernel or
@@ -145,8 +114,7 @@ class WorkerContext:
 
     @property
     def graph(self) -> ASGraph:
-        """The topology (materialised from the compiled arrays when the
-        worker was bootstrapped through shared memory)."""
+        """The topology the context's engine runs on."""
         return self.engine.graph
 
     @property

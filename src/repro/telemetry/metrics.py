@@ -53,11 +53,7 @@ __all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics"
 #: counters (``engine.impact.columns`` / ``.batches`` / ``.waves`` —
 #: each worker converges its own baseline columns and batches what it
 #: is handed; ``engine.impact.cells`` and the fallback reasons are per
-#: task and stay deterministic).  The whole ``runner.*`` namespace
-#: is run-shaped by construction: it is the shared-memory transport
-#: accounting (``runner.shm.*`` — per-worker, absent on the serial
-#: path), which measures how the topology reached the workers, not
-#: propagation performed.
+#: task and stay deterministic).
 CACHE_SHAPE_PREFIXES = (
     "cache.",
     "engine.cold.",
@@ -66,7 +62,6 @@ CACHE_SHAPE_PREFIXES = (
     "engine.impact.columns",
     "engine.impact.batches",
     "engine.impact.waves",
-    "runner.",
     # The campaign store and the batch lookup measure work *avoided*
     # (dedupe hits, bytes persisted), which depends on what
     # earlier runs left in the store — run-shaped by definition.

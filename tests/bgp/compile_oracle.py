@@ -6,7 +6,7 @@ it read the per-role adjacency sets directly: one
 column appended slot by slot, and ``rev_slot`` resolved through an
 eagerly built ``slot_index``.  It only uses the graph's public queries,
 so it is the independent statement of what the fast builder must
-produce: ``to_payload()`` of the two must be byte-identical
+produce: :func:`columns` of the two must be equal
 (``test_compiled_topology.py``), and ``benchmarks/
 test_bench_engine_perf.py`` times the fast builder against it.
 """
@@ -18,6 +18,25 @@ from array import array
 from repro.bgp.compiled import CompiledTopology
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import PrefClass, Relationship
+
+#: The nine CSR arrays a :class:`CompiledTopology` is made of.
+COLUMNS = (
+    "asn",
+    "iter_order",
+    "indptr",
+    "nbr",
+    "rev_slot",
+    "inv_pref",
+    "always_export",
+    "is_sibling",
+    "role_code",
+)
+
+
+def columns(topo: CompiledTopology) -> tuple:
+    """``topo``'s nine CSR arrays, for comparing two topologies."""
+    return tuple(getattr(topo, name) for name in COLUMNS)
+
 
 REL_CODE = {
     Relationship.CUSTOMER: 0,

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.attack.impact import pollution_report
 from repro.attack.interception import simulate_interception
 from repro.bgp.compiled import CompiledTopology, InternTable
-from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.secpol import build_deployment
 from repro.topology.generators import generate_internet_topology
@@ -394,50 +393,3 @@ class TestSecpolDifferential:
                 engine, world, victim=victim, attacker=attacker, secpol=None
             )
             _assert_outcomes_identical(defended.attacked, undefended.attacked)
-
-
-class TestCompiledTopologyTransport:
-    def test_payload_round_trip(self):
-        world = generate_internet_topology(TINY, random.Random(5))
-        topo = CompiledTopology.from_graph(world.graph)
-        clone = CompiledTopology.from_payload(topo.to_payload())
-        assert clone.n == topo.n
-        for column in (
-            "asn",
-            "iter_order",
-            "indptr",
-            "nbr",
-            "rev_slot",
-            "inv_pref",
-            "always_export",
-            "is_sibling",
-            "role_code",
-        ):
-            assert getattr(clone, column) == getattr(topo, column), column
-
-    def test_rebuilt_engine_is_bit_identical(self):
-        """An engine bootstrapped from payload bytes (the shared-memory
-        worker path) propagates identically to one built from the graph."""
-        world = generate_internet_topology(TINY, random.Random(5))
-        origin = world.stubs[1]
-        direct = PropagationEngine(world.graph)
-        rebuilt = PropagationEngine.from_compiled(
-            CompiledTopology.from_payload(
-                CompiledTopology.from_graph(world.graph).to_payload()
-            )
-        )
-        _assert_outcomes_identical(
-            direct.propagate(origin), rebuilt.propagate(origin)
-        )
-
-    def test_to_asgraph_round_trips_topology(self):
-        world = generate_internet_topology(TINY, random.Random(5))
-        graph = world.graph
-        rebuilt = CompiledTopology.from_graph(graph).to_asgraph()
-        assert list(rebuilt) == list(graph)  # insertion order preserved
-        for asn in graph:
-            assert rebuilt.neighbors_of(asn) == graph.neighbors_of(asn)
-            for neighbor in graph.neighbors_of(asn):
-                assert rebuilt.relationship(asn, neighbor) is graph.relationship(
-                    asn, neighbor
-                )

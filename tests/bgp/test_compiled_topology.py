@@ -3,7 +3,7 @@
 Two contracts:
 
 * **Build.**  :meth:`CompiledTopology.from_graph` reads the per-role
-  adjacency sets directly; its payload must be byte-identical to the
+  adjacency sets directly; its nine CSR columns must equal those of the
   per-slot ``relationship()`` builder it replaced
   (:mod:`tests.bgp.compile_oracle`) on arbitrary graphs — all four
   relationship kinds, isolated ASes, non-contiguous ASNs, insertion
@@ -22,25 +22,24 @@ from hypothesis import given, settings
 
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
-from tests.bgp.compile_oracle import compile_oracle
+from tests.bgp.compile_oracle import columns, compile_oracle
 from tests.conftest import make_diamond_graph
 from tests.strategies import graphs
 
 class TestBuildMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(graph=graphs())
-    def test_payload_is_byte_identical_and_slot_index_equal(self, graph):
+    def test_columns_and_slot_index_equal(self, graph):
         topo = CompiledTopology.from_graph(graph)
         oracle = compile_oracle(graph)
-        assert topo.to_payload() == oracle.to_payload()
+        assert columns(topo) == columns(oracle)
         assert topo._slot_index is None  # the build leaves it to the property
         assert topo.slot_index == oracle.slot_index
 
     def test_generated_world(self, small_world):
         graph = small_world.graph
-        assert (
-            CompiledTopology.from_graph(graph).to_payload()
-            == compile_oracle(graph).to_payload()
+        assert columns(CompiledTopology.from_graph(graph)) == columns(
+            compile_oracle(graph)
         )
 
 
@@ -68,8 +67,8 @@ class TestMemo:
         MUTATIONS[name](graph)
         fresh = CompiledTopology.of(graph)
         assert fresh is not stale
-        assert fresh.to_payload() == compile_oracle(graph).to_payload()
-        assert fresh.to_payload() != stale.to_payload()
+        assert columns(fresh) == columns(compile_oracle(graph))
+        assert columns(fresh) != columns(stale)
 
     def test_copy_neither_shares_nor_carries_the_memo(self):
         graph = make_diamond_graph()
@@ -78,7 +77,7 @@ class TestMemo:
         assert clone._compiled is None
         clone_topo = CompiledTopology.of(clone)
         assert clone_topo is not topo
-        assert clone_topo.to_payload() == topo.to_payload()
+        assert columns(clone_topo) == columns(topo)
         clone.remove_edge(1, 2)
         assert CompiledTopology.of(graph) is topo
         assert graph.has_edge(1, 2)
@@ -89,7 +88,7 @@ class TestMemo:
         restored = pickle.loads(pickle.dumps(graph))
         assert restored._compiled is None
         assert graph._compiled is topo
-        assert CompiledTopology.of(restored).to_payload() == topo.to_payload()
+        assert columns(CompiledTopology.of(restored)) == columns(topo)
 
     def test_engines_over_one_graph_share_one_topology(self, compile_calls):
         graph = make_diamond_graph()

@@ -99,8 +99,8 @@ def small_engine(small_world: GeneratedTopology) -> PropagationEngine:
 @pytest.fixture()
 def compile_calls(monkeypatch) -> list[ASGraph]:
     """The graphs passed to ``CompiledTopology.from_graph`` in this
-    process during the test, in call order (pool workers attach to the
-    parent's published arrays and never build)."""
+    process during the test, in call order (forked pool workers inherit
+    the parent's compiled topology and never build)."""
     calls: list[ASGraph] = []
     build = CompiledTopology.from_graph.__func__
 

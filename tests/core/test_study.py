@@ -182,9 +182,8 @@ class TestLazyCompile:
     def test_pooled_grid_compiles_once_in_the_parent(self, fresh_study, compile_calls):
         metrics = RunMetrics()
         pooled = self._grid(fresh_study, workers=2, metrics=metrics)
-        assert metrics.counter_value("runner.shm.publishes") == 1
-        assert metrics.counter_value("runner.shm.graph_pickles") == 0
+        assert any(name.startswith("worker.pid") for name in metrics.info)
         assert compile_calls == [fresh_study.world.graph]
-        # The serial rerun propagates on the arrays the pool published.
+        # The serial rerun propagates on the arrays the workers inherited.
         assert self._grid(fresh_study) == pooled
         assert len(compile_calls) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 
 import pytest
@@ -821,6 +822,61 @@ class TestErrors:
         last = error.splitlines()[-1]
         assert last == f"repro-aspp grid: error: argument {flag}: must be at least 1, got {limit}"
         assert "Traceback" not in error
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "fig09", "--metrics", "jsonl", "--metrics-out"], "--metrics-out"),
+            (["campaign", "--metrics", "jsonl", "--metrics-out"], "--metrics-out"),
+            (["world", "--save"], "--save"),
+        ],
+        ids=["run", "campaign", "world"],
+    )
+    @pytest.mark.parametrize("where", ["missing-parent", "a-directory"])
+    def test_an_output_path_that_cannot_be_written_is_a_usage_error(
+        self, argv, flag, where, no_world, monkeypatch, capsys, tmp_path
+    ):
+        """Found before a world is built, not after the whole run."""
+        from repro.experiments import base
+
+        def built(*args, **kwargs):
+            raise AssertionError("the world was built before the flags were checked")
+
+        monkeypatch.setattr(base, "build_world", built)
+        path = tmp_path / "no" / "out" if where == "missing-parent" else tmp_path
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, str(path), "--scale", "0.15"])
+        assert usage.value.code == 2
+        error = capsys.readouterr().err
+        assert f"error: argument {flag}: cannot write {path}: " in error.splitlines()[-1]
+        assert "Traceback" not in error
+
+    @pytest.mark.parametrize(
+        "argv, module, writer",
+        [
+            (
+                ["run", "fig01", "--metrics", "jsonl", "--metrics-out"],
+                "repro.telemetry.report",
+                "write_jsonl",
+            ),
+            (
+                ["world", "--scale", "0.15", "--save"],
+                "repro.topology.serialization",
+                "save_caida",
+            ),
+        ],
+        ids=["metrics-out", "save"],
+    )
+    def test_a_write_that_fails_is_one_error_line(
+        self, argv, module, writer, monkeypatch, capsys, tmp_path
+    ):
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(importlib.import_module(module), writer, full)
+        assert main([*argv, str(tmp_path / "out")]) == 1
+        error = capsys.readouterr().err
+        assert error == "repro-aspp: error: [Errno 28] No space left on device\n"
 
     def test_either_flag_opens_what_is_at_the_path(self, capsys, tmp_path):
         """``--store`` on a ``--resume`` file and ``--resume`` on a
