@@ -15,7 +15,8 @@ subparser the command line names (all of them for ``--help``, no
 command or an unknown one) and dispatches by lookup.  Flags come in
 groups, each declared once (``<subcommand> --help`` has the detail):
 
-* **world** — ``--seed``/``--scale`` wherever a topology is built;
+* **world** — ``--seed``/``--scale`` wherever a topology is built (a
+  scale that is not a finite number above 0 is a usage error);
   ``campaign``, ``grid`` and ``secpol-sweep`` also take ``--topology``
   to load or size one instead.
 * **experiment overrides** — ``run <id>``, ``query <id>`` and ``all``
@@ -46,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -64,7 +66,16 @@ __all__ = ["COMMANDS", "main"]
 
 def _world_flags(parser, *, seed=7, scale=1.0) -> None:
     parser.add_argument("--seed", type=int, default=seed)
-    parser.add_argument("--scale", type=float, default=scale)
+    parser.add_argument("--scale", type=positive_float, default=scale)
+
+
+def positive_float(text: str) -> float:
+    """The type of a scale flag: a finite number above 0, or a usage
+    error before anything is built."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
 
 
 def positive_int(text: str) -> int:

@@ -17,13 +17,27 @@ detector consuming the attack's update sequence as it propagates —
 which provably dominates it, because mid-stream the not-yet-switched
 monitors still exhibit the padded route, evidence that vanishes from
 the final converged view.
+
+The top-d fleets are nested and every alarm needs a witness inside the
+fleet, so "detected" can only switch from no to yes as d grows: each
+series bisects, per attack, for the smallest detecting fleet over the
+sorted, de-duplicated fleet sizes (DESIGN decision 27).  An enabled
+registry's ``detection.timings``, ``detection.pipeline.*`` and
+``collector.rows`` therefore count the probes the searches made — at
+most ``n.bit_length()`` per attack for the batch series over ``n``
+sizes, and mostly two for the streaming series, which starts where the
+batch search ended — not fleet sizes × attacks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
-from repro.attack.interception import simulate_interception
+from repro.attack.interception import InterceptionResult, simulate_interception
 from repro.bgp.collectors import RouteCollector
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.monitors import top_degree_monitors
@@ -51,6 +65,45 @@ class Fig13Config:
     monitor_counts: tuple[int, ...] = (10, 30, 50, 70, 100, 150, 200, 250, 300, 400)
 
 
+def _batch_detects(
+    result: InterceptionResult,
+    detector: ASPPInterceptionDetector,
+    metrics: RunMetrics | None,
+    collector: RouteCollector,
+) -> bool:
+    """Whether the batch comparison of converged views alarms."""
+    return detection_timing(result, collector, detector, metrics=metrics).detected
+
+
+def _stream_detects(
+    result: InterceptionResult,
+    detector: ASPPInterceptionDetector,
+    metrics: RunMetrics | None,
+    collector: RouteCollector,
+) -> bool:
+    """Whether a detector primed on the baseline view alarms on the
+    attack's update stream."""
+    streaming = StreamingDetector(detector, metrics=metrics)
+    streaming.prime(result.monitor_views(collector)[0])
+    return bool(streaming.consume_all(attack_update_stream(result, collector)))
+
+
+def _first_detecting(
+    fleets: list[RouteCollector], probe: Callable[[RouteCollector], bool], guess: int
+) -> int:
+    """The index of the smallest fleet ``probe`` accepts (``len(fleets)``
+    when none does), probing ``guess`` and ``guess - 1`` first.
+
+    ``probe`` must be monotone over the nested fleets; the guess only
+    orders the probes, so every guess gives the same index.
+    """
+    if guess < len(fleets) and not probe(fleets[guess]):
+        return bisect_left(fleets, True, guess + 1, key=probe)
+    if guess == 0 or not probe(fleets[guess - 1]):
+        return guess
+    return bisect_left(fleets, True, 0, guess - 1, key=probe)
+
+
 @instrumented("fig13")
 def run(
     config: Fig13Config = Fig13Config(), *, metrics: RunMetrics | None = None
@@ -75,24 +128,35 @@ def run(
     if not attacks:
         raise ExperimentError("no effective attacks in the sampled pairs")
 
+    counts = [count for count in config.monitor_counts if count <= len(graph)]
+    if any(count < 1 for count in counts):
+        raise ExperimentError("monitor counts must be positive")
+    # The top-d fleets are nested: rank once, slice per fleet size.
+    sizes = sorted(set(counts))
+    ranked = top_degree_monitors(graph, max(sizes, default=1))
+    fleets = [RouteCollector(graph, ranked[:size]) for size in sizes]
+    # Detection can only switch from no to yes as the fleet grows
+    # (DESIGN decision 27), so each series bisects for the smallest
+    # detecting fleet; first[i] attacks first detect at sizes[i], and
+    # first[-1] never do.  The streaming search starts where the batch
+    # one ended: the series mostly agree, and the fleets there already
+    # hold this attack's view pairs.
+    first_batch = [0] * (len(sizes) + 1)
+    first_stream = [0] * (len(sizes) + 1)
+    for result in attacks:
+        probe = (result, detector, metrics)
+        batch = bisect_left(fleets, True, key=partial(_batch_detects, *probe))
+        first_batch[batch] += 1
+        first_stream[_first_detecting(fleets, partial(_stream_detects, *probe), batch)] += 1
+    detected_by = dict(zip(sizes, accumulate(first_batch)))
+    stream_detected_by = dict(zip(sizes, accumulate(first_stream)))
+
     rows = []
     summary: dict[str, float] = {"effective_attacks": float(len(attacks))}
-    counts = [count for count in config.monitor_counts if count <= len(graph)]
-    # The top-d fleets are nested: rank once, slice per count.
-    ranked = top_degree_monitors(graph, max(counts, default=1))
     for count in counts:
-        collector = RouteCollector(graph, ranked[:count])
-        detected = 0
-        stream_detected = 0
-        for result in attacks:
-            if detection_timing(result, collector, detector, metrics=metrics).detected:
-                detected += 1
-            streaming = StreamingDetector(detector, metrics=metrics)
-            streaming.prime(result.monitor_views(collector)[0])
-            if streaming.consume_all(attack_update_stream(result, collector)):
-                stream_detected += 1
+        detected = detected_by[count]
         accuracy = 100 * detected / len(attacks)
-        stream_accuracy = 100 * stream_detected / len(attacks)
+        stream_accuracy = 100 * stream_detected_by[count] / len(attacks)
         rows.append((count, detected, round(accuracy, 1), round(stream_accuracy, 1)))
         summary[f"accuracy_pct_{count}_monitors"] = accuracy
         summary[f"streaming_accuracy_pct_{count}_monitors"] = stream_accuracy

@@ -21,6 +21,7 @@ The generator is fully deterministic given a :class:`random.Random`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -124,8 +125,8 @@ class InternetTopologyConfig:
 
     def scaled(self, factor: float) -> "InternetTopologyConfig":
         """Return a copy with all population counts scaled by ``factor``."""
-        if factor <= 0:
-            raise TopologyError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise TopologyError("scale factor must be a finite number above 0")
         return InternetTopologyConfig(
             # The Tier-1 clique stays near its natural size: the paper's
             # tier-conditioned experiments need a handful of Tier-1

@@ -490,7 +490,7 @@ SURFACE = {
     "run": [
         ((), "experiment", None, None, EXPERIMENTS, True, "store"),
         (("--seed",), "seed", "int", None, None, False, "store"),
-        (("--scale",), "scale", "float", None, None, False, "store"),
+        (("--scale",), "scale", "positive_float", None, None, False, "store"),
         (("--pairs",), "pairs", "positive_int", None, None, False, "store"),
         (("--instances",), "instances", "int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
@@ -499,19 +499,19 @@ SURFACE = {
     ],
     "all": [
         (("--seed",), "seed", "int", None, None, False, "store"),
-        (("--scale",), "scale", "float", None, None, False, "store"),
+        (("--scale",), "scale", "positive_float", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
     ],
     "world": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
-        (("--scale",), "scale", "float", 1.0, None, False, "store"),
+        (("--scale",), "scale", "positive_float", 1.0, None, False, "store"),
         (("--save",), "save", "str", None, None, False, "store"),
     ],
     "campaign": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
-        (("--scale",), "scale", "float", 1.0, None, False, "store"),
+        (("--scale",), "scale", "positive_float", 1.0, None, False, "store"),
         (("--pairs",), "pairs", "positive_int", 50, None, False, "store"),
         (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--monitors",), "monitors", "positive_int", 150, None, False, "store"),
@@ -525,7 +525,7 @@ SURFACE = {
     ],
     "grid": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
-        (("--scale",), "scale", "float", 1.0, None, False, "store"),
+        (("--scale",), "scale", "positive_float", 1.0, None, False, "store"),
         (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--attackers",), "attackers", "positive_int", None, None, False, "store"),
         (("--victims",), "victims", "positive_int", None, None, False, "store"),
@@ -541,7 +541,7 @@ SURFACE = {
         (("--strategy",), "strategy", None, "top-degree-first", ("random", "top-degree-first", "tier1-only", "victim-cone"), False, "store"),
         (("--fractions",), "fractions", "str", "0.0,0.1,0.2,0.4,0.6,0.8,1.0", None, False, "store"),
         (("--seed",), "seed", "int", 7, None, False, "store"),
-        (("--scale",), "scale", "float", 1.0, None, False, "store"),
+        (("--scale",), "scale", "positive_float", 1.0, None, False, "store"),
         (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--victim",), "victim", "int", None, None, False, "store"),
         (("--attacker",), "attacker", "int", None, None, False, "store"),
@@ -555,7 +555,7 @@ SURFACE = {
     ],
     "detect-stream": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
-        (("--scale",), "scale", "float", 0.5, None, False, "store"),
+        (("--scale",), "scale", "positive_float", 0.5, None, False, "store"),
         (("--monitors",), "monitors", "positive_int", 100, None, False, "store"),
         (("--updates",), "updates", "int", 20000, None, False, "store"),
         (("--prefixes",), "prefixes", "int", 4, None, False, "store"),
@@ -570,7 +570,7 @@ SURFACE = {
     ],
     "mitigate-stream": [
         (("--seed",), "seed", "int", 7, None, False, "store"),
-        (("--scale",), "scale", "float", 0.5, None, False, "store"),
+        (("--scale",), "scale", "positive_float", 0.5, None, False, "store"),
         (("--monitors",), "monitors", "positive_int", 100, None, False, "store"),
         (("--updates",), "updates", "int", 8000, None, False, "store"),
         (("--prefixes",), "prefixes", "int", 4, None, False, "store"),
@@ -596,7 +596,7 @@ SURFACE = {
         ((), "experiment", None, None, EXPERIMENTS, True, "store"),
         (("--store",), "store", "str", None, None, True, "store"),
         (("--seed",), "seed", "int", None, None, False, "store"),
-        (("--scale",), "scale", "float", None, None, False, "store"),
+        (("--scale",), "scale", "positive_float", None, None, False, "store"),
         (("--pairs",), "pairs", "positive_int", None, None, False, "store"),
         (("--instances",), "instances", "int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
@@ -741,6 +741,31 @@ class TestErrors:
         assert usage.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"repro-aspp {command}: error: argument {flag}: must be at least 1, got 0"
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "command", ["run fig13", "world", "grid", "campaign", "detect-stream"]
+    )
+    def test_a_scale_that_is_not_a_finite_positive_number_is_a_usage_error(
+        self, command, scale, no_world, monkeypatch, capsys
+    ):
+        """Not a ``ValueError`` / ``OverflowError`` traceback (nan, inf)
+        or a world-building exit 1 (0, -1)."""
+        from repro.experiments import base
+
+        def built(*args, **kwargs):
+            raise AssertionError("the world was built before the flags were checked")
+
+        monkeypatch.setattr(base, "build_world", built)
+        with pytest.raises(SystemExit) as usage:
+            main([*command.split(), f"--scale={scale}"])
+        assert usage.value.code == 2
+        error = capsys.readouterr().err
+        assert error.splitlines()[-1] == (
+            f"repro-aspp {command.split()[0]}: error: argument --scale: "
+            f"must be a finite number above 0, got {scale}"
+        )
+        assert "Traceback" not in error
 
     @pytest.mark.parametrize(
         "flag", ["--retries 2", "--task-deadline 30"], ids=["retries", "task-deadline"]

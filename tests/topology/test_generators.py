@@ -73,6 +73,11 @@ class TestConfig:
         with pytest.raises(TopologyError):
             InternetTopologyConfig().scaled(0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_scaled_rejects_non_finite(self, factor):
+        with pytest.raises(TopologyError):
+            InternetTopologyConfig().scaled(factor)
+
 
 class TestGeneration:
     def test_deterministic_under_seed(self):
