@@ -58,6 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 
 __all__ = ["CompiledTopology", "InternTable", "CompiledState", "run_compiled"]
 
+#: :func:`run_compiled` raises :class:`ConvergenceError` after this many
+#: worklist activations *per AS*; valley-free configurations converge
+#: in a handful.
+MAX_ACTIVATIONS = 50
+
 #: Byte code -> relationship for the per-slot role array (the code is
 #: the role of the neighbour relative to the slot's owner).
 _CODE_REL = (
@@ -471,7 +476,6 @@ def run_compiled(
     import_filters: Mapping[int, Callable[[int, tuple[int, ...]], bool]],
     warm_start: "PropagationOutcome | None",
     seed: set[int] | None,
-    max_activations: int,
     metrics: RunMetrics | None,
     secpol: object | None = None,
     activation: str = "fifo",
@@ -635,7 +639,7 @@ def run_compiled(
     for i in initial:
         queued[i] = 1
     operations = 0
-    budget = max_activations * max(1, n)
+    budget = MAX_ACTIVATIONS * max(1, n)
     max_round = 0
     randrange = activation_rng.randrange if activation_rng is not None else None
     padding_of = prepending.padding

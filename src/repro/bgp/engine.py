@@ -305,14 +305,9 @@ class PropagationEngine:
         self,
         graph: ASGraph,
         *,
-        max_activations: int = 50,
         metrics: RunMetrics | None = None,
     ) -> None:
-        """``max_activations`` bounds the worklist to that many
-        activations *per AS* before :class:`ConvergenceError` is raised
-        (valley-free configurations converge in a handful).
-
-        ``metrics`` optionally attaches a telemetry registry; every
+        """``metrics`` optionally attaches a telemetry registry; every
         :meth:`propagate` call then reports its work counts
         (``engine.*`` namespace).  The attribute is public and mutable
         so an existing engine can be instrumented for one run and
@@ -321,10 +316,7 @@ class PropagationEngine:
         Which core converges a run is not an option: :meth:`propagate`
         decides it from the run itself.
         """
-        if max_activations < 1:
-            raise SimulationError("max_activations must be positive")
         self._graph = graph
-        self._max_activations = max_activations
         self.metrics = metrics
         self._compiled_topo: CompiledTopology | None = None
         self._tables: OrderedDict[int, InternTable] = OrderedDict()
@@ -354,10 +346,6 @@ class PropagationEngine:
         """The dense CSR form this engine propagates on, compiled on
         first use."""
         return self._topo
-
-    @property
-    def max_activations(self) -> int:
-        return self._max_activations
 
     def _table_for(self, origin: int) -> InternTable:
         """The intern table for propagations originated at ``origin``.
@@ -505,6 +493,5 @@ class PropagationEngine:
             warm_start=warm_start,
             seed=seed,
             secpol=secpol,
-            max_activations=self._max_activations,
             metrics=self.metrics,
         )

@@ -24,19 +24,22 @@ groups, each declared once (``<subcommand> --help`` has the detail):
   ``--scale``, ``--pairs``, ``--instances``, ``--workers``); ``query``
   serves the figure from ``--store``, computing only what is missing.
 * **run** — ``campaign``, ``grid`` and ``secpol-sweep`` run a batch of
-  independent cells; ``--workers`` and the run's one store (``--store
-  DIR`` or ``--resume FILE``, not both) become one
-  :class:`~repro.runner.RunConfig`.  None of them changes a row, and a
-  bad value is a usage error before any topology is built, as is an
-  attack size (``--padding``, ``--pairs``, ``--monitors``,
-  ``--attackers``, ``--victims``) below 1.  A cell that fails fails the
-  run; rerunning it on the same store executes only the unsettled cells.
+  independent cells; ``--workers`` and the run's store (``--store
+  DIR``) become one :class:`~repro.runner.RunConfig`.  Neither changes
+  a row, and a bad one is a usage error before any topology is built.
+  A cell that fails fails the run; rerunning it on the same store
+  executes only the unsettled cells.
 * **metrics** — every subcommand but ``list``, ``world`` and ``store``
   accepts ``--metrics {off,summary,jsonl}`` and ``--metrics-out PATH``;
   ``main`` builds the registry and emits it after the results, whose
   text it never changes.
 * **stream** — ``detect-stream`` and ``mitigate-stream`` share the
   synthesized churn stream and the pipeline it is replayed through.
+
+A size, count or threshold out of its range (``--padding``,
+``--pairs``, ``--instances``, a stream's ``--feeds``, an SLO threshold,
+…) is a usage error before any topology is built: each flag's type
+states the range.
 
 A library error is printed as ``repro-aspp: error: <message>`` (exit
 status 1), not as a traceback.
@@ -87,6 +90,23 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """The type of a count that may be zero (``--updates``,
+    ``--reaction``): an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """The type of an SLO threshold: a finite number of at least 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
+    return value
+
+
 def _pairs_flag(parser, default=None) -> None:
     parser.add_argument("--pairs", type=positive_int, default=default)
 
@@ -112,8 +132,9 @@ def _store_flag(parser, *, required=False) -> None:
     parser.add_argument(
         "--store", type=str, default=None, required=required, metavar="DIR",
         help="content-addressed campaign store (created if missing): whatever "
-        "an earlier run already computed is served from it — zero propagations "
-        "— and fresh results stream back in (results are unaffected)",
+        "an earlier run already computed — a killed run's settled cells "
+        "included — is served from it with zero propagations, and fresh "
+        "results stream back in as they settle (results are unaffected)",
     )
 
 
@@ -124,31 +145,17 @@ def _experiment_flags(parser, *, one: bool = True) -> None:
     _world_flags(parser, seed=None, scale=None)
     if one:
         _pairs_flag(parser)
-        parser.add_argument("--instances", type=int, default=None)
+        parser.add_argument("--instances", type=positive_int, default=None)
     _run_flags(parser)
     _metrics_flags(parser)
 
 
-def _run_flags(parser, unit: str | None = None) -> None:
-    """``--workers``, plus — for a batch of ``unit`` s — the rest of
-    what :func:`_batch` turns into one ``RunConfig``."""
+def _run_flags(parser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
         help="worker processes, where the work is a batch of independent "
         "cells (results are identical for any worker count)",
     )
-    if unit is None:
-        return
-    # a run has one store: a --resume file or a --store directory
-    persistence = parser.add_mutually_exclusive_group()
-    persistence.add_argument(
-        "--resume", type=str, default=None, metavar="PATH",
-        help=f"single-file store: each finished {unit} appends to PATH as "
-        "it lands, and a rerun with the same PATH replays it — a killed run "
-        "resumes instead of restarting.  Every input is part of the task "
-        "fingerprint, so a file from a different setup replays nothing",
-    )
-    _store_flag(persistence)
 
 
 def _metrics_flags(parser) -> None:
@@ -168,19 +175,19 @@ def _stream_flags(parser, *, updates: int) -> None:
     _world_flags(parser, scale=0.5)
     _attack_flags(parser, monitors=100)
     parser.add_argument(
-        "--updates", type=int, default=updates,
+        "--updates", type=non_negative_int, default=updates,
         help="target churn-stream length (attack burst included)",
     )
     parser.add_argument(
-        "--prefixes", type=int, default=4,
+        "--prefixes", type=positive_int, default=4,
         help="background prefixes flapping alongside the victim's",
     )
     parser.add_argument(
-        "--feeds", type=int, default=4,
+        "--feeds", type=positive_int, default=4,
         help="collector feeds the stream is split across",
     )
     parser.add_argument(
-        "--batch", type=int, default=64,
+        "--batch", type=positive_int, default=64,
         help="updates handed to the detector per consume_all call",
     )
     parser.add_argument(
@@ -188,7 +195,7 @@ def _stream_flags(parser, *, updates: int) -> None:
         help="bounded-queue overflow policy",
     )
     parser.add_argument(
-        "--capacity", type=int, default=256, help="per-feed queue capacity"
+        "--capacity", type=positive_int, default=256, help="per-feed queue capacity"
     )
     _metrics_flags(parser)
 
@@ -204,7 +211,7 @@ def _configure_world(parser) -> None:
     )
 
 
-def _batch_flags(parser, unit: str, *, monitors: int | None = None) -> None:
+def _batch_flags(parser, *, monitors: int | None = None) -> None:
     _world_flags(parser)
     parser.add_argument(
         "--topology", type=str, default=None, metavar="SPEC",
@@ -213,7 +220,8 @@ def _batch_flags(parser, unit: str, *, monitors: int | None = None) -> None:
         "power-law topology from --seed (overrides --scale)",
     )
     _attack_flags(parser, monitors=monitors)
-    _run_flags(parser, unit)
+    _run_flags(parser)
+    _store_flag(parser)
     _metrics_flags(parser)
 
 
@@ -222,7 +230,7 @@ def _configure_campaign(parser) -> None:
     parser.add_argument(
         "--placement", choices=("top-degree", "greedy-cover"), default="top-degree"
     )
-    _batch_flags(parser, "instance", monitors=150)
+    _batch_flags(parser, monitors=150)
 
 
 def _configure_grid(parser) -> None:
@@ -236,7 +244,7 @@ def _configure_grid(parser) -> None:
         help="limit the victim pool to the N largest ASes by customer "
         "cone (default: every AS)",
     )
-    _batch_flags(parser, "cell")
+    _batch_flags(parser)
 
 
 def _configure_secpol_sweep(parser) -> None:
@@ -269,7 +277,7 @@ def _configure_secpol_sweep(parser) -> None:
         help="restrict the attacker to valley-free exports (default is "
         "the paper's leaking attacker, which path checks can see)",
     )
-    _batch_flags(parser, "point")
+    _batch_flags(parser)
 
 
 def _configure_detect_stream(parser) -> None:
@@ -291,14 +299,14 @@ def _configure_mitigate_stream(parser) -> None:
         "no-reaction control arm",
     )
     parser.add_argument(
-        "--step", type=int, default=1, help="λ decrement per stepdown reaction"
+        "--step", type=positive_int, default=1, help="λ decrement per stepdown reaction"
     )
     parser.add_argument(
-        "--floor", type=int, default=1,
+        "--floor", type=positive_int, default=1,
         help="the λ the victim will not go below (1 = no prepending left)",
     )
     parser.add_argument(
-        "--reaction", type=int, default=64, metavar="UPDATES",
+        "--reaction", type=non_negative_int, default=64, metavar="UPDATES",
         help="modelled operator/automation latency between first alarm "
         "and re-announce (time-to-mitigate)",
     )
@@ -318,15 +326,15 @@ def _configure_mitigate_stream(parser) -> None:
         "instead of replayed on reconnect (graceful-degradation mode)",
     )
     parser.add_argument(
-        "--slo-alarm-latency", type=float, default=2000.0, metavar="UPDATES",
+        "--slo-alarm-latency", type=non_negative_float, default=2000.0, metavar="UPDATES",
         help="alarm-latency SLO threshold (p99, post-merge updates)",
     )
     parser.add_argument(
-        "--slo-feed-staleness", type=float, default=512.0, metavar="UPDATES",
+        "--slo-feed-staleness", type=non_negative_float, default=512.0, metavar="UPDATES",
         help="feed-staleness SLO threshold (p99 replay-buffer depth)",
     )
     parser.add_argument(
-        "--slo-recovery-rounds", type=float, default=12.0, metavar="ROUNDS",
+        "--slo-recovery-rounds", type=non_negative_float, default=12.0, metavar="ROUNDS",
         help="recovery-deadline SLO threshold (max re-convergence rounds)",
     )
 
@@ -341,13 +349,8 @@ def _configure_store(parser) -> None:
     parser.add_argument(
         "--compact", action="store_true",
         help="rewrite the record log to one record per fingerprint "
-        "(drops duplicate/corrupt lines); run without concurrent writers",
-    )
-    parser.add_argument(
-        "--import-journal", type=str, action="append", default=[],
-        metavar="PATH", dest="import_journals",
-        help="copy the records of a --resume file (or a legacy checkpoint "
-        "journal) into the store (repeatable); the file is left untouched",
+        "(drops duplicate, corrupt and stale lines); run without concurrent "
+        "writers",
     )
 
 
@@ -456,22 +459,19 @@ def _load_world(args, parser: argparse.ArgumentParser):
 @contextlib.contextmanager
 def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
     """``campaign``, ``grid`` and ``secpol-sweep``: yields ``(study, run)``
-    with the run's one store (``--store`` or ``--resume``) open.  The run
-    flags are checked first, so a bad one is a usage error before any
-    topology is generated or loaded."""
+    with the run's ``--store`` open.  The run flags are checked first, so
+    a bad one is a usage error before any topology is generated or
+    loaded."""
     from repro.core import InterceptionStudy
     from repro.runner import RunConfig
     from repro.store import CampaignStore
 
-    path = args.store if args.resume is None else args.resume
     with contextlib.ExitStack() as stack:
         try:
             run = RunConfig(workers=args.workers, metrics=metrics)
             # opening a store creates nothing: the first record does
-            if path is not None:
-                store = CampaignStore(
-                    path, single_file=args.resume is not None, metrics=metrics
-                )
+            if args.store is not None:
+                store = CampaignStore(args.store, metrics=metrics)
                 run = dataclasses.replace(run, store=stack.enter_context(store))
         except ReproError as exc:
             parser.error(str(exc))
@@ -818,14 +818,9 @@ def _query(args, parser, metrics) -> int:
 
 
 def _store_admin(args, parser, metrics) -> int:
-    from repro.store import CampaignStore, import_journal
+    from repro.store import CampaignStore
 
     with CampaignStore(args.store) as store:
-        for journal_path in args.import_journals:
-            if not Path(journal_path).exists():
-                parser.error(f"--import-journal: no journal at {journal_path}")
-            imported = import_journal(journal_path, store)
-            print(f"imported {imported} new records from {journal_path}")
         if args.compact:
             reclaimed = store.compact()
             print(f"compacted: reclaimed {reclaimed} bytes")

@@ -23,16 +23,15 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from repro.attack.interception import InterceptionResult
 from repro.bgp.collectors import RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.monitors import top_degree_monitors
 from repro.detection.placement import greedy_cover_monitors
-from repro.detection.timing import DetectionTiming
 from repro.exceptions import ExperimentError, SimulationError
 from repro.experiments.base import generate_world
 from repro.runner import (
+    CampaignPairResult,
     CampaignPairTask,
     RunConfig,
     run_batch,
@@ -47,36 +46,31 @@ __all__ = ["InterceptionStudy", "AttackCampaign"]
 
 @dataclass
 class AttackCampaign:
-    """Aggregate results of many attack instances."""
+    """Aggregate results of many attack instances, one row each."""
 
-    results: list[InterceptionResult] = field(default_factory=list)
-    timings: list[DetectionTiming] = field(default_factory=list)
+    results: list[CampaignPairResult] = field(default_factory=list)
     #: telemetry registry the campaign recorded into, when one was passed
     metrics: RunMetrics | None = None
 
     @property
-    def effective(self) -> list[InterceptionResult]:
+    def effective(self) -> list[CampaignPairResult]:
         """Instances that captured at least one AS."""
-        return [r for r in self.results if r.report.newly_polluted]
+        return [r for r in self.results if r.newly_polluted]
 
     @property
     def mean_pollution(self) -> float:
         """Mean after-attack traversal fraction over all instances."""
         if not self.results:
             return 0.0
-        return statistics.mean(r.report.after_fraction for r in self.results)
+        return statistics.mean(r.after_fraction for r in self.results)
 
     @property
     def detection_rate(self) -> float:
         """Fraction of effective attacks the monitor fleet detected."""
-        relevant = [
-            timing
-            for result, timing in zip(self.results, self.timings)
-            if result.report.newly_polluted
-        ]
+        relevant = self.effective
         if not relevant:
             return 0.0
-        return sum(t.detected for t in relevant) / len(relevant)
+        return sum(r.detected for r in relevant) / len(relevant)
 
 
 class InterceptionStudy:
@@ -235,6 +229,10 @@ class InterceptionStudy:
         retries — pools that can only ever collide raise
         :class:`ExperimentError` instead of spinning forever) and then
         executed as independent tasks by :func:`repro.runner.run_batch`.
+        Each instance comes back as one
+        :class:`~repro.runner.CampaignPairResult` row; the routing
+        worlds behind it are one ``simulate_interception`` call away
+        (see the module docstring).
 
         ``run`` says how (see :class:`~repro.runner.RunConfig` for the
         fields); the campaign's results are bit-identical under every
@@ -254,8 +252,5 @@ class InterceptionStudy:
             CampaignPairTask(attacker=attacker, victim=victim, padding=padding)
             for attacker, victim in sampled
         ]
-        campaign = AttackCampaign(metrics=run.metrics)
-        for result, timing in run_batch(self._engine, tasks, run, monitors=self._monitors):
-            campaign.results.append(result)
-            campaign.timings.append(timing)
-        return campaign
+        results = run_batch(self._engine, tasks, run, monitors=self._monitors)
+        return AttackCampaign(results=results, metrics=run.metrics)

@@ -123,8 +123,8 @@ class DetectionTiming:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> dict[str, Any]:
-        # The frozen dataclass's state, ``alarms`` included: stored
-        # records hold exactly this, so there is one pickle format.
+        # ``alarms`` travels as the built tuple, never as the view pair
+        # and detector it is built from.
         return dict(zip((*_FIELDS, "alarms"), self._values()))
 
     def __setstate__(self, state: dict[str, Any]) -> None:

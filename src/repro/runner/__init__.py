@@ -10,8 +10,8 @@ fingerprinted tasks (:mod:`repro.runner.tasks`).
 There is one way to do that.  *How* a batch runs is one frozen
 :class:`RunConfig`, and :func:`run_batch` (:mod:`repro.runner.batch`)
 replays whatever the run's content-addressed
-:class:`~repro.store.CampaignStore` — a ``--store`` directory or a
-``--resume`` file — already holds, runs the missing cells on one
+:class:`~repro.store.CampaignStore` (a ``--store`` directory) already
+holds, runs the missing cells on one
 :class:`SupervisedExecutor` and records each result as it settles.
 The executor (:mod:`repro.runner.supervisor`) runs tasks inline against
 one :class:`WorkerContext`, or on a forked process pool whose workers
@@ -28,6 +28,7 @@ from repro.runner.fingerprint import task_fingerprint
 from repro.runner.sampling import sample_attack_pairs
 from repro.runner.supervisor import SupervisedExecutor
 from repro.runner.tasks import (
+    CampaignPairResult,
     CampaignPairTask,
     DeploymentPointResult,
     DeploymentPointTask,
@@ -39,6 +40,7 @@ from repro.runner.tasks import (
 
 __all__ = [
     "BaselineCache",
+    "CampaignPairResult",
     "CampaignPairTask",
     "DeploymentPointResult",
     "DeploymentPointTask",

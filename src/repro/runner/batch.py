@@ -54,7 +54,7 @@ class RunConfig:
     workers: int | None = None
     #: content-addressed store consulted before and fed after every
     #: task (``get(fp, default)`` / ``put(fp, value)``), e.g. a
-    #: :class:`~repro.store.CampaignStore` directory or single file;
+    #: :class:`~repro.store.CampaignStore` directory;
     #: ``None`` falls back to the ambient :func:`~repro.store.use_store`
     #: binding.  Its lifetime stays with the caller.
     store: Any = None
@@ -106,7 +106,6 @@ def run_batch(
     spec = WorkerSpec(
         engine.graph,
         monitors=monitors,
-        max_activations=engine.max_activations,
         metrics_enabled=metrics is not None and metrics.enabled,
     )
     batch = [tasks[index] for index in todo]

@@ -245,7 +245,7 @@ class SupervisedExecutor:
         advice = (
             "rerun the same command to finish"
             if persisted
-            else "pass --store DIR or --resume FILE to keep settled cells across a rerun"
+            else "pass --store DIR to keep settled cells across a rerun"
         )
         return SimulationError(
             f"a pool worker died with {len(inflight)} cell(s) in flight: {cells}; "

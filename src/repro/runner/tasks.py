@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attack.interception import InterceptionResult, simulate_interception
+from repro.attack.interception import simulate_interception
 from repro.bgp.collectors import RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
 from repro.detection.alarms import Confidence
 from repro.detection.detector import ASPPInterceptionDetector
-from repro.detection.timing import DetectionTiming, detection_timing
+from repro.detection.timing import detection_timing
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
 from repro.secpol.deployment import (
@@ -42,6 +42,7 @@ __all__ = [
     "DeploymentPointTask",
     "DeploymentPointResult",
     "CampaignPairTask",
+    "CampaignPairResult",
 ]
 
 
@@ -59,7 +60,6 @@ class WorkerSpec:
     #: monitor fleet for tasks that run detection; ``None`` when the
     #: workload is pure propagation (λ-sweeps).
     monitors: tuple[int, ...] | None = None
-    max_activations: int = 50
     #: when True each worker keeps a :class:`RunMetrics` registry wired
     #: into its engine, cache and detection pipeline, and ships a
     #: metrics delta back with every task result.
@@ -86,9 +86,7 @@ class WorkerContext:
         self.metrics = metrics if metrics is not None else RunMetrics(
             enabled=spec.metrics_enabled
         )
-        self.engine = engine if engine is not None else PropagationEngine(
-            spec.graph, max_activations=spec.max_activations
-        )
+        self.engine = engine if engine is not None else PropagationEngine(spec.graph)
         if cache is not None and cache.engine is not self.engine:
             raise SimulationError("shared cache must belong to this context's engine")
         self.cache = cache if cache is not None else BaselineCache(self.engine)
@@ -365,8 +363,8 @@ class DeploymentPointTask:
 
     The whole security configuration (policy, strategy, fraction, seed)
     lives in frozen fields, so the task fingerprint covers it by
-    construction — a ``--resume`` against a file written under a
-    different secpol setup replays nothing.  ``violate_policy``
+    construction — a store written under a different secpol setup
+    replays nothing.  ``violate_policy``
     defaults to True (the paper's Figures 11-12 attacker): the
     canonical valley-free attack is exactly the case path-plausibility
     defences cannot see, so the leaking variant is the one that
@@ -452,6 +450,27 @@ class DeploymentPointTask:
 
 
 @dataclass(frozen=True)
+class CampaignPairResult:
+    """One campaign instance: its impact and whether the fleet saw it.
+
+    A row, like :class:`DeploymentPointResult`: what the ``campaign``
+    report reads, not the two routing worlds it was computed from (a
+    caller that wants those runs ``simulate_interception`` and
+    ``detection_timing`` itself).
+    """
+
+    attacker: int
+    victim: int
+    padding: int
+    before_fraction: float
+    after_fraction: float
+    #: ASes the attack captured that did not already route through
+    #: the attacker (0: the attack was not effective)
+    newly_polluted: int
+    detected: bool
+
+
+@dataclass(frozen=True)
 class CampaignPairTask:
     """One campaign instance: attack plus monitor-fleet detection."""
 
@@ -461,7 +480,7 @@ class CampaignPairTask:
     min_confidence: Confidence = Confidence.LOW
     attacker_feeds_collector: bool = field(default=True)
 
-    def run(self, ctx: WorkerContext) -> tuple[InterceptionResult, DetectionTiming]:
+    def run(self, ctx: WorkerContext) -> CampaignPairResult:
         prepending = PrependingPolicy.uniform_origin(self.victim, self.padding)
         baseline = ctx.cache.baseline(self.victim, prepending=prepending)
         result = simulate_interception(
@@ -480,4 +499,13 @@ class CampaignPairTask:
             attacker_feeds_collector=self.attacker_feeds_collector,
             metrics=ctx.metrics if ctx.metrics.enabled else None,
         )
-        return result, timing
+        report = result.report
+        return CampaignPairResult(
+            attacker=self.attacker,
+            victim=self.victim,
+            padding=self.padding,
+            before_fraction=report.before_fraction,
+            after_fraction=report.after_fraction,
+            newly_polluted=len(report.newly_polluted),
+            detected=timing.detected,
+        )

@@ -11,8 +11,8 @@ log:
     again = query_experiment(store, "fig09")    # pure store hit, zero engine work
     assert again.from_store and again.result.rows == first.result.rows
 
-Layered modules: :mod:`~repro.store.store` (the log + index, the
-ambient binding every batch consults, :func:`import_journal`) and
+Layered modules: :mod:`~repro.store.store` (the log + index and the
+ambient binding every batch consults) and
 :mod:`~repro.store.query` (experiment-level serving).  Nothing here
 imports :mod:`repro.runner`; the runner imports the store.
 """
@@ -23,7 +23,6 @@ from repro.store.store import (
     SCHEMA_VERSION,
     CampaignStore,
     get_active_store,
-    import_journal,
     use_store,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "QueryOutcome",
     "experiment_fingerprint",
     "get_active_store",
-    "import_journal",
     "query_experiment",
     "use_store",
 ]

@@ -5,8 +5,8 @@ Every runner task is a pure function of its frozen descriptor, and
 descriptor a stable sha256 identity.  :class:`CampaignStore` turns that
 identity into an address: one append-only JSONL record log per store,
 one record per fingerprint, so a grid cell converged by *any* campaign,
-sweep or figure is never recomputed by a later one.  A ``--store``
-directory and a ``--resume`` file are that log in two shapes.
+sweep or figure is never recomputed by a later one.  A store is a
+directory holding that log, ``records.jsonl``.
 
 Durability model
 ----------------
@@ -21,12 +21,12 @@ unterminated line; the next writer terminates it (the fragment then
 parses as one garbled record and is skipped) so the log never cascades
 corruption.
 
-Records carry a schema version; a store written by a future layout is
-skipped record-by-record rather than exploding, and :meth:`compact`
-rewrites the log to one valid record per fingerprint (first record
-wins — payloads for the same fingerprint are identical by purity).
-The lines of a pre-store ``--resume`` checkpoint journal read as
-version 0 (:func:`decode_record`): an old journal replays in place.
+Records carry a schema version, and a record at any version but
+:data:`SCHEMA_VERSION` is stale: counted, skipped record-by-record
+(its cell is recomputed and appended at the current version), never
+replayed.  :meth:`compact` rewrites the log to one valid record per
+fingerprint (first record wins — payloads for the same fingerprint are
+identical by purity), dropping stale lines with corrupt ones.
 Compaction rewrites into a temp file and ``os.replace``-s it into
 place, so readers never observe a half-written log; run it quiescent
 (no concurrent appenders), like any log rotation.
@@ -64,12 +64,12 @@ __all__ = [
     "decode_record",
     "encode_record",
     "get_active_store",
-    "import_journal",
     "use_store",
 ]
 
-#: bump when the record layout changes; readers skip newer records.
-SCHEMA_VERSION = 1
+#: bump when a record's layout or a task's result type changes; a
+#: record at any other version is stale and its cell is recomputed.
+SCHEMA_VERSION = 2
 
 _LOG_NAME = "records.jsonl"
 
@@ -130,25 +130,16 @@ def _parse_record(line: bytes) -> dict[str, Any] | str:
         return "corrupt"
     if not isinstance(record, dict):
         return "corrupt"
-    version = record.get("v", 0)
-    if version == 0 and record.get("status") == "failed":
-        # a legacy journal's failure line: a quarantined task is
-        # retried by the next run, never replayed
-        return "stale"
-    if isinstance(version, int) and version > SCHEMA_VERSION:
+    if record.get("v") != SCHEMA_VERSION:
         return "stale"
     fingerprint = record.get("fp")
     payload = record.get("payload")
-    if not isinstance(fingerprint, str) or not isinstance(payload, str):
-        return "corrupt"
-    if not payload.isascii():  # base64 armour is ASCII: this is damage
-        return "corrupt"
-    if version == 0:
-        # What ``--resume`` wrote before it was a store: no digest to
-        # check — exactly as much integrity as the journal gave it.
-        if record.get("status") != "ok":
-            return "corrupt"
-    elif version != SCHEMA_VERSION or record.get("sha") != _digest(payload):
+    if (
+        not isinstance(fingerprint, str)
+        or not isinstance(payload, str)
+        or not payload.isascii()  # base64 armour is ASCII: this is damage
+        or record.get("sha") != _digest(payload)
+    ):
         return "corrupt"
     return record
 
@@ -156,11 +147,10 @@ def _parse_record(line: bytes) -> dict[str, Any] | str:
 def decode_record(line: bytes) -> dict[str, Any] | None:
     """Parse and verify one record line; ``None`` for anything unusable.
 
-    Unusable covers truncated JSON, non-record JSON, records from a
-    newer :data:`SCHEMA_VERSION`, and payloads whose digest does not
-    match (torn write) — callers count, skip, and keep scanning.  A
-    line with no ``"v"`` is version 0, a pre-store journal's: ``"status":
-    "ok"`` with a payload is a record, ``"status": "failed"`` is not.
+    Unusable covers truncated JSON, non-record JSON, records at any
+    version but :data:`SCHEMA_VERSION` (a line with no ``"v"`` included),
+    and payloads whose digest does not match (torn write) — callers
+    count, skip, and keep scanning.
     """
     record = _parse_record(line)
     return record if isinstance(record, dict) else None
@@ -195,12 +185,9 @@ def use_store(store: Any) -> Iterator[Any]:
 
 
 class CampaignStore:
-    """Append-only content-addressed result store at a path.
+    """Append-only content-addressed result store in a directory.
 
-    What is on disk decides where the record log is: an existing file
-    *is* the log (``--resume`` names one), an existing directory holds
-    ``records.jsonl`` (``--store`` names one); ``single_file`` only
-    shapes a path that does not exist yet.  Opening creates nothing;
+    The record log is ``path/records.jsonl``.  Opening creates nothing;
     the first record creates the log and its parents.
     Safe for concurrent use by threads of one process (internal lock)
     and by multiple writer processes (atomic ``O_APPEND`` record
@@ -211,14 +198,9 @@ class CampaignStore:
         self,
         path: str | Path,
         *,
-        single_file: bool = False,
         metrics: RunMetrics | None = None,
     ) -> None:
-        path = Path(path)
-        if path.is_file() or (single_file and not path.is_dir()):
-            self.path = path
-        else:
-            self.path = path / _LOG_NAME
+        self.path = Path(path) / _LOG_NAME
         #: registry ``store.*`` telemetry lands on (attach/detach freely).
         self.metrics = metrics
         self._lock = threading.RLock()
@@ -333,10 +315,6 @@ class CampaignStore:
         with self._lock:
             return len(self._index)
 
-    def fingerprints(self) -> Iterator[str]:
-        with self._lock:
-            return iter(list(self._index))
-
     def get(self, fingerprint: str, default: Any = MISSING) -> Any:
         """The stored result for ``fingerprint``, or ``default``.
 
@@ -364,10 +342,6 @@ class CampaignStore:
                 )
             self._count("store.hits")
             return _decode_payload(record["payload"])
-
-    def kind_of(self, fingerprint: str) -> str | None:
-        with self._lock:
-            return self._kinds.get(fingerprint)
 
     # -- writing --------------------------------------------------------
     def put(self, fingerprint: str, result: Any, *, kind: str = "task") -> bool:
@@ -471,14 +445,3 @@ class CampaignStore:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def import_journal(path: str | Path, store: CampaignStore) -> int:
-    """Copy every record of the single-file log at ``path`` — a
-    ``--resume`` file or a legacy journal, left untouched — into
-    ``store``; returns how many were new to it."""
-    with CampaignStore(path, single_file=True) as source:
-        return sum(
-            store.put(fingerprint, source.get(fingerprint), kind=source.kind_of(fingerprint))
-            for fingerprint in source.fingerprints()
-        )

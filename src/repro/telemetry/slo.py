@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 from repro.telemetry.metrics import RunMetrics
 
@@ -66,6 +66,10 @@ class SLO:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("an SLO needs a name")
+        if not 0.0 <= self.threshold < inf:
+            raise ValueError(
+                f"SLO threshold {self.threshold} is not a finite number of at least 0"
+            )
         if not 0.0 <= self.quantile <= 1.0:
             raise ValueError(f"SLO quantile {self.quantile} outside [0, 1]")
         if self.window < 1:

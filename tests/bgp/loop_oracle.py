@@ -4,7 +4,7 @@ A compiled engine decides the cold core itself: a cold stock-policy run
 is a column of the wave kernel wherever numpy imports, so a default
 engine no longer answers questions about :func:`run_compiled`'s *cold*
 behaviour — FIFO adoption stamps, explicit-``None`` withdrawal slots,
-activation counts, the ``max_activations`` guard — nor about the
+activation counts, the ``MAX_ACTIVATIONS`` guard — nor about the
 disciplines the engine never runs (LIFO or random activation, the full
 rescan with the fast path off), which ``run_compiled`` keeps for these
 suites.  The suites that ask them (the compiled-vs-reference
@@ -66,7 +66,6 @@ def loop_propagate(
         activation=activation,
         activation_rng=activation_rng,
         incremental=incremental,
-        max_activations=engine.max_activations,
         metrics=engine.metrics,
         secpol=secpol,
     )

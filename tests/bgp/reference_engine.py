@@ -124,19 +124,21 @@ def clone_outcome(outcome: PropagationOutcome) -> PropagationOutcome:
     )
 
 
+#: activations per AS before :class:`ConvergenceError` — the loop's
+#: budget, restated so the oracle imports nothing from the loop
+MAX_ACTIVATIONS = 50
+
+
 class ReferenceEngine:
     """Single-prefix propagation over an :class:`ASGraph`, in tuple space.
 
     A drop-in for the engine wherever code only calls ``propagate`` and
-    reads ``graph`` / ``max_activations`` (``simulate_interception``,
+    reads ``graph`` (``simulate_interception``,
     ``BaselineCache``, ``build_deployment``, the collectors).
     """
 
-    def __init__(self, graph: ASGraph, *, max_activations: int = 50) -> None:
-        if max_activations < 1:
-            raise SimulationError("max_activations must be positive")
+    def __init__(self, graph: ASGraph) -> None:
         self.graph = graph
-        self.max_activations = max_activations
         self._adjacency = self._build_adjacency(graph)
 
     @staticmethod
@@ -254,7 +256,7 @@ class ReferenceEngine:
         queue: deque[int] = deque(initial)
         queued: set[int] = set(initial)
         operations = 0
-        budget = self.max_activations * max(1, len(adjacency))
+        budget = MAX_ACTIVATIONS * max(1, len(adjacency))
         max_round = 0
         while queue:
             operations += 1

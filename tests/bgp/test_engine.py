@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bgp import vectorized
+from repro.bgp import compiled, vectorized
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
@@ -225,16 +225,17 @@ class TestErrors:
             PropagationEngine(chain_graph).propagate(4, modifiers={99: lambda p: p})
 
     def test_invalid_budget(self, chain_graph):
-        with pytest.raises(SimulationError):
+        """The activation budget is the loop's constant, not an option."""
+        with pytest.raises(TypeError, match="max_activations"):
             PropagationEngine(chain_graph, max_activations=0)
 
-    def test_convergence_guard_fires_on_exhausted_budget(self, chain_graph):
+    def test_convergence_guard_fires_on_exhausted_budget(self, chain_graph, monkeypatch):
         engine = PropagationEngine(chain_graph)
         # Valley-free propagation needs ~one activation per AS, so the
         # guard never fires in legitimate runs (see the passing tests
         # above); force a zero budget to exercise the guard itself.  The
         # budget is the loop's (activations), so ask the loop.
-        engine._max_activations = 0
+        monkeypatch.setattr(compiled, "MAX_ACTIVATIONS", 0)
         with pytest.raises(ConvergenceError):
             loop_propagate(engine, 4)
 

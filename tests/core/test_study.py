@@ -15,7 +15,7 @@ from repro.experiments.base import build_world
 from repro.measurement.padding_model import PaddingBehaviorModel
 from repro.measurement.ribs import build_monitor_ribs
 from repro.mitigation.reactive import reactive_padding_reduction
-from repro.runner import RunConfig
+from repro.runner import CampaignPairResult, RunConfig
 from repro.runner.executor import available_cpus
 from repro.secpol.deployment import simulate_cautious_deployment
 from repro.store import CampaignStore
@@ -133,10 +133,29 @@ class TestWorkflow:
     def test_campaign_aggregates(self, study):
         campaign = study.campaign(pairs=10, padding=3)
         assert len(campaign.results) == 10
-        assert len(campaign.timings) == 10
         assert 0.0 <= campaign.mean_pollution <= 1.0
         assert 0.0 <= campaign.detection_rate <= 1.0
         assert all(r in campaign.results for r in campaign.effective)
+
+    def test_a_campaign_row_is_its_attack_and_timing(self, study):
+        """A row holds what ``simulate_interception`` and
+        ``detection_timing`` say about the pair, and nothing else."""
+        campaign = study.campaign(pairs=6, padding=3)
+        assert all(type(row) is CampaignPairResult for row in campaign.results)
+        for row in campaign.results:
+            result = simulate_interception(
+                study.engine, victim=row.victim, attacker=row.attacker, origin_padding=3
+            )
+            timing = detection_timing(result, study.collector, study.detector)
+            assert row == CampaignPairResult(
+                attacker=row.attacker,
+                victim=row.victim,
+                padding=3,
+                before_fraction=result.report.before_fraction,
+                after_fraction=result.report.after_fraction,
+                newly_polluted=len(result.report.newly_polluted),
+                detected=timing.detected,
+            )
 
     def test_campaign_requires_pairs(self, study):
         with pytest.raises(ExperimentError):

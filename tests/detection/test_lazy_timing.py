@@ -6,10 +6,9 @@ Figure-4 predicate and keeps the view pair; ``DetectionTiming.alarms``
 enumerates the alarming monitors' ``inspect_change`` alarms when first
 read.  Against the eager oracle (``timing_oracle.py``) every public
 value must be equal — fields, the alarm tuple and its order, ``==``,
-``hash``, ``repr``, pickles — and so must every counter an enabled
-registry records.  Nothing reads an alarm that nobody asked for: fig14
-builds none, fig13 only its streaming series'.  A timing pickled when
-``alarms`` was a dataclass field loads with equal alarms.
+``hash``, ``repr``, a pickle round trip — and so must every counter an
+enabled registry records.  Nothing reads an alarm that nobody asked
+for: fig14 builds none, fig13 only its streaming series'.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import pickle
 import random
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +26,7 @@ from repro.bgp.collectors import RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.detection.alarms import Alarm, Confidence
 from repro.detection.detector import ASPPInterceptionDetector
-from repro.detection.monitors import random_monitors, top_degree_monitors
+from repro.detection.monitors import top_degree_monitors
 from repro.detection.timing import detection_timing
 from repro.experiments.base import build_world
 from repro.experiments.fig13_detection_accuracy import Fig13Config
@@ -37,9 +35,6 @@ from repro.experiments.fig14_pollution_before_detection import Fig14Config
 from repro.experiments.fig14_pollution_before_detection import run as run_fig14
 from repro.telemetry.metrics import RunMetrics
 from tests.detection.timing_oracle import eager_detection_timing
-
-LEGACY_PICKLE = Path(__file__).parent / "data" / "detection_timing_eager.pickle"
-
 
 @contextmanager
 def alarms_built():
@@ -115,7 +110,6 @@ def test_lazy_timing_equals_the_eager_oracle(fig13_world, pick, fleet, min_confi
     assert timing.alarms is timing.alarms  # built once
     assert timing == expected and hash(timing) == hash(expected)
     assert repr(timing) == repr(expected)
-    assert pickle.dumps(timing) == pickle.dumps(expected)
     assert pickle.loads(pickle.dumps(timing)) == expected
 
     # An enabled registry counts the alarms: it reads them, and every
@@ -158,73 +152,3 @@ def test_fig13_builds_only_its_streaming_alarms():
     metrics = RunMetrics()
     run_fig13(Fig13Config(scale=0.25, pairs=10), metrics=metrics)
     assert len(built) == metrics.counter_value("detection.pipeline.alarms") > 0
-
-
-# ----------------------------------------------------------------------
-# Pickles written while ``alarms`` was a dataclass field (what a
-# ``campaign --store`` / ``--resume`` record holds).
-
-#: (fleet, attacker, victim, min_confidence, attacker_feeds_collector) at
-#: seed 7, scale 0.25: HIGH alarms; a monitoring attacker seen at round
-#: 0 and its stealthy twin, undetected; an undetected attack; and a
-#: random fleet whose only alarms are LOW hints, with and without them.
-LEGACY_SCENARIOS = (
-    ("top20", 3, 341, Confidence.LOW, True),
-    ("top20", 45, 261, Confidence.LOW, True),
-    ("top20", 45, 261, Confidence.LOW, False),
-    ("top20", 78, 101, Confidence.LOW, True),
-    ("random12", 23, 30, Confidence.LOW, True),
-    ("random12", 23, 30, Confidence.HIGH, True),
-)
-
-
-def legacy_timings() -> list:
-    """The scenarios' timings, computed by the ``detection_timing`` on
-    the path (this is also how the fixture was recorded, with the eager
-    implementation)."""
-    world = build_world(seed=7, scale=0.25)
-    graph = world.graph
-    fleets = {
-        "top20": top_degree_monitors(graph, 20),
-        "random12": random_monitors(graph, 12, random.Random(2)),
-    }
-    detector = ASPPInterceptionDetector(graph)
-    timings = []
-    for fleet, attacker, victim, min_confidence, feeds in LEGACY_SCENARIOS:
-        result = simulate_interception(
-            world.engine, victim=victim, attacker=attacker, origin_padding=3
-        )
-        timings.append(
-            detection_timing(
-                result,
-                RouteCollector(graph, fleets[fleet]),
-                detector,
-                min_confidence=min_confidence,
-                attacker_feeds_collector=feeds,
-            )
-        )
-    return timings
-
-
-def test_legacy_pickles_load_with_equal_alarms():
-    recorded = pickle.loads(LEGACY_PICKLE.read_bytes())
-    timings = legacy_timings()
-    assert recorded == timings
-    for old, new in zip(recorded, timings):
-        assert old.alarms == new.alarms
-        assert old.fraction_polluted_before_detection == new.fraction_polluted_before_detection
-    # the scenarios cover what they claim to
-    kinds = [
-        (t.detected, {a.confidence for a in t.alarms}) for t in recorded
-    ]
-    assert kinds == [
-        (True, {Confidence.HIGH}),
-        (True, {Confidence.HIGH}),
-        (False, set()),
-        (False, set()),
-        (True, {Confidence.LOW}),
-        (False, set()),
-    ]
-    assert recorded[1].detection_round == 0
-    # ... and a timing pickles to the bytes the field did.
-    assert pickle.dumps(timings, pickle.HIGHEST_PROTOCOL) == LEGACY_PICKLE.read_bytes()

@@ -1,5 +1,5 @@
 """Golden test: the exhaustive grid vs per-pair recompute, plus
-checkpoint/resume semantics over grid cells.
+store replay (resume) semantics over grid cells.
 
 The exhaustive grid is the densest campaign shape, so its correctness
 bar is the strictest: every cell of the grid — computed by the impact
@@ -125,15 +125,15 @@ def test_grid_rejects_empty_cross_product(grid_world):
 def test_checkpoint_resume_replays_every_completed_cell(
     grid_world, grid_pools, tmp_path
 ):
-    """A rerun against a complete journal must replay all cells and
+    """A rerun against a complete store must replay all cells and
     re-converge none of them: no kernel column, no attack flood,
     identical results."""
     attackers, victims = grid_pools
     graph = grid_world.graph
-    journal = tmp_path / "grid.jsonl"
+    path = tmp_path / "grid"
 
     engine = PropagationEngine(graph)
-    with CampaignStore(journal, single_file=True) as store:
+    with CampaignStore(path) as store:
         first = exhaustive_grid(
             engine,
             attackers=attackers,
@@ -144,7 +144,7 @@ def test_checkpoint_resume_replays_every_completed_cell(
 
     rerun_engine = PropagationEngine(graph)
     metrics = RunMetrics()
-    with CampaignStore(journal, single_file=True) as store:
+    with CampaignStore(path) as store:
         second = exhaustive_grid(
             rerun_engine,
             attackers=attackers,
@@ -162,14 +162,14 @@ def test_checkpoint_resume_replays_every_completed_cell(
 
 
 def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_path):
-    """A journal from a *partial* grid replays exactly its cells and
+    """A store from a *partial* grid replays exactly its cells and
     converges only the remainder."""
     attackers, victims = grid_pools
     graph = grid_world.graph
-    journal = tmp_path / "partial.jsonl"
+    path = tmp_path / "partial"
 
     engine = PropagationEngine(graph)
-    with CampaignStore(journal, single_file=True) as store:
+    with CampaignStore(path) as store:
         partial = exhaustive_grid(
             engine,
             attackers=attackers[:3],
@@ -181,7 +181,7 @@ def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_p
     rerun_engine = PropagationEngine(graph)
     metrics = RunMetrics()
     rerun_engine.metrics = metrics
-    with CampaignStore(journal, single_file=True) as store:
+    with CampaignStore(path) as store:
         full = exhaustive_grid(
             rerun_engine,
             attackers=attackers,

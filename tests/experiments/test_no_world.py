@@ -10,6 +10,8 @@ silently.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bgp import vectorized
@@ -28,7 +30,9 @@ from repro.runner import (
     RunConfig,
     WorkerContext,
     WorkerSpec,
+    run_batch,
 )
+from repro.store import CampaignStore
 from repro.telemetry import RunMetrics
 from tests.bgp.loop_oracle import LoopEngine
 from tests.strategies import cold_convergences
@@ -74,12 +78,35 @@ def test_serial_campaign_pair_builds_no_world(small_world, worlds_built):
     )
     ctx = WorkerContext(spec)
     tier1 = small_world.tier1
-    result, timing = CampaignPairTask(
-        attacker=tier1[0], victim=tier1[1], padding=3
-    ).run(ctx)
+    row = CampaignPairTask(attacker=tier1[0], victim=tier1[1], padding=3).run(ctx)
     assert worlds_built == []
     assert ctx.metrics.counters[WORLDS].value == 0
-    assert timing.num_ases == result.report.num_ases == len(graph) - 2
+    assert (row.attacker, row.victim) == (tier1[0], tier1[1])
+
+
+@pytest.mark.parametrize("route", ["pooled", "stored"])
+def test_a_campaign_pair_ships_and_stores_a_row_not_worlds(
+    small_world, tmp_path, real_pool, route
+):
+    """Pickling a pair's result — to come home from a pool worker, or
+    into a store record — builds no world: the result is a row."""
+    graph = small_world.graph
+    tasks = [
+        CampaignPairTask(attacker=attacker, victim=victim, padding=3)
+        for attacker, victim in zip(small_world.tier1, small_world.content)
+    ]
+    monitors = tuple(top_degree_monitors(graph, 25))
+    metrics = RunMetrics()
+    with CampaignStore(tmp_path / "store") as store:
+        run = RunConfig(workers=2 if route == "pooled" else 1, metrics=metrics)
+        if route == "stored":
+            run = dataclasses.replace(run, store=store)
+        rows = run_batch(PropagationEngine(graph), tasks, run, monitors=monitors)
+    assert metrics.counters[WORLDS].value == 0
+    assert metrics.counter_value("worker.tasks") == len(tasks)
+    # tripwire: the pooled route really ran in pool workers
+    assert any(name.startswith("worker.pid") for name in metrics.info) == (route == "pooled")
+    assert rows == run_batch(PropagationEngine(graph), tasks, monitors=monitors)
 
 
 #: the loop by name, and the engine as shipped (kernel cold runs)

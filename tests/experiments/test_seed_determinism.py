@@ -68,5 +68,4 @@ def test_campaign_is_seed_deterministic():
     first = InterceptionStudy.generate(**kwargs).campaign(pairs=5, padding=3)
     second = InterceptionStudy.generate(**kwargs).campaign(pairs=5, padding=3)
     assert first.results == second.results
-    assert first.timings == second.timings
     assert first.mean_pollution == second.mean_pollution

@@ -118,20 +118,6 @@ class TestRunBatch:
             assert get_active_store() is None
             assert (len(ambient), len(explicit)) == (2, len(tasks))
 
-    def test_a_single_file_store_replays_in_place(self, small_world, tmp_path):
-        """What ``--resume PATH`` opens: the log *is* ``PATH``."""
-        tasks = _tasks(small_world)
-        engine = PropagationEngine(small_world.graph)
-        path = tmp_path / "resume.jsonl"
-        with CampaignStore(path, single_file=True) as store:
-            first = run_batch(engine, tasks, RunConfig(store=store))
-        assert len(path.read_text().splitlines()) == len(tasks)
-        metrics = RunMetrics()
-        with CampaignStore(path, single_file=True) as store:
-            assert run_batch(engine, tasks, RunConfig(store=store, metrics=metrics)) == first
-        assert metrics.counter_value("scheduler.store_hits") == len(tasks)
-        assert metrics.counter_value("scheduler.executed") == 0
-
 
 class TestMatchesBareExecutor:
     def test_matches_single_pool(self, small_world):
@@ -188,28 +174,24 @@ class TestStoreIntegration:
 
 
 class TestInterruptedRunKeepsItsWork:
-    """Results are recorded as they settle, in either shape of the
-    store: a sweep interrupted at cell k replays every cell that
-    settled before it."""
+    """Results are recorded as they settle: a sweep interrupted at
+    cell k replays every cell that settled before it."""
 
     PADDINGS = tuple(range(1, 7))
     INTERRUPT_AT = 5
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("persistence", ["store", "resume-file"])
     def test_settled_cells_replay_after_an_interrupt(
-        self, small_engine, small_world, tmp_path, monkeypatch, real_pool,
-        persistence, workers,
+        self, small_engine, small_world, tmp_path, monkeypatch, real_pool, workers
     ):
         victim, attacker = small_world.tier1[0], small_world.tier1[1]
         reference = padding_sweep(
             small_engine, victim=victim, attacker=attacker, paddings=self.PADDINGS
         )
-        path = tmp_path / persistence
-        single_file = persistence == "resume-file"
+        path = tmp_path / "store"
 
         def sweep(metrics=None):
-            with CampaignStore(path, single_file=single_file) as store:
+            with CampaignStore(path) as store:
                 return padding_sweep(
                     small_engine,
                     victim=victim,
@@ -230,7 +212,7 @@ class TestInterruptedRunKeepsItsWork:
             with pytest.raises(KeyboardInterrupt):
                 sweep()
 
-        with CampaignStore(path, single_file=single_file) as store:
+        with CampaignStore(path) as store:
             recorded = [
                 padding
                 for padding in self.PADDINGS

@@ -2,8 +2,7 @@
 
 Every production batch goes through :func:`run_batch` under one
 :class:`RunConfig`.  The same task list must come back identical for
-every worker count and persistence state a ``RunConfig`` can name
-— a resume file written by the pre-store checkpoint journal included —
+every worker count and persistence state a ``RunConfig`` can name,
 and whenever every task actually executes, the deterministic
 metric snapshot must equal the plain path's — a bare
 :class:`SupervisedExecutor`, no ``RunConfig`` involved.
@@ -12,7 +11,6 @@ metric snapshot must equal the plain path's — a bare
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -81,19 +79,7 @@ def references(small_world):
     return plain
 
 
-PERSISTENCE = ("none", "cold-store", "warm-store", "resume-file", "legacy-journal")
-
-
-def _as_legacy_journal(path):
-    """Rewrite a resume file as the pre-store checkpoint journal spelled
-    its lines: ``fp``, ``status`` and the payload, no version, no digest."""
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    path.write_text(
-        "".join(
-            json.dumps({"fp": r["fp"], "status": "ok", "payload": r["payload"]}) + "\n"
-            for r in records
-        )
-    )
+PERSISTENCE = ("none", "cold-store", "warm-store")
 
 
 @pytest.mark.parametrize("persistence", PERSISTENCE)
@@ -114,16 +100,12 @@ def test_every_route_returns_the_plain_results(
     if persistence == "none":
         results, hits = run(tasks, route), 0
     else:
-        # a --resume file is the single-file shape of the one store
-        single_file = persistence in ("resume-file", "legacy-journal")
-        path = tmp_path / ("resume.jsonl" if single_file else "store")
-        hits = {"cold-store": 0, "warm-store": len(tasks)}.get(persistence, len(tasks) // 2)
+        path = tmp_path / "store"
+        hits = len(tasks) if persistence == "warm-store" else 0
         if hits:
-            with CampaignStore(path, single_file=single_file) as store:
-                run(tasks[:hits], RunConfig(store=store))
-        if persistence == "legacy-journal":
-            _as_legacy_journal(path)
-        with CampaignStore(path, single_file=single_file) as store:
+            with CampaignStore(path) as store:
+                run(tasks, RunConfig(store=store))
+        with CampaignStore(path) as store:
             results = run(tasks, dataclasses.replace(route, store=store))
             assert len(store) == len(tasks)
 

@@ -67,11 +67,7 @@ def test_campaign_tasks_identical_serial_vs_pool(small_world, real_pool):
     reference = [task.run(context) for task in tasks]
     with SupervisedExecutor(spec, workers=2) as pool:
         parallel = pool.run(tasks)
-    for (res_a, tim_a), (res_b, tim_b) in zip(reference, parallel):
-        assert res_a.attacked == res_b.attacked
-        assert res_a.baseline == res_b.baseline
-        assert res_a.report.after_fraction == res_b.report.after_fraction
-        assert tim_a == tim_b
+    assert parallel == reference
 
 
 def test_padding_sweep_api_identical_across_worker_requests(small_world):
@@ -108,7 +104,6 @@ def test_campaign_facade_identical_across_worker_requests():
         assert campaign.mean_pollution == reference.mean_pollution
         assert campaign.detection_rate == reference.detection_rate
         assert campaign.results == reference.results
-        assert campaign.timings == reference.timings
 
 
 def test_executor_reuse_and_empty_batches(small_world):

@@ -2,9 +2,9 @@
 finishes it.
 
 One property over every task list a production caller hands
-``run_batch`` (sweep, deployment, campaign) × worker count × store
-shape: kill one seeded cell — ``os._exit`` in a pool worker, an
-exception in-process — and
+``run_batch`` (sweep, deployment, campaign) × worker count: kill one
+seeded cell — ``os._exit`` in a pool worker, an exception in-process —
+and
 
 * the run fails: in-process with the cell's own exception, pooled with
   one :class:`SimulationError` naming the cells in flight;
@@ -35,7 +35,7 @@ from repro.telemetry.metrics import RunMetrics
 from tests.runner.test_conformance import KINDS, _batch
 
 SEEDS = (1, 2, 3)
-STORES = ("store", "resume-file")
+STORES = ("store",)
 
 
 class Killed(Exception):
@@ -78,12 +78,11 @@ def test_a_killed_run_is_finished_by_its_store(
     tasks, monitors, prepare = _batch(kind, small_world)
     expected = plain[kind]
     killed = random.Random(seed).randrange(len(tasks))
-    single_file = shape == "resume-file"
-    path = tmp_path / ("resume.jsonl" if single_file else "store")
+    path = tmp_path / shape
 
     def run(workers, metrics=None):
         engine = PropagationEngine(small_world.graph)
-        with CampaignStore(path, single_file=single_file) as store:
+        with CampaignStore(path) as store:
             config = RunConfig(workers=workers, store=store, metrics=metrics)
             return run_batch(engine, tasks, config, monitors=monitors, prepare=prepare)
 
@@ -101,7 +100,7 @@ def test_a_killed_run_is_finished_by_its_store(
             assert message.endswith("rerun the same command to finish")
 
     fingerprints = [task_fingerprint(task) for task in tasks]
-    with CampaignStore(path, single_file=single_file) as store:
+    with CampaignStore(path) as store:
         settled = [i for i, fp in enumerate(fingerprints) if fp in store]
         assert len(store) == len(settled)
         for index in settled:

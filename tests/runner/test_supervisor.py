@@ -137,5 +137,5 @@ class TestOneFailureRule:
                 executor.run(tasks)
             assert executor._pool is None
         assert str(death.value).endswith(
-            "pass --store DIR or --resume FILE to keep settled cells across a rerun"
+            "pass --store DIR to keep settled cells across a rerun"
         )

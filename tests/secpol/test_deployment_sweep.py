@@ -56,9 +56,9 @@ def _sweep(engine, policy, **overrides):
 
 
 def _resumed(engine, policy, path, **overrides):
-    """``_sweep`` recording into, and replaying from, the single-file
-    store at ``path`` (what ``--resume`` opens)."""
-    with CampaignStore(path, single_file=True) as store:
+    """``_sweep`` recording into, and replaying from, the store at
+    ``path`` (what ``--store`` opens)."""
+    with CampaignStore(path) as store:
         return _sweep(engine, policy, run=RunConfig(store=store), **overrides)
 
 
@@ -130,39 +130,39 @@ class TestCheckpointing:
         self, world, engine, tmp_path
     ):
         victim, attacker = world.tier1[0], world.tier2[0]
-        journal_path = tmp_path / "sweep.jsonl"
+        store_path = tmp_path / "sweep"
         first = _resumed(
-            engine, "aspa", journal_path, victim=victim, attacker=attacker
+            engine, "aspa", store_path, victim=victim, attacker=attacker
         )
-        with CampaignStore(journal_path) as recorded:
+        with CampaignStore(store_path) as recorded:
             assert len(recorded) == len(FRACTIONS)
-        # Same configuration: every point replays from the journal.
+        # Same configuration: every point replays from the store.
         replayed = _resumed(
-            engine, "aspa", journal_path, victim=victim, attacker=attacker
+            engine, "aspa", store_path, victim=victim, attacker=attacker
         )
         assert [r.row() for r in replayed] == [r.row() for r in first]
-        with CampaignStore(journal_path) as recorded:
+        with CampaignStore(store_path) as recorded:
             assert len(recorded) == len(FRACTIONS)
         # A different policy shares no fingerprints: nothing replays,
-        # every point is computed and journaled anew.
+        # every point is computed and recorded anew.
         other = _resumed(
             engine,
             "prependguard",
-            journal_path,
+            store_path,
             victim=victim,
             attacker=attacker,
         )
         assert [r.policy for r in other] == ["prependguard"] * len(FRACTIONS)
-        with CampaignStore(journal_path) as recorded:
+        with CampaignStore(store_path) as recorded:
             assert len(recorded) == 2 * len(FRACTIONS)
 
     def test_strategy_and_seed_are_fingerprinted(self, world, engine, tmp_path):
         victim, attacker = world.tier1[0], world.tier2[0]
-        journal_path = tmp_path / "sweep.jsonl"
+        store_path = tmp_path / "sweep"
         _resumed(
             engine,
             "aspa",
-            journal_path,
+            store_path,
             victim=victim,
             attacker=attacker,
             fractions=(0.5,),
@@ -170,7 +170,7 @@ class TestCheckpointing:
         _resumed(
             engine,
             "aspa",
-            journal_path,
+            store_path,
             victim=victim,
             attacker=attacker,
             fractions=(0.5,),
@@ -179,14 +179,14 @@ class TestCheckpointing:
         _resumed(
             engine,
             "aspa",
-            journal_path,
+            store_path,
             victim=victim,
             attacker=attacker,
             fractions=(0.5,),
             strategy="random",
             seed=99,
         )
-        with CampaignStore(journal_path) as recorded:
+        with CampaignStore(store_path) as recorded:
             assert len(recorded) == 3
 
 

@@ -1,7 +1,7 @@
 """Property: concurrent writer processes converge to one consistent index.
 
 N processes each open their own :class:`CampaignStore` handle on the
-same log — a directory store, then a single-file one — and append an interleaved slice of records — including
+same log and appends an interleaved slice of records — including
 fingerprints that overlap between writers (with identical payloads, as
 task purity guarantees).  Afterwards a fresh reader must see exactly
 the union of all fingerprints, each serving its payload: no lost
@@ -25,8 +25,8 @@ from repro.store import CampaignStore
 _CTX = multiprocessing.get_context("fork")
 
 
-def _writer(root: str, single_file: bool, items: list[tuple[str, str]]) -> None:
-    with CampaignStore(root, single_file=single_file) as store:
+def _writer(root: str, items: list[tuple[str, str]]) -> None:
+    with CampaignStore(root) as store:
         for fingerprint, payload in items:
             store.put(fingerprint, payload)
 
@@ -66,16 +66,11 @@ def _write_schedules(draw):
 )
 @given(schedules=_write_schedules())
 def test_concurrent_writers_converge_to_one_index(schedules):
-    for single_file in (False, True):
-        _assert_writers_converge(schedules, single_file)
-
-
-def _assert_writers_converge(schedules, single_file):
     scratch = Path(tempfile.mkdtemp(prefix="repro-store-"))
     root = scratch / "log"
     try:
         procs = [
-            _CTX.Process(target=_writer, args=(str(root), single_file, items))
+            _CTX.Process(target=_writer, args=(str(root), items))
             for items in schedules
         ]
         for proc in procs:
@@ -84,12 +79,9 @@ def _assert_writers_converge(schedules, single_file):
             proc.join(timeout=60)
             assert proc.exitcode == 0
         expected = {fp for items in schedules for fp, _ in items}
-        with CampaignStore(root, single_file=single_file) as store:
-            seen = list(store.fingerprints())
-            # no duplicated index entries ...
-            assert len(seen) == len(set(seen))
-            # ... no lost fingerprints ...
-            assert set(seen) == expected
+        with CampaignStore(root) as store:
+            # no lost fingerprints ...
+            assert all(fingerprint in store for fingerprint in expected)
             # ... and every record serves its (identical) payload.
             for fingerprint in expected:
                 assert store.get(fingerprint) == _payload_for(fingerprint)
@@ -103,18 +95,16 @@ def _assert_writers_converge(schedules, single_file):
 def test_two_handles_interleaved_appends_same_process(tmp_path):
     """Same property at thread-scale: two handles on one log,
     strictly alternating appends, both end up seeing everything."""
-    for single_file in (False, True):
-        root = tmp_path / f"store-{single_file}"
-        first = CampaignStore(root, single_file=single_file)
-        second = CampaignStore(root, single_file=single_file)
-        try:
+    first = CampaignStore(tmp_path / "store")
+    second = CampaignStore(tmp_path / "store")
+    try:
+        for i in range(10):
+            handle = first if i % 2 == 0 else second
+            handle.put(f"fp-{i:02d}", i)
+        for handle in (first, second):
+            assert all(f"fp-{i:02d}" in handle for i in range(10))
             for i in range(10):
-                handle = first if i % 2 == 0 else second
-                handle.put(f"fp-{i:02d}", i)
-            for handle in (first, second):
-                assert all(f"fp-{i:02d}" in handle for i in range(10))
-                for i in range(10):
-                    assert handle.get(f"fp-{i:02d}") == i
-        finally:
-            first.close()
-            second.close()
+                assert handle.get(f"fp-{i:02d}") == i
+    finally:
+        first.close()
+        second.close()

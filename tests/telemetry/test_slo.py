@@ -86,6 +86,13 @@ class TestSLOValidation:
         with pytest.raises(ValueError):
             SLO(name="x", kind="alarm-latency", threshold=1.0, window=0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_threshold_that_is_not_finite_and_non_negative(self, threshold):
+        """NaN is not JSON in a breach event, and a negative threshold
+        breaches on the first observation."""
+        with pytest.raises(ValueError, match="threshold"):
+            SLO(name="x", kind="alarm-latency", threshold=threshold)
+
 
 class TestSLOTracker:
     def _tracker(self, threshold=10.0, quantile=1.0, window=8, metrics=None):

@@ -223,8 +223,8 @@ class TestSubcommandParsing:
 
 
 class TestResilienceFlags:
-    """The run's one store: ``--resume FILE`` (or ``--store DIR``) is how
-    a failed or killed run is finished."""
+    """The run's one store, ``--store DIR``, is how a failed or killed
+    run is finished."""
 
     ARGS = ["campaign", "--scale", "0.15", "--pairs", "4", "--monitors", "20"]
 
@@ -237,55 +237,35 @@ class TestResilienceFlags:
         assert last == "repro-aspp: error: unrecognized arguments: --retries 0"
 
     def test_resume_writes_journal_and_replays_it(self, capsys, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
-        assert main(self.ARGS + ["--resume", path]) == 0
-        first = capsys.readouterr().out
-        lines = (tmp_path / "campaign.jsonl").read_text().splitlines()
+        """One row-sized record per pair, replayed by the rerun."""
+        store = tmp_path / "store"
+        summary = ["--store", str(store), "--metrics", "summary"]
+        assert main(self.ARGS + summary) == 0
+        cold = capsys.readouterr().out
+        lines = (store / "records.jsonl").read_bytes().splitlines()
         assert len(lines) == 4
+        assert max(map(len, lines)) < 1024
+        assert re.search(r"^store\.puts +counter +4 ", cold, re.M)
 
-        # Second run replays every journaled instance; same summary.
-        assert main(self.ARGS + ["--resume", path]) == 0
-        assert capsys.readouterr().out == first
-        assert (tmp_path / "campaign.jsonl").read_text().splitlines() == lines
+        # Second run replays every recorded instance; same summary.
+        assert main(self.ARGS + summary) == 0
+        warm = capsys.readouterr().out
+        assert warm.splitlines()[:4] == cold.splitlines()[:4]
+        assert re.search(r"^scheduler\.store_hits +counter +4 ", warm, re.M)
+        assert "scheduler.executed" not in warm
+        assert (store / "records.jsonl").read_bytes().splitlines() == lines
 
     def test_resume_after_truncation_completes_the_campaign(self, capsys, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
-        main(self.ARGS + ["--resume", str(journal)])
+        store = tmp_path / "store"
+        log = store / "records.jsonl"
+        main(self.ARGS + ["--store", str(store)])
         reference = capsys.readouterr().out
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:2]) + "\n")
+        lines = log.read_text().splitlines()
+        log.write_text("\n".join(lines[:2]) + "\n")
 
-        assert main(self.ARGS + ["--resume", str(journal)]) == 0
+        assert main(self.ARGS + ["--store", str(store)]) == 0
         assert capsys.readouterr().out == reference
-        assert len(journal.read_text().splitlines()) == len(lines)
-
-    def test_a_resume_file_is_a_store_in_the_metrics_too(self, capsys, tmp_path):
-        """``--resume`` opens the run's one store with the run's registry,
-        so its ``store.*`` rows read like ``--store``'s."""
-        summary = ["--metrics", "summary"]
-        main(self.ARGS + ["--resume", str(tmp_path / "campaign.jsonl")] + summary)
-        cold = capsys.readouterr().out
-        assert re.search(r"^store\.puts +counter +4 ", cold, re.M)
-        assert re.search(r"^store\.misses +counter +4 ", cold, re.M)
-        main(self.ARGS + ["--resume", str(tmp_path / "campaign.jsonl")] + summary)
-        warm = capsys.readouterr().out
-        assert re.search(r"^store\.hits +counter +4 ", warm, re.M)
-        assert re.search(r"^scheduler\.store_hits +counter +4 ", warm, re.M)
-        assert "store.puts" not in warm
-
-    def test_import_journal_moves_a_resume_file_into_a_store(self, capsys, tmp_path):
-        """What ``--resume F --store D`` used to do in one run: the file's
-        records land in the directory, which then replays all of them."""
-        resume, store = str(tmp_path / "campaign.jsonl"), str(tmp_path / "store")
-        main(self.ARGS + ["--resume", resume])
-        reference = capsys.readouterr().out
-        assert main(["store", "--store", store, "--import-journal", resume]) == 0
-        assert f"imported 4 new records from {resume}" in capsys.readouterr().out
-        assert main(self.ARGS + ["--store", store, "--metrics", "summary"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith(reference)
-        assert re.search(r"^scheduler\.store_hits +counter +4 ", out, re.M)
-        assert "scheduler.executed" not in out
+        assert len(log.read_text().splitlines()) == len(lines)
 
 
 class TestSecpolSweepCommand:
@@ -329,16 +309,16 @@ class TestSecpolSweepCommand:
         assert "secpol.deployed_ases" in out
 
     def test_resume_writes_and_replays_the_journal(self, capsys, tmp_path):
-        journal = tmp_path / "secpol.jsonl"
-        args = self.ARGS + ["--policy", "aspa", "--resume", str(journal)]
+        log = tmp_path / "store" / "records.jsonl"
+        args = self.ARGS + ["--policy", "aspa", "--store", str(log.parent)]
         assert main(args) == 0
         first = capsys.readouterr().out
-        lines = journal.read_text().splitlines()
+        lines = log.read_text().splitlines()
         assert len(lines) == 2
 
         assert main(args) == 0
         assert capsys.readouterr().out == first
-        assert journal.read_text().splitlines() == lines
+        assert log.read_text().splitlines() == lines
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -471,6 +451,26 @@ class TestMitigateStream:
         assert main(self.ARGS) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("threshold", ["0", "nan"])
+    def test_jsonl_output_is_strict_json(self, capsys, threshold):
+        """Whatever threshold is typed, no ``NaN`` reaches the event log:
+        a threshold the SLO cannot hold is refused at the flag."""
+        import json
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        argv = self.ARGS + ["--slo-alarm-latency", threshold, "--metrics", "jsonl"]
+        if threshold == "nan":
+            with pytest.raises(SystemExit) as usage:
+                main(argv)
+            assert usage.value.code == 2
+            return
+        assert main(argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+        events = [json.loads(line, parse_constant=refuse) for line in lines]
+        assert any(event.get("event") == "slo-breach" for event in events)
+
     def test_bad_fault_rate_rejected(self):
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--fault-rate", "1.5"])
@@ -492,7 +492,7 @@ SURFACE = {
         (("--seed",), "seed", "int", None, None, False, "store"),
         (("--scale",), "scale", "positive_float", None, None, False, "store"),
         (("--pairs",), "pairs", "positive_int", None, None, False, "store"),
-        (("--instances",), "instances", "int", None, None, False, "store"),
+        (("--instances",), "instances", "positive_int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
@@ -517,7 +517,6 @@ SURFACE = {
         (("--monitors",), "monitors", "positive_int", 150, None, False, "store"),
         (("--placement",), "placement", None, "top-degree", ("top-degree", "greedy-cover"), False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
-        (("--resume",), "resume", "str", None, None, False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -530,7 +529,6 @@ SURFACE = {
         (("--attackers",), "attackers", "positive_int", None, None, False, "store"),
         (("--victims",), "victims", "positive_int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
-        (("--resume",), "resume", "str", None, None, False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -547,7 +545,6 @@ SURFACE = {
         (("--attacker",), "attacker", "int", None, None, False, "store"),
         (("--valley-free",), "valley_free", None, False, None, False, "storetrue"),
         (("--workers",), "workers", "int", None, None, False, "store"),
-        (("--resume",), "resume", "str", None, None, False, "store"),
         (("--topology",), "topology", "str", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -557,12 +554,12 @@ SURFACE = {
         (("--seed",), "seed", "int", 7, None, False, "store"),
         (("--scale",), "scale", "positive_float", 0.5, None, False, "store"),
         (("--monitors",), "monitors", "positive_int", 100, None, False, "store"),
-        (("--updates",), "updates", "int", 20000, None, False, "store"),
-        (("--prefixes",), "prefixes", "int", 4, None, False, "store"),
-        (("--feeds",), "feeds", "int", 4, None, False, "store"),
-        (("--batch",), "batch", "int", 64, None, False, "store"),
+        (("--updates",), "updates", "non_negative_int", 20000, None, False, "store"),
+        (("--prefixes",), "prefixes", "positive_int", 4, None, False, "store"),
+        (("--feeds",), "feeds", "positive_int", 4, None, False, "store"),
+        (("--batch",), "batch", "positive_int", 64, None, False, "store"),
         (("--backpressure",), "backpressure", None, "block", ("block", "drop", "park"), False, "store"),
-        (("--capacity",), "capacity", "int", 256, None, False, "store"),
+        (("--capacity",), "capacity", "positive_int", 256, None, False, "store"),
         (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--no-attack",), "no_attack", None, False, None, False, "storetrue"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -572,23 +569,23 @@ SURFACE = {
         (("--seed",), "seed", "int", 7, None, False, "store"),
         (("--scale",), "scale", "positive_float", 0.5, None, False, "store"),
         (("--monitors",), "monitors", "positive_int", 100, None, False, "store"),
-        (("--updates",), "updates", "int", 8000, None, False, "store"),
-        (("--prefixes",), "prefixes", "int", 4, None, False, "store"),
+        (("--updates",), "updates", "non_negative_int", 8000, None, False, "store"),
+        (("--prefixes",), "prefixes", "positive_int", 4, None, False, "store"),
         (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--strategy",), "strategy", None, "stepdown", ("none", "stepdown", "reset"), False, "store"),
-        (("--step",), "step", "int", 1, None, False, "store"),
-        (("--floor",), "floor", "int", 1, None, False, "store"),
-        (("--reaction",), "reaction", "int", 64, None, False, "store"),
-        (("--feeds",), "feeds", "int", 4, None, False, "store"),
-        (("--batch",), "batch", "int", 64, None, False, "store"),
+        (("--step",), "step", "positive_int", 1, None, False, "store"),
+        (("--floor",), "floor", "positive_int", 1, None, False, "store"),
+        (("--reaction",), "reaction", "non_negative_int", 64, None, False, "store"),
+        (("--feeds",), "feeds", "positive_int", 4, None, False, "store"),
+        (("--batch",), "batch", "positive_int", 64, None, False, "store"),
         (("--backpressure",), "backpressure", None, "block", ("block", "drop", "park"), False, "store"),
-        (("--capacity",), "capacity", "int", 256, None, False, "store"),
+        (("--capacity",), "capacity", "positive_int", 256, None, False, "store"),
         (("--fault-rate",), "fault_rate", "float", 0.0, None, False, "store"),
         (("--fault-seed",), "fault_seed", "int", None, None, False, "store"),
         (("--unrecoverable",), "unrecoverable", None, False, None, False, "storetrue"),
-        (("--slo-alarm-latency",), "slo_alarm_latency", "float", 2000.0, None, False, "store"),
-        (("--slo-feed-staleness",), "slo_feed_staleness", "float", 512.0, None, False, "store"),
-        (("--slo-recovery-rounds",), "slo_recovery_rounds", "float", 12.0, None, False, "store"),
+        (("--slo-alarm-latency",), "slo_alarm_latency", "non_negative_float", 2000.0, None, False, "store"),
+        (("--slo-feed-staleness",), "slo_feed_staleness", "non_negative_float", 512.0, None, False, "store"),
+        (("--slo-recovery-rounds",), "slo_recovery_rounds", "non_negative_float", 12.0, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
     ],
@@ -598,7 +595,7 @@ SURFACE = {
         (("--seed",), "seed", "int", None, None, False, "store"),
         (("--scale",), "scale", "positive_float", None, None, False, "store"),
         (("--pairs",), "pairs", "positive_int", None, None, False, "store"),
-        (("--instances",), "instances", "int", None, None, False, "store"),
+        (("--instances",), "instances", "positive_int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
@@ -606,7 +603,6 @@ SURFACE = {
     "store": [
         (("--store",), "store", "str", None, None, True, "store"),
         (("--compact",), "compact", None, False, None, False, "storetrue"),
-        (("--import-journal",), "import_journals", "str", [], None, False, "append"),
     ],
 }
 
@@ -806,34 +802,118 @@ class TestErrors:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == "repro-aspp: error: unrecognized arguments: --backend vectorized"
 
-    @pytest.mark.parametrize("flag", ["--store", "--resume"])
+    @pytest.mark.parametrize("flag", ["--store"])
     @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
     def test_a_path_no_store_can_open_at_is_a_usage_error(
         self, command, flag, no_world, capsys, tmp_path
     ):
+        """A path under a file, and a file itself: a store is a
+        directory."""
         (tmp_path / "file").write_text("")
-        with pytest.raises(SystemExit) as usage:
-            main([command, "--scale", "0.15", flag, str(tmp_path / "file" / "under")])
-        assert usage.value.code == 2
-        error = capsys.readouterr().err
-        assert f"repro-aspp {command}: error: no result store" in error.splitlines()[-1]
-        assert "Traceback" not in error
+        for path in (tmp_path / "file" / "under", tmp_path / "file"):
+            with pytest.raises(SystemExit) as usage:
+                main([command, "--scale", "0.15", flag, str(path)])
+            assert usage.value.code == 2
+            error = capsys.readouterr().err
+            assert f"repro-aspp {command}: error: no result store" in error.splitlines()[-1]
+            assert "Traceback" not in error
 
     @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
     def test_resume_and_store_together_are_a_usage_error(
         self, command, no_world, capsys, tmp_path
     ):
-        """A run has one store: ``store --import-journal`` moves a
-        ``--resume`` file's records into a ``--store`` directory."""
+        """A run has one store, ``--store DIR``: ``--resume`` is no flag."""
         resume, store = str(tmp_path / "r.jsonl"), str(tmp_path / "store")
         with pytest.raises(SystemExit) as usage:
             main([command, "--scale", "0.15", "--resume", resume, "--store", store])
         assert usage.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == (
-            f"repro-aspp {command}: error: argument --store: not allowed with argument --resume"
-        )
+        assert last == f"repro-aspp: error: unrecognized arguments: --resume {resume}"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--resume", "r.jsonl"],
+            ["grid", "--resume", "r.jsonl"],
+            ["secpol-sweep", "--resume", "r.jsonl"],
+            ["store", "--store", "s", "--import-journal", "j"],
+        ],
+        ids=["campaign", "grid", "secpol-sweep", "store"],
+    )
+    def test_the_removed_resume_flags_are_a_usage_error(self, argv, no_world, capsys):
+        """A store is one shape, a directory: there is no single-file
+        store to open or to import from."""
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"repro-aspp: error: unrecognized arguments: {' '.join(argv[-2:])}"
+
+    @pytest.mark.parametrize(
+        "command, flag, value, least",
+        [
+            *(
+                (command, flag, "0", 1)
+                for command in ("detect-stream", "mitigate-stream")
+                for flag in ("--prefixes", "--feeds", "--batch", "--capacity")
+            ),
+            ("detect-stream", "--updates", "-1", 0),
+            ("mitigate-stream", "--updates", "-1", 0),
+            ("mitigate-stream", "--step", "0", 1),
+            ("mitigate-stream", "--floor", "0", 1),
+            ("mitigate-stream", "--reaction", "-1", 0),
+            ("run fig08", "--instances", "0", 1),
+            ("query fig07", "--instances", "0", 1),
+        ],
+    )
+    def test_stream_and_instance_counts_out_of_range_are_a_usage_error(
+        self, command, flag, value, least, monkeypatch, capsys, tmp_path
+    ):
+        """Refused by the flag's type, before a churn stream or a world
+        is built."""
+        from repro.experiments import base
+        from repro.measurement import churn
+
+        def built(*args, **kwargs):
+            raise AssertionError("the world was built before the flags were checked")
+
+        monkeypatch.setattr(base, "build_world", built)
+        monkeypatch.setattr(churn, "build_world", built)
+        store = ["--store", str(tmp_path / "s")] if command.startswith("query") else []
+        with pytest.raises(SystemExit) as usage:
+            main([*command.split(), "--scale", "0.15", *store, f"{flag}={value}"])
+        assert usage.value.code == 2
+        error = capsys.readouterr().err
+        assert error.splitlines()[-1] == (
+            f"repro-aspp {command.split()[0]}: error: argument {flag}: "
+            f"must be at least {least}, got {value}"
+        )
+        assert "Traceback" not in error
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "flag", ["--slo-alarm-latency", "--slo-feed-staleness", "--slo-recovery-rounds"]
+    )
+    def test_an_slo_threshold_must_be_finite_and_non_negative(
+        self, flag, value, monkeypatch, capsys
+    ):
+        """``nan`` would print ``"threshold": NaN`` (not JSON) into the
+        event log, and a negative threshold breaches on the first
+        observation."""
+        from repro.measurement import churn
+
+        def built(*args, **kwargs):
+            raise AssertionError("the stream was built before the flags were checked")
+
+        monkeypatch.setattr(churn, "build_world", built)
+        with pytest.raises(SystemExit) as usage:
+            main(["mitigate-stream", "--scale", "0.15", f"{flag}={value}"])
+        assert usage.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"repro-aspp mitigate-stream: error: argument {flag}: "
+            f"must be a finite number of at least 0, got {value}"
+        )
 
     @pytest.mark.parametrize("flag", ["--attackers", "--victims"])
     @pytest.mark.parametrize("limit", ["0", "-1"])
@@ -903,24 +983,6 @@ class TestErrors:
         error = capsys.readouterr().err
         assert error == "repro-aspp: error: [Errno 28] No space left on device\n"
 
-    def test_either_flag_opens_what_is_at_the_path(self, capsys, tmp_path):
-        """``--store`` on a ``--resume`` file and ``--resume`` on a
-        ``--store`` directory both replay it: one type, two shapes."""
-        grid = ["grid", "--scale", "0.15", "--attackers", "2", "--victims", "3"]
-        as_file, as_dir = str(tmp_path / "r.jsonl"), str(tmp_path / "store")
-        assert main(grid) == 0
-        plain = capsys.readouterr().out
-        assert main(grid + ["--resume", as_file]) == 0
-        assert main(grid + ["--store", as_dir]) == 0
-        assert capsys.readouterr().out == plain * 2
-        for flags in (["--store", as_file], ["--resume", as_dir]):
-            assert main(grid + flags + ["--metrics", "summary"]) == 0
-            out = capsys.readouterr().out
-            assert out.startswith(plain)
-            assert "scheduler.store_hits  counter  4" in out
-            assert "scheduler.executed" not in out
-        assert (tmp_path / "r.jsonl").is_file() and (tmp_path / "store").is_dir()
-
     def test_library_error_is_one_line_and_status_one(self, capsys):
         assert main(["secpol-sweep", "--scale", "0.15", "--victim", "999999"]) == 1
         captured = capsys.readouterr()
@@ -931,9 +993,13 @@ class TestErrors:
 
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_fig07_needs_a_pair(self, capsys, instances):
-        """No instances is an error like fig08's, not a division by zero
-        (0) or every pair but one (-1, through ``pairs[:-1]``)."""
-        assert main(["run", "fig07", "--scale", "0.15", f"--instances={instances}"]) == 1
+        """No instances is a usage error, not a division by zero (0) or
+        every pair but one (-1, through ``pairs[:-1]``)."""
+        with pytest.raises(SystemExit) as usage:
+            main(["run", "fig07", "--scale", "0.15", f"--instances={instances}"])
+        assert usage.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == "repro-aspp: error: at least one attacker/victim pair is required\n"
+        assert captured.err.splitlines()[-1] == (
+            f"repro-aspp run: error: argument --instances: must be at least 1, got {instances}"
+        )
         assert captured.out == ""
