@@ -27,7 +27,7 @@ CSR columns identical, at least 3× faster.
 ``test_bench_world_generation`` gates the default 1.5k-AS world the
 figures run on: ``generate_internet_topology`` against the O(pool)
 generator it replaced (kept as ``tests/topology/generator_oracle.py``),
-same ``dumps_caida`` bytes and same RNG state, at least 2× faster.
+same ``dumps_caida`` bytes and same RNG state, at least 4× faster.
 """
 
 from __future__ import annotations
@@ -196,12 +196,15 @@ def test_bench_topology_compile_10k():
 
 
 def test_bench_world_generation():
-    """The default world (scale 1.0, 1,545 ASes) must generate >= 2x
+    """The default world (scale 1.0, 1,545 ASes) must generate >= 4x
     faster than the O(pool)-per-draw oracle and be the same world: same
     serialised bytes, same RNG state afterwards.  Both sides insert
     through the same ``ASGraph``, so the ratio is the generator's own
-    bookkeeping; what is left is mostly ``rng.shuffle``, which
-    bit-identity does not let either side skip."""
+    bookkeeping: the provider draws (Fenwick descents against re-summed
+    pools) and the peering shuffles (``repro.utils.rand.shuffle``, one
+    ``getrandbits`` per element, against ``rng.shuffle``'s two Python
+    calls around it).  Both sides draw every word: a partial shuffle
+    would draw a different world."""
     config = InternetTopologyConfig()
 
     def run(generate):
@@ -225,16 +228,16 @@ def test_bench_world_generation():
             "oracle_ms": round(oracle_s * 1000, 2),
             "generator_ms": round(fast_s * 1000, 2),
             "speedup": round(speedup, 2),
-            "gate": 2.0,
+            "gate": 4.0,
         },
     )
     print(
         f"\n1.5k world: oracle {oracle_s * 1000:.1f} ms, "
         f"generator {fast_s * 1000:.1f} ms, speedup {speedup:.2f}x"
     )
-    assert speedup >= 2.0, (
+    assert speedup >= 4.0, (
         f"generate_internet_topology regressed to {speedup:.2f}x over the "
-        f"O(pool) oracle (floor is 2x)"
+        f"O(pool) oracle (floor is 4x)"
     )
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import TopologyError
 from repro.topology.asgraph import ASGraph
+from repro.utils.rand import shuffle
 
 __all__ = [
     "InternetTopologyConfig",
@@ -293,7 +294,7 @@ def generate_internet_topology(
     def peer(asn: int, pool: list[int], want: int) -> None:
         linked = graph.neighbors_of(asn)
         candidates = [c for c in pool if c != asn and c not in linked]
-        rng.shuffle(candidates)
+        shuffle(rng, candidates)  # rng.shuffle's draws, without its call frames
         for other in candidates[:want]:
             graph.add_p2p(asn, other)
 

@@ -11,10 +11,17 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["make_rng", "derive_rng"]
+__all__ = ["make_rng", "derive_rng", "shuffle"]
 
 # A fixed, arbitrary large odd constant used to decorrelate derived streams.
 _DERIVE_MIX = 0x9E3779B97F4A7C15
+
+# The stock shuffle and the int draw it makes through ``_randbelow``,
+# which ``Random.__init_subclass__`` rebinds to
+# ``_randbelow_without_getrandbits`` for a subclass that brings
+# ``random()`` without ``getrandbits()``.
+_STOCK_SHUFFLE = random.Random.shuffle
+_STOCK_RANDBELOW = random.Random._randbelow_with_getrandbits
 
 
 def _stable_label_hash(label: str) -> int:
@@ -48,3 +55,35 @@ def derive_rng(rng: random.Random, label: str) -> random.Random:
     base = rng.getrandbits(64)
     mixed = (base ^ _stable_label_hash(label)) * _DERIVE_MIX
     return random.Random(mixed & 0xFFFFFFFFFFFFFFFF)
+
+
+def shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does.
+
+    Same result, and the same ``rng.getrandbits(k)`` calls in the same
+    order: Fisher–Yates from the last index down to 1, each ``j`` drawn
+    as ``k = (i + 1).bit_length()`` bits and redrawn while ``j > i`` —
+    ``Random.shuffle`` over ``_randbelow_with_getrandbits``, whose source
+    is the same on CPython 3.10 to 3.13.  The stock method pays two
+    Python calls per element; here ``k`` is computed once per
+    power-of-two block of ``i`` and the only call is ``getrandbits``.
+
+    An ``rng`` whose class overrides ``shuffle`` or draws ints some other
+    way (a ``random()``-only subclass binds ``_randbelow_without_getrandbits``)
+    is handed to ``rng.shuffle`` itself, so the two never differ.
+    """
+    cls = type(rng)
+    if cls.shuffle is not _STOCK_SHUFFLE or cls._randbelow is not _STOCK_RANDBELOW:
+        rng.shuffle(x)
+        return
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1  # the least i with (i + 1).bit_length() == k
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = bottom - 1

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.bgp.engine import PropagationEngine
+from repro.core.study import InterceptionStudy
 from repro.detection.monitors import top_degree_monitors
 from repro.exceptions import SimulationError
 from repro.runner import (
@@ -341,3 +342,26 @@ class TestVersionRule:
         lines = log.read_bytes().splitlines(keepends=True)
         assert len(lines) == len(tasks)
         assert max(map(len, lines)) <= 1024
+
+
+class TestKnownBugs:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a cell's fingerprint hashes (victim, attacker, padding) with no "
+        "world identity, so a store shared by two worlds replays one into the other",
+    )
+    def test_a_store_shared_by_two_worlds_keeps_them_apart(self, root):
+        def grid(seed, store=None):
+            study = InterceptionStudy.generate(seed=seed, scale=0.2, monitors=1)
+            return study.exhaustive_grid(
+                padding=3,
+                attacker_pool=[1, 2],
+                victim_pool=[3, 4, 5],
+                run=RunConfig(store=store),
+            )
+
+        with CampaignStore(root) as store:
+            seven = grid(7, store)
+            eleven = grid(11, store)
+        assert seven != grid(11)  # the two worlds do disagree on these cells
+        assert eleven == grid(11)

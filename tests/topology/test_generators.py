@@ -324,14 +324,17 @@ class TestProviderPool:
 
 class TestWorldDigest:
     """``dumps_caida`` of the default world, recorded on the commit
-    before the Fenwick-pool generator: a generator change that moves the
-    world fails here, by name, before it fails in every figure golden."""
+    before the Fenwick-pool generator (scale 4.0: before the in-repo
+    peering shuffle, whose 1,040-AS Tier-4 pool crosses a 1,024 block
+    boundary): a generator change that moves the world fails here, by
+    name, before it fails in every figure golden."""
 
     @pytest.mark.parametrize(
         ("scale", "ases", "edges", "digest"),
         [
             (0.2, 312, 797, "0bf9195055fc6a69dd053f1ed617cae1e8f5027912331cc3844be8871e993930"),
             (1.0, 1545, 3915, "4144b54be411de9e3dd8cc286a656bc9cc1facac0a3378a5d4224332784a4fbe"),
+            (4.0, 6160, 18360, "403f1c991f6a617bdba3604af6608886cd89144315295840016f669cca8691bc"),
         ],
     )
     def test_seed7_world_is_pinned(self, scale, ases, edges, digest):
