@@ -6,8 +6,9 @@ Two records land in ``BENCH_engine.json``, both ungated:
 * ``mitigation_quiet_overhead`` — the RouteViews-scale ingestion
   workload through four feeds, timed with the fault layer disarmed
   (``quiet_ups``) and armed but idle (an empty :class:`FeedFaultPlan`,
-  ``tolerant_idle_ups``: every update pays the quiet-feed predicate and
-  the malformation check), each driven both ways the pipeline is fed —
+  ``tolerant_idle_ups``: every update goes through its feed's fault
+  script, which checks it for malformation — input from outside the
+  program — and delivers it), each driven both ways the pipeline is fed —
   one ``offer`` per update, feed by feed, and one ``run()`` in its
   round-robin order (``run_*``).  Min-of-3 ratios swing by tens of
   percent on a shared box, so they are recorded, not asserted.
@@ -95,7 +96,7 @@ def test_bench_ingest_quiet_and_tolerant_idle(churn):
     and ``run()`` (ungated)."""
     streams = split_stream(churn.messages, 4)
     updates = len(churn.messages)
-    idle = {"tolerant": True, "fault_plan": FeedFaultPlan()}
+    idle = {"fault_plan": FeedFaultPlan()}
 
     _time_ingest(churn, streams, via_run=False, repeats=1)  # untimed warm-up
     record = {"updates": updates, "monitors": MONITORS, "feeds": 4}

@@ -318,12 +318,13 @@ def _configure_mitigate_stream(parser) -> None:
     )
     parser.add_argument(
         "--fault-seed", type=int, default=None,
-        help="seed for the fault plan (default: --seed)",
+        help="seed for the fault plan (default: --seed; needs --fault-rate)",
     )
     parser.add_argument(
         "--unrecoverable", action="store_true",
         help="make injected faults unrecoverable: outage updates are lost "
-        "instead of replayed on reconnect (graceful-degradation mode)",
+        "instead of replayed on reconnect (graceful-degradation mode; "
+        "needs --fault-rate)",
     )
     parser.add_argument(
         "--slo-alarm-latency", type=non_negative_float, default=2000.0, metavar="UPDATES",
@@ -714,6 +715,12 @@ def _mitigate_stream(args, parser, metrics) -> int:
 
     if not 0.0 <= args.fault_rate <= 1.0:
         parser.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")
+    if args.fault_rate <= 0.0:
+        # No plan is drawn, so these flags would do nothing.
+        if args.unrecoverable:
+            parser.error("argument --unrecoverable: needs --fault-rate above 0")
+        if args.fault_seed is not None:
+            parser.error("argument --fault-seed: needs --fault-rate above 0")
     stream = _churn_stream(args, attack=True)
     plan = None
     if args.fault_rate > 0.0:

@@ -12,8 +12,8 @@ What lives here is everything between the feeds and that call:
   explicit backpressure (``block`` / ``drop`` / ``park``), merged by
   sequence stamp so any feed interleaving yields the same alarms as
   one serial feed;
-* :mod:`repro.detection.pipeline.faults` — scripted feed faults and
-  the malformed-update check the tolerant ingestion path runs.
+* :mod:`repro.detection.pipeline.faults` — scheduled feed faults and
+  the malformed-update check an armed pipeline runs.
 """
 
 from repro.detection.pipeline.faults import (

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for multi-feed ingestion.
+"""Scheduled feed faults for multi-feed ingestion.
 
 Recovery code that only runs when something happens to break is
 recovery code that never runs in CI.  This module makes each of the
@@ -7,11 +7,11 @@ malformed updates, and gap storms that overrun the reorder buffer —
 *schedulable*.
 
 A :class:`FeedFaultPlan` maps feed ids to scripted :class:`FeedFault`
-events keyed by the feed's **local offer index** (how many updates that
-feed has delivered so far).  Because each feed's slice arrives in
-stream order no matter how the feeds interleave, the same plan fires
-the same faults at the same points of every run — which is what lets
-the chaos suite assert that alarms under a *recoverable* plan are
+events keyed by the feed's **local offer index**.  The plan is data;
+:class:`~repro.detection.pipeline.ingest.StreamingPipeline` runs each
+feed's faults as a script over that feed's own offers, so a plan fires
+the same faults at the same points however the feeds interleave — which
+lets the chaos suite pin the alarms under a *recoverable* plan
 bit-identical to the fault-free run.
 
 Fault modes:
@@ -20,19 +20,19 @@ Fault modes:
     The feed disconnects for ``span`` offers.  Recoverable outages
     buffer the missed updates on the producer side and replay them in
     order once the feed reconnects (bounded exponential backoff ticks
-    while it is down); unrecoverable outages lose the updates — their
-    sequence numbers are marked skipped so the merge never stalls.
+    while it is down); unrecoverable outages lose the updates.  A feed
+    that keeps flapping is quarantined: every later offer is lost.
 
 ``dup``
     The update at the trigger index is delivered ``burst`` extra
-    times.  The tolerant pipeline dedupes redeliveries instead of
+    times.  An armed pipeline dedupes redeliveries instead of
     raising, so duplicates are always recoverable.
 
 ``corrupt``
     A mangled copy of the update (see :func:`corrupt_update`) arrives
     first and lands in the dead-letter buffer.  Recoverable corruption
     is followed by the clean retransmission; unrecoverable corruption
-    never retransmits — the sequence number is skipped.
+    never retransmits — the update is lost.
 
 ``gap_storm``
     ``span`` consecutive updates are withheld and then delivered in
@@ -44,8 +44,7 @@ Fault modes:
 from __future__ import annotations
 
 import random
-import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.bgp.updates import SequencedUpdate, UpdateMessage
@@ -54,7 +53,6 @@ __all__ = [
     "FEED_FAULT_MODES",
     "FeedFault",
     "FeedFaultPlan",
-    "FeedFaultState",
     "corrupt_update",
     "is_malformed",
 ]
@@ -71,8 +69,7 @@ def is_malformed(message: UpdateMessage) -> bool:
 
     A well-formed update names a CIDR prefix and carries only positive
     AS numbers.  The check is deliberately O(path) with C-speed
-    primitives — it sits on the ingestion hot path when fault tolerance
-    is enabled.
+    primitives — an armed pipeline runs it on every offer.
     """
     if "/" not in message.prefix:
         return True
@@ -223,93 +220,3 @@ class FeedFaultPlan:
             if faults:
                 rules[feed_id] = tuple(faults)
         return cls(rules)
-
-
-#: the longest reconnection backoff, in offers
-BACKOFF_CAP = 64.0
-
-
-class FeedFaultState:
-    """Mutable per-feed runtime bookkeeping for one pipeline run.
-
-    The state machine a fault-tolerant pipeline keeps per feed: the
-    script cursor, the producer-side replay buffer of a recoverable
-    outage, the gap-storm withholding buffer, the disconnect count and
-    the quarantine flag.  Backoff is *virtual time*: each offer that
-    arrives while the feed is down counts as one failed reconnection
-    attempt, doubling the backoff up to :data:`BACKOFF_CAP` —
-    deterministic, wall-clock-free, and observable through the backoff
-    histogram.  Between faults the feed is quiet (:meth:`passes`).
-    """
-
-    __slots__ = (
-        "feed_id",
-        "faults",
-        "fault_index",
-        "offers",
-        "quiet_until",
-        "outage_remaining",
-        "outage_recoverable",
-        "replay",
-        "storm",
-        "storm_remaining",
-        "backoff",
-        "disconnects",
-        "quarantined",
-    )
-
-    def __init__(self, feed_id: int, faults: Iterable[FeedFault]) -> None:
-        self.feed_id = feed_id
-        self.faults = tuple(faults)
-        self.fault_index = 0
-        self.offers = 0
-        self.outage_remaining = 0
-        self.outage_recoverable = True
-        self.replay: list[SequencedUpdate] = []
-        self.storm: list[SequencedUpdate] = []
-        self.storm_remaining = 0
-        self.backoff = 1.0
-        self.disconnects = 0
-        self.quarantined = False
-        self.settle()
-
-    def settle(self) -> None:
-        """Recompute ``quiet_until``, the offer index before which the
-        feed needs no state machine (0 while down, storming or
-        quarantined)."""
-        if self.quarantined or self.outage_remaining or self.storm_remaining:
-            self.quiet_until = 0
-        elif self.fault_index < len(self.faults):
-            self.quiet_until = self.faults[self.fault_index].at
-        else:
-            self.quiet_until = sys.maxsize
-
-    def passes(self, message: UpdateMessage) -> bool:
-        """True — and counted as this feed's offer — when no fault is
-        due, nothing is withheld and ``message`` is well formed, so the
-        update may go straight to admission."""
-        if self.offers < self.quiet_until and not is_malformed(message):
-            self.offers += 1
-            return True
-        return False
-
-    def next_fault(self) -> FeedFault | None:
-        """The fault due at the current offer index, if any.
-
-        Catch-up semantics: a fault whose index fell inside a previous
-        fault's outage or storm window fires at the first opportunity
-        after it, so a manual plan with overlapping windows still
-        consumes every scripted fault.
-        """
-        if self.fault_index >= len(self.faults):
-            return None
-        fault = self.faults[self.fault_index]
-        if fault.at > self.offers:
-            return None
-        self.fault_index += 1
-        return fault
-
-    def tick_backoff(self) -> float:
-        """One failed reconnection attempt; returns the new backoff."""
-        self.backoff = min(self.backoff * 2.0, BACKOFF_CAP)
-        return self.backoff

@@ -25,23 +25,21 @@ that interleaving irrelevant:
   in batches of up to ``batch`` messages.
 
 ``offer`` and :meth:`StreamingPipeline.run` share one admission loop.
-Fault tolerance is opt-in via a
-:class:`~repro.detection.pipeline.faults.FeedFaultPlan` (or bare
-``tolerant=True``): feeds then survive scripted outages with bounded
-exponential-backoff reconnection and in-order replay, duplicate
-deliveries are deduplicated instead of raising, malformed updates land
-in a bounded dead-letter buffer, and a feed that keeps flapping is
-quarantined — the pipeline keeps detecting on the surviving monitor
-coverage while telemetry (and the optional SLO registry) track the
-loss.  A feed between faults is quiet: its updates pay one predicate
-and go straight to admission.
+A :class:`~repro.detection.pipeline.faults.FeedFaultPlan`, empty or not,
+arms the pipeline: each feed then runs its faults as a script that turns
+every offer into what the feed delivers, and the loop admits those
+deliveries as it admits offers — an update the feed lost as a *hole*, a
+sequence number the merge skips.  Armed, the pipeline dedupes
+redeliveries, dead-letters malformed updates and quarantines a feed that
+keeps flapping; it keeps detecting on the surviving monitor coverage
+while telemetry (and the optional SLO registry) track the loss.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import chain, cycle, repeat, zip_longest
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -50,8 +48,8 @@ from repro.bgp.collectors import MonitorView
 from repro.bgp.updates import SequencedUpdate, UpdateMessage
 from repro.detection.alarms import Alarm
 from repro.detection.pipeline.faults import (
+    FeedFault,
     FeedFaultPlan,
-    FeedFaultState,
     corrupt_update,
     is_malformed,
 )
@@ -68,8 +66,20 @@ BACKPRESSURE_POLICIES = ("block", "drop", "park")
 
 #: outages a feed survives; the next one quarantines it
 QUARANTINE_AFTER = 3
+#: the longest reconnection backoff, in offers
+BACKOFF_CAP = 64.0
+#: how many of the most recent dropped sequence numbers are kept
+DROP_LOG = 1024
+#: updates one feed may park before they force a (lossless) pump
+PARK_CAPACITY = 4096
+#: how many of the most recent malformed updates are kept
+DEAD_LETTER_CAP = 256
 
-Arrival = tuple[int, SequencedUpdate]
+#: what a feed delivers: an update, or a hole ``(seq, None)`` for one it lost
+Delivery = tuple[int, UpdateMessage | None]
+Arrival = tuple[int, Delivery]
+#: an armed feed's fault script (see :meth:`StreamingPipeline._feed`)
+Script = Generator[Sequence[Delivery], SequencedUpdate | None, None]
 
 
 class FeedQueue:
@@ -97,10 +107,10 @@ class StreamingPipeline:
     order).  Alarms are returned from the call that processed them and
     also accumulated on :attr:`alarms`.
 
-    ``fault_plan`` arms the fault-injection layer (see module docs);
-    ``tolerant=True`` enables the same tolerance machinery — dedupe,
-    dead-lettering, quarantine — without any scripted faults, which is
-    what a deployment fronting real, unreliable feeds would run.
+    ``fault_plan`` arms the fault layer (see module docs); an empty
+    :class:`FeedFaultPlan` scripts no faults but still dedupes,
+    dead-letters and quarantines, which is what a deployment fronting
+    real, unreliable feeds would run.
     """
 
     def __init__(
@@ -112,23 +122,12 @@ class StreamingPipeline:
         capacity: int = 256,
         policy: str = "block",
         metrics: RunMetrics | None = None,
-        drop_log: int = 1024,
-        park_capacity: int = 4096,
         fault_plan: FeedFaultPlan | None = None,
-        tolerant: bool = False,
-        dead_letter_cap: int = 256,
         slos: SLORegistry | None = None,
     ) -> None:
-        for name, value, least in (
-            ("feeds", feeds, 1),
-            ("batch", batch, 1),
-            ("capacity", capacity, 1),
-            ("drop_log", drop_log, 1),
-            ("park_capacity", park_capacity, 1),
-            ("dead_letter_cap", dead_letter_cap, 0),
-        ):
-            if value < least:
-                raise DetectionError(f"{name} must be >= {least}, got {value}")
+        for name, value in (("feeds", feeds), ("batch", batch), ("capacity", capacity)):
+            if value < 1:
+                raise DetectionError(f"{name} must be >= 1, got {value}")
         if policy not in BACKPRESSURE_POLICIES:
             raise DetectionError(
                 f"unknown backpressure policy {policy!r}; "
@@ -156,24 +155,21 @@ class StreamingPipeline:
         self.processed = 0
         #: bounded ring of the most recent dropped sequence numbers —
         #: :attr:`dropped` keeps the exact total even past the cap
-        self._dropped_ring: deque[int] = deque(maxlen=drop_log)
-        self.park_capacity = park_capacity
+        self._dropped_ring: deque[int] = deque(maxlen=DROP_LOG)
         self.park_high_water = 0
-        # fault-tolerance layer (None == no fault code runs at all)
+        # the fault layer: one script per feed, None when disarmed
         self.slos = slos
-        self.tolerant = tolerant or fault_plan is not None
         self.duplicates = 0
         self.dead_lettered = 0
         self.lost = 0
         self.replay_high_water = 0
         self.quarantined_feeds: list[int] = []
-        self._dead_letter_ring: deque[SequencedUpdate] = deque(maxlen=dead_letter_cap)
-        self._fault_states: list[FeedFaultState] | None = None
-        if self.tolerant:
-            plan = fault_plan if fault_plan is not None else FeedFaultPlan()
-            self._fault_states = [
-                FeedFaultState(i, plan.faults_for(i)) for i in range(feeds)
-            ]
+        self._dead_letter_ring: deque[SequencedUpdate] = deque(maxlen=DEAD_LETTER_CAP)
+        self._feeds: list[Script] | None = None
+        if fault_plan is not None:
+            self._feeds = [self._feed(i, fault_plan.faults_for(i)) for i in range(feeds)]
+            for feed in self._feeds:
+                next(feed)  # run each script to its first offer
 
     @property
     def dropped_seqs(self) -> list[int]:
@@ -200,19 +196,19 @@ class StreamingPipeline:
         self.detector.prime(view)
 
     def offer(self, feed_id: int, item: SequencedUpdate) -> list[Alarm]:
-        """Enqueue one update from ``feed_id``; returns alarms raised if
-        the offer triggered a pump (full batch ready, or a blocking
-        drain on overflow)."""
-        states = self._fault_states
-        if states is not None and not states[feed_id].passes(item.message):
-            return self._offer_tolerant(feed_id, item)
-        return self._admit_all(((feed_id, item),))
+        """Enqueue one update from ``feed_id`` (what an armed feed
+        delivers for it); returns alarms raised if the offer triggered
+        a pump (full batch ready, or a blocking drain on overflow)."""
+        if self._feeds is None:
+            return self._admit_all(((feed_id, item),))
+        return self._admit_all(zip(repeat(feed_id), self._feeds[feed_id].send(item)))
 
     def _admit_all(self, arrivals: Iterable[Arrival]) -> list[Alarm]:
-        """The admission loop: dedupe each ``(feed_id, update)``, apply
-        its feed's backpressure policy, merge it, and pump whenever a
-        batch is ready.  A pump reads only the shared ready run and
-        reorder buffer, so the tail and the count stay in locals."""
+        """The admission loop: skip each hole, dedupe each ``(feed_id,
+        update)``, apply its feed's backpressure policy, merge it, and
+        pump whenever a batch is ready.  A pump reads only the shared
+        ready run and reorder buffer, so the tail and the count stay in
+        locals — which is why a feed's script never touches the tail."""
         queues = self.queues
         ready = self._ready
         pending = self._pending
@@ -220,10 +216,14 @@ class StreamingPipeline:
         tail = self._tail
         enqueued = self._enqueued
         batch = self.batch
+        strict = self._feeds is None
         raised: list[Alarm] = []
         for feed_id, (seq, message) in arrivals:
+            if message is None:  # a hole: the feed lost this update
+                tail = self._skip(seq, tail)
+                continue
             if seq != tail and (seq < tail or seq in pending or seq in skipped):
-                if not self.tolerant:
+                if strict:
                     self._tail, self._enqueued = tail, enqueued
                     raise DetectionError(
                         f"feed {feed_id} delivered sequence {seq} twice "
@@ -266,7 +266,7 @@ class StreamingPipeline:
                 if metrics is not None and metrics.enabled:
                     metrics.count("detection.pipeline.parked")
                     metrics.observe("detection.pipeline.park_depth", queue.parked)
-                if queue.parked >= self.park_capacity:
+                if queue.parked >= PARK_CAPACITY:
                     # The side buffer is full: force a lossless drain
                     # instead of growing without bound.
                     raised.extend(self.pump())
@@ -303,127 +303,113 @@ class StreamingPipeline:
         return tail
 
     # -- fault tolerance ------------------------------------------------
-    def _lose(self, item: SequencedUpdate) -> None:
-        """Record one update as permanently lost (graceful: the merge
-        skips its sequence number instead of stalling)."""
-        self._tail = self._skip(item.seq, self._tail)
+    def _feed(self, feed_id: int, faults: Sequence[FeedFault]) -> Script:
+        """Feed ``feed_id``'s fault script, one generator per armed feed.
+
+        ``send(update)`` is one offer; it returns what the feed delivers
+        then: the update, duplicate copies, a reversed storm, an outage's
+        replay, nothing, or a hole ``(seq, None)`` for a lost update.
+        ``send(None)`` is end of stream: the feed releases the storm, then
+        the replay, and the script goes on, so offers after :meth:`flush`
+        keep the feed's offer index, fault cursor, disconnect count and
+        quarantine.  The script never touches the merge's tail, which the
+        admission loop holds in a local while it pulls deliveries.
+
+        Backoff is virtual time, so it is deterministic: each offer while
+        the feed is down doubles it, up to :data:`BACKOFF_CAP`.  A fault
+        due inside an outage or a storm fires at the first offer after it.
+        """
+        metrics = self.metrics
+        track = metrics is not None and metrics.enabled
+        script = iter(faults)
+        due = next(script, None)
+        index = -1
+        disconnects = outage = storming = 0
+        backoff = 1.0
+        replay: list[SequencedUpdate] = []
+        storm: list[SequencedUpdate] = []
+        delivered: Sequence[Delivery] = ()
+        while True:
+            item = yield delivered
+            if item is None:  # end of stream: release what is withheld
+                delivered, storm, storming, outage = storm[::-1] + replay, [], 0, 0
+                if replay:
+                    self._count("detection.pipeline.reconnects")
+                    backoff, replay = 1.0, []
+                continue
+            index += 1
+            if is_malformed(item.message):
+                self._dead_letter(item)
+                delivered = self._hole(item)
+                continue
+            if not (outage or storming):
+                if due is None or due.at > index:
+                    delivered = (item,)
+                    continue
+                fault, due = due, next(script, None)
+                self._count(f"detection.pipeline.faults.{fault.mode}")
+                if fault.mode == "dup":
+                    delivered = (item,) * (1 + fault.burst)
+                    continue
+                if fault.mode == "corrupt":
+                    self._dead_letter(corrupt_update(item))
+                    # A recoverable feed retransmits the clean copy at once.
+                    delivered = (item,) if fault.recoverable else self._hole(item)
+                    continue
+                if fault.mode == "gap_storm":
+                    storming = fault.span
+                else:
+                    disconnects += 1
+                    if disconnects > QUARANTINE_AFTER:
+                        break
+                    outage, recoverable = fault.span, fault.recoverable
+            if storming:  # withhold a span, then release it in reverse
+                storm.append(item)
+                storming -= 1
+                if storming:
+                    delivered = ()
+                else:
+                    delivered, storm = storm[::-1], []
+                continue
+            # The feed is down: this offer is a failed reconnection attempt.
+            outage -= 1
+            backoff = min(backoff * 2.0, BACKOFF_CAP)
+            if track:
+                metrics.observe("detection.pipeline.backoff", int(backoff))
+            if recoverable:
+                replay.append(item)
+                depth = len(replay)
+                self.replay_high_water = max(self.replay_high_water, depth)
+                if track:
+                    metrics.observe("detection.pipeline.replay_depth", depth)
+                if self.slos is not None:
+                    self.slos.record("feed-staleness", depth)
+                delivered = ()
+            else:
+                delivered = self._hole(item)
+            if not outage:  # back up: the retransmission buffer replays in order
+                backoff = 1.0
+                self._count("detection.pipeline.reconnects")
+                if recoverable:
+                    delivered, replay = replay, []
+        # One outage too many: the feed is dark for good.
+        self.quarantined_feeds.append(feed_id)
+        if track:
+            metrics.count("detection.pipeline.quarantined")
+            metrics.observe("detection.pipeline.coverage_pct", int(self.coverage * 100))
+        while True:  # ``item`` is the offer that quarantined it
+            item = yield () if item is None else self._hole(item)
+
+    def _hole(self, item: SequencedUpdate) -> tuple[Delivery]:
+        """``item`` is lost: counted here, passed over by the merge."""
         self.lost += 1
         self._count("detection.pipeline.lost")
+        return ((item.seq, None),)
 
-    def _dead_letter(self, item: SequencedUpdate, *, lost: bool) -> None:
+    def _dead_letter(self, item: SequencedUpdate) -> None:
         self._dead_letter_ring.append(item)
         self.dead_lettered += 1
         self._count("detection.pipeline.dead_lettered")
-        if lost:
-            self._lose(item)
-
-    def _reconnect(self, state: FeedFaultState) -> list[SequencedUpdate]:
-        """Feed back up: its retransmission buffer replays in order."""
-        state.backoff = 1.0
-        self._count("detection.pipeline.reconnects")
-        released, state.replay = state.replay, []
-        return released
-
-    def _outage_tick(
-        self, state: FeedFaultState, item: SequencedUpdate
-    ) -> Sequence[SequencedUpdate]:
-        state.outage_remaining -= 1
-        backoff = state.tick_backoff()
-        metrics = self.metrics
-        track = metrics is not None and metrics.enabled
-        if track:
-            metrics.observe("detection.pipeline.backoff", int(backoff))
-        if state.outage_recoverable:
-            state.replay.append(item)
-            depth = len(state.replay)
-            if depth > self.replay_high_water:
-                self.replay_high_water = depth
-            if track:
-                metrics.observe("detection.pipeline.replay_depth", depth)
-            if self.slos is not None:
-                self.slos.record("feed-staleness", depth)
-        else:
-            self._lose(item)
-        if state.outage_remaining == 0:
-            return self._reconnect(state)
-        return ()
-
-    def _offer_tolerant(self, feed_id: int, item: SequencedUpdate) -> list[Alarm]:
-        """One offer through the fault layer's state machine — complete
-        on its own, a quiet feed's update is released as is — then the
-        admission of whatever the feed releases."""
-        state = self._fault_states[feed_id]
-        released: Sequence[SequencedUpdate] = ()
-        if state.quarantined:
-            self._lose(item)
-        elif is_malformed(item.message):
-            self._dead_letter(item, lost=True)
-        elif state.outage_remaining > 0:
-            released = self._outage_tick(state, item)
-        elif state.storm_remaining > 0:
-            state.storm.append(item)
-            state.storm_remaining -= 1
-            if state.storm_remaining == 0:
-                released = state.storm[::-1]
-                state.storm.clear()
-        else:
-            released = self._fire(state, item)
-        state.offers += 1
-        state.settle()
-        return self._admit_all(zip(repeat(feed_id), released))
-
-    def _fire(self, state: FeedFaultState, item: SequencedUpdate) -> Sequence[SequencedUpdate]:
-        """The fault due at this offer, if any, applied to ``item``;
-        returns what the feed delivers now."""
-        fault = state.next_fault()
-        if fault is None:
-            return (item,)
-        self._count(f"detection.pipeline.faults.{fault.mode}")
-        if fault.mode == "outage":
-            state.disconnects += 1
-            if state.disconnects > QUARANTINE_AFTER:
-                # A new outage: nothing is left to replay.
-                state.quarantined = True
-                self.quarantined_feeds.append(state.feed_id)
-                metrics = self.metrics
-                if metrics is not None and metrics.enabled:
-                    metrics.count("detection.pipeline.quarantined")
-                    metrics.observe(
-                        "detection.pipeline.coverage_pct", int(self.coverage * 100)
-                    )
-                self._lose(item)
-                return ()
-            state.outage_remaining = fault.span
-            state.outage_recoverable = fault.recoverable
-            return self._outage_tick(state, item)
-        if fault.mode == "dup":
-            return (item,) * (1 + fault.burst)
-        if fault.mode == "corrupt":
-            self._dead_letter(corrupt_update(item), lost=not fault.recoverable)
-            # A recoverable feed retransmits the clean copy immediately.
-            return (item,) if fault.recoverable else ()
-        # gap_storm: withhold a span and release it in reverse.
-        if fault.span == 1:
-            return (item,)
-        state.storm.append(item)
-        state.storm_remaining = fault.span - 1
-        return ()
-
-    def _drain_fault_buffers(self) -> list[Alarm]:
-        """End of stream: whatever the fault layer still withholds
-        (unfinished gap storms, then outage replay) is delivered now."""
-        raised: list[Alarm] = []
-        for state in self._fault_states or ():
-            released = state.storm[::-1]
-            state.storm.clear()
-            state.storm_remaining = 0
-            if state.outage_remaining > 0:
-                state.outage_remaining = 0
-                if state.replay:
-                    released += self._reconnect(state)
-            state.settle()
-            raised.extend(self._admit_all(zip(repeat(state.feed_id), released)))
-        return raised
 
     # -- draining -------------------------------------------------------
     def _collect(self) -> None:
@@ -462,9 +448,11 @@ class StreamingPipeline:
         return self._process(self._ready)
 
     def flush(self) -> list[Alarm]:
-        """End of stream: process everything still buffered, skipping
-        sequence gaps (lost updates) in order."""
-        raised = self._drain_fault_buffers()
+        """End of stream: release what armed feeds still withhold, then
+        process everything buffered, skipping sequence gaps (lost
+        updates) in order."""
+        feeds = enumerate(self._feeds or ())
+        raised = self._admit_all((i, d) for i, feed in feeds for d in feed.send(None))
         self._collect()
         raised.extend(self._process(self._ready))
         if self._pending:
@@ -494,35 +482,20 @@ class StreamingPipeline:
         draws the next feed at random (deterministically for a seeded
         rng) — the equivalence suites use this to prove interleaving
         independence.  The result is that of :meth:`offer` called in
-        that order; quiet stretches are admitted by one loop each.
+        that order: one admission loop takes every arrival, or what its
+        feed delivers for it when armed.
         """
         if len(streams) != len(self.queues):
             raise DetectionError(
                 f"{len(streams)} streams offered to a {len(self.queues)}-feed pipeline"
             )
-        arrivals = _turns(streams, rng)
-        if self._fault_states is None:
-            raised = self._admit_all(arrivals)
-        else:
-            raised = []
-            held: list[Arrival] = []
-            while True:
-                raised.extend(self._admit_all(self._quiet(arrivals, held)))
-                if not held:
-                    break
-                raised.extend(self._offer_tolerant(*held.pop()))
+        arrivals: Iterable[Arrival] = _turns(streams, rng)
+        if self._feeds is not None:
+            sends = [feed.send for feed in self._feeds]
+            arrivals = ((i, d) for i, item in arrivals for d in sends[i](item))
+        raised = self._admit_all(arrivals)
         raised.extend(self.flush())
         return raised
-
-    def _quiet(self, arrivals: Iterator[Arrival], held: list[Arrival]) -> Iterator[Arrival]:
-        """``arrivals`` while each one's feed is quiet; the first that
-        is not goes to ``held`` and ends the stretch."""
-        states = self._fault_states
-        for arrival in arrivals:
-            if not states[arrival[0]].passes(arrival[1].message):
-                held.append(arrival)
-                return
-            yield arrival
 
 
 def _turns(

@@ -282,7 +282,6 @@ def run_closed_loop(
         policy=backpressure,
         metrics=metrics,
         fault_plan=fault_plan,
-        tolerant=fault_plan is not None,
         slos=slos,
     )
     for view in stream.baselines.values():

@@ -28,6 +28,7 @@ from repro.detection.pipeline import (
     is_malformed,
     split_stream,
 )
+from repro.detection.pipeline import ingest
 from repro.detection.streaming import StreamingDetector
 from repro.exceptions import DetectionError
 from repro.measurement.churn import ChurnConfig, synthesize_churn_stream
@@ -58,15 +59,14 @@ def _pipeline(stream, **kwargs):
     return pipeline
 
 
-def _run(stream, *, feeds, fault_plan=None, tolerant=False, policy="block",
-         capacity=1024, rng=None, **kwargs):
+def _run(stream, *, feeds, fault_plan=None, policy="block", capacity=1024, rng=None,
+         **kwargs):
     pipeline = _pipeline(
         stream,
         feeds=feeds,
         policy=policy,
         capacity=capacity,
         fault_plan=fault_plan,
-        tolerant=tolerant,
         **kwargs,
     )
     pipeline.run(split_stream(stream.messages, feeds), rng=rng)
@@ -277,7 +277,7 @@ class TestGracefulDegradation:
         assert metrics.histograms["detection.pipeline.coverage_pct"].max == 50
 
     def test_malformed_updates_dead_letter_without_faults(self, churn):
-        pipeline = _pipeline(churn, feeds=1, tolerant=True, capacity=1024)
+        pipeline = _pipeline(churn, feeds=1, fault_plan=FeedFaultPlan(), capacity=1024)
         bad = SequencedUpdate(
             seq=0, message=UpdateMessage(monitor=1, prefix="garbage", path=(1,))
         )
@@ -289,10 +289,9 @@ class TestGracefulDegradation:
         assert pipeline.lost == 1
         assert pipeline.processed == len(churn.messages) - 1
 
-    def test_dead_letter_ring_is_bounded(self, churn):
-        pipeline = _pipeline(
-            churn, feeds=1, tolerant=True, capacity=1024, dead_letter_cap=4
-        )
+    def test_dead_letter_ring_is_bounded(self, churn, monkeypatch):
+        monkeypatch.setattr(ingest, "DEAD_LETTER_CAP", 4)
+        pipeline = _pipeline(churn, feeds=1, fault_plan=FeedFaultPlan(), capacity=1024)
         for seq in range(10):
             pipeline.offer(
                 0,
@@ -309,25 +308,18 @@ class TestBoundedBuffers:
     """Satellite regression: the drop log and the park buffer no longer
     grow without bound."""
 
-    def test_drop_log_is_a_bounded_ring_with_exact_total(self, churn):
-        pipeline = _pipeline(
-            churn, feeds=1, batch=10**6, capacity=1, policy="drop", drop_log=8
-        )
+    def test_drop_log_is_a_bounded_ring_with_exact_total(self, churn, monkeypatch):
+        monkeypatch.setattr(ingest, "DROP_LOG", 8)
+        pipeline = _pipeline(churn, feeds=1, batch=10**6, capacity=1, policy="drop")
         for update in churn.messages[:50]:
             pipeline.offer(0, update)
         assert pipeline.dropped == 49  # first fills the queue, rest drop
         assert len(pipeline.dropped_seqs) == 8
         assert pipeline.dropped_seqs == [m.seq for m in churn.messages[42:50]]
 
-    def test_park_capacity_forces_a_lossless_pump(self, churn):
-        pipeline = _pipeline(
-            churn,
-            feeds=1,
-            batch=10**6,
-            capacity=1,
-            policy="park",
-            park_capacity=16,
-        )
+    def test_park_capacity_forces_a_lossless_pump(self, churn, monkeypatch):
+        monkeypatch.setattr(ingest, "PARK_CAPACITY", 16)
+        pipeline = _pipeline(churn, feeds=1, batch=10**6, capacity=1, policy="park")
         for update in churn.messages:
             pipeline.offer(0, update)
         pipeline.flush()
@@ -337,14 +329,14 @@ class TestBoundedBuffers:
         assert pipeline.processed == len(churn.messages)
         assert pipeline.dropped == 0
 
-    def test_park_high_water_metric_observed(self, churn):
+    def test_park_high_water_metric_observed(self, churn, monkeypatch):
+        monkeypatch.setattr(ingest, "PARK_CAPACITY", 8)
         metrics = RunMetrics()
         detector = StreamingDetector(
             ASPPInterceptionDetector(churn.world.graph), metrics=metrics
         )
         pipeline = StreamingPipeline(
-            detector, feeds=1, batch=10**6, capacity=1, policy="park",
-            park_capacity=8, metrics=metrics,
+            detector, feeds=1, batch=10**6, capacity=1, policy="park", metrics=metrics
         )
         for view in churn.baselines.values():
             pipeline.prime(view)
@@ -353,18 +345,21 @@ class TestBoundedBuffers:
 
     def test_constructor_rejects_degenerate_bounds(self, churn):
         detector = StreamingDetector(ASPPInterceptionDetector(churn.world.graph))
-        with pytest.raises(DetectionError):
-            StreamingPipeline(detector, feeds=1, drop_log=0)
-        with pytest.raises(DetectionError):
-            StreamingPipeline(detector, feeds=1, park_capacity=0)
-        with pytest.raises(DetectionError, match="dead_letter_cap"):
-            StreamingPipeline(detector, feeds=1, dead_letter_cap=-1)
-        for removed in ("first_seq", "quarantine_after"):
+        for name in ("feeds", "batch", "capacity"):
+            with pytest.raises(DetectionError, match=f"{name} must be >= 1, got 0"):
+                StreamingPipeline(detector, **{"feeds": 1, name: 0})
+        # The buffer bounds are module constants only tests change, and
+        # an empty fault plan is what arms the pipeline.
+        removed_knobs = (
+            "first_seq", "quarantine_after", "drop_log", "park_capacity",
+            "dead_letter_cap", "tolerant",
+        )
+        for removed in removed_knobs:
             with pytest.raises(TypeError):
                 StreamingPipeline(detector, feeds=1, **{removed: 0})
 
     def test_quiet_path_still_raises_on_duplicates(self, churn):
-        # tolerant defaults off: the strict contract is unchanged.
+        # Unarmed (no fault plan): the strict contract is unchanged.
         pipeline = _pipeline(churn, feeds=2, capacity=1024)
         pipeline.offer(0, churn.messages[0])
         with pytest.raises(DetectionError):

@@ -1,12 +1,14 @@
 """One admission path: ``offer`` one update at a time and ``run()`` are
-the same ingestion, and the registry ``detect-stream`` fills is pinned.
+the same ingestion, and the registries ``detect-stream`` and
+``mitigate-stream`` fill are pinned.
 
-``run()`` admits its whole turn order in one loop and passes a fault
-plan's quiet stretches straight through; ``offer`` admits one arrival
-per call.  Whatever the feed count, batch, capacity, backpressure
-policy, interleaving or fault plan, the two must leave identical
-alarms, counters and histograms behind — and the same as the fault
-layer's state machine run on every offer.
+``run()`` admits its whole turn order in one loop, each arrival through
+its feed's fault script when the pipeline is armed; ``offer`` admits
+one arrival per call.  Whatever the feed count, batch, capacity,
+backpressure policy, interleaving or fault plan, the two must leave
+identical alarms, counters and histograms behind — also when a second
+stream is offered after :meth:`flush`, whose scripts go on where the
+first stream left them.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.updates import SequencedUpdate
 from repro.cli import main
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.pipeline import (
     BACKPRESSURE_POLICIES,
+    FeedFault,
     FeedFaultPlan,
     StreamingPipeline,
+    ingest,
     split_stream,
 )
 from repro.detection.streaming import StreamingDetector
@@ -88,7 +93,8 @@ def _observed(pipeline, metrics):
         pipeline.processed,
         pipeline.dropped_seqs,
         (pipeline.dropped, pipeline.parked, pipeline.blocked, pipeline.park_high_water),
-        (pipeline.duplicates, pipeline.dead_lettered, pipeline.lost),
+        (pipeline.duplicates, pipeline.dead_lettered, pipeline.lost, pipeline.replay_high_water),
+        pipeline.quarantined_feeds,
         snapshot,
     )
 
@@ -107,43 +113,84 @@ def test_offer_one_at_a_time_equals_run(
     churn, feeds, batch, capacity, policy, interleave, plan_seed, recoverable
 ):
     streams = split_stream(churn.messages, feeds)
-    # With a fault plan, a third drive hands every offer to the fault
-    # layer's state machine, bypass or not: the quiet-feed predicate
-    # must never let through an update the machine would have stopped.
-    drives = ("offer", "run") if plan_seed is None else ("offer", "run", "machine")
+    # The second stream continues the sequence numbers past the first,
+    # and the plan's horizon reaches past the first stream's slices, so
+    # faults also fire after flush, on a script that went on.
+    after = len(churn.messages)
+    second = split_stream(
+        [SequencedUpdate(after + update.seq, update.message) for update in churn.messages],
+        feeds,
+    )
+    longest = max(map(len, streams))
     observed = []
-    for drive in drives:
+    for drive in ("offer", "run"):
         metrics = RunMetrics()
-        pipeline = StreamingPipeline(
-            StreamingDetector(ASPPInterceptionDetector(churn.world.graph), metrics=metrics),
-            feeds=feeds,
-            batch=batch,
-            capacity=capacity,
-            policy=policy,
-            park_capacity=32,
-            metrics=metrics,
-            fault_plan=(
-                None
-                if plan_seed is None
-                else FeedFaultPlan.seeded(
-                    feeds, seed=plan_seed, rate=0.9, horizon=64, recoverable=recoverable
-                )
-            ),
-        )
-        for view in churn.baselines.values():
-            pipeline.prime(view)
-        if drive == "run":
-            rng = None if interleave is None else random.Random(interleave)
-            raised = pipeline.run(streams, rng=rng)
-        else:
-            enter = pipeline.offer if drive == "offer" else pipeline._offer_tolerant
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "PARK_CAPACITY", 32)
+            pipeline = StreamingPipeline(
+                StreamingDetector(ASPPInterceptionDetector(churn.world.graph), metrics=metrics),
+                feeds=feeds,
+                batch=batch,
+                capacity=capacity,
+                policy=policy,
+                metrics=metrics,
+                fault_plan=(
+                    None
+                    if plan_seed is None
+                    else FeedFaultPlan.seeded(
+                        feeds, seed=plan_seed, rate=0.9, horizon=2 * longest,
+                        max_faults_per_feed=6, recoverable=recoverable,
+                    )
+                ),
+            )
+            for view in churn.baselines.values():
+                pipeline.prime(view)
             raised = []
-            for feed_id, update in _run_order(streams, interleave):
-                raised.extend(enter(feed_id, update))
-            raised.extend(pipeline.flush())
+            for turn, stream in enumerate((streams, second)):
+                if drive == "run":
+                    rng = None if interleave is None else random.Random(interleave + turn)
+                    raised.extend(pipeline.run(stream, rng=rng))
+                else:
+                    order = _run_order(stream, None if interleave is None else interleave + turn)
+                    for feed_id, update in order:
+                        raised.extend(pipeline.offer(feed_id, update))
+                    raised.extend(pipeline.flush())
         assert raised == pipeline.alarms
         observed.append(_observed(pipeline, metrics))
-    assert all(other == observed[0] for other in observed[1:])
+    assert observed[0] == observed[1]
+
+
+def test_a_whole_stream_outage_does_not_fire_again_after_flush(churn):
+    """figM2's shape: feed 0 is lost for the whole stream, then the
+    closed loop's recovery traffic is offered after flush.  The script
+    went on past its one fault, so feed 0 delivers that traffic."""
+    plan = FeedFaultPlan(
+        {0: (FeedFault(mode="outage", at=0, span=len(churn.messages), recoverable=False),)}
+    )
+    metrics = RunMetrics()
+    pipeline = StreamingPipeline(
+        StreamingDetector(ASPPInterceptionDetector(churn.world.graph), metrics=metrics),
+        feeds=4,
+        fault_plan=plan,
+        metrics=metrics,
+    )
+    for view in churn.baselines.values():
+        pipeline.prime(view)
+    streams = split_stream(churn.messages, 4)
+    pipeline.run(streams)
+    assert pipeline.lost == len(streams[0])
+    assert pipeline.processed == len(churn.messages) - len(streams[0])
+    after = len(churn.messages)
+    recovery = [
+        SequencedUpdate(after + i, update.message) for i, update in enumerate(churn.messages[:40])
+    ]
+    for position, update in enumerate(recovery):
+        pipeline.offer(position % 4, update)
+    pipeline.flush()
+    assert pipeline.lost == len(streams[0])
+    assert pipeline.processed == len(churn.messages) - len(streams[0]) + len(recovery)
+    assert metrics.counter_value("detection.pipeline.faults.outage") == 1
+    assert pipeline.quarantined_feeds == []
 
 
 # -- detect-stream's registry, recorded before the one admission loop ----------
@@ -221,6 +268,132 @@ def _detect_stream_registry(tmp_path, feeds, policy):
 def test_detect_stream_registry_is_pinned(tmp_path, feeds, policy):
     counters, digest = _DETECT_STREAM_GOLDEN[feeds, policy]
     observed, histograms = _detect_stream_registry(tmp_path, feeds, policy)
+    assert observed == counters
+    canonical = json.dumps(histograms, sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest, canonical
+
+
+# -- mitigate-stream's faulted registry, recorded before the fault scripts ----
+
+#: ``mitigate-stream --scale 0.3 --monitors 40 --updates 3000`` at
+#: ``--seed S --fault-rate R``, with and without ``--unrecoverable``:
+#: every counter, and sha256 of every ``detection.pipeline.*`` histogram
+#: but the wall-clock one (canonical JSON), recorded while each feed's
+#: faults were a state machine beside a quiet-stretch bypass.  A script
+#: that stalls the merge leaves the stdout alone but moves
+#: ``reorder_depth``.
+_MITIGATE_STREAM_GOLDEN = {
+    (7, "0.5", False): (
+        {"detection.pipeline.alarms": 199, "detection.pipeline.batches": 49,
+         "detection.pipeline.changes": 3076, "detection.pipeline.faults.outage": 3,
+         "detection.pipeline.reconnects": 3, "detection.pipeline.updates": 3076,
+         "engine.warm.activations": 18, "engine.warm.announcements": 73,
+         "engine.warm.best_changes": 17, "engine.warm.fastpath_hits": 21,
+         "engine.warm.fastpath_misses": 0, "engine.warm.propagations": 1,
+         "mitigation.reactions": 1},
+        "68132787620512cf3de30c026238de7dc111e6a29af91cacb0e34580f8f444c4",
+    ),
+    (7, "0.5", True): (
+        {"detection.pipeline.alarms": 199, "detection.pipeline.batches": 49,
+         "detection.pipeline.changes": 3062, "detection.pipeline.faults.outage": 3,
+         "detection.pipeline.lost": 7, "detection.pipeline.reconnects": 3,
+         "detection.pipeline.updates": 3069, "engine.warm.activations": 18,
+         "engine.warm.announcements": 73, "engine.warm.best_changes": 17,
+         "engine.warm.fastpath_hits": 21, "engine.warm.fastpath_misses": 0,
+         "engine.warm.propagations": 1, "mitigation.reactions": 1},
+        "291bf6d18db0407a6da1da5bbc4531c14e94c9795768aa5555a2442e5afd4bd8",
+    ),
+    (7, "1.0", False): (
+        {"detection.pipeline.alarms": 199, "detection.pipeline.batches": 49,
+         "detection.pipeline.changes": 3076, "detection.pipeline.faults.outage": 4,
+         "detection.pipeline.reconnects": 4, "detection.pipeline.updates": 3076,
+         "engine.warm.activations": 18, "engine.warm.announcements": 73,
+         "engine.warm.best_changes": 17, "engine.warm.fastpath_hits": 21,
+         "engine.warm.fastpath_misses": 0, "engine.warm.propagations": 1,
+         "mitigation.reactions": 1},
+        "6317104678cc9d2f0c5c5fde2eaeb787cb0a808f562f2d0d4df805b1f4291cbb",
+    ),
+    (7, "1.0", True): (
+        {"detection.pipeline.alarms": 199, "detection.pipeline.batches": 49,
+         "detection.pipeline.changes": 3058, "detection.pipeline.faults.outage": 4,
+         "detection.pipeline.lost": 9, "detection.pipeline.reconnects": 4,
+         "detection.pipeline.updates": 3067, "engine.warm.activations": 18,
+         "engine.warm.announcements": 73, "engine.warm.best_changes": 17,
+         "engine.warm.fastpath_hits": 21, "engine.warm.fastpath_misses": 0,
+         "engine.warm.propagations": 1, "mitigation.reactions": 1},
+        "587de7912f73d59b66771e04e2d2f49b1231f9041afdc7c272557b7259c36242",
+    ),
+    (23, "0.5", False): (
+        {"detection.pipeline.alarms": 331, "detection.pipeline.batches": 48,
+         "detection.pipeline.changes": 3046, "detection.pipeline.duplicates": 2,
+         "detection.pipeline.faults.dup": 1, "detection.pipeline.faults.gap_storm": 1,
+         "detection.pipeline.updates": 3046, "engine.warm.activations": 6,
+         "engine.warm.announcements": 23, "engine.warm.best_changes": 5,
+         "engine.warm.fastpath_hits": 5, "engine.warm.fastpath_misses": 0,
+         "engine.warm.propagations": 1, "mitigation.reactions": 1},
+        "a636c06b0b832265d087a2a994022a53e2a0a9b5df4bc4632e624fc25be046e8",
+    ),
+    (23, "0.5", True): (
+        {"detection.pipeline.alarms": 331, "detection.pipeline.batches": 48,
+         "detection.pipeline.changes": 3046, "detection.pipeline.duplicates": 2,
+         "detection.pipeline.faults.dup": 1, "detection.pipeline.faults.gap_storm": 1,
+         "detection.pipeline.updates": 3046, "engine.warm.activations": 6,
+         "engine.warm.announcements": 23, "engine.warm.best_changes": 5,
+         "engine.warm.fastpath_hits": 5, "engine.warm.fastpath_misses": 0,
+         "engine.warm.propagations": 1, "mitigation.reactions": 1},
+        "a636c06b0b832265d087a2a994022a53e2a0a9b5df4bc4632e624fc25be046e8",
+    ),
+    (23, "1.0", False): (
+        {"detection.pipeline.alarms": 331, "detection.pipeline.batches": 48,
+         "detection.pipeline.changes": 3046, "detection.pipeline.dead_lettered": 1,
+         "detection.pipeline.duplicates": 3, "detection.pipeline.faults.corrupt": 1,
+         "detection.pipeline.faults.dup": 2, "detection.pipeline.faults.gap_storm": 1,
+         "detection.pipeline.faults.outage": 4, "detection.pipeline.reconnects": 4,
+         "detection.pipeline.updates": 3046, "engine.warm.activations": 6,
+         "engine.warm.announcements": 23, "engine.warm.best_changes": 5,
+         "engine.warm.fastpath_hits": 5, "engine.warm.fastpath_misses": 0,
+         "engine.warm.propagations": 1, "mitigation.reactions": 1},
+        "2da40f018e0d6c3f41c7a18bf8213d3a2939b878565260d6298f0f995aa60b1a",
+    ),
+    (23, "1.0", True): (
+        {"detection.pipeline.alarms": 331, "detection.pipeline.batches": 48,
+         "detection.pipeline.changes": 3024, "detection.pipeline.dead_lettered": 1,
+         "detection.pipeline.duplicates": 3, "detection.pipeline.faults.corrupt": 1,
+         "detection.pipeline.faults.dup": 2, "detection.pipeline.faults.gap_storm": 1,
+         "detection.pipeline.faults.outage": 4, "detection.pipeline.lost": 11,
+         "detection.pipeline.reconnects": 4, "detection.pipeline.updates": 3035,
+         "engine.warm.activations": 6, "engine.warm.announcements": 23,
+         "engine.warm.best_changes": 5, "engine.warm.fastpath_hits": 5,
+         "engine.warm.fastpath_misses": 0, "engine.warm.propagations": 1,
+         "mitigation.reactions": 1},
+        "7f2ea70264ce98057ba0720c5fc81bec64405f845579febec52de0ed71bf32af",
+    ),
+}  # fmt: skip
+
+
+def _mitigate_stream_registry(tmp_path, seed, rate, unrecoverable):
+    path = tmp_path / "metrics.jsonl"
+    argv = [
+        "mitigate-stream", "--scale", "0.3", "--monitors", "40", "--updates", "3000",
+        "--seed", str(seed), "--fault-rate", rate,
+        "--metrics", "jsonl", "--metrics-out", str(path),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv + ["--unrecoverable"] * unrecoverable)
+    assert status == 0
+    snapshot = read_jsonl(path).deterministic_snapshot()
+    histograms = {
+        name: histogram
+        for name, histogram in snapshot["histograms"].items()
+        if name.startswith("detection.pipeline.") and name != _TIMING
+    }
+    return snapshot["counters"], histograms
+
+
+@pytest.mark.parametrize("seed, rate, unrecoverable", sorted(_MITIGATE_STREAM_GOLDEN))
+def test_mitigate_stream_registry_is_pinned(tmp_path, seed, rate, unrecoverable):
+    counters, digest = _MITIGATE_STREAM_GOLDEN[seed, rate, unrecoverable]
+    observed, histograms = _mitigate_stream_registry(tmp_path, seed, rate, unrecoverable)
     assert observed == counters
     canonical = json.dumps(histograms, sort_keys=True)
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest, canonical

@@ -764,6 +764,30 @@ class TestErrors:
         assert "Traceback" not in error
 
     @pytest.mark.parametrize(
+        "flags",
+        ["--unrecoverable", "--fault-seed 3", "--fault-rate 0 --unrecoverable"],
+        ids=["unrecoverable", "fault-seed", "zero-rate"],
+    )
+    def test_fault_flags_without_a_fault_rate_are_a_usage_error(self, flags, monkeypatch, capsys):
+        """With no positive ``--fault-rate`` no plan is drawn, so these
+        flags would do nothing: refused before any stream is built, not
+        a run that exits 0 with no faults."""
+        from repro import cli
+
+        def built(*args, **kwargs):
+            raise AssertionError("the stream was built before the flags were checked")
+
+        monkeypatch.setattr(cli, "_churn_stream", built)
+        with pytest.raises(SystemExit) as usage:
+            main(["mitigate-stream", "--scale", "0.15", *flags.split()])
+        assert usage.value.code == 2
+        flag = "--fault-seed" if "--fault-seed" in flags else "--unrecoverable"
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == (
+            f"repro-aspp mitigate-stream: error: argument {flag}: needs --fault-rate above 0"
+        )
+
+    @pytest.mark.parametrize(
         "flag", ["--retries 2", "--task-deadline 30"], ids=["retries", "task-deadline"]
     )
     @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
