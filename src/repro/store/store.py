@@ -16,10 +16,17 @@ never bytes (the payload digest in each record catches torn writes on
 filesystems that do not serialise large appends).  The in-memory index
 is rebuilt by scanning the log on open and extended incrementally by
 :meth:`CampaignStore.refresh`, which picks up records appended by other
-processes since the last scan.  A crash mid-append leaves at most one
-unterminated line; the next writer terminates it (the fragment then
-parses as one garbled record and is skipped) so the log never cascades
-corruption.
+processes since the last scan.  The scan reads the bytes it wrote: a
+line of the one shape :func:`encode_record` produces (sorted keys,
+compact separators, printable ASCII fields with no ``"`` or ``\\``, the
+current version) is sliced on its fixed delimiters, and its payload
+digest is still checked.  Any other line goes through ``json.loads``
+and is counted in ``store.scan_fallbacks``; a log this program wrote
+has none.  Both routes give the same verdict, fingerprint and kind for
+every line.  A crash mid-append leaves at most one unterminated line;
+the next writer terminates it (the fragment then parses as one garbled
+record and is skipped) so the log never cascades corruption, and an
+empty line left by that fence is not a record.
 
 Records carry a schema version, and a record at any version but
 :data:`SCHEMA_VERSION` is stale: counted, skipped record-by-record
@@ -38,7 +45,7 @@ stores from untrusted sources.
 Telemetry lands on the attached registry under ``store.*``:
 ``store.{hits,misses,puts,bytes,dedup_writes,compactions}`` plus
 hygiene counters for corrupt/stale/duplicate records seen while
-scanning.
+scanning, and ``store.scan_fallbacks`` for lines the scan had to parse.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -74,7 +82,8 @@ SCHEMA_VERSION = 2
 _LOG_NAME = "records.jsonl"
 
 #: index placeholder for a fingerprint we appended (or deduped against)
-#: but whose byte range has not been located by a scan yet.
+#: but whose byte range has not been located by a scan yet; :func:`_scan`
+#: recognises it by identity.
 _PENDING = (-1, -1)
 
 
@@ -142,6 +151,75 @@ def _parse_record(line: bytes) -> dict[str, Any] | str:
     ):
         return "corrupt"
     return record
+
+
+#: one field of an :func:`encode_record` line as ``json.loads`` reads it
+#: verbatim: printable ASCII (DEL included) but ``"`` and ``\``.
+_FIELD = rb'[ !#-\[\]-\x7f]*'
+
+#: one log line: the shape :func:`encode_record` writes at
+#: :data:`SCHEMA_VERSION` (groups 1-4), or any other line whole (group
+#: 5).  The shape's 22 quotes are all in its skeleton, so ``json.loads``
+#: would read such a line as exactly these fields; :func:`_scan` slices
+#: them instead.
+_RECORD_LINE = re.compile(
+    rb'(?:\{"fp":"(%s)","kind":"(%s)","payload":"(%s)","schema":"%s","sha":"(%s)",'
+    rb'"v":%d\}|([^\n]*))\n' % (_FIELD, _FIELD, _FIELD, _FIELD, _FIELD, SCHEMA_VERSION)
+)
+
+
+def _scan(
+    data: bytes,
+    end: int,
+    index: dict[str, tuple[int, int]],
+    kinds: dict[str, str],
+    base: int = 0,
+) -> dict[str, int]:
+    """Index the lines of ``data[:end]`` (``end`` is just past a newline).
+
+    Each usable record enters ``index`` as ``(base + offset, length)``
+    and ``kinds`` unless its fingerprint is there already (first record
+    wins; a :data:`_PENDING` entry is filled in).  A line of
+    :data:`_RECORD_LINE`'s shape is checked by its digest alone; any
+    other line but an empty one goes through :func:`_parse_record` and
+    counts as a ``store.scan_fallbacks``.  Returns those counts and the
+    ``store.{corrupt,stale,duplicate}_records`` ones.
+    """
+    counts = dict.fromkeys(
+        (
+            "store.corrupt_records",
+            "store.stale_records",
+            "store.duplicate_records",
+            "store.scan_fallbacks",
+        ),
+        0,
+    )
+    sha256 = hashlib.sha256
+    for match in _RECORD_LINE.finditer(data, 0, end):
+        fingerprint, kind, payload, sha, other = match.groups()
+        start, stop = match.span()
+        if other is None:
+            if sha256(payload).hexdigest().encode() != sha:
+                counts["store.corrupt_records"] += 1
+                continue
+            fingerprint, kind = fingerprint.decode(), kind.decode()
+        elif not other:  # an empty line, left by a crash fence
+            continue
+        else:
+            counts["store.scan_fallbacks"] += 1
+            record = _parse_record(other)
+            if isinstance(record, str):
+                counts[f"store.{record}_records"] += 1
+                continue
+            fingerprint, kind = record["fp"], str(record.get("kind", "task"))
+        if index.get(fingerprint, _PENDING) is not _PENDING:
+            # Two processes raced the same cell; purity makes the
+            # payloads identical, so the first record stays law.
+            counts["store.duplicate_records"] += 1
+            continue
+        index[fingerprint] = (base + start, stop - 1 - start)
+        kinds[fingerprint] = kind
+    return counts
 
 
 def decode_record(line: bytes) -> dict[str, Any] | None:
@@ -274,34 +352,14 @@ class CampaignStore:
             if size <= self._watermark:
                 return 0
             data = os.pread(fd, size - self._watermark, self._watermark)
-            added = 0
-            consumed = 0
-            while True:
-                newline = data.find(b"\n", consumed)
-                if newline < 0:
-                    break
-                line = data[consumed:newline]
-                offset = self._watermark + consumed
-                length = newline - consumed
-                consumed = newline + 1
-                record = _parse_record(line)
-                if isinstance(record, str):
-                    self._count(f"store.{record}_records")
-                    continue
-                fingerprint = record["fp"]
-                existing = self._index.get(fingerprint)
-                if existing is not None and existing != _PENDING:
-                    # Two processes raced the same cell; purity makes the
-                    # payloads identical, so the first record stays law.
-                    self._count("store.duplicate_records")
-                    continue
-                if existing is None:
-                    added += 1
-                self._index[fingerprint] = (offset, length)
-                self._kinds[fingerprint] = str(record.get("kind", "task"))
-            self._watermark += consumed
-            self._dangling = consumed < len(data)
-            return added
+            end = data.rfind(b"\n") + 1
+            known = len(self._index)
+            counts = _scan(data, end, self._index, self._kinds, self._watermark)
+            for name, n in counts.items():
+                self._count(name, n)
+            self._watermark += end
+            self._dangling = end < len(data)
+            return len(self._index) - known
 
     # -- reading --------------------------------------------------------
     def __contains__(self, fingerprint: str) -> bool:
@@ -385,16 +443,11 @@ class CampaignStore:
             self.refresh()
             size = os.fstat(fd).st_size
             data = os.pread(fd, size, 0)
-            seen: set[str] = set()
-            kept: list[bytes] = []
-            for line in data.split(b"\n"):
-                if not line:
-                    continue
-                record = decode_record(line)
-                if record is None or record["fp"] in seen:
-                    continue
-                seen.add(record["fp"])
-                kept.append(line + b"\n")
+            if not data.endswith(b"\n"):
+                data += b"\n"  # an unterminated tail is judged as a line
+            first: dict[str, tuple[int, int]] = {}
+            _scan(data, len(data), first, {})
+            kept = [data[offset : offset + length + 1] for offset, length in first.values()]
             tmp = self.path.with_name(f"{self.path.name}.compact.{os.getpid()}.tmp")
             out = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
             try:

@@ -125,6 +125,26 @@ class TestCorruptionTolerance:
         with CampaignStore(root) as store:
             assert len(store) == 2 and _fp(1) in store and _fp(3) in store
 
+    def test_a_fence_after_a_completed_append_is_not_a_corrupt_record(self, root, log):
+        """A scan sees another writer's append half done; the append then
+        completes, and this handle's next put still writes its fencing
+        newline.  The empty line that leaves is no record."""
+        with CampaignStore(root) as store:
+            store.put(_fp(1), "whole")
+        line = encode_record(_fp(2), "late")
+        with open(log, "ab") as handle:
+            handle.write(line[:40])
+        with CampaignStore(root) as store:
+            with open(log, "ab") as handle:
+                handle.write(line[40:])
+            store.put(_fp(3), "fenced")
+        assert b"\n\n" in log.read_bytes()
+        metrics = RunMetrics()
+        with CampaignStore(root, metrics=metrics) as store:
+            assert [store.get(_fp(n)) for n in (1, 2, 3)] == ["whole", "late", "fenced"]
+            assert metrics.counter_value("store.corrupt_records") == 0
+            assert store.compact() == 1
+
     def test_newer_schema_records_are_skipped(self, root, log):
         with CampaignStore(root) as store:
             store.put(_fp(1), "current")
@@ -237,6 +257,26 @@ class TestTelemetryAndLifecycle:
             assert metrics.counter_value("store.hits") == 2
             assert metrics.counter_value("store.puts") == 1
             assert metrics.counter_value("store.bytes") == store.path.stat().st_size
+
+    def test_only_a_line_this_program_did_not_write_is_a_scan_fallback(self, root, log):
+        """A log of ``put`` records scans without ``json.loads``; a line of
+        any other shape is parsed and counted in ``store.scan_fallbacks``."""
+        with CampaignStore(root) as store:
+            store.put(_fp(1), "task-record")
+            store.put(_fp(2), {"rows": [1, 2]}, kind="experiment")
+        metrics = RunMetrics()
+        with CampaignStore(root, metrics=metrics) as store:
+            assert len(store) == 2
+        assert metrics.counter_value("store.scan_fallbacks") == 0
+        assert "store.scan_fallbacks" not in metrics.counters
+        spaced = json.dumps(json.loads(encode_record(_fp(3), "spaced")), sort_keys=True)
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(spaced + "\nnot json\n")
+        metrics = RunMetrics()
+        with CampaignStore(root, metrics=metrics) as store:
+            assert store.get(_fp(3)) == "spaced"
+        assert metrics.counter_value("store.scan_fallbacks") == 2
+        assert metrics.counter_value("store.corrupt_records") == 1
 
     def test_store_counters_excluded_from_deterministic_snapshot(self, root):
         """store.* measures work avoided — run-shaped, so it must not
