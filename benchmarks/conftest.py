@@ -34,10 +34,11 @@ def record(result: ExperimentResult) -> None:
 def run_recorded(benchmark):
     """Run a registered experiment once under the benchmark timer."""
 
-    def runner(experiment_id: str, config=None) -> ExperimentResult:
+    def runner(experiment_id: str, config=None, metrics=None) -> ExperimentResult:
         config_factory, run = REGISTRY[experiment_id]
         cfg = config if config is not None else config_factory()
-        result = benchmark.pedantic(run, args=(cfg,), rounds=1, iterations=1)
+        kwargs = {"metrics": metrics} if metrics is not None else {}
+        result = benchmark.pedantic(run, args=(cfg,), kwargs=kwargs, rounds=1, iterations=1)
         record(result)
         return result
 

@@ -19,6 +19,7 @@ from repro.experiments.fig11_stub_vs_tier1 import Fig11Config
 from repro.experiments.fig12_stub_vs_stub import Fig12Config
 from repro.experiments.fig13_detection_accuracy import Fig13Config
 from repro.experiments.fig14_pollution_before_detection import Fig14Config
+from repro.telemetry.metrics import RunMetrics
 
 SCALE = 0.25  # ~400 ASes: fast but structurally meaningful
 
@@ -220,11 +221,17 @@ class TestDetectionExperiments:
 
 class TestAblations:
     def test_engine_ablation_agrees(self):
+        metrics = RunMetrics()
         result = run_experiment(
-            "ablation-engine", AblationEngineConfig(scale=SCALE, origins=5)
+            "ablation-engine", AblationEngineConfig(scale=SCALE, origins=5), metrics=metrics
         )
         assert result.summary["disagreements"] == 0
-        assert result.summary["engine_seconds"] > 0
+        # the seconds are timers, one reading per origin; the artefact
+        # carries none
+        for algorithm in ("engine", "oracle"):
+            timer = metrics.timers[f"experiment.ablation-engine.{algorithm}_seconds"]
+            assert timer.count == 5 and timer.total > 0
+        assert not any("seconds" in key for key in result.summary)
 
     def test_monitor_ablation_reports_four_strategies(self):
         result = run_experiment(
