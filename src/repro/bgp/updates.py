@@ -13,10 +13,11 @@ messages" the characterisation of Figures 5-6 consumes.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple
+from operator import eq
+from typing import TYPE_CHECKING, NamedTuple, overload
 
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
@@ -26,7 +27,13 @@ from repro.topology.asgraph import ASGraph
 if TYPE_CHECKING:  # pragma: no cover - collectors builds UpdateMessages
     from repro.bgp.collectors import RouteCollector
 
-__all__ = ["UpdateMessage", "SequencedUpdate", "simulate_update_stream", "stamp"]
+__all__ = [
+    "UpdateMessage",
+    "SequencedUpdate",
+    "StampedStream",
+    "simulate_update_stream",
+    "stamp",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,22 +54,79 @@ class SequencedUpdate(NamedTuple):
     synthesized.  A multi-feed pipeline that receives disjoint slices
     of one stream merges them back into sequence order, which is what
     makes its alarms independent of the feed interleaving (see
-    :class:`repro.detection.pipeline.StreamingPipeline`).  A tuple, so
-    :func:`stamp` builds a whole stream without running Python code
-    per message.
+    :class:`repro.detection.pipeline.StreamingPipeline`).  A stamped
+    stream does not hold these: a :class:`StampedStream` builds one
+    each time a position is read, and it lives as long as its reader
+    keeps it.
     """
 
     seq: int
     message: UpdateMessage
 
 
-def stamp(messages: Iterable[UpdateMessage], first_seq: int = 0) -> list[SequencedUpdate]:
+class StampedStream(Sequence[SequencedUpdate]):
+    """A read-only sequence of :class:`SequencedUpdate`, held as a
+    ``range`` of sequence numbers beside one list of messages.
+
+    A stamp is a position, so the stream keeps no tuple per update:
+    reading position *i* builds ``SequencedUpdate(seqs[i],
+    messages[i])``, iteration builds them one at a time, and a slice is
+    another stream over a sliced range and a sliced list (references,
+    not tuples).  It equals any sequence holding the same updates in
+    the same order, and like a list it is unhashable.
+    """
+
+    __slots__ = ("_seqs", "_messages")
+
+    def __init__(self, seqs: range, messages: list[UpdateMessage]) -> None:
+        if len(seqs) != len(messages):
+            raise ValueError(f"{len(seqs)} sequence numbers for {len(messages)} messages")
+        self._seqs = seqs
+        self._messages = messages
+
+    def __len__(self) -> int:
+        return len(self._messages)
+
+    @overload
+    def __getitem__(self, index: int) -> SequencedUpdate: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> StampedStream: ...
+
+    def __getitem__(self, index: int | slice) -> SequencedUpdate | StampedStream:
+        if isinstance(index, slice):
+            return StampedStream(self._seqs[index], self._messages[index])
+        return tuple.__new__(SequencedUpdate, (self._seqs[index], self._messages[index]))
+
+    def __iter__(self) -> Iterator[SequencedUpdate]:
+        return map(tuple.__new__, repeat(SequencedUpdate), zip(self._seqs, self._messages))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    # equal to lists, so unhashable like them
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"StampedStream({self._seqs!r}, <{len(self)} messages>)"
+
+    def plain(self) -> list[UpdateMessage]:
+        """The messages without their stamps (a new list)."""
+        return self._messages.copy()
+
+
+def stamp(messages: Iterable[UpdateMessage], first_seq: int = 0) -> StampedStream:
     """``messages`` stamped with dense sequence numbers from ``first_seq``.
 
     Equal to ``[SequencedUpdate(seq, m) for seq, m in enumerate(messages,
-    first_seq)]``, built by ``tuple.__new__`` over ``enumerate``'s pairs.
+    first_seq)]``, but held as a :class:`StampedStream`: a list argument
+    becomes the stream's one message list (not a copy, so the caller
+    hands it over), any other iterable is read into one.
     """
-    return list(map(tuple.__new__, repeat(SequencedUpdate), enumerate(messages, first_seq)))
+    held = messages if type(messages) is list else list(messages)
+    return StampedStream(range(first_seq, first_seq + len(held)), held)
 
 
 def simulate_update_stream(

@@ -18,7 +18,8 @@ groups, each declared once (``<subcommand> --help`` has the detail):
 * **world** — ``--seed``/``--scale`` wherever a topology is built (a
   scale that is not a finite number above 0 is a usage error);
   ``campaign``, ``grid`` and ``secpol-sweep`` also take ``--topology``
-  to load or size one instead.
+  to load or size one instead (a missing file or a size the generator
+  refuses is a usage error).
 * **experiment overrides** — ``run <id>``, ``query <id>`` and ``all``
   replace any field the experiment's config dataclass has (``--seed``,
   ``--scale``, ``--pairs``, ``--instances``, ``--workers``); ``query``
@@ -38,7 +39,7 @@ groups, each declared once (``<subcommand> --help`` has the detail):
 
 A size, count or threshold out of its range (``--padding``,
 ``--pairs``, ``--instances``, a stream's ``--feeds``, an SLO threshold,
-…) is a usage error before any topology is built: each flag's type
+a deployment fraction, …) is a usage error before any topology is built: each flag's type
 states the range.
 
 A library error is printed as ``repro-aspp: error: <message>`` (exit
@@ -57,7 +58,7 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, TopologyError
 from repro.experiments import REGISTRY, run_experiment
 from repro.telemetry.metrics import RunMetrics
 
@@ -105,6 +106,58 @@ def non_negative_float(text: str) -> float:
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
     return value
+
+
+def deployment_fractions(text: str) -> tuple[float, ...]:
+    """The type of ``--fractions``: comma-separated numbers in [0, 1],
+    at least one."""
+    try:
+        fractions = tuple(float(token) for token in text.split(",") if token.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}"
+        ) from None
+    if not fractions:
+        raise argparse.ArgumentTypeError("must name at least one fraction")
+    for fraction in fractions:
+        if not 0.0 <= fraction <= 1.0:  # nan fails too
+            raise argparse.ArgumentTypeError(f"must be in [0, 1], got {fraction}")
+    return fractions
+
+
+class TopologySpec(NamedTuple):
+    """A parsed ``--topology``: ``("synth", N)`` or ``("caida", path)``."""
+
+    kind: str
+    value: int | str
+
+
+def topology_spec(text: str) -> TopologySpec:
+    """The type of ``--topology``: a CAIDA file that exists, or an AS
+    count the power-law generator accepts, checked before any world is
+    built or loaded."""
+    kind, _, value = text.partition(":")
+    if kind == "synth" and value:
+        from repro.topology.generators import PowerLawConfig
+
+        try:
+            num_ases = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"synth:<N> needs an integer AS count, got {text!r}"
+            ) from None
+        try:
+            PowerLawConfig(num_ases=num_ases).validate()
+        except TopologyError as exc:
+            raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+        return TopologySpec("synth", num_ases)
+    if kind != "caida" or not value:
+        raise argparse.ArgumentTypeError(
+            f"must be 'caida:<path>' or 'synth:<N>', got {text!r}"
+        )
+    if not Path(value).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {value}")
+    return TopologySpec("caida", value)
 
 
 def _pairs_flag(parser, default=None) -> None:
@@ -214,7 +267,7 @@ def _configure_world(parser) -> None:
 def _batch_flags(parser, *, monitors: int | None = None) -> None:
     _world_flags(parser)
     parser.add_argument(
-        "--topology", type=str, default=None, metavar="SPEC",
+        "--topology", type=topology_spec, default=None, metavar="SPEC",
         help="replace the generated world: 'caida:<path>' loads a CAIDA "
         "as-rel2 snapshot (.txt or .bz2), 'synth:<N>' generates an N-AS "
         "power-law topology from --seed (overrides --scale)",
@@ -260,7 +313,7 @@ def _configure_secpol_sweep(parser) -> None:
         "which ASes adopt the policy first",
     )
     parser.add_argument(
-        "--fractions", type=str, default="0.0,0.1,0.2,0.4,0.6,0.8,1.0",
+        "--fractions", type=deployment_fractions, default="0.0,0.1,0.2,0.4,0.6,0.8,1.0",
         metavar="F1,F2,...",
         help="comma-separated deployment fractions in [0, 1]",
     )
@@ -423,29 +476,20 @@ def _by_cone(graph):
     return key
 
 
-def _load_world(args, parser: argparse.ArgumentParser):
+def _load_world(args):
     """Build the world named by ``--topology`` (``None`` = generated)."""
     spec = args.topology
     if spec is None:
         return None
-    kind, _, value = spec.partition(":")
-    if kind == "synth" and value:
+    if spec.kind == "synth":
         from repro.topology.generators import generate_powerlaw_topology
 
-        try:
-            num_ases = int(value)
-        except ValueError:
-            parser.error(f"--topology synth:<N> needs an integer AS count: {spec!r}")
-        return generate_powerlaw_topology(num_ases, seed=args.seed)
-    if kind != "caida" or not value:
-        parser.error(f"--topology must be 'caida:<path>' or 'synth:<N>', got {spec!r}")
-    if not Path(value).is_file():
-        parser.error(f"--topology: no such file: {value}")
+        return generate_powerlaw_topology(spec.value, seed=args.seed)
     from repro.topology.generators import GeneratedTopology
     from repro.topology.serialization import load_asrel2
     from repro.topology.tiers import classify_tiers
 
-    graph = load_asrel2(value)
+    graph = load_asrel2(spec.value)
     tiers = classify_tiers(graph)
     return GeneratedTopology(
         graph,
@@ -477,7 +521,7 @@ def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
         except ReproError as exc:
             parser.error(str(exc))
         fleet = dict(monitors=monitors, placement=placement, seed=args.seed)
-        world = _load_world(args, parser)
+        world = _load_world(args)
         if world is None:
             study = InterceptionStudy.generate(scale=args.scale, **fleet)
         else:
@@ -594,14 +638,6 @@ def _secpol_sweep(args, parser, metrics) -> int:
     from repro.topology.tiers import classify_tiers
     from repro.utils.tables import format_table
 
-    try:
-        fractions = tuple(
-            float(token) for token in args.fractions.split(",") if token.strip()
-        )
-    except ValueError:
-        parser.error(f"--fractions must be comma-separated floats: {args.fractions!r}")
-    if not fractions:
-        parser.error("--fractions must name at least one fraction")
     with _batch(args, parser, metrics) as (study, run):
         graph = study.world.graph
         victim, attacker = args.victim, args.attacker
@@ -623,7 +659,7 @@ def _secpol_sweep(args, parser, metrics) -> int:
             padding=args.padding,
             policy=args.policy,
             strategy=args.strategy,
-            fractions=fractions,
+            fractions=args.fractions,
             violate_policy=not args.valley_free,
             run=run,
         )

@@ -536,8 +536,9 @@ def split_stream(
     in-order; only the *interleaving across* feeds is arbitrary).
     Assignment is round-robin (``position % feeds``, the slicing
     :meth:`StreamingPipeline.run`'s default order undoes; one feed gets
-    the stream itself, not a copy), or random per message when ``rng``
-    is given.
+    the stream itself, not a copy, and a slice of a
+    :class:`~repro.bgp.updates.StampedStream` copies message references,
+    not tuples), or random per message when ``rng`` is given.
     """
     if feeds < 1:
         raise DetectionError("split_stream needs at least one feed")

@@ -65,6 +65,9 @@ class _Prefix(NamedTuple):
     #: AS-path -> (a route carrying it, origin, λ): the padding precheck
     #: and the route a flap returns to, in one probe
     paths: dict[tuple[int, ...], tuple[Route, int | None, int]]
+    #: (AS-path, class) -> its route, for a path shown under a class
+    #: other than its ``paths`` route's: built once, never per update
+    reclassed: dict[tuple[tuple[int, ...], PrefClass], Route]
     #: the one live view over ``routes``; it carries the Figure-4 scan's
     #: memo, so it lives as long as the prefix
     view: MonitorView
@@ -120,7 +123,7 @@ class StreamingDetector:
             parse_prefix(prefix)  # refuse a malformed prefix on first sight
             routes: dict[int, Route | None] = {}
             view = MonitorView(prefix=prefix, routes=MappingProxyType(routes))
-            state = self._prefixes[prefix] = _Prefix(routes, {}, {}, view)
+            state = self._prefixes[prefix] = _Prefix(routes, {}, {}, {}, view)
         return state
 
     def prime(self, view: MonitorView) -> None:
@@ -154,7 +157,8 @@ class StreamingDetector:
         Consecutive messages for one prefix share its state lookup, the
         loop's attributes are hoisted out of it, and an unchanged route
         (same path, same remembered class) is a duplicate: no state
-        change, no inspection.
+        change, no inspection.  A route is built once per (path, class)
+        a prefix shows, however many monitors carry it.
         """
         metrics = self.metrics
         track = metrics is not None and metrics.enabled
@@ -165,6 +169,7 @@ class StreamingDetector:
         routes: dict[int, Route | None] = {}
         classes_of: dict[int, dict[int, PrefClass]] = {}
         paths: dict[tuple[int, ...], tuple[Route, int | None, int]] = {}
+        reclassed: dict[tuple[tuple[int, ...], PrefClass], Route] = {}
         view: MonitorView | None = None
         start = updates_seen = self._updates_seen
         changes = 0
@@ -180,7 +185,7 @@ class StreamingDetector:
                 state = prefixes.get(prefix)
                 if state is None:
                     state = self._state(prefix)
-                routes, classes_of, paths, view = state
+                routes, classes_of, paths, reclassed, view = state
                 current = prefix
             monitor = message.monitor
             previous = routes.get(monitor)
@@ -212,7 +217,10 @@ class StreamingDetector:
                 )
             route, origin, padding = known
             if route.pref is not pref:
-                route = Route(prefix, path, path[0], pref)
+                key = (path, pref)
+                route = reclassed.get(key)
+                if route is None:
+                    route = reclassed[key] = Route(prefix, path, path[0], pref)
             routes[monitor] = route
             # Past here only a change that can be an ASPP symptom is
             # inspected: both routes non-empty, same origin, λ lower.

@@ -35,7 +35,7 @@ from repro.attack.interception import InterceptionResult, simulate_interception
 from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.updates import SequencedUpdate, UpdateMessage, stamp
+from repro.bgp.updates import SequencedUpdate, StampedStream, UpdateMessage, stamp
 from repro.detection.monitors import top_degree_monitors
 from repro.detection.streaming import attack_update_stream
 from repro.exceptions import SimulationError
@@ -77,7 +77,9 @@ class SynthesizedStream:
     config: ChurnConfig
     world: ExperimentWorld
     collector: RouteCollector
-    messages: list[SequencedUpdate]
+    #: the stream: one message list, stamped by position (see
+    #: :class:`~repro.bgp.updates.StampedStream`)
+    messages: StampedStream
     #: prefix -> baseline view, for priming detectors before replay
     baselines: dict[str, MonitorView]
     victim: int | None = None
@@ -96,7 +98,7 @@ class SynthesizedStream:
 
     def plain_messages(self) -> list[UpdateMessage]:
         """The stream without sequence stamps (the serial-oracle input)."""
-        return [sequenced.message for sequenced in self.messages]
+        return self.messages.plain()
 
     def feed_streams(self, feeds: int) -> list[Sequence[SequencedUpdate]]:
         """The stream split round-robin across ``feeds`` feeds (the

@@ -38,7 +38,7 @@ from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.updates import SequencedUpdate, stamp
+from repro.bgp.updates import StampedStream, stamp
 from repro.detection.alarms import Alarm
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.pipeline.faults import FeedFaultPlan
@@ -150,7 +150,7 @@ def mitigation_update_stream(
     *,
     modifiers=None,
     first_seq: int = 0,
-) -> list[SequencedUpdate]:
+) -> StampedStream:
     """The sequenced updates monitors emit as a re-announce propagates.
 
     The re-convergence analogue of

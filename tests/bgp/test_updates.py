@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.collectors import RouteCollector
-from repro.bgp.updates import SequencedUpdate, UpdateMessage, simulate_update_stream, stamp
+from repro.bgp.updates import (
+    SequencedUpdate,
+    StampedStream,
+    UpdateMessage,
+    simulate_update_stream,
+    stamp,
+)
 from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
 from repro.topology.asgraph import ASGraph
@@ -144,3 +151,93 @@ def test_stamps_are_immutable_hashable_values():
     with pytest.raises(AttributeError):
         update.seq = 0
     assert stamp([]) == []
+
+
+# -- the stamped view -------------------------------------------------------------
+
+
+def _plain(count: int) -> list[UpdateMessage]:
+    return [
+        UpdateMessage(monitor=i % 7 + 1, prefix="203.0.113.0/24", path=(i % 5 + 1, 100))
+        for i in range(count)
+    ]
+
+
+def test_indexing_reads_one_update_per_position():
+    messages = _plain(10)
+    stamped = stamp(messages, 40)
+    assert len(stamped) == 10
+    assert stamped[0] == SequencedUpdate(40, messages[0])
+    assert stamped[-1] == SequencedUpdate(49, messages[-1])
+    assert stamped[-1].seq == 49
+    assert stamped[-10] == stamped[0]
+    assert all(type(stamped[i]) is SequencedUpdate for i in range(-10, 10))
+    for index in (10, -11):
+        with pytest.raises(IndexError):
+            stamped[index]
+
+
+@pytest.mark.parametrize(
+    "window",
+    [slice(None), slice(2, 7), slice(1, None, 3), slice(None, None, 4), slice(8, 1, -2), slice(5, 5)],
+    ids=repr,
+)
+def test_slices_are_views_equal_to_the_lists_slices(window):
+    stamped = stamp(_plain(12), 100)
+    as_list = list(stamped)
+    sliced = stamped[window]
+    assert type(sliced) is StampedStream
+    assert sliced == as_list[window]
+    assert list(sliced) == as_list[window]
+    assert len(sliced) == len(as_list[window])
+    # a slice of a slice is still positions of the one stream
+    assert sliced[::2] == as_list[window][::2]
+
+
+def test_iteration_yields_exact_sequenced_updates():
+    messages = _plain(6)
+    updates = list(stamp(messages, 3))
+    assert [type(update) for update in updates] == [SequencedUpdate] * 6
+    assert [(update.seq, update.message) for update in updates] == list(enumerate(messages, 3))
+    assert list(reversed(stamp(messages, 3))) == updates[::-1]
+
+
+def test_equality_against_lists_and_other_streams():
+    messages = _plain(5)
+    stamped = stamp(messages, 7)
+    expected = [SequencedUpdate(seq, m) for seq, m in enumerate(messages, 7)]
+    assert stamped == expected
+    assert expected == stamped
+    assert stamped == tuple(expected)
+    assert stamped == stamp(list(messages), 7)
+    assert stamped != stamp(messages, 8)  # same messages, other stamps
+    assert stamped != expected[:-1]
+    assert stamped != expected + expected[:1]
+    assert stamped != [*expected[:2], SequencedUpdate(9, messages[3]), *expected[3:]]
+    assert stamped != stamp(_plain(4) + [messages[0]], 7)
+    assert stamped != "not a stream"
+    assert stamped != 5
+    with pytest.raises(TypeError):
+        hash(stamped)
+
+
+def test_stamping_an_iterator_and_the_empty_stream():
+    messages = _plain(4)
+    assert stamp(iter(messages), 2) == stamp(messages, 2)
+    assert stamp(m for m in messages) == list(stamp(messages))
+    empty = stamp([])
+    assert empty == [] and len(empty) == 0 and not empty
+    assert list(empty) == [] and empty[:] == []
+    assert stamp(iter(()), 9) == empty
+    with pytest.raises(IndexError):
+        empty[-1]
+
+
+def test_stamping_builds_no_object_per_update():
+    messages = _plain(200_000)
+    gc.collect()
+    before = len(gc.get_objects())
+    stamped = stamp(messages)
+    grown = len(gc.get_objects()) - before
+    assert len(stamped) == 200_000
+    assert grown < 100

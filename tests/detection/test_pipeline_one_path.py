@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.updates import SequencedUpdate
+from repro.bgp.updates import SequencedUpdate, StampedStream
 from repro.cli import main
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.pipeline import (
@@ -191,6 +191,51 @@ def test_a_whole_stream_outage_does_not_fire_again_after_flush(churn):
     assert pipeline.processed == len(churn.messages) - len(streams[0]) + len(recovery)
     assert metrics.counter_value("detection.pipeline.faults.outage") == 1
     assert pipeline.quarantined_feeds == []
+
+
+# -- a stamped view and its list are one stream --------------------------------
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["unarmed", "armed"])
+@pytest.mark.parametrize("interleave", [None, 11], ids=["round-robin", "rng"])
+@pytest.mark.parametrize("feeds", [1, 3, 4])
+def test_a_stamped_view_runs_like_its_list(churn, feeds, interleave, armed):
+    """``split_stream`` hands out views of the stamped stream (tuples
+    built on read) or, over ``list(view)``, lists of tuples; ``run()``
+    must leave the same alarms and registry either way."""
+    assert type(churn.messages) is StampedStream
+    longest = -(-len(churn.messages) // feeds)
+    observed = []
+    for source in (churn.messages, list(churn.messages)):
+        streams = split_stream(source, feeds)
+        if source is churn.messages:
+            assert all(type(stream) is StampedStream for stream in streams)
+        metrics = RunMetrics()
+        pipeline = StreamingPipeline(
+            StreamingDetector(ASPPInterceptionDetector(churn.world.graph), metrics=metrics),
+            feeds=feeds,
+            batch=16,
+            capacity=8,
+            metrics=metrics,
+            fault_plan=(
+                FeedFaultPlan.seeded(
+                    feeds, seed=3, rate=1.0, horizon=longest, max_faults_per_feed=4
+                )
+                if armed
+                else None
+            ),
+        )
+        for view in churn.baselines.values():
+            pipeline.prime(view)
+        rng = None if interleave is None else random.Random(interleave)
+        raised = pipeline.run(streams, rng=rng)
+        assert raised == pipeline.alarms
+        observed.append(_observed(pipeline, metrics))
+    assert observed[0] == observed[1]
+    assert observed[0][0], "the churn stream must raise alarms"
+    counters = observed[0][-1]["counters"]
+    faults = sum(n for name, n in counters.items() if name.startswith("detection.pipeline.faults."))
+    assert bool(faults) is armed
 
 
 # -- detect-stream's registry, recorded before the one admission loop ----------

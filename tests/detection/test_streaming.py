@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+import repro.detection.streaming as streaming_module
 from repro.attack.interception import simulate_interception
-from repro.bgp.collectors import RouteCollector
+from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine
+from repro.bgp.route import Route
 from repro.bgp.updates import UpdateMessage
 from repro.detection.alarms import Confidence
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.streaming import StreamingDetector, attack_update_stream
 from repro.exceptions import DetectionError
+from repro.topology.relationships import PrefClass
 from tests.detection.streaming_oracle import OracleStreamingDetector
 
 
@@ -247,3 +250,75 @@ class TestLiveViews:
         for message in messages:
             streaming.consume(message)
         assert streaming._updates_seen == len(messages)
+
+
+class TestOnePathTwoClasses:
+    """Two monitors carry one AS-path under different remembered
+    classes.  The detector builds one route per (path, class) of a
+    prefix, however often it is announced; the test-side oracle builds
+    one per update.  Alarms, views and ``first_alarm_at`` must agree."""
+
+    PREFIX = "203.0.113.0/24"
+    LIGHT = (6, 1, 100)
+    HEAVY = (6, 1, 100, 100, 100)
+
+    def _baseline(self) -> MonitorView:
+        prefix = self.PREFIX
+        return MonitorView(
+            prefix=prefix,
+            routes={
+                2: Route(prefix, self.HEAVY, 6, PrefClass.CUSTOMER),
+                4: Route(prefix, self.HEAVY, 6, PrefClass.PEER),
+                5: Route(prefix, (1, 100, 100, 100), 1, PrefClass.CUSTOMER),
+            },
+        )
+
+    def _stream(self) -> list[UpdateMessage]:
+        def announce(monitor, path):
+            return UpdateMessage(monitor=monitor, prefix=self.PREFIX, path=path)
+
+        flaps = [
+            announce(2, self.LIGHT),  # the light path's first class: customer
+            announce(4, self.LIGHT),  # the same path as a peer route
+            announce(4, self.HEAVY),
+            announce(2, self.HEAVY),
+            announce(4, self.LIGHT),
+            announce(2, self.LIGHT),
+            UpdateMessage(monitor=4, prefix=self.PREFIX, path=(), withdrawn=True),
+            announce(4, self.LIGHT),
+        ]
+        return flaps * 2
+
+    def test_equals_the_oracle(self, figure3_graph):
+        runs = []
+        for factory in (StreamingDetector, OracleStreamingDetector):
+            streaming = factory(ASPPInterceptionDetector(figure3_graph))
+            streaming.prime(self._baseline())
+            alarms = streaming.consume_all(self._stream())
+            runs.append(
+                (alarms, streaming.current_view(self.PREFIX), streaming.first_alarm_at)
+            )
+        assert runs[0] == runs[1]
+        alarms, view, _ = runs[0]
+        assert {alarm.monitor for alarm in alarms} == {2, 4}
+        assert view.routes[4] == Route(self.PREFIX, self.LIGHT, 6, PrefClass.PEER)
+        assert view.routes[2] == Route(self.PREFIX, self.LIGHT, 6, PrefClass.CUSTOMER)
+
+    def test_a_route_is_built_once_per_path_and_class(self, figure3_graph, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Route(*args)
+
+        monkeypatch.setattr(streaming_module, "Route", counted)
+        streaming = StreamingDetector(ASPPInterceptionDetector(figure3_graph))
+        streaming.prime(self._baseline())
+        streaming.consume_all(self._stream())
+        # the heavy customer route is the baseline's; the other three
+        # (path, class) pairs are built once each
+        assert sorted((args[1], args[3]) for args in built) == [
+            (self.LIGHT, PrefClass.CUSTOMER),
+            (self.LIGHT, PrefClass.PEER),
+            (self.HEAVY, PrefClass.PEER),
+        ]

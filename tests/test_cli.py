@@ -553,7 +553,7 @@ SURFACE = {
         (("--monitors",), "monitors", "positive_int", 150, None, False, "store"),
         (("--placement",), "placement", None, "top-degree", ("top-degree", "greedy-cover"), False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
-        (("--topology",), "topology", "str", None, None, False, "store"),
+        (("--topology",), "topology", "topology_spec", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
@@ -565,7 +565,7 @@ SURFACE = {
         (("--attackers",), "attackers", "positive_int", None, None, False, "store"),
         (("--victims",), "victims", "positive_int", None, None, False, "store"),
         (("--workers",), "workers", "int", None, None, False, "store"),
-        (("--topology",), "topology", "str", None, None, False, "store"),
+        (("--topology",), "topology", "topology_spec", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
@@ -573,7 +573,7 @@ SURFACE = {
     "secpol-sweep": [
         (("--policy",), "policy", None, "prependguard", ("none", "rov", "aspa", "prependguard"), False, "store"),
         (("--strategy",), "strategy", None, "top-degree-first", ("random", "top-degree-first", "tier1-only", "victim-cone"), False, "store"),
-        (("--fractions",), "fractions", "str", "0.0,0.1,0.2,0.4,0.6,0.8,1.0", None, False, "store"),
+        (("--fractions",), "fractions", "deployment_fractions", "0.0,0.1,0.2,0.4,0.6,0.8,1.0", None, False, "store"),
         (("--seed",), "seed", "int", 7, None, False, "store"),
         (("--scale",), "scale", "positive_float", 1.0, None, False, "store"),
         (("--padding",), "padding", "positive_int", 3, None, False, "store"),
@@ -581,7 +581,7 @@ SURFACE = {
         (("--attacker",), "attacker", "int", None, None, False, "store"),
         (("--valley-free",), "valley_free", None, False, None, False, "storetrue"),
         (("--workers",), "workers", "int", None, None, False, "store"),
-        (("--topology",), "topology", "str", None, None, False, "store"),
+        (("--topology",), "topology", "topology_spec", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
@@ -718,6 +718,26 @@ class TestCommandTable:
         assert listing in (captured.out if argv == ["--help"] else captured.err)
 
 
+#: bad run flags every batch command takes
+_BAD_RUN_FLAGS = [
+    ["--workers", "-1"],
+    ["--padding", "0"],
+    ["--topology", "caida:/no/such/as-rel2.txt"],
+    ["--topology", "synth:many"],
+    ["--topology", "synth:3"],
+    ["--topology", "synth:8"],
+    ["--metrics-out", "m.jsonl"],
+]
+#: and the deployment fractions only secpol-sweep takes
+_BAD_FRACTIONS = [["--fractions", value] for value in ("1.5", "nan", "-0.1", "0.2,x", ",")]
+
+_BAD_FLAGS = [
+    (command, flags)
+    for command in ("campaign", "grid", "secpol-sweep")
+    for flags in _BAD_RUN_FLAGS + (_BAD_FRACTIONS if command == "secpol-sweep" else [])
+]
+
+
 class TestErrors:
     """Bad run flags are usage errors before anything is built; library
     errors are one line on stderr, not a traceback."""
@@ -733,24 +753,20 @@ class TestErrors:
         monkeypatch.setattr(InterceptionStudy, "generate", built)
 
     @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--workers", "-1"],
-            ["--padding", "0"],
-            ["--topology", "caida:/no/such/as-rel2.txt"],
-            ["--topology", "synth:many"],
-            ["--metrics-out", "m.jsonl"],
-        ],
-        ids=lambda flags: flags[0].lstrip("-"),
+        "command, flags",
+        _BAD_FLAGS,
+        ids=[f"{command}-{flags[0].lstrip('-')}" for command, flags in _BAD_FLAGS],
     )
-    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
     def test_bad_flag_is_a_usage_error(self, command, flags, no_world, capsys, tmp_path):
         store = tmp_path / "store"
         with pytest.raises(SystemExit) as usage:
             main([command, "--scale", "0.15", "--store", str(store), *flags])
         assert usage.value.code == 2
         error = capsys.readouterr().err
-        assert f"repro-aspp {command}: error: " in error.splitlines()[-1]
+        last = error.splitlines()[-1]
+        assert f"repro-aspp {command}: error: " in last
+        if flags[0] in ("--topology", "--fractions"):
+            assert last.startswith(f"repro-aspp {command}: error: argument {flags[0]}: ")
         assert "Traceback" not in error
         assert not store.exists()
 

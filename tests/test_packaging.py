@@ -136,3 +136,32 @@ def test_every_export_resolves():
             if not hasattr(module, export)
         )
     assert dangling == []
+
+
+def test_every_dotted_path_readme_names_resolves():
+    """Each dotted ``repro.…`` path in README.md imports: its longest
+    importable prefix is a module and the rest are attributes of it."""
+    import importlib
+    import re
+
+    named = sorted(
+        set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", (REPO / "README.md").read_text()))
+    )
+    assert len(named) >= 25
+    dangling = []
+    for dotted in named:
+        parts = dotted.split(".")
+        for split in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:split]))
+            except ModuleNotFoundError:
+                continue
+            try:
+                for attribute in parts[split:]:
+                    target = getattr(target, attribute)
+            except AttributeError:
+                dangling.append(dotted)
+            break
+        else:
+            dangling.append(dotted)
+    assert dangling == []
