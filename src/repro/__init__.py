@@ -42,7 +42,6 @@ from repro.bgp import (
     RouteCollector,
     three_phase_routes,
 )
-from repro.core import AttackCampaign, InterceptionStudy
 from repro.detection import (
     Alarm,
     ASPPInterceptionDetector,
@@ -98,9 +97,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    # core façade
-    "InterceptionStudy",
-    "AttackCampaign",
     # topology
     "ASGraph",
     "Relationship",

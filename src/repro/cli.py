@@ -477,10 +477,8 @@ def _by_cone(graph):
 
 
 def _load_world(args):
-    """Build the world named by ``--topology`` (``None`` = generated)."""
+    """Load or generate the world ``--topology`` names."""
     spec = args.topology
-    if spec is None:
-        return None
     if spec.kind == "synth":
         from repro.topology.generators import generate_powerlaw_topology
 
@@ -502,12 +500,14 @@ def _load_world(args):
 
 
 @contextlib.contextmanager
-def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
-    """``campaign``, ``grid`` and ``secpol-sweep``: yields ``(study, run)``
-    with the run's ``--store`` open.  The run flags are checked first, so
-    a bad one is a usage error before any topology is generated or
-    loaded."""
-    from repro.core import InterceptionStudy
+def _batch(args, parser, metrics):
+    """``campaign``, ``grid`` and ``secpol-sweep``: yields ``(world,
+    engine, run)`` with the run's ``--store`` open.  The run flags are
+    checked first, so a bad one is a usage error before any topology is
+    generated or loaded; the world is the figures' (``build_world``)
+    unless ``--topology`` names another."""
+    from repro.bgp.engine import PropagationEngine
+    from repro.experiments.base import build_world
     from repro.runner import RunConfig
     from repro.store import CampaignStore
 
@@ -520,13 +520,12 @@ def _batch(args, parser, metrics, monitors=1, placement="top-degree"):
                 run = dataclasses.replace(run, store=stack.enter_context(store))
         except ReproError as exc:
             parser.error(str(exc))
-        fleet = dict(monitors=monitors, placement=placement, seed=args.seed)
-        world = _load_world(args)
-        if world is None:
-            study = InterceptionStudy.generate(scale=args.scale, **fleet)
+        if args.topology is None:
+            built = build_world(seed=args.seed, scale=args.scale, metrics=metrics)
+            yield built.topology, built.engine, run
         else:
-            study = InterceptionStudy(world, **fleet)
-        yield study, run
+            world = _load_world(args)
+            yield world, PropagationEngine(world.graph, metrics=metrics), run
 
 
 def _churn_stream(args, *, attack: bool):
@@ -590,34 +589,60 @@ def _world(args, parser, metrics) -> int:
 
 
 def _campaign(args, parser, metrics) -> int:
-    with _batch(args, parser, metrics, args.monitors, args.placement) as (study, run):
-        campaign = study.campaign(pairs=args.pairs, padding=args.padding, run=run)
+    import statistics
+
+    from repro.detection.monitors import top_degree_monitors
+    from repro.detection.placement import greedy_cover_monitors
+    from repro.experiments.base import attack_pools
+    from repro.experiments.sweeps import campaign
+    from repro.utils.rand import derive_rng, make_rng
+
+    place = {"top-degree": top_degree_monitors, "greedy-cover": greedy_cover_monitors}
+    with _batch(args, parser, metrics) as (world, engine, run):
+        fleet = place[args.placement](world.graph, min(args.monitors, len(world.graph)))
+        attackers, victims = attack_pools(world)
+        results = campaign(
+            engine,
+            fleet,
+            pairs=args.pairs,
+            padding=args.padding,
+            attackers=attackers,
+            victims=victims,
+            rng=derive_rng(make_rng(args.seed), "study-campaign"),
+            run=run,
+        )
+    effective = [r for r in results if r.newly_polluted]
+    detection_rate = sum(r.detected for r in effective) / len(effective) if effective else 0.0
     print(
         f"campaign: {args.pairs} random attacks, λ={args.padding}, "
-        f"{len(study.collector.monitors)} monitors ({args.placement})"
+        f"{len(fleet)} monitors ({args.placement})"
     )
-    print(f"  effective attacks:   {len(campaign.effective)}/{args.pairs}")
-    print(f"  mean pollution:      {campaign.mean_pollution:.1%}")
-    print(f"  detection rate:      {campaign.detection_rate:.1%}")
+    print(f"  effective attacks:   {len(effective)}/{args.pairs}")
+    print(f"  mean pollution:      {statistics.mean(r.after_fraction for r in results):.1%}")
+    print(f"  detection rate:      {detection_rate:.1%}")
     return 0
 
 
 def _grid(args, parser, metrics) -> int:
-    with _batch(args, parser, metrics) as (study, run):
-        graph = study.world.graph
-        by_cone = _by_cone(graph)
+    from repro.experiments.base import attack_pools
+    from repro.experiments.sweeps import exhaustive_grid
+
+    with _batch(args, parser, metrics) as (world, engine, run):
+        by_cone = _by_cone(world.graph)
 
         def top_by_cone(pool, limit):
             if limit is None or limit >= len(pool):
                 return list(pool)
             return sorted(pool, key=by_cone)[:limit]
 
-        attackers = top_by_cone(study.world.transit_ases, args.attackers)
-        victims = top_by_cone(graph.ases, args.victims)
-        results = study.exhaustive_grid(
-            padding=args.padding,
-            attacker_pool=attackers,
-            victim_pool=victims,
+        transit, everyone = attack_pools(world)
+        attackers = top_by_cone(transit, args.attackers)
+        victims = top_by_cone(everyone, args.victims)
+        results = exhaustive_grid(
+            engine,
+            attackers=attackers,
+            victims=victims,
+            origin_padding=args.padding,
             run=run,
         )
     effective = [r for r in results if r.after_fraction > r.before_fraction]
@@ -635,14 +660,15 @@ def _grid(args, parser, metrics) -> int:
 
 
 def _secpol_sweep(args, parser, metrics) -> int:
+    from repro.experiments.sweeps import deployment_sweep
     from repro.topology.tiers import classify_tiers
     from repro.utils.tables import format_table
 
-    with _batch(args, parser, metrics) as (study, run):
-        graph = study.world.graph
+    with _batch(args, parser, metrics) as (world, engine, run):
+        graph = world.graph
         victim, attacker = args.victim, args.attacker
         if victim is None:
-            victim = min(study.world.tier1, key=_by_cone(graph))
+            victim = min(world.tier1, key=_by_cone(graph))
         if attacker is None:
             tiers = classify_tiers(graph)
             tier2 = [
@@ -653,13 +679,15 @@ def _secpol_sweep(args, parser, metrics) -> int:
             if not tier2:
                 parser.error("no Tier-2 transit AS available; pass --attacker")
             attacker = min(tier2, key=_by_cone(graph))
-        results = study.deployment_sweep(
+        results = deployment_sweep(
+            engine,
             victim=victim,
             attacker=attacker,
             padding=args.padding,
             policy=args.policy,
             strategy=args.strategy,
             fractions=args.fractions,
+            seed=args.seed,
             violate_policy=not args.valley_free,
             run=run,
         )

@@ -35,6 +35,7 @@ from repro.utils.tables import format_table
 __all__ = [
     "ExperimentResult",
     "ExperimentWorld",
+    "attack_pools",
     "build_world",
     "experiment_timer",
     "generate_world",
@@ -166,6 +167,17 @@ def build_world(
     )
 
 
+def attack_pools(topology: GeneratedTopology) -> tuple[list[int], list[int]]:
+    """The default ``(attackers, victims)`` pools of a random attack.
+
+    Attackers are the transit ASes: a valley-free attacker with no
+    customers has nowhere to export a modified route, so including pure
+    stubs would only measure no-ops (see
+    ``GeneratedTopology.transit_ases``).  Victims are all ASes.
+    """
+    return topology.transit_ases, topology.graph.ases
+
+
 def sample_attack_pairs(
     world: ExperimentWorld,
     count: int,
@@ -174,15 +186,13 @@ def sample_attack_pairs(
     attacker_pool: Iterable[int] | None = None,
     victim_pool: Iterable[int] | None = None,
 ) -> list[tuple[int, int]]:
-    """Sample ``count`` (attacker, victim) pairs.
-
-    Attackers default to the transit pool: a valley-free attacker with
-    no customers has nowhere to export a modified route, so including
-    pure stubs would only measure no-ops (see
-    ``GeneratedTopology.transit_ases``).  Victims default to all ASes.
-    """
-    attackers = list(attacker_pool) if attacker_pool is not None else world.topology.transit_ases
-    victims = list(victim_pool) if victim_pool is not None else world.graph.ases
+    """Sample ``count`` (attacker, victim) pairs; a pool left out is
+    :func:`attack_pools`'."""
+    attackers, victims = attack_pools(world.topology)
+    if attacker_pool is not None:
+        attackers = list(attacker_pool)
+    if victim_pool is not None:
+        victims = list(victim_pool)
     if not attackers or len(victims) < 2:
         raise ExperimentError("attack-pair pools are too small")
     return sample_pairs(attackers, victims, count, rng)

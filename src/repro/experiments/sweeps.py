@@ -6,7 +6,9 @@ attacker/victim pairs.  Both decompose into independent
 :class:`~repro.runner.SweepPointTask` instances, so they share one
 execution path: serial in-process or fanned out over a process pool.
 The task list, and therefore the result rows, are identical for every
-worker count.
+worker count.  A :func:`campaign` is the same shape with detection:
+seeded random pairs, each a :class:`~repro.runner.CampaignPairTask`
+watched by a monitor fleet.
 
 A sweep point reports impact only (before %, after %, attacker kept a
 route), so it never builds routes: serially the whole task list runs as
@@ -35,12 +37,15 @@ whose baselines coincide).
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner import (
     BaselineCache,
+    CampaignPairResult,
+    CampaignPairTask,
     DeploymentPointResult,
     DeploymentPointTask,
     RunConfig,
@@ -48,9 +53,10 @@ from repro.runner import (
     SweepPointTask,
     WorkerContext,
     run_batch,
+    sample_attack_pairs,
 )
 
-__all__ = ["exhaustive_grid", "padding_sweep", "pair_grid", "deployment_sweep"]
+__all__ = ["campaign", "exhaustive_grid", "padding_sweep", "pair_grid", "deployment_sweep"]
 
 
 def padding_sweep(
@@ -184,3 +190,32 @@ def deployment_sweep(
     return run_batch(
         engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
     )
+
+
+def campaign(
+    engine: PropagationEngine,
+    monitors: Sequence[int],
+    *,
+    pairs: int,
+    padding: int,
+    attackers: Sequence[int],
+    victims: Sequence[int],
+    rng: random.Random,
+    run: RunConfig = RunConfig(),
+) -> list[CampaignPairResult]:
+    """Run ``pairs`` random attack instances and detect each one from
+    ``monitors``; one :class:`~repro.runner.CampaignPairResult` per pair.
+
+    The pairs are drawn up front from the two pools by
+    :func:`repro.runner.sample_attack_pairs` (bounded retries: pools
+    that can only collide, or ``pairs < 1``, raise
+    :class:`~repro.exceptions.ExperimentError`), then run as one batch.
+    Rows come back in draw order and are bit-identical under every
+    ``run``; with ``run.store`` set, a failed or killed campaign reruns
+    only its unsettled pairs.
+    """
+    tasks = [
+        CampaignPairTask(attacker=attacker, victim=victim, padding=padding)
+        for attacker, victim in sample_attack_pairs(attackers, victims, pairs, rng)
+    ]
+    return run_batch(engine, tasks, run, monitors=tuple(monitors))

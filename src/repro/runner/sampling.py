@@ -1,6 +1,6 @@
 """Deterministic attacker/victim pair sampling with bounded retries.
 
-The seed implementation of both :meth:`InterceptionStudy.campaign` and
+The seed implementation of both the CLI's ``campaign`` and
 ``experiments.base.sample_attack_pairs`` drew ``(attacker, victim)``
 pairs in an unbounded loop, retrying whenever the two draws collided —
 which spins forever when the pools only ever produce ``attacker ==

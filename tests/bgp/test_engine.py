@@ -14,8 +14,8 @@ from repro.bgp.engine import PropagationEngine
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
-from repro.core import InterceptionStudy
 from repro.exceptions import ConvergenceError, SimulationError, UnknownASError
+from repro.experiments.sweeps import campaign
 from repro.runner import WorkerSpec
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
@@ -348,8 +348,7 @@ class TestOneEngine:
         signatures = [
             inspect.signature(PropagationEngine.__init__).parameters,
             inspect.signature(PropagationEngine.propagate).parameters,
-            inspect.signature(InterceptionStudy.__init__).parameters,
-            inspect.signature(InterceptionStudy.generate).parameters,
+            inspect.signature(campaign).parameters,
             {field.name: field for field in dataclasses.fields(WorkerSpec)},
         ]
         for parameters in signatures:

@@ -18,12 +18,13 @@ from repro.bgp import vectorized
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.vectorized import numpy_available
-from repro.core.study import InterceptionStudy
 from repro.detection.monitors import top_degree_monitors
+from repro.experiments.base import attack_pools, build_world
 from repro.experiments.fig13_detection_accuracy import Fig13Config
 from repro.experiments.fig13_detection_accuracy import run as run_fig13
 from repro.experiments.fig14_pollution_before_detection import Fig14Config
 from repro.experiments.fig14_pollution_before_detection import run as run_fig14
+from repro.experiments.sweeps import campaign, deployment_sweep
 from repro.runner import (
     BaselineCache,
     CampaignPairTask,
@@ -34,6 +35,7 @@ from repro.runner import (
 )
 from repro.store import CampaignStore
 from repro.telemetry import RunMetrics
+from repro.utils.rand import derive_rng, make_rng
 from tests.bgp.loop_oracle import LoopEngine
 from tests.strategies import cold_convergences
 
@@ -159,20 +161,30 @@ def _fig14(metrics):
 
 
 def _campaign(metrics):
-    study = InterceptionStudy.generate(scale=0.25, monitors=40)
-    campaign = study.campaign(pairs=8, padding=3, run=RunConfig(metrics=metrics))
-    return len(campaign.effective), campaign.mean_pollution, campaign.detection_rate
+    world = build_world(scale=0.25)
+    attackers, victims = attack_pools(world.topology)
+    return campaign(
+        world.engine,
+        top_degree_monitors(world.graph, 40),
+        pairs=8,
+        padding=3,
+        attackers=attackers,
+        victims=victims,
+        rng=derive_rng(make_rng(7), "study-campaign"),
+        run=RunConfig(metrics=metrics),
+    )
 
 
 def _secpol_sweep(metrics):
-    study = InterceptionStudy.generate(scale=0.25, monitors=1)
-    world = study.world
-    return study.deployment_sweep(
-        victim=world.tier1[0],
-        attacker=world.tier2[0],
+    world = build_world(scale=0.25)
+    return deployment_sweep(
+        world.engine,
+        victim=world.topology.tier1[0],
+        attacker=world.topology.tier2[0],
         padding=3,
         policy="prependguard",
         fractions=(0.0, 0.5, 1.0),
+        seed=7,
         run=RunConfig(metrics=metrics),
     )
 

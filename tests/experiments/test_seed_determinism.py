@@ -10,9 +10,12 @@ here even if every structural invariant still holds.
 
 from __future__ import annotations
 
-from repro.core import InterceptionStudy
+from repro.detection.monitors import top_degree_monitors
 from repro.experiments import fig08_random_pairs as fig08
 from repro.experiments import fig09_tier1_vs_tier1 as fig09
+from repro.experiments.base import attack_pools, build_world
+from repro.experiments.sweeps import campaign
+from repro.utils.rand import derive_rng, make_rng
 
 SCALE = 0.25
 
@@ -64,8 +67,17 @@ def test_fig08_sampling_is_seed_deterministic():
 
 
 def test_campaign_is_seed_deterministic():
-    kwargs = dict(seed=11, scale=0.15, monitors=20)
-    first = InterceptionStudy.generate(**kwargs).campaign(pairs=5, padding=3)
-    second = InterceptionStudy.generate(**kwargs).campaign(pairs=5, padding=3)
-    assert first.results == second.results
-    assert first.mean_pollution == second.mean_pollution
+    def rows():
+        world = build_world(seed=11, scale=0.15)
+        attackers, victims = attack_pools(world.topology)
+        return campaign(
+            world.engine,
+            top_degree_monitors(world.graph, 20),
+            pairs=5,
+            padding=3,
+            attackers=attackers,
+            victims=victims,
+            rng=derive_rng(make_rng(11), "study-campaign"),
+        )
+
+    assert rows() == rows()

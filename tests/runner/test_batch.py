@@ -12,7 +12,6 @@ import pytest
 
 import repro.runner.batch as batch_mod
 from repro.bgp.engine import PropagationEngine
-from repro.core import InterceptionStudy
 from repro.exceptions import SimulationError
 from repro.experiments import sweeps
 from repro.experiments.sweeps import padding_sweep
@@ -65,10 +64,8 @@ class TestRunConfig:
     def test_no_sweep_or_study_signature_spells_a_run_value(self):
         """The fan-out is gone: callers say ``run=``, nothing else."""
         spelled = {*RUN_VALUES, "retry", "faults", "resume", "checkpoint", "shards"} - {"metrics"}
-        functions = [
-            *(fn for _, fn in inspect.getmembers(sweeps, inspect.isfunction)),
-            *(fn for _, fn in inspect.getmembers(InterceptionStudy, inspect.isfunction)),
-        ]
+        functions = [fn for _, fn in inspect.getmembers(sweeps, inspect.isfunction)]
+        assert sweeps.campaign in functions
         for fn in functions:
             parameters = inspect.signature(fn).parameters
             assert not spelled & set(parameters), fn

@@ -11,10 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp.engine import PropagationEngine
-from repro.core import InterceptionStudy
 from repro.detection.monitors import top_degree_monitors
 from repro.exceptions import SimulationError
-from repro.experiments.sweeps import padding_sweep, pair_grid
+from repro.experiments.base import attack_pools, build_world
+from repro.experiments.sweeps import campaign, padding_sweep, pair_grid
 from repro.runner import (
     BaselineCache,
     CampaignPairTask,
@@ -27,6 +27,7 @@ from repro.runner import (
     available_cpus,
     resolve_workers,
 )
+from repro.utils.rand import derive_rng, make_rng
 
 PADDINGS = tuple(range(1, 9))
 
@@ -96,14 +97,26 @@ def test_pair_grid_preserves_pair_order(small_world):
     assert all(p.padding == 3 for p in points)
 
 
-def test_campaign_facade_identical_across_worker_requests():
-    study = InterceptionStudy.generate(seed=11, scale=0.15, monitors=20)
-    reference = study.campaign(pairs=5, padding=3)
+def test_campaign_identical_across_worker_requests():
+    world = build_world(seed=11, scale=0.15)
+    fleet = top_degree_monitors(world.graph, 20)
+    attackers, victims = attack_pools(world.topology)
+
+    def rows(run=RunConfig()):
+        return campaign(
+            world.engine,
+            fleet,
+            pairs=5,
+            padding=3,
+            attackers=attackers,
+            victims=victims,
+            rng=derive_rng(make_rng(11), "study-campaign"),
+            run=run,
+        )
+
+    reference = rows()
     for workers in (1, 2):
-        campaign = study.campaign(pairs=5, padding=3, run=RunConfig(workers=workers))
-        assert campaign.mean_pollution == reference.mean_pollution
-        assert campaign.detection_rate == reference.detection_rate
-        assert campaign.results == reference.results
+        assert rows(RunConfig(workers=workers)) == reference
 
 
 def test_executor_reuse_and_empty_batches(small_world):

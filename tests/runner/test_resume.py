@@ -27,8 +27,8 @@ import pytest
 
 from repro.bgp.engine import PropagationEngine
 from repro.cli import _by_cone, main
-from repro.core import InterceptionStudy
 from repro.exceptions import SimulationError
+from repro.experiments.base import build_world
 from repro.runner import RunConfig, SweepPointTask, run_batch, task_fingerprint
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
@@ -129,9 +129,9 @@ def test_a_killed_pooled_grid_exits_1_and_its_rerun_prints_the_plain_grid(
     reference = capsys.readouterr().out
 
     # the cells in the order grid builds them
-    study = InterceptionStudy.generate(scale=0.15, monitors=1)
-    graph = study.world.graph
-    attackers = sorted(study.world.transit_ases, key=_by_cone(graph))[:3]
+    world = build_world(scale=0.15).topology
+    graph = world.graph
+    attackers = sorted(world.transit_ases, key=_by_cone(graph))[:3]
     victims = sorted(graph.ases, key=_by_cone(graph))[:4]
     tasks = [
         SweepPointTask(victim=v, attacker=a, padding=3)

@@ -12,10 +12,11 @@ import random
 import pytest
 
 import repro.runner.sampling as sampling
-from repro.core import InterceptionStudy
 from repro.exceptions import ExperimentError
+from repro.detection.monitors import top_degree_monitors
 from repro.experiments.base import build_world
 from repro.experiments.base import sample_attack_pairs as world_sample
+from repro.experiments.sweeps import campaign
 from repro.runner import sample_attack_pairs
 
 
@@ -68,14 +69,27 @@ def test_degenerate_requests_raise():
 
 
 def test_campaign_with_colliding_pools_raises():
-    """`InterceptionStudy.campaign` used to hang on pools that only
-    ever produce attacker == victim; now it raises before simulating."""
-    study = InterceptionStudy.generate(seed=3, scale=0.1, monitors=10)
-    only = study.world.graph.ases[0]
+    """A campaign used to hang on pools that only ever produce
+    attacker == victim; now it raises before simulating."""
+    world = build_world(seed=3, scale=0.1)
+    fleet = top_degree_monitors(world.graph, 10)
+    only = world.graph.ases[0]
+
+    def run(pairs, pool):
+        return campaign(
+            world.engine,
+            fleet,
+            pairs=pairs,
+            padding=3,
+            attackers=pool,
+            victims=pool,
+            rng=random.Random(3),
+        )
+
     with pytest.raises(ExperimentError):
-        study.campaign(pairs=2, padding=3, attacker_pool=[only], victim_pool=[only])
+        run(2, [only])
     with pytest.raises(ExperimentError):
-        study.campaign(pairs=0, padding=3)
+        run(0, world.graph.ases)
 
 
 def test_experiment_sampler_delegates_to_bounded_sampler():

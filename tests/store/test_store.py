@@ -9,9 +9,10 @@ import json
 import pytest
 
 from repro.bgp.engine import PropagationEngine
-from repro.core.study import InterceptionStudy
 from repro.detection.monitors import top_degree_monitors
 from repro.exceptions import SimulationError
+from repro.experiments.base import build_world
+from repro.experiments.sweeps import exhaustive_grid
 from repro.runner import (
     CampaignPairTask,
     RunConfig,
@@ -392,11 +393,11 @@ class TestKnownBugs:
     )
     def test_a_store_shared_by_two_worlds_keeps_them_apart(self, root):
         def grid(seed, store=None):
-            study = InterceptionStudy.generate(seed=seed, scale=0.2, monitors=1)
-            return study.exhaustive_grid(
-                padding=3,
-                attacker_pool=[1, 2],
-                victim_pool=[3, 4, 5],
+            return exhaustive_grid(
+                build_world(seed=seed, scale=0.2).engine,
+                attackers=[1, 2],
+                victims=[3, 4, 5],
+                origin_padding=3,
                 run=RunConfig(store=store),
             )
 

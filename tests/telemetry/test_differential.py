@@ -17,10 +17,11 @@ import pytest
 
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.vectorized import numpy_available
-from repro.core import InterceptionStudy
+from repro.detection.monitors import top_degree_monitors
+from repro.experiments.base import attack_pools, build_world
 from repro.experiments.fig09_tier1_vs_tier1 import Fig09Config
 from repro.experiments.fig09_tier1_vs_tier1 import run as run_fig09
-from repro.experiments.sweeps import deployment_sweep, padding_sweep
+from repro.experiments.sweeps import campaign, deployment_sweep, padding_sweep
 from repro.runner import (
     BaselineCache,
     DeploymentPointTask,
@@ -30,6 +31,7 @@ from repro.runner import (
     WorkerSpec,
 )
 from repro.telemetry import RunMetrics
+from repro.utils.rand import derive_rng, make_rng
 
 SCALE = 0.25
 SEED = 7
@@ -176,27 +178,34 @@ class TestPooledAggregationIsExact:
 
 
 class TestCampaignAggregation:
+    @staticmethod
+    def _campaign(pairs, run=RunConfig()):
+        world = build_world(seed=SEED, scale=SCALE)
+        attackers, victims = attack_pools(world.topology)
+        return campaign(
+            world.engine,
+            top_degree_monitors(world.graph, 40),
+            pairs=pairs,
+            padding=3,
+            attackers=attackers,
+            victims=victims,
+            rng=derive_rng(make_rng(SEED), "study-campaign"),
+            run=run,
+        )
+
     def test_campaign_metrics_match_across_worker_counts(self):
-        serial_study = InterceptionStudy.generate(seed=SEED, scale=SCALE, monitors=40)
         serial_metrics = RunMetrics()
-        serial = serial_study.campaign(
-            pairs=8, padding=3, run=RunConfig(workers=None, metrics=serial_metrics)
-        )
-        pooled_study = InterceptionStudy.generate(seed=SEED, scale=SCALE, monitors=40)
+        serial = self._campaign(8, RunConfig(workers=None, metrics=serial_metrics))
         pooled_metrics = RunMetrics()
-        pooled = pooled_study.campaign(
-            pairs=8, padding=3, run=RunConfig(workers=4, metrics=pooled_metrics)
-        )
-        assert pooled.results == serial.results
+        pooled = self._campaign(8, RunConfig(workers=4, metrics=pooled_metrics))
+        assert pooled == serial
         assert (
             pooled_metrics.deterministic_snapshot()
             == serial_metrics.deterministic_snapshot()
         )
-        assert serial.metrics is serial_metrics
         assert serial_metrics.counter_value("detection.timings") == 8
 
     def test_campaign_without_metrics_unchanged(self):
-        study = InterceptionStudy.generate(seed=SEED, scale=SCALE, monitors=40)
-        campaign = study.campaign(pairs=4, padding=3)
-        assert campaign.metrics is None
-        assert len(campaign.results) == 4
+        rows = self._campaign(4)
+        assert len(rows) == 4
+        assert rows == self._campaign(4, RunConfig(metrics=RunMetrics()))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import re
 
@@ -92,6 +93,67 @@ def test_all_stdout_is_a_function_of_its_arguments(capsys, real_pool):
     serial = capsys.readouterr().out
     assert main(["all", "--scale", "0.15", "--workers", "2"]) == 0
     assert capsys.readouterr().out == serial
+
+
+def _generated(name, argv, digests):
+    return [
+        pytest.param([*argv, "--scale", "0.15", "--seed", str(seed)], digest, id=f"{name}-{seed}")
+        for seed, digest in zip((7, 23), digests)
+    ]
+
+
+#: sha256 of each batch command's stdout, recorded while ``campaign``,
+#: ``grid`` and ``secpol-sweep`` still ran on a study façade of their own
+_BATCH_GOLDEN = [
+    *_generated(
+        "campaign-top-degree",
+        ["campaign", "--monitors", "20"],
+        (
+            "864984bc2418c51354b107f7ae13f1ffc1f2969bbd7ac1c4a9f0245934e801d0",
+            "7663d94f2f8930abdb40568237d17a4ef70ff471806eb0a4fb571b919f1b579d",
+        ),
+    ),
+    *_generated(
+        "campaign-greedy-cover",
+        ["campaign", "--monitors", "20", "--placement", "greedy-cover"],
+        (
+            "a9ebe32e5c0029ae935f832dc425bb9570eba549bb3f6f9a441d00ce8ed4aab1",
+            "1511c5693ae125917a4b256f401361549a3406674aba4bc0cfbd435632419439",
+        ),
+    ),
+    *_generated(
+        "grid",
+        ["grid", "--attackers", "8", "--victims", "40"],
+        (
+            "8ec0b0b052a58ebc101ce9626ebf396b45b4c0a0afefd13449d246ce430109a8",
+            "1dca9b428cd10e029f6fdc0ea6fa3d2898b4f2158c012c66e4e5cddaf07ec605",
+        ),
+    ),
+    *_generated(
+        "secpol-sweep",
+        ["secpol-sweep"],
+        (
+            "75836227398d0cb126352a00219c4c58c0b8145e3c9c72b7ea278ab89d30e795",
+            "66cf1711ccac1b4172ea36156735cf4e9224c349677dca166e78cb4d7b8eeb94",
+        ),
+    ),
+    pytest.param(
+        ["grid", "--topology", "synth:2000", "--attackers", "4", "--victims", "30"],
+        "d1e8f0c403a07a09b758fa2ef86efa08137630b3482acf9f6b48c9766bf518a9",
+        id="grid-synth2000",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _BATCH_GOLDEN)
+def test_batch_stdout_is_pinned(argv, digest, capsys, real_pool, tmp_path):
+    """Serial, pooled into a cold store, and replayed from the warm
+    store: the same bytes, and the recorded ones."""
+    store = ["--store", str(tmp_path / "store")]
+    for run in ([], ["--workers", "2", *store], store):
+        assert main([*argv, *run]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (run, out)
 
 
 #: what a λ-sweep point counts as: a kernel cell where numpy is
@@ -189,6 +251,26 @@ class TestMetricsFlags:
         assert "detection rate" in out
         assert "run metrics" in out
         assert "detection.timings" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["campaign"], ["grid", "--attackers", "3", "--victims", "10"], ["secpol-sweep"]],
+        ids=["campaign", "grid", "secpol-sweep"],
+    )
+    def test_a_batch_command_times_its_generated_world(self, capsys, argv):
+        """As ``run figNN`` does: a batch command's generated world is
+        the figures' ``build_world``, timed once."""
+        import json
+
+        assert main([*argv, "--scale", "0.15", "--metrics", "jsonl"]) == 0
+        events = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("{")
+        ]
+        (generate,) = (e for e in events if e["name"] == "topology.generate_seconds")
+        assert generate["event"] == "timer"
+        assert generate["count"] == 1
 
     def test_all_merges_metrics_across_experiments(self, capsys, monkeypatch):
         """``all --metrics summary`` shares one registry and emits it
@@ -744,13 +826,14 @@ class TestErrors:
 
     @pytest.fixture()
     def no_world(self, monkeypatch):
-        from repro.core import InterceptionStudy
+        import repro.cli as cli
+        import repro.experiments.base as base
 
         def built(*args, **kwargs):
             raise AssertionError("the world was built before the flags were checked")
 
-        monkeypatch.setattr(InterceptionStudy, "__init__", built)
-        monkeypatch.setattr(InterceptionStudy, "generate", built)
+        monkeypatch.setattr(base, "generate_world", built)
+        monkeypatch.setattr(cli, "_load_world", built)
 
     @pytest.mark.parametrize(
         "command, flags",

@@ -165,3 +165,40 @@ def test_every_dotted_path_readme_names_resolves():
         else:
             dangling.append(dotted)
     assert dangling == []
+
+
+def _module_map() -> set[str]:
+    """The modules DESIGN.md §3 names, as paths under ``src/repro``: a
+    ``name/`` line is a package (its ``__init__.py``), each ``name.py``
+    token a module; nesting is by indentation, and a line starting with
+    neither is a wrapped description."""
+    text = (REPO / "DESIGN.md").read_text()
+    section = text[text.index("## 3. System inventory") : text.index("## 4. ")]
+    block = section.split("```")[1].splitlines()
+    assert block[1] == "src/repro/"
+    named: set[str] = set()
+    parents: list[tuple[int, str]] = []
+    for line in block[2:]:
+        tokens = line.split()
+        if not tokens or not tokens[0].endswith(("/", ".py")):
+            continue
+        indent = len(line) - len(line.lstrip())
+        while parents and parents[-1][0] >= indent:
+            parents.pop()
+        prefix = "".join(name for _, name in parents)
+        if tokens[0].endswith("/"):
+            parents.append((indent, tokens[0]))
+            named.add(f"{prefix}{tokens[0]}__init__.py")
+        else:
+            named.update(f"{prefix}{token}" for token in tokens if token.endswith(".py"))
+    return named
+
+
+def test_design_module_map_is_the_tree():
+    """DESIGN.md §3 names every module under ``src/repro`` and nothing
+    that is not there."""
+    root = REPO / "src" / "repro"
+    tree = {path.relative_to(root).as_posix() for path in root.rglob("*.py")}
+    named = _module_map()
+    assert sorted(tree - named) == [], "modules the map does not name"
+    assert sorted(named - tree) == [], "modules the map names that do not exist"
