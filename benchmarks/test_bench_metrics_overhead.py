@@ -1,13 +1,13 @@
-"""Wall-clock guard: telemetry must be free when it is switched off.
+"""What telemetry costs on the Figure-9 λ-sweep.
 
 The instrumentation contract (see ``src/repro/telemetry``) is that a
-run without a registry — or with a disabled one — pays nothing in the
-hot loops beyond one hoisted boolean check.  This bench pins that
-promise on the Figure-9 λ-sweep:
+run without a registry (``metrics=None``) pays nothing in the hot loops
+beyond one hoisted ``is not None`` check, and that a registry never
+changes a row.  This bench pins the second promise and prints the
+first's price:
 
-* the *disabled* sweep (a ``RunMetrics(enabled=False)`` registry
-  threaded through the whole stack) stays within 5% of the pristine
-  sweep that never saw a registry;
+* the rows of the pristine sweep and of a sweep recording into a
+  ``RunMetrics()`` registry are identical;
 * the *enabled* overhead is printed for the record (it is allowed to
   cost something — it is measured, not asserted, because recording
   real counters is genuine work).
@@ -45,7 +45,7 @@ def _best_of(fn):
     return best, value
 
 
-def test_bench_disabled_metrics_are_free():
+def test_bench_metrics_overhead():
     world = build_world(seed=7, scale=SCALE)
     attacker, victim = _fig09_pair(world)
     sweep = lambda metrics: padding_sweep(  # noqa: E731
@@ -59,25 +59,13 @@ def test_bench_disabled_metrics_are_free():
     # Interleave-free warmup, then best-of timings.
     sweep(None)
     pristine_time, pristine_rows = _best_of(lambda: sweep(None))
-    disabled_time, disabled_rows = _best_of(
-        lambda: sweep(RunMetrics(enabled=False))
-    )
     enabled_time, enabled_rows = _best_of(lambda: sweep(RunMetrics()))
 
-    assert disabled_rows == pristine_rows == enabled_rows
+    assert pristine_rows == enabled_rows
 
-    disabled_overhead = disabled_time / pristine_time - 1
     enabled_overhead = enabled_time / pristine_time - 1
     print(
         f"\nfig09 λ-sweep (scale={SCALE}): pristine {pristine_time * 1e3:.1f} ms, "
-        f"disabled metrics {disabled_time * 1e3:.1f} ms "
-        f"({disabled_overhead:+.1%}), "
         f"enabled metrics {enabled_time * 1e3:.1f} ms "
         f"({enabled_overhead:+.1%})"
-    )
-    # 5% relative + 2 ms absolute slack absorbs scheduler jitter on
-    # small hosts; a real per-iteration cost shows up far above this.
-    assert disabled_time <= pristine_time * 1.05 + 0.002, (
-        f"disabled metrics cost {disabled_overhead:+.1%} — the hoisted "
-        "branch contract is broken"
     )

@@ -513,7 +513,7 @@ def run_compiled(
     origin_idx = index[origin]
     num_slots = len(nbr)
 
-    track = metrics is not None and metrics.enabled
+    track = metrics is not None
     if track:
         announcements = fastpath_hits = fastpath_misses = best_changes = 0
         peak_queue = 0

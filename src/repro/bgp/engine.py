@@ -478,7 +478,7 @@ class PropagationEngine:
                     prepending=prepending,
                     metrics=self.metrics,
                 )
-            if self.metrics is not None and self.metrics.enabled:
+            if self.metrics is not None:
                 self.metrics.count("engine.vectorized.fallbacks")
                 self.metrics.count(f"engine.vectorized.fallbacks.{refusal}")
         return run_compiled(

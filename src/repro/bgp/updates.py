@@ -7,7 +7,10 @@ pad backup announcements so they are only used during failures).  We
 reproduce that mechanism: a churn event takes a converged world, fails
 one of the origin's provider/peer links, re-converges, and records each
 monitor route that changed — those changed routes are the "update
-messages" the characterisation of Figures 5-6 consumes.
+messages" the characterisation of Figures 5-6 consumes.  A failed link
+is a pair of import filters (:func:`link_down`) on the caller's engine,
+never a copy of the graph: every event re-converges on the one compiled
+topology.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from itertools import repeat
 from operator import eq
 from typing import TYPE_CHECKING, NamedTuple, overload
 
-from repro.bgp.engine import PropagationEngine
+from repro.bgp.engine import ImportFilter, PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
-from repro.topology.asgraph import ASGraph
 
 if TYPE_CHECKING:  # pragma: no cover - collectors builds UpdateMessages
     from repro.bgp.collectors import RouteCollector
@@ -31,6 +33,7 @@ __all__ = [
     "UpdateMessage",
     "SequencedUpdate",
     "StampedStream",
+    "link_down",
     "simulate_update_stream",
     "stamp",
 ]
@@ -129,8 +132,18 @@ def stamp(messages: Iterable[UpdateMessage], first_seq: int = 0) -> StampedStrea
     return StampedStream(range(first_seq, first_seq + len(held)), held)
 
 
+def link_down(origin: int, failed: int) -> dict[int, ImportFilter]:
+    """Import filters under which the link ``origin``–``failed`` is down:
+    neither end hears the other, and everything else converges on the
+    same topology."""
+    return {
+        failed: lambda sender, path: sender != origin,
+        origin: lambda sender, path: sender != failed,
+    }
+
+
 def simulate_update_stream(
-    graph: ASGraph,
+    engine: PropagationEngine,
     origin: int,
     monitors: RouteCollector,
     *,
@@ -141,30 +154,32 @@ def simulate_update_stream(
 ) -> list[UpdateMessage]:
     """Simulate ``events`` failure/recovery churn events for one prefix.
 
-    Each event removes one randomly chosen link adjacent to the origin
-    (its primary egress candidates), re-runs propagation on the degraded
-    topology, and records the new best route of every monitor whose
-    route changed.  The link is restored before the next event, and the
-    recovery announcements (back to the baseline routes) are recorded
-    too — real update files contain both directions of a flap.
+    Each event fails one randomly chosen link adjacent to the origin
+    (its primary egress candidates), re-runs propagation on ``engine``
+    with that link down, and records the new best route of every
+    monitor whose route changed.  The link is restored before the next
+    event, and the recovery announcements (back to the baseline routes)
+    are recorded too — real update files contain both directions of a
+    flap.
     """
     if events < 0:
         raise SimulationError("events must be non-negative")
-    neighbors = sorted(graph.neighbors_of(origin))
+    neighbors = sorted(engine.graph.neighbors_of(origin))
     if not neighbors:
         raise SimulationError(f"origin AS{origin} has no neighbours to fail")
 
-    baseline_engine = PropagationEngine(graph)
-    baseline = baseline_engine.propagate(origin, prefix=prefix, prepending=prepending)
+    baseline = engine.propagate(origin, prefix=prefix, prepending=prepending)
     baseline_view = monitors.snapshot(baseline)
 
     messages: list[UpdateMessage] = []
     for _ in range(events):
         failed = rng.choice(neighbors)
-        degraded = graph.copy()
-        degraded.remove_edge(origin, failed)
-        engine = PropagationEngine(degraded)
-        outcome = engine.propagate(origin, prefix=prefix, prepending=prepending)
+        outcome = engine.propagate(
+            origin,
+            prefix=prefix,
+            prepending=prepending,
+            import_filters=link_down(origin, failed),
+        )
         degraded_view = monitors.snapshot(outcome)
         for failure, recovery in zip(
             degraded_view.updates_since(baseline_view),

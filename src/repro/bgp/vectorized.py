@@ -431,8 +431,6 @@ class ImpactKernel:
             (index[v], index[m], max(0, padding - keep), violate)
             for v, m, padding, keep, violate in cells
         ]
-        if metrics is not None and not metrics.enabled:
-            metrics = None
         results: list = []
         for start in range(0, len(columns), self._width):
             results += self._attack(columns[start : start + self._width], metrics)
@@ -669,7 +667,7 @@ def _emit_column(
     reify = table.reify
     length = table.length
 
-    track = metrics is not None and metrics.enabled
+    track = metrics is not None
     if track:
         metrics.count("engine.compiled.worlds_emitted", 0)
 
@@ -756,7 +754,7 @@ def run_vectorized(
         overrides=overrides,
         metrics=metrics,
     )
-    if metrics is not None and metrics.enabled:
+    if metrics is not None:
         metrics.count("engine.vectorized.propagations")
         metrics.observe("engine.vectorized.waves", waves)
     return outcome

@@ -188,7 +188,7 @@ class StreamingPipeline:
 
     def _count(self, name: str) -> None:
         metrics = self.metrics
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             metrics.count(name)
 
     # -- producing ------------------------------------------------------
@@ -263,7 +263,7 @@ class StreamingPipeline:
                 if queue.parked > self.park_high_water:
                     self.park_high_water = queue.parked
                 metrics = self.metrics
-                if metrics is not None and metrics.enabled:
+                if metrics is not None:
                     metrics.count("detection.pipeline.parked")
                     metrics.observe("detection.pipeline.park_depth", queue.parked)
                 if queue.parked >= PARK_CAPACITY:
@@ -320,7 +320,7 @@ class StreamingPipeline:
         due inside an outage or a storm fires at the first offer after it.
         """
         metrics = self.metrics
-        track = metrics is not None and metrics.enabled
+        track = metrics is not None
         script = iter(faults)
         due = next(script, None)
         index = -1
@@ -416,7 +416,7 @@ class StreamingPipeline:
         """The queues drain into the merge: fold the depths their
         admitted updates saw (1, 2, … per queue) into ``queue_depth``."""
         metrics = self.metrics
-        track = metrics is not None and metrics.enabled
+        track = metrics is not None
         for queue in self.queues:
             if track and queue.depth:
                 metrics.observe_many(
@@ -441,7 +441,7 @@ class StreamingPipeline:
         """Drain the queues through the merge point and the detector."""
         self._collect()
         metrics = self.metrics
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             metrics.observe(
                 "detection.pipeline.reorder_depth", len(self._ready) + len(self._pending)
             )

@@ -93,10 +93,10 @@ class StreamingDetector:
     ``metrics`` records ``detection.pipeline.*`` counters and the
     per-update latency histogram, folded into the registry once per
     batch (an update's latency runs from its clock read to the next
-    update's; the registry switch is read once per batch).  Updates
-    towards ``detection.updates_to_first_alarm`` are counted
+    update's; whether a registry is attached is read once per batch).
+    Updates towards ``detection.updates_to_first_alarm`` are counted
     unconditionally (the registry may be attached between batches);
-    only the ``observe()`` is gated on an enabled registry.
+    only the ``observe()`` is gated on a registry.
     """
 
     def __init__(
@@ -161,7 +161,7 @@ class StreamingDetector:
         a prefix shows, however many monitors carry it.
         """
         metrics = self.metrics
-        track = metrics is not None and metrics.enabled
+        track = metrics is not None
         inspect_change = self._detector.inspect_change
         prefixes = self._prefixes
         alarms: list[Alarm] = []

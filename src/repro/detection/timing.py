@@ -228,7 +228,7 @@ def detection_timing(
         if alarming
         else (),
     )
-    if metrics is not None and metrics.enabled:
+    if metrics is not None:
         metrics.count("collector.rows", collector.rows - rows_before)
         metrics.count("detection.timings")
         metrics.count("detection.alarms", len(timing.alarms))

@@ -13,8 +13,6 @@ experiment ids to ``(config factory, run function)`` and
 from __future__ import annotations
 
 import dataclasses
-import functools
-import inspect
 from collections.abc import Callable
 
 from repro.exceptions import ExperimentError
@@ -94,11 +92,6 @@ REGISTRY: dict[str, tuple[Callable[[], object], Callable[..., ExperimentResult]]
 }
 
 
-@functools.cache
-def _takes_metrics(runner: Callable[..., ExperimentResult]) -> bool:
-    return "metrics" in inspect.signature(runner).parameters
-
-
 def experiment_config(experiment_id: str, config: object | None = None, **overrides):
     """The config a registered experiment runs with.
 
@@ -127,10 +120,7 @@ def run_experiment(
     **overrides,
 ) -> ExperimentResult:
     """Run a registered experiment by id: registry lookup,
-    :func:`experiment_config`, then the run function — which records
-    into ``metrics`` if it is instrumented (the ablations are not)."""
+    :func:`experiment_config`, then the run function, which records
+    into ``metrics``."""
     config = experiment_config(experiment_id, config, **overrides)
-    runner = REGISTRY[experiment_id][1]
-    if metrics is not None and _takes_metrics(runner):
-        return runner(config, metrics=metrics)
-    return runner(config)
+    return REGISTRY[experiment_id][1](config, metrics=metrics)

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 from repro.attack.interception import simulate_interception
 from repro.exceptions import ExperimentError
-from repro.experiments.base import ExperimentResult, build_world, sample_attack_pairs
+from repro.experiments.base import ExperimentResult, build_world, instrumented, sample_attack_pairs
 from repro.mitigation.reactive import reactive_padding_reduction
 from repro.secpol.deployment import simulate_cautious_deployment
+from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
 __all__ = ["AblationDefenseConfig", "run"]
@@ -35,9 +36,12 @@ class AblationDefenseConfig:
     deployment_fractions: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
 
 
-def run(config: AblationDefenseConfig = AblationDefenseConfig()) -> ExperimentResult:
+@instrumented("ablation-defense")
+def run(
+    config: AblationDefenseConfig = AblationDefenseConfig(), *, metrics: RunMetrics | None = None
+) -> ExperimentResult:
     """Measure residual pollution under each defence."""
-    world = build_world(seed=config.seed, scale=config.scale)
+    world = build_world(seed=config.seed, scale=config.scale, metrics=metrics)
     rng = derive_rng(make_rng(config.seed), "ablation-defense")
     # Defences matter most against the attacks that matter: sample
     # attackers from the upper tiers, where pollution is substantial

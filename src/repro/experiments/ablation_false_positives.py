@@ -25,8 +25,9 @@ from repro.detection.alarms import Confidence
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.monitors import top_degree_monitors
 from repro.exceptions import ExperimentError
-from repro.experiments.base import ExperimentResult, build_world
+from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.measurement.padding_model import PaddingBehaviorModel
+from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
 __all__ = ["AblationFalsePositivesConfig", "run"]
@@ -41,13 +42,16 @@ class AblationFalsePositivesConfig:
     monitors: int = 150
 
 
+@instrumented("ablation-fp")
 def run(
     config: AblationFalsePositivesConfig = AblationFalsePositivesConfig(),
+    *,
+    metrics: RunMetrics | None = None,
 ) -> ExperimentResult:
     """Replay legitimate padding changes and count alarms."""
     if config.events < 1:
         raise ExperimentError("need at least one TE event")
-    world = build_world(seed=config.seed, scale=config.scale)
+    world = build_world(seed=config.seed, scale=config.scale, metrics=metrics)
     graph = world.graph
     rng = derive_rng(make_rng(config.seed), "ablation-fp")
     model = PaddingBehaviorModel(prepend_prob=1.0)

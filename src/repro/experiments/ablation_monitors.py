@@ -29,7 +29,8 @@ from repro.detection.monitors import (
 from repro.detection.placement import attacker_coverage, greedy_cover_monitors
 from repro.detection.timing import detection_timing
 from repro.exceptions import DetectionError, ExperimentError
-from repro.experiments.base import ExperimentResult, build_world, sample_attack_pairs
+from repro.experiments.base import ExperimentResult, build_world, instrumented, sample_attack_pairs
+from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
 __all__ = ["AblationMonitorsConfig", "run"]
@@ -44,9 +45,12 @@ class AblationMonitorsConfig:
     monitor_budget: int = 100
 
 
-def run(config: AblationMonitorsConfig = AblationMonitorsConfig()) -> ExperimentResult:
+@instrumented("ablation-monitors")
+def run(
+    config: AblationMonitorsConfig = AblationMonitorsConfig(), *, metrics: RunMetrics | None = None
+) -> ExperimentResult:
     """Compare detection accuracy across placement strategies."""
-    world = build_world(seed=config.seed, scale=config.scale)
+    world = build_world(seed=config.seed, scale=config.scale, metrics=metrics)
     graph = world.graph
     rng = derive_rng(make_rng(config.seed), "ablation-monitors")
     pairs = sample_attack_pairs(world, config.pairs, rng)

@@ -26,7 +26,8 @@ from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.monitors import top_degree_monitors
 from repro.detection.timing import detection_timing
 from repro.exceptions import ExperimentError
-from repro.experiments.base import ExperimentResult, build_world, sample_attack_pairs
+from repro.experiments.base import ExperimentResult, build_world, instrumented, sample_attack_pairs
+from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
 __all__ = ["AblationScaleConfig", "run"]
@@ -42,14 +43,17 @@ class AblationScaleConfig:
     monitor_fraction: float = 0.1
 
 
-def run(config: AblationScaleConfig = AblationScaleConfig()) -> ExperimentResult:
+@instrumented("ablation-scale")
+def run(
+    config: AblationScaleConfig = AblationScaleConfig(), *, metrics: RunMetrics | None = None
+) -> ExperimentResult:
     """Regenerate the two headline statistics at each scale."""
     if not config.scales:
         raise ExperimentError("need at least one scale")
     rows: list[tuple[object, ...]] = []
     summary: dict[str, float] = {}
     for scale in config.scales:
-        world = build_world(seed=config.seed, scale=scale)
+        world = build_world(seed=config.seed, scale=scale, metrics=metrics)
         graph = world.graph
         rng = derive_rng(make_rng(config.seed), f"scale-{scale}")
 

@@ -37,7 +37,6 @@ __all__ = [
     "ExperimentWorld",
     "attack_pools",
     "build_world",
-    "experiment_timer",
     "generate_world",
     "instrumented",
     "provider_ancestors",
@@ -56,7 +55,7 @@ def instrumented(experiment_id: str):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             metrics = kwargs.get("metrics")
-            with experiment_timer(metrics, experiment_id):
+            with _timed(metrics, f"experiment.{experiment_id}_seconds"):
                 result = fn(*args, **kwargs)
             result.metrics = metrics
             return result
@@ -69,17 +68,9 @@ def instrumented(experiment_id: str):
 def _timed(metrics: RunMetrics | None, name: str) -> AbstractContextManager:
     """Context manager timing its body into timer ``name`` of
     ``metrics``; a no-op when metrics are off."""
-    if metrics is None or not metrics.enabled:
+    if metrics is None:
         return nullcontext()
     return metrics.time(name)
-
-
-def experiment_timer(
-    metrics: RunMetrics | None, experiment_id: str
-) -> AbstractContextManager:
-    """Context manager timing one experiment run into ``metrics``
-    (``experiment.<id>_seconds``); a no-op when metrics are off."""
-    return _timed(metrics, f"experiment.{experiment_id}_seconds")
 
 
 @dataclass

@@ -66,6 +66,7 @@ def run(
         num_prefixes=config.num_prefixes,
         churn_origins=config.churn_origins,
         churn_events=config.churn_events,
+        metrics=metrics,
     )
     all_fracs = prepended_fraction_per_monitor(data.ribs)
     series: dict[str, EmpiricalCDF] = {"all (table)": EmpiricalCDF(all_fracs.values())}

@@ -42,6 +42,7 @@ def run(
         num_prefixes=config.num_prefixes,
         churn_origins=config.churn_origins,
         churn_events=config.churn_events,
+        metrics=metrics,
     )
     table_dist = padding_count_distribution(data.ribs.all_paths())
     try:

@@ -21,7 +21,7 @@ the final converged view.
 The top-d fleets are nested and every alarm needs a witness inside the
 fleet, so "detected" can only switch from no to yes as d grows: each
 series bisects, per attack, for the smallest detecting fleet over the
-sorted, de-duplicated fleet sizes (DESIGN decision 27).  An enabled
+sorted, de-duplicated fleet sizes (DESIGN decision 27).  A
 registry's ``detection.timings``, ``detection.pipeline.*`` and
 ``collector.rows`` therefore count the probes the searches made — at
 most ``n.bit_length()`` per attack for the batch series over ``n``
@@ -115,19 +115,6 @@ def run(
     pairs = sample_attack_pairs(world, config.pairs, rng)
     detector = ASPPInterceptionDetector(graph)
 
-    attacks = []
-    for attacker, victim in pairs:
-        result = simulate_interception(
-            world.engine,
-            victim=victim,
-            attacker=attacker,
-            origin_padding=config.origin_padding,
-        )
-        if result.report.after:
-            attacks.append(result)
-    if not attacks:
-        raise ExperimentError("no effective attacks in the sampled pairs")
-
     counts = [count for count in config.monitor_counts if count <= len(graph)]
     if any(count < 1 for count in counts):
         raise ExperimentError("monitor counts must be positive")
@@ -140,23 +127,38 @@ def run(
     # detecting fleet; first[i] attacks first detect at sizes[i], and
     # first[-1] never do.  The streaming search starts where the batch
     # one ended: the series mostly agree, and the fleets there already
-    # hold this attack's view pairs.
+    # hold this attack's view pairs.  Each effective attack is detected
+    # as soon as it is simulated, so one attack is held at a time.
     first_batch = [0] * (len(sizes) + 1)
     first_stream = [0] * (len(sizes) + 1)
-    for result in attacks:
-        probe = (result, detector, metrics)
-        batch = bisect_left(fleets, True, key=partial(_batch_detects, *probe))
+    effective = 0
+    for attacker, victim in pairs:
+        result = simulate_interception(
+            world.engine,
+            victim=victim,
+            attacker=attacker,
+            origin_padding=config.origin_padding,
+        )
+        if not result.report.after:
+            continue
+        effective += 1
+        batch = bisect_left(fleets, True, key=partial(_batch_detects, result, detector, metrics))
         first_batch[batch] += 1
-        first_stream[_first_detecting(fleets, partial(_stream_detects, *probe), batch)] += 1
+        stream = _first_detecting(
+            fleets, partial(_stream_detects, result, detector, metrics), batch
+        )
+        first_stream[stream] += 1
+    if not effective:
+        raise ExperimentError("no effective attacks in the sampled pairs")
     detected_by = dict(zip(sizes, accumulate(first_batch)))
     stream_detected_by = dict(zip(sizes, accumulate(first_stream)))
 
     rows = []
-    summary: dict[str, float] = {"effective_attacks": float(len(attacks))}
+    summary: dict[str, float] = {"effective_attacks": float(effective)}
     for count in counts:
         detected = detected_by[count]
-        accuracy = 100 * detected / len(attacks)
-        stream_accuracy = 100 * stream_detected_by[count] / len(attacks)
+        accuracy = 100 * detected / effective
+        stream_accuracy = 100 * stream_detected_by[count] / effective
         rows.append((count, detected, round(accuracy, 1), round(stream_accuracy, 1)))
         summary[f"accuracy_pct_{count}_monitors"] = accuracy
         summary[f"streaming_accuracy_pct_{count}_monitors"] = stream_accuracy

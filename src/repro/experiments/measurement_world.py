@@ -16,6 +16,7 @@ from repro.detection.monitors import top_degree_monitors
 from repro.experiments.base import ExperimentWorld, build_world
 from repro.measurement.padding_model import PaddingBehaviorModel
 from repro.measurement.ribs import MonitorRIBs, build_monitor_ribs
+from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
 __all__ = ["MeasurementWorld", "build_measurement_world"]
@@ -41,15 +42,17 @@ def build_measurement_world(
     churn_origins: int = 40,
     churn_events: int = 2,
     model: PaddingBehaviorModel | None = None,
+    metrics: RunMetrics | None = None,
 ) -> MeasurementWorld:
     """Build monitor RIBs and an update stream over one world.
 
     ``churn_origins`` of the prefixes (preferring those whose origin
     prepends, since those expose padded backup routes) experience
     ``churn_events`` link-failure events each; the resulting update
-    messages feed the "updates" series of both figures.
+    messages feed the "updates" series of both figures.  ``metrics``
+    instruments the world (:func:`~repro.experiments.base.build_world`).
     """
-    world = build_world(seed=seed, scale=scale)
+    world = build_world(seed=seed, scale=scale, metrics=metrics)
     graph = world.graph
     rng = make_rng(seed)
     model = model or PaddingBehaviorModel()
@@ -89,7 +92,7 @@ def build_measurement_world(
         origin = ribs.origins[prefix]
         updates.extend(
             simulate_update_stream(
-                graph,
+                world.engine,
                 origin,
                 collector,
                 prefix=prefix,

@@ -29,7 +29,7 @@ fully warm store performs *zero* propagations); only missing cells
 run, each recorded as it settles, so a failed or interrupted sweep
 keeps what it finished and a rerun executes only the rest.  Serially,
 the kernel-eligible points of a batch run as one kernel batch ahead of
-the loop (``prepare=WorkerContext.park_impact``).  ``cache`` optionally
+the loop.  ``cache`` optionally
 shares one :class:`BaselineCache` across several serial sweeps on the
 same engine (e.g. a figure's valley-free and policy-violating series,
 whose baselines coincide).
@@ -51,7 +51,6 @@ from repro.runner import (
     RunConfig,
     SweepPointResult,
     SweepPointTask,
-    WorkerContext,
     run_batch,
     sample_attack_pairs,
 )
@@ -84,10 +83,7 @@ def padding_sweep(
         )
         for padding in paddings
     ]
-    results = run_batch(
-        engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
-    )
-    return [result.row() for result in results]
+    return [result.row() for result in run_batch(engine, tasks, run, cache=cache)]
 
 
 def pair_grid(
@@ -106,9 +102,7 @@ def pair_grid(
         SweepPointTask(victim=victim, attacker=attacker, padding=origin_padding)
         for attacker, victim in pairs
     ]
-    return run_batch(
-        engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
-    )
+    return run_batch(engine, tasks, run, cache=cache)
 
 
 def exhaustive_grid(
@@ -187,9 +181,7 @@ def deployment_sweep(
         )
         for fraction in fractions
     ]
-    return run_batch(
-        engine, tasks, run, cache=cache, prepare=WorkerContext.park_impact
-    )
+    return run_batch(engine, tasks, run, cache=cache)
 
 
 def campaign(

@@ -6,9 +6,10 @@ characterisation, hopeless for generating the hundreds of thousands of
 updates a throughput benchmark needs.  This module trades generality
 for rate: it converges each prefix's baseline and a small pool of
 link-failure scenarios **once** — all on one engine and one compiled
-topology, a failed link being a pair of import filters rather than a
-new graph — then replays failure/recovery flaps drawn from that pool,
-so stream length is decoupled from engine work.
+topology, a failed link being the same pair of import filters
+(:func:`~repro.bgp.updates.link_down`) — then replays failure/recovery
+flaps drawn from that pool, so stream length is decoupled from engine
+work.
 
 The synthesized mix mirrors what public collectors actually see:
 
@@ -35,7 +36,7 @@ from repro.attack.interception import InterceptionResult, simulate_interception
 from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.updates import SequencedUpdate, StampedStream, UpdateMessage, stamp
+from repro.bgp.updates import SequencedUpdate, StampedStream, UpdateMessage, link_down, stamp
 from repro.detection.monitors import top_degree_monitors
 from repro.detection.streaming import attack_update_stream
 from repro.exceptions import SimulationError
@@ -218,16 +219,11 @@ def synthesize_churn_stream(
         secondary = PrependingPolicy.uniform_origin(origin, backup)
         flaps: list[list[UpdateMessage]] = []
         for failed in failures:
-            # The link origin–failed is down: neither end hears the
-            # other, everything else converges on the same topology.
             degraded = engine.propagate(
                 origin,
                 prefix=prefix,
                 prepending=secondary,
-                import_filters={
-                    failed: lambda sender, path, origin=origin: sender != origin,
-                    origin: lambda sender, path, failed=failed: sender != failed,
-                },
+                import_filters=link_down(origin, failed),
             )
             messages = _flap_messages(baseline_view, collector.snapshot(degraded))
             if messages:

@@ -310,7 +310,7 @@ def run_closed_loop(
     if detected_at is not None and policy.strategy != "none":
         new_padding, mitigated, recovery_rounds, touched = controller.mitigate(stream)
         slos.record("recovery-deadline", recovery_rounds)
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             metrics.count("mitigation.reactions")
             metrics.observe("mitigation.recovery_rounds", recovery_rounds)
             metrics.observe("mitigation.touched_ases", touched)

@@ -11,10 +11,9 @@ There is one way to do that.  *How* a batch runs is one frozen
 :class:`RunConfig`, and :func:`run_batch` (:mod:`repro.runner.batch`)
 replays whatever the run's content-addressed
 :class:`~repro.store.CampaignStore` (a ``--store`` directory) already
-holds, runs the missing cells on one
-:class:`SupervisedExecutor` and records each result as it settles.
-The executor (:mod:`repro.runner.supervisor`) runs tasks inline against
-one :class:`WorkerContext`, or on a forked process pool whose workers
+holds, runs the missing cells and records each result as it settles:
+inline against one :class:`WorkerContext` over the caller's engine, or
+on one forked process pool (:mod:`repro.runner.executor`) whose workers
 inherit the parent's graph and its compiled topology.  A failed cell
 fails the batch; a rerun on the same store executes only the cells
 that had not settled.
@@ -26,7 +25,6 @@ from repro.runner.cache import BaselineCache
 from repro.runner.executor import available_cpus, execute_task, resolve_workers
 from repro.runner.fingerprint import task_fingerprint
 from repro.runner.sampling import sample_attack_pairs
-from repro.runner.supervisor import SupervisedExecutor
 from repro.runner.tasks import (
     CampaignPairResult,
     CampaignPairTask,
@@ -35,7 +33,6 @@ from repro.runner.tasks import (
     SweepPointResult,
     SweepPointTask,
     WorkerContext,
-    WorkerSpec,
 )
 
 __all__ = [
@@ -45,11 +42,9 @@ __all__ = [
     "DeploymentPointResult",
     "DeploymentPointTask",
     "RunConfig",
-    "SupervisedExecutor",
     "SweepPointResult",
     "SweepPointTask",
     "WorkerContext",
-    "WorkerSpec",
     "available_cpus",
     "execute_task",
     "resolve_workers",

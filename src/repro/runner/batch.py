@@ -8,14 +8,14 @@ validated value from the CLI flags (or a library caller) down to
 
 * looks every task's fingerprint up in the run's one store **before
   anything is queued**: hits go straight into their result slots and
-  only missing cells run (an all-hits batch builds no executor and
+  only missing cells run (an all-hits batch builds no context and
   compiles no topology);
-* runs the missing cells on one
-  :class:`~repro.runner.supervisor.SupervisedExecutor` — in-process on
-  the caller's engine and cache, or a worker pool;
-* ``put``-s each result into the store **as it settles**, through the
-  executor's ``on_settled`` callback, so a failed or interrupted run
-  keeps every cell it finished, and rerunning it executes only the rest.
+* runs the missing cells inline on one
+  :class:`~repro.runner.tasks.WorkerContext` over the caller's engine
+  and cache, or on one forked pool (:func:`~repro.runner.executor.run_pooled`);
+* ``put``-s each result into the store **as it settles**, so a failed
+  or interrupted run keeps every cell it finished, and rerunning it
+  executes only the rest.
 
 The result list is bit-identical at any worker count and persistence
 state: every task is a pure function of its descriptor, so *where* it
@@ -25,7 +25,7 @@ runs can never change *what* it returns.  Telemetry lands under
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,8 +33,8 @@ from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
 from repro.runner.fingerprint import task_fingerprint
-from repro.runner.supervisor import SupervisedExecutor
-from repro.runner.tasks import WorkerSpec
+from repro.runner.executor import execute_task, resolve_workers, run_pooled
+from repro.runner.tasks import WorkerContext
 from repro.store.store import MISSING, get_active_store
 from repro.telemetry.metrics import RunMetrics
 
@@ -73,21 +73,21 @@ def run_batch(
     *,
     cache: BaselineCache | None = None,
     monitors: tuple[int, ...] | None = None,
-    prepare: Callable[[Any, list[Any]], None] | None = None,
 ) -> list[Any]:
     """Run ``tasks`` on ``engine``'s topology as ``run`` says; results
     in task order.
 
     Recorded cells replay from the store (``run.store``, else the
     ambient binding); only missing cells run, each recorded as it
-    settles.  The first failure ends the batch with the executor's
+    settles.  The first failure ends the batch with the cell's own
     error, after every cell that settled before it was recorded.
-    Serially the executor adopts ``engine`` and ``cache`` and records
-    straight into ``run.metrics``; a pooled run builds its own contexts
-    and merges the deltas its workers ship back, so the deterministic
-    counters are identical for every worker count.  ``monitors`` is the
-    fleet of tasks that run detection; ``prepare(ctx, missing_tasks)``
-    is a warm-up run on the serial context before the loop.
+    Serially the batch runs on ``engine`` and ``cache`` with
+    ``run.metrics`` wired in, the kernel-eligible sweep points first as
+    one impact-kernel batch (:meth:`WorkerContext.park_impact`), and
+    each gets its own registry back; a pooled run builds its own
+    contexts and merges the deltas its workers ship back, so the
+    deterministic counters are identical for every worker count.
+    ``monitors`` is the fleet of tasks that run detection.
     """
     metrics = run.metrics
     store = run.store if run.store is not None else get_active_store()
@@ -96,29 +96,33 @@ def run_batch(
         MISSING if store is None else store.get(fp, MISSING) for fp in fingerprints
     ]
     todo = [index for index, value in enumerate(results) if value is MISSING]
-    if metrics is not None and metrics.enabled:
+    if metrics is not None:
         hits = len(results) - len(todo)
         for name, n in (("tasks", len(results)), ("store_hits", hits), ("executed", len(todo))):
             if n:
                 metrics.count(f"scheduler.{name}", n)
     if not todo:
         return results
-    spec = WorkerSpec(
-        engine.graph,
-        monitors=monitors,
-        metrics_enabled=metrics is not None and metrics.enabled,
-    )
     batch = [tasks[index] for index in todo]
-
-    def record(position: int, value: Any) -> None:
-        store.put(fingerprints[todo[position]], value)
-
-    with SupervisedExecutor(
-        spec, workers=run.workers, engine=engine, cache=cache, metrics=metrics
-    ) as executor:
-        if prepare is not None and executor.context is not None:
-            prepare(executor.context, batch)
-        values = executor.run(batch, None if store is None else record)
+    on_settled = None if store is None else (lambda i, v: store.put(fingerprints[todo[i]], v))
+    workers = resolve_workers(run.workers)
+    if workers > 1:
+        values = run_pooled(
+            engine.graph, batch, workers, monitors=monitors, metrics=metrics, on_settled=on_settled
+        )
+    else:
+        values = []
+        adopted = [(each, each.metrics) for each in (engine, cache) if each is not None]
+        try:
+            ctx = WorkerContext(engine, cache=cache, monitors=monitors, metrics=metrics)
+            ctx.park_impact(batch)
+            for position, task in enumerate(batch):
+                values.append(execute_task(task, ctx))
+                if on_settled is not None:
+                    on_settled(position, values[-1])
+        finally:
+            for each, registry in adopted:
+                each.metrics = registry
     for index, value in zip(todo, values):
         results[index] = value
     return results

@@ -35,7 +35,6 @@ from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 
 __all__ = [
-    "WorkerSpec",
     "WorkerContext",
     "SweepPointTask",
     "SweepPointResult",
@@ -46,60 +45,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a worker needs to build its execution context.
-
-    A pool receives the spec as its initializer argument.  The pool is
-    forked, so ``graph`` is the parent's own object, inherited together
-    with the compiled topology the parent memoised on it: a worker
-    neither unpickles nor compiles a topology.
-    """
-
-    graph: ASGraph
-    #: monitor fleet for tasks that run detection; ``None`` when the
-    #: workload is pure propagation (λ-sweeps).
-    monitors: tuple[int, ...] | None = None
-    #: when True each worker keeps a :class:`RunMetrics` registry wired
-    #: into its engine, cache and detection pipeline, and ships a
-    #: metrics delta back with every task result.
-    metrics_enabled: bool = False
-
-
 class WorkerContext:
     """Per-worker state: compiled engine, baseline cache, detection."""
 
     def __init__(
         self,
-        spec: WorkerSpec,
+        engine: PropagationEngine,
         *,
-        engine: PropagationEngine | None = None,
         cache: BaselineCache | None = None,
+        monitors: tuple[int, ...] | None = None,
         metrics: RunMetrics | None = None,
     ) -> None:
-        # ``metrics`` lets the serial path record straight into the
-        # caller's registry; pool workers build their own per-process
-        # one from the spec.  When enabled, the context wires the
-        # registry into the engine and cache it runs tasks against —
-        # callers that *adopt* an existing engine/cache are responsible
-        # for restoring the previous attachment afterwards.
-        self.metrics = metrics if metrics is not None else RunMetrics(
-            enabled=spec.metrics_enabled
-        )
-        self.engine = engine if engine is not None else PropagationEngine(spec.graph)
-        if cache is not None and cache.engine is not self.engine:
+        # ``metrics`` (``None``: off) is wired into the engine and cache;
+        # a caller that hands in its own restores their registries.
+        self.metrics = metrics
+        self.engine = engine
+        if cache is not None and cache.engine is not engine:
             raise SimulationError("shared cache must belong to this context's engine")
-        self.cache = cache if cache is not None else BaselineCache(self.engine)
-        if self.metrics.enabled:
-            self.engine.metrics = self.metrics
-            self.cache.metrics = self.metrics
+        self.cache = cache if cache is not None else BaselineCache(engine)
+        if metrics is not None:
+            engine.metrics = metrics
+            self.cache.metrics = metrics
         # Impact-kernel route (see :meth:`impact_counts`): the kernel or
         # the reason this context has none, resolved on first use, and
         # the counts :meth:`park_impact` computed ahead as one batch.
         self._impact_kernel = None
         self._impact_fallback: str | None = None
         self._impact_parked: dict = {}
-        self._monitors = spec.monitors
+        self._monitors = monitors
         self._collector: RouteCollector | None = None
         self._detector: ASPPInterceptionDetector | None = None
         # Security-policy working set, memoised per worker: strategy
@@ -120,8 +93,8 @@ class WorkerContext:
         if self._collector is None:
             if self._monitors is None:
                 raise SimulationError(
-                    "this worker was built without a monitor fleet; campaign "
-                    "tasks need WorkerSpec.monitors"
+                    "this context was built without a monitor fleet; campaign "
+                    "tasks need monitors"
                 )
             self._collector = RouteCollector(self.graph, self._monitors)
         return self._collector
@@ -209,11 +182,12 @@ class WorkerContext:
         if counts is None:
             reason = self._impact_route(task)
             if reason is not None:
-                if reason != "invalid":
+                if reason != "invalid" and self.metrics is not None:
                     self.metrics.count(f"engine.impact.fallbacks.{reason}")
                 return None
             (counts,) = self._run_impact([task])
-        self.metrics.count("engine.impact.cells")
+        if self.metrics is not None:
+            self.metrics.count("engine.impact.cells")
         return (*counts, self._impact_kernel.topo.n - 2)
 
     # -- security-policy deployment helpers -----------------------------
@@ -497,7 +471,7 @@ class CampaignPairTask:
             ctx.detector,
             min_confidence=self.min_confidence,
             attacker_feeds_collector=self.attacker_feeds_collector,
-            metrics=ctx.metrics if ctx.metrics.enabled else None,
+            metrics=ctx.metrics,
         )
         report = result.report
         return CampaignPairResult(

@@ -304,7 +304,7 @@ class CampaignStore:
     # -- telemetry ------------------------------------------------------
     def _count(self, name: str, n: int = 1) -> None:
         registry = self.metrics
-        if registry is not None and registry.enabled and n:
+        if registry is not None and n:
             registry.count(name, n)
 
     # -- file descriptors ----------------------------------------------

@@ -3,15 +3,16 @@
 Every layer of the simulator can report what work it did into a
 :class:`RunMetrics` registry — announcements processed and decision
 fast-path hits in the engine, baseline-cache hits and misses in
-the runner, per-worker task counts in the executor, updates consumed
-and time-to-first-alarm in the detectors.  Registries are zero-overhead
-when disabled, picklable, and mergeable, so per-worker metrics from a
+the runner, per-worker task counts in the batch runner, updates
+consumed and time-to-first-alarm in the detectors.  "Metrics off" is
+``metrics=None``, which costs one hoisted check per hot loop;
+registries are picklable and mergeable, so per-worker metrics from a
 process pool aggregate exactly into one report; the report serialises
 to JSONL event logs or a human-readable summary table.
 
 Instrumentation never changes results: metrics are pure observations,
-and the differential test suite pins that a metrics-enabled run
-produces bit-identical experiment artefacts to a disabled one.
+and the differential test suite pins that a run recording into a
+registry produces bit-identical experiment artefacts to one without.
 """
 
 from repro.telemetry.metrics import (

@@ -1,16 +1,15 @@
 """Run-telemetry primitives: counters, timers, histograms, registry.
 
-The simulator's hot layers (engine, baseline cache, sweep executor,
+The simulator's hot layers (engine, baseline cache, batch runner,
 detectors) report *what work they did* — announcements processed,
 decision fast-path hits, cache misses, updates consumed — into a
 :class:`RunMetrics` registry.  The registry is designed around three
 hard requirements:
 
-* **zero overhead when disabled** — every recording method returns
-  immediately on a disabled registry, and the instrumented call sites
-  hoist a single ``metrics is not None and metrics.enabled`` check out
-  of their hot loops, so an uninstrumented run pays nothing but that
-  one branch;
+* **zero overhead when off** — "metrics off" is ``metrics=None``,
+  and the instrumented call sites hoist a single ``metrics is not
+  None`` check out of their hot loops, so an uninstrumented run pays
+  nothing but that one branch;
 * **picklable and exactly mergeable** — a process-pool worker keeps its
   own registry and ships per-task deltas back with each result;
   :meth:`RunMetrics.merge` sums them so a pooled run's aggregate equals
@@ -216,14 +215,13 @@ class Histogram:
 class RunMetrics:
     """The registry: named counters, histograms, timers and info tags.
 
-    Create one per run (``RunMetrics()``) or a disabled sentinel
-    (``RunMetrics(enabled=False)``) whose recording methods are no-ops.
-    The registry is a plain picklable object; :meth:`merge` folds
-    another registry (or a :meth:`take` delta) in by exact summation.
+    Create one per run (``RunMetrics()``); a run without metrics passes
+    ``None`` instead.  The registry is a plain picklable object;
+    :meth:`merge` folds another registry (or a :meth:`take` delta) in by
+    exact summation.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.histograms: dict[str, Histogram] = {}
         self.timers: dict[str, Timer] = {}
@@ -234,16 +232,12 @@ class RunMetrics:
 
     # -- recording ------------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
-        if not self.enabled:
-            return
         counter = self.counters.get(name)
         if counter is None:
             counter = self.counters[name] = Counter(name)
         counter.value += n
 
     def observe(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = self.histograms[name] = Histogram(name)
@@ -252,7 +246,7 @@ class RunMetrics:
     def observe_many(self, name: str, values: Sequence[float]) -> None:
         """Fold a batch of observations into histogram ``name`` (one
         lookup; no histogram is created for an empty batch)."""
-        if not self.enabled or not values:
+        if not values:
             return
         histogram = self.histograms.get(name)
         if histogram is None:
@@ -260,24 +254,17 @@ class RunMetrics:
         histogram.observe_many(values)
 
     def timer_add(self, name: str, seconds: float) -> None:
-        if not self.enabled:
-            return
         timer = self.timers.get(name)
         if timer is None:
             timer = self.timers[name] = Timer(name)
         timer.add(seconds)
 
     def info_add(self, name: str, n: int = 1) -> None:
-        if not self.enabled:
-            return
         self.info[name] = self.info.get(name, 0) + n
 
     @contextmanager
     def time(self, name: str) -> Iterator[None]:
         """Context manager timing its body into timer ``name``."""
-        if not self.enabled:
-            yield
-            return
         start = time.perf_counter()
         try:
             yield

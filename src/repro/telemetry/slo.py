@@ -159,7 +159,7 @@ class SLOTracker:
             at=self.observations,
         )
         self.breaches.append(event)
-        if self.metrics is not None and self.metrics.enabled:
+        if self.metrics is not None:
             self.metrics.count(f"slo.breaches.{self.slo.name}")
         return event
 

@@ -16,7 +16,7 @@ from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
 from repro.exceptions import ConvergenceError, SimulationError, UnknownASError
 from repro.experiments.sweeps import campaign
-from repro.runner import WorkerSpec
+from repro.runner import RunConfig, WorkerContext
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import PrefClass
@@ -316,7 +316,7 @@ class TestColdCore:
     ):
         if patch is not None:
             monkeypatch.setattr(vectorized, *patch)
-        metrics = RunMetrics(enabled=True)
+        metrics = RunMetrics()
         engine = PropagationEngine(diamond_graph, metrics=metrics)
         outcome = engine.propagate(5, **run)
         assert outcome == loop_propagate(engine, 5, **run)
@@ -326,7 +326,7 @@ class TestColdCore:
 
     def test_a_stock_cold_run_is_a_kernel_column(self, diamond_graph):
         pytest.importorskip("numpy", reason="the wave kernel requires numpy")
-        metrics = RunMetrics(enabled=True)
+        metrics = RunMetrics()
         engine = PropagationEngine(diamond_graph, metrics=metrics)
         baseline = engine.propagate(5, prepending=PrependingPolicy.uniform_origin(5, 2))
         engine.propagate(5, warm_start=baseline, modifiers={3: lambda path: path[-1:]})
@@ -349,7 +349,8 @@ class TestOneEngine:
             inspect.signature(PropagationEngine.__init__).parameters,
             inspect.signature(PropagationEngine.propagate).parameters,
             inspect.signature(campaign).parameters,
-            {field.name: field for field in dataclasses.fields(WorkerSpec)},
+            inspect.signature(WorkerContext.__init__).parameters,
+            {field.name: field for field in dataclasses.fields(RunConfig)},
         ]
         for parameters in signatures:
             assert not spelled & set(parameters), sorted(parameters)

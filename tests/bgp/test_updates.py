@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.collectors import RouteCollector
+from repro.bgp.engine import PropagationEngine
 from repro.bgp.updates import (
     SequencedUpdate,
     StampedStream,
     UpdateMessage,
+    link_down,
     simulate_update_stream,
     stamp,
 )
@@ -39,7 +41,7 @@ def test_failures_produce_updates(multihomed):
     prepending = PrependingPolicy()
     prepending.set_padding(100, 2, 4)  # backup link heavily padded
     messages = simulate_update_stream(
-        multihomed,
+        PropagationEngine(multihomed),
         100,
         collector,
         prefix="192.0.2.0/24",
@@ -59,7 +61,7 @@ def test_updates_are_deterministic(multihomed):
     collector = RouteCollector(multihomed, [10, 20])
     runs = [
         simulate_update_stream(
-            multihomed,
+            PropagationEngine(multihomed),
             100,
             collector,
             prefix="192.0.2.0/24",
@@ -75,7 +77,7 @@ def test_no_events_no_updates(multihomed):
     collector = RouteCollector(multihomed, [10])
     assert (
         simulate_update_stream(
-            multihomed, 100, collector, prefix="p", events=0, rng=random.Random(0)
+            PropagationEngine(multihomed), 100, collector, prefix="p", events=0, rng=random.Random(0)
         )
         == []
     )
@@ -85,7 +87,7 @@ def test_negative_events_rejected(multihomed):
     collector = RouteCollector(multihomed, [10])
     with pytest.raises(SimulationError):
         simulate_update_stream(
-            multihomed, 100, collector, prefix="p", events=-1, rng=random.Random(0)
+            PropagationEngine(multihomed), 100, collector, prefix="p", events=-1, rng=random.Random(0)
         )
 
 
@@ -96,7 +98,7 @@ def test_isolated_origin_rejected():
     collector = RouteCollector(graph, [2])
     with pytest.raises(SimulationError):
         simulate_update_stream(
-            graph, 1, collector, prefix="p", events=1, rng=random.Random(0)
+            PropagationEngine(graph), 1, collector, prefix="p", events=1, rng=random.Random(0)
         )
 
 
@@ -104,7 +106,7 @@ def test_original_graph_untouched(multihomed):
     collector = RouteCollector(multihomed, [10])
     edges_before = list(multihomed.edges())
     simulate_update_stream(
-        multihomed, 100, collector, prefix="p", events=3, rng=random.Random(2)
+        PropagationEngine(multihomed), 100, collector, prefix="p", events=3, rng=random.Random(2)
     )
     assert list(multihomed.edges()) == edges_before
 
@@ -241,3 +243,22 @@ def test_stamping_builds_no_object_per_update():
     grown = len(gc.get_objects()) - before
     assert len(stamped) == 200_000
     assert grown < 100
+
+
+def test_link_down_equals_a_graph_without_the_link(small_world):
+    """The import-filter pair converges exactly where a copy of the
+    graph with the link removed does."""
+    graph = small_world.graph
+    engine = PropagationEngine(graph)
+    origin = small_world.stubs[0]
+    prepending = PrependingPolicy.uniform_origin(origin, 2)
+    for failed in sorted(graph.neighbors_of(origin)):
+        degraded = graph.copy()
+        degraded.remove_edge(origin, failed)
+        filtered = engine.propagate(
+            origin, prepending=prepending, import_filters=link_down(origin, failed)
+        )
+        removed = PropagationEngine(degraded).propagate(origin, prepending=prepending)
+        assert {asn: filtered.path_of(asn) for asn in graph.ases} == {
+            asn: removed.path_of(asn) for asn in graph.ases
+        }

@@ -200,7 +200,7 @@ class TestFallbackShapes:
         victim, attacker = draw_victim_then_attacker(world, rng)
         deployers = frozenset(rng.sample(world.graph.ases, 10))
         eng_c, _ = vectorized_pair(world)
-        metrics = RunMetrics(enabled=True)
+        metrics = RunMetrics()
         eng_v = PropagationEngine(world.graph, metrics=metrics)
         pol = SecurityDeployment(AspaPolicy(world.graph), deployers)
         oc = eng_c.propagate(victim, secpol=pol)
@@ -232,7 +232,7 @@ class TestFallbackShapes:
         victim = rng.choice(world.graph.ases)
         prep = _prep(victim, _lam(rng))
         eng_c, _ = vectorized_pair(world)
-        metrics = RunMetrics(enabled=True)
+        metrics = RunMetrics()
         eng_v = PropagationEngine(world.graph, metrics=metrics)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(vectorized, "np", None)

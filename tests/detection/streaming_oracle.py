@@ -74,7 +74,7 @@ class OracleStreamingDetector:
         )
         if alarms:
             metrics = self.metrics
-            if not self.first_alarm_at and metrics is not None and metrics.enabled:
+            if not self.first_alarm_at and metrics is not None:
                 metrics.observe("detection.updates_to_first_alarm", self._updates_seen)
             self.first_alarm_at.setdefault(message.prefix, self._updates_seen)
         return alarms

@@ -70,7 +70,7 @@ def eager_detection_timing(
         num_ases=result.report.num_ases,
         alarms=tuple(alarms),
     )
-    if metrics is not None and metrics.enabled:
+    if metrics is not None:
         metrics.count("collector.rows", collector.rows - rows_before)
         metrics.count("detection.timings")
         metrics.count("detection.alarms", len(alarms))

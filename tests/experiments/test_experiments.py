@@ -61,17 +61,19 @@ class TestRegistry:
         assert [row[0] for row in result.rows] == [1, 2, 3]
         assert result.metrics is metrics
         assert metrics.counter_value("scheduler.tasks") == 3
-        # "does this runner take metrics" is settled once per registry entry
+        # every runner takes metrics: no signature is inspected to call one
         monkeypatch.setattr(inspect, "signature", None)
         assert run_experiment("fig09", metrics=RunMetrics(), scale=SCALE).rows
 
-    def test_uninstrumented_runner_is_called_without_the_registry(self):
-        from repro.telemetry.metrics import RunMetrics
+    def test_every_runner_takes_metrics(self):
+        """Every registered artefact records into a ``metrics=``
+        registry; none is called without it."""
+        import inspect
 
-        metrics = RunMetrics()
-        result = run_experiment("ablation-fp", metrics=metrics, scale=0.15)
-        assert result.metrics is None
-        assert not metrics.counters
+        for experiment_id, (_, runner) in REGISTRY.items():
+            parameters = inspect.signature(runner).parameters
+            assert "metrics" in parameters, experiment_id
+            assert parameters["metrics"].kind is inspect.Parameter.KEYWORD_ONLY, experiment_id
 
 
 class TestWorldTimer:
@@ -85,9 +87,6 @@ class TestWorldTimer:
         assert timer.count == 1 and timer.total > 0.0
         # a timer: never part of what serial and pooled runs must agree on
         assert "topology.generate_seconds" not in repr(metrics.deterministic_snapshot())
-        disabled = RunMetrics(enabled=False)
-        build_world(seed=7, scale=SCALE, metrics=disabled)
-        assert not disabled.timers
 
 
 class TestCaseStudyExperiments:

@@ -179,3 +179,31 @@ def test_detection_at_a_fleet_implies_detection_at_every_larger_one(
     assert batch[1] or not batch[0]
     stream = [_stream_detects(result, c, detector, feeds) for c in collectors]
     assert stream[1] or not stream[0]
+
+
+def test_one_attack_is_held_at_a_time(monkeypatch):
+    """Each effective attack is detected as soon as it is simulated and
+    then dropped: when a simulation starts, at most the previous result
+    is still alive."""
+    import gc
+    import weakref
+
+    from repro.experiments import fig13_detection_accuracy as fig13
+
+    # results are unhashable dataclasses: key them by simulation number
+    alive = weakref.WeakValueDictionary()
+    most_alive = []
+    simulate = fig13.simulate_interception
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        most_alive.append(len(alive))
+        result = simulate(*args, **kwargs)
+        alive[len(most_alive)] = result
+        return result
+
+    monkeypatch.setattr(fig13, "simulate_interception", tracked)
+    result = run_fig13(Fig13Config(scale=0.25, pairs=12))
+    assert result.summary["effective_attacks"] >= 3
+    assert len(most_alive) == 12
+    assert max(most_alive) <= 1

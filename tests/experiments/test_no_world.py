@@ -30,7 +30,6 @@ from repro.runner import (
     CampaignPairTask,
     RunConfig,
     WorkerContext,
-    WorkerSpec,
     run_batch,
 )
 from repro.store import CampaignStore
@@ -73,12 +72,11 @@ def test_fig14_builds_no_world(worlds_built):
 
 def test_serial_campaign_pair_builds_no_world(small_world, worlds_built):
     graph = small_world.graph
-    spec = WorkerSpec(
-        graph,
+    ctx = WorkerContext(
+        PropagationEngine(graph),
         monitors=tuple(top_degree_monitors(graph, 25)),
-        metrics_enabled=True,
+        metrics=RunMetrics(),
     )
-    ctx = WorkerContext(spec)
     tier1 = small_world.tier1
     row = CampaignPairTask(attacker=tier1[0], victim=tier1[1], padding=3).run(ctx)
     assert worlds_built == []

@@ -1,7 +1,7 @@
 """``RunConfig`` and ``run_batch``: the one value and the one function
-between a caller and the executor — bit-identity with a bare executor,
-store dedupe, interrupted-run replay, and the caller's engine and cache
-handed back as they came."""
+between a caller and a batch's cells — bit-identity with a bare
+context loop, store dedupe, interrupted-run replay, and the caller's
+engine and cache handed back as they came."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import inspect
 import pytest
 
 import repro.runner.batch as batch_mod
+import repro.runner.tasks as tasks_mod
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.experiments import sweeps
@@ -18,10 +19,9 @@ from repro.experiments.sweeps import padding_sweep
 from repro.runner import (
     BaselineCache,
     RunConfig,
-    SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
-    WorkerSpec,
+    execute_task,
     run_batch,
     task_fingerprint,
 )
@@ -41,9 +41,12 @@ def _tasks(world, count=10):
     ]
 
 
-def _single_pool_reference(world, tasks):
-    with SupervisedExecutor(WorkerSpec(world.graph), workers=1) as executor:
-        return executor.run(tasks)
+def _bare_loop(world, tasks, metrics=None):
+    """The bare path: one context on a fresh engine, its kernel batch
+    parked, then a loop over ``execute_task``."""
+    ctx = WorkerContext(PropagationEngine(world.graph), metrics=metrics)
+    ctx.park_impact(tasks)
+    return [execute_task(task, ctx) for task in tasks]
 
 
 class TestRunConfig:
@@ -77,23 +80,15 @@ class TestRunConfig:
 class TestRunBatch:
     def test_plain_config_equals_the_bare_executor(self, small_world):
         """``RunConfig()`` is the plain path: same rows and the same
-        deterministic snapshot as one executor built by hand."""
+        deterministic snapshot as one context loop built by hand."""
         tasks = _tasks(small_world)
         expected_metrics = RunMetrics()
-        spec = WorkerSpec(small_world.graph, metrics_enabled=True)
-        with SupervisedExecutor(spec, metrics=expected_metrics) as executor:
-            WorkerContext.park_impact(executor.context, tasks)
-            expected = executor.run(tasks)
+        expected = _bare_loop(small_world, tasks, expected_metrics)
 
         engine = PropagationEngine(small_world.graph)
-        assert run_batch(engine, tasks, prepare=WorkerContext.park_impact) == expected
+        assert run_batch(engine, tasks) == expected
         metrics = RunMetrics()
-        assert expected == run_batch(
-            engine,
-            tasks,
-            RunConfig(metrics=metrics),
-            prepare=WorkerContext.park_impact,
-        )
+        assert expected == run_batch(engine, tasks, RunConfig(metrics=metrics))
         assert (
             metrics.deterministic_snapshot()
             == expected_metrics.deterministic_snapshot()
@@ -120,7 +115,7 @@ class TestMatchesBareExecutor:
     def test_matches_single_pool(self, small_world):
         tasks = _tasks(small_world)
         engine = PropagationEngine(small_world.graph)
-        assert run_batch(engine, tasks) == _single_pool_reference(small_world, tasks)
+        assert run_batch(engine, tasks) == _bare_loop(small_world, tasks)
 
     def test_results_keep_task_order(self, small_world, tmp_path):
         """Also when only every other cell is missing from the store."""
@@ -145,9 +140,10 @@ class TestStoreIntegration:
             assert len(store) == len(tasks)
 
         def unbuilt(*args, **kwargs):
-            raise AssertionError("an all-hits batch built an executor")
+            raise AssertionError("an all-hits batch built a context or a pool")
 
-        monkeypatch.setattr(batch_mod, "SupervisedExecutor", unbuilt)
+        monkeypatch.setattr(batch_mod, "WorkerContext", unbuilt)
+        monkeypatch.setattr(batch_mod, "run_pooled", unbuilt)
         metrics = RunMetrics()
         with CampaignStore(root, metrics=metrics) as store:
             second = run_batch(engine, tasks, RunConfig(store=store, metrics=metrics))
@@ -167,7 +163,7 @@ class TestStoreIntegration:
             results = run_batch(engine, tasks, RunConfig(store=store, metrics=metrics))
         assert metrics.counter_value("scheduler.store_hits") == half
         assert metrics.counter_value("scheduler.executed") == len(tasks) - half
-        assert results == _single_pool_reference(small_world, tasks)
+        assert results == _bare_loop(small_world, tasks)
 
 
 class TestInterruptedRunKeepsItsWork:
@@ -256,12 +252,23 @@ class TestAdoption:
             run_batch(engine, _tasks(small_world), RunConfig(metrics=RunMetrics()), cache=cache)
         assert engine.metrics is own and cache.metrics is own
 
-    def test_a_pool_adopts_nothing(self, small_world, real_pool):
+    def test_a_pool_adopts_nothing(self, small_world, monkeypatch, real_pool):
         engine = PropagationEngine(small_world.graph)
         cache = BaselineCache(engine)
         metrics = RunMetrics()
         tasks = _tasks(small_world, count=4)
-        results = run_batch(engine, tasks, RunConfig(workers=2, metrics=metrics), cache=cache)
-        assert results == _single_pool_reference(small_world, tasks)
+        contexts = []
+        built = tasks_mod.WorkerContext.__init__
+
+        def counted(ctx, *args, **kwargs):
+            contexts.append(ctx)
+            built(ctx, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tasks_mod.WorkerContext, "__init__", counted)
+            run = RunConfig(workers=2, metrics=metrics)
+            results = run_batch(engine, tasks, run, cache=cache)
+        assert contexts == []  # every context was built in a worker
+        assert results == _bare_loop(small_world, tasks)
         assert any(name.startswith("worker.pid") for name in metrics.info)
         assert engine.metrics is None and cache.metrics is None

@@ -4,8 +4,9 @@ Every production batch goes through :func:`run_batch` under one
 :class:`RunConfig`.  The same task list must come back identical for
 every worker count and persistence state a ``RunConfig`` can name,
 and whenever every task actually executes, the deterministic
-metric snapshot must equal the plain path's — a bare
-:class:`SupervisedExecutor`, no ``RunConfig`` involved.
+metric snapshot must equal the plain path's — one
+:class:`WorkerContext` and a loop over :func:`execute_task`, no
+``RunConfig`` involved.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from repro.runner import (
     CampaignPairTask,
     DeploymentPointTask,
     RunConfig,
-    SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
-    WorkerSpec,
+    execute_task,
     run_batch,
 )
 from repro.store import CampaignStore
@@ -33,8 +33,8 @@ KINDS = ("sweep", "deployment", "campaign")
 
 
 def _batch(kind, world):
-    """``(tasks, monitors, prepare)`` as the production caller of each
-    task type hands them to ``run_batch``."""
+    """``(tasks, monitors)`` as the production caller of each task type
+    hands them to ``run_batch``."""
     victim, attacker = world.tier1[0], world.tier1[1]
     if kind == "sweep":
         tasks = [
@@ -61,7 +61,7 @@ def _batch(kind, world):
     monitors = (
         tuple(top_degree_monitors(world.graph, 20)) if kind == "campaign" else None
     )
-    return tasks, monitors, None if kind == "campaign" else WorkerContext.park_impact
+    return tasks, monitors
 
 
 @pytest.fixture(scope="module")
@@ -69,13 +69,14 @@ def references(small_world):
     """Results and deterministic snapshot of the plain path, per kind."""
     plain = {}
     for kind in KINDS:
-        tasks, monitors, prepare = _batch(kind, small_world)
-        spec = WorkerSpec(small_world.graph, monitors=monitors, metrics_enabled=True)
+        tasks, monitors = _batch(kind, small_world)
         metrics = RunMetrics()
-        with SupervisedExecutor(spec, metrics=metrics) as executor:
-            if prepare is not None:
-                prepare(executor.context, tasks)
-            plain[kind] = (executor.run(tasks), metrics.deterministic_snapshot())
+        ctx = WorkerContext(
+            PropagationEngine(small_world.graph), monitors=monitors, metrics=metrics
+        )
+        ctx.park_impact(tasks)
+        results = [execute_task(task, ctx) for task in tasks]
+        plain[kind] = (results, metrics.deterministic_snapshot())
     return plain
 
 
@@ -88,12 +89,12 @@ PERSISTENCE = ("none", "cold-store", "warm-store")
 def test_every_route_returns_the_plain_results(
     small_world, references, tmp_path, real_pool, kind, workers, persistence
 ):
-    tasks, monitors, prepare = _batch(kind, small_world)
+    tasks, monitors = _batch(kind, small_world)
     expected, expected_snapshot = references[kind]
 
     def run(batch, config):
         engine = PropagationEngine(small_world.graph)
-        return run_batch(engine, batch, config, monitors=monitors, prepare=prepare)
+        return run_batch(engine, batch, config, monitors=monitors)
 
     metrics = RunMetrics()
     route = RunConfig(workers=workers, metrics=metrics)

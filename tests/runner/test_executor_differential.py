@@ -20,12 +20,11 @@ from repro.runner import (
     CampaignPairTask,
     DeploymentPointTask,
     RunConfig,
-    SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
-    WorkerSpec,
     available_cpus,
     resolve_workers,
+    run_batch,
 )
 from repro.utils.rand import derive_rng, make_rng
 
@@ -43,20 +42,18 @@ def test_resolve_workers_semantics():
 
 def test_sweep_results_identical_for_any_worker_count(small_world, real_pool):
     victim, attacker = small_world.tier1[0], small_world.tier1[1]
-    spec = WorkerSpec(small_world.graph)
+    engine = PropagationEngine(small_world.graph)
     tasks = [
         SweepPointTask(victim=victim, attacker=attacker, padding=p) for p in PADDINGS
     ]
-    with SupervisedExecutor(spec, workers=1) as serial:
-        reference = serial.run(tasks)
+    reference = run_batch(engine, tasks)
     for workers in (2, 4):
-        with SupervisedExecutor(spec, workers=workers) as pool:
-            assert pool.run(tasks) == reference
+        assert run_batch(engine, tasks, RunConfig(workers=workers)) == reference
 
 
 def test_campaign_tasks_identical_serial_vs_pool(small_world, real_pool):
     monitors = tuple(top_degree_monitors(small_world.graph, 25))
-    spec = WorkerSpec(small_world.graph, monitors=monitors)
+    engine = PropagationEngine(small_world.graph)
     tier1 = small_world.tier1
     tasks = [
         CampaignPairTask(attacker=tier1[0], victim=tier1[1], padding=3),
@@ -64,10 +61,9 @@ def test_campaign_tasks_identical_serial_vs_pool(small_world, real_pool):
         CampaignPairTask(attacker=tier1[2], victim=tier1[1], padding=2),
         CampaignPairTask(attacker=tier1[0], victim=tier1[3], padding=4),
     ]
-    context = WorkerContext(spec)
+    context = WorkerContext(engine, monitors=monitors)
     reference = [task.run(context) for task in tasks]
-    with SupervisedExecutor(spec, workers=2) as pool:
-        parallel = pool.run(tasks)
+    parallel = run_batch(engine, tasks, RunConfig(workers=2), monitors=monitors)
     assert parallel == reference
 
 
@@ -120,33 +116,38 @@ def test_campaign_identical_across_worker_requests():
 
 
 def test_executor_reuse_and_empty_batches(small_world):
+    """Serial batches sharing one cache reuse its baselines, and an
+    empty batch runs nothing."""
     victim, attacker = small_world.tier1[0], small_world.tier1[1]
-    spec = WorkerSpec(small_world.graph)
-    with SupervisedExecutor(spec, workers=1) as executor:
-        assert executor.run([]) == []
-        # (a route-building task: sweep points never touch the cache)
-        first = executor.run(
-            [DeploymentPointTask(victim=victim, attacker=attacker, padding=2)]
-        )
-        # The second batch reuses the warm context: the same (victim, λ)
-        # baseline is a cache hit, a new λ one more convergence.
-        cache = executor.context.cache
-        assert (cache.hits, cache.misses) == (0, 1)
-        second = executor.run(
-            [
-                DeploymentPointTask(victim=victim, attacker=attacker, padding=2),
-                DeploymentPointTask(victim=victim, attacker=attacker, padding=3),
-            ]
-        )
-        assert (cache.hits, cache.misses) == (1, 2)
+    engine = PropagationEngine(small_world.graph)
+    cache = BaselineCache(engine)
+    assert run_batch(engine, [], cache=cache) == []
+    # (a route-building task: sweep points never touch the cache)
+    first = run_batch(
+        engine,
+        [DeploymentPointTask(victim=victim, attacker=attacker, padding=2)],
+        cache=cache,
+    )
+    assert (cache.hits, cache.misses) == (0, 1)
+    # The second batch reuses the warm cache: the same (victim, λ)
+    # baseline is a cache hit, a new λ one more convergence.
+    second = run_batch(
+        engine,
+        [
+            DeploymentPointTask(victim=victim, attacker=attacker, padding=2),
+            DeploymentPointTask(victim=victim, attacker=attacker, padding=3),
+        ],
+        cache=cache,
+    )
+    assert (cache.hits, cache.misses) == (1, 2)
     assert first == second[:1] and second[1].padding == 3
 
 
 def test_worker_context_guards(small_world):
-    spec = WorkerSpec(small_world.graph)  # no monitor fleet
-    context = WorkerContext(spec)
+    engine = PropagationEngine(small_world.graph)
+    context = WorkerContext(engine)  # no monitor fleet
     with pytest.raises(SimulationError):
         context.collector
     foreign_cache = BaselineCache(PropagationEngine(small_world.graph))
     with pytest.raises(SimulationError):
-        WorkerContext(spec, cache=foreign_cache)
+        WorkerContext(engine, cache=foreign_cache)

@@ -11,7 +11,7 @@ exactly as before, and the reason is counted.  Pinned here:
 * every fallback reason reachable and counted once per executed cell,
   and the sweeps still right with numpy masked out of ``sys.modules``;
 * bad inputs raise exactly what the oracle's engine route raises;
-* ``prepare`` batches and parks, pool workers run single columns
+* a serial batch parks its kernel cells as one batch, pool workers run single columns
   against the per-victim baseline memo, and ``execute_task`` still runs
   once per task either way.
 """
@@ -32,11 +32,10 @@ from repro.exceptions import ReproError, SimulationError
 from repro.experiments.sweeps import exhaustive_grid, padding_sweep, pair_grid
 from repro.runner import (
     RunConfig,
-    SupervisedExecutor,
     SweepPointTask,
     WorkerContext,
-    WorkerSpec,
     execute_task,
+    run_batch,
 )
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
@@ -124,14 +123,11 @@ class TestRoutesAgree:
             for v in victims
             if a != v
         ]
-        spec = WorkerSpec(small_world.graph, metrics_enabled=True)
+        engine = PropagationEngine(small_world.graph)
         serial_metrics, pooled_metrics = RunMetrics(), RunMetrics()
-        with SupervisedExecutor(spec, workers=1, metrics=serial_metrics) as serial:
-            reference = serial.run(tasks)
-        with SupervisedExecutor(
-            spec, workers=2, metrics=pooled_metrics
-        ) as pool:
-            assert pool.run(tasks) == reference
+        reference = run_batch(engine, tasks, RunConfig(metrics=serial_metrics))
+        pooled = run_batch(engine, tasks, RunConfig(workers=2, metrics=pooled_metrics))
+        assert pooled == reference
         for metrics in (serial_metrics, pooled_metrics):
             assert metrics.counter_value("engine.impact.cells") == len(tasks)
             assert metrics.counter_value("worker.tasks") == len(tasks)
@@ -194,7 +190,7 @@ class TestBatchingAndTheMemo:
         """The pool-worker shape: tasks arrive one at a time."""
         attacker, victim = _pair(small_world)
         metrics = RunMetrics()
-        ctx = WorkerContext(WorkerSpec(small_world.graph), metrics=metrics)
+        ctx = WorkerContext(PropagationEngine(small_world.graph), metrics=metrics)
         tasks = [
             SweepPointTask(victim=victim, attacker=attacker, padding=p)
             for p in PADDINGS
@@ -262,7 +258,7 @@ class TestFallbacks:
     def test_strip_mode(self, small_world):
         attacker, victim = _pair(small_world)
         metrics = RunMetrics()
-        ctx = WorkerContext(WorkerSpec(small_world.graph), metrics=metrics)
+        ctx = WorkerContext(PropagationEngine(small_world.graph), metrics=metrics)
         collapse = SweepPointTask(
             victim=victim, attacker=attacker, padding=3, strip_mode="all", keep=2
         )
@@ -300,7 +296,7 @@ class TestBadInputs:
         }
         task = SweepPointTask(**fields)
         metrics = RunMetrics()
-        ctx = WorkerContext(WorkerSpec(small_world.graph), metrics=metrics)
+        ctx = WorkerContext(PropagationEngine(small_world.graph), metrics=metrics)
         with pytest.raises(ReproError) as kernel_route:
             execute_task(task, ctx)
         # rejected, not "fallen back": no reason is counted

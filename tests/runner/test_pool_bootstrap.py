@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.runner.executor as executor_mod
 from repro.bgp.compiled import CompiledTopology
-from repro.runner import DeploymentPointTask, SupervisedExecutor, SweepPointTask, WorkerSpec
+from repro.bgp.engine import PropagationEngine
+from repro.runner import DeploymentPointTask, RunConfig, SweepPointTask, run_batch
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 from tests.runner.test_conformance import KINDS, _batch
@@ -25,9 +27,10 @@ from tests.runner.test_conformance import KINDS, _batch
 PADDINGS = tuple(range(1, 6))
 
 
-def _serial_reference(spec, tasks):
-    with SupervisedExecutor(spec, workers=1, metrics=RunMetrics()) as serial:
-        return serial.run(tasks)
+def _run(graph, tasks, workers, monitors=None, metrics=None):
+    """``tasks`` through ``run_batch`` on a fresh engine over ``graph``."""
+    run = RunConfig(workers=workers, metrics=metrics)
+    return run_batch(PropagationEngine(graph), tasks, run, monitors=monitors)
 
 
 def _parent_only(monkeypatch, owner, name, parent):
@@ -49,19 +52,27 @@ def test_pool_workers_inherit_the_parents_topology(small_world, monkeypatch, rea
     kind, and the pool that runs them is forked."""
     tasks, monitors = [], None
     for kind in KINDS:
-        batch, fleet, _ = _batch(kind, small_world)
+        batch, fleet = _batch(kind, small_world)
         tasks += batch
         monitors = fleet or monitors
-    spec = WorkerSpec(small_world.graph, monitors=monitors, metrics_enabled=True)
-    reference = _serial_reference(spec, tasks)
+    reference = _run(small_world.graph, tasks, 1, monitors, RunMetrics())
 
     CompiledTopology.of(small_world.graph)
     parent = os.getpid()
     _parent_only(monkeypatch, CompiledTopology, "from_graph", parent)
     _parent_only(monkeypatch, ASGraph, "__init__", parent)
-    with SupervisedExecutor(spec, workers=2, metrics=RunMetrics()) as pool:
-        assert pool.run(tasks) == reference
-        assert pool._pool._mp_context.get_start_method() == "fork"
+    started = []
+    pool_type = executor_mod.ProcessPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        started.append(kwargs["mp_context"].get_start_method())
+        return pool_type(*args, **kwargs)
+
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", recording_pool)
+    metrics = RunMetrics()
+    assert _run(small_world.graph, tasks, 2, monitors, metrics) == reference
+    assert started == ["fork"]
+    assert any(name.startswith("worker.pid") for name in metrics.info)
 
 
 def test_pool_workers_converge_on_the_wave_kernel(small_world, real_pool):
@@ -74,14 +85,10 @@ def test_pool_workers_converge_on_the_wave_kernel(small_world, real_pool):
         DeploymentPointTask(victim=victim, attacker=attacker, padding=p)
         for p in PADDINGS
     ]
-    spec = WorkerSpec(small_world.graph, metrics_enabled=True)
-    reference = _serial_reference(spec, tasks)
+    reference = _run(small_world.graph, tasks, 1, metrics=RunMetrics())
 
     metrics = RunMetrics()
-    with SupervisedExecutor(spec, workers=2, metrics=metrics) as pool:
-        results = pool.run(tasks)
-
-    assert results == reference
+    assert _run(small_world.graph, tasks, 2, metrics=metrics) == reference
     assert metrics.counter_value("engine.vectorized.propagations") >= 1
     assert metrics.counter_value("engine.cold.propagations") == 0
 
@@ -93,15 +100,11 @@ def test_deterministic_snapshot_invariant_across_worker_counts(small_world, real
     tasks = [
         SweepPointTask(victim=victim, attacker=attacker, padding=p) for p in PADDINGS
     ]
-    spec = WorkerSpec(small_world.graph, metrics_enabled=True)
-
     serial_metrics = RunMetrics()
-    with SupervisedExecutor(spec, workers=1, metrics=serial_metrics) as serial:
-        serial.run(tasks)
+    _run(small_world.graph, tasks, 1, metrics=serial_metrics)
 
     pool_metrics = RunMetrics()
-    with SupervisedExecutor(spec, workers=2, metrics=pool_metrics) as pool:
-        pool.run(tasks)
+    _run(small_world.graph, tasks, 2, metrics=pool_metrics)
 
     assert (
         serial_metrics.deterministic_snapshot()
@@ -112,14 +115,13 @@ def test_deterministic_snapshot_invariant_across_worker_counts(small_world, real
 _POOLED_RUN = """
 import repro.runner.executor as executor
 from repro.experiments.base import build_world
-from repro.runner import SupervisedExecutor, SweepPointTask, WorkerSpec
+from repro.runner import RunConfig, SweepPointTask, run_batch
 
 executor.available_cpus = lambda: 2  # a real pool even on a one-CPU host
 world = build_world(seed=7, scale=0.25)
 victim, attacker = world.topology.tier1[0], world.topology.tier1[1]
 tasks = [SweepPointTask(victim=victim, attacker=attacker, padding=p) for p in (1, 2, 3)]
-with SupervisedExecutor(WorkerSpec(world.graph), workers=2) as pool:
-    assert len(pool.run(tasks)) == 3
+assert len(run_batch(world.engine, tasks, RunConfig(workers=2))) == 3
 """
 
 

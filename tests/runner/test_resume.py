@@ -62,9 +62,9 @@ def plain(small_world):
     """Each kind's results on the plain path (serial, no store)."""
     results = {}
     for kind in KINDS:
-        tasks, monitors, prepare = _batch(kind, small_world)
+        tasks, monitors = _batch(kind, small_world)
         engine = PropagationEngine(small_world.graph)
-        results[kind] = run_batch(engine, tasks, monitors=monitors, prepare=prepare)
+        results[kind] = run_batch(engine, tasks, monitors=monitors)
     return results
 
 
@@ -75,7 +75,7 @@ def plain(small_world):
 def test_a_killed_run_is_finished_by_its_store(
     small_world, plain, tmp_path, monkeypatch, real_pool, kind, workers, shape, seed
 ):
-    tasks, monitors, prepare = _batch(kind, small_world)
+    tasks, monitors = _batch(kind, small_world)
     expected = plain[kind]
     killed = random.Random(seed).randrange(len(tasks))
     path = tmp_path / shape
@@ -84,7 +84,7 @@ def test_a_killed_run_is_finished_by_its_store(
         engine = PropagationEngine(small_world.graph)
         with CampaignStore(path) as store:
             config = RunConfig(workers=workers, store=store, metrics=metrics)
-            return run_batch(engine, tasks, config, monitors=monitors, prepare=prepare)
+            return run_batch(engine, tasks, config, monitors=monitors)
 
     with monkeypatch.context() as patch:
         _kill(patch, type(tasks[killed]), tasks[killed])

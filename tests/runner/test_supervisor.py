@@ -1,9 +1,9 @@
-"""Executor lifecycle and the one failure rule.
+"""The one failure rule of a batch.
 
-A pool that cannot start fails the run with one error, a closed
-executor must refuse reuse instead of respawning a pool, a disabled
-registry records nothing, and a failing cell must fail the batch the
-same way on every route.
+A pool that cannot start fails the run with one error, a worker death
+names the cells in flight, a failing cell must fail the batch the same
+way on every route, and a failed task's partial recordings never reach
+the parent.
 """
 
 from __future__ import annotations
@@ -12,19 +12,11 @@ import os
 
 import pytest
 
-import repro.runner.supervisor as supervisor_mod
+import repro.runner.executor as executor_mod
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import PolicyError, SimulationError
-from repro.runner import (
-    RunConfig,
-    SupervisedExecutor,
-    SweepPointTask,
-    WorkerSpec,
-    run_batch,
-    task_fingerprint,
-)
+from repro.runner import RunConfig, SweepPointTask, run_batch, task_fingerprint
 from repro.store import CampaignStore
-from repro.telemetry.metrics import RunMetrics
 
 
 def _tasks(world, count=4):
@@ -33,38 +25,6 @@ def _tasks(world, count=4):
         SweepPointTask(victim=victim, attacker=attacker, padding=p)
         for p in range(1, count + 1)
     ]
-
-
-class TestReuseAfterClose:
-    def test_sweep_executor_run_after_close_raises(self, small_world):
-        """The plain serial loop (nothing recorded)."""
-        executor = SupervisedExecutor(WorkerSpec(small_world.graph), workers=1)
-        executor.close()
-        assert executor.closed
-        with pytest.raises(SimulationError, match="closed"):
-            executor.run(_tasks(small_world))
-
-    def test_closed_pool_executor_does_not_respawn(self, small_world, real_pool):
-        executor = SupervisedExecutor(
-            WorkerSpec(small_world.graph), workers=2
-        )
-        executor.close()
-        with pytest.raises(SimulationError, match="closed"):
-            executor.run(_tasks(small_world))
-        assert executor._pool is None
-
-    def test_supervised_executor_run_after_close_raises(self, small_world):
-        """The same with a listener attached, as ``run_batch`` runs it."""
-        executor = SupervisedExecutor(WorkerSpec(small_world.graph), workers=1)
-        executor.close()
-        assert executor.closed
-        with pytest.raises(SimulationError, match="closed"):
-            executor.run(_tasks(small_world), lambda index, value: None)
-
-    def test_context_manager_closes(self, small_world):
-        with SupervisedExecutor(WorkerSpec(small_world.graph), workers=1) as executor:
-            assert not executor.closed
-        assert executor.closed
 
 
 class TestPoolLifecycle:
@@ -78,24 +38,10 @@ class TestPoolLifecycle:
         def explode(*args, **kwargs):
             raise OSError("no more processes")
 
-        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", explode)
-        executor = SupervisedExecutor(WorkerSpec(small_world.graph), workers=2)
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", explode)
+        engine = PropagationEngine(small_world.graph)
         with pytest.raises(SimulationError, match="could not start a pool of 2 workers"):
-            executor.run(_tasks(small_world))
-        assert executor._pool is None
-        executor.close()
-
-
-class TestEffectiveRegistry:
-    def test_disabled_registry_records_nothing(self, small_world, real_pool):
-        metrics = RunMetrics(enabled=False)
-        with SupervisedExecutor(
-            WorkerSpec(small_world.graph, metrics_enabled=False),
-            workers=2,
-            metrics=metrics,
-        ) as executor:
-            executor.run(_tasks(small_world))
-        assert metrics.to_dict() == RunMetrics(enabled=False).to_dict()
+            run_batch(engine, _tasks(small_world), RunConfig(workers=2))
 
 
 class TestOneFailureRule:
@@ -132,10 +78,34 @@ class TestOneFailureRule:
             return plain(task, ctx)
 
         monkeypatch.setattr(SweepPointTask, "run", dies)
-        with SupervisedExecutor(WorkerSpec(small_world.graph), workers=2) as executor:
-            with pytest.raises(SimulationError) as death:
-                executor.run(tasks)
-            assert executor._pool is None
-        assert str(death.value).endswith(
-            "pass --store DIR to keep settled cells across a rerun"
-        )
+        engine = PropagationEngine(small_world.graph)
+        with pytest.raises(SimulationError) as death:
+            run_batch(engine, tasks, RunConfig(workers=2))
+        message = str(death.value)
+        assert message.startswith("a pool worker died with ")
+        assert f"[{task_fingerprint(tasks[1])[:12]}]" in message
+        assert message.endswith("pass --store DIR to keep settled cells across a rerun")
+
+
+class TestWorkerSide:
+    def test_a_failed_task_ships_no_partial_metrics(self, small_world, monkeypatch):
+        """A worker's delta covers exactly the task it comes back with:
+        what a task recorded before it raised is dropped."""
+        monkeypatch.setattr(executor_mod, "_CONTEXT", None)
+        executor_mod._init_worker(small_world.graph, None, True)
+        good, bad = _tasks(small_world, count=2)
+        plain = SweepPointTask.run
+
+        def raises_after_recording(task, ctx):
+            if task == bad:
+                ctx.metrics.count("partial")
+                raise ValueError("a task that raises")
+            return plain(task, ctx)
+
+        monkeypatch.setattr(SweepPointTask, "run", raises_after_recording)
+        with pytest.raises(ValueError, match="a task that raises"):
+            executor_mod._run_task(bad)
+        result, delta = executor_mod._run_task(good)
+        assert result == plain(good, executor_mod._CONTEXT)
+        assert "partial" not in delta["counters"]
+        assert delta["counters"]["worker.tasks"] == 1

@@ -3,8 +3,8 @@
 Two contracts are pinned here:
 
 * **metrics never change results** — experiment artefacts (rows,
-  summary, rendered text) are bit-identical with metrics enabled or
-  disabled;
+  summary, rendered text) are bit-identical with a registry or with
+  ``metrics=None``;
 * **pooled aggregation is exact** — the merged registry of a
   process-pool run equals the serial registry for every deterministic
   section (counters and histograms; wall-clock timers and the
@@ -26,9 +26,8 @@ from repro.runner import (
     BaselineCache,
     DeploymentPointTask,
     RunConfig,
-    SupervisedExecutor,
     SweepPointTask,
-    WorkerSpec,
+    run_batch,
 )
 from repro.telemetry import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
@@ -66,12 +65,6 @@ class TestMetricsDoNotChangeResults:
         assert instrumented.metrics.summary_table().startswith("run metrics")
         assert not plain.metrics
 
-    def test_disabled_registry_stays_empty(self):
-        metrics = RunMetrics(enabled=False)
-        result = run_fig09(Fig09Config(seed=SEED, scale=SCALE), metrics=metrics)
-        assert not metrics
-        assert not result.metrics
-
     def test_padding_sweep_rows_identical_with_metrics(self, generated_world):
         engine, world = generated_world
         victim = world.stubs[0]
@@ -92,7 +85,7 @@ class TestMetricsDoNotChangeResults:
 
     def test_adopted_engine_attachment_is_restored(self, generated_world):
         engine, world = generated_world
-        sentinel = RunMetrics(enabled=False)
+        sentinel = RunMetrics()
         engine.metrics = sentinel
         padding_sweep(
             engine,
@@ -102,6 +95,7 @@ class TestMetricsDoNotChangeResults:
             run=RunConfig(metrics=RunMetrics()),
         )
         assert engine.metrics is sentinel
+        assert not sentinel
 
 
 def _sweep_tasks(world):
@@ -120,15 +114,12 @@ class TestPooledAggregationIsExact:
     def test_forced_pool_matches_serial_registry(self, generated_world, real_pool):
         engine, world = generated_world
         tasks = _sweep_tasks(world)
-        spec = WorkerSpec(world.graph, metrics_enabled=True)
         serial_metrics = RunMetrics()
-        with SupervisedExecutor(spec, workers=1, metrics=serial_metrics) as executor:
-            serial_results = executor.run(tasks)
+        serial_results = run_batch(engine, tasks, RunConfig(metrics=serial_metrics))
         pooled_metrics = RunMetrics()
-        with SupervisedExecutor(
-            spec, workers=2, metrics=pooled_metrics
-        ) as executor:
-            pooled_results = executor.run(tasks)
+        pooled_results = run_batch(
+            engine, tasks, RunConfig(workers=2, metrics=pooled_metrics)
+        )
         assert pooled_results == serial_results
         assert (
             pooled_metrics.deterministic_snapshot()
@@ -145,15 +136,6 @@ class TestPooledAggregationIsExact:
         # per-PID labels.
         assert "worker.serial.tasks" in serial_metrics.info
         assert all(key.startswith("worker.pid") for key in pooled_metrics.info)
-
-    def test_executor_metrics_property(self, generated_world):
-        engine, world = generated_world
-        spec = WorkerSpec(world.graph)
-        with SupervisedExecutor(spec, workers=1) as executor:
-            assert executor.metrics is None
-        enabled_spec = WorkerSpec(world.graph, metrics_enabled=True)
-        with SupervisedExecutor(enabled_spec, workers=1) as executor:
-            assert executor.metrics is not None
 
     def test_serial_sweep_converges_its_baseline_once(self, generated_world):
         """A deployment sweep's points share one (victim, λ) baseline:

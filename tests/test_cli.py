@@ -233,12 +233,25 @@ class TestMetricsFlags:
         with pytest.raises(SystemExit):
             main(["world", "--scale", "0.15", "--metrics", "summary"])
 
-    def test_uninstrumented_experiment_reports_empty_registry(self, capsys):
-        """Experiments without a ``metrics`` kwarg (the ablations) still
-        accept the flag and report an empty registry."""
-        assert main(["run", "ablation-fp", "--scale", "0.15", "--metrics", "summary"]) == 0
+    def test_an_ablation_records_its_experiment_timer(self, capsys, tmp_path):
+        """Every artefact is instrumented, the ablations included."""
+        from repro.telemetry import read_jsonl
+
+        path = tmp_path / "metrics.jsonl"
+        argv = ["run", "ablation-monitors", "--scale", "0.15", "--pairs", "6"]
+        assert main([*argv, "--metrics", "jsonl", "--metrics-out", str(path)]) == 0
+        capsys.readouterr()
+        restored = read_jsonl(path)
+        assert restored.timers["experiment.ablation-monitors_seconds"].count == 1
+        assert "topology.generate_seconds" in restored.timers
+
+    def test_fig05_metrics_cover_the_measurement_world(self, capsys):
+        """fig05's world is built and propagated on the run's registry."""
+        assert main(["run", "fig05", "--scale", "0.3", "--metrics", "summary"]) == 0
         out = capsys.readouterr().out
-        assert "(no metrics recorded)" in out
+        assert "experiment.fig05_seconds" in out
+        assert "topology.generate_seconds" in out
+        assert re.search(r"^engine\.\S+\s+counter\s+[1-9]", out, re.MULTILINE)
 
     def test_campaign_metrics_summary(self, capsys):
         assert main(
@@ -1162,3 +1175,28 @@ class TestErrors:
             f"repro-aspp run: error: argument --instances: must be at least 1, got {instances}"
         )
         assert captured.out == ""
+
+
+def test_fig05_compiles_its_topology_once(capsys, monkeypatch):
+    """Every churn event fails a link with import filters on the world's
+    own engine: one compiled topology, no graph copies."""
+    from repro.bgp.compiled import CompiledTopology
+    from repro.topology.asgraph import ASGraph
+
+    compiles, copies = [], []
+    compile_fn = CompiledTopology.from_graph.__func__
+    copy_fn = ASGraph.copy
+
+    def counted_compile(cls, *args, **kwargs):
+        compiles.append(1)
+        return compile_fn(cls, *args, **kwargs)
+
+    def counted_copy(self, *args, **kwargs):
+        copies.append(1)
+        return copy_fn(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledTopology, "from_graph", classmethod(counted_compile))
+    monkeypatch.setattr(ASGraph, "copy", counted_copy)
+    assert main(["run", "fig05", "--scale", "0.3"]) == 0
+    assert "fig05" in capsys.readouterr().out
+    assert (len(compiles), len(copies)) == (1, 0)
