@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy", reason="vectorized benchmarks require numpy")
 
 from test_bench_engine_perf import SCALE_10K, _merge_bench, _min_of
 

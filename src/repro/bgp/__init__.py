@@ -39,7 +39,6 @@ from repro.bgp.uphill import three_phase_routes
 from repro.bgp.uphill_hijack import paper_hijack_estimate
 from repro.bgp.vectorized import (
     VectorizedUnsupported,
-    numpy_available,
     run_vectorized,
     vectorized_fixpoint,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "three_phase_routes",
     "paper_hijack_estimate",
     "VectorizedUnsupported",
-    "numpy_available",
     "run_vectorized",
     "vectorized_fixpoint",
 ]

@@ -39,7 +39,6 @@ guarantee this).
 
 from __future__ import annotations
 
-import random
 from array import array
 from collections import deque
 from collections.abc import Mapping
@@ -478,9 +477,6 @@ def run_compiled(
     seed: set[int] | None,
     metrics: RunMetrics | None,
     secpol: object | None = None,
-    activation: str = "fifo",
-    activation_rng: random.Random | None = None,
-    incremental: bool = True,
 ) -> "PropagationOutcome":
     """One propagation fixpoint on the compiled arrays.
 
@@ -495,12 +491,11 @@ def run_compiled(
     checker judges each offer without reifying a tuple, before any
     import filter.
 
-    The engine always runs the FIFO worklist with the O(1) per-offer
-    fast path.  ``activation`` (``"lifo"``, or ``"random"`` drawing from
-    ``activation_rng``) and a false ``incremental`` (a full Adj-RIB-in
-    rescan on every rib change) are the disciplines the test suites
-    compare it against, reached by name through
-    ``tests/bgp/loop_oracle.py``.
+    The loop is a FIFO worklist with an O(1) per-offer fast path, and
+    nothing else: the other disciplines (LIFO or random activation, a
+    full Adj-RIB-in rescan on every rib change) are the reference
+    interpreter's, which the test suites compare it against.  A warm
+    start's :class:`CompiledState` is over ``table``.
     """
     index = topo.index
     n = topo.n
@@ -521,45 +516,14 @@ def run_compiled(
         intern_misses_start = table.misses
         reified_start = table.reified_count
 
-    warm_base: CompiledState | None = None
     if warm_start is not None:
-        state = warm_start.compiled_state
-        if isinstance(state, CompiledState) and state.table is table:
-            # The usual case: warm-starting from a compiled outcome
-            # over the same table — five array copies.
-            best_pref = state.best_pref.copy()
-            best_pid = state.best_pid.copy()
-            best_from = state.best_from.copy()
-            rib_pid = state.rib_pid.copy()
-            rib_pref = state.rib_pref.copy()
-            warm_base = state
-        else:
-            # Foreign outcome (unpickled, eagerly built, another
-            # engine's): intern its tuples into this table once.
-            best_pref = [-1] * n
-            best_pid = [0] * n
-            best_from = [-1] * n
-            rib_pid = [-2] * num_slots
-            rib_pref = [0] * num_slots
-            intern = table.intern_tuple
-            for a, route in warm_start.best.items():
-                if route is None:
-                    continue
-                i = index[a]
-                best_pref[i] = int(route.pref)
-                best_pid[i] = intern(route.path)
-                learned = route.learned_from
-                best_from[i] = -1 if learned is None else index[learned]
-            slot_index = topo.slot_index
-            for a, offers in warm_start.adj_rib_in.items():
-                slots = slot_index[index[a]]
-                for sender_asn, offer in offers.items():
-                    k = slots[index[sender_asn]]
-                    if offer is None:
-                        rib_pid[k] = -1
-                    else:
-                        rib_pid[k] = intern(offer[0])
-                        rib_pref[k] = int(offer[1])
+        # Five array copies of the converged state.
+        warm_base = warm_start.compiled_state
+        best_pref = warm_base.best_pref.copy()
+        best_pid = warm_base.best_pid.copy()
+        best_from = warm_base.best_from.copy()
+        rib_pid = warm_base.rib_pid.copy()
+        rib_pref = warm_base.rib_pref.copy()
         adoption: dict[int, int] = {}
         initial = sorted(index[a] for a in seed)
     else:
@@ -641,20 +605,12 @@ def run_compiled(
     operations = 0
     budget = MAX_ACTIVATIONS * max(1, n)
     max_round = 0
-    randrange = activation_rng.randrange if activation_rng is not None else None
     padding_of = prepending.padding
     while queue:
         operations += 1
         if operations > budget:
             raise ConvergenceError(operations)
-        if activation == "fifo":
-            s = queue.popleft()
-        elif activation == "lifo":
-            s = queue.pop()
-        else:
-            pick = randrange(len(queue))
-            queue[pick], queue[-1] = queue[-1], queue[pick]
-            s = queue.pop()
+        s = queue.popleft()
         queued[s] = 0
         s_pref = best_pref[s]
         has_route = s_pref >= 0
@@ -714,7 +670,7 @@ def run_compiled(
                 continue  # the owner always keeps its own route
             cur_pref = best_pref[nb]
             imp = imps.get(nb)
-            if imp is not None or sec_deployed[nb] or not incremental:
+            if imp is not None or sec_deployed[nb]:
                 if track:
                     fastpath_misses += 1
                 new_pref, new_pid, new_from = decide(
@@ -832,26 +788,10 @@ def run_compiled(
         if warm_start is not None:
             best_out = dict(warm_start.best)
             adj_out = dict(warm_start.adj_rib_in)
-            warm_keys = warm_start.best_keys
-            if warm_keys is not None:
-                keys_out = dict(warm_keys)
-                for i in adoption:
-                    a = asn_of[i]
-                    best_out[a], keys_out[a] = emit_best(i)
-            else:
-                keys_out = {}
-                for i in topo.iter_order:
-                    a = asn_of[i]
-                    if i in adoption:
-                        best_out[a], keys_out[a] = emit_best(i)
-                    else:
-                        route = best_out[a]
-                        keys_out[a] = (
-                            None
-                            if route is None
-                            else (int(route.pref), len(route.path), route.learned_from
-                                  if route.learned_from is not None else -1)
-                        )
+            keys_out = dict(warm_start.best_keys)
+            for i in adoption:
+                a = asn_of[i]
+                best_out[a], keys_out[a] = emit_best(i)
             for i in rib_touched:
                 adj_out[asn_of[i]] = emit_offers(i)
         else:
@@ -909,11 +849,5 @@ def run_compiled(
         # Registered at zero so a summary states "no world was built";
         # the deferred emission above does the counting.
         metrics.count("engine.compiled.worlds_emitted", 0)
-        if warm_start is not None:
-            metrics.count(
-                "engine.compiled.warm_fast_loads"
-                if warm_base is not None
-                else "engine.compiled.warm_tuple_loads"
-            )
 
     return outcome

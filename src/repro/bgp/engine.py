@@ -23,7 +23,7 @@ valley-free profit-driven policy, with:
 There is one engine and it has one dispatch: a cold stock-policy run is
 a column of the NumPy wave kernel (:mod:`repro.bgp.vectorized`); every
 other run — warm starts, modifiers, policy violators, import filters,
-security policies, numpy-less installs — is the per-activation loop of
+security policies — is the per-activation loop of
 :func:`repro.bgp.compiled.run_compiled`.  The loop is an asynchronous
 (Gauss-Seidel) worklist fixpoint: one AS at a time re-announces to its
 neighbours, and any receiver whose decision changes joins the worklist.
@@ -385,11 +385,14 @@ class PropagationEngine:
         transformations applied when that AS re-announces (the attack
         hook).  ``export_policy`` defaults to strict valley-free export.
 
-        With ``warm_start`` the engine resumes from a previously
-        converged outcome (for the same origin/prefix) and only
-        re-announces from ``seed_ases`` (default: the modifier ASes and
-        policy violators) — adoption rounds then count from the moment
-        the attack begins, which Figure 14's timing analysis needs.
+        With ``warm_start`` the engine resumes from an outcome it (or
+        another engine over the same graph) converged for the same
+        origin/prefix, loading its compiled state, and only re-announces
+        from ``seed_ases`` (default: the modifier ASes and policy
+        violators) — adoption rounds then count from the moment the
+        attack begins, which Figure 14's timing analysis needs.  An
+        outcome without that state (built eagerly, or unpickled) is
+        refused.
 
         ``import_filters`` maps an AS to a receiver-side vetting
         function: offers it returns False for never enter that AS's
@@ -417,16 +420,20 @@ class PropagationEngine:
         modifiers = dict(modifiers or {})
         export_policy = export_policy or ExportPolicy()
         import_filters = dict(import_filters or {})
-        for asn in modifiers:
-            if asn not in index:
-                raise UnknownASError(asn)
-
         seed: set[int] | None = None
         if warm_start is not None:
             if warm_start.origin != origin or warm_start.prefix != prefix:
                 raise SimulationError(
                     "warm start must come from the same origin and prefix"
                 )
+            state = warm_start.compiled_state
+            if not isinstance(state, CompiledState) or state.table.topo is not self._topo:
+                raise SimulationError(
+                    "warm start must be an outcome converged on this engine's topology"
+                )
+            # the warm start's own intern table: it outlives the
+            # engine's per-origin LRU
+            table = state.table
             if seed_ases is None:
                 seed = set(modifiers) | set(export_policy.violators)
             else:
@@ -435,21 +442,16 @@ class PropagationEngine:
                 raise SimulationError(
                     "warm start requires seed ASes (modifiers, violators, or explicit)"
                 )
+        for asn in (*modifiers, *(seed or ())):
+            if asn not in index:
+                raise UnknownASError(asn)
 
-        # An outcome already carrying compiled state over this topology
-        # brings its own intern table (it outlives the engine's
-        # per-origin LRU); otherwise the engine keeps one table per
-        # origin.
-        state = warm_start.compiled_state if warm_start is not None else None
-        if isinstance(state, CompiledState) and state.table.topo is self._topo:
-            table = state.table
-        else:
-            table = self._table_for(origin)
         if warm_start is None:
+            table = self._table_for(origin)
             # The one place a core is chosen: the wave kernel's
             # capability table, first row that applies — what the run
             # asks for that the kernel does not do, then what this
-            # install and topology cannot.  A cold run no row refuses is
+            # topology cannot.  A cold run no row refuses is
             # a kernel column; a refused one (counted by reason) and
             # every warm start run the per-activation loop on the same
             # table, bit-identical by the contract of
@@ -462,7 +464,6 @@ class PropagationEngine:
                 ),
                 ("import-filters", import_filters),
                 ("secpol", secpol is not None),
-                ("numpy-missing", not vectorized.numpy_available()),
                 (
                     "key-domain",
                     not vectorized.in_key_domain(self._topo.n, prepending.max_padding()),

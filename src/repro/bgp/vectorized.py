@@ -5,8 +5,7 @@ This module is the cold core of
 (baseline) convergence runs as a handful of NumPy gather/scatter-min
 passes over the :class:`~repro.bgp.compiled.CompiledTopology` CSR
 arrays instead of :func:`~repro.bgp.compiled.run_compiled`'s
-per-activation Python loop, which keeps every other run and is the
-cold core too where numpy is not installed.
+per-activation Python loop, which keeps every other run.
 
 Why this is exact
 -----------------
@@ -80,6 +79,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from repro.bgp.compiled import (
     _PREF_OF,
     CompiledState,
@@ -91,16 +92,10 @@ from repro.bgp.route import Route
 from repro.exceptions import ConvergenceError
 from repro.telemetry.metrics import RunMetrics
 
-try:  # pragma: no cover - exercised only where numpy is absent
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
 __all__ = [
     "ImpactKernel",
     "VectorizedUnsupported",
     "in_key_domain",
-    "numpy_available",
     "run_vectorized",
     "vectorized_fixpoint",
 ]
@@ -122,11 +117,6 @@ _MAX_LEN = 1 << 31  # headroom below the 2^32 length field
 _IMPACT_BUDGET = 1 << 19
 #: canonical baseline columns an impact kernel keeps, per victim (LRU)
 _COLUMN_MEMO = 32
-
-
-def numpy_available() -> bool:
-    """True when the vectorized core can run at all."""
-    return np is not None
 
 
 def in_key_domain(n: int, max_count: int) -> bool:

@@ -93,7 +93,7 @@ def positive_int(text: str) -> int:
 
 def non_negative_int(text: str) -> int:
     """The type of a count that may be zero (``--updates``,
-    ``--reaction``): an integer of at least 0."""
+    ``--reaction``, ``--workers``): an integer of at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
@@ -205,7 +205,7 @@ def _experiment_flags(parser, *, one: bool = True) -> None:
 
 def _run_flags(parser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=non_negative_int, default=None,
         help="worker processes, where the work is a batch of independent "
         "cells (results are identical for any worker count)",
     )
@@ -511,9 +511,9 @@ def _batch(args, parser, metrics):
     from repro.runner import RunConfig
     from repro.store import CampaignStore
 
+    run = RunConfig(workers=args.workers, metrics=metrics)
     with contextlib.ExitStack() as stack:
         try:
-            run = RunConfig(workers=args.workers, metrics=metrics)
             # opening a store creates nothing: the first record does
             if args.store is not None:
                 store = CampaignStore(args.store, metrics=metrics)

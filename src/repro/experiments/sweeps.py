@@ -128,10 +128,8 @@ def exhaustive_grid(
     Every cell is impact-only, so the grid never builds routes: each
     victim converges one canonical key column and every cell is one
     more column of the impact kernel's two-source fixpoint
-    (:class:`repro.bgp.vectorized.ImpactKernel`).  Without numpy the
-    cells take the engine route — a cached baseline and a warm-started attack
-    each.  Rows are bit-identical on either route; the golden grid test
-    pins them against per-pair recomputes cell for cell.
+    (:class:`repro.bgp.vectorized.ImpactKernel`).  The golden grid test
+    pins the rows against per-pair engine recomputes cell for cell.
     """
     pairs = [(a, v) for a in attackers for v in victims if a != v]
     if not pairs:

@@ -5,8 +5,8 @@ whole topology for every event — right for the Figure 5/6
 characterisation, hopeless for generating the hundreds of thousands of
 updates a throughput benchmark needs.  This module trades generality
 for rate: it converges each prefix's baseline and a small pool of
-link-failure scenarios **once** — all on one engine and one compiled
-topology, a failed link being the same pair of import filters
+link-failure scenarios **once** — all on the world's engine and its
+compiled topology, a failed link being the same pair of import filters
 (:func:`~repro.bgp.updates.link_down`) — then replays failure/recovery
 flaps drawn from that pool, so stream length is decoupled from engine
 work.
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 from repro.attack.interception import InterceptionResult, simulate_interception
 from repro.bgp.collectors import MonitorView, RouteCollector
-from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.updates import SequencedUpdate, StampedStream, UpdateMessage, link_down, stamp
 from repro.detection.monitors import top_degree_monitors
@@ -148,7 +147,7 @@ def synthesize_churn_stream(
     rng = derive_rng(make_rng(config.seed), "churn")
     monitor_count = min(config.monitors, len(graph))
     collector = RouteCollector(graph, top_degree_monitors(graph, monitor_count))
-    engine = PropagationEngine(graph)
+    engine = world.engine
 
     attacker: int | None = None
     victim: int | None = None

@@ -113,15 +113,12 @@ class WorkerContext:
         if self._impact_kernel is None and self._impact_fallback is None:
             from repro.bgp import vectorized
 
-            if not vectorized.numpy_available():
-                self._impact_fallback = "numpy-missing"
-            else:
-                try:
-                    self._impact_kernel = vectorized.ImpactKernel(
-                        self.engine.compiled_topology
-                    )
-                except vectorized.VectorizedUnsupported:
-                    self._impact_fallback = "domain"
+            try:
+                self._impact_kernel = vectorized.ImpactKernel(
+                    self.engine.compiled_topology
+                )
+            except vectorized.VectorizedUnsupported:
+                self._impact_fallback = "domain"
         if self._impact_fallback is not None:
             return self._impact_fallback
         kernel = self._impact_kernel

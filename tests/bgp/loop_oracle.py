@@ -1,17 +1,17 @@
 """The per-activation loop, called by name.
 
 A compiled engine decides the cold core itself: a cold stock-policy run
-is a column of the wave kernel wherever numpy imports, so a default
-engine no longer answers questions about :func:`run_compiled`'s *cold*
-behaviour — FIFO adoption stamps, explicit-``None`` withdrawal slots,
-activation counts, the ``MAX_ACTIVATIONS`` guard — nor about the
-disciplines the engine never runs (LIFO or random activation, the full
-rescan with the fast path off), which ``run_compiled`` keeps for these
-suites.  The suites that ask them (the compiled-vs-reference
-differentials, the loop-discipline invariants) and the suites that need
-the loop as the kernel's oracle (``test_vectorized_differential.py``)
-call it here instead of relying on which core a default engine happens
-to pick.
+is a column of the wave kernel, so a default engine does not answer
+questions about :func:`run_compiled`'s *cold* behaviour — FIFO adoption
+stamps, explicit-``None`` withdrawal slots, activation counts, the
+``MAX_ACTIVATIONS`` guard.  The suites that ask them (the
+compiled-vs-reference differentials, the loop-discipline invariants)
+and the suites that need the loop as the kernel's oracle
+(``test_vectorized_differential.py``) call it here instead of relying
+on which core a default engine happens to pick.  The disciplines the
+loop does not run (LIFO or random activation, the full rescan with the
+fast path off) are the reference interpreter's
+(``reference_engine.py``).
 
 :func:`loop_propagate` is one run, cold unless given a ``warm_start``
 and its ``seed``; :class:`LoopEngine` is for code that takes an engine
@@ -20,8 +20,6 @@ warm starts are the stock engine's, which are ``run_compiled`` already.
 """
 
 from __future__ import annotations
-
-import random
 
 from repro.bgp.compiled import run_compiled
 from repro.bgp.engine import PropagationEngine
@@ -42,19 +40,14 @@ def loop_propagate(
     secpol=None,
     warm_start=None,
     seed=None,
-    activation: str = "fifo",
-    activation_rng=None,
-    incremental: bool = True,
 ):
     """``engine.propagate(origin, ...)`` on ``run_compiled``, with the
     engine's topology, intern table, budget and registry.  A warm run
     passes the ``seed`` ASes to re-announce from explicitly.  Arguments
     must be valid: the engine's validation is not repeated."""
-    if activation == "random" and activation_rng is None:
-        activation_rng = random.Random(0)
     return run_compiled(
         engine.compiled_topology,
-        engine._table_for(origin),
+        engine._table_for(origin) if warm_start is None else warm_start.compiled_state.table,
         origin=origin,
         prefix=prefix,
         prepending=prepending or PrependingPolicy(),
@@ -63,9 +56,6 @@ def loop_propagate(
         import_filters=dict(import_filters or {}),
         warm_start=warm_start,
         seed=seed,
-        activation=activation,
-        activation_rng=activation_rng,
-        incremental=incremental,
         metrics=engine.metrics,
         secpol=secpol,
     )

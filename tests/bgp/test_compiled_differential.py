@@ -16,6 +16,7 @@ reference loop's.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -25,7 +26,9 @@ from hypothesis import strategies as st
 from repro.attack.impact import pollution_report
 from repro.attack.interception import simulate_interception
 from repro.bgp.compiled import CompiledTopology, InternTable
+from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
+from repro.exceptions import SimulationError
 from repro.secpol import build_deployment
 from repro.topology.generators import generate_internet_topology
 from tests.strategies import (
@@ -33,6 +36,7 @@ from tests.strategies import (
     assert_outcomes_identical as _assert_outcomes_identical,
     backend_pair as _engines,
     draw_victim_then_attacker,
+    live_offers,
     paddings,
     seeds,
 )
@@ -141,26 +145,38 @@ class TestWarmProvenance:
         assert state.touched >= len(differing)
         # ... and the patched report is the one a scan gives: against an
         # equal baseline that is not the state the attack started from
-        # (mask scan), and from a foreign, oracle-built baseline with no
+        # (mask scan), and against an oracle-built baseline with no
         # compiled state at all (tuple scan).
-        twin = engine.propagate(
-            victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
-        )
+        prepending = PrependingPolicy.uniform_origin(victim, padding)
+        twin = engine.propagate(victim, prepending=prepending)
         assert twin.compiled_state.table is state.table
-        assert result.report == pollution_report(
-            baseline=twin, attacked=attacked, attacker=attacker, victim=victim
+        for other in (twin, ref_engine.propagate(victim, prepending=prepending)):
+            assert result.report == pollution_report(
+                baseline=other, attacked=attacked, attacker=attacker, victim=victim
+            )
+
+    @pytest.mark.parametrize("source", ["eager", "unpickled", "other-graph"])
+    def test_a_foreign_warm_start_is_refused(self, source):
+        """A warm start loads the compiled state of an outcome converged
+        on the engine's topology; an oracle-built, unpickled or another
+        graph's outcome is refused, never re-interned.  Another engine
+        over the same graph shares the topology, so its outcomes load."""
+        world, rng, ref_engine, engine = _engines(7)
+        victim, attacker = draw_victim_then_attacker(world, rng)
+        foreign = {
+            "eager": lambda: ref_engine.propagate(victim),
+            "unpickled": lambda: pickle.loads(pickle.dumps(engine.propagate(victim))),
+            "other-graph": lambda: PropagationEngine(world.graph.copy()).propagate(victim),
+        }[source]()
+        with pytest.raises(SimulationError, match="this engine's topology"):
+            simulate_interception(
+                engine, victim=victim, attacker=attacker, origin_padding=3, baseline=foreign
+            )
+        shared = PropagationEngine(world.graph).propagate(victim)
+        result = simulate_interception(
+            engine, victim=victim, attacker=attacker, origin_padding=1, baseline=shared
         )
-        foreign = simulate_interception(
-            engine,
-            victim=victim,
-            attacker=attacker,
-            origin_padding=padding,
-            baseline=ref_engine.propagate(
-                victim, prepending=PrependingPolicy.uniform_origin(victim, padding)
-            ),
-        )
-        assert foreign.attacked.compiled_state.warm_base is None
-        assert foreign.report == result.report
+        assert result.attacked.compiled_state.warm_base is shared.compiled_state
 
     def test_noop_reannounce_touches_nothing(self):
         """Re-announcing the attacker's *unchanged* route must not touch
@@ -180,25 +196,32 @@ class TestWarmProvenance:
 
 
 class TestActivationOrders:
+    """The loop runs FIFO with its fast path and nothing else; the other
+    disciplines are the oracle's, and must reach the loop's fixpoint."""
+
     @pytest.mark.parametrize("activation", ["fifo", "lifo", "random"])
     def test_each_order_identical_across_backends(self, activation):
-        """Identical activation traces (same rng seed) must yield
-        identical adoption stamps, not just identical best routes."""
+        """The oracle's FIFO trace is the loop's, adoption stamps
+        included; LIFO and random orders reach the same routes and live
+        offers (Gao-Rexford stability), only the clock differs."""
         world, rng, ref_engine, cmp_engine = _engines(1234)
         origin = world.stubs[0]
         ref = ref_engine.propagate(
             origin, activation=activation, activation_rng=random.Random(99)
         )
-        cmp = cmp_engine.propagate(
-            origin, activation=activation, activation_rng=random.Random(99)
-        )
-        _assert_outcomes_identical(ref, cmp)
+        cmp = cmp_engine.propagate(origin)
+        if activation == "fifo":
+            _assert_outcomes_identical(ref, cmp)
+        else:
+            assert ref.best == cmp.best
+            assert live_offers(ref) == live_offers(cmp)
 
     def test_non_incremental_mode_identical(self):
+        """The fast path is the oracle's full rescan, bit for bit."""
         world, rng, ref_engine, cmp_engine = _engines(77)
         origin = world.tier2[0]
         ref = ref_engine.propagate(origin, incremental=False)
-        cmp = cmp_engine.propagate(origin, incremental=False)
+        cmp = cmp_engine.propagate(origin)
         _assert_outcomes_identical(ref, cmp)
 
 

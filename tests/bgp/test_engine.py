@@ -205,6 +205,13 @@ class TestWarmStart:
         with pytest.raises(SimulationError):
             engine.propagate(4, warm_start=baseline)
 
+    def test_unknown_seed_as(self, chain_graph):
+        """Checked beside the modifiers, not a ``KeyError`` from the loop."""
+        engine = PropagationEngine(chain_graph)
+        baseline = engine.propagate(4)
+        with pytest.raises(UnknownASError):
+            engine.propagate(4, warm_start=baseline, seed_ases=[10**9])
+
     def test_warm_start_does_not_mutate_baseline(self, chain_graph):
         engine = PropagationEngine(chain_graph)
         baseline = engine.propagate(4)
@@ -303,13 +310,9 @@ class TestColdCore:
             ("modifiers", {"modifiers": {3: lambda path: path}}, None),
             ("export-policy", {"export_policy": ExportPolicy(violators={3})}, None),
             ("import-filters", {"import_filters": {1: lambda sender, path: True}}, None),
-            ("numpy-missing", {}, ("np", None)),
             ("key-domain", {}, ("_MAX_N", 2)),
         ],
-        ids=[
-            "modifiers", "export-policy", "import-filters", "numpy-missing",
-            "key-domain",
-        ],
+        ids=["modifiers", "export-policy", "import-filters", "key-domain"],
     )
     def test_a_refused_cold_run_is_the_loops(
         self, diamond_graph, monkeypatch, reason, run, patch
@@ -325,7 +328,6 @@ class TestColdCore:
         assert metrics.counter_value(f"engine.vectorized.fallbacks.{reason}") == 1
 
     def test_a_stock_cold_run_is_a_kernel_column(self, diamond_graph):
-        pytest.importorskip("numpy", reason="the wave kernel requires numpy")
         metrics = RunMetrics()
         engine = PropagationEngine(diamond_graph, metrics=metrics)
         baseline = engine.propagate(5, prepending=PrependingPolicy.uniform_origin(5, 2))
@@ -343,11 +345,13 @@ class TestOneEngine:
 
     def test_no_signature_spells_an_engine_choice(self):
         """No backend, no worklist discipline, no fast-path switch:
-        nothing a caller can set chooses how the engine converges."""
+        nothing a caller can set chooses how the engine converges — not
+        even on the loop itself, which runs what production runs."""
         spelled = {"backend", "activation", "activation_rng", "incremental"}
         signatures = [
             inspect.signature(PropagationEngine.__init__).parameters,
             inspect.signature(PropagationEngine.propagate).parameters,
+            inspect.signature(compiled.run_compiled).parameters,
             inspect.signature(campaign).parameters,
             inspect.signature(WorkerContext.__init__).parameters,
             {field.name: field for field in dataclasses.fields(RunConfig)},

@@ -4,15 +4,18 @@ Three families of checks, each on randomized generated topologies:
 
 * **route-soundness** — every selected path is valley-free, loop-free
   (up to prepending runs), and actually terminates at the origin;
-* **order-independence** — fifo, lifo and random worklist disciplines
-  converge to the same ``best``/``adj_rib_in`` fixpoint (Gao-Rexford
-  stability), differing at most in adoption-round stamps;
-* **fast-path equivalence** — the incremental O(1) decision shortcut
-  produces outcomes bit-identical to the full Adj-RIB-in rescan
-  (``incremental=False``), including under prepending and attacks.
+* **order-independence** — lifo and random worklist disciplines
+  converge to the engine's ``best``/``adj_rib_in`` fixpoint
+  (Gao-Rexford stability), differing at most in adoption-round stamps;
+* **fast-path equivalence** — the loop's incremental O(1) decision
+  shortcut produces outcomes bit-identical to the full Adj-RIB-in
+  rescan (``incremental=False``), including under prepending and
+  attacks.
 
-The engine itself only runs the FIFO fast path; the other disciplines
-are the per-activation loop's, reached by name (``loop_oracle.py``).
+The engine only runs the FIFO fast path.  Order-independence is a
+property of the model, so the other disciplines are the reference
+interpreter's (``reference_engine.py``); the loop is reached by name
+(``loop_oracle.py``) where its cold stamps matter.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 from tests.bgp.loop_oracle import loop_propagate
+from tests.bgp.reference_engine import ReferenceEngine
+from tests.strategies import live_offers
 
 INVARIANT_CONFIG = InternetTopologyConfig(
     num_tier1=3,
@@ -49,20 +54,6 @@ def _origins(world, rng: random.Random) -> list[int]:
     graph = world.graph
     picks = [world.tier1[0], rng.choice(world.transit_ases), rng.choice(graph.ases)]
     return sorted(set(picks))
-
-
-def _live_offers(outcome) -> dict[int, dict[int, tuple]]:
-    """Adj-RIBs-in with withdrawn/absent offers normalised away.
-
-    Whether an AS holds an explicit ``None`` (a neighbour offered a
-    route transiently, then withdrew it) or no entry at all (the
-    neighbour never offered) depends on the activation order; the live
-    offers are the order-independent fixpoint.
-    """
-    return {
-        asn: {n: offer for n, offer in offers.items() if offer is not None}
-        for asn, offers in outcome.adj_rib_in.items()
-    }
 
 
 def _collapse(path: tuple[int, ...]) -> list[int]:
@@ -126,20 +117,20 @@ def test_activation_orders_reach_same_fixpoint(seed, padding):
     logical clock is order-dependent."""
     world = _world(seed)
     engine = PropagationEngine(world.graph)
+    oracle = ReferenceEngine(world.graph)
     rng = random.Random(seed + 99)
     for origin in _origins(world, rng):
         prepending = PrependingPolicy.uniform_origin(origin, padding)
         reference = engine.propagate(origin, prepending=prepending)
         for activation in ("lifo", "random"):
-            other = loop_propagate(
-                engine,
+            other = oracle.propagate(
                 origin,
                 prepending=prepending,
                 activation=activation,
                 activation_rng=random.Random(seed),
             )
             assert other.best == reference.best, f"{activation} diverged at AS{origin}"
-            assert _live_offers(other) == _live_offers(reference)
+            assert live_offers(other) == live_offers(reference)
 
 
 @pytest.mark.parametrize("seed", WORLD_SEEDS)
@@ -149,14 +140,13 @@ def test_incremental_fast_path_matches_full_rescan(seed):
     adoption stamps, because the activation trace itself is identical."""
     world = _world(seed)
     engine = PropagationEngine(world.graph)
+    oracle = ReferenceEngine(world.graph)
     rng = random.Random(seed * 13)
     for origin in _origins(world, rng):
         for padding in (1, 3):
             prepending = PrependingPolicy.uniform_origin(origin, padding)
             fast = loop_propagate(engine, origin, prepending=prepending)
-            full = loop_propagate(
-                engine, origin, prepending=prepending, incremental=False
-            )
+            full = oracle.propagate(origin, prepending=prepending, incremental=False)
             assert fast == full
             assert fast.adoption_round == full.adoption_round
             assert fast.rounds == full.rounds
@@ -181,13 +171,12 @@ def test_incremental_fast_path_matches_under_attack(small_world):
     from repro.attack.interception import ASPPInterceptionAttack
 
     attack = ASPPInterceptionAttack(attacker=attacker, victim=victim)
-    full = loop_propagate(
-        engine,
+    full = ReferenceEngine(graph).propagate(
         victim,
         prepending=prepending,
         modifiers={attacker: attack.modifier()},
         warm_start=baseline,
-        seed={attacker},
+        seed_ases={attacker},
         incremental=False,
     )
     assert result.attacked == full

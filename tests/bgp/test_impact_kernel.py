@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-
-np = pytest.importorskip("numpy", reason="the impact kernel requires numpy")
 
 from repro.attack.interception import simulate_interception
 from repro.bgp import vectorized

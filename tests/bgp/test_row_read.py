@@ -20,7 +20,6 @@ from repro.attack.interception import simulate_interception
 from repro.bgp.collectors import RouteCollector
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.vectorized import numpy_available
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.monitors import top_degree_monitors
 from repro.detection.streaming import attack_update_stream
@@ -31,14 +30,11 @@ from tests.bgp.loop_oracle import LoopEngine
 from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import draw_victim_then_attacker, paddings, seeds, tiny_world
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the wave kernel requires numpy"
-)
 #: engine factories: the loop by name, the engine as shipped (kernel
 #: cold runs), the reference interpreter
 BACKENDS = [
     pytest.param(LoopEngine, id="compiled"),
-    pytest.param(PropagationEngine, id="vectorized", marks=needs_numpy),
+    pytest.param(PropagationEngine, id="vectorized"),
     pytest.param(ReferenceEngine, id="reference"),
 ]
 

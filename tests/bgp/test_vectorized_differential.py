@@ -3,9 +3,8 @@
 Every test pits the default engine — whose cold stock-policy runs are
 kernel columns — against the per-activation loop called by name
 (``tests/bgp/loop_oracle.py``; on the tiny worlds the reference
-interpreter too) over the same drawn scenario, and once more with numpy
-masked, where the default engine must *be* the loop.  The contract
-under test is the one pinned in ``repro/bgp/vectorized.py``:
+interpreter too) over the same drawn scenario.  The contract under test
+is the one pinned in ``repro/bgp/vectorized.py``:
 
 * cold runs agree on ``best``/``best_keys`` (bit-identical, including
   dict iteration order), on every *present* Adj-RIB-in offer, and on
@@ -15,10 +14,12 @@ under test is the one pinned in ``repro/bgp/vectorized.py``:
   ones computed from a loop baseline on every field, adoption
   stamps and round counts included;
 * refused shapes (secpol deployments, modifiers, import filters,
-  non-stock export policies, a masked numpy) run on the loop and stay
+  non-stock export policies) run on the loop and stay
   identical by construction — the suite checks the refusal is counted
   under its reason *and* the results stay equal;
-* activation order never changes the routes a cold run converges to.
+* activation order never changes the routes a cold run converges to
+  (the reference interpreter's LIFO and random disciplines against the
+  kernel).
 
 The scale ladder: hypothesis drives ~50-AS tiny worlds and
 scale-parameterized power-law worlds (from ``tests/strategies.py``);
@@ -29,16 +30,18 @@ four-digit topology, and the 10k/80k rungs live in
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 
-pytest.importorskip("numpy", reason="the wave kernel requires numpy")
-
+from repro.attack.interception import simulate_interception
+from repro.bgp.engine import PropagationEngine
+from repro.bgp.prepending import PrependingPolicy
+from repro.secpol import AspaPolicy, SecurityDeployment
+from repro.telemetry.metrics import RunMetrics
+from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import (
     SCALE_SMOKE,
     TINY,
     TINY_WITH_SIBLINGS,
-    assert_outcomes_identical,
     assert_vectorized_matches,
     draw_victim_then_attacker,
     paddings,
@@ -48,14 +51,6 @@ from tests.strategies import (
     tiny_world,
     vectorized_pair,
 )
-
-from repro.attack.interception import simulate_interception
-from repro.bgp import vectorized
-from repro.bgp.engine import PropagationEngine
-from repro.bgp.prepending import PrependingPolicy
-from repro.secpol import AspaPolicy, SecurityDeployment
-from repro.telemetry.metrics import RunMetrics
-from tests.bgp.reference_engine import ReferenceEngine
 
 DIFFERENTIAL_SETTINGS = settings(
     max_examples=25,
@@ -225,37 +220,17 @@ class TestFallbackShapes:
     @settings(
         max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    def test_numpy_masked_engine_is_the_loop(self, seed):
-        """Without numpy the default engine's cold run is the loop's,
-        stamps and withdrawal slots included, and says so."""
-        world, rng = tiny_world(seed, TINY_WITH_SIBLINGS)
-        victim = rng.choice(world.graph.ases)
-        prep = _prep(victim, _lam(rng))
-        eng_c, _ = vectorized_pair(world)
-        metrics = RunMetrics()
-        eng_v = PropagationEngine(world.graph, metrics=metrics)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vectorized, "np", None)
-            masked = eng_v.propagate(victim, prepending=prep)
-        assert_outcomes_identical(eng_c.propagate(victim, prepending=prep), masked)
-        assert metrics.counter_value("engine.vectorized.fallbacks.numpy-missing") == 1
-        assert metrics.counter_value("engine.vectorized.propagations") == 0
-
-    @given(seed=seeds)
-    @settings(
-        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
     def test_activation_order_independent_routes(self, seed):
-        """Cold kernel routes equal loop routes under any activation
-        discipline (confluence; stamps are per-discipline)."""
+        """Cold kernel routes equal the reference interpreter's under any
+        activation discipline (confluence; stamps are per-discipline)."""
         import random as _random
 
         world, rng = tiny_world(seed, TINY)
         victim = rng.choice(world.graph.ases)
-        eng_c, eng_v = vectorized_pair(world)
-        ov = eng_v.propagate(victim)
+        oracle = ReferenceEngine(world.graph)
+        ov = PropagationEngine(world.graph).propagate(victim)
         for activation in ("fifo", "lifo", "random"):
-            oc = eng_c.propagate(
+            oc = oracle.propagate(
                 victim,
                 activation=activation,
                 activation_rng=_random.Random(seed),

@@ -30,12 +30,15 @@ the structural guarantees that make the emergent order equivalent:
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy", reason="the wave kernel requires numpy")
-
+from repro.bgp.compiled import CompiledTopology
+from repro.bgp.prepending import PrependingPolicy
+from repro.bgp.vectorized import _sent_slots, _views, vectorized_fixpoint
+from repro.topology.generators import generate_powerlaw_topology
+from repro.topology.relationships import PrefClass
 from tests.strategies import (
     TINY_WITH_SIBLINGS,
     graphs,
@@ -45,12 +48,6 @@ from tests.strategies import (
     tiny_world,
     vectorized_pair,
 )
-
-from repro.bgp.compiled import CompiledTopology
-from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.vectorized import _sent_slots, _views, vectorized_fixpoint
-from repro.topology.generators import generate_powerlaw_topology
-from repro.topology.relationships import PrefClass
 
 PHASE_SETTINGS = settings(
     max_examples=25,

@@ -14,17 +14,13 @@ import dataclasses
 
 import pytest
 
-from repro.bgp import vectorized
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.vectorized import numpy_available
 from repro.detection.monitors import top_degree_monitors
-from repro.experiments.base import attack_pools, build_world
 from repro.experiments.fig13_detection_accuracy import Fig13Config
 from repro.experiments.fig13_detection_accuracy import run as run_fig13
 from repro.experiments.fig14_pollution_before_detection import Fig14Config
 from repro.experiments.fig14_pollution_before_detection import run as run_fig14
-from repro.experiments.sweeps import campaign, deployment_sweep
 from repro.runner import (
     BaselineCache,
     CampaignPairTask,
@@ -34,9 +30,7 @@ from repro.runner import (
 )
 from repro.store import CampaignStore
 from repro.telemetry import RunMetrics
-from repro.utils.rand import derive_rng, make_rng
 from tests.bgp.loop_oracle import LoopEngine
-from tests.strategies import cold_convergences
 
 WORLDS = "engine.compiled.worlds_emitted"
 
@@ -112,13 +106,7 @@ def test_a_campaign_pair_ships_and_stores_a_row_not_worlds(
 #: the loop by name, and the engine as shipped (kernel cold runs)
 BACKENDS = [
     pytest.param(LoopEngine, id="compiled"),
-    pytest.param(
-        PropagationEngine,
-        id="vectorized",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="the wave kernel requires numpy"
-        ),
-    ),
+    pytest.param(PropagationEngine, id="vectorized"),
 ]
 
 
@@ -144,71 +132,3 @@ def test_a_built_world_is_counted(small_world, backend):
     attacked.best, baseline.adj_rib_in  # already built: not again
     assert metrics.counters[WORLDS].value == 2
 
-
-# ----------------------------------------------------------------------
-# Route-building artefacts with and without numpy: the cold core is the
-# engine's choice, so neither the rows nor the work may depend on it.
-
-
-def _fig13(metrics):
-    return run_fig13(Fig13Config(scale=0.25, pairs=10), metrics=metrics).to_text()
-
-
-def _fig14(metrics):
-    return run_fig14(Fig14Config(scale=0.25, pairs=10), metrics=metrics).to_text()
-
-
-def _campaign(metrics):
-    world = build_world(scale=0.25)
-    attackers, victims = attack_pools(world.topology)
-    return campaign(
-        world.engine,
-        top_degree_monitors(world.graph, 40),
-        pairs=8,
-        padding=3,
-        attackers=attackers,
-        victims=victims,
-        rng=derive_rng(make_rng(7), "study-campaign"),
-        run=RunConfig(metrics=metrics),
-    )
-
-
-def _secpol_sweep(metrics):
-    world = build_world(scale=0.25)
-    return deployment_sweep(
-        world.engine,
-        victim=world.topology.tier1[0],
-        attacker=world.topology.tier2[0],
-        padding=3,
-        policy="prependguard",
-        fractions=(0.0, 0.5, 1.0),
-        seed=7,
-        run=RunConfig(metrics=metrics),
-    )
-
-
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy to mask it")
-@pytest.mark.parametrize(
-    "artefact",
-    [_fig13, _fig14, _campaign, _secpol_sweep],
-    ids=["fig13", "fig14", "campaign", "secpol-sweep"],
-)
-def test_rows_and_work_are_the_same_without_numpy(artefact, monkeypatch, worlds_built):
-    present = RunMetrics()
-    rows = artefact(present)
-    assert present.counter_value("engine.vectorized.propagations") > 0
-    assert present.counter_value("engine.vectorized.fallbacks") == 0
-
-    masked = RunMetrics()
-    monkeypatch.setattr(vectorized, "np", None)
-    assert artefact(masked) == rows
-    assert cold_convergences(masked) == cold_convergences(present)
-    assert masked.counter_value("engine.vectorized.propagations") == 0
-    # every cold run names why it was the loop's
-    assert masked.counter_value(
-        "engine.vectorized.fallbacks.numpy-missing"
-    ) == masked.counter_value("engine.cold.propagations")
-    for metrics in (present, masked):
-        assert metrics.counter_value(WORLDS) == 0
-        assert metrics.counter_value("engine.warm.propagations") > 0
-    assert worlds_built == []

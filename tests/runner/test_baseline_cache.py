@@ -20,7 +20,6 @@ from repro.attack.interception import simulate_interception
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import Route
-from repro.bgp.vectorized import numpy_available
 from repro.detection.monitors import top_degree_monitors
 from repro.exceptions import SimulationError
 from repro.runner import (
@@ -66,11 +65,8 @@ def rewrite_uniform(canonical, victim, padding):
     [
         pytest.param(LoopEngine, id="compiled"),
         pytest.param(ReferenceEngine, id="reference"),
-        pytest.param(
-            PropagationEngine,  # as shipped: cold runs are kernel columns
-            id="vectorized",
-            marks=pytest.mark.skipif(not numpy_available(), reason="needs numpy"),
-        ),
+        # as shipped: cold runs are kernel columns
+        pytest.param(PropagationEngine, id="vectorized"),
     ],
 )
 @settings(max_examples=15, deadline=None)

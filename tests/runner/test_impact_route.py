@@ -8,8 +8,7 @@ exactly as before, and the reason is counted.  Pinned here:
 * rows equal across the kernel, the engine route and the reference
   oracle's engine route — serial, through a forced two-worker pool, and
   against a cold and a warm store;
-* every fallback reason reachable and counted once per executed cell,
-  and the sweeps still right with numpy masked out of ``sys.modules``;
+* every fallback reason reachable and counted once per executed cell;
 * bad inputs raise exactly what the oracle's engine route raises;
 * a serial batch parks its kernel cells as one batch, pool workers run single columns
   against the per-victim baseline memo, and ``execute_task`` still runs
@@ -17,12 +16,6 @@ exactly as before, and the reason is counted.  Pinned here:
 """
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -42,10 +35,6 @@ from repro.telemetry.metrics import RunMetrics
 from tests.bgp.loop_oracle import LoopEngine
 from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import engine_route_points
-
-needs_numpy = pytest.mark.skipif(
-    not vectorized.numpy_available(), reason="the impact kernel requires numpy"
-)
 
 PADDINGS = tuple(range(1, 7))
 FALLBACK = "engine.impact.fallbacks."
@@ -67,7 +56,6 @@ def _fallbacks(metrics: RunMetrics) -> dict[str, int]:
     }
 
 
-@needs_numpy
 class TestRoutesAgree:
     def test_padding_sweep_rows_equal_on_every_route(self, small_world):
         attacker, victim = _pair(small_world)
@@ -167,7 +155,6 @@ class TestRoutesAgree:
         assert warm_metrics.counter_value("engine.impact.columns") == 0
 
 
-@needs_numpy
 class TestBatchingAndTheMemo:
     def test_prepare_parks_one_batch_and_tasks_take_their_result(self, small_world):
         attacker, victim = _pair(small_world)
@@ -228,15 +215,6 @@ class TestFallbacks:
         )
         return rows, metrics
 
-    def test_numpy_missing(self, small_world, monkeypatch):
-        expected, _ = self._sweep(small_world)
-        monkeypatch.setattr(vectorized, "np", None)
-        rows, metrics = self._sweep(small_world)
-        assert rows == expected
-        assert _fallbacks(metrics) == {"numpy-missing": len(PADDINGS)}
-        assert metrics.counter_value("engine.warm.propagations") == len(PADDINGS)
-
-    @needs_numpy
     def test_domain_topology_too_large(self, small_world, monkeypatch):
         expected, _ = self._sweep(small_world)
         monkeypatch.setattr(vectorized, "_MAX_N", 8)
@@ -244,7 +222,6 @@ class TestFallbacks:
         assert rows == expected
         assert _fallbacks(metrics) == {"domain": len(PADDINGS)}
 
-    @needs_numpy
     def test_domain_padding_overflows_the_key(self, small_world, monkeypatch):
         expected, _ = self._sweep(small_world)
         n = len(small_world.graph)
@@ -254,7 +231,6 @@ class TestFallbacks:
         assert _fallbacks(metrics) == {"domain": len([p for p in PADDINGS if p > 3])}
         assert metrics.counter_value("engine.impact.cells") == 3
 
-    @needs_numpy
     def test_strip_mode(self, small_world):
         attacker, victim = _pair(small_world)
         metrics = RunMetrics()
@@ -275,7 +251,6 @@ class TestFallbacks:
         assert _fallbacks(metrics) == {"strip-mode": 1}
 
 
-@needs_numpy
 class TestBadInputs:
     @pytest.mark.parametrize(
         "fields",
@@ -315,60 +290,3 @@ class TestBadInputs:
             str(oracle_route.value),
         )
 
-
-_NUMPY_MASKED = """
-import json, sys
-sys.modules["numpy"] = None  # `import numpy` now raises ImportError
-from repro.bgp.vectorized import numpy_available
-from repro.experiments.base import build_world
-from repro.experiments.sweeps import padding_sweep, pair_grid
-from repro.runner import RunConfig
-from repro.telemetry.metrics import RunMetrics
-
-assert not numpy_available()
-world = build_world(seed=7, scale=0.25)
-tier1 = world.topology.tier1
-metrics = RunMetrics()
-rows = padding_sweep(
-    world.engine, victim=tier1[0], attacker=tier1[1], paddings=range(1, 5),
-    run=RunConfig(metrics=metrics),
-)
-cells = pair_grid(world.engine, [(tier1[1], tier1[0]), (tier1[0], tier1[2])],
-                  origin_padding=3, run=RunConfig(workers=2))
-print(json.dumps({
-    "rows": rows,
-    "cells": [[c.before_fraction, c.after_fraction, c.attacker_kept_route] for c in cells],
-    "fallbacks": metrics.counter_value("engine.impact.fallbacks.numpy-missing"),
-}))
-"""
-
-
-@needs_numpy
-def test_sweeps_pass_with_numpy_masked_out_of_sys_modules():
-    """The numpy-less tier-1 host, reproduced in a subprocess."""
-    from repro.experiments.base import build_world
-
-    src = Path(__file__).resolve().parents[2] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_MASKED],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    masked = json.loads(done.stdout.splitlines()[-1])
-
-    world = build_world(seed=7, scale=0.25)
-    tier1 = world.topology.tier1
-    rows = padding_sweep(
-        world.engine, victim=tier1[0], attacker=tier1[1], paddings=range(1, 5)
-    )
-    cells = pair_grid(
-        world.engine, [(tier1[1], tier1[0]), (tier1[0], tier1[2])], origin_padding=3
-    )
-    assert masked["rows"] == [list(row) for row in rows]
-    assert masked["cells"] == [
-        [c.before_fraction, c.after_fraction, c.attacker_kept_route] for c in cells
-    ]
-    assert masked["fallbacks"] == 4

@@ -14,8 +14,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro.runner.executor as executor_mod
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
@@ -78,7 +76,6 @@ def test_pool_workers_inherit_the_parents_topology(small_world, monkeypatch, rea
 def test_pool_workers_converge_on_the_wave_kernel(small_world, real_pool):
     """A pool worker's engine decides the cold core like any other:
     its baselines are kernel columns."""
-    pytest.importorskip("numpy", reason="the wave kernel requires numpy")
     victim, attacker = small_world.tier1[0], small_world.tier1[1]
     # Route-building cells, so the workers' engines converge baselines.
     tasks = [

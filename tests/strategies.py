@@ -286,10 +286,24 @@ def assert_vectorized_matches(
 def cold_convergences(metrics) -> int:
     """Cold convergences ``metrics`` recorded, on whichever core ran
     them: kernel columns plus the loop's cold runs.  The sum is what a
-    baseline-cache miss costs, with or without numpy."""
+    baseline-cache miss costs, whichever core converged it."""
     return metrics.counter_value(
         "engine.vectorized.propagations"
     ) + metrics.counter_value("engine.cold.propagations")
+
+
+def live_offers(outcome) -> dict[int, dict[int, tuple]]:
+    """Adj-RIBs-in with withdrawn/absent offers normalised away.
+
+    Whether an AS holds an explicit ``None`` (a neighbour offered a
+    route transiently, then withdrew it) or no entry at all (the
+    neighbour never offered) depends on the activation order; the live
+    offers are the order-independent fixpoint.
+    """
+    return {
+        asn: {n: offer for n, offer in offers.items() if offer is not None}
+        for asn, offers in outcome.adj_rib_in.items()
+    }
 
 
 def assert_outcomes_identical(ref, other) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp.engine import PropagationEngine
-from repro.bgp.vectorized import numpy_available
 from repro.detection.monitors import top_degree_monitors
 from repro.experiments.base import attack_pools, build_world
 from repro.experiments.fig09_tier1_vs_tier1 import Fig09Config
@@ -53,15 +52,10 @@ class TestMetricsDoNotChangeResults:
         assert instrumented.to_text() == plain.to_text()
         assert plain.metrics is None
         assert instrumented.metrics is metrics
-        # λ-sweep points are impact-only: the kernel answers them where
-        # numpy is installed, the engine's warm path where it is not.
+        # λ-sweep points are impact-only: the kernel answers them.
         points = len(plain.rows)
-        if numpy_available():
-            assert metrics.counter_value("engine.impact.cells") == points
-            assert metrics.counter_value("engine.warm.propagations") == 0
-        else:
-            assert metrics.counter_value("engine.warm.propagations") == points
-            assert "engine.warm.convergence_rounds" in metrics.histograms
+        assert metrics.counter_value("engine.impact.cells") == points
+        assert metrics.counter_value("engine.warm.propagations") == 0
         assert instrumented.metrics.summary_table().startswith("run metrics")
         assert not plain.metrics
 

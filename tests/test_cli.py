@@ -9,7 +9,6 @@ import re
 
 import pytest
 
-from repro.bgp.vectorized import numpy_available
 from repro.cli import COMMANDS, main
 from repro.experiments import REGISTRY
 
@@ -156,11 +155,8 @@ def test_batch_stdout_is_pinned(argv, digest, capsys, real_pool, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (run, out)
 
 
-#: what a λ-sweep point counts as: a kernel cell where numpy is
-#: installed, a warm engine propagation where it is not
-CELL_COUNTER = (
-    "engine.impact.cells" if numpy_available() else "engine.warm.propagations"
-)
+#: what a λ-sweep point counts as: an impact-kernel cell
+CELL_COUNTER = "engine.impact.cells"
 
 
 class TestMetricsFlags:
@@ -624,14 +620,14 @@ SURFACE = {
         (("--scale",), "scale", "positive_float", None, None, False, "store"),
         (("--pairs",), "pairs", "positive_int", None, None, False, "store"),
         (("--instances",), "instances", "positive_int", None, None, False, "store"),
-        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--workers",), "workers", "non_negative_int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
     ],
     "all": [
         (("--seed",), "seed", "int", None, None, False, "store"),
         (("--scale",), "scale", "positive_float", None, None, False, "store"),
-        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--workers",), "workers", "non_negative_int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
     ],
@@ -647,7 +643,7 @@ SURFACE = {
         (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--monitors",), "monitors", "positive_int", 150, None, False, "store"),
         (("--placement",), "placement", None, "top-degree", ("top-degree", "greedy-cover"), False, "store"),
-        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--workers",), "workers", "non_negative_int", None, None, False, "store"),
         (("--topology",), "topology", "topology_spec", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -659,7 +655,7 @@ SURFACE = {
         (("--padding",), "padding", "positive_int", 3, None, False, "store"),
         (("--attackers",), "attackers", "positive_int", None, None, False, "store"),
         (("--victims",), "victims", "positive_int", None, None, False, "store"),
-        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--workers",), "workers", "non_negative_int", None, None, False, "store"),
         (("--topology",), "topology", "topology_spec", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -675,7 +671,7 @@ SURFACE = {
         (("--victim",), "victim", "int", None, None, False, "store"),
         (("--attacker",), "attacker", "int", None, None, False, "store"),
         (("--valley-free",), "valley_free", None, False, None, False, "storetrue"),
-        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--workers",), "workers", "non_negative_int", None, None, False, "store"),
         (("--topology",), "topology", "topology_spec", None, None, False, "store"),
         (("--store",), "store", "str", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
@@ -727,7 +723,7 @@ SURFACE = {
         (("--scale",), "scale", "positive_float", None, None, False, "store"),
         (("--pairs",), "pairs", "positive_int", None, None, False, "store"),
         (("--instances",), "instances", "positive_int", None, None, False, "store"),
-        (("--workers",), "workers", "int", None, None, False, "store"),
+        (("--workers",), "workers", "non_negative_int", None, None, False, "store"),
         (("--metrics",), "metrics", None, "off", ("off", "summary", "jsonl"), False, "store"),
         (("--metrics-out",), "metrics_out", "str", None, None, False, "store"),
     ],
@@ -865,6 +861,27 @@ class TestErrors:
             assert last.startswith(f"repro-aspp {command}: error: argument {flags[0]}: ")
         assert "Traceback" not in error
         assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig09"], ["query", "fig09", "--store", "store"], ["all"]],
+        ids=["run", "query", "all"],
+    )
+    def test_a_negative_worker_count_is_a_usage_error(
+        self, argv, no_world, capsys, tmp_path, monkeypatch
+    ):
+        """As in the batch commands: before any figure is computed, not
+        after the first ones are printed."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, "--scale", "0.15", "--workers", "-1"])
+        assert usage.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"repro-aspp {argv[0]}: error: argument --workers: must be at least 0, got -1"
+        )
+        assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -1160,8 +1177,6 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == "repro-aspp: error: AS999999 is not present in the topology\n"
         assert captured.out == ""
-        assert main(["run", "fig09", "--scale", "0.15", "--workers", "-1"]) == 1
-        assert capsys.readouterr().err.startswith("repro-aspp: error: worker count")
 
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_fig07_needs_a_pair(self, capsys, instances):

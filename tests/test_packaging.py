@@ -60,6 +60,18 @@ def test_pyproject_excludes_bytecode_from_distributions():
     )[1]
 
 
+def test_numpy_is_a_declared_dependency():
+    """The engine's cold core and the impact kernel import numpy
+    unconditionally: an install without it is not a supported one."""
+    project = (REPO / "pyproject.toml").read_text().split("[project]\n")[1].split("\n[")[0]
+    declared = [
+        ast.literal_eval(line.split("=", 1)[1].strip())
+        for line in project.splitlines()
+        if line.startswith("dependencies =")
+    ]
+    assert declared == [["numpy"]]
+
+
 def test_no_orphaned_bytecode_on_disk():
     """Every cached ``.pyc`` must still have its source ``.py``.
 
