@@ -24,6 +24,11 @@ reference.
 replaced (kept as ``tests/bgp/compile_oracle.py``) on the 10k-AS world,
 CSR columns identical, at least 3× faster.
 
+``test_bench_topology_load_10k`` gates the loader: ``loads_asrel2``
+(edge columns, one bulk ``ASGraph.from_edge_columns``) against the
+per-edge parser it replaced (kept as ``tests/topology/load_oracle.py``)
+on a dump of the same world, graphs identical, at least 1.3× faster.
+
 ``test_bench_world_generation`` gates the default 1.5k-AS world the
 figures run on: ``generate_internet_topology`` against the O(pool)
 generator it replaced (kept as ``tests/topology/generator_oracle.py``),
@@ -32,7 +37,9 @@ same ``dumps_caida`` bytes and same RNG state, at least 4× faster.
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -48,7 +55,7 @@ from repro.topology.generators import (
     generate_internet_topology,
     generate_powerlaw_topology,
 )
-from repro.topology.serialization import dumps_caida
+from repro.topology.serialization import dumps_caida, loads_asrel2
 from repro.topology.tiers import customer_cone
 from repro.utils.rand import derive_rng, make_rng
 from tests.bgp.compile_oracle import columns, compile_oracle
@@ -56,6 +63,7 @@ from tests.bgp.loop_oracle import LoopEngine
 from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import engine_route_points
 from tests.topology.generator_oracle import generate_internet_topology_oracle
+from tests.topology.load_oracle import loads_asrel2_oracle
 
 #: engine factory per timed core: the reference interpreter, and the
 #: compiled loop by name
@@ -192,6 +200,66 @@ def test_bench_topology_compile_10k():
     assert speedup >= 3.0, (
         f"from_graph regressed to {speedup:.2f}x over the per-slot builder "
         f"(floor is 3x)"
+    )
+
+
+def test_bench_topology_load_10k():
+    """``loads_asrel2`` (edge columns, one bulk build) must hold >= 1.3x
+    over the per-edge parser on a dump of the 10k-AS world (median of 21
+    back-to-back pairs), and build the same graph: same ASes in the same
+    order, every adjacency set in the same iteration order."""
+    text = dumps_caida(generate_powerlaw_topology(SCALE_10K, seed=7).graph)
+    loaders = (loads_asrel2_oracle, loads_asrel2)
+    pairs, graphs = [], {}
+    for _ in range(22):
+        pair = []
+        for load in loaders:  # back to back, so a slow spell hits both
+            graphs.pop(load, None)
+            # Both sides allocate the same 40,000 sets, so the collector's
+            # passes over them (and over whatever else is live) would only
+            # dilute the ratio: time each call with GC off, as timeit does.
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                graphs[load] = load(text)
+                pair.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+        pairs.append(pair)
+    del pairs[0]  # the first pair grows the heap both sides reuse
+    reference, graph = (graphs[load] for load in loaders)
+    for role in ("_providers", "_customers", "_peers", "_siblings"):
+        ours, theirs = getattr(graph, role), getattr(reference, role)
+        assert list(ours) == list(theirs), f"{role}: loaders disagree on AS order"
+        assert all(list(ours[asn]) == list(theirs[asn]) for asn in ours), (
+            f"{role}: loaders disagree on set order"
+        )
+    assert graph.num_edges == reference.num_edges
+
+    # the median of per-pair ratios: a slow spell moves both halves of a pair
+    speedup = statistics.median(oracle / fast for oracle, fast in pairs)
+    oracle_s = min(oracle for oracle, _ in pairs)
+    fast_s = min(fast for _, fast in pairs)
+    _merge_bench(
+        "topology_load_10k",
+        {
+            "topology_ases": len(graph),
+            "topology_edges": graph.num_edges,
+            "oracle_ms": round(oracle_s * 1000, 2),
+            "loads_asrel2_ms": round(fast_s * 1000, 2),
+            "speedup": round(speedup, 2),
+            "gate": 1.3,
+        },
+    )
+    print(
+        f"\n10k load: per-edge oracle {oracle_s * 1000:.1f} ms, "
+        f"loads_asrel2 {fast_s * 1000:.1f} ms (mins), speedup {speedup:.2f}x "
+        f"(median of {len(pairs)} pairs)"
+    )
+    assert speedup >= 1.3, (
+        f"loads_asrel2 regressed to {speedup:.2f}x over the per-edge parser "
+        f"(floor is 1.3x)"
     )
 
 

@@ -44,6 +44,8 @@ from collections import deque
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import Route
@@ -91,6 +93,16 @@ _ALWAYS_EXPORT_OF_ROLE = _role_table(
     lambda role: role in (Relationship.CUSTOMER, Relationship.SIBLING)
 )
 _IS_SIBLING_OF_ROLE = _role_table(lambda role: role is Relationship.SIBLING)
+
+#: Edge code + 1 (CAIDA's -1 / 0 / 2) -> role code of ``b`` relative to
+#: ``a``, and of ``a`` relative to ``b``; index 2 (code 1) is unused.
+_ROLE_OF_B = np.array([0, 2, 0, 3], dtype=np.int8)
+_ROLE_OF_A = np.array([1, 2, 0, 3], dtype=np.int8)
+
+
+def _int_array(column: np.ndarray) -> array:
+    """``column`` as a C-int ``array('i')``."""
+    return array("i", column.astype(np.intc).tobytes())
 
 
 class CompiledTopology:
@@ -169,47 +181,38 @@ class CompiledTopology:
     def from_graph(cls, graph: ASGraph) -> "CompiledTopology":
         """Compile ``graph`` (index ``i`` = rank of the ASN in sorted order).
 
-        This always builds; everything outside this module asks for
-        :meth:`of`, which builds at most once per graph.
+        One NumPy pass over :meth:`ASGraph.edge_columns`: each edge
+        becomes its two directed slots, sorted by ``(sender,
+        neighbour)``.  This always builds; everything outside this
+        module asks for :meth:`of`, which builds at most once per graph.
         """
-        asns = graph.ases  # sorted
-        index = {a: i for i, a in enumerate(asns)}
-        # One packed ``index << 2 | role_code`` key per slot, read
-        # straight off the per-role adjacency sets (in _CODE_REL order).
-        # A neighbour sits in exactly one role set, so sorting the keys
-        # of a block sorts it by neighbour.
-        by_role = (graph._customers, graph._providers, graph._peers, graph._siblings)
-        keys: list[int] = []
-        ends = [0]
-        for a in asns:
-            block: list[int] = []
-            for code, adjacency in enumerate(by_role):
-                members = adjacency[a]
-                if members:
-                    block += [index[b] << 2 | code for b in members]
-            block.sort()
-            keys += block
-            ends.append(len(keys))
-        nbr = [key >> 2 for key in keys]
-        roles = bytes([key & 3 for key in keys])
-        # Blocks ascend by sender and each block ascends by neighbour,
-        # so the slots announcing into receiver ``j`` come up in the
-        # order of ``j``'s own block: one cursor per receiver finds them.
-        cursor = ends[:-1]
-        rev_slot = []
-        for j in nbr:
-            rev_slot.append(cursor[j])
-            cursor[j] += 1
+        iteration = np.fromiter(graph, dtype=np.int64, count=len(graph))
+        asns = np.sort(iteration)
+        n = len(asns)
+        a, b, code = graph.edge_columns()
+        m = len(a)
+        ia, ib = np.searchsorted(asns, a), np.searchsorted(asns, b)
+        sender = np.concatenate((ia, ib))
+        receiver = np.concatenate((ib, ia))
+        # Slot t < m is a -> b and slot t + m is b -> a: each other's reverse.
+        role = np.concatenate((_ROLE_OF_B[code + 1], _ROLE_OF_A[code + 1]))
+        order = np.argsort(sender * n + receiver)
+        position = np.empty_like(order)
+        position[order] = np.arange(2 * m)
+        rev_slot = position[np.where(order < m, order + m, order - m)]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sender, minlength=n), out=indptr[1:])
+        roles = role[order].tobytes()
         return cls(
-            asn=array("q", asns),
-            iter_order=array("i", [index[a] for a in graph]),
-            indptr=array("i", ends),
-            nbr=array("i", nbr),
+            asn=array("q", asns.tobytes()),
+            iter_order=_int_array(np.searchsorted(asns, iteration)),
+            indptr=_int_array(indptr),
+            nbr=_int_array(receiver[order]),
             inv_pref=array("b", roles.translate(_INV_PREF_OF_ROLE)),
             always_export=array("b", roles.translate(_ALWAYS_EXPORT_OF_ROLE)),
             is_sibling=array("b", roles.translate(_IS_SIBLING_OF_ROLE)),
             role_code=array("b", roles),
-            rev_slot=array("i", rev_slot),
+            rev_slot=_int_array(rev_slot),
         )
 
     @classmethod
@@ -224,6 +227,7 @@ class CompiledTopology:
         topo = graph._compiled
         if topo is None:
             topo = graph._compiled = cls.from_graph(graph)
+            graph._columns = None  # the CSR supersedes the loader's columns
         return topo
 
     # ------------------------------------------------------------------

@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import heapq
 import math
 import os
 import sys
@@ -488,14 +489,17 @@ def _load_world(args):
     from repro.topology.tiers import classify_tiers
 
     graph = load_asrel2(spec.value)
-    tiers = classify_tiers(graph)
+    tier_of = classify_tiers(graph)
+    tiers: tuple[list[int], ...] = ([], [], [], [])  # tier4 takes tiers 4 and deeper
+    stubs = []
+    transit_degree = graph.transit_degree
+    for asn in graph.ases:
+        tier = tier_of[asn]
+        tiers[tier - 1 if tier < 4 else 3].append(asn)
+        if not transit_degree(asn):
+            stubs.append(asn)
     return GeneratedTopology(
-        graph,
-        tier1=sorted(a for a, t in tiers.items() if t == 1),
-        tier2=sorted(a for a, t in tiers.items() if t == 2),
-        tier3=sorted(a for a, t in tiers.items() if t == 3),
-        tier4=sorted(a for a, t in tiers.items() if t >= 4),
-        stubs=sorted(a for a in graph.ases if not graph.customers_of(a)),
+        graph, tier1=tiers[0], tier2=tiers[1], tier3=tiers[2], tier4=tiers[3], stubs=stubs
     )
 
 
@@ -633,10 +637,15 @@ def _grid(args, parser, metrics) -> int:
         def top_by_cone(pool, limit):
             if limit is None or limit >= len(pool):
                 return list(pool)
-            return sorted(pool, key=by_cone)[:limit]
+            return heapq.nsmallest(limit, pool, key=by_cone)
 
         transit, everyone = attack_pools(world)
         attackers = top_by_cone(transit, args.attackers)
+        # A transit AS's cone holds a customer and a stub's only itself,
+        # so every transit AS outranks every stub: no stub need be ranked
+        # while the transit pool alone has more ASes than are asked for.
+        if args.victims is not None and args.victims < len(transit):
+            everyone = transit
         victims = top_by_cone(everyone, args.victims)
         results = exhaustive_grid(
             engine,
@@ -674,7 +683,7 @@ def _secpol_sweep(args, parser, metrics) -> int:
             tier2 = [
                 asn
                 for asn in graph.ases
-                if tiers.get(asn) == 2 and asn != victim and graph.customers_of(asn)
+                if tiers.get(asn) == 2 and asn != victim and graph.transit_degree(asn)
             ]
             if not tier2:
                 parser.error("no Tier-2 transit AS available; pass --attacker")

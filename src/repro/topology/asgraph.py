@@ -15,11 +15,21 @@ the hot queries of the propagation engine (``customers_of``,
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain
+
+import numpy as np
 
 from repro.exceptions import DuplicateEdgeError, TopologyError, UnknownASError
 from repro.topology.relationships import Relationship
 
 __all__ = ["ASGraph"]
+
+#: The largest AS number: AS numbers are 32-bit (RFC 6793).
+MAX_ASN = 2**32 - 1
+
+#: CAIDA's relationship codes, as :meth:`ASGraph.from_edge_columns`
+#: reads them: ``a`` sells transit to ``b``, peers, siblings.
+_P2C, _P2P, _S2S = -1, 0, 2
 
 
 class ASGraph:
@@ -37,10 +47,14 @@ class ASGraph:
         self._siblings: dict[int, set[int]] = {}
         self._edge_count = 0
         # Memo of the graph's dense CSR form, owned by
-        # ``repro.bgp.compiled.CompiledTopology.of`` (which also reads
-        # the four adjacency dicts directly to build it).  Dropped on
-        # every mutation; never copied or pickled with the graph.
+        # ``repro.bgp.compiled.CompiledTopology.of``.  Dropped on every
+        # mutation; never copied or pickled with the graph.
         self._compiled = None
+        # The (a, b, code) columns a bulk-built graph came from
+        # (``from_edge_columns``): what ``edge_columns`` returns until the
+        # graph is mutated, and released once it is compiled.  Never
+        # copied or pickled either.
+        self._columns = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -49,6 +63,77 @@ class ASGraph:
     def _check_asn(asn: int) -> None:
         if not isinstance(asn, int) or isinstance(asn, bool) or asn <= 0:
             raise TopologyError(f"AS numbers must be positive integers, got {asn!r}")
+        if asn > MAX_ASN:
+            raise TopologyError(f"AS numbers are 32-bit (at most {MAX_ASN}), got {asn}")
+
+    @classmethod
+    def from_edge_columns(cls, a, b, code) -> "ASGraph":
+        """The graph of the edges ``a[r]``-``b[r]``, built in bulk.
+
+        ``code[r]`` is CAIDA's: -1 when ``a[r]`` sells transit to
+        ``b[r]``, 0 for peers, 2 for siblings.  The result equals
+        inserting the rows one by one in order (``add_p2c`` /
+        ``add_p2p`` / ``add_s2s``): the same ASes in the same order,
+        every adjacency set filled in row order, and the same rules —
+        valid AS numbers, no self-loop, no second edge between two ASes
+        in any role or direction.  The first refused row raises the
+        error its insert would, with the row's index as ``error.row``.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        code = np.asarray(code, dtype=np.int8)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        refused = (
+            ((code != _P2C) & (code != _P2P) & (code != _S2S))
+            | (lo <= 0)
+            | (hi > MAX_ASN)
+            | (a == b)
+        )
+        # One key per unordered pair; only a refused row can make two
+        # distinct pairs collide, and it is refused first anyway.
+        pair = lo.astype(np.uint64) << np.uint64(32) | hi.astype(np.uint64)
+        repeated = np.ones(len(pair), dtype=bool)
+        repeated[np.unique(pair, return_index=True)[1]] = False
+        refused |= repeated
+        if refused.any():
+            # Word the error as the row's own insert would, replayed after
+            # the earlier row naming the same pair, if there is one.
+            row = int(refused.argmax())
+            rel = int(code[row])
+            probe = cls()
+            insert = {_P2C: probe.add_p2c, _P2P: probe.add_p2p, _S2S: probe.add_s2s}
+            try:
+                if rel not in insert:
+                    raise TopologyError(f"unknown relationship code {rel}")
+                for earlier in np.flatnonzero(pair[:row] == pair[row]).tolist():
+                    insert[int(code[earlier])](int(a[earlier]), int(b[earlier]))
+                insert[rel](int(a[row]), int(b[row]))
+            except TopologyError as exc:
+                exc.row = row
+                raise
+            raise AssertionError(f"row {row} was refused but inserts cleanly")
+
+        graph = cls()
+        ends = np.empty(2 * len(a), dtype=np.int64)
+        ends[0::2], ends[1::2] = a, b
+        ases = dict.fromkeys(ends.tolist())  # first-appearance order
+        graph._providers = {asn: set() for asn in ases}
+        graph._customers = {asn: set() for asn in ases}
+        graph._peers = {asn: set() for asn in ases}
+        graph._siblings = {asn: set() for asn in ases}
+        customers, providers = graph._customers, graph._providers
+        rows = code == _P2C
+        for x, y in zip(a[rows].tolist(), b[rows].tolist()):
+            customers[x].add(y)
+            providers[y].add(x)
+        for rel, adjacency in ((_P2P, graph._peers), (_S2S, graph._siblings)):
+            rows = code == rel
+            for x, y in zip(a[rows].tolist(), b[rows].tolist()):
+                adjacency[x].add(y)
+                adjacency[y].add(x)
+        graph._edge_count = len(a)
+        graph._columns = (a, b, code)
+        return graph
 
     def add_as(self, asn: int) -> None:
         """Insert an AS with no links (idempotent)."""
@@ -58,7 +143,7 @@ class ASGraph:
             self._customers[asn] = set()
             self._peers[asn] = set()
             self._siblings[asn] = set()
-            self._compiled = None
+            self._compiled = self._columns = None
 
     def _open_edge(self, a: int, b: int) -> None:
         """Everything an edge insert does except add ``a``-``b`` to its
@@ -84,7 +169,7 @@ class ASGraph:
                 f"{self.relationship(a, b).value}"
             )
         self._edge_count += 1
-        self._compiled = None
+        self._compiled = self._columns = None
 
     def add_p2c(self, provider: int, customer: int) -> None:
         """Add a transit edge: ``provider`` sells transit to ``customer``."""
@@ -135,7 +220,7 @@ class ASGraph:
             self._siblings[a].discard(b)
             self._siblings[b].discard(a)
         self._edge_count -= 1
-        self._compiled = None
+        self._compiled = self._columns = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -204,8 +289,10 @@ class ASGraph:
 
     def transit_degree(self, asn: int) -> int:
         """Number of customers — CAIDA's AS-Rank ordering key."""
-        self._require(asn)
-        return len(self._customers[asn])
+        try:
+            return len(self._customers[asn])
+        except KeyError:
+            raise UnknownASError(asn) from None
 
     def relationship(self, a: int, b: int) -> Relationship:
         """The role of ``b`` relative to ``a`` (``NONE`` if not adjacent)."""
@@ -223,6 +310,34 @@ class ASGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return self.relationship(a, b) is not Relationship.NONE
+
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge once, as ``from_edge_columns`` reads them: int64
+        ``a`` and ``b`` and int8 ``code`` columns.
+
+        A bulk-built graph returns the columns it was built from; any
+        other graph gathers them from its adjacency sets (transit edges
+        provider-first, symmetric ones with ``a < b``).
+        """
+        if self._columns is not None:
+            return self._columns
+        columns = []
+        for rel, adjacency in (
+            (_P2C, self._customers),
+            (_P2P, self._peers),
+            (_S2S, self._siblings),
+        ):
+            n = len(adjacency)
+            sizes = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=n)
+            a = np.repeat(np.fromiter(adjacency, dtype=np.int64, count=n), sizes)
+            b = np.fromiter(
+                chain.from_iterable(adjacency.values()), dtype=np.int64, count=len(a)
+            )
+            if rel != _P2C:  # a symmetric edge sits in both ends' sets
+                a, b = a[a < b], b[a < b]
+            columns.append((a, b, np.full(len(a), rel, dtype=np.int8)))
+        a, b, code = zip(*columns)
+        return np.concatenate(a), np.concatenate(b), np.concatenate(code)
 
     def edges(self) -> Iterator[tuple[int, int, Relationship]]:
         """Iterate each edge once as ``(a, b, role-of-b-relative-to-a)``.
@@ -295,9 +410,10 @@ class ASGraph:
 
     def __getstate__(self) -> dict:
         # A pickled graph (the pool's fallback transport) must not ship
-        # a compiled topology inside it; the receiver compiles its own.
+        # a compiled topology or edge columns inside it; the receiver
+        # compiles its own.
         state = self.__dict__.copy()
-        state["_compiled"] = None
+        state["_compiled"] = state["_columns"] = None
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

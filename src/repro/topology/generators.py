@@ -181,7 +181,7 @@ class GeneratedTopology:
         to export a modified route, so experiment samplers use this
         pool for attackers.
         """
-        return [asn for asn in self.graph.ases if self.graph.customers_of(asn)]
+        return [asn for asn in self.graph.ases if self.graph.transit_degree(asn)]
 
 
 def _pick_count(rng: random.Random, bounds: tuple[int, int]) -> int:

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import bz2
 import io
+import sys
+from array import array
 from pathlib import Path
 
-from repro.exceptions import SerializationError
+from repro.exceptions import SerializationError, TopologyError
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship
 
@@ -42,6 +44,7 @@ _REL_CODES = {
     Relationship.PEER: 0,
     Relationship.SIBLING: 2,
 }
+_CODES = frozenset(_REL_CODES.values())
 
 
 def dumps_caida(graph: ASGraph, *, header: str | None = None) -> str:
@@ -65,39 +68,64 @@ def _parse_relationships(text: str, *, max_fields: int | None) -> ASGraph:
 
     ``max_fields`` bounds the accepted field count (``None`` keeps the
     historical lenient serial-1 behaviour: three or more fields, extras
-    ignored).  Every rejection carries the 1-based line number.
+    ignored).  One pass over the lines fills three edge columns, and
+    :meth:`ASGraph.from_edge_columns` builds the graph from them under
+    the per-edge rules.  Every rejection carries the 1-based line
+    number; when a line is malformed and an earlier row is refused, the
+    earlier line is the one named.
     """
-    graph = ASGraph()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    a, b, code = array("q"), array("q"), array("b")
+    put_a, put_b, put_code = a.append, b.append, code.append
+    most = max_fields or sys.maxsize
+    problem = None
+    for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         parts = line.split("|")
-        if len(parts) < 3 or (max_fields is not None and len(parts) > max_fields):
-            raise SerializationError(
-                f"line {line_number}: expected 'a|b|code"
-                f"{'[|source]' if max_fields else ''}', got {raw!r}"
-            )
+        if not 3 <= len(parts) <= most:
+            problem = f"expected 'a|b|code{'[|source]' if max_fields else ''}', got {raw!r}"
+            break
         try:
-            a, b, code = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise SerializationError(f"line {line_number}: non-integer field in {raw!r}") from exc
+            x, y, rel = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            problem = f"non-integer field in {raw!r}"
+            break
+        if rel not in _CODES:
+            problem = f"unknown relationship code {rel}"
+            break
         try:
-            if code == -1:
-                graph.add_p2c(a, b)
-            elif code == 0:
-                graph.add_p2p(a, b)
-            elif code == 2:
-                graph.add_s2s(a, b)
+            put_a(x)
+            put_b(y)
+        except OverflowError:
+            # Past 64 bits no column holds it; it is no AS number either.
+            del a[len(b):]
+            try:
+                ASGraph._check_asn(x)
+                ASGraph._check_asn(y)
+            except TopologyError as exc:
+                problem = str(exc)
             else:
-                raise SerializationError(
-                    f"line {line_number}: unknown relationship code {code}"
-                )
-        except SerializationError:
-            raise
-        except Exception as exc:
-            raise SerializationError(f"line {line_number}: {exc}") from exc
-    return graph
+                raise AssertionError(f"AS{x} or AS{y} overflowed yet is an AS number")
+            break
+        put_code(rel)
+    cause = None
+    try:
+        graph = ASGraph.from_edge_columns(a, b, code)
+    except TopologyError as exc:  # a refused row comes before any bad line
+        row, problem, cause = exc.row, str(exc), exc
+    else:
+        if problem is None:
+            return graph
+        row = len(code)  # every data line before the bad one became a row
+    # Only now map the row back to its line.
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            if not row:
+                break
+            row -= 1
+    raise SerializationError(f"line {line_number}: {problem}") from cause
 
 
 def loads_caida(text: str) -> ASGraph:

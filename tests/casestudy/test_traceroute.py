@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.casestudy.traceroute import TracerouteSimulator
-from repro.exceptions import SimulationError
 
 
 @pytest.fixture()

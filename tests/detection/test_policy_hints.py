@@ -9,8 +9,6 @@ constructed directly so each test isolates exactly one branch.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bgp.collectors import MonitorView
 from repro.bgp.route import DEFAULT_PREFIX, Route
 from repro.detection.alarms import Confidence

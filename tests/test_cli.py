@@ -155,6 +155,34 @@ def test_batch_stdout_is_pinned(argv, digest, capsys, real_pool, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (run, out)
 
 
+@pytest.mark.parametrize("victims", [2, 4, 5])  # fewer, as many and more than the 4 transit ASes
+def test_grid_victims_are_the_largest_cones(victims, monkeypatch, capsys, tmp_path):
+    """``grid --victims N`` takes the N largest customer cones over every
+    AS (ties to the lower ASN), whether or not stubs make the cut."""
+    import repro.experiments.sweeps as sweeps
+    from repro.topology.serialization import loads_asrel2
+    from repro.topology.tiers import customer_cone
+
+    # cones: AS1 6, AS3 3, AS2 and AS7 2, the stubs 4, 5, 6 and 8 one each
+    text = "1|2|-1\n1|3|-1\n3|4|-1\n3|5|-1\n2|6|-1\n1|7|0\n7|8|-1\n"
+    topology = tmp_path / "t.as-rel2.txt"
+    topology.write_text(text)
+    graph = loads_asrel2(text)
+    expected = sorted(graph, key=lambda asn: (-len(customer_cone(graph, asn)), asn))
+    picked = {}
+
+    def grid(engine, *, attackers, victims, origin_padding, run):
+        picked.update(attackers=attackers, victims=victims)
+        return [type("Cell", (), {"before_fraction": 0.0, "after_fraction": 0.5})()]
+
+    monkeypatch.setattr(sweeps, "exhaustive_grid", grid)
+    argv = ["grid", "--topology", f"caida:{topology}", "--attackers", "2"]
+    assert main([*argv, "--victims", str(victims)]) == 0
+    assert picked["victims"] == expected[:victims]
+    assert picked["victims"][:2] == picked["attackers"] == [1, 3]
+    capsys.readouterr()
+
+
 #: what a λ-sweep point counts as: an impact-kernel cell
 CELL_COUNTER = "engine.impact.cells"
 
@@ -1176,6 +1204,17 @@ class TestErrors:
         assert main(["secpol-sweep", "--scale", "0.15", "--victim", "999999"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "repro-aspp: error: AS999999 is not present in the topology\n"
+        assert captured.out == ""
+
+    def test_an_asn_past_64_bits_is_one_line_naming_it(self, capsys, tmp_path):
+        topology = tmp_path / "big.as-rel2.txt"
+        topology.write_text("1|2|-1\n1|3|-1\n3|9223372036854775808|-1\n")
+        assert main(["grid", "--topology", f"caida:{topology}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro-aspp: error: line 3: AS numbers are 32-bit (at most 4294967295), "
+            "got 9223372036854775808\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("instances", ["0", "-1"])

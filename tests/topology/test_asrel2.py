@@ -17,6 +17,7 @@ from repro.exceptions import SerializationError
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship
 from repro.topology.serialization import dumps_caida, load_asrel2, loads_asrel2
+from tests.topology.load_oracle import loads_asrel2_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI = FIXTURES / "mini.as-rel2.txt"
@@ -74,11 +75,23 @@ def test_bz2_snapshot_loads(tmp_path):
         ("1|1|-1", 1),  # self-loop
         ("# ok\n1|2|-1\n1|2|0|bgp", 3),  # duplicate edge, conflicting role
         ("1|2|-1\n2|1|-1", 2),  # duplicate edge, reversed
+        # a refused edge before a malformed line, and after one
+        ("1|2|-1\n2|1|0\n1|2", 2),  # repeat, then too few fields
+        ("1|1|-1\n1|2|x", 1),  # self-loop, then a non-integer field
+        ("0|1|-1\n1|2|9", 1),  # bad ASN, then an unknown code
+        ("1|2|-1\n1|3|0\n3|1|2|bgp|extra", 3),  # clean edges, then five fields
+        ("1|2\n1|1|-1", 1),  # too few fields, then a self-loop
+        ("1|2|-1\n3|18446744073709551616|0\n1|2|0", 2),  # past 64 bits, then a repeat
+        ("1|2|-1\n2|1|-1\n2|18446744073709551616|0", 2),  # repeat, then past 64 bits
     ],
 )
 def test_malformed_snapshots_carry_line_numbers(bad, line):
-    with pytest.raises(SerializationError, match=f"line {line}"):
+    """The per-edge parser's exact message, naming the earliest bad line."""
+    with pytest.raises(SerializationError, match=f"line {line}: ") as raised:
         loads_asrel2(bad)
+    with pytest.raises(SerializationError) as expected:
+        loads_asrel2_oracle(bad)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_mangled_fixture_names_the_duplicate_line():
@@ -101,3 +114,14 @@ def test_parsed_snapshot_drops_into_the_engine():
     engine = PropagationEngine(g)
     outcome = engine.propagate(64515)
     assert outcome.best[174] is not None
+
+
+@pytest.mark.parametrize("asn", [2**63, 2**32])
+def test_an_asn_past_32_bits_is_refused_with_its_line(asn):
+    with pytest.raises(SerializationError, match="line 3: AS numbers are 32-bit"):
+        loads_asrel2(f"1|2|-1\n1|3|-1\n3|{asn}|-1\n")
+
+
+def test_the_largest_32_bit_asn_loads():
+    g = loads_asrel2("1|2|-1\n2|4294967295|0\n")
+    assert g.relationship(2, 4294967295) is Relationship.PEER
