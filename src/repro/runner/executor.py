@@ -115,8 +115,13 @@ def _run_task(task: Any) -> tuple[Any, Any]:
 
 
 def _shut(pool: ProcessPoolExecutor | None, *, kill: bool = False) -> None:
-    """Tear ``pool`` down; ``kill`` first, so a failed batch does not
-    wait on its cells."""
+    """Tear ``pool`` down and wait until its threads have ended; ``kill``
+    its workers first, so a failed batch does not wait on its cells.
+
+    The wait matters after a kill too: the next batch forks its workers
+    from this process, and a fork taken while this pool's manager or
+    queue-feeder thread still runs copies the locks those threads hold
+    (see ``_FORK_LOCK``) into the new workers."""
     if pool is None:
         return
     if kill:
@@ -126,7 +131,7 @@ def _shut(pool: ProcessPoolExecutor | None, *, kill: bool = False) -> None:
             except Exception:  # pragma: no cover - already dead
                 pass
     try:
-        pool.shutdown(wait=not kill, cancel_futures=kill)
+        pool.shutdown(wait=True, cancel_futures=kill)
     except Exception:  # pragma: no cover - broken pool teardown
         pass
 

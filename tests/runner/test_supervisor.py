@@ -9,6 +9,7 @@ the parent.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -42,6 +43,30 @@ class TestPoolLifecycle:
         engine = PropagationEngine(small_world.graph)
         with pytest.raises(SimulationError, match="could not start a pool of 2 workers"):
             run_batch(engine, _tasks(small_world), RunConfig(workers=2))
+
+    @pytest.mark.parametrize("failure", ["interrupt", "death"])
+    def test_a_failed_batch_leaves_no_pool_thread_running(
+        self, small_world, monkeypatch, real_pool, failure
+    ):
+        """The next batch forks its workers from this process, so a
+        failed pool's manager and feeder threads (and the locks they
+        hold) must have ended by the time the failure reaches the
+        caller."""
+        tasks = _tasks(small_world)
+        parent, plain = os.getpid(), SweepPointTask.run
+
+        def fails(task, ctx):
+            if task == tasks[1] and os.getpid() != parent:
+                if failure == "death":
+                    os._exit(86)
+                raise KeyboardInterrupt
+            return plain(task, ctx)
+
+        monkeypatch.setattr(SweepPointTask, "run", fails)
+        before = set(threading.enumerate())
+        with pytest.raises((KeyboardInterrupt, SimulationError)):
+            run_batch(PropagationEngine(small_world.graph), tasks, RunConfig(workers=2))
+        assert set(threading.enumerate()) == before
 
 
 class TestOneFailureRule:
