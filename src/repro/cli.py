@@ -485,18 +485,21 @@ def _load_world(args):
 
         return generate_powerlaw_topology(spec.value, seed=args.seed)
     from repro.topology.generators import GeneratedTopology
+    from repro.topology.relationships import Relationship
     from repro.topology.serialization import load_asrel2
     from repro.topology.tiers import classify_tiers
 
     graph = load_asrel2(spec.value)
+    if not len(graph):
+        raise TopologyError(f"{spec.value} holds no AS relationships")
     tier_of = classify_tiers(graph)
+    customers = graph.relatives(Relationship.CUSTOMER)
     tiers: tuple[list[int], ...] = ([], [], [], [])  # tier4 takes tiers 4 and deeper
     stubs = []
-    transit_degree = graph.transit_degree
     for asn in graph.ases:
         tier = tier_of[asn]
         tiers[tier - 1 if tier < 4 else 3].append(asn)
-        if not transit_degree(asn):
+        if asn not in customers:
             stubs.append(asn)
     return GeneratedTopology(
         graph, tier1=tiers[0], tier2=tiers[1], tier3=tiers[2], tier4=tiers[3], stubs=stubs
@@ -670,6 +673,7 @@ def _grid(args, parser, metrics) -> int:
 
 def _secpol_sweep(args, parser, metrics) -> int:
     from repro.experiments.sweeps import deployment_sweep
+    from repro.topology.relationships import Relationship
     from repro.topology.tiers import classify_tiers
     from repro.utils.tables import format_table
 
@@ -680,10 +684,11 @@ def _secpol_sweep(args, parser, metrics) -> int:
             victim = min(world.tier1, key=_by_cone(graph))
         if attacker is None:
             tiers = classify_tiers(graph)
+            transit = graph.relatives(Relationship.CUSTOMER)
             tier2 = [
                 asn
                 for asn in graph.ases
-                if tiers.get(asn) == 2 and asn != victim and graph.transit_degree(asn)
+                if tiers.get(asn) == 2 and asn != victim and asn in transit
             ]
             if not tier2:
                 parser.error("no Tier-2 transit AS available; pass --attacker")

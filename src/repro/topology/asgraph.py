@@ -8,8 +8,14 @@ path algorithm (:mod:`repro.bgp.uphill`), relationship inference
 (:mod:`repro.topology.tiers`).
 
 The representation is adjacency sets per relationship kind, which makes
-the hot queries of the propagation engine (``customers_of``,
-``peers_of`` ...) O(1) lookups returning pre-built sets.
+the per-AS queries (``customers_of``, ``peers_of`` ...) O(1) lookups
+returning pre-built sets.  A graph loaded in bulk
+(:meth:`ASGraph.from_edge_columns`) keeps its edge columns instead and
+builds the sets on the first query or mutation that needs them.  A run
+that only propagates, classifies tiers and ranks cones never does: it
+reads the columns, through the dense CSR form
+(:class:`repro.bgp.compiled.CompiledTopology`) and
+:meth:`ASGraph.relatives`.
 """
 
 from __future__ import annotations
@@ -31,6 +37,17 @@ MAX_ASN = 2**32 - 1
 #: reads them: ``a`` sells transit to ``b``, peers, siblings.
 _P2C, _P2P, _S2S = -1, 0, 2
 
+#: The adjacency dict of each role (``ASGraph.relatives``).
+_ROLE_SETS = {
+    Relationship.CUSTOMER: "_customers",
+    Relationship.PROVIDER: "_providers",
+    Relationship.PEER: "_peers",
+    Relationship.SIBLING: "_siblings",
+}
+
+#: The adjacency dicts a bulk-built graph defers (``_DeferredASGraph``).
+_ADJACENCY = frozenset(_ROLE_SETS.values())
+
 
 class ASGraph:
     """An AS-level topology with relationship-annotated edges.
@@ -45,6 +62,10 @@ class ASGraph:
         self._customers: dict[int, set[int]] = {}
         self._peers: dict[int, set[int]] = {}
         self._siblings: dict[int, set[int]] = {}
+        # Every AS, in insertion order: ``_providers`` itself once the
+        # adjacency sets exist, so ``len``, ``in`` and iteration never
+        # need the sets.
+        self._ases: dict[int, object] = self._providers
         self._edge_count = 0
         # Memo of the graph's dense CSR form, owned by
         # ``repro.bgp.compiled.CompiledTopology.of``.  Dropped on every
@@ -55,6 +76,12 @@ class ASGraph:
         # graph is mutated, and released once it is compiled.  Never
         # copied or pickled either.
         self._columns = None
+        # The same columns while a bulk-built graph has not built its
+        # adjacency sets yet (``_DeferredASGraph``); ``None`` once it has.
+        self._deferred = None
+        # The maps ``relatives`` built, per role.  Dropped on every
+        # mutation; never copied or pickled.
+        self._relatives: dict[Relationship, dict[int, list[int]]] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -78,6 +105,11 @@ class ASGraph:
         valid AS numbers, no self-loop, no second edge between two ASes
         in any role or direction.  The first refused row raises the
         error its insert would, with the row's index as ``error.row``.
+
+        The adjacency sets are built on the first query or mutation that
+        needs them; until then ``len``, ``in``, iteration, :attr:`ases`,
+        :meth:`edge_columns` and the compiled form answer from the
+        columns and the AS order.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -113,27 +145,41 @@ class ASGraph:
                 raise
             raise AssertionError(f"row {row} was refused but inserts cleanly")
 
-        graph = cls()
+        graph = _DeferredASGraph.__new__(_DeferredASGraph)
         ends = np.empty(2 * len(a), dtype=np.int64)
         ends[0::2], ends[1::2] = a, b
-        ases = dict.fromkeys(ends.tolist())  # first-appearance order
-        graph._providers = {asn: set() for asn in ases}
-        graph._customers = {asn: set() for asn in ases}
-        graph._peers = {asn: set() for asn in ases}
-        graph._siblings = {asn: set() for asn in ases}
-        customers, providers = graph._customers, graph._providers
+        first = np.unique(ends, return_index=True)[1]
+        graph._ases = dict.fromkeys(ends[np.sort(first)].tolist())  # first appearance
+        graph._edge_count = len(a)
+        graph._compiled = None
+        graph._columns = graph._deferred = (a, b, code)
+        graph._relatives = None
+        return graph
+
+    def _build_adjacency(self) -> None:
+        """Fill the four adjacency dicts from the deferred columns: keys
+        in the AS order, every set in row order, as per-row inserts
+        would.  The graph is a plain :class:`ASGraph` afterwards."""
+        a, b, code = self._deferred
+        ases = self._ases
+        customers = {asn: set() for asn in ases}
+        providers = {asn: set() for asn in ases}
+        peers = {asn: set() for asn in ases}
+        siblings = {asn: set() for asn in ases}
         rows = code == _P2C
         for x, y in zip(a[rows].tolist(), b[rows].tolist()):
             customers[x].add(y)
             providers[y].add(x)
-        for rel, adjacency in ((_P2P, graph._peers), (_S2S, graph._siblings)):
+        for rel, adjacency in ((_P2P, peers), (_S2S, siblings)):
             rows = code == rel
             for x, y in zip(a[rows].tolist(), b[rows].tolist()):
                 adjacency[x].add(y)
                 adjacency[y].add(x)
-        graph._edge_count = len(a)
-        graph._columns = (a, b, code)
-        return graph
+        self._customers, self._providers = customers, providers
+        self._peers, self._siblings = peers, siblings
+        self._ases = providers
+        self._deferred = None
+        self.__class__ = ASGraph
 
     def add_as(self, asn: int) -> None:
         """Insert an AS with no links (idempotent)."""
@@ -143,7 +189,7 @@ class ASGraph:
             self._customers[asn] = set()
             self._peers[asn] = set()
             self._siblings[asn] = set()
-            self._compiled = self._columns = None
+            self._compiled = self._columns = self._relatives = None
 
     def _open_edge(self, a: int, b: int) -> None:
         """Everything an edge insert does except add ``a``-``b`` to its
@@ -169,7 +215,7 @@ class ASGraph:
                 f"{self.relationship(a, b).value}"
             )
         self._edge_count += 1
-        self._compiled = self._columns = None
+        self._compiled = self._columns = self._relatives = None
 
     def add_p2c(self, provider: int, customer: int) -> None:
         """Add a transit edge: ``provider`` sells transit to ``customer``."""
@@ -220,31 +266,31 @@ class ASGraph:
             self._siblings[a].discard(b)
             self._siblings[b].discard(a)
         self._edge_count -= 1
-        self._compiled = self._columns = None
+        self._compiled = self._columns = self._relatives = None
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, asn: int) -> bool:
-        return asn in self._providers
+        return asn in self._ases
 
     def __len__(self) -> int:
-        return len(self._providers)
+        return len(self._ases)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._providers)
+        return iter(self._ases)
 
     @property
     def ases(self) -> list[int]:
         """All AS numbers, sorted (stable iteration order for experiments)."""
-        return sorted(self._providers)
+        return sorted(self._ases)
 
     @property
     def num_edges(self) -> int:
         return self._edge_count
 
     def _require(self, asn: int) -> None:
-        if asn not in self._providers:
+        if asn not in self._ases:
             raise UnknownASError(asn)
 
     def providers_of(self, asn: int) -> frozenset[int]:
@@ -315,12 +361,14 @@ class ASGraph:
         """Every edge once, as ``from_edge_columns`` reads them: int64
         ``a`` and ``b`` and int8 ``code`` columns.
 
-        A bulk-built graph returns the columns it was built from; any
-        other graph gathers them from its adjacency sets (transit edges
-        provider-first, symmetric ones with ``a < b``).
+        A bulk-built graph returns the columns it was built from until
+        it is mutated; any other graph gathers them from its adjacency
+        sets (transit edges provider-first, symmetric ones with
+        ``a < b``).
         """
-        if self._columns is not None:
-            return self._columns
+        columns = self._columns if self._columns is not None else self._deferred
+        if columns is not None:
+            return columns
         columns = []
         for rel, adjacency in (
             (_P2C, self._customers),
@@ -338,6 +386,50 @@ class ASGraph:
             columns.append((a, b, np.full(len(a), rel, dtype=np.int8)))
         a, b, code = zip(*columns)
         return np.concatenate(a), np.concatenate(b), np.concatenate(code)
+
+    def relatives(
+        self, role: Relationship, among: Iterable[int] | None = None
+    ) -> dict[int, list[int]]:
+        """Each AS with a neighbour in ``role`` (a customer, provider,
+        peer or sibling) mapped to those neighbours; the keys ascend.
+        ``among`` keeps only those ASes as keys.
+
+        Kept per role until the graph changes (a map ``among`` some ASes
+        is not kept).  A graph with adjacency sets reads them; one whose
+        sets are deferred groups its edge columns in one NumPy pass and
+        never builds them.  The tier and cone queries
+        (:mod:`repro.topology.tiers`) read these maps.
+        """
+        if self._relatives is None:
+            self._relatives = {}
+        found = self._relatives.get(role) if among is None else None
+        if found is not None:
+            return found
+        if role not in _ROLE_SETS:
+            raise TopologyError(f"no AS is related to another as {role}")
+        if self._deferred is None:
+            adjacency = getattr(self, _ROLE_SETS[role])
+            keys = adjacency if among is None else set(among).intersection(adjacency)
+            found = {asn: list(adjacency[asn]) for asn in sorted(keys) if adjacency[asn]}
+        else:
+            a, b, code = self._deferred
+            if role is Relationship.CUSTOMER or role is Relationship.PROVIDER:
+                rows = code == _P2C
+                owner, member = a[rows], b[rows]
+                if role is Relationship.PROVIDER:
+                    owner, member = member, owner
+            else:
+                rows = code == (_P2P if role is Relationship.PEER else _S2S)
+                owner = np.concatenate((a[rows], b[rows]))
+                member = np.concatenate((b[rows], a[rows]))
+            if among is not None:
+                kept = np.isin(owner, np.fromiter(among, dtype=np.int64))
+                owner, member = owner[kept], member[kept]
+            order = np.argsort(owner, kind="stable")
+            found = _grouped(owner[order], member[order])
+        if among is None:
+            self._relatives[role] = found
+        return found
 
     def edges(self) -> Iterator[tuple[int, int, Relationship]]:
         """Iterate each edge once as ``(a, b, role-of-b-relative-to-a)``.
@@ -399,9 +491,17 @@ class ASGraph:
         return True
 
     def copy(self) -> "ASGraph":
-        """Deep copy of the graph's ASes and edges (no memo is carried)."""
+        """Deep copy of the graph's ASes and edges (no memo is carried).
+
+        A graph whose adjacency sets are still deferred shares its
+        columns with the copy, which builds sets of its own if asked.
+        """
+        if self._deferred is not None:
+            clone = _DeferredASGraph.__new__(_DeferredASGraph)
+            clone.__dict__.update(self.__getstate__())
+            return clone
         clone = ASGraph()
-        clone._providers = {asn: set(m) for asn, m in self._providers.items()}
+        clone._providers = clone._ases = {asn: set(m) for asn, m in self._providers.items()}
         clone._customers = {asn: set(m) for asn, m in self._customers.items()}
         clone._peers = {asn: set(m) for asn, m in self._peers.items()}
         clone._siblings = {asn: set(m) for asn, m in self._siblings.items()}
@@ -410,11 +510,46 @@ class ASGraph:
 
     def __getstate__(self) -> dict:
         # A pickled graph (the pool's fallback transport) must not ship
-        # a compiled topology or edge columns inside it; the receiver
-        # compiles its own.
+        # a compiled topology or the compile's column memo inside it; the
+        # receiver compiles its own.  Deferred columns are the edges of a
+        # graph that has no sets yet, so they travel.
         state = self.__dict__.copy()
-        state["_compiled"] = state["_columns"] = None
+        state["_compiled"] = state["_columns"] = state["_relatives"] = None
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ASGraph(ases={len(self)}, edges={self.num_edges})"
+
+
+class _DeferredASGraph(ASGraph):
+    """A bulk-built :class:`ASGraph` that has not built its adjacency
+    sets: the first access to one builds all four from the deferred
+    columns, and the graph turns into a plain ``ASGraph``.
+
+    Only this class has a ``__getattr__``: on ``ASGraph`` itself the
+    hook would cost every attribute load of every graph its
+    specialisation, the generators' edge inserts among them.
+    """
+
+    def __getattr__(self, name: str):
+        # Normal lookup failed, so the sets are still deferred.
+        if name in _ADJACENCY:
+            self._build_adjacency()
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+def _grouped(owner: np.ndarray, member: np.ndarray) -> dict[int, list[int]]:
+    """``{owner: [its members]}`` from two aligned columns whose owners
+    come in runs."""
+    if not len(owner):
+        return {}
+    cut = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+    bounds = [0, *cut.tolist(), len(owner)]
+    members = member.tolist()
+    return dict(
+        zip(
+            owner[bounds[:-1]].tolist(),
+            [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+        )
+    )

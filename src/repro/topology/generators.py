@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import TopologyError
 from repro.topology.asgraph import ASGraph
+from repro.topology.relationships import Relationship
 from repro.utils.rand import shuffle
 
 __all__ = [
@@ -181,7 +182,7 @@ class GeneratedTopology:
         to export a modified route, so experiment samplers use this
         pool for attackers.
         """
-        return [asn for asn in self.graph.ases if self.graph.transit_degree(asn)]
+        return list(self.graph.relatives(Relationship.CUSTOMER))
 
 
 def _pick_count(rng: random.Random, bounds: tuple[int, int]) -> int:

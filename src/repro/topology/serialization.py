@@ -26,6 +26,8 @@ import sys
 from array import array
 from pathlib import Path
 
+import numpy as np
+
 from repro.exceptions import SerializationError, TopologyError
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship
@@ -63,17 +65,80 @@ def save_caida(graph: ASGraph, path: str | Path, *, header: str | None = None) -
     Path(path).write_text(dumps_caida(graph, header=header))
 
 
-def _parse_relationships(text: str, *, max_fields: int | None) -> ASGraph:
-    """Shared serial-1 / as-rel2 parse core.
+def _plain_columns(text: str, max_fields: int | None):
+    """The ``(a, b, code)`` columns of ``text`` in one NumPy pass, or
+    ``None`` when some line is not plain.
 
-    ``max_fields`` bounds the accepted field count (``None`` keeps the
-    historical lenient serial-1 behaviour: three or more fields, extras
-    ignored).  One pass over the lines fills three edge columns, and
-    :meth:`ASGraph.from_edge_columns` builds the graph from them under
-    the per-edge rules.  Every rejection carries the 1-based line
-    number; when a line is malformed and an earlier row is refused, the
-    earlier line is the one named.
+    Plain is what a published snapshot holds: ASCII with no control
+    character but ``\\n``, and lines that are empty, start with ``#``,
+    or read ``<digits>|<digits>|<code>`` with 1 to 18 digits, a code of
+    ``-1``, ``0`` or ``2`` and at most ``max_fields`` fields.  On such a
+    text the per-line loop (:func:`_line_columns`) strips nothing and
+    accepts every line, so these are the columns it would fill.
+    Anything else (a ``\\r``, padding, ``+7``, ``1_000``, a fifth field,
+    a bad code) is left to that loop, which accepts it or words its
+    error.
     """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    if np.count_nonzero(buf < ord(" ")) != len(breaks):
+        return None
+    ends = breaks if not len(buf) or buf[-1] == ord("\n") else np.append(breaks, len(buf))
+    starts = np.concatenate(([0], breaks + 1))[: len(ends)]
+    data = ends > starts
+    data[data] = buf[starts[data]] != ord("#")
+    starts, ends = starts[data], ends[data]
+    # three sentinels past every line's end: a missing pipe reads as one
+    pipes = np.concatenate((np.flatnonzero(buf == ord("|")), np.full(3, len(buf))))
+    first = np.searchsorted(pipes, starts)
+    bar1, bar2, bar3 = pipes[first], pipes[first + 1], pipes[first + 2]
+    if (bar2 >= ends).any():  # fewer than three fields
+        return None
+    if max_fields and (pipes[np.minimum(first + max_fields - 1, len(pipes) - 1)] < ends).any():
+        return None
+    bar3 = np.minimum(bar3, ends)
+
+    def number(lo, hi):
+        """The decimal field ``buf[lo:hi]`` of every row, or ``None``."""
+        width = hi - lo
+        if len(width) and not 1 <= width.min() <= width.max() <= 18:
+            return None
+        value = np.zeros(len(width), dtype=np.int64)
+        for place in range(width.max() if len(width) else 0):
+            live = place < width
+            digit = buf[np.where(live, hi - 1 - place, 0)] - np.uint8(ord("0"))
+            digit[~live] = 0
+            if digit.max(initial=0) > 9:
+                return None
+            value += digit * np.int64(10**place)
+        return value
+
+    a, b = number(starts, bar1), number(bar1 + 1, bar2)
+    if a is None or b is None:
+        return None
+    width = bar3 - bar2 - 1
+    last = len(buf) - 1
+    lead, tail = buf[np.minimum(bar2 + 1, last)], buf[np.minimum(bar2 + 2, last)]
+    code = np.select(
+        [
+            (width == 1) & (lead == ord("0")),
+            (width == 1) & (lead == ord("2")),
+            (width == 2) & (lead == ord("-")) & (tail == ord("1")),
+        ],
+        [0, 2, -1],
+        default=1,
+    ).astype(np.int8)
+    if (code == 1).any():
+        return None
+    return a, b, code
+
+
+def _line_columns(text: str, max_fields: int | None):
+    """``(columns, problem)``: the edge columns of the data lines before
+    the first malformed one, line by line, and that line's fault (or
+    ``None``)."""
     a, b, code = array("q"), array("q"), array("b")
     put_a, put_b, put_code = a.append, b.append, code.append
     most = max_fields or sys.maxsize
@@ -109,15 +174,33 @@ def _parse_relationships(text: str, *, max_fields: int | None) -> ASGraph:
                 raise AssertionError(f"AS{x} or AS{y} overflowed yet is an AS number")
             break
         put_code(rel)
+    return (a, b, code), problem
+
+
+def _parse_relationships(text: str, *, max_fields: int | None) -> ASGraph:
+    """Shared serial-1 / as-rel2 parse core.
+
+    ``max_fields`` bounds the accepted field count (``None`` keeps the
+    historical lenient serial-1 behaviour: three or more fields, extras
+    ignored).  One NumPy pass reads a plain text into three edge
+    columns, the per-line loop any other, and
+    :meth:`ASGraph.from_edge_columns` builds the graph from them under
+    the per-edge rules.  Every rejection carries the 1-based line
+    number; when a line is malformed and an earlier row is refused, the
+    earlier line is the one named.
+    """
+    columns, problem = _plain_columns(text, max_fields), None
+    if columns is None:
+        columns, problem = _line_columns(text, max_fields)
     cause = None
     try:
-        graph = ASGraph.from_edge_columns(a, b, code)
+        graph = ASGraph.from_edge_columns(*columns)
     except TopologyError as exc:  # a refused row comes before any bad line
         row, problem, cause = exc.row, str(exc), exc
     else:
         if problem is None:
             return graph
-        row = len(code)  # every data line before the bad one became a row
+        row = len(columns[2])  # every data line before the bad one became a row
     # Only now map the row back to its line.
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

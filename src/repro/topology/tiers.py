@@ -14,10 +14,10 @@ relationship-annotated graph:
 
 from __future__ import annotations
 
-from collections import deque
 
-from repro.exceptions import TopologyError
+from repro.exceptions import TopologyError, UnknownASError
 from repro.topology.asgraph import ASGraph
+from repro.topology.relationships import Relationship
 
 __all__ = [
     "tier1_ases",
@@ -25,6 +25,17 @@ __all__ = [
     "customer_cone",
     "provider_ancestors",
 ]
+
+# Every query reads the graph's relatives maps (``ASGraph.relatives``,
+# built once per graph and role): never the adjacency sets of a loaded
+# graph, which then never builds them, nor the compiled form, so ranking
+# a world compiles nothing.  The set-walking versions are the oracle
+# ``tests/topology/tiers_oracle.py``.
+
+
+def _has_provider(customers: dict[int, list[int]]) -> set[int]:
+    """The ASes that are someone's customer."""
+    return set().union(*customers.values())
 
 
 def tier1_ases(graph: ASGraph) -> frozenset[int]:
@@ -37,16 +48,20 @@ def tier1_ases(graph: ASGraph) -> frozenset[int]:
     every topology our generator produces and is a standard heuristic on
     inferred graphs.
     """
-    candidates = [asn for asn in graph if not graph.providers_of(asn)]
+    has_provider = _has_provider(graph.relatives(Relationship.CUSTOMER))
+    candidates = [asn for asn in graph if asn not in has_provider]
     if not candidates:
         raise TopologyError("topology has no provider-free ASes; no Tier-1 clique")
+    peering = graph.relatives(Relationship.PEER, among=candidates)
+    peers = {asn: peering.get(asn, ()) for asn in candidates}
     # Greedy: repeatedly add the provider-free AS with the most peers
     # inside the candidate set, keeping mutual peering with all chosen.
-    candidates.sort(key=lambda a: (-len(graph.peers_of(a)), a))
     clique: list[int] = []
-    for asn in candidates:
-        if all(asn in graph.peers_of(member) for member in clique):
+    meshed: set[int] | None = None  # the peers of every member; None: no member yet
+    for asn in sorted(peers, key=lambda a: (-len(peers[a]), a)):
+        if meshed is None or asn in meshed:
             clique.append(asn)
+            meshed = set(peers[asn]) if meshed is None else meshed.intersection(peers[asn])
     return frozenset(clique)
 
 
@@ -60,20 +75,27 @@ def classify_tiers(graph: ASGraph) -> dict[int, int]:
     through transit edges from the core keep the most pessimistic tier
     found through whatever providers they have, or tier 2 if none.
     """
-    tier1 = tier1_ases(graph)
-    tiers: dict[int, int] = {asn: 1 for asn in tier1}
-    queue: deque[int] = deque(sorted(tier1))
-    while queue:
-        asn = queue.popleft()
-        for customer in graph.customers_of(asn):
-            proposed = tiers[asn] + 1
-            if customer not in tiers or proposed < tiers[customer]:
-                tiers[customer] = proposed
-                queue.append(customer)
-    for asn in graph:
-        if asn not in tiers:
-            # Provider-free non-clique AS, or disconnected island.
-            tiers[asn] = 2 if not graph.providers_of(asn) else max(tiers.values()) + 1
+    customers = graph.relatives(Relationship.CUSTOMER)
+    frontier = tier1_ases(graph)
+    tiers: dict[int, int] = dict.fromkeys(frontier, 1)
+    # Level by level down the customer edges: an AS is first reached at
+    # its tier.
+    tier = 1
+    while frontier:
+        tier += 1
+        reached = set().union(*[customers[asn] for asn in frontier if asn in customers])
+        reached.difference_update(tiers)
+        tiers.update(dict.fromkeys(reached, tier))
+        frontier = reached
+    if len(tiers) < len(graph):
+        has_provider = _has_provider(customers)
+        deepest = max(tiers.values())
+        for asn in graph:
+            if asn not in tiers:
+                # Provider-free non-clique AS, or disconnected island; each
+                # island AS sinks one tier below the deepest so far.
+                tiers[asn] = 2 if asn not in has_provider else deepest + 1
+                deepest = max(deepest, tiers[asn])
     return tiers
 
 
@@ -85,19 +107,20 @@ def customer_cone(graph: ASGraph, asn: int) -> frozenset[int]:
     for; the paper's Figure 7 discussion ("victim's customers are richly
     peered") is about the cone boundary.
     """
-    if not graph.transit_degree(asn):
+    customers = graph.relatives(Relationship.CUSTOMER)
+    if asn not in customers:
+        if asn not in graph:
+            raise UnknownASError(asn)
         return frozenset((asn,))
-    # Walk the live adjacency: customers_of() copies a frozenset per
-    # hop, and ranking a topology by cone size takes a walk per AS.
-    customers = graph._customers
-    seen = {asn}
-    queue: deque[int] = deque([asn])
-    while queue:
-        for customer in customers[queue.popleft()]:
-            if customer not in seen:
-                seen.add(customer)
-                queue.append(customer)
-    return frozenset(seen)
+    cone = {asn}
+    stack = [asn]
+    while stack:
+        for customer in customers[stack.pop()]:
+            if customer not in cone:
+                cone.add(customer)
+                if customer in customers:  # a stub has nothing below it
+                    stack.append(customer)
+    return frozenset(cone)
 
 
 def provider_ancestors(graph: ASGraph, asn: int) -> frozenset[int]:
@@ -107,11 +130,13 @@ def provider_ancestors(graph: ASGraph, asn: int) -> frozenset[int]:
     cone of exactly these ASes, so an attack launched by any of them
     can reach ``asn`` under valley-free export.
     """
+    providers = graph.relatives(Relationship.PROVIDER)
+    if asn not in graph:
+        raise UnknownASError(asn)
     seen: set[int] = set()
     stack = [asn]
     while stack:
-        current = stack.pop()
-        for provider in graph.providers_of(current):
+        for provider in providers.get(stack.pop(), ()):
             if provider not in seen:
                 seen.add(provider)
                 stack.append(provider)

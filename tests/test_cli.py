@@ -144,10 +144,90 @@ _BATCH_GOLDEN = [
 ]
 
 
+def _loaded(name, argv, digests):
+    """``argv`` on each as-rel file of ``loaded_files``, seeds 7 and 23."""
+    return [
+        pytest.param(
+            [*argv, "--topology", f"caida:{{{file}}}", "--seed", str(seed)],
+            digest,
+            id=f"{name}-{file}-{seed}",
+        )
+        for file, pair in zip(("world", "powerlaw"), digests)
+        for seed, digest in zip((7, 23), pair)
+    ]
+
+
+#: the same commands on loaded files, recorded while the loader still
+#: built every adjacency set
+_BATCH_GOLDEN += [
+    *_loaded(
+        "grid",
+        ["grid", "--attackers", "6", "--victims", "20"],
+        (
+            (
+                "1668f8a1e86656c0d236d0aea63ee3c9937ed2b4f2cc27de28c1bd0c4189a256",
+                "1668f8a1e86656c0d236d0aea63ee3c9937ed2b4f2cc27de28c1bd0c4189a256",
+            ),
+            (
+                "4acb5d6e0f1303822f2281ab1029b902aced971bbdef3f391c9038b733a34e28",
+                "4acb5d6e0f1303822f2281ab1029b902aced971bbdef3f391c9038b733a34e28",
+            ),
+        ),
+    ),
+    *_loaded(
+        "campaign",
+        ["campaign", "--pairs", "12", "--monitors", "20"],
+        (
+            (
+                "58e29409b32869eb2d6a15ae5404833ec044dcc810430220dd770848561ddf02",
+                "885563ccc08c402d2223b3c2188f05cdd4736ed95c018b6b5e6af080f059ae30",
+            ),
+            (
+                "d97e26ec4cf579896b17205950023586dc0c8569b7c28fbedb9ad43c9b671d62",
+                "44517280dd15d0df91f9b67baafe7e187b33e21d20407bf49aca9491a6258659",
+            ),
+        ),
+    ),
+    *_loaded(
+        "secpol-sweep",
+        ["secpol-sweep"],
+        (
+            (
+                "504416b24bb799b631de0f81a796d11e6f8f59d05b2704ab8d1919218110a381",
+                "504416b24bb799b631de0f81a796d11e6f8f59d05b2704ab8d1919218110a381",
+            ),
+            (
+                "1221c2d319c2bb04c5b018cf65dc88f14e2252d90a34404dd5afa4acf105960a",
+                "1221c2d319c2bb04c5b018cf65dc88f14e2252d90a34404dd5afa4acf105960a",
+            ),
+        ),
+    ),
+]
+
+
+@pytest.fixture(scope="session")
+def loaded_files(tmp_path_factory) -> dict[str, str]:
+    """Two as-rel files: ``world --seed 7 --scale 0.3 --save`` and a
+    600-AS power-law dump."""
+    import contextlib
+    import io
+
+    from repro.topology.generators import generate_powerlaw_topology
+    from repro.topology.serialization import save_caida
+
+    root = tmp_path_factory.mktemp("loaded")
+    files = {"world": str(root / "world.txt"), "powerlaw": str(root / "powerlaw.txt")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["world", "--seed", "7", "--scale", "0.3", "--save", files["world"]]) == 0
+    save_caida(generate_powerlaw_topology(600, seed=7).graph, files["powerlaw"])
+    return files
+
+
 @pytest.mark.parametrize("argv, digest", _BATCH_GOLDEN)
-def test_batch_stdout_is_pinned(argv, digest, capsys, real_pool, tmp_path):
+def test_batch_stdout_is_pinned(argv, digest, capsys, real_pool, tmp_path, loaded_files):
     """Serial, pooled into a cold store, and replayed from the warm
     store: the same bytes, and the recorded ones."""
+    argv = [arg.format(**loaded_files) for arg in argv]
     store = ["--store", str(tmp_path / "store")]
     for run in ([], ["--workers", "2", *store], store):
         assert main([*argv, *run]) == 0
@@ -1215,6 +1295,15 @@ class TestErrors:
             "repro-aspp: error: line 3: AS numbers are 32-bit (at most 4294967295), "
             "got 9223372036854775808\n"
         )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["", "# banner only\n\n"], ids=["empty", "comments"])
+    def test_a_file_without_relationships_is_one_line_naming_it(self, text, capsys, tmp_path):
+        topology = tmp_path / "none.as-rel2.txt"
+        topology.write_text(text)
+        assert main(["grid", "--topology", f"caida:{topology}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"repro-aspp: error: {topology} holds no AS relationships\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("instances", ["0", "-1"])

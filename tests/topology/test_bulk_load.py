@@ -1,6 +1,6 @@
 """The bulk loader against the per-edge one, and the edge-column memo.
 
-Three contracts:
+Four contracts:
 
 * **Load.**  ``loads_asrel2`` / ``loads_caida`` fill three edge columns
   and build the graph with :meth:`ASGraph.from_edge_columns`.  The graph
@@ -16,6 +16,11 @@ Three contracts:
   oracle's (:mod:`tests.bgp.compile_oracle`).
 * **Memo.**  A loaded graph keeps its columns until it is compiled or
   mutated; a copy or a pickle never carries them.
+* **Deferred sets.**  A loaded graph builds its adjacency sets on the
+  first set query or mutation, never for a grid on a loaded file, and
+  then builds exactly the per-edge parser's sets.  The plain NumPy
+  pass of the loader reads what the per-line loop would, or leaves the
+  text to it.
 """
 
 from __future__ import annotations
@@ -30,9 +35,15 @@ from hypothesis import strategies as st
 from repro.bgp.compiled import CompiledTopology
 from repro.exceptions import DuplicateEdgeError, SerializationError, TopologyError
 from repro.experiments.base import generate_world
-from repro.topology.asgraph import ASGraph
+from repro.topology.asgraph import _ADJACENCY, ASGraph
 from repro.topology.generators import PowerLawConfig, generate_powerlaw_topology
-from repro.topology.serialization import dumps_caida, loads_asrel2, loads_caida
+from repro.topology.serialization import (
+    _line_columns,
+    _plain_columns,
+    dumps_caida,
+    loads_asrel2,
+    loads_caida,
+)
 from tests.bgp.compile_oracle import columns, compile_oracle
 from tests.topology.load_oracle import loads_asrel2_oracle, loads_caida_oracle
 
@@ -79,6 +90,50 @@ def assert_loads_alike(text: str) -> None:
             assert_same_graph(ours, theirs)
 
 
+@st.composite
+def clean_snapshots(draw, *, padded: bool = True) -> str:
+    """An as-rel2 text of unique links of every kind, with source
+    fields, comments and blank lines between them, and unless not
+    ``padded`` whitespace around lines and on blank ones."""
+    asns = draw(st.lists(st.integers(1, 2**32 - 1), min_size=2, max_size=16, unique=True))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(asns), st.sampled_from(asns)).filter(
+                lambda pair: pair[0] != pair[1]
+            ),
+            unique_by=frozenset,
+            max_size=40,
+        )
+    )
+    lines = []
+    for a, b in pairs:
+        code = draw(st.sampled_from(["-1", "0", "2"]))
+        source = draw(st.sampled_from(["", "|bgp", "|mlp"]))
+        pad = draw(st.sampled_from(["", " ", "\t"] if padded else [""]))
+        lines.append(f"{pad}{a}|{b}|{code}{source}{pad}")
+        extra = ["", "# clique", "   "] if padded else ["", "# clique"]
+        lines += draw(st.lists(st.sampled_from(extra), max_size=2))
+    return "\n".join(lines)
+
+
+def mangled_snapshots():
+    """Any mix of bad shapes, bad fields, bad ASNs, self-loops and
+    repeats, as an as-rel2 text."""
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(["1", "2", "3", "0", "-4", "4294967295", "4294967296",
+                                 str(2**63), str(-(2**63) - 1), "x"]),
+                st.sampled_from(["1", "2", "3", "4294967295", str(2**64)]),
+                st.sampled_from(["-1", "0", "2", "1", "7", "y"]),
+                st.sampled_from(["", "|bgp", "|bgp|extra"]),
+            ).map(lambda parts: "|".join(parts[:3]) + parts[3]),
+            st.sampled_from(["", "# note", "1|2", "1"]),
+        ),
+        max_size=12,
+    ).map("\n".join)
+
+
 @pytest.fixture(scope="module")
 def dump_10k() -> str:
     return dumps_caida(generate_powerlaw_topology(SCALE_10K, seed=7).graph)
@@ -103,51 +158,18 @@ class TestLoadMatchesOracle:
         assert_same_graph(loads_asrel2(dump_10k), loads_asrel2_oracle(dump_10k))
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_arbitrary_clean_snapshots(self, data):
+    @given(text=clean_snapshots())
+    def test_arbitrary_clean_snapshots(self, text):
         """Unique links of every kind, with source fields, comments,
         blank lines and padding between them."""
-        asns = data.draw(
-            st.lists(st.integers(1, 2**32 - 1), min_size=2, max_size=16, unique=True)
-        )
-        pairs = data.draw(
-            st.lists(
-                st.tuples(st.sampled_from(asns), st.sampled_from(asns)).filter(
-                    lambda pair: pair[0] != pair[1]
-                ),
-                unique_by=frozenset,
-                max_size=40,
-            )
-        )
-        lines = []
-        for a, b in pairs:
-            code = data.draw(st.sampled_from(["-1", "0", "2"]))
-            source = data.draw(st.sampled_from(["", "|bgp", "|mlp"]))
-            pad = data.draw(st.sampled_from(["", " ", "\t"]))
-            lines.append(f"{pad}{a}|{b}|{code}{source}{pad}")
-            lines += data.draw(st.lists(st.sampled_from(["", "# clique", "   "]), max_size=2))
-        assert_loads_alike("\n".join(lines))
+        assert_loads_alike(text)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        lines=st.lists(
-            st.one_of(
-                st.tuples(
-                    st.sampled_from(["1", "2", "3", "0", "-4", "4294967295", "4294967296",
-                                     str(2**63), str(-(2**63) - 1), "x"]),
-                    st.sampled_from(["1", "2", "3", "4294967295", str(2**64)]),
-                    st.sampled_from(["-1", "0", "2", "1", "7", "y"]),
-                    st.sampled_from(["", "|bgp", "|bgp|extra"]),
-                ).map(lambda parts: "|".join(parts[:3]) + parts[3]),
-                st.sampled_from(["", "# note", "1|2", "1"]),
-            ),
-            max_size=12,
-        )
-    )
-    def test_arbitrary_mangled_snapshots(self, lines):
+    @given(text=mangled_snapshots())
+    def test_arbitrary_mangled_snapshots(self, text):
         """Any mix of bad shapes, bad fields, bad ASNs, self-loops and
         repeats: the same graph or the same message."""
-        assert_loads_alike("\n".join(lines))
+        assert_loads_alike(text)
 
 
 class TestFromEdgeColumns:
@@ -238,3 +260,168 @@ class TestColumnMemo:
         expected = columns(compile_oracle(graph))
         assert columns(CompiledTopology.of(clone)) == expected
         assert columns(CompiledTopology.of(restored)) == expected
+
+
+#: texts the per-line loop accepts or refuses that a naive split would
+#: read otherwise: line breaks ``str.splitlines`` knows, whitespace
+#: ``str.strip`` and ``int`` drop, what ``int`` parses, field counts and
+#: ASNs at the 32- and 64-bit edges
+ODD_TEXTS = {
+    "crlf": "1|2|-1\r\n2|3|0\r\n",
+    "lone-cr": "1|2|-1\r2|3|0\n",
+    "form-feed": "1|2|-1\x0c2|3|0\n",
+    "form-feed-line": "1|2|-1\n\x0c\n2|3|0",
+    "plus": "+1|2|-1\n2|+3|+2",
+    "underscore": "1_000|2|-1\n2|3_0|0",
+    "arabic-digits": "\u0661|\u0662|-1",
+    "non-ascii-comment": "# caf\u00e9\n1|2|-1",
+    "non-ascii-source": "1|2|-1|b\u00e9p\n2|3|0",
+    "fourth-field": "1|2|-1|bgp\n2|3|0|mlp\n3|4|2|",
+    "fifth-field": "1|2|-1|bgp\n2|3|0|bgp|extra",
+    "blank-and-comments": "\n\n# banner | with | pipes | here\n1|2|-1\n\n# x\n2|3|0\n",
+    "indented-comment": "  # note\n1|2|-1",
+    "whitespace-line": "1|2|-1\n   \n2|3|0",
+    "padding": " 1|2|-1\n2 |3|0\n3|4| 2 ",
+    "tab": "1|2|-1\t\n2|3|0",
+    "no-final-newline": "1|2|-1\n2|3|0",
+    "leading-zeros": "001|02|-1\n2|030|0",
+    "padded-codes": "1|2|00\n2|3|-01",
+    "minus-zero": "1|2|-0",
+    "empty-fields": "1||0\n|2|0\n1|2|",
+    "negative-asn": "-5|1|-1",
+    "zero-asn": "0|1|-1",
+    "past-32-bits": "1|4294967296|-1",
+    "largest-32-bit": "4294967295|1|0",
+    "18-digits": "1|999999999999999999|0",
+    "past-63-bits": "1|9223372036854775808|0",
+    "past-64-bits": "1|2|-1\n1|18446744073709551616|-1",
+    "bad-code": "1|2|1\n2|3|-2",
+    "text-code": "1|2|x",
+    "repeat": "1|2|-1\n2|1|0",
+    "self-loop": "7|7|0",
+    "too-few": "1|2\n2|3|0",
+    "empty": "",
+    "newline-only": "\n",
+}
+
+
+class TestPlainPass:
+    @pytest.mark.parametrize("name", sorted(ODD_TEXTS))
+    def test_odd_text_loads_as_the_oracle_loads_it(self, name):
+        """The same graph or the same ``line N:`` message; and where the
+        NumPy pass vouches for the text, the loop's columns."""
+        text = ODD_TEXTS[name]
+        assert_loads_alike(text)
+        for max_fields in (4, None):
+            plain = _plain_columns(text, max_fields)
+            if plain is not None:
+                columns, problem = _line_columns(text, max_fields)
+                assert problem is None
+                for ours, theirs in zip(plain, columns):
+                    assert ours.tolist() == list(theirs)
+
+    @pytest.mark.parametrize(
+        "name", ["fourth-field", "blank-and-comments", "no-final-newline", "leading-zeros",
+                 "past-32-bits", "18-digits", "repeat", "empty"]
+    )
+    def test_plain_odd_texts_take_the_plain_pass(self, name):
+        assert _plain_columns(ODD_TEXTS[name], 4) is not None
+
+    @pytest.mark.parametrize(
+        "name", ["crlf", "form-feed", "plus", "underscore", "arabic-digits", "fifth-field",
+                 "padding", "padded-codes", "past-63-bits", "bad-code", "too-few"]
+    )
+    def test_other_odd_texts_are_left_to_the_loop(self, name):
+        assert _plain_columns(ODD_TEXTS[name], 4) is None
+
+    def test_published_shapes_take_the_plain_pass(self, dump_scale4, dump_10k):
+        for text in ((FIXTURES / "mini.as-rel2.txt").read_text(), dump_scale4, dump_10k):
+            plain = _plain_columns(text, 4)
+            columns, problem = _line_columns(text, 4)
+            assert plain is not None and problem is None
+            for ours, theirs in zip(plain, columns):
+                assert ours.tolist() == list(theirs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=clean_snapshots(padded=False))
+    def test_unpadded_snapshots_take_the_plain_pass(self, text):
+        assert _plain_columns(text, 4) is not None
+        assert_loads_alike(text)
+
+
+def unbuilt(graph: ASGraph) -> bool:
+    """Whether ``graph`` has not built its adjacency sets."""
+    return not _ADJACENCY & graph.__dict__.keys()
+
+
+class TestDeferredSets:
+    @pytest.fixture(scope="class")
+    def world_dump(self) -> str:
+        return dumps_caida(generate_world(seed=7, scale=0.3).graph)
+
+    def test_a_loaded_grid_never_builds_the_sets(self, world_dump, tmp_path, monkeypatch):
+        """``_load_world``, the grid's cone ranking and its cells read
+        the edge columns and the CSR; the sets built afterwards are the
+        per-edge parser's, set by set in file order."""
+        import contextlib
+        import io
+
+        import repro.cli as cli
+
+        path = tmp_path / "world.as-rel2.txt"
+        path.write_text(world_dump)
+        loaded = []
+        load_world = cli._load_world
+
+        def spy(args):
+            loaded.append(load_world(args))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load_world", spy)
+        argv = ["grid", "--topology", f"caida:{path}", "--attackers", "3", "--victims", "5"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        (world,) = loaded
+        graph = world.graph
+        assert unbuilt(graph)
+        assert graph._compiled is not None  # the cells propagated on the CSR
+        oracle = loads_asrel2_oracle(world_dump)
+        first = next(iter(oracle))
+        assert graph.providers_of(first) == oracle.providers_of(first)
+        assert not unbuilt(graph)
+        assert_same_graph(graph, oracle)
+
+    def test_the_as_order_answers_without_the_sets(self, world_dump):
+        graph, oracle = loads_asrel2(world_dump), loads_asrel2_oracle(world_dump)
+        assert list(graph) == list(oracle)
+        assert len(graph) == len(oracle) and graph.ases == oracle.ases
+        assert all(asn in graph for asn in oracle) and 0 not in graph
+        assert columns(CompiledTopology.of(graph)) == columns(compile_oracle(oracle))
+        assert graph.edge_columns() is not None
+        assert unbuilt(graph)
+
+    @pytest.mark.parametrize("query", ["customers_of", "peers_of", "degree", "transit_degree"])
+    def test_a_set_query_builds_the_sets(self, world_dump, query):
+        graph, oracle = loads_asrel2(world_dump), loads_asrel2_oracle(world_dump)
+        asn = graph.ases[0]
+        assert getattr(graph, query)(asn) == getattr(oracle, query)(asn)
+        assert_same_graph(graph, oracle)
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_a_mutation_builds_the_sets_first(self, name):
+        text = (FIXTURES / "mini.as-rel2.txt").read_text()
+        graph, oracle = loads_asrel2(text), loads_asrel2_oracle(text)
+        MUTATIONS[name](graph)
+        MUTATIONS[name](oracle)
+        assert_same_graph(graph, oracle)
+        assert columns(CompiledTopology.of(graph)) == columns(compile_oracle(oracle))
+
+    def test_copy_and_pickle_stay_deferred(self, world_dump):
+        graph, oracle = loads_asrel2(world_dump), loads_asrel2_oracle(world_dump)
+        for clone in (graph.copy(), pickle.loads(pickle.dumps(graph))):
+            assert unbuilt(clone)
+            assert_same_graph(clone, oracle)
+        assert unbuilt(graph)
+        clone = graph.copy()
+        clone.add_p2c(1, 999_999)
+        assert 999_999 not in graph and unbuilt(graph)

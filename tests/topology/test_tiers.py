@@ -1,12 +1,33 @@
-"""Tests for tier classification and customer cones."""
+"""Tests for tier classification and customer cones.
+
+``TestMatchesOracle`` holds the tier and cone queries, which read the
+graph's relatives maps, to the set-walking oracle
+(``tests/topology/tiers_oracle.py``) on generated, loaded and
+arbitrary graphs.
+"""
 
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
-from repro.exceptions import TopologyError, UnknownASError
-from repro.topology.asgraph import ASGraph
-from repro.topology.tiers import classify_tiers, customer_cone, tier1_ases
+import pytest
+from hypothesis import given, settings
+
+from repro.exceptions import SerializationError, TopologyError, UnknownASError
+from repro.experiments.base import generate_world
+from repro.topology.asgraph import _ADJACENCY, ASGraph
+from repro.topology.generators import generate_powerlaw_topology
+from repro.topology.serialization import dumps_caida, loads_asrel2
+from repro.topology.tiers import (
+    classify_tiers,
+    customer_cone,
+    provider_ancestors,
+    tier1_ases,
+)
+from tests.topology import tiers_oracle
+from tests.topology.test_bulk_load import SCALE_10K, clean_snapshots, mangled_snapshots
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture()
@@ -82,3 +103,78 @@ class TestCones:
 
         for asn in graph:
             assert customer_cone(graph, asn) == walk(asn)
+
+
+def outcome(query, *args):
+    """``query(*args)``, or the type and message of the error it raised."""
+    try:
+        return query(*args)
+    except (TopologyError, UnknownASError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_tiers_alike(graph: ASGraph, *, every: int = 1) -> None:
+    """Tier-1 set, tiers, and every ``every``-th AS's cone and
+    ancestors, as the oracle computes them (or the same error)."""
+    for name in ("tier1_ases", "classify_tiers"):
+        ours, theirs = globals()[name], getattr(tiers_oracle, name)
+        assert outcome(ours, graph) == outcome(theirs, graph), name
+    for asn in [*list(graph)[::every], 0, 2**32]:  # and two unknown ASes
+        for ours, theirs in (
+            (customer_cone, tiers_oracle.customer_cone),
+            (provider_ancestors, tiers_oracle.provider_ancestors),
+        ):
+            assert outcome(ours, graph, asn) == outcome(theirs, graph, asn), (ours, asn)
+
+
+class TestMatchesOracle:
+    def test_mini_fixture(self):
+        assert_tiers_alike(loads_asrel2((FIXTURES / "mini.as-rel2.txt").read_text()))
+
+    def test_hand_built_graphs(self, hierarchy):
+        assert_tiers_alike(hierarchy)
+        assert_tiers_alike(ASGraph())
+        island = ASGraph()
+        island.add_p2p(1, 2)
+        island.add_p2c(1, 3)
+        island.add_p2c(5, 6)  # provider-free outside the clique
+        island.add_p2c(7, 8)
+        island.add_p2c(8, 7 + 2)
+        island.add_p2c(9, 7)  # a transit cycle with no way in from the core
+        assert_tiers_alike(island)
+
+    @pytest.mark.parametrize("scale", [0.2, 1.0, 4.0])
+    def test_seed7_worlds(self, scale):
+        graph = generate_world(seed=7, scale=scale).graph
+        assert_tiers_alike(graph, every=1 if scale < 4 else 5)
+        assert_tiers_alike(loads_asrel2(dumps_caida(graph)), every=7)
+
+    def test_10k_dump_reads_no_set(self):
+        graph = loads_asrel2(dumps_caida(generate_powerlaw_topology(SCALE_10K, seed=7).graph))
+        ours = (tier1_ases(graph), classify_tiers(graph), [customer_cone(graph, a) for a in graph])
+        assert not _ADJACENCY & graph.__dict__.keys()
+        assert ours[0] == tiers_oracle.tier1_ases(graph)
+        assert ours[1] == tiers_oracle.classify_tiers(graph)
+        assert ours[2] == [tiers_oracle.customer_cone(graph, a) for a in graph]
+        assert_tiers_alike(graph, every=11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=clean_snapshots())
+    def test_arbitrary_clean_snapshots(self, text):
+        assert_tiers_alike(loads_asrel2(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=mangled_snapshots())
+    def test_arbitrary_mangled_snapshots(self, text):
+        try:
+            graph = loads_asrel2(text)
+        except SerializationError:
+            return
+        assert_tiers_alike(graph)
+
+    def test_a_mutation_is_seen(self, hierarchy):
+        assert customer_cone(hierarchy, 20) == {20, 30}
+        hierarchy.add_p2c(20, 40)
+        assert customer_cone(hierarchy, 20) == {20, 30, 40}
+        assert classify_tiers(hierarchy)[40] == 4
+        assert_tiers_alike(hierarchy)
