@@ -227,7 +227,6 @@ class CompiledTopology:
         topo = graph._compiled
         if topo is None:
             topo = graph._compiled = cls.from_graph(graph)
-            graph._columns = None  # the CSR supersedes the loader's columns
         return topo
 
     # ------------------------------------------------------------------
@@ -464,6 +463,62 @@ class CompiledState:
         """``(pref, path id, learned-from index)`` of AS index ``i`` —
         what :meth:`PropagationOutcome.route_of` reifies."""
         return self.best_pref[i], self.best_pid[i], self.best_from[i]
+
+
+# ----------------------------------------------------------------------
+# Emission: reify a converged state's interned paths into the public
+# tuple-based outcome dicts (memoised per table, so repeated paths are
+# built once).  Both compiled cores emit through these.
+def emitters(prefix: str, state: CompiledState) -> tuple[Callable, Callable]:
+    """``(emit_best, emit_offers)`` over ``state``: AS index ``i``'s
+    best route and its decision key, and its Adj-RIB-in (``None`` for
+    an explicit withdrawal)."""
+    indptr, nbr, *_, asn_of = state.topo.hot_arrays()
+    table = state.table
+    reify, length = table.reify, table.length
+    best_pref, best_pid, best_from = state.best_pref, state.best_pid, state.best_from
+    rib_pid, rib_pref = state.rib_pid, state.rib_pref
+    pref_of = _PREF_OF
+
+    def emit_best(i: int) -> tuple[Route | None, tuple[int, int, int] | None]:
+        p = best_pref[i]
+        if p < 0:
+            return None, None
+        pid = best_pid[i]
+        learned_idx = best_from[i]
+        learned = None if learned_idx < 0 else asn_of[learned_idx]
+        return (
+            Route(prefix, reify(pid), learned, pref_of[p]),
+            (p, length[pid], -1 if learned is None else learned),
+        )
+
+    def emit_offers(i: int) -> dict[int, tuple[tuple[int, ...], PrefClass] | None]:
+        offers: dict[int, tuple[tuple[int, ...], PrefClass] | None] = {}
+        for k in range(indptr[i], indptr[i + 1]):
+            pid = rib_pid[k]
+            if pid == -2:
+                continue
+            offers[asn_of[nbr[k]]] = (
+                None if pid == -1 else (reify(pid), pref_of[rib_pref[k]])
+            )
+        return offers
+
+    return emit_best, emit_offers
+
+
+def emit_world(prefix: str, state: CompiledState) -> tuple[dict, dict, dict]:
+    """A cold run's ``(best, adj_rib_in, best_keys)`` dicts, every AS in
+    the reference interpreter's iteration order."""
+    emit_best, emit_offers = emitters(prefix, state)
+    asn_of = state.topo.hot_arrays()[-1]
+    best_out: dict = {}
+    keys_out: dict = {}
+    adj_out: dict = {}
+    for i in state.topo.iter_order:
+        a = asn_of[i]
+        best_out[a], keys_out[a] = emit_best(i)
+        adj_out[a] = emit_offers(i)
+    return best_out, adj_out, keys_out
 
 
 # ----------------------------------------------------------------------
@@ -751,61 +806,30 @@ def run_compiled(
                 queued[nb] = 1
 
     # ------------------------------------------------------------------
-    # Emission: reify interned paths into the public tuple-based outcome
-    # (memoised per table, so repeated paths are built once).  Cold runs
-    # build every dict in the reference interpreter's iteration order; warm
-    # runs copy the warm start's dicts and rebuild only what the attack
-    # actually perturbed — the compiled counterpart of the reference
-    # interpreter's copy-on-write clone, with identical dict contents.
-    # Emission is *deferred*: the outcome carries this closure and runs
-    # it on first access to ``best``/``adj_rib_in``/``best_keys``, so a
-    # pipeline that only consumes the attached compiled state (warm
-    # starts, row reads, pollution masks) never builds a tuple.
+    # Emission (``emit_world`` / ``emitters``): cold runs build every
+    # dict in the reference interpreter's iteration order; warm runs copy
+    # the warm start's dicts and rebuild only what the attack actually
+    # perturbed — the compiled counterpart of the reference interpreter's
+    # copy-on-write clone, with identical dict contents.  Emission is
+    # *deferred*: the outcome carries this closure and runs it on first
+    # access to ``best``/``adj_rib_in``/``best_keys``, so a pipeline that
+    # only consumes the attached compiled state (warm starts, row reads,
+    # pollution masks) never builds a tuple.
     def materialise(out: "PropagationOutcome") -> None:
         if track:
             metrics.count("engine.compiled.worlds_emitted")
-        pref_of = _PREF_OF
-
-        def emit_best(i: int) -> tuple[Route | None, tuple[int, int, int] | None]:
-            p = best_pref[i]
-            if p < 0:
-                return None, None
-            pid = best_pid[i]
-            learned_idx = best_from[i]
-            learned = None if learned_idx < 0 else asn_of[learned_idx]
-            return (
-                Route(prefix, reify(pid), learned, pref_of[p]),
-                (p, length[pid], -1 if learned is None else learned),
-            )
-
-        def emit_offers(i: int) -> dict[int, tuple[tuple[int, ...], PrefClass] | None]:
-            offers: dict[int, tuple[tuple[int, ...], PrefClass] | None] = {}
-            for k in range(indptr[i], indptr[i + 1]):
-                pid = rib_pid[k]
-                if pid == -2:
-                    continue
-                offers[asn_of[nbr[k]]] = (
-                    None if pid == -1 else (reify(pid), pref_of[rib_pref[k]])
-                )
-            return offers
-
-        if warm_start is not None:
-            best_out = dict(warm_start.best)
-            adj_out = dict(warm_start.adj_rib_in)
-            keys_out = dict(warm_start.best_keys)
-            for i in adoption:
-                a = asn_of[i]
-                best_out[a], keys_out[a] = emit_best(i)
-            for i in rib_touched:
-                adj_out[asn_of[i]] = emit_offers(i)
-        else:
-            best_out = {}
-            keys_out = {}
-            adj_out = {}
-            for i in topo.iter_order:
-                a = asn_of[i]
-                best_out[a], keys_out[a] = emit_best(i)
-                adj_out[a] = emit_offers(i)
+        if warm_start is None:
+            out._set_materialised(*emit_world(prefix, state))
+            return
+        emit_best, emit_offers = emitters(prefix, state)
+        best_out = dict(warm_start.best)
+        adj_out = dict(warm_start.adj_rib_in)
+        keys_out = dict(warm_start.best_keys)
+        for i in adoption:
+            a = asn_of[i]
+            best_out[a], keys_out[a] = emit_best(i)
+        for i in rib_touched:
+            adj_out[asn_of[i]] = emit_offers(i)
         out._set_materialised(best_out, adj_out, keys_out)
 
     from repro.bgp.engine import PropagationOutcome  # deferred: engine imports us

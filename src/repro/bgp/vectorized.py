@@ -82,13 +82,12 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.bgp.compiled import (
-    _PREF_OF,
     CompiledState,
     CompiledTopology,
     InternTable,
+    emit_world,
 )
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.route import Route
 from repro.exceptions import ConvergenceError
 from repro.telemetry.metrics import RunMetrics
 
@@ -646,16 +645,10 @@ def _emit_column(
     rib_pid = rib_pid_np.tolist()
     rib_pref = rib_pref_np.tolist()
 
-    asn_of = topo.asn
-    asn_np = np.asarray(asn_of, dtype=np.int64)
+    asn_np = np.asarray(topo.asn, dtype=np.int64)
     adoption = dict(
         zip(asn_np[order].tolist(), depth_np[order].tolist())
     )
-
-    indptr = topo.indptr
-    nbr = topo.nbr
-    reify = table.reify
-    length = table.length
 
     track = metrics is not None
     if track:
@@ -664,37 +657,7 @@ def _emit_column(
     def materialise(out: "PropagationOutcome") -> None:
         if track:
             metrics.count("engine.compiled.worlds_emitted")
-        pref_of = _PREF_OF
-
-        def emit_best(i: int):
-            p = best_pref[i]
-            if p < 0:
-                return None, None
-            pid = best_pid[i]
-            learned_idx = best_from[i]
-            learned = None if learned_idx < 0 else asn_of[learned_idx]
-            return (
-                Route(prefix, reify(pid), learned, pref_of[p]),
-                (p, length[pid], -1 if learned is None else learned),
-            )
-
-        def emit_offers(i: int):
-            offers: dict = {}
-            for k in range(indptr[i], indptr[i + 1]):
-                pid = rib_pid[k]
-                if pid == -2:
-                    continue
-                offers[asn_of[nbr[k]]] = (reify(pid), pref_of[rib_pref[k]])
-            return offers
-
-        best_out = {}
-        keys_out = {}
-        adj_out = {}
-        for i in topo.iter_order:
-            a = asn_of[i]
-            best_out[a], keys_out[a] = emit_best(i)
-            adj_out[a] = emit_offers(i)
-        out._set_materialised(best_out, adj_out, keys_out)
+        out._set_materialised(*emit_world(prefix, state))
 
     outcome = PropagationOutcome(
         prefix=prefix,
@@ -703,7 +666,7 @@ def _emit_column(
         rounds=max_depth,
         emit=materialise,
     )
-    outcome.compiled_state = CompiledState(
+    outcome.compiled_state = state = CompiledState(
         table, best_pref, best_pid, best_from, rib_pid, rib_pref
     )
     return outcome
@@ -763,11 +726,7 @@ def vectorized_fixpoint(
     the wave count, and the per-wave per-column (class, length) levels.
     No intern table, no outcome objects — this is the 80k-AS path,
     whose route masks alone would dwarf the fixpoint's footprint.
-    ``topo`` may be a :class:`CompiledTopology` or a plain
-    :class:`~repro.topology.asgraph.ASGraph` (compiled on the fly).
     """
-    if not isinstance(topo, CompiledTopology):
-        topo = CompiledTopology.of(topo)
     ev = _views(topo)
     counts, _, _ = _slot_counts(topo, ev, prepending or PrependingPolicy())
     _check_domain(topo, _max_count(counts))

@@ -7,21 +7,23 @@ path algorithm (:mod:`repro.bgp.uphill`), relationship inference
 (:mod:`repro.inference`) and tier classification
 (:mod:`repro.topology.tiers`).
 
-The representation is adjacency sets per relationship kind, which makes
-the per-AS queries (``customers_of``, ``peers_of`` ...) O(1) lookups
-returning pre-built sets.  A graph loaded in bulk
-(:meth:`ASGraph.from_edge_columns`) keeps its edge columns instead and
-builds the sets on the first query or mutation that needs them.  A run
-that only propagates, classifies tiers and ranks cones never does: it
-reads the columns, through the dense CSR form
-(:class:`repro.bgp.compiled.CompiledTopology`) and
-:meth:`ASGraph.relatives`.
+Every graph, loaded, built by inserts, copied or unpickled, is stored
+one way: its AS order and three edge columns, ``a`` / ``b`` / ``code``
+in CAIDA's codes, one row per edge in insertion order.  Whole-graph
+reads (``len``, iteration, :meth:`ASGraph.edge_columns`,
+:meth:`ASGraph.relatives`, :meth:`ASGraph.edges`, copies, pickles and
+the dense CSR form of :class:`repro.bgp.compiled.CompiledTopology`)
+read the columns.  The per-AS queries (``customers_of``,
+``relationship``, ``degree`` ...) read an index of adjacency sets built
+from the columns on the first such query or edge insert and kept
+current afterwards; a run that only propagates, classifies tiers and
+ranks cones never builds it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
-from itertools import chain
 
 import numpy as np
 
@@ -33,20 +35,25 @@ __all__ = ["ASGraph"]
 #: The largest AS number: AS numbers are 32-bit (RFC 6793).
 MAX_ASN = 2**32 - 1
 
-#: CAIDA's relationship codes, as :meth:`ASGraph.from_edge_columns`
-#: reads them: ``a`` sells transit to ``b``, peers, siblings.
+#: CAIDA's relationship codes, as the edge columns hold them: ``a``
+#: sells transit to ``b``, peers, siblings.
 _P2C, _P2P, _S2S = -1, 0, 2
 
-#: The adjacency dict of each role (``ASGraph.relatives``).
-_ROLE_SETS = {
-    Relationship.CUSTOMER: "_customers",
-    Relationship.PROVIDER: "_providers",
-    Relationship.PEER: "_peers",
-    Relationship.SIBLING: "_siblings",
-}
+#: Positions in the adjacency index: each AS's customers, providers,
+#: peers and siblings.
+_CUSTOMERS, _PROVIDERS, _PEERS, _SIBLINGS = range(4)
 
-#: The adjacency dicts a bulk-built graph defers (``_DeferredASGraph``).
-_ADJACENCY = frozenset(_ROLE_SETS.values())
+#: How :meth:`ASGraph.edges` orders an AS's edges, customers, peers,
+#: then siblings: the rank of each code (indexed by code + 1), and the
+#: role yielded per rank.
+_EDGE_RANK = np.array([0, 1, -1, 2], dtype=np.int64)
+_RANKED_ROLES = (Relationship.CUSTOMER, Relationship.PEER, Relationship.SIBLING)
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_CODES = np.empty(0, dtype=np.int8)
+
+#: :meth:`ASGraph.edges` turns this many rows at a time into Python ints.
+_EDGE_BLOCK = 4096
 
 
 class ASGraph:
@@ -58,30 +65,29 @@ class ASGraph:
     """
 
     def __init__(self) -> None:
-        self._providers: dict[int, set[int]] = {}
-        self._customers: dict[int, set[int]] = {}
-        self._peers: dict[int, set[int]] = {}
-        self._siblings: dict[int, set[int]] = {}
-        # Every AS, in insertion order: ``_providers`` itself once the
-        # adjacency sets exist, so ``len``, ``in`` and iteration never
-        # need the sets.
-        self._ases: dict[int, object] = self._providers
-        self._edge_count = 0
-        # Memo of the graph's dense CSR form, owned by
-        # ``repro.bgp.compiled.CompiledTopology.of``.  Dropped on every
-        # mutation; never copied or pickled with the graph.
+        self.__setstate__({"_ases": {}, "_a": _NO_ROWS, "_b": _NO_ROWS, "_code": _NO_CODES})
+
+    def __setstate__(self, state: dict) -> None:
+        # The store: every AS in insertion order, and the edge columns,
+        # the rows inserted since they were last read held in ``_tail``'s
+        # growable ``a`` / ``b`` / ``code`` arrays (``_new_tail``).
+        self._ases: dict[int, None] = state["_ases"]
+        self._a: np.ndarray = state["_a"]
+        self._b: np.ndarray = state["_b"]
+        self._code: np.ndarray = state["_code"]
+        self._tail = _new_tail()
+        # Derived from the store, never copied or pickled: the adjacency
+        # index (``_adjacency``), the dense CSR form owned by
+        # ``repro.bgp.compiled.CompiledTopology.of`` and the maps
+        # ``relatives`` built, per role.  A mutation drops the last two
+        # and updates the index.
+        self._index: tuple[dict[int, set[int]], ...] | None = None
         self._compiled = None
-        # The (a, b, code) columns a bulk-built graph came from
-        # (``from_edge_columns``): what ``edge_columns`` returns until the
-        # graph is mutated, and released once it is compiled.  Never
-        # copied or pickled either.
-        self._columns = None
-        # The same columns while a bulk-built graph has not built its
-        # adjacency sets yet (``_DeferredASGraph``); ``None`` once it has.
-        self._deferred = None
-        # The maps ``relatives`` built, per role.  Dropped on every
-        # mutation; never copied or pickled.
         self._relatives: dict[Relationship, dict[int, list[int]]] | None = None
+
+    def __getstate__(self) -> dict:
+        a, b, code = self.edge_columns()
+        return {"_ases": dict(self._ases), "_a": a, "_b": b, "_code": code}
 
     # ------------------------------------------------------------------
     # Construction
@@ -101,15 +107,10 @@ class ASGraph:
         ``b[r]``, 0 for peers, 2 for siblings.  The result equals
         inserting the rows one by one in order (``add_p2c`` /
         ``add_p2p`` / ``add_s2s``): the same ASes in the same order,
-        every adjacency set filled in row order, and the same rules —
-        valid AS numbers, no self-loop, no second edge between two ASes
-        in any role or direction.  The first refused row raises the
-        error its insert would, with the row's index as ``error.row``.
-
-        The adjacency sets are built on the first query or mutation that
-        needs them; until then ``len``, ``in``, iteration, :attr:`ases`,
-        :meth:`edge_columns` and the compiled form answer from the
-        columns and the AS order.
+        the same rows, and the same rules — valid AS numbers, no
+        self-loop, no second edge between two ASes in any role or
+        direction.  The first refused row raises the error its insert
+        would, with the row's index as ``error.row``.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -145,57 +146,59 @@ class ASGraph:
                 raise
             raise AssertionError(f"row {row} was refused but inserts cleanly")
 
-        graph = _DeferredASGraph.__new__(_DeferredASGraph)
         ends = np.empty(2 * len(a), dtype=np.int64)
         ends[0::2], ends[1::2] = a, b
         first = np.unique(ends, return_index=True)[1]
-        graph._ases = dict.fromkeys(ends[np.sort(first)].tolist())  # first appearance
-        graph._edge_count = len(a)
-        graph._compiled = None
-        graph._columns = graph._deferred = (a, b, code)
-        graph._relatives = None
+        graph = cls.__new__(cls)
+        graph.__setstate__(
+            {
+                "_ases": dict.fromkeys(ends[np.sort(first)].tolist()),  # first appearance
+                "_a": a,
+                "_b": b,
+                "_code": code,
+            }
+        )
         return graph
 
-    def _build_adjacency(self) -> None:
-        """Fill the four adjacency dicts from the deferred columns: keys
-        in the AS order, every set in row order, as per-row inserts
-        would.  The graph is a plain :class:`ASGraph` afterwards."""
-        a, b, code = self._deferred
-        ases = self._ases
-        customers = {asn: set() for asn in ases}
-        providers = {asn: set() for asn in ases}
-        peers = {asn: set() for asn in ases}
-        siblings = {asn: set() for asn in ases}
-        rows = code == _P2C
-        for x, y in zip(a[rows].tolist(), b[rows].tolist()):
-            customers[x].add(y)
-            providers[y].add(x)
-        for rel, adjacency in ((_P2P, peers), (_S2S, siblings)):
-            rows = code == rel
+    def _adjacency(self) -> tuple[dict[int, set[int]], ...]:
+        """The adjacency index: each AS's customers, providers, peers and
+        siblings, keys in the AS order and every set filled in row
+        order, as per-row inserts would.  Built from the columns on
+        first use; inserts and ``remove_edge`` keep it current."""
+        if self._index is None:
+            a, b, code = self.edge_columns()
+            ases = self._ases
+            index = tuple({asn: set() for asn in ases} for _ in range(4))
+            customers, providers, peers, siblings = index
+            rows = code == _P2C
             for x, y in zip(a[rows].tolist(), b[rows].tolist()):
-                adjacency[x].add(y)
-                adjacency[y].add(x)
-        self._customers, self._providers = customers, providers
-        self._peers, self._siblings = peers, siblings
-        self._ases = providers
-        self._deferred = None
-        self.__class__ = ASGraph
+                customers[x].add(y)
+                providers[y].add(x)
+            for rel, adjacency in ((_P2P, peers), (_S2S, siblings)):
+                rows = code == rel
+                for x, y in zip(a[rows].tolist(), b[rows].tolist()):
+                    adjacency[x].add(y)
+                    adjacency[y].add(x)
+            self._index = index
+        return self._index
 
     def add_as(self, asn: int) -> None:
         """Insert an AS with no links (idempotent)."""
         self._check_asn(asn)
-        if asn not in self._providers:
-            self._providers[asn] = set()
-            self._customers[asn] = set()
-            self._peers[asn] = set()
-            self._siblings[asn] = set()
-            self._compiled = self._columns = self._relatives = None
+        index = self._adjacency()
+        if asn not in self._ases:
+            self._ases[asn] = None
+            for adjacency in index:
+                adjacency[asn] = set()
+            self._compiled = self._relatives = None
 
-    def _open_edge(self, a: int, b: int) -> None:
+    def _open_edge(self, a: int, b: int, code: int) -> tuple[dict[int, set[int]], ...]:
         """Everything an edge insert does except add ``a``-``b`` to its
-        two role sets: insert the endpoints, refuse a self-loop or a
-        second edge, count the edge, drop the memos."""
-        known = self._providers
+        two role sets, which it leaves to the caller on the index it
+        returns: insert the endpoints, refuse a self-loop or a second
+        edge, append the row, drop the memos."""
+        index = self._adjacency()
+        known = self._ases
         # Only a plain int that is already a key skips ``add_as``:
         # ``True`` and ``1.0`` hash like AS1 and must still be refused.
         if type(a) is not int or a not in known:
@@ -204,36 +207,36 @@ class ASGraph:
             self.add_as(b)
         if a == b:
             raise TopologyError(f"self-loop on AS{a} is not allowed")
-        if (
-            b in self._customers[a]
-            or b in known[a]
-            or b in self._peers[a]
-            or b in self._siblings[a]
-        ):
+        customers, providers, peers, siblings = index
+        if b in customers[a] or b in providers[a] or b in peers[a] or b in siblings[a]:
             raise DuplicateEdgeError(
                 f"edge AS{a}-AS{b} already exists with relationship "
                 f"{self.relationship(a, b).value}"
             )
-        self._edge_count += 1
-        self._compiled = self._columns = self._relatives = None
+        tail_a, tail_b, tail_code = self._tail
+        tail_a.append(a)
+        tail_b.append(b)
+        tail_code.append(code)
+        self._compiled = self._relatives = None
+        return index
 
     def add_p2c(self, provider: int, customer: int) -> None:
         """Add a transit edge: ``provider`` sells transit to ``customer``."""
-        self._open_edge(provider, customer)
-        self._customers[provider].add(customer)
-        self._providers[customer].add(provider)
+        index = self._open_edge(provider, customer, _P2C)
+        index[_CUSTOMERS][provider].add(customer)
+        index[_PROVIDERS][customer].add(provider)
 
     def add_p2p(self, a: int, b: int) -> None:
         """Add a settlement-free peering edge between ``a`` and ``b``."""
-        self._open_edge(a, b)
-        self._peers[a].add(b)
-        self._peers[b].add(a)
+        peers = self._open_edge(a, b, _P2P)[_PEERS]
+        peers[a].add(b)
+        peers[b].add(a)
 
     def add_s2s(self, a: int, b: int) -> None:
         """Add a sibling edge (two ASes of one organisation)."""
-        self._open_edge(a, b)
-        self._siblings[a].add(b)
-        self._siblings[b].add(a)
+        siblings = self._open_edge(a, b, _S2S)[_SIBLINGS]
+        siblings[a].add(b)
+        siblings[b].add(a)
 
     def add_edge(self, a: int, b: int, relationship: Relationship) -> None:
         """Add an edge with ``relationship`` being *b's role relative to a*."""
@@ -253,20 +256,23 @@ class ASGraph:
         relationship = self.relationship(a, b)
         if relationship is Relationship.NONE:
             raise TopologyError(f"no edge between AS{a} and AS{b}")
+        customers, providers, peers, siblings = self._adjacency()
         if relationship is Relationship.CUSTOMER:
-            self._customers[a].discard(b)
-            self._providers[b].discard(a)
+            customers[a].discard(b)
+            providers[b].discard(a)
         elif relationship is Relationship.PROVIDER:
-            self._customers[b].discard(a)
-            self._providers[a].discard(b)
+            customers[b].discard(a)
+            providers[a].discard(b)
         elif relationship is Relationship.PEER:
-            self._peers[a].discard(b)
-            self._peers[b].discard(a)
+            peers[a].discard(b)
+            peers[b].discard(a)
         else:
-            self._siblings[a].discard(b)
-            self._siblings[b].discard(a)
-        self._edge_count -= 1
-        self._compiled = self._columns = self._relatives = None
+            siblings[a].discard(b)
+            siblings[b].discard(a)
+        ca, cb, code = self.edge_columns()
+        kept = ((ca != a) | (cb != b)) & ((ca != b) | (cb != a))
+        self._a, self._b, self._code = ca[kept], cb[kept], code[kept]
+        self._compiled = self._relatives = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -287,7 +293,7 @@ class ASGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._edge_count
+        return len(self._code) + len(self._tail[2])
 
     def _require(self, asn: int) -> None:
         if asn not in self._ases:
@@ -296,61 +302,53 @@ class ASGraph:
     def providers_of(self, asn: int) -> frozenset[int]:
         """The ASes selling transit to ``asn``."""
         self._require(asn)
-        return frozenset(self._providers[asn])
+        return frozenset(self._adjacency()[_PROVIDERS][asn])
 
     def customers_of(self, asn: int) -> frozenset[int]:
         """The ASes buying transit from ``asn``."""
         self._require(asn)
-        return frozenset(self._customers[asn])
+        return frozenset(self._adjacency()[_CUSTOMERS][asn])
 
     def peers_of(self, asn: int) -> frozenset[int]:
         """The settlement-free peers of ``asn``."""
         self._require(asn)
-        return frozenset(self._peers[asn])
+        return frozenset(self._adjacency()[_PEERS][asn])
 
     def siblings_of(self, asn: int) -> frozenset[int]:
         """The sibling ASes of ``asn``."""
         self._require(asn)
-        return frozenset(self._siblings[asn])
+        return frozenset(self._adjacency()[_SIBLINGS][asn])
 
     def neighbors_of(self, asn: int) -> frozenset[int]:
         """All neighbours of ``asn`` regardless of relationship."""
         self._require(asn)
-        return frozenset(
-            self._providers[asn]
-            | self._customers[asn]
-            | self._peers[asn]
-            | self._siblings[asn]
-        )
+        customers, providers, peers, siblings = self._adjacency()
+        return frozenset(providers[asn] | customers[asn] | peers[asn] | siblings[asn])
 
     def degree(self, asn: int) -> int:
         """Total number of AS-level links incident to ``asn``."""
         self._require(asn)
-        return (
-            len(self._providers[asn])
-            + len(self._customers[asn])
-            + len(self._peers[asn])
-            + len(self._siblings[asn])
-        )
+        return sum(len(adjacency[asn]) for adjacency in self._adjacency())
 
     def transit_degree(self, asn: int) -> int:
         """Number of customers — CAIDA's AS-Rank ordering key."""
         try:
-            return len(self._customers[asn])
+            return len(self._adjacency()[_CUSTOMERS][asn])
         except KeyError:
             raise UnknownASError(asn) from None
 
     def relationship(self, a: int, b: int) -> Relationship:
         """The role of ``b`` relative to ``a`` (``NONE`` if not adjacent)."""
-        if a not in self._providers or b not in self._providers:
+        if a not in self._ases or b not in self._ases:
             return Relationship.NONE
-        if b in self._customers[a]:
+        customers, providers, peers, siblings = self._adjacency()
+        if b in customers[a]:
             return Relationship.CUSTOMER
-        if b in self._providers[a]:
+        if b in providers[a]:
             return Relationship.PROVIDER
-        if b in self._peers[a]:
+        if b in peers[a]:
             return Relationship.PEER
-        if b in self._siblings[a]:
+        if b in siblings[a]:
             return Relationship.SIBLING
         return Relationship.NONE
 
@@ -358,46 +356,30 @@ class ASGraph:
         return self.relationship(a, b) is not Relationship.NONE
 
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every edge once, as ``from_edge_columns`` reads them: int64
-        ``a`` and ``b`` and int8 ``code`` columns.
+        """Every edge once, in insertion order, as ``from_edge_columns``
+        reads them: int64 ``a`` and ``b`` and int8 ``code`` columns.
 
-        A bulk-built graph returns the columns it was built from until
-        it is mutated; any other graph gathers them from its adjacency
-        sets (transit edges provider-first, symmetric ones with
-        ``a < b``).
+        The arrays are the graph's own store: read them, never write.
         """
-        columns = self._columns if self._columns is not None else self._deferred
-        if columns is not None:
-            return columns
-        columns = []
-        for rel, adjacency in (
-            (_P2C, self._customers),
-            (_P2P, self._peers),
-            (_S2S, self._siblings),
-        ):
-            n = len(adjacency)
-            sizes = np.fromiter(map(len, adjacency.values()), dtype=np.int64, count=n)
-            a = np.repeat(np.fromiter(adjacency, dtype=np.int64, count=n), sizes)
-            b = np.fromiter(
-                chain.from_iterable(adjacency.values()), dtype=np.int64, count=len(a)
-            )
-            if rel != _P2C:  # a symmetric edge sits in both ends' sets
-                a, b = a[a < b], b[a < b]
-            columns.append((a, b, np.full(len(a), rel, dtype=np.int8)))
-        a, b, code = zip(*columns)
-        return np.concatenate(a), np.concatenate(b), np.concatenate(code)
+        tail_a, tail_b, tail_code = self._tail
+        if tail_code:
+            self._a = np.concatenate((self._a, np.frombuffer(tail_a, dtype=np.uintc)))
+            self._b = np.concatenate((self._b, np.frombuffer(tail_b, dtype=np.uintc)))
+            self._code = np.concatenate((self._code, np.frombuffer(tail_code, dtype=np.int8)))
+            self._tail = _new_tail()
+        return self._a, self._b, self._code
 
     def relatives(
         self, role: Relationship, among: Iterable[int] | None = None
     ) -> dict[int, list[int]]:
         """Each AS with a neighbour in ``role`` (a customer, provider,
-        peer or sibling) mapped to those neighbours; the keys ascend.
-        ``among`` keeps only those ASes as keys.
+        peer or sibling) mapped to those neighbours; the keys ascend,
+        the members come in no promised order.  ``among`` keeps only
+        those ASes as keys.
 
-        Kept per role until the graph changes (a map ``among`` some ASes
-        is not kept).  A graph with adjacency sets reads them; one whose
-        sets are deferred groups its edge columns in one NumPy pass and
-        never builds them.  The tier and cone queries
+        One NumPy pass over the edge columns, kept per role until the
+        graph changes (a map ``among`` some ASes is not kept); it never
+        builds the adjacency index.  The tier and cone queries
         (:mod:`repro.topology.tiers`) read these maps.
         """
         if self._relatives is None:
@@ -405,28 +387,23 @@ class ASGraph:
         found = self._relatives.get(role) if among is None else None
         if found is not None:
             return found
-        if role not in _ROLE_SETS:
-            raise TopologyError(f"no AS is related to another as {role}")
-        if self._deferred is None:
-            adjacency = getattr(self, _ROLE_SETS[role])
-            keys = adjacency if among is None else set(among).intersection(adjacency)
-            found = {asn: list(adjacency[asn]) for asn in sorted(keys) if adjacency[asn]}
+        a, b, code = self.edge_columns()
+        if role is Relationship.CUSTOMER or role is Relationship.PROVIDER:
+            rows = code == _P2C
+            owner, member = a[rows], b[rows]
+            if role is Relationship.PROVIDER:
+                owner, member = member, owner
+        elif role is Relationship.PEER or role is Relationship.SIBLING:
+            rows = code == (_P2P if role is Relationship.PEER else _S2S)
+            owner = np.concatenate((a[rows], b[rows]))
+            member = np.concatenate((b[rows], a[rows]))
         else:
-            a, b, code = self._deferred
-            if role is Relationship.CUSTOMER or role is Relationship.PROVIDER:
-                rows = code == _P2C
-                owner, member = a[rows], b[rows]
-                if role is Relationship.PROVIDER:
-                    owner, member = member, owner
-            else:
-                rows = code == (_P2P if role is Relationship.PEER else _S2S)
-                owner = np.concatenate((a[rows], b[rows]))
-                member = np.concatenate((b[rows], a[rows]))
-            if among is not None:
-                kept = np.isin(owner, np.fromiter(among, dtype=np.int64))
-                owner, member = owner[kept], member[kept]
-            order = np.argsort(owner, kind="stable")
-            found = _grouped(owner[order], member[order])
+            raise TopologyError(f"no AS is related to another as {role}")
+        if among is not None:
+            kept = np.isin(owner, np.fromiter(among, dtype=np.int64))
+            owner, member = owner[kept], member[kept]
+        order = np.argsort(owner, kind="stable")
+        found = _grouped(owner[order], member[order])
         if among is None:
             self._relatives[role] = found
         return found
@@ -435,17 +412,20 @@ class ASGraph:
         """Iterate each edge once as ``(a, b, role-of-b-relative-to-a)``.
 
         Transit edges are yielded provider-first (``role`` = CUSTOMER);
-        symmetric edges are yielded with ``a < b``.
+        symmetric edges are yielded with ``a < b``.  Edges come by
+        ascending ``a``; an AS's customers, then its peers, then its
+        siblings, each ascending.
         """
-        for asn in sorted(self._providers):
-            for customer in sorted(self._customers[asn]):
-                yield asn, customer, Relationship.CUSTOMER
-            for peer in sorted(self._peers[asn]):
-                if asn < peer:
-                    yield asn, peer, Relationship.PEER
-            for sibling in sorted(self._siblings[asn]):
-                if asn < sibling:
-                    yield asn, sibling, Relationship.SIBLING
+        a, b, code = self.edge_columns()
+        transit = code == _P2C
+        lo = np.where(transit, a, np.minimum(a, b))
+        hi = np.where(transit, b, np.maximum(a, b))
+        rank = _EDGE_RANK[code + 1]
+        order = np.lexsort((hi, rank, lo))
+        for start in range(0, len(order), _EDGE_BLOCK):
+            rows = order[start : start + _EDGE_BLOCK]
+            for x, y, r in zip(lo[rows].tolist(), hi[rows].tolist(), rank[rows].tolist()):
+                yield x, y, _RANKED_ROLES[r]
 
     # ------------------------------------------------------------------
     # Structure-level helpers
@@ -491,52 +471,20 @@ class ASGraph:
         return True
 
     def copy(self) -> "ASGraph":
-        """Deep copy of the graph's ASes and edges (no memo is carried).
-
-        A graph whose adjacency sets are still deferred shares its
-        columns with the copy, which builds sets of its own if asked.
-        """
-        if self._deferred is not None:
-            clone = _DeferredASGraph.__new__(_DeferredASGraph)
-            clone.__dict__.update(self.__getstate__())
-            return clone
-        clone = ASGraph()
-        clone._providers = clone._ases = {asn: set(m) for asn, m in self._providers.items()}
-        clone._customers = {asn: set(m) for asn, m in self._customers.items()}
-        clone._peers = {asn: set(m) for asn, m in self._peers.items()}
-        clone._siblings = {asn: set(m) for asn, m in self._siblings.items()}
-        clone._edge_count = self._edge_count
+        """A copy of the graph's ASes and edges (no index or memo is
+        carried); the two share no state a mutation reaches."""
+        clone = ASGraph.__new__(ASGraph)
+        clone.__setstate__(self.__getstate__())
         return clone
-
-    def __getstate__(self) -> dict:
-        # A pickled graph (the pool's fallback transport) must not ship
-        # a compiled topology or the compile's column memo inside it; the
-        # receiver compiles its own.  Deferred columns are the edges of a
-        # graph that has no sets yet, so they travel.
-        state = self.__dict__.copy()
-        state["_compiled"] = state["_columns"] = state["_relatives"] = None
-        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ASGraph(ases={len(self)}, edges={self.num_edges})"
 
 
-class _DeferredASGraph(ASGraph):
-    """A bulk-built :class:`ASGraph` that has not built its adjacency
-    sets: the first access to one builds all four from the deferred
-    columns, and the graph turns into a plain ``ASGraph``.
-
-    Only this class has a ``__getattr__``: on ``ASGraph`` itself the
-    hook would cost every attribute load of every graph its
-    specialisation, the generators' edge inserts among them.
-    """
-
-    def __getattr__(self, name: str):
-        # Normal lookup failed, so the sets are still deferred.
-        if name in _ADJACENCY:
-            self._build_adjacency()
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+def _new_tail() -> tuple[array, array, array]:
+    """Empty ``a`` / ``b`` / ``code`` arrays for inserted rows: AS
+    numbers are 32-bit, so C unsigned ints hold them."""
+    return array("I"), array("I"), array("b")
 
 
 def _grouped(owner: np.ndarray, member: np.ndarray) -> dict[int, list[int]]:

@@ -273,7 +273,7 @@ class TestEdgelessGraph:
         graph = ASGraph()
         graph.add_as(1)
         graph.add_as(2)
-        keys, waves, _ = vectorized.vectorized_fixpoint(graph, [1, 2])
+        keys, waves, _ = vectorized.vectorized_fixpoint(CompiledTopology.of(graph), [1, 2])
         assert waves == 1
         assert (keys < (np.int64(5) << 53)).sum() == 2
         kernel = ImpactKernel(CompiledTopology.of(graph))

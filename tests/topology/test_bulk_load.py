@@ -1,6 +1,6 @@
-"""The bulk loader against the per-edge one, and the edge-column memo.
+"""The bulk loader against the per-edge one, and one store per graph.
 
-Four contracts:
+Five contracts:
 
 * **Load.**  ``loads_asrel2`` / ``loads_caida`` fill three edge columns
   and build the graph with :meth:`ASGraph.from_edge_columns`.  The graph
@@ -11,16 +11,19 @@ Four contracts:
   its fault is the line's shape or the edge it names (the hand-picked
   cases are ``test_asrel2.py``'s).
 * **Compile.**  :meth:`CompiledTopology.from_graph` is one NumPy pass
-  over edge columns, fed by the loader's columns or gathered from the
-  adjacency sets; either way its nine CSR columns equal the per-slot
-  oracle's (:mod:`tests.bgp.compile_oracle`).
-* **Memo.**  A loaded graph keeps its columns until it is compiled or
-  mutated; a copy or a pickle never carries them.
-* **Deferred sets.**  A loaded graph builds its adjacency sets on the
-  first set query or mutation, never for a grid on a loaded file, and
-  then builds exactly the per-edge parser's sets.  The plain NumPy
-  pass of the loader reads what the per-line loop would, or leaves the
-  text to it.
+  over the graph's edge columns, loaded or inserted; either way its nine
+  CSR columns equal the per-slot oracle's
+  (:mod:`tests.bgp.compile_oracle`).
+* **Memo.**  The columns are the graph: they outlive its compile,
+  follow every mutation, and travel with a copy or a pickle; the
+  compiled form and the adjacency index never do.
+* **Deferred sets.**  A graph builds its adjacency index on the first
+  per-AS query or insert, never for a grid on a loaded file, and then
+  builds exactly the per-edge parser's sets.  The plain NumPy pass of
+  the loader reads what the per-line loop would, or leaves the text to
+  it.
+* **One representation.**  Inserts, removals, ``from_edge_columns``,
+  copies and pickles agree on every read of the same edges.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from hypothesis import strategies as st
 from repro.bgp.compiled import CompiledTopology
 from repro.exceptions import DuplicateEdgeError, SerializationError, TopologyError
 from repro.experiments.base import generate_world
-from repro.topology.asgraph import _ADJACENCY, ASGraph
+from repro.topology.asgraph import ASGraph
+from repro.topology.relationships import Relationship
 from repro.topology.generators import PowerLawConfig, generate_powerlaw_topology
 from repro.topology.serialization import (
     _line_columns,
@@ -60,10 +64,16 @@ SCALE_10K = PowerLawConfig(
 )
 
 
+ROLES = (Relationship.CUSTOMER, Relationship.PROVIDER, Relationship.PEER, Relationship.SIBLING)
+
+
 def assert_same_graph(graph: ASGraph, oracle: ASGraph) -> None:
-    """Same ASes in the same order and every set in the same order."""
-    for role in ("_providers", "_customers", "_peers", "_siblings"):
-        ours, theirs = getattr(graph, role), getattr(oracle, role)
+    """Same ASes in the same order, the same edge rows, and every
+    adjacency set in the same order."""
+    assert list(graph) == list(oracle)
+    for ours, theirs in zip(graph.edge_columns(), oracle.edge_columns()):
+        assert ours.tolist() == theirs.tolist()
+    for role, ours, theirs in zip(ROLES, graph._adjacency(), oracle._adjacency()):
         assert list(ours) == list(theirs), role
         assert [list(members) for members in ours.values()] == [
             list(members) for members in theirs.values()
@@ -203,12 +213,10 @@ class TestCompileMatchesOracle:
     def test_loaded_graphs(self, dump_scale4, dump_10k):
         for text in ((FIXTURES / "mini.as-rel2.txt").read_text(), dump_scale4, dump_10k):
             graph = loads_asrel2(text)
-            assert graph._columns is not None
             assert columns(CompiledTopology.of(graph)) == columns(compile_oracle(graph))
 
     def test_generated_graphs(self, small_world):
         for graph in (small_world.graph, generate_powerlaw_topology(SCALE_10K, seed=23).graph):
-            assert graph._columns is None
             assert columns(CompiledTopology.of(graph)) == columns(compile_oracle(graph))
 
     def test_isolated_ases_and_no_edges(self):
@@ -235,31 +243,35 @@ class TestColumnMemo:
     def loaded() -> ASGraph:
         return loads_asrel2((FIXTURES / "mini.as-rel2.txt").read_text())
 
-    def test_compiling_releases_the_columns(self):
+    def test_compiling_keeps_the_columns(self):
         graph = self.loaded()
+        rows = graph.edge_columns()
         topo = CompiledTopology.of(graph)
-        assert graph._columns is None
+        assert all(ours is theirs for ours, theirs in zip(graph.edge_columns(), rows))
         assert CompiledTopology.of(graph) is topo
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_a_mutation_after_load_is_compiled(self, name):
-        graph = self.loaded()
-        before = columns(compile_oracle(graph))
+        """The mutation reaches the columns as the same mutation of the
+        per-edge parser's graph does, and the next compile reads it."""
+        text = (FIXTURES / "mini.as-rel2.txt").read_text()
+        graph, oracle = loads_asrel2(text), loads_asrel2_oracle(text)
+        before = columns(CompiledTopology.of(graph))
         MUTATIONS[name](graph)
-        assert graph._columns is None
+        MUTATIONS[name](oracle)
+        assert_same_graph(graph, oracle)
         topo = CompiledTopology.of(graph)
         assert columns(topo) == columns(compile_oracle(graph))
         assert columns(topo) != before
 
-    def test_copy_and_pickle_carry_no_columns(self):
+    def test_copy_and_pickle_carry_the_columns_and_no_memo(self):
         graph = self.loaded()
-        clone = graph.copy()
-        restored = pickle.loads(pickle.dumps(graph))
-        assert graph._columns is not None
-        assert clone._columns is None and restored._columns is None
-        expected = columns(compile_oracle(graph))
-        assert columns(CompiledTopology.of(clone)) == expected
-        assert columns(CompiledTopology.of(restored)) == expected
+        expected = columns(CompiledTopology.of(graph))
+        graph.degree(174)  # build the index too
+        for clone in (graph.copy(), pickle.loads(pickle.dumps(graph))):
+            assert clone._compiled is None and clone._index is None
+            assert_same_graph(clone, graph)
+            assert columns(CompiledTopology.of(clone)) == expected
 
 
 #: texts the per-line loop accepts or refuses that a naive split would
@@ -350,8 +362,8 @@ class TestPlainPass:
 
 
 def unbuilt(graph: ASGraph) -> bool:
-    """Whether ``graph`` has not built its adjacency sets."""
-    return not _ADJACENCY & graph.__dict__.keys()
+    """Whether ``graph`` has not built its adjacency index."""
+    return graph._index is None
 
 
 class TestDeferredSets:
@@ -361,7 +373,7 @@ class TestDeferredSets:
 
     def test_a_loaded_grid_never_builds_the_sets(self, world_dump, tmp_path, monkeypatch):
         """``_load_world``, the grid's cone ranking and its cells read
-        the edge columns and the CSR; the sets built afterwards are the
+        the edge columns and the CSR; the index built afterwards is the
         per-edge parser's, set by set in file order."""
         import contextlib
         import io
@@ -412,6 +424,7 @@ class TestDeferredSets:
         text = (FIXTURES / "mini.as-rel2.txt").read_text()
         graph, oracle = loads_asrel2(text), loads_asrel2_oracle(text)
         MUTATIONS[name](graph)
+        assert not unbuilt(graph)
         MUTATIONS[name](oracle)
         assert_same_graph(graph, oracle)
         assert columns(CompiledTopology.of(graph)) == columns(compile_oracle(oracle))
@@ -425,3 +438,54 @@ class TestDeferredSets:
         clone = graph.copy()
         clone.add_p2c(1, 999_999)
         assert 999_999 not in graph and unbuilt(graph)
+
+
+def replayed(graph: ASGraph) -> ASGraph:
+    """``graph``'s ASes and edge rows inserted one by one, in order."""
+    oracle = ASGraph()
+    for asn in graph:
+        oracle.add_as(asn)
+    insert = {-1: oracle.add_p2c, 0: oracle.add_p2p, 2: oracle.add_s2s}
+    for a, b, code in zip(*(column.tolist() for column in graph.edge_columns())):
+        insert[code](a, b)
+    return oracle
+
+
+class TestOneRepresentation:
+    @settings(max_examples=100, deadline=None)
+    @given(text=clean_snapshots(), data=st.data())
+    def test_inserts_removals_and_columns_agree(self, text, data):
+        """A snapshot inserted edge by edge, then random ``add_as`` /
+        ``add_*`` / ``remove_edge`` calls: the index those kept current,
+        the index a copy or a pickle builds from the columns, and the
+        graph ``from_edge_columns`` builds from them read the same."""
+        graph = loads_asrel2_oracle(text)
+        pool = [*graph, *data.draw(st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=4))]
+        asns = st.sampled_from(pool)
+        edits = st.lists(
+            st.tuples(st.sampled_from(["add_p2c", "add_p2p", "add_s2s", "remove_edge"]), asns, asns)
+            | st.tuples(st.just("add_as"), asns),
+            max_size=12,
+        )
+        for name, *args in data.draw(edits):
+            try:
+                getattr(graph, name)(*args)
+            except TopologyError:  # a self-loop, a second edge or a missing one
+                pass
+        # The same AS order: the graph equals its rows re-inserted.
+        oracle = replayed(graph)
+        for clone in (graph.copy(), pickle.loads(pickle.dumps(graph))):
+            assert_same_graph(clone, oracle)
+        assert [list(map(set, ours.values())) for ours in graph._adjacency()] == [
+            list(map(set, theirs.values())) for theirs in oracle._adjacency()
+        ]
+        # The bulk-built graph knows only the linked ASes, in the order
+        # the rows name them first.
+        rebuilt = ASGraph.from_edge_columns(*graph.edge_columns())
+        assert sorted(rebuilt) == sorted(asn for asn in graph if graph.degree(asn))
+        assert list(rebuilt.edges()) == list(graph.edges()) == list(oracle.edges())
+        for role in ROLES:
+            ours, theirs = rebuilt.relatives(role), graph.relatives(role)
+            assert {k: set(v) for k, v in ours.items()} == {k: set(v) for k, v in theirs.items()}
+        for g in (graph, rebuilt):
+            assert columns(CompiledTopology.of(g)) == columns(compile_oracle(g))

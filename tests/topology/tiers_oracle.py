@@ -76,13 +76,10 @@ def customer_cone(graph: ASGraph, asn: int) -> frozenset[int]:
     """
     if not graph.transit_degree(asn):
         return frozenset((asn,))
-    # Walk the live adjacency: customers_of() copies a frozenset per
-    # hop, and ranking a topology by cone size takes a walk per AS.
-    customers = graph._customers
     seen = {asn}
     queue: deque[int] = deque([asn])
     while queue:
-        for customer in customers[queue.popleft()]:
+        for customer in graph.customers_of(queue.popleft()):
             if customer not in seen:
                 seen.add(customer)
                 queue.append(customer)
