@@ -26,7 +26,7 @@ CSR columns identical, at least 3× faster.
 
 ``test_bench_topology_load_10k`` gates the loader: ``loads_asrel2``
 (one NumPy pass into edge columns, one bulk
-``ASGraph.from_edge_columns`` that builds no adjacency index) against
+``ASGraph.from_edge_columns`` that derives no per-AS map) against
 the per-edge parser it replaced (kept as
 ``tests/topology/load_oracle.py``) on a dump of the same world, the
 same AS order and edge rows, at least 6× faster.
@@ -206,11 +206,10 @@ def test_bench_topology_compile_10k():
 
 
 def test_bench_topology_load_10k():
-    """``loads_asrel2`` (a NumPy parse, one bulk build, sets deferred)
-    must hold >= 6x over the per-edge parser on a dump of the 10k-AS
-    world (median of 21 back-to-back pairs), and build the same graph:
-    same ASes in the same order and, once built, every adjacency set in
-    the same iteration order."""
+    """``loads_asrel2`` (a NumPy parse, one bulk build) must hold >= 6x
+    over the per-edge parser on a dump of the 10k-AS world (median of
+    21 back-to-back pairs), and build the same graph: the same ASes in
+    the same order and the same edge rows."""
     text = dumps_caida(generate_powerlaw_topology(SCALE_10K, seed=7).graph)
     loaders = (loads_asrel2_oracle, loads_asrel2)
     pairs, graphs = [], {}
@@ -218,9 +217,8 @@ def test_bench_topology_load_10k():
         pair = []
         for load in loaders:  # back to back, so a slow spell hits both
             graphs.pop(load, None)
-            # The oracle allocates 40,000 sets, so the collector's passes
-            # over them (and over whatever else is live) would only add
-            # noise: time each call with GC off, as timeit does.
+            # The collector's passes over whatever is live would only
+            # add noise: time each call with GC off, as timeit does.
             gc.collect()
             gc.disable()
             try:

@@ -35,7 +35,7 @@ __all__ = ["infer_caida"]
 Path = tuple[int, ...]
 
 
-def _adjacency(paths: list[Path]) -> dict[int, set[int]]:
+def _observed_neighbors(paths: list[Path]) -> dict[int, set[int]]:
     neighbors: defaultdict[int, set[int]] = defaultdict(set)
     for path in paths:
         for a, b in zip(path, path[1:]):
@@ -79,7 +79,7 @@ def infer_caida(
     if not path_list:
         raise MeasurementError("cannot infer relationships from zero paths")
 
-    neighbors = _adjacency(path_list)
+    neighbors = _observed_neighbors(path_list)
     seeded = {asn for asn in seed_clique if asn in neighbors}
     clique = seeded or _infer_clique(path_list, neighbors, clique_size_hint)
 

@@ -9,15 +9,16 @@ path algorithm (:mod:`repro.bgp.uphill`), relationship inference
 
 Every graph, loaded, built by inserts, copied or unpickled, is stored
 one way: its AS order and three edge columns, ``a`` / ``b`` / ``code``
-in CAIDA's codes, one row per edge in insertion order.  Whole-graph
-reads (``len``, iteration, :meth:`ASGraph.edge_columns`,
-:meth:`ASGraph.relatives`, :meth:`ASGraph.edges`, copies, pickles and
-the dense CSR form of :class:`repro.bgp.compiled.CompiledTopology`)
-read the columns.  The per-AS queries (``customers_of``,
-``relationship``, ``degree`` ...) read an index of adjacency sets built
-from the columns on the first such query or edge insert and kept
-current afterwards; a run that only propagates, classifies tiers and
-ranks cones never builds it.
+in CAIDA's codes, one row per edge in insertion order.  Every read
+derives from them: the whole-graph ones (``len``, iteration,
+:meth:`ASGraph.edge_columns`, :meth:`ASGraph.relatives`,
+:meth:`ASGraph.edges`, copies, pickles, the dense CSR form of
+:class:`repro.bgp.compiled.CompiledTopology`) and the per-AS ones: the
+role queries (``customers_of`` ...) read the ``relatives`` maps,
+``degree`` one count per AS, and ``relationship`` one map from each
+adjacent pair to its row's code.  Each is built on first read; a run
+that only propagates, classifies tiers and ranks cones builds only the
+maps those read.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ MAX_ASN = 2**32 - 1
 #: CAIDA's relationship codes, as the edge columns hold them: ``a``
 #: sells transit to ``b``, peers, siblings.
 _P2C, _P2P, _S2S = -1, 0, 2
+_CODE_OF_ROLE = {Relationship.CUSTOMER: _P2C, Relationship.PEER: _P2P, Relationship.SIBLING: _S2S}
 
-#: Positions in the adjacency index: each AS's customers, providers,
-#: peers and siblings.
-_CUSTOMERS, _PROVIDERS, _PEERS, _SIBLINGS = range(4)
+#: The role of ``hi`` relative to ``lo``, and of ``lo`` relative to
+#: ``hi``, for an adjacent pair's code in ``ASGraph._pair_map``,
+#: indexed by code + 1; each names every role once.
+_ROLE_OF_HI = tuple(Relationship[r] for r in ("CUSTOMER", "PEER", "PROVIDER", "SIBLING"))
+_ROLE_OF_LO = tuple(role.inverse() for role in _ROLE_OF_HI)
 
 #: How :meth:`ASGraph.edges` orders an AS's edges, customers, peers,
 #: then siblings: the rank of each code (indexed by code + 1), and the
@@ -76,14 +80,18 @@ class ASGraph:
         self._b: np.ndarray = state["_b"]
         self._code: np.ndarray = state["_code"]
         self._tail = _new_tail()
-        # Derived from the store, never copied or pickled: the adjacency
-        # index (``_adjacency``), the dense CSR form owned by
-        # ``repro.bgp.compiled.CompiledTopology.of`` and the maps
-        # ``relatives`` built, per role.  A mutation drops the last two
-        # and updates the index.
-        self._index: tuple[dict[int, set[int]], ...] | None = None
+        # Derived from the store, never copied or pickled: the pair map,
+        # kept current by edits, and the memos an edit drops (``_changed``).
+        self._pairs: dict[int, int] | None = None
+        self._changed()
+
+    def _changed(self) -> None:
+        """Drop what is derived from the rows and not kept current: the
+        dense CSR form owned by ``repro.bgp.compiled.CompiledTopology.of``,
+        the maps ``relatives`` built, per role, and the degree counts."""
         self._compiled = None
         self._relatives: dict[Relationship, dict[int, list[int]]] | None = None
+        self._degrees: dict[int, int] | None = None
 
     def __getstate__(self) -> dict:
         a, b, code = self.edge_columns()
@@ -122,9 +130,9 @@ class ASGraph:
             | (hi > MAX_ASN)
             | (a == b)
         )
-        # One key per unordered pair; only a refused row can make two
-        # distinct pairs collide, and it is refused first anyway.
-        pair = lo.astype(np.uint64) << np.uint64(32) | hi.astype(np.uint64)
+        # Only a refused row can make two distinct pairs share a key,
+        # and it is refused first anyway.
+        pair = _pair_keys(lo, hi)
         repeated = np.ones(len(pair), dtype=bool)
         repeated[np.unique(pair, return_index=True)[1]] = False
         refused |= repeated
@@ -160,44 +168,28 @@ class ASGraph:
         )
         return graph
 
-    def _adjacency(self) -> tuple[dict[int, set[int]], ...]:
-        """The adjacency index: each AS's customers, providers, peers and
-        siblings, keys in the AS order and every set filled in row
-        order, as per-row inserts would.  Built from the columns on
-        first use; inserts and ``remove_edge`` keep it current."""
-        if self._index is None:
+    def _pair_map(self) -> dict[int, int]:
+        """Each adjacent pair, keyed ``lo << 32 | hi``, mapped to the
+        code of its row written ``lo|hi|code``: CAIDA's, or 1 when
+        ``hi`` sells transit to ``lo``.  Built from the columns on first
+        use; inserts and ``remove_edge`` keep it current."""
+        if self._pairs is None:
             a, b, code = self.edge_columns()
-            ases = self._ases
-            index = tuple({asn: set() for asn in ases} for _ in range(4))
-            customers, providers, peers, siblings = index
-            rows = code == _P2C
-            for x, y in zip(a[rows].tolist(), b[rows].tolist()):
-                customers[x].add(y)
-                providers[y].add(x)
-            for rel, adjacency in ((_P2P, peers), (_S2S, siblings)):
-                rows = code == rel
-                for x, y in zip(a[rows].tolist(), b[rows].tolist()):
-                    adjacency[x].add(y)
-                    adjacency[y].add(x)
-            self._index = index
-        return self._index
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            code = np.where((code == _P2C) & (a > b), 1, code)
+            self._pairs = dict(zip(_pair_keys(lo, hi).tolist(), code.tolist()))
+        return self._pairs
 
     def add_as(self, asn: int) -> None:
         """Insert an AS with no links (idempotent)."""
         self._check_asn(asn)
-        index = self._adjacency()
         if asn not in self._ases:
             self._ases[asn] = None
-            for adjacency in index:
-                adjacency[asn] = set()
-            self._compiled = self._relatives = None
+            self._changed()
 
-    def _open_edge(self, a: int, b: int, code: int) -> tuple[dict[int, set[int]], ...]:
-        """Everything an edge insert does except add ``a``-``b`` to its
-        two role sets, which it leaves to the caller on the index it
-        returns: insert the endpoints, refuse a self-loop or a second
-        edge, append the row, drop the memos."""
-        index = self._adjacency()
+    def _insert(self, a: int, b: int, code: int) -> None:
+        """Append the row ``a|b|code`` after inserting its ends and
+        refusing a self-loop or a second edge; update the pair map."""
         known = self._ases
         # Only a plain int that is already a key skips ``add_as``:
         # ``True`` and ``1.0`` hash like AS1 and must still be refused.
@@ -207,72 +199,50 @@ class ASGraph:
             self.add_as(b)
         if a == b:
             raise TopologyError(f"self-loop on AS{a} is not allowed")
-        customers, providers, peers, siblings = index
-        if b in customers[a] or b in providers[a] or b in peers[a] or b in siblings[a]:
+        pairs = self._pair_map()
+        key = a << 32 | b if a < b else b << 32 | a
+        if key in pairs:
             raise DuplicateEdgeError(
                 f"edge AS{a}-AS{b} already exists with relationship "
                 f"{self.relationship(a, b).value}"
             )
+        pairs[key] = 1 if code == _P2C and a > b else code
         tail_a, tail_b, tail_code = self._tail
         tail_a.append(a)
         tail_b.append(b)
         tail_code.append(code)
-        self._compiled = self._relatives = None
-        return index
+        self._changed()
 
     def add_p2c(self, provider: int, customer: int) -> None:
         """Add a transit edge: ``provider`` sells transit to ``customer``."""
-        index = self._open_edge(provider, customer, _P2C)
-        index[_CUSTOMERS][provider].add(customer)
-        index[_PROVIDERS][customer].add(provider)
+        self._insert(provider, customer, _P2C)
 
     def add_p2p(self, a: int, b: int) -> None:
         """Add a settlement-free peering edge between ``a`` and ``b``."""
-        peers = self._open_edge(a, b, _P2P)[_PEERS]
-        peers[a].add(b)
-        peers[b].add(a)
+        self._insert(a, b, _P2P)
 
     def add_s2s(self, a: int, b: int) -> None:
         """Add a sibling edge (two ASes of one organisation)."""
-        siblings = self._open_edge(a, b, _S2S)[_SIBLINGS]
-        siblings[a].add(b)
-        siblings[b].add(a)
+        self._insert(a, b, _S2S)
 
     def add_edge(self, a: int, b: int, relationship: Relationship) -> None:
         """Add an edge with ``relationship`` being *b's role relative to a*."""
-        if relationship is Relationship.CUSTOMER:
-            self.add_p2c(a, b)
-        elif relationship is Relationship.PROVIDER:
-            self.add_p2c(b, a)
-        elif relationship is Relationship.PEER:
-            self.add_p2p(a, b)
-        elif relationship is Relationship.SIBLING:
-            self.add_s2s(a, b)
-        else:
+        if relationship is Relationship.PROVIDER:
+            a, b, relationship = b, a, Relationship.CUSTOMER
+        code = _CODE_OF_ROLE.get(relationship)
+        if code is None:
             raise TopologyError(f"cannot add an edge with relationship {relationship}")
+        self._insert(a, b, code)
 
     def remove_edge(self, a: int, b: int) -> None:
         """Remove the edge between ``a`` and ``b`` (it must exist)."""
-        relationship = self.relationship(a, b)
-        if relationship is Relationship.NONE:
+        if not self.has_edge(a, b):
             raise TopologyError(f"no edge between AS{a} and AS{b}")
-        customers, providers, peers, siblings = self._adjacency()
-        if relationship is Relationship.CUSTOMER:
-            customers[a].discard(b)
-            providers[b].discard(a)
-        elif relationship is Relationship.PROVIDER:
-            customers[b].discard(a)
-            providers[a].discard(b)
-        elif relationship is Relationship.PEER:
-            peers[a].discard(b)
-            peers[b].discard(a)
-        else:
-            siblings[a].discard(b)
-            siblings[b].discard(a)
+        del self._pairs[a << 32 | b if a < b else b << 32 | a]
         ca, cb, code = self.edge_columns()
         kept = ((ca != a) | (cb != b)) & ((ca != b) | (cb != a))
         self._a, self._b, self._code = ca[kept], cb[kept], code[kept]
-        self._compiled = self._relatives = None
+        self._changed()
 
     # ------------------------------------------------------------------
     # Queries
@@ -299,58 +269,54 @@ class ASGraph:
         if asn not in self._ases:
             raise UnknownASError(asn)
 
+    def _role(self, role: Relationship, asn: int) -> frozenset[int]:
+        self._require(asn)
+        return frozenset(self.relatives(role).get(asn, ()))
+
     def providers_of(self, asn: int) -> frozenset[int]:
         """The ASes selling transit to ``asn``."""
-        self._require(asn)
-        return frozenset(self._adjacency()[_PROVIDERS][asn])
+        return self._role(Relationship.PROVIDER, asn)
 
     def customers_of(self, asn: int) -> frozenset[int]:
         """The ASes buying transit from ``asn``."""
-        self._require(asn)
-        return frozenset(self._adjacency()[_CUSTOMERS][asn])
+        return self._role(Relationship.CUSTOMER, asn)
 
     def peers_of(self, asn: int) -> frozenset[int]:
         """The settlement-free peers of ``asn``."""
-        self._require(asn)
-        return frozenset(self._adjacency()[_PEERS][asn])
+        return self._role(Relationship.PEER, asn)
 
     def siblings_of(self, asn: int) -> frozenset[int]:
         """The sibling ASes of ``asn``."""
-        self._require(asn)
-        return frozenset(self._adjacency()[_SIBLINGS][asn])
+        return self._role(Relationship.SIBLING, asn)
 
     def neighbors_of(self, asn: int) -> frozenset[int]:
         """All neighbours of ``asn`` regardless of relationship."""
         self._require(asn)
-        customers, providers, peers, siblings = self._adjacency()
-        return frozenset(providers[asn] | customers[asn] | peers[asn] | siblings[asn])
+        return frozenset().union(*(self.relatives(r).get(asn, ()) for r in _ROLE_OF_HI))
 
     def degree(self, asn: int) -> int:
         """Total number of AS-level links incident to ``asn``."""
         self._require(asn)
-        return sum(len(adjacency[asn]) for adjacency in self._adjacency())
+        if self._degrees is None:
+            a, b, _ = self.edge_columns()
+            ends, counts = np.unique(np.concatenate((a, b)), return_counts=True)
+            self._degrees = dict(zip(ends.tolist(), counts.tolist()))
+        return self._degrees.get(asn, 0)
 
     def transit_degree(self, asn: int) -> int:
         """Number of customers — CAIDA's AS-Rank ordering key."""
-        try:
-            return len(self._adjacency()[_CUSTOMERS][asn])
-        except KeyError:
-            raise UnknownASError(asn) from None
+        self._require(asn)
+        return len(self.relatives(Relationship.CUSTOMER).get(asn, ()))
 
     def relationship(self, a: int, b: int) -> Relationship:
         """The role of ``b`` relative to ``a`` (``NONE`` if not adjacent)."""
+        # With both ends known, each half of the key fits 32 bits.
         if a not in self._ases or b not in self._ases:
             return Relationship.NONE
-        customers, providers, peers, siblings = self._adjacency()
-        if b in customers[a]:
-            return Relationship.CUSTOMER
-        if b in providers[a]:
-            return Relationship.PROVIDER
-        if b in peers[a]:
-            return Relationship.PEER
-        if b in siblings[a]:
-            return Relationship.SIBLING
-        return Relationship.NONE
+        code = self._pair_map().get(a << 32 | b if a < b else b << 32 | a)
+        if code is None:
+            return Relationship.NONE
+        return (_ROLE_OF_HI if a < b else _ROLE_OF_LO)[code + 1]
 
     def has_edge(self, a: int, b: int) -> bool:
         return self.relationship(a, b) is not Relationship.NONE
@@ -378,8 +344,8 @@ class ASGraph:
         those ASes as keys.
 
         One NumPy pass over the edge columns, kept per role until the
-        graph changes (a map ``among`` some ASes is not kept); it never
-        builds the adjacency index.  The tier and cone queries
+        graph changes (a map ``among`` some ASes is not kept).  The role
+        queries (``customers_of`` ...) and the tier and cone queries
         (:mod:`repro.topology.tiers`) read these maps.
         """
         if self._relatives is None:
@@ -427,52 +393,9 @@ class ASGraph:
             for x, y, r in zip(lo[rows].tolist(), hi[rows].tolist(), rank[rows].tolist()):
                 yield x, y, _RANKED_ROLES[r]
 
-    # ------------------------------------------------------------------
-    # Structure-level helpers
-    # ------------------------------------------------------------------
-    def is_path_valley_free(self, path: Iterable[int]) -> bool:
-        """Check the valley-free (Gao-Rexford) property of an AS path.
-
-        A valid path is ``Customer-Provider* Peer-Peer? Provider-Customer*``
-        when read from the *traffic source* towards the origin... BGP AS
-        paths are recorded origin-last, and we evaluate them in
-        announcement-propagation order: reversed(path) is the order the
-        announcement travelled.  Sibling hops are transparent (allowed
-        anywhere), consecutive duplicates (prepending) are skipped, and
-        unknown edges make the path invalid.
-        """
-        hops: list[int] = []
-        for asn in path:
-            if not hops or hops[-1] != asn:
-                hops.append(asn)
-        if len(hops) <= 1:
-            return True
-        # Announcement travels origin -> ... -> head, i.e. reversed hops.
-        travel = list(reversed(hops))
-        # State machine over the direction of each hop in travel order:
-        # "up" (customer->provider), at most one "flat" (peer), then "down".
-        state = "up"
-        for sender, receiver in zip(travel, travel[1:]):
-            role = self.relationship(sender, receiver)
-            if role is Relationship.NONE:
-                return False
-            if role is Relationship.SIBLING:
-                continue
-            if role is Relationship.PROVIDER:
-                # receiver is sender's provider: an uphill hop.
-                if state != "up":
-                    return False
-            elif role is Relationship.PEER:
-                if state != "up":
-                    return False
-                state = "down"
-            else:  # receiver is sender's customer: downhill hop.
-                state = "down"
-        return True
-
     def copy(self) -> "ASGraph":
-        """A copy of the graph's ASes and edges (no index or memo is
-        carried); the two share no state a mutation reaches."""
+        """A copy of the graph's ASes and edges (no derived map or memo
+        is carried); the two share no state a mutation reaches."""
         clone = ASGraph.__new__(ASGraph)
         clone.__setstate__(self.__getstate__())
         return clone
@@ -485,6 +408,11 @@ def _new_tail() -> tuple[array, array, array]:
     """Empty ``a`` / ``b`` / ``code`` arrays for inserted rows: AS
     numbers are 32-bit, so C unsigned ints hold them."""
     return array("I"), array("I"), array("b")
+
+
+def _pair_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """One key per unordered pair, ``lo << 32 | hi``."""
+    return lo.astype(np.uint64) << np.uint64(32) | hi.astype(np.uint64)
 
 
 def _grouped(owner: np.ndarray, member: np.ndarray) -> dict[int, list[int]]:

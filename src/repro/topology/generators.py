@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro.exceptions import TopologyError
+from repro.exceptions import DuplicateEdgeError, TopologyError
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship
 from repro.utils.rand import shuffle
@@ -283,6 +283,14 @@ def generate_internet_topology(
     tier4 = allocate(config.num_tier4)
     content = allocate(config.num_content)
     stubs = allocate(config.num_stubs)
+    # Each AS's neighbours through ``attach`` and ``peer``, the only
+    # links ``peer`` asks about; the graph would regroup its rows to
+    # answer ``neighbors_of`` after every insert.
+    linked: dict[int, set[int]] = {asn: set() for asn in graph}
+
+    def link(a: int, b: int) -> None:
+        linked[a].add(b)
+        linked[b].add(a)
 
     def attach(asn: int, providers: _ProviderPool, bounds: tuple[int, int]) -> None:
         # A pool's weights are read from the graph once, when its phase
@@ -290,14 +298,16 @@ def generate_internet_topology(
         # during the phase is a member of the phase's pool.
         for provider in providers.sample(rng, _pick_count(rng, bounds)):
             graph.add_p2c(provider, asn)
+            link(provider, asn)
             providers.bump(provider)
 
     def peer(asn: int, pool: list[int], want: int) -> None:
-        linked = graph.neighbors_of(asn)
-        candidates = [c for c in pool if c != asn and c not in linked]
+        known = linked[asn]
+        candidates = [c for c in pool if c != asn and c not in known]
         shuffle(rng, candidates)  # rng.shuffle's draws, without its call frames
         for other in candidates[:want]:
             graph.add_p2p(asn, other)
+            link(asn, other)
 
     # Tier-1: full peering mesh, no providers.
     for index, a in enumerate(tier1):
@@ -534,22 +544,17 @@ def generate_powerlaw_topology(
                 if a < b:
                     p2p.append((a, b))
 
+    # The graph's inserts refuse a second edge between two ASes: that
+    # refusal is the one dedupe, the first edge drawn winning.
     graph = ASGraph()
     for asn in tier1 + transit + stubs:
         graph.add_as(asn)
-    seen_edges: set[tuple[int, int]] = set()
-    for provider, customer in p2c:
-        key = (provider, customer) if provider < customer else (customer, provider)
-        if key in seen_edges:
-            continue
-        seen_edges.add(key)
-        graph.add_p2c(provider, customer)
-    for a, b in p2p:
-        key = (a, b) if a < b else (b, a)
-        if key in seen_edges:
-            continue
-        seen_edges.add(key)
-        graph.add_p2p(a, b)
+    for edges, insert in ((p2c, graph.add_p2c), (p2p, graph.add_p2p)):
+        for a, b in edges:
+            try:
+                insert(a, b)
+            except DuplicateEdgeError:
+                pass
 
     sibling_pairs: list[tuple[int, int]] = []
     if config.sibling_pairs and len(transit) >= 2:
@@ -558,12 +563,11 @@ def generate_powerlaw_topology(
             attempts += 1
             i, j = rng.choice(len(transit), size=2, replace=False)
             a, b = transit[int(i)], transit[int(j)]
-            key = (a, b) if a < b else (b, a)
-            if key in seen_edges:
+            try:
+                graph.add_s2s(a, b)
+            except DuplicateEdgeError:
                 continue
-            seen_edges.add(key)
-            graph.add_s2s(a, b)
-            sibling_pairs.append(key)
+            sibling_pairs.append((a, b) if a < b else (b, a))
 
     return GeneratedTopology(
         graph=graph,

@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 # Every query reads the graph's relatives maps (``ASGraph.relatives``,
-# built once per graph and role): never the adjacency index, which a
-# loaded graph then never builds, nor the compiled form, so ranking a
+# built once per graph and role), never the compiled form, so ranking a
 # world compiles nothing.  The set-walking versions are the oracle
 # ``tests/topology/tiers_oracle.py``.
 

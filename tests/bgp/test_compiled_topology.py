@@ -2,8 +2,8 @@
 
 Two contracts:
 
-* **Build.**  :meth:`CompiledTopology.from_graph` reads the per-role
-  adjacency sets directly; its nine CSR columns must equal those of the
+* **Build.**  :meth:`CompiledTopology.from_graph` reads the graph's
+  edge columns in one NumPy pass; its nine CSR columns must equal those of the
   per-slot ``relationship()`` builder it replaced
   (:mod:`tests.bgp.compile_oracle`) on arbitrary graphs — all four
   relationship kinds, isolated ASes, non-contiguous ASNs, insertion

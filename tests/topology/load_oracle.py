@@ -5,9 +5,8 @@ stood before the loader filled edge columns and built the graph with
 :meth:`ASGraph.from_edge_columns`: one ``add_p2c`` / ``add_p2p`` /
 ``add_s2s`` per line, each refusal wrapped with its line number.  It is
 the independent statement of what the bulk loader must produce — the
-same ASes in the same order, the same edge rows, the same adjacency
-sets in the same iteration order, and the same error message for every
-malformed file (``test_asrel2.py``) — and
+same ASes in the same order, the same edge rows, and the same error
+message for every malformed file (``test_asrel2.py``) — and
 ``benchmarks/test_bench_engine_perf.py`` times the bulk loader against
 it.
 """

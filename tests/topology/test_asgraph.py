@@ -8,6 +8,7 @@ from repro.bgp.compiled import CompiledTopology
 from repro.exceptions import DuplicateEdgeError, TopologyError, UnknownASError
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship
+from tests.topology.adjacency_oracle import is_path_valley_free
 
 
 class TestConstruction:
@@ -166,6 +167,8 @@ class TestQueries:
 
 
 class TestValleyFree:
+    """The test-side valley-free check the engine suites rely on."""
+
     @pytest.fixture()
     def graph(self) -> ASGraph:
         # 1 -peer- 2 at the top; 3 below 1; 4 below 2; 5 below 3.
@@ -179,43 +182,43 @@ class TestValleyFree:
 
     def test_pure_uphill_valid(self, graph):
         # Announcement 5 -> 3 -> 1 appears at 1 as [3 5].
-        assert graph.is_path_valley_free((3, 5))
+        assert is_path_valley_free(graph, (3, 5))
 
     def test_up_peer_down_valid(self, graph):
         # 5 announces, 3 -> 1 -peer- 2 -> 4; at 4 the path is [2 1 3 5].
-        assert graph.is_path_valley_free((2, 1, 3, 5))
+        assert is_path_valley_free(graph, (2, 1, 3, 5))
 
     def test_two_peer_hops_invalid(self, graph):
         graph.add_p2p(3, 4)
         # 5 -> 3 -peer- 4 ... -peer- 2 would need two peer hops.
-        assert not graph.is_path_valley_free((2, 4, 3, 5))
+        assert not is_path_valley_free(graph, (2, 4, 3, 5))
 
     def test_pure_downhill_valid(self, graph):
         # Announcement 1 -> 3 -> 5: at 5 the path is [3, 1]; a provider
         # route chain is legal.
-        assert graph.is_path_valley_free((3, 1))
+        assert is_path_valley_free(graph, (3, 1))
 
     def test_valley_invalid(self, graph):
         # Give 3 a second provider 6; travelling 1 -> 3 (down) and then
         # 3 -> 6 (up) is the canonical forbidden valley.
         graph.add_p2c(6, 3)
-        assert not graph.is_path_valley_free((6, 3, 1))
+        assert not is_path_valley_free(graph, (6, 3, 1))
 
     def test_peer_after_down_invalid(self, graph):
         # 1 -> 3 (down) then a peering hop is equally forbidden.
         graph.add_p2p(3, 4)
-        assert not graph.is_path_valley_free((4, 3, 1))
+        assert not is_path_valley_free(graph, (4, 3, 1))
 
     def test_prepending_transparent(self, graph):
-        assert graph.is_path_valley_free((3, 3, 3, 5, 5))
+        assert is_path_valley_free(graph, (3, 3, 3, 5, 5))
 
     def test_sibling_transparent(self, graph):
         # 5 -sibling- 4: path [4 5] at 2 came 5 -> 4 (sibling) -> 2 (up).
-        assert graph.is_path_valley_free((4, 5))
+        assert is_path_valley_free(graph, (4, 5))
 
     def test_unknown_edge_invalid(self, graph):
-        assert not graph.is_path_valley_free((1, 5))
+        assert not is_path_valley_free(graph, (1, 5))
 
     def test_trivial_paths_valid(self, graph):
-        assert graph.is_path_valley_free(())
-        assert graph.is_path_valley_free((1,))
+        assert is_path_valley_free(graph, ())
+        assert is_path_valley_free(graph, (1,))

@@ -5,8 +5,9 @@ Five contracts:
 * **Load.**  ``loads_asrel2`` / ``loads_caida`` fill three edge columns
   and build the graph with :meth:`ASGraph.from_edge_columns`.  The graph
   must equal what the per-edge parser (:mod:`tests.topology.load_oracle`)
-  builds — the same ASes in the same order, every adjacency set in the
-  same iteration order, the same edges — and a malformed file must fail
+  builds — the same ASes in the same order, the same edge rows, every
+  per-AS query answering as the adjacency-set oracle
+  (:mod:`tests.topology.adjacency_oracle`) — and a malformed file must fail
   with the oracle's exact message, the earliest bad line winning whether
   its fault is the line's shape or the edge it names (the hand-picked
   cases are ``test_asrel2.py``'s).
@@ -16,14 +17,17 @@ Five contracts:
   (:mod:`tests.bgp.compile_oracle`).
 * **Memo.**  The columns are the graph: they outlive its compile,
   follow every mutation, and travel with a copy or a pickle; the
-  compiled form and the adjacency index never do.
-* **Deferred sets.**  A graph builds its adjacency index on the first
-  per-AS query or insert, never for a grid on a loaded file, and then
-  builds exactly the per-edge parser's sets.  The plain NumPy pass of
-  the loader reads what the per-line loop would, or leaves the text to
-  it.
+  compiled form and the per-AS maps never do.
+* **Deferred maps.**  A per-AS query builds only the map it reads (a
+  role map, the degree counts or the pair map), on first read; an edge
+  insert or removal builds the pair map and keeps it current; a grid
+  on a loaded file builds the customer map alone.  The plain NumPy
+  pass of the loader reads what the per-line loop would, or leaves the
+  text to it.
 * **One representation.**  Inserts, removals, ``from_edge_columns``,
-  copies and pickles agree on every read of the same edges.
+  copies and pickles agree on every read of the same edges, and every
+  per-AS query answers as the adjacency sets the same edits kept
+  current.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from repro.topology.serialization import (
     loads_caida,
 )
 from tests.bgp.compile_oracle import columns, compile_oracle
+from tests.topology.adjacency_oracle import AdjacencyOracle, assert_queries_match
 from tests.topology.load_oracle import loads_asrel2_oracle, loads_caida_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -69,15 +74,11 @@ ROLES = (Relationship.CUSTOMER, Relationship.PROVIDER, Relationship.PEER, Relati
 
 def assert_same_graph(graph: ASGraph, oracle: ASGraph) -> None:
     """Same ASes in the same order, the same edge rows, and every
-    adjacency set in the same order."""
+    per-AS query answering as the adjacency sets of ``oracle``'s rows."""
     assert list(graph) == list(oracle)
     for ours, theirs in zip(graph.edge_columns(), oracle.edge_columns()):
         assert ours.tolist() == theirs.tolist()
-    for role, ours, theirs in zip(ROLES, graph._adjacency(), oracle._adjacency()):
-        assert list(ours) == list(theirs), role
-        assert [list(members) for members in ours.values()] == [
-            list(members) for members in theirs.values()
-        ], role
+    assert_queries_match(graph, AdjacencyOracle(oracle))
     assert graph.num_edges == oracle.num_edges
     assert list(graph.edges()) == list(oracle.edges())
 
@@ -267,9 +268,9 @@ class TestColumnMemo:
     def test_copy_and_pickle_carry_the_columns_and_no_memo(self):
         graph = self.loaded()
         expected = columns(CompiledTopology.of(graph))
-        graph.degree(174)  # build the index too
+        graph.degree(174), graph.peers_of(174), graph.has_edge(174, 3356)  # build the maps too
         for clone in (graph.copy(), pickle.loads(pickle.dumps(graph))):
-            assert clone._compiled is None and clone._index is None
+            assert clone._compiled is None and unbuilt(clone)
             assert_same_graph(clone, graph)
             assert columns(CompiledTopology.of(clone)) == expected
 
@@ -362,8 +363,29 @@ class TestPlainPass:
 
 
 def unbuilt(graph: ASGraph) -> bool:
-    """Whether ``graph`` has not built its adjacency index."""
-    return graph._index is None
+    """Whether ``graph`` has built no per-AS map: no role map, no
+    degree count and no pair map."""
+    return not graph._relatives and graph._degrees is None and graph._pairs is None
+
+
+def built(graph: ASGraph) -> set:
+    """The per-AS maps ``graph`` holds: its roles with a kept
+    ``relatives`` map, and ``"degree"`` / ``"pairs"``."""
+    maps = set(graph._relatives or ())
+    if graph._degrees is not None:
+        maps.add("degree")
+    if graph._pairs is not None:
+        maps.add("pairs")
+    return maps
+
+
+#: the maps each per-AS query builds on a graph that holds none
+QUERY_BUILDS = {
+    "customers_of": {Relationship.CUSTOMER},
+    "peers_of": {Relationship.PEER},
+    "degree": {"degree"},
+    "transit_degree": {Relationship.CUSTOMER},
+}
 
 
 class TestDeferredSets:
@@ -373,8 +395,9 @@ class TestDeferredSets:
 
     def test_a_loaded_grid_never_builds_the_sets(self, world_dump, tmp_path, monkeypatch):
         """``_load_world``, the grid's cone ranking and its cells read
-        the edge columns and the CSR; the index built afterwards is the
-        per-edge parser's, set by set in file order."""
+        the edge columns, the customer map and the CSR: no pair map,
+        no degree count, no other role map.  The queries asked
+        afterwards answer as the per-edge parser's graph."""
         import contextlib
         import io
 
@@ -395,12 +418,12 @@ class TestDeferredSets:
             assert cli.main(argv) == 0
         (world,) = loaded
         graph = world.graph
-        assert unbuilt(graph)
+        assert built(graph) == {Relationship.CUSTOMER}
         assert graph._compiled is not None  # the cells propagated on the CSR
         oracle = loads_asrel2_oracle(world_dump)
         first = next(iter(oracle))
         assert graph.providers_of(first) == oracle.providers_of(first)
-        assert not unbuilt(graph)
+        assert built(graph) == {Relationship.CUSTOMER, Relationship.PROVIDER}
         assert_same_graph(graph, oracle)
 
     def test_the_as_order_answers_without_the_sets(self, world_dump):
@@ -414,17 +437,21 @@ class TestDeferredSets:
 
     @pytest.mark.parametrize("query", ["customers_of", "peers_of", "degree", "transit_degree"])
     def test_a_set_query_builds_the_sets(self, world_dump, query):
+        """A per-AS query builds the one map it reads."""
         graph, oracle = loads_asrel2(world_dump), loads_asrel2_oracle(world_dump)
         asn = graph.ases[0]
-        assert getattr(graph, query)(asn) == getattr(oracle, query)(asn)
+        assert getattr(graph, query)(asn) == getattr(AdjacencyOracle(oracle), query)(asn)
+        assert built(graph) == QUERY_BUILDS[query]
         assert_same_graph(graph, oracle)
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_a_mutation_builds_the_sets_first(self, name):
+        """An edge insert or removal builds the pair map it checks and
+        keeps it current; ``add_as`` builds nothing."""
         text = (FIXTURES / "mini.as-rel2.txt").read_text()
         graph, oracle = loads_asrel2(text), loads_asrel2_oracle(text)
         MUTATIONS[name](graph)
-        assert not unbuilt(graph)
+        assert built(graph) == (set() if name == "add_as" else {"pairs"})
         MUTATIONS[name](oracle)
         assert_same_graph(graph, oracle)
         assert columns(CompiledTopology.of(graph)) == columns(compile_oracle(oracle))
@@ -438,6 +465,7 @@ class TestDeferredSets:
         clone = graph.copy()
         clone.add_p2c(1, 999_999)
         assert 999_999 not in graph and unbuilt(graph)
+        assert built(clone) == {"pairs"}
 
 
 def replayed(graph: ASGraph) -> ASGraph:
@@ -456,10 +484,12 @@ class TestOneRepresentation:
     @given(text=clean_snapshots(), data=st.data())
     def test_inserts_removals_and_columns_agree(self, text, data):
         """A snapshot inserted edge by edge, then random ``add_as`` /
-        ``add_*`` / ``remove_edge`` calls: the index those kept current,
-        the index a copy or a pickle builds from the columns, and the
-        graph ``from_edge_columns`` builds from them read the same."""
+        ``add_*`` / ``remove_edge`` calls: every per-AS query answers
+        as the adjacency sets the same calls kept current, and a copy,
+        a pickle and the graph ``from_edge_columns`` builds from the
+        columns read the same."""
         graph = loads_asrel2_oracle(text)
+        sets = AdjacencyOracle(graph)
         pool = [*graph, *data.draw(st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=4))]
         asns = st.sampled_from(pool)
         edits = st.lists(
@@ -471,14 +501,16 @@ class TestOneRepresentation:
             try:
                 getattr(graph, name)(*args)
             except TopologyError:  # a self-loop, a second edge or a missing one
-                pass
+                for asn in args:  # an insert adds its ends before it refuses
+                    if asn in graph:
+                        sets.add_as(asn)
+            else:
+                getattr(sets, name)(*args)
+            assert_queries_match(graph, sets)  # every map, read after every edit
         # The same AS order: the graph equals its rows re-inserted.
         oracle = replayed(graph)
         for clone in (graph.copy(), pickle.loads(pickle.dumps(graph))):
             assert_same_graph(clone, oracle)
-        assert [list(map(set, ours.values())) for ours in graph._adjacency()] == [
-            list(map(set, theirs.values())) for theirs in oracle._adjacency()
-        ]
         # The bulk-built graph knows only the linked ASes, in the order
         # the rows name them first.
         rebuilt = ASGraph.from_edge_columns(*graph.edge_columns())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,10 @@ from repro.experiments.base import build_world
 from repro.topology.asgraph import ASGraph
 from repro.topology.generators import (
     InternetTopologyConfig,
+    PowerLawConfig,
     _ProviderPool,
     generate_internet_topology,
+    generate_powerlaw_topology,
 )
 from repro.topology.serialization import dumps_caida
 from repro.topology.tiers import tier1_ases
@@ -23,6 +26,7 @@ from tests.topology.generator_oracle import (
     _preferential_sample,
     generate_internet_topology_oracle,
 )
+from tests.topology.test_bulk_load import SCALE_10K
 
 TINY = InternetTopologyConfig(
     num_tier1=3,
@@ -341,3 +345,40 @@ class TestWorldDigest:
         graph = build_world(seed=7, scale=scale).graph
         assert (len(graph), graph.num_edges) == (ases, edges)
         assert hashlib.sha256(dumps_caida(graph).encode()).hexdigest() == digest
+
+
+class TestPowerLawDigest:
+    """The power-law generator's AS order, edge rows and sibling pairs,
+    recorded before its inserts became its one duplicate check: the
+    e2e benchmark's 10k shape, and a 600-AS shape whose transit peering
+    repeats pairs and whose sibling draws hit a linked pair."""
+
+    SMALL = PowerLawConfig(
+        num_ases=600,
+        tier1_size=8,
+        transit_fraction=0.3,
+        transit_providers=(1, 3),
+        stub_providers=(1, 2),
+        transit_peering_degree=(2, 12),
+        sibling_pairs=25,
+    )
+
+    @pytest.mark.parametrize(
+        ("shape", "seed", "edges", "digest"),
+        [
+            ("10k", 7, 44216, "755c78f9a00385ffdbc718c39a63644dcacd8a92921138f849a6cc37ea94f899"),
+            ("10k", 23, 44328, "84bbd31082ab53133a71074e6f3f5ba251f5fadf0f7fd52f366306a38030bc1a"),
+            ("600", 7, 1588, "eb0fc27e3d27a35e97d2d49ef4514b9136a9e5c103570d4f19734583c64ec887"),
+            ("600", 23, 1639, "33301de9096203d1d0df66be0412dd92786383658dcf9ceded46383dfb86d73f"),
+        ],
+    )
+    def test_world_is_pinned(self, shape, seed, edges, digest):
+        config = SCALE_10K if shape == "10k" else self.SMALL
+        world = generate_powerlaw_topology(config, seed=seed)
+        graph = world.graph
+        assert graph.num_edges == edges
+        pinned = hashlib.sha256(np.asarray(list(graph), dtype=np.int64).tobytes())
+        for column in graph.edge_columns():
+            pinned.update(np.asarray(column, dtype=np.int64).tobytes())
+        pinned.update(repr(world.sibling_pairs).encode())
+        assert pinned.hexdigest() == digest

@@ -17,6 +17,7 @@ from repro.exceptions import SerializationError, TopologyError, UnknownASError
 from repro.experiments.base import generate_world
 from repro.topology.asgraph import ASGraph
 from repro.topology.generators import generate_powerlaw_topology
+from repro.topology.relationships import Relationship
 from repro.topology.serialization import dumps_caida, loads_asrel2
 from repro.topology.tiers import (
     classify_tiers,
@@ -152,7 +153,9 @@ class TestMatchesOracle:
     def test_10k_dump_reads_no_set(self):
         graph = loads_asrel2(dumps_caida(generate_powerlaw_topology(SCALE_10K, seed=7).graph))
         ours = (tier1_ases(graph), classify_tiers(graph), [customer_cone(graph, a) for a in graph])
-        assert graph._index is None  # no adjacency index was built
+        # the customer map alone: no pair map, degree count or other role map
+        assert set(graph._relatives) == {Relationship.CUSTOMER}
+        assert graph._pairs is None and graph._degrees is None
         assert ours[0] == tiers_oracle.tier1_ases(graph)
         assert ours[1] == tiers_oracle.classify_tiers(graph)
         assert ours[2] == [tiers_oracle.customer_cone(graph, a) for a in graph]
