@@ -33,7 +33,6 @@ from repro.attack import (
     simulate_interception,
 )
 from repro.bgp import (
-    ExportPolicy,
     MonitorView,
     PrependingPolicy,
     PropagationEngine,
@@ -110,7 +109,6 @@ __all__ = [
     "save_caida",
     # bgp
     "Route",
-    "ExportPolicy",
     "PrependingPolicy",
     "PropagationEngine",
     "PropagationOutcome",

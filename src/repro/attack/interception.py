@@ -28,7 +28,6 @@ from repro.attack.impact import PollutionReport, pollution_report
 from repro.bgp.aspath import collapse_prepending, strip_origin_padding
 from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PathModifier, PropagationEngine, PropagationOutcome
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
 from repro.exceptions import SimulationError
@@ -190,15 +189,12 @@ def simulate_interception(
         raise SimulationError(
             "supplied baseline must come from the same victim and prefix"
         )
-    export_policy = (
-        ExportPolicy(frozenset({attacker})) if violate_policy else ExportPolicy()
-    )
     attacked = engine.propagate(
         victim,
         prefix=prefix,
         prepending=prepending,
         modifiers={attacker: attack.modifier()},
-        export_policy=export_policy,
+        violators={attacker} if violate_policy else (),
         warm_start=baseline,
         secpol=secpol,
     )

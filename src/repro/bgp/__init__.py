@@ -6,17 +6,17 @@ simulator is built on:
 * :mod:`repro.bgp.aspath` — AS-PATH algebra including AS-path
   prepending (ASPP), padding extraction and stripping;
 * :mod:`repro.bgp.route` — route records;
-* :mod:`repro.bgp.policy` — valley-free export rules (with the
-  policy-violation mode of the paper's Figures 11-12);
 * :mod:`repro.bgp.prepending` — per-neighbour prepending schedules;
 * :mod:`repro.bgp.engine` — the propagation engine (attacker
-  transforms, warm starts, adoption-round clocks), which dispatches
+  transforms, the policy violators of Figures 11-12, failed links,
+  warm starts, adoption-round clocks), which dispatches
   each run to the wave kernel or the per-activation loop;
 * :mod:`repro.bgp.compiled` — the CSR topology, path interning and the
   per-activation loop with the policy-first, length-second decision
   process;
 * :mod:`repro.bgp.vectorized` — the NumPy CSR wave kernel the engine
-  converges cold stock-policy runs on, and the impact kernel;
+  converges every cold run without modifiers, violators or a security
+  policy on, and the impact kernel;
 * :mod:`repro.bgp.uphill` — the paper's Figure-2 three-phase algorithm,
   used as an independent oracle;
 * :mod:`repro.bgp.collectors` — RouteViews/RIPE-style route collectors;
@@ -32,7 +32,6 @@ from repro.bgp.aspath import (
 from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.compiled import CompiledState, CompiledTopology, InternTable
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import Route
 from repro.bgp.uphill import three_phase_routes
@@ -52,7 +51,6 @@ __all__ = [
     "strip_origin_padding",
     "collapse_prepending",
     "Route",
-    "ExportPolicy",
     "PrependingPolicy",
     "PropagationEngine",
     "PropagationOutcome",

@@ -40,16 +40,16 @@ guarantee this).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import Route
-from repro.exceptions import ConvergenceError
+from repro.exceptions import ConvergenceError, TopologyError, UnknownASError
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import PrefClass, Relationship
@@ -120,7 +120,7 @@ class CompiledTopology:
     * ``is_sibling[k]`` — 1 for sibling edges (the receiver inherits
       the sender's own preference class);
     * ``role_code[k]`` — the neighbour's role relative to ``i``
-      (:data:`_CODE_REL`), kept for non-stock export policies;
+      (:data:`_CODE_REL`), which ASPA validation reads;
     * ``rev_slot[k]`` — the slot of ``i`` inside ``nbr[k]``'s block,
       i.e. the receiver-side Adj-RIB-in cell this edge announces into.
 
@@ -243,6 +243,27 @@ class CompiledTopology:
                 list(self.asn),
             )
         return self._hot
+
+    def link_slots(self, links: Iterable[tuple[int, int]]) -> list[int]:
+        """Both directed slots of every ``(a, b)`` link in ``links``.
+
+        ``a``'s CSR row is ascending, so ``b``'s slot in it is a binary
+        search, and ``rev_slot`` gives ``a``'s slot in ``b``'s row.  An
+        AS the topology lacks raises :class:`UnknownASError`, a pair
+        that is not adjacent :class:`TopologyError`.
+        """
+        index, indptr, nbr = self.index, self.indptr, self.nbr
+        slots: list[int] = []
+        for a, b in links:
+            for asn in (a, b):
+                if asn not in index:
+                    raise UnknownASError(asn)
+            i, j = index[a], index[b]
+            k = bisect_left(nbr, j, indptr[i], indptr[i + 1])
+            if k == indptr[i + 1] or nbr[k] != j:
+                raise TopologyError(f"AS{a} and AS{b} share no link")
+            slots += (k, self.rev_slot[k])
+        return slots
 
     @property
     def slot_index(self) -> list[dict[int, int]]:
@@ -530,8 +551,8 @@ def run_compiled(
     prefix: str,
     prepending: PrependingPolicy,
     modifiers: Mapping[int, Callable[[tuple[int, ...]], tuple[int, ...]]],
-    export_policy: ExportPolicy,
-    import_filters: Mapping[int, Callable[[int, tuple[int, ...]], bool]],
+    violators: frozenset[int],
+    blocked: list[int] | None,
     warm_start: "PropagationOutcome | None",
     seed: set[int] | None,
     metrics: RunMetrics | None,
@@ -542,13 +563,16 @@ def run_compiled(
     Arguments arrive validated and defaulted by
     :meth:`PropagationEngine.propagate`; the control flow below mirrors
     the reference interpreter (``tests/bgp/reference_engine.py``)
-    statement for statement — same activation trace, same fast-path
-    accounting, same adoption stamps — with paths held as intern ids
-    until the outcome is emitted.  ``secpol`` is the security-policy
-    deployment hook: deployed receivers are marked in a dense bytearray
-    and take the full decision scan, where the policy's pid-space
-    checker judges each offer without reifying a tuple, before any
-    import filter.
+    statement for statement — same activation trace, same adoption
+    stamps — with paths held as intern ids until the outcome is
+    emitted.  ``violators`` export every route to every neighbour.
+    ``blocked`` lists the slots of failed links
+    (:meth:`CompiledTopology.link_slots`): an offer on one still lands
+    in the receiver's Adj-RIB-in, and the decision never admits it.
+    ``secpol`` is the security-policy deployment hook: deployed
+    receivers are marked in a dense bytearray and take the full
+    decision scan, where the policy's pid-space checker judges each
+    offer without reifying a tuple.
 
     The loop is a FIFO worklist with an O(1) per-offer fast path, and
     nothing else: the other disciplines (LIFO or random activation, a
@@ -596,18 +620,20 @@ def run_compiled(
         initial = [origin_idx]
 
     # Policy state in index space (non-graph ASNs can never activate).
-    stock_export = type(export_policy) is ExportPolicy
-    violator_idx = {index[a] for a in export_policy.violators if a in index}
+    violator_idx = {index[a] for a in violators}
     pad_senders = {index[a] for a in prepending.senders() if a in index}
     mods = {index[a]: fn for a, fn in modifiers.items()}
-    imps = {index[a]: fn for a, fn in import_filters.items() if a in index}
-    roles = None if stock_export else [_CODE_REL[code] for code in topo.role_code]
+    # Failed links as a dense slot mask, both directions: an offer on a
+    # refused slot is recorded, then never admitted.
+    refused = bytearray(num_slots)
+    for k in blocked or ():
+        refused[k] = 1
 
     # Security-policy deployment as a dense bitmask: the hot loop pays
     # one bytearray index per offer whether or not a policy is attached,
     # and the pid-space checker runs only inside deployed receivers'
     # full scans.  ``secpol.evaluated``/``secpol.filtered`` count every
-    # offer the policy judged, whatever a stacked filter would say.
+    # offer the policy judged on a live link.
     sec_deployed = bytearray(n)
     sec_fn = None
     sec_count = 0
@@ -620,7 +646,7 @@ def run_compiled(
                 sec_count += 1
     sec_eval = sec_filt = 0
 
-    def decide(recv: int, imp, sec) -> tuple[int, int, int]:
+    def decide(recv: int, sec) -> tuple[int, int, int]:
         """Full Adj-RIB-in scan: min preference key, reference order."""
         nonlocal sec_eval, sec_filt
         b_pref = -1
@@ -629,7 +655,7 @@ def run_compiled(
         b_len = 0
         for k in range(indptr[recv], indptr[recv + 1]):
             pid = rib_pid[k]
-            if pid < 0:
+            if pid < 0 or refused[k]:
                 continue
             p = rib_pref[k]
             snd = nbr[k]
@@ -638,8 +664,6 @@ def run_compiled(
                 if not sec(recv, snd, pid):
                     sec_filt += 1
                     continue
-            if imp is not None and not imp(asn_of[snd], reify(pid)):
-                continue
             plen = length[pid]
             if (
                 b_from < 0
@@ -696,13 +720,7 @@ def run_compiled(
             offer_pid = -1  # None/no offer
             offer_pref = 0
             if has_route:
-                if stock_export:
-                    allowed = sender_violates or always_export[k] or exportable_up
-                else:
-                    allowed = export_policy.allows_export(
-                        s_asn, roles[k], _PREF_OF[s_pref]
-                    )
-                if allowed:
+                if sender_violates or always_export[k] or exportable_up:
                     count = padding_of(s_asn, asn_of[nb]) if sender_pads else 1
                     pid = pid_by_count.get(count)
                     if pid is None:
@@ -725,22 +743,21 @@ def run_compiled(
                 rib_pid[slot] = offer_pid
                 rib_pref[slot] = offer_pref
             rib_touched.add(nb)
-            if nb == origin_idx:
-                continue  # the owner always keeps its own route
+            if nb == origin_idx or refused[slot]:
+                # the owner always keeps its own route, and a failed
+                # link's offer never reaches the decision
+                continue
             cur_pref = best_pref[nb]
-            imp = imps.get(nb)
-            if imp is not None or sec_deployed[nb]:
+            if sec_deployed[nb]:
                 if track:
                     fastpath_misses += 1
-                new_pref, new_pid, new_from = decide(
-                    nb, imp, sec_fn if sec_deployed[nb] else None
-                )
+                new_pref, new_pid, new_from = decide(nb, sec_fn)
             elif offer_pid < 0:
                 if cur_pref >= 0 and best_from[nb] == s:
                     # The best offer was withdrawn: full re-decision.
                     if track:
                         fastpath_misses += 1
-                    new_pref, new_pid, new_from = decide(nb, None, None)
+                    new_pref, new_pid, new_from = decide(nb, None)
                 else:
                     if track:
                         fastpath_hits += 1
@@ -761,7 +778,7 @@ def run_compiled(
                 else:
                     if track:
                         fastpath_misses += 1
-                    new_pref, new_pid, new_from = decide(nb, None, None)
+                    new_pref, new_pid, new_from = decide(nb, None)
             else:
                 if offer_pref > cur_pref:
                     if track:

@@ -17,13 +17,16 @@ valley-free profit-driven policy, with:
 * a synchronous **round clock**: the round at which each AS adopted its
   final route is recorded, giving the logical time base for the
   pollution-before-detection analysis (Figure 14);
+* **failed links**: an ``(a, b)`` pair whose link is down, so neither
+  end admits the other's offer (the churn events of Figures 5-6);
 * **warm starts**: an attack can be launched from a converged baseline
   so that adoption rounds measure post-attack propagation.
 
-There is one engine and it has one dispatch: a cold stock-policy run is
-a column of the NumPy wave kernel (:mod:`repro.bgp.vectorized`); every
-other run — warm starts, modifiers, policy violators, import filters,
-security policies — is the per-activation loop of
+Failed links and violators are data, so there is one engine with one
+dispatch: a cold run is a column of the NumPy wave kernel
+(:mod:`repro.bgp.vectorized`), failed links included, unless it asks
+for modifiers, violators or a security policy; those runs and every
+warm start are the per-activation loop of
 :func:`repro.bgp.compiled.run_compiled`.  The loop is an asynchronous
 (Gauss-Seidel) worklist fixpoint: one AS at a time re-announces to its
 neighbours, and any receiver whose decision changes joins the worklist.
@@ -58,7 +61,6 @@ from repro.bgp.compiled import (
     InternTable,
     run_compiled,
 )
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX, Route
 from repro.exceptions import SimulationError, UnknownASError
@@ -66,19 +68,12 @@ from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import PrefClass
 
-__all__ = ["PropagationEngine", "PropagationOutcome", "PathModifier", "ImportFilter"]
+__all__ = ["PropagationEngine", "PropagationOutcome", "PathModifier"]
 
 #: A path transformation applied by an AS to the route it re-announces.
 #: Receives the AS-PATH currently in use (not yet including the
 #: announcing AS) and returns the possibly modified path.
 PathModifier = Callable[[tuple[int, ...]], tuple[int, ...]]
-
-#: A receiver-side import filter: called with (sender ASN, offered
-#: AS-PATH); returning False rejects the offer before the decision
-#: process.  Churn synthesis fails a link with two of them
-#: (:mod:`repro.measurement.churn`); security policies that need the
-#: receiver use ``secpol`` instead.
-ImportFilter = Callable[[int, tuple[int, ...]], bool]
 
 
 class PropagationOutcome:
@@ -372,10 +367,9 @@ class PropagationEngine:
         prefix: str = DEFAULT_PREFIX,
         prepending: PrependingPolicy | None = None,
         modifiers: Mapping[int, PathModifier] | None = None,
-        export_policy: ExportPolicy | None = None,
+        violators: Iterable[int] = frozenset(),
         warm_start: PropagationOutcome | None = None,
-        seed_ases: Iterable[int] | None = None,
-        import_filters: Mapping[int, ImportFilter] | None = None,
+        failed_links: Iterable[tuple[int, int]] = (),
         secpol: Any | None = None,
     ) -> PropagationOutcome:
         """Run propagation of ``origin``'s prefix to a routing fixpoint.
@@ -383,43 +377,50 @@ class PropagationEngine:
         ``prepending`` supplies per-neighbour padding counts (default:
         nobody prepends).  ``modifiers`` maps AS numbers to path
         transformations applied when that AS re-announces (the attack
-        hook).  ``export_policy`` defaults to strict valley-free export.
+        hook).  Export is valley-free, except that ``violators`` export
+        every route to every neighbour.
 
         With ``warm_start`` the engine resumes from an outcome it (or
         another engine over the same graph) converged for the same
         origin/prefix, loading its compiled state, and only re-announces
-        from ``seed_ases`` (default: the modifier ASes and policy
-        violators) — adoption rounds then count from the moment the
-        attack begins, which Figure 14's timing analysis needs.  An
-        outcome without that state (built eagerly, or unpickled) is
-        refused.
+        from the modifier ASes and violators — adoption rounds then
+        count from the moment the attack begins, which Figure 14's
+        timing analysis needs.  An outcome without that state (built
+        eagerly, or unpickled) is refused.
 
-        ``import_filters`` maps an AS to a receiver-side vetting
-        function: offers it returns False for never enter that AS's
-        decision process.
+        ``failed_links`` lists ``(a, b)`` AS pairs whose link is down:
+        each end's offer to the other still reaches its Adj-RIB-in, and
+        the decision process never admits it.  A pair naming an AS the
+        graph lacks raises :class:`UnknownASError`, one that is not
+        adjacent :class:`TopologyError`.
 
         ``secpol`` optionally attaches a security-policy deployment (a
         :class:`repro.secpol.SecurityDeployment`, duck-typed: anything
         with ``deployers`` and ``compiled_checker(table)``).  Every
         deployed AS evaluates the policy on each offer before its
-        decision process — policy first, then any stacked import
-        filter.  ``None`` (the default) is the exact pristine code path.
+        decision process.  ``None`` (the default) is the exact pristine
+        code path.
 
-        A cold run that asks for none of the above but ``prepending``
-        converges as one column of the NumPy wave kernel; every other
-        run is :func:`repro.bgp.compiled.run_compiled`'s FIFO loop.  The
-        two agree on every route, key and present Adj-RIB-in offer; a
-        kernel column stamps ``adoption_round`` with the wave clock
-        (hops from the origin) and leaves absent a slot the loop may
-        record as an explicit ``None``.
+        A cold run that asks for no modifiers, violators or ``secpol``,
+        inside the packed key's domain, converges as one column of the
+        NumPy wave kernel; every other run is
+        :func:`repro.bgp.compiled.run_compiled`'s FIFO loop.  The two
+        agree on every route, key and present Adj-RIB-in offer; a kernel
+        column stamps ``adoption_round`` with the wave clock (hops from
+        the origin) and leaves absent a slot the loop may record as an
+        explicit ``None``.
         """
-        index = self._topo.index
+        topo = self._topo
+        index = topo.index
         if origin not in index:
             raise UnknownASError(origin)
         prepending = prepending or PrependingPolicy()
         modifiers = dict(modifiers or {})
-        export_policy = export_policy or ExportPolicy()
-        import_filters = dict(import_filters or {})
+        violators = frozenset(violators)
+        for asn in (*modifiers, *violators):
+            if asn not in index:
+                raise UnknownASError(asn)
+        blocked = topo.link_slots(failed_links) or None
         seed: set[int] | None = None
         if warm_start is not None:
             if warm_start.origin != origin or warm_start.prefix != prefix:
@@ -427,26 +428,19 @@ class PropagationEngine:
                     "warm start must come from the same origin and prefix"
                 )
             state = warm_start.compiled_state
-            if not isinstance(state, CompiledState) or state.table.topo is not self._topo:
+            if not isinstance(state, CompiledState) or state.table.topo is not topo:
                 raise SimulationError(
                     "warm start must be an outcome converged on this engine's topology"
                 )
             # the warm start's own intern table: it outlives the
             # engine's per-origin LRU
             table = state.table
-            if seed_ases is None:
-                seed = set(modifiers) | set(export_policy.violators)
-            else:
-                seed = set(seed_ases)
+            seed = set(modifiers) | violators
             if not seed:
                 raise SimulationError(
-                    "warm start requires seed ASes (modifiers, violators, or explicit)"
+                    "warm start requires seed ASes (modifiers or violators)"
                 )
-        for asn in (*modifiers, *(seed or ())):
-            if asn not in index:
-                raise UnknownASError(asn)
-
-        if warm_start is None:
+        else:
             table = self._table_for(origin)
             # The one place a core is chosen: the wave kernel's
             # capability table, first row that applies — what the run
@@ -458,39 +452,36 @@ class PropagationEngine:
             # tests/bgp/test_vectorized_differential.py.
             refusals = (
                 ("modifiers", modifiers),
-                (
-                    "export-policy",
-                    type(export_policy) is not ExportPolicy or export_policy.violators,
-                ),
-                ("import-filters", import_filters),
+                ("violators", violators),
                 ("secpol", secpol is not None),
                 (
                     "key-domain",
-                    not vectorized.in_key_domain(self._topo.n, prepending.max_padding()),
+                    not vectorized.in_key_domain(topo.n, prepending.max_padding()),
                 ),
             )
             refusal = next((why for why, applies in refusals if applies), None)
             if refusal is None:
                 return vectorized.run_vectorized(
-                    self._topo,
+                    topo,
                     table,
                     origin=origin,
                     prefix=prefix,
                     prepending=prepending,
+                    blocked=blocked,
                     metrics=self.metrics,
                 )
             if self.metrics is not None:
                 self.metrics.count("engine.vectorized.fallbacks")
                 self.metrics.count(f"engine.vectorized.fallbacks.{refusal}")
         return run_compiled(
-            self._topo,
+            topo,
             table,
             origin=origin,
             prefix=prefix,
             prepending=prepending,
             modifiers=modifiers,
-            export_policy=export_policy,
-            import_filters=import_filters,
+            violators=violators,
+            blocked=blocked,
             warm_start=warm_start,
             seed=seed,
             secpol=secpol,

@@ -8,9 +8,9 @@ reproduce that mechanism: a churn event takes a converged world, fails
 one of the origin's provider/peer links, re-converges, and records each
 monitor route that changed — those changed routes are the "update
 messages" the characterisation of Figures 5-6 consumes.  A failed link
-is a pair of import filters (:func:`link_down`) on the caller's engine,
-never a copy of the graph: every event re-converges on the one compiled
-topology.
+is the ``failed_links=`` pair of one ``propagate`` call on the caller's
+engine, never a copy of the graph: every event re-converges, as a
+column of the wave kernel, on the one compiled topology.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import eq
 from typing import TYPE_CHECKING, NamedTuple, overload
 
-from repro.bgp.engine import ImportFilter, PropagationEngine
+from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
 
@@ -33,7 +33,6 @@ __all__ = [
     "UpdateMessage",
     "SequencedUpdate",
     "StampedStream",
-    "link_down",
     "simulate_update_stream",
     "stamp",
 ]
@@ -132,16 +131,6 @@ def stamp(messages: Iterable[UpdateMessage], first_seq: int = 0) -> StampedStrea
     return StampedStream(range(first_seq, first_seq + len(held)), held)
 
 
-def link_down(origin: int, failed: int) -> dict[int, ImportFilter]:
-    """Import filters under which the link ``origin``–``failed`` is down:
-    neither end hears the other, and everything else converges on the
-    same topology."""
-    return {
-        failed: lambda sender, path: sender != origin,
-        origin: lambda sender, path: sender != failed,
-    }
-
-
 def simulate_update_stream(
     engine: PropagationEngine,
     origin: int,
@@ -178,7 +167,7 @@ def simulate_update_stream(
             origin,
             prefix=prefix,
             prepending=prepending,
-            import_filters=link_down(origin, failed),
+            failed_links=((origin, failed),),
         )
         degraded_view = monitors.snapshot(outcome)
         for failure, recovery in zip(

@@ -2,10 +2,11 @@
 
 This module is the cold core of
 :class:`repro.bgp.engine.PropagationEngine`: a cold stock-policy
-(baseline) convergence runs as a handful of NumPy gather/scatter-min
-passes over the :class:`~repro.bgp.compiled.CompiledTopology` CSR
-arrays instead of :func:`~repro.bgp.compiled.run_compiled`'s
-per-activation Python loop, which keeps every other run.
+convergence (a baseline, or one with failed links) runs as a handful
+of NumPy gather/scatter-min passes over the
+:class:`~repro.bgp.compiled.CompiledTopology` CSR arrays instead of
+:func:`~repro.bgp.compiled.run_compiled`'s per-activation Python loop,
+which keeps every other run.
 
 Why this is exact
 -----------------
@@ -270,7 +271,7 @@ def _origin_keys(n: int, origin_idx):
     return keys
 
 
-def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
+def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None, blocked=None):
     """Converge the tentative ``(B, n)`` key planes ``keys`` in place.
 
     Each row is one column of the batch, row-contiguous so the
@@ -293,6 +294,11 @@ def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
     becomes tainted, and a tainted sender's offer to a ``forbid``
     receiver is dropped.  Without them this is the plain fixpoint.
 
+    ``blocked`` lists slots whose offers are dropped in every column:
+    both directions of each failed link
+    (:meth:`~repro.bgp.compiled.CompiledTopology.link_slots`).  Their
+    offers are lifted past INF, so they never lower a key.
+
     Returns ``(waves, levels)``: the wave count and the per-wave
     ``(class, length)`` level list (per column, ``None`` once a column
     has drained) that the Gao-phase property suite inspects.
@@ -308,6 +314,8 @@ def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None):
     nbr = ev.nbr
     keep = ev.keep
     grow = ev.recls + (counts << _LEN_SHIFT)
+    if blocked is not None:
+        grow[blocked] = inf
     waves = 0
     levels: list = []
     while True:
@@ -680,9 +688,14 @@ def run_vectorized(
     origin: int,
     prefix: str,
     prepending: PrependingPolicy,
+    blocked: list[int] | None = None,
     metrics: RunMetrics | None = None,
 ):
     """One cold stock-policy propagation as a column of the wave kernel.
+
+    ``blocked`` lists the slots of failed links, whose offers the
+    fixpoint drops; emission still records them in the receiver's
+    Adj-RIB-in, as the loop does for an offer import refuses.
 
     Raises :class:`VectorizedUnsupported` when the topology or padding
     falls outside the packed-key domain (the engine's capability table
@@ -693,7 +706,7 @@ def run_vectorized(
     _check_domain(topo, _max_count(counts))
     origin_idx = topo.index[origin]
     keys = _origin_keys(topo.n, [origin_idx])
-    waves, _ = _fixpoint(ev, keys, counts)
+    waves, _ = _fixpoint(ev, keys, counts, blocked=blocked)
     outcome = _emit_column(
         topo,
         ev,

@@ -427,6 +427,17 @@ def _check_writable(parser: argparse.ArgumentParser, flag: str, path: str) -> No
     parser.error(f"argument {flag}: cannot write {path}: {problem}")
 
 
+def _open_store(args, parser, metrics):
+    """The ``--store`` directory, opened; one that cannot be opened is a
+    usage error.  Opening creates nothing: the first record does."""
+    from repro.store import CampaignStore
+
+    try:
+        return CampaignStore(args.store, metrics=metrics)
+    except ReproError as exc:
+        parser.error(str(exc))
+
+
 def _make_metrics(args, parser: argparse.ArgumentParser) -> RunMetrics | None:
     """Validate the metrics flags and build the registry — ``None``
     when metrics are off or the subcommand has no metrics flags."""
@@ -516,17 +527,12 @@ def _batch(args, parser, metrics):
     from repro.bgp.engine import PropagationEngine
     from repro.experiments.base import build_world
     from repro.runner import RunConfig
-    from repro.store import CampaignStore
 
     run = RunConfig(workers=args.workers, metrics=metrics)
     with contextlib.ExitStack() as stack:
-        try:
-            # opening a store creates nothing: the first record does
-            if args.store is not None:
-                store = CampaignStore(args.store, metrics=metrics)
-                run = dataclasses.replace(run, store=stack.enter_context(store))
-        except ReproError as exc:
-            parser.error(str(exc))
+        if args.store is not None:
+            store = stack.enter_context(_open_store(args, parser, metrics))
+            run = dataclasses.replace(run, store=store)
         if args.topology is None:
             built = build_world(seed=args.seed, scale=args.scale, metrics=metrics)
             yield built.topology, built.engine, run
@@ -870,9 +876,9 @@ def _mitigate_stream(args, parser, metrics) -> int:
 
 
 def _query(args, parser, metrics) -> int:
-    from repro.store import CampaignStore, query_experiment
+    from repro.store import query_experiment
 
-    with CampaignStore(args.store, metrics=metrics) as store:
+    with _open_store(args, parser, metrics) as store:
         outcome = query_experiment(
             store, args.experiment, metrics=metrics, **_overrides(args)
         )
@@ -897,9 +903,7 @@ def _query(args, parser, metrics) -> int:
 
 
 def _store_admin(args, parser, metrics) -> int:
-    from repro.store import CampaignStore
-
-    with CampaignStore(args.store) as store:
+    with _open_store(args, parser, metrics) as store:
         if args.compact:
             reclaimed = store.compact()
             print(f"compacted: reclaimed {reclaimed} bytes")

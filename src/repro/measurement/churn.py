@@ -6,10 +6,10 @@ characterisation, hopeless for generating the hundreds of thousands of
 updates a throughput benchmark needs.  This module trades generality
 for rate: it converges each prefix's baseline and a small pool of
 link-failure scenarios **once** — all on the world's engine and its
-compiled topology, a failed link being the same pair of import filters
-(:func:`~repro.bgp.updates.link_down`) — then replays failure/recovery
-flaps drawn from that pool, so stream length is decoupled from engine
-work.
+compiled topology, a failed link being one ``failed_links=`` pair (so
+each scenario is a column of the wave kernel) — then replays
+failure/recovery flaps drawn from that pool, so stream length is
+decoupled from engine work.
 
 The synthesized mix mirrors what public collectors actually see:
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.attack.interception import InterceptionResult, simulate_interception
 from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.prepending import PrependingPolicy
-from repro.bgp.updates import SequencedUpdate, StampedStream, UpdateMessage, link_down, stamp
+from repro.bgp.updates import SequencedUpdate, StampedStream, UpdateMessage, stamp
 from repro.detection.monitors import top_degree_monitors
 from repro.detection.streaming import attack_update_stream
 from repro.exceptions import SimulationError
@@ -222,7 +222,7 @@ def synthesize_churn_stream(
                 origin,
                 prefix=prefix,
                 prepending=secondary,
-                import_filters=link_down(origin, failed),
+                failed_links=((origin, failed),),
             )
             messages = _flap_messages(baseline_view, collector.snapshot(degraded))
             if messages:

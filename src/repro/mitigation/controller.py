@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from repro.attack.impact import pollution_report
 from repro.bgp.collectors import MonitorView, RouteCollector
 from repro.bgp.engine import PropagationEngine, PropagationOutcome
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.updates import StampedStream, stamp
 from repro.detection.alarms import Alarm
@@ -221,11 +220,7 @@ class MitigationController:
             prefix=prefix,
             prepending=prepending,
             modifiers={attack.attacker: attack.modifier()},
-            export_policy=(
-                ExportPolicy(frozenset({attack.attacker}))
-                if attack.violate_policy
-                else ExportPolicy()
-            ),
+            violators={attack.attacker} if attack.violate_policy else (),
             warm_start=self.cache.baseline(
                 victim, prefix=prefix, prepending=prepending
             ),

@@ -53,7 +53,6 @@ from typing import Any
 
 from repro.bgp.aspath import split_origin_padding
 from repro.bgp.compiled import InternTable
-from repro.bgp.policy import ImportPolicy
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import Relationship
 
@@ -75,8 +74,18 @@ _DOWN = 1
 _UNSET = object()
 
 
-class SecurityPolicy(ImportPolicy):
-    """Base class: one security policy, evaluable in both path spaces.
+class SecurityPolicy:
+    """Base class: one receiver-side security policy, evaluable in both
+    path spaces.
+
+    The *receiver* evaluates it on every offer in its Adj-RIB-in before
+    the decision process ranks it: ``check(receiver, sender, path)``
+    returning False drops the offer as if it were never announced.  It
+    knows who evaluates it, because ASPA-style validation needs the
+    receiver's own relationship with the sender for the final hop.  The
+    deployment layer (:mod:`repro.secpol.deployment`) decides *which*
+    ASes evaluate it; the engine only ever sees the combination through
+    a :class:`repro.secpol.SecurityDeployment`.
 
     Subclasses implement :meth:`check` (tuple space) and
     :meth:`_build_compiled_checker` (pid space); the base memoises the

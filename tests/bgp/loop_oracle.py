@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from repro.bgp.compiled import run_compiled
 from repro.bgp.engine import PropagationEngine
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
 
@@ -35,8 +34,8 @@ def loop_propagate(
     prefix: str = DEFAULT_PREFIX,
     prepending=None,
     modifiers=None,
-    export_policy=None,
-    import_filters=None,
+    violators=frozenset(),
+    failed_links=(),
     secpol=None,
     warm_start=None,
     seed=None,
@@ -45,15 +44,16 @@ def loop_propagate(
     engine's topology, intern table, budget and registry.  A warm run
     passes the ``seed`` ASes to re-announce from explicitly.  Arguments
     must be valid: the engine's validation is not repeated."""
+    topo = engine.compiled_topology
     return run_compiled(
-        engine.compiled_topology,
+        topo,
         engine._table_for(origin) if warm_start is None else warm_start.compiled_state.table,
         origin=origin,
         prefix=prefix,
         prepending=prepending or PrependingPolicy(),
         modifiers=dict(modifiers or {}),
-        export_policy=export_policy or ExportPolicy(),
-        import_filters=dict(import_filters or {}),
+        violators=frozenset(violators),
+        blocked=topo.link_slots(failed_links) or None,
         warm_start=warm_start,
         seed=seed,
         metrics=engine.metrics,
@@ -64,9 +64,7 @@ def loop_propagate(
 class LoopEngine(PropagationEngine):
     """A compiled engine whose cold runs are the loop's as well."""
 
-    def propagate(self, origin, *, warm_start=None, seed_ases=None, **run):
+    def propagate(self, origin, *, warm_start=None, **run):
         if warm_start is None:
             return loop_propagate(self, origin, **run)
-        return super().propagate(
-            origin, warm_start=warm_start, seed_ases=seed_ases, **run
-        )
+        return super().propagate(origin, warm_start=warm_start, **run)

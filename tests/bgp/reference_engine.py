@@ -20,9 +20,15 @@ the consumers' tuple branches.
 
 Besides the engine's own ``propagate`` arguments it takes the worklist
 disciplines the loop-discipline suites compare (``activation`` =
-``"fifo"``/``"lifo"``/``"random"`` with ``activation_rng``) and
+``"fifo"``/``"lifo"``/``"random"`` with ``activation_rng``),
 ``incremental=False``, which reruns the full Adj-RIB-in scan on every
-rib change instead of the O(1) per-offer fast path.
+rib change instead of the O(1) per-offer fast path, and per-AS
+``import_filters`` in place of the engine's ``failed_links``: a failed
+link is the two filters of :func:`link_down_filters`, called on the
+offered path.
+
+Export is the Gao-Rexford rule, :func:`allows_export`, with the
+violators of the paper's Figures 11-12 exporting everything.
 
 The decision process (the paper's profit-driven model):
 
@@ -39,7 +45,6 @@ from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 
 from repro.bgp.engine import PropagationOutcome
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX, Route
 from repro.exceptions import ConvergenceError, SimulationError, UnknownASError
@@ -49,13 +54,48 @@ from repro.topology.relationships import PrefClass, Relationship
 __all__ = [
     "ReferenceEngine",
     "admit_offer",
+    "allows_export",
     "best_route",
     "clone_outcome",
+    "link_down_filters",
     "preference_key",
     "sorted_neighbors",
 ]
 
 Offer = tuple[tuple[int, ...], PrefClass]
+ImportFilter = Callable[[int, tuple[int, ...]], bool]
+
+
+def allows_export(
+    neighbor_role: Relationship, route_pref: PrefClass, violator: bool = False
+) -> bool:
+    """Valley-free export: may an AS announce a ``route_pref`` route to a
+    neighbour whose role (relative to the AS) is ``neighbor_role``?
+
+    Every route goes to customers and siblings (customers pay for full
+    reachability; siblings are the same organisation); to peers and
+    providers only routes the AS originates or learned from customers
+    or siblings (no free transit between two providers or two peers).
+    A ``violator`` exports every route to every neighbour.
+    """
+    if neighbor_role is Relationship.NONE:
+        return False
+    if violator or neighbor_role in (Relationship.CUSTOMER, Relationship.SIBLING):
+        return True
+    return route_pref <= PrefClass.SIBLING
+
+
+def link_down_filters(links: Iterable[tuple[int, int]]) -> dict[int, ImportFilter]:
+    """Import filters under which every ``(a, b)`` link in ``links`` is
+    down: neither end admits the other's offer."""
+    cut: dict[int, set[int]] = {}
+    for a, b in links:
+        cut.setdefault(a, set()).add(b)
+        cut.setdefault(b, set()).add(a)
+    return {
+        asn: (lambda sender, path, far=far: sender not in far)
+        for asn, far in cut.items()
+    }
 
 
 def sorted_neighbors(graph: ASGraph, asn: int) -> tuple[int, ...]:
@@ -88,7 +128,7 @@ def admit_offer(
     sender: int,
     path: tuple[int, ...],
     security_check: Callable[[int, int, tuple[int, ...]], bool] | None = None,
-    import_filter: Callable[[int, tuple[int, ...]], bool] | None = None,
+    import_filter: ImportFilter | None = None,
     stats: list[int] | None = None,
 ) -> bool:
     """Receiver-side admission, before an offer is ranked: a deployed
@@ -144,10 +184,10 @@ class ReferenceEngine:
     @staticmethod
     def _build_adjacency(
         graph: ASGraph,
-    ) -> dict[int, tuple[tuple[int, Relationship, PrefClass, bool, bool], ...]]:
+    ) -> dict[int, tuple[tuple[int, Relationship, PrefClass, bool], ...]]:
         """Per AS, one entry per neighbour in announcement order:
         (neighbour, its role relative to the AS, the class the neighbour
-        assigns to routes from the AS, always-export bit, sibling bit)."""
+        assigns to routes from the AS, sibling bit)."""
         adjacency = {}
         for asn in graph:
             entries = []
@@ -158,7 +198,6 @@ class ReferenceEngine:
                         neighbor,
                         role,
                         PrefClass.for_relationship(role.inverse()),
-                        role in (Relationship.CUSTOMER, Relationship.SIBLING),
                         role is Relationship.SIBLING,
                     )
                 )
@@ -173,11 +212,9 @@ class ReferenceEngine:
         prepending: PrependingPolicy | None = None,
         modifiers: Mapping[int, Callable[[tuple[int, ...]], tuple[int, ...]]]
         | None = None,
-        export_policy: ExportPolicy | None = None,
+        violators: Iterable[int] = frozenset(),
         warm_start: PropagationOutcome | None = None,
-        seed_ases: Iterable[int] | None = None,
-        import_filters: Mapping[int, Callable[[int, tuple[int, ...]], bool]]
-        | None = None,
+        import_filters: Mapping[int, ImportFilter] | None = None,
         secpol=None,
         activation: str = "fifo",
         activation_rng: random.Random | None = None,
@@ -196,9 +233,9 @@ class ReferenceEngine:
             activation_rng = random.Random(0)
         prepending = prepending or PrependingPolicy()
         modifiers = dict(modifiers or {})
-        export_policy = export_policy or ExportPolicy()
+        violators = frozenset(violators)
         import_filters = dict(import_filters or {})
-        for asn in modifiers:
+        for asn in (*modifiers, *violators):
             if asn not in adjacency:
                 raise UnknownASError(asn)
 
@@ -207,14 +244,10 @@ class ReferenceEngine:
                 raise SimulationError(
                     "warm start must come from the same origin and prefix"
                 )
-            seed = (
-                set(modifiers) | set(export_policy.violators)
-                if seed_ases is None
-                else set(seed_ases)
-            )
+            seed = set(modifiers) | violators
             if not seed:
                 raise SimulationError(
-                    "warm start requires seed ASes (modifiers, violators, or explicit)"
+                    "warm start requires seed ASes (modifiers or violators)"
                 )
             state = clone_outcome(warm_start)
             best = state.best
@@ -241,8 +274,6 @@ class ReferenceEngine:
                 for asn, route in best.items()
             }
 
-        stock_export = type(export_policy) is ExportPolicy
-        violators = export_policy.violators
         pad_senders = prepending.senders()
         sec_check = secpol.check if secpol is not None else None
         sec_deployed = (
@@ -279,21 +310,14 @@ class ReferenceEngine:
                 if modifier is not None:
                     base = modifier(base)
                 route_pref = route.pref
-                # ORIGIN/CUSTOMER/SIBLING routes may cross peer and
-                # provider links.
-                exportable_up = route_pref <= PrefClass.SIBLING
                 sender_violates = sender in violators
                 sender_pads = sender in pad_senders
                 # One announced path per padding count.
                 paths_by_count: dict[int, tuple[int, ...]] = {}
-            for neighbor, role, inv_pref, always_export, is_sibling in adjacency[sender]:
+            for neighbor, role, inv_pref, is_sibling in adjacency[sender]:
                 if route is None:
                     offer = None
-                elif not (
-                    (sender_violates or always_export or exportable_up)
-                    if stock_export
-                    else export_policy.allows_export(sender, role, route_pref)
-                ):
+                elif not allows_export(role, route_pref, sender_violates):
                     offer = None
                 else:
                     count = prepending.padding(sender, neighbor) if sender_pads else 1
@@ -380,7 +404,7 @@ class ReferenceEngine:
         receiver: int,
         prefix: str,
         offers: Mapping[int, Offer | None],
-        import_filter: Callable[[int, tuple[int, ...]], bool] | None = None,
+        import_filter: ImportFilter | None = None,
         sec_check: Callable[[int, int, tuple[int, ...]], bool] | None = None,
     ) -> tuple[Route | None, tuple[int, int, int] | None]:
         """The full decision process over ``receiver``'s Adj-RIB-in: the

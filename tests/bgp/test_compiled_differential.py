@@ -98,23 +98,6 @@ class TestAttackDifferential:
         assert ref.report == cmp.report
         assert ref.attacker_has_route == cmp.attacker_has_route
 
-    @settings(max_examples=8, deadline=None)
-    @given(seed=seeds)
-    def test_import_filters_identical(self, seed):
-        """Receiver-side vetting forces the full-rescan decision path in
-        both backends; the compiled one must reify the offered path for
-        the filter exactly as the reference passes it."""
-        world, rng, ref_engine, cmp_engine = _engines(seed)
-        graph = world.graph
-        origin = rng.choice(graph.ases)
-        guarded = rng.sample(graph.ases, k=min(5, len(graph.ases)))
-        filters = {
-            asn: (lambda sender, path: len(path) <= 4) for asn in guarded
-        }
-        ref = ref_engine.propagate(origin, import_filters=filters)
-        cmp = cmp_engine.propagate(origin, import_filters=filters)
-        _assert_outcomes_identical(ref, cmp)
-
 
 class TestWarmProvenance:
     """What a warm run records on its state for the consumers that

@@ -11,7 +11,6 @@ import pytest
 
 from repro.bgp import compiled, vectorized
 from repro.bgp.engine import PropagationEngine
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
 from repro.exceptions import ConvergenceError, SimulationError, UnknownASError
@@ -95,7 +94,7 @@ class TestPolicySemantics:
         graph.add_p2p(1, 2)
         graph.add_p2p(2, 3)
         engine = PropagationEngine(graph)
-        outcome = engine.propagate(1, export_policy=ExportPolicy({2}))
+        outcome = engine.propagate(1, violators={2})
         assert outcome.best[3] is not None
         assert outcome.best[3].path == (2, 1)
 
@@ -107,7 +106,7 @@ class TestPolicySemantics:
         graph.add_p2p(1, 3)
         graph.add_p2c(2, 9)
         engine = PropagationEngine(graph)
-        outcome = engine.propagate(9, export_policy=ExportPolicy({1, 2, 3}))
+        outcome = engine.propagate(9, violators={1, 2, 3})
         for asn, route in outcome.best.items():
             if route is not None:
                 assert asn not in route.path
@@ -197,7 +196,7 @@ class TestWarmStart:
         engine = PropagationEngine(chain_graph)
         baseline = engine.propagate(4)
         with pytest.raises(SimulationError):
-            engine.propagate(3, warm_start=baseline, seed_ases=[3])
+            engine.propagate(3, warm_start=baseline, violators={3})
 
     def test_warm_start_requires_seed(self, chain_graph):
         engine = PropagationEngine(chain_graph)
@@ -206,11 +205,12 @@ class TestWarmStart:
             engine.propagate(4, warm_start=baseline)
 
     def test_unknown_seed_as(self, chain_graph):
-        """Checked beside the modifiers, not a ``KeyError`` from the loop."""
+        """A violator seeds a warm start, so it is checked beside the
+        modifiers, not a ``KeyError`` from the loop."""
         engine = PropagationEngine(chain_graph)
         baseline = engine.propagate(4)
         with pytest.raises(UnknownASError):
-            engine.propagate(4, warm_start=baseline, seed_ases=[10**9])
+            engine.propagate(4, warm_start=baseline, violators={10**9})
 
     def test_warm_start_does_not_mutate_baseline(self, chain_graph):
         engine = PropagationEngine(chain_graph)
@@ -271,32 +271,23 @@ class TestOutcomeHelpers:
 
 
 class TestImportFilters:
+    """A failed link is refused at import: each end's offer to the other
+    reaches its Adj-RIB-in and never its decision."""
+
     def test_filter_blocks_offer_from_decision(self, diamond_graph):
         engine = PropagationEngine(diamond_graph)
-        # AS5 refuses anything offered by AS3: it must fall back to AS4.
-        outcome = engine.propagate(
-            3, import_filters={5: lambda sender, path: sender != 3}
-        )
+        # The link 3-5 is down: AS5 must fall back to AS4.
+        outcome = engine.propagate(3, failed_links=((3, 5),))
         assert outcome.best[5] is not None
         assert outcome.best[5].learned_from == 4
+        assert outcome.adj_rib_in[5][3] == ((3,), PrefClass.PROVIDER)
 
     def test_filter_can_make_as_unreachable(self, chain_graph):
         engine = PropagationEngine(chain_graph)
-        outcome = engine.propagate(
-            4, import_filters={2: lambda sender, path: False}
-        )
+        outcome = engine.propagate(4, failed_links=((2, 3),))
         assert outcome.best[2] is None
-        # Downstream of the filtering AS loses the route too.
+        # Downstream of the failed link loses the route too.
         assert outcome.best[1] is None
-
-    def test_path_based_filter(self, chain_graph):
-        engine = PropagationEngine(chain_graph)
-        # AS1 rejects any path traversing AS3.
-        outcome = engine.propagate(
-            4, import_filters={1: lambda sender, path: 3 not in path}
-        )
-        assert outcome.best[1] is None
-        assert outcome.best[2] is not None  # unfiltered ASes unaffected
 
 
 class TestColdCore:
@@ -308,11 +299,10 @@ class TestColdCore:
         ("reason", "run", "patch"),
         [
             ("modifiers", {"modifiers": {3: lambda path: path}}, None),
-            ("export-policy", {"export_policy": ExportPolicy(violators={3})}, None),
-            ("import-filters", {"import_filters": {1: lambda sender, path: True}}, None),
+            ("violators", {"violators": {3}}, None),
             ("key-domain", {}, ("_MAX_N", 2)),
         ],
-        ids=["modifiers", "export-policy", "import-filters", "key-domain"],
+        ids=["modifiers", "violators", "key-domain"],
     )
     def test_a_refused_cold_run_is_the_loops(
         self, diamond_graph, monkeypatch, reason, run, patch
@@ -336,6 +326,15 @@ class TestColdCore:
         assert metrics.counter_value("engine.cold.propagations") == 0
         assert metrics.counter_value("engine.warm.propagations") == 1
         # a warm start is not a refusal: nothing "fell back"
+        assert metrics.counter_value("engine.vectorized.fallbacks") == 0
+
+    def test_a_failed_link_run_is_a_kernel_column(self, diamond_graph):
+        metrics = RunMetrics()
+        engine = PropagationEngine(diamond_graph, metrics=metrics)
+        outcome = engine.propagate(5, failed_links=((3, 5),))
+        assert outcome.best[3].learned_from == 1
+        assert metrics.counter_value("engine.vectorized.propagations") == 1
+        assert metrics.counter_value("engine.cold.propagations") == 0
         assert metrics.counter_value("engine.vectorized.fallbacks") == 0
 
 

@@ -177,7 +177,6 @@ def test_incremental_fast_path_matches_under_attack(small_world):
         prepending=prepending,
         modifiers={attacker: attack.modifier()},
         warm_start=baseline,
-        seed_ases={attacker},
         incremental=False,
     )
     assert result.attacked == full

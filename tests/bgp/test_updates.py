@@ -15,7 +15,6 @@ from repro.bgp.updates import (
     SequencedUpdate,
     StampedStream,
     UpdateMessage,
-    link_down,
     simulate_update_stream,
     stamp,
 )
@@ -246,8 +245,8 @@ def test_stamping_builds_no_object_per_update():
 
 
 def test_link_down_equals_a_graph_without_the_link(small_world):
-    """The import-filter pair converges exactly where a copy of the
-    graph with the link removed does."""
+    """A failed link converges exactly where a copy of the graph with
+    the link removed does."""
     graph = small_world.graph
     engine = PropagationEngine(graph)
     origin = small_world.stubs[0]
@@ -256,7 +255,7 @@ def test_link_down_equals_a_graph_without_the_link(small_world):
         degraded = graph.copy()
         degraded.remove_edge(origin, failed)
         filtered = engine.propagate(
-            origin, prepending=prepending, import_filters=link_down(origin, failed)
+            origin, prepending=prepending, failed_links=((origin, failed),)
         )
         removed = PropagationEngine(degraded).propagate(origin, prepending=prepending)
         assert {asn: filtered.path_of(asn) for asn in graph.ases} == {

@@ -13,10 +13,13 @@ is the one pinned in ``repro/bgp/vectorized.py``:
 * warm-started attack runs computed *from* a kernel baseline match
   ones computed from a loop baseline on every field, adoption
   stamps and round counts included;
-* refused shapes (secpol deployments, modifiers, import filters,
-  non-stock export policies) run on the loop and stay
-  identical by construction — the suite checks the refusal is counted
-  under its reason *and* the results stay equal;
+* failed links are one more input: a cold run with ``failed_links`` is
+  a kernel column equal to the reference interpreter with the two
+  import filters of ``link_down_filters``, and a warm attack on a
+  failed-link world skips the same slots in the loop;
+* refused shapes (secpol deployments, modifiers, violators) run on the
+  loop and stay identical by construction — the suite checks the
+  refusal is counted under its reason *and* the results stay equal;
 * activation order never changes the routes a cold run converges to
   (the reference interpreter's LIFO and random disciplines against the
   kernel).
@@ -30,20 +33,31 @@ four-digit topology, and the 10k/80k rungs live in
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+import random
 
-from repro.attack.interception import simulate_interception
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.attack.interception import ASPPInterceptionAttack, simulate_interception
+from repro.bgp import engine as engine_module
+from repro.bgp import vectorized
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
+from repro.exceptions import TopologyError, UnknownASError
+from repro.experiments.base import build_world
 from repro.secpol import AspaPolicy, SecurityDeployment
 from repro.telemetry.metrics import RunMetrics
-from tests.bgp.reference_engine import ReferenceEngine
+from repro.topology.asgraph import ASGraph
+from repro.topology.relationships import PrefClass
+from tests.bgp.reference_engine import ReferenceEngine, link_down_filters
 from tests.strategies import (
     SCALE_SMOKE,
     TINY,
     TINY_WITH_SIBLINGS,
     assert_vectorized_matches,
     draw_victim_then_attacker,
+    graphs,
     paddings,
     scale_configs,
     scale_world,
@@ -171,14 +185,142 @@ class TestAttackDifferential:
         ov = eng_v.propagate(victim)
         for lam in (2, 3):
             prep = PrependingPolicy.uniform_origin(victim, lam)
+            # the victim re-announces its own route, unmodified
+            again = {victim: lambda path: path}
             wc = eng_c.propagate(
-                victim, prepending=prep, warm_start=oc, seed_ases={victim}
+                victim, prepending=prep, warm_start=oc, modifiers=again
             )
             wv = eng_c.propagate(
-                victim, prepending=prep, warm_start=ov, seed_ases={victim}
+                victim, prepending=prep, warm_start=ov, modifiers=again
             )
             assert_vectorized_matches(wc, wv, stamps=True, warm=True)
             oc, ov = wc, wv
+
+
+# ----------------------------------------------------------------------
+# Failed links: a masked slot pair on the kernel and in the loop
+
+
+def _links(graph, rng, origin, count):
+    """``count`` failed links: one at ``origin`` (the churn shape) when
+    it has a neighbour, the rest anywhere, each pair drawn in either
+    orientation."""
+    edges = sorted((a, b) for a in graph.ases for b in graph.neighbors_of(a) if a < b)
+    at_origin = [e for e in edges if origin in e]
+    links = rng.sample(at_origin, 1) if at_origin else []
+    links += rng.sample(edges, min(count - len(links), len(edges)))
+    return [(b, a) if rng.random() < 0.5 else (a, b) for a, b in dict.fromkeys(links)]
+
+
+def _assert_failed_link_runs_match(graph, rng, origin, attacker, links):
+    """The cold run (a kernel column) against the oracle's filters, then
+    a warm attack from each side's baseline (the loop's mask against
+    the oracle's filters)."""
+    prep = _prep(origin, _lam(rng))
+    metrics = RunMetrics()
+    engine = PropagationEngine(graph, metrics=metrics)
+    oracle = ReferenceEngine(graph)
+    filters = link_down_filters(links)
+    cold = engine.propagate(origin, prepending=prep, failed_links=links)
+    ref_cold = oracle.propagate(origin, prepending=prep, import_filters=filters)
+    assert_vectorized_matches(ref_cold, cold)
+    assert metrics.counter_value("engine.vectorized.propagations") == 1
+    assert metrics.counter_value("engine.vectorized.fallbacks") == 0
+    if attacker is None:
+        return
+    attack = {
+        "modifiers": {attacker: ASPPInterceptionAttack(attacker, origin).modifier()},
+        "violators": {attacker} if rng.random() < 0.5 else (),
+    }
+    warm = engine.propagate(
+        origin, prepending=prep, warm_start=cold, failed_links=links, **attack
+    )
+    ref_warm = oracle.propagate(
+        origin, prepending=prep, warm_start=ref_cold, import_filters=filters, **attack
+    )
+    assert_vectorized_matches(ref_warm, warm, stamps=True, warm=True)
+
+
+class TestFailedLinkDifferential:
+    @given(graph=graphs(), data=st.data())
+    @DIFFERENTIAL_SETTINGS
+    def test_drawn_graphs(self, graph, data):
+        rng = random.Random(data.draw(seeds))
+        origin = rng.choice(graph.ases)
+        links = _links(graph, rng, origin, rng.randint(1, 3))
+        assume(links)
+        others = [a for a in graph.ases if a != origin]
+        attacker = rng.choice(others) if others else None
+        _assert_failed_link_runs_match(graph, rng, origin, attacker, links)
+
+    @given(seed=seeds)
+    @DIFFERENTIAL_SETTINGS
+    def test_tiny_worlds(self, seed):
+        world, rng = tiny_world(seed, TINY_WITH_SIBLINGS)
+        victim, attacker = draw_victim_then_attacker(world, rng)
+        links = _links(world.graph, rng, victim, rng.randint(1, 3))
+        _assert_failed_link_runs_match(world.graph, rng, victim, attacker, links)
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_the_paper_worlds(self, seed):
+        """The seed-7 and seed-23 worlds at the shipped 1,545-AS scale:
+        churn origins each losing one of their links, then a link
+        elsewhere too."""
+        world = build_world(seed=seed)
+        graph = world.topology.graph
+        rng = random.Random(seed)
+        for origin in rng.sample(world.topology.stubs, 4):
+            attacker = rng.choice(world.topology.transit_ases)
+            for count in (1, 2):
+                links = _links(graph, rng, origin, count)
+                _assert_failed_link_runs_match(graph, rng, origin, attacker, links)
+
+    def test_a_full_rescan_skips_the_failed_link(self):
+        """The refused offer stays in the Adj-RIB-in, so a rescan must
+        skip it: AS4 loses the tie-break on its failed link to AS2,
+        learns from AS3, and keeps AS3's route when AS3's announcement
+        grows longer than the one AS2 still offers."""
+        graph = ASGraph()
+        for provider, customer in ((2, 1), (3, 1), (2, 4), (3, 4)):
+            graph.add_p2c(provider, customer)
+        links = ((4, 2),)
+        longer = {"modifiers": {3: lambda path: path + path[-1:]}}
+        engine, oracle = PropagationEngine(graph), ReferenceEngine(graph)
+        filters = link_down_filters(links)
+        cold = engine.propagate(1, failed_links=links)
+        assert cold.adj_rib_in[4][2] == ((2, 1), PrefClass.PROVIDER)
+        warm = engine.propagate(1, warm_start=cold, failed_links=links, **longer)
+        ref_warm = oracle.propagate(
+            1,
+            warm_start=oracle.propagate(1, import_filters=filters),
+            import_filters=filters,
+            **longer,
+        )
+        assert warm.best[4].path == (3, 1, 1)
+        assert_vectorized_matches(ref_warm, warm, stamps=True, warm=True)
+
+    @pytest.mark.parametrize(
+        ("link", "error"),
+        [((4, 10**9), UnknownASError), ((1, 4), TopologyError)],
+        ids=["unknown-as", "not-adjacent"],
+    )
+    def test_a_bad_link_is_refused_before_convergence(
+        self, chain_graph, monkeypatch, link, error
+    ):
+        """``failed_links`` comes from outside the engine: a pair naming
+        an AS the graph lacks, or two ASes that share no link, is an
+        error before either core runs."""
+
+        def converge(*args, **kwargs):
+            raise AssertionError("converged a run with a bad failed link")
+
+        engine = PropagationEngine(chain_graph)
+        baseline = engine.propagate(4)
+        monkeypatch.setattr(vectorized, "run_vectorized", converge)
+        monkeypatch.setattr(engine_module, "run_compiled", converge)
+        for run in ({}, {"warm_start": baseline, "violators": {2}}):
+            with pytest.raises(error):
+                engine.propagate(4, failed_links=((2, 3), link), **run)
 
 
 # ----------------------------------------------------------------------

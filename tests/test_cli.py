@@ -1100,19 +1100,25 @@ class TestErrors:
         assert last == "repro-aspp: error: unrecognized arguments: --backend vectorized"
 
     @pytest.mark.parametrize("flag", ["--store"])
-    @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
+    @pytest.mark.parametrize(
+        "command", ["campaign", "grid", "secpol-sweep", "query", "store"]
+    )
     def test_a_path_no_store_can_open_at_is_a_usage_error(
         self, command, flag, no_world, capsys, tmp_path
     ):
         """A path under a file, and a file itself: a store is a
-        directory."""
+        directory, on every command that opens one."""
+        argv = {"query": ["query", "fig09"], "store": ["store"]}.get(
+            command, [command, "--scale", "0.15"]
+        )
         (tmp_path / "file").write_text("")
         for path in (tmp_path / "file" / "under", tmp_path / "file"):
             with pytest.raises(SystemExit) as usage:
-                main([command, "--scale", "0.15", flag, str(path)])
+                main([*argv, flag, str(path)])
             assert usage.value.code == 2
             error = capsys.readouterr().err
             assert f"repro-aspp {command}: error: no result store" in error.splitlines()[-1]
+            assert sum("error:" in line for line in error.splitlines()) == 1
             assert "Traceback" not in error
 
     @pytest.mark.parametrize("command", ["campaign", "grid", "secpol-sweep"])
