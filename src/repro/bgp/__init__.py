@@ -9,14 +9,13 @@ simulator is built on:
 * :mod:`repro.bgp.prepending` — per-neighbour prepending schedules;
 * :mod:`repro.bgp.engine` — the propagation engine (attacker
   transforms, the policy violators of Figures 11-12, failed links,
-  warm starts, adoption-round clocks), which dispatches
-  each run to the wave kernel or the per-activation loop;
+  warm starts, adoption-round clocks), which converges a cold run on
+  the wave kernel and a warm start on the per-activation loop;
 * :mod:`repro.bgp.compiled` — the CSR topology, path interning and the
   per-activation loop with the policy-first, length-second decision
   process;
 * :mod:`repro.bgp.vectorized` — the NumPy CSR wave kernel the engine
-  converges every cold run without modifiers, violators or a security
-  policy on, and the impact kernel;
+  converges every cold run on, and the impact kernel;
 * :mod:`repro.bgp.uphill` — the paper's Figure-2 three-phase algorithm,
   used as an independent oracle;
 * :mod:`repro.bgp.collectors` — RouteViews/RIPE-style route collectors;
@@ -37,7 +36,6 @@ from repro.bgp.route import Route
 from repro.bgp.uphill import three_phase_routes
 from repro.bgp.uphill_hijack import paper_hijack_estimate
 from repro.bgp.vectorized import (
-    VectorizedUnsupported,
     run_vectorized,
     vectorized_fixpoint,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "MonitorView",
     "three_phase_routes",
     "paper_hijack_estimate",
-    "VectorizedUnsupported",
     "run_vectorized",
     "vectorized_fixpoint",
 ]

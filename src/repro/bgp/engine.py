@@ -22,12 +22,13 @@ valley-free profit-driven policy, with:
 * **warm starts**: an attack can be launched from a converged baseline
   so that adoption rounds measure post-attack propagation.
 
-Failed links and violators are data, so there is one engine with one
-dispatch: a cold run is a column of the NumPy wave kernel
-(:mod:`repro.bgp.vectorized`), failed links included, unless it asks
-for modifiers, violators or a security policy; those runs and every
-warm start are the per-activation loop of
-:func:`repro.bgp.compiled.run_compiled`.  The loop is an asynchronous
+Each run has one route, read off the run: a cold run is a column of
+the NumPy wave kernel (:mod:`repro.bgp.vectorized`), failed links
+included, and a warm start is the per-activation loop of
+:func:`repro.bgp.compiled.run_compiled`.  An attack (modifiers,
+violators or a security policy) is always launched from its converged
+baseline, so a cold run that asks for one is an error, as is a run
+outside the kernel's packed key.  The loop is an asynchronous
 (Gauss-Seidel) worklist fixpoint: one AS at a time re-announces to its
 neighbours, and any receiver whose decision changes joins the worklist.
 Sequential activation matters — simultaneous (Jacobi-style) updates
@@ -401,13 +402,16 @@ class PropagationEngine:
         decision process.  ``None`` (the default) is the exact pristine
         code path.
 
-        A cold run that asks for no modifiers, violators or ``secpol``,
-        inside the packed key's domain, converges as one column of the
-        NumPy wave kernel; every other run is
-        :func:`repro.bgp.compiled.run_compiled`'s FIFO loop.  The two
-        agree on every route, key and present Adj-RIB-in offer; a kernel
-        column stamps ``adoption_round`` with the wave clock (hops from
-        the origin) and leaves absent a slot the loop may record as an
+        A cold run converges as one column of the NumPy wave kernel and
+        a warm start as :func:`repro.bgp.compiled.run_compiled`'s FIFO
+        loop.  A cold run that asks for modifiers, violators or
+        ``secpol`` raises :class:`SimulationError` (the attack needs a
+        warm start from its baseline), and so does one outside the
+        kernel's packed key (``n < 2^21`` ASes and ``n × padding <
+        2^31``), both before any convergence.  A kernel column agrees
+        with the loop on every route, key and present Adj-RIB-in offer;
+        it stamps ``adoption_round`` with the wave clock (hops from the
+        origin) and leaves absent a slot the loop may record as an
         explicit ``None``.
         """
         topo = self._topo
@@ -421,61 +425,40 @@ class PropagationEngine:
             if asn not in index:
                 raise UnknownASError(asn)
         blocked = topo.link_slots(failed_links) or None
-        seed: set[int] | None = None
-        if warm_start is not None:
-            if warm_start.origin != origin or warm_start.prefix != prefix:
+        if warm_start is None:
+            if modifiers or violators or secpol is not None:
                 raise SimulationError(
-                    "warm start must come from the same origin and prefix"
+                    "an attack (modifiers, violators or secpol) needs a warm "
+                    "start from its baseline"
                 )
-            state = warm_start.compiled_state
-            if not isinstance(state, CompiledState) or state.table.topo is not topo:
-                raise SimulationError(
-                    "warm start must be an outcome converged on this engine's topology"
-                )
-            # the warm start's own intern table: it outlives the
-            # engine's per-origin LRU
-            table = state.table
-            seed = set(modifiers) | violators
-            if not seed:
-                raise SimulationError(
-                    "warm start requires seed ASes (modifiers or violators)"
-                )
-        else:
-            table = self._table_for(origin)
-            # The one place a core is chosen: the wave kernel's
-            # capability table, first row that applies — what the run
-            # asks for that the kernel does not do, then what this
-            # topology cannot.  A cold run no row refuses is
-            # a kernel column; a refused one (counted by reason) and
-            # every warm start run the per-activation loop on the same
-            # table, bit-identical by the contract of
-            # tests/bgp/test_vectorized_differential.py.
-            refusals = (
-                ("modifiers", modifiers),
-                ("violators", violators),
-                ("secpol", secpol is not None),
-                (
-                    "key-domain",
-                    not vectorized.in_key_domain(topo.n, prepending.max_padding()),
-                ),
+            return vectorized.run_vectorized(
+                topo,
+                self._table_for(origin),
+                origin=origin,
+                prefix=prefix,
+                prepending=prepending,
+                blocked=blocked,
+                metrics=self.metrics,
             )
-            refusal = next((why for why, applies in refusals if applies), None)
-            if refusal is None:
-                return vectorized.run_vectorized(
-                    topo,
-                    table,
-                    origin=origin,
-                    prefix=prefix,
-                    prepending=prepending,
-                    blocked=blocked,
-                    metrics=self.metrics,
-                )
-            if self.metrics is not None:
-                self.metrics.count("engine.vectorized.fallbacks")
-                self.metrics.count(f"engine.vectorized.fallbacks.{refusal}")
+        if warm_start.origin != origin or warm_start.prefix != prefix:
+            raise SimulationError(
+                "warm start must come from the same origin and prefix"
+            )
+        state = warm_start.compiled_state
+        if not isinstance(state, CompiledState) or state.table.topo is not topo:
+            raise SimulationError(
+                "warm start must be an outcome converged on this engine's topology"
+            )
+        seed = set(modifiers) | violators
+        if not seed:
+            raise SimulationError(
+                "warm start requires seed ASes (modifiers or violators)"
+            )
+        # the warm start's own intern table: it outlives the engine's
+        # per-origin LRU
         return run_compiled(
             topo,
-            table,
+            state.table,
             origin=origin,
             prefix=prefix,
             prepending=prepending,

@@ -55,11 +55,6 @@ class PrependingPolicy:
         """All ASes with a non-default prepending configuration."""
         return frozenset(self._per_sender) | frozenset(s for s, _ in self._per_link)
 
-    def max_padding(self) -> int:
-        """The largest count any announcement is padded with (1 when
-        nobody prepends)."""
-        return max([1, *self._per_sender.values(), *self._per_link.values()])
-
     def fingerprint(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
         """A hashable canonical form of the schedule.
 

@@ -1,12 +1,15 @@
 """Vectorized (NumPy) cold-path propagation core.
 
 This module is the cold core of
-:class:`repro.bgp.engine.PropagationEngine`: a cold stock-policy
-convergence (a baseline, or one with failed links) runs as a handful
-of NumPy gather/scatter-min passes over the
-:class:`~repro.bgp.compiled.CompiledTopology` CSR arrays instead of
-:func:`~repro.bgp.compiled.run_compiled`'s per-activation Python loop,
-which keeps every other run.
+:class:`repro.bgp.engine.PropagationEngine`: every cold convergence (a
+baseline, or one with failed links) runs as a handful of NumPy
+gather/scatter-min passes over the
+:class:`~repro.bgp.compiled.CompiledTopology` CSR arrays;
+:func:`~repro.bgp.compiled.run_compiled`'s per-activation Python loop
+runs only warm starts.  Its domain is the packed key's: ``n < 2^21``
+ASes and ``n × λ < 2^31`` for the largest padding ``λ`` (λ ≤ 26,843 on
+an 80k-AS world).  A run outside it raises
+:class:`~repro.exceptions.SimulationError` before converging.
 
 Why this is exact
 -----------------
@@ -58,7 +61,8 @@ from the same wave loop run with two fixed sources, the victim and the
 attacker's stripped announcement.  It is the route of every
 ``SweepPointTask`` (λ-sweeps, grids) and builds nothing but keys.
 
-Contract vs the compiled oracle (pinned by
+Contract vs the compiled loop, which stays the oracle of a cold run
+(``tests/bgp/loop_oracle.py`` calls it by name; pinned by
 ``tests/bgp/test_vectorized_differential.py``): cold runs agree on
 ``best``/``best_keys``, every *present* Adj-RIB-in entry, pollution and
 reachability sets, and the attached :class:`CompiledState` arrays —
@@ -89,13 +93,11 @@ from repro.bgp.compiled import (
     emit_world,
 )
 from repro.bgp.prepending import PrependingPolicy
-from repro.exceptions import ConvergenceError
+from repro.exceptions import ConvergenceError, SimulationError
 from repro.telemetry.metrics import RunMetrics
 
 __all__ = [
     "ImpactKernel",
-    "VectorizedUnsupported",
-    "in_key_domain",
     "run_vectorized",
     "vectorized_fixpoint",
 ]
@@ -117,23 +119,6 @@ _MAX_LEN = 1 << 31  # headroom below the 2^32 length field
 _IMPACT_BUDGET = 1 << 19
 #: canonical baseline columns an impact kernel keeps, per victim (LRU)
 _COLUMN_MEMO = 32
-
-
-def in_key_domain(n: int, max_count: int) -> bool:
-    """Whether ``n`` ASes padding at most ``max_count`` copies per
-    announcement pack into the int64 key: a sender index below 2^21 and
-    the longest padded path below the length field."""
-    return n < _MAX_N and n * max_count < _MAX_LEN
-
-
-class VectorizedUnsupported(Exception):
-    """This run's inputs fall outside the packed-key domain.
-
-    The engine asks :func:`in_key_domain` before it sends a run here
-    (a refusal is counted as ``engine.vectorized.fallbacks.key-domain``
-    and runs on :func:`run_compiled`); a direct caller gets this
-    instead of silently wrong answers.
-    """
 
 
 def _inf():
@@ -360,10 +345,15 @@ def _fixpoint(ev: _EdgeViews, keys, counts, taint=None, forbid=None, blocked=Non
 
 
 def _check_domain(topo: CompiledTopology, max_count: int) -> None:
-    if not in_key_domain(topo.n, max_count):
-        raise VectorizedUnsupported(
-            f"{topo.n} ASes padding up to {max_count} copies overflow the "
-            "2^21 sender-index or the path-length field of the key"
+    """Raise :class:`SimulationError` unless ``topo``'s ASes, padding at
+    most ``max_count`` copies per announcement, pack into the int64
+    key: a sender index below 2^21 and the longest padded path below
+    the length field."""
+    if not (topo.n < _MAX_N and topo.n * max_count < _MAX_LEN):
+        raise SimulationError(
+            f"{topo.n} ASes padding up to {max_count} copies fall outside the "
+            f"packed decision key, which holds fewer than {_MAX_N} ASes and "
+            f"ASes x padding below {_MAX_LEN}"
         )
 
 
@@ -415,14 +405,11 @@ class ImpactKernel:
         # columns per batch: the budget over the directed edges
         self._width = max(1, _IMPACT_BUDGET // max(1, len(self._ev.nbr)))
 
-    def admits(self, padding: int) -> bool:
-        """Whether padded lengths at ``λ = padding`` fit the key."""
-        return in_key_domain(self.topo.n, padding)
-
     def run(self, cells, metrics: RunMetrics | None = None):
         """``[(before, after, kept)]`` for ``cells`` of ``(victim,
         attacker, padding, keep, violate_policy)``: ASNs of two distinct
-        ASes of the topology, ``padding`` admitted, ``keep >= 1``."""
+        ASes of the topology, ``padding`` inside the key's domain
+        (:func:`_check_domain`), ``keep >= 1``."""
         index = self.topo.index
         columns = [
             (index[v], index[m], max(0, padding - keep), violate)
@@ -697,9 +684,8 @@ def run_vectorized(
     fixpoint drops; emission still records them in the receiver's
     Adj-RIB-in, as the loop does for an offer import refuses.
 
-    Raises :class:`VectorizedUnsupported` when the topology or padding
-    falls outside the packed-key domain (the engine's capability table
-    has already refused such a run).
+    Raises :class:`SimulationError` before converging when the topology
+    or padding falls outside the packed-key domain.
     """
     ev = _views(topo)
     counts, default_count, overrides = _slot_counts(topo, ev, prepending)

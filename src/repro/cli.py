@@ -39,8 +39,8 @@ groups, each declared once (``<subcommand> --help`` has the detail):
 
 A size, count or threshold out of its range (``--padding``,
 ``--pairs``, ``--instances``, a stream's ``--feeds``, an SLO threshold,
-a deployment fraction, …) is a usage error before any topology is built: each flag's type
-states the range.
+a deployment fraction, a fault rate, …) is a usage error before any
+topology is built: each flag's type states the range.
 
 A library error is printed as ``repro-aspp: error: <message>`` (exit
 status 1), not as a traceback.
@@ -106,6 +106,14 @@ def non_negative_float(text: str) -> float:
     value = float(text)
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
+    return value
+
+
+def unit_fraction(text: str) -> float:
+    """The type of ``--fault-rate``: a number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # nan fails too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -365,7 +373,7 @@ def _configure_mitigate_stream(parser) -> None:
         "and re-announce (time-to-mitigate)",
     )
     parser.add_argument(
-        "--fault-rate", type=float, default=0.0, metavar="RATE",
+        "--fault-rate", type=unit_fraction, default=0.0, metavar="RATE",
         help="inject a seeded feed-fault plan: each feed draws faults "
         "(outages, duplicate bursts, corruption, gap storms) with this "
         "probability (0 = fault-free)",
@@ -791,8 +799,6 @@ def _mitigate_stream(args, parser, metrics) -> int:
     from repro.mitigation.controller import MitigationPolicy, run_closed_loop
     from repro.telemetry.slo import SLORegistry, default_pipeline_slos
 
-    if not 0.0 <= args.fault_rate <= 1.0:
-        parser.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")
     if args.fault_rate <= 0.0:
         # No plan is drawn, so these flags would do nothing.
         if args.unrecoverable:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import ExperimentError
-from repro.runner import BaselineCache, RunConfig
+from repro.runner import RunConfig
 from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.experiments.sweeps import padding_sweep
 from repro.telemetry.metrics import RunMetrics
@@ -85,9 +85,6 @@ def run(
     chained_graph.add_s2s(helper, victim)
     chained_engine = PropagationEngine(chained_graph, metrics=metrics)
 
-    # The two chained series attack from identical pre-attack baselines,
-    # so they share one cache; the plain engine needs its own.
-    chained_cache = BaselineCache(chained_engine)
     no_chain = padding_sweep(
         plain_engine,
         victim=victim,
@@ -100,7 +97,6 @@ def run(
         victim=victim,
         attacker=attacker,
         paddings=paddings,
-        cache=chained_cache,
         run=run_config,
     )
     violating = padding_sweep(
@@ -109,7 +105,6 @@ def run(
         attacker=attacker,
         paddings=paddings,
         violate_policy=True,
-        cache=chained_cache,
         run=run_config,
     )
     rows = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentResult, build_world, instrumented
 from repro.experiments.sweeps import padding_sweep
-from repro.runner import BaselineCache, RunConfig
+from repro.runner import RunConfig
 from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
@@ -53,14 +53,11 @@ def run(
     attacker = rng.choice(small_transit)
     victim = rng.choice([s for s in world.topology.stubs if s != attacker])
 
-    # Both series share the victim's pre-attack baselines.
-    cache = BaselineCache(world.engine)
     valley_free = padding_sweep(
         world.engine,
         victim=victim,
         attacker=attacker,
         paddings=range(1, config.max_padding + 1),
-        cache=cache,
         run=run_config,
     )
     violating = padding_sweep(
@@ -69,7 +66,6 @@ def run(
         attacker=attacker,
         paddings=range(1, config.max_padding + 1),
         violate_policy=True,
-        cache=cache,
         run=run_config,
     )
     rows = [

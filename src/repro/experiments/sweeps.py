@@ -11,14 +11,15 @@ seeded random pairs, each a :class:`~repro.runner.CampaignPairTask`
 watched by a monitor fleet.
 
 A sweep point reports impact only (before %, after %, attacker kept a
-route), so it never builds routes: serially the whole task list runs as
-budget-sized batches of the impact kernel
-(:class:`repro.bgp.vectorized.ImpactKernel`) ahead of the per-task
-loop, and a pool worker runs its points as single columns against a
-per-victim baseline memo.  Points outside the kernel's domain — and
-every :class:`~repro.runner.DeploymentPointTask` — converge their
-baseline once at its own λ (memoised in the baseline cache) and
-warm-start each attack from it on the engine.
+route), so it never builds routes: every point is a column of the
+impact kernel (:class:`repro.bgp.vectorized.ImpactKernel`).  Serially
+the whole task list runs as budget-sized kernel batches ahead of the
+per-task loop, and a pool worker runs its points as single columns
+against a per-victim baseline memo; a point outside the kernel's
+packed key raises :class:`~repro.exceptions.SimulationError` at its
+own turn.  Every :class:`~repro.runner.DeploymentPointTask` converges
+its baseline once at its own λ (memoised in the baseline cache) and
+warm-starts each attack from it on the engine.
 
 *What* a sweep computes is its keyword arguments; *how* it runs is one
 :class:`~repro.runner.RunConfig` (``run=``), handed with the task list
@@ -27,12 +28,10 @@ to :func:`repro.runner.run_batch`.  Cells already recorded — in
 :func:`repro.store.use_store` — replay without touching the engine (a
 fully warm store performs *zero* propagations); only missing cells
 run, each recorded as it settles, so a failed or interrupted sweep
-keeps what it finished and a rerun executes only the rest.  Serially,
-the kernel-eligible points of a batch run as one kernel batch ahead of
-the loop.  ``cache`` optionally
-shares one :class:`BaselineCache` across several serial sweeps on the
-same engine (e.g. a figure's valley-free and policy-violating series,
-whose baselines coincide).
+keeps what it finished and a rerun executes only the rest.  A
+:func:`deployment_sweep`'s ``cache`` optionally shares one
+:class:`BaselineCache` across several serial sweeps on the same engine
+(e.g. a figure's policies, whose baselines coincide).
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ def padding_sweep(
     attacker: int,
     paddings: Sequence[int],
     violate_policy: bool = False,
-    cache: BaselineCache | None = None,
     run: RunConfig = RunConfig(),
 ) -> list[tuple[int, float, float]]:
     """Run the attack for each λ; return ``(λ, before%, after%)`` rows.
@@ -83,7 +81,7 @@ def padding_sweep(
         )
         for padding in paddings
     ]
-    return [result.row() for result in run_batch(engine, tasks, run, cache=cache)]
+    return [result.row() for result in run_batch(engine, tasks, run)]
 
 
 def pair_grid(
@@ -91,7 +89,6 @@ def pair_grid(
     pairs: Sequence[tuple[int, int]],
     *,
     origin_padding: int,
-    cache: BaselineCache | None = None,
     run: RunConfig = RunConfig(),
 ) -> list[SweepPointResult]:
     """Run one fixed-λ attack per ``(attacker, victim)`` pair.
@@ -102,7 +99,7 @@ def pair_grid(
         SweepPointTask(victim=victim, attacker=attacker, padding=origin_padding)
         for attacker, victim in pairs
     ]
-    return run_batch(engine, tasks, run, cache=cache)
+    return run_batch(engine, tasks, run)
 
 
 def exhaustive_grid(
@@ -111,7 +108,6 @@ def exhaustive_grid(
     attackers: Sequence[int],
     victims: Sequence[int],
     origin_padding: int,
-    cache: BaselineCache | None = None,
     run: RunConfig = RunConfig(),
 ) -> list[SweepPointResult]:
     """Every attacker × every victim at fixed λ — the full campaign grid.
@@ -134,7 +130,7 @@ def exhaustive_grid(
     pairs = [(a, v) for a in attackers for v in victims if a != v]
     if not pairs:
         raise SimulationError("exhaustive grid needs at least one attacker≠victim cell")
-    return pair_grid(engine, pairs, origin_padding=origin_padding, cache=cache, run=run)
+    return pair_grid(engine, pairs, origin_padding=origin_padding, run=run)
 
 
 def deployment_sweep(

@@ -82,9 +82,10 @@ def run_batch(
     settles.  The first failure ends the batch with the cell's own
     error, after every cell that settled before it was recorded.
     Serially the batch runs on ``engine`` and ``cache`` with
-    ``run.metrics`` wired in, the kernel-eligible sweep points first as
-    one impact-kernel batch (:meth:`WorkerContext.park_impact`), and
-    each gets its own registry back; a pooled run builds its own
+    ``run.metrics`` wired in, its valid sweep points first as one
+    impact-kernel batch (:meth:`WorkerContext.park_impact`; an invalid
+    one raises at its own turn), and each gets its own registry back;
+    a pooled run builds its own
     contexts and merges the deltas its workers ship back, so the
     deterministic counters are identical for every worker count.
     ``monitors`` is the fleet of tasks that run detection.

@@ -6,21 +6,29 @@ method that executes it against a :class:`WorkerContext` (the
 per-worker engine, baseline cache and detection pipeline).  The same
 descriptors drive the in-process serial path, which is what makes the
 serial and parallel runners bit-identical by construction.
+
+Each kind has one route.  A :class:`SweepPointTask` is always a column
+of the impact kernel (:class:`repro.bgp.vectorized.ImpactKernel`): a
+point the kernel cannot answer raises what the engine route would, a
+point outside its packed key a :class:`SimulationError`.  Deployment
+and campaign cells build routes, so they warm-start each attack from a
+cached baseline on the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attack.interception import simulate_interception
+from repro.attack.interception import ASPPInterceptionAttack, simulate_interception
 from repro.bgp.collectors import RouteCollector
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
+from repro.bgp.vectorized import ImpactKernel, _check_domain
 from repro.detection.alarms import Confidence
 from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.timing import detection_timing
-from repro.exceptions import SimulationError
+from repro.exceptions import ReproError, SimulationError, UnknownASError
 from repro.runner.cache import BaselineCache
 from repro.secpol.deployment import (
     POLICIES,
@@ -66,11 +74,10 @@ class WorkerContext:
         if metrics is not None:
             engine.metrics = metrics
             self.cache.metrics = metrics
-        # Impact-kernel route (see :meth:`impact_counts`): the kernel or
-        # the reason this context has none, resolved on first use, and
-        # the counts :meth:`park_impact` computed ahead as one batch.
-        self._impact_kernel = None
-        self._impact_fallback: str | None = None
+        # The impact kernel (see :meth:`impact_counts`), built on first
+        # use, and the counts :meth:`park_impact` computed ahead as one
+        # batch.
+        self._impact_kernel: ImpactKernel | None = None
         self._impact_parked: dict = {}
         self._monitors = monitors
         self._collector: RouteCollector | None = None
@@ -106,38 +113,29 @@ class WorkerContext:
         return self._detector
 
     # -- impact-only cells ----------------------------------------------
-    def _impact_route(self, task: "SweepPointTask") -> str | None:
-        """``None`` when ``task`` runs on the impact kernel; otherwise
-        the fallback reason, or ``"invalid"`` for inputs the engine
-        route must reject with its own errors."""
-        if self._impact_kernel is None and self._impact_fallback is None:
-            from repro.bgp import vectorized
-
-            try:
-                self._impact_kernel = vectorized.ImpactKernel(
-                    self.engine.compiled_topology
-                )
-            except vectorized.VectorizedUnsupported:
-                self._impact_fallback = "domain"
-        if self._impact_fallback is not None:
-            return self._impact_fallback
-        kernel = self._impact_kernel
-        index = kernel.topo.index
-        if (
-            task.victim not in index
-            or task.attacker not in index
-            or task.victim == task.attacker
-            or task.padding < 1
-            or task.keep < 1
-        ):
-            return "invalid"
-        if task.strip_mode not in ("origin", "all"):
-            return "strip-mode"
-        if not kernel.admits(task.padding):
-            return "domain"
-        return None
+    def _check_point(self, task: "SweepPointTask") -> None:
+        """Raise what the engine route (a cached baseline, then
+        :func:`simulate_interception` from it) raises on ``task``'s
+        inputs, in its order: the victim's padding schedule, the
+        victim, the key's domain, the attack, the attacker.  A point
+        that passes is one the impact kernel answers."""
+        PrependingPolicy.uniform_origin(task.victim, task.padding)
+        topo = self.engine.compiled_topology
+        if task.victim not in topo.index:
+            raise UnknownASError(task.victim)
+        _check_domain(topo, task.padding)
+        ASPPInterceptionAttack(
+            attacker=task.attacker,
+            victim=task.victim,
+            strip_mode=task.strip_mode,
+            keep=task.keep,
+        )
+        if task.attacker not in topo.index:
+            raise UnknownASError(task.attacker)
 
     def _run_impact(self, tasks: list) -> list[tuple[int, int, bool]]:
+        if self._impact_kernel is None:
+            self._impact_kernel = ImpactKernel(self.engine.compiled_topology)
         # Under a uniform-origin schedule the victim's run is the only
         # prepending on any path, so collapsing every run
         # (strip_mode="all") is origin-stripping down to one copy.
@@ -156,32 +154,30 @@ class WorkerContext:
         )
 
     def park_impact(self, tasks) -> list:
-        """Run the kernel-eligible sweep points of ``tasks`` as one
-        batch, park their counts for :meth:`impact_counts`, and return
-        the tasks left to the engine route."""
-        eligible = [
-            task
-            for task in dict.fromkeys(tasks)
-            if isinstance(task, SweepPointTask) and self._impact_route(task) is None
-        ]
+        """Run the valid sweep points of ``tasks`` as one kernel batch,
+        park their counts for :meth:`impact_counts`, and return the
+        other tasks: other kinds, and sweep points that raise at their
+        own turn."""
+        points = []
+        for task in dict.fromkeys(tasks):
+            if isinstance(task, SweepPointTask):
+                try:
+                    self._check_point(task)
+                except ReproError:
+                    continue
+                points.append(task)
         self._impact_parked = (
-            dict(zip(eligible, self._run_impact(eligible))) if eligible else {}
+            dict(zip(points, self._run_impact(points))) if points else {}
         )
         return [task for task in tasks if task not in self._impact_parked]
 
-    def impact_counts(self, task: "SweepPointTask") -> tuple[int, int, bool, int] | None:
+    def impact_counts(self, task: "SweepPointTask") -> tuple[int, int, bool, int]:
         """``(before, after, attacker kept a route, population)`` of
-        one sweep point from the impact kernel — parked by
-        :meth:`park_impact` or computed now as a single column — or
-        ``None`` when the point must take the engine route (the reason
-        is counted as ``engine.impact.fallbacks.<reason>``)."""
+        one sweep point from the impact kernel: parked by
+        :meth:`park_impact`, or computed now as a single column."""
         counts = self._impact_parked.get(task)
         if counts is None:
-            reason = self._impact_route(task)
-            if reason is not None:
-                if reason != "invalid" and self.metrics is not None:
-                    self.metrics.count(f"engine.impact.fallbacks.{reason}")
-                return None
+            self._check_point(task)
             (counts,) = self._run_impact([task])
         if self.metrics is not None:
             self.metrics.count("engine.impact.cells")
@@ -272,36 +268,13 @@ class SweepPointTask:
     prefix: str = DEFAULT_PREFIX
 
     def run(self, ctx: WorkerContext) -> SweepPointResult:
-        counts = ctx.impact_counts(self)
-        if counts is not None:
-            before, after, kept, population = counts
-            before_fraction = before / population if population else 0.0
-            after_fraction = after / population if population else 0.0
-        else:
-            prepending = PrependingPolicy.uniform_origin(self.victim, self.padding)
-            result = simulate_interception(
-                ctx.engine,
-                victim=self.victim,
-                attacker=self.attacker,
-                origin_padding=self.padding,
-                prefix=self.prefix,
-                strip_mode=self.strip_mode,
-                keep=self.keep,
-                violate_policy=self.violate_policy,
-                prepending=prepending,
-                baseline=ctx.cache.baseline(
-                    self.victim, prefix=self.prefix, prepending=prepending
-                ),
-            )
-            before_fraction = result.report.before_fraction
-            after_fraction = result.report.after_fraction
-            kept = result.attacker_has_route
+        before, after, kept, population = ctx.impact_counts(self)
         return SweepPointResult(
             attacker=self.attacker,
             victim=self.victim,
             padding=self.padding,
-            before_fraction=before_fraction,
-            after_fraction=after_fraction,
+            before_fraction=before / population if population else 0.0,
+            after_fraction=after / population if population else 0.0,
             attacker_kept_route=kept,
         )
 

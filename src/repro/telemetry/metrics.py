@@ -45,14 +45,13 @@ __all__ = ["CACHE_SHAPE_PREFIXES", "Counter", "Timer", "Histogram", "RunMetrics"
 #: serial-vs-pooled determinism comparisons.  The compiled loop's
 #: interning counters (``engine.compiled.*`` — hit rates depend on
 #: which paths a worker's intern tables have already seen) are
-#: cache-shaped for the same reason, as are the vectorized dispatch
-#: counters (``engine.vectorized.*`` — cold convergences and their
-#: fallbacks to the compiled core follow the cache misses) and the
-#: impact kernel's batching
+#: cache-shaped for the same reason, as are the wave kernel's counters
+#: (``engine.vectorized.*`` — cold convergences follow the cache
+#: misses) and the impact kernel's batching
 #: counters (``engine.impact.columns`` / ``.batches`` / ``.waves`` —
 #: each worker converges its own baseline columns and batches what it
-#: is handed; ``engine.impact.cells`` and the fallback reasons are per
-#: task and stay deterministic).
+#: is handed; ``engine.impact.cells`` is per task and stays
+#: deterministic).
 CACHE_SHAPE_PREFIXES = (
     "cache.",
     "engine.cold.",

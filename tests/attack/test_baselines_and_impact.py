@@ -29,7 +29,9 @@ class TestOriginHijack:
     def test_attacker_becomes_origin(self, graph):
         engine = PropagationEngine(graph)
         attack = OriginHijackAttack(attacker=6, victim=100)
-        outcome = engine.propagate(100, modifiers={6: attack.modifier()})
+        outcome = engine.propagate(
+            100, modifiers={6: attack.modifier()}, warm_start=engine.propagate(100)
+        )
         # AS2 sits above the attacker and adopts the bogus origination.
         assert outcome.best[2].path == (6,)
         assert outcome.best[2].origin == 6  # MOAS: origin changed
@@ -45,7 +47,10 @@ class TestPathShortening:
         attack = PathShorteningAttack(attacker=6, victim=100)
         prepending = PrependingPolicy.uniform_origin(100, 1)
         outcome = engine.propagate(
-            100, prepending=prepending, modifiers={6: attack.modifier()}
+            100,
+            prepending=prepending,
+            modifiers={6: attack.modifier()},
+            warm_start=engine.propagate(100, prepending=prepending),
         )
         assert outcome.best[2].path == (6, 100)
         # The announced adjacency 6-100 does not exist in the topology.

@@ -1,14 +1,15 @@
 """The per-activation loop, called by name.
 
-A compiled engine decides the cold core itself: a cold stock-policy run
-is a column of the wave kernel, so a default engine does not answer
-questions about :func:`run_compiled`'s *cold* behaviour — FIFO adoption
-stamps, explicit-``None`` withdrawal slots, activation counts, the
-``MAX_ACTIVATIONS`` guard.  The suites that ask them (the
-compiled-vs-reference differentials, the loop-discipline invariants)
-and the suites that need the loop as the kernel's oracle
-(``test_vectorized_differential.py``) call it here instead of relying
-on which core a default engine happens to pick.  The disciplines the
+A compiled engine never runs the loop cold: every cold run is a column
+of the wave kernel, and a cold run with modifiers, violators or a
+security policy is an error (an attack needs a warm start from its
+baseline).  So a default engine does not answer questions about
+:func:`run_compiled`'s *cold* behaviour — FIFO adoption stamps,
+explicit-``None`` withdrawal slots, activation counts, the
+``MAX_ACTIVATIONS`` guard, cold attack runs.  The suites that ask them
+(the compiled-vs-reference differentials, the loop-discipline
+invariants) and the suites that need the loop as the kernel's oracle
+(``test_vectorized_differential.py``) call it here by name.  The disciplines the
 loop does not run (LIFO or random activation, the full rescan with the
 fast path off) are the reference interpreter's
 (``reference_engine.py``).

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.bgp import compiled, vectorized
+from repro.bgp import engine as engine_module
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
 from repro.bgp.route import DEFAULT_PREFIX
@@ -94,7 +95,7 @@ class TestPolicySemantics:
         graph.add_p2p(1, 2)
         graph.add_p2p(2, 3)
         engine = PropagationEngine(graph)
-        outcome = engine.propagate(1, violators={2})
+        outcome = engine.propagate(1, violators={2}, warm_start=engine.propagate(1))
         assert outcome.best[3] is not None
         assert outcome.best[3].path == (2, 1)
 
@@ -106,7 +107,9 @@ class TestPolicySemantics:
         graph.add_p2p(1, 3)
         graph.add_p2c(2, 9)
         engine = PropagationEngine(graph)
-        outcome = engine.propagate(9, violators={1, 2, 3})
+        outcome = engine.propagate(
+            9, violators={1, 2, 3}, warm_start=engine.propagate(9)
+        )
         for asn, route in outcome.best.items():
             if route is not None:
                 assert asn not in route.path
@@ -186,8 +189,8 @@ class TestWarmStart:
             modifiers={attacker: modifier},
             warm_start=baseline,
         )
-        cold = small_engine.propagate(
-            victim, prepending=prepending, modifiers={attacker: modifier}
+        cold = loop_propagate(
+            small_engine, victim, prepending=prepending, modifiers={attacker: modifier}
         )
         for asn in small_world.graph.ases:
             assert warm.best[asn] == cold.best[asn], f"divergence at AS{asn}"
@@ -291,31 +294,37 @@ class TestImportFilters:
 
 
 class TestColdCore:
-    """Which core converges a cold run is read off the run: anything the
-    wave kernel does not do is the loop's, honoured and counted by
-    reason — never silently a kernel column."""
+    """Which core converges a run is read off the run: a cold run is a
+    kernel column and a warm start the loop.  A cold run the kernel
+    does not do is an error before any convergence, never a quiet
+    detour through the loop."""
 
     @pytest.mark.parametrize(
-        ("reason", "run", "patch"),
+        ("run", "patch", "message"),
         [
-            ("modifiers", {"modifiers": {3: lambda path: path}}, None),
-            ("violators", {"violators": {3}}, None),
-            ("key-domain", {}, ("_MAX_N", 2)),
+            ({"modifiers": {3: lambda path: path}}, None, "needs a warm start"),
+            ({"violators": {3}}, None, "needs a warm start"),
+            ({"secpol": object()}, None, "needs a warm start"),
+            ({}, ("_MAX_N", 2), "packed decision key"),
         ],
-        ids=["modifiers", "violators", "key-domain"],
+        ids=["modifiers", "violators", "secpol", "key-domain"],
     )
-    def test_a_refused_cold_run_is_the_loops(
-        self, diamond_graph, monkeypatch, reason, run, patch
+    def test_a_refused_cold_run_is_an_error(
+        self, diamond_graph, monkeypatch, run, patch, message
     ):
         if patch is not None:
             monkeypatch.setattr(vectorized, *patch)
         metrics = RunMetrics()
         engine = PropagationEngine(diamond_graph, metrics=metrics)
-        outcome = engine.propagate(5, **run)
-        assert outcome == loop_propagate(engine, 5, **run)
-        assert metrics.counter_value("engine.vectorized.propagations") == 0
-        assert metrics.counter_value("engine.vectorized.fallbacks") == 1
-        assert metrics.counter_value(f"engine.vectorized.fallbacks.{reason}") == 1
+
+        def converge(*args, **kwargs):
+            raise AssertionError("converged a refused cold run")
+
+        monkeypatch.setattr(vectorized, "_fixpoint", converge)
+        monkeypatch.setattr(engine_module, "run_compiled", converge)
+        with pytest.raises(SimulationError, match=message):
+            engine.propagate(5, **run)
+        assert metrics.counters == {}
 
     def test_a_stock_cold_run_is_a_kernel_column(self, diamond_graph):
         metrics = RunMetrics()
@@ -325,8 +334,6 @@ class TestColdCore:
         assert metrics.counter_value("engine.vectorized.propagations") == 1
         assert metrics.counter_value("engine.cold.propagations") == 0
         assert metrics.counter_value("engine.warm.propagations") == 1
-        # a warm start is not a refusal: nothing "fell back"
-        assert metrics.counter_value("engine.vectorized.fallbacks") == 0
 
     def test_a_failed_link_run_is_a_kernel_column(self, diamond_graph):
         metrics = RunMetrics()
@@ -335,7 +342,6 @@ class TestColdCore:
         assert outcome.best[3].learned_from == 1
         assert metrics.counter_value("engine.vectorized.propagations") == 1
         assert metrics.counter_value("engine.cold.propagations") == 0
-        assert metrics.counter_value("engine.vectorized.fallbacks") == 0
 
 
 class TestOneEngine:

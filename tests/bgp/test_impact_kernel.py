@@ -31,7 +31,8 @@ from repro.attack.interception import simulate_interception
 from repro.bgp import vectorized
 from repro.bgp.compiled import CompiledTopology
 from repro.bgp.engine import PropagationEngine
-from repro.bgp.vectorized import ImpactKernel, VectorizedUnsupported
+from repro.bgp.vectorized import ImpactKernel
+from repro.exceptions import SimulationError
 from repro.topology.asgraph import ASGraph
 from tests.bgp.loop_oracle import LoopEngine
 from tests.strategies import TINY_WITH_SIBLINGS, seeds, tiny_world
@@ -173,11 +174,12 @@ class TestKernelDifferential:
         graph = ASGraph()
         graph.add_p2c(1, 2)
         topo = CompiledTopology.of(graph)
-        kernel = ImpactKernel(topo)
-        assert kernel.admits(3)
-        assert not kernel.admits(vectorized._MAX_LEN)
+        ImpactKernel(topo)
+        vectorized._check_domain(topo, 3)
+        with pytest.raises(SimulationError, match="packed decision key"):
+            vectorized._check_domain(topo, vectorized._MAX_LEN)
         monkeypatch.setattr(vectorized, "_MAX_N", 2)
-        with pytest.raises(VectorizedUnsupported):
+        with pytest.raises(SimulationError, match="packed decision key"):
             ImpactKernel(topo)
 
 

@@ -17,9 +17,9 @@ is the one pinned in ``repro/bgp/vectorized.py``:
   a kernel column equal to the reference interpreter with the two
   import filters of ``link_down_filters``, and a warm attack on a
   failed-link world skips the same slots in the loop;
-* refused shapes (secpol deployments, modifiers, violators) run on the
-  loop and stay identical by construction — the suite checks the
-  refusal is counted under its reason *and* the results stay equal;
+* a cold run asking for what the kernel does not do (a secpol
+  deployment, modifiers) is refused by the engine, and the loop, its
+  oracle, matches the reference interpreter on it;
 * activation order never changes the routes a cold run converges to
   (the reference interpreter's LIFO and random disciplines against the
   kernel).
@@ -44,12 +44,13 @@ from repro.bgp import engine as engine_module
 from repro.bgp import vectorized
 from repro.bgp.engine import PropagationEngine
 from repro.bgp.prepending import PrependingPolicy
-from repro.exceptions import TopologyError, UnknownASError
+from repro.exceptions import SimulationError, TopologyError, UnknownASError
 from repro.experiments.base import build_world
 from repro.secpol import AspaPolicy, SecurityDeployment
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 from repro.topology.relationships import PrefClass
+from tests.bgp.loop_oracle import loop_propagate
 from tests.bgp.reference_engine import ReferenceEngine, link_down_filters
 from tests.strategies import (
     SCALE_SMOKE,
@@ -225,7 +226,6 @@ def _assert_failed_link_runs_match(graph, rng, origin, attacker, links):
     ref_cold = oracle.propagate(origin, prepending=prep, import_filters=filters)
     assert_vectorized_matches(ref_cold, cold)
     assert metrics.counter_value("engine.vectorized.propagations") == 1
-    assert metrics.counter_value("engine.vectorized.fallbacks") == 0
     if attacker is None:
         return
     attack = {
@@ -328,35 +328,42 @@ class TestFailedLinkDifferential:
 
 
 class TestFallbackShapes:
-    @given(seed=seeds)
-    @settings(
-        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
-    def test_secpol_falls_back_and_stays_identical(self, seed):
-        world, rng = tiny_world(seed, TINY)
-        victim, attacker = draw_victim_then_attacker(world, rng)
-        deployers = frozenset(rng.sample(world.graph.ases, 10))
-        eng_c, _ = vectorized_pair(world)
-        metrics = RunMetrics()
-        eng_v = PropagationEngine(world.graph, metrics=metrics)
-        pol = SecurityDeployment(AspaPolicy(world.graph), deployers)
-        oc = eng_c.propagate(victim, secpol=pol)
-        ov = eng_v.propagate(victim, secpol=pol)
-        assert oc == ov
-        assert metrics.counter_value("engine.vectorized.fallbacks.secpol") == 1
+    """Nothing falls back: a cold run the kernel does not do is refused
+    by the engine, and the loop that stays its oracle agrees with the
+    reference interpreter on it."""
 
     @given(seed=seeds)
     @settings(
         max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    def test_modifier_attack_falls_back_and_stays_identical(self, seed):
+    def test_a_cold_secpol_run_is_refused(self, seed):
+        """The engine refuses it; the loop, run by name, matches the
+        reference interpreter on it."""
+        world, rng = tiny_world(seed, TINY)
+        victim, attacker = draw_victim_then_attacker(world, rng)
+        deployers = frozenset(rng.sample(world.graph.ases, 10))
+        engine = PropagationEngine(world.graph)
+        pol = SecurityDeployment(AspaPolicy(world.graph), deployers)
+        with pytest.raises(SimulationError, match="needs a warm start"):
+            engine.propagate(victim, secpol=pol)
+        oc = loop_propagate(engine, victim, secpol=pol)
+        assert oc == ReferenceEngine(world.graph).propagate(victim, secpol=pol)
+
+    @given(seed=seeds)
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_a_cold_modifier_run_is_refused(self, seed):
+        """The engine refuses it; the loop, run by name, matches the
+        reference interpreter on it."""
         world, rng = tiny_world(seed, TINY_WITH_SIBLINGS)
         victim, attacker = draw_victim_then_attacker(world, rng)
-        eng_c, eng_v = vectorized_pair(world)
+        engine = PropagationEngine(world.graph)
         atk = {attacker: lambda p, a=attacker: (a,) + p}
-        oc = eng_c.propagate(victim, modifiers=atk)
-        ov = eng_v.propagate(victim, modifiers=atk)
-        assert oc == ov
+        with pytest.raises(SimulationError, match="needs a warm start"):
+            engine.propagate(victim, modifiers=atk)
+        oc = loop_propagate(engine, victim, modifiers=atk)
+        assert oc == ReferenceEngine(world.graph).propagate(victim, modifiers=atk)
 
     @given(seed=seeds)
     @settings(

@@ -66,7 +66,9 @@ class TestBaselineDetectors:
     def test_moas_fires_on_origin_hijack(self, diamond_graph):
         engine = PropagationEngine(diamond_graph)
         attack = OriginHijackAttack(attacker=4, victim=5)
-        outcome = engine.propagate(5, modifiers={4: attack.modifier()})
+        outcome = engine.propagate(
+            5, modifiers={4: attack.modifier()}, warm_start=engine.propagate(5)
+        )
         view = RouteCollector(diamond_graph, [1, 2, 3]).snapshot(outcome)
         alarms = detect_moas(view)
         assert alarms and alarms[0].confidence is Confidence.HIGH
@@ -76,7 +78,10 @@ class TestBaselineDetectors:
         attack = PathShorteningAttack(attacker=6, victim=100)
         prepending = PrependingPolicy.uniform_origin(100, 3)
         outcome = engine.propagate(
-            100, prepending=prepending, modifiers={6: attack.modifier()}
+            100,
+            prepending=prepending,
+            modifiers={6: attack.modifier()},
+            warm_start=engine.propagate(100, prepending=prepending),
         )
         view = RouteCollector(figure3_graph, [2, 5]).snapshot(outcome)
         alarms = detect_new_links(view, figure3_graph)

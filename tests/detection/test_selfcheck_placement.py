@@ -71,6 +71,7 @@ class TestPrefixOwnerSelfCheck:
             100,
             prepending=prepending,
             modifiers={3: lambda path: path + (100,) * 2},
+            warm_start=engine.propagate(100, prepending=prepending),
         )
         collector = RouteCollector(figure3_graph, [4])
         self_check = PrefixOwnerSelfCheck(100, prepending)

@@ -1,14 +1,16 @@
 """Which route computes a sweep cell, and that it never matters.
 
 Impact-only cells (``SweepPointTask``: λ-sweeps, pair grids, the
-exhaustive grid) are answered by the impact kernel; outside its
-declared domain a cell runs through the baseline cache and the engine
-exactly as before, and the reason is counted.  Pinned here:
+exhaustive grid) are answered by the impact kernel, always; the engine
+route (a cached baseline, then a warm-started ``simulate_interception``)
+lives test-side as ``tests/strategies.py::engine_route_points``.
+Pinned here:
 
 * rows equal across the kernel, the engine route and the reference
   oracle's engine route — serial, through a forced two-worker pool, and
   against a cold and a warm store;
-* every fallback reason reachable and counted once per executed cell;
+* a cell outside the kernel's packed key raises at its own turn, after
+  the cells before it settled, with the message a cold run gets;
 * bad inputs raise exactly what the oracle's engine route raises;
 * a serial batch parks its kernel cells as one batch, pool workers run single columns
   against the per-victim baseline memo, and ``execute_task`` still runs
@@ -21,6 +23,7 @@ import pytest
 
 from repro.bgp import vectorized
 from repro.bgp.engine import PropagationEngine
+from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import ReproError, SimulationError
 from repro.experiments.sweeps import exhaustive_grid, padding_sweep, pair_grid
 from repro.runner import (
@@ -37,7 +40,6 @@ from tests.bgp.reference_engine import ReferenceEngine
 from tests.strategies import engine_route_points
 
 PADDINGS = tuple(range(1, 7))
-FALLBACK = "engine.impact.fallbacks."
 
 
 def _pair(world):
@@ -48,12 +50,8 @@ def _grid_pools(world):
     return world.tier1[:2] + world.tier2[:2], world.stubs[:3] + world.tier1[2:3]
 
 
-def _fallbacks(metrics: RunMetrics) -> dict[str, int]:
-    return {
-        name[len(FALLBACK):]: counter.value
-        for name, counter in metrics.counters.items()
-        if name.startswith(FALLBACK)
-    }
+def _converged_nothing(metrics: RunMetrics) -> bool:
+    return not any(name.startswith(("engine.", "cache.")) for name in metrics.counters)
 
 
 class TestRoutesAgree:
@@ -71,7 +69,6 @@ class TestRoutesAgree:
                 run=RunConfig(metrics=kernel_metrics),
             )
             assert kernel_metrics.counter_value("engine.impact.cells") == len(PADDINGS)
-            assert _fallbacks(kernel_metrics) == {}
 
             def engine_rows(engine):
                 cells = [(attacker, victim, padding) for padding in PADDINGS]
@@ -200,36 +197,49 @@ class TestBatchingAndTheMemo:
 
 
 class TestFallbacks:
-    """Every reason is reachable, counted once per executed cell, and
-    leaves the rows untouched."""
+    """Nothing falls back: a cell the kernel does not answer is an
+    error at its own turn, before anything converges for it."""
 
-    def _sweep(self, small_world):
+    def _sweep(self, small_world, store=None, metrics=None):
         attacker, victim = _pair(small_world)
-        metrics = RunMetrics()
-        rows = padding_sweep(
+        return padding_sweep(
             PropagationEngine(small_world.graph),
             victim=victim,
             attacker=attacker,
             paddings=PADDINGS,
-            run=RunConfig(metrics=metrics),
+            run=RunConfig(store=store, metrics=metrics),
         )
-        return rows, metrics
 
     def test_domain_topology_too_large(self, small_world, monkeypatch):
-        expected, _ = self._sweep(small_world)
         monkeypatch.setattr(vectorized, "_MAX_N", 8)
-        rows, metrics = self._sweep(small_world)
-        assert rows == expected
-        assert _fallbacks(metrics) == {"domain": len(PADDINGS)}
+        metrics = RunMetrics()
+        with pytest.raises(SimulationError, match="packed decision key"):
+            self._sweep(small_world, metrics=metrics)
+        assert _converged_nothing(metrics)
 
-    def test_domain_padding_overflows_the_key(self, small_world, monkeypatch):
-        expected, _ = self._sweep(small_world)
+    def test_domain_padding_overflows_the_key(self, small_world, monkeypatch, tmp_path):
+        expected = self._sweep(small_world)
         n = len(small_world.graph)
-        monkeypatch.setattr(vectorized, "_MAX_LEN", n * 4)  # admits λ <= 3
-        rows, metrics = self._sweep(small_world)
-        assert rows == expected
-        assert _fallbacks(metrics) == {"domain": len([p for p in PADDINGS if p > 3])}
-        assert metrics.counter_value("engine.impact.cells") == 3
+        with CampaignStore(tmp_path / "store") as store:
+            monkeypatch.setattr(vectorized, "_MAX_LEN", n * 4)  # admits λ <= 3
+            with pytest.raises(SimulationError, match="packed decision key"):
+                self._sweep(small_world, store)
+            # a cold run at that λ is refused with the same words
+            attacker, victim = _pair(small_world)
+            engine = PropagationEngine(small_world.graph)
+            with pytest.raises(SimulationError) as cold:
+                engine.propagate(victim, prepending=PrependingPolicy.uniform_origin(victim, 4))
+            with pytest.raises(SimulationError) as point:
+                execute_task(
+                    SweepPointTask(victim=victim, attacker=attacker, padding=4),
+                    WorkerContext(engine),
+                )
+            assert str(point.value) == str(cold.value)
+            monkeypatch.undo()
+            metrics = RunMetrics()
+            assert self._sweep(small_world, store, metrics) == expected
+        # the cells before the first out-of-domain one had settled
+        assert metrics.counter_value("scheduler.store_hits") == 3
 
     def test_strip_mode(self, small_world):
         attacker, victim = _pair(small_world)
@@ -241,14 +251,15 @@ class TestFallbacks:
         origin = SweepPointTask(victim=victim, attacker=attacker, padding=3)
         # "all" is inside the domain (it is origin-stripping to one copy)...
         assert execute_task(collapse, ctx).row() == execute_task(origin, ctx).row()
-        assert _fallbacks(metrics) == {}
-        # ...anything else is the engine route's to reject.
+        # ...anything else is rejected with the attack's own words.
         bogus = SweepPointTask(
             victim=victim, attacker=attacker, padding=3, strip_mode="bogus"
         )
+        metrics = RunMetrics()
+        ctx = WorkerContext(PropagationEngine(small_world.graph), metrics=metrics)
         with pytest.raises(SimulationError, match="strip_mode"):
             execute_task(bogus, ctx)
-        assert _fallbacks(metrics) == {"strip-mode": 1}
+        assert _converged_nothing(metrics)
 
 
 class TestBadInputs:
@@ -274,8 +285,8 @@ class TestBadInputs:
         ctx = WorkerContext(PropagationEngine(small_world.graph), metrics=metrics)
         with pytest.raises(ReproError) as kernel_route:
             execute_task(task, ctx)
-        # rejected, not "fallen back": no reason is counted
-        assert _fallbacks(metrics) == {}
+        # rejected before anything converged
+        assert _converged_nothing(metrics)
         # and a batch around it is unharmed
         good = SweepPointTask(victim=ases[0], attacker=ases[1], padding=2)
         assert ctx.park_impact([good, task]) == [task]

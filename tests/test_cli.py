@@ -815,7 +815,7 @@ SURFACE = {
         (("--batch",), "batch", "positive_int", 64, None, False, "store"),
         (("--backpressure",), "backpressure", None, "block", ("block", "drop", "park"), False, "store"),
         (("--capacity",), "capacity", "positive_int", 256, None, False, "store"),
-        (("--fault-rate",), "fault_rate", "float", 0.0, None, False, "store"),
+        (("--fault-rate",), "fault_rate", "unit_fraction", 0.0, None, False, "store"),
         (("--fault-seed",), "fault_seed", "int", None, None, False, "store"),
         (("--unrecoverable",), "unrecoverable", None, False, None, False, "storetrue"),
         (("--slo-alarm-latency",), "slo_alarm_latency", "non_negative_float", 2000.0, None, False, "store"),
@@ -1218,6 +1218,24 @@ class TestErrors:
             f"must be a finite number of at least 0, got {value}"
         )
 
+    @pytest.mark.parametrize("value", ["1.5", "nan"])
+    def test_a_fault_rate_outside_0_1_is_a_usage_error(self, value, monkeypatch, capsys):
+        """Refused by the flag's type, in every range error's wording,
+        before any stream is built."""
+        from repro import cli
+
+        def built(*args, **kwargs):
+            raise AssertionError("the stream was built before the flags were checked")
+
+        monkeypatch.setattr(cli, "_churn_stream", built)
+        with pytest.raises(SystemExit) as usage:
+            main(["mitigate-stream", "--scale", "0.2", "--fault-rate", value])
+        assert usage.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro-aspp mitigate-stream: error: argument --fault-rate: "
+            f"must be in [0, 1], got {value}"
+        )
+
     @pytest.mark.parametrize("flag", ["--attackers", "--victims"])
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_grid_pools_below_one_are_a_usage_error(self, flag, limit, no_world, capsys):
@@ -1291,6 +1309,18 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == "repro-aspp: error: AS999999 is not present in the topology\n"
         assert captured.out == ""
+
+    def test_a_run_outside_the_packed_key_is_one_line(self, monkeypatch, capsys):
+        """A cell the impact kernel's key cannot hold is a library error
+        naming the key's limits, not a traceback and not a detour."""
+        from repro.bgp import vectorized
+
+        monkeypatch.setattr(vectorized, "_MAX_LEN", 2)
+        assert main(["grid", "--scale", "0.2", "--attackers", "2", "--victims", "3"]) == 1
+        error = capsys.readouterr().err
+        assert len(error.splitlines()) == 1
+        assert error.startswith("repro-aspp: error: ")
+        assert "packed decision key" in error and "below 2" in error
 
     def test_an_asn_past_64_bits_is_one_line_naming_it(self, capsys, tmp_path):
         topology = tmp_path / "big.as-rel2.txt"
